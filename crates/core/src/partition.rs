@@ -12,7 +12,6 @@
 use crate::task::StageId;
 use naspipe_supernet::profile::ProfiledSpace;
 use naspipe_supernet::subnet::Subnet;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A contiguous `D`-partition of a subnet's block list.
@@ -132,9 +131,10 @@ impl Partition {
 
     /// The stage owning block `b`, if any stage covers it.
     pub fn stage_of_block(&self, b: usize) -> Option<StageId> {
-        (0..self.num_stages())
-            .map(StageId)
-            .find(|&k| self.stage_range(k).contains(&b))
+        // The first boundary above `b` closes the (non-empty) range
+        // holding it.
+        let end = self.boundaries.partition_point(|&x| x <= b);
+        (end < self.boundaries.len()).then(|| StageId(end as u32 - 1))
     }
 
     /// Stage execution times under `costs`.
@@ -169,7 +169,6 @@ pub struct Partitioner {
     stages: u32,
     mode: PartitionMode,
     static_partition: Partition,
-    cache: BTreeMap<Vec<u32>, Partition>,
 }
 
 impl Partitioner {
@@ -190,7 +189,6 @@ impl Partitioner {
             stages,
             mode,
             static_partition,
-            cache: BTreeMap::new(),
         }
     }
 
@@ -216,29 +214,30 @@ impl Partitioner {
     }
 
     /// The partition `subnet` executes with.
+    ///
+    /// Mirrored partitions are computed per call and not memoised: an
+    /// exploration stream practically never repeats an architecture (see
+    /// `uniform_stream_never_repeats_an_architecture`), so a cache keyed by
+    /// the choice list would only grow. Callers keep the partition next to
+    /// the subnet (the engine's `SubnetTable` entry) instead of re-asking.
+    /// `&mut self` is kept for source compatibility.
     pub fn partition_for(&mut self, subnet: &Subnet) -> Partition {
         match self.mode {
             PartitionMode::Static => self.static_partition.clone(),
             PartitionMode::Mirrored => {
-                if let Some(p) = self.cache.get(subnet.choices()) {
-                    return p.clone();
-                }
                 let costs = self.profile.subnet_block_costs(subnet);
-                let p = Partition::balanced(&costs, self.stages);
-                self.cache.insert(subnet.choices().to_vec(), p.clone());
-                p
+                Partition::balanced(&costs, self.stages)
             }
         }
     }
 
-    /// Stage compute time of `subnet` at stage `k` under its partition,
-    /// in milliseconds, split as `(fwd_ms, bwd_ms)`.
-    pub fn stage_times(&mut self, subnet: &Subnet, k: StageId) -> (f64, f64) {
-        let partition = self.partition_for(subnet);
-        let range = partition.stage_range(k);
+    /// Stage compute time of `subnet` at stage `k` of `partition` (the
+    /// one [`partition_for`](Self::partition_for) gave it), in
+    /// milliseconds, split as `(fwd_ms, bwd_ms)`.
+    pub fn stage_times(&self, subnet: &Subnet, partition: &Partition, k: StageId) -> (f64, f64) {
         let mut fwd = 0.0;
         let mut bwd = 0.0;
-        for b in range {
+        for b in partition.stage_range(k) {
             if subnet.skips(b) {
                 continue;
             }
@@ -327,9 +326,10 @@ mod tests {
         let profile = ProfiledSpace::new(&space, 64);
         let mut part = Partitioner::new(profile.clone(), 4, PartitionMode::Mirrored);
         let s = Subnet::new(SubnetId(0), vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
+        let p = part.partition_for(&s);
         let total: f64 = (0..4)
             .map(|k| {
-                let (f, b) = part.stage_times(&s, StageId(k));
+                let (f, b) = part.stage_times(&s, &p, StageId(k));
                 f + b
             })
             .sum();
@@ -337,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_cache_is_consistent() {
+    fn partition_for_is_a_pure_function_of_the_subnet() {
         let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
         let profile = ProfiledSpace::new(&space, 192);
         let mut part = Partitioner::new(profile, 2, PartitionMode::Mirrored);
@@ -345,6 +345,23 @@ mod tests {
         let p1 = part.partition_for(&s);
         let p2 = part.partition_for(&s);
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn uniform_stream_never_repeats_an_architecture() {
+        // Why `partition_for` has no memo table: a cache keyed by the
+        // choice list hits only when the stream repeats an architecture.
+        // NLP.c1 has 72^48 of them; 4000 uniform draws (the benchmark's
+        // stream) never collide, so once the engine stopped re-asking for
+        // the same subnet ~2D times per run the hit rate was exactly 0 and
+        // the table (one 48-u32 key plus a partition per subnet) only grew.
+        use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
+        use std::collections::BTreeSet;
+        let space = SearchSpace::nlp_c1();
+        let stream = UniformSampler::new(&space, 2022).take_subnets(4000);
+        let distinct: BTreeSet<&[u32]> = stream.iter().map(|s| s.choices()).collect();
+        let hits = stream.len() - distinct.len();
+        assert_eq!(hits, 0, "a choice-keyed cache would have hit {hits} times");
     }
 
     #[test]

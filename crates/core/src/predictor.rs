@@ -79,12 +79,9 @@ impl Predictor {
     ) -> Vec<Fetch> {
         let mut fetches = Vec::new();
         // Hypothetically finish `recv` at this stage and re-run SCHEDULE().
-        let mut hypothetical = finished.to_vec();
-        let k = stage.0 as usize;
-        if !hypothetical[k].contains(recv) {
-            hypothetical[k].insert(recv);
-        }
-        if let Some((_, fwd_id)) = scheduler.schedule(queue, &hypothetical, table, stage) {
+        if let Some((_, fwd_id)) =
+            scheduler.schedule_assuming(queue, finished, table, stage, Some(recv))
+        {
             fetches.push(Fetch {
                 subnet: fwd_id,
                 kind: TaskKind::Forward,

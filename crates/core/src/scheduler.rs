@@ -19,11 +19,32 @@
 //! therefore check the finished list of `min(K, s_w)` for each shared
 //! layer; with a static partition (`s_w == K` always) this reduces exactly
 //! to the paper's local check.
+//!
+//! # The per-layer writer index
+//!
+//! The check above only ever asks one question of the table: *which
+//! in-flight subnets below `y` activate this layer, and at which stage do
+//! they write it?* [`SubnetTable`] therefore keeps, per `(block, choice)`,
+//! the in-flight subnets activating it — ascending by sequence ID, each
+//! with the stage owning that block in its own partition — maintained on
+//! [`SubnetTable::insert`] and [`SubnetTable::retire_below`]. An
+//! admission check walks `layers in the slice x in-flight sharers of that
+//! layer` entries instead of `in-flight subnets x slice`. Invariants:
+//!
+//! * a subnet is in the list of `(b, choices[b])` for every block `b` it
+//!   has, from `insert` until `retire_below` passes its ID, and in no
+//!   other list;
+//! * every list is strictly ascending by sequence ID;
+//! * the recorded owner stage is `partition.stage_of_block(b)` of the
+//!   subnet's *own* partition (`None` when no stage covers the block).
+//!
+//! Like the scan it replaces, the index keys on the raw choice value: two
+//! subnets that both *skip* a block are treated as sharing it.
 
 use crate::partition::Partition;
 use crate::task::{FinishedSet, StageId};
-use naspipe_supernet::subnet::{Subnet, SubnetId};
-use std::collections::BTreeMap;
+use naspipe_supernet::subnet::{Subnet, SubnetId, SKIP_CHOICE};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A sequence ID was registered in a [`SubnetTable`] twice. Admitting two
@@ -40,11 +61,30 @@ impl fmt::Display for DuplicateSubnet {
 
 impl std::error::Error for DuplicateSubnet {}
 
+/// One in-flight activation of a layer: who, and the stage that writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sharer {
+    /// The subnet activating the layer.
+    id: SubnetId,
+    /// The stage owning the layer's block in `id`'s own partition — where
+    /// `id`'s backward writes it. `None` if no stage covers the block.
+    owner: Option<StageId>,
+}
+
 /// The runtime's view of in-flight subnets (`L_SN`): each entry pairs the
 /// subnet's layer choices with the partition it executes under.
+///
+/// Entries live in a dense window of slots offset by the lowest tracked
+/// ID, so storage is proportional to the *span* of in-flight IDs — the
+/// scheduling window in practice — and a lookup is one indexed load.
 #[derive(Debug, Clone, Default)]
 pub struct SubnetTable {
-    entries: BTreeMap<u64, SubnetEntry>,
+    // ID of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<SubnetEntry>>,
+    len: usize,
+    // `sharers[block][choice slot]`: see the module docs.
+    sharers: Vec<Vec<Vec<Sharer>>>,
 }
 
 /// One in-flight subnet.
@@ -54,6 +94,16 @@ pub struct SubnetEntry {
     pub subnet: Subnet,
     /// The stage partition this subnet executes with.
     pub partition: Partition,
+}
+
+/// Index of `choice` in a block's list of sharer lists: slot 0 is the
+/// skip choice, candidate `c` is slot `c + 1`.
+fn choice_slot(choice: u32) -> usize {
+    if choice == SKIP_CHOICE {
+        0
+    } else {
+        choice as usize + 1
+    }
 }
 
 impl SubnetTable {
@@ -70,39 +120,103 @@ impl SubnetTable {
     /// untouched) if the sequence ID is already registered.
     pub fn insert(&mut self, subnet: Subnet, partition: Partition) -> Result<(), DuplicateSubnet> {
         let id = subnet.seq_id();
-        if self.entries.contains_key(&id.0) {
+        if self.get(id).is_some() {
             return Err(DuplicateSubnet(id));
         }
-        self.entries.insert(id.0, SubnetEntry { subnet, partition });
+        if self.slots.is_empty() {
+            self.base = id.0;
+        }
+        while id.0 < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let slot = (id.0 - self.base) as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        if self.sharers.len() < subnet.num_layers() {
+            self.sharers.resize_with(subnet.num_layers(), Vec::new);
+        }
+        for (b, &choice) in subnet.choices().iter().enumerate() {
+            let lists = &mut self.sharers[b];
+            let c = choice_slot(choice);
+            if lists.len() <= c {
+                lists.resize_with(c + 1, Vec::new);
+            }
+            let list = &mut lists[c];
+            let at = list.partition_point(|s| s.id < id);
+            list.insert(
+                at,
+                Sharer {
+                    id,
+                    owner: partition.stage_of_block(b),
+                },
+            );
+        }
+        self.slots[slot] = Some(SubnetEntry { subnet, partition });
+        self.len += 1;
         Ok(())
     }
 
     /// Looks up an in-flight subnet.
+    #[inline]
     pub fn get(&self, id: SubnetId) -> Option<&SubnetEntry> {
-        self.entries.get(&id.0)
+        let slot = id.0.checked_sub(self.base)?;
+        self.slots.get(slot as usize)?.as_ref()
     }
 
     /// Tracked subnets with sequence ID strictly below `bound`, ascending.
     pub fn entries_below(&self, bound: SubnetId) -> impl Iterator<Item = (SubnetId, &SubnetEntry)> {
-        self.entries
-            .range(..bound.0)
-            .map(|(&id, e)| (SubnetId(id), e))
+        let n = bound
+            .0
+            .saturating_sub(self.base)
+            .min(self.slots.len() as u64) as usize;
+        self.slots
+            .iter()
+            .take(n)
+            .enumerate()
+            .filter_map(|(i, e)| Some((SubnetId(self.base + i as u64), e.as_ref()?)))
+    }
+
+    /// In-flight subnets whose block `block` carries `choice`, ascending
+    /// by sequence ID (the per-layer writer index of the module docs).
+    #[inline]
+    fn sharers(&self, block: usize, choice: u32) -> &[Sharer] {
+        self.sharers
+            .get(block)
+            .and_then(|lists| lists.get(choice_slot(choice)))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Drops subnets below `bound` (they finished everywhere and can no
     /// longer participate in dependency checks).
     pub fn retire_below(&mut self, bound: SubnetId) {
-        self.entries = self.entries.split_off(&bound.0);
+        while self.base < bound.0 {
+            let Some(slot) = self.slots.pop_front() else {
+                break;
+            };
+            let id = SubnetId(self.base);
+            self.base += 1;
+            let Some(entry) = slot else { continue };
+            self.len -= 1;
+            for (b, &choice) in entry.subnet.choices().iter().enumerate() {
+                let list = &mut self.sharers[b][choice_slot(choice)];
+                // Retirement proceeds in ID order and lists ascend, so the
+                // retiree heads its lists.
+                debug_assert_eq!(list.first().map(|s| s.id), Some(id));
+                list.remove(0);
+            }
+        }
     }
 
     /// Number of tracked subnets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -143,8 +257,11 @@ impl CspScheduler {
     /// dependency chains, so finishing them soonest unblocks the most
     /// downstream work.
     ///
-    /// `queue` holds subnet IDs in arrival order; `finished[k]` is stage
-    /// `k`'s `L_f`; `table` is `L_SN`; `stage` is `K`.
+    /// `queue` holds the queued subnet IDs; `finished[k]` is stage `k`'s
+    /// `L_f`; `table` is `L_SN`; `stage` is `K`. A queue kept ascending by
+    /// ID (as the engine keeps its ready queues) is scanned in place; any
+    /// other order is still answered correctly, without allocating, by
+    /// selecting the next-lowest ID per step.
     ///
     /// # Panics
     ///
@@ -156,12 +273,43 @@ impl CspScheduler {
         table: &SubnetTable,
         stage: StageId,
     ) -> Option<(usize, SubnetId)> {
+        self.schedule_assuming(queue, finished, table, stage, None)
+    }
+
+    /// [`schedule`](Self::schedule) with `assumed` treated as already
+    /// finished at `stage` — the predictor's "hypothetically finish the
+    /// received backward" (Algorithm 3 lines 4–9) as an overlay instead
+    /// of a copy of every finished list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` indexes outside `finished`.
+    pub(crate) fn schedule_assuming(
+        &mut self,
+        queue: &[SubnetId],
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+        assumed: Option<SubnetId>,
+    ) -> Option<(usize, SubnetId)> {
         self.stats.calls += 1;
-        let mut order: Vec<(usize, SubnetId)> = queue.iter().copied().enumerate().collect();
-        order.sort_by_key(|&(_, id)| id);
-        for (qidx, qval) in order {
+        let ascending = queue.windows(2).all(|w| w[0] < w[1]);
+        let mut floor = None;
+        for step in 0..queue.len() {
+            let (qidx, qval) = if ascending {
+                (step, queue[step])
+            } else {
+                // The lowest ID above the last one tried.
+                queue
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, id)| floor.is_none_or(|f| id > f))
+                    .min_by_key(|&(_, id)| id)?
+            };
+            floor = Some(qval);
             self.stats.scanned += 1;
-            if Self::admissible(qval, finished, table, stage) {
+            if Self::admissible_assuming(qval, finished, table, stage, assumed) {
                 self.stats.hits += 1;
                 return Some((qidx, qval));
             }
@@ -184,43 +332,71 @@ impl CspScheduler {
         table: &SubnetTable,
         stage: StageId,
     ) -> bool {
+        Self::admissible_assuming(candidate, finished, table, stage, None)
+    }
+
+    fn admissible_assuming(
+        candidate: SubnetId,
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+        assumed: Option<SubnetId>,
+    ) -> bool {
         let Some(entry) = table.get(candidate) else {
             // Unknown subnets cannot be checked; treat as blocked.
             return false;
         };
         let k = stage.0 as usize;
         assert!(k < finished.len(), "stage {stage} out of range");
-        let range = entry.partition.stage_range(stage);
-        for (wid, earlier) in table.entries_below(candidate) {
-            if finished[k].contains(wid) {
-                // Finished at K implies finished at every stage >= K and,
-                // because backward flows towards stage 0, we still must
-                // check shared layers owned by earlier stages below.
-                let all_earlier_done = (0..k).all(|j| finished[j].contains(wid));
-                if all_earlier_done {
-                    continue;
+        let choices = entry.subnet.choices();
+        for b in entry.partition.stage_range(stage) {
+            for sharer in table.sharers(b, choices[b]) {
+                if sharer.id >= candidate {
+                    break;
                 }
-            }
-            for b in range.clone() {
-                if b >= earlier.subnet.num_layers()
-                    || entry.subnet.choices()[b] != earlier.subnet.choices()[b]
-                {
-                    continue;
-                }
-                // Shared layer: `wid`'s write happens in its backward at
-                // the stage owning block `b` in *its* partition.
-                let owner = earlier
-                    .partition
-                    .stage_of_block(b)
-                    .map(|s| s.0 as usize)
-                    .unwrap_or(k);
-                let need = owner.min(k);
-                if !finished[need].contains(wid) {
+                // `sharer`'s write happens in its backward at the stage
+                // owning block `b` in *its* partition; a write at a later
+                // stage than K has completed once its backward passed K.
+                let need = sharer.owner.map_or(k, |s| (s.0 as usize).min(k));
+                let written =
+                    finished[need].contains(sharer.id) || (need == k && assumed == Some(sharer.id));
+                if !written {
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// The lowest-ID unfinished-at-`stage` subnet below `candidate` that
+    /// activates a (non-skipped) layer of `candidate`'s stage-`stage`
+    /// slice — the `precedence` of a pending backward (Algorithm 3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` indexes outside `finished`.
+    pub(crate) fn first_blocker(
+        candidate: SubnetId,
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+    ) -> Option<SubnetId> {
+        let entry = table.get(candidate)?;
+        let done = &finished[stage.0 as usize];
+        let choices = entry.subnet.choices();
+        entry
+            .partition
+            .stage_range(stage)
+            .filter(|&b| choices[b] != SKIP_CHOICE)
+            .filter_map(|b| {
+                table
+                    .sharers(b, choices[b])
+                    .iter()
+                    .map(|s| s.id)
+                    .take_while(|&id| id < candidate)
+                    .find(|&id| !done.contains(id))
+            })
+            .min()
     }
 }
 
@@ -245,6 +421,76 @@ mod tests {
 
     fn fresh(stages: usize) -> Vec<FinishedSet> {
         vec![FinishedSet::new(); stages]
+    }
+
+    /// The scan the writer index replaced, kept as the oracle the
+    /// differential tests compare against: walk every tracked subnet
+    /// below the candidate and every block of the candidate's slice.
+    fn reference_admissible(
+        candidate: SubnetId,
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+    ) -> bool {
+        let Some(entry) = table.get(candidate) else {
+            return false;
+        };
+        let k = stage.0 as usize;
+        let range = entry.partition.stage_range(stage);
+        for (wid, earlier) in table.entries_below(candidate) {
+            if (0..=k).all(|j| finished[j].contains(wid)) {
+                continue;
+            }
+            for b in range.clone() {
+                if b >= earlier.subnet.num_layers()
+                    || entry.subnet.choices()[b] != earlier.subnet.choices()[b]
+                {
+                    continue;
+                }
+                let owner = earlier
+                    .partition
+                    .stage_of_block(b)
+                    .map(|s| s.0 as usize)
+                    .unwrap_or(k);
+                if !finished[owner.min(k)].contains(wid) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Reference `schedule`: sort a copy of the queue, scan it.
+    fn reference_schedule(
+        queue: &[SubnetId],
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+    ) -> Option<(usize, SubnetId)> {
+        let mut order: Vec<(usize, SubnetId)> = queue.iter().copied().enumerate().collect();
+        order.sort_by_key(|&(_, id)| id);
+        order
+            .into_iter()
+            .find(|&(_, id)| reference_admissible(id, finished, table, stage))
+    }
+
+    /// Reference `first_blocker`: the first tracked subnet below the
+    /// candidate, unfinished at `stage`, that conflicts within the slice.
+    fn reference_first_blocker(
+        candidate: SubnetId,
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+    ) -> Option<SubnetId> {
+        let e = table.get(candidate)?;
+        table
+            .entries_below(candidate)
+            .find(|(wid, w)| {
+                !finished[stage.0 as usize].contains(*wid)
+                    && e.subnet
+                        .conflicts_within(e.partition.stage_range(stage), &w.subnet)
+            })
+            .map(|(wid, _)| wid)
     }
 
     #[test]
@@ -431,5 +677,211 @@ mod tests {
         assert_eq!(st.calls, 2);
         assert_eq!(st.scanned, 2);
         assert_eq!(st.hits, 0);
+    }
+
+    #[test]
+    fn unsorted_queue_still_yields_the_lowest_admissible_id() {
+        let mut s = CspScheduler::new();
+        // SN1 conflicts with the unfinished SN0; SN2 and SN3 are free.
+        let t = table(&[&[0, 0, 0, 0], &[0, 1, 1, 1], &[2, 2, 2, 2], &[3, 3, 3, 3]]);
+        let q = vec![SubnetId(3), SubnetId(1), SubnetId(2)];
+        assert_eq!(
+            s.schedule(&q, &fresh(2), &t, StageId(0)),
+            Some((2, SubnetId(2)))
+        );
+        assert_eq!(s.stats().scanned, 2, "tried SN1, then SN2");
+    }
+
+    #[test]
+    fn assumed_finish_is_an_overlay_on_one_stage() {
+        let mut s = CspScheduler::new();
+        let t = table(&[&[0, 0, 0, 0], &[0, 5, 5, 5]]);
+        let q = vec![SubnetId(1)];
+        let f = fresh(2);
+        assert_eq!(s.schedule(&q, &f, &t, StageId(0)), None);
+        assert_eq!(
+            s.schedule_assuming(&q, &f, &t, StageId(0), Some(SubnetId(0))),
+            Some((0, SubnetId(1)))
+        );
+        assert_eq!(f, fresh(2), "the finished lists are not touched");
+    }
+
+    #[test]
+    fn index_tracks_insert_and_retire() {
+        let mut t = table(&[&[0, 1, 0, 0], &[0, 0, 0, 0], &[0, 1, 1, 1]]);
+        let ids = |t: &SubnetTable, b, c| -> Vec<u64> {
+            t.sharers(b, c).iter().map(|s| s.id.0).collect()
+        };
+        assert_eq!(ids(&t, 0, 0), vec![0, 1, 2]);
+        assert_eq!(ids(&t, 1, 1), vec![0, 2]);
+        assert_eq!(ids(&t, 1, 7), Vec::<u64>::new());
+        assert_eq!(ids(&t, 9, 0), Vec::<u64>::new());
+        assert_eq!(t.sharers(2, 0)[0].owner, Some(StageId(1)));
+        t.retire_below(SubnetId(1));
+        assert_eq!(ids(&t, 0, 0), vec![1, 2]);
+        assert_eq!(ids(&t, 1, 1), vec![2]);
+        // An ID below the current base re-opens the window at the front.
+        t.insert(
+            Subnet::new(SubnetId(0), vec![0, 1, 2, 3]),
+            Partition::from_boundaries(vec![0, 2, 4]),
+        )
+        .unwrap();
+        assert_eq!(ids(&t, 0, 0), vec![0, 1, 2]);
+        assert_eq!(t.len(), 3);
+        t.retire_below(SubnetId(9));
+        assert!(t.is_empty());
+        assert_eq!(ids(&t, 0, 0), Vec::<u64>::new());
+    }
+
+    #[cfg(feature = "proptest-tests")]
+    mod differential {
+        use super::*;
+        use naspipe_supernet::rng::DetRng;
+        use naspipe_supernet::subnet::SKIP_CHOICE;
+        use proptest::prelude::*;
+
+        /// A random non-decreasing `stages + 1`-boundary partition of
+        /// `blocks` blocks (so the same block lands on different stages
+        /// for different subnets: `s_w != K`).
+        fn random_partition(rng: &mut DetRng, blocks: usize, stages: usize) -> Partition {
+            let mut cuts: Vec<usize> = (1..stages).map(|_| rng.index(blocks + 1)).collect();
+            cuts.sort_unstable();
+            let mut bounds = vec![0];
+            bounds.extend(cuts);
+            bounds.push(blocks);
+            Partition::from_boundaries(bounds)
+        }
+
+        /// Checks every indexed answer against its reference on the
+        /// current `(table, finished)` state.
+        fn compare(
+            rng: &mut DetRng,
+            table: &SubnetTable,
+            finished: &[FinishedSet],
+            next_id: u64,
+        ) -> Result<(), String> {
+            let live: Vec<SubnetId> = (0..next_id + 1)
+                .map(SubnetId)
+                .filter(|&id| table.get(id).is_some() || id.0 == next_id)
+                .collect();
+            for k in 0..finished.len() {
+                let stage = StageId(k as u32);
+                for &id in &live {
+                    let got = CspScheduler::admissible(id, finished, table, stage);
+                    let want = reference_admissible(id, finished, table, stage);
+                    if got != want {
+                        return Err(format!(
+                            "admissible({id}, {stage}) = {got}, scan says {want}"
+                        ));
+                    }
+                    let got = CspScheduler::first_blocker(id, finished, table, stage);
+                    let want = reference_first_blocker(id, finished, table, stage);
+                    if got != want {
+                        return Err(format!(
+                            "first_blocker({id}, {stage}) = {got:?} vs {want:?}"
+                        ));
+                    }
+                }
+                // A random sub-queue, once ascending and once shuffled.
+                let mut queue: Vec<SubnetId> =
+                    live.iter().copied().filter(|_| rng.index(3) > 0).collect();
+                for shuffled in [false, true] {
+                    if shuffled {
+                        rng.shuffle(&mut queue);
+                    }
+                    let got = CspScheduler::new().schedule(&queue, finished, table, stage);
+                    let want = reference_schedule(&queue, finished, table, stage);
+                    if got != want {
+                        return Err(format!(
+                            "schedule({queue:?}, {stage}) = {got:?} vs {want:?}"
+                        ));
+                    }
+                }
+                // The overlay equals a real insert into a copy.
+                if let Some(&assumed) = live.first() {
+                    if !finished[k].contains(assumed) {
+                        let mut copy = finished.to_vec();
+                        copy[k].insert(assumed);
+                        let got = CspScheduler::new().schedule_assuming(
+                            &queue,
+                            finished,
+                            table,
+                            stage,
+                            Some(assumed),
+                        );
+                        let want = reference_schedule(&queue, &copy, table, stage);
+                        if got != want {
+                            return Err(format!(
+                                "schedule_assuming({assumed}, {stage}) = {got:?} vs {want:?}"
+                            ));
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The writer index answers exactly like the scan it replaced
+            /// over random tables (ID holes, skipped blocks, short
+            /// subnets), mirrored partitions, finished sets with holes,
+            /// and retire/insert interleavings.
+            #[test]
+            fn indexed_answers_equal_the_reference_scan(
+                seed in 0u64..u64::MAX,
+                blocks in 2usize..9,
+                choices in 1u64..4,
+                stages in 1usize..5,
+                ops in 8usize..40,
+            ) {
+                let mut rng = DetRng::new(seed);
+                let mut table = SubnetTable::new();
+                let mut finished = vec![FinishedSet::new(); stages];
+                let mut next_id = 0u64;
+                for _ in 0..ops {
+                    match rng.index(6) {
+                        // Register a subnet (sometimes leaving an ID hole,
+                        // sometimes shorter than the space).
+                        0..=2 => {
+                            next_id += rng.next_below(2);
+                            let len = if rng.index(5) == 0 { 1 + rng.index(blocks) } else { blocks };
+                            let row: Vec<u32> = (0..len)
+                                .map(|_| {
+                                    if rng.index(7) == 0 {
+                                        SKIP_CHOICE
+                                    } else {
+                                        rng.next_below(choices) as u32
+                                    }
+                                })
+                                .collect();
+                            // A partition over `len` blocks keeps the
+                            // candidate's own slices inside its choices.
+                            let partition = random_partition(&mut rng, len, stages);
+                            table
+                                .insert(Subnet::new(SubnetId(next_id), row), partition)
+                                .expect("fresh ID");
+                            next_id += 1;
+                        }
+                        // Finish some ID at some stage, in any order.
+                        3..=4 => {
+                            if next_id > 0 {
+                                let id = SubnetId(rng.next_below(next_id));
+                                let k = rng.index(stages);
+                                if !finished[k].contains(id) {
+                                    finished[k].insert(id);
+                                }
+                            }
+                        }
+                        // Retire below an arbitrary bound.
+                        _ => table.retire_below(SubnetId(rng.next_below(next_id + 1))),
+                    }
+                    if let Err(msg) = compare(&mut rng, &table, &finished, next_id) {
+                        prop_assert!(false, "{}", msg);
+                    }
+                }
+            }
+        }
     }
 }

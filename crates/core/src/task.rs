@@ -6,7 +6,7 @@
 //! of execution and scheduling (§3.2).
 
 use naspipe_supernet::subnet::SubnetId;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Index of a pipeline stage; stage `k` runs on GPU `k`.
@@ -78,10 +78,17 @@ impl fmt::Display for Task {
 /// The finished list `L_f` with the paper's elimination scheme: when all
 /// subnets below a sequence ID have finished, they are dropped from both
 /// the set and future dependency checks (§3.2, complexity analysis).
+///
+/// Stored densely: `prefix` is the smallest unfinished ID and
+/// `window[i]` says whether `prefix + i` finished, so a membership test
+/// is one compare and one indexed load. The window never ends in `false`
+/// (it only grows to mark an ID finished and only shrinks from the
+/// front), so equal sets have equal representations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FinishedSet {
     prefix: u64,
-    beyond: BTreeSet<u64>,
+    window: VecDeque<bool>,
+    retained: usize,
 }
 
 impl FinishedSet {
@@ -100,17 +107,31 @@ impl FinishedSet {
         assert!(!self.contains(id), "{id} finished twice");
         if id.0 == self.prefix {
             self.prefix += 1;
-            while self.beyond.remove(&self.prefix) {
+            self.window.pop_front();
+            while self.window.front() == Some(&true) {
+                self.window.pop_front();
                 self.prefix += 1;
+                self.retained -= 1;
             }
         } else {
-            self.beyond.insert(id.0);
+            let idx = (id.0 - self.prefix) as usize;
+            if idx >= self.window.len() {
+                self.window.resize(idx + 1, false);
+            }
+            self.window[idx] = true;
+            self.retained += 1;
         }
     }
 
     /// Whether `id` has finished.
+    #[inline]
     pub fn contains(&self, id: SubnetId) -> bool {
-        id.0 < self.prefix || self.beyond.contains(&id.0)
+        id.0 < self.prefix
+            || self
+                .window
+                .get((id.0 - self.prefix) as usize)
+                .copied()
+                .unwrap_or(false)
     }
 
     /// The smallest unfinished sequence ID. Dependency checks only need to
@@ -122,14 +143,14 @@ impl FinishedSet {
     /// Iterates the *unfinished* IDs in `[first_unfinished(), bound)`.
     pub fn unfinished_below(&self, bound: SubnetId) -> impl Iterator<Item = SubnetId> + '_ {
         (self.prefix..bound.0)
-            .filter(move |i| !self.beyond.contains(i))
             .map(SubnetId)
+            .filter(move |&id| !self.contains(id))
     }
 
     /// Number of finished entries retained beyond the prefix (bounded by
     /// the scheduling window in practice).
     pub fn retained(&self) -> usize {
-        self.beyond.len()
+        self.retained
     }
 }
 

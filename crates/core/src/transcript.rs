@@ -344,7 +344,6 @@ pub fn replay_transcript(
             stage_idle_empty_secs: Vec::new(),
         },
         tasks: transcript.tasks.clone(),
-        trace: naspipe_sim::trace::Trace::new(),
         subnets: transcript.subnets.clone(),
         obs: naspipe_obs::ObsReport::default(),
         spans: naspipe_obs::SpanTrace::default(),

@@ -31,7 +31,6 @@ pub mod link;
 pub mod metrics;
 pub mod resource;
 pub mod time;
-pub mod trace;
 
 pub use cluster::Cluster;
 pub use event::EventQueue;
