@@ -65,6 +65,7 @@ use naspipe_obs::{
     TelemetryOptions, Tracer, Violation, Watchdog, WatchdogVerdict,
 };
 use naspipe_sim::time::SimTime;
+use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::data::SyntheticDataset;
@@ -344,6 +345,57 @@ fn dump_flight(flight: &Option<Arc<FlightRecorder>>, path: &Option<String>, reas
     }
 }
 
+/// The last completed backward — `(subnet, its span, its end µs)` — per
+/// owned `(block, choice)` layer: what names the binding CSP writer of a
+/// later forward. One slot per owned layer, so a lookup costs the
+/// forward's slice layers and the whole table is bounded by the stage's
+/// share of the supernet, however many subnets finish.
+struct LastWriters {
+    first_block: usize,
+    // slots[block - first_block][choice]
+    slots: Vec<Vec<Option<(u64, SpanId, u64)>>>,
+}
+
+impl LastWriters {
+    /// Empty slots for the blocks from `first_block` on, `choices[i]`
+    /// candidates in the `i`-th of them.
+    fn new(first_block: usize, choices: &[u32]) -> Self {
+        Self {
+            first_block,
+            slots: choices.iter().map(|&c| vec![None; c as usize]).collect(),
+        }
+    }
+
+    /// `subnet`'s activated layers among the owned blocks, as slot
+    /// coordinates.
+    fn owned_layers<'a>(&self, subnet: &'a Subnet) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let first = self.first_block;
+        (first..first + self.slots.len())
+            .filter(|&b| !subnet.skips(b))
+            .map(move |b| (b - first, subnet.layer(b).choice as usize))
+    }
+
+    /// Notes that `subnet`'s backward (span `span`) wrote its owned
+    /// layers at `end_us`.
+    fn record(&mut self, subnet: &Subnet, span: SpanId, end_us: u64) {
+        for (b, c) in self.owned_layers(subnet) {
+            self.slots[b][c] = Some((subnet.seq_id().0, span, end_us));
+        }
+    }
+
+    /// The latest-finishing earlier writer of any layer `subnet` is
+    /// about to read. Under CSP every slot `subnet` reads was last
+    /// written by a subnet below it (a higher one sharing the layer is
+    /// not admissible before `subnet` finishes here), so this is the
+    /// writer a scan of every finished backward would name.
+    fn latest(&self, subnet: &Subnet) -> Option<(u64, SpanId, u64)> {
+        self.owned_layers(subnet)
+            .filter_map(|(b, c)| self.slots[b][c])
+            .inspect(|&(x, _, _)| debug_assert!(x < subnet.seq_id().0, "CSP: writer above reader"))
+            .max_by_key(|&(x, _, end)| (end, x))
+    }
+}
+
 struct StageWorker {
     stage: usize,
     blocks: Range<usize>,
@@ -374,10 +426,9 @@ struct StageWorker {
     /// resumed from ([`SpanId::EXTERNAL`] for incarnation 0 or a
     /// from-scratch replay) — the causal source of the `Restart` span.
     resume_span: SpanId,
-    // Completed backward spans at this stage: subnet -> (span, end µs).
-    // The CSP admission cause of a later forward is the latest of these
-    // that conflicts with it.
-    bwd_done: BTreeMap<u64, (SpanId, u64)>,
+    // The CSP admission cause of a forward is the latest of its layers'
+    // last writers.
+    writers: LastWriters,
     checker: Option<Arc<Mutex<CspChecker>>>,
     // Fault tolerance.
     shutdown: Arc<AtomicBool>,
@@ -400,8 +451,8 @@ struct StageWorker {
 }
 
 impl StageWorker {
-    fn layer_params(&self, block: usize, choice: u32) -> &DenseParams {
-        &self.params[block - self.blocks.start][choice as usize]
+    fn layer_params(&self, layer: LayerRef) -> &DenseParams {
+        &self.params[layer.block as usize - self.blocks.start][layer.choice as usize]
     }
 
     fn admissible(&self, y: SubnetId) -> bool {
@@ -831,8 +882,11 @@ impl StageWorker {
         // detector watches.
         let started = Instant::now();
         self.fire_execute_fault(y, TaskKind::Forward);
-        let subnet = self.subnets[y.0 as usize].clone();
-        let ctx = self.forward_slice(&subnet, &input);
+        let subnets = Arc::clone(&self.subnets);
+        let subnet = &subnets[y.0 as usize];
+        let (out, ctx) =
+            self.engine
+                .forward_slice(|l| self.layer_params(l), subnet, self.blocks.clone(), input);
         // Causal edge: the activation's arrival released this forward —
         // unless a CSP shared-layer writer finished later, in which case
         // admission (not data) was the binding constraint.
@@ -842,22 +896,14 @@ impl StageWorker {
             CauseKind::ActivationArrival
         };
         let mut cause = (src, arrival_kind, arrival_us);
-        let writer = self
-            .bwd_done
-            .iter()
-            .filter(|(&x, _)| x < y.0)
-            .filter(|(&x, _)| {
-                subnet.conflicts_within(self.blocks.clone(), &self.subnets[x as usize])
-            })
-            .max_by_key(|(_, &(_, end))| end);
-        if let Some((&x, &(wspan, wend))) = writer {
+        if let Some((x, wspan, wend)) = self.writers.latest(subnet) {
             if wend > cause.2 {
                 cause = (wspan, CauseKind::CspWriterCompletion { writer: x }, wend);
             }
         }
         if self.last {
-            let target = self.data.step_batch(y.0).1;
-            let (loss, grad) = naspipe_tensor::loss::mse(ctx.output(), &target);
+            let target = self.data.target_of(&self.data.input(y.0));
+            let (loss, grad) = naspipe_tensor::loss::mse(&out, &target);
             self.losses.insert(y.0, loss);
             let span = self.emit_task_span(TaskKind::Forward, y, started, (cause.0, cause.1));
             // The gradient "arrives" from the local loss computation.
@@ -865,7 +911,6 @@ impl StageWorker {
             self.bwd_queue.insert(y.0, (grad, span, now));
             self.sample_queue_depth();
         } else {
-            let out = ctx.output().clone();
             let span = self.emit_task_span(TaskKind::Forward, y, started, (cause.0, cause.1));
             if let Flow::Stop =
                 self.faulty_send(true, y, TaskKind::Forward, Msg::Fwd(y, out, span))?
@@ -882,27 +927,6 @@ impl StageWorker {
         Ok(Flow::Continue)
     }
 
-    fn forward_slice(&self, subnet: &Subnet, input: &Tensor) -> ForwardCtx {
-        // The engine API reads from a ParamStore; here we own raw
-        // slices, so inline the slice loop.
-        let mut x = input.clone();
-        let mut layers = Vec::with_capacity(self.blocks.len());
-        for b in self.blocks.clone() {
-            if subnet.skips(b) {
-                continue; // stateless pass-through block
-            }
-            let layer = subnet.layer(b);
-            let (y, cache) = naspipe_tensor::layers::dense_forward(
-                self.layer_params(b, layer.choice),
-                &x,
-                self.engine.residual_scale(),
-            );
-            x = y;
-            layers.push((layer, cache));
-        }
-        ForwardCtx::from_parts(layers, x)
-    }
-
     fn run_backward(
         &mut self,
         y: SubnetId,
@@ -913,23 +937,13 @@ impl StageWorker {
         self.fire_execute_fault(y, TaskKind::Backward);
         let ctx = self.ctxs.remove(&y.0).expect("forward context present");
         // Backward + apply on the owned slice.
-        let mut grad = grad_out;
-        let mut updates = Vec::with_capacity(ctx.layers().len());
-        for (layer, cache) in ctx.layers().iter().rev() {
-            let params = self.layer_params(layer.block as usize, layer.choice);
-            let (grad_in, g) = naspipe_tensor::layers::dense_backward(
-                params,
-                cache,
-                &grad,
-                self.engine.residual_scale(),
-            );
-            grad = grad_in;
-            updates.push((*layer, g));
-        }
-        for (layer, g) in updates.into_iter().rev() {
+        let (grad, grads) = self
+            .engine
+            .backward_slice(|l| self.layer_params(l), ctx, grad_out);
+        for (layer, g) in grads.iter() {
             let params =
                 &mut self.params[layer.block as usize - self.blocks.start][layer.choice as usize];
-            self.engine.step_layer(layer, params, &g);
+            self.engine.step_layer(*layer, params, g);
         }
         self.check(|c| c.on_backward_done(y, self.stage as u32))?;
         let span = self.emit_task_span(
@@ -939,7 +953,8 @@ impl StageWorker {
             (src, CauseKind::GradientArrival),
         );
         let done_at = self.now_us();
-        self.bwd_done.insert(y.0, (span, done_at));
+        self.writers
+            .record(&self.subnets[y.0 as usize], span, done_at);
         if self.prev_tx.is_some() {
             if let Flow::Stop =
                 self.faulty_send(false, y, TaskKind::Backward, Msg::Bwd(y, grad, span))?
@@ -974,7 +989,7 @@ impl StageWorker {
                 }
             }
             let y = SubnetId(self.injected);
-            let input = self.data.step_batch(y.0).0;
+            let input = self.data.input(y.0);
             let now = self.now_us();
             self.fwd_queue.push((y, input, SpanId::EXTERNAL, now));
             self.sample_queue_depth();
@@ -1501,7 +1516,6 @@ pub fn run_threaded_diagnosed(
 
     let subnets = Arc::new(subnets);
     let data = Arc::new(SyntheticDataset::new(cfg.seed, cfg.rows, cfg.dim));
-    let init = ParamStore::init(space, cfg.dim, cfg.seed);
     let injector = Arc::new(FaultInjector::new(opts.fault_plan.clone()));
     let ckpts =
         (opts.checkpoint_interval > 0).then(|| Arc::new(CheckpointStore::new(gpus as usize)));
@@ -1658,23 +1672,28 @@ pub fn run_threaded_diagnosed(
         let mut handles = Vec::with_capacity(gpus as usize);
         for k in (0..gpus as usize).rev() {
             let blocks = partition.stage_range(StageId(k as u32));
+            let choices: Vec<u32> = blocks
+                .clone()
+                .map(|b| space.block(b).num_choices())
+                .collect();
+            // Without a checkpoint the worker initialises its own block
+            // range on its own thread (below), all stages at once.
             let (params, engine, losses) = match &resume {
                 Some(ckpt) => {
                     let s = &ckpt.stages[k];
                     (s.params.clone(), s.engine.clone(), s.losses.clone())
                 }
-                None => (
-                    slice_params(&init, space, blocks.clone()),
-                    cfg.engine(),
-                    BTreeMap::new(),
-                ),
+                None => (Vec::new(), cfg.engine(), BTreeMap::new()),
             };
+            let fresh = resume.is_none();
+            let (dim, seed) = (cfg.dim, cfg.seed);
             let mut finished = FinishedSet::new();
             for y in 0..resume_w {
                 finished.insert(SubnetId(y));
             }
-            let worker = StageWorker {
+            let mut worker = StageWorker {
                 stage: k,
+                writers: LastWriters::new(blocks.start, &choices),
                 blocks,
                 last: k == gpus as usize - 1,
                 total,
@@ -1705,7 +1724,6 @@ pub fn run_threaded_diagnosed(
                 ),
                 incarnation,
                 resume_span: resume.as_ref().map_or(SpanId::EXTERNAL, |c| c.cut_span),
-                bwd_done: BTreeMap::new(),
                 checker: checker.clone(),
                 shutdown: Arc::clone(&shutdown),
                 injector: Arc::clone(&injector),
@@ -1733,7 +1751,14 @@ pub fn run_threaded_diagnosed(
                     // Each stage worker runs its numeric kernels on the
                     // configured compute pool — the software analogue of
                     // each pipeline stage owning one GPU.
-                    let out = naspipe_tensor::pool::with_threads(compute_threads, || worker.run());
+                    let out = naspipe_tensor::pool::with_threads(compute_threads, || {
+                        if fresh {
+                            worker.params = (worker.blocks.clone().zip(&choices))
+                                .map(|(b, &c)| ParamStore::init_block(dim, seed, b, c))
+                                .collect();
+                        }
+                        worker.run()
+                    });
                     guard.armed = false;
                     let note = match &out {
                         Ok(_) => ExitNote::Clean,
@@ -1785,22 +1810,17 @@ pub fn run_threaded_diagnosed(
         }
 
         let Some(err) = first_error else {
-            // Success: every stage finished. Merge the slices back into
-            // one store and assemble the effective task stream.
+            // Success: every stage finished. Move the slices (stage
+            // ranges are contiguous and ascending) into one store and
+            // assemble the effective task stream.
             debug_assert_eq!(finished_outputs.len(), gpus as usize);
-            let mut store = init;
+            let mut params: Vec<Vec<DenseParams>> = Vec::with_capacity(m);
             let mut losses: BTreeMap<u64, f32> = BTreeMap::new();
             let mut real_tasks: Vec<TaskRecord> = Vec::new();
             finished_outputs.sort_by_key(|(k, _)| *k);
             for (k, out) in finished_outputs {
-                let blocks = partition.stage_range(StageId(k as u32));
-                for (i, b) in blocks.enumerate() {
-                    for (c, p) in out.params[i].iter().enumerate() {
-                        *store.layer_mut(naspipe_supernet::layer::LayerRef::new(
-                            b as u32, c as u32,
-                        )) = p.clone();
-                    }
-                }
+                debug_assert_eq!(partition.stage_range(StageId(k as u32)).start, params.len());
+                params.extend(out.params);
                 losses.extend(out.losses);
                 master.merge(&out.recorder);
                 let mut tracer = out.tracer;
@@ -1861,6 +1881,7 @@ pub fn run_threaded_diagnosed(
                 ops.set_phase(RunPhase::Done);
             }
             let subnets = Arc::try_unwrap(subnets).unwrap_or_else(|a| (*a).clone());
+            let store = ParamStore::from_blocks(cfg.dim, params);
             return Ok(SupervisedRun {
                 result: TrainResult {
                     losses: losses.into_iter().collect(),
@@ -2099,25 +2120,6 @@ fn note_error(first: &mut Option<TrainError>, err: TrainError) {
     }
 }
 
-/// Extracts stage-owned parameter slices from the freshly initialised
-/// store.
-fn slice_params(
-    init: &ParamStore,
-    space: &SearchSpace,
-    blocks: Range<usize>,
-) -> Vec<Vec<DenseParams>> {
-    blocks
-        .map(|b| {
-            (0..space.block(b).num_choices())
-                .map(|c| {
-                    init.layer(naspipe_supernet::layer::LayerRef::new(b as u32, c))
-                        .clone()
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Synthesises the task stream a sequential run would have produced for
 /// subnets `0..upto` — the prefix a recovered run did not re-execute.
 /// Per layer this yields `yF-yB` pairs in ascending subnet order at the
@@ -2174,7 +2176,9 @@ mod tests {
         let list = subnets(&space, 30);
         let cfg = TrainConfig::default();
         let seq = sequential_training(&space, &list, &cfg);
-        for gpus in [1, 2, 4] {
+        // Every stage initialises its own block range; together they
+        // must be the store `sequential_training` starts from.
+        for gpus in [1, 2, 3, 4] {
             let res =
                 run_threaded(&space, list.clone(), &cfg, gpus, 0).expect("threaded run succeeds");
             assert_eq!(
@@ -2214,6 +2218,55 @@ mod tests {
         let seq = sequential_training(&space, &list, &cfg);
         let res = run_threaded(&space, list, &cfg, 6, 0).unwrap();
         assert_eq!(res.final_hash, seq.final_hash);
+    }
+
+    #[test]
+    fn last_writer_slots_name_the_writer_a_full_scan_would() {
+        // A high-share stream (3 choices per block) driven through one
+        // stage's admit / finish events in a seeded CSP-legal order, with
+        // backwards completing out of sequence order. The oracle is the
+        // bookkeeping the slots replaced: every finished backward kept,
+        // all of them scanned per forward.
+        let space = SearchSpace::uniform(Domain::Nlp, 8, 3);
+        let list = UniformSampler::new(&space, 5).take_subnets(400);
+        let blocks = 2..6usize;
+        let mut slots = LastWriters::new(blocks.start, &[3; 4]);
+        let mut done: BTreeMap<u64, (SpanId, u64)> = BTreeMap::new();
+        let mut in_flight: Vec<u64> = Vec::new();
+        let mut rng = naspipe_supernet::rng::DetRng::new(17);
+        let mut tracer = SpanTracer::new();
+        let (mut next, mut now, mut named) = (0u64, 0u64, 0u32);
+        while done.len() < list.len() {
+            now += 1 + rng.next_below(5);
+            let y = &list[(next as usize).min(list.len() - 1)];
+            let admissible = next < list.len() as u64
+                && in_flight.len() < 12
+                && in_flight
+                    .iter()
+                    .all(|&x| !y.conflicts_within(blocks.clone(), &list[x as usize]));
+            if admissible && (in_flight.is_empty() || rng.next_below(3) > 0) {
+                let scan = done
+                    .iter()
+                    .filter(|(&x, _)| x < next)
+                    .filter(|(&x, _)| y.conflicts_within(blocks.clone(), &list[x as usize]))
+                    .max_by_key(|(_, &(_, end))| end)
+                    .map(|(&x, &(span, end))| (x, span, end));
+                assert_eq!(slots.latest(y), scan, "forward of SN{next}");
+                named += u32::from(scan.is_some());
+                in_flight.push(next);
+                next += 1;
+            } else {
+                let x = in_flight.swap_remove(rng.index(in_flight.len()));
+                let span = tracer.emit(SpanDraft::new(0, SpanKind::Backward, now, now));
+                slots.record(&list[x as usize], span, now);
+                done.insert(x, (span, now));
+            }
+        }
+        assert!(named > 300, "the stream must share layers, named {named}");
+        // 400 backwards later the table is what it was sized as: one slot
+        // per owned layer.
+        let slot_count: usize = slots.slots.iter().map(Vec::len).sum();
+        assert_eq!(slot_count, 4 * 3);
     }
 
     #[test]

@@ -197,20 +197,21 @@ fn replay_training_inner(
         match task.kind {
             TaskKind::Forward => {
                 let input = if k == 0 {
-                    data.step_batch(y).0
+                    data.input(y)
                 } else {
                     acts.remove(&(y, k - 1))
                         .expect("boundary activation present")
                 };
-                let ctx = engine.forward_slice(&store, subnet, task.blocks.clone(), &input);
-                acts.insert((y, k), ctx.output().clone());
+                let (output, ctx) =
+                    engine.forward_slice(|l| store.layer(l), subnet, task.blocks.clone(), input);
+                acts.insert((y, k), output);
                 ctxs.insert((y, k), ctx);
             }
             TaskKind::Backward => {
                 let grad_out = if k == last_stage {
                     let output = acts.remove(&(y, k)).expect("last-stage output present");
                     debug_assert_eq!(task.blocks.end, m, "last stage covers final block");
-                    let target = data.step_batch(y).1;
+                    let target = data.target_of(&data.input(y));
                     let (loss, grad) = naspipe_tensor::loss::mse(&output, &target);
                     losses.insert(y, loss);
                     grad
@@ -221,7 +222,8 @@ fn replay_training_inner(
                         .expect("gradient from later stage")
                 };
                 let ctx = ctxs.remove(&(y, k)).expect("forward context present");
-                let (grad_in, layer_grads) = engine.backward_slice(&store, &ctx, &grad_out);
+                let (grad_in, layer_grads) =
+                    engine.backward_slice(|l| store.layer(l), ctx, grad_out);
                 engine.apply(&mut store, &layer_grads);
                 grads.insert((y, k), grad_in);
             }

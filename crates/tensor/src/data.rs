@@ -52,20 +52,33 @@ impl SyntheticDataset {
         self.dim
     }
 
-    /// The deterministic `(input, target)` pair for training step `step`.
+    /// The deterministic input batch of training step `step`.
     ///
     /// Independent of how many batches were fetched before — random access
     /// by step index is what lets differently-parallel runs consume
     /// identical data.
-    pub fn step_batch(&self, step: u64) -> (Tensor, Tensor) {
+    pub fn input(&self, step: u64) -> Tensor {
         let mut rng = DetRng::new(self.seed).split(step.wrapping_add(1));
-        let input = Tensor::from_vec(
+        Tensor::from_vec(
             (0..self.batch * self.dim)
                 .map(|_| rng.next_f32() * 2.0 - 1.0)
                 .collect(),
             &[self.batch, self.dim],
-        );
-        let target = input.matmul(&self.teacher).tanh();
+        )
+    }
+
+    /// The teacher's target for `input` — a pipeline's first stage needs
+    /// only [`input`](Self::input), its last only the target.
+    pub fn target_of(&self, input: &Tensor) -> Tensor {
+        let mut target = input.matmul(&self.teacher);
+        target.map_inplace(f32::tanh);
+        target
+    }
+
+    /// The deterministic `(input, target)` pair for training step `step`.
+    pub fn step_batch(&self, step: u64) -> (Tensor, Tensor) {
+        let input = self.input(step);
+        let target = self.target_of(&input);
         (input, target)
     }
 }
@@ -91,6 +104,15 @@ mod tests {
         let _ = d.step_batch(0);
         let (b, _) = d.step_batch(3);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn input_and_target_of_compose_to_step_batch() {
+        let d = SyntheticDataset::new(5, 4, 8);
+        for step in [0, 1, 17, u64::MAX] {
+            let x = d.input(step);
+            assert_eq!((x.clone(), d.target_of(&x)), d.step_batch(step));
+        }
     }
 
     #[test]

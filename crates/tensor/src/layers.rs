@@ -60,29 +60,31 @@ pub struct DenseGrads {
     pub bias: Tensor,
 }
 
-/// Forward pass: `y = x + scale * tanh(x W + b)`. Returns the output and
-/// the cache for [`dense_backward`].
+/// Forward pass: `y = x + scale * tanh(x W + b)`. Takes the input by
+/// value — it moves into the returned cache for [`dense_backward`]
+/// instead of being copied.
 ///
 /// `scale` damps the residual branch so stacks of dozens of blocks keep
 /// O(1) activations (pick ~`1/sqrt(depth)`); pass `1.0` for the plain
 /// residual layer.
-pub fn dense_forward(params: &DenseParams, input: &Tensor, scale: f32) -> (Tensor, DenseCache) {
-    let tanh_out = input.matmul(&params.weight).add_row(&params.bias).tanh();
-    let output = input.add(&tanh_out.scale(scale));
-    (
-        output,
-        DenseCache {
-            input: input.clone(),
-            tanh_out,
-        },
-    )
+///
+/// One product and one fused epilogue pass; the only allocations are the
+/// two tensors returned. Per element the operation sequence is that of
+/// the op-by-op composition (`matmul`, `add_row`, `tanh`, `scale`,
+/// `add`), so the bits are too.
+pub fn dense_forward(params: &DenseParams, input: Tensor, scale: f32) -> (Tensor, DenseCache) {
+    let mut tanh_out = input.matmul(&params.weight);
+    let output = tanh_out.bias_tanh_residual(&params.bias, &input, scale);
+    (output, DenseCache { input, tanh_out })
 }
 
 /// Backward pass given `dL/dy` (with the same `scale` as the forward).
-/// Returns `(dL/dx, grads)`.
+/// Returns `(dL/dx, grads)`. Consumes the cache: `dz` is formed in the
+/// activation's buffer, so the only allocations are the three tensors
+/// returned.
 pub fn dense_backward(
     params: &DenseParams,
-    cache: &DenseCache,
+    cache: DenseCache,
     grad_output: &Tensor,
     scale: f32,
 ) -> (Tensor, DenseGrads) {
@@ -91,15 +93,14 @@ pub fn dense_backward(
     // they go to the pool as one batch (one fan-out instead of two); each
     // is bitwise identical to the transpose()+matmul form it replaces,
     // without materialising either transpose.
-    let dz = Tensor::tanh_backward(&cache.tanh_out, &grad_output.scale(scale));
-    let mut products = Tensor::matmul_batch(&[
-        (MmOp::Tn, &cache.input, &dz),
-        (MmOp::Nt, &dz, &params.weight),
-    ]);
-    let dx_branch = products.pop().expect("dz x Wᵀ");
-    let grad_weight = products.pop().expect("xᵀ x dz");
-    let grad_bias = dz.sum_rows();
-    let grad_input = grad_output.add(&dx_branch);
+    let DenseCache {
+        input,
+        tanh_out: mut dz,
+    } = cache;
+    let grad_bias = dz.tanh_grad_inplace(grad_output, scale);
+    let [grad_weight, mut grad_input] =
+        Tensor::matmul_many([(MmOp::Tn, &input, &dz), (MmOp::Nt, &dz, &params.weight)]);
+    grad_input.add_inplace(grad_output);
     (
         grad_input,
         DenseGrads {
@@ -107,6 +108,48 @@ pub fn dense_backward(
             bias: grad_bias,
         },
     )
+}
+
+/// The op-by-op composition the fused layer replaced: one single-purpose
+/// tensor op (and one fresh tensor) per step. Kept as the reference the
+/// fused path is held bit-for-bit equal to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn dense_forward(
+        params: &DenseParams,
+        input: &Tensor,
+        scale: f32,
+    ) -> (Tensor, DenseCache) {
+        let tanh_out = input.matmul(&params.weight).add_row(&params.bias).tanh();
+        let output = input.add(&tanh_out.scale(scale));
+        (
+            output,
+            DenseCache {
+                input: input.clone(),
+                tanh_out,
+            },
+        )
+    }
+
+    pub(crate) fn dense_backward(
+        params: &DenseParams,
+        cache: &DenseCache,
+        grad_output: &Tensor,
+        scale: f32,
+    ) -> (Tensor, DenseGrads) {
+        let dz = Tensor::tanh_backward(&cache.tanh_out, &grad_output.scale(scale));
+        let grad_weight = cache.input.t_matmul(&dz);
+        let grad_input = grad_output.add(&dz.matmul_t(&params.weight));
+        (
+            grad_input,
+            DenseGrads {
+                weight: grad_weight,
+                bias: dz.sum_rows(),
+            },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -129,7 +172,7 @@ mod tests {
     fn forward_shapes() {
         let p = params();
         let x = Tensor::zeros(&[3, 4]);
-        let (y, cache) = dense_forward(&p, &x, 1.0);
+        let (y, cache) = dense_forward(&p, x.clone(), 1.0);
         assert_eq!(y.shape(), &[3, 4]);
         assert_eq!(cache.input.shape(), &[3, 4]);
     }
@@ -140,7 +183,7 @@ mod tests {
         let mut p = params();
         p.bias = Tensor::from_vec(vec![0.5; 4], &[1, 4]);
         let x = Tensor::zeros(&[1, 4]);
-        let (y, _) = dense_forward(&p, &x, 1.0);
+        let (y, _) = dense_forward(&p, x.clone(), 1.0);
         for &v in y.data() {
             assert!((v - 0.5f32.tanh()).abs() < 1e-6);
         }
@@ -154,7 +197,7 @@ mod tests {
             bias: Tensor::zeros(&[1, 4]),
         };
         let x = Tensor::from_vec(vec![0.1, -0.2, 0.3, -0.4], &[1, 4]);
-        let (y, _) = dense_forward(&p, &x, 1.0);
+        let (y, _) = dense_forward(&p, x.clone(), 1.0);
         assert_eq!(y, x);
     }
 
@@ -164,19 +207,19 @@ mod tests {
         let p = params();
         let mut rng = DetRng::new(3);
         let x = Tensor::from_vec((0..8).map(|_| rng.next_f32()).collect(), &[2, 4]);
-        let (y, cache) = dense_forward(&p, &x, 1.0);
+        let (y, cache) = dense_forward(&p, x.clone(), 1.0);
         // dL/dy for L = sum(y): all ones.
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (_, grads) = dense_backward(&p, &cache, &grad_out, 1.0);
+        let (_, grads) = dense_backward(&p, cache, &grad_out, 1.0);
 
         let eps = 1e-3f32;
         for idx in [0usize, 5, 10, 15] {
             let mut p_plus = p.clone();
             p_plus.weight.data_mut()[idx] += eps;
-            let (y_plus, _) = dense_forward(&p_plus, &x, 1.0);
+            let (y_plus, _) = dense_forward(&p_plus, x.clone(), 1.0);
             let mut p_minus = p.clone();
             p_minus.weight.data_mut()[idx] -= eps;
-            let (y_minus, _) = dense_forward(&p_minus, &x, 1.0);
+            let (y_minus, _) = dense_forward(&p_minus, x.clone(), 1.0);
             let num: f32 = y_plus
                 .data()
                 .iter()
@@ -197,18 +240,18 @@ mod tests {
         let p = params();
         let mut rng = DetRng::new(9);
         let x = Tensor::from_vec((0..4).map(|_| rng.next_f32()).collect(), &[1, 4]);
-        let (y, cache) = dense_forward(&p, &x, 1.0);
+        let (y, cache) = dense_forward(&p, x.clone(), 1.0);
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (grad_in, _) = dense_backward(&p, &cache, &grad_out, 1.0);
+        let (grad_in, _) = dense_backward(&p, cache, &grad_out, 1.0);
 
         let eps = 1e-3f32;
         for idx in 0..4 {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let (yp, _) = dense_forward(&p, &xp, 1.0);
+            let (yp, _) = dense_forward(&p, xp.clone(), 1.0);
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let (ym, _) = dense_forward(&p, &xm, 1.0);
+            let (ym, _) = dense_forward(&p, xm.clone(), 1.0);
             let num: f32 = yp
                 .data()
                 .iter()
@@ -231,17 +274,17 @@ mod tests {
         let scale = 0.3f32;
         let mut rng = DetRng::new(5);
         let x = Tensor::from_vec((0..4).map(|_| rng.next_f32()).collect(), &[1, 4]);
-        let (y, cache) = dense_forward(&p, &x, scale);
+        let (y, cache) = dense_forward(&p, x.clone(), scale);
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (grad_in, grads) = dense_backward(&p, &cache, &grad_out, scale);
+        let (grad_in, grads) = dense_backward(&p, cache, &grad_out, scale);
         let eps = 1e-3f32;
         for idx in [0usize, 7, 13] {
             let mut pp = p.clone();
             pp.weight.data_mut()[idx] += eps;
-            let (yp, _) = dense_forward(&pp, &x, scale);
+            let (yp, _) = dense_forward(&pp, x.clone(), scale);
             let mut pm = p.clone();
             pm.weight.data_mut()[idx] -= eps;
-            let (ym, _) = dense_forward(&pm, &x, scale);
+            let (ym, _) = dense_forward(&pm, x.clone(), scale);
             let num: f32 = yp
                 .data()
                 .iter()
@@ -254,10 +297,10 @@ mod tests {
         for idx in 0..4 {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let (yp, _) = dense_forward(&p, &xp, scale);
+            let (yp, _) = dense_forward(&p, xp.clone(), scale);
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let (ym, _) = dense_forward(&p, &xm, scale);
+            let (ym, _) = dense_forward(&p, xm.clone(), scale);
             let num: f32 = yp
                 .data()
                 .iter()
@@ -274,26 +317,110 @@ mod tests {
         assert_eq!(params().numel(), 16 + 4);
     }
 
-    #[test]
-    fn batched_backward_matches_individual_products() {
-        // dense_backward fuses its two gradient matmuls into one batch;
-        // the batch must be bitwise identical to issuing them separately.
-        let mut rng = DetRng::new(11);
-        let p = DenseParams::init(32, &mut rng);
-        let x = Tensor::from_vec(
-            (0..8 * 32).map(|_| rng.next_f32() - 0.5).collect(),
-            &[8, 32],
+    /// Deterministic operands with a little of everything: both signs,
+    /// magnitudes that saturate `tanh` and ones that do not.
+    fn operands(rows: usize, dim: usize, seed: u64) -> (DenseParams, Tensor, Tensor) {
+        let mut rng = DetRng::new(seed);
+        let mut p = DenseParams::init(dim, &mut rng);
+        for b in p.bias.data_mut() {
+            *b = rng.next_f32() - 0.5;
+        }
+        let mut fill = |scale: f32| {
+            (0..rows * dim)
+                .map(|_| (rng.next_f32() - 0.5) * scale)
+                .collect()
+        };
+        let x = Tensor::from_vec(fill(4.0), &[rows, dim]);
+        let grad_out = Tensor::from_vec(fill(2.0), &[rows, dim]);
+        (p, x, grad_out)
+    }
+
+    fn assert_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}");
+        }
+    }
+
+    /// Fused forward + backward against the op-by-op reference, every
+    /// output bit-for-bit.
+    fn assert_fused_equals_reference(rows: usize, dim: usize, scale: f32, seed: u64) {
+        let (p, x, grad_out) = operands(rows, dim, seed);
+        let what = format!("{rows}x{dim} scale {scale} seed {seed}");
+        let (want_y, want_cache) = reference::dense_forward(&p, &x, scale);
+        let (y, cache) = dense_forward(&p, x, scale);
+        assert_bits(&y, &want_y, &format!("{what}: y"));
+        assert_bits(
+            &cache.input,
+            &want_cache.input,
+            &format!("{what}: cached x"),
         );
-        let (y, cache) = dense_forward(&p, &x, 0.5);
-        let grad_out =
-            Tensor::from_vec((0..y.numel()).map(|_| rng.next_f32()).collect(), y.shape());
-        let (grad_in, grads) = dense_backward(&p, &cache, &grad_out, 0.5);
-        let dz = Tensor::tanh_backward(&cache.tanh_out, &grad_out.scale(0.5));
-        let want_w = cache.input.t_matmul(&dz);
-        let want_in = grad_out.add(&dz.matmul_t(&p.weight));
-        for (got, want, what) in [(&grads.weight, &want_w, "dW"), (&grad_in, &want_in, "dx")] {
-            for (a, b) in got.data().iter().zip(want.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+        assert_bits(&cache.tanh_out, &want_cache.tanh_out, &format!("{what}: t"));
+        let (want_dx, want_g) = reference::dense_backward(&p, &want_cache, &grad_out, scale);
+        let (dx, g) = dense_backward(&p, cache, &grad_out, scale);
+        assert_bits(&dx, &want_dx, &format!("{what}: dx"));
+        assert_bits(&g.weight, &want_g.weight, &format!("{what}: dW"));
+        assert_bits(&g.bias, &want_g.bias, &format!("{what}: db"));
+    }
+
+    #[test]
+    fn fused_layer_equals_reference_at_the_thresholds() {
+        // Shapes on both sides of every size-derived switch the layer
+        // crosses: the tiled kernel (rows >= MR, rows*dim^2 >= 2^12), row
+        // bands (rows > 32, rows*dim^2 >= 2^20), the elementwise fan-out
+        // and the fused bias sums (rows*dim >= 32 Ki), and chunked
+        // reductions (rows*dim >= 64 Ki) — with ragged rows (not a
+        // multiple of 4) and widths (not a multiple of 16) among them.
+        for &(rows, dim) in &[
+            (1usize, 4usize),
+            (3, 16),
+            (4, 31),
+            (4, 32),
+            (7, 33),
+            (8, 16),
+            (33, 176),
+            (64, 128),
+            (66, 130),
+            (127, 258),
+            (128, 256),
+            (254, 258),
+        ] {
+            for threads in [1usize, 4, 8] {
+                crate::pool::with_threads(threads, || {
+                    assert_fused_equals_reference(rows, dim, 0.35, 11);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn fused_layer_equals_reference_on_the_portable_twin() {
+        crate::tensor::set_force_portable(true);
+        for &(rows, dim) in &[(7usize, 33usize), (64, 128), (66, 130)] {
+            assert_fused_equals_reference(rows, dim, 1.0, 5);
+        }
+        crate::tensor::set_force_portable(false);
+    }
+
+    #[cfg(feature = "proptest-tests")]
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Any shape, scale and pool size: the fused layer and the
+            /// op-by-op reference agree on every bit of every output.
+            #[test]
+            fn fused_layer_equals_reference(
+                rows in 1usize..70,
+                dim in 1usize..140,
+                scale in 0.05f32..1.5,
+                seed in 0u64..1_000,
+                pool in 0usize..3,
+            ) {
+                crate::pool::with_threads([1, 4, 8][pool], || {
+                    assert_fused_equals_reference(rows, dim, scale, seed);
+                });
             }
         }
     }

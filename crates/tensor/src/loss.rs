@@ -11,11 +11,12 @@ use crate::tensor::Tensor;
 /// Panics if shapes differ.
 pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let diff = pred.sub(target);
+    let mut diff = pred.sub(target);
     let n = diff.numel() as f32;
     let loss = diff.sum_sq() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
+    let scale = 2.0 / n;
+    diff.map_inplace(|d| d * scale);
+    (loss, diff)
 }
 
 #[cfg(test)]

@@ -35,21 +35,45 @@ impl ParamStore {
     ///
     /// Panics if `dim == 0`.
     pub fn init(space: &SearchSpace, dim: usize, seed: u64) -> Self {
-        assert!(dim > 0, "dim must be positive");
-        let root = DetRng::new(seed);
         let params = space
             .blocks()
             .iter()
             .enumerate()
-            .map(|(b, block)| {
-                (0..block.num_choices())
-                    .map(|c| {
-                        let mut rng = root.split(((b as u64) << 32) | u64::from(c));
-                        DenseParams::init(dim, &mut rng)
-                    })
-                    .collect()
-            })
+            .map(|(b, block)| Self::init_block(dim, seed, b, block.num_choices()))
             .collect();
+        Self { dim, params }
+    }
+
+    /// The `choices` candidate layers of block `block`, exactly as
+    /// [`init`](Self::init) creates them — so the owner of a block range
+    /// can initialise just its own share, on its own thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`.
+    pub fn init_block(dim: usize, seed: u64, block: usize, choices: u32) -> Vec<DenseParams> {
+        assert!(dim > 0, "dim must be positive");
+        let root = DetRng::new(seed);
+        (0..choices)
+            .map(|c| {
+                let mut rng = root.split(((block as u64) << 32) | u64::from(c));
+                DenseParams::init(dim, &mut rng)
+            })
+            .collect()
+    }
+
+    /// Assembles a store from per-block candidate layers
+    /// (`params[block][choice]`), taking ownership — the inverse of
+    /// handing block ranges out to their owners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any layer is not `dim` wide.
+    pub fn from_blocks(dim: usize, params: Vec<Vec<DenseParams>>) -> Self {
+        for p in params.iter().flatten() {
+            assert_eq!(p.weight.shape(), &[dim, dim], "layer width mismatch");
+            assert_eq!(p.bias.numel(), dim, "bias width mismatch");
+        }
         Self { dim, params }
     }
 
@@ -118,22 +142,9 @@ impl ParamStore {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardCtx {
     layers: Vec<(LayerRef, DenseCache)>,
-    output: Tensor,
 }
 
 impl ForwardCtx {
-    /// Assembles a context from per-layer caches and the slice output —
-    /// for runtimes that execute layers outside [`NumericSupernet`] (e.g.
-    /// stage workers owning raw parameter slices).
-    pub fn from_parts(layers: Vec<(LayerRef, DenseCache)>, output: Tensor) -> Self {
-        Self { layers, output }
-    }
-
-    /// The subnet's output activations.
-    pub fn output(&self) -> &Tensor {
-        &self.output
-    }
-
     /// The per-layer caches in block order.
     pub fn layers(&self) -> &[(LayerRef, DenseCache)] {
         &self.layers
@@ -260,6 +271,8 @@ impl NumericSupernet {
     }
 
     /// Forward pass of `subnet` on `input`, reading weights from `store`.
+    /// Returns the output activations and the context its backward pass
+    /// consumes.
     ///
     /// Which store snapshot is passed here determines the READ side of the
     /// causal dependency semantics.
@@ -267,66 +280,81 @@ impl NumericSupernet {
     /// # Panics
     ///
     /// Panics if the subnet or input do not match the store.
-    pub fn forward(&self, store: &ParamStore, subnet: &Subnet, input: &Tensor) -> ForwardCtx {
-        self.forward_slice(store, subnet, 0..subnet.num_layers(), input)
+    pub fn forward(
+        &self,
+        store: &ParamStore,
+        subnet: &Subnet,
+        input: &Tensor,
+    ) -> (Tensor, ForwardCtx) {
+        self.forward_slice(
+            |l| store.layer(l),
+            subnet,
+            0..subnet.num_layers(),
+            input.clone(),
+        )
     }
 
     /// Forward pass restricted to `blocks` — one pipeline *stage* of the
-    /// subnet. An empty range passes `input` through unchanged.
+    /// subnet — reading each activated layer's weights through `params`
+    /// (a [`ParamStore`], or a stage worker's own slice of one). Takes
+    /// the input by value: it moves into the first layer's cache. An
+    /// empty range passes `input` through unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `blocks` exceeds the subnet or shapes mismatch.
-    pub fn forward_slice(
+    pub fn forward_slice<'p>(
         &self,
-        store: &ParamStore,
+        params: impl Fn(LayerRef) -> &'p DenseParams,
         subnet: &Subnet,
         blocks: std::ops::Range<usize>,
-        input: &Tensor,
-    ) -> ForwardCtx {
+        input: Tensor,
+    ) -> (Tensor, ForwardCtx) {
         assert!(
             blocks.end <= subnet.num_layers(),
             "block range {blocks:?} exceeds subnet of {} layers",
             subnet.num_layers()
         );
-        let mut x = input.clone();
+        let mut x = input;
         let mut layers = Vec::with_capacity(blocks.len());
         for b in blocks {
             if subnet.skips(b) {
                 continue; // stateless pass-through block
             }
             let layer = subnet.layer(b);
-            let (y, cache) = dense_forward(store.layer(layer), &x, self.residual_scale);
+            let (y, cache) = dense_forward(params(layer), x, self.residual_scale);
             x = y;
             layers.push((layer, cache));
         }
-        ForwardCtx { layers, output: x }
+        (x, ForwardCtx { layers })
     }
 
-    /// Backward pass of one forward slice given `dL/d(output)`. Returns
-    /// the gradient with respect to the slice input plus the per-layer
-    /// parameter gradients. Reads weights from `store`, writes nothing.
-    pub fn backward_slice(
+    /// Backward pass of one forward slice given `dL/d(output)`, reading
+    /// weights through `params` like
+    /// [`forward_slice`](Self::forward_slice) and writing nothing.
+    /// Returns the gradient with respect to the slice input plus the
+    /// per-layer parameter gradients.
+    pub fn backward_slice<'p>(
         &self,
-        store: &ParamStore,
-        ctx: &ForwardCtx,
-        grad_output: &Tensor,
+        params: impl Fn(LayerRef) -> &'p DenseParams,
+        ctx: ForwardCtx,
+        grad_output: Tensor,
     ) -> (Tensor, SubnetGrads) {
-        let mut grad = grad_output.clone();
+        let mut grad = grad_output;
         let mut grads = Vec::with_capacity(ctx.layers.len());
-        for (layer, cache) in ctx.layers.iter().rev() {
-            let (grad_in, g) =
-                dense_backward(store.layer(*layer), cache, &grad, self.residual_scale);
+        for (layer, cache) in ctx.layers.into_iter().rev() {
+            let (grad_in, g) = dense_backward(params(layer), cache, &grad, self.residual_scale);
             grad = grad_in;
-            grads.push((*layer, g));
+            grads.push((layer, g));
         }
         grads.reverse();
         (grad, SubnetGrads { grads })
     }
 
-    /// Backward pass: computes the MSE loss against `target` and the
-    /// gradients of every activated layer. Reads weights from `store`
-    /// (they are needed to propagate gradients), writes nothing.
+    /// Backward pass: computes the MSE loss of the forward `output`
+    /// against `target` and the gradients of every activated layer.
+    /// Reads weights from `store` (they are needed to propagate
+    /// gradients), writes nothing.
     ///
     /// # Panics
     ///
@@ -334,11 +362,12 @@ impl NumericSupernet {
     pub fn backward(
         &self,
         store: &ParamStore,
-        ctx: &ForwardCtx,
+        output: &Tensor,
+        ctx: ForwardCtx,
         target: &Tensor,
     ) -> (f32, SubnetGrads) {
-        let (loss, grad) = mse(&ctx.output, target);
-        let (_, grads) = self.backward_slice(store, ctx, &grad);
+        let (loss, grad) = mse(output, target);
+        let (_, grads) = self.backward_slice(|l| store.layer(l), ctx, grad);
         (loss, grads)
     }
 
@@ -364,8 +393,8 @@ impl NumericSupernet {
         input: &Tensor,
         target: &Tensor,
     ) -> f32 {
-        let ctx = self.forward(store, subnet, input);
-        let (loss, grads) = self.backward(store, &ctx, target);
+        let (output, ctx) = self.forward(store, subnet, input);
+        let (loss, grads) = self.backward(store, &output, ctx, target);
         self.apply(store, &grads);
         loss
     }
@@ -379,8 +408,8 @@ impl NumericSupernet {
         input: &Tensor,
         target: &Tensor,
     ) -> f32 {
-        let ctx = self.forward(store, subnet, input);
-        mse(&ctx.output, target).0
+        let (output, _) = self.forward(store, subnet, input);
+        mse(&output, target).0
     }
 }
 
@@ -476,8 +505,8 @@ mod tests {
         let subnet = Subnet::new(SubnetId(0), vec![2, 0, 1, 2]);
         let (x, y) = data.step_batch(3);
         let l1 = engine.train_step(&mut s1, &subnet, &x, &y);
-        let ctx = engine.forward(&s2, &subnet, &x);
-        let (l2, grads) = engine.backward(&s2, &ctx, &y);
+        let (out, ctx) = engine.forward(&s2, &subnet, &x);
+        let (l2, grads) = engine.backward(&s2, &out, ctx, &y);
         engine.apply(&mut s2, &grads);
         assert_eq!(l1.to_bits(), l2.to_bits());
         assert_eq!(s1.bitwise_hash(), s2.bitwise_hash());
@@ -495,12 +524,12 @@ mod tests {
         let l_whole = engine.train_step(&mut whole, &subnet, &x, &y);
 
         let mut split = store;
-        let ctx0 = engine.forward_slice(&split, &subnet, 0..2, &x);
-        let ctx1 = engine.forward_slice(&split, &subnet, 2..4, ctx0.output());
-        let (l_split, grad) = crate::loss::mse(ctx1.output(), &y);
-        let (grad_mid, g1) = engine.backward_slice(&split, &ctx1, &grad);
+        let (mid, ctx0) = engine.forward_slice(|l| split.layer(l), &subnet, 0..2, x);
+        let (out, ctx1) = engine.forward_slice(|l| split.layer(l), &subnet, 2..4, mid);
+        let (l_split, grad) = crate::loss::mse(&out, &y);
+        let (grad_mid, g1) = engine.backward_slice(|l| split.layer(l), ctx1, grad);
         engine.apply(&mut split, &g1);
-        let (_, g0) = engine.backward_slice(&split, &ctx0, &grad_mid);
+        let (_, g0) = engine.backward_slice(|l| split.layer(l), ctx0, grad_mid);
         engine.apply(&mut split, &g0);
 
         assert_eq!(l_whole.to_bits(), l_split.to_bits());
@@ -512,10 +541,10 @@ mod tests {
         let (_space, store, engine, data) = setup();
         let subnet = Subnet::new(SubnetId(0), vec![0, 0, 0, 0]);
         let (x, _) = data.step_batch(0);
-        let ctx = engine.forward_slice(&store, &subnet, 2..2, &x);
-        assert_eq!(ctx.output(), &x);
+        let (out, ctx) = engine.forward_slice(|l| store.layer(l), &subnet, 2..2, x.clone());
+        assert_eq!(out, x);
         let grad = Tensor::from_vec(vec![1.0; x.numel()], x.shape());
-        let (grad_in, grads) = engine.backward_slice(&store, &ctx, &grad);
+        let (grad_in, grads) = engine.backward_slice(|l| store.layer(l), ctx, grad.clone());
         assert_eq!(grad_in, grad);
         assert_eq!(grads.iter().count(), 0);
     }

@@ -62,6 +62,7 @@
 
 use crate::pool;
 use std::fmt;
+use std::ops::Range;
 
 /// Rows per register tile (and per accumulator block of the scalar tile).
 const MR: usize = 4;
@@ -81,12 +82,17 @@ const PAR_MIN_FLOPS: usize = 1 << 20;
 /// Minimum *combined* `m * k * n` before a [`Tensor::matmul_batch`] call
 /// fans out to the pool at all; below it the whole batch runs inline.
 const BATCH_PAR_MIN: usize = 1 << 18;
-/// Minimum `m * k * n` (with `m >= MR`) before a matmul packs operands
-/// and runs the register-tiled kernel; below it the per-element strided
-/// dot path wins.
+/// Minimum `m * k * n` (with `m >= MR`) before a matmul runs the
+/// register-tiled kernel; below it the per-element strided dot path
+/// runs.
 const TILE_MIN_FLOPS: usize = 1 << 12;
-/// Minimum packed-buffer element count before packing itself fans out.
-const PACK_PAR_MIN: usize = 1 << 15;
+/// Inner dimension from which a `Tn` product packs its rhs like the
+/// other ops do. The tile walks one rhs cache line per `kk`, a row
+/// stride apart; up to about this many of them stay L1-resident across
+/// the tiles that reuse them whatever the stride, so below it packing is
+/// a copy with nothing to gain (the layer's `xᵀ dz` has `k` = batch
+/// rows). Longer walks alias, and the packed panel wins again.
+const RAW_RHS_MAX_K: usize = 128;
 /// Elements per parallel elementwise chunk.
 const ELEM_CHUNK: usize = 16 * 1024;
 /// Minimum element count before elementwise ops fan out.
@@ -110,22 +116,37 @@ impl OutPtr {
     fn ptr(&self) -> *mut f32 {
         self.0
     }
+
+    /// The `len` elements starting `at` elements in.
+    ///
+    /// # Safety
+    ///
+    /// The range must lie inside the allocation the pointer addresses,
+    /// and nothing else may access it while the slice lives (pool
+    /// chunks: each one takes only the region its index selects).
+    unsafe fn slice<'a>(&self, at: usize, len: usize) -> &'a mut [f32] {
+        std::slice::from_raw_parts_mut(self.0.add(at), len)
+    }
 }
 
 /// Test/CI hook: `NASPIPE_MATMUL_THROTTLE_US=<µs>` sleeps that long at
-/// the start of every matmul (once per item of a batched call),
-/// simulating a degraded kernel (e.g. a lost SIMD path) without touching
-/// any arithmetic — results stay bitwise identical, only wall time and
-/// the compute share of the critical path change. Unset or unparsable
-/// means zero cost (read once per process).
-fn matmul_throttle_us() -> u64 {
+/// the start of every matmul (once per item of a batched call: a batch
+/// of two simulates two degraded kernel launches), simulating a degraded
+/// kernel (e.g. a lost SIMD path) without touching any arithmetic —
+/// results stay bitwise identical, only wall time and the compute share
+/// of the critical path change. Unset or unparsable means zero cost
+/// (read once per process).
+fn matmul_throttle(items: usize) {
     static THROTTLE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *THROTTLE.get_or_init(|| {
+    let us = *THROTTLE.get_or_init(|| {
         std::env::var("NASPIPE_MATMUL_THROTTLE_US")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(0)
-    })
+    });
+    if us > 0 && items > 0 {
+        std::thread::sleep(std::time::Duration::from_micros(us * items as u64));
+    }
 }
 
 static FORCE_PORTABLE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
@@ -430,103 +451,106 @@ unsafe fn tile_fma512(
     tile_portable(a1, ars, aks, k, b, bs, out.add(MR * on), on);
 }
 
-/// Packs the logical `[k, n]` operand `b(kk, j) = b[b0 + j * bjs +
-/// kk * bks]` into `ceil(n / NR)` column panels: panel `p` holds element
-/// `(kk, j)` at `[p * k * NR + kk * NR + (j - p * NR)]`. The last panel
-/// is zero-padded past column `n` (padded lanes are computed by the tile
-/// and discarded). Packing is pure data movement, fanned out per panel
-/// over the pool above [`PACK_PAR_MIN`] elements (panels are disjoint
-/// destination regions and the grid depends only on the shape).
-fn pack_b(b: &[f32], b0: usize, bjs: usize, bks: usize, k: usize, n: usize) -> Vec<f32> {
-    let panels = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; panels * k * NR];
-    let pack_panel = |p: usize, dst: &mut [f32]| {
-        let jbase = p * NR;
-        let w = NR.min(n - jbase);
-        if bjs == 1 {
-            // Row-major source: copy `w` consecutive columns per kk.
-            for kk in 0..k {
-                let src = b0 + jbase + kk * bks;
-                for (c, slot) in dst[kk * NR..kk * NR + w].iter_mut().enumerate() {
-                    *slot = b[src + c];
-                }
-            }
-        } else {
-            // Column-strided source (e.g. matmul_t): walk each logical
-            // column contiguously instead.
-            for c in 0..w {
-                let src = b0 + (jbase + c) * bjs;
-                for kk in 0..k {
-                    dst[kk * NR + c] = b[src + kk * bks];
-                }
+/// Packs column panels `panels` of the logical `[k, n]` operand
+/// `b(kk, j) = b[j * bjs + kk * bks]` into the front of `dst`: panel `p`
+/// holds element `(kk, j)` at `[(p - panels.start) * k * NR + kk * NR +
+/// (j - p * NR)]`. A last panel narrower than `NR` is zero-padded past
+/// column `n` (padded lanes are computed by the tile and discarded).
+/// `dst` only ever grows, so a reused scratch packs without allocating.
+fn pack_b(
+    b: &[f32],
+    bjs: usize,
+    bks: usize,
+    k: usize,
+    n: usize,
+    panels: Range<usize>,
+    dst: &mut Vec<f32>,
+) {
+    let len = panels.len() * k * NR;
+    if dst.len() < len {
+        dst.resize(len, 0.0);
+    }
+    if bjs == 1 {
+        // Row-major source: stream it once, top to bottom, dealing each
+        // row's columns out to their panels (a panel-by-panel walk would
+        // re-read every row per panel at a stride the prefetcher gives
+        // up on, which is what a cold weight matrix cannot afford).
+        let cols = panels.start * NR..n.min(panels.end * NR);
+        for kk in 0..k {
+            let row = &b[kk * bks + cols.start..kk * bks + cols.end];
+            for (p, src) in row.chunks(NR).enumerate() {
+                let slot = &mut dst[p * k * NR + kk * NR..][..NR];
+                slot[..src.len()].copy_from_slice(src);
+                slot[src.len()..].fill(0.0);
             }
         }
-    };
-    if packed.len() >= PACK_PAR_MIN && panels > 1 {
-        let pptr = OutPtr(packed.as_mut_ptr());
-        pool::current().run(panels, &|p| {
-            // SAFETY: panel p owns packed[p*k*NR .. (p+1)*k*NR].
-            let dst = unsafe { std::slice::from_raw_parts_mut(pptr.ptr().add(p * k * NR), k * NR) };
-            pack_panel(p, dst);
-        });
     } else {
-        for p in 0..panels {
-            pack_panel(p, &mut packed[p * k * NR..(p + 1) * k * NR]);
+        // Transposed source (matmul_t): logical column `j` is the
+        // contiguous row `j`. Walk kk outermost so every packed row is
+        // written once, whole, from NR parallel read streams.
+        debug_assert_eq!(bks, 1);
+        for (p, dst) in panels.zip(dst.chunks_exact_mut(k * NR)) {
+            let w = NR.min(n - p * NR);
+            let cols: [&[f32]; NR] = std::array::from_fn(|c| {
+                // Columns past `n` re-read the last one; they are zeroed
+                // below.
+                let j = p * NR + c.min(w - 1);
+                &b[j * bjs..j * bjs + k]
+            });
+            for (kk, row) in dst.chunks_exact_mut(NR).enumerate() {
+                for (slot, col) in row.iter_mut().zip(&cols) {
+                    *slot = col[kk];
+                }
+                row[w..].fill(0.0);
+            }
         }
     }
-    packed
 }
 
-/// Rows-per-chunk when A-packing fans out (8 tiles = one matmul row band).
-const PACK_A_TILE_CHUNK: usize = MM_ROW_BAND / MR;
-
-/// Packs the full `MR`-row tiles of the logical `[m, k]` operand
-/// `a(i, kk) = a[i * ars + kk * aks]`: tile `t` holds element `(r, kk)`
-/// at `[t * k * MR + kk * MR + r]`, i.e. stride-1 rows / stride-`MR`
-/// inner index, which is what the register tile streams. Only the
-/// `m - m % MR` full tiles are packed; tail rows read the raw operand.
-fn pack_a(a: &[f32], ars: usize, aks: usize, m: usize, k: usize) -> Vec<f32> {
-    let tiles = m / MR;
-    let mut packed = vec![0.0f32; tiles * k * MR];
-    let pack_tile = |t: usize, dst: &mut [f32]| {
-        let ibase = t * MR;
-        if aks == 1 {
-            for r in 0..MR {
-                let src = (ibase + r) * ars;
-                for kk in 0..k {
-                    dst[kk * MR + r] = a[src + kk];
-                }
-            }
-        } else {
-            // Inner-stride source (t_matmul reads its lhs column-wise);
-            // walk kk outer so the `ars`-strided reads stay local.
+/// Packs the `MR`-row tiles covering `rows` (tile-aligned) of the
+/// row-major `[m, k]` operand `a(i, kk) = a[i * ars + kk]` into the
+/// front of `dst`: tile `t` (relative to `rows.start`) holds element
+/// `(r, kk)` at `[t * k * MR + kk * MR + r]`, i.e. stride-1 rows /
+/// stride-`MR` inner index, which is what the register tile streams.
+fn pack_a(a: &[f32], ars: usize, k: usize, rows: Range<usize>, dst: &mut Vec<f32>) {
+    let len = rows.len() * k;
+    if dst.len() < len {
+        dst.resize(len, 0.0);
+    }
+    for (i, tile) in rows.step_by(MR).zip(dst.chunks_exact_mut(k * MR)) {
+        for r in 0..MR {
+            let src = (i + r) * ars;
             for kk in 0..k {
-                let src = ibase * ars + kk * aks;
-                for r in 0..MR {
-                    dst[kk * MR + r] = a[src + r * ars];
-                }
+                tile[kk * MR + r] = a[src + kk];
             }
-        }
-    };
-    if packed.len() >= PACK_PAR_MIN && tiles > PACK_A_TILE_CHUNK {
-        let pptr = OutPtr(packed.as_mut_ptr());
-        pool::current().run(tiles.div_ceil(PACK_A_TILE_CHUNK), &|c| {
-            let lo = c * PACK_A_TILE_CHUNK;
-            let hi = (lo + PACK_A_TILE_CHUNK).min(tiles);
-            // SAFETY: chunks own disjoint tile ranges of `packed`.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(pptr.ptr().add(lo * k * MR), (hi - lo) * k * MR)
-            };
-            for t in lo..hi {
-                pack_tile(t, &mut dst[(t - lo) * k * MR..(t - lo + 1) * k * MR]);
-            }
-        });
-    } else {
-        for t in 0..tiles {
-            pack_tile(t, &mut packed[t * k * MR..(t + 1) * k * MR]);
         }
     }
-    packed
+}
+
+/// Per-thread packing buffers, reused across matmuls so the steady state
+/// packs without allocating.
+#[derive(Default)]
+struct PackScratch {
+    a: Vec<f32>,
+    b: Vec<f32>,
+    /// [`MmPlan::tag`] of the plan whose complete packed rhs `b` holds
+    /// (0 = none), so the row bands of one item that land on the same
+    /// thread share one packing.
+    b_tag: u64,
+}
+
+thread_local! {
+    static PACK: std::cell::Cell<PackScratch> = const {
+        std::cell::Cell::new(PackScratch { a: Vec::new(), b: Vec::new(), b_tag: 0 })
+    };
+}
+
+/// A process-unique nonzero id for a plan whose packed rhs is worth
+/// keeping between row bands.
+fn next_pack_tag() -> u64 {
+    // Relaxed: the value only has to be unique; it publishes no data.
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// One matmul of a [`Tensor::matmul_batch`] call: which operand (if any)
@@ -543,11 +567,11 @@ pub enum MmOp {
     Tn,
 }
 
-/// Prepared execution plan for one matmul item: logical shape, raw
-/// operand strides (`a(i, kk) = a[i*ars + kk*aks]`,
-/// `b(kk, j) = b[j*bjs + kk*bks]`), and — on the tiled path — packed
-/// operands. `b_packed == None` marks the tiny path (per-element strided
-/// dots, no packing).
+/// Execution plan for one matmul item: logical shape, raw operand
+/// strides (`a(i, kk) = a[i*ars + kk*aks]`, `b(kk, j) = b[j*bjs +
+/// kk*bks]`) and which operands the tiled path packs. Building one
+/// allocates nothing; packing happens inside the chunk that executes
+/// the item, into the executing thread's [`PackScratch`].
 struct MmPlan<'a> {
     m: usize,
     k: usize,
@@ -558,8 +582,27 @@ struct MmPlan<'a> {
     b: &'a [f32],
     bjs: usize,
     bks: usize,
-    a_packed: Option<Vec<f32>>,
-    b_packed: Option<Vec<f32>>,
+    /// Register-tiled kernel (else per-element strided dots).
+    tiled: bool,
+    /// Pack the rhs into `NR`-column panels. Not for a `Tn` product
+    /// with a short inner dimension: its rhs is row-major and the tile
+    /// reads it in place (see [`RAW_RHS_MAX_K`]). `Nt` needs the
+    /// transposition; for `Nn` the rows of a square weight matrix sit a
+    /// power-of-two stride apart and alias in L1 when read in place.
+    pack_b: bool,
+    /// Pack the lhs into `MR`-row tiles: only when its rows are too long
+    /// for L1 to keep a row block hot. The `Tn` lhs is already
+    /// tile-shaped (`MR` consecutive rows are contiguous per `kk`).
+    pack_a: bool,
+    /// Row bands this item splits into (1 unless it is large enough to
+    /// fan out on its own). Banding is purely a work split — every row
+    /// is computed identically whatever band it lands in.
+    bands: usize,
+    /// Index of this item's first band in the batch's flat chunk space.
+    first_chunk: usize,
+    /// Identity of this plan's packed rhs (see [`PackScratch::b_tag`]);
+    /// 0 when nothing would reuse it.
+    tag: u64,
 }
 
 impl<'a> MmPlan<'a> {
@@ -586,7 +629,15 @@ impl<'a> MmPlan<'a> {
                 (m, r, n, 1, m, 1, n)
             }
         };
-        let mut plan = MmPlan {
+        let flops = m * k * n;
+        let tiled = m >= MR && flops >= TILE_MIN_FLOPS;
+        let pack_b = tiled && (op != MmOp::Tn || k >= RAW_RHS_MAX_K);
+        let bands = if flops >= PAR_MIN_FLOPS && m > MM_ROW_BAND {
+            m.div_ceil(MM_ROW_BAND)
+        } else {
+            1
+        };
+        MmPlan {
             m,
             k,
             n,
@@ -596,33 +647,21 @@ impl<'a> MmPlan<'a> {
             b: &b.data,
             bjs,
             bks,
-            a_packed: None,
-            b_packed: None,
-        };
-        if m >= MR && m * k * n >= TILE_MIN_FLOPS {
-            plan.b_packed = Some(pack_b(plan.b, 0, bjs, bks, k, n));
-            // A-packing pays when the tile would otherwise stride through
-            // A (t_matmul) or stream rows too long for L1 to keep hot.
-            if aks != 1 || k >= 256 {
-                plan.a_packed = Some(pack_a(plan.a, ars, aks, m, k));
-            }
+            tiled,
+            pack_b,
+            pack_a: tiled && aks == 1 && k >= 256,
+            bands,
+            first_chunk: 0,
+            tag: if pack_b && bands > 1 {
+                next_pack_tag()
+            } else {
+                0
+            },
         }
-        plan
     }
 
     fn flops(&self) -> usize {
         self.m * self.k * self.n
-    }
-
-    /// Row bands this item splits into (1 unless it is large enough to
-    /// fan out on its own). Banding is purely a work split — every row is
-    /// computed identically whatever band it lands in.
-    fn bands(&self) -> usize {
-        if self.flops() >= PAR_MIN_FLOPS && self.m > MM_ROW_BAND {
-            self.m.div_ceil(MM_ROW_BAND)
-        } else {
-            1
-        }
     }
 
     /// Contract dot of output element `(row, j)` through the raw strided
@@ -643,51 +682,98 @@ impl<'a> MmPlan<'a> {
     /// Computes output rows `lo..hi` into `out` (row-major, width `n`,
     /// `out[0]` is row `lo`).
     fn exec_rows(&self, lo: usize, hi: usize, out: &mut [f32]) {
-        let (k, n) = (self.k, self.n);
-        debug_assert_eq!(out.len(), (hi - lo) * n);
-        let Some(bp) = &self.b_packed else {
-            // Tiny path: strided dots, no packing.
-            for row in lo..hi {
-                for j in 0..n {
-                    out[(row - lo) * n + j] = self.dot_raw(row, j);
-                }
-            }
-            return;
-        };
-        let vec_ok = fma_available();
-        let panels = n.div_ceil(NR);
-        let n_main = (n / NR) * NR;
-        let tail_w = n - n_main;
-        // A-tile accessor: packed tiles when available, raw strides
-        // otherwise. Either way the values and per-element order are the
-        // same — packing is pure data movement.
-        let a_tile = |i0: usize| -> (*const f32, usize, usize) {
-            match &self.a_packed {
-                // SAFETY: i0 < tile_hi means tile i0/MR was packed.
-                Some(pa) => (unsafe { pa.as_ptr().add((i0 / MR) * k * MR) }, 1, MR),
-                // SAFETY: rows i0..i0+MR are in bounds of the raw lhs.
-                None => (
-                    unsafe { self.a.as_ptr().add(i0 * self.ars) },
-                    self.ars,
-                    self.aks,
-                ),
-            }
-        };
+        debug_assert_eq!(out.len(), (hi - lo) * self.n);
         // Bands are MM_ROW_BAND-aligned and MM_ROW_BAND % MR == 0, so
         // every band starts on a tile boundary; only the last band can
         // carry tail rows.
-        let tile_hi = hi.min(self.m - self.m % MR);
+        let tile_hi = if self.tiled {
+            hi.min(self.m - self.m % MR)
+        } else {
+            lo
+        };
+        if lo < tile_hi {
+            // Taken, not borrowed: a kernel never re-enters itself, but
+            // this way that is not a condition of soundness.
+            PACK.with(|cell| {
+                let mut scratch = cell.take();
+                self.exec_tiles(lo, tile_hi, out, &mut scratch);
+                cell.set(scratch);
+            });
+        }
+        // Rows outside the tiles (all of them on the tiny path, < MR of
+        // the last band otherwise): strided contract dots.
+        for row in tile_hi.max(lo)..hi {
+            for j in 0..self.n {
+                out[(row - lo) * self.n + j] = self.dot_raw(row, j);
+            }
+        }
+    }
+
+    /// The register-tiled rows `lo..tile_hi` (whole `MR`-row tiles).
+    fn exec_tiles(&self, lo: usize, tile_hi: usize, out: &mut [f32], scratch: &mut PackScratch) {
+        let (k, n) = (self.k, self.n);
+        let panels = n.div_ceil(NR);
+        let n_main = (n / NR) * NR;
+        let tail_w = n - n_main;
+        // Packing is pure data movement: whichever way an operand is
+        // read, the values and the per-element order are the same.
+        if self.pack_b {
+            if self.tag == 0 || scratch.b_tag != self.tag {
+                pack_b(self.b, self.bjs, self.bks, k, n, 0..panels, &mut scratch.b);
+                scratch.b_tag = self.tag;
+            }
+        } else if tail_w > 0 {
+            // The rhs is read in place; only its ragged last panel needs
+            // the zero-padded copy (a full-width load would run past the
+            // end of the row).
+            let tail = panels - 1..panels;
+            pack_b(self.b, self.bjs, self.bks, k, n, tail, &mut scratch.b);
+            scratch.b_tag = 0;
+        }
+        if self.pack_a {
+            pack_a(self.a, self.ars, k, lo..tile_hi, &mut scratch.a);
+        }
+        let (pa, pb) = (scratch.a.as_ptr(), scratch.b.as_ptr());
+        // Panel `p` as (pointer to its element (0, 0), stride per kk).
+        let b_panel = |p: usize| -> (*const f32, usize) {
+            if self.pack_b {
+                // SAFETY: all `panels` panels were packed above.
+                (unsafe { pb.add(p * k * NR) }, NR)
+            } else if p * NR < n_main {
+                // SAFETY: a full panel of the row-major rhs is in bounds.
+                (unsafe { self.b.as_ptr().add(p * NR) }, self.bks)
+            } else {
+                (pb, NR)
+            }
+        };
+        // Tile at row `i0` as (pointer to its element (0, 0), row
+        // stride, kk stride).
+        let a_tile = |i0: usize| -> (*const f32, usize, usize) {
+            if self.pack_a {
+                // SAFETY: tiles lo..tile_hi were packed above.
+                (unsafe { pa.add((i0 - lo) * k) }, 1, MR)
+            } else {
+                // SAFETY: rows i0..i0+MR are in bounds of the raw lhs.
+                (
+                    unsafe { self.a.as_ptr().add(i0 * self.ars) },
+                    self.ars,
+                    self.aks,
+                )
+            }
+        };
+        let vec_ok = fma_available();
+        let vec512_ok = avx512_available();
         // Cache-block the rows at MM_ROW_BAND and walk panels in the
         // outer loop: each ~k*NR panel is then reused across the whole
         // L1-resident row block instead of being re-streamed from L2 for
         // every MR-row tile. (This is a traversal order over independent
         // output tiles — it cannot affect any element's value.)
-        let vec512_ok = avx512_available();
         let mut ic = lo;
         while ic < tile_hi {
             let ic_hi = (ic + MM_ROW_BAND).min(tile_hi);
             for p in 0..panels {
                 let last = p + 1 == panels && tail_w > 0;
+                let (bp, bs) = b_panel(p);
                 let mut i0 = ic;
                 if vec512_ok && !last {
                     // Wider-vector fast path: two stacked tiles per call.
@@ -696,9 +782,8 @@ impl<'a> MmPlan<'a> {
                         let (ap1, _, _) = a_tile(i0 + MR);
                         // SAFETY: full panel, 2*MR full rows in bounds.
                         unsafe {
-                            let bpp = bp.as_ptr().add(p * k * NR);
                             let op = out.as_mut_ptr().add((i0 - lo) * n + p * NR);
-                            tile_fma512(ap0, ap1, ars, aks, k, bpp, NR, op, n);
+                            tile_fma512(ap0, ap1, ars, aks, k, bp, bs, op, n);
                         }
                         i0 += 2 * MR;
                     }
@@ -709,13 +794,12 @@ impl<'a> MmPlan<'a> {
                         // Zero-padded tail panel: compute a full NR-wide
                         // tile into scratch, keep the valid columns.
                         let mut tmp = [0.0f32; MR * NR];
-                        // SAFETY: the tail panel is allocated NR wide.
+                        // SAFETY: the tail panel is packed NR wide.
                         unsafe {
-                            let bpp = bp.as_ptr().add(p * k * NR);
                             if vec_ok {
-                                tile_fma(ap, ars, aks, k, bpp, NR, tmp.as_mut_ptr(), NR);
+                                tile_fma(ap, ars, aks, k, bp, bs, tmp.as_mut_ptr(), NR);
                             } else {
-                                tile_portable(ap, ars, aks, k, bpp, NR, tmp.as_mut_ptr(), NR);
+                                tile_portable(ap, ars, aks, k, bp, bs, tmp.as_mut_ptr(), NR);
                             }
                         }
                         for r in 0..MR {
@@ -725,12 +809,11 @@ impl<'a> MmPlan<'a> {
                     } else {
                         // SAFETY: full panel, full tile: all in bounds.
                         unsafe {
-                            let bpp = bp.as_ptr().add(p * k * NR);
                             let op = out.as_mut_ptr().add((i0 - lo) * n + p * NR);
                             if vec_ok {
-                                tile_fma(ap, ars, aks, k, bpp, NR, op, n);
+                                tile_fma(ap, ars, aks, k, bp, bs, op, n);
                             } else {
-                                tile_portable(ap, ars, aks, k, bpp, NR, op, n);
+                                tile_portable(ap, ars, aks, k, bp, bs, op, n);
                             }
                         }
                     }
@@ -739,68 +822,65 @@ impl<'a> MmPlan<'a> {
             }
             ic = ic_hi;
         }
-        // Tail rows (< MR of them, last band only): contract dots against
-        // the packed panels (stride NR within a panel), raw strided lhs.
-        for row in tile_hi.max(lo)..hi {
-            for j in 0..n {
-                // SAFETY: panel j/NR covers column j; strided walks stay
-                // inside the packed buffer / raw lhs.
-                out[(row - lo) * n + j] = unsafe {
-                    dot_stride(
-                        self.a.as_ptr().add(row * self.ars),
-                        self.aks,
-                        bp.as_ptr().add((j / NR) * k * NR + j % NR),
-                        NR,
-                        k,
-                    )
-                };
-            }
-        }
     }
 }
 
-/// Executes a batch of prepared plans: single flat chunk space of all
-/// items' row bands (prefix-sum mapped), one pool fan-out. Returns the
-/// outputs in item order.
-fn mm_batch_exec(plans: &[MmPlan<'_>]) -> Vec<Tensor> {
-    let mut outs: Vec<Tensor> = plans.iter().map(|p| Tensor::zeros(&[p.m, p.n])).collect();
-    let bands: Vec<usize> = plans.iter().map(MmPlan::bands).collect();
-    let mut starts = vec![0usize; plans.len() + 1];
-    for (i, &b) in bands.iter().enumerate() {
-        starts[i + 1] = starts[i] + b;
+/// Executes prepared plans into `outs` (`outs[i]` addresses item `i`'s
+/// whole `[m, n]` output): a single flat chunk space of all items' row
+/// bands, one pool fan-out — or, below [`BATCH_PAR_MIN`] combined work,
+/// inline on the caller.
+fn mm_exec(plans: &mut [MmPlan<'_>], outs: &[OutPtr]) {
+    let (mut total_bands, mut total_flops) = (0, 0);
+    for plan in plans.iter_mut() {
+        plan.first_chunk = total_bands;
+        total_bands += plan.bands;
+        total_flops += plan.flops();
     }
-    let total_bands = starts[plans.len()];
-    let total_flops: usize = plans.iter().map(MmPlan::flops).sum();
+    let plans = &*plans;
     if total_bands <= 1 || total_flops < BATCH_PAR_MIN {
-        for (plan, out) in plans.iter().zip(&mut outs) {
-            plan.exec_rows(0, plan.m, &mut out.data);
+        for (plan, out) in plans.iter().zip(outs) {
+            // SAFETY: `out` addresses the item's whole output.
+            let out = unsafe { out.slice(0, plan.m * plan.n) };
+            plan.exec_rows(0, plan.m, out);
         }
-        return outs;
+        return;
     }
-    let optrs: Vec<OutPtr> = outs
-        .iter_mut()
-        .map(|t| OutPtr(t.data.as_mut_ptr()))
-        .collect();
     // Batch chunk claims when the band grid is fine-grained; the grab
     // size derives from the band count (a shape function), never the
     // worker count — and claiming order is irrelevant to the result.
     let grab = (total_bands / 64).max(1);
     pool::current().run_chunked(total_bands, grab, &|c| {
-        let item = starts.partition_point(|&s| s <= c) - 1;
+        let item = plans.partition_point(|p| p.first_chunk <= c) - 1;
         let plan = &plans[item];
-        let (lo, hi) = if bands[item] == 1 {
+        let (lo, hi) = if plan.bands == 1 {
             (0, plan.m)
         } else {
-            let lo = (c - starts[item]) * MM_ROW_BAND;
+            let lo = (c - plan.first_chunk) * MM_ROW_BAND;
             (lo, (lo + MM_ROW_BAND).min(plan.m))
         };
         // SAFETY: bands cover disjoint row ranges of item outputs.
-        let out = unsafe {
-            std::slice::from_raw_parts_mut(optrs[item].ptr().add(lo * plan.n), (hi - lo) * plan.n)
-        };
+        let out = unsafe { outs[item].slice(lo * plan.n, (hi - lo) * plan.n) };
         plan.exec_rows(lo, hi, out);
     });
-    outs
+}
+
+/// Runs `f` over fixed bands of whole rows of a `[rows, n]` elementwise
+/// pass: one band inline below [`ELEM_PAR_MIN`] elements, bands of
+/// ~[`ELEM_CHUNK`] elements on the pool above it. `n = 1` gives the flat
+/// chunking. Elements are independent, so the split cannot affect any
+/// value.
+fn for_row_bands(rows: usize, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
+    if rows * n == 0 {
+        return;
+    }
+    if rows * n < ELEM_PAR_MIN {
+        return f(0..rows);
+    }
+    let band = (ELEM_CHUNK / n).max(1);
+    let chunks = rows.div_ceil(band);
+    pool::current().run_chunked(chunks, (chunks / 64).max(1), &|c| {
+        f(c * band..((c + 1) * band).min(rows));
+    });
 }
 
 /// A dense row-major f32 tensor of rank 1 or 2.
@@ -915,9 +995,8 @@ impl Tensor {
     ///
     /// Panics if shapes are not `[m, k]` x `[k, n]`.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        Self::matmul_batch(&[(MmOp::Nn, self, rhs)])
-            .pop()
-            .expect("one output")
+        let [out] = Self::matmul_many([(MmOp::Nn, self, rhs)]);
+        out
     }
 
     /// The reference matmul: a direct, single-threaded, unpacked
@@ -965,9 +1044,8 @@ impl Tensor {
     ///
     /// Panics if shapes are not `[m, k]` x `[n, k]`.
     pub fn matmul_t(&self, rhs: &Tensor) -> Tensor {
-        Self::matmul_batch(&[(MmOp::Nt, self, rhs)])
-            .pop()
-            .expect("one output")
+        let [out] = Self::matmul_many([(MmOp::Nt, self, rhs)]);
+        out
     }
 
     /// Fused transposed product `selfᵀ x rhs` for `self = [r, m]`,
@@ -981,19 +1059,18 @@ impl Tensor {
     ///
     /// Panics if the leading dimensions differ or either is not rank 2.
     pub fn t_matmul(&self, rhs: &Tensor) -> Tensor {
-        Self::matmul_batch(&[(MmOp::Tn, self, rhs)])
-            .pop()
-            .expect("one output")
+        let [out] = Self::matmul_many([(MmOp::Tn, self, rhs)]);
+        out
     }
 
     /// Executes several matrix products as **one** pool fan-out: the row
-    /// bands of all items form a single flat chunk space (prefix-sum
-    /// mapped back to `(item, band)`), so a group of small matmuls — the
-    /// per-layer sizes the scheduler actually issues, e.g. the two
-    /// gradient products of `dense_backward` — fills the pool instead of
-    /// paying one synchronisation per product. Results are bitwise
-    /// identical to issuing the items individually, in any batch
-    /// composition, at any worker count.
+    /// bands of all items form a single flat chunk space (mapped back to
+    /// `(item, band)`), so a group of small matmuls — the per-layer
+    /// sizes the scheduler actually issues, e.g. the two gradient
+    /// products of `dense_backward` — fills the pool instead of paying
+    /// one synchronisation per product. Results are bitwise identical to
+    /// issuing the items individually, in any batch composition, at any
+    /// worker count.
     ///
     /// Below a combined-work threshold the whole batch runs inline on
     /// the caller.
@@ -1002,19 +1079,31 @@ impl Tensor {
     ///
     /// Panics if any item's shapes are incompatible for its [`MmOp`].
     pub fn matmul_batch(items: &[(MmOp, &Tensor, &Tensor)]) -> Vec<Tensor> {
-        let throttle = matmul_throttle_us();
-        if throttle > 0 && !items.is_empty() {
-            // One sleep per item: a batch of two simulates two degraded
-            // kernel launches, keeping the doctor-experiment semantics.
-            std::thread::sleep(std::time::Duration::from_micros(
-                throttle * items.len() as u64,
-            ));
-        }
-        let plans: Vec<MmPlan<'_>> = items
+        matmul_throttle(items.len());
+        let mut plans: Vec<MmPlan<'_>> = items
             .iter()
             .map(|&(op, a, b)| MmPlan::new(op, a, b))
             .collect();
-        mm_batch_exec(&plans)
+        let mut outs: Vec<Tensor> = plans.iter().map(|p| Tensor::zeros(&[p.m, p.n])).collect();
+        let ptrs: Vec<OutPtr> = outs
+            .iter_mut()
+            .map(|t| OutPtr(t.data.as_mut_ptr()))
+            .collect();
+        mm_exec(&mut plans, &ptrs);
+        outs
+    }
+
+    /// [`matmul_batch`](Self::matmul_batch) for a batch whose size is
+    /// known at compile time: the same single fan-out and the same bits,
+    /// with nothing allocated but the outputs.
+    pub(crate) fn matmul_many<const N: usize>(items: [(MmOp, &Tensor, &Tensor); N]) -> [Tensor; N] {
+        matmul_throttle(N);
+        let mut plans = items.map(|(op, a, b)| MmPlan::new(op, a, b));
+        let mut outs: [Tensor; N] =
+            std::array::from_fn(|i| Tensor::zeros(&[plans[i].m, plans[i].n]));
+        let ptrs: [OutPtr; N] = std::array::from_fn(|i| OutPtr(outs[i].data.as_mut_ptr()));
+        mm_exec(&mut plans, &ptrs);
+        outs
     }
 
     /// Transpose of a matrix.
@@ -1035,61 +1124,42 @@ impl Tensor {
     }
 
     /// Applies `f` elementwise over `self` and `rhs` (already
-    /// shape-checked by the caller), fanning out in fixed
-    /// [`ELEM_CHUNK`]-element chunks above [`ELEM_PAR_MIN`] elements.
+    /// shape-checked by the caller); see [`for_row_bands`] for the split.
     fn zip_with(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        let total = self.data.len();
-        let mut out = vec![0.0f32; total];
-        if total < ELEM_PAR_MIN {
-            for ((d, &a), &b) in out.iter_mut().zip(&self.data).zip(&rhs.data) {
+        let mut out = vec![0.0f32; self.data.len()];
+        let optr = OutPtr(out.as_mut_ptr());
+        let (a, b) = (&self.data, &rhs.data);
+        for_row_bands(out.len(), 1, &|r| {
+            // SAFETY: bands cover disjoint element ranges.
+            let dst = unsafe { optr.slice(r.start, r.len()) };
+            for ((d, &a), &b) in dst.iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
                 *d = f(a, b);
             }
-        } else {
-            let optr = OutPtr(out.as_mut_ptr());
-            let (a, b) = (&self.data, &rhs.data);
-            let chunks = total.div_ceil(ELEM_CHUNK);
-            pool::current().run_chunked(chunks, (chunks / 64).max(1), &|c| {
-                let lo = c * ELEM_CHUNK;
-                let hi = (lo + ELEM_CHUNK).min(total);
-                // SAFETY: chunks cover disjoint element ranges.
-                let dst = unsafe { std::slice::from_raw_parts_mut(optr.ptr().add(lo), hi - lo) };
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = f(a[lo + i], b[lo + i]);
-                }
-            });
-        }
+        });
         Tensor {
             shape: self.shape.clone(),
             data: out,
         }
     }
 
-    /// Applies `f` elementwise; same chunking as [`Self::zip_with`].
+    /// Applies `f` elementwise; same split as [`Self::zip_with`].
     fn map_with(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-        let total = self.data.len();
-        let mut out = vec![0.0f32; total];
-        if total < ELEM_PAR_MIN {
-            for (d, &a) in out.iter_mut().zip(&self.data) {
-                *d = f(a);
+        let mut out = self.clone();
+        out.map_inplace(f);
+        out
+    }
+
+    /// Applies `f` elementwise in place; same split as
+    /// [`Self::zip_with`].
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+        let ptr = OutPtr(self.data.as_mut_ptr());
+        for_row_bands(self.data.len(), 1, &|r| {
+            // SAFETY: bands cover disjoint element ranges.
+            let dst = unsafe { ptr.slice(r.start, r.len()) };
+            for d in dst {
+                *d = f(*d);
             }
-        } else {
-            let optr = OutPtr(out.as_mut_ptr());
-            let a = &self.data;
-            let chunks = total.div_ceil(ELEM_CHUNK);
-            pool::current().run_chunked(chunks, (chunks / 64).max(1), &|c| {
-                let lo = c * ELEM_CHUNK;
-                let hi = (lo + ELEM_CHUNK).min(total);
-                // SAFETY: chunks cover disjoint element ranges.
-                let dst = unsafe { std::slice::from_raw_parts_mut(optr.ptr().add(lo), hi - lo) };
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = f(a[lo + i]);
-                }
-            });
-        }
-        Tensor {
-            shape: self.shape.clone(),
-            data: out,
-        }
+        });
     }
 
     /// Element-wise sum.
@@ -1136,34 +1206,112 @@ impl Tensor {
         let n = *self.shape.last().expect("non-scalar");
         assert_eq!(bias.numel(), n, "bias width mismatch");
         let mut out = self.clone();
-        let total = out.data.len();
-        if total < ELEM_PAR_MIN {
-            for row in out.data.chunks_mut(n) {
-                for (d, &b) in row.iter_mut().zip(&bias.data) {
+        let optr = OutPtr(out.data.as_mut_ptr());
+        let bias = &bias.data;
+        let rows = out.data.len().checked_div(n).unwrap_or(0);
+        for_row_bands(rows, n, &|r| {
+            // SAFETY: bands cover disjoint row ranges.
+            let dst = unsafe { optr.slice(r.start * n, r.len() * n) };
+            for row in dst.chunks_exact_mut(n) {
+                for (d, &b) in row.iter_mut().zip(bias) {
                     *d += b;
                 }
             }
-        } else {
-            let rows = total / n;
-            let band = (ELEM_CHUNK / n).max(1);
-            let optr = OutPtr(out.data.as_mut_ptr());
-            let bias = &bias.data;
-            let chunks = rows.div_ceil(band);
-            pool::current().run_chunked(chunks, (chunks / 64).max(1), &|c| {
-                let lo = c * band;
-                let hi = (lo + band).min(rows);
-                // SAFETY: bands cover disjoint row ranges.
-                let dst = unsafe {
-                    std::slice::from_raw_parts_mut(optr.ptr().add(lo * n), (hi - lo) * n)
-                };
-                for row in dst.chunks_mut(n) {
-                    for (d, &b) in row.iter_mut().zip(bias) {
-                        *d += b;
-                    }
-                }
-            });
-        }
+        });
         out
+    }
+
+    /// The fused forward epilogue of a residual dense layer. `self`
+    /// holds the pre-activation `x W` and becomes `t = tanh(x W + bias)`
+    /// in place; returns `x + scale * t`. One pass, and per element the
+    /// same operation sequence as `add_row`, `tanh`, `scale`, `add`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not a matrix of `x`'s shape and `bias`'s
+    /// width.
+    pub(crate) fn bias_tanh_residual(&mut self, bias: &Tensor, x: &Tensor, scale: f32) -> Tensor {
+        assert_eq!(self.shape.len(), 2, "bias_tanh_residual requires a matrix");
+        assert_eq!(self.shape, x.shape, "residual shape mismatch");
+        let (rows, n) = (self.shape[0], self.shape[1]);
+        assert_eq!(bias.numel(), n, "bias width mismatch");
+        let mut out = vec![0.0f32; rows * n];
+        let (tptr, optr) = (OutPtr(self.data.as_mut_ptr()), OutPtr(out.as_mut_ptr()));
+        let (bias, x) = (&bias.data, &x.data);
+        for_row_bands(rows, n, &|r| {
+            let (at, len) = (r.start * n, r.len() * n);
+            // SAFETY: bands cover disjoint row ranges of both buffers.
+            let (t, y) = unsafe { (tptr.slice(at, len), optr.slice(at, len)) };
+            let rows = t.chunks_exact_mut(n).zip(y.chunks_exact_mut(n));
+            for ((t, y), x) in rows.zip(x[at..at + len].chunks_exact(n)) {
+                for (((t, y), &x), &b) in t.iter_mut().zip(y).zip(x).zip(bias) {
+                    *t = (*t + b).tanh();
+                    *y = x + *t * scale;
+                }
+            }
+        });
+        Tensor {
+            shape: self.shape.clone(),
+            data: out,
+        }
+    }
+
+    /// The fused backward prologue of a residual dense layer. `self`
+    /// holds the activation `t` and becomes `dz = (1 - t²) ⊙ (scale *
+    /// grad)` in place; returns `dz.sum_rows()`. Per element the same
+    /// operation sequence as `scale` then `tanh_backward`, and per
+    /// column the same accumulation order as [`Self::sum_rows`] — when
+    /// the pass runs as one band (the layer sizes the runtime issues)
+    /// the sums ride along in it, otherwise `sum_rows` itself follows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not a matrix of `grad`'s shape.
+    pub(crate) fn tanh_grad_inplace(&mut self, grad: &Tensor, scale: f32) -> Tensor {
+        assert_eq!(self.shape.len(), 2, "tanh_grad_inplace requires a matrix");
+        assert_eq!(self.shape, grad.shape, "tanh_backward shape mismatch");
+        let (rows, n) = (self.shape[0], self.shape[1]);
+        let dz = |t: f32, g: f32| (1.0 - t * t) * (g * scale);
+        if rows * n < ELEM_PAR_MIN && n > 0 {
+            let mut sums = Tensor::zeros(&[1, n]);
+            let rows = self.data.chunks_exact_mut(n).zip(grad.data.chunks_exact(n));
+            for (t, g) in rows {
+                for ((t, &g), s) in t.iter_mut().zip(g).zip(&mut sums.data) {
+                    *t = dz(*t, g);
+                    *s += *t;
+                }
+            }
+            return sums;
+        }
+        let ptr = OutPtr(self.data.as_mut_ptr());
+        let grad = &grad.data;
+        for_row_bands(self.data.len(), 1, &|r| {
+            // SAFETY: bands cover disjoint element ranges.
+            let dst = unsafe { ptr.slice(r.start, r.len()) };
+            for (t, &g) in dst.iter_mut().zip(&grad[r]) {
+                *t = dz(*t, g);
+            }
+        });
+        self.sum_rows()
+    }
+
+    /// `self <- self + rhs` elementwise, in place (IEEE addition
+    /// commutes, so which operand owns the buffer cannot show).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub(crate) fn add_inplace(&mut self, rhs: &Tensor) {
+        assert_eq!(self.shape, rhs.shape, "add shape mismatch");
+        let ptr = OutPtr(self.data.as_mut_ptr());
+        let rhs = &rhs.data;
+        for_row_bands(self.data.len(), 1, &|r| {
+            // SAFETY: bands cover disjoint element ranges.
+            let dst = unsafe { ptr.slice(r.start, r.len()) };
+            for (d, &a) in dst.iter_mut().zip(&rhs[r]) {
+                *d += a;
+            }
+        });
     }
 
     /// Sums over rows, producing a `[1, n]` tensor. Below the chunking
@@ -1522,6 +1670,61 @@ mod tests {
         assert_bitwise_eq(&batch[0], &a.matmul(&b), "batch Nn");
         assert_bitwise_eq(&batch[1], &c.matmul_t(&d), "batch Nt");
         assert_bitwise_eq(&batch[2], &e.t_matmul(&f), "batch Tn");
+    }
+
+    #[test]
+    fn every_op_matches_naive_across_packing_and_band_switches() {
+        // (m, k, n) of the logical product, on both sides of every switch
+        // the kernels take: tiny vs tiled (m >= MR, m*k*n >= 2^12), rhs
+        // packed (Nn, Nt) vs read in place (Tn) with and without a ragged
+        // last panel, lhs packed (k >= 256) or not, one band vs several
+        // (where the bands of an item share one packed rhs), tail rows.
+        for &(m, k, n) in &[
+            (7usize, 5usize, 3usize),
+            (4, 16, 64),
+            (4, 16, 63),
+            (8, 16, 16),
+            (3, 40, 40),
+            (5, 17, 50),
+            (1, 64, 300),
+            (300, 64, 1),
+            (64, 128, 128),
+            (128, 64, 128),
+            (66, 130, 130),
+            (40, 300, 33),
+            (70, 260, 70),
+        ] {
+            let a = wavy(m, k, 0.1);
+            let b = wavy(k, n, 0.7);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let want = a.matmul_naive(&b);
+            for portable in [false, true] {
+                set_force_portable(portable);
+                for threads in [1, 4, 8] {
+                    let what = format!("{m}x{k}x{n} portable={portable} threads={threads}");
+                    let (nn, nt, tn) = pool::with_threads(threads, || {
+                        (a.matmul(&b), a.matmul_t(&bt), at.t_matmul(&b))
+                    });
+                    assert_bitwise_eq(&nn, &want, &format!("Nn {what}"));
+                    assert_bitwise_eq(&nt, &want, &format!("Nt {what}"));
+                    assert_bitwise_eq(&tn, &want, &format!("Tn {what}"));
+                }
+            }
+            set_force_portable(false);
+        }
+    }
+
+    #[test]
+    fn packed_rhs_is_never_reused_across_calls() {
+        // Two multi-band products in a row through the same thread's
+        // scratch, same shapes, different rhs values: the second must not
+        // see the first one's panels.
+        let a = wavy(66, 130, 0.1);
+        let (b1, b2) = (wavy(130, 130, 0.7), wavy(130, 130, 1.9));
+        pool::with_threads(1, || {
+            assert_bitwise_eq(&a.matmul(&b1), &a.matmul_naive(&b1), "first");
+            assert_bitwise_eq(&a.matmul(&b2), &a.matmul_naive(&b2), "second");
+        });
     }
 
     #[test]

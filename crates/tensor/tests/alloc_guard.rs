@@ -1,0 +1,98 @@
+//! Allocation guard for the fused dense layer: a steady-state layer-step
+//! (forward, backward, SGD update) may allocate its owned outputs and
+//! nothing else. A per-op temporary creeping back into the layer — or a
+//! kernel that allocates per call — fails this test.
+//!
+//! One test, in a binary of its own: the counting allocator is global.
+
+use naspipe_supernet::rng::DetRng;
+use naspipe_tensor::layers::{dense_backward, dense_forward, DenseParams};
+use naspipe_tensor::optim::Sgd;
+use naspipe_tensor::pool;
+use naspipe_tensor::tensor::Tensor;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (the harness's other threads do
+    /// not disturb the count).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: defers to `System` for every request; the counter is a
+// const-initialised thread-local without a destructor, so touching it
+// from inside the allocator neither allocates nor re-enters.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A tensor is two allocations: its shape and its data.
+const PER_TENSOR: u64 = 2;
+
+#[test]
+fn steady_state_layer_step_allocates_only_its_owned_outputs() {
+    // The two layer shapes the benchmark's threaded workloads run, on one
+    // pool worker like its stage threads (a multi-worker fan-out
+    // allocates its job record, which is the pool's business).
+    for (rows, dim) in [(64usize, 128usize), (8, 16)] {
+        let mut rng = DetRng::new(3);
+        let mut params = DenseParams::init(dim, &mut rng);
+        let mut fill = || {
+            let data = (0..rows * dim)
+                .map(|_| rng.next_f32() * 2.0 - 1.0)
+                .collect();
+            Tensor::from_vec(data, &[rows, dim])
+        };
+        let (x, grad_out) = (fill(), fill());
+        let sgd = Sgd::new(0.05);
+        pool::with_threads(1, || {
+            let mut step = |x: Tensor| {
+                let before = ALLOCS.with(Cell::get);
+                let (y, cache) = dense_forward(&params, x, 0.35);
+                let forward = ALLOCS.with(Cell::get) - before;
+                let (dx, grads) = dense_backward(&params, cache, &grad_out, 0.35);
+                sgd.step(&mut params, &grads);
+                let total = ALLOCS.with(Cell::get) - before;
+                drop((y, dx, grads));
+                (forward, total - forward)
+            };
+            // The first step sizes this thread's packing scratch.
+            step(x.clone());
+            let (forward, backward) = step(x.clone());
+            // Forward owns the output and the cached activation (the
+            // input moves into the cache); backward owns dL/dx, dL/dW and
+            // dL/db (dz is formed in the activation's buffer); the update
+            // is in place.
+            assert!(
+                forward <= 2 * PER_TENSOR,
+                "{rows}x{dim}: forward made {forward} allocations"
+            );
+            assert!(
+                backward <= 3 * PER_TENSOR,
+                "{rows}x{dim}: backward + step made {backward} allocations"
+            );
+        });
+    }
+}

@@ -44,16 +44,16 @@ proptest! {
         let mut rng = naspipe_supernet::rng::DetRng::new(seed);
         let p = DenseParams::init(4, &mut rng);
         let x = Tensor::from_vec((0..4).map(|_| rng.next_f32() - 0.5).collect(), &[1, 4]);
-        let (y, cache) = dense_forward(&p, &x, scale);
+        let (y, cache) = dense_forward(&p, x.clone(), scale);
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (_, grads) = dense_backward(&p, &cache, &grad_out, scale);
+        let (_, grads) = dense_backward(&p, cache, &grad_out, scale);
         let eps = 1e-3f32;
         let mut pp = p.clone();
         pp.weight.data_mut()[idx] += eps;
-        let (yp, _) = dense_forward(&pp, &x, scale);
+        let (yp, _) = dense_forward(&pp, x.clone(), scale);
         let mut pm = p.clone();
         pm.weight.data_mut()[idx] -= eps;
-        let (ym, _) = dense_forward(&pm, &x, scale);
+        let (ym, _) = dense_forward(&pm, x.clone(), scale);
         let numeric: f32 =
             yp.data().iter().zip(ym.data()).map(|(a, b)| a - b).sum::<f32>() / (2.0 * eps);
         prop_assert!(
@@ -109,6 +109,21 @@ proptest! {
         bumped[idx] = f32::from_bits(bits ^ 1);
         let tb = Tensor::from_vec(bumped, &[t.numel()]);
         prop_assert_ne!(hash_tensors([&t]), hash_tensors([&tb]));
+    }
+
+    /// A batch fetched in halves — the input a pipeline's first stage
+    /// needs, the target its last one does — is the batch fetched whole.
+    #[test]
+    fn input_and_target_of_compose_to_step_batch(
+        seed in 0u64..1_000,
+        step in 0u64..10_000,
+        batch in 1usize..9,
+        dim in 1usize..40,
+    ) {
+        let d = SyntheticDataset::new(seed, batch, dim);
+        let x = d.input(step);
+        let y = d.target_of(&x);
+        prop_assert_eq!((x, y), d.step_batch(step));
     }
 
     /// Synthetic data is a pure function of (seed, step): any access
@@ -254,6 +269,36 @@ proptest! {
                         oi, i, threads
                     );
                 }
+            }
+        }
+    }
+
+    /// Each single-product entry point — rhs packed lazily (`matmul`,
+    /// `matmul_t`) or read in place (`t_matmul`) — equals the naive
+    /// reference bitwise on ragged shapes either side of the tiling
+    /// threshold, on the vector path and its portable twin.
+    #[test]
+    fn single_products_match_naive_on_ragged_shapes(
+        m in 1usize..70,
+        k in 1usize..70,
+        n in 1usize..70,
+        phase in 0.0f32..6.0,
+        portable in 0u32..2,
+    ) {
+        let a = wavy(m, k, phase);
+        let b = wavy(k, n, phase + 1.0);
+        let want = a.matmul_naive(&b);
+        naspipe_tensor::tensor::set_force_portable(portable == 1);
+        let got = [
+            a.matmul(&b),
+            a.matmul_t(&b.transpose()),
+            a.transpose().t_matmul(&b),
+        ];
+        naspipe_tensor::tensor::set_force_portable(false);
+        for (op, got) in ["matmul", "matmul_t", "t_matmul"].iter().zip(&got) {
+            prop_assert_eq!(got.shape(), want.shape(), "{} shape", op);
+            for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} diverged at element {}", op, i);
             }
         }
     }
