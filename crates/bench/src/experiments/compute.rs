@@ -33,8 +33,10 @@ use naspipe_core::config::PipelineConfig;
 use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_core::runtime::run_threaded_observed;
 use naspipe_core::train::{replay_training, TrainConfig};
+use naspipe_obs::{parse_json, JsonValue};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::space::SearchSpace;
+use naspipe_tensor::hash::hash_tensors;
 use naspipe_tensor::pool;
 use naspipe_tensor::tensor::{MmOp, Tensor};
 use std::time::Instant;
@@ -235,18 +237,6 @@ fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
     2.0 * (m as f64) * (k as f64) * (n as f64) / secs / 1e9
 }
 
-/// FNV-1a over the tensor's f32 bit patterns, little-endian.
-fn fnv1a_bits(t: &Tensor) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in t.data() {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn bits_eq(x: &Tensor, y: &Tensor) -> bool {
     x.data()
         .iter()
@@ -323,7 +313,7 @@ fn bench_shapes(naive: &[NaiveRef]) -> Vec<MatmulBench> {
                 tiled_gflops,
                 speedup: tiled_gflops / r.gflops,
                 bitwise_equal: bits_eq(&tiled, &r.out),
-                out_hash: fnv1a_bits(&tiled),
+                out_hash: hash_tensors([&tiled]),
             }
         })
         .collect()
@@ -352,7 +342,7 @@ fn bench_transposed(side: usize) -> Vec<TransposedBench> {
             }),
         ),
         bitwise_equal: bits_eq(&mt_out, &a.matmul(&b.transpose())),
-        out_hash: fnv1a_bits(&mt_out),
+        out_hash: hash_tensors([&mt_out]),
     };
     let tm_out = a.t_matmul(&b);
     let tm = TransposedBench {
@@ -374,7 +364,7 @@ fn bench_transposed(side: usize) -> Vec<TransposedBench> {
             }),
         ),
         bitwise_equal: bits_eq(&tm_out, &a.transpose().matmul(&b)),
-        out_hash: fnv1a_bits(&tm_out),
+        out_hash: hash_tensors([&tm_out]),
     };
     vec![mt, tm]
 }
@@ -712,94 +702,14 @@ impl BenchCheck {
     }
 }
 
-/// The balanced `{..}`/`[..]` value (delimiters included) following the
-/// first `"key":`, depth-aware and string-safe — the schema-2 artifact
-/// nests objects inside `runs`, so a first-closer scan would truncate.
-fn json_block<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = json.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let bytes = json.as_bytes();
-    let mut i = at;
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    let open = *bytes.get(i)?;
-    let close = match open {
-        b'{' => b'}',
-        b'[' => b']',
-        _ => return None,
-    };
-    let start = i;
-    let mut depth = 0usize;
-    let mut in_str = false;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if b == b'\\' {
-                i += 2;
-                continue;
-            }
-            if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == open {
-            depth += 1;
-        } else if b == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&json[start..=i]);
-            }
-        }
-        i += 1;
-    }
-    None
+/// Numeric member `key` of a parsed artifact object.
+fn num(obj: &JsonValue, key: &str) -> Option<f64> {
+    obj.get(key).and_then(JsonValue::as_f64)
 }
 
-/// Splits a bracketed array body into its top-level `{..}` elements.
-fn split_objects(array: &str) -> Vec<&str> {
-    let bytes = array.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut start = None;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if b == b'\\' {
-                i += 2;
-                continue;
-            }
-            if b == b'"' {
-                in_str = false;
-            }
-        } else if b == b'"' {
-            in_str = true;
-        } else if b == b'{' {
-            if depth == 0 {
-                start = Some(i);
-            }
-            depth += 1;
-        } else if b == b'}' {
-            depth -= 1;
-            if depth == 0 {
-                if let Some(s) = start.take() {
-                    out.push(&array[s..=i]);
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Numeric field of a JSON object body (first occurrence of the key).
-fn json_num(obj: &str, key: &str) -> Option<f64> {
-    let start = obj.find(&format!("\"{key}\":"))? + key.len() + 3;
-    let rest = &obj[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// Elements of the array member `key` (none when it is missing).
+fn objects<'a>(run: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    run.get(key).and_then(JsonValue::as_arr).unwrap_or_default()
 }
 
 /// Compares a fresh matrix against a tracked schema-2
@@ -820,9 +730,10 @@ pub fn check_against(
     threshold: f64,
     e2e_threshold: f64,
 ) -> Result<BenchCheck, String> {
-    let Some(runs_arr) = json_block(baseline_json, "runs") else {
-        if baseline_json.contains("\"bench\":\"compute\"")
-            || json_block(baseline_json, "matmul").is_some()
+    let doc = parse_json(baseline_json).map_err(|e| format!("baseline is not JSON: {e}"))?;
+    let Some(runs) = doc.get("runs").and_then(JsonValue::as_arr) else {
+        if doc.get("bench").and_then(JsonValue::as_str) == Some("compute")
+            || doc.get("matmul").is_some()
         {
             return Err(
                 "baseline is the legacy single-run BENCH_compute.json (schema 1, no \
@@ -835,7 +746,6 @@ pub fn check_against(
                     (is it a BENCH_compute.json artifact?)"
             .to_string());
     };
-
     let mut rows = Vec::new();
     let mut push = |metric: String,
                     family: CheckFamily,
@@ -865,91 +775,81 @@ pub fn check_against(
         }
     };
 
-    for base_run in split_objects(runs_arr) {
-        let Some(threads) = json_num(base_run, "threads") else {
+    for base_run in runs {
+        let Some(threads) = num(base_run, "threads") else {
             continue;
         };
         let t = threads as usize;
         let Some(fresh_run) = fresh.runs.iter().find(|r| r.threads == t) else {
             continue;
         };
-        if let Some(arr) = json_block(base_run, "matmul") {
-            for obj in split_objects(arr) {
-                let (Some(m), Some(k), Some(n), Some(base)) = (
-                    json_num(obj, "m"),
-                    json_num(obj, "k"),
-                    json_num(obj, "n"),
-                    json_num(obj, "tiled_gflops"),
-                ) else {
-                    continue;
-                };
-                if let Some(s) = fresh_run
-                    .matmul
-                    .iter()
-                    .find(|s| (s.m, s.k, s.n) == (m as usize, k as usize, n as usize))
-                {
-                    push(
-                        format!("matmul {}x{}x{} tiled GF/s @{t}t", s.m, s.k, s.n),
-                        CheckFamily::Kernel,
-                        false,
-                        base,
-                        s.tiled_gflops,
-                    );
-                }
-            }
-        }
-        if let Some(arr) = json_block(base_run, "transposed") {
-            for obj in split_objects(arr) {
-                let Some(base) = json_num(obj, "gflops") else {
-                    continue;
-                };
-                if let Some(tr) = fresh_run
-                    .transposed
-                    .iter()
-                    .find(|tr| obj.contains(&format!("\"op\":\"{}\"", tr.op)))
-                {
-                    push(
-                        format!("{} fused GF/s @{t}t", tr.op),
-                        CheckFamily::Kernel,
-                        false,
-                        base,
-                        tr.gflops,
-                    );
-                }
-            }
-        }
-        if let Some(obj) = json_block(base_run, "batched") {
-            if let Some(base) = json_num(obj, "batched_gflops") {
+        for obj in objects(base_run, "matmul") {
+            let (Some(m), Some(k), Some(n), Some(base)) = (
+                num(obj, "m"),
+                num(obj, "k"),
+                num(obj, "n"),
+                num(obj, "tiled_gflops"),
+            ) else {
+                continue;
+            };
+            if let Some(s) = fresh_run
+                .matmul
+                .iter()
+                .find(|s| (s.m, s.k, s.n) == (m as usize, k as usize, n as usize))
+            {
                 push(
-                    format!("matmul batched GF/s @{t}t"),
+                    format!("matmul {}x{}x{} tiled GF/s @{t}t", s.m, s.k, s.n),
                     CheckFamily::Kernel,
                     false,
                     base,
-                    fresh_run.batched.batched_gflops,
+                    s.tiled_gflops,
                 );
             }
         }
-        if let Some(obj) = json_block(base_run, "replay") {
-            if let Some(base) = json_num(obj, "subnets_per_s") {
+        for obj in objects(base_run, "transposed") {
+            let (Some(base), Some(op)) = (
+                num(obj, "gflops"),
+                obj.get("op").and_then(JsonValue::as_str),
+            ) else {
+                continue;
+            };
+            if let Some(tr) = fresh_run.transposed.iter().find(|tr| tr.op == op) {
                 push(
-                    format!("replay subnets/s @{t}t"),
-                    CheckFamily::EndToEnd,
+                    format!("{} fused GF/s @{t}t", tr.op),
+                    CheckFamily::Kernel,
                     false,
                     base,
-                    fresh_run.replay_subnets_per_s,
+                    tr.gflops,
                 );
             }
         }
-        if let Some(obj) = json_block(base_run, "threaded") {
-            if let Some(base) = json_num(obj, "makespan_us") {
-                push(
-                    format!("threaded makespan us @{t}t"),
-                    CheckFamily::EndToEnd,
-                    true,
-                    base,
-                    fresh_run.threaded_makespan_us as f64,
-                );
-            }
+        let scalar = |section: &str, key: &str| base_run.get(section).and_then(|obj| num(obj, key));
+        if let Some(base) = scalar("batched", "batched_gflops") {
+            push(
+                format!("matmul batched GF/s @{t}t"),
+                CheckFamily::Kernel,
+                false,
+                base,
+                fresh_run.batched.batched_gflops,
+            );
+        }
+        if let Some(base) = scalar("replay", "subnets_per_s") {
+            push(
+                format!("replay subnets/s @{t}t"),
+                CheckFamily::EndToEnd,
+                false,
+                base,
+                fresh_run.replay_subnets_per_s,
+            );
+        }
+        if let Some(base) = scalar("threaded", "makespan_us") {
+            push(
+                format!("threaded makespan us @{t}t"),
+                CheckFamily::EndToEnd,
+                true,
+                base,
+                fresh_run.threaded_makespan_us as f64,
+            );
         }
     }
 
@@ -1220,27 +1120,49 @@ mod tests {
     }
 
     #[test]
-    fn check_parses_the_tracked_artifact_format() {
-        // The parsing must survive the exact nesting render_json emits
-        // (and the tracked artifact therefore uses): runs is an array of
-        // objects that themselves hold arrays and objects.
+    fn writer_and_reader_of_the_artifact_agree() {
+        // Every value render_json writes that check_against gates on
+        // must come back as that row's baseline, through the exact
+        // nesting the tracked artifact uses (runs is an array of objects
+        // that themselves hold arrays and objects).
         let matrix = fabricated_matrix();
         let json = render_json(&matrix);
-        let runs = json_block(&json, "runs").unwrap();
-        assert!(runs.starts_with('[') && runs.ends_with(']'));
-        let objs = split_objects(runs);
-        assert_eq!(objs.len(), 3);
-        assert_eq!(json_num(objs[1], "threads"), Some(4.0));
-        let mm = json_block(objs[1], "matmul").unwrap();
-        assert_eq!(split_objects(mm).len(), 2);
+        let doc = parse_json(&json).expect("render_json emits JSON");
         assert_eq!(
-            json_num(json_block(objs[1], "replay").unwrap(), "subnets_per_s"),
-            Some(50.0)
+            doc.get("runs").and_then(JsonValue::as_arr).map(<[_]>::len),
+            Some(3)
         );
-        assert_eq!(
-            json_num(json_block(objs[2], "threaded").unwrap(), "makespan_us"),
-            Some(1234.0)
-        );
+        let check = check_against(&json, &matrix, 0.15, 0.35).unwrap();
+        let written: Vec<f64> = matrix
+            .runs
+            .iter()
+            .flat_map(|r| {
+                let kernels = r.matmul.iter().map(|s| s.tiled_gflops);
+                kernels.chain(r.transposed.iter().map(|t| t.gflops)).chain([
+                    r.batched.batched_gflops,
+                    r.replay_subnets_per_s,
+                    r.threaded_makespan_us as f64,
+                ])
+            })
+            .collect();
+        let read: Vec<f64> = check.rows.iter().map(|r| r.baseline).collect();
+        assert_eq!(read, written);
+    }
+
+    #[test]
+    fn check_reads_the_tracked_artifact() {
+        // The file bench-check gates on in CI, against a fabricated
+        // matrix given the thread counts the file records.
+        let tracked = include_str!("../../../../BENCH_compute.json");
+        let doc = parse_json(tracked).expect("tracked artifact is JSON");
+        let runs = doc.get("runs").and_then(JsonValue::as_arr).expect("runs");
+        let mut fresh = fabricated_matrix();
+        for (run, base) in fresh.runs.iter_mut().zip(runs) {
+            run.threads = base.get("threads").and_then(JsonValue::as_u64).unwrap() as usize;
+        }
+        let check = check_against(tracked, &fresh, 0.15, 0.35).unwrap();
+        // Per run: shapes 256^3 and 64^3, matmul_t, batched, replay, makespan.
+        assert_eq!(check.rows.len(), 6 * fresh.runs.len().min(runs.len()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! mid-run, with hard verdicts on the exposition.
 //!
 //! The experiment runs real threaded CSP training with a
-//! [`TelemetryHub`] attached and a [`MetricsServer`] bound to an
+//! [`TelemetryHub`] attached and an [`OpsServer`] bound to an
 //! ephemeral port, scrapes its own `/metrics` endpoint several times
 //! while the run is in flight, then once more after the workers join.
 //! Three machine-independent verdicts are asserted:
@@ -24,8 +24,8 @@ use naspipe_core::runtime::{run_threaded_telemetry, RecoveryOptions};
 use naspipe_core::train::TrainConfig;
 use naspipe_obs::telemetry::diff_against_report;
 use naspipe_obs::{
-    counter_values, monotonicity_violations, scrape, validate_exposition, MetricsServer, RunMeta,
-    TelemetryHub, TelemetryOptions,
+    counter_values, http_get, monotonicity_violations, validate_exposition, Journal, OpsServer,
+    OpsState, RunMeta, RunPhase, TelemetryHub, TelemetryOptions,
 };
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 use std::sync::Arc;
@@ -96,9 +96,15 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
 
     let hub = Arc::new(TelemetryHub::new(gpus as usize, 0));
     let meta = RunMeta::new("threaded", gpus).seed(crate::SEED);
-    let mut server =
-        MetricsServer::bind("127.0.0.1:0", Arc::clone(&hub), meta).expect("bind ephemeral port");
-    let addr = server.local_addr();
+    let state = OpsState::new(meta, Arc::clone(&hub), Arc::new(Journal::new(0)));
+    state.set_phase(RunPhase::Running);
+    let mut server = OpsServer::bind("127.0.0.1:0", Arc::new(state)).expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let scrape = || match http_get(&addr, "/metrics") {
+        Ok(response) if response.status == 200 => Ok(response.body),
+        Ok(response) => Err(format!("status {}", response.status)),
+        Err(e) => Err(e.to_string()),
+    };
     // Sample fast (2 ms) so even a short run publishes a real series.
     let opts = TelemetryOptions::new(Arc::clone(&hub)).with_interval_us(2_000);
 
@@ -125,7 +131,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         if worker.is_finished() {
             break;
         }
-        if let Ok(body) = scrape(addr) {
+        if let Ok(body) = scrape() {
             scrapes.push(body);
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -136,7 +142,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         .expect("telemetry run thread")
         .expect("telemetry training run");
     // One more scrape after the final snapshot was published.
-    scrapes.push(scrape(addr).expect("final scrape"));
+    scrapes.push(scrape().expect("final scrape"));
     server.shutdown();
 
     let mut validation_errors = Vec::new();
@@ -166,7 +172,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         .sum();
 
     TelemetryRun {
-        addr: addr.to_string(),
+        addr,
         mid_scrapes,
         snapshots_published: hub.published(),
         samples_dropped: hub.samples_dropped(),

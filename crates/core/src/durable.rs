@@ -38,6 +38,7 @@ use naspipe_obs::SpanId;
 use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::Subnet;
+use naspipe_tensor::hash::{fnv1a, FNV_OFFSET};
 use naspipe_tensor::layers::{DenseGrads, DenseParams};
 use naspipe_tensor::model::{NumericSupernet, Optimizer};
 use naspipe_tensor::optim::{MomentumSgd, Sgd};
@@ -58,25 +59,11 @@ pub const MANIFEST_MAGIC: &str = "naspipe-manifest v1";
 /// Default number of complete cuts retained on disk.
 pub const DEFAULT_KEEP: usize = 3;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Counts [`DurableStore::persist`] calls process-wide, so the
 /// `NASPIPE_CRASH_WRITE=<n>` chaos hook can abort deterministically in
 /// the middle of the n-th write (exercising the atomic-rename path from
 /// outside the process).
 static PERSIST_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// FNV-1a over raw bytes — the file checksum and the run fingerprint both
-/// use it, keeping the whole format dependency-free.
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Typed failures of the durable layer. Never panics: a corrupt disk must
 /// degrade into a recoverable error the supervisor (or operator) can act

@@ -302,7 +302,7 @@ pub fn run_pipeline_with_tracer(
 /// recorder whenever simulated time crosses the sampling interval
 /// (`opts.sample_interval_us`, falling back to
 /// `config.sample_interval_us`, then the telemetry default), plus one
-/// final snapshot at the makespan, so a [`naspipe_obs::MetricsServer`]
+/// final snapshot at the makespan, so a [`naspipe_obs::OpsServer`]
 /// scraping the hub sees the run progress in simulated time. The
 /// returned report embeds the published series. Telemetry never touches
 /// the event queue: schedules and training results are bit-identical

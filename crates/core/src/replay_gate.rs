@@ -49,6 +49,7 @@ use naspipe_supernet::layer::{Domain, LayerRef};
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::Subnet;
+use naspipe_tensor::hash::{fnv1a, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -435,23 +436,12 @@ impl GateReport {
     }
 }
 
-/// FNV-1a 64-bit, the same fingerprint family the parameter store uses.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Bitwise digest of a loss sequence: order, steps, and exact f32 bits.
+/// Bitwise digest of a loss sequence: order, steps, and exact f32 bits
+/// (FNV-1a, the same fingerprint family the parameter store uses).
 pub fn loss_digest(losses: &[(u64, f32)]) -> u64 {
-    fnv1a(losses.iter().flat_map(|&(step, loss)| {
-        step.to_le_bytes()
-            .into_iter()
-            .chain(loss.to_bits().to_le_bytes())
-    }))
+    losses.iter().fold(FNV_OFFSET, |h, &(step, loss)| {
+        fnv1a(fnv1a(h, &step.to_le_bytes()), &loss.to_bits().to_le_bytes())
+    })
 }
 
 /// Replays a task stream through the independent [`CspChecker`].

@@ -9,30 +9,13 @@
 //! Every `"X"` event's `args` carries the exact span fields (`span_id`,
 //! `subnet`, `cause_src`, `cause_kind`, ...), so [`parse_chrome`]
 //! reconstructs the original trace losslessly — the round-trip is the
-//! in-repo proof the output is well-formed JSON a viewer will accept
-//! (no serde in the build environment; both directions are hand-rolled).
+//! in-repo proof the output is well-formed JSON a viewer will accept.
+//! Reading and string escaping go through [`crate::json`].
 
+use crate::json::{parse_json, JsonStr, JsonValue};
 use crate::report::RunMeta;
 use crate::trace::{CausalEdge, CauseKind, Span, SpanId, SpanKind, SpanTrace};
 use std::fmt::Write as _;
-
-fn escape_json(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Serializes `trace` to Chrome trace-event JSON (object format).
 pub fn export_chrome(trace: &SpanTrace, meta: &RunMeta) -> String {
@@ -61,12 +44,11 @@ pub fn export_chrome(trace: &SpanTrace, meta: &RunMeta) -> String {
     let mut flows: Vec<(u64, &Span, &Span)> = Vec::new();
     for span in trace.spans() {
         let mut ev = String::with_capacity(192);
-        ev.push_str("{\"name\":");
-        escape_json(&span.label(), &mut ev);
         let _ = write!(
             ev,
-            ",\"cat\":\"{kind}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\
+            "{{\"name\":{name},\"cat\":\"{kind}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\
              \"tid\":{tid},\"args\":{{\"span_id\":{id},\"kind\":\"{kind}\",\"stage\":{tid}",
+            name = JsonStr(&span.label()),
             kind = span.kind.name(),
             ts = span.start_us,
             dur = span.dur_us(),
@@ -127,9 +109,12 @@ pub fn export_chrome(trace: &SpanTrace, meta: &RunMeta) -> String {
     }
 
     out.push_str("\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {");
-    let _ = write!(out, "\"schema\": 2, \"engine\": ");
-    escape_json(&meta.engine, &mut out);
-    let _ = write!(out, ", \"stages\": {}", meta.stages);
+    let _ = write!(
+        out,
+        "\"schema\": 2, \"engine\": {}, \"stages\": {}",
+        JsonStr(&meta.engine),
+        meta.stages
+    );
     if let Some(seed) = meta.seed {
         let _ = write!(out, ", \"seed\": {seed}");
     }
@@ -158,242 +143,13 @@ fn err<T>(message: impl Into<String>) -> Result<T, ChromeParseError> {
     })
 }
 
-/// Minimal JSON value for the hand-rolled parser.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ChromeParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ChromeParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ChromeParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ChromeParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ChromeParseError {
-                message: "non-utf8 number".into(),
-            })?
-            .to_string();
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Num(n)),
-            Err(_) => err(format!("invalid number {text:?} at byte {start}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ChromeParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => out.push(c),
-                                None => return err("invalid \\u escape"),
-                            }
-                            self.pos += 4;
-                        }
-                        _ => return err("invalid escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ChromeParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ChromeParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-fn cause_from_args(args: &Json) -> Result<Option<CausalEdge>, ChromeParseError> {
-    let Some(src) = args.get("cause_src").and_then(Json::as_u64) else {
+fn cause_from_args(args: &JsonValue) -> Result<Option<CausalEdge>, ChromeParseError> {
+    let Some(src) = args.get("cause_src").and_then(JsonValue::as_u64) else {
         return Ok(None);
     };
     let kind_name = args
         .get("cause_kind")
-        .and_then(Json::as_str)
+        .and_then(JsonValue::as_str)
         .ok_or_else(|| ChromeParseError {
             message: "cause_src without cause_kind".into(),
         })?;
@@ -405,7 +161,7 @@ fn cause_from_args(args: &Json) -> Result<Option<CausalEdge>, ChromeParseError> 
         "csp-writer-completion" => CauseKind::CspWriterCompletion {
             writer: args
                 .get("cause_writer")
-                .and_then(Json::as_u64)
+                .and_then(JsonValue::as_u64)
                 .ok_or_else(|| ChromeParseError {
                     message: "csp-writer-completion without cause_writer".into(),
                 })?,
@@ -413,7 +169,7 @@ fn cause_from_args(args: &Json) -> Result<Option<CausalEdge>, ChromeParseError> 
         "recovery-replay" => CauseKind::RecoveryReplay {
             incarnation: args
                 .get("cause_incarnation")
-                .and_then(Json::as_u64)
+                .and_then(JsonValue::as_u64)
                 .ok_or_else(|| ChromeParseError {
                     message: "recovery-replay without cause_incarnation".into(),
                 })? as u32,
@@ -431,51 +187,45 @@ fn cause_from_args(args: &Json) -> Result<Option<CausalEdge>, ChromeParseError> 
 /// with a `span_id` arg become spans; metadata and flow events are
 /// structural and skipped.
 pub fn parse_chrome(input: &str) -> Result<(SpanTrace, RunMeta), ChromeParseError> {
-    let mut parser = Parser::new(input);
-    let root = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return err(format!("trailing bytes at {}", parser.pos));
-    }
-    let events = match root.get("traceEvents") {
-        Some(Json::Arr(events)) => events,
-        _ => return err("missing traceEvents array"),
+    let root = parse_json(input).map_err(|message| ChromeParseError { message })?;
+    let Some(events) = root.get("traceEvents").and_then(JsonValue::as_arr) else {
+        return err("missing traceEvents array");
     };
     let mut spans = Vec::new();
     for ev in events {
-        if ev.get("ph").and_then(Json::as_str) != Some("X") {
+        if ev.get("ph").and_then(JsonValue::as_str) != Some("X") {
             continue;
         }
         let args = ev.get("args").ok_or_else(|| ChromeParseError {
             message: "X event without args".into(),
         })?;
-        let Some(id) = args.get("span_id").and_then(Json::as_u64) else {
+        let Some(id) = args.get("span_id").and_then(JsonValue::as_u64) else {
             continue;
         };
-        let kind_name =
-            args.get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ChromeParseError {
-                    message: format!("span {id} without kind"),
-                })?;
+        let kind_name = args
+            .get("kind")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| ChromeParseError {
+                message: format!("span {id} without kind"),
+            })?;
         let kind = SpanKind::from_name(kind_name).ok_or_else(|| ChromeParseError {
             message: format!("span {id} has unknown kind {kind_name:?}"),
         })?;
         let ts = ev
             .get("ts")
-            .and_then(Json::as_u64)
+            .and_then(JsonValue::as_u64)
             .ok_or_else(|| ChromeParseError {
                 message: format!("span {id} without ts"),
             })?;
         let dur = ev
             .get("dur")
-            .and_then(Json::as_u64)
+            .and_then(JsonValue::as_u64)
             .ok_or_else(|| ChromeParseError {
                 message: format!("span {id} without dur"),
             })?;
         let stage = ev
             .get("tid")
-            .and_then(Json::as_u64)
+            .and_then(JsonValue::as_u64)
             .ok_or_else(|| ChromeParseError {
                 message: format!("span {id} without tid"),
             })? as u32;
@@ -483,9 +233,11 @@ pub fn parse_chrome(input: &str) -> Result<(SpanTrace, RunMeta), ChromeParseErro
             id: SpanId(id),
             stage,
             kind,
-            subnet: args.get("subnet").and_then(Json::as_u64),
+            subnet: args.get("subnet").and_then(JsonValue::as_u64),
             start_us: ts,
-            end_us: ts + dur,
+            end_us: ts.checked_add(dur).ok_or_else(|| ChromeParseError {
+                message: format!("span {id}: ts + dur overflows"),
+            })?,
             cause: cause_from_args(args)?,
         });
     }
@@ -493,14 +245,16 @@ pub fn parse_chrome(input: &str) -> Result<(SpanTrace, RunMeta), ChromeParseErro
     let meta = RunMeta {
         engine: other
             .and_then(|o| o.get("engine"))
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .unwrap_or("")
             .to_string(),
         stages: other
             .and_then(|o| o.get("stages"))
-            .and_then(Json::as_u64)
+            .and_then(JsonValue::as_u64)
             .unwrap_or(0) as u32,
-        seed: other.and_then(|o| o.get("seed")).and_then(Json::as_u64),
+        seed: other
+            .and_then(|o| o.get("seed"))
+            .and_then(JsonValue::as_u64),
     };
     Ok((SpanTrace::from_spans(spans), meta))
 }
@@ -569,13 +323,23 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes() {
-        let json = r#"{"traceEvents": [
-            {"ph":"X","ts":1,"dur":2,"tid":0,
-             "args":{"span_id":9,"kind":"forward","note":"a\"b\\cA\n"}}
-        ]}"#;
-        let (trace, _) = parse_chrome(json).expect("parse");
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.spans()[0].id, SpanId(9));
+    fn seed_round_trips_beyond_f64_precision() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        let meta = RunMeta::new("des", 2).seed((1 << 53) + 1);
+        let json = export_chrome(&sample_trace(), &meta);
+        assert_eq!(parse_chrome(&json).expect("parse back").1, meta);
+        let meta = meta.seed(u64::MAX);
+        let json = export_chrome(&sample_trace(), &meta);
+        assert_eq!(parse_chrome(&json).expect("parse back").1, meta);
+    }
+
+    #[test]
+    fn hostile_documents_are_errors_not_aborts() {
+        // Both used to overflow the stack (exit 134).
+        assert!(parse_chrome(&"[".repeat(200_000)).is_err());
+        assert!(parse_chrome(&"{\"a\":".repeat(200_000)).is_err());
+        let overflow = r#"{"traceEvents": [{"ph":"X","ts":18446744073709551615,"dur":1,
+            "tid":0,"args":{"span_id":9,"kind":"forward"}}]}"#;
+        assert!(parse_chrome(overflow).is_err());
     }
 }

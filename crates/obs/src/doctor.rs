@@ -16,6 +16,7 @@
 //! CLI's `--explain` flags.
 
 use crate::critical_path::{critical_path, AttrClass};
+use crate::json::{parse_json, JsonValue};
 use crate::trace::{CauseKind, SpanKind, SpanTrace};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -627,56 +628,59 @@ pub fn explain_replay(report_text: &str) -> String {
     out
 }
 
-/// Scans every `"key":<number>` pair in a flat-ish hand-rolled JSON
-/// artifact (e.g. `BENCH_compute.json`), in document order. Repeated
-/// keys get `#2`, `#3`, ... suffixes so two structurally identical
-/// artifacts pair up by position.
-pub fn scan_numeric_fields(json: &str) -> Vec<(String, f64)> {
-    let bytes = json.as_bytes();
-    let mut out: Vec<(String, f64)> = Vec::new();
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let Some(close) = json[i + 1..].find('"') else {
-            break;
-        };
-        let key = &json[i + 1..i + 1 + close];
-        let mut j = i + 1 + close + 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= bytes.len() || bytes[j] != b':' {
-            i = j;
-            continue;
-        }
-        j += 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let start = j;
-        while j < bytes.len()
-            && (bytes[j].is_ascii_digit() || matches!(bytes[j], b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            j += 1;
-        }
-        if j > start {
-            if let Ok(v) = json[start..j].parse::<f64>() {
-                let n = counts.entry(key.to_string()).or_insert(0);
-                *n += 1;
-                let name = if *n == 1 {
-                    key.to_string()
-                } else {
-                    format!("{key}#{n}")
-                };
-                out.push((name, v));
+/// Visits every object member of `value`, depth first in document
+/// order (the order a reader of the text meets the keys in).
+fn for_each_member<'a>(value: &'a JsonValue, visit: &mut impl FnMut(&'a str, &'a JsonValue)) {
+    match value {
+        JsonValue::Obj(pairs) => {
+            for (key, member) in pairs {
+                visit(key, member);
+                for_each_member(member, visit);
             }
         }
-        i = j.max(i + 1);
+        JsonValue::Arr(items) => items.iter().for_each(|item| for_each_member(item, visit)),
+        _ => {}
     }
+}
+
+/// Counts `keys` in first-seen order.
+fn tally(keys: impl IntoIterator<Item = String>) -> Vec<(String, u64)> {
+    let mut rows: Vec<(String, u64)> = Vec::new();
+    let mut row_of: HashMap<String, usize> = HashMap::new();
+    for key in keys {
+        match row_of.get(&key) {
+            Some(&row) => rows[row].1 += 1,
+            None => {
+                row_of.insert(key.clone(), rows.len());
+                rows.push((key, 1));
+            }
+        }
+    }
+    rows
+}
+
+/// Every numeric object member of a JSON artifact (e.g.
+/// `BENCH_compute.json`), in document order. Repeated keys get `#2`,
+/// `#3`, ... suffixes so two structurally identical artifacts pair up
+/// by position. A document that does not parse has no fields.
+pub fn scan_numeric_fields(json: &str) -> Vec<(String, f64)> {
+    let Ok(doc) = parse_json(json) else {
+        return Vec::new();
+    };
+    let mut out: Vec<(String, f64)> = Vec::new();
+    let mut counts: HashMap<&str, usize> = HashMap::new();
+    for_each_member(&doc, &mut |key, member| {
+        if let Some(v) = member.as_f64() {
+            let n = counts.entry(key).or_insert(0);
+            *n += 1;
+            let name = if *n == 1 {
+                key.to_string()
+            } else {
+                format!("{key}#{n}")
+            };
+            out.push((name, v));
+        }
+    });
     out
 }
 
@@ -696,32 +700,20 @@ pub fn bench_deltas(baseline_json: &str, fresh_json: &str) -> Vec<BenchDelta> {
         .collect()
 }
 
-/// Counts `"kind":"..."` occurrences in a flight dump, in first-seen
-/// order — the coarse event mix `doctor` reports per flight artifact.
+/// Counts the string-valued `"kind"` members of a flight dump, in
+/// first-seen order — the coarse event mix `doctor` reports per flight
+/// artifact. A dump that does not parse has no events.
 pub fn flight_kind_counts(json: &str) -> Vec<(String, u64)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut counts: HashMap<String, u64> = HashMap::new();
-    let needle = "\"kind\":\"";
-    let mut rest = json;
-    while let Some(pos) = rest.find(needle) {
-        rest = &rest[pos + needle.len()..];
-        let Some(end) = rest.find('"') else {
-            break;
-        };
-        let kind = &rest[..end];
-        if !counts.contains_key(kind) {
-            order.push(kind.to_string());
+    let Ok(doc) = parse_json(json) else {
+        return Vec::new();
+    };
+    let mut kinds = Vec::new();
+    for_each_member(&doc, &mut |key, member| {
+        if let ("kind", Some(kind)) = (key, member.as_str()) {
+            kinds.push(kind.to_string());
         }
-        *counts.entry(kind.to_string()).or_insert(0) += 1;
-        rest = &rest[end..];
-    }
-    order
-        .into_iter()
-        .map(|k| {
-            let c = counts[&k];
-            (k, c)
-        })
-        .collect()
+    });
+    tally(kinds)
 }
 
 /// Summarizes a structured journal (`--journal PATH` / `/events`
@@ -731,24 +723,12 @@ pub fn flight_kind_counts(json: &str) -> Vec<(String, u64)> {
 /// diagnosis works on whatever survived.
 pub fn journal_summary(text: &str) -> (Vec<(String, u64)>, Vec<String>) {
     let problems = crate::journal::validate_journal(text);
-    let mut order: Vec<String> = Vec::new();
-    let mut counts: HashMap<String, u64> = HashMap::new();
-    if let Ok(events) = crate::journal::parse_journal(text) {
-        for e in &events {
-            let key = format!("{} {}", e.level.name(), e.kind);
-            if !counts.contains_key(&key) {
-                order.push(key.clone());
-            }
-            *counts.entry(key).or_insert(0) += 1;
-        }
-    }
-    let rows = order
-        .into_iter()
-        .map(|k| {
-            let c = counts[&k];
-            (k, c)
-        })
-        .collect();
+    let events = crate::journal::parse_journal(text).unwrap_or_default();
+    let rows = tally(
+        events
+            .iter()
+            .map(|e| format!("{} {}", e.level.name(), e.kind)),
+    );
     (rows, problems)
 }
 

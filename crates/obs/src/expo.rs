@@ -9,20 +9,16 @@
 //! * [`validate_exposition`] / [`counter_values`] parse the text back:
 //!   the `repro telemetry` experiment and CI scrape a live endpoint and
 //!   hard-verify well-formedness and counter monotonicity with these.
-//! * [`MetricsServer`] serves `GET /metrics` on a background thread —
-//!   since the ops plane landed it is a thin wrapper over
-//!   [`OpsServer`](crate::ops::OpsServer), so the same port also
-//!   answers `/healthz`, `/readyz`, `/status`, and `/events`.
+//! * Serving is the ops plane's job: [`OpsServer`](crate::ops::OpsServer)
+//!   answers `GET /metrics` with this text (next to `/healthz`,
+//!   `/readyz`, `/status`, `/flight` and `/events`), and
+//!   [`http_get`](crate::ops::http_get) is the one client.
 
 use crate::report::RunMeta;
 use crate::telemetry::{rate_between, MetricsSnapshot, TelemetryHub};
 use crate::{Counter, Sample};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// The `Content-Type` of the text exposition format this module emits.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -801,79 +797,13 @@ pub fn monotonicity_violations(earlier: &str, later: &str) -> Result<Vec<String>
         .collect())
 }
 
-/// Background metrics server: the historical single-endpoint entry
-/// point, now a thin wrapper over the multi-route
-/// [`OpsServer`](crate::ops::OpsServer) with a minimal
-/// [`OpsState`](crate::ops::OpsState) (fresh journal, phase `Running`).
-/// Existing callers keep `GET /metrics` exactly as before and gain
-/// `/healthz`, `/readyz`, `/status`, and `/events` for free; runs that
-/// want the full ops plane (journal sink, `/flight`, real phases) bind
-/// an `OpsServer` over their own state instead.
-///
-/// Binds synchronously (so `local_addr` is final — bind to port 0 for
-/// an ephemeral port, reported once on stderr), serves until dropped or
-/// [`shutdown`](Self::shutdown).
-pub struct MetricsServer {
-    inner: crate::ops::OpsServer,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:9464"` or `"127.0.0.1:0"`) and
-    /// starts serving `GET /metrics` from `hub`.
-    pub fn bind(
-        addr: &str,
-        hub: Arc<TelemetryHub>,
-        meta: RunMeta,
-    ) -> std::io::Result<MetricsServer> {
-        let state = crate::ops::OpsState::new(meta, hub, Arc::new(crate::journal::Journal::new(0)));
-        state.set_phase(crate::ops::RunPhase::Running);
-        Ok(MetricsServer {
-            inner: crate::ops::OpsServer::bind(addr, Arc::new(state))?,
-        })
-    }
-
-    /// The bound address (resolves port 0 to the ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Stops the accept loop and joins the server thread.
-    pub fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-}
-
-/// Minimal HTTP client for scraping a [`MetricsServer`] (tests, the
-/// `repro telemetry` experiment, CI). Returns the response body.
-pub fn scrape(addr: impl ToSocketAddrs) -> std::io::Result<String> {
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no address"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let req = format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(req.as_bytes())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let mut parts = raw.splitn(2, "\r\n\r\n");
-    let head = parts.next().unwrap_or_default();
-    let body = parts.next().unwrap_or_default();
-    if !head.starts_with("HTTP/1.1 200") && !head.starts_with("HTTP/1.0 200") {
-        return Err(std::io::Error::other(format!(
-            "bad status: {}",
-            head.lines().next().unwrap_or_default()
-        )));
-    }
-    Ok(body.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::TeeRecorder;
     use crate::Recorder as _;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn busy_hub() -> Arc<TelemetryHub> {
         let hub = Arc::new(TelemetryHub::new(2, 64));
@@ -1036,29 +966,6 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(hub.published(), 100);
-    }
-
-    #[test]
-    fn http_server_serves_metrics_and_404s_elsewhere() {
-        let hub = busy_hub();
-        let meta = RunMeta::new("threaded", 2).seed(9);
-        let mut server = MetricsServer::bind("127.0.0.1:0", hub.clone(), meta).unwrap();
-        let addr = server.local_addr();
-        assert_ne!(addr.port(), 0);
-        let body = scrape(addr).unwrap();
-        validate_exposition(&body).expect(&body);
-        assert!(body.contains("naspipe_tasks_total"));
-        // Non-/metrics paths 404.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        stream.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
-        server.shutdown();
-        // After shutdown the port stops answering.
-        assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
     }
 
     #[test]

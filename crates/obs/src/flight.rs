@@ -205,8 +205,10 @@ impl FlightLog {
         let mut out = String::with_capacity(64 + 64 * self.events.len());
         let _ = write!(
             out,
-            "{{\"reason\":\"{}\",\"capacity\":{},\"dropped\":{},\"events\":[",
-            reason, self.capacity, self.dropped
+            "{{\"reason\":{},\"capacity\":{},\"dropped\":{},\"events\":[",
+            crate::json::JsonStr(reason),
+            self.capacity,
+            self.dropped
         );
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {

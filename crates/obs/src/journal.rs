@@ -19,12 +19,8 @@
 //! per-task) and has the same zero-effect-on-results guarantee as the
 //! telemetry layer: the bitwise-equal run tests prove enabling it
 //! changes nothing.
-//!
-//! The module also hosts the crate's hand-rolled JSON scanner
-//! ([`JsonValue`] / [`parse_json`]): journal lines, the `/status`
-//! document, and the CI validators all parse with it, keeping the whole
-//! ops plane dependency-free.
 
+use crate::json::{parse_json, JsonStr, JsonValue};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -99,24 +95,24 @@ impl JournalEvent {
         let mut out = String::with_capacity(96 + self.message.len());
         let _ = write!(
             out,
-            "{{\"v\":{},\"seq\":{},\"at_us\":{},\"level\":\"{}\",\"kind\":\"{}\"",
+            "{{\"v\":{},\"seq\":{},\"at_us\":{},\"level\":\"{}\",\"kind\":{}",
             JOURNAL_SCHEMA_VERSION,
             self.seq,
             self.at_us,
             self.level.name(),
-            escape_json(&self.kind),
+            JsonStr(&self.kind),
         );
         if let Some(stage) = self.stage {
             let _ = write!(out, ",\"stage\":{stage}");
         }
-        let _ = write!(out, ",\"msg\":\"{}\"", escape_json(&self.message));
+        let _ = write!(out, ",\"msg\":{}", JsonStr(&self.message));
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":{");
             for (i, (k, v)) in self.fields.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
+                let _ = write!(out, "{}:{}", JsonStr(k), JsonStr(v));
             }
             out.push('}');
         }
@@ -365,290 +361,6 @@ pub fn validate_journal(text: &str) -> Vec<String> {
     problems
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value — the crate's hand-rolled scanner, shared by the
-/// journal, the `/status` document, and the CI validators. Object keys
-/// keep their document order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (JSON has only doubles).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in key order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object member lookup (None for non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The number as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
-pub fn parse_json(input: &str) -> Result<JsonValue, String> {
-    let mut p = Scanner {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r')
-        ) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => out.push(c),
-                                None => return Err("invalid \\u escape".into()),
-                            }
-                            self.pos += 4;
-                        }
-                        _ => return Err("invalid escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,25 +469,5 @@ mod tests {
             "{\"v\":1,\"seq\":0,\"at_us\":1,\"level\":\"loud\",\"kind\":\"k\",\"msg\":\"m\"}"
         )
         .is_err());
-    }
-
-    #[test]
-    fn json_scanner_handles_nesting_numbers_and_escapes() {
-        let doc = parse_json(
-            "{\"a\": [1, 2.5, -3], \"b\": {\"c\": \"x\\ny\", \"d\": true, \"e\": null}}",
-        )
-        .unwrap();
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("d").unwrap().as_bool(),
-            Some(true)
-        );
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Observability and correctness tooling for the NASPipe runtimes.
 //!
-//! The crate has three layers, mirroring the needs of the simulator
+//! The crate has these layers, mirroring the needs of the simulator
 //! (`naspipe-core::pipeline`) and the threaded runtime
 //! (`naspipe-core::runtime`):
 //!
@@ -33,10 +33,10 @@
 //!    of lock-light per-stage atomic cells mirrors the recorder stream
 //!    while the run is still in flight ([`TeeRecorder`]); a sampler
 //!    publishes [`MetricsSnapshot`]s onto a fixed-capacity ring, rates
-//!    are derived between snapshots, and [`expo`] serves the whole
-//!    thing as hand-rolled Prometheus 0.0.4 text over a
-//!    `std::net::TcpListener` ([`MetricsServer`]) — plus the parser /
-//!    validator the `repro telemetry` hard verdicts are built on.
+//!    are derived between snapshots, and [`expo`] renders the whole
+//!    thing as Prometheus 0.0.4 text (served by the ops plane's
+//!    `/metrics` route) — plus the parser / validator the
+//!    `repro telemetry` hard verdicts are built on.
 //! 6. **Diagnosis** ([`flight`] + [`watchdog`] + [`doctor`]): an
 //!    always-on bounded [`FlightRecorder`] of compact per-stage events
 //!    (dumped to `.flight.json` on faults, watchdog trips, or request),
@@ -52,8 +52,14 @@
 //!    `/events`) over one run's live state, and the unified structured
 //!    [`Journal`] — one bounded JSONL event log replacing the scattered
 //!    stderr side channels, consumed by `/events`, `--journal PATH`,
-//!    and `naspipe doctor`. Still hand-rolled on `std::net`, still
-//!    bitwise zero-effect on results.
+//!    and `naspipe doctor`. [`OpsServer`] and [`http_get`] are the
+//!    workspace's only HTTP server and client; still `std::net` only,
+//!    still bitwise zero-effect on results.
+//! 8. **JSON** ([`json`]): the one codec. JSON text is read and escaped
+//!    only there — [`parse_json`] / [`JsonValue`] behind every reader
+//!    (chrome traces, journal, `/status`, flight dumps, `BENCH_*.json`),
+//!    [`JsonStr`] / [`JsonNum`] inside every emitter's `write!`
+//!    template. No module keeps a private parser, escaper or scanner.
 //!
 //! The crate deliberately has no dependency on `naspipe-core`: the
 //! runtimes resolve their own partition/stage types into plain
@@ -68,6 +74,7 @@ pub mod expo;
 pub mod flight;
 pub mod invariant;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod report;
@@ -83,17 +90,18 @@ pub use doctor::{
     journal_summary, BenchDelta, Diagnosis, SpanShift, StageDelta, StallExport, StragglerRank,
 };
 pub use expo::{
-    counter_values, monotonicity_violations, render_exposition, render_exposition_ops, scrape,
-    validate_exposition, MetricsServer,
+    counter_values, monotonicity_violations, render_exposition, render_exposition_ops,
+    validate_exposition,
 };
 pub use flight::{
     FlightEvent, FlightEventKind, FlightLog, FlightRecorder, FlightSummary, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use invariant::{CspChecker, Violation};
 pub use journal::{
-    parse_event, parse_journal, parse_json, validate_journal, Journal, JournalEvent, JournalLevel,
-    JsonValue, DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
+    parse_event, parse_journal, validate_journal, Journal, JournalEvent, JournalLevel,
+    DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
 };
+pub use json::{parse_json, JsonNum, JsonStr, JsonValue, MAX_JSON_DEPTH};
 pub use metrics::{Counter, Histogram, MetricsRecorder, NullRecorder, Recorder, Sample};
 pub use ops::{
     http_get, render_top, validate_status, HttpResponse, OpsServer, OpsState, RunPhase,

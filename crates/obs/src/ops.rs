@@ -26,7 +26,8 @@
 //! (proven by `repro ops` and the `tests/ops_plane.rs` bitwise gate).
 
 use crate::flight::FlightRecorder;
-use crate::journal::{escape_json, Journal, JsonValue};
+use crate::journal::Journal;
+use crate::json::{JsonStr, JsonValue};
 use crate::report::RunMeta;
 use crate::telemetry::{rate_between, MetricsSnapshot, StageRate, TelemetryHub};
 use crate::watchdog::WatchdogVerdictKind;
@@ -250,8 +251,8 @@ impl OpsState {
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
-            "{{\"v\":{STATUS_SCHEMA_VERSION},\"engine\":\"{}\",\"stages\":{},",
-            escape_json(&self.meta.engine),
+            "{{\"v\":{STATUS_SCHEMA_VERSION},\"engine\":{},\"stages\":{},",
+            JsonStr(&self.meta.engine),
             self.meta.stages
         );
         match self.meta.seed {
@@ -262,10 +263,10 @@ impl OpsState {
         }
         let _ = write!(
             out,
-            "\"phase\":\"{}\",\"ready\":{},\"ready_reason\":\"{}\",",
+            "\"phase\":\"{}\",\"ready\":{},\"ready_reason\":{},",
             self.phase().name(),
             ready.is_ok(),
-            escape_json(ready.as_ref().err().map_or("ok", String::as_str)),
+            JsonStr(ready.as_ref().err().map_or("ok", String::as_str)),
         );
         let _ = write!(
             out,
@@ -421,10 +422,8 @@ pub fn validate_status(doc: &JsonValue) -> Vec<String> {
     );
     need(
         "last_cut",
-        matches!(
-            doc.get("last_cut"),
-            Some(JsonValue::Null) | Some(JsonValue::Num(_))
-        ),
+        doc.get("last_cut")
+            .is_some_and(|c| *c == JsonValue::Null || c.as_f64().is_some()),
     );
     for (obj, keys) in [
         ("recovery", &["retries", "restarts", "replayed"][..]),
@@ -509,9 +508,9 @@ pub fn render_top(doc: &JsonValue, metrics: &str) -> Result<String, String> {
         .get("progress_pct")
         .and_then(JsonValue::as_f64)
         .unwrap_or(0.0);
-    let last_cut = match doc.get("last_cut") {
-        Some(JsonValue::Num(w)) => format!("{w:.0}"),
-        _ => "-".to_string(),
+    let last_cut = match doc.get("last_cut").and_then(JsonValue::as_f64) {
+        Some(w) => format!("{w:.0}"),
+        None => "-".to_string(),
     };
     let _ = writeln!(
         out,
@@ -783,50 +782,66 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<HttpResponse> {
     )?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw).into_owned();
-    let (head, body) = text.split_once("\r\n\r\n").ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed HTTP response")
-    })?;
+    let invalid = |reason: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
+    let split = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or_else(|| invalid("malformed HTTP response"))?;
+    let body = raw.split_off(split + 4);
+    let head = String::from_utf8_lossy(&raw);
     let status = head
         .lines()
         .next()
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|c| c.parse::<u16>().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "missing status code")
-        })?;
+        .ok_or_else(|| invalid("missing status code"))?;
     let chunked = head
         .lines()
         .any(|l| l.to_ascii_lowercase().replace(' ', "") == "transfer-encoding:chunked");
     let body = if chunked {
-        decode_chunked(body).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+        decode_chunked(&body).map_err(invalid)?
     } else {
-        body.to_string()
+        body
     };
+    let body = String::from_utf8(body).map_err(|_| invalid("body is not UTF-8"))?;
     Ok(HttpResponse { status, body })
 }
 
-fn decode_chunked(mut rest: &str) -> Result<String, String> {
-    let mut out = String::new();
+/// Joins the chunks of a `Transfer-Encoding: chunked` body. Works on
+/// bytes: a chunk size counts bytes, not characters, and it comes from
+/// the peer, so every offset derived from it is checked.
+fn decode_chunked(mut rest: &[u8]) -> Result<Vec<u8>, &'static str> {
+    let mut out = Vec::new();
     loop {
-        let (size_line, tail) = rest.split_once("\r\n").ok_or("truncated chunk size line")?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| format!("bad chunk size {size_line:?}"))?;
+        let line_end = rest
+            .windows(2)
+            .position(|w| w == b"\r\n")
+            .ok_or("truncated chunk size line")?;
+        let size = std::str::from_utf8(&rest[..line_end])
+            .ok()
+            .and_then(|line| usize::from_str_radix(line.trim(), 16).ok())
+            .ok_or("bad chunk size")?;
         if size == 0 {
             return Ok(out);
         }
-        if tail.len() < size + 2 {
-            return Err("truncated chunk body".into());
+        let data = line_end + 2;
+        let end = data.checked_add(size).ok_or("chunk size overflows")?;
+        if rest
+            .get(end..)
+            .is_none_or(|tail| !tail.starts_with(b"\r\n"))
+        {
+            return Err("truncated chunk body");
         }
-        out.push_str(&tail[..size]);
-        rest = &tail[size + 2..];
+        out.extend_from_slice(&rest[data..end]);
+        rest = &rest[end + 2..];
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{parse_journal, parse_json, JournalLevel};
+    use crate::journal::{parse_journal, JournalLevel};
+    use crate::json::parse_json;
     use crate::metrics::Counter;
 
     fn state(stages: u32) -> Arc<OpsState> {
@@ -931,6 +946,7 @@ mod tests {
 
         let metrics = http_get(&addr, "/metrics").unwrap();
         assert_eq!(metrics.status, 200);
+        crate::expo::validate_exposition(&metrics.body).expect(&metrics.body);
         assert!(metrics.body.contains("naspipe_journal_dropped_total 0"));
         assert!(
             !metrics.body.contains("naspipe_flight_dropped_total"),
@@ -972,6 +988,10 @@ mod tests {
         assert_eq!(ready.status, 503);
         assert!(ready.body.contains("stage-stall"), "{}", ready.body);
         server.shutdown();
+        assert!(
+            http_get(&addr, "/healthz").is_err(),
+            "a stopped server stops answering"
+        );
     }
 
     #[test]
@@ -1026,10 +1046,55 @@ mod tests {
     #[test]
     fn chunked_decoding_round_trips() {
         assert_eq!(
-            decode_chunked("5\r\nhello\r\n1\r\n \r\n5\r\nworld\r\n0\r\n\r\n").unwrap(),
-            "hello world"
+            decode_chunked(b"5\r\nhello\r\n1\r\n \r\n5\r\nworld\r\n0\r\n\r\n").unwrap(),
+            b"hello world"
         );
-        assert!(decode_chunked("zz\r\nhello").is_err());
-        assert!(decode_chunked("5\r\nhel").is_err());
+        assert!(decode_chunked(b"zz\r\nhello").is_err());
+        assert!(decode_chunked(b"5\r\nhel").is_err());
+        assert!(decode_chunked(b"5\r\nhello").is_err(), "no CRLF after data");
+        assert!(decode_chunked(b"5\r\nhello\r\n").is_err(), "no last chunk");
+    }
+
+    /// `http_get` against a server that answers one request with
+    /// `response`, whatever was asked, and closes.
+    fn get_canned(response: &[u8]) -> std::io::Result<HttpResponse> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let mut head = Vec::new();
+                let mut chunk = [0u8; 256];
+                while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                    match stream.read(&mut chunk) {
+                        Ok(n) if n > 0 => head.extend_from_slice(&chunk[..n]),
+                        _ => break,
+                    }
+                }
+                let _ = stream.write_all(response);
+            });
+            http_get(&addr, "/events")
+        })
+    }
+
+    #[test]
+    fn hostile_chunked_bodies_are_errors_not_panics() {
+        const HEAD: &str = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+        for (body, why) in [
+            // size + 2 used to overflow usize.
+            ("ffffffffffffffff\r\nx\r\n0\r\n\r\n", "size overflows"),
+            // The size used to be a str index inside the two-byte 'é'.
+            ("1\r\n\u{e9}\r\n0\r\n\r\n", "size splits a character"),
+            ("a\r\nhello", "truncated body"),
+            ("5\r\nhello\r\n", "missing last chunk"),
+        ] {
+            let err = get_canned(format!("{HEAD}{body}").as_bytes()).expect_err(why);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{why}: {err}");
+        }
+        let whole = get_canned(format!("{HEAD}2\r\n\u{e9}\r\n0\r\n\r\n").as_bytes())
+            .expect("a chunk that holds the whole character decodes");
+        assert_eq!(whole.body, "\u{e9}");
+        let binary = get_canned(b"HTTP/1.1 200 OK\r\n\r\n\xff\xfe").expect_err("not text");
+        assert_eq!(binary.kind(), std::io::ErrorKind::InvalidData);
     }
 }

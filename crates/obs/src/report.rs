@@ -4,9 +4,9 @@
 //! [`MetricsRecorder::report`](crate::MetricsRecorder::report); the
 //! experiment drivers in `crates/bench` print the
 //! [`render_text`](ObsReport::render_text) form after each run and can
-//! dump [`to_json`](ObsReport::to_json) for downstream tooling. The JSON
-//! is emitted by hand (no serde in the offline dependency closure).
+//! dump [`to_json`](ObsReport::to_json) for downstream tooling.
 
+use crate::json::{JsonNum, JsonStr};
 use std::fmt::Write as _;
 
 /// Identity of the run a report (or trace) describes, stamped into the
@@ -416,15 +416,15 @@ impl ObsReport {
              \"wall_us\":{},\"bubble_ratio\":{},\"stall_ratio\":{},\
              \"cache_hit_rate\":{},\"stages\":[",
             OBS_SCHEMA_VERSION,
-            json_str(&self.meta.engine),
+            JsonStr(&self.meta.engine),
             self.meta.stages,
             self.meta
                 .seed
                 .map_or_else(|| "null".to_string(), |s| s.to_string()),
             self.wall_us,
-            json_f64(self.bubble_ratio()),
-            json_f64(self.stall_ratio()),
-            json_f64(self.cache_hit_rate()),
+            JsonNum(self.bubble_ratio()),
+            JsonNum(self.stall_ratio()),
+            JsonNum(self.cache_hit_rate()),
         );
         for (i, s) in self.stages.iter().enumerate() {
             if i > 0 {
@@ -455,14 +455,14 @@ impl ObsReport {
                 s.backward_preemptions,
                 s.stall_us,
                 s.bubble_us,
-                json_f64(s.stall_ratio),
-                json_f64(s.bubble_ratio),
-                json_f64(s.utilization()),
+                JsonNum(s.stall_ratio),
+                JsonNum(s.bubble_ratio),
+                JsonNum(s.utilization()),
                 s.cache_hits,
                 s.cache_misses,
                 s.cache_evictions,
                 s.cache_prefetches,
-                json_f64(s.cache_hit_rate),
+                JsonNum(s.cache_hit_rate),
                 s.retries,
                 s.restarts,
                 s.replayed_tasks,
@@ -471,21 +471,21 @@ impl ObsReport {
                 s.pool_busy_us,
                 s.durable_persists,
                 s.durable_resumes,
-                json_f64(s.mean_queue_depth),
+                JsonNum(s.mean_queue_depth),
                 s.max_queue_depth,
-                json_f64(s.fwd_latency_mean_us),
+                JsonNum(s.fwd_latency_mean_us),
                 s.fwd_latency_max_us,
-                json_f64(s.bwd_latency_mean_us),
+                JsonNum(s.bwd_latency_mean_us),
                 s.bwd_latency_max_us,
-                json_f64(s.queue_depth_p50),
-                json_f64(s.queue_depth_p95),
-                json_f64(s.queue_depth_p99),
-                json_f64(s.fwd_latency_p50_us),
-                json_f64(s.fwd_latency_p95_us),
-                json_f64(s.fwd_latency_p99_us),
-                json_f64(s.bwd_latency_p50_us),
-                json_f64(s.bwd_latency_p95_us),
-                json_f64(s.bwd_latency_p99_us),
+                JsonNum(s.queue_depth_p50),
+                JsonNum(s.queue_depth_p95),
+                JsonNum(s.queue_depth_p99),
+                JsonNum(s.fwd_latency_p50_us),
+                JsonNum(s.fwd_latency_p95_us),
+                JsonNum(s.fwd_latency_p99_us),
+                JsonNum(s.bwd_latency_p50_us),
+                JsonNum(s.bwd_latency_p95_us),
+                JsonNum(s.bwd_latency_p99_us),
             );
         }
         out.push_str("],\"pool\":[");
@@ -508,9 +508,9 @@ impl ObsReport {
                 out,
                 "{{\"at_us\":{},\"kind\":{},\"stage\":{},\"detail\":{}}}",
                 v.at_us,
-                json_str(v.kind.name()),
+                JsonStr(v.kind.name()),
                 v.stage,
-                json_str(&v.detail),
+                JsonStr(&v.detail),
             );
         }
         let _ = write!(
@@ -564,34 +564,6 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     } else {
         sum / count as f64
     }
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Infinity).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Formats a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

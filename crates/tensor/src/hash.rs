@@ -8,8 +8,20 @@
 
 use crate::tensor::Tensor;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit offset basis: the state before any byte.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Absorbs `bytes` into an FNV-1a `state` (start from [`FNV_OFFSET`]).
+/// The workspace's one copy of the loop: parameter fingerprints, the
+/// durable snapshot checksum and run fingerprint, and the golden-trace
+/// loss digest are all this function over different byte streams.
+#[inline]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// Incrementally computes an FNV-1a fingerprint over f32 bit patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,10 +43,7 @@ impl BitHasher {
 
     /// Absorbs one f32's bit pattern.
     pub fn write_f32(&mut self, x: f32) {
-        for byte in x.to_bits().to_le_bytes() {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = fnv1a(self.state, &x.to_bits().to_le_bytes());
     }
 
     /// Absorbs a whole tensor.
@@ -92,6 +101,26 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0], &[1, 1]);
         let b = Tensor::from_vec(vec![2.0], &[1, 1]);
         assert_ne!(hash_tensors([&a, &b]), hash_tensors([&b, &a]));
+    }
+
+    #[test]
+    fn byte_level_entry_point_matches_known_answers() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Absorbing in pieces is absorbing the concatenation.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
+        let t = Tensor::from_vec(vec![1.5, -2.0], &[1, 2]);
+        let bytes: Vec<u8> = t
+            .data()
+            .iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(hash_tensors([&t]), fnv1a(FNV_OFFSET, &bytes));
     }
 
     #[test]
