@@ -17,8 +17,6 @@ pub struct DiagnosticsOptions {
     /// Master switch for the flight recorder + watchdog. On by default
     /// (the subsystems are designed to be always-on and lock-light).
     pub enabled: bool,
-    /// Flight-recorder ring capacity per stage (`0` = the default 256).
-    pub flight_capacity: usize,
     /// Write a `.flight.json` dump to this path at end of run (dumps on
     /// faults and watchdog trips also use it). `None` disables dumping;
     /// recording still happens.
@@ -32,11 +30,11 @@ pub struct DiagnosticsOptions {
     /// Watchdog detector thresholds.
     pub watchdog: WatchdogConfig,
     /// Live ops-plane state ([`/status`](naspipe_obs::ops::OpsState),
-    /// journal, readiness). `None` keeps the legacy stderr side channels;
-    /// `Some` routes watchdog trips, recovery notices, checkpoint cuts,
-    /// and durable events through the unified journal and updates the
-    /// per-stage CSP watermarks the HTTP surface reports. Observation
-    /// only — never affects results.
+    /// journal, readiness). `Some` makes its journal the one the run's
+    /// events land in (`None`: a private one that only mirrors warnings
+    /// to stderr) and publishes phase, totals, checkpoint cuts and the
+    /// per-stage CSP watermarks to the HTTP surface. Observation only —
+    /// never affects results.
     pub ops: Option<std::sync::Arc<naspipe_obs::OpsState>>,
 }
 
@@ -44,7 +42,6 @@ impl Default for DiagnosticsOptions {
     fn default() -> Self {
         DiagnosticsOptions {
             enabled: true,
-            flight_capacity: 0,
             flight_dump: None,
             slow_stage: None,
             compute_scale: 1.0,
@@ -62,7 +59,6 @@ impl PartialEq for DiagnosticsOptions {
             _ => false,
         };
         self.enabled == other.enabled
-            && self.flight_capacity == other.flight_capacity
             && self.flight_dump == other.flight_dump
             && self.slow_stage == other.slow_stage
             && self.compute_scale == other.compute_scale

@@ -27,9 +27,9 @@ use crate::scheduler::{CspScheduler, SubnetEntry, SubnetTable};
 use crate::task::{FinishedSet, StageId, TaskKind};
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
-    CausalEdge, CauseKind, Counter, CspChecker, FlightEventKind, FlightRecorder, MetricsRecorder,
-    MetricsSnapshot, ObsReport, Recorder, RunMeta, Sample, SpanDraft, SpanId, SpanKind, SpanTrace,
-    SpanTracer, TelemetryHub, TelemetryOptions, Tracer, Watchdog, WatchdogVerdict,
+    BusConfig, CausalEdge, CauseKind, Counter, CspChecker, EventBus, MetricsRecorder,
+    MetricsSnapshot, ObsReport, Recorder, RunEvent, RunMeta, Sample, SpanDraft, SpanId, SpanKind,
+    SpanTrace, SpanTracer, TelemetryOptions, Tracer,
 };
 use naspipe_sim::cluster::Cluster;
 use naspipe_sim::event::EventQueue;
@@ -42,7 +42,6 @@ use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// One executed task with its timing — the raw material for metrics,
 /// reproducibility analysis, and numeric training replay.
@@ -335,42 +334,43 @@ pub fn run_pipeline_telemetry(
     for s in &subnets {
         assert!(s.is_valid_for(space), "subnet {s} invalid for space");
     }
-    let mut engine = Engine::new(space, config, subnets, tracer)?;
-    engine.telemetry = telemetry.map(|t| {
-        let interval_us = if t.sample_interval_us != 0 {
-            t.sample_interval_us
-        } else if config.sample_interval_us != 0 {
-            config.sample_interval_us
-        } else {
-            DEFAULT_SAMPLE_INTERVAL_US
-        };
-        DesTelemetry {
-            hub: Arc::clone(&t.hub),
+    Engine::new(space, config, subnets, tracer, telemetry)?.run()
+}
+
+/// A simulated-time sampling cadence: due whenever the simulation clock
+/// crosses `next_us` — the discrete-event analogue of the threaded
+/// runtime's sampler thread. The watchdog twin observes on one of these,
+/// so every verdict — including its trip time — is a pure function of
+/// the run's inputs (bitwise reproducible across hosts and
+/// `NASPIPE_THREADS`).
+struct Cadence {
+    interval_us: u64,
+    next_us: u64,
+}
+
+impl Cadence {
+    /// The first non-zero interval of `preferred`, else the default.
+    fn new(preferred: &[u64]) -> Self {
+        let interval_us = preferred
+            .iter()
+            .copied()
+            .find(|&us| us != 0)
+            .unwrap_or(DEFAULT_SAMPLE_INTERVAL_US);
+        Cadence {
             interval_us,
             next_us: interval_us,
         }
-    });
-    engine.run()
-}
+    }
 
-/// SimTime-driven telemetry state for the DES engine: the hub snapshots
-/// are published when the simulation clock crosses `next_us`, the
-/// discrete-event analogue of the threaded runtime's sampler thread.
-struct DesTelemetry {
-    hub: Arc<TelemetryHub>,
-    interval_us: u64,
-    next_us: u64,
-}
-
-/// SimTime-driven watchdog twin: the detectors observe recorder
-/// snapshots taken when the simulation clock crosses `next_us`, so every
-/// verdict — including its trip time — is a pure function of the run's
-/// inputs (bitwise reproducible across hosts and `NASPIPE_THREADS`).
-struct DesWatchdog {
-    wd: Watchdog,
-    interval_us: u64,
-    next_us: u64,
-    verdicts: Vec<WatchdogVerdict>,
+    /// Whether a sample is due at `now_us`; if so, schedules the next
+    /// (catching up across long event gaps).
+    fn due(&mut self, now_us: u64) -> bool {
+        let due = now_us >= self.next_us;
+        if due {
+            self.next_us = now_us - now_us % self.interval_us + self.interval_us;
+        }
+        due
+    }
 }
 
 /// Reference pipeline batch of a space's domain when the space is unnamed.
@@ -431,13 +431,12 @@ struct Engine<'a> {
     checker: Option<CspChecker>,
     // Per-task span emission with causal edges (NullTracer = off).
     tracer: Box<dyn Tracer>,
-    // SimTime-paced live-telemetry publisher (None = off).
-    telemetry: Option<DesTelemetry>,
-    // Always-on bounded flight recorder (None only when diagnostics are
-    // explicitly disabled).
-    flight: Option<FlightRecorder>,
-    // SimTime-paced deterministic watchdog twin (same gating).
-    watchdog: Option<DesWatchdog>,
+    // The run's shared sinks: flight ring, journal, hub, watchdog twin.
+    bus: EventBus,
+    // When the hub is due a snapshot (None = no hub attached).
+    telemetry: Option<Cadence>,
+    // When the watchdog twin is due one (None = diagnostics disabled).
+    watchdog: Option<Cadence>,
 }
 
 impl<'a> Engine<'a> {
@@ -446,6 +445,7 @@ impl<'a> Engine<'a> {
         config: &'a PipelineConfig,
         subnets: Vec<Subnet>,
         tracer: Box<dyn Tracer>,
+        telemetry: Option<&TelemetryOptions>,
     ) -> Result<Self, PipelineError> {
         let d = config.num_gpus;
         let plan = memory::plan(space, config.policy, d, config.cache_factor);
@@ -571,24 +571,22 @@ impl<'a> Engine<'a> {
             // re-verify every admission against it.
             checker: (cfg!(debug_assertions) && use_csp).then(CspChecker::new),
             tracer,
-            telemetry: None,
-            flight: config
+            bus: EventBus::new(BusConfig {
+                engine: "des",
+                stages: d,
+                enabled: config.diagnostics.enabled,
+                watchdog: &config.diagnostics.watchdog,
+                flight_dump: config.diagnostics.flight_dump.as_deref(),
+                ops: config.diagnostics.ops.as_ref(),
+                telemetry,
+                wall_clock: false,
+            }),
+            telemetry: telemetry
+                .map(|t| Cadence::new(&[t.sample_interval_us, config.sample_interval_us])),
+            watchdog: config
                 .diagnostics
                 .enabled
-                .then(|| FlightRecorder::new(d as usize, config.diagnostics.flight_capacity)),
-            watchdog: config.diagnostics.enabled.then(|| {
-                let interval_us = if config.sample_interval_us != 0 {
-                    config.sample_interval_us
-                } else {
-                    DEFAULT_SAMPLE_INTERVAL_US
-                };
-                DesWatchdog {
-                    wd: Watchdog::new(d as usize, config.diagnostics.watchdog.clone()),
-                    interval_us,
-                    next_us: interval_us,
-                    verdicts: Vec::new(),
-                }
-            }),
+                .then(|| Cadence::new(&[config.sample_interval_us])),
         })
     }
 
@@ -693,9 +691,10 @@ impl<'a> Engine<'a> {
             }
         }
         if missing_bytes > 0 {
-            if let Some(f) = &self.flight {
-                f.record(k, now.as_us(), FlightEventKind::FetchWait, missing_bytes);
-            }
+            let wait = RunEvent::FetchWait {
+                bytes: missing_bytes,
+            };
+            self.bus.emit(k, now.as_us(), wait);
             let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, missing_bytes);
             let fetch_span = if traced {
                 self.tracer.emit(
@@ -900,14 +899,8 @@ impl<'a> Engine<'a> {
             if choice.is_none() && !st.fwd_ready.is_empty() {
                 // Candidates queued but none admissible: every one still
                 // waits on an unfinished earlier sharer (a CSP stall).
-                if let Some(f) = &self.flight {
-                    f.record(
-                        k,
-                        now.as_us(),
-                        FlightEventKind::CspStall,
-                        st.fwd_ready.len() as u64,
-                    );
-                }
+                let queued = st.fwd_ready.len() as u64;
+                self.bus.emit(k, now.as_us(), RunEvent::CspStall { queued });
             }
             choice.map(|(qidx, _)| qidx)
         } else {
@@ -937,9 +930,8 @@ impl<'a> Engine<'a> {
                     .on_admit_forward(subnet, k)
                     .unwrap_or_else(|v| panic!("{v}"));
             }
-            if let Some(f) = &self.flight {
-                f.record(k, now.as_us(), FlightEventKind::Admission, subnet.0);
-            }
+            let admission = RunEvent::Admission { subnet: subnet.0 };
+            self.bus.emit(k, now.as_us(), admission);
         }
         // Predictor hooks (Algorithm 1 lines 6 and 21).
         if self.use_predictor {
@@ -1094,10 +1086,11 @@ impl<'a> Engine<'a> {
                         .subnet(subnet.0),
                 );
             }
-            if let Some(f) = &self.flight {
-                f.record(k, w_start.as_us(), FlightEventKind::Fault, subnet.0);
-                f.record(k, w_end.as_us(), FlightEventKind::Recovery, subnet.0);
-            }
+            let subnet = subnet.0;
+            self.bus
+                .emit(k, w_start.as_us(), RunEvent::Fault { subnet });
+            self.bus
+                .emit(k, w_end.as_us(), RunEvent::Recovery { subnet });
             w_end
         } else {
             ready
@@ -1318,65 +1311,30 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Publishes the snapshots due at `now`: the telemetry hub's and the
-    /// watchdog twin's, each on its own simulated-time cadence (catching
-    /// up across long event gaps). Verdicts — including their trip times
-    /// — are pure functions of the run.
-    fn publish_due(&mut self, now: SimTime) {
+    /// Takes the sample due at `now`, if any: the hub and the watchdog
+    /// twin each have their own simulated-time cadence, and one snapshot
+    /// of the recorder serves whichever is due.
+    fn sample_due(&mut self, now: SimTime) {
         let now_us = now.as_us();
-        let due = |next_us: Option<u64>| next_us.is_some_and(|next| now_us >= next);
-        let telemetry_due = due(self.telemetry.as_ref().map(|t| t.next_us));
-        let watchdog_due = due(self.watchdog.as_ref().map(|w| w.next_us));
-        if !(telemetry_due || watchdog_due) {
-            return;
-        }
-        // Snapshots read the idle counters: bring them up to `now`.
-        self.settle_all_idle(now);
-        if telemetry_due {
-            let tel = self.telemetry.as_mut().expect("due");
-            tel.hub
-                .publish_snapshot(MetricsSnapshot::from_recorder(&self.recorder, now_us, 0));
-            tel.next_us = now_us - now_us % tel.interval_us + tel.interval_us;
-        }
-        if watchdog_due {
-            self.observe_watchdog(now_us);
-            let dog = self.watchdog.as_mut().expect("due");
-            dog.next_us = now_us - now_us % dog.interval_us + dog.interval_us;
+        let publish = self.telemetry.as_mut().is_some_and(|c| c.due(now_us));
+        let observe = self.watchdog.as_mut().is_some_and(|c| c.due(now_us));
+        if publish || observe {
+            // Snapshots read the idle counters: bring them up to `now`.
+            self.settle_all_idle(now);
+            self.sample(now, publish, observe);
         }
     }
 
-    /// One watchdog observation of the recorder at `at_us`; fresh
-    /// verdicts fan out to the flight ring, the hub and the journal.
-    fn observe_watchdog(&mut self, at_us: u64) {
-        let Some(dog) = self.watchdog.as_mut() else {
-            return;
-        };
-        let snap = MetricsSnapshot::from_recorder(&self.recorder, at_us, 0);
-        let fresh = dog.wd.observe(&snap);
-        for v in &fresh {
-            if let Some(f) = &self.flight {
-                f.record(
-                    v.stage,
-                    v.at_us,
-                    FlightEventKind::WatchdogTrip,
-                    v.kind as u64,
-                );
-            }
-            if let Some(tel) = self.telemetry.as_ref() {
-                tel.hub.record_watchdog_trip(v.kind);
-            }
-            if let Some(ops) = &self.config.diagnostics.ops {
-                ops.journal().emit(
-                    naspipe_obs::JournalLevel::Warn,
-                    "watchdog-trip",
-                    Some(v.stage),
-                    v.at_us,
-                    v.render(),
-                    v.journal_fields(),
-                );
-            }
+    /// Hands the bus a snapshot of the recorder as of `at`, with every
+    /// stage's finished prefix as its `/status` watermark.
+    fn sample(&mut self, at: SimTime, publish: bool, observe: bool) {
+        for (k, done) in self.finished.iter().enumerate() {
+            let watermark = done.first_unfinished().0;
+            self.bus
+                .emit(k as u32, at.as_us(), RunEvent::Watermark { watermark });
         }
-        dog.verdicts.extend(fresh);
+        let snap = MetricsSnapshot::from_recorder(&self.recorder, at.as_us(), 0);
+        self.bus.sample(snap, publish, observe);
     }
 
     /// Debug-build missed-wake-up detector: after an event's dispatch
@@ -1413,33 +1371,16 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> Result<PipelineOutcome, PipelineError> {
-        // Ops-plane hookup (observation only): publish the run shape and
-        // flip `/readyz` to admitting-work before the first injection.
-        if let Some(ops) = &self.config.diagnostics.ops {
-            ops.set_total_subnets(self.config.num_subnets);
-            ops.set_phase(naspipe_obs::RunPhase::Running);
-            ops.journal().emit(
-                naspipe_obs::JournalLevel::Info,
-                "run-start",
-                None,
-                0,
-                format!(
-                    "des run admitting work: {} stage(s), {} subnet(s)",
-                    self.d, self.config.num_subnets
-                ),
-                vec![
-                    ("stages".to_string(), self.d.to_string()),
-                    ("subnets".to_string(), self.config.num_subnets.to_string()),
-                ],
-            );
-        }
+        // Observation only: publish the run shape and flip `/readyz` to
+        // admitting-work before the first injection.
+        self.bus.start(self.config.num_subnets);
         // Every stage reports from t = 0, whenever it first does anything.
         for k in 0..self.d {
             self.recorder.incr(k, Counter::BubbleUs, 0);
         }
         self.try_inject(SimTime::ZERO);
         while let Some((now, ev)) = self.queue.pop() {
-            self.publish_due(now);
+            self.sample_due(now);
             // Apply the event and collect, ascending, the stages whose
             // admission decision it can have changed. A stage's decision
             // reads its own queues and busy flag, the table, and — through
@@ -1527,40 +1468,16 @@ impl<'a> Engine<'a> {
         for k in 0..self.d {
             self.sync_cache_metrics(k, makespan); // final deltas (e.g. releases)
         }
-        // One last watchdog observation at the makespan boundary, so a
-        // straggler that only becomes visible in the closing window is
-        // still caught deterministically.
-        self.observe_watchdog(makespan.as_us());
-        let verdicts = self
-            .watchdog
-            .as_mut()
-            .map(|dog| std::mem::take(&mut dog.verdicts))
-            .unwrap_or_default();
-        let mut obs = self
+        // One last sample at the makespan boundary, after the cache-metric
+        // sync above: the hub's last published state equals the report
+        // totals, and a straggler that only becomes visible in the
+        // closing window is still caught deterministically.
+        self.sample(makespan, true, true);
+        let obs = self
             .recorder
             .report(makespan.as_us())
             .with_meta(RunMeta::new("des", self.d).seed(self.config.seed));
-        if let Some(tel) = self.telemetry.as_ref() {
-            // Final snapshot after the cache-metric sync above, so the
-            // hub's last published state equals the report totals.
-            tel.hub.publish_snapshot(MetricsSnapshot::from_recorder(
-                &self.recorder,
-                makespan.as_us(),
-                0,
-            ));
-            let (series, dropped) = tel.hub.series_points();
-            obs = obs.with_series(series, dropped);
-        }
-        obs = obs.with_watchdog(verdicts);
-        if let Some(f) = &self.flight {
-            let log = f.snapshot();
-            if let Some(path) = &self.config.diagnostics.flight_dump {
-                if let Err(e) = log.write_dump(path, "end-of-run") {
-                    eprintln!("naspipe: flight dump to {path} failed: {e}");
-                }
-            }
-            obs = obs.with_flight(log.summary());
-        }
+        let obs = self.bus.finish(obs, self.completed, None);
         let eff = alu_efficiency(self.batch, self.reference_batch);
         let busy: Vec<f64> = self
             .cluster
@@ -1639,17 +1556,6 @@ impl<'a> Engine<'a> {
                 .map(|s| s.bubble_us as f64 / 1e6)
                 .collect(),
         };
-        if let Some(ops) = &self.config.diagnostics.ops {
-            ops.journal().emit(
-                naspipe_obs::JournalLevel::Info,
-                "run-end",
-                None,
-                makespan.as_us(),
-                format!("run complete: {} subnet(s)", self.completed),
-                vec![],
-            );
-            ops.set_phase(naspipe_obs::RunPhase::Done);
-        }
         self.records.sort_by_key(|r| (r.start, r.subnet, r.stage));
         PipelineOutcome {
             report,
@@ -1753,6 +1659,8 @@ mod tests {
     #[test]
     fn telemetry_run_is_identical_and_final_snapshot_matches_report() {
         use naspipe_obs::telemetry::diff_against_report;
+        use naspipe_obs::TelemetryHub;
+        use std::sync::Arc;
 
         let space = small_space();
         let subnets = UniformSampler::new(&space, 42).take_subnets(20);

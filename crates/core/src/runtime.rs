@@ -57,12 +57,11 @@ use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
 use crate::task::{FinishedSet, StageId, TaskKind};
 use crate::train::{TrainConfig, TrainResult};
-use naspipe_obs::telemetry::progress_line;
+use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
-    CauseKind, Counter, CspChecker, FlightEventKind, FlightRecorder, JournalLevel, MetricsRecorder,
-    MetricsSnapshot, ObsReport, OpsState, PoolWorkerObs, Recorder, RunMeta, RunPhase, Sample,
-    SpanDraft, SpanId, SpanKind, SpanTrace, SpanTracer, TeeRecorder, TelemetryHub,
-    TelemetryOptions, Tracer, Violation, Watchdog, WatchdogVerdict,
+    BusConfig, CauseKind, Counter, CspChecker, EventBus, MetricsRecorder, ObsReport, PoolWorkerObs,
+    Recorder, RunEvent, RunMeta, Sample, SpanDraft, SpanId, SpanKind, SpanTrace, SpanTracer,
+    TeeRecorder, TelemetryHub, TelemetryOptions, Tracer, Violation,
 };
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::layer::LayerRef;
@@ -265,86 +264,6 @@ impl Drop for ExitGuard {
     }
 }
 
-/// The wall-clock watchdog shared between the sampler thread (which
-/// feeds it snapshots) and the supervisor (which folds the verdicts into
-/// the final report). Unlike the DES twin, its trip *times* are
-/// wall-clock and therefore advisory — but the detectors and thresholds
-/// are the same, and verdicts are latched identically.
-struct WatchdogDuty {
-    state: Mutex<(Watchdog, Vec<WatchdogVerdict>)>,
-    flight: Option<Arc<FlightRecorder>>,
-    dump: Option<String>,
-    hub: Option<Arc<TelemetryHub>>,
-    ops: Option<Arc<OpsState>>,
-}
-
-impl WatchdogDuty {
-    fn observe(&self, snap: &MetricsSnapshot) {
-        let mut guard = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let (wd, verdicts) = &mut *guard;
-        let fresh = wd.observe(snap);
-        for v in &fresh {
-            if let Some(f) = &self.flight {
-                f.record(
-                    v.stage,
-                    v.at_us,
-                    FlightEventKind::WatchdogTrip,
-                    v.kind as u64,
-                );
-            }
-            if let Some(h) = &self.hub {
-                h.record_watchdog_trip(v.kind);
-            }
-            // With an ops plane the verdict goes through the journal
-            // (whose stderr mirror keeps the human-visible alert and
-            // whose ring feeds `/events` and `/readyz`); without one,
-            // the legacy serialized stderr alert.
-            if let Some(ops) = &self.ops {
-                ops.journal().emit(
-                    JournalLevel::Warn,
-                    "watchdog-trip",
-                    Some(v.stage),
-                    v.at_us,
-                    v.render(),
-                    v.journal_fields(),
-                );
-            } else {
-                naspipe_obs::status::alert(&v.render());
-            }
-            // A trip is exactly the moment the ring's recent history is
-            // worth keeping: dump before anything else goes wrong.
-            if let (Some(f), Some(path)) = (&self.flight, &self.dump) {
-                if let Err(e) = f.snapshot().write_dump(path, "watchdog-trip") {
-                    eprintln!("naspipe: flight dump to {path} failed: {e}");
-                }
-            }
-        }
-        verdicts.extend(fresh);
-    }
-
-    fn take_verdicts(&self) -> Vec<WatchdogVerdict> {
-        let mut guard = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut guard.1)
-    }
-}
-
-/// Dumps the flight ring to `path` (when both are configured), tagging
-/// the dump with why it was taken. Failures are non-fatal: diagnosis
-/// must never take a run down.
-fn dump_flight(flight: &Option<Arc<FlightRecorder>>, path: &Option<String>, reason: &str) {
-    if let (Some(f), Some(p)) = (flight, path) {
-        if let Err(e) = f.snapshot().write_dump(p, reason) {
-            eprintln!("naspipe: flight dump to {p} failed: {e}");
-        }
-    }
-}
-
 /// The last completed backward — `(subnet, its span, its end µs)` — per
 /// owned `(block, choice)` layer: what names the binding CSP writer of a
 /// later forward. One slot per owned layer, so a lookup costs the
@@ -443,11 +362,8 @@ struct StageWorker {
     recv_timeout: Option<Duration>,
     epoch: Instant,
     tasks: Vec<TaskRecord>,
-    // Shared bounded flight ring (None when diagnostics are disabled).
-    flight: Option<Arc<FlightRecorder>>,
-    // Live ops-plane state: per-stage CSP watermarks, cut records and
-    // the unified journal (None = legacy stderr side channels).
-    ops: Option<Arc<OpsState>>,
+    // The run's shared sinks (flight ring, journal, ops-plane gauges).
+    bus: EventBus,
 }
 
 impl StageWorker {
@@ -495,9 +411,9 @@ impl StageWorker {
             self.recorder.incr(stage, Counter::PoolJob, pool.jobs);
             self.recorder.incr(stage, Counter::PoolChunk, pool.chunks);
             self.recorder.incr(stage, Counter::PoolBusyUs, pool.busy_us);
-            if let Some(f) = &self.flight {
-                f.record(stage, self.now_us(), FlightEventKind::PoolJob, pool.jobs);
-            }
+            let jobs = pool.jobs;
+            self.bus
+                .emit(stage, self.now_us(), RunEvent::PoolJob { jobs });
         }
         StageOutput {
             params: self.params,
@@ -515,14 +431,8 @@ impl StageWorker {
             .injector
             .fire(self.stage as u32, y.0, kind, FaultSite::Execute);
         if fired.is_some() {
-            if let Some(f) = &self.flight {
-                f.record(
-                    self.stage as u32,
-                    self.now_us(),
-                    FlightEventKind::Fault,
-                    y.0,
-                );
-            }
+            let fault = RunEvent::Fault { subnet: y.0 };
+            self.bus.emit(self.stage as u32, self.now_us(), fault);
         }
         match fired {
             Some(FaultKind::Panic) => panic!(
@@ -766,20 +676,6 @@ impl StageWorker {
             debug_assert!(self.bwd_queue.is_empty(), "queued backward at watermark");
             debug_assert!(self.fwd_queue.is_empty(), "queued forward at watermark");
             let snap_start = self.now_us();
-            if let Some(f) = &self.flight {
-                f.record(
-                    self.stage as u32,
-                    snap_start,
-                    FlightEventKind::CheckpointCut,
-                    self.next_ckpt,
-                );
-            }
-            // Reaching a cut boundary proves this stage finished every
-            // subnet below it — the per-stage CSP watermark `/status`
-            // reports (cut granularity keeps this off the hot path).
-            if let Some(ops) = &self.ops {
-                ops.note_stage_watermark(self.stage as u32, self.next_ckpt);
-            }
             let snapshot = StageSnapshot {
                 params: self.params.clone(),
                 engine: self.engine.clone(),
@@ -793,68 +689,39 @@ impl StageWorker {
             ));
             // The store keeps the completing span per cut; a restart
             // resuming from this watermark names it as its cause.
-            let completed_cut = store.record(self.next_ckpt, self.stage, snapshot, span);
+            let completed = store.record(self.next_ckpt, self.stage, snapshot, span);
+            // Reaching a cut boundary proves this stage finished every
+            // subnet below it — the per-stage CSP watermark `/status`
+            // reports (cut granularity keeps this off the hot path).
+            let stage = self.stage as u32;
+            let watermark = self.next_ckpt;
+            self.bus.emit(
+                stage,
+                snap_start,
+                RunEvent::CheckpointCut {
+                    watermark,
+                    completed,
+                },
+            );
             // The worker whose record completes the cut persists it to
             // disk. Persist failures are deliberately non-fatal: the
             // in-memory checkpoints still cover in-process recovery, so
             // a full disk degrades durability, not training.
-            if completed_cut {
-                if let Some(ops) = &self.ops {
-                    ops.record_cut(self.next_ckpt);
-                    ops.journal().emit(
-                        JournalLevel::Info,
-                        "checkpoint-cut",
-                        Some(self.stage as u32),
-                        snap_start,
-                        format!("checkpoint cut complete at watermark {}", self.next_ckpt),
-                        vec![("watermark".to_string(), self.next_ckpt.to_string())],
-                    );
-                }
-                if let Some(durable) = &self.durable {
-                    match store.latest_complete() {
-                        Some(cut) => match durable.persist(&cut) {
+            if let (true, Some(durable)) = (completed, &self.durable) {
+                match store.latest_complete() {
+                    Some(cut) => {
+                        let watermark = cut.watermark;
+                        let persisted = durable.persist(&cut);
+                        let event = match &persisted {
                             Ok(_) => {
-                                self.recorder
-                                    .incr(self.stage as u32, Counter::DurablePersist, 1);
-                                if let Some(ops) = &self.ops {
-                                    ops.journal().emit(
-                                        JournalLevel::Info,
-                                        "durable-persist",
-                                        Some(self.stage as u32),
-                                        self.now_us(),
-                                        format!("persisted watermark {}", cut.watermark),
-                                        vec![("watermark".to_string(), cut.watermark.to_string())],
-                                    );
-                                }
+                                self.recorder.incr(stage, Counter::DurablePersist, 1);
+                                RunEvent::DurablePersist { watermark }
                             }
-                            Err(e) => {
-                                let msg = format!(
-                                    "persisting watermark {} failed \
-                                     (training continues on in-memory checkpoints): {e}",
-                                    cut.watermark
-                                );
-                                // The journal's stderr mirror reproduces
-                                // the legacy `naspipe: {msg}` warning.
-                                match &self.ops {
-                                    Some(ops) => {
-                                        ops.journal().emit(
-                                            JournalLevel::Warn,
-                                            "durable-persist-failed",
-                                            Some(self.stage as u32),
-                                            self.now_us(),
-                                            msg,
-                                            vec![(
-                                                "watermark".to_string(),
-                                                cut.watermark.to_string(),
-                                            )],
-                                        );
-                                    }
-                                    None => eprintln!("naspipe: {msg}"),
-                                }
-                            }
-                        },
-                        None => debug_assert!(false, "completed cut must be visible"),
+                            Err(error) => RunEvent::DurablePersistFailed { watermark, error },
+                        };
+                        self.bus.emit(stage, self.now_us(), event);
                     }
+                    None => debug_assert!(false, "completed cut must be visible"),
                 }
             }
             self.next_ckpt += self.ckpt_interval;
@@ -869,14 +736,8 @@ impl StageWorker {
         arrival_us: u64,
     ) -> Result<Flow, TrainError> {
         self.check(|c| c.on_admit_forward(y, self.stage as u32))?;
-        if let Some(f) = &self.flight {
-            f.record(
-                self.stage as u32,
-                self.now_us(),
-                FlightEventKind::Admission,
-                y.0,
-            );
-        }
+        let admission = RunEvent::Admission { subnet: y.0 };
+        self.bus.emit(self.stage as u32, self.now_us(), admission);
         // Faults fire after `started` so an injected slowdown lands in
         // this task's latency sample — exactly what the straggler
         // detector watches.
@@ -1059,14 +920,9 @@ impl StageWorker {
             let blocked = !self.fwd_queue.is_empty();
             if blocked {
                 // Forwards queued but none admissible: a CSP stall.
-                if let Some(f) = &self.flight {
-                    f.record(
-                        stage,
-                        self.now_us(),
-                        FlightEventKind::CspStall,
-                        self.fwd_queue.len() as u64,
-                    );
-                }
+                let queued = self.fwd_queue.len() as u64;
+                self.bus
+                    .emit(stage, self.now_us(), RunEvent::CspStall { queued });
             }
             let waiting = Instant::now();
             let Some(msg) = self.recv_blocking()? else {
@@ -1405,6 +1261,18 @@ pub fn run_threaded_diagnosed(
     let m = space.num_blocks();
     let partition = Partition::balanced(&vec![1.0; m], gpus);
     let total = subnets.len() as u64;
+    // The run's shared sinks. Built first: the durable resume below
+    // already has notices to emit.
+    let bus = EventBus::new(BusConfig {
+        engine: "threaded",
+        stages: gpus,
+        enabled: diag.enabled,
+        watchdog: &diag.watchdog,
+        flight_dump: diag.flight_dump.as_deref(),
+        ops: diag.ops.as_ref(),
+        telemetry,
+        wall_clock: true,
+    });
 
     // Durable persistence: open the on-disk store (and optionally load
     // the newest valid cut) before any worker starts, so a bad snapshot
@@ -1421,28 +1289,14 @@ pub fn run_threaded_diagnosed(
             let store = DurableStore::open(&d.dir, keep, fp)
                 .map_err(|cause| TrainError::Durable { cause })?;
             if d.resume {
-                // Resume notices flow through the journal when an ops
-                // plane is attached (its Warn mirror reproduces the
-                // legacy `naspipe:` stderr lines); informational lines
-                // keep their eprintln either way.
-                let journal_skip = |path: &std::path::Path, why: &str| match &diag.ops {
-                    Some(ops) => {
-                        ops.journal().emit(
-                            JournalLevel::Warn,
-                            "durable-skip",
-                            None,
-                            0,
-                            format!("skipping snapshot {}: {why}", path.display()),
-                            vec![("path".to_string(), path.display().to_string())],
-                        );
+                let skip = |skipped: &[(PathBuf, String)]| {
+                    for (path, why) in skipped {
+                        bus.emit(0, 0, RunEvent::DurableSkip { path, why });
                     }
-                    None => eprintln!("naspipe: skipping snapshot {}: {why}", path.display()),
                 };
                 match store.load_latest() {
                     Ok(loaded) => {
-                        for (path, why) in &loaded.skipped {
-                            journal_skip(path, why);
-                        }
+                        skip(&loaded.skipped);
                         let cut = loaded.checkpoint;
                         // The fingerprint already pins gpus/interval/
                         // stream; this is a belt-and-braces shape check.
@@ -1463,48 +1317,13 @@ pub fn run_threaded_diagnosed(
                                 },
                             });
                         }
-                        eprintln!(
-                            "naspipe: resuming from watermark {} ({})",
-                            cut.watermark,
-                            loaded.path.display()
-                        );
-                        if let Some(ops) = &diag.ops {
-                            ops.journal().emit(
-                                JournalLevel::Info,
-                                "durable-resume",
-                                None,
-                                0,
-                                format!(
-                                    "resuming from watermark {} ({})",
-                                    cut.watermark,
-                                    loaded.path.display()
-                                ),
-                                vec![("watermark".to_string(), cut.watermark.to_string())],
-                            );
-                        }
+                        let (watermark, path) = (cut.watermark, &*loaded.path);
+                        bus.emit(0, 0, RunEvent::DurableResume { watermark, path });
                         initial_resume = Some(cut);
                     }
                     Err(DurableError::NoSnapshot { dir, skipped }) => {
-                        for (path, why) in &skipped {
-                            journal_skip(path, why);
-                        }
-                        eprintln!(
-                            "naspipe: no usable snapshot in {}; starting from scratch",
-                            dir.display()
-                        );
-                        if let Some(ops) = &diag.ops {
-                            ops.journal().emit(
-                                JournalLevel::Info,
-                                "durable-scratch",
-                                None,
-                                0,
-                                format!(
-                                    "no usable snapshot in {}; starting from scratch",
-                                    dir.display()
-                                ),
-                                vec![],
-                            );
-                        }
+                        skip(&skipped);
+                        bus.emit(0, 0, RunEvent::DurableScratch { dir: &dir });
                     }
                     Err(cause) => return Err(TrainError::Durable { cause }),
                 }
@@ -1525,64 +1344,31 @@ pub fn run_threaded_diagnosed(
     // attributes only this run's fan-out work.
     let compute_threads = cfg.threads;
     let pool_base = naspipe_tensor::pool::shared(compute_threads).stats();
-    // Diagnostics plumbing: the flight ring is shared by every stage
-    // worker and the supervisor; the wall-clock watchdog needs periodic
-    // hub snapshots, so when no external telemetry is attached an
-    // internal hub (never exported — its series is not embedded in the
-    // report) drives the sampler instead.
-    let flight: Option<Arc<FlightRecorder>> = diag
-        .enabled
-        .then(|| Arc::new(FlightRecorder::new(gpus as usize, diag.flight_capacity)));
-    // Ops-plane hookup: expose the flight ring on `/flight`, publish the
-    // run shape, and flip `/readyz` to admitting-work before any stage
-    // thread starts.
-    if let Some(ops) = &diag.ops {
-        ops.set_total_subnets(total);
-        if let Some(f) = &flight {
-            ops.attach_flight(Arc::clone(f));
-        }
-        ops.set_phase(RunPhase::Running);
-        ops.journal().emit(
-            JournalLevel::Info,
-            "run-start",
-            None,
-            0,
-            format!("threaded run admitting work: {gpus} stage(s), {total} subnet(s)"),
-            vec![
-                ("stages".to_string(), gpus.to_string()),
-                ("subnets".to_string(), total.to_string()),
-            ],
-        );
-    }
-    let internal_hub: Option<TelemetryOptions> = (telemetry.is_none() && diag.enabled)
-        .then(|| TelemetryOptions::new(Arc::new(TelemetryHub::new(gpus as usize, 0))));
-    let sampler_opts: Option<&TelemetryOptions> = telemetry.or(internal_hub.as_ref());
-    let watchdog: Option<Arc<WatchdogDuty>> = diag.enabled.then(|| {
-        Arc::new(WatchdogDuty {
-            state: Mutex::new((
-                Watchdog::new(gpus as usize, diag.watchdog.clone()),
-                Vec::new(),
-            )),
-            flight: flight.clone(),
-            dump: diag.flight_dump.clone(),
-            hub: sampler_opts.map(|t| Arc::clone(&t.hub)),
-            ops: diag.ops.clone(),
-        })
-    });
+    // Publish the run shape and flip `/readyz` to admitting-work before
+    // any stage thread starts.
+    bus.start(total);
     // The sampler owns snapshot publication for the whole run (all
     // incarnations); its drop guard publishes a final snapshot on every
     // exit path, after the workers have joined.
-    let mut sampler = sampler_opts.map(|t| {
+    let interval_us = telemetry.map_or(DEFAULT_SAMPLE_INTERVAL_US, TelemetryOptions::interval_us);
+    let mut sampler = bus.hub().map(|hub| {
+        let pool = naspipe_tensor::pool::shared(compute_threads);
         TelemetrySampler::start(
-            t,
-            epoch,
-            compute_threads,
-            pool_base.clone(),
-            watchdog.clone(),
+            SamplerTick {
+                bus: bus.clone(),
+                hub: Arc::clone(hub),
+                epoch,
+                pool,
+                pool_base: pool_base.clone(),
+            },
+            interval_us,
         )
     });
 
     let mut master = MetricsRecorder::new();
+    // The supervisor's own recovery accounting, mirrored into the hub
+    // like any worker's counters and merged into `master` at the end.
+    let mut supervisor = TeeRecorder::new(bus.hub().cloned());
     let mut spans = SpanTrace::default();
     let mut recovery = RecoveryReport {
         restarts: 0,
@@ -1604,17 +1390,11 @@ pub fn run_threaded_diagnosed(
             }
         }
         for k in 0..gpus {
-            master.incr(k, Counter::DurableResume, 1);
-            if let Some(t) = sampler_opts {
-                t.hub.record(k, Counter::DurableResume, 1);
-            }
+            supervisor.incr(k, Counter::DurableResume, 1);
         }
     }
 
     loop {
-        if let Some(t) = sampler_opts {
-            t.hub.set_incarnation(incarnation);
-        }
         let resume: Option<Checkpoint> = if incarnation == 0 {
             // A durable resume enters incarnation 0 mid-stream: the
             // workers start exactly as the uninterrupted run's workers
@@ -1627,12 +1407,6 @@ pub fn run_threaded_diagnosed(
         if incarnation > 0 {
             recovery.resume_watermarks.push(resume_w);
         }
-        if let Some(ops) = &diag.ops {
-            // Everything below the resume point is trained by
-            // definition: floor every stage watermark to it.
-            ops.set_resume_watermark(resume_w);
-        }
-
         // Debug builds cross-check the runtime's interleaving against
         // the CSP contract — a fresh checker per incarnation, with the
         // already-trained prefix retired.
@@ -1716,7 +1490,7 @@ pub fn run_threaded_diagnosed(
                 finished_count: resume_w,
                 injected: resume_w,
                 losses,
-                recorder: TeeRecorder::new(sampler_opts.map(|t| Arc::clone(&t.hub))),
+                recorder: TeeRecorder::new(bus.hub().cloned()),
                 // Distinct id namespace per (incarnation, stage) so the
                 // merged trace never collides.
                 tracer: SpanTracer::with_namespace(
@@ -1736,8 +1510,7 @@ pub fn run_threaded_diagnosed(
                 recv_timeout,
                 epoch,
                 tasks: Vec::new(),
-                flight: flight.clone(),
-                ops: diag.ops.clone(),
+                bus: bus.clone(),
             };
             let notify = notify_tx.clone();
             handles.push((
@@ -1843,43 +1616,12 @@ pub fn run_threaded_diagnosed(
             if let Some(s) = sampler.as_mut() {
                 s.finish();
             }
-            let mut report = master
+            master.merge(supervisor.inner());
+            let report = master
                 .report(wall_us)
                 .with_meta(RunMeta::new("threaded", gpus).seed(cfg.seed))
                 .with_pool(pool_worker_obs(&pool_run, wall_us));
-            if let Some(t) = telemetry {
-                let (series, dropped) = t.hub.series_points();
-                report = report.with_series(series, dropped);
-            }
-            report = report.with_watchdog(
-                watchdog
-                    .as_ref()
-                    .map(|w| w.take_verdicts())
-                    .unwrap_or_default(),
-            );
-            if let Some(f) = &flight {
-                let log = f.snapshot();
-                if let Some(path) = &diag.flight_dump {
-                    if let Err(e) = log.write_dump(path, "end-of-run") {
-                        eprintln!("naspipe: flight dump to {path} failed: {e}");
-                    }
-                }
-                report = report.with_flight(log.summary());
-            }
-            if let Some(ops) = &diag.ops {
-                ops.journal().emit(
-                    JournalLevel::Info,
-                    "run-end",
-                    None,
-                    wall_us,
-                    format!(
-                        "run complete: {total} subnet(s), {} restart(s)",
-                        recovery.restarts
-                    ),
-                    vec![("restarts".to_string(), recovery.restarts.to_string())],
-                );
-                ops.set_phase(RunPhase::Done);
-            }
+            let report = bus.finish(report, total, Some(recovery.restarts));
             let subnets = Arc::try_unwrap(subnets).unwrap_or_else(|a| (*a).clone());
             let store = ParamStore::from_blocks(cfg.dim, params);
             return Ok(SupervisedRun {
@@ -1896,29 +1638,11 @@ pub fn run_threaded_diagnosed(
             });
         };
 
-        let journal_failure = |err: &TrainError| {
-            if let Some(ops) = &diag.ops {
-                ops.journal().emit(
-                    JournalLevel::Error,
-                    "run-failed",
-                    Some(err.stage() as u32),
-                    elapsed_us(epoch),
-                    format!("run failed: {err}"),
-                    vec![],
-                );
-                ops.set_phase(RunPhase::Failed);
-            }
-        };
-        if !err.is_recoverable() {
-            dump_flight(&flight, &diag.flight_dump, "fault-escalation");
-            journal_failure(&err);
-            return Err(err);
-        }
-        if recovery.restarts >= opts.max_restarts {
-            dump_flight(&flight, &diag.flight_dump, "fault-escalation");
-            journal_failure(&err);
-            return Err(if opts.max_restarts == 0 {
-                err // recovery disabled: surface the root cause directly
+        if !err.is_recoverable() || recovery.restarts >= opts.max_restarts {
+            let failed = RunEvent::RunFailed { error: &err };
+            bus.emit(err.stage() as u32, elapsed_us(epoch), failed);
+            return Err(if !err.is_recoverable() || opts.max_restarts == 0 {
+                err // unrecoverable, or recovery disabled: the root cause itself
             } else {
                 TrainError::RecoveryExhausted {
                     stage: err.stage(),
@@ -1946,138 +1670,89 @@ pub fn run_threaded_diagnosed(
                 .filter(|t| t.subnet.0 >= next_resume)
                 .count() as u64;
             recovery.replayed_tasks += replayed;
-            master.incr(k as u32, Counter::ReplayedTask, replayed);
-            if let Some(t) = sampler_opts {
-                t.hub.record(k as u32, Counter::ReplayedTask, replayed);
-            }
+            supervisor.incr(k as u32, Counter::ReplayedTask, replayed);
         }
         recovery.restarts += 1;
         for k in 0..gpus {
-            master.incr(k, Counter::Restart, 1);
-            if let Some(t) = sampler_opts {
-                t.hub.record(k, Counter::Restart, 1);
-            }
+            supervisor.incr(k, Counter::Restart, 1);
         }
-        // Mark the pipeline-wide recovery in the flight ring (one event
-        // per stage, tagged with the incarnation it ends), then dump:
-        // the ring right now holds the lead-up to the failure.
-        if let Some(f) = &flight {
-            let at = elapsed_us(epoch);
-            for k in 0..gpus {
-                f.record(k, at, FlightEventKind::Recovery, u64::from(incarnation));
-            }
-        }
-        dump_flight(&flight, &diag.flight_dump, "fault");
-        if let Some(ops) = &diag.ops {
-            ops.journal().emit(
-                JournalLevel::Warn,
-                "restart",
-                Some(err.stage() as u32),
-                elapsed_us(epoch),
-                format!(
-                    "restart {}: rolling back to watermark {next_resume} after {err}",
-                    recovery.restarts
-                ),
-                vec![
-                    ("incarnation".to_string(), (incarnation + 1).to_string()),
-                    ("watermark".to_string(), next_resume.to_string()),
-                ],
-            );
-        }
+        incarnation += 1;
+        bus.emit(
+            err.stage() as u32,
+            elapsed_us(epoch),
+            RunEvent::Restart {
+                incarnation,
+                watermark: next_resume,
+                error: &err,
+            },
+        );
         if let Some(at) = failure_detected {
             recovery.recovery_latency_us += elapsed_us(at);
         }
-        incarnation += 1;
+    }
+}
+
+/// One wall-clock sample: the shared pool's run delta goes into the hub,
+/// then the hub's snapshot goes to the bus (ring, progress line,
+/// watchdog).
+struct SamplerTick {
+    bus: EventBus,
+    hub: Arc<TelemetryHub>,
+    epoch: Instant,
+    pool: Arc<naspipe_tensor::pool::ComputePool>,
+    pool_base: naspipe_tensor::pool::PoolStats,
+}
+
+impl SamplerTick {
+    fn sample(&self) {
+        let stats = self.pool.stats().since(&self.pool_base);
+        self.hub.set_pool(stats.jobs, stats.chunks, stats.busy_us);
+        let snap = self.hub.snapshot(elapsed_us(self.epoch));
+        self.bus.sample(snap, true, true);
     }
 }
 
 /// The wall-clock sampler behind [`run_threaded_telemetry`]: a thread
-/// that publishes a hub snapshot every interval, updating the global
-/// pool counters from the shared pool's run delta first. Stopping it
-/// (explicitly via [`finish`](Self::finish) or implicitly on drop, so
-/// every supervisor exit path is covered) publishes one final snapshot.
+/// that takes a [`SamplerTick`] every interval. Stopping it (explicitly
+/// via [`finish`](Self::finish) or implicitly on drop, so every
+/// supervisor exit path is covered) takes one final sample over the
+/// complete totals, so a straggler only visible in the closing window is
+/// still caught.
 struct TelemetrySampler {
     stop: Sender<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    hub: Arc<naspipe_obs::TelemetryHub>,
-    epoch: Instant,
-    pool: Arc<naspipe_tensor::pool::ComputePool>,
-    pool_base: naspipe_tensor::pool::PoolStats,
-    progress: bool,
-    watchdog: Option<Arc<WatchdogDuty>>,
+    handle: Option<std::thread::JoinHandle<SamplerTick>>,
 }
 
 impl TelemetrySampler {
-    fn start(
-        opts: &TelemetryOptions,
-        epoch: Instant,
-        compute_threads: usize,
-        pool_base: naspipe_tensor::pool::PoolStats,
-        watchdog: Option<Arc<WatchdogDuty>>,
-    ) -> Self {
+    fn start(tick: SamplerTick, interval_us: u64) -> Self {
         let (stop, stop_rx) = channel::<()>();
-        let interval = Duration::from_micros(opts.interval_us());
-        let pool = naspipe_tensor::pool::shared(compute_threads);
-        let handle = {
-            let hub = Arc::clone(&opts.hub);
-            let pool = Arc::clone(&pool);
-            let base = pool_base.clone();
-            let progress = opts.progress;
-            let watchdog = watchdog.clone();
-            std::thread::Builder::new()
-                .name("naspipe-sampler".to_string())
-                .spawn(move || {
-                    let mut prev: Option<MetricsSnapshot> = None;
-                    // recv_timeout doubles as the interval clock and the
-                    // prompt-shutdown channel.
-                    while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                        let stats = pool.stats().since(&base);
-                        hub.set_pool(stats.jobs, stats.chunks, stats.busy_us);
-                        let snap = hub.publish(elapsed_us(epoch));
-                        if progress {
-                            naspipe_obs::status::progress(&progress_line(&snap, prev.as_ref()));
-                        }
-                        // Feed the wall-clock watchdog the same snapshot
-                        // the hub just published (alerts interleave
-                        // cleanly with the progress line above).
-                        if let Some(w) = &watchdog {
-                            w.observe(&snap);
-                        }
-                        prev = Some(snap);
-                    }
-                })
-                .expect("spawn telemetry sampler")
-        };
+        let interval = Duration::from_micros(interval_us);
+        let handle = std::thread::Builder::new()
+            .name("naspipe-sampler".to_string())
+            .spawn(move || {
+                // recv_timeout doubles as the interval clock and the
+                // prompt-shutdown channel.
+                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+                    tick.sample();
+                }
+                tick
+            })
+            .expect("spawn telemetry sampler");
         TelemetrySampler {
             stop,
             handle: Some(handle),
-            hub: Arc::clone(&opts.hub),
-            epoch,
-            pool,
-            pool_base,
-            progress: opts.progress,
-            watchdog,
         }
     }
 
-    /// Stops the sampler thread and publishes the final snapshot.
-    /// Idempotent; also runs on drop.
+    /// Stops the sampler thread and takes the final sample. Idempotent;
+    /// also runs on drop.
     fn finish(&mut self) {
         let Some(handle) = self.handle.take() else {
             return;
         };
         let _ = self.stop.send(());
-        let _ = handle.join();
-        let stats = self.pool.stats().since(&self.pool_base);
-        self.hub.set_pool(stats.jobs, stats.chunks, stats.busy_us);
-        let snap = self.hub.publish(elapsed_us(self.epoch));
-        // One last watchdog pass over the complete totals, so a
-        // straggler only visible in the closing window is still caught.
-        if let Some(w) = &self.watchdog {
-            w.observe(&snap);
-        }
-        if self.progress {
-            naspipe_obs::status::newline();
+        if let Ok(tick) = handle.join() {
+            tick.sample();
         }
     }
 }
@@ -2088,8 +1763,6 @@ impl Drop for TelemetrySampler {
     }
 }
 
-/// Root-cause preference: anything beats a secondary channel closure;
-/// otherwise first error wins.
 /// Maps one run's compute-pool counter delta to the report's per-worker
 /// utilisation rows; empty when the run fanned nothing out, so reports
 /// without pool activity keep their compact schema-2 rendering.
@@ -2110,6 +1783,8 @@ fn pool_worker_obs(stats: &naspipe_tensor::pool::PoolStats, wall_us: u64) -> Vec
         .collect()
 }
 
+/// Root-cause preference: anything beats a secondary channel closure;
+/// otherwise first error wins.
 fn note_error(first: &mut Option<TrainError>, err: TrainError) {
     let replace = match first {
         None => true,

@@ -325,18 +325,17 @@ pub fn render_exposition_ops(
 /// Emits the cumulative-`le` form of the per-stage log2 histograms.
 fn render_histograms(out: &mut String, snap: &MetricsSnapshot) {
     let mut emit = |name: &str, help: &str, rows: &[(String, Sample)]| {
-        if snap
-            .stages
-            .iter()
-            .all(|s| rows.iter().all(|(_, sample)| s.hist(*sample).count == 0))
-        {
+        if snap.stages.iter().all(|s| {
+            rows.iter()
+                .all(|(_, sample)| s.histogram(*sample).count == 0)
+        }) {
             return;
         }
         let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
         let _ = writeln!(out, "# TYPE {name} {}", classify(name));
         for (k, s) in snap.stages.iter().enumerate() {
             for (extra, sample) in rows {
-                let h = s.hist(*sample);
+                let h = s.histogram(*sample);
                 let labels = if extra.is_empty() {
                     format!("stage=\"{k}\"")
                 } else {

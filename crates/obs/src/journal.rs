@@ -1,18 +1,17 @@
 //! Unified structured event journal: one bounded JSONL log for every
 //! out-of-band notice the runtimes used to scatter across stderr.
 //!
-//! Before the journal, a run had three divergent side channels: the
-//! sampler's [`status`](crate::status) progress line, watchdog trip
-//! alerts, and the supervisor's `naspipe: ...` recovery/durable notices.
-//! A [`Journal`] unifies them into one schema-versioned event stream
-//! with levels and run-scoped fields, consumed three ways:
+//! Watchdog trips, checkpoint cuts and the supervisor's recovery and
+//! durability notices are one schema-versioned event stream with levels
+//! and run-scoped fields, written by the run's [`EventBus`](crate::bus)
+//! and consumed three ways:
 //!
 //! * the ops plane's `GET /events` route streams the bounded ring
 //!   ([`crate::ops`]),
 //! * `--journal PATH` appends every event as one JSON line to a file,
-//! * warn/error events are still mirrored to stderr (via
-//!   [`status::alert`](crate::status::alert), so they interleave cleanly
-//!   with the progress line) when mirroring is enabled.
+//! * warn/error events are mirrored to stderr as `naspipe: <msg>` lines
+//!   (whole lines that clear an open progress line first) when mirroring
+//!   is enabled.
 //!
 //! Emission is lock-light (one mutex around a bounded ring; events are
 //! rare — checkpoint cuts, recovery transitions, watchdog trips — never

@@ -44,9 +44,7 @@
 //!    over the telemetry snapshot stream (deterministic in the DES,
 //!    advisory under wall clock), and [`doctor::diagnose`] which diffs
 //!    two runs' critical paths into ranked attribution deltas and a
-//!    kernel-vs-scheduling verdict. [`status`] serializes the sampler's
-//!    progress line and watchdog alerts onto stderr without mid-line
-//!    interleaving.
+//!    kernel-vs-scheduling verdict.
 //! 7. **Ops plane** ([`ops`] + [`journal`]): a multi-route HTTP surface
 //!    (`/metrics`, `/healthz`, `/readyz`, `/status`, `/flight`,
 //!    `/events`) over one run's live state, and the unified structured
@@ -55,7 +53,16 @@
 //!    and `naspipe doctor`. [`OpsServer`] and [`http_get`] are the
 //!    workspace's only HTTP server and client; still `std::net` only,
 //!    still bitwise zero-effect on results.
-//! 8. **JSON** ([`json`]): the one codec. JSON text is read and escaped
+//! 8. **Event bus** ([`bus`]): the one fan-out. Layers 5-7 are the
+//!    sinks every stage of a run shares — flight ring, journal, hub
+//!    gauges, [`OpsState`], watchdog, flight dump, stderr. An engine
+//!    reaches them only by handing a typed [`RunEvent`] to its run's
+//!    [`EventBus`]; one `match` there decides which sink gets what. The
+//!    per-worker [`TeeRecorder`] and [`SpanTracer`] of layers 1, 4 and 5
+//!    stay with their worker. Stderr is written through the private
+//!    `status` helper, so mirrored warnings and the progress line never
+//!    splice into each other.
+//! 9. **JSON** ([`json`]): the one codec. JSON text is read and escaped
 //!    only there — [`parse_json`] / [`JsonValue`] behind every reader
 //!    (chrome traces, journal, `/status`, flight dumps, `BENCH_*.json`),
 //!    [`JsonStr`] / [`JsonNum`] inside every emitter's `write!`
@@ -67,6 +74,7 @@
 //! tooling stays reusable across the event-driven simulator and the real
 //! threaded runtime.
 
+pub mod bus;
 pub mod chrome;
 pub mod critical_path;
 pub mod doctor;
@@ -78,11 +86,12 @@ pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod report;
-pub mod status;
+mod status;
 pub mod telemetry;
 pub mod trace;
 pub mod watchdog;
 
+pub use bus::{BusConfig, EventBus, RunEvent};
 pub use chrome::{export_chrome, parse_chrome, ChromeParseError};
 pub use critical_path::{critical_path, AttrClass, CriticalPath, PathSegment};
 pub use doctor::{
@@ -102,7 +111,9 @@ pub use journal::{
     DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
 };
 pub use json::{parse_json, JsonNum, JsonStr, JsonValue, MAX_JSON_DEPTH};
-pub use metrics::{Counter, Histogram, MetricsRecorder, NullRecorder, Recorder, Sample};
+pub use metrics::{
+    Counter, Histogram, MetricsRecorder, NullRecorder, Recorder, Sample, StageMetrics,
+};
 pub use ops::{
     http_get, render_top, validate_status, HttpResponse, OpsServer, OpsState, RunPhase,
     STATUS_SCHEMA_VERSION,

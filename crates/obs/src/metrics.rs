@@ -287,8 +287,8 @@ impl Histogram {
 /// Metrics for one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageMetrics {
-    counters: [u64; NUM_COUNTERS],
-    samples: [Histogram; NUM_SAMPLES],
+    pub(crate) counters: [u64; NUM_COUNTERS],
+    pub(crate) samples: [Histogram; NUM_SAMPLES],
 }
 
 impl Default for StageMetrics {
@@ -319,7 +319,7 @@ impl StageMetrics {
 /// never contends on a lock.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct MetricsRecorder {
-    stages: Vec<StageMetrics>,
+    pub(crate) stages: Vec<StageMetrics>,
 }
 
 impl MetricsRecorder {

@@ -18,10 +18,10 @@
 //! | `/flight`  | on-demand flight-recorder dump (without ending the run)|
 //! | `/events`  | the structured journal, streamed as chunked JSONL      |
 //!
-//! [`OpsState`] is the shared snapshot the routes read: the runtimes
-//! update it from the supervisor (phase, watermarks, checkpoint cuts)
-//! while the [`TelemetryHub`] and [`Journal`] carry the high-rate and
-//! event-structured sides. Everything here is read-only with respect to
+//! [`OpsState`] is the shared snapshot the routes read: the run's
+//! [`EventBus`](crate::bus) updates it (phase, watermarks, checkpoint
+//! cuts) while the [`TelemetryHub`] and [`Journal`] carry the high-rate
+//! and event-structured sides. Everything here is read-only with respect to
 //! training: scraping any route concurrently never changes a result bit
 //! (proven by `repro ops` and the `tests/ops_plane.rs` bitwise gate).
 
@@ -78,9 +78,10 @@ impl RunPhase {
     }
 }
 
-/// The shared state behind every ops-plane route. The runtimes hold an
-/// `Arc<OpsState>` (plumbed through `DiagnosticsOptions`) and update the
-/// cheap atomics at lifecycle points; the server threads only read.
+/// The shared state behind every ops-plane route. A run's event bus
+/// holds the `Arc<OpsState>` (plumbed through `DiagnosticsOptions`) and
+/// updates the cheap atomics at lifecycle points; the server threads
+/// only read.
 pub struct OpsState {
     meta: RunMeta,
     hub: Arc<TelemetryHub>,

@@ -24,6 +24,10 @@ fn lock() -> std::sync::MutexGuard<'static, usize> {
 }
 
 fn emit(buf: &[u8]) {
+    #[cfg(test)]
+    if tests::captured(buf) {
+        return;
+    }
     let mut err = std::io::stderr().lock();
     let _ = err.write_all(buf);
     let _ = err.flush();
@@ -79,8 +83,30 @@ pub fn newline() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// What this thread would have written to stderr, while
+        /// [`capture`] is open on it.
+        static CAPTURED: std::cell::RefCell<Option<Vec<u8>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    /// Runs `f` with this thread's stderr writes collected, not written.
+    pub(crate) fn capture(f: impl FnOnce()) -> String {
+        CAPTURED.with(|c| *c.borrow_mut() = Some(Vec::new()));
+        f();
+        let bytes = CAPTURED.with(|c| c.borrow_mut().take()).unwrap_or_default();
+        String::from_utf8(bytes).expect("status lines are UTF-8")
+    }
+
+    /// Takes `buf` if a capture is open on this thread.
+    pub(super) fn captured(buf: &[u8]) -> bool {
+        CAPTURED
+            .with(|c| c.borrow_mut().as_mut().map(|b| b.extend_from_slice(buf)))
+            .is_some()
+    }
 
     // The writers target the real stderr, so these tests only exercise
     // the bookkeeping: no panics, the open-line state resets, and

@@ -28,7 +28,7 @@
 //! on a fault-free run the final snapshot equals them, and
 //! [`diff_against_report`] checks that equality.
 
-use crate::metrics::{Counter, Histogram, MetricsRecorder, Recorder, Sample};
+use crate::metrics::{Counter, Histogram, MetricsRecorder, Recorder, Sample, StageMetrics};
 use crate::metrics::{NUM_COUNTERS, NUM_SAMPLES};
 use crate::report::{SeriesPoint, SeriesStage};
 use std::collections::VecDeque;
@@ -41,7 +41,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 512;
 /// Atomic mirror of one stage's counters and histograms.
 struct StageCells {
     counters: [AtomicU64; NUM_COUNTERS],
-    hist_count: [AtomicU64; NUM_SAMPLES],
     hist_sum: [AtomicU64; NUM_SAMPLES],
     hist_min: [AtomicU64; NUM_SAMPLES],
     hist_max: [AtomicU64; NUM_SAMPLES],
@@ -52,100 +51,11 @@ impl StageCells {
     fn new() -> Self {
         StageCells {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hist_count: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_sum: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_min: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
             hist_max: std::array::from_fn(|_| AtomicU64::new(0)),
             hist_buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
         }
-    }
-}
-
-/// Copy of one [`Sample`] histogram at snapshot time. Same bucketing as
-/// [`Histogram`]: `buckets[i]` counts values with bit length `i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Observations recorded so far.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Smallest recorded value (`u64::MAX` sentinel when empty).
-    pub min: u64,
-    /// Largest recorded value.
-    pub max: u64,
-    /// Log2 buckets (see [`Histogram::buckets`]).
-    pub buckets: [u64; 64],
-}
-
-impl Default for HistSnapshot {
-    fn default() -> Self {
-        HistSnapshot {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; 64],
-        }
-    }
-}
-
-impl HistSnapshot {
-    fn from_histogram(h: &Histogram) -> Self {
-        HistSnapshot {
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-            buckets: h.buckets,
-        }
-    }
-
-    /// Mean of the recorded values, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded value, or 0 when empty.
-    pub fn min_or_zero(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-}
-
-/// Copy of one stage's metrics at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageSnapshot {
-    /// Counter values, indexed by `Counter as usize`.
-    pub counters: [u64; NUM_COUNTERS],
-    /// Histogram copies, indexed by `Sample as usize`.
-    pub hists: [HistSnapshot; NUM_SAMPLES],
-}
-
-impl Default for StageSnapshot {
-    fn default() -> Self {
-        StageSnapshot {
-            counters: [0; NUM_COUNTERS],
-            hists: std::array::from_fn(|_| HistSnapshot::default()),
-        }
-    }
-}
-
-impl StageSnapshot {
-    /// Value of `counter` in this snapshot.
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[counter as usize]
-    }
-
-    /// Histogram copy for `sample`.
-    pub fn hist(&self, sample: Sample) -> &HistSnapshot {
-        &self.hists[sample as usize]
     }
 }
 
@@ -175,7 +85,7 @@ pub struct MetricsSnapshot {
     /// restart).
     pub incarnation: u32,
     /// Per-stage copies, indexed by stage.
-    pub stages: Vec<StageSnapshot>,
+    pub stages: Vec<StageMetrics>,
     /// Global compute-pool counters.
     pub pool: PoolSnapshot,
 }
@@ -195,25 +105,11 @@ impl MetricsSnapshot {
     /// the DES engine path, where no atomics are needed because the
     /// event loop owns the recorder.
     pub fn from_recorder(rec: &MetricsRecorder, at_us: u64, incarnation: u32) -> Self {
-        let stages = (0..rec.num_stages() as u32)
-            .map(|k| {
-                let mut out = StageSnapshot::default();
-                if let Some(m) = rec.stage(k) {
-                    for c in Counter::ALL {
-                        out.counters[c as usize] = m.counter(c);
-                    }
-                    for s in Sample::ALL {
-                        out.hists[s as usize] = HistSnapshot::from_histogram(m.histogram(s));
-                    }
-                }
-                out
-            })
-            .collect();
         MetricsSnapshot {
             at_us,
             seq: 0,
             incarnation,
-            stages,
+            stages: rec.stages.clone(),
             pool: PoolSnapshot::default(),
         }
     }
@@ -294,7 +190,6 @@ impl TelemetryHub {
             return;
         };
         let s = sample as usize;
-        cells.hist_count[s].fetch_add(1, Ordering::Relaxed);
         cells.hist_sum[s].fetch_add(value, Ordering::Relaxed);
         cells.hist_min[s].fetch_min(value, Ordering::Relaxed);
         cells.hist_max[s].fetch_max(value, Ordering::Relaxed);
@@ -344,23 +239,23 @@ impl TelemetryHub {
         let stages = self
             .stages
             .iter()
-            .map(|cells| {
-                let mut out = StageSnapshot::default();
-                for (i, c) in cells.counters.iter().enumerate() {
-                    out.counters[i] = c.load(Ordering::Relaxed);
-                }
-                for s in 0..NUM_SAMPLES {
-                    out.hists[s] = HistSnapshot {
-                        count: cells.hist_count[s].load(Ordering::Relaxed),
+            .map(|cells| StageMetrics {
+                counters: std::array::from_fn(|i| cells.counters[i].load(Ordering::Relaxed)),
+                samples: std::array::from_fn(|s| {
+                    let buckets: [u64; 64] =
+                        std::array::from_fn(|b| cells.hist_buckets[s][b].load(Ordering::Relaxed));
+                    Histogram {
+                        // Counted from the buckets just read, not kept in
+                        // a cell of its own: a writer landing between two
+                        // loads could otherwise leave `count` short of
+                        // them, which is not a histogram.
+                        count: buckets.iter().sum(),
                         sum: cells.hist_sum[s].load(Ordering::Relaxed),
                         min: cells.hist_min[s].load(Ordering::Relaxed),
                         max: cells.hist_max[s].load(Ordering::Relaxed),
-                        buckets: std::array::from_fn(|b| {
-                            cells.hist_buckets[s][b].load(Ordering::Relaxed)
-                        }),
-                    };
-                }
-                out
+                        buckets,
+                    }
+                }),
             })
             .collect();
         MetricsSnapshot {
@@ -623,8 +518,8 @@ pub fn rate_between(prev: &MetricsSnapshot, cur: &MetricsSnapshot) -> Option<Rat
             };
             let hits = delta(Counter::CacheHit);
             let lookups = hits + delta(Counter::CacheMiss);
-            let qd_cur = cur.stages[k].hist(Sample::QueueDepth);
-            let qd_prev = prev.stages.get(k).map(|s| s.hist(Sample::QueueDepth));
+            let qd_cur = cur.stages[k].histogram(Sample::QueueDepth);
+            let qd_prev = prev.stages.get(k).map(|s| s.histogram(Sample::QueueDepth));
             let d_count = qd_cur
                 .count
                 .saturating_sub(qd_prev.map(|h| h.count).unwrap_or(0));
@@ -787,7 +682,7 @@ mod tests {
         let snap = hub.snapshot(1000);
         assert_eq!(snap.stages[0].counter(Counter::ForwardTask), 3);
         assert_eq!(snap.stages[1].counter(Counter::CacheHit), 2);
-        let qd = snap.stages[0].hist(Sample::QueueDepth);
+        let qd = snap.stages[0].histogram(Sample::QueueDepth);
         assert_eq!((qd.count, qd.sum, qd.min, qd.max), (2, 12, 5, 7));
         assert_eq!(qd.mean(), 6.0);
         assert_eq!(
@@ -834,8 +729,8 @@ mod tests {
         );
         let snap = hub.snapshot(0);
         assert_eq!(snap.stages[0].counter(Counter::ForwardTask), 4);
-        assert_eq!(snap.stages[1].hist(Sample::BackwardLatencyUs).count, 1);
-        assert_eq!(snap.stages[1].hist(Sample::BackwardLatencyUs).sum, 123);
+        assert_eq!(snap.stages[1].histogram(Sample::BackwardLatencyUs).count, 1);
+        assert_eq!(snap.stages[1].histogram(Sample::BackwardLatencyUs).sum, 123);
     }
 
     #[test]

@@ -110,14 +110,6 @@ impl WatchdogVerdict {
             self.detail
         )
     }
-
-    /// The structured fields a journal `watchdog-trip` event carries.
-    pub fn journal_fields(&self) -> Vec<(String, String)> {
-        vec![
-            ("verdict".to_string(), self.kind.name().to_string()),
-            ("detail".to_string(), self.detail.clone()),
-        ]
-    }
 }
 
 #[derive(Clone)]
@@ -154,7 +146,7 @@ impl std::fmt::Debug for Watchdog {
 /// the threaded runtime.
 fn busy_us(snap: &MetricsSnapshot, stage: usize) -> u64 {
     let s = &snap.stages[stage];
-    s.hist(Sample::ForwardLatencyUs).sum + s.hist(Sample::BackwardLatencyUs).sum
+    s.histogram(Sample::ForwardLatencyUs).sum + s.histogram(Sample::BackwardLatencyUs).sum
 }
 
 /// Lower median of `values` (deterministic; no float averaging).

@@ -1,12 +1,14 @@
 //! Ops-plane integration tests: the multi-route HTTP surface scraped
 //! concurrently while a real durable-checkpoint **resume** trains, held
 //! to bitwise identity with an ops-disabled resume — plus the CLI-level
-//! `--journal` zero-effect check on a real `naspipe` child process.
+//! `--journal` zero-effect check on a real `naspipe` child process, and
+//! the DES engine's side of the same surface.
 //!
 //! The child binary is the workspace `naspipe` CLI, located via
 //! `CARGO_BIN_EXE_naspipe` (cargo builds it for integration tests).
 
-use naspipe::core::config::DiagnosticsOptions;
+use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
+use naspipe::core::pipeline::run_pipeline_telemetry;
 use naspipe::core::replay_gate::loss_digest;
 use naspipe::core::runtime::{
     run_threaded_diagnosed, run_threaded_durable, DurableOptions, RecoveryOptions,
@@ -14,7 +16,8 @@ use naspipe::core::runtime::{
 use naspipe::core::train::TrainConfig;
 use naspipe::obs::{
     http_get, parse_journal, parse_json, validate_exposition, validate_journal, validate_status,
-    Journal, JournalLevel, OpsServer, OpsState, RunMeta, TelemetryHub, TelemetryOptions,
+    Journal, JournalLevel, NullTracer, OpsServer, OpsState, RunMeta, TelemetryHub,
+    TelemetryOptions,
 };
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
@@ -296,4 +299,83 @@ fn journal_flag_is_zero_effect_on_child_process() {
     let events = parse_journal(&text).expect("journal parses");
     assert!(events.iter().any(|e| e.kind == "run-start"));
     assert!(events.iter().any(|e| e.kind == "run-end"));
+}
+
+/// Both engines reach the ops plane through the same run-start, so a
+/// DES run serves what a threaded one does: its flight ring on
+/// `/flight` (a 404 before this was one code path), the ring's drop
+/// count on `/status` and `/metrics`, and every stage's finished prefix
+/// as its `/status` watermark.
+#[test]
+fn des_run_serves_its_flight_ring_and_stage_watermarks() {
+    const STAGES: u32 = 4;
+    // Enough tasks to overflow the 256-event ring of every stage.
+    const N: u64 = 300;
+    let space = SearchSpace::from_id(SpaceId::NlpC2);
+    let hub = Arc::new(TelemetryHub::new(STAGES as usize, 0));
+    let state = Arc::new(OpsState::new(
+        RunMeta::new("des", STAGES).seed(SEED),
+        Arc::clone(&hub),
+        Arc::new(Journal::new(0)),
+    ));
+    let mut server =
+        OpsServer::bind("127.0.0.1:0", Arc::clone(&state)).expect("ops plane binds port 0");
+    let addr = server.local_addr().to_string();
+    let get = |route: &str| http_get(&addr, route).expect("route reachable");
+    assert_eq!(get("/flight").status, 404, "no ring before the run starts");
+
+    let cfg = PipelineConfig::naspipe(STAGES, N)
+        .with_seed(SEED)
+        .with_diagnostics(DiagnosticsOptions::default().with_ops(Arc::clone(&state)));
+    let out = run_pipeline_telemetry(
+        &space,
+        &cfg,
+        UniformSampler::new(&space, SEED).take_subnets(N as usize),
+        Box::new(NullTracer),
+        Some(&TelemetryOptions::new(hub)),
+    )
+    .expect("the DES run completes");
+    assert!(out.obs.flight.dropped > 0, "the ring must have overflowed");
+
+    let flight = get("/flight");
+    assert_eq!(flight.status, 200);
+    let dump = parse_json(&flight.body).expect("/flight is JSON");
+    assert_eq!(
+        dump.get("reason").and_then(|v| v.as_str()),
+        Some("on-demand")
+    );
+    let field = |doc: &naspipe::obs::JsonValue, key: &str| doc.get(key).and_then(|v| v.as_u64());
+    assert_eq!(field(&dump, "dropped"), Some(out.obs.flight.dropped));
+    assert_eq!(
+        dump.get("events").and_then(|v| v.as_arr()).map(<[_]>::len),
+        Some(out.obs.flight.events as usize),
+        "/flight serves the ring the report summarises"
+    );
+
+    let status = parse_json(&get("/status").body).expect("/status is JSON");
+    assert_eq!(validate_status(&status), Vec::<String>::new());
+    assert_eq!(status.get("phase").and_then(|v| v.as_str()), Some("done"));
+    assert_eq!(
+        status.get("drops").and_then(|d| field(d, "flight")),
+        Some(out.obs.flight.dropped)
+    );
+    let rows = status
+        .get("stages_detail")
+        .and_then(|v| v.as_arr())
+        .expect("per-stage rows");
+    assert_eq!(rows.len(), STAGES as usize);
+    for row in rows {
+        assert_eq!(field(row, "watermark"), Some(N), "{row:?}");
+    }
+
+    let metrics = get("/metrics").body;
+    validate_exposition(&metrics).expect("/metrics is well-formed");
+    assert!(
+        metrics.contains(&format!(
+            "naspipe_flight_dropped_total {}",
+            out.obs.flight.dropped
+        )),
+        "{metrics}"
+    );
+    server.shutdown();
 }
