@@ -1,24 +1,22 @@
 //! Baseline pipeline training systems compared against NASPipe in §5:
 //!
-//! * [`gpipe`] — GPipe: BSP pipeline with activation rematerialisation and
-//!   the whole supernet resident in GPU memory;
-//! * [`pipedream`] — PipeDream: ASP 1F1B pipeline with asynchronous
+//! * [`SystemKind::GPipe`] — BSP pipeline with activation
+//!   rematerialisation and the whole supernet resident in GPU memory;
+//! * [`SystemKind::PipeDream`] — ASP 1F1B pipeline with asynchronous
 //!   parameter updates and no recomputation;
-//! * [`vpipe`] — VPipe: BSP pipeline that swaps parameters to CPU memory
-//!   (larger batches than GPipe) but keeps a static partition and no
-//!   subnet-aware prefetching;
+//! * [`SystemKind::VPipe`] — BSP pipeline that swaps parameters to CPU
+//!   memory (larger batches than GPipe) but keeps a static partition and
+//!   no subnet-aware prefetching;
 //! * [`retiarii`] — Retiarii's wrapped data parallelism: one whole subnet
 //!   per GPU synchronised through an external parameter server.
 //!
-//! All four run over the same simulator substrate as NASPipe
+//! The three pipeline baselines are [`SyncPolicy`](naspipe_core::config::SyncPolicy)
+//! values run through the same engine as NASPipe
 //! ([`naspipe_core::pipeline`]), so comparisons measure scheduling
 //! discipline, not implementation accidents.
 
-pub mod gpipe;
 pub mod intra;
-pub mod pipedream;
 pub mod retiarii;
 pub mod system;
-pub mod vpipe;
 
 pub use system::SystemKind;

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
-use naspipe_core::pipeline::{run_pipeline_with_subnets, run_pipeline_with_tracer};
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
 use naspipe_obs::NullTracer;
 use naspipe_supernet::layer::Domain;
@@ -32,7 +32,11 @@ fn bench_policies(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &policy, |b, &policy| {
             let mut cfg = PipelineConfig::naspipe(8, 32).with_batch(32);
             cfg.policy = policy;
-            b.iter(|| black_box(run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap()))
+            b.iter(|| {
+                let mut spec = SimSpec::new(&space, &cfg);
+                spec.subnets = Some(subnets.clone());
+                black_box(spec.run().unwrap())
+            })
         });
     }
     group.finish();
@@ -49,7 +53,13 @@ fn bench_csp_admission(c: &mut Criterion) {
     for gpus in [8u32, 32] {
         let cfg = PipelineConfig::naspipe(gpus, SUBNETS).with_seed(2022);
         let run = || {
-            run_pipeline_with_tracer(&space, &cfg, subnets.clone(), Box::new(NullTracer)).unwrap()
+            SimSpec {
+                subnets: Some(subnets.clone()),
+                tracer: Box::new(NullTracer),
+                ..SimSpec::new(&space, &cfg)
+            }
+            .run()
+            .unwrap()
         };
         let name = format!("des_csp_nlp_c1_{SUBNETS}_subnets/{gpus}_gpus");
         c.bench_function(&name, |b| b.iter(|| black_box(run())));
@@ -74,7 +84,9 @@ fn bench_replay(c: &mut Criterion) {
     let space = SearchSpace::uniform(Domain::Nlp, 16, 12);
     let subnets = UniformSampler::new(&space, 7).take_subnets(32);
     let cfg = PipelineConfig::naspipe(8, 32).with_batch(32);
-    let outcome = run_pipeline_with_subnets(&space, &cfg, subnets).unwrap();
+    let mut spec = SimSpec::new(&space, &cfg);
+    spec.subnets = Some(subnets);
+    let outcome = spec.run().unwrap();
     let tc = TrainConfig {
         residual_scale: 0.25,
         ..TrainConfig::default()

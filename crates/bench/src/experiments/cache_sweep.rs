@@ -3,10 +3,9 @@
 //! hits (§3.1), because three slices cover the executing subnet, the one
 //! being evicted, and the prefetched next one.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use crate::format::{percent, render_table};
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// Cache factors swept.
@@ -28,14 +27,12 @@ pub struct SweepPoint {
 /// Runs the sweep on `id` with `n` subnets per point (8 GPUs).
 pub fn run(id: SpaceId, n: u64) -> Vec<SweepPoint> {
     let space = SearchSpace::from_id(id);
-    let subnets = subnet_stream(&space, n);
     FACTORS
         .into_iter()
         .map(|cache_factor| {
             let mut cfg = PipelineConfig::naspipe(8, n);
             cfg.cache_factor = cache_factor;
-            let out = run_pipeline_with_subnets(&space, &cfg, subnets.clone())
-                .expect("swapping always fits");
+            let out = simulate(&space, &cfg).expect("swapping always fits");
             let r = &out.report;
             SweepPoint {
                 cache_factor,

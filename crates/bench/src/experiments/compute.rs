@@ -28,10 +28,9 @@
 //! more, and the minimum over several batches is the stable estimator
 //! of the kernel's actual cost.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::{simulate, subnet_stream};
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
-use naspipe_core::runtime::run_threaded_observed;
+use naspipe_core::runtime::RunSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
 use naspipe_obs::{parse_json, JsonValue};
 use naspipe_supernet::layer::Domain;
@@ -426,8 +425,7 @@ fn run_at(threads: usize, n: u64, naive: &[NaiveRef]) -> ComputeRun {
     let pcfg = PipelineConfig::naspipe(4, n)
         .with_batch(32)
         .with_compute_threads(threads);
-    let outcome = run_pipeline_with_subnets(&space, &pcfg, subnet_stream(&space, n))
-        .expect("bench schedule runs at fixed batch");
+    let outcome = simulate(&space, &pcfg).expect("bench schedule runs at fixed batch");
     let tcfg = TrainConfig {
         dim,
         rows: 64,
@@ -441,8 +439,10 @@ fn run_at(threads: usize, n: u64, naive: &[NaiveRef]) -> ComputeRun {
 
     let subnets = subnet_stream(&space, n);
     let t0 = Instant::now();
-    let (threaded, _) =
-        run_threaded_observed(&space, subnets, &tcfg, 4, 0).expect("threaded bench run succeeds");
+    let threaded = RunSpec::new(&space, subnets, tcfg, 4)
+        .run()
+        .expect("threaded bench run succeeds")
+        .result;
     let threaded_makespan_us = t0.elapsed().as_micros() as u64;
 
     ComputeRun {

@@ -25,9 +25,8 @@
 //! Set `REPRO_DOCTOR_JSON=<path>` to write both diagnoses as a
 //! machine-readable artifact.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use naspipe_core::config::{DiagnosticsOptions, PipelineConfig};
-use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_obs::{diagnose, AttrClass, Diagnosis, SpanTrace};
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
@@ -73,23 +72,20 @@ impl DoctorRun {
 /// The stage the slow-stage scenario plants its regression on.
 pub const SLOW_STAGE: u32 = 2;
 
-fn traced_run(space: &SearchSpace, cfg: &PipelineConfig, n: u64) -> SpanTrace {
-    let subnets = subnet_stream(space, n);
-    run_pipeline_with_subnets(space, cfg, subnets)
-        .expect("NASPipe fits")
-        .spans
+fn traced_run(space: &SearchSpace, cfg: &PipelineConfig) -> SpanTrace {
+    simulate(space, cfg).expect("NASPipe fits").spans
 }
 
 /// Diagnoses both planted regressions of `id` on `num_gpus` stages.
 pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> DoctorRun {
     let space = SearchSpace::from_id(id);
     let cfg = PipelineConfig::naspipe(num_gpus, n).with_seed(7);
-    let base = traced_run(&space, &cfg, n);
+    let base = traced_run(&space, &cfg);
 
     let throttled_cfg = cfg
         .clone()
         .with_diagnostics(DiagnosticsOptions::default().with_compute_scale(3.0));
-    let throttled = traced_run(&space, &throttled_cfg, n);
+    let throttled = traced_run(&space, &throttled_cfg);
     let d1 = diagnose(&base, &throttled, 5);
     let s1 = Scenario {
         name: "throttled-kernel",
@@ -102,7 +98,7 @@ pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> DoctorRun {
     let slow_cfg = cfg
         .clone()
         .with_diagnostics(DiagnosticsOptions::default().with_slow_stage(SLOW_STAGE, 8.0));
-    let slow = traced_run(&space, &slow_cfg, n);
+    let slow = traced_run(&space, &slow_cfg);
     let d2 = diagnose(&base, &slow, 5);
     let causal_stall_grew = d2
         .exporters
@@ -238,8 +234,8 @@ mod tests {
     fn identical_runs_diagnose_to_zero_delta() {
         let space = SearchSpace::from_id(SpaceId::NlpC2);
         let cfg = PipelineConfig::naspipe(2, 8).with_seed(7);
-        let a = traced_run(&space, &cfg, 8);
-        let b = traced_run(&space, &cfg, 8);
+        let a = traced_run(&space, &cfg);
+        let b = traced_run(&space, &cfg);
         let d = diagnose(&a, &b, 5);
         assert_eq!(d.makespan_delta_us(), 0);
         assert_eq!(d.class_delta_sum_us(), 0);

@@ -2,8 +2,8 @@
 //! a seeded, deterministic failure scenario.
 //!
 //! A [`FaultPlan::seeded`] scenario (one fatal stage panic plus
-//! transient channel faults) is injected into
-//! [`run_threaded_supervised`]; the supervisor retries the transients in
+//! transient channel faults) is injected into a [`RunSpec`]'s
+//! `recovery`; the supervisor retries the transients in
 //! place, detects the crash, and restarts every stage from the newest
 //! CSP-watermark checkpoint. The experiment then checks the two claims
 //! that make this *reproducible* fault tolerance rather than mere
@@ -18,7 +18,7 @@
 use crate::experiments::subnet_stream;
 use naspipe_core::fault::FaultPlan;
 use naspipe_core::repro::verify_csp_order_parts;
-use naspipe_core::runtime::{run_threaded_supervised, RecoveryOptions, RecoverySchedule};
+use naspipe_core::runtime::{RecoveryOptions, RecoverySchedule, RunSpec};
 use naspipe_core::train::{sequential_training, TrainConfig};
 use naspipe_obs::ObsReport;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
@@ -75,10 +75,15 @@ pub fn run(
         recv_timeout_ms: None,
     };
     let reference = sequential_training(&space, &subnets, &cfg);
-    let first = run_threaded_supervised(&space, subnets.clone(), &cfg, num_gpus, 0, &opts)
+    let spec = RunSpec {
+        recovery: opts,
+        ..RunSpec::new(&space, subnets, cfg, num_gpus)
+    };
+    let first = spec
+        .clone()
+        .run()
         .expect("supervisor recovers from the seeded scenario");
-    let second = run_threaded_supervised(&space, subnets, &cfg, num_gpus, 0, &opts)
-        .expect("supervisor recovers on the re-run too");
+    let second = spec.run().expect("supervisor recovers on the re-run too");
     FaultsRun {
         space: id,
         num_gpus,

@@ -9,7 +9,7 @@
 
 use crate::format::{percent, render_table};
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
-use naspipe_core::pipeline::{run_pipeline_with_subnets, PipelineOutcome};
+use naspipe_core::pipeline::{PipelineOutcome, SimSpec};
 use naspipe_core::repro::all_access_orders;
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::space::SearchSpace;
@@ -107,8 +107,9 @@ pub fn run() -> Fig1 {
                 sample_interval_us: 0,
                 diagnostics: Default::default(),
             };
-            let out = run_pipeline_with_subnets(&space, &cfg, subnets.clone())
-                .expect("figure space fits everywhere");
+            let mut spec = SimSpec::new(&space, &cfg);
+            spec.subnets = Some(subnets.clone());
+            let out = spec.run().expect("figure space fits everywhere");
             gantts.push((name, naspipe_core::gantt::render_gantt(&out, 76)));
             let (violated, dependent) = count_violations(&out);
             Fig1Row {

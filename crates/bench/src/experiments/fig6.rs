@@ -9,10 +9,10 @@
 //! * **w/o mirroring** — one static partition for all subnets (per-subnet
 //!   load imbalance).
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use crate::format::render_table;
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
-use naspipe_core::pipeline::{run_pipeline_with_subnets, PipelineError};
+use naspipe_core::pipeline::PipelineError;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// The four ablation variants in presentation order.
@@ -76,7 +76,6 @@ pub struct Fig6Group {
 /// Runs one space's ablation.
 pub fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig6Group {
     let space = SearchSpace::from_id(id);
-    let subnets = subnet_stream(&space, n);
     let run_variant = |v: Variant| -> Option<(f64, f64)> {
         let cfg = PipelineConfig {
             num_gpus,
@@ -94,7 +93,7 @@ pub fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig6Group {
             sample_interval_us: 0,
             diagnostics: Default::default(),
         };
-        match run_pipeline_with_subnets(&space, &cfg, subnets.clone()) {
+        match simulate(&space, &cfg) {
             Ok(out) => Some((
                 out.report.throughput_samples_per_sec(),
                 out.report.bubble_ratio,

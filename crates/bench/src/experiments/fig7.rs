@@ -67,11 +67,9 @@ pub fn run(id: SpaceId, n: u64) -> Fig7 {
                     let (Some(batch), true) = (batch8, fits) else {
                         return (gpus, None);
                     };
-                    let subnets = crate::experiments::subnet_stream(&space, n);
                     let cfg = system.config(gpus, n).with_batch(batch);
                     let out =
-                        naspipe_core::pipeline::run_pipeline_with_subnets(&space, &cfg, subnets)
-                            .expect("feasible point runs");
+                        crate::experiments::simulate(&space, &cfg).expect("feasible point runs");
                     if system == SystemKind::NasPipe {
                         naspipe_bubbles.push(BubblePoint {
                             gpus,

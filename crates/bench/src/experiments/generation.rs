@@ -10,7 +10,6 @@
 use crate::format::render_table;
 use naspipe_baselines::intra;
 use naspipe_baselines::SystemKind;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// One batch-size comparison row.
@@ -35,10 +34,8 @@ pub fn run(id: SpaceId, n: u64) -> Vec<GenerationRow> {
     [16u32, 64, 192, 512, 1024]
         .into_iter()
         .map(|batch| {
-            let subnets = crate::experiments::subnet_stream(&space, n);
             let cfg = SystemKind::NasPipe.config(8, n).with_batch(batch);
-            let out =
-                run_pipeline_with_subnets(&space, &cfg, subnets).expect("swapping always fits");
+            let out = crate::experiments::simulate(&space, &cfg).expect("swapping always fits");
             let micro = intra::estimate(&space, 8, batch, 8.min(batch), 16);
             GenerationRow {
                 batch,

@@ -27,6 +27,8 @@ pub mod topology;
 pub mod trace;
 pub mod training;
 
+use naspipe_core::config::PipelineConfig;
+use naspipe_core::pipeline::{PipelineError, PipelineOutcome, SimSpec};
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::Subnet;
@@ -36,4 +38,14 @@ use naspipe_supernet::subnet::Subnet;
 /// are purely scheduling.
 pub fn subnet_stream(space: &SearchSpace, n: u64) -> Vec<Subnet> {
     UniformSampler::new(space, crate::SEED).take_subnets(n as usize)
+}
+
+/// Simulates `cfg` over the shared exploration stream.
+pub fn simulate(
+    space: &SearchSpace,
+    cfg: &PipelineConfig,
+) -> Result<PipelineOutcome, PipelineError> {
+    let mut spec = SimSpec::new(space, cfg);
+    spec.subnets = Some(subnet_stream(space, cfg.num_subnets));
+    spec.run()
 }

@@ -10,9 +10,8 @@
 //! rule fired, how deep queues ran, where idle time was a causal stall
 //! vs a genuine bubble).
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_obs::ObsReport;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
@@ -33,9 +32,8 @@ pub struct ObsRun {
 /// returns the observability snapshot.
 pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> ObsRun {
     let space = SearchSpace::from_id(id);
-    let subnets = subnet_stream(&space, n);
     let cfg = PipelineConfig::naspipe(num_gpus, n);
-    let out = run_pipeline_with_subnets(&space, &cfg, subnets).expect("NASPipe fits");
+    let out = simulate(&space, &cfg).expect("NASPipe fits");
     ObsRun {
         space: id,
         num_gpus,

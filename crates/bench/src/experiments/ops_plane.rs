@@ -23,7 +23,7 @@
 use crate::experiments::subnet_stream;
 use naspipe_core::config::DiagnosticsOptions;
 use naspipe_core::replay_gate::loss_digest;
-use naspipe_core::runtime::{run_threaded_diagnosed, RecoveryOptions, SupervisedRun};
+use naspipe_core::runtime::{RunSpec, SupervisedRun};
 use naspipe_core::train::TrainConfig;
 use naspipe_obs::{
     http_get, parse_json, validate_exposition, validate_journal, validate_status, Journal,
@@ -69,8 +69,8 @@ fn train(
     space: &SearchSpace,
     n: u64,
     gpus: u32,
-    telemetry: Option<&TelemetryOptions>,
-    diag: &DiagnosticsOptions,
+    telemetry: Option<TelemetryOptions>,
+    diagnostics: DiagnosticsOptions,
 ) -> SupervisedRun {
     let cfg = TrainConfig {
         dim: 96,
@@ -78,17 +78,12 @@ fn train(
         seed: crate::SEED,
         ..TrainConfig::default()
     };
-    run_threaded_diagnosed(
-        space,
-        subnet_stream(space, n),
-        &cfg,
-        gpus,
-        0,
-        &RecoveryOptions::default(),
+    RunSpec {
         telemetry,
-        None,
-        diag,
-    )
+        diagnostics,
+        ..RunSpec::new(space, subnet_stream(space, n), cfg, gpus)
+    }
+    .run()
     .expect("ops-plane training run")
 }
 
@@ -140,7 +135,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> OpsPlaneRun {
     let space = SearchSpace::from_id(space_id);
 
     // Bare reference run: no telemetry, no ops plane.
-    let bare = train(&space, n, gpus, None, &DiagnosticsOptions::default());
+    let bare = train(&space, n, gpus, None, DiagnosticsOptions::default());
 
     // Instrumented run: journal (file sink), hub, multi-route server.
     let sink = std::env::temp_dir().join(format!(
@@ -168,7 +163,7 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> OpsPlaneRun {
         let space = space.clone();
         let opts = opts.clone();
         let diag = diag.clone();
-        std::thread::spawn(move || train(&space, n, gpus, Some(&opts), &diag))
+        std::thread::spawn(move || train(&space, n, gpus, Some(opts), diag))
     };
 
     // Sweep every route until the run finishes (bounded: the run is

@@ -6,10 +6,9 @@
 //! at backward-only speed. This ablation disables the hoist and measures
 //! the damage across search-space sizes.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use crate::format::render_table;
 use naspipe_baselines::SystemKind;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// One space's comparison.
@@ -34,10 +33,9 @@ pub fn run(n: u64) -> Vec<RecomputeRow> {
         .map(|id| {
             let space = SearchSpace::from_id(id);
             let measure = |ahead: bool| {
-                let subnets = subnet_stream(&space, n);
                 let mut cfg = SystemKind::NasPipe.config(8, n);
                 cfg.recompute_ahead = ahead;
-                let out = run_pipeline_with_subnets(&space, &cfg, subnets).expect("NASPipe fits");
+                let out = simulate(&space, &cfg).expect("NASPipe fits");
                 (
                     out.report.throughput_samples_per_sec(),
                     out.report.bubble_ratio,

@@ -11,10 +11,10 @@
 //! refined requirement while the local requirement had already cleared —
 //! each one a stale read the local check would have permitted.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use crate::format::render_table;
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::{run_pipeline_with_subnets, PipelineOutcome};
+use naspipe_core::pipeline::PipelineOutcome;
 use naspipe_core::task::TaskKind;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 use std::collections::BTreeMap;
@@ -35,9 +35,8 @@ pub struct SoundnessReport {
 /// Analyses a mirrored CSP run of `n` subnets on `id` (8 GPUs).
 pub fn run(id: SpaceId, n: u64) -> SoundnessReport {
     let space = SearchSpace::from_id(id);
-    let subnets = subnet_stream(&space, n);
     let cfg = PipelineConfig::naspipe(8, n);
-    let out = run_pipeline_with_subnets(&space, &cfg, subnets).expect("fits");
+    let out = simulate(&space, &cfg).expect("fits");
     analyse(&out)
 }
 

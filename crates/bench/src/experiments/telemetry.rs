@@ -20,7 +20,7 @@
 //!    the live endpoint and the post-mortem report tell one story.
 
 use crate::experiments::subnet_stream;
-use naspipe_core::runtime::{run_threaded_telemetry, RecoveryOptions};
+use naspipe_core::runtime::RunSpec;
 use naspipe_core::train::TrainConfig;
 use naspipe_obs::telemetry::diff_against_report;
 use naspipe_obs::{
@@ -112,15 +112,11 @@ pub fn run(space_id: SpaceId, gpus: u32, n: u64) -> TelemetryRun {
         let space = space.clone();
         let opts = opts.clone();
         std::thread::spawn(move || {
-            run_threaded_telemetry(
-                &space,
-                subnets,
-                &cfg,
-                gpus,
-                0,
-                &RecoveryOptions::default(),
-                Some(&opts),
-            )
+            RunSpec {
+                telemetry: Some(opts),
+                ..RunSpec::new(&space, subnets, cfg, gpus)
+            }
+            .run()
         })
     };
 

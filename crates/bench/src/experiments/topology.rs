@@ -7,10 +7,9 @@
 //! packed 1/2/4/8 per host — so the number of cross-host boundaries goes
 //! 7/4/1/0, isolating the fabric's contribution.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use crate::format::render_table;
 use naspipe_baselines::SystemKind;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// One topology point.
@@ -32,12 +31,10 @@ pub fn run(id: SpaceId, n: u64) -> Vec<TopologyRow> {
     [1u32, 2, 4, 8]
         .into_iter()
         .map(|gpus_per_host| {
-            let subnets = subnet_stream(&space, n);
             let cfg = SystemKind::NasPipe
                 .config(8, n)
                 .with_gpus_per_host(gpus_per_host);
-            let out =
-                run_pipeline_with_subnets(&space, &cfg, subnets).expect("NASPipe fits everywhere");
+            let out = simulate(&space, &cfg).expect("NASPipe fits everywhere");
             TopologyRow {
                 gpus_per_host,
                 ethernet_boundaries: (8 - 1) / gpus_per_host,

@@ -24,11 +24,10 @@
 //! `threaded.trace.json` artifacts (load them at
 //! <https://ui.perfetto.dev>).
 
-use crate::experiments::subnet_stream;
+use crate::experiments::{simulate, subnet_stream};
 use naspipe_core::config::PipelineConfig;
 use naspipe_core::fault::FaultPlan;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
-use naspipe_core::runtime::{run_threaded_supervised, RecoveryOptions};
+use naspipe_core::runtime::{RecoveryOptions, RunSpec};
 use naspipe_core::train::TrainConfig;
 use naspipe_obs::{critical_path, export_chrome, parse_chrome, CriticalPath, ObsReport, SpanTrace};
 use naspipe_supernet::space::{SearchSpace, SpaceId};
@@ -123,10 +122,8 @@ fn analyze(
 /// spans appear in the trace) but injects no faults.
 pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> TraceRun {
     let space = SearchSpace::from_id(id);
-    let subnets = subnet_stream(&space, n);
-
     let des_cfg = PipelineConfig::naspipe(num_gpus, n);
-    let des = run_pipeline_with_subnets(&space, &des_cfg, subnets.clone()).expect("NASPipe fits");
+    let des = simulate(&space, &des_cfg).expect("NASPipe fits");
 
     let opts = RecoveryOptions {
         fault_plan: FaultPlan::new(),
@@ -134,9 +131,13 @@ pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> TraceRun {
         max_restarts: 0,
         recv_timeout_ms: None,
     };
-    let threaded =
-        run_threaded_supervised(&space, subnets, &TrainConfig::default(), num_gpus, 0, &opts)
-            .expect("clean threaded run");
+    let subnets = subnet_stream(&space, n);
+    let threaded = RunSpec {
+        recovery: opts,
+        ..RunSpec::new(&space, subnets, TrainConfig::default(), num_gpus)
+    }
+    .run()
+    .expect("clean threaded run");
 
     TraceRun {
         space: id,

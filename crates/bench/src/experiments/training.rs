@@ -8,10 +8,10 @@
 //! replayed — matching the paper's Table 3, which reports BSP/ASP losses
 //! on every space and GPU count.
 
-use crate::experiments::subnet_stream;
+use crate::experiments::simulate;
 use crate::score::score_from_loss;
 use naspipe_baselines::SystemKind;
-use naspipe_core::pipeline::{run_pipeline_with_subnets, PipelineOutcome};
+use naspipe_core::pipeline::PipelineOutcome;
 use naspipe_core::train::{replay_training, search_best_subnet, TrainConfig, TrainResult};
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
@@ -48,11 +48,9 @@ pub fn train(space: &SearchSpace, system: SystemKind, gpus: u32, n: u64) -> Trai
 ///
 /// See [`train`].
 pub fn schedule(space: &SearchSpace, system: SystemKind, gpus: u32, n: u64) -> PipelineOutcome {
-    let subnets = subnet_stream(space, n);
     let mut cfg = system.config(gpus, n);
     cfg.batch = 32; // fixed: interleaving, not memory, is under test
-    run_pipeline_with_subnets(space, &cfg, subnets)
-        .unwrap_or_else(|e| panic!("{system} schedule failed: {e}"))
+    simulate(space, &cfg).unwrap_or_else(|e| panic!("{system} schedule failed: {e}"))
 }
 
 /// Searches the trained supernet and returns the domain-appropriate

@@ -3,7 +3,7 @@
 //! The exploration order gives the pipeline a natural *consistent cut*:
 //! the **watermark** `W` — every subnet `< W` fully written, nothing of
 //! any subnet `>= W` started. The supervised runtime
-//! ([`crate::runtime::run_threaded_supervised`]) enforces that cut with
+//! ([`crate::runtime::RunSpec::run`]) enforces that cut with
 //! an injection barrier: stage 0 does not inject subnet `y` until the
 //! globally finished prefix has reached `floor(y / C) * C` (for
 //! checkpoint interval `C`). Because every task of subnet `y` is caused —

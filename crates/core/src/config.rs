@@ -77,12 +77,6 @@ impl DiagnosticsOptions {
         }
     }
 
-    /// Sets the end-of-run / on-trip flight-dump path (builder-style).
-    pub fn with_flight_dump(mut self, path: impl Into<String>) -> Self {
-        self.flight_dump = Some(path.into());
-        self
-    }
-
     /// Injects a deterministic straggler: `stage`'s DES task durations
     /// are multiplied by `factor` (builder-style).
     pub fn with_slow_stage(mut self, stage: u32, factor: f64) -> Self {

@@ -151,7 +151,7 @@ pub fn render_gantt(outcome: &PipelineOutcome, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::config::{PipelineConfig, SyncPolicy};
-    use crate::pipeline::{run_pipeline_with_subnets, run_pipeline_with_tracer};
+    use crate::pipeline::SimSpec;
     use naspipe_obs::NullTracer;
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -162,7 +162,12 @@ mod tests {
         let subnets = UniformSampler::new(&space, 3).take_subnets(6);
         let mut cfg = PipelineConfig::naspipe(4, 6).with_batch(16).with_seed(3);
         cfg.policy = policy;
-        run_pipeline_with_subnets(&space, &cfg, subnets).unwrap()
+        SimSpec {
+            subnets: Some(subnets),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap()
     }
 
     #[test]
@@ -199,9 +204,19 @@ mod tests {
         let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
         let subnets = UniformSampler::new(&space, 3).take_subnets(6);
         let cfg = PipelineConfig::naspipe(4, 6).with_batch(16).with_seed(3);
-        let traced = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap();
-        let untraced =
-            run_pipeline_with_tracer(&space, &cfg, subnets, Box::new(NullTracer)).unwrap();
+        let traced = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
+        let untraced = SimSpec {
+            subnets: Some(subnets),
+            tracer: Box::new(NullTracer),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
         assert!(untraced.spans.spans().is_empty());
         let from_spans = render_gantt(&traced, 80);
         let from_tasks = render_gantt(&untraced, 80);
@@ -222,7 +237,12 @@ mod tests {
             .with_batch(16)
             .with_seed(3)
             .with_fault_rate(0.3);
-        let out = run_pipeline_with_subnets(&space, &cfg, subnets).unwrap();
+        let out = SimSpec {
+            subnets: Some(subnets),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
         assert!(out.report.faults_injected > 0, "need at least one fault");
         let g = render_gantt(&out, 100);
         assert!(g.contains('x'), "replay marker missing:\n{g}");

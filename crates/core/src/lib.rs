@@ -33,11 +33,12 @@
 //!
 //! ```
 //! use naspipe_core::config::PipelineConfig;
-//! use naspipe_core::pipeline::run_pipeline;
+//! use naspipe_core::pipeline::SimSpec;
 //! use naspipe_supernet::space::SearchSpace;
 //!
 //! let space = SearchSpace::nlp_c3();
-//! let outcome = run_pipeline(&space, &PipelineConfig::naspipe(4, 20)).unwrap();
+//! let config = PipelineConfig::naspipe(4, 20);
+//! let outcome = SimSpec::new(&space, &config).run().unwrap();
 //! assert_eq!(outcome.report.subnets_completed, 20);
 //! assert!(outcome.report.bubble_ratio < 1.0);
 //! ```
@@ -64,11 +65,8 @@ pub mod transcript;
 pub use config::{DiagnosticsOptions, PipelineConfig, SyncPolicy};
 pub use durable::{DurableError, DurableStore};
 pub use fault::{FaultKind, FaultPlan};
-pub use pipeline::{run_pipeline, PipelineOutcome};
+pub use pipeline::{PipelineOutcome, SimSpec};
 pub use report::PipelineReport;
-pub use runtime::{
-    run_threaded, run_threaded_diagnosed, run_threaded_observed, run_threaded_supervised,
-    DurableOptions, RecoveryOptions, SupervisedRun, TrainError,
-};
+pub use runtime::{DurableOptions, RecoveryOptions, RunSpec, SupervisedRun, TrainError};
 pub use scheduler::{CspScheduler, DuplicateSubnet, SubnetTable};
 pub use task::{StageId, Task, TaskKind};

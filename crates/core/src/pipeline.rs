@@ -240,80 +240,133 @@ struct StageState {
     ready_span: Vec<SpanId>,
 }
 
-/// Runs the configured pipeline over `space`, sampling subnets uniformly
-/// from `config.seed`.
+/// One simulated pipeline run, as data: the space and configuration (the
+/// arguments of [`new`](Self::new)), plus every option with its default.
+/// Set options by field assignment or struct update, then
+/// [`run`](Self::run):
 ///
-/// # Errors
+/// ```
+/// use naspipe_core::config::PipelineConfig;
+/// use naspipe_core::pipeline::SimSpec;
+/// use naspipe_obs::NullTracer;
+/// use naspipe_supernet::space::SearchSpace;
 ///
-/// Returns [`PipelineError::InvalidConfig`] for malformed configurations
-/// and [`PipelineError::OutOfMemory`] when the policy's resident
-/// parameters exceed device memory.
-pub fn run_pipeline(
-    space: &SearchSpace,
-    config: &PipelineConfig,
-) -> Result<PipelineOutcome, PipelineError> {
-    let mut sampler = UniformSampler::new(space, config.seed);
-    let subnets = sampler.take_subnets(config.num_subnets as usize);
-    run_pipeline_with_subnets(space, config, subnets)
+/// let space = SearchSpace::nlp_c3();
+/// let config = PipelineConfig::naspipe(4, 10);
+/// let traced = SimSpec::new(&space, &config).run()?;
+/// let untraced = SimSpec {
+///     tracer: Box::new(NullTracer),
+///     ..SimSpec::new(&space, &config)
+/// }
+/// .run()?;
+/// assert_eq!(traced.report, untraced.report);
+/// assert!(untraced.spans.spans().is_empty());
+/// # Ok::<(), naspipe_core::pipeline::PipelineError>(())
+/// ```
+pub struct SimSpec<'a> {
+    /// The search space to train.
+    pub space: &'a SearchSpace,
+    /// Policy, cluster shape and tunables.
+    pub config: &'a PipelineConfig,
+    /// The subnet stream, so different policies and GPU counts can train
+    /// the *same* exploration order. `None` (the default) samples
+    /// `config.num_subnets` uniformly from `config.seed`.
+    pub subnets: Option<Vec<Subnet>>,
+    /// Per-task span emission (default: a [`SpanTracer`]). A
+    /// [`naspipe_obs::NullTracer`] proves tracing off the hot path: the
+    /// outcome is identical except `spans` is empty.
+    pub tracer: Box<dyn Tracer>,
+    /// Live telemetry (default `None`): the engine publishes a
+    /// [`MetricsSnapshot`] of its recorder whenever simulated time
+    /// crosses the sampling interval (`sample_interval_us`, falling back
+    /// to `config.sample_interval_us`, then the telemetry default), plus
+    /// one final snapshot at the makespan, so a
+    /// [`naspipe_obs::OpsServer`] scraping the hub sees the run progress
+    /// in simulated time. The returned report embeds the published
+    /// series. Telemetry never touches the event queue: schedules and
+    /// training results are bit-identical with and without a hub.
+    pub telemetry: Option<&'a TelemetryOptions>,
 }
 
-/// Like [`run_pipeline`] but over an explicit subnet stream (so different
-/// policies and GPU counts can train the *same* exploration order).
-///
-/// # Errors
-///
-/// See [`run_pipeline`].
-///
-/// # Panics
-///
-/// Panics if any subnet is invalid for `space`.
+impl<'a> SimSpec<'a> {
+    /// `config` over `space` with every option at its default.
+    pub fn new(space: &'a SearchSpace, config: &'a PipelineConfig) -> Self {
+        SimSpec {
+            space,
+            config,
+            subnets: None,
+            tracer: Box::new(SpanTracer::new()),
+            telemetry: None,
+        }
+    }
+
+    /// Runs the simulation; a pure function of the spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::InvalidConfig`] for malformed
+    /// configurations (including a `subnets` length other than
+    /// `config.num_subnets`) and [`PipelineError::OutOfMemory`] when the
+    /// policy's resident parameters exceed device memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any subnet is invalid for `space`.
+    pub fn run(self) -> Result<PipelineOutcome, PipelineError> {
+        let (space, config) = (self.space, self.config);
+        config
+            .validate(space)
+            .map_err(PipelineError::InvalidConfig)?;
+        let subnets = self.subnets.unwrap_or_else(|| {
+            UniformSampler::new(space, config.seed).take_subnets(config.num_subnets as usize)
+        });
+        if subnets.len() as u64 != config.num_subnets {
+            return Err(PipelineError::InvalidConfig(format!(
+                "{} subnets supplied but config.num_subnets = {}",
+                subnets.len(),
+                config.num_subnets
+            )));
+        }
+        for s in &subnets {
+            assert!(s.is_valid_for(space), "subnet {s} invalid for space");
+        }
+        Engine::new(space, config, subnets, self.tracer, self.telemetry)?.run()
+    }
+}
+
+// The three DES entry points `benchmark/src/workloads.rs` links by name.
+// The harness is frozen outside `benchmark` PRs, so they stay until the
+// `benchmark` PR that moves it to `SimSpec` (ROADMAP 1b); 1c deletes them.
+
+#[doc(hidden)]
 pub fn run_pipeline_with_subnets(
     space: &SearchSpace,
     config: &PipelineConfig,
     subnets: Vec<Subnet>,
 ) -> Result<PipelineOutcome, PipelineError> {
-    run_pipeline_with_tracer(space, config, subnets, Box::new(SpanTracer::new()))
+    SimSpec {
+        subnets: Some(subnets),
+        ..SimSpec::new(space, config)
+    }
+    .run()
 }
 
-/// Like [`run_pipeline_with_subnets`] but with an explicit [`Tracer`].
-///
-/// Pass a [`naspipe_obs::NullTracer`] to prove tracing off the hot path:
-/// the outcome is identical to a traced run except `spans` is empty.
-///
-/// # Errors
-///
-/// See [`run_pipeline`].
-///
-/// # Panics
-///
-/// Panics if any subnet is invalid for `space`.
+#[doc(hidden)]
 pub fn run_pipeline_with_tracer(
     space: &SearchSpace,
     config: &PipelineConfig,
     subnets: Vec<Subnet>,
     tracer: Box<dyn Tracer>,
 ) -> Result<PipelineOutcome, PipelineError> {
-    run_pipeline_telemetry(space, config, subnets, tracer, None)
+    SimSpec {
+        subnets: Some(subnets),
+        tracer,
+        ..SimSpec::new(space, config)
+    }
+    .run()
 }
 
-/// Like [`run_pipeline_with_tracer`] but with an optional live-telemetry
-/// hub attached: the engine publishes a [`MetricsSnapshot`] of its
-/// recorder whenever simulated time crosses the sampling interval
-/// (`opts.sample_interval_us`, falling back to
-/// `config.sample_interval_us`, then the telemetry default), plus one
-/// final snapshot at the makespan, so a [`naspipe_obs::OpsServer`]
-/// scraping the hub sees the run progress in simulated time. The
-/// returned report embeds the published series. Telemetry never touches
-/// the event queue: schedules and training results are bit-identical
-/// with and without a hub.
-///
-/// # Errors
-///
-/// See [`run_pipeline`].
-///
-/// # Panics
-///
-/// Panics if any subnet is invalid for `space`.
+#[doc(hidden)]
 pub fn run_pipeline_telemetry(
     space: &SearchSpace,
     config: &PipelineConfig,
@@ -321,20 +374,14 @@ pub fn run_pipeline_telemetry(
     tracer: Box<dyn Tracer>,
     telemetry: Option<&TelemetryOptions>,
 ) -> Result<PipelineOutcome, PipelineError> {
-    config
-        .validate(space)
-        .map_err(PipelineError::InvalidConfig)?;
-    if subnets.len() as u64 != config.num_subnets {
-        return Err(PipelineError::InvalidConfig(format!(
-            "{} subnets supplied but config.num_subnets = {}",
-            subnets.len(),
-            config.num_subnets
-        )));
+    SimSpec {
+        space,
+        config,
+        subnets: Some(subnets),
+        tracer,
+        telemetry,
     }
-    for s in &subnets {
-        assert!(s.is_valid_for(space), "subnet {s} invalid for space");
-    }
-    Engine::new(space, config, subnets, tracer, telemetry)?.run()
+    .run()
 }
 
 /// A simulated-time sampling cadence: due whenever the simulation clock
@@ -1595,7 +1642,9 @@ mod tests {
             sample_interval_us: 0,
             diagnostics: Default::default(),
         };
-        run_pipeline(&small_space(), &cfg).expect("run succeeds")
+        SimSpec::new(&small_space(), &cfg)
+            .run()
+            .expect("run succeeds")
     }
 
     #[test]
@@ -1643,9 +1692,19 @@ mod tests {
         let space = small_space();
         let subnets = UniformSampler::new(&space, 42).take_subnets(20);
         let cfg = PipelineConfig::naspipe(4, 20).with_batch(32).with_seed(42);
-        let traced = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap();
-        let untraced =
-            run_pipeline_with_tracer(&space, &cfg, subnets, Box::new(NullTracer)).unwrap();
+        let traced = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
+        let untraced = SimSpec {
+            subnets: Some(subnets),
+            tracer: Box::new(NullTracer),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
         assert_eq!(traced.tasks, untraced.tasks);
         assert_eq!(traced.report, untraced.report);
         assert_eq!(traced.obs, untraced.obs);
@@ -1668,17 +1727,23 @@ mod tests {
             .with_batch(32)
             .with_seed(42)
             .with_sample_interval_us(500);
-        let plain = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap();
+        let plain = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
 
         let hub = Arc::new(TelemetryHub::new(4, 0));
         let opts = TelemetryOptions::new(Arc::clone(&hub));
-        let live = run_pipeline_telemetry(
-            &space,
-            &cfg,
-            subnets,
-            Box::new(SpanTracer::new()),
-            Some(&opts),
-        )
+        let live = SimSpec {
+            space: &space,
+            config: &cfg,
+            subnets: Some(subnets),
+            tracer: Box::new(SpanTracer::new()),
+            telemetry: Some(&opts),
+        }
+        .run()
         .unwrap();
 
         // Telemetry must be off the schedule path entirely.
@@ -2039,7 +2104,7 @@ mod tests {
             sample_interval_us: 0,
             diagnostics: Default::default(),
         };
-        match run_pipeline(&space, &cfg) {
+        match SimSpec::new(&space, &cfg).run() {
             Err(PipelineError::OutOfMemory { .. }) => {}
             other => panic!("expected OOM, got {other:?}"),
         }
@@ -2049,7 +2114,12 @@ mod tests {
     fn explicit_subnets_must_match_count() {
         let space = small_space();
         let cfg = PipelineConfig::naspipe(2, 3).with_batch(8);
-        let err = run_pipeline_with_subnets(&space, &cfg, vec![]).unwrap_err();
+        let err = SimSpec {
+            subnets: Some(vec![]),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidConfig(_)));
         assert!(err.to_string().contains("invalid configuration"));
     }
@@ -2071,7 +2141,7 @@ mod tests {
         // make progress.
         let space = SearchSpace::uniform(Domain::Nlp, 4, 4);
         let cfg = PipelineConfig::naspipe(8, 10).with_batch(8);
-        let out = run_pipeline(&space, &cfg).unwrap();
+        let out = SimSpec::new(&space, &cfg).run().unwrap();
         assert_eq!(out.report.subnets_completed, 10);
         assert_eq!(out.tasks.len(), 10 * 8 * 2);
         assert!(out.tasks.iter().any(|t| t.blocks.is_empty()));
@@ -2091,7 +2161,12 @@ mod tests {
         let subnets = UniformSampler::new(&space, 2).take_subnets(8);
         let mut cfg = PipelineConfig::naspipe(4, 8).with_batch(8).with_seed(2);
         cfg.max_queue = 1;
-        let out = run_pipeline_with_subnets(&space, &cfg, subnets).unwrap();
+        let out = SimSpec {
+            subnets: Some(subnets),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
         // With one subnet in flight at a time, completions are in order
         // and never overlap.
         let mut completions: Vec<(u64, SimTime, SimTime)> = out
@@ -2114,7 +2189,12 @@ mod tests {
                 .with_batch(16)
                 .with_seed(5)
                 .with_fault_rate(0.15);
-            run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap()
+            SimSpec {
+                subnets: Some(subnets.clone()),
+                ..SimSpec::new(&space, &cfg)
+            }
+            .run()
+            .unwrap()
         };
         let out4 = run_with_faults(4);
         assert_eq!(
@@ -2148,10 +2228,14 @@ mod tests {
                 .with_batch(16)
                 .with_seed(5)
                 .with_fault_rate(rate);
-            run_pipeline_with_subnets(&space, &cfg, subnets.clone())
-                .unwrap()
-                .report
-                .makespan_secs
+            SimSpec {
+                subnets: Some(subnets.clone()),
+                ..SimSpec::new(&space, &cfg)
+            }
+            .run()
+            .unwrap()
+            .report
+            .makespan_secs
         };
         assert!(run_rate(0.3) > run_rate(0.0));
     }

@@ -39,8 +39,8 @@
 
 use crate::config::PipelineConfig;
 use crate::fault::FaultPlan;
-use crate::pipeline::{run_pipeline_with_subnets, TaskRecord};
-use crate::runtime::{run_threaded_supervised, RecoveryOptions};
+use crate::pipeline::{SimSpec, TaskRecord};
+use crate::runtime::{RecoveryOptions, RunSpec, DEFAULT_WINDOW};
 use crate::task::TaskKind;
 use crate::train::{replay_training, TrainConfig, TrainResult};
 use crate::transcript::Transcript;
@@ -148,14 +148,25 @@ impl CaseSpec {
         SearchSpace::uniform(self.domain, self.blocks, self.choices)
     }
 
-    fn stream(&self, space: &SearchSpace) -> Vec<Subnet> {
-        UniformSampler::new(space, self.seed).take_subnets(self.subnets as usize)
-    }
-
     fn train_config(&self) -> TrainConfig {
         TrainConfig {
             seed: self.seed,
             ..TrainConfig::default()
+        }
+    }
+
+    /// The threaded run this case describes, over its `space`.
+    pub fn run_spec<'a>(&self, space: &'a SearchSpace) -> RunSpec<'a> {
+        let stream = UniformSampler::new(space, self.seed).take_subnets(self.subnets as usize);
+        RunSpec {
+            // The golden format writes the default window as 0.
+            window: if self.window == 0 {
+                DEFAULT_WINDOW
+            } else {
+                self.window
+            },
+            recovery: self.recovery_options(),
+            ..RunSpec::new(space, stream, self.train_config(), self.gpus)
         }
     }
 
@@ -820,11 +831,12 @@ struct DesRun {
 
 fn execute_des(spec: &CaseSpec) -> Result<DesRun, String> {
     let space = spec.space();
-    let subnets = spec.stream(&space);
+    // The default stream is `spec.stream`: same seed, same length.
     let cfg = PipelineConfig::naspipe(spec.gpus, spec.subnets)
         .with_batch(spec.batch)
         .with_seed(spec.seed);
-    let out = run_pipeline_with_subnets(&space, &cfg, subnets)
+    let out = SimSpec::new(&space, &cfg)
+        .run()
         .map_err(|e| format!("DES engine refused the case: {e}"))?;
     let transcript = Transcript::from_outcome(&out);
     let transcript_text = transcript.to_text();
@@ -853,16 +865,10 @@ struct ThreadedRun {
 
 fn execute_threaded(spec: &CaseSpec) -> Result<ThreadedRun, String> {
     let space = spec.space();
-    let subnets = spec.stream(&space);
-    let run = run_threaded_supervised(
-        &space,
-        subnets,
-        &spec.train_config(),
-        spec.gpus,
-        spec.window,
-        &spec.recovery_options(),
-    )
-    .map_err(|e| format!("threaded engine failed: {e}"))?;
+    let run = spec
+        .run_spec(&space)
+        .run()
+        .map_err(|e| format!("threaded engine failed: {e}"))?;
     let sched = run.recovery.schedule();
     Ok(ThreadedRun {
         transcript: Transcript {

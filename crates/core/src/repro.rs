@@ -201,7 +201,7 @@ pub fn most_contended_layer(outcome: &PipelineOutcome, min_subnets: usize) -> Op
 mod tests {
     use super::*;
     use crate::config::{PipelineConfig, SyncPolicy};
-    use crate::pipeline::run_pipeline_with_subnets;
+    use crate::pipeline::SimSpec;
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::space::SearchSpace;
@@ -225,7 +225,12 @@ mod tests {
             sample_interval_us: 0,
             diagnostics: Default::default(),
         };
-        run_pipeline_with_subnets(&space, &cfg, subnets).unwrap()
+        SimSpec {
+            subnets: Some(subnets),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap()
     }
 
     #[test]

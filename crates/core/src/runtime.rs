@@ -16,9 +16,22 @@
 //!   demonstration of Definition 1: reproducibility comes from dependency
 //!   preservation, not from lockstep timing.
 //!
+//! # One way to start a run
+//!
+//! A run is a [`RunSpec`]: the space, the subnet stream, the training
+//! configuration and the stage count, plus defaulted public fields for
+//! everything optional (in-flight window, fault plan / checkpoints /
+//! restarts, live telemetry, durable snapshots, diagnostics).
+//! [`RunSpec::run`] is the only entry point and [`SupervisedRun`] the
+//! only result shape. The supervisor resolves the spec once into an
+//! immutable run context — subnets, dataset, fault injector, checkpoint
+//! and durable stores, event bus, epoch, window, retry/timeout budget —
+//! that every stage worker of every incarnation shares behind one `Arc`,
+//! beside the state the worker itself mutates.
+//!
 //! # Supervision and recovery
 //!
-//! [`run_threaded_supervised`] wraps the stage workers in a supervisor.
+//! [`RunSpec::run`] wraps the stage workers in a supervisor.
 //! Each worker carries an exit guard that notifies the supervisor when it
 //! dies — normally, by error, or by panic. On the first failure the
 //! supervisor broadcasts [`Msg::Stop`] and raises a shared shutdown flag,
@@ -45,9 +58,8 @@
 //! with a [`TrainError::Invariant`]. Each worker also records per-stage
 //! metrics into a private [`MetricsRecorder`](naspipe_obs::MetricsRecorder)
 //! (task counts and latencies, queue depth, stall/bubble time, plus
-//! retries, restarts and replayed tasks), merged across incarnations;
-//! [`run_threaded_observed`] exposes the merged
-//! [`ObsReport`](naspipe_obs::ObsReport).
+//! retries, restarts and replayed tasks), merged across incarnations into
+//! the run's [`ObsReport`](naspipe_obs::ObsReport).
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, StageSnapshot};
 use crate::config::DiagnosticsOptions;
@@ -135,6 +147,9 @@ pub enum TrainError {
         /// The underlying durable-layer failure.
         cause: DurableError,
     },
+    /// The [`RunSpec`] cannot be run as given (zero stages, a durable
+    /// directory with checkpointing off); nothing was started.
+    InvalidSpec(String),
 }
 
 impl TrainError {
@@ -146,8 +161,8 @@ impl TrainError {
             | TrainError::Invariant { stage, .. }
             | TrainError::Timeout { stage, .. }
             | TrainError::RecoveryExhausted { stage, .. } => *stage,
-            // Durable failures happen before any stage spawns.
-            TrainError::Durable { .. } => 0,
+            // Spec and durable failures happen before any stage spawns.
+            TrainError::Durable { .. } | TrainError::InvalidSpec(_) => 0,
         }
     }
 
@@ -193,6 +208,7 @@ impl fmt::Display for TrainError {
                 "stage {stage}: recovery exhausted after {attempts} restart(s)"
             ),
             TrainError::Durable { cause } => write!(f, "durable checkpoints: {cause}"),
+            TrainError::InvalidSpec(why) => write!(f, "invalid run spec: {why}"),
         }
     }
 }
@@ -315,14 +331,39 @@ impl LastWriters {
     }
 }
 
+/// What every stage worker of a run shares and none of them changes: the
+/// [`RunSpec`] resolved once by the supervisor. A worker's own mutable
+/// state lives in [`StageWorker`], beside an `Arc` of this.
+struct RunContext {
+    subnets: Vec<Subnet>,
+    data: SyntheticDataset,
+    train: TrainConfig,
+    partition: Partition,
+    // `choices[block]`: candidate count of every block of the space.
+    choices: Vec<u32>,
+    window: u64,
+    // Fault tolerance.
+    injector: FaultInjector,
+    recv_timeout: Option<Duration>,
+    ckpts: Option<CheckpointStore>,
+    ckpt_interval: u64,
+    // Durable persistence of completed cuts (None = in-memory only).
+    durable: Option<DurableStore>,
+    epoch: Instant,
+    // The run's shared sinks (flight ring, journal, ops-plane gauges).
+    bus: EventBus,
+}
+
+impl RunContext {
+    fn total(&self) -> u64 {
+        self.subnets.len() as u64
+    }
+}
+
 struct StageWorker {
+    ctx: Arc<RunContext>,
     stage: usize,
     blocks: Range<usize>,
-    last: bool,
-    total: u64,
-    window: u64,
-    subnets: Arc<Vec<Subnet>>,
-    data: Arc<SyntheticDataset>,
     engine: NumericSupernet,
     // Owned parameter slice: params[block - blocks.start][choice].
     params: Vec<Vec<DenseParams>>,
@@ -348,33 +389,32 @@ struct StageWorker {
     // The CSP admission cause of a forward is the latest of its layers'
     // last writers.
     writers: LastWriters,
+    // Per-incarnation shared state: the debug-build invariant checker
+    // and the supervisor's park request.
     checker: Option<Arc<Mutex<CspChecker>>>,
-    // Fault tolerance.
     shutdown: Arc<AtomicBool>,
-    injector: Arc<FaultInjector>,
-    max_retries: u32,
-    backoff_us: u64,
-    ckpts: Option<Arc<CheckpointStore>>,
-    // Durable persistence of completed cuts (None = in-memory only).
-    durable: Option<Arc<DurableStore>>,
-    ckpt_interval: u64,
     next_ckpt: u64,
-    recv_timeout: Option<Duration>,
-    epoch: Instant,
     tasks: Vec<TaskRecord>,
-    // The run's shared sinks (flight ring, journal, ops-plane gauges).
-    bus: EventBus,
 }
 
 impl StageWorker {
+    /// Initialises this stage's own block range (a run that does not
+    /// resume from a checkpoint; every stage does it on its own thread).
+    fn init_params(&mut self) {
+        let (ctx, blocks) = (&self.ctx, self.blocks.clone());
+        self.params = blocks
+            .map(|b| ParamStore::init_block(ctx.train.dim, ctx.train.seed, b, ctx.choices[b]))
+            .collect();
+    }
+
     fn layer_params(&self, layer: LayerRef) -> &DenseParams {
         &self.params[layer.block as usize - self.blocks.start][layer.choice as usize]
     }
 
     fn admissible(&self, y: SubnetId) -> bool {
-        let subnet = &self.subnets[y.0 as usize];
+        let subnet = &self.ctx.subnets[y.0 as usize];
         for x in self.finished.unfinished_below(y) {
-            let earlier = &self.subnets[x.0 as usize];
+            let earlier = &self.ctx.subnets[x.0 as usize];
             if subnet.conflicts_within(self.blocks.clone(), earlier) {
                 return false;
             }
@@ -412,7 +452,8 @@ impl StageWorker {
             self.recorder.incr(stage, Counter::PoolChunk, pool.chunks);
             self.recorder.incr(stage, Counter::PoolBusyUs, pool.busy_us);
             let jobs = pool.jobs;
-            self.bus
+            self.ctx
+                .bus
                 .emit(stage, self.now_us(), RunEvent::PoolJob { jobs });
         }
         StageOutput {
@@ -428,11 +469,12 @@ impl StageWorker {
     /// models a hard worker crash, a slow fault stalls the stage.
     fn fire_execute_fault(&self, y: SubnetId, kind: TaskKind) {
         let fired = self
+            .ctx
             .injector
             .fire(self.stage as u32, y.0, kind, FaultSite::Execute);
         if fired.is_some() {
             let fault = RunEvent::Fault { subnet: y.0 };
-            self.bus.emit(self.stage as u32, self.now_us(), fault);
+            self.ctx.bus.emit(self.stage as u32, self.now_us(), fault);
         }
         match fired {
             Some(FaultKind::Panic) => panic!(
@@ -467,8 +509,10 @@ impl StageWorker {
         task: u64,
         link: &'static str,
     ) -> Result<(), TrainError> {
+        let plan = self.ctx.injector.plan();
+        let (max_retries, backoff_us) = (plan.max_retries(), plan.backoff_us());
         for attempt in 1..=failures {
-            if attempt > self.max_retries {
+            if attempt > max_retries {
                 return Err(TrainError::Timeout {
                     stage: self.stage,
                     task,
@@ -479,7 +523,7 @@ impl StageWorker {
                 });
             }
             self.recorder.incr(self.stage as u32, Counter::Retry, 1);
-            let backoff = self.backoff_us.saturating_mul(1 << (attempt - 1).min(10));
+            let backoff = backoff_us.saturating_mul(1 << (attempt - 1).min(10));
             std::thread::sleep(Duration::from_micros(backoff));
         }
         Ok(())
@@ -497,7 +541,8 @@ impl StageWorker {
     ) -> Result<Flow, TrainError> {
         let link = if to_next { "successor" } else { "predecessor" };
         if let Some(FaultKind::TransientSend { failures }) =
-            self.injector
+            self.ctx
+                .injector
                 .fire(self.stage as u32, y.0, kind, FaultSite::Send)
         {
             self.retry_backoff(failures, y.0, link)?;
@@ -523,7 +568,7 @@ impl StageWorker {
     /// park (shutdown observed). Fault injection and enqueueing happen in
     /// [`accept_msg`](Self::accept_msg).
     fn recv_blocking(&mut self) -> Result<Option<Msg>, TrainError> {
-        if let Some(timeout) = self.recv_timeout {
+        if let Some(timeout) = self.ctx.recv_timeout {
             match self.rx.recv_timeout(timeout) {
                 Ok(m) => Ok(Some(m)),
                 Err(RecvTimeoutError::Timeout) => {
@@ -555,7 +600,8 @@ impl StageWorker {
             Msg::Bwd(y, _, _) => (*y, TaskKind::Backward),
         };
         if let Some(FaultKind::TransientRecv { failures }) =
-            self.injector
+            self.ctx
+                .injector
                 .fire(self.stage as u32, y.0, kind, FaultSite::Recv)
         {
             self.retry_backoff(failures, y.0, "inbound")?;
@@ -604,11 +650,8 @@ impl StageWorker {
     }
 
     fn record_task(&mut self, kind: TaskKind, y: SubnetId, started: Instant) {
-        let start = started
-            .duration_since(self.epoch)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
-        let end = self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let start = self.us_since_epoch(started);
+        let end = self.now_us();
         self.tasks.push(TaskRecord {
             start: SimTime::from_us(start),
             end: SimTime::from_us(end),
@@ -620,7 +663,12 @@ impl StageWorker {
     }
 
     fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64
+        elapsed_us(self.ctx.epoch)
+    }
+
+    fn us_since_epoch(&self, at: Instant) -> u64 {
+        let us = at.duration_since(self.ctx.epoch).as_micros();
+        us.min(u64::MAX as u128) as u64
     }
 
     fn sample_queue_depth(&mut self) {
@@ -639,10 +687,7 @@ impl StageWorker {
         started: Instant,
         cause: (SpanId, CauseKind),
     ) -> SpanId {
-        let start = started
-            .duration_since(self.epoch)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
+        let start = self.us_since_epoch(started);
         let end = self.now_us();
         let sk = match kind {
             TaskKind::Forward => SpanKind::Forward,
@@ -662,7 +707,10 @@ impl StageWorker {
     /// after `next_ckpt` subnets — no task of any later subnet has run
     /// anywhere — which the `debug_assert`s below audit.
     fn maybe_checkpoint(&mut self) {
-        let Some(store) = self.ckpts.clone() else {
+        // Borrowed field by field: the context is read while the
+        // recorder and tracer are written.
+        let ctx = &*self.ctx;
+        let Some(store) = &ctx.ckpts else {
             return;
         };
         let prefix = self.finished.first_unfinished().0;
@@ -675,7 +723,7 @@ impl StageWorker {
             debug_assert!(self.ctxs.is_empty(), "in-flight forward at watermark");
             debug_assert!(self.bwd_queue.is_empty(), "queued backward at watermark");
             debug_assert!(self.fwd_queue.is_empty(), "queued forward at watermark");
-            let snap_start = self.now_us();
+            let snap_start = elapsed_us(ctx.epoch);
             let snapshot = StageSnapshot {
                 params: self.params.clone(),
                 engine: self.engine.clone(),
@@ -685,7 +733,7 @@ impl StageWorker {
                 self.stage as u32,
                 SpanKind::Checkpoint,
                 snap_start,
-                self.now_us(),
+                elapsed_us(ctx.epoch),
             ));
             // The store keeps the completing span per cut; a restart
             // resuming from this watermark names it as its cause.
@@ -695,7 +743,7 @@ impl StageWorker {
             // reports (cut granularity keeps this off the hot path).
             let stage = self.stage as u32;
             let watermark = self.next_ckpt;
-            self.bus.emit(
+            ctx.bus.emit(
                 stage,
                 snap_start,
                 RunEvent::CheckpointCut {
@@ -707,7 +755,7 @@ impl StageWorker {
             // disk. Persist failures are deliberately non-fatal: the
             // in-memory checkpoints still cover in-process recovery, so
             // a full disk degrades durability, not training.
-            if let (true, Some(durable)) = (completed, &self.durable) {
+            if let (true, Some(durable)) = (completed, &ctx.durable) {
                 match store.latest_complete() {
                     Some(cut) => {
                         let watermark = cut.watermark;
@@ -719,12 +767,12 @@ impl StageWorker {
                             }
                             Err(error) => RunEvent::DurablePersistFailed { watermark, error },
                         };
-                        self.bus.emit(stage, self.now_us(), event);
+                        ctx.bus.emit(stage, elapsed_us(ctx.epoch), event);
                     }
                     None => debug_assert!(false, "completed cut must be visible"),
                 }
             }
-            self.next_ckpt += self.ckpt_interval;
+            self.next_ckpt += ctx.ckpt_interval;
         }
     }
 
@@ -737,14 +785,15 @@ impl StageWorker {
     ) -> Result<Flow, TrainError> {
         self.check(|c| c.on_admit_forward(y, self.stage as u32))?;
         let admission = RunEvent::Admission { subnet: y.0 };
-        self.bus.emit(self.stage as u32, self.now_us(), admission);
+        self.ctx
+            .bus
+            .emit(self.stage as u32, self.now_us(), admission);
         // Faults fire after `started` so an injected slowdown lands in
         // this task's latency sample — exactly what the straggler
         // detector watches.
         let started = Instant::now();
         self.fire_execute_fault(y, TaskKind::Forward);
-        let subnets = Arc::clone(&self.subnets);
-        let subnet = &subnets[y.0 as usize];
+        let subnet = &self.ctx.subnets[y.0 as usize];
         let (out, ctx) =
             self.engine
                 .forward_slice(|l| self.layer_params(l), subnet, self.blocks.clone(), input);
@@ -762,8 +811,9 @@ impl StageWorker {
                 cause = (wspan, CauseKind::CspWriterCompletion { writer: x }, wend);
             }
         }
-        if self.last {
-            let target = self.data.target_of(&self.data.input(y.0));
+        if self.next_tx.is_none() {
+            // The last stage: the loss closes the forward pass.
+            let target = self.ctx.data.target_of(&self.ctx.data.input(y.0));
             let (loss, grad) = naspipe_tensor::loss::mse(&out, &target);
             self.losses.insert(y.0, loss);
             let span = self.emit_task_span(TaskKind::Forward, y, started, (cause.0, cause.1));
@@ -815,7 +865,7 @@ impl StageWorker {
         );
         let done_at = self.now_us();
         self.writers
-            .record(&self.subnets[y.0 as usize], span, done_at);
+            .record(&self.ctx.subnets[y.0 as usize], span, done_at);
         if self.prev_tx.is_some() {
             if let Flow::Stop =
                 self.faulty_send(false, y, TaskKind::Backward, Msg::Bwd(y, grad, span))?
@@ -835,7 +885,9 @@ impl StageWorker {
 
     fn try_inject(&mut self) {
         debug_assert_eq!(self.stage, 0);
-        while self.injected < self.total && self.injected - self.finished_count < self.window {
+        while self.injected < self.ctx.total()
+            && self.injected - self.finished_count < self.ctx.window
+        {
             // Injection barrier (no-op when checkpointing is off): a
             // subnet enters the pipeline only once the finished prefix
             // has reached the start of its checkpoint epoch, so every
@@ -843,14 +895,14 @@ impl StageWorker {
             // anywhere before all stages snapshot it). Stage 0's
             // backward is the causally last task of each subnet, so its
             // prefix IS the global watermark.
-            if let Some(epochs) = self.injected.checked_div(self.ckpt_interval) {
-                let epoch_start = epochs * self.ckpt_interval;
+            if let Some(epochs) = self.injected.checked_div(self.ctx.ckpt_interval) {
+                let epoch_start = epochs * self.ctx.ckpt_interval;
                 if epoch_start > self.finished.first_unfinished().0 {
                     break;
                 }
             }
             let y = SubnetId(self.injected);
-            let input = self.data.input(y.0);
+            let input = self.ctx.data.input(y.0);
             let now = self.now_us();
             self.fwd_queue.push((y, input, SpanId::EXTERNAL, now));
             self.sample_queue_depth();
@@ -874,7 +926,7 @@ impl StageWorker {
                     },
                 ));
         }
-        while self.finished_count < self.total {
+        while self.finished_count < self.ctx.total() {
             if self.shutdown.load(Ordering::Acquire) {
                 return Ok(WorkerExit::Stopped(self.into_output()));
             }
@@ -921,7 +973,8 @@ impl StageWorker {
             if blocked {
                 // Forwards queued but none admissible: a CSP stall.
                 let queued = self.fwd_queue.len() as u64;
-                self.bus
+                self.ctx
+                    .bus
                     .emit(stage, self.now_us(), RunEvent::CspStall { queued });
             }
             let waiting = Instant::now();
@@ -946,10 +999,9 @@ fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// Knobs for [`run_threaded_supervised`]. The default disables fault
-/// injection, checkpointing and restarts — byte-for-byte the behaviour
-/// of [`run_threaded`], except that a worker death now shuts the
-/// pipeline down cleanly instead of deadlocking recv-blocked survivors.
+/// Fault-injection, checkpointing and restart knobs of a [`RunSpec`].
+/// The default disables all three: a worker death then shuts the
+/// pipeline down cleanly and surfaces as the root-cause [`TrainError`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryOptions {
     /// Deterministic failure scenario to inject (empty = none).
@@ -966,14 +1018,14 @@ pub struct RecoveryOptions {
     pub recv_timeout_ms: Option<u64>,
 }
 
-/// Durable-checkpoint knobs for [`run_threaded_durable`]: where to
-/// persist completed CSP-watermark cuts, how many to retain, and whether
-/// to resume from the newest valid one before training starts.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Durable-checkpoint knobs of a [`RunSpec`]: where to persist completed
+/// CSP-watermark cuts, how many to retain, and whether to resume from
+/// the newest valid one before training starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableOptions {
     /// Directory snapshots are persisted into (created if missing).
     pub dir: PathBuf,
-    /// Complete cuts retained on disk (`0` = [`DEFAULT_KEEP`]).
+    /// Complete cuts retained on disk.
     pub keep: usize,
     /// Load the newest valid snapshot from `dir` and continue from its
     /// watermark. With no (valid) snapshot present the run starts from
@@ -982,8 +1034,19 @@ pub struct DurableOptions {
     pub resume: bool,
 }
 
+impl DurableOptions {
+    /// Persist into `dir`, retaining [`DEFAULT_KEEP`] cuts, no resume.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        DurableOptions {
+            dir: dir.into(),
+            keep: DEFAULT_KEEP,
+            resume: false,
+        }
+    }
+}
+
 /// What the supervisor did to keep a run alive.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryReport {
     /// Full-pipeline restarts performed.
     pub restarts: u32,
@@ -1030,7 +1093,7 @@ pub struct RecoverySchedule {
     pub faults: Vec<crate::fault::Fault>,
 }
 
-/// Everything a supervised run produces.
+/// Everything a threaded run produces.
 pub struct SupervisedRun {
     /// Final parameters and losses — bitwise equal to
     /// [`sequential_training`](crate::train::sequential_training) even
@@ -1052,191 +1115,583 @@ pub struct SupervisedRun {
     pub spans: SpanTrace,
 }
 
-/// Trains `subnets` on `gpus` stage threads with CSP scheduling; returns
-/// the same [`TrainResult`] shape as the sequential reference, and is
-/// bitwise equal to it for any `gpus`/`window`.
+/// The paper's `|L_q|`: how many subnets may be in flight at once.
+pub const DEFAULT_WINDOW: u64 = 30;
+
+/// One threaded run, as data: what to train and on how many stage
+/// threads (the arguments of [`new`](Self::new)), plus every option with
+/// its default. Set options by field assignment or struct update, then
+/// [`run`](Self::run):
 ///
-/// `window` bounds the in-flight subnets (the paper's `|L_q|`, default 30
-/// when `0` is passed).
+/// ```
+/// use naspipe_core::runtime::{RecoveryOptions, RunSpec};
+/// use naspipe_core::train::TrainConfig;
+/// use naspipe_supernet::layer::Domain;
+/// use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
+/// use naspipe_supernet::space::SearchSpace;
 ///
-/// # Errors
+/// let space = SearchSpace::uniform(Domain::Nlp, 4, 3);
+/// let subnets = UniformSampler::new(&space, 1).take_subnets(6);
+/// let bare = RunSpec::new(&space, subnets.clone(), TrainConfig::default(), 2).run()?;
+/// let checkpointed = RunSpec {
+///     recovery: RecoveryOptions {
+///         checkpoint_interval: 2,
+///         ..RecoveryOptions::default()
+///     },
+///     ..RunSpec::new(&space, subnets, TrainConfig::default(), 3)
+/// }
+/// .run()?;
+/// assert_eq!(bare.result.final_hash, checkpointed.result.final_hash);
+/// # Ok::<(), naspipe_core::runtime::TrainError>(())
+/// ```
 ///
-/// Returns a [`TrainError`] naming the failing stage when a worker
-/// panics, a channel closes mid-run, or (in debug builds) the invariant
-/// checker observes a CSP violation.
-///
-/// # Panics
-///
-/// Panics if `gpus == 0`, if `subnets` is not consecutively numbered from
-/// 0, or if a subnet is invalid for `space`.
-pub fn run_threaded(
-    space: &SearchSpace,
-    subnets: Vec<Subnet>,
-    cfg: &TrainConfig,
-    gpus: u32,
-    window: u64,
-) -> Result<TrainResult, TrainError> {
-    run_threaded_observed(space, subnets, cfg, gpus, window).map(|(result, _)| result)
+/// Whatever the options, the result is bitwise equal to
+/// [`sequential_training`](crate::train::sequential_training) for any
+/// `gpus` and `window`: faults, restarts, durable snapshots, telemetry
+/// and diagnostics are all observably zero-effect on training.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// The search space the subnets were drawn from.
+    pub space: &'a SearchSpace,
+    /// The subnets to train, consecutively numbered from 0.
+    pub subnets: Vec<Subnet>,
+    /// Numeric model, optimiser, seed and compute-pool size.
+    pub train: TrainConfig,
+    /// Stage threads (one per simulated GPU).
+    pub gpus: u32,
+    /// Bound on in-flight subnets ([`DEFAULT_WINDOW`]).
+    pub window: u64,
+    /// Fault plan, in-memory CSP-watermark checkpoints and the restart
+    /// budget (default: none of them). A recoverable failure respawns
+    /// every stage from the newest complete checkpoint and replays only
+    /// the tasks past its watermark.
+    pub recovery: RecoveryOptions,
+    /// Live telemetry (default `None`): stage workers tee every metric
+    /// into the hub as it happens, and a sampler thread — which outlives
+    /// supervisor restarts — publishes a snapshot every
+    /// `sample_interval_us` of wall time plus a final one on every exit
+    /// path, after the workers have joined. The sampled series is
+    /// embedded in the returned report.
+    pub telemetry: Option<TelemetryOptions>,
+    /// Durable crash-safe checkpointing (default `None`): every
+    /// completed cut is also persisted to `dir` (see [`crate::durable`]),
+    /// and with `resume` the run first loads the newest valid on-disk
+    /// cut and continues from its watermark — the snapshot at watermark
+    /// `W` *is* the sequential state after `W` subnets. Corrupt snapshot
+    /// files are skipped with a warning; finding none starts from
+    /// scratch. Needs `recovery.checkpoint_interval > 0`.
+    pub durable: Option<DurableOptions>,
+    /// Flight recorder, wall-clock watchdog (the same detectors as the
+    /// DES twin; verdicts folded into the report), flight-dump path and
+    /// ops-plane state. On by default; `enabled = false` turns every
+    /// piece off.
+    pub diagnostics: DiagnosticsOptions,
 }
 
-/// [`run_threaded`] plus the merged per-stage observability report.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_threaded`].
-///
-/// # Panics
-///
-/// Same contract-violation panics as [`run_threaded`].
-pub fn run_threaded_observed(
-    space: &SearchSpace,
-    subnets: Vec<Subnet>,
-    cfg: &TrainConfig,
-    gpus: u32,
-    window: u64,
-) -> Result<(TrainResult, ObsReport), TrainError> {
-    run_threaded_supervised(
-        space,
-        subnets,
-        cfg,
-        gpus,
-        window,
-        &RecoveryOptions::default(),
-    )
-    .map(|run| (run.result, run.report))
+impl<'a> RunSpec<'a> {
+    /// Trains `subnets` on `gpus` stage threads with every option at its
+    /// default: no faults, checkpoints, telemetry or durable snapshots,
+    /// default diagnostics.
+    pub fn new(
+        space: &'a SearchSpace,
+        subnets: Vec<Subnet>,
+        train: TrainConfig,
+        gpus: u32,
+    ) -> Self {
+        RunSpec {
+            space,
+            subnets,
+            train,
+            gpus,
+            window: DEFAULT_WINDOW,
+            recovery: RecoveryOptions::default(),
+            telemetry: None,
+            durable: None,
+            diagnostics: DiagnosticsOptions::default(),
+        }
+    }
+
+    /// The shapes an outside caller (the CLI) can reach.
+    fn validate(&self) -> Result<(), TrainError> {
+        let why = if self.gpus == 0 {
+            "gpus must be positive"
+        } else if self.window == 0 {
+            "window must be positive"
+        } else if self.durable.is_some() && self.recovery.checkpoint_interval == 0 {
+            "durable checkpoints need checkpoint_interval > 0"
+        } else {
+            return Ok(());
+        };
+        Err(TrainError::InvalidSpec(why.to_string()))
+    }
+
+    /// Runs the spec under the supervisor.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::InvalidSpec`] for zero `gpus`/`window` or `durable`
+    /// without a checkpoint interval; [`TrainError::Durable`] when the
+    /// snapshot directory cannot be opened or a resume hits an I/O
+    /// failure; the root-cause [`TrainError`] for unrecoverable failures
+    /// (CSP invariant breaches in debug builds, root-cause channel
+    /// closures, or any failure with `max_restarts == 0`); and
+    /// [`TrainError::RecoveryExhausted`] when the restart budget runs
+    /// out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subnets` is not consecutively numbered from 0 or a
+    /// subnet is invalid for `space` — caller bugs, not inputs.
+    pub fn run(self) -> Result<SupervisedRun, TrainError> {
+        self.validate()?;
+        let (space, cfg, gpus) = (self.space, self.train, self.gpus);
+        let (subnets, opts, diag) = (self.subnets, self.recovery, self.diagnostics);
+        for (i, s) in subnets.iter().enumerate() {
+            assert_eq!(s.seq_id().0, i as u64, "subnets must be numbered from 0");
+            assert!(s.is_valid_for(space), "subnet {s} invalid for space");
+        }
+        if opts.fault_plan.fatal_faults().next().is_some() {
+            crate::fault::silence_injected_panics();
+        }
+        let m = space.num_blocks();
+        let total = subnets.len() as u64;
+        // The run's shared sinks. Built first: the durable resume below
+        // already has notices to emit.
+        let bus = EventBus::new(BusConfig {
+            engine: "threaded",
+            stages: gpus,
+            enabled: diag.enabled,
+            watchdog: &diag.watchdog,
+            flight_dump: diag.flight_dump.as_deref(),
+            ops: diag.ops.as_ref(),
+            telemetry: self.telemetry.as_ref(),
+            wall_clock: true,
+        });
+
+        // Durable persistence: open the on-disk store (and optionally
+        // load the newest valid cut) before any worker starts, so a bad
+        // snapshot directory fails fast and a resume seeds every
+        // incarnation below.
+        let (durable, mut initial_resume) = match &self.durable {
+            Some(d) => {
+                let fp = run_fingerprint(space, &subnets, &cfg, gpus, opts.checkpoint_interval);
+                let store = DurableStore::open(&d.dir, d.keep, fp)
+                    .map_err(|cause| TrainError::Durable { cause })?;
+                let shape = (gpus, total, opts.checkpoint_interval);
+                let cut = if d.resume {
+                    load_durable_cut(&store, shape, &bus)?
+                } else {
+                    None
+                };
+                (Some(store), cut)
+            }
+            None => (None, None),
+        };
+
+        // Resolve the spec once into what every worker of every
+        // incarnation shares.
+        let ctx = Arc::new(RunContext {
+            data: SyntheticDataset::new(cfg.seed, cfg.rows, cfg.dim),
+            train: cfg,
+            partition: Partition::balanced(&vec![1.0; m], gpus),
+            choices: (0..m).map(|b| space.block(b).num_choices()).collect(),
+            window: self.window,
+            injector: FaultInjector::new(opts.fault_plan),
+            recv_timeout: opts.recv_timeout_ms.map(Duration::from_millis),
+            ckpts: (opts.checkpoint_interval > 0).then(|| CheckpointStore::new(gpus as usize)),
+            ckpt_interval: opts.checkpoint_interval,
+            durable,
+            epoch: Instant::now(),
+            bus,
+            subnets,
+        });
+        let (bus, epoch) = (&ctx.bus, ctx.epoch);
+        // Snapshot the shared compute pool's counters so the final report
+        // attributes only this run's fan-out work.
+        let compute_threads = cfg.threads;
+        let pool_base = naspipe_tensor::pool::shared(compute_threads).stats();
+        // Publish the run shape and flip `/readyz` to admitting-work before
+        // any stage thread starts.
+        bus.start(total);
+        // The sampler owns snapshot publication for the whole run (all
+        // incarnations); its drop guard publishes a final snapshot on every
+        // exit path, after the workers have joined.
+        let telemetry = self.telemetry.as_ref();
+        let interval_us = telemetry.map_or(DEFAULT_SAMPLE_INTERVAL_US, |t| t.interval_us());
+        let mut sampler = bus.hub().map(|hub| {
+            let pool = naspipe_tensor::pool::shared(compute_threads);
+            TelemetrySampler::start(
+                SamplerTick {
+                    bus: bus.clone(),
+                    hub: Arc::clone(hub),
+                    epoch,
+                    pool,
+                    pool_base: pool_base.clone(),
+                },
+                interval_us,
+            )
+        });
+
+        let mut master = MetricsRecorder::new();
+        // The supervisor's own recovery accounting, mirrored into the hub
+        // like any worker's counters and merged into `master` at the end.
+        let mut supervisor = TeeRecorder::new(bus.hub().cloned());
+        let mut spans = SpanTrace::default();
+        let mut recovery = RecoveryReport::default();
+        let mut attributed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        let mut incarnation: u32 = 0;
+
+        // Seed the in-memory checkpoint store with the durable cut so
+        // in-process restarts after a fault never fall below the resumed
+        // watermark, and account the cross-process resume per stage.
+        if let Some(cut) = &initial_resume {
+            if let Some(store) = &ctx.ckpts {
+                for (k, s) in cut.stages.iter().enumerate() {
+                    store.record(cut.watermark, k, s.clone(), SpanId::EXTERNAL);
+                }
+            }
+            for k in 0..gpus {
+                supervisor.incr(k, Counter::DurableResume, 1);
+            }
+        }
+
+        loop {
+            let resume: Option<Checkpoint> = if incarnation == 0 {
+                // A durable resume enters incarnation 0 mid-stream: the
+                // workers start exactly as the uninterrupted run's workers
+                // stood after the snapshot's watermark.
+                initial_resume.take()
+            } else {
+                ctx.ckpts.as_ref().and_then(|s| s.latest_complete())
+            };
+            let resume_w = resume.as_ref().map_or(0, |c| c.watermark);
+            if incarnation > 0 {
+                recovery.resume_watermarks.push(resume_w);
+            }
+            // Debug builds cross-check the runtime's interleaving against
+            // the CSP contract — a fresh checker per incarnation, with the
+            // already-trained prefix retired.
+            let checker = if cfg!(debug_assertions) {
+                let mut c = CspChecker::new();
+                for s in ctx.subnets.iter() {
+                    let layers = s.layers().map(|l| {
+                        let owner = ctx
+                            .partition
+                            .stage_of_block(l.block as usize)
+                            .map(|s| s.0)
+                            .unwrap_or(0);
+                        (l, owner)
+                    });
+                    c.register(s.seq_id(), layers)
+                        .expect("subnets numbered uniquely");
+                }
+                c.retire_below(SubnetId(resume_w));
+                Some(Arc::new(Mutex::new(c)))
+            } else {
+                None
+            };
+
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let (notify_tx, notify_rx) = channel::<(usize, ExitNote)>();
+
+            // Channels: stage k receives from one rx; neighbours hold its
+            // tx. The supervisor keeps a clone of every tx so it can
+            // broadcast Stop and wake recv-blocked workers on a failure.
+            let mut txs = Vec::with_capacity(gpus as usize);
+            let mut rxs = Vec::with_capacity(gpus as usize);
+            for _ in 0..gpus {
+                let (tx, rx) = channel();
+                txs.push(tx);
+                rxs.push(rx);
+            }
+
+            let mut handles = Vec::with_capacity(gpus as usize);
+            for k in (0..gpus as usize).rev() {
+                let blocks = ctx.partition.stage_range(StageId(k as u32));
+                // Without a checkpoint the worker initialises its own block
+                // range on its own thread (below), all stages at once.
+                let (params, engine, losses) = match &resume {
+                    Some(ckpt) => {
+                        let s = &ckpt.stages[k];
+                        (s.params.clone(), s.engine.clone(), s.losses.clone())
+                    }
+                    None => (Vec::new(), cfg.engine(), BTreeMap::new()),
+                };
+                let mut finished = FinishedSet::new();
+                for y in 0..resume_w {
+                    finished.insert(SubnetId(y));
+                }
+                let mut worker = StageWorker {
+                    ctx: Arc::clone(&ctx),
+                    stage: k,
+                    writers: LastWriters::new(blocks.start, &ctx.choices[blocks.clone()]),
+                    blocks,
+                    engine,
+                    params,
+                    rx: rxs.remove(k),
+                    next_tx: txs.get(k + 1).cloned(),
+                    prev_tx: k.checked_sub(1).map(|p| txs[p].clone()),
+                    fwd_queue: Vec::new(),
+                    bwd_queue: BTreeMap::new(),
+                    ctxs: BTreeMap::new(),
+                    finished,
+                    finished_count: resume_w,
+                    injected: resume_w,
+                    losses,
+                    recorder: TeeRecorder::new(bus.hub().cloned()),
+                    // Distinct id namespace per (incarnation, stage) so the
+                    // merged trace never collides.
+                    tracer: SpanTracer::with_namespace(
+                        u64::from(incarnation) * u64::from(gpus) + k as u64,
+                    ),
+                    incarnation,
+                    resume_span: resume.as_ref().map_or(SpanId::EXTERNAL, |c| c.cut_span),
+                    checker: checker.clone(),
+                    shutdown: Arc::clone(&shutdown),
+                    next_ckpt: resume_w + opts.checkpoint_interval,
+                    tasks: Vec::new(),
+                };
+                let fresh = resume.is_none();
+                let notify = notify_tx.clone();
+                handles.push((
+                    k,
+                    std::thread::spawn(move || {
+                        let mut guard = ExitGuard {
+                            stage: k,
+                            notify,
+                            armed: true,
+                        };
+                        // Each stage worker runs its numeric kernels on the
+                        // configured compute pool — the software analogue of
+                        // each pipeline stage owning one GPU.
+                        let out = naspipe_tensor::pool::with_threads(compute_threads, || {
+                            if fresh {
+                                worker.init_params();
+                            }
+                            worker.run()
+                        });
+                        guard.armed = false;
+                        let note = match &out {
+                            Ok(_) => ExitNote::Clean,
+                            Err(_) => ExitNote::Failed,
+                        };
+                        let _ = guard.notify.send((k, note));
+                        out
+                    }),
+                ));
+            }
+            drop(notify_tx);
+
+            // React to the first death: raise the shutdown flag and wake
+            // every worker, so survivors park instead of cascading.
+            let mut failure_detected: Option<Instant> = None;
+            for _ in 0..gpus {
+                let (_, note) = notify_rx.recv().expect("every worker notifies once");
+                if matches!(note, ExitNote::Failed) && failure_detected.is_none() {
+                    failure_detected = Some(Instant::now());
+                    shutdown.store(true, Ordering::Release);
+                    for tx in &txs {
+                        let _ = tx.send(Msg::Stop);
+                    }
+                }
+            }
+            drop(txs);
+
+            // Join and classify: a root-cause error (panic, invariant
+            // breach, timeout) beats the channel failures it cascades into.
+            let mut first_error: Option<TrainError> = None;
+            let mut salvaged: Vec<(usize, StageOutput)> = Vec::new();
+            let mut finished_outputs: Vec<(usize, StageOutput)> = Vec::new();
+            for (k, handle) in handles {
+                match handle.join() {
+                    Ok(Ok(WorkerExit::Finished(out))) => finished_outputs.push((k, out)),
+                    Ok(Ok(WorkerExit::Stopped(out))) => salvaged.push((k, out)),
+                    Ok(Err(err)) => note_error(&mut first_error, err),
+                    Err(_) => note_error(&mut first_error, TrainError::StagePanicked { stage: k }),
+                }
+            }
+
+            for i in ctx.injector.fired_indices() {
+                if attributed.insert(i) {
+                    recovery.faults_fired.push(FiredFault {
+                        incarnation,
+                        fault: ctx.injector.fault(i),
+                    });
+                }
+            }
+
+            let Some(err) = first_error else {
+                // Success: every stage finished. Move the slices (stage
+                // ranges are contiguous and ascending) into one store and
+                // assemble the effective task stream.
+                debug_assert_eq!(finished_outputs.len(), gpus as usize);
+                let mut params: Vec<Vec<DenseParams>> = Vec::with_capacity(m);
+                let mut losses: BTreeMap<u64, f32> = BTreeMap::new();
+                let mut real_tasks: Vec<TaskRecord> = Vec::new();
+                finished_outputs.sort_by_key(|(k, _)| *k);
+                for (k, out) in finished_outputs {
+                    debug_assert_eq!(
+                        ctx.partition.stage_range(StageId(k as u32)).start,
+                        params.len()
+                    );
+                    params.extend(out.params);
+                    losses.extend(out.losses);
+                    master.merge(&out.recorder);
+                    let mut tracer = out.tracer;
+                    spans.merge(tracer.take());
+                    real_tasks.extend(out.tasks);
+                }
+                // Stable by-start sort keeps each stage's (already ordered)
+                // stream in order; cross-stage ties don't affect per-layer
+                // access order because each layer has one owner stage.
+                real_tasks.sort_by_key(|t| t.start);
+                let mut tasks = sequential_prefix_tasks(resume_w, &ctx.partition, gpus);
+                tasks.extend(real_tasks);
+                let wall_us = elapsed_us(epoch);
+                let pool_run = naspipe_tensor::pool::shared(compute_threads)
+                    .stats()
+                    .since(&pool_base);
+                // Stop the sampler first: its shutdown publishes the final
+                // snapshot (workers have joined, so the hub is complete),
+                // which must be in the series the report embeds.
+                if let Some(s) = sampler.as_mut() {
+                    s.finish();
+                }
+                master.merge(supervisor.inner());
+                let report = master
+                    .report(wall_us)
+                    .with_meta(RunMeta::new("threaded", gpus).seed(cfg.seed))
+                    .with_pool(pool_worker_obs(&pool_run, wall_us));
+                let report = bus.finish(report, total, Some(recovery.restarts));
+                let subnets = match Arc::try_unwrap(ctx) {
+                    Ok(ctx) => ctx.subnets,
+                    Err(shared) => shared.subnets.clone(),
+                };
+                let store = ParamStore::from_blocks(cfg.dim, params);
+                return Ok(SupervisedRun {
+                    result: TrainResult {
+                        losses: losses.into_iter().collect(),
+                        final_hash: store.bitwise_hash(),
+                        store,
+                    },
+                    report,
+                    recovery,
+                    tasks,
+                    subnets,
+                    spans,
+                });
+            };
+
+            if !err.is_recoverable() || recovery.restarts >= opts.max_restarts {
+                let failed = RunEvent::RunFailed { error: &err };
+                bus.emit(err.stage() as u32, elapsed_us(epoch), failed);
+                return Err(if !err.is_recoverable() || opts.max_restarts == 0 {
+                    err // unrecoverable, or recovery disabled: the root cause itself
+                } else {
+                    TrainError::RecoveryExhausted {
+                        stage: err.stage(),
+                        attempts: recovery.restarts,
+                        last: Box::new(err),
+                    }
+                });
+            }
+
+            // Account the failed incarnation: salvage metrics from the
+            // workers that survived, and count the tasks past the resume
+            // watermark whose effects the rollback discards.
+            let next_resume = ctx
+                .ckpts
+                .as_ref()
+                .and_then(|s| s.latest_complete())
+                .map_or(0, |c| c.watermark);
+            salvaged.extend(finished_outputs);
+            for (k, out) in salvaged {
+                master.merge(&out.recorder);
+                let mut tracer = out.tracer;
+                spans.merge(tracer.take());
+                let replayed = out
+                    .tasks
+                    .iter()
+                    .filter(|t| t.subnet.0 >= next_resume)
+                    .count() as u64;
+                recovery.replayed_tasks += replayed;
+                supervisor.incr(k as u32, Counter::ReplayedTask, replayed);
+            }
+            recovery.restarts += 1;
+            for k in 0..gpus {
+                supervisor.incr(k, Counter::Restart, 1);
+            }
+            incarnation += 1;
+            bus.emit(
+                err.stage() as u32,
+                elapsed_us(epoch),
+                RunEvent::Restart {
+                    incarnation,
+                    watermark: next_resume,
+                    error: &err,
+                },
+            );
+            if let Some(at) = failure_detected {
+                recovery.recovery_latency_us += elapsed_us(at);
+            }
+        }
+    }
 }
 
-/// [`run_threaded`] under a fault-tolerant supervisor: injects the
-/// failure scenario of `opts.fault_plan`, snapshots CSP-watermark
-/// checkpoints every `opts.checkpoint_interval` subnets, and restarts
-/// the pipeline from the newest complete checkpoint when a stage dies —
-/// up to `opts.max_restarts` times. The recovered run replays only
-/// tasks past the watermark and still produces a `final_hash` bitwise
-/// equal to sequential training.
-///
-/// # Errors
-///
-/// Returns the root-cause [`TrainError`] for unrecoverable failures
-/// (CSP invariant breaches, root-cause channel closures, or any failure
-/// with `max_restarts == 0`), and [`TrainError::RecoveryExhausted`]
-/// when the restart budget runs out.
-///
-/// # Panics
-///
-/// Same contract-violation panics as [`run_threaded`].
-pub fn run_threaded_supervised(
-    space: &SearchSpace,
-    subnets: Vec<Subnet>,
-    cfg: &TrainConfig,
-    gpus: u32,
-    window: u64,
-    opts: &RecoveryOptions,
-) -> Result<SupervisedRun, TrainError> {
-    run_threaded_telemetry(space, subnets, cfg, gpus, window, opts, None)
+/// Loads the newest valid cut from `store` for a `--resume`, reporting
+/// skipped files, the resume or the fall back to a fresh start on `bus`.
+/// `shape` is the run's `(stages, subnets, checkpoint interval)`.
+fn load_durable_cut(
+    store: &DurableStore,
+    shape: (u32, u64, u64),
+    bus: &EventBus,
+) -> Result<Option<Checkpoint>, TrainError> {
+    let (gpus, total, interval) = shape;
+    let skip = |skipped: &[(PathBuf, String)]| {
+        for (path, why) in skipped {
+            bus.emit(0, 0, RunEvent::DurableSkip { path, why });
+        }
+    };
+    match store.load_latest() {
+        Ok(loaded) => {
+            skip(&loaded.skipped);
+            let cut = loaded.checkpoint;
+            // The fingerprint already pins gpus/interval/stream; this is
+            // a belt-and-braces shape check.
+            if cut.stages.len() != gpus as usize
+                || cut.watermark > total
+                || !cut.watermark.is_multiple_of(interval)
+            {
+                return Err(TrainError::Durable {
+                    cause: DurableError::Corrupt {
+                        path: loaded.path,
+                        detail: format!(
+                            "cut with {} stages at watermark {} does not fit this \
+                             run ({gpus} stages, {total} subnets, interval {interval})",
+                            cut.stages.len(),
+                            cut.watermark,
+                        ),
+                    },
+                });
+            }
+            let (watermark, path) = (cut.watermark, &*loaded.path);
+            bus.emit(0, 0, RunEvent::DurableResume { watermark, path });
+            Ok(Some(cut))
+        }
+        Err(DurableError::NoSnapshot { dir, skipped }) => {
+            skip(&skipped);
+            bus.emit(0, 0, RunEvent::DurableScratch { dir: &dir });
+            Ok(None)
+        }
+        Err(cause) => Err(TrainError::Durable { cause }),
+    }
 }
 
-/// [`run_threaded_supervised`] with optional live telemetry: stage
-/// workers tee every metric into `telemetry.hub` as it happens, and a
-/// sampler thread publishes [`MetricsSnapshot`]s every
-/// `telemetry.sample_interval_us` of wall time — feeding a concurrently
-/// scrapeable `/metrics` endpoint and (when `telemetry.progress` is
-/// set) a single-line live report on stderr.
-///
-/// The sampler survives supervisor restarts: the hub outlives every
-/// incarnation, the current incarnation is exported as a gauge, and the
-/// supervisor's own recovery accounting (restarts, replayed tasks) is
-/// mirrored into the hub. A final snapshot is published on every exit
-/// path — after the workers have joined, so on a fault-free run its
-/// totals equal the merged [`ObsReport`] — and the sampled series is
-/// embedded in the returned report (JSON schema 4).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_threaded_supervised`].
-///
-/// # Panics
-///
-/// Same contract-violation panics as [`run_threaded`].
-pub fn run_threaded_telemetry(
-    space: &SearchSpace,
-    subnets: Vec<Subnet>,
-    cfg: &TrainConfig,
-    gpus: u32,
-    window: u64,
-    opts: &RecoveryOptions,
-    telemetry: Option<&TelemetryOptions>,
-) -> Result<SupervisedRun, TrainError> {
-    run_threaded_durable(space, subnets, cfg, gpus, window, opts, telemetry, None)
-}
-
-/// [`run_threaded_telemetry`] plus durable crash-safe checkpointing:
-/// every completed CSP-watermark cut is additionally persisted to
-/// `durable.dir` (atomic temp-file + rename, checksummed, retention per
-/// `durable.keep` — see [`crate::durable`]), and with `durable.resume`
-/// the run first loads the newest valid on-disk cut and continues from
-/// its watermark. Resuming after a process death produces a final
-/// parameter hash bitwise-equal to the uninterrupted run — the on-disk
-/// snapshot at watermark `W` *is* the sequential state after `W`
-/// subnets, exactly like the in-memory cuts.
-///
-/// Persistence is observably zero-effect on training: results, task
-/// streams, and recovery schedules are identical with or without it
-/// (only the persist/resume counters and wall-clock time differ).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_threaded_supervised`], plus
-/// [`TrainError::Durable`] when the snapshot directory cannot be opened
-/// or an explicit resume hits an I/O failure. A resume finding no valid
-/// snapshot starts from scratch (not an error); corrupt snapshot files
-/// are skipped with a warning, falling back to the newest valid cut.
-///
-/// # Panics
-///
-/// Same contract-violation panics as [`run_threaded`], plus passing
-/// `durable` with `opts.checkpoint_interval == 0` (there would be
-/// nothing to persist).
-#[allow(clippy::too_many_arguments)]
-pub fn run_threaded_durable(
-    space: &SearchSpace,
-    subnets: Vec<Subnet>,
-    cfg: &TrainConfig,
-    gpus: u32,
-    window: u64,
-    opts: &RecoveryOptions,
-    telemetry: Option<&TelemetryOptions>,
-    durable: Option<&DurableOptions>,
-) -> Result<SupervisedRun, TrainError> {
-    run_threaded_diagnosed(
-        space,
-        subnets,
-        cfg,
-        gpus,
-        window,
-        opts,
-        telemetry,
-        durable,
-        &DiagnosticsOptions::default(),
-    )
-}
-
-/// [`run_threaded_durable`] with explicit diagnostics control: an
-/// always-on bounded per-stage flight recorder (admissions, CSP stalls,
-/// checkpoint cuts, faults, recoveries, pool fan-out), a wall-clock
-/// watchdog running the same detectors as the DES twin (verdicts folded
-/// into the report, trips counted on the telemetry hub and dumped to the
-/// flight path when one is configured), and the deterministic
-/// slow-stage/compute-scale knobs used by `repro doctor`. All of it is
-/// observably zero-effect on training results; `diag.enabled = false`
-/// turns every piece off.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_threaded_durable`].
-///
-/// # Panics
-///
-/// Same contract-violation panics as [`run_threaded_durable`].
+/// The one threaded entry point `benchmark/src/workloads.rs` links by
+/// name; the harness is frozen outside `benchmark` PRs, so this stays
+/// until the `benchmark` PR that moves it to [`RunSpec`] (ROADMAP 1b),
+/// and 1c deletes it. `window == 0` is the harness's "default".
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn run_threaded_diagnosed(
     space: &SearchSpace,
@@ -1249,447 +1704,15 @@ pub fn run_threaded_diagnosed(
     durable: Option<&DurableOptions>,
     diag: &DiagnosticsOptions,
 ) -> Result<SupervisedRun, TrainError> {
-    assert!(gpus > 0, "need at least one stage thread");
-    for (i, s) in subnets.iter().enumerate() {
-        assert_eq!(s.seq_id().0, i as u64, "subnets must be numbered from 0");
-        assert!(s.is_valid_for(space), "subnet {s} invalid for space");
+    RunSpec {
+        window: if window == 0 { DEFAULT_WINDOW } else { window },
+        recovery: opts.clone(),
+        telemetry: telemetry.cloned(),
+        durable: durable.cloned(),
+        diagnostics: diag.clone(),
+        ..RunSpec::new(space, subnets, *cfg, gpus)
     }
-    if opts.fault_plan.fatal_faults().next().is_some() {
-        crate::fault::silence_injected_panics();
-    }
-    let window = if window == 0 { 30 } else { window };
-    let m = space.num_blocks();
-    let partition = Partition::balanced(&vec![1.0; m], gpus);
-    let total = subnets.len() as u64;
-    // The run's shared sinks. Built first: the durable resume below
-    // already has notices to emit.
-    let bus = EventBus::new(BusConfig {
-        engine: "threaded",
-        stages: gpus,
-        enabled: diag.enabled,
-        watchdog: &diag.watchdog,
-        flight_dump: diag.flight_dump.as_deref(),
-        ops: diag.ops.as_ref(),
-        telemetry,
-        wall_clock: true,
-    });
-
-    // Durable persistence: open the on-disk store (and optionally load
-    // the newest valid cut) before any worker starts, so a bad snapshot
-    // directory fails fast and a resume seeds every incarnation below.
-    let mut initial_resume: Option<Checkpoint> = None;
-    let durable_store: Option<Arc<DurableStore>> = match durable {
-        Some(d) => {
-            assert!(
-                opts.checkpoint_interval > 0,
-                "durable checkpoints need checkpoint_interval > 0"
-            );
-            let fp = run_fingerprint(space, &subnets, cfg, gpus, opts.checkpoint_interval);
-            let keep = if d.keep == 0 { DEFAULT_KEEP } else { d.keep };
-            let store = DurableStore::open(&d.dir, keep, fp)
-                .map_err(|cause| TrainError::Durable { cause })?;
-            if d.resume {
-                let skip = |skipped: &[(PathBuf, String)]| {
-                    for (path, why) in skipped {
-                        bus.emit(0, 0, RunEvent::DurableSkip { path, why });
-                    }
-                };
-                match store.load_latest() {
-                    Ok(loaded) => {
-                        skip(&loaded.skipped);
-                        let cut = loaded.checkpoint;
-                        // The fingerprint already pins gpus/interval/
-                        // stream; this is a belt-and-braces shape check.
-                        if cut.stages.len() != gpus as usize
-                            || cut.watermark > total
-                            || !cut.watermark.is_multiple_of(opts.checkpoint_interval)
-                        {
-                            return Err(TrainError::Durable {
-                                cause: DurableError::Corrupt {
-                                    path: loaded.path,
-                                    detail: format!(
-                                        "cut with {} stages at watermark {} does not fit this \
-                                         run ({gpus} stages, {total} subnets, interval {})",
-                                        cut.stages.len(),
-                                        cut.watermark,
-                                        opts.checkpoint_interval
-                                    ),
-                                },
-                            });
-                        }
-                        let (watermark, path) = (cut.watermark, &*loaded.path);
-                        bus.emit(0, 0, RunEvent::DurableResume { watermark, path });
-                        initial_resume = Some(cut);
-                    }
-                    Err(DurableError::NoSnapshot { dir, skipped }) => {
-                        skip(&skipped);
-                        bus.emit(0, 0, RunEvent::DurableScratch { dir: &dir });
-                    }
-                    Err(cause) => return Err(TrainError::Durable { cause }),
-                }
-            }
-            Some(Arc::new(store))
-        }
-        None => None,
-    };
-
-    let subnets = Arc::new(subnets);
-    let data = Arc::new(SyntheticDataset::new(cfg.seed, cfg.rows, cfg.dim));
-    let injector = Arc::new(FaultInjector::new(opts.fault_plan.clone()));
-    let ckpts =
-        (opts.checkpoint_interval > 0).then(|| Arc::new(CheckpointStore::new(gpus as usize)));
-    let recv_timeout = opts.recv_timeout_ms.map(Duration::from_millis);
-    let epoch = Instant::now();
-    // Snapshot the shared compute pool's counters so the final report
-    // attributes only this run's fan-out work.
-    let compute_threads = cfg.threads;
-    let pool_base = naspipe_tensor::pool::shared(compute_threads).stats();
-    // Publish the run shape and flip `/readyz` to admitting-work before
-    // any stage thread starts.
-    bus.start(total);
-    // The sampler owns snapshot publication for the whole run (all
-    // incarnations); its drop guard publishes a final snapshot on every
-    // exit path, after the workers have joined.
-    let interval_us = telemetry.map_or(DEFAULT_SAMPLE_INTERVAL_US, TelemetryOptions::interval_us);
-    let mut sampler = bus.hub().map(|hub| {
-        let pool = naspipe_tensor::pool::shared(compute_threads);
-        TelemetrySampler::start(
-            SamplerTick {
-                bus: bus.clone(),
-                hub: Arc::clone(hub),
-                epoch,
-                pool,
-                pool_base: pool_base.clone(),
-            },
-            interval_us,
-        )
-    });
-
-    let mut master = MetricsRecorder::new();
-    // The supervisor's own recovery accounting, mirrored into the hub
-    // like any worker's counters and merged into `master` at the end.
-    let mut supervisor = TeeRecorder::new(bus.hub().cloned());
-    let mut spans = SpanTrace::default();
-    let mut recovery = RecoveryReport {
-        restarts: 0,
-        resume_watermarks: Vec::new(),
-        faults_fired: Vec::new(),
-        replayed_tasks: 0,
-        recovery_latency_us: 0,
-    };
-    let mut attributed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    let mut incarnation: u32 = 0;
-
-    // Seed the in-memory checkpoint store with the durable cut so
-    // in-process restarts after a fault never fall below the resumed
-    // watermark, and account the cross-process resume per stage.
-    if let Some(cut) = &initial_resume {
-        if let Some(store) = &ckpts {
-            for (k, s) in cut.stages.iter().enumerate() {
-                store.record(cut.watermark, k, s.clone(), SpanId::EXTERNAL);
-            }
-        }
-        for k in 0..gpus {
-            supervisor.incr(k, Counter::DurableResume, 1);
-        }
-    }
-
-    loop {
-        let resume: Option<Checkpoint> = if incarnation == 0 {
-            // A durable resume enters incarnation 0 mid-stream: the
-            // workers start exactly as the uninterrupted run's workers
-            // stood after the snapshot's watermark.
-            initial_resume.clone()
-        } else {
-            ckpts.as_ref().and_then(|s| s.latest_complete())
-        };
-        let resume_w = resume.as_ref().map_or(0, |c| c.watermark);
-        if incarnation > 0 {
-            recovery.resume_watermarks.push(resume_w);
-        }
-        // Debug builds cross-check the runtime's interleaving against
-        // the CSP contract — a fresh checker per incarnation, with the
-        // already-trained prefix retired.
-        let checker = if cfg!(debug_assertions) {
-            let mut c = CspChecker::new();
-            for s in subnets.iter() {
-                let layers = s.layers().map(|l| {
-                    let owner = partition
-                        .stage_of_block(l.block as usize)
-                        .map(|s| s.0)
-                        .unwrap_or(0);
-                    (l, owner)
-                });
-                c.register(s.seq_id(), layers)
-                    .expect("subnets numbered uniquely");
-            }
-            c.retire_below(SubnetId(resume_w));
-            Some(Arc::new(Mutex::new(c)))
-        } else {
-            None
-        };
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (notify_tx, notify_rx) = channel::<(usize, ExitNote)>();
-
-        // Channels: stage k receives from one rx; neighbours hold its
-        // tx. The supervisor keeps a clone of every tx so it can
-        // broadcast Stop and wake recv-blocked workers on a failure.
-        let mut txs = Vec::with_capacity(gpus as usize);
-        let mut rxs = Vec::with_capacity(gpus as usize);
-        for _ in 0..gpus {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-
-        let mut handles = Vec::with_capacity(gpus as usize);
-        for k in (0..gpus as usize).rev() {
-            let blocks = partition.stage_range(StageId(k as u32));
-            let choices: Vec<u32> = blocks
-                .clone()
-                .map(|b| space.block(b).num_choices())
-                .collect();
-            // Without a checkpoint the worker initialises its own block
-            // range on its own thread (below), all stages at once.
-            let (params, engine, losses) = match &resume {
-                Some(ckpt) => {
-                    let s = &ckpt.stages[k];
-                    (s.params.clone(), s.engine.clone(), s.losses.clone())
-                }
-                None => (Vec::new(), cfg.engine(), BTreeMap::new()),
-            };
-            let fresh = resume.is_none();
-            let (dim, seed) = (cfg.dim, cfg.seed);
-            let mut finished = FinishedSet::new();
-            for y in 0..resume_w {
-                finished.insert(SubnetId(y));
-            }
-            let mut worker = StageWorker {
-                stage: k,
-                writers: LastWriters::new(blocks.start, &choices),
-                blocks,
-                last: k == gpus as usize - 1,
-                total,
-                window,
-                subnets: Arc::clone(&subnets),
-                data: Arc::clone(&data),
-                engine,
-                params,
-                rx: rxs.remove(k),
-                next_tx: txs.get(k + 1).cloned(),
-                prev_tx: if k > 0 {
-                    Some(txs[k - 1].clone())
-                } else {
-                    None
-                },
-                fwd_queue: Vec::new(),
-                bwd_queue: BTreeMap::new(),
-                ctxs: BTreeMap::new(),
-                finished,
-                finished_count: resume_w,
-                injected: resume_w,
-                losses,
-                recorder: TeeRecorder::new(bus.hub().cloned()),
-                // Distinct id namespace per (incarnation, stage) so the
-                // merged trace never collides.
-                tracer: SpanTracer::with_namespace(
-                    u64::from(incarnation) * u64::from(gpus) + k as u64,
-                ),
-                incarnation,
-                resume_span: resume.as_ref().map_or(SpanId::EXTERNAL, |c| c.cut_span),
-                checker: checker.clone(),
-                shutdown: Arc::clone(&shutdown),
-                injector: Arc::clone(&injector),
-                max_retries: opts.fault_plan.max_retries(),
-                backoff_us: opts.fault_plan.backoff_us(),
-                ckpts: ckpts.clone(),
-                durable: durable_store.clone(),
-                ckpt_interval: opts.checkpoint_interval,
-                next_ckpt: resume_w + opts.checkpoint_interval,
-                recv_timeout,
-                epoch,
-                tasks: Vec::new(),
-                bus: bus.clone(),
-            };
-            let notify = notify_tx.clone();
-            handles.push((
-                k,
-                std::thread::spawn(move || {
-                    let mut guard = ExitGuard {
-                        stage: k,
-                        notify,
-                        armed: true,
-                    };
-                    // Each stage worker runs its numeric kernels on the
-                    // configured compute pool — the software analogue of
-                    // each pipeline stage owning one GPU.
-                    let out = naspipe_tensor::pool::with_threads(compute_threads, || {
-                        if fresh {
-                            worker.params = (worker.blocks.clone().zip(&choices))
-                                .map(|(b, &c)| ParamStore::init_block(dim, seed, b, c))
-                                .collect();
-                        }
-                        worker.run()
-                    });
-                    guard.armed = false;
-                    let note = match &out {
-                        Ok(_) => ExitNote::Clean,
-                        Err(_) => ExitNote::Failed,
-                    };
-                    let _ = guard.notify.send((k, note));
-                    out
-                }),
-            ));
-        }
-        drop(notify_tx);
-
-        // React to the first death: raise the shutdown flag and wake
-        // every worker, so survivors park instead of cascading.
-        let mut failure_detected: Option<Instant> = None;
-        for _ in 0..gpus {
-            let (_, note) = notify_rx.recv().expect("every worker notifies once");
-            if matches!(note, ExitNote::Failed) && failure_detected.is_none() {
-                failure_detected = Some(Instant::now());
-                shutdown.store(true, Ordering::Release);
-                for tx in &txs {
-                    let _ = tx.send(Msg::Stop);
-                }
-            }
-        }
-        drop(txs);
-
-        // Join and classify: a root-cause error (panic, invariant
-        // breach, timeout) beats the channel failures it cascades into.
-        let mut first_error: Option<TrainError> = None;
-        let mut salvaged: Vec<(usize, StageOutput)> = Vec::new();
-        let mut finished_outputs: Vec<(usize, StageOutput)> = Vec::new();
-        for (k, handle) in handles {
-            match handle.join() {
-                Ok(Ok(WorkerExit::Finished(out))) => finished_outputs.push((k, out)),
-                Ok(Ok(WorkerExit::Stopped(out))) => salvaged.push((k, out)),
-                Ok(Err(err)) => note_error(&mut first_error, err),
-                Err(_) => note_error(&mut first_error, TrainError::StagePanicked { stage: k }),
-            }
-        }
-
-        for i in injector.fired_indices() {
-            if attributed.insert(i) {
-                recovery.faults_fired.push(FiredFault {
-                    incarnation,
-                    fault: injector.fault(i),
-                });
-            }
-        }
-
-        let Some(err) = first_error else {
-            // Success: every stage finished. Move the slices (stage
-            // ranges are contiguous and ascending) into one store and
-            // assemble the effective task stream.
-            debug_assert_eq!(finished_outputs.len(), gpus as usize);
-            let mut params: Vec<Vec<DenseParams>> = Vec::with_capacity(m);
-            let mut losses: BTreeMap<u64, f32> = BTreeMap::new();
-            let mut real_tasks: Vec<TaskRecord> = Vec::new();
-            finished_outputs.sort_by_key(|(k, _)| *k);
-            for (k, out) in finished_outputs {
-                debug_assert_eq!(partition.stage_range(StageId(k as u32)).start, params.len());
-                params.extend(out.params);
-                losses.extend(out.losses);
-                master.merge(&out.recorder);
-                let mut tracer = out.tracer;
-                spans.merge(tracer.take());
-                real_tasks.extend(out.tasks);
-            }
-            // Stable by-start sort keeps each stage's (already ordered)
-            // stream in order; cross-stage ties don't affect per-layer
-            // access order because each layer has one owner stage.
-            real_tasks.sort_by_key(|t| t.start);
-            let mut tasks = sequential_prefix_tasks(resume_w, &partition, gpus);
-            tasks.extend(real_tasks);
-            let wall_us = elapsed_us(epoch);
-            let pool_run = naspipe_tensor::pool::shared(compute_threads)
-                .stats()
-                .since(&pool_base);
-            // Stop the sampler first: its shutdown publishes the final
-            // snapshot (workers have joined, so the hub is complete),
-            // which must be in the series the report embeds.
-            if let Some(s) = sampler.as_mut() {
-                s.finish();
-            }
-            master.merge(supervisor.inner());
-            let report = master
-                .report(wall_us)
-                .with_meta(RunMeta::new("threaded", gpus).seed(cfg.seed))
-                .with_pool(pool_worker_obs(&pool_run, wall_us));
-            let report = bus.finish(report, total, Some(recovery.restarts));
-            let subnets = Arc::try_unwrap(subnets).unwrap_or_else(|a| (*a).clone());
-            let store = ParamStore::from_blocks(cfg.dim, params);
-            return Ok(SupervisedRun {
-                result: TrainResult {
-                    losses: losses.into_iter().collect(),
-                    final_hash: store.bitwise_hash(),
-                    store,
-                },
-                report,
-                recovery,
-                tasks,
-                subnets,
-                spans,
-            });
-        };
-
-        if !err.is_recoverable() || recovery.restarts >= opts.max_restarts {
-            let failed = RunEvent::RunFailed { error: &err };
-            bus.emit(err.stage() as u32, elapsed_us(epoch), failed);
-            return Err(if !err.is_recoverable() || opts.max_restarts == 0 {
-                err // unrecoverable, or recovery disabled: the root cause itself
-            } else {
-                TrainError::RecoveryExhausted {
-                    stage: err.stage(),
-                    attempts: recovery.restarts,
-                    last: Box::new(err),
-                }
-            });
-        }
-
-        // Account the failed incarnation: salvage metrics from the
-        // workers that survived, and count the tasks past the resume
-        // watermark whose effects the rollback discards.
-        let next_resume = ckpts
-            .as_ref()
-            .and_then(|s| s.latest_complete())
-            .map_or(0, |c| c.watermark);
-        salvaged.extend(finished_outputs);
-        for (k, out) in salvaged {
-            master.merge(&out.recorder);
-            let mut tracer = out.tracer;
-            spans.merge(tracer.take());
-            let replayed = out
-                .tasks
-                .iter()
-                .filter(|t| t.subnet.0 >= next_resume)
-                .count() as u64;
-            recovery.replayed_tasks += replayed;
-            supervisor.incr(k as u32, Counter::ReplayedTask, replayed);
-        }
-        recovery.restarts += 1;
-        for k in 0..gpus {
-            supervisor.incr(k, Counter::Restart, 1);
-        }
-        incarnation += 1;
-        bus.emit(
-            err.stage() as u32,
-            elapsed_us(epoch),
-            RunEvent::Restart {
-                incarnation,
-                watermark: next_resume,
-                error: &err,
-            },
-        );
-        if let Some(at) = failure_detected {
-            recovery.recovery_latency_us += elapsed_us(at);
-        }
-    }
+    .run()
 }
 
 /// One wall-clock sample: the shared pool's run delta goes into the hub,
@@ -1712,7 +1735,7 @@ impl SamplerTick {
     }
 }
 
-/// The wall-clock sampler behind [`run_threaded_telemetry`]: a thread
+/// The wall-clock sampler behind [`RunSpec::telemetry`]: a thread
 /// that takes a [`SamplerTick`] every interval. Stopping it (explicitly
 /// via [`finish`](Self::finish) or implicitly on drop, so every
 /// supervisor exit path is covered) takes one final sample over the
@@ -1802,28 +1825,18 @@ fn note_error(first: &mut Option<TrainError>, err: TrainError) {
 /// [`verify_csp_order_parts`](crate::repro::verify_csp_order_parts)
 /// requires of the checkpointed prefix.
 fn sequential_prefix_tasks(upto: u64, partition: &Partition, gpus: u32) -> Vec<TaskRecord> {
+    let task = |kind, y, k| TaskRecord {
+        start: SimTime::from_us(0),
+        end: SimTime::from_us(0),
+        kind,
+        subnet: SubnetId(y),
+        stage: StageId(k),
+        blocks: partition.stage_range(StageId(k)),
+    };
     let mut tasks = Vec::with_capacity(upto as usize * gpus as usize * 2);
     for y in 0..upto {
-        for k in 0..gpus {
-            tasks.push(TaskRecord {
-                start: SimTime::from_us(0),
-                end: SimTime::from_us(0),
-                kind: TaskKind::Forward,
-                subnet: SubnetId(y),
-                stage: StageId(k),
-                blocks: partition.stage_range(StageId(k)),
-            });
-        }
-        for k in (0..gpus).rev() {
-            tasks.push(TaskRecord {
-                start: SimTime::from_us(0),
-                end: SimTime::from_us(0),
-                kind: TaskKind::Backward,
-                subnet: SubnetId(y),
-                stage: StageId(k),
-                blocks: partition.stage_range(StageId(k)),
-            });
-        }
+        tasks.extend((0..gpus).map(|k| task(TaskKind::Forward, y, k)));
+        tasks.extend((0..gpus).rev().map(|k| task(TaskKind::Backward, y, k)));
     }
     tasks
 }
@@ -1854,8 +1867,10 @@ mod tests {
         // Every stage initialises its own block range; together they
         // must be the store `sequential_training` starts from.
         for gpus in [1, 2, 3, 4] {
-            let res =
-                run_threaded(&space, list.clone(), &cfg, gpus, 0).expect("threaded run succeeds");
+            let res = RunSpec::new(&space, list.clone(), cfg, gpus)
+                .run()
+                .expect("threaded run succeeds")
+                .result;
             assert_eq!(
                 res.final_hash, seq.final_hash,
                 "threaded run on {gpus} threads diverged"
@@ -1870,8 +1885,12 @@ mod tests {
         let space = space();
         let list = subnets(&space, 25);
         let cfg = TrainConfig::default();
-        let a = run_threaded(&space, list.clone(), &cfg, 4, 8).unwrap();
-        let b = run_threaded(&space, list, &cfg, 4, 8).unwrap();
+        let spec = RunSpec {
+            window: 8,
+            ..RunSpec::new(&space, list, cfg, 4)
+        };
+        let a = spec.clone().run().unwrap().result;
+        let b = spec.run().unwrap().result;
         assert_eq!(a.final_hash, b.final_hash);
     }
 
@@ -1880,8 +1899,20 @@ mod tests {
         let space = space();
         let list = subnets(&space, 20);
         let cfg = TrainConfig::default();
-        let small = run_threaded(&space, list.clone(), &cfg, 2, 2).unwrap();
-        let large = run_threaded(&space, list, &cfg, 2, 16).unwrap();
+        let small = RunSpec {
+            window: 2,
+            ..RunSpec::new(&space, list.clone(), cfg, 2)
+        }
+        .run()
+        .unwrap()
+        .result;
+        let large = RunSpec {
+            window: 16,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .unwrap()
+        .result;
         assert_eq!(small.final_hash, large.final_hash);
     }
 
@@ -1891,7 +1922,7 @@ mod tests {
         let list = subnets(&space, 10);
         let cfg = TrainConfig::default();
         let seq = sequential_training(&space, &list, &cfg);
-        let res = run_threaded(&space, list, &cfg, 6, 0).unwrap();
+        let res = RunSpec::new(&space, list, cfg, 6).run().unwrap().result;
         assert_eq!(res.final_hash, seq.final_hash);
     }
 
@@ -1949,7 +1980,7 @@ mod tests {
         let space = space();
         let list = subnets(&space, 12);
         let cfg = TrainConfig::default();
-        let (_, report) = run_threaded_observed(&space, list, &cfg, 3, 0).unwrap();
+        let report = RunSpec::new(&space, list, cfg, 3).run().unwrap().report;
         assert_eq!(report.stages.len(), 3);
         for s in &report.stages {
             // Every stage runs every subnet's forward and backward once.
@@ -1974,10 +2005,11 @@ mod tests {
             threads: 1,
             ..TrainConfig::default()
         };
-        let (serial, serial_report) =
-            run_threaded_observed(&space, list.clone(), &base, 2, 0).unwrap();
+        let run = RunSpec::new(&space, list.clone(), base, 2).run().unwrap();
+        let (serial, serial_report) = (run.result, run.report);
         let cfg = TrainConfig { threads: 4, ..base };
-        let (parallel, report) = run_threaded_observed(&space, list.clone(), &cfg, 2, 0).unwrap();
+        let run = RunSpec::new(&space, list.clone(), cfg, 2).run().unwrap();
+        let (parallel, report) = (run.result, run.report);
         assert_eq!(serial.final_hash, parallel.final_hash);
         assert_eq!(
             serial.final_hash,
@@ -2014,7 +2046,36 @@ mod tests {
     fn misnumbered_subnets_panic() {
         let space = space();
         let list = vec![Subnet::new(SubnetId(3), vec![0; 8])];
-        let _ = run_threaded(&space, list, &TrainConfig::default(), 2, 0);
+        let _ = RunSpec::new(&space, list, TrainConfig::default(), 2).run();
+    }
+
+    #[test]
+    fn unrunnable_specs_are_typed_errors_before_anything_starts() {
+        let space = space();
+        let spec = |gpus| RunSpec::new(&space, subnets(&space, 4), TrainConfig::default(), gpus);
+        let why = |spec: RunSpec| match spec.run() {
+            Err(TrainError::InvalidSpec(why)) => why,
+            Err(other) => panic!("expected InvalidSpec, got {other}"),
+            Ok(_) => panic!("expected InvalidSpec, got a finished run"),
+        };
+        assert_eq!(why(spec(0)), "gpus must be positive");
+        let windowless = RunSpec {
+            window: 0,
+            ..spec(2)
+        };
+        assert_eq!(why(windowless), "window must be positive");
+        // The directory is never touched: validation precedes the open.
+        let uncut = RunSpec {
+            durable: Some(DurableOptions::new("/nonexistent/naspipe-unrunnable")),
+            ..spec(2)
+        };
+        assert_eq!(
+            why(uncut),
+            "durable checkpoints need checkpoint_interval > 0"
+        );
+        let err = TrainError::InvalidSpec("gpus must be positive".into());
+        assert_eq!(err.to_string(), "invalid run spec: gpus must be positive");
+        assert_eq!(err.stage(), 0);
     }
 
     #[test]
@@ -2053,9 +2114,13 @@ mod tests {
             fault_plan: FaultPlan::new().panic_on(1, 5, TaskKind::Forward),
             ..RecoveryOptions::default()
         };
-        let err = run_threaded_supervised(&space, list, &cfg, 3, 0, &opts)
-            .err()
-            .expect("fatal fault with max_restarts=0 must fail");
+        let err = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 3)
+        }
+        .run()
+        .err()
+        .expect("fatal fault with max_restarts=0 must fail");
         assert_eq!(err, TrainError::StagePanicked { stage: 1 });
     }
 
@@ -2071,8 +2136,12 @@ mod tests {
             max_restarts: 2,
             recv_timeout_ms: None,
         };
-        let run = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts)
-            .expect("recovers from one panic");
+        let run = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .expect("recovers from one panic");
         assert_eq!(run.result.final_hash, seq.final_hash);
         assert_eq!(run.result.losses, seq.losses);
         assert_eq!(run.recovery.restarts, 1);
@@ -2101,8 +2170,12 @@ mod tests {
             max_restarts: 1,
             recv_timeout_ms: None,
         };
-        let run = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts)
-            .expect("transients retried in place");
+        let run = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .expect("transients retried in place");
         assert_eq!(run.result.final_hash, seq.final_hash);
         assert_eq!(run.recovery.restarts, 0);
         assert_eq!(run.report.retries(), 3, "2 send + 1 recv retries");
@@ -2120,7 +2193,12 @@ mod tests {
             fault_plan: FaultPlan::new().slow(1, 2, TaskKind::Forward, 20),
             ..RecoveryOptions::default()
         };
-        let run = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts).expect("slow is benign");
+        let run = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .expect("slow is benign");
         assert_eq!(run.result.final_hash, seq.final_hash);
         assert_eq!(run.recovery.restarts, 0);
     }
@@ -2141,9 +2219,13 @@ mod tests {
             max_restarts: 1,
             recv_timeout_ms: None,
         };
-        let err = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts)
-            .err()
-            .expect("two panics exceed a one-restart budget");
+        let err = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .err()
+        .expect("two panics exceed a one-restart budget");
         match &err {
             TrainError::RecoveryExhausted { attempts, last, .. } => {
                 assert_eq!(*attempts, 1);
@@ -2172,8 +2254,12 @@ mod tests {
             max_restarts: 1,
             recv_timeout_ms: None,
         };
-        let run = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts)
-            .expect("momentum state survives recovery");
+        let run = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .expect("momentum state survives recovery");
         assert_eq!(run.result.final_hash, seq.final_hash);
         assert_eq!(run.recovery.restarts, 1);
     }
@@ -2195,8 +2281,13 @@ mod tests {
             fault_plan: FaultPlan::new().slow(1, 0, TaskKind::Forward, 40),
             ..RecoveryOptions::default()
         };
-        let run =
-            run_threaded_supervised(&space, list, &cfg, 2, 16, &opts).expect("slow is benign");
+        let run = RunSpec {
+            window: 16,
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .expect("slow is benign");
         assert_eq!(run.result.final_hash, seq.final_hash);
         let s1 = &run.report.stages[1];
         assert!(
@@ -2217,8 +2308,7 @@ mod tests {
         let list = subnets(&space, n as usize);
         let cfg = TrainConfig::default();
         let gpus = 3u32;
-        let run = run_threaded_supervised(&space, list, &cfg, gpus, 0, &RecoveryOptions::default())
-            .unwrap();
+        let run = RunSpec::new(&space, list, cfg, gpus).run().unwrap();
         assert_eq!(run.report.meta.engine, "threaded");
         assert_eq!(run.report.meta.stages, gpus);
         assert_eq!(run.report.meta.seed, Some(cfg.seed));
@@ -2266,8 +2356,12 @@ mod tests {
             max_restarts: 2,
             recv_timeout_ms: None,
         };
-        let run = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts)
-            .expect("recovers from one panic");
+        let run = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        }
+        .run()
+        .expect("recovers from one panic");
         assert!(
             run.spans.of_kind(SpanKind::Checkpoint).count() > 0,
             "watermark snapshots must be traced"
@@ -2314,8 +2408,12 @@ mod tests {
             recv_timeout_ms: None,
         };
         let seq = sequential_training(&space, &list, &cfg);
-        let a = run_threaded_supervised(&space, list.clone(), &cfg, 2, 0, &opts).unwrap();
-        let b = run_threaded_supervised(&space, list, &cfg, 2, 0, &opts).unwrap();
+        let spec = RunSpec {
+            recovery: opts,
+            ..RunSpec::new(&space, list, cfg, 2)
+        };
+        let a = spec.clone().run().unwrap();
+        let b = spec.run().unwrap();
         assert_eq!(a.result.final_hash, seq.final_hash);
         assert_eq!(b.result.final_hash, seq.final_hash);
         assert_eq!(

@@ -278,7 +278,7 @@ pub fn search_best_subnet(
 mod tests {
     use super::*;
     use crate::config::{PipelineConfig, SyncPolicy};
-    use crate::pipeline::run_pipeline_with_subnets;
+    use crate::pipeline::SimSpec;
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 
@@ -312,7 +312,12 @@ mod tests {
             sample_interval_us: 0,
             diagnostics: Default::default(),
         };
-        run_pipeline_with_subnets(space, &cfg, subnets).unwrap()
+        SimSpec {
+            subnets: Some(subnets),
+            ..SimSpec::new(space, &cfg)
+        }
+        .run()
+        .unwrap()
     }
 
     #[test]

@@ -29,13 +29,14 @@ use std::io::{BufRead, Write};
 ///
 /// ```
 /// use naspipe_core::config::PipelineConfig;
-/// use naspipe_core::pipeline::run_pipeline;
+/// use naspipe_core::pipeline::SimSpec;
 /// use naspipe_core::transcript::Transcript;
 /// use naspipe_supernet::space::SearchSpace;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let space = SearchSpace::nlp_c3();
-/// let out = run_pipeline(&space, &PipelineConfig::naspipe(2, 4).with_batch(8))?;
+/// let config = PipelineConfig::naspipe(2, 4).with_batch(8);
+/// let out = SimSpec::new(&space, &config).run()?;
 /// let text = Transcript::from_outcome(&out).to_text();
 /// let parsed = Transcript::read(&mut text.as_bytes())?;
 /// assert_eq!(parsed.tasks.len(), 4 * 2 * 2);
@@ -355,7 +356,7 @@ pub fn replay_transcript(
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::pipeline::run_pipeline_with_subnets;
+    use crate::pipeline::SimSpec;
     use crate::train::{replay_training, TrainConfig};
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -365,7 +366,12 @@ mod tests {
         let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
         let subnets = UniformSampler::new(&space, 3).take_subnets(12);
         let cfg = PipelineConfig::naspipe(4, 12).with_batch(16).with_seed(3);
-        let out = run_pipeline_with_subnets(&space, &cfg, subnets).unwrap();
+        let out = SimSpec {
+            subnets: Some(subnets),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
         (space, out)
     }
 

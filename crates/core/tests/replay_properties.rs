@@ -5,7 +5,7 @@
 #![cfg(feature = "proptest-tests")]
 
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, sequential_training, TrainConfig};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -29,7 +29,9 @@ proptest! {
         let space = SearchSpace::uniform(Domain::Nlp, 4, 3);
         let subnets = UniformSampler::new(&space, seed).take_subnets(n as usize);
         let pcfg = PipelineConfig::naspipe(gpus, n).with_batch(16).with_seed(seed);
-        let outcome = run_pipeline_with_subnets(&space, &pcfg, subnets.clone())
+        let mut spec = SimSpec::new(&space, &pcfg);
+        spec.subnets = Some(subnets.clone());
+        let outcome = spec.run()
             .expect("fixed-batch schedule runs");
         let cfg = TrainConfig {
             dim: 128,

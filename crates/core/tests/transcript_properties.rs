@@ -5,7 +5,7 @@
 #![cfg(feature = "proptest-tests")]
 
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::replay_gate::{parse_golden, regenerate, render_golden, CaseEngine, CaseSpec};
 use naspipe_core::transcript::Transcript;
 use naspipe_supernet::layer::Domain;
@@ -29,7 +29,9 @@ proptest! {
         let space = SearchSpace::uniform(Domain::Nlp, blocks, choices);
         let subnets = UniformSampler::new(&space, seed).take_subnets(n as usize);
         let cfg = PipelineConfig::naspipe(gpus, n).with_batch(16).with_seed(seed);
-        let outcome = run_pipeline_with_subnets(&space, &cfg, subnets)
+        let mut spec = SimSpec::new(&space, &cfg);
+        spec.subnets = Some(subnets);
+        let outcome = spec.run()
             .expect("fixed-batch schedule runs");
         let transcript = Transcript::from_outcome(&outcome);
         let text = transcript.to_text();

@@ -404,11 +404,6 @@ impl SpanTrace {
         self.spans.iter().filter(move |s| s.kind == kind)
     }
 
-    /// Spans on one stage, in time order.
-    pub fn on_stage(&self, stage: u32) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.stage == stage)
-    }
-
     /// Number of stages spanned (max stage index + 1; 0 when empty).
     pub fn num_stages(&self) -> u32 {
         self.spans.iter().map(|s| s.stage + 1).max().unwrap_or(0)

@@ -16,7 +16,6 @@
 
 use crate::metrics::{Counter, Sample};
 use crate::telemetry::MetricsSnapshot;
-use std::fmt::Write as _;
 
 /// Detector thresholds. The defaults are intentionally conservative —
 /// a clean uniform run must stay at zero trips across the seed matrix
@@ -279,15 +278,6 @@ impl Watchdog {
         self.prev_at_us = Some(at);
         verdicts
     }
-}
-
-/// Renders verdicts as the one-line-each block the text report embeds.
-pub fn render_verdicts(verdicts: &[WatchdogVerdict]) -> String {
-    let mut out = String::new();
-    for v in verdicts {
-        let _ = writeln!(out, "{}", v.render());
-    }
-    out
 }
 
 #[cfg(test)]

@@ -120,16 +120,6 @@ impl Cluster {
         &mut self.pcie[id.0 as usize]
     }
 
-    /// The link carrying activations/gradients from stage `from` to stage
-    /// `from + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is the last stage or out of range.
-    pub fn stage_link_mut(&mut self, from: GpuId) -> &mut Link {
-        &mut self.stage_links[from.0 as usize]
-    }
-
     /// Latency model for sending `bytes` of activations between adjacent
     /// stages without occupying the link exclusively (overlapped
     /// communication, CSP definition's second property).

@@ -7,7 +7,7 @@
 //! ```
 
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
-use naspipe_core::pipeline::{run_pipeline_with_subnets, PipelineError};
+use naspipe_core::pipeline::{PipelineError, SimSpec};
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
@@ -78,7 +78,11 @@ fn main() {
             sample_interval_us: 0,
             diagnostics: Default::default(),
         };
-        match run_pipeline_with_subnets(&space, &cfg, subnets.clone()) {
+        let spec = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        };
+        match spec.run() {
             Ok(out) => {
                 let r = &out.report;
                 let t = r.throughput_samples_per_sec();

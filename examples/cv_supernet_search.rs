@@ -7,7 +7,7 @@
 //! ```
 
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, search_best_subnet, TrainConfig};
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
@@ -27,7 +27,12 @@ fn main() {
     let mut reference: Option<(u64, String)> = None;
     for gpus in [4u32, 8, 16] {
         let cfg = PipelineConfig::naspipe(gpus, steps).with_seed(11);
-        let outcome = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).expect("CV.c2 fits");
+        let outcome = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .expect("CV.c2 fits");
         let trained = replay_training(&space, &outcome, &train_cfg);
         let (val_loss, best) = search_best_subnet(&space, &trained.store, &train_cfg, 64);
         let r = &outcome.report;

@@ -7,7 +7,7 @@
 //! ```
 
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
 use naspipe_supernet::hybrid::{HybridSampler, HybridSpace, SlimmableSampler};
 use naspipe_supernet::layer::Domain;
@@ -50,7 +50,12 @@ fn main() {
         let pc = PipelineConfig::naspipe(gpus, n)
             .with_batch(32)
             .with_seed(42);
-        let out = run_pipeline_with_subnets(hybrid.union(), &pc, subnets.clone()).unwrap();
+        let out = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(hybrid.union(), &pc)
+        }
+        .run()
+        .unwrap();
         let trained = replay_training(hybrid.union(), &out, &cfg);
         println!(
             "{gpus} GPUs: bubble {:.2}, hit {:.1}%, full hash {:016x}",
@@ -81,7 +86,12 @@ fn main() {
         depths.iter().sum::<usize>() as f64 / depths.len() as f64,
     );
     let pc = PipelineConfig::naspipe(4, 48).with_batch(32).with_seed(7);
-    let out = run_pipeline_with_subnets(&space, &pc, slim).unwrap();
+    let out = SimSpec {
+        subnets: Some(slim),
+        ..SimSpec::new(&space, &pc)
+    }
+    .run()
+    .unwrap();
     let trained = replay_training(&space, &out, &cfg);
     println!(
         "  trained reproducibly: hash {:016x}, converged loss {:.4}",

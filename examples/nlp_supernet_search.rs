@@ -9,7 +9,7 @@
 //! ```
 
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::repro::verify_csp_order;
 use naspipe_core::train::{replay_training, search_best_subnet, TrainConfig};
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -24,8 +24,12 @@ fn main() {
     // Phase 1: supernet training on 8 pipelined GPUs under CSP.
     println!("phase 1: training {steps} subnets on NLP.c2 over 8 simulated GPUs...");
     let cfg = PipelineConfig::naspipe(8, steps).with_seed(7);
-    let outcome =
-        run_pipeline_with_subnets(&space, &cfg, subnets).expect("NLP.c2 fits with swapping");
+    let outcome = SimSpec {
+        subnets: Some(subnets),
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
+    .expect("NLP.c2 fits with swapping");
     println!(
         "  throughput {:.0} samples/s, bubble {:.2}, cache hit {:.1}%, {:.0} subnets/h",
         outcome.report.throughput_samples_per_sec(),

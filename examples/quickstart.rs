@@ -7,7 +7,7 @@
 //! ```
 
 use naspipe_core::config::PipelineConfig;
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, sequential_training, TrainConfig};
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
@@ -45,8 +45,12 @@ fn main() {
     //    simulated GPUs; replay each schedule numerically.
     for gpus in [2u32, 4, 8] {
         let cfg = PipelineConfig::naspipe(gpus, subnets.len() as u64).with_batch(32);
-        let outcome =
-            run_pipeline_with_subnets(&space, &cfg, subnets.clone()).expect("pipeline runs");
+        let outcome = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .expect("pipeline runs");
         let result = replay_training(&space, &outcome, &train_cfg);
         let same = result.final_hash == reference.final_hash;
         println!(

@@ -11,9 +11,9 @@
 //! ```
 
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
-use naspipe_core::pipeline::run_pipeline_with_subnets;
+use naspipe_core::pipeline::SimSpec;
 use naspipe_core::repro::{layer_access_order, most_contended_layer};
-use naspipe_core::runtime::run_threaded;
+use naspipe_core::runtime::RunSpec;
 use naspipe_core::train::{replay_training, sequential_training, TrainConfig};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -45,7 +45,12 @@ fn main() {
     // Pick an interesting shared layer from a reference schedule.
     let probe = {
         let cfg = PipelineConfig::naspipe(4, 24).with_batch(16);
-        let out = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap();
+        let out = SimSpec {
+            subnets: Some(subnets.clone()),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
         most_contended_layer(&out, 3).expect("a contended layer exists")
     };
     println!("observed layer: {probe}\n");
@@ -70,7 +75,12 @@ fn main() {
                 sample_interval_us: 0,
                 diagnostics: Default::default(),
             };
-            let out = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap();
+            let out = SimSpec {
+                subnets: Some(subnets.clone()),
+                ..SimSpec::new(&space, &cfg)
+            }
+            .run()
+            .unwrap();
             let order = layer_access_order(&out, probe);
             let trained = replay_training(&space, &out, &train_cfg);
             println!("  {gpus} GPUs: {}", order.notation());
@@ -100,8 +110,13 @@ fn main() {
     // executions, the result must not.
     println!("== threaded CSP runtime (real OS threads, 4 stages) ==");
     for attempt in 1..=3 {
-        let res =
-            run_threaded(&space, subnets.clone(), &train_cfg, 4, 8).expect("threaded run succeeds");
+        let res = RunSpec {
+            window: 8,
+            ..RunSpec::new(&space, subnets.clone(), train_cfg, 4)
+        }
+        .run()
+        .expect("threaded run succeeds")
+        .result;
         assert_eq!(res.final_hash, reference.final_hash);
         println!(
             "  run {attempt}: hash {:016x} == sequential",

@@ -20,11 +20,12 @@
 //!
 //! ```
 //! use naspipe::core::config::PipelineConfig;
-//! use naspipe::core::pipeline::run_pipeline;
+//! use naspipe::core::pipeline::SimSpec;
 //! use naspipe::supernet::space::SearchSpace;
 //!
 //! let space = SearchSpace::nlp_c3();
-//! let outcome = run_pipeline(&space, &PipelineConfig::naspipe(4, 10))?;
+//! let config = PipelineConfig::naspipe(4, 10);
+//! let outcome = SimSpec::new(&space, &config).run()?;
 //! assert_eq!(outcome.report.subnets_completed, 10);
 //! # Ok::<(), naspipe::core::pipeline::PipelineError>(())
 //! ```

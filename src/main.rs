@@ -48,15 +48,15 @@
 use naspipe::baselines::SystemKind;
 use naspipe::core::config::DiagnosticsOptions;
 use naspipe::core::fault::FaultPlan;
-use naspipe::core::pipeline::run_pipeline_telemetry;
+use naspipe::core::pipeline::SimSpec;
 use naspipe::core::replay_gate::loss_digest;
-use naspipe::core::runtime::{run_threaded_diagnosed, DurableOptions, RecoveryOptions};
+use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec};
 use naspipe::core::task::TaskKind;
 use naspipe::core::train::{replay_training, search_best_subnet, TrainConfig};
 use naspipe::core::transcript::{replay_transcript, Transcript};
 use naspipe::obs::{
-    http_get, parse_json, render_top, Journal, OpsServer, OpsState, RunMeta, SpanTracer,
-    TelemetryHub, TelemetryOptions,
+    http_get, parse_json, render_top, Journal, OpsServer, OpsState, RunMeta, TelemetryHub,
+    TelemetryOptions,
 };
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
@@ -282,11 +282,10 @@ impl Args {
             }
             return Ok(None);
         };
-        Ok(Some(DurableOptions {
-            dir: std::path::PathBuf::from(dir),
-            keep: self.u64_opt("checkpoint-keep", 0)? as usize,
-            resume,
-        }))
+        let mut durable = DurableOptions::new(dir);
+        durable.keep = self.u64_opt("checkpoint-keep", durable.keep as u64)? as usize;
+        durable.resume = resume;
+        Ok(Some(durable))
     }
 
     /// When `--metrics-addr` and/or `--journal` is given: the live ops
@@ -406,13 +405,12 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     if let Some(o) = &ops {
         cfg.diagnostics.ops = Some(Arc::clone(&o.state));
     }
-    let outcome = run_pipeline_telemetry(
-        &space,
-        &cfg,
-        subnets,
-        Box::new(SpanTracer::new()),
-        ops.as_ref().map(|o| &o.topts),
-    )
+    let outcome = SimSpec {
+        subnets: Some(subnets),
+        telemetry: ops.as_ref().map(|o| &o.topts),
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
     .map_err(|e| e.to_string())?;
     let r = &outcome.report;
     println!(
@@ -486,17 +484,14 @@ fn train_threaded(
         ops: ops.as_ref().map(|o| Arc::clone(&o.state)),
         ..DiagnosticsOptions::default()
     };
-    let run = run_threaded_diagnosed(
-        space,
-        subnets,
-        &train_config(seed, threads),
-        gpus,
-        0,
-        &opts,
-        ops.as_ref().map(|o| &o.topts),
-        durable.as_ref(),
-        &diag,
-    )
+    let run = RunSpec {
+        recovery: opts,
+        telemetry: ops.as_ref().map(|o| o.topts.clone()),
+        durable,
+        diagnostics: diag,
+        ..RunSpec::new(space, subnets, train_config(seed, threads), gpus)
+    }
+    .run()
     .map_err(|e| e.to_string())?;
     println!(
         "threaded CSP on {} x {gpus} stages: {n} subnets trained",
@@ -767,13 +762,12 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     if let Some(o) = &ops {
         cfg.diagnostics.ops = Some(Arc::clone(&o.state));
     }
-    let outcome = run_pipeline_telemetry(
-        &space,
-        &cfg,
-        subnets,
-        Box::new(SpanTracer::new()),
-        ops.as_ref().map(|o| &o.topts),
-    )
+    let outcome = SimSpec {
+        subnets: Some(subnets),
+        telemetry: ops.as_ref().map(|o| &o.topts),
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
     .map_err(|e| e.to_string())?;
     let tc = train_config(seed, cfg.compute_threads);
     let trained = replay_training(&space, &outcome, &tc);

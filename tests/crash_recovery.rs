@@ -9,9 +9,7 @@
 
 use naspipe::core::durable::{load_latest_in, DurableError};
 use naspipe::core::replay_gate::{self, loss_digest, ScheduleDigest};
-use naspipe::core::runtime::{run_threaded_durable, DurableOptions, RecoveryOptions};
-use naspipe::core::train::TrainConfig;
-use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
+use naspipe::core::runtime::{DurableOptions, RunSpec};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
 use naspipe_bench::experiments::crash;
 use std::path::{Path, PathBuf};
@@ -215,44 +213,12 @@ fn golden_thr_recover_cases_pass_with_durability_enabled() {
     for case in corpus {
         let spec = &case.spec;
         let space = SearchSpace::uniform(spec.domain, spec.blocks, spec.choices);
-        let subnets = UniformSampler::new(&space, spec.seed).take_subnets(spec.subnets as usize);
-        let cfg = TrainConfig {
-            seed: spec.seed,
-            ..TrainConfig::default()
-        };
-        let opts = RecoveryOptions {
-            fault_plan: spec
-                .faults
-                .map_or_else(naspipe::core::fault::FaultPlan::new, |f| {
-                    naspipe::core::fault::FaultPlan::seeded(
-                        f.seed,
-                        spec.gpus,
-                        spec.subnets,
-                        spec.checkpoint_interval,
-                        f.fatal,
-                        f.transient,
-                    )
-                }),
-            checkpoint_interval: spec.checkpoint_interval,
-            max_restarts: 8,
-            recv_timeout_ms: Some(30_000),
-        };
         let dir = scratch(&format!("golden-{}", spec.name));
-        let durable = DurableOptions {
-            dir: dir.clone(),
-            keep: 0,
-            resume: false,
-        };
-        let run = run_threaded_durable(
-            &space,
-            subnets,
-            &cfg,
-            spec.gpus,
-            spec.window,
-            &opts,
-            None,
-            Some(&durable),
-        )
+        let run = RunSpec {
+            durable: Some(DurableOptions::new(&dir)),
+            ..spec.run_spec(&space)
+        }
+        .run()
         .expect("golden case trains with durability on");
 
         assert_eq!(

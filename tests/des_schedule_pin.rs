@@ -16,7 +16,7 @@
 //! printed table.
 
 use naspipe::core::config::{PipelineConfig, SyncPolicy};
-use naspipe::core::pipeline::run_pipeline_with_subnets;
+use naspipe::core::pipeline::SimSpec;
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::SearchSpace;
 use std::fmt::Write as _;
@@ -69,7 +69,11 @@ fn digest(seed: u64, gpus: u32, policy: SyncPolicy) -> u64 {
     let subnets = UniformSampler::new(&space, seed).take_subnets(SUBNETS as usize);
     let mut cfg = PipelineConfig::naspipe(gpus, SUBNETS).with_seed(seed);
     cfg.policy = policy;
-    let out = match run_pipeline_with_subnets(&space, &cfg, subnets) {
+    let spec = SimSpec {
+        subnets: Some(subnets),
+        ..SimSpec::new(&space, &cfg)
+    };
+    let out = match spec.run() {
         Ok(out) => out,
         Err(e) => return fnv1a(format!("{e:?}").as_bytes()),
     };

@@ -7,9 +7,9 @@
 
 use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
 use naspipe::core::fault::FaultPlan;
-use naspipe::core::pipeline::run_pipeline;
+use naspipe::core::pipeline::SimSpec;
 use naspipe::core::replay_gate::loss_digest;
-use naspipe::core::runtime::{run_threaded_diagnosed, RecoveryOptions};
+use naspipe::core::runtime::{RecoveryOptions, RunSpec};
 use naspipe::core::task::TaskKind;
 use naspipe::core::train::TrainConfig;
 use naspipe::obs::WatchdogVerdictKind;
@@ -33,8 +33,8 @@ fn des_flight_and_watchdog_are_bitwise_inert() {
         .clone()
         .with_diagnostics(DiagnosticsOptions::disabled());
 
-    let on = run_pipeline(&space, &on_cfg).unwrap();
-    let off = run_pipeline(&space, &off_cfg).unwrap();
+    let on = SimSpec::new(&space, &on_cfg).run().unwrap();
+    let off = SimSpec::new(&space, &off_cfg).run().unwrap();
 
     assert_eq!(on.tasks, off.tasks, "schedule must not depend on recording");
     assert_eq!(
@@ -61,17 +61,11 @@ fn threaded_flight_and_watchdog_are_bitwise_inert() {
     let space = SearchSpace::from_id(SpaceId::NlpC2);
     let subnets = UniformSampler::new(&space, 7).take_subnets(16);
     let run = |diag: &DiagnosticsOptions| {
-        run_threaded_diagnosed(
-            &space,
-            subnets.clone(),
-            &train_cfg(7),
-            4,
-            0,
-            &RecoveryOptions::default(),
-            None,
-            None,
-            diag,
-        )
+        RunSpec {
+            diagnostics: diag.clone(),
+            ..RunSpec::new(&space, subnets.clone(), train_cfg(7), 4)
+        }
+        .run()
         .unwrap()
     };
     let on = run(&DiagnosticsOptions::default());
@@ -97,7 +91,7 @@ fn clean_runs_trip_no_watchdog_across_seeds() {
         for gpus in [2, 4] {
             let space = SearchSpace::from_id(SpaceId::NlpC2);
             let cfg = PipelineConfig::naspipe(gpus, 12).with_seed(seed);
-            let outcome = run_pipeline(&space, &cfg).unwrap();
+            let outcome = SimSpec::new(&space, &cfg).run().unwrap();
             assert!(
                 outcome.obs.watchdog.is_empty(),
                 "seed {seed} x {gpus} GPUs tripped: {:?}",
@@ -114,8 +108,8 @@ fn des_straggler_verdict_is_deterministic() {
         .with_seed(7)
         .with_diagnostics(DiagnosticsOptions::default().with_slow_stage(1, 8.0));
 
-    let a = run_pipeline(&space, &cfg).unwrap();
-    let b = run_pipeline(&space, &cfg).unwrap();
+    let a = SimSpec::new(&space, &cfg).run().unwrap();
+    let b = SimSpec::new(&space, &cfg).run().unwrap();
 
     let straggler = a
         .obs
@@ -143,17 +137,11 @@ fn threaded_seeded_slow_stage_trips_straggler() {
         ),
         ..RecoveryOptions::default()
     };
-    let run = run_threaded_diagnosed(
-        &space,
-        subnets,
-        &train_cfg(7),
-        4,
-        0,
-        &opts,
-        None,
-        None,
-        &DiagnosticsOptions::default(),
-    )
+    let run = RunSpec {
+        recovery: opts,
+        ..RunSpec::new(&space, subnets, train_cfg(7), 4)
+    }
+    .run()
     .unwrap();
     let straggler = run
         .report

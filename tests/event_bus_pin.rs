@@ -15,8 +15,8 @@
 
 use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
 use naspipe::core::fault::FaultPlan;
-use naspipe::core::pipeline::run_pipeline;
-use naspipe::core::runtime::{run_threaded_diagnosed, DurableOptions, RecoveryOptions};
+use naspipe::core::pipeline::SimSpec;
+use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec};
 use naspipe::core::task::TaskKind;
 use naspipe::core::train::{sequential_training, TrainConfig};
 use naspipe::obs::{Journal, OpsState, RunMeta, TelemetryHub};
@@ -75,26 +75,23 @@ fn threaded_journal_and_flight_match_the_recorded_sequence() {
     let dir = std::env::temp_dir().join(format!("naspipe-buspin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let state = ops_state("threaded", 2, SEED);
-    let run = run_threaded_diagnosed(
-        &space,
-        subnets.clone(),
-        &cfg,
-        2,
-        1,
-        &RecoveryOptions {
+    let run = RunSpec {
+        window: 1,
+        recovery: RecoveryOptions {
             fault_plan: FaultPlan::new().panic_on(1, 10, TaskKind::Forward),
             checkpoint_interval: 8,
             max_restarts: 2,
             recv_timeout_ms: None,
         },
-        None,
-        Some(&DurableOptions {
+        durable: Some(DurableOptions {
             dir: dir.clone(),
             keep: 2,
             resume: false,
         }),
-        &DiagnosticsOptions::default().with_ops(Arc::clone(&state)),
-    )
+        diagnostics: DiagnosticsOptions::default().with_ops(Arc::clone(&state)),
+        ..RunSpec::new(&space, subnets.clone(), cfg, 2)
+    }
+    .run()
     .expect("the run recovers from its one panic");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
@@ -149,7 +146,9 @@ fn des_journal_is_byte_identical_to_the_recorded_one() {
                 .with_slow_stage(1, 8.0)
                 .with_ops(Arc::clone(&state)),
         );
-    run_pipeline(&space, &cfg).expect("the DES run completes");
+    SimSpec::new(&space, &cfg)
+        .run()
+        .expect("the DES run completes");
     let text: String = state
         .journal()
         .snapshot()

@@ -3,7 +3,7 @@
 //! both riding on skip-choice semantics.
 
 use naspipe::core::config::PipelineConfig;
-use naspipe::core::pipeline::run_pipeline_with_subnets;
+use naspipe::core::pipeline::{PipelineOutcome, SimSpec};
 use naspipe::core::repro::verify_csp_order;
 use naspipe::core::train::{replay_training, TrainConfig};
 use naspipe::supernet::hybrid::{HybridSampler, HybridSpace, SlimmableSampler};
@@ -13,6 +13,16 @@ use naspipe::supernet::space::SearchSpace;
 use naspipe::supernet::subnet::Subnet;
 use naspipe::tensor::data::SyntheticDataset;
 use naspipe::tensor::model::{NumericSupernet, ParamStore};
+
+/// Simulates `config` over an explicit subnet stream.
+fn simulate(space: &SearchSpace, config: &PipelineConfig, subnets: Vec<Subnet>) -> PipelineOutcome {
+    SimSpec {
+        subnets: Some(subnets),
+        ..SimSpec::new(space, config)
+    }
+    .run()
+    .unwrap()
+}
 
 fn train_cfg() -> TrainConfig {
     TrainConfig {
@@ -36,7 +46,7 @@ fn hybrid_training_is_reproducible() {
         let pc = PipelineConfig::naspipe(gpus, 40)
             .with_batch(16)
             .with_seed(55);
-        let out = run_pipeline_with_subnets(hybrid.union(), &pc, subnets.clone()).unwrap();
+        let out = simulate(hybrid.union(), &pc, subnets.clone());
         verify_csp_order(&out).expect("CSP order with skips");
         hashes.push(replay_training(hybrid.union(), &out, &cfg).final_hash);
     }
@@ -56,7 +66,7 @@ fn hybrid_members_are_isolated() {
 
     // Full hybrid training.
     let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(55);
-    let out = run_pipeline_with_subnets(hybrid.union(), &pc, subnets.clone()).unwrap();
+    let out = simulate(hybrid.union(), &pc, subnets.clone());
     let full = replay_training(hybrid.union(), &out, &cfg);
 
     // Reference: train ONLY member 0's subnets (same IDs, same data)
@@ -100,7 +110,7 @@ fn slimmable_training_is_reproducible() {
         let pc = PipelineConfig::naspipe(gpus, 40)
             .with_batch(16)
             .with_seed(9);
-        let out = run_pipeline_with_subnets(&space, &pc, subnets.clone()).unwrap();
+        let out = simulate(&space, &pc, subnets.clone());
         verify_csp_order(&out).expect("CSP order with variable depth");
         hashes.push(replay_training(&space, &out, &cfg).final_hash);
     }

@@ -8,11 +8,9 @@
 //! `CARGO_BIN_EXE_naspipe` (cargo builds it for integration tests).
 
 use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
-use naspipe::core::pipeline::run_pipeline_telemetry;
+use naspipe::core::pipeline::SimSpec;
 use naspipe::core::replay_gate::loss_digest;
-use naspipe::core::runtime::{
-    run_threaded_diagnosed, run_threaded_durable, DurableOptions, RecoveryOptions,
-};
+use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec};
 use naspipe::core::train::TrainConfig;
 use naspipe::obs::{
     http_get, parse_journal, parse_json, validate_exposition, validate_journal, validate_status,
@@ -90,20 +88,16 @@ fn concurrent_scrapes_during_durable_resume_are_bitwise_zero_effect() {
     // Seed a durable snapshot directory with an uninterrupted run:
     // cuts land at watermarks 8 and 16, so a resume replays 16..20.
     let seed_dir = scratch("seed");
-    let seeded = run_threaded_durable(
-        &space,
-        stream(&space),
-        &cfg,
-        GPUS,
-        0,
-        &recovery(),
-        None,
-        Some(&DurableOptions {
+    let seeded = RunSpec {
+        recovery: recovery(),
+        durable: Some(DurableOptions {
             dir: seed_dir.clone(),
             keep: 4,
             resume: false,
         }),
-    )
+        ..RunSpec::new(&space, stream(&space), cfg, GPUS)
+    }
+    .run()
     .expect("seeding run trains");
 
     let bare_dir = scratch("resume-bare");
@@ -112,20 +106,16 @@ fn concurrent_scrapes_during_durable_resume_are_bitwise_zero_effect() {
     copy_dir(&seed_dir, &ops_dir);
 
     // Resume with observability fully off: the baseline RESULT.
-    let bare = run_threaded_durable(
-        &space,
-        stream(&space),
-        &cfg,
-        GPUS,
-        0,
-        &recovery(),
-        None,
-        Some(&DurableOptions {
+    let bare = RunSpec {
+        recovery: recovery(),
+        durable: Some(DurableOptions {
             dir: bare_dir,
             keep: 4,
             resume: true,
         }),
-    )
+        ..RunSpec::new(&space, stream(&space), cfg, GPUS)
+    }
+    .run()
     .expect("bare resume trains");
 
     // Resume with the whole ops plane on: telemetry hub, journal with a
@@ -183,21 +173,18 @@ fn concurrent_scrapes_during_durable_resume_are_bitwise_zero_effect() {
         .with_interval_us(2_000)
         .with_progress(false);
     let diag = DiagnosticsOptions::default().with_ops(Arc::clone(&state));
-    let observed = run_threaded_diagnosed(
-        &space,
-        stream(&space),
-        &cfg,
-        GPUS,
-        0,
-        &recovery(),
-        Some(&topts),
-        Some(&DurableOptions {
+    let observed = RunSpec {
+        recovery: recovery(),
+        telemetry: Some(topts),
+        durable: Some(DurableOptions {
             dir: ops_dir,
             keep: 4,
             resume: true,
         }),
-        &diag,
-    )
+        diagnostics: diag,
+        ..RunSpec::new(&space, stream(&space), cfg, GPUS)
+    }
+    .run()
     .expect("instrumented resume trains");
 
     stop.store(true, Ordering::Relaxed);
@@ -327,13 +314,14 @@ fn des_run_serves_its_flight_ring_and_stage_watermarks() {
     let cfg = PipelineConfig::naspipe(STAGES, N)
         .with_seed(SEED)
         .with_diagnostics(DiagnosticsOptions::default().with_ops(Arc::clone(&state)));
-    let out = run_pipeline_telemetry(
-        &space,
-        &cfg,
-        UniformSampler::new(&space, SEED).take_subnets(N as usize),
-        Box::new(NullTracer),
-        Some(&TelemetryOptions::new(hub)),
-    )
+    let out = SimSpec {
+        space: &space,
+        config: &cfg,
+        subnets: Some(UniformSampler::new(&space, SEED).take_subnets(N as usize)),
+        tracer: Box::new(NullTracer),
+        telemetry: Some(&TelemetryOptions::new(hub)),
+    }
+    .run()
     .expect("the DES run completes");
     assert!(out.obs.flight.dropped > 0, "the ring must have overflowed");
 

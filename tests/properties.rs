@@ -4,7 +4,7 @@
 
 use naspipe::core::config::{PipelineConfig, SyncPolicy};
 use naspipe::core::partition::Partition;
-use naspipe::core::pipeline::run_pipeline_with_subnets;
+use naspipe::core::pipeline::SimSpec;
 use naspipe::core::repro::verify_csp_order;
 use naspipe::core::task::{FinishedSet, StageId};
 use naspipe::core::train::{replay_training, sequential_training, TrainConfig};
@@ -44,7 +44,9 @@ proptest! {
             .map(|(i, c)| Subnet::new(SubnetId(i as u64), c))
             .collect();
         let cfg = PipelineConfig::naspipe(gpus, subnets.len() as u64).with_batch(8);
-        let out = run_pipeline_with_subnets(&space, &cfg, subnets.clone()).unwrap();
+        let mut spec = SimSpec::new(&space, &cfg);
+        spec.subnets = Some(subnets.clone());
+        let out = spec.run().unwrap();
         prop_assert!(verify_csp_order(&out).is_ok());
 
         let tc = TrainConfig { dim: 4, rows: 2, residual_scale: 0.5, ..TrainConfig::default() };
@@ -76,7 +78,9 @@ proptest! {
         let n = subnets.len() as u64;
         let mut cfg = PipelineConfig::naspipe(gpus, n).with_batch(8);
         cfg.policy = policy;
-        let out = run_pipeline_with_subnets(&space, &cfg, subnets).unwrap();
+        let mut spec = SimSpec::new(&space, &cfg);
+        spec.subnets = Some(subnets);
+        let out = spec.run().unwrap();
         prop_assert_eq!(out.report.subnets_completed, n);
         prop_assert_eq!(out.tasks.len() as u64, n * u64::from(gpus) * 2);
     }

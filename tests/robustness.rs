@@ -6,12 +6,23 @@
 //! may not.
 
 use naspipe::core::config::PipelineConfig;
-use naspipe::core::pipeline::run_pipeline_with_subnets;
+use naspipe::core::pipeline::{PipelineOutcome, SimSpec};
 use naspipe::core::repro::verify_csp_order;
 use naspipe::core::train::{replay_training, sequential_training, TrainConfig};
 use naspipe::supernet::layer::Domain;
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::SearchSpace;
+use naspipe::supernet::subnet::Subnet;
+
+/// Simulates `config` over an explicit subnet stream.
+fn simulate(space: &SearchSpace, config: &PipelineConfig, subnets: Vec<Subnet>) -> PipelineOutcome {
+    SimSpec {
+        subnets: Some(subnets),
+        ..SimSpec::new(space, config)
+    }
+    .run()
+    .unwrap()
+}
 
 fn setup() -> (
     SearchSpace,
@@ -37,14 +48,14 @@ fn jitter_changes_schedule_not_result() {
 
     let clean = {
         let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(33);
-        run_pipeline_with_subnets(&space, &pc, subnets.clone()).unwrap()
+        simulate(&space, &pc, subnets.clone())
     };
     let jittered = {
         let pc = PipelineConfig::naspipe(4, 40)
             .with_batch(16)
             .with_seed(33)
             .with_jitter(0.4);
-        run_pipeline_with_subnets(&space, &pc, subnets.clone()).unwrap()
+        simulate(&space, &pc, subnets.clone())
     };
     assert_ne!(
         clean.tasks, jittered.tasks,
@@ -69,7 +80,7 @@ fn faults_and_jitter_combined_stay_correct() {
             .with_seed(33)
             .with_fault_rate(0.2)
             .with_jitter(0.3);
-        let out = run_pipeline_with_subnets(&space, &pc, subnets.clone()).unwrap();
+        let out = simulate(&space, &pc, subnets.clone());
         assert_eq!(out.report.subnets_completed, 40);
         assert!(out.report.faults_injected > 0);
         assert_eq!(
@@ -90,8 +101,7 @@ fn predictor_degrades_gracefully_under_jitter() {
             .with_batch(16)
             .with_seed(33)
             .with_jitter(jitter);
-        run_pipeline_with_subnets(&space, &pc, subnets.clone())
-            .unwrap()
+        simulate(&space, &pc, subnets.clone())
             .report
             .cache_hit_rate
             .unwrap()
@@ -112,7 +122,7 @@ fn jitter_is_deterministic() {
             .with_batch(16)
             .with_seed(33)
             .with_jitter(0.25);
-        run_pipeline_with_subnets(&space, &pc, subnets.clone()).unwrap()
+        simulate(&space, &pc, subnets.clone())
     };
     assert_eq!(run().tasks, run().tasks);
 }
@@ -126,7 +136,7 @@ fn jitter_is_deterministic() {
 fn fault_recovery_matrix_is_bitwise_exact_and_replayable() {
     use naspipe::core::fault::FaultPlan;
     use naspipe::core::repro::verify_csp_order_parts;
-    use naspipe::core::runtime::{run_threaded_supervised, RecoveryOptions};
+    use naspipe::core::runtime::{RecoveryOptions, RunSpec};
 
     let space = SearchSpace::uniform(Domain::Nlp, 8, 5);
     let n = 24u64;
@@ -149,7 +159,13 @@ fn fault_recovery_matrix_is_bitwise_exact_and_replayable() {
                     recv_timeout_ms: None,
                 };
                 let tag = format!("seed {fault_seed}, {gpus} stages, C={interval}");
-                let run = run_threaded_supervised(&space, subnets.clone(), &cfg, gpus, 0, &opts)
+                let spec = RunSpec {
+                    recovery: opts,
+                    ..RunSpec::new(&space, subnets.clone(), cfg, gpus)
+                };
+                let run = spec
+                    .clone()
+                    .run()
                     .unwrap_or_else(|e| panic!("{tag}: failed to recover: {e}"));
                 assert_eq!(
                     run.result.final_hash, reference.final_hash,
@@ -169,7 +185,8 @@ fn fault_recovery_matrix_is_bitwise_exact_and_replayable() {
 
                 // Determinism: the same seeded plan replays the same
                 // faults and the same recovery schedule.
-                let again = run_threaded_supervised(&space, subnets.clone(), &cfg, gpus, 0, &opts)
+                let again = spec
+                    .run()
                     .unwrap_or_else(|e| panic!("{tag}: rerun failed: {e}"));
                 assert_eq!(again.result.final_hash, reference.final_hash);
                 assert_eq!(
