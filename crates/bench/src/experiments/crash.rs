@@ -19,6 +19,12 @@
 //! 3. **resume** — same configuration plus `--resume`, expected to load
 //!    the newest valid snapshot and finish with a `RESULT` line bitwise
 //!    equal to the baseline's.
+//!
+//! Snapshots are written by the run's writer thread, one cut behind the
+//! stages at most: cut `W` is on disk before cut `W + interval` is handed
+//! over. So the kill lands just past the *second* cut and must resume from
+//! that cut or the one before — never from nothing — while the n-th write
+//! torn in half must resume from exactly cut `n - 1`.
 
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 use std::fmt;
@@ -113,9 +119,11 @@ pub struct CrashCell {
     pub crashed: bool,
     /// Complete snapshots on disk after the crash.
     pub snapshots_after_crash: usize,
-    /// Watermark the resume run reported loading, if any (a crash
-    /// before the first completed cut legitimately restarts from 0).
+    /// Watermark the resume run reported loading, if any.
     pub resumed_watermark: Option<u64>,
+    /// The watermarks (lowest, highest) the durability contract allows
+    /// the resume to load after this crash point.
+    pub resume_bound: (u64, u64),
     /// The uninterrupted baseline's result.
     pub baseline: Option<ChildResult>,
     /// The resumed run's result.
@@ -123,10 +131,13 @@ pub struct CrashCell {
 }
 
 impl CrashCell {
-    /// Hard verdict: the child crashed, the resume finished, and its
+    /// Hard verdict: the child crashed, the resume loaded a cut inside
+    /// [`resume_bound`](Self::resume_bound) and finished, and its
     /// hash/loss digest are bitwise equal to the uninterrupted baseline.
     pub fn ok(&self) -> bool {
+        let (lo, hi) = self.resume_bound;
         self.crashed
+            && self.resumed_watermark.is_some_and(|w| lo <= w && w <= hi)
             && match (self.baseline, self.resumed) {
                 (Some(b), Some(r)) => b == r,
                 _ => false,
@@ -241,7 +252,8 @@ fn count_snapshots(dir: &Path) -> usize {
 /// # Panics
 ///
 /// Panics if the `naspipe` binary cannot be spawned (it must be built
-/// into the same target directory, or named via `NASPIPE_BIN`).
+/// into the same target directory, or named via `NASPIPE_BIN`), or if
+/// `n` subnets do not reach past the second cut (`2 * interval + 1`).
 pub fn run(id: SpaceId, n: u64, interval: u64, seeds: &[u64], gpus_list: &[u32]) -> CrashRun {
     run_with_bin(&naspipe_bin(), id, n, interval, seeds, gpus_list)
 }
@@ -278,16 +290,24 @@ pub fn run_with_bin(
                 .unwrap_or_else(|e| panic!("cannot spawn {}: {e}", bin.display()));
             let baseline = parse_result(&String::from_utf8_lossy(&baseline_out.stdout));
 
-            // Kill the last stage mid-stream (after at least one cut can
-            // complete), and die mid-way through the second snapshot.
+            // Kill the last stage just past the second cut (handing that
+            // one over waited for the first to be on disk), and die
+            // mid-way through the second snapshot.
+            assert!(2 * interval + 1 < n, "the kill point needs two cuts");
             let points = [
-                CrashPoint::KillAt {
-                    stage: gpus - 1,
-                    subnet: interval + n / 2 % interval + 1,
-                },
-                CrashPoint::MidWrite { persist_call: 2 },
+                (
+                    CrashPoint::KillAt {
+                        stage: gpus - 1,
+                        subnet: 2 * interval + 1,
+                    },
+                    (interval, 2 * interval),
+                ),
+                (
+                    CrashPoint::MidWrite { persist_call: 2 },
+                    (interval, interval),
+                ),
             ];
-            for point in points {
+            for (point, resume_bound) in points {
                 let dir = scratch.join(format!("s{seed}-g{gpus}-{point}").replace([' ', ':'], "_"));
                 let _ = std::fs::remove_dir_all(&dir);
                 std::fs::create_dir_all(&dir).expect("scratch dir creatable");
@@ -325,6 +345,7 @@ pub fn run_with_bin(
                     crashed,
                     snapshots_after_crash,
                     resumed_watermark,
+                    resume_bound,
                     baseline,
                     resumed,
                 };

@@ -24,7 +24,7 @@ use naspipe_obs::SpanId;
 use naspipe_tensor::layers::DenseParams;
 use naspipe_tensor::model::NumericSupernet;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Upper bound on *partial* (incomplete) watermark entries retained.
 ///
@@ -76,12 +76,21 @@ pub struct Checkpoint {
 /// Stage workers call [`record`](CheckpointStore::record) when their own
 /// finished prefix reaches a watermark boundary; the supervisor calls
 /// [`latest_complete`](CheckpointStore::latest_complete) after a failure
-/// to pick the resume point.
+/// to pick the resume point. A complete cut is assembled once, by moving
+/// the stages' snapshots into one shared [`Checkpoint`]: the store, the
+/// durable writer and a resuming supervisor all hold the same `Arc`.
 #[derive(Debug)]
 pub struct CheckpointStore {
     gpus: usize,
-    #[allow(clippy::type_complexity)]
-    slots: Mutex<BTreeMap<u64, Vec<Option<(StageSnapshot, SpanId)>>>>,
+    slots: Mutex<Slots>,
+}
+
+#[derive(Debug, Default)]
+struct Slots {
+    /// Cuts still collecting their stages' snapshots, by watermark.
+    partial: BTreeMap<u64, Vec<Option<(StageSnapshot, SpanId)>>>,
+    /// The newest complete cut.
+    complete: Option<Arc<Checkpoint>>,
 }
 
 impl CheckpointStore {
@@ -94,7 +103,7 @@ impl CheckpointStore {
         assert!(gpus > 0, "need at least one stage");
         Self {
             gpus,
-            slots: Mutex::new(BTreeMap::new()),
+            slots: Mutex::default(),
         }
     }
 
@@ -104,8 +113,9 @@ impl CheckpointStore {
     /// already snapshotted is a no-op, so a checkpoint is never
     /// half-overwritten by replayed state.
     ///
-    /// Returns `true` when this call completed the cut — every stage has
-    /// now snapshotted `watermark`.
+    /// Returns the cut when this call completed it — every stage has now
+    /// snapshotted `watermark` — and `None` otherwise (a replayed record
+    /// of an already complete cut included).
     ///
     /// A poisoned mutex is recovered, not propagated: a stage worker
     /// panicking while holding the lock is exactly the failure the
@@ -123,39 +133,44 @@ impl CheckpointStore {
         stage: usize,
         snapshot: StageSnapshot,
         span: SpanId,
-    ) -> bool {
+    ) -> Option<Arc<Checkpoint>> {
         assert!(stage < self.gpus, "stage {stage} out of range");
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        if slots
+            .complete
+            .as_ref()
+            .is_some_and(|c| watermark <= c.watermark)
+        {
+            return None;
+        }
         let entry = slots
+            .partial
             .entry(watermark)
             .or_insert_with(|| vec![None; self.gpus]);
-        let was_complete = entry.iter().all(Option::is_some);
         if entry[stage].is_none() {
             entry[stage] = Some((snapshot, span));
         }
-        let complete = slots[&watermark].iter().all(Option::is_some);
-        if complete {
-            // Newly (or already) complete: drop everything older.
-            slots.retain(|&w, parts| w >= watermark || parts.iter().any(Option::is_none));
+        if entry.iter().all(Option::is_some) {
+            let parts = slots.partial.remove(&watermark).expect("just filled");
+            // The completing record is the one with the highest span id
+            // at this watermark under per-worker namespaces; any of them
+            // anchors the recovery flow, so take the max for determinism.
+            let cut_span = parts.iter().flatten().map(|p| p.1).max();
+            let cut = Arc::new(Checkpoint {
+                watermark,
+                stages: parts.into_iter().flatten().map(|p| p.0).collect(),
+                cut_span: cut_span.unwrap_or(SpanId::EXTERNAL),
+            });
+            // Replaces (drops the store's hold on) the older complete cut.
+            slots.complete = Some(Arc::clone(&cut));
+            return Some(cut);
         }
         // Bound partial-cut growth: drop the lowest incomplete entries
         // once more than MAX_PARTIAL_CUTS accumulate (see the const).
-        let partials = slots
-            .iter()
-            .filter(|(_, parts)| parts.iter().any(Option::is_none))
-            .count();
-        if partials > MAX_PARTIAL_CUTS {
-            let drop: Vec<u64> = slots
-                .iter()
-                .filter(|(_, parts)| parts.iter().any(Option::is_none))
-                .map(|(&w, _)| w)
-                .take(partials - MAX_PARTIAL_CUTS)
-                .collect();
-            for w in drop {
-                slots.remove(&w);
-            }
+        while slots.partial.len() > MAX_PARTIAL_CUTS {
+            slots.partial.pop_first();
         }
-        complete && !was_complete
+        None
     }
 
     /// The highest watermark every stage has snapshotted, if any.
@@ -163,39 +178,19 @@ impl CheckpointStore {
     /// Recovers from a poisoned mutex (see [`record`](Self::record)) —
     /// this is the supervisor's resume-point query, the one place where
     /// poison amplification would abort an otherwise recoverable run.
-    pub fn latest_complete(&self) -> Option<Checkpoint> {
+    pub fn latest_complete(&self) -> Option<Arc<Checkpoint>> {
         let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        slots
-            .iter()
-            .rev()
-            .find(|(_, parts)| parts.iter().all(Option::is_some))
-            .map(|(&watermark, parts)| Checkpoint {
-                watermark,
-                stages: parts
-                    .iter()
-                    .map(|p| p.clone().expect("checked").0)
-                    .collect(),
-                // The completing record is the one with the highest span
-                // id at this watermark under per-worker namespaces; any
-                // of them anchors the recovery flow, so take the last
-                // recorded (max) for determinism.
-                cut_span: parts
-                    .iter()
-                    .map(|p| p.as_ref().expect("checked").1)
-                    .max()
-                    .unwrap_or(SpanId::EXTERNAL),
-            })
+        slots.complete.clone()
     }
 
     /// Watermarks currently held (complete or partial), ascending — for
     /// tests and diagnostics. Recovers from a poisoned mutex.
     pub fn watermarks(&self) -> Vec<u64> {
-        self.slots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .copied()
-            .collect()
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let complete = slots.complete.iter().map(|c| c.watermark);
+        let mut held: Vec<u64> = complete.chain(slots.partial.keys().copied()).collect();
+        held.sort_unstable();
+        held
     }
 }
 
@@ -214,13 +209,14 @@ mod tests {
     #[test]
     fn incomplete_watermarks_are_invisible() {
         let store = CheckpointStore::new(2);
-        assert!(!store.record(8, 0, snap(), SpanId(1)));
+        assert!(store.record(8, 0, snap(), SpanId(1)).is_none());
         assert!(store.latest_complete().is_none());
-        assert!(
-            store.record(8, 1, snap(), SpanId(2)),
-            "second stage completes the cut"
-        );
+        let closed = store.record(8, 1, snap(), SpanId(2));
         let ckpt = store.latest_complete().expect("complete");
+        assert!(
+            closed.is_some_and(|c| Arc::ptr_eq(&c, &ckpt)),
+            "second stage completes the cut and is handed the shared copy"
+        );
         assert_eq!(ckpt.watermark, 8);
         assert_eq!(ckpt.stages.len(), 2);
         assert_eq!(
@@ -251,10 +247,13 @@ mod tests {
         store.record(4, 0, first, SpanId(1));
         store.record(4, 0, snap(), SpanId(9)); // replayed worker: ignored
         assert!(
-            store.record(4, 1, snap(), SpanId(2)),
+            store.record(4, 1, snap(), SpanId(2)).is_some(),
             "completion reported exactly once"
         );
-        assert!(!store.record(4, 1, snap(), SpanId(3)), "already complete");
+        assert!(
+            store.record(4, 1, snap(), SpanId(3)).is_none(),
+            "already complete"
+        );
         let ckpt = store.latest_complete().expect("complete");
         assert_eq!(ckpt.stages[0].losses.get(&3), Some(&0.5));
         assert_eq!(ckpt.cut_span, SpanId(2), "replayed span ids are ignored");
@@ -268,8 +267,6 @@ mod tests {
 
     #[test]
     fn poisoned_store_still_records_and_recovers() {
-        use std::sync::Arc;
-
         let store = Arc::new(CheckpointStore::new(2));
         store.record(4, 0, snap(), SpanId(1));
         store.record(4, 1, snap(), SpanId(2));
@@ -286,8 +283,8 @@ mod tests {
         // The supervisor's resume query and later records must recover
         // the data instead of amplifying the panic.
         assert_eq!(store.latest_complete().expect("recovered").watermark, 4);
-        assert!(!store.record(8, 0, snap(), SpanId(3)));
-        assert!(store.record(8, 1, snap(), SpanId(4)));
+        assert!(store.record(8, 0, snap(), SpanId(3)).is_none());
+        assert!(store.record(8, 1, snap(), SpanId(4)).is_some());
         assert_eq!(store.latest_complete().expect("recovered").watermark, 8);
         assert_eq!(store.watermarks(), vec![8]);
     }

@@ -16,21 +16,24 @@
 //!   leaves either the previous snapshot set intact or an orphaned tmp
 //!   file the loader never reads — torn snapshots are impossible by
 //!   construction.
-//! * **Checksums.** Every file ends in a 64-bit FNV-1a checksum of all
-//!   preceding bytes; any single-bit corruption is detected at load.
+//! * **Checksums.** Every file ends in a 64-bit word-wise FNV-1a checksum
+//!   ([`fnv1a_words`]) of all preceding bytes; any corruption confined to
+//!   one 8-byte word is always detected at load.
 //! * **Fingerprints.** Every file carries the [`run_fingerprint`] of the
 //!   training run that wrote it (space shape, subnet stream, training
 //!   config, stage count, checkpoint interval). A snapshot from a
 //!   different run is rejected as
 //!   [`DurableError::FingerprintMismatch`] — resuming it would silently
 //!   break bitwise identity.
-//! * **Manifest + retention.** `MANIFEST` records the retained cuts
-//!   (newest last) and is itself written atomically. Persisting a new cut
-//!   garbage-collects the oldest beyond `keep`; the loader prefers the
-//!   newest valid snapshot and falls back cut by cut, so one corrupt file
-//!   never loses the run.
+//! * **Retention.** The directory listing is the index: persisting a cut
+//!   prunes the `ckpt-*.snap` files below it beyond the newest `keep - 1`;
+//!   the loader prefers the newest valid snapshot and falls back cut by
+//!   cut, so one corrupt file never loses the run.
+//! * **Off the stage threads.** [`crate::runtime`] hands each completed
+//!   cut to one writer thread that owns the [`DurableStore`]: cut `W` is on
+//!   disk before cut `W + interval` is handed over.
 //!
-//! The v1 snapshot grammar is documented in `DESIGN.md` §3g.
+//! The v2 snapshot grammar is documented in `DESIGN.md` §3g.
 
 use crate::checkpoint::{Checkpoint, StageSnapshot};
 use crate::train::TrainConfig;
@@ -38,7 +41,7 @@ use naspipe_obs::SpanId;
 use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::Subnet;
-use naspipe_tensor::hash::{fnv1a, FNV_OFFSET};
+use naspipe_tensor::hash::{fnv1a, fnv1a_words, FNV_OFFSET};
 use naspipe_tensor::layers::{DenseGrads, DenseParams};
 use naspipe_tensor::model::{NumericSupernet, Optimizer};
 use naspipe_tensor::optim::{MomentumSgd, Sgd};
@@ -49,13 +52,15 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Magic prefix of every snapshot file.
 pub const SNAP_MAGIC: &[u8; 12] = b"NASPIPE-SNAP";
-/// Snapshot format version this build writes and reads.
-pub const SNAP_VERSION: u32 = 1;
-/// Magic first line of the manifest.
-pub const MANIFEST_MAGIC: &str = "naspipe-manifest v1";
+/// Snapshot format version this build writes and reads (v1 had a
+/// byte-serial checksum; its files are [`DurableError::UnsupportedVersion`]).
+pub const SNAP_VERSION: u32 = 2;
+/// Magic, version, fingerprint, watermark, stage count.
+const HEADER_LEN: usize = SNAP_MAGIC.len() + 4 + 8 + 8 + 4;
 /// Default number of complete cuts retained on disk.
 pub const DEFAULT_KEEP: usize = 3;
 
@@ -114,7 +119,8 @@ pub enum DurableError {
         /// Fingerprint recorded in the file.
         actual: u64,
     },
-    /// The snapshot format version is newer than this build understands.
+    /// The snapshot format version is other than v[`SNAP_VERSION`], the
+    /// one this build reads (older builds' files included).
     UnsupportedVersion {
         /// The offending file.
         path: PathBuf,
@@ -166,7 +172,7 @@ impl fmt::Display for DurableError {
             ),
             DurableError::UnsupportedVersion { path, version } => write!(
                 f,
-                "snapshot {} has unsupported format version {version} (this build reads v{SNAP_VERSION})",
+                "snapshot {} has format version {version}, other than v{SNAP_VERSION} (the one this build reads)",
                 path.display()
             ),
         }
@@ -227,19 +233,16 @@ pub fn run_fingerprint(
 }
 
 // ---------------------------------------------------------------------------
-// v1 encoding
+// v2 encoding
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// Appends to a caller-owned buffer, so [`DurableStore::persist`] reuses
+/// one allocation for every cut of a run.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(4096),
-        }
-    }
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -250,16 +253,20 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.u32(v.to_bits());
     }
+    /// Shape, then the payload as one little-endian slab: on a
+    /// little-endian host the loop below is a `memcpy`.
     fn tensor(&mut self, t: &Tensor) {
         let shape = t.shape();
         self.u32(shape.len() as u32);
         for &d in shape {
             self.u32(d as u32);
         }
-        for &x in t.data() {
-            self.f32(x);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * t.data().len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(t.data()) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
         }
     }
     fn dense(&mut self, p: &DenseParams) {
@@ -315,19 +322,20 @@ impl<'a> Dec<'a> {
     fn tensor(&mut self) -> Result<Tensor, String> {
         let ndim = self.len("tensor rank", 8)?;
         let mut shape = Vec::with_capacity(ndim);
-        let mut numel = 1usize;
+        let mut numel = Some(1usize);
         for _ in 0..ndim {
             let d = self.u32()? as usize;
-            numel = numel.saturating_mul(d);
+            numel = numel.and_then(|n| n.checked_mul(d));
             shape.push(d);
         }
-        if numel.saturating_mul(4) > self.bytes.len() - self.pos {
-            return Err(format!("tensor of {numel} element(s) exceeds file size"));
-        }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(self.f32()?);
-        }
+        let slab = numel
+            .and_then(|n| n.checked_mul(4))
+            .ok_or_else(|| format!("tensor shape {shape:?} overflows"))?;
+        let data = self
+            .take(slab)?
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes(b.try_into().expect("chunks_exact(4)"))))
+            .collect();
         Ok(Tensor::from_vec(data, &shape))
     }
     fn dense(&mut self) -> Result<DenseParams, String> {
@@ -416,12 +424,33 @@ fn decode_engine(dec: &mut Dec<'_>) -> Result<NumericSupernet, String> {
     Ok(NumericSupernet::from_parts(optimizer, residual_scale))
 }
 
-/// Encodes `ckpt` into the v1 byte format (including trailing checksum).
-/// `fingerprint` stamps the run the snapshot belongs to.
-///
-/// Exposed for tests; use [`DurableStore::persist`] to write files.
-pub fn encode_snapshot(ckpt: &Checkpoint, fingerprint: u64) -> Vec<u8> {
-    let mut enc = Enc::new();
+/// Exact encoded size of `ckpt`, trailer included — the grammar of
+/// [`encode_into`] with every field replaced by its width.
+fn encoded_len(ckpt: &Checkpoint) -> usize {
+    let tensor = |t: &Tensor| 4 + 4 * t.shape().len() + 4 * t.data().len();
+    let stage = |s: &StageSnapshot| {
+        let layers = s.params.iter().flatten();
+        let params: usize = layers.map(|p| tensor(&p.weight) + tensor(&p.bias)).sum();
+        let optimizer = match s.engine.optimizer() {
+            Optimizer::Sgd(_) => 4,
+            Optimizer::Momentum(o) => {
+                let velocity = o.velocity().values();
+                let velocity = velocity.map(|v| 8 + tensor(&v.weight) + tensor(&v.bias));
+                12 + 4 + velocity.sum::<usize>()
+            }
+        };
+        4 + 4 * s.params.len() + params + 4 + 1 + optimizer + 4 + 12 * s.losses.len()
+    };
+    HEADER_LEN + ckpt.stages.iter().map(stage).sum::<usize>() + 8
+}
+
+/// Appends the v2 encoding of `ckpt` (trailing checksum included) to the
+/// emptied `buf`, growing it at most once.
+fn encode_into(buf: &mut Vec<u8>, ckpt: &Checkpoint, fingerprint: u64) {
+    buf.clear();
+    let len = encoded_len(ckpt);
+    buf.reserve_exact(len);
+    let mut enc = Enc { buf };
     enc.buf.extend_from_slice(SNAP_MAGIC);
     enc.u32(SNAP_VERSION);
     enc.u64(fingerprint);
@@ -442,15 +471,28 @@ pub fn encode_snapshot(ckpt: &Checkpoint, fingerprint: u64) -> Vec<u8> {
             enc.f32(loss);
         }
     }
-    let checksum = fnv1a(FNV_OFFSET, &enc.buf);
+    let checksum = fnv1a_words(FNV_OFFSET, enc.buf);
     enc.u64(checksum);
-    enc.buf
+    debug_assert_eq!(buf.len(), len, "encoded_len disagrees with the encoder");
 }
 
-/// Parses a v1 snapshot, validating magic, version, checksum, and (when
-/// `expect_fingerprint` is `Some`) the run fingerprint. The returned
-/// checkpoint's `cut_span` is [`SpanId::EXTERNAL`] — causal spans do not
-/// survive the process boundary.
+/// Encodes `ckpt` into the v2 byte format (including trailing checksum).
+/// `fingerprint` stamps the run the snapshot belongs to.
+///
+/// Exposed for tests; use [`DurableStore::persist`] to write files.
+pub fn encode_snapshot(ckpt: &Checkpoint, fingerprint: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(&mut buf, ckpt, fingerprint);
+    buf
+}
+
+/// Parses a v2 snapshot, validating magic, version, checksum, and (when
+/// `expect_fingerprint` is `Some`) the run fingerprint. Magic and version
+/// are read before the checksum is verified — what the checksum *is*
+/// depends on the version, so another version's file is
+/// [`DurableError::UnsupportedVersion`], not a checksum mismatch. The
+/// returned checkpoint's `cut_span` is [`SpanId::EXTERNAL`] — causal
+/// spans do not survive the process boundary.
 ///
 /// # Errors
 ///
@@ -465,19 +507,10 @@ pub fn decode_snapshot(
         path: path.to_path_buf(),
         detail,
     };
-    if bytes.len() < SNAP_MAGIC.len() + 4 + 8 + 8 + 4 + 8 {
+    if bytes.len() < HEADER_LEN + 8 {
         return Err(corrupt(format!("{} byte(s) is too short", bytes.len())));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let expected = u64::from_le_bytes(tail.try_into().unwrap());
-    let actual = fnv1a(FNV_OFFSET, body);
-    if expected != actual {
-        return Err(DurableError::ChecksumMismatch {
-            path: path.to_path_buf(),
-            expected,
-            actual,
-        });
-    }
     let mut dec = Dec::new(body);
     let magic = dec.take(SNAP_MAGIC.len()).map_err(&corrupt)?;
     if magic != SNAP_MAGIC {
@@ -488,6 +521,15 @@ pub fn decode_snapshot(
         return Err(DurableError::UnsupportedVersion {
             path: path.to_path_buf(),
             version,
+        });
+    }
+    let expected = u64::from_le_bytes(tail.try_into().unwrap());
+    let actual = fnv1a_words(FNV_OFFSET, body);
+    if expected != actual {
+        return Err(DurableError::ChecksumMismatch {
+            path: path.to_path_buf(),
+            expected,
+            actual,
         });
     }
     let fingerprint = dec.u64().map_err(&corrupt)?;
@@ -548,7 +590,7 @@ pub fn decode_snapshot(
 }
 
 // ---------------------------------------------------------------------------
-// Store: atomic persistence, manifest, retention
+// Store: atomic persistence, retention
 // ---------------------------------------------------------------------------
 
 /// File name of the snapshot at `watermark`. Zero-padded so
@@ -574,30 +616,45 @@ pub struct LoadedCheckpoint {
     pub skipped: Vec<(PathBuf, String)>,
 }
 
-/// Handle on a checkpoint directory: persists cuts atomically, maintains
-/// the manifest, garbage-collects old cuts, and loads the newest valid
-/// one.
+/// Handle on a checkpoint directory: persists cuts atomically, prunes old
+/// cuts, and loads the newest valid one.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
     keep: usize,
     fingerprint: u64,
+    // `NASPIPE_CRASH_WRITE=<n>`, read once at open.
+    crash_write: Option<u64>,
+    // The encode buffer, reused by every persist of the run.
+    buf: Mutex<Vec<u8>>,
 }
 
 impl DurableStore {
     /// Opens (creating if needed) the checkpoint directory, keeping the
     /// last `keep` complete cuts on disk (`0` is treated as `1` — a
-    /// store that retains nothing could never resume).
+    /// store that retains nothing could never resume). Orphaned tmp files
+    /// of a previous, crashed incarnation are removed here, once.
     ///
     /// # Errors
     ///
     /// Fails only on directory-creation I/O errors.
     pub fn open(dir: &Path, keep: usize, fingerprint: u64) -> Result<Self, DurableError> {
         fs::create_dir_all(dir).map_err(|e| io_err(dir, "create dir", &e))?;
+        for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with('.') && name.ends_with(".tmp") {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
         Ok(Self {
             dir: dir.to_path_buf(),
             keep: keep.max(1),
             fingerprint,
+            crash_write: std::env::var("NASPIPE_CRASH_WRITE")
+                .ok()
+                .and_then(|v| v.parse().ok()),
+            buf: Mutex::new(Vec::new()),
         })
     }
 
@@ -611,8 +668,8 @@ impl DurableStore {
         self.fingerprint
     }
 
-    /// Atomically persists `ckpt`, updates the manifest, and prunes cuts
-    /// beyond the retention limit. Returns the final snapshot path.
+    /// Atomically persists `ckpt`, then prunes the cuts below it beyond
+    /// the retention limit. Returns the final snapshot path.
     ///
     /// Honors the `NASPIPE_CRASH_WRITE=<n>` chaos hook: the n-th persist
     /// call process-wide aborts after writing *half* of the tmp file —
@@ -622,23 +679,21 @@ impl DurableStore {
     /// # Errors
     ///
     /// Surfaces I/O failures as [`DurableError::Io`]; the directory is
-    /// left with the previous snapshot set intact.
+    /// left with the previous snapshot set intact. Once the rename has
+    /// happened the cut is durable and the call succeeds: pruning is best
+    /// effort.
     pub fn persist(&self, ckpt: &Checkpoint) -> Result<PathBuf, DurableError> {
-        let bytes = encode_snapshot(ckpt, self.fingerprint);
+        let mut bytes = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
+        encode_into(&mut bytes, ckpt, self.fingerprint);
         let final_path = self.dir.join(snapshot_file_name(ckpt.watermark));
         let tmp_path = self
             .dir
             .join(format!(".{}.tmp", snapshot_file_name(ckpt.watermark)));
 
         let call = PERSIST_CALLS.fetch_add(1, Ordering::SeqCst) + 1;
-        let crash_here = std::env::var("NASPIPE_CRASH_WRITE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .is_some_and(|n| n == call);
-
         {
             let mut f = File::create(&tmp_path).map_err(|e| io_err(&tmp_path, "create", &e))?;
-            if crash_here {
+            if self.crash_write == Some(call) {
                 // Torn write: half the bytes hit the disk, then the
                 // process dies without renaming. abort() skips all
                 // destructors and exit handlers, like SIGKILL would.
@@ -661,70 +716,15 @@ impl DurableStore {
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        self.write_manifest_and_gc(ckpt.watermark, &bytes)?;
+        // Retention: this cut and the newest `keep - 1` below it stay
+        // (files *above* it are another run's or a corrupt cut about to be
+        // rewritten; they must never evict the one just written).
+        let older = self.list_snapshots().unwrap_or_default();
+        let older = older.iter().rev().filter(|&&w| w < ckpt.watermark);
+        for &w in older.skip(self.keep - 1) {
+            let _ = fs::remove_file(self.dir.join(snapshot_file_name(w)));
+        }
         Ok(final_path)
-    }
-
-    /// Rewrites the manifest to the retained set after adding
-    /// `watermark`, then deletes pruned snapshot files and stale tmps.
-    fn write_manifest_and_gc(&self, watermark: u64, bytes: &[u8]) -> Result<(), DurableError> {
-        let mut cuts = self.list_snapshots()?;
-        if !cuts.contains(&watermark) {
-            cuts.push(watermark);
-            cuts.sort_unstable();
-        }
-        let prune: Vec<u64> = if cuts.len() > self.keep {
-            cuts.drain(..cuts.len() - self.keep).collect()
-        } else {
-            Vec::new()
-        };
-
-        let mut manifest = String::new();
-        manifest.push_str(MANIFEST_MAGIC);
-        manifest.push('\n');
-        manifest.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
-        manifest.push_str(&format!("keep {}\n", self.keep));
-        for &w in &cuts {
-            let (name, len, checksum) = if w == watermark {
-                let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-                (snapshot_file_name(w), bytes.len() as u64, checksum)
-            } else {
-                let path = self.dir.join(snapshot_file_name(w));
-                let data = fs::read(&path).map_err(|e| io_err(&path, "read", &e))?;
-                let checksum = if data.len() >= 8 {
-                    u64::from_le_bytes(data[data.len() - 8..].try_into().unwrap())
-                } else {
-                    0
-                };
-                (snapshot_file_name(w), data.len() as u64, checksum)
-            };
-            manifest.push_str(&format!("snap {w} {name} {checksum:016x} {len}\n"));
-        }
-        let manifest_path = self.dir.join("MANIFEST");
-        let tmp = self.dir.join(".MANIFEST.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
-            f.write_all(manifest.as_bytes())
-                .map_err(|e| io_err(&tmp, "write", &e))?;
-            f.sync_all().map_err(|e| io_err(&tmp, "sync", &e))?;
-        }
-        fs::rename(&tmp, &manifest_path).map_err(|e| io_err(&manifest_path, "rename", &e))?;
-
-        for w in prune {
-            let path = self.dir.join(snapshot_file_name(w));
-            let _ = fs::remove_file(path);
-        }
-        // Orphaned tmp files from previous crashed incarnations.
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with('.') && name.ends_with(".tmp") {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Watermarks of the snapshot files currently on disk, ascending.

@@ -88,7 +88,9 @@ use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -347,8 +349,6 @@ struct RunContext {
     recv_timeout: Option<Duration>,
     ckpts: Option<CheckpointStore>,
     ckpt_interval: u64,
-    // Durable persistence of completed cuts (None = in-memory only).
-    durable: Option<DurableStore>,
     epoch: Instant,
     // The run's shared sinks (flight ring, journal, ops-plane gauges).
     bus: EventBus,
@@ -370,6 +370,9 @@ struct StageWorker {
     rx: Receiver<Msg>,
     next_tx: Option<Sender<Msg>>,
     prev_tx: Option<Sender<Msg>>,
+    // Where a cut this stage closes goes to be persisted (None =
+    // in-memory checkpoints only).
+    writer: Option<SyncSender<Handoff>>,
     // Queued work, each entry tagged with the producing span and its
     // wall-clock arrival (for causal-edge binding).
     fwd_queue: Vec<(SubnetId, Tensor, SpanId, u64)>,
@@ -707,8 +710,8 @@ impl StageWorker {
     /// after `next_ckpt` subnets — no task of any later subnet has run
     /// anywhere — which the `debug_assert`s below audit.
     fn maybe_checkpoint(&mut self) {
-        // Borrowed field by field: the context is read while the
-        // recorder and tracer are written.
+        // Borrowed field by field: the context is read while the tracer
+        // is written.
         let ctx = &*self.ctx;
         let Some(store) = &ctx.ckpts else {
             return;
@@ -748,29 +751,13 @@ impl StageWorker {
                 snap_start,
                 RunEvent::CheckpointCut {
                     watermark,
-                    completed,
+                    completed: completed.is_some(),
                 },
             );
-            // The worker whose record completes the cut persists it to
-            // disk. Persist failures are deliberately non-fatal: the
-            // in-memory checkpoints still cover in-process recovery, so
-            // a full disk degrades durability, not training.
-            if let (true, Some(durable)) = (completed, &ctx.durable) {
-                match store.latest_complete() {
-                    Some(cut) => {
-                        let watermark = cut.watermark;
-                        let persisted = durable.persist(&cut);
-                        let event = match &persisted {
-                            Ok(_) => {
-                                self.recorder.incr(stage, Counter::DurablePersist, 1);
-                                RunEvent::DurablePersist { watermark }
-                            }
-                            Err(error) => RunEvent::DurablePersistFailed { watermark, error },
-                        };
-                        ctx.bus.emit(stage, elapsed_us(ctx.epoch), event);
-                    }
-                    None => debug_assert!(false, "completed cut must be visible"),
-                }
+            // The worker whose record completes the cut hands it over to be
+            // persisted and goes back to training; no lock is held here.
+            if let (Some(cut), Some(writer)) = (completed, &self.writer) {
+                hand_over(writer, stage, cut, &ctx.bus, ctx.epoch);
             }
             self.next_ckpt += ctx.ckpt_interval;
         }
@@ -1272,7 +1259,7 @@ impl<'a> RunSpec<'a> {
         // load the newest valid cut) before any worker starts, so a bad
         // snapshot directory fails fast and a resume seeds every
         // incarnation below.
-        let (durable, mut initial_resume) = match &self.durable {
+        let (durable, initial_resume) = match &self.durable {
             Some(d) => {
                 let fp = run_fingerprint(space, &subnets, &cfg, gpus, opts.checkpoint_interval);
                 let store = DurableStore::open(&d.dir, d.keep, fp)
@@ -1300,7 +1287,6 @@ impl<'a> RunSpec<'a> {
             recv_timeout: opts.recv_timeout_ms.map(Duration::from_millis),
             ckpts: (opts.checkpoint_interval > 0).then(|| CheckpointStore::new(gpus as usize)),
             ckpt_interval: opts.checkpoint_interval,
-            durable,
             epoch: Instant::now(),
             bus,
             subnets,
@@ -1332,6 +1318,10 @@ impl<'a> RunSpec<'a> {
             )
         });
 
+        // Owns the durable store for the whole run. Declared after the
+        // sampler: on every exit path it is joined before the final sample.
+        let mut writer = durable.map(|store| DurableWriter::start(store, bus.clone(), epoch));
+
         let mut master = MetricsRecorder::new();
         // The supervisor's own recovery accounting, mirrored into the hub
         // like any worker's counters and merged into `master` at the end.
@@ -1341,29 +1331,20 @@ impl<'a> RunSpec<'a> {
         let mut attributed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         let mut incarnation: u32 = 0;
 
-        // Seed the in-memory checkpoint store with the durable cut so
-        // in-process restarts after a fault never fall below the resumed
-        // watermark, and account the cross-process resume per stage.
-        if let Some(cut) = &initial_resume {
-            if let Some(store) = &ctx.ckpts {
-                for (k, s) in cut.stages.iter().enumerate() {
-                    store.record(cut.watermark, k, s.clone(), SpanId::EXTERNAL);
-                }
-            }
-            for k in 0..gpus {
-                supervisor.incr(k, Counter::DurableResume, 1);
+        // Seed the in-memory checkpoint store with the durable cut: every
+        // incarnation resumes from the store's newest complete cut, so
+        // incarnation 0 starts exactly as the uninterrupted run's workers
+        // stood after that watermark and no restart falls below it.
+        if let Some(cut) = initial_resume {
+            let store = ctx.ckpts.as_ref().expect("validated: durable has cuts");
+            for (k, s) in cut.stages.into_iter().enumerate() {
+                store.record(cut.watermark, k, s, SpanId::EXTERNAL);
+                supervisor.incr(k as u32, Counter::DurableResume, 1);
             }
         }
 
         loop {
-            let resume: Option<Checkpoint> = if incarnation == 0 {
-                // A durable resume enters incarnation 0 mid-stream: the
-                // workers start exactly as the uninterrupted run's workers
-                // stood after the snapshot's watermark.
-                initial_resume.take()
-            } else {
-                ctx.ckpts.as_ref().and_then(|s| s.latest_complete())
-            };
+            let resume = ctx.ckpts.as_ref().and_then(|s| s.latest_complete());
             let resume_w = resume.as_ref().map_or(0, |c| c.watermark);
             if incarnation > 0 {
                 recovery.resume_watermarks.push(resume_w);
@@ -1431,6 +1412,7 @@ impl<'a> RunSpec<'a> {
                     rx: rxs.remove(k),
                     next_tx: txs.get(k + 1).cloned(),
                     prev_tx: k.checked_sub(1).map(|p| txs[p].clone()),
+                    writer: writer.as_ref().and_then(|w| w.tx.clone()),
                     fwd_queue: Vec::new(),
                     bwd_queue: BTreeMap::new(),
                     ctxs: BTreeMap::new(),
@@ -1511,6 +1493,13 @@ impl<'a> RunSpec<'a> {
                 }
             }
 
+            // The workers are joined, nothing more is handed over: the cut
+            // in flight lands before this incarnation's restart, end or
+            // failure notice.
+            if let Some(w) = &writer {
+                w.drain();
+            }
+
             for i in ctx.injector.fired_indices() {
                 if attributed.insert(i) {
                     recovery.faults_fired.push(FiredFault {
@@ -1554,6 +1543,9 @@ impl<'a> RunSpec<'a> {
                 // Stop the sampler first: its shutdown publishes the final
                 // snapshot (workers have joined, so the hub is complete),
                 // which must be in the series the report embeds.
+                if let Some(w) = writer.as_mut() {
+                    master.merge(&w.finish());
+                }
                 if let Some(s) = sampler.as_mut() {
                     s.finish();
                 }
@@ -1599,11 +1591,8 @@ impl<'a> RunSpec<'a> {
             // Account the failed incarnation: salvage metrics from the
             // workers that survived, and count the tasks past the resume
             // watermark whose effects the rollback discards.
-            let next_resume = ctx
-                .ckpts
-                .as_ref()
-                .and_then(|s| s.latest_complete())
-                .map_or(0, |c| c.watermark);
+            let next_resume = ctx.ckpts.as_ref().and_then(|s| s.latest_complete());
+            let next_resume = next_resume.map_or(0, |c| c.watermark);
             salvaged.extend(finished_outputs);
             for (k, out) in salvaged {
                 master.merge(&out.recorder);
@@ -1781,6 +1770,105 @@ impl TelemetrySampler {
 }
 
 impl Drop for TelemetrySampler {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
+/// What stage workers and the supervisor send the [`DurableWriter`].
+enum Handoff {
+    /// `stage` closed `cut`: persist it.
+    Cut { stage: u32, cut: Arc<Checkpoint> },
+    /// Nothing to do: being taken is the point ([`DurableWriter::drain`]).
+    Drain,
+}
+
+/// Hands `cut` (the checkpoint store's own copy, shared), which `stage`
+/// closed, to the writer thread, waiting only while the previous cut is
+/// still being written. A dead writer is reported like any failed
+/// persist: the in-memory checkpoints still cover in-process recovery.
+fn hand_over(
+    writer: &SyncSender<Handoff>,
+    stage: u32,
+    cut: Arc<Checkpoint>,
+    bus: &EventBus,
+    epoch: Instant,
+) {
+    let watermark = cut.watermark;
+    if writer.send(Handoff::Cut { stage, cut }).is_err() {
+        let error: &dyn fmt::Display = &"the snapshot writer thread is gone";
+        let failed = RunEvent::DurablePersistFailed { watermark, error };
+        bus.emit(stage, elapsed_us(epoch), failed);
+    }
+}
+
+/// The snapshot writer behind [`RunSpec::durable`]: one thread per run
+/// that owns the [`DurableStore`], so no stage thread stands in `persist`.
+/// Cuts arrive over a rendezvous channel — a send returns when the writer
+/// *takes* the message, which it does only between persists — so they
+/// reach disk in hand-off (= watermark) order, at most one in flight:
+/// cut `W` is on disk before cut `W + interval` is handed over, and a
+/// kill loses at most the newest cut.
+struct DurableWriter {
+    tx: Option<SyncSender<Handoff>>,
+    handle: Option<std::thread::JoinHandle<MetricsRecorder>>,
+}
+
+impl DurableWriter {
+    fn start(store: DurableStore, bus: EventBus, epoch: Instant) -> Self {
+        let (tx, rx) = sync_channel(0);
+        let handle = std::thread::Builder::new()
+            .name("naspipe-durable".to_string())
+            .spawn(move || {
+                let mut recorder = TeeRecorder::new(bus.hub().cloned());
+                // Ends when the supervisor's sender, the last, is dropped.
+                while let Ok(msg) = rx.recv() {
+                    let Handoff::Cut { stage, cut } = msg else {
+                        continue;
+                    };
+                    let watermark = cut.watermark;
+                    // Persist failures are non-fatal: a full disk
+                    // degrades durability, not training.
+                    let persisted = store.persist(&cut);
+                    drop(cut);
+                    let event = match &persisted {
+                        Ok(_) => {
+                            // Counted for the stage that closed the cut.
+                            recorder.incr(stage, Counter::DurablePersist, 1);
+                            RunEvent::DurablePersist { watermark }
+                        }
+                        Err(error) => RunEvent::DurablePersistFailed { watermark, error },
+                    };
+                    bus.emit(stage, elapsed_us(epoch), event);
+                }
+                recorder.into_inner()
+            })
+            .expect("spawn snapshot writer");
+        DurableWriter {
+            tx: Some(tx),
+            handle: Some(handle),
+        }
+    }
+
+    /// Returns once every cut handed over so far is on disk (or reported
+    /// failed): the writer takes this message only after finishing those.
+    fn drain(&self) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(Handoff::Drain);
+        }
+    }
+
+    /// Drains and joins the writer (the workers, whose senders keep it
+    /// alive, must be joined) and returns its counters. Idempotent; also
+    /// runs on drop, so nothing is written after any supervisor exit.
+    fn finish(&mut self) -> MetricsRecorder {
+        self.tx = None;
+        let joined = self.handle.take().and_then(|h| h.join().ok());
+        joined.unwrap_or_default()
+    }
+}
+
+impl Drop for DurableWriter {
     fn drop(&mut self) {
         self.finish();
     }
@@ -2422,5 +2510,84 @@ mod tests {
             "same seed must reproduce the same fault and recovery schedule"
         );
         assert_eq!(a.recovery.restarts, 1, "one fatal fault, one restart");
+    }
+
+    /// A bus whose journal the test can read back, and that journal's
+    /// durable lines as `kind stage watermark`.
+    fn journaled_bus() -> (EventBus, Arc<naspipe_obs::OpsState>) {
+        let state = Arc::new(naspipe_obs::OpsState::new(
+            RunMeta::new("threaded", 2),
+            Arc::new(TelemetryHub::new(2, 0)),
+            Arc::new(naspipe_obs::Journal::new(0)),
+        ));
+        let bus = EventBus::new(BusConfig {
+            engine: "threaded",
+            stages: 2,
+            enabled: true,
+            watchdog: &naspipe_obs::WatchdogConfig::default(),
+            flight_dump: None,
+            ops: Some(&state),
+            telemetry: None,
+            wall_clock: true,
+        });
+        (bus, state)
+    }
+
+    fn durable_lines(state: &naspipe_obs::OpsState) -> Vec<String> {
+        let events = state.journal().snapshot();
+        let durable = events.iter().filter(|e| e.kind.starts_with("durable-"));
+        durable
+            .map(|e| format!("{} {:?} {}", e.kind, e.stage, e.fields[0].1))
+            .collect()
+    }
+
+    fn empty_cut(watermark: u64) -> Arc<Checkpoint> {
+        Arc::new(Checkpoint {
+            watermark,
+            stages: vec![StageSnapshot {
+                params: Vec::new(),
+                engine: NumericSupernet::new(0.05),
+                losses: BTreeMap::new(),
+            }],
+            cut_span: SpanId::EXTERNAL,
+        })
+    }
+
+    #[test]
+    fn hand_off_to_a_dead_writer_is_a_failed_persist_not_a_panic() {
+        let (bus, state) = journaled_bus();
+        let (tx, rx) = sync_channel(0);
+        drop(rx);
+        hand_over(&tx, 1, empty_cut(8), &bus, Instant::now());
+        assert_eq!(durable_lines(&state), ["durable-persist-failed Some(1) 8"]);
+    }
+
+    #[test]
+    fn writer_persists_in_hand_off_order_and_counts_for_the_closing_stage() {
+        let dir = std::env::temp_dir().join(format!("naspipe-writer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (bus, state) = journaled_bus();
+        let store = DurableStore::open(&dir, 2, 7).unwrap();
+        let mut writer = DurableWriter::start(store, bus.clone(), Instant::now());
+        let tx = writer.tx.clone().unwrap();
+        for (stage, watermark) in [(1, 8), (0, 16), (1, 24)] {
+            hand_over(&tx, stage, empty_cut(watermark), &bus, Instant::now());
+        }
+        // Having been taken, a drain means everything before it is done.
+        writer.drain();
+        let all_three = [
+            "durable-persist Some(1) 8",
+            "durable-persist Some(0) 16",
+            "durable-persist Some(1) 24",
+        ];
+        assert_eq!(durable_lines(&state), all_three);
+        drop(tx);
+        let report = writer.finish().report(1);
+        let counted: Vec<u64> = report.stages.iter().map(|s| s.durable_persists).collect();
+        assert_eq!(counted, [1, 2]);
+        assert!(writer.tx.is_none() && writer.handle.is_none(), "joined");
+        let store = DurableStore::open(&dir, 2, 7).unwrap();
+        assert_eq!(store.list_snapshots().unwrap(), [16, 24], "keep 2");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -62,7 +62,7 @@ pub enum RunEvent<'a> {
     /// `stage` snapshotted itself at the cut boundary `watermark`;
     /// `completed` when its snapshot was the one that closed the cut.
     CheckpointCut { watermark: u64, completed: bool },
-    /// `stage` persisted the completed cut at `watermark`.
+    /// The completed cut at `watermark`, which `stage` closed, is on disk.
     DurablePersist { watermark: u64 },
     /// Persisting the cut at `watermark` failed with `error`; training
     /// continues on the in-memory checkpoints.

@@ -58,8 +58,8 @@ pub enum Counter {
     /// Microseconds of compute-pool chunk execution attributed to this
     /// stage's jobs (summed across workers; timing-dependent).
     PoolBusyUs,
-    /// Completed CSP-watermark cut persisted to durable storage by this
-    /// stage (the stage that closed the cut writes the snapshot).
+    /// Completed CSP-watermark cut persisted to durable storage, counted
+    /// for the stage that closed it (the run's writer thread writes it).
     DurablePersist,
     /// Run resumed from a durable on-disk snapshot (counted once per
     /// stage per cross-process resume).

@@ -14,13 +14,38 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Absorbs `bytes` into an FNV-1a `state` (start from [`FNV_OFFSET`]).
 /// The workspace's one copy of the loop: parameter fingerprints, the
-/// durable snapshot checksum and run fingerprint, and the golden-trace
-/// loss digest are all this function over different byte streams.
+/// durable run fingerprint and the golden-trace loss digest are all this
+/// function over different byte streams (the durable snapshot checksum is
+/// its word-wise sibling, [`fnv1a_words`]).
 #[inline]
 pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a taken a little-endian `u64` word at a time: every full 8-byte
+/// word of `bytes` is one xor-multiply step, the (at most 7-byte) tail
+/// goes through [`fnv1a`] byte by byte, and the length is folded in as a
+/// last word, so a buffer and its zero-extension differ. One multiply
+/// per 8 bytes instead of 8 makes it the checksum of bulk data (the
+/// durable snapshot trailer); it is *not* [`fnv1a`] of the same bytes.
+///
+/// Each step `h -> (h ^ w) * PRIME` is a bijection in `w` for a fixed
+/// `h` and in `h` for a fixed `w` (xor is, and so is multiplying by an
+/// odd constant modulo 2^64). Two equally long buffers that differ only
+/// inside one aligned word, or in one tail byte, therefore leave that
+/// step in different states, and every later step maps different states
+/// to different states: such a corruption is always caught, not merely
+/// with probability 1 - 2^-64.
+#[inline]
+pub fn fnv1a_words(state: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let h = words.by_ref().fold(state, |h, w| {
+        (h ^ u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))).wrapping_mul(FNV_PRIME)
+    });
+    let h = fnv1a(h, words.remainder());
+    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 /// Incrementally computes an FNV-1a fingerprint over f32 bit patterns.
@@ -121,6 +146,43 @@ mod tests {
             .flat_map(|x| x.to_bits().to_le_bytes())
             .collect();
         assert_eq!(hash_tensors([&t]), fnv1a(FNV_OFFSET, &bytes));
+    }
+
+    #[test]
+    fn word_wise_checksum_matches_known_answers() {
+        // Computed independently (Python, arbitrary-precision integers)
+        // over the bytes 1, 2, .., n: below, at and past one word, and
+        // below, at and past four.
+        let table: [(usize, u64); 8] = [
+            (0, 0xaf63_bd4c_8601_b7df),
+            (1, 0x082f_2307_b4e8_8e77),
+            (7, 0x7eb5_018b_368a_5f70),
+            (8, 0xf70f_12fd_27f9_2d2c),
+            (9, 0xc7cd_cd2a_ec6a_95a2),
+            (31, 0x864b_310e_c781_4c83),
+            (32, 0xd1d4_17e3_9622_046b),
+            (33, 0xad65_7db8_1bca_69fb),
+        ];
+        for (n, want) in table {
+            let bytes: Vec<u8> = (1..=n as u8).collect();
+            assert_eq!(fnv1a_words(FNV_OFFSET, &bytes), want, "{n} byte(s)");
+        }
+        // The length is part of the sum: zero-extension changes it.
+        assert_ne!(
+            fnv1a_words(FNV_OFFSET, &[0; 8]),
+            fnv1a_words(FNV_OFFSET, &[0; 16])
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_word_wise_checksum() {
+        let bytes: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let clean = fnv1a_words(FNV_OFFSET, &bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(fnv1a_words(FNV_OFFSET, &bad), clean, "bit {bit}");
+        }
     }
 
     #[test]

@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn fused_layer_equals_reference_at_the_thresholds() {
         // Shapes on both sides of every size-derived switch the layer
-        // crosses: the tiled kernel (rows >= MR, rows*dim^2 >= 2^12), row
+        // crosses: the tiled kernel (rows >= MR, rows*dim^2 >= 2^9), row
         // bands (rows > 32, rows*dim^2 >= 2^20), the elementwise fan-out
         // and the fused bias sums (rows*dim >= 32 Ki), and chunked
         // reductions (rows*dim >= 64 Ki) — with ragged rows (not a
@@ -374,7 +374,8 @@ mod tests {
         for &(rows, dim) in &[
             (1usize, 4usize),
             (3, 16),
-            (4, 31),
+            (4, 11),
+            (4, 12),
             (4, 32),
             (7, 33),
             (8, 16),

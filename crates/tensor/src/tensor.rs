@@ -84,8 +84,9 @@ const PAR_MIN_FLOPS: usize = 1 << 20;
 const BATCH_PAR_MIN: usize = 1 << 18;
 /// Minimum `m * k * n` (with `m >= MR`) before a matmul runs the
 /// register-tiled kernel; below it the per-element strided dot path
-/// runs.
-const TILE_MIN_FLOPS: usize = 1 << 12;
+/// runs. One full `MR x NR` tile over `k = 8`; the products of a
+/// dim-16 layer at 8 rows (2^11) train about twice as fast tiled.
+const TILE_MIN_FLOPS: usize = 1 << 9;
 /// Inner dimension from which a `Tn` product packs its rhs like the
 /// other ops do. The tile walks one rhs cache line per `kk`, a row
 /// stride apart; up to about this many of them stay L1-resident across
@@ -1675,7 +1676,7 @@ mod tests {
     #[test]
     fn every_op_matches_naive_across_packing_and_band_switches() {
         // (m, k, n) of the logical product, on both sides of every switch
-        // the kernels take: tiny vs tiled (m >= MR, m*k*n >= 2^12), rhs
+        // the kernels take: tiny vs tiled (m >= MR, m*k*n >= 2^9), rhs
         // packed (Nn, Nt) vs read in place (Tn) with and without a ragged
         // last panel, lhs packed (k >= 256) or not, one band vs several
         // (where the bands of an item share one packed rhs), tail rows.
@@ -1711,6 +1712,32 @@ mod tests {
                 }
             }
             set_force_portable(false);
+        }
+    }
+
+    #[test]
+    fn small_layer_band_matches_naive_on_both_sides_of_the_tile_threshold() {
+        // The shapes of a dim-16 layer at 4 and 8 batch rows, and their
+        // neighbours: m * k * n from 2^8 (strided dots) across the
+        // threshold through 2^13 (tiled), on all three ops, vector and
+        // portable twins.
+        for m in [4usize, 8] {
+            for k in [8usize, 16, 32] {
+                for n in [8usize, 16, 32] {
+                    let a = wavy(m, k, 0.3);
+                    let b = wavy(k, n, 1.1);
+                    let (at, bt) = (a.transpose(), b.transpose());
+                    let want = a.matmul_naive(&b);
+                    for portable in [false, true] {
+                        set_force_portable(portable);
+                        let what = format!("{m}x{k}x{n} portable={portable}");
+                        assert_bitwise_eq(&a.matmul(&b), &want, &format!("Nn {what}"));
+                        assert_bitwise_eq(&a.matmul_t(&bt), &want, &format!("Nt {what}"));
+                        assert_bitwise_eq(&at.t_matmul(&b), &want, &format!("Tn {what}"));
+                    }
+                    set_force_portable(false);
+                }
+            }
         }
     }
 

@@ -7,9 +7,12 @@
 #![cfg(feature = "proptest-tests")]
 
 use naspipe::core::checkpoint::{Checkpoint, StageSnapshot};
-use naspipe::core::durable::{decode_snapshot, encode_snapshot, DurableError, SNAP_MAGIC};
+use naspipe::core::durable::{
+    decode_snapshot, encode_snapshot, DurableError, SNAP_MAGIC, SNAP_VERSION,
+};
 use naspipe::obs::SpanId;
 use naspipe::supernet::layer::LayerRef;
+use naspipe::tensor::hash::{fnv1a_words, FNV_OFFSET};
 use naspipe::tensor::layers::{DenseGrads, DenseParams};
 use naspipe::tensor::model::{NumericSupernet, Optimizer};
 use naspipe::tensor::optim::{MomentumSgd, Sgd};
@@ -198,17 +201,39 @@ fn every_truncation_is_rejected() {
 fn future_version_is_a_typed_error() {
     let mut bytes = encode_snapshot(&representative(), 7);
     let at = SNAP_MAGIC.len();
-    bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&(SNAP_VERSION + 1).to_le_bytes());
     let body_len = bytes.len() - 8;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[..body_len] {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let tail = body_len;
-    bytes[tail..].copy_from_slice(&h.to_le_bytes());
+    let sum = fnv1a_words(FNV_OFFSET, &bytes[..body_len]);
+    bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     match decode_snapshot(&bytes, Path::new("mem"), None) {
-        Err(DurableError::UnsupportedVersion { version, .. }) => assert_eq!(version, 2),
+        Err(DurableError::UnsupportedVersion { version, .. }) => {
+            assert_eq!(version, SNAP_VERSION + 1);
+        }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+/// The trailer is the library's word-wise checksum of everything before
+/// it — the definition is `tensor::hash::fnv1a_words`, nothing private.
+#[test]
+fn trailer_is_the_word_wise_checksum_of_the_body() {
+    let bytes = encode_snapshot(&representative(), 7);
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    assert_eq!(trailer, fnv1a_words(FNV_OFFSET, body).to_le_bytes());
+}
+
+/// A file the previous format's encoder wrote (`representative()` under
+/// fingerprint 7, committed before the codec changed) is the same typed
+/// error — by its version field, not as a checksum mismatch, although
+/// its byte-serial checksum does not verify under the v2 definition.
+#[test]
+fn v1_snapshot_is_an_unsupported_version() {
+    let v1 = include_bytes!("data/ckpt-v1.snap");
+    match decode_snapshot(v1, Path::new("v1"), Some(7)) {
+        Err(e @ DurableError::UnsupportedVersion { version: 1, .. }) => {
+            let text = e.to_string();
+            assert!(text.contains("other than v2"), "{text}");
+        }
+        other => panic!("expected UnsupportedVersion {{ version: 1 }}, got {other:?}"),
     }
 }
