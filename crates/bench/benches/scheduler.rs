@@ -17,6 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use naspipe_core::context::StageCache;
+use naspipe_core::memory::mean_subnet_param_bytes;
 use naspipe_core::partition::{Partition, PartitionMode, Partitioner};
 use naspipe_core::predictor::Predictor;
 use naspipe_core::scheduler::{CspScheduler, SubnetTable};
@@ -136,6 +137,43 @@ fn bench_cache(c: &mut Criterion) {
             for i in 0..24u32 {
                 cache.access(LayerRef::new(i % 12, i / 12), 40);
             }
+        })
+    });
+
+    // The cache work of one DES task as stage 3 of 8 sees an NLP.c1
+    // stream, in a cache of 3 mean slices like the engine's: prefetch the
+    // next two subnets' 6-layer slices, access and pin the running one,
+    // release it. Unlike the cycle above it evicts, refuses prefetches
+    // and pins on every iteration.
+    let space = SearchSpace::nlp_c1();
+    let profile = ProfiledSpace::new(&space, 192);
+    let slices: Vec<Vec<(LayerRef, u64)>> = UniformSampler::new(&space, 7)
+        .take_subnets(400)
+        .iter()
+        .map(|s| {
+            (18..24)
+                .map(|b| (s.layer(b), profile.cost(s.layer(b)).param_bytes))
+                .collect()
+        })
+        .collect();
+    c.bench_function("stage_cache_task_mix", |b| {
+        let mut cache = StageCache::new(mean_subnet_param_bytes(&space) / 8 * 3);
+        let mut i = 0;
+        b.iter(|| {
+            for ahead in [1, 2] {
+                for &(l, bytes) in &slices[(i + ahead) % slices.len()] {
+                    black_box(cache.prefetch(l, bytes));
+                }
+            }
+            let slice = &slices[i % slices.len()];
+            for &(l, bytes) in slice {
+                black_box(cache.access(l, bytes));
+                cache.pin(l);
+            }
+            for &(l, _) in slice {
+                cache.unpin(l);
+            }
+            i += 1;
         })
     });
 }

@@ -6,9 +6,16 @@
 //! expects to run and evicts finished ones, LRU-first. Accesses are
 //! tracked at *layer* granularity — the paper's cache-hit metric counts,
 //! per activated layer, whether its parameters were already resident.
+//!
+//! Every operation is O(1) and allocation-free in steady state: layers
+//! live in dense `rows[block][choice]` slots (a row is allocated when its
+//! block is first touched — a stage only ever sees the few blocks its
+//! partitions assign it), and the LRU is a doubly-linked list threaded
+//! through those slots.
 
+use naspipe_obs::SpanId;
+use naspipe_sim::time::SimTime;
 use naspipe_supernet::layer::LayerRef;
-use std::collections::{BTreeMap, VecDeque};
 
 /// Cache-hit statistics (the "Cache Hit" column of Table 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,6 +46,29 @@ impl CacheStats {
     }
 }
 
+/// The owner's note on a layer's latest transfer. The cache only stores
+/// it: it plays no part in residency and outlives eviction.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Landing {
+    /// When the transfer completes; `None` before the layer's first.
+    pub at: Option<SimTime>,
+    /// The span that carries it (external when untraced).
+    pub span: SpanId,
+}
+
+/// One layer's state. The layer is on the LRU list exactly while
+/// `resident && pins == 0` (so a pinned layer can never be a victim, and
+/// none is listed twice); `prev`/`next` mean something only then.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    bytes: u64,
+    pins: u32,
+    prev: Option<LayerRef>,
+    next: Option<LayerRef>,
+    resident: bool,
+    landing: Landing,
+}
+
 /// A per-stage parameter cache with LRU eviction and pinning.
 ///
 /// # Example
@@ -59,14 +89,13 @@ pub struct StageCache {
     capacity: u64,
     used: u64,
     high_water: u64,
-    resident: BTreeMap<LayerRef, u64>,
-    // LRU order: front = least recently used. Contains every resident,
-    // unpinned layer exactly once.
-    lru: VecDeque<LayerRef>,
-    pinned: BTreeMap<LayerRef, u32>,
+    // Bytes on the LRU list: what eviction could release right now.
+    evictable: u64,
+    rows: Vec<Vec<Slot>>,
+    // LRU order: `head` = least recently used, `tail` = most recently.
+    head: Option<LayerRef>,
+    tail: Option<LayerRef>,
     stats: CacheStats,
-    // Evictions since the last `take_evictions` drain, for span tracing.
-    eviction_log: Vec<(LayerRef, u64)>,
 }
 
 impl StageCache {
@@ -81,11 +110,11 @@ impl StageCache {
             capacity,
             used: 0,
             high_water: 0,
-            resident: BTreeMap::new(),
-            lru: VecDeque::new(),
-            pinned: BTreeMap::new(),
+            evictable: 0,
+            rows: Vec::new(),
+            head: None,
+            tail: None,
             stats: CacheStats::default(),
-            eviction_log: Vec::new(),
         }
     }
 
@@ -111,86 +140,142 @@ impl StageCache {
 
     /// Whether `layer` is resident.
     pub fn contains(&self, layer: LayerRef) -> bool {
-        self.resident.contains_key(&layer)
+        self.rows
+            .get(layer.block as usize)
+            .and_then(|row| row.get(layer.choice as usize))
+            .is_some_and(|s| s.resident)
+    }
+
+    /// The note kept for `layer` (see [`Landing`]).
+    pub fn landing(&mut self, layer: LayerRef) -> &mut Landing {
+        &mut self.slot(layer).landing
+    }
+
+    /// `layer`'s slot, growing the table on the first touch.
+    fn slot(&mut self, layer: LayerRef) -> &mut Slot {
+        let (b, c) = (layer.block as usize, layer.choice as usize);
+        if self.rows.len() <= b {
+            self.rows.resize(b + 1, Vec::new());
+        }
+        let row = &mut self.rows[b];
+        if row.len() <= c {
+            // Exact: a 32-stage run holds ~600 rows, and doubling would
+            // leave a third of every one unused.
+            row.reserve_exact(c + 1 - row.len());
+            row.resize(c + 1, Slot::default());
+        }
+        &mut row[c]
+    }
+
+    /// The slot of a layer touched before, as every listed layer was.
+    fn known(&mut self, layer: LayerRef) -> &mut Slot {
+        &mut self.rows[layer.block as usize][layer.choice as usize]
+    }
+
+    /// Appends resident, unpinned `layer` as most recently used.
+    fn lru_push(&mut self, layer: LayerRef) {
+        let tail = self.tail.replace(layer);
+        let s = self.known(layer);
+        (s.prev, s.next) = (tail, None);
+        self.evictable += s.bytes;
+        match tail {
+            Some(t) => self.known(t).next = Some(layer),
+            None => self.head = Some(layer),
+        }
     }
 
     fn lru_remove(&mut self, layer: LayerRef) {
-        if let Some(pos) = self.lru.iter().position(|&l| l == layer) {
-            self.lru.remove(pos);
+        let s = *self.known(layer);
+        self.evictable -= s.bytes;
+        match s.prev {
+            Some(p) => self.known(p).next = s.next,
+            None => self.head = s.next,
         }
+        match s.next {
+            Some(n) => self.known(n).prev = s.prev,
+            None => self.tail = s.prev,
+        }
+    }
+
+    /// The list's byte total, re-derived link by link.
+    fn lru_bytes(&self) -> u64 {
+        let (mut sum, mut at) = (0, self.head);
+        while let Some(l) = at {
+            let s = &self.rows[l.block as usize][l.choice as usize];
+            sum += s.bytes;
+            at = s.next;
+        }
+        sum
     }
 
     /// Whether `bytes` more could be made to fit by evicting unpinned
     /// layers, without actually evicting.
     fn could_fit(&self, bytes: u64) -> bool {
-        let evictable: u64 = self.lru.iter().map(|l| self.resident[l]).sum();
-        self.used - evictable + bytes <= self.capacity
+        debug_assert_eq!(self.evictable, self.lru_bytes());
+        self.used - self.evictable + bytes <= self.capacity
     }
 
-    /// Evicts LRU unpinned layers until `bytes` more fit, best effort:
-    /// stops when nothing evictable remains even if still over capacity
-    /// (mirroring the paper's limit check, which *delays* copies under
-    /// pressure but lets required ones proceed).
-    fn make_room(&mut self, bytes: u64) {
+    /// Takes resident, unpinned `layer` off the list and out of the cache.
+    fn release(&mut self, layer: LayerRef) -> u64 {
+        self.lru_remove(layer);
+        let s = self.known(layer);
+        s.resident = false;
+        let bytes = s.bytes;
+        self.used -= bytes;
+        self.stats.bytes_evicted += bytes;
+        self.stats.evictions += 1;
+        bytes
+    }
+
+    /// Makes absent `layer` resident, first evicting LRU unpinned layers
+    /// until `bytes` more fit, best effort: stops when nothing evictable
+    /// remains even if still over capacity (mirroring the paper's limit
+    /// check, which *delays* copies under pressure but lets required ones
+    /// proceed).
+    fn admit(&mut self, layer: LayerRef, bytes: u64) {
         while self.used + bytes > self.capacity {
-            let Some(victim) = self.lru.pop_front() else {
-                return;
-            };
-            let sz = self.resident[&victim];
-            self.used -= sz;
-            self.stats.bytes_evicted += sz;
-            self.stats.evictions += 1;
-            self.eviction_log.push((victim, sz));
-            self.resident.remove(&victim);
+            let Some(victim) = self.head else { break };
+            self.release(victim);
         }
-    }
-
-    /// Drains the evictions recorded since the last drain, as
-    /// `(layer, bytes)` in eviction order — the tracing hook for `Evict`
-    /// spans. Callers that never drain pay only the log's memory.
-    pub fn take_evictions(&mut self) -> Vec<(LayerRef, u64)> {
-        std::mem::take(&mut self.eviction_log)
+        let s = self.slot(layer);
+        (s.resident, s.bytes) = (true, bytes);
+        if s.pins == 0 {
+            self.lru_push(layer);
+        }
+        self.used += bytes;
+        self.high_water = self.high_water.max(self.used);
     }
 
     /// Records an access to `layer` (of `bytes` size) at task-dispatch
     /// time. Returns `true` on a hit; on a miss the layer is fetched
     /// synchronously (counted in `bytes_fetched`) and inserted, evicting
     /// LRU layers as needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer cannot fit even after evicting everything
-    /// unpinned (the caller must size caches above one stage slice).
     pub fn access(&mut self, layer: LayerRef, bytes: u64) -> bool {
-        if self.resident.contains_key(&layer) {
+        let Slot { resident, pins, .. } = *self.slot(layer);
+        if resident {
             self.stats.hits += 1;
             // Refresh LRU position if unpinned.
-            if !self.pinned.contains_key(&layer) {
+            if pins == 0 {
                 self.lru_remove(layer);
-                self.lru.push_back(layer);
+                self.lru_push(layer);
             }
-            true
         } else {
             self.stats.misses += 1;
             self.stats.bytes_fetched += bytes;
-            self.insert(layer, bytes);
-            false
+            self.admit(layer, bytes);
         }
+        resident
     }
 
     /// Inserts `layer` (a required fetch completed), evicting LRU layers
     /// best-effort. A required layer is admitted even if pins keep the
     /// cache over capacity — synchronous swap-ins cannot be refused, only
-    /// delayed.
+    /// delayed. A layer pinned before it arrives stays off the LRU list
+    /// until its last pin drops.
     pub fn insert(&mut self, layer: LayerRef, bytes: u64) {
-        if self.resident.contains_key(&layer) {
-            return;
+        if !self.contains(layer) {
+            self.admit(layer, bytes);
         }
-        self.make_room(bytes);
-        self.resident.insert(layer, bytes);
-        self.lru.push_back(layer);
-        self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
     }
 
     /// Starts an asynchronous prefetch of `layer` if it is absent and
@@ -198,17 +283,10 @@ impl StageCache {
     /// resident or not insertable within capacity (prefetches — unlike
     /// required fetches — are refused under memory pressure).
     pub fn prefetch(&mut self, layer: LayerRef, bytes: u64) -> Option<u64> {
-        if self.resident.contains_key(&layer) {
+        if self.contains(layer) || !self.could_fit(bytes) {
             return None;
         }
-        if !self.could_fit(bytes) {
-            return None;
-        }
-        self.make_room(bytes);
-        self.resident.insert(layer, bytes);
-        self.lru.push_back(layer);
-        self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
+        self.admit(layer, bytes);
         self.stats.prefetches += 1;
         self.stats.bytes_fetched += bytes;
         Some(bytes)
@@ -217,9 +295,9 @@ impl StageCache {
     /// Pins `layer` (it is about to be used by an executing task and must
     /// not be evicted). Pins nest.
     pub fn pin(&mut self, layer: LayerRef) {
-        let count = self.pinned.entry(layer).or_insert(0);
-        *count += 1;
-        if *count == 1 {
+        let s = self.slot(layer);
+        s.pins += 1;
+        if s.pins == 1 && s.resident {
             self.lru_remove(layer);
         }
     }
@@ -231,34 +309,23 @@ impl StageCache {
     ///
     /// Panics if `layer` is not pinned.
     pub fn unpin(&mut self, layer: LayerRef) {
-        let count = self
-            .pinned
-            .get_mut(&layer)
-            .expect("unpin of unpinned layer");
-        *count -= 1;
-        if *count == 0 {
-            self.pinned.remove(&layer);
-            if self.resident.contains_key(&layer) {
-                self.lru.push_back(layer);
-            }
+        let s = self.slot(layer);
+        assert!(s.pins > 0, "unpin of unpinned layer");
+        s.pins -= 1;
+        if s.pins == 0 && s.resident {
+            self.lru_push(layer);
         }
     }
 
     /// Explicitly evicts `layer` if resident and unpinned; returns the
     /// bytes released.
     pub fn evict(&mut self, layer: LayerRef) -> u64 {
-        if self.pinned.contains_key(&layer) {
-            return 0;
+        let Slot { resident, pins, .. } = *self.slot(layer);
+        if resident && pins == 0 {
+            self.release(layer)
+        } else {
+            0
         }
-        let Some(bytes) = self.resident.remove(&layer) else {
-            return 0;
-        };
-        self.lru_remove(layer);
-        self.used -= bytes;
-        self.stats.bytes_evicted += bytes;
-        self.stats.evictions += 1;
-        self.eviction_log.push((layer, bytes));
-        bytes
     }
 }
 
@@ -364,13 +431,28 @@ mod tests {
     }
 
     #[test]
-    fn take_evictions_drains_lru_and_explicit() {
+    fn pinned_before_insert_survives_pressure() {
         let mut cache = StageCache::new(100);
+        cache.pin(l(0, 0));
         cache.insert(l(0, 0), 60);
-        cache.insert(l(1, 0), 60); // LRU-evicts l(0,0)
-        cache.evict(l(1, 0));
-        assert_eq!(cache.take_evictions(), vec![(l(0, 0), 60), (l(1, 0), 60)]);
-        assert!(cache.take_evictions().is_empty(), "drain empties the log");
+        cache.insert(l(1, 0), 60); // nothing evictable: over capacity
+        assert!(cache.contains(l(0, 0)), "a pinned layer was evicted");
+        assert_eq!((cache.used(), cache.stats().evictions), (120, 0));
+        cache.unpin(l(0, 0));
+        assert_eq!(cache.evict(l(0, 0)), 60);
+    }
+
+    #[test]
+    fn pin_insert_unpin_does_not_double_enqueue() {
+        let mut cache = StageCache::new(100);
+        cache.pin(l(0, 0));
+        cache.insert(l(0, 0), 60);
+        cache.unpin(l(0, 0));
+        cache.insert(l(1, 0), 60); // evicts l(0,0), its one LRU entry
+        cache.insert(l(2, 0), 60); // evicts l(1,0); no stale entry to pop
+        assert!(!cache.contains(l(0, 0)) && !cache.contains(l(1, 0)));
+        assert!(cache.contains(l(2, 0)));
+        assert_eq!((cache.used(), cache.stats().evictions), (60, 2));
     }
 
     #[test]

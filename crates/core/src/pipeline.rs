@@ -227,17 +227,14 @@ struct StageState {
     // Start of the idle interval not yet attributed to bubble/stall
     // (meaningful while `!busy`); see `Engine::settle_idle`.
     idle_since: SimTime,
+    // Each layer's `landing` is when its in-flight (pre)fetch lands and
+    // the fetch/prefetch span that will have made it resident.
     cache: Option<StageCache>,
-    // When each layer's in-flight (pre)fetch lands, by dense layer slot.
-    ready_at: Vec<Option<SimTime>>,
     predictor: Predictor,
     pinned: Vec<LayerRef>,
-    // Tracing side-state (populated only when the tracer is enabled).
-    // Writer candidates still able to out-wait a queued forward's arrival.
+    // Tracing side-state (populated only when the tracer is enabled):
+    // writer candidates still able to out-wait a queued forward's arrival.
     bwd_done: Vec<WriterDone>,
-    // The fetch/prefetch span that will make each layer resident, by
-    // dense layer slot.
-    ready_span: Vec<SpanId>,
 }
 
 /// One simulated pipeline run, as data: the space and configuration (the
@@ -437,12 +434,6 @@ fn slice_layers(entry: &SubnetEntry, k: u32) -> impl Iterator<Item = LayerRef> +
         .map(|b| entry.subnet.layer(b))
 }
 
-/// A layer's dense slot: the index of the per-stage `ready_at` /
-/// `ready_span` tables (`layer_base[block]` is block's first slot).
-fn layer_slot(layer_base: &[usize], l: LayerRef) -> usize {
-    layer_base[l.block as usize] + l.choice as usize
-}
-
 struct Engine<'a> {
     space: &'a SearchSpace,
     config: &'a PipelineConfig,
@@ -451,8 +442,6 @@ struct Engine<'a> {
     reference_batch: u32,
     plan: MemoryPlan,
     partitioner: Partitioner,
-    // First dense slot of each block (see `layer_slot`).
-    layer_base: Vec<usize>,
     cluster: Cluster,
     queue: EventQueue<Ev>,
     stages: Vec<StageState>,
@@ -521,14 +510,7 @@ impl<'a> Engine<'a> {
             SyncPolicy::Csp { mirroring, .. } if mirroring => PartitionMode::Mirrored,
             _ => PartitionMode::Static,
         };
-        let profile = ProfiledSpace::new(space, reference_batch);
-        let mut layer_base = Vec::with_capacity(profile.num_blocks());
-        let mut layer_slots = 0usize;
-        for b in 0..profile.num_blocks() {
-            layer_base.push(layer_slots);
-            layer_slots += profile.num_choices(b) as usize;
-        }
-        let partitioner = Partitioner::new(profile, d, mode);
+        let partitioner = Partitioner::new(ProfiledSpace::new(space, reference_batch), d, mode);
 
         let (use_csp, use_predictor) = match config.policy {
             SyncPolicy::Csp {
@@ -555,7 +537,6 @@ impl<'a> Engine<'a> {
             None
         };
 
-        let traced = tracer.enabled();
         let stages = (0..d)
             .map(|_| StageState {
                 fwd_ready: ReadyQueue::default(),
@@ -563,11 +544,9 @@ impl<'a> Engine<'a> {
                 busy: false,
                 idle_since: SimTime::ZERO,
                 cache: cache.map(StageCache::new),
-                ready_at: vec![None; if swap { layer_slots } else { 0 }],
                 predictor: Predictor::new(),
                 pinned: Vec::new(),
                 bwd_done: Vec::new(),
-                ready_span: vec![SpanId::EXTERNAL; if swap && traced { layer_slots } else { 0 }],
             })
             .collect();
 
@@ -591,7 +570,6 @@ impl<'a> Engine<'a> {
             reference_batch,
             plan,
             partitioner,
-            layer_base,
             cluster: Cluster::with_hosts(
                 d,
                 config.gpus_per_host,
@@ -725,12 +703,12 @@ impl<'a> Engine<'a> {
             cache.pin(l);
             stage.pinned.push(l);
             if hit {
-                let slot = layer_slot(&self.layer_base, l);
-                if let Some(r) = stage.ready_at[slot] {
+                let landing = *cache.landing(l);
+                if let Some(r) = landing.at {
                     ready = ready.max(r);
                     // A pending prefetch gates the start: candidate edge.
                     if traced && r > now && gate.is_none_or(|(_, t)| r > t) {
-                        gate = Some((stage.ready_span[slot], r));
+                        gate = Some((landing.span, r));
                     }
                 }
             } else {
@@ -751,12 +729,9 @@ impl<'a> Engine<'a> {
                 SpanId::EXTERNAL
             };
             for l in slice_layers(entry, k) {
-                let slot = layer_slot(&self.layer_base, l);
-                if stage.ready_at[slot].is_none() {
-                    stage.ready_at[slot] = Some(end);
-                    if traced {
-                        stage.ready_span[slot] = fetch_span;
-                    }
+                let landing = cache.landing(l);
+                if landing.at.is_none() {
+                    (landing.at, landing.span) = (Some(end), fetch_span);
                 }
             }
             ready = ready.max(end);
@@ -772,18 +747,17 @@ impl<'a> Engine<'a> {
     /// evictions alike), and emits an instant `Evict` span per eviction
     /// since the last sync.
     fn sync_cache_metrics(&mut self, k: u32, now: SimTime) {
-        let Some(cache) = self.stages[k as usize].cache.as_mut() else {
+        let Some(cache) = self.stages[k as usize].cache.as_ref() else {
             return;
         };
-        let evictions = cache.take_evictions();
         let cur = cache.stats();
+        let prev = self.cache_seen[k as usize];
         if self.tracer.enabled() {
-            for _ in &evictions {
+            for _ in prev.evictions..cur.evictions {
                 self.tracer
                     .emit(SpanDraft::new(k, SpanKind::Evict, now.as_us(), now.as_us()));
             }
         }
-        let prev = self.cache_seen[k as usize];
         self.recorder
             .incr(k, Counter::CacheHit, cur.hits - prev.hits);
         self.recorder
@@ -806,13 +780,12 @@ impl<'a> Engine<'a> {
     }
 
     fn release_context(&mut self, k: u32) {
+        // Only `acquire_context` on a stage with a cache ever pins.
         let stage = &mut self.stages[k as usize];
         if let Some(cache) = stage.cache.as_mut() {
             for l in stage.pinned.drain(..) {
                 cache.unpin(l);
             }
-        } else {
-            stage.pinned.clear();
         }
     }
 
@@ -830,10 +803,10 @@ impl<'a> Engine<'a> {
                 let bytes = self.partitioner.profile().cost(l).param_bytes;
                 if cache.prefetch(l, bytes).is_some() {
                     let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, bytes);
-                    let slot = layer_slot(&self.layer_base, l);
-                    stage.ready_at[slot] = Some(end);
+                    let landing = cache.landing(l);
+                    landing.at = Some(end);
                     if traced {
-                        stage.ready_span[slot] = self.tracer.emit(
+                        landing.span = self.tracer.emit(
                             SpanDraft::new(k, SpanKind::Prefetch, now.as_us(), end.as_us())
                                 .subnet(fetch.subnet.0),
                         );
