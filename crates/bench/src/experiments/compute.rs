@@ -417,14 +417,11 @@ fn run_at(threads: usize, n: u64, naive: &[NaiveRef]) -> ComputeRun {
     });
 
     // End-to-end: schedule once, replay numerically at a pool-engaging
-    // width. `PipelineConfig::compute_threads` carries the knob to
-    // `TrainConfig::with_threads` — the pipeline itself is discrete-event
-    // and does no numeric work.
+    // width. `threads` goes to the replay's `TrainConfig` — the pipeline
+    // itself is discrete-event and does no numeric work.
     let dim = 128;
     let space = SearchSpace::uniform(Domain::Nlp, 8, 5);
-    let pcfg = PipelineConfig::naspipe(4, n)
-        .with_batch(32)
-        .with_compute_threads(threads);
+    let pcfg = PipelineConfig::naspipe(4, n).with_batch(32);
     let outcome = simulate(&space, &pcfg).expect("bench schedule runs at fixed batch");
     let tcfg = TrainConfig {
         dim,
@@ -432,7 +429,7 @@ fn run_at(threads: usize, n: u64, naive: &[NaiveRef]) -> ComputeRun {
         seed: crate::SEED,
         ..TrainConfig::default()
     }
-    .with_threads(pcfg.compute_threads);
+    .with_threads(threads);
     let t0 = Instant::now();
     let replay = replay_training(&space, &outcome, &tcfg);
     let replay_subnets_per_s = n as f64 / t0.elapsed().as_secs_f64();

@@ -91,22 +91,10 @@ pub fn run() -> Fig1 {
     let rows = disciplines
         .into_iter()
         .map(|(name, policy)| {
-            let cfg = PipelineConfig {
-                num_gpus: 4,
-                batch: 16,
-                num_subnets: subnets.len() as u64,
-                policy,
-                max_queue: 30,
-                cache_factor: 3.0,
-                fault_rate: 0.0,
-                gpus_per_host: 4,
-                recompute_ahead: true,
-                jitter: 0.0,
-                seed: crate::SEED,
-                compute_threads: 0,
-                sample_interval_us: 0,
-                diagnostics: Default::default(),
-            };
+            let cfg = PipelineConfig::naspipe(4, subnets.len() as u64)
+                .with_batch(16)
+                .with_policy(policy)
+                .with_seed(crate::SEED);
             let mut spec = SimSpec::new(&space, &cfg);
             spec.subnets = Some(subnets.clone());
             let out = spec.run().expect("figure space fits everywhere");

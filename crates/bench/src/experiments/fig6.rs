@@ -77,22 +77,9 @@ pub struct Fig6Group {
 pub fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig6Group {
     let space = SearchSpace::from_id(id);
     let run_variant = |v: Variant| -> Option<(f64, f64)> {
-        let cfg = PipelineConfig {
-            num_gpus,
-            batch: 0,
-            num_subnets: n,
-            policy: v.policy(),
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: crate::SEED,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let cfg = PipelineConfig::naspipe(num_gpus, n)
+            .with_policy(v.policy())
+            .with_seed(crate::SEED);
         match simulate(&space, &cfg) {
             Ok(out) => Some((
                 out.report.throughput_samples_per_sec(),

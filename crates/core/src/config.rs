@@ -203,16 +203,6 @@ pub struct PipelineConfig {
     pub jitter: f64,
     /// Seed for subnet exploration.
     pub seed: u64,
-    /// Compute-pool workers each runtime stage uses for its numeric
-    /// kernels (`0` = the pool default: `NASPIPE_THREADS` or the
-    /// machine's parallelism). Like the GPU count, this must never
-    /// change training results — kernels chunk work by shape.
-    pub compute_threads: usize,
-    /// Simulated-time interval between live-telemetry snapshots when a
-    /// telemetry hub is attached to the DES engine (`0` = the telemetry
-    /// default, 200 ms). Ignored when no hub is attached; never affects
-    /// the schedule or training results.
-    pub sample_interval_us: u64,
     /// Diagnosis layer: flight recorder, watchdog, and deterministic
     /// slowdown hooks. The recorder/watchdog never affect results; the
     /// slowdown hooks shift the simulated schedule only.
@@ -235,8 +225,6 @@ impl PipelineConfig {
             recompute_ahead: true,
             jitter: 0.0,
             seed: 0,
-            compute_threads: 0,
-            sample_interval_us: 0,
             diagnostics: DiagnosticsOptions::default(),
         }
     }
@@ -275,19 +263,6 @@ impl PipelineConfig {
     /// Sets the simulated host topology (GPUs per host).
     pub fn with_gpus_per_host(mut self, gpus_per_host: u32) -> Self {
         self.gpus_per_host = gpus_per_host;
-        self
-    }
-
-    /// Sets the compute-pool worker count per runtime stage.
-    pub fn with_compute_threads(mut self, compute_threads: usize) -> Self {
-        self.compute_threads = compute_threads;
-        self
-    }
-
-    /// Sets the live-telemetry sampling interval (simulated time for the
-    /// DES engine, wall time for the threaded runtime default).
-    pub fn with_sample_interval_us(mut self, sample_interval_us: u64) -> Self {
-        self.sample_interval_us = sample_interval_us;
         self
     }
 

@@ -10,6 +10,7 @@
 //! Figure 6 ablation measures.
 
 use crate::task::StageId;
+use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::profile::ProfiledSpace;
 use naspipe_supernet::subnet::Subnet;
 use std::ops::Range;
@@ -135,6 +136,17 @@ impl Partition {
         // holding it.
         let end = self.boundaries.partition_point(|&x| x <= b);
         (end < self.boundaries.len()).then(|| StageId(end as u32 - 1))
+    }
+
+    /// `subnet`'s activated layers, each with the stage that owns it here:
+    /// what both engines register a subnet with a
+    /// [`CspChecker`](naspipe_obs::CspChecker) by.
+    pub(crate) fn layer_owners<'a>(
+        &'a self,
+        subnet: &'a Subnet,
+    ) -> impl Iterator<Item = (LayerRef, u32)> + 'a {
+        let owner = |b| self.stage_of_block(b).map_or(0, |s| s.0);
+        subnet.layers().map(move |l| (l, owner(l.block as usize)))
     }
 
     /// Stage execution times under `costs`.

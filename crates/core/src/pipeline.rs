@@ -275,11 +275,9 @@ pub struct SimSpec<'a> {
     pub tracer: Box<dyn Tracer>,
     /// Live telemetry (default `None`): the engine publishes a
     /// [`MetricsSnapshot`] of its recorder whenever simulated time
-    /// crosses the sampling interval (`sample_interval_us`, falling back
-    /// to `config.sample_interval_us`, then the telemetry default), plus
-    /// one final snapshot at the makespan, so a
-    /// [`naspipe_obs::OpsServer`] scraping the hub sees the run progress
-    /// in simulated time. The returned report embeds the published
+    /// crosses the options' sampling interval, plus one final snapshot
+    /// at the makespan, so a [`naspipe_obs::OpsServer`] scraping the hub
+    /// sees the run progress in simulated time. The returned report embeds the published
     /// series. Telemetry never touches the event queue: schedules and
     /// training results are bit-identical with and without a hub.
     pub telemetry: Option<&'a TelemetryOptions>,
@@ -393,13 +391,7 @@ struct Cadence {
 }
 
 impl Cadence {
-    /// The first non-zero interval of `preferred`, else the default.
-    fn new(preferred: &[u64]) -> Self {
-        let interval_us = preferred
-            .iter()
-            .copied()
-            .find(|&us| us != 0)
-            .unwrap_or(DEFAULT_SAMPLE_INTERVAL_US);
+    fn new(interval_us: u64) -> Self {
         Cadence {
             interval_us,
             next_us: interval_us,
@@ -606,12 +598,9 @@ impl<'a> Engine<'a> {
                 telemetry,
                 wall_clock: false,
             }),
-            telemetry: telemetry
-                .map(|t| Cadence::new(&[t.sample_interval_us, config.sample_interval_us])),
-            watchdog: config
-                .diagnostics
-                .enabled
-                .then(|| Cadence::new(&[config.sample_interval_us])),
+            telemetry: telemetry.map(|t| Cadence::new(t.interval_us())),
+            watchdog: (config.diagnostics.enabled)
+                .then(|| Cadence::new(DEFAULT_SAMPLE_INTERVAL_US)),
         })
     }
 
@@ -650,15 +639,8 @@ impl<'a> Engine<'a> {
             let id = subnet.seq_id();
             let partition = self.partitioner.partition_for(subnet);
             if let Some(checker) = self.checker.as_mut() {
-                let layers = subnet.layers().map(|l| {
-                    let owner = partition
-                        .stage_of_block(l.block as usize)
-                        .map(|s| s.0)
-                        .unwrap_or(0);
-                    (l, owner)
-                });
                 checker
-                    .register(id, layers)
+                    .register(id, partition.layer_owners(subnet))
                     .unwrap_or_else(|v| panic!("{v}"));
             }
             self.table
@@ -1599,22 +1581,10 @@ mod tests {
     }
 
     fn run(policy: SyncPolicy, gpus: u32, n: u64) -> PipelineOutcome {
-        let cfg = PipelineConfig {
-            num_gpus: gpus,
-            batch: 32,
-            num_subnets: n,
-            policy,
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: 42,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let cfg = PipelineConfig::naspipe(gpus, n)
+            .with_batch(32)
+            .with_policy(policy)
+            .with_seed(42);
         SimSpec::new(&small_space(), &cfg)
             .run()
             .expect("run succeeds")
@@ -1696,10 +1666,7 @@ mod tests {
 
         let space = small_space();
         let subnets = UniformSampler::new(&space, 42).take_subnets(20);
-        let cfg = PipelineConfig::naspipe(4, 20)
-            .with_batch(32)
-            .with_seed(42)
-            .with_sample_interval_us(500);
+        let cfg = PipelineConfig::naspipe(4, 20).with_batch(32).with_seed(42);
         let plain = SimSpec {
             subnets: Some(subnets.clone()),
             ..SimSpec::new(&space, &cfg)
@@ -2058,25 +2025,10 @@ mod tests {
     fn oom_for_policies_that_cannot_swap() {
         // NLP.c0's supernet does not fit in GPU memory without swapping.
         let space = SearchSpace::nlp_c0();
-        let cfg = PipelineConfig {
-            num_gpus: 8,
-            batch: 0,
-            num_subnets: 4,
-            policy: SyncPolicy::Bsp {
-                bulk: 0,
-                swap: false,
-            },
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: 0,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let cfg = PipelineConfig::naspipe(8, 4).with_policy(SyncPolicy::Bsp {
+            bulk: 0,
+            swap: false,
+        });
         match SimSpec::new(&space, &cfg).run() {
             Err(PipelineError::OutOfMemory { .. }) => {}
             other => panic!("expected OOM, got {other:?}"),

@@ -209,22 +209,9 @@ mod tests {
     fn outcome(policy: SyncPolicy, gpus: u32, n: usize) -> PipelineOutcome {
         let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
         let subnets = UniformSampler::new(&space, 7).take_subnets(n);
-        let cfg = PipelineConfig {
-            num_gpus: gpus,
-            batch: 16,
-            num_subnets: n as u64,
-            policy,
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: 0,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let cfg = PipelineConfig::naspipe(gpus, n as u64)
+            .with_batch(16)
+            .with_policy(policy);
         SimSpec {
             subnets: Some(subnets),
             ..SimSpec::new(&space, &cfg)

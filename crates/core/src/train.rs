@@ -13,7 +13,7 @@
 //!   whose staleness depends on the bulk size / pipeline depth, so the
 //!   final parameters differ across GPU counts (and from the reference).
 
-use crate::pipeline::PipelineOutcome;
+use crate::pipeline::{PipelineOutcome, TaskRecord};
 use crate::task::TaskKind;
 use naspipe_supernet::evolution::{evolve, EvolutionConfig};
 use naspipe_supernet::space::SearchSpace;
@@ -66,9 +66,7 @@ impl Default for TrainConfig {
 
 impl TrainConfig {
     /// Sets the compute-pool worker count (builder-style); `0` restores
-    /// the pool default. Pairs with
-    /// `PipelineConfig::with_compute_threads` for runs that replay a
-    /// pipeline schedule.
+    /// the pool default.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -168,73 +166,82 @@ pub fn replay_training(
     outcome: &PipelineOutcome,
     cfg: &TrainConfig,
 ) -> TrainResult {
-    pool::with_threads(cfg.threads, || replay_training_inner(space, outcome, cfg))
+    replay_tasks(space, &outcome.subnets, &outcome.tasks, cfg)
 }
 
-fn replay_training_inner(
+/// [`replay_training`] on the two parts of an outcome it reads: the
+/// subnets trained and their tasks in start order.
+pub(crate) fn replay_tasks(
     space: &SearchSpace,
-    outcome: &PipelineOutcome,
+    subnets: &[Subnet],
+    tasks: &[TaskRecord],
     cfg: &TrainConfig,
 ) -> TrainResult {
-    let mut store = ParamStore::init(space, cfg.dim, cfg.seed);
-    let mut engine = cfg.engine();
-    let data = SyntheticDataset::new(cfg.seed, cfg.rows, cfg.dim);
-    let arch: BTreeMap<u64, &Subnet> = outcome.subnets.iter().map(|s| (s.seq_id().0, s)).collect();
-    let m = space.num_blocks();
-    let last_stage = outcome.tasks.iter().map(|t| t.stage.0).max().unwrap_or(0);
+    pool::with_threads(cfg.threads, || {
+        let mut store = ParamStore::init(space, cfg.dim, cfg.seed);
+        let mut engine = cfg.engine();
+        let data = SyntheticDataset::new(cfg.seed, cfg.rows, cfg.dim);
+        let arch: BTreeMap<u64, &Subnet> = subnets.iter().map(|s| (s.seq_id().0, s)).collect();
+        let m = space.num_blocks();
+        let last_stage = tasks.iter().map(|t| t.stage.0).max().unwrap_or(0);
 
-    // Boundary activations flowing forward, gradients flowing backward,
-    // and per-(subnet, stage) forward contexts for the backward pass.
-    let mut acts: BTreeMap<(u64, u32), Tensor> = BTreeMap::new();
-    let mut grads: BTreeMap<(u64, u32), Tensor> = BTreeMap::new();
-    let mut ctxs: BTreeMap<(u64, u32), ForwardCtx> = BTreeMap::new();
-    let mut losses: BTreeMap<u64, f32> = BTreeMap::new();
+        // Boundary activations flowing forward, gradients flowing backward,
+        // and per-(subnet, stage) forward contexts for the backward pass.
+        let mut acts: BTreeMap<(u64, u32), Tensor> = BTreeMap::new();
+        let mut grads: BTreeMap<(u64, u32), Tensor> = BTreeMap::new();
+        let mut ctxs: BTreeMap<(u64, u32), ForwardCtx> = BTreeMap::new();
+        let mut losses: BTreeMap<u64, f32> = BTreeMap::new();
 
-    for task in &outcome.tasks {
-        let y = task.subnet.0;
-        let k = task.stage.0;
-        let subnet = arch[&y];
-        match task.kind {
-            TaskKind::Forward => {
-                let input = if k == 0 {
-                    data.input(y)
-                } else {
-                    acts.remove(&(y, k - 1))
-                        .expect("boundary activation present")
-                };
-                let (output, ctx) =
-                    engine.forward_slice(|l| store.layer(l), subnet, task.blocks.clone(), input);
-                acts.insert((y, k), output);
-                ctxs.insert((y, k), ctx);
-            }
-            TaskKind::Backward => {
-                let grad_out = if k == last_stage {
-                    let output = acts.remove(&(y, k)).expect("last-stage output present");
-                    debug_assert_eq!(task.blocks.end, m, "last stage covers final block");
-                    let target = data.target_of(&data.input(y));
-                    let (loss, grad) = naspipe_tensor::loss::mse(&output, &target);
-                    losses.insert(y, loss);
-                    grad
-                } else {
-                    acts.remove(&(y, k));
-                    grads
-                        .remove(&(y, k + 1))
-                        .expect("gradient from later stage")
-                };
-                let ctx = ctxs.remove(&(y, k)).expect("forward context present");
-                let (grad_in, layer_grads) =
-                    engine.backward_slice(|l| store.layer(l), ctx, grad_out);
-                engine.apply(&mut store, &layer_grads);
-                grads.insert((y, k), grad_in);
+        for task in tasks {
+            let y = task.subnet.0;
+            let k = task.stage.0;
+            let subnet = arch[&y];
+            match task.kind {
+                TaskKind::Forward => {
+                    let input = if k == 0 {
+                        data.input(y)
+                    } else {
+                        acts.remove(&(y, k - 1))
+                            .expect("boundary activation present")
+                    };
+                    let (output, ctx) = engine.forward_slice(
+                        |l| store.layer(l),
+                        subnet,
+                        task.blocks.clone(),
+                        input,
+                    );
+                    acts.insert((y, k), output);
+                    ctxs.insert((y, k), ctx);
+                }
+                TaskKind::Backward => {
+                    let grad_out = if k == last_stage {
+                        let output = acts.remove(&(y, k)).expect("last-stage output present");
+                        debug_assert_eq!(task.blocks.end, m, "last stage covers final block");
+                        let target = data.target_of(&data.input(y));
+                        let (loss, grad) = naspipe_tensor::loss::mse(&output, &target);
+                        losses.insert(y, loss);
+                        grad
+                    } else {
+                        acts.remove(&(y, k));
+                        grads
+                            .remove(&(y, k + 1))
+                            .expect("gradient from later stage")
+                    };
+                    let ctx = ctxs.remove(&(y, k)).expect("forward context present");
+                    let (grad_in, layer_grads) =
+                        engine.backward_slice(|l| store.layer(l), ctx, grad_out);
+                    engine.apply(&mut store, &layer_grads);
+                    grads.insert((y, k), grad_in);
+                }
             }
         }
-    }
 
-    TrainResult {
-        losses: losses.into_iter().collect(),
-        final_hash: store.bitwise_hash(),
-        store,
-    }
+        TrainResult {
+            losses: losses.into_iter().collect(),
+            final_hash: store.bitwise_hash(),
+            store,
+        }
+    })
 }
 
 /// Searches the trained supernet for its best subnet with regularised
@@ -296,22 +303,9 @@ mod tests {
         policy: SyncPolicy,
         gpus: u32,
     ) -> PipelineOutcome {
-        let cfg = PipelineConfig {
-            num_gpus: gpus,
-            batch: 32,
-            num_subnets: subnets.len() as u64,
-            policy,
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: 0,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let cfg = PipelineConfig::naspipe(gpus, subnets.len() as u64)
+            .with_batch(32)
+            .with_policy(policy);
         SimSpec {
             subnets: Some(subnets),
             ..SimSpec::new(space, &cfg)

@@ -316,40 +316,7 @@ pub fn replay_transcript(
     transcript: &Transcript,
     cfg: &crate::train::TrainConfig,
 ) -> crate::train::TrainResult {
-    // Rebuild the minimal outcome shape the trainer consumes.
-    let outcome = PipelineOutcome {
-        report: crate::report::PipelineReport {
-            space: space.id(),
-            policy: crate::config::SyncPolicy::naspipe(),
-            num_gpus: transcript
-                .tasks
-                .iter()
-                .map(|t| t.stage.0 + 1)
-                .max()
-                .unwrap_or(1),
-            batch: 0,
-            makespan_secs: 0.0,
-            subnets_completed: transcript.subnets.len() as u64,
-            samples_processed: 0,
-            bubble_ratio: 0.0,
-            total_alu: 0.0,
-            gpu_mem_factor: 0.0,
-            cpu_mem_gib: 0.0,
-            avg_subnet_exec_secs: 0.0,
-            cache_hit_rate: None,
-            reported_param_bytes: 0,
-            cache_stats: crate::context::CacheStats::default(),
-            scheduler_stats: crate::scheduler::SchedulerStats::default(),
-            faults_injected: 0,
-            stage_idle_blocked_secs: Vec::new(),
-            stage_idle_empty_secs: Vec::new(),
-        },
-        tasks: transcript.tasks.clone(),
-        subnets: transcript.subnets.clone(),
-        obs: naspipe_obs::ObsReport::default(),
-        spans: naspipe_obs::SpanTrace::default(),
-    };
-    crate::train::replay_training(space, &outcome, cfg)
+    crate::train::replay_tasks(space, &transcript.subnets, &transcript.tasks, cfg)
 }
 
 #[cfg(test)]

@@ -62,22 +62,9 @@ fn main() {
     );
     let mut full_throughput = None;
     for (name, policy) in variants {
-        let cfg = PipelineConfig {
-            num_gpus: 8,
-            batch: 0,
-            num_subnets: n,
-            policy,
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: 5,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let cfg = PipelineConfig::naspipe(8, n)
+            .with_policy(policy)
+            .with_seed(5);
         let spec = SimSpec {
             subnets: Some(subnets.clone()),
             ..SimSpec::new(&space, &cfg)

@@ -59,22 +59,10 @@ fn main() {
         println!("== {name} ==");
         let mut hashes = Vec::new();
         for gpus in [4u32, 8] {
-            let cfg = PipelineConfig {
-                num_gpus: gpus,
-                batch: 16,
-                num_subnets: 24,
-                policy,
-                max_queue: 30,
-                cache_factor: 3.0,
-                fault_rate: 0.0,
-                gpus_per_host: 4,
-                recompute_ahead: true,
-                jitter: 0.0,
-                seed: 3,
-                compute_threads: 0,
-                sample_interval_us: 0,
-                diagnostics: Default::default(),
-            };
+            let cfg = PipelineConfig::naspipe(gpus, 24)
+                .with_batch(16)
+                .with_policy(policy)
+                .with_seed(3);
             let out = SimSpec {
                 subnets: Some(subnets.clone()),
                 ..SimSpec::new(&space, &cfg)

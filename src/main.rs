@@ -394,11 +394,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     {
         return Err("--checkpoint-dir/--resume/--kill-at need --engine threaded".into());
     }
-    let mut cfg = system
-        .config(gpus, n)
-        .with_seed(seed)
-        .with_compute_threads(threads)
-        .with_sample_interval_us(args.sample_interval_us()?);
+    let mut cfg = system.config(gpus, n).with_seed(seed);
     cfg.batch = batch;
     cfg.diagnostics.flight_dump = args.options.get("flight-dump").cloned();
     let mut ops = args.ops_plane("des", gpus, seed)?;
@@ -432,7 +428,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         );
     }
 
-    let trained = replay_training(&space, &outcome, &train_config(seed, cfg.compute_threads));
+    let trained = replay_training(&space, &outcome, &train_config(seed, threads));
     println!(
         "  trained: converged loss {:.4}, parameter hash {:016x}",
         trained.converged_loss(),
@@ -753,11 +749,7 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     let threads = args.u64_opt("threads", 0)? as usize;
 
     let subnets = UniformSampler::new(&space, seed).take_subnets(n as usize);
-    let cfg = naspipe::core::config::PipelineConfig::naspipe(gpus, n)
-        .with_seed(seed)
-        .with_compute_threads(threads)
-        .with_sample_interval_us(args.sample_interval_us()?);
-    let mut cfg = cfg;
+    let mut cfg = naspipe::core::config::PipelineConfig::naspipe(gpus, n).with_seed(seed);
     let ops = args.ops_plane("des", gpus, seed)?;
     if let Some(o) = &ops {
         cfg.diagnostics.ops = Some(Arc::clone(&o.state));
@@ -769,7 +761,7 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     }
     .run()
     .map_err(|e| e.to_string())?;
-    let tc = train_config(seed, cfg.compute_threads);
+    let tc = train_config(seed, threads);
     let trained = replay_training(&space, &outcome, &tc);
     let (loss, best) = search_best_subnet(&space, &trained.store, &tc, rounds);
     println!(

@@ -188,22 +188,10 @@ fn baselines_break_reproducibility() {
         },
         SyncPolicy::Asp,
     ] {
-        let pc = PipelineConfig {
-            num_gpus: 8,
-            batch: 16,
-            num_subnets: 40,
-            policy,
-            max_queue: 30,
-            cache_factor: 3.0,
-            fault_rate: 0.0,
-            gpus_per_host: 4,
-            recompute_ahead: true,
-            jitter: 0.0,
-            seed: 31,
-            compute_threads: 0,
-            sample_interval_us: 0,
-            diagnostics: Default::default(),
-        };
+        let pc = PipelineConfig::naspipe(8, 40)
+            .with_batch(16)
+            .with_policy(policy)
+            .with_seed(31);
         let out = simulate(&space, &pc, subnets.clone());
         let replay = replay_training(&space, &out, &cfg);
         assert_ne!(
