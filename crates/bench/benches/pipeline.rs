@@ -1,18 +1,20 @@
 //! End-to-end engine benchmarks: how fast the discrete-event pipeline
 //! simulates each synchronisation policy, what CSP admission costs the
-//! simulator per task at the paper's 8 x 4 topology, and how fast the
-//! numeric training replay runs. Results are recorded to
+//! simulator per task at the paper's 8 x 4 topology, what the span store
+//! costs per span and per exported byte, and how fast the numeric
+//! training replay runs. Results are recorded to
 //! `target/tmp/pipeline-benches.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
 use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
-use naspipe_obs::NullTracer;
+use naspipe_obs::{export_chrome, NullTracer, RunMeta, SpanDraft, SpanTrace, SpanTracer, Tracer};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
 use std::hint::black_box;
+use std::time::Instant;
 
 fn bench_policies(c: &mut Criterion) {
     let space = SearchSpace::uniform(Domain::Nlp, 16, 12);
@@ -80,6 +82,71 @@ fn bench_csp_admission(c: &mut Criterion) {
     }
 }
 
+/// The span store on the stream the `des-paper-8gpu` workload records
+/// (NLP.c1, 8 GPUs, 4000 subnets, seed 2022: 749 192 spans), replayed in
+/// emission order: what a span costs to buffer in order and hand over,
+/// and what a byte of Chrome export costs at 25 000 and at 200 000 spans.
+/// Export follows every causal edge through `SpanTrace::get`, so the two
+/// rates agree while lookup is O(1) and fall apart 8x when it scans.
+fn bench_span_store(c: &mut Criterion) {
+    const SUBNETS: u64 = 4000;
+    let space = SearchSpace::nlp_c1();
+    let cfg = PipelineConfig::naspipe(8, SUBNETS).with_seed(2022);
+    let trace = SimSpec::new(&space, &cfg).run().unwrap().spans;
+
+    // A `SpanTracer::new()` numbers spans 1, 2, 3, ... as they arrive.
+    let mut emitted: Vec<_> = trace.spans().iter().collect();
+    emitted.sort_unstable_by_key(|s| s.id);
+    let drafts: Vec<SpanDraft> = emitted
+        .into_iter()
+        .map(|s| SpanDraft {
+            stage: s.stage,
+            kind: s.kind,
+            subnet: s.subnet,
+            start_us: s.start_us,
+            end_us: s.end_us,
+            cause: s.cause,
+        })
+        .collect();
+    let emit_take = || {
+        let mut tracer = SpanTracer::new();
+        for draft in &drafts {
+            tracer.emit(draft.clone());
+        }
+        tracer.take()
+    };
+    assert_eq!(emit_take(), trace, "the replay rebuilds the recorded trace");
+    c.bench_function("span_store/emit_take_750k", |b| {
+        b.iter(|| black_box(emit_take()))
+    });
+    let start = Instant::now();
+    black_box(emit_take());
+    c.report_value(
+        "span_store/emit_take_750k/per_span",
+        start.elapsed().as_nanos() as f64 / drafts.len() as f64,
+        "ns",
+    );
+
+    let meta = RunMeta::new("des", 8).seed(2022);
+    for (name, spans) in [("export_25k", 25_000), ("export_200k", 200_000)] {
+        let name = format!("span_store/{name}");
+        // Exported through a clone each time: `head` itself is never
+        // looked up in, so every export builds the id index, as the one
+        // export of a run does.
+        let head = SpanTrace::from_spans(trace.spans()[..spans].to_vec());
+        c.bench_function(&name, |b| {
+            b.iter(|| black_box(export_chrome(&head.clone(), &meta)))
+        });
+        let (fresh, start) = (head.clone(), Instant::now());
+        let bytes = black_box(export_chrome(&fresh, &meta)).len();
+        c.report_value(
+            &format!("{name}/rate"),
+            bytes as f64 / 1e6 / start.elapsed().as_secs_f64(),
+            "MB/s",
+        );
+    }
+}
+
 fn bench_replay(c: &mut Criterion) {
     let space = SearchSpace::uniform(Domain::Nlp, 16, 12);
     let subnets = UniformSampler::new(&space, 7).take_subnets(32);
@@ -96,5 +163,11 @@ fn bench_replay(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_policies, bench_csp_admission, bench_replay);
+criterion_group!(
+    benches,
+    bench_policies,
+    bench_csp_admission,
+    bench_span_store,
+    bench_replay
+);
 criterion_main!(benches);

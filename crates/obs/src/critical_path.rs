@@ -19,7 +19,6 @@
 //! so its per-stage idle can never exceed what the recorder measured.
 
 use crate::trace::{CauseKind, Span, SpanId, SpanTrace};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Which bucket a critical-path segment's time lands in.
@@ -178,7 +177,6 @@ pub fn critical_path(trace: &SpanTrace) -> CriticalPath {
         stage_idle_us: vec![0; trace.num_stages() as usize],
         ..CriticalPath::default()
     };
-    let by_id: HashMap<SpanId, &Span> = trace.spans().iter().map(|s| (s.id, s)).collect();
 
     // Per-stage compute spans in time order, for resource edges.
     let mut stage_compute: Vec<Vec<&Span>> = vec![Vec::new(); trace.num_stages() as usize];
@@ -187,6 +185,11 @@ pub fn critical_path(trace: &SpanTrace) -> CriticalPath {
             stage_compute[span.stage as usize].push(span);
         }
     }
+    // Per stage, the length of the prefix of that list that can still
+    // end at or before the cursor. The cursor only moves down, so a span
+    // dropped from the prefix never returns and the walk passes each
+    // compute span once.
+    let mut reachable: Vec<usize> = stage_compute.iter().map(Vec::len).collect();
 
     // The walk seed: the compute span with the latest end (ties broken
     // toward the later start, then larger id, for determinism).
@@ -232,9 +235,14 @@ pub fn critical_path(trace: &SpanTrace) -> CriticalPath {
         // Candidate predecessors, binding = latest end.
         let causal = current
             .cause
-            .and_then(|c| by_id.get(&c.src).copied())
+            .and_then(|c| trace.get(c.src))
             .filter(|s| s.end_us <= cursor && s.start_us < cursor);
-        let resource = stage_compute[current.stage as usize]
+        let lane = &stage_compute[current.stage as usize];
+        let prefix = &mut reachable[current.stage as usize];
+        while *prefix > 0 && lane[*prefix - 1].end_us > cursor {
+            *prefix -= 1;
+        }
+        let resource = lane[..*prefix]
             .iter()
             .rev()
             .find(|s| s.end_us <= cursor && s.id != current.id)

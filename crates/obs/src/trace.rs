@@ -18,7 +18,9 @@
 //! trace-event exporter ([`crate::chrome`], loadable in Perfetto) and the
 //! critical-path analyzer ([`crate::critical_path`]).
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of one span, unique within a [`SpanTrace`].
 ///
@@ -295,7 +297,28 @@ impl Tracer for NullTracer {
 /// id; the namespace occupies the bits above.
 const NAMESPACE_SHIFT: u32 = 40;
 
-/// The in-memory [`Tracer`]: an append-only span buffer.
+/// The one ordering rule of the store: start, then end, then id. Ids are
+/// unique within a trace, so the order is total.
+fn order_key(span: &Span) -> (u64, u64, SpanId) {
+    (span.start_us, span.end_us, span.id)
+}
+
+/// How many places back [`SpanTracer::emit`] will carry a span to keep
+/// the buffer ordered. Keeping order costs a key comparison and 72 moved
+/// bytes per place, so the window also bounds what staying ordered may
+/// cost per span: about what the fallback sort costs per span at a
+/// million spans. The DES emits almost in order — it walks back 3.5
+/// places per span on the paper's 8-GPU shape and never more than 128 on
+/// two or more GPUs; only the single-GPU shape, whose one PCIe link
+/// queues prefetches hundreds of starts ahead, leaves the window.
+const ORDER_WINDOW: usize = 256;
+
+/// The in-memory [`Tracer`]: a span buffer kept in canonical
+/// `(start, end, id)` order as it is filled.
+///
+/// A new span is inserted behind the few buffered spans that start after
+/// it; a stream that would carry one further than the window back is
+/// buffered as it comes and sorted once, in [`take`](Tracer::take).
 ///
 /// The threaded runtime gives each stage worker its own tracer under a
 /// distinct *namespace* so ids never collide across workers, then merges
@@ -305,6 +328,9 @@ pub struct SpanTracer {
     namespace: u64,
     next: u64,
     spans: Vec<Span>,
+    /// Set by the first span that left the window: `spans` is in emission
+    /// order from there on.
+    unordered: bool,
 }
 
 impl SpanTracer {
@@ -318,8 +344,7 @@ impl SpanTracer {
     pub fn with_namespace(namespace: u64) -> Self {
         SpanTracer {
             namespace,
-            next: 0,
-            spans: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -338,7 +363,7 @@ impl Tracer for SpanTracer {
     fn emit(&mut self, draft: SpanDraft) -> SpanId {
         self.next += 1;
         let id = SpanId((self.namespace << NAMESPACE_SHIFT) | self.next);
-        self.spans.push(Span {
+        let span = Span {
             id,
             stage: draft.stage,
             kind: draft.kind,
@@ -346,37 +371,80 @@ impl Tracer for SpanTracer {
             start_us: draft.start_us,
             end_us: draft.end_us,
             cause: draft.cause,
-        });
+        };
+        let len = self.spans.len();
+        let mut at = len;
+        if !self.unordered {
+            let key = order_key(&span);
+            while at > 0 && order_key(&self.spans[at - 1]) > key {
+                if len - at == ORDER_WINDOW {
+                    self.unordered = true;
+                    at = len;
+                    break;
+                }
+                at -= 1;
+            }
+        }
+        self.spans.insert(at, span);
         id
     }
 
     fn take(&mut self) -> SpanTrace {
-        let mut trace = SpanTrace {
-            spans: std::mem::take(&mut self.spans),
-        };
-        trace.normalize();
-        trace
+        let spans = std::mem::take(&mut self.spans);
+        if std::mem::take(&mut self.unordered) {
+            SpanTrace::from_spans(spans)
+        } else {
+            SpanTrace::ordered(spans)
+        }
     }
 }
 
 /// An immutable, time-ordered collection of spans — the unit the
 /// exporter and analyzer consume.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// `spans` is in canonical order in every value of this type, whoever
+/// built it. The id index is derived from it on the first
+/// [`get`](Self::get) and is no part of the value: it is not compared,
+/// and [`merge`](Self::merge) drops it.
+#[derive(Clone, Default)]
 pub struct SpanTrace {
     spans: Vec<Span>,
+    index: OnceLock<HashMap<SpanId, usize>>,
+}
+
+impl PartialEq for SpanTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.spans == other.spans
+    }
+}
+
+impl Eq for SpanTrace {}
+
+impl fmt::Debug for SpanTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpanTrace")
+            .field("spans", &self.spans)
+            .finish()
+    }
 }
 
 impl SpanTrace {
-    /// Builds a trace from raw spans (sorting them into canonical
-    /// `(start, id)` order).
-    pub fn from_spans(spans: Vec<Span>) -> Self {
-        let mut trace = SpanTrace { spans };
-        trace.normalize();
-        trace
+    /// Builds a trace from raw spans in any order (sorting them into
+    /// canonical `(start, end, id)` order).
+    pub fn from_spans(mut spans: Vec<Span>) -> Self {
+        spans.sort_by_key(order_key);
+        Self::ordered(spans)
     }
 
-    fn normalize(&mut self) {
-        self.spans.sort_by_key(|s| (s.start_us, s.end_us, s.id));
+    /// Wraps spans that are already in canonical order.
+    fn ordered(spans: Vec<Span>) -> Self {
+        debug_assert!(spans
+            .windows(2)
+            .all(|w| order_key(&w[0]) <= order_key(&w[1])));
+        SpanTrace {
+            spans,
+            index: OnceLock::new(),
+        }
     }
 
     /// All spans in `(start, end, id)` order.
@@ -394,9 +462,17 @@ impl SpanTrace {
         self.spans.is_empty()
     }
 
-    /// The span with `id`, if present.
+    /// The span with `id`, if present (the first in order, should a
+    /// hand-built trace repeat an id). The first call indexes the trace.
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.spans.iter().find(|s| s.id == id)
+        let index = self.index.get_or_init(|| {
+            let mut index = HashMap::with_capacity(self.spans.len());
+            for (at, span) in self.spans.iter().enumerate().rev() {
+                index.insert(span.id, at);
+            }
+            index
+        });
+        index.get(&id).map(|&at| &self.spans[at])
     }
 
     /// Spans of one kind, in time order.
@@ -420,7 +496,8 @@ impl SpanTrace {
             .unwrap_or(0)
     }
 
-    /// Folds `other`'s spans into `self` (per-worker buffer merge).
+    /// Folds `other`'s spans into `self` (per-worker buffer merge): one
+    /// pass over the two ordered runs.
     ///
     /// # Panics
     ///
@@ -435,8 +512,28 @@ impl SpanTrace {
                 debug_assert!(!mine.contains(&s.id), "span id {} collides in merge", s.id);
             }
         }
-        self.spans.extend(other.spans);
-        self.normalize();
+        self.index = OnceLock::new();
+        if self.spans.is_empty() {
+            self.spans = other.spans;
+            return;
+        }
+        if other.spans.is_empty() {
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.spans.len() + other.spans.len());
+        let mut mine = std::mem::take(&mut self.spans).into_iter().peekable();
+        let mut theirs = other.spans.into_iter().peekable();
+        while let (Some(a), Some(b)) = (mine.peek(), theirs.peek()) {
+            let next = if order_key(a) <= order_key(b) {
+                mine.next()
+            } else {
+                theirs.next()
+            };
+            merged.extend(next);
+        }
+        merged.extend(mine);
+        merged.extend(theirs);
+        self.spans = merged;
     }
 }
 
@@ -461,6 +558,61 @@ mod tests {
         assert_eq!(trace.spans()[0].id, b);
         assert_eq!(trace.get(a).unwrap().end_us, 20);
         assert!(t.is_empty(), "take drains the buffer");
+    }
+
+    /// `ORDER_WINDOW + 2` spans in order, then one that belongs `back`
+    /// places before the end.
+    fn late_by(back: usize) -> SpanTracer {
+        let mut t = SpanTracer::new();
+        let n = ORDER_WINDOW as u64 + 2;
+        for i in 0..n {
+            t.emit(SpanDraft::new(0, SpanKind::Evict, 2 * i, 2 * i));
+        }
+        let start = 2 * (n - back as u64) - 1;
+        t.emit(SpanDraft::new(0, SpanKind::Forward, start, start + 9));
+        t
+    }
+
+    #[test]
+    fn a_span_inside_the_window_is_inserted_in_place() {
+        let mut t = late_by(ORDER_WINDOW);
+        assert!(!t.unordered);
+        let at = t.spans.len() - 1 - ORDER_WINDOW;
+        assert_eq!(t.spans[at].kind, SpanKind::Forward);
+        let buffered = t.spans.clone();
+        assert_eq!(t.take(), SpanTrace::from_spans(buffered));
+    }
+
+    #[test]
+    fn a_span_outside_the_window_falls_back_to_the_sort() {
+        let mut t = late_by(ORDER_WINDOW + 1);
+        assert!(t.unordered);
+        assert_eq!(t.spans.last().unwrap().kind, SpanKind::Forward);
+        // Unordered from here on: nothing is carried back any more.
+        t.emit(SpanDraft::new(0, SpanKind::Evict, 0, 0));
+        assert_eq!(t.spans.last().unwrap().start_us, 0);
+        let buffered = t.spans.clone();
+        assert_eq!(t.take(), SpanTrace::from_spans(buffered));
+        // The next run of the same tracer starts ordered again.
+        assert!(!t.unordered && t.is_empty());
+    }
+
+    #[test]
+    fn get_indexes_once_and_merge_drops_the_index() {
+        let mut a = SpanTracer::with_namespace(1);
+        let mut b = SpanTracer::with_namespace(2);
+        let ia = a.emit(SpanDraft::new(0, SpanKind::Forward, 5, 9));
+        let ib = b.emit(SpanDraft::new(1, SpanKind::Backward, 0, 4));
+        let mut trace = a.take();
+        assert!(trace.index.get().is_none(), "no lookup, no index");
+        assert_eq!(trace.get(ia).map(|s| s.stage), Some(0));
+        assert_eq!(trace.get(ib), None);
+        assert_eq!(trace.get(SpanId::EXTERNAL), None);
+        assert!(trace.index.get().is_some());
+        trace.merge(b.take());
+        assert!(trace.index.get().is_none());
+        assert_eq!(trace.get(ib).map(|s| s.stage), Some(1));
+        assert_eq!(trace.get(ia).map(|s| s.stage), Some(0));
     }
 
     #[test]
