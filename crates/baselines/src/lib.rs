@@ -6,9 +6,7 @@
 //!   parameter updates and no recomputation;
 //! * [`SystemKind::VPipe`] — BSP pipeline that swaps parameters to CPU
 //!   memory (larger batches than GPipe) but keeps a static partition and
-//!   no subnet-aware prefetching;
-//! * [`retiarii`] — Retiarii's wrapped data parallelism: one whole subnet
-//!   per GPU synchronised through an external parameter server.
+//!   no subnet-aware prefetching.
 //!
 //! The three pipeline baselines are [`SyncPolicy`](naspipe_core::config::SyncPolicy)
 //! values run through the same engine as NASPipe
@@ -16,7 +14,6 @@
 //! discipline, not implementation accidents.
 
 pub mod intra;
-pub mod retiarii;
 pub mod system;
 
 pub use system::SystemKind;

@@ -83,7 +83,7 @@ fn bench_csp_admission(c: &mut Criterion) {
 }
 
 /// The span store on the stream the `des-paper-8gpu` workload records
-/// (NLP.c1, 8 GPUs, 4000 subnets, seed 2022: 749 192 spans), replayed in
+/// (NLP.c1, 8 GPUs, 4000 subnets, seed 2022: 405 540 spans), replayed in
 /// emission order: what a span costs to buffer in order and hand over,
 /// and what a byte of Chrome export costs at 25 000 and at 200 000 spans.
 /// Export follows every causal edge through `SpanTrace::get`, so the two
@@ -106,6 +106,7 @@ fn bench_span_store(c: &mut Criterion) {
             start_us: s.start_us,
             end_us: s.end_us,
             cause: s.cause,
+            evicted: s.evicted,
         })
         .collect();
     let emit_take = || {
@@ -116,13 +117,13 @@ fn bench_span_store(c: &mut Criterion) {
         tracer.take()
     };
     assert_eq!(emit_take(), trace, "the replay rebuilds the recorded trace");
-    c.bench_function("span_store/emit_take_750k", |b| {
+    c.bench_function("span_store/emit_take_405k", |b| {
         b.iter(|| black_box(emit_take()))
     });
     let start = Instant::now();
     black_box(emit_take());
     c.report_value(
-        "span_store/emit_take_750k/per_span",
+        "span_store/emit_take_405k/per_span",
         start.elapsed().as_nanos() as f64 / drafts.len() as f64,
         "ns",
     );

@@ -72,47 +72,52 @@ impl Partition {
         );
         let stages = stages as usize;
 
-        // Feasibility: can we cover `costs` with `stages` ranges of sum <= cap?
-        let feasible = |cap: f64| -> Option<Vec<usize>> {
-            let mut bounds = vec![0usize];
+        // The greedy cover of `costs` by ranges of sum <= cap, opened left
+        // to right: `cut(i)` for each range that opens at block `i > 0`.
+        // `false` if it takes more than `stages` ranges. A bisection
+        // probe only counts; the boundaries are written once, below.
+        fn cover(costs: &[f64], stages: usize, cap: f64, mut cut: impl FnMut(usize)) -> bool {
+            let mut ranges = 1usize;
             let mut acc = 0.0f64;
             for (i, &c) in costs.iter().enumerate() {
                 if c > cap {
-                    return None;
+                    return false;
                 }
                 if acc + c > cap {
-                    bounds.push(i);
+                    cut(i);
                     acc = c;
-                    if bounds.len() > stages {
-                        return None;
+                    ranges += 1;
+                    if ranges > stages {
+                        return false;
                     }
                 } else {
                     acc += c;
                 }
             }
-            while bounds.len() < stages {
-                bounds.push(costs.len());
-            }
-            bounds.push(costs.len());
-            Some(bounds)
-        };
+            true
+        }
 
         let total: f64 = costs.iter().sum();
         let max_single = costs.iter().cloned().fold(0.0f64, f64::max);
         let mut lo = (total / stages as f64).max(max_single);
         let mut hi = total.max(max_single);
-        let mut best = feasible(hi).expect("total cost is always feasible");
-        // 40 iterations of bisection are ample for f64 cost ranges.
+        // 40 iterations of bisection are ample for f64 cost ranges. `hi`
+        // is feasible throughout: the total cost is, and it only ever
+        // moves to a cap a probe accepted.
         for _ in 0..40 {
             let mid = (lo + hi) / 2.0;
-            if let Some(b) = feasible(mid) {
-                best = b;
+            if cover(costs, stages, mid, |_| {}) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        Self::from_boundaries(best)
+        let mut bounds = Vec::with_capacity(stages + 1);
+        bounds.push(0);
+        let feasible = cover(costs, stages, hi, |i| bounds.push(i));
+        assert!(feasible, "the smallest accepted cap is feasible");
+        bounds.resize(stages + 1, costs.len());
+        Self::from_boundaries(bounds)
     }
 
     /// Number of stages.

@@ -679,6 +679,7 @@ impl<'a> Engine<'a> {
         let mut ready = now;
         let mut gate: Option<(SpanId, SimTime)> = None;
         let mut missing_bytes = 0u64;
+        let evictions_before = cache.stats().evictions;
         for l in slice_layers(entry, k) {
             let bytes = profile.cost(l).param_bytes;
             let hit = cache.access(l, bytes);
@@ -697,6 +698,10 @@ impl<'a> Engine<'a> {
                 missing_bytes += bytes;
             }
         }
+        // Only a miss evicts, so what the loop evicted made room for the
+        // fetch below and is counted on its span. (A miss moves bytes: every
+        // profiled layer has parameters.)
+        let evicted = cache.stats().evictions - evictions_before;
         if missing_bytes > 0 {
             let wait = RunEvent::FetchWait {
                 bytes: missing_bytes,
@@ -705,7 +710,9 @@ impl<'a> Engine<'a> {
             let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, missing_bytes);
             let fetch_span = if traced {
                 self.tracer.emit(
-                    SpanDraft::new(k, SpanKind::Fetch, now.as_us(), end.as_us()).subnet(subnet.0),
+                    SpanDraft::new(k, SpanKind::Fetch, now.as_us(), end.as_us())
+                        .subnet(subnet.0)
+                        .evicted(evicted),
                 )
             } else {
                 SpanId::EXTERNAL
@@ -726,20 +733,13 @@ impl<'a> Engine<'a> {
 
     /// Folds stage `k`'s cache-stat growth since the last sync into the
     /// recorder (one emission site covers accesses, prefetches, and
-    /// evictions alike), and emits an instant `Evict` span per eviction
-    /// since the last sync.
-    fn sync_cache_metrics(&mut self, k: u32, now: SimTime) {
+    /// evictions alike).
+    fn sync_cache_metrics(&mut self, k: u32) {
         let Some(cache) = self.stages[k as usize].cache.as_ref() else {
             return;
         };
         let cur = cache.stats();
         let prev = self.cache_seen[k as usize];
-        if self.tracer.enabled() {
-            for _ in prev.evictions..cur.evictions {
-                self.tracer
-                    .emit(SpanDraft::new(k, SpanKind::Evict, now.as_us(), now.as_us()));
-            }
-        }
         self.recorder
             .incr(k, Counter::CacheHit, cur.hits - prev.hits);
         self.recorder
@@ -783,20 +783,23 @@ impl<'a> Engine<'a> {
             let cache = stage.cache.as_mut().expect("predictor implies cache");
             for l in slice_layers(entry, k) {
                 let bytes = self.partitioner.profile().cost(l).param_bytes;
+                let evictions_before = cache.stats().evictions;
                 if cache.prefetch(l, bytes).is_some() {
+                    let evicted = cache.stats().evictions - evictions_before;
                     let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, bytes);
                     let landing = cache.landing(l);
                     landing.at = Some(end);
                     if traced {
                         landing.span = self.tracer.emit(
                             SpanDraft::new(k, SpanKind::Prefetch, now.as_us(), end.as_us())
-                                .subnet(fetch.subnet.0),
+                                .subnet(fetch.subnet.0)
+                                .evicted(evicted),
                         );
                     }
                 }
             }
         }
-        self.sync_cache_metrics(k, now);
+        self.sync_cache_metrics(k);
     }
 
     /// Pending backwards at the last stage: queued forwards that are
@@ -1108,7 +1111,7 @@ impl<'a> Engine<'a> {
         };
         self.recorder.sample(k, latency, end.since(start).as_us());
         self.recorder.incr(k, count, 1);
-        self.sync_cache_metrics(k, now);
+        self.sync_cache_metrics(k);
         let span = if let Some(edge) = cause {
             let span_kind = match kind {
                 TaskKind::Forward => SpanKind::Forward,
@@ -1468,7 +1471,7 @@ impl<'a> Engine<'a> {
         self.settle_all_idle(last_event);
         let makespan = self.makespan.max(SimTime::from_us(1));
         for k in 0..self.d {
-            self.sync_cache_metrics(k, makespan); // final deltas (e.g. releases)
+            self.sync_cache_metrics(k); // final deltas (e.g. releases)
         }
         // One last sample at the makespan boundary, after the cache-metric
         // sync above: the hub's last published state equals the report

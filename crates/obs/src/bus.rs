@@ -865,7 +865,7 @@ mod tests {
         });
         assert_eq!(ops.hub().published(), 2);
         let trip =
-            "watchdog: straggler on stage 1 at 1000us (busy 500000us vs peer median 50000us)";
+            "watchdog: straggler on stage 1 at 1000us (mean task 500000us vs peer median 50000us)";
         assert_eq!(
             stderr.trim_start_matches(['\r', ' ']),
             format!("naspipe: {trip}\n")

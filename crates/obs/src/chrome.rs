@@ -7,9 +7,10 @@
 //! an arrow from the releasing span to the released one.
 //!
 //! Every `"X"` event's `args` carries the exact span fields (`span_id`,
-//! `subnet`, `cause_src`, `cause_kind`, ...), so [`parse_chrome`]
-//! reconstructs the original trace losslessly — the round-trip is the
-//! in-repo proof the output is well-formed JSON a viewer will accept.
+//! `subnet`, `evicted` when non-zero, `cause_src`, `cause_kind`, ...), so
+//! [`parse_chrome`] reconstructs the original trace losslessly — the
+//! round-trip is the in-repo proof the output is well-formed JSON a
+//! viewer will accept.
 //! Reading and string escaping go through [`crate::json`].
 
 use crate::json::{parse_json, JsonStr, JsonValue};
@@ -57,6 +58,9 @@ pub fn export_chrome(trace: &SpanTrace, meta: &RunMeta) -> String {
         );
         if let Some(subnet) = span.subnet {
             let _ = write!(ev, ",\"subnet\":{subnet}");
+        }
+        if span.evicted > 0 {
+            let _ = write!(ev, ",\"evicted\":{}", span.evicted);
         }
         if let Some(cause) = &span.cause {
             let _ = write!(
@@ -229,6 +233,9 @@ pub fn parse_chrome(input: &str) -> Result<(SpanTrace, RunMeta), ChromeParseErro
             .ok_or_else(|| ChromeParseError {
                 message: format!("span {id} without tid"),
             })? as u32;
+        // Spans that evicted nothing, and every span of an older trace
+        // file, carry no such arg.
+        let evicted = args.get("evicted").and_then(JsonValue::as_u64).unwrap_or(0);
         spans.push(Span {
             id: SpanId(id),
             stage,
@@ -239,6 +246,9 @@ pub fn parse_chrome(input: &str) -> Result<(SpanTrace, RunMeta), ChromeParseErro
                 message: format!("span {id}: ts + dur overflows"),
             })?,
             cause: cause_from_args(args)?,
+            evicted: u16::try_from(evicted).map_err(|_| ChromeParseError {
+                message: format!("span {id}: evicted {evicted} out of range"),
+            })?,
         });
     }
     let other = root.get("otherData");
@@ -271,7 +281,11 @@ mod tests {
                 .subnet(0)
                 .caused_by(SpanId::EXTERNAL, CauseKind::Injection),
         );
-        let fetch = t.emit(SpanDraft::new(1, SpanKind::Fetch, 10, 14).subnet(0));
+        let fetch = t.emit(
+            SpanDraft::new(1, SpanKind::Fetch, 10, 14)
+                .subnet(0)
+                .evicted(2),
+        );
         let f1 = t.emit(
             SpanDraft::new(1, SpanKind::Forward, 14, 24)
                 .subnet(0)
@@ -287,7 +301,7 @@ mod tests {
                 .subnet(0)
                 .caused_by(f1, CauseKind::GradientArrival),
         );
-        t.emit(SpanDraft::new(1, SpanKind::Evict, 30, 30));
+        t.emit(SpanDraft::new(1, SpanKind::Checkpoint, 30, 30));
         t.take()
     }
 
@@ -341,5 +355,8 @@ mod tests {
         let overflow = r#"{"traceEvents": [{"ph":"X","ts":18446744073709551615,"dur":1,
             "tid":0,"args":{"span_id":9,"kind":"forward"}}]}"#;
         assert!(parse_chrome(overflow).is_err());
+        let evicted = r#"{"traceEvents": [{"ph":"X","ts":0,"dur":1,
+            "tid":0,"args":{"span_id":9,"kind":"fetch","evicted":65536}}]}"#;
+        assert!(parse_chrome(evicted).is_err());
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! Where [`crate::metrics`] aggregates (counters and histograms), this
 //! module records *timelines*: one [`Span`] per unit of runtime work —
-//! forward/backward execution, parameter fetch/prefetch, eviction,
-//! activation recomputation, checkpoint, restart, replay — each carrying
-//! the stage it ran on, the subnet it belongs to, and a **causal edge**
+//! forward/backward execution, parameter fetch/prefetch, activation
+//! recomputation, checkpoint, restart, replay — each carrying the stage
+//! it ran on, the subnet it belongs to, and a **causal edge**
 //! naming *why it started when it did*: the predecessor stage's
 //! activation arrival, a shared-layer writer's backward completion (the
 //! CSP admission rule firing), a cache fetch completing, or a recovery
-//! replay.
+//! replay. An eviction takes no time and happens only to make room for
+//! a swap-in, so it is not a span of its own: the fetch or prefetch that
+//! forced it carries the count ([`Span::evicted`]).
 //!
 //! Emission mirrors the [`Recorder`](crate::Recorder) pattern: runtimes
 //! talk to a [`Tracer`] ([`SpanTracer`] buffers in memory, [`NullTracer`]
@@ -59,7 +61,10 @@ pub enum SpanKind {
     Fetch,
     /// An asynchronous parameter prefetch over PCIe.
     Prefetch,
-    /// A layer eviction GPU -> CPU (instantaneous).
+    /// A layer eviction GPU -> CPU (instantaneous). No engine emits it
+    /// any more — evictions are counted on the transfer that forced them
+    /// ([`Span::evicted`]) — but trace files written before that still
+    /// hold these marks and must keep loading.
     Evict,
     /// A stage snapshotting its state at a CSP watermark.
     Checkpoint,
@@ -197,7 +202,14 @@ pub struct Span {
     pub end_us: u64,
     /// Why the span started when it did, if known.
     pub cause: Option<CausalEdge>,
+    /// Layers evicted to make room for this swap-in (saturating; 0 on
+    /// every kind but `Fetch` / `Prefetch`).
+    pub evicted: u16,
 }
+
+// The count rides in padding the other fields leave: a trace is a
+// `Vec<Span>`, so a wider `Span` is paid once per span of every run.
+const _: () = assert!(std::mem::size_of::<Span>() == 72);
 
 impl Span {
     /// Duration in microseconds.
@@ -230,6 +242,8 @@ pub struct SpanDraft {
     pub end_us: u64,
     /// Why the span started when it did.
     pub cause: Option<CausalEdge>,
+    /// Layers evicted to make room for this swap-in.
+    pub evicted: u16,
 }
 
 impl SpanDraft {
@@ -242,6 +256,7 @@ impl SpanDraft {
             start_us,
             end_us,
             cause: None,
+            evicted: 0,
         }
     }
 
@@ -254,6 +269,13 @@ impl SpanDraft {
     /// Attaches the causal edge.
     pub fn caused_by(mut self, src: SpanId, kind: CauseKind) -> Self {
         self.cause = Some(CausalEdge { src, kind });
+        self
+    }
+
+    /// Attaches the number of layers this swap-in evicted, saturating at
+    /// `u16::MAX`.
+    pub fn evicted(mut self, layers: u64) -> Self {
+        self.evicted = u16::try_from(layers).unwrap_or(u16::MAX);
         self
     }
 }
@@ -307,10 +329,10 @@ fn order_key(span: &Span) -> (u64, u64, SpanId) {
 /// the buffer ordered. Keeping order costs a key comparison and 72 moved
 /// bytes per place, so the window also bounds what staying ordered may
 /// cost per span: about what the fallback sort costs per span at a
-/// million spans. The DES emits almost in order — it walks back 3.5
-/// places per span on the paper's 8-GPU shape and never more than 128 on
-/// two or more GPUs; only the single-GPU shape, whose one PCIe link
-/// queues prefetches hundreds of starts ahead, leaves the window.
+/// million spans. The DES emits almost in order — a prefetch starts when
+/// its PCIe link frees up, a little ahead of the task spans emitted after
+/// it: half a place back per span on the paper's 8-GPU shape and never
+/// more than 100 on 1 to 32 GPUs, so no such run leaves the window.
 const ORDER_WINDOW: usize = 256;
 
 /// The in-memory [`Tracer`]: a span buffer kept in canonical
@@ -371,6 +393,7 @@ impl Tracer for SpanTracer {
             start_us: draft.start_us,
             end_us: draft.end_us,
             cause: draft.cause,
+            evicted: draft.evicted,
         };
         let len = self.spans.len();
         let mut at = len;
@@ -566,7 +589,7 @@ mod tests {
         let mut t = SpanTracer::new();
         let n = ORDER_WINDOW as u64 + 2;
         for i in 0..n {
-            t.emit(SpanDraft::new(0, SpanKind::Evict, 2 * i, 2 * i));
+            t.emit(SpanDraft::new(0, SpanKind::Checkpoint, 2 * i, 2 * i));
         }
         let start = 2 * (n - back as u64) - 1;
         t.emit(SpanDraft::new(0, SpanKind::Forward, start, start + 9));
@@ -589,7 +612,7 @@ mod tests {
         assert!(t.unordered);
         assert_eq!(t.spans.last().unwrap().kind, SpanKind::Forward);
         // Unordered from here on: nothing is carried back any more.
-        t.emit(SpanDraft::new(0, SpanKind::Evict, 0, 0));
+        t.emit(SpanDraft::new(0, SpanKind::Checkpoint, 0, 0));
         assert_eq!(t.spans.last().unwrap().start_us, 0);
         let buffered = t.spans.clone();
         assert_eq!(t.take(), SpanTrace::from_spans(buffered));
@@ -649,6 +672,7 @@ mod tests {
                 start_us: 0,
                 end_us: 10,
                 cause: None,
+                evicted: 0,
             },
             Span {
                 id: SpanId(2),
@@ -658,6 +682,7 @@ mod tests {
                 start_us: 5,
                 end_us: 50,
                 cause: None,
+                evicted: 0,
             },
         ]);
         assert_eq!(trace.makespan_us(), 10);
@@ -687,6 +712,7 @@ mod tests {
             start_us: 0,
             end_us: 1,
             cause: None,
+            evicted: 0,
         };
         assert_eq!(span.label(), "SN7.backward@P2");
         assert_eq!(

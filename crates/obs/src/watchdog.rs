@@ -25,11 +25,12 @@ pub struct WatchdogConfig {
     /// Stage-stall deadline: a stage with stall time accruing but no
     /// task completing for this long trips `StageStall`.
     pub stall_deadline_us: u64,
-    /// Straggler trip ratio: a stage whose cumulative busy time reaches
+    /// Straggler trip ratio: a stage whose mean task latency reaches
     /// this multiple of the peer median trips `Straggler`.
     pub straggler_ratio: f64,
-    /// Minimum absolute busy-time excess (us) over the peer median
-    /// before `Straggler` can trip, so tiny warm-up skews don't fire.
+    /// Minimum busy time (us) a stage must have spent beyond what its
+    /// tasks would have cost at the peer-median latency before
+    /// `Straggler` can trip, so tiny warm-up skews don't fire.
     pub straggler_min_busy_us: u64,
     /// Minimum window between two snapshots for the convoy detector to
     /// evaluate (rates over shorter windows are too noisy).
@@ -53,7 +54,7 @@ pub enum WatchdogVerdictKind {
     /// A stage accrued stall time without completing a task past the
     /// deadline.
     StageStall,
-    /// A stage's busy time is an outlier versus its peers.
+    /// A stage's mean task latency is an outlier versus its peers'.
     Straggler,
     /// Multiple stages sat fully stalled while one stage kept
     /// progressing — the CSP admission watermark convoying behind one
@@ -93,7 +94,7 @@ pub struct WatchdogVerdict {
     /// The stage charged: the stalled stage, the straggling stage, or —
     /// for a convoy — the hot stage everyone else is stuck behind.
     pub stage: u32,
-    /// Human-readable evidence, e.g. `busy 840000us vs peer median
+    /// Human-readable evidence, e.g. `mean task 840000us vs peer median
     /// 120000us`.
     pub detail: String,
 }
@@ -140,21 +141,23 @@ impl std::fmt::Debug for Watchdog {
     }
 }
 
-/// Cumulative busy-time proxy: forward + backward latency histogram
-/// sums. Deterministic in the DES (simulated durations), measured in
-/// the threaded runtime.
-fn busy_us(snap: &MetricsSnapshot, stage: usize) -> u64 {
+/// Cumulative `(busy time, tasks timed)`: the forward + backward latency
+/// histograms' sums and counts. Deterministic in the DES (simulated
+/// durations), measured in the threaded runtime.
+fn busy_and_timed(snap: &MetricsSnapshot, stage: usize) -> (u64, u64) {
     let s = &snap.stages[stage];
-    s.histogram(Sample::ForwardLatencyUs).sum + s.histogram(Sample::BackwardLatencyUs).sum
+    let (fwd, bwd) = (
+        s.histogram(Sample::ForwardLatencyUs),
+        s.histogram(Sample::BackwardLatencyUs),
+    );
+    (fwd.sum + bwd.sum, fwd.count + bwd.count)
 }
 
-/// Lower median of `values` (deterministic; no float averaging).
-fn median(values: &mut [u64]) -> u64 {
-    if values.is_empty() {
-        return 0;
-    }
+/// Lower median of `values` (deterministic; no float averaging); `None`
+/// of none.
+fn median(values: &mut [u64]) -> Option<u64> {
     values.sort_unstable();
-    values[(values.len() - 1) / 2]
+    values.get(values.len().checked_sub(1)? / 2).copied()
 }
 
 impl Watchdog {
@@ -188,29 +191,39 @@ impl Watchdog {
         let mut tasks = vec![0u64; n];
         let mut stall = vec![0u64; n];
         let mut busy = vec![0u64; n];
+        let mut timed = vec![0u64; n];
         for k in 0..n {
             let s = &snap.stages[k];
             tasks[k] = s.counter(Counter::ForwardTask) + s.counter(Counter::BackwardTask);
             stall[k] = s.counter(Counter::StallUs);
-            busy[k] = busy_us(snap, k);
+            (busy[k], timed[k]) = busy_and_timed(snap, k);
         }
 
-        // Straggler: cumulative busy time an outlier vs the peer median.
+        // Straggler: a stage's pace — its mean task latency — an outlier
+        // vs the peer median of the same. Cumulative busy time will not
+        // do: pipeline fill, BSP bulks and injection bursts make one
+        // stage busier than its peers by construction, at the same pace.
+        // A stage that has timed no task yet neither trips nor votes.
+        let pace: Vec<Option<u64>> = (0..n).map(|k| busy[k].checked_div(timed[k])).collect();
         for k in 0..n {
             if self.latched[k][WatchdogVerdictKind::Straggler as usize] {
                 continue;
             }
-            let mut peers: Vec<u64> = (0..n).filter(|&j| j != k).map(|j| busy[j]).collect();
-            let med = median(&mut peers);
-            let trip = busy[k] >= self.config.straggler_min_busy_us.saturating_add(med)
-                && (busy[k] as f64) >= self.config.straggler_ratio * (med as f64);
-            if trip && n > 1 {
+            let Some(mine) = pace[k] else { continue };
+            let mut peers: Vec<u64> = (0..n).filter(|&j| j != k).filter_map(|j| pace[j]).collect();
+            let Some(med) = median(&mut peers) else {
+                continue;
+            };
+            let excess = busy[k].saturating_sub(timed[k].saturating_mul(med));
+            let trip = excess >= self.config.straggler_min_busy_us
+                && (mine as f64) >= self.config.straggler_ratio * (med as f64);
+            if trip {
                 self.latched[k][WatchdogVerdictKind::Straggler as usize] = true;
                 verdicts.push(WatchdogVerdict {
                     at_us: at,
                     kind: WatchdogVerdictKind::Straggler,
                     stage: k as u32,
-                    detail: format!("busy {}us vs peer median {}us", busy[k], med),
+                    detail: format!("mean task {mine}us vs peer median {med}us"),
                 });
             }
         }
@@ -332,6 +345,78 @@ mod tests {
         rec.sample(1, Sample::ForwardLatencyUs, 5);
         rec.sample(2, Sample::ForwardLatencyUs, 5);
         assert!(wd.observe(&snap_at(&rec, 1_000_000)).is_empty());
+    }
+
+    /// `n` forward tasks of `us` each on `stage`.
+    fn run_tasks(rec: &mut MetricsRecorder, stage: u32, n: u64, us: u64) {
+        for _ in 0..n {
+            rec.incr(stage, Counter::ForwardTask, 1);
+            rec.sample(stage, Sample::ForwardLatencyUs, us);
+        }
+    }
+
+    fn stragglers(v: &[WatchdogVerdict]) -> Vec<u32> {
+        v.iter()
+            .filter(|v| v.kind == WatchdogVerdictKind::Straggler)
+            .map(|v| v.stage)
+            .collect()
+    }
+
+    #[test]
+    fn pipeline_fill_is_busier_not_slower() {
+        // Filling: every stage runs 10 ms tasks, the early ones have run
+        // many, the last none. Stage 0 is 190 ms busier than the median
+        // peer, at exactly the peers' pace.
+        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut rec = MetricsRecorder::new();
+        for (stage, n) in [(0, 20), (1, 5), (2, 1)] {
+            run_tasks(&mut rec, stage, n, 10_000);
+        }
+        assert!(wd.observe(&snap_at(&rec, 200_000)).is_empty());
+    }
+
+    #[test]
+    fn an_eightfold_pace_trips_once() {
+        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut rec = MetricsRecorder::new();
+        for stage in 0..4u32 {
+            let us = if stage == 2 { 160_000 } else { 20_000 };
+            run_tasks(&mut rec, stage, 10, us);
+        }
+        let v = wd.observe(&snap_at(&rec, 2_000_000));
+        assert_eq!(stragglers(&v), [2]);
+        assert_eq!(v[0].detail, "mean task 160000us vs peer median 20000us");
+        run_tasks(&mut rec, 2, 10, 160_000);
+        assert!(wd.observe(&snap_at(&rec, 4_000_000)).is_empty(), "latched");
+    }
+
+    #[test]
+    fn a_slow_pace_must_have_cost_the_floor_in_excess_time() {
+        // One 90 ms task against 10 ms peers is a 9x pace that has cost
+        // 80 ms so far; the second such task takes the excess past 100 ms.
+        let mut wd = Watchdog::new(3, WatchdogConfig::default());
+        let mut rec = MetricsRecorder::new();
+        run_tasks(&mut rec, 0, 1, 90_000);
+        run_tasks(&mut rec, 1, 30, 10_000);
+        run_tasks(&mut rec, 2, 30, 10_000);
+        assert!(wd.observe(&snap_at(&rec, 300_000)).is_empty());
+        run_tasks(&mut rec, 0, 1, 90_000);
+        assert_eq!(stragglers(&wd.observe(&snap_at(&rec, 400_000))), [0]);
+    }
+
+    #[test]
+    fn a_stage_that_has_run_nothing_neither_trips_nor_votes() {
+        let mut wd = Watchdog::new(3, WatchdogConfig::default());
+        let mut rec = MetricsRecorder::new();
+        // Only stage 0 has run: there is no peer pace to hold it to.
+        run_tasks(&mut rec, 0, 1, 400_000);
+        assert!(wd.observe(&snap_at(&rec, 500_000)).is_empty());
+        // Stage 1 sets a pace; idle stage 2 does not pull the median to
+        // zero, and is itself no straggler.
+        run_tasks(&mut rec, 1, 1, 50_000);
+        let v = wd.observe(&snap_at(&rec, 600_000));
+        assert_eq!(stragglers(&v), [0]);
+        assert_eq!(v[0].detail, "mean task 400000us vs peer median 50000us");
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn fill(tracer: &mut SpanTracer) {
         let draft = if i % 4 == 0 {
             SpanDraft::new(0, SpanKind::Prefetch, i + 9, i + 30)
         } else {
-            SpanDraft::new(0, SpanKind::Evict, i, i)
+            SpanDraft::new(0, SpanKind::Checkpoint, i, i)
         };
         tracer.emit(draft);
     }

@@ -11,8 +11,7 @@
 //! * [`sim`] — the discrete-event multi-GPU simulator;
 //! * [`core`] — the CSP scheduler, context predictor, context manager,
 //!   pipeline engine, training replay, and threaded runtime;
-//! * [`baselines`] — GPipe, PipeDream, VPipe, and Retiarii's wrapped data
-//!   parallelism;
+//! * [`baselines`] — GPipe, PipeDream and VPipe;
 //! * [`obs`] — metrics, CSP invariant checking, causal span tracing,
 //!   and live telemetry (snapshot hub + Prometheus text exposition).
 //!

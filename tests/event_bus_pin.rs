@@ -8,7 +8,12 @@
 //! that rewrite moved no event: same kinds, same order, same levels,
 //! messages and fields. Wall-clock timestamps are left out of the
 //! threaded pins; the DES journal is simulated time and is pinned byte
-//! for byte.
+//! for byte. One line has been re-recorded since: the DES journal's
+//! `watchdog-trip` evidence, when the straggler detector began comparing
+//! mean task latency (`mean task 364283us vs peer median 45463us`, the
+//! planted 8x) instead of cumulative busy time (`busy 364283us vs peer
+//! median 0us`, a trip because the peers had not run yet). Same stage,
+//! same sample, same instant.
 //!
 //! To re-record after an intentional change, run
 //! `cargo test --test event_bus_pin -- --nocapture` and copy the output.

@@ -117,14 +117,15 @@ mod model {
                 &mut clock,
             );
             let kind = if start_us == end_us {
-                SpanKind::Evict
+                SpanKind::Checkpoint
             } else {
                 SpanKind::Forward
             };
             let draft = SpanDraft::new(to as u32, kind, start_us, end_us)
                 .subnet(i as u64)
-                .caused_by(prev, CauseKind::ActivationArrival);
-            let cause = draft.cause;
+                .caused_by(prev, CauseKind::ActivationArrival)
+                .evicted(a % 3);
+            let (cause, evicted) = (draft.cause, draft.evicted);
             prev = sinks[to].emit(draft);
             emitted[to].push(Span {
                 id: prev,
@@ -134,6 +135,7 @@ mod model {
                 start_us,
                 end_us,
                 cause,
+                evicted,
             });
         }
         (emitted, sinks)
@@ -212,13 +214,17 @@ mod model {
 }
 
 /// `(gpus, spans, fnv1a(export_chrome), fnv1a(critical path text))` for
-/// the DES on NLP.c1, the first 200 subnets of seed 7 — recorded on the
-/// commit before the store was ordered by construction, when `take`
-/// still sorted.
+/// the DES on NLP.c1, the first 200 subnets of seed 7. The critical-path
+/// digests were recorded on the commit before the store was ordered by
+/// construction, when `take` still sorted, and have never been
+/// re-recorded. The span counts and chrome digests were re-recorded once,
+/// when an eviction stopped being a span of its own and became a count
+/// on the transfer that forced it (19 241, 16 868 and 16 474 `evict`
+/// marks left the three traces; the spans that remain were renumbered).
 const PINNED: [(u32, usize, u64, u64); 3] = [
-    (4, 37371, 0x1a526ef396ca5ca0, 0xf1ccc4848c2175c1),
-    (8, 37124, 0xdba060a31b5696ad, 0xc6194bd759c3056c),
-    (32, 51573, 0xacb3c063403681b9, 0xcc88790314e960bc),
+    (4, 18130, 0x88856042dee70e5d, 0xf1ccc4848c2175c1),
+    (8, 20256, 0xbb3660836ce8008e, 0xc6194bd759c3056c),
+    (32, 35099, 0xd36221ecbc2b3eb7, 0xcc88790314e960bc),
 ];
 
 #[test]
