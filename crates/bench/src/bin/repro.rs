@@ -69,28 +69,19 @@ fn main() {
         std::process::exit(2);
     }
     let mut selected: Vec<&str> = Vec::new();
-    let mut check = false;
     for arg in &args {
         match arg.as_str() {
             "all" => selected.extend_from_slice(EXPERIMENTS),
-            "--check" => check = true,
             name if EXPERIMENTS.contains(&name) => selected.push(name),
             other => {
-                eprintln!(
-                    "unknown experiment '{other}'; expected one of {EXPERIMENTS:?}, \
-                     'all', or the 'bench' flag --check"
-                );
+                eprintln!("unknown experiment '{other}'; expected one of {EXPERIMENTS:?} or 'all'");
                 std::process::exit(2);
             }
         }
     }
-    if check && !selected.contains(&"bench") {
-        eprintln!("--check only applies to the 'bench' experiment");
-        std::process::exit(2);
-    }
     for name in selected {
         let started = Instant::now();
-        run_experiment(name, check);
+        run_experiment(name);
         eprintln!("[{name} took {:.1}s]\n", started.elapsed().as_secs_f64());
     }
 }
@@ -100,7 +91,7 @@ fn banner(title: &str, caption: &str) {
     println!("{caption}\n");
 }
 
-fn run_experiment(name: &str, check: bool) {
+fn run_experiment(name: &str) {
     match name {
         "fig1" => {
             banner(
@@ -311,27 +302,11 @@ fn run_experiment(name: &str, check: bool) {
                  reference bitwise and every output and end-to-end hash must \
                  be invariant across pool sizes {{1, 4, 8}}"
             );
-            if check {
-                let path = std::env::var("BENCH_COMPUTE_BASELINE")
-                    .unwrap_or_else(|_| "BENCH_compute.json".to_string());
-                let baseline = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-                let verdicts = compute::check_against(&baseline, &r, 0.15, 0.35)
-                    .expect("baseline artifact parses");
-                println!("\nregression check against {path}:");
-                println!("{}", compute::render_check(&verdicts));
-                assert!(
-                    verdicts.ok(),
-                    "bench-check failed: fresh throughput regressed past the \
-                     tolerance band (15% kernels, 35% end-to-end) below the \
-                     tracked baseline"
-                );
-            }
         }
         "telemetry" => {
             banner(
                 "Extra: live telemetry",
-                "The threaded CSP runtime on NLP.c2, 4 stages, with a TelemetryHub attached and a Prometheus endpoint on an ephemeral port — scraped by the experiment itself mid-run. Hard verdicts: every scrape is well-formed 0.0.4 text, counters never move backwards between scrapes, and the final snapshot equals the merged observability report.",
+                "The threaded CSP runtime on NLP.c2, 4 stages, with a TelemetryHub attached and a Prometheus endpoint on an ephemeral port — scraped by the experiment itself mid-run. Hard verdicts: every scrape is well-formed 0.0.4 text, counters never move backwards between scrapes, and the final snapshot equals the observability report.",
             );
             let r = telemetry::run(SpaceId::NlpC2, 4, 32);
             println!("{}", telemetry::render(&r));

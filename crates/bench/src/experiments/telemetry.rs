@@ -14,7 +14,7 @@
 //! 2. **Monotonicity** — no counter series moves backwards between any
 //!    two consecutive scrapes ([`monotonicity_violations`]).
 //! 3. **Consistency** — after the run the hub's final snapshot equals
-//!    the merged [`ObsReport`] field-for-field
+//!    the [`ObsReport`] field-for-field
 //!    ([`diff_against_report`]), and the scraped
 //!    `naspipe_tasks_total` series sum to the report's task totals —
 //!    the live endpoint and the post-mortem report tell one story.
@@ -38,14 +38,14 @@ pub struct TelemetryRun {
     pub addr: String,
     /// Scrapes collected while the run was in flight.
     pub mid_scrapes: usize,
-    /// Snapshots the sampler published over the whole run.
+    /// Snapshots published over the whole run.
     pub snapshots_published: u64,
     /// Ring evictions (snapshots not retained in the embedded series).
     pub samples_dropped: u64,
     /// Forward+backward tasks in the final scrape's
     /// `naspipe_tasks_total` series.
     pub scraped_tasks_total: u64,
-    /// Forward+backward tasks in the merged observability report.
+    /// Forward+backward tasks in the observability report.
     pub report_tasks_total: u64,
     /// Exposition-format errors across all scrapes (verdict 1).
     pub validation_errors: Vec<String>,

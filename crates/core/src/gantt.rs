@@ -6,11 +6,9 @@
 //! `F`/`B` markers) for backwards, `.` for idle. Subnet `n` renders as
 //! the character `SYMBOLS[n % 36]`.
 //!
-//! The chart is rendered from the run's *span stream*
-//! ([`PipelineOutcome::spans`]) when one was recorded — which also
-//! surfaces recompute and fault-replay activity on a third `R` row per
-//! stage — and falls back to the plain task records for untraced runs
-//! (e.g. a `NullTracer` run or a transcript replay).
+//! The `F`/`B` rows are the run's task records, which every outcome has;
+//! a traced run's span stream ([`PipelineOutcome::spans`]) only adds a
+//! third `R` row per stage for recompute and fault-replay activity.
 
 use crate::pipeline::PipelineOutcome;
 use crate::task::TaskKind;
@@ -33,7 +31,7 @@ struct Cell {
 enum Row {
     Fwd,
     Bwd,
-    /// Recompute / fault-replay activity (span stream only).
+    /// Recompute / fault-replay activity (from spans).
     Aux,
 }
 
@@ -41,48 +39,34 @@ fn subnet_symbol(subnet: u64) -> u8 {
     SYMBOLS[(subnet % 36) as usize]
 }
 
-/// Cells from the span stream: forward/backward compute plus an `R` row
-/// for recompute (subnet symbol) and fault replay (`x`).
-fn cells_from_spans(outcome: &PipelineOutcome) -> Vec<Cell> {
-    outcome
-        .spans
-        .spans()
-        .iter()
-        .filter_map(|s| {
-            let (row, sym) = match s.kind {
-                SpanKind::Forward => (Row::Fwd, subnet_symbol(s.subnet.unwrap_or(0))),
-                SpanKind::Backward => (Row::Bwd, subnet_symbol(s.subnet.unwrap_or(0))),
-                SpanKind::Recompute => (Row::Aux, subnet_symbol(s.subnet.unwrap_or(0))),
-                SpanKind::Replay => (Row::Aux, b'x'),
-                _ => return None,
-            };
-            Some(Cell {
-                stage: s.stage,
-                row,
-                sym,
-                start_us: s.start_us,
-                end_us: s.end_us,
-            })
+/// Forward and backward cells from the task records, plus an `R` row
+/// from the span stream: recompute (subnet symbol) and fault replay (`x`).
+fn cells(outcome: &PipelineOutcome) -> Vec<Cell> {
+    let tasks = outcome.tasks.iter().map(|t| Cell {
+        stage: t.stage.0,
+        row: match t.kind {
+            TaskKind::Forward => Row::Fwd,
+            TaskKind::Backward => Row::Bwd,
+        },
+        sym: subnet_symbol(t.subnet.0),
+        start_us: t.start.as_us(),
+        end_us: t.end.as_us(),
+    });
+    let aux = outcome.spans.spans().iter().filter_map(|s| {
+        let sym = match s.kind {
+            SpanKind::Recompute => subnet_symbol(s.subnet.unwrap_or(0)),
+            SpanKind::Replay => b'x',
+            _ => return None,
+        };
+        Some(Cell {
+            stage: s.stage,
+            row: Row::Aux,
+            sym,
+            start_us: s.start_us,
+            end_us: s.end_us,
         })
-        .collect()
-}
-
-/// Cells from the task records — the untraced fallback.
-fn cells_from_tasks(outcome: &PipelineOutcome) -> Vec<Cell> {
-    outcome
-        .tasks
-        .iter()
-        .map(|t| Cell {
-            stage: t.stage.0,
-            row: match t.kind {
-                TaskKind::Forward => Row::Fwd,
-                TaskKind::Backward => Row::Bwd,
-            },
-            sym: subnet_symbol(t.subnet.0),
-            start_us: t.start.as_us(),
-            end_us: t.end.as_us(),
-        })
-        .collect()
+    });
+    tasks.chain(aux).collect()
 }
 
 /// Renders the schedule of `outcome` as an ASCII Gantt chart of `width`
@@ -98,11 +82,7 @@ fn cells_from_tasks(outcome: &PipelineOutcome) -> Vec<Cell> {
 /// Panics if `width == 0`.
 pub fn render_gantt(outcome: &PipelineOutcome, width: usize) -> String {
     assert!(width > 0, "width must be positive");
-    let cells = if outcome.spans.spans().is_empty() {
-        cells_from_tasks(outcome)
-    } else {
-        cells_from_spans(outcome)
-    };
+    let cells = cells(outcome);
     let stages = cells
         .iter()
         .map(|c| c.stage)

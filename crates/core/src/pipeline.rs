@@ -381,7 +381,7 @@ pub fn run_pipeline_telemetry(
 
 /// A simulated-time sampling cadence: due whenever the simulation clock
 /// crosses `next_us` — the discrete-event analogue of the threaded
-/// runtime's sampler thread. The watchdog twin observes on one of these,
+/// supervisor's sampling deadline. The watchdog twin observes on one of these,
 /// so every verdict — including its trip time — is a pure function of
 /// the run's inputs (bitwise reproducible across hosts and
 /// `NASPIPE_THREADS`).
@@ -733,7 +733,8 @@ impl<'a> Engine<'a> {
 
     /// Folds stage `k`'s cache-stat growth since the last sync into the
     /// recorder (one emission site covers accesses, prefetches, and
-    /// evictions alike).
+    /// evictions alike). Only [`sample`](Self::sample) reads the recorder
+    /// mid-run, and it syncs every stage first.
     fn sync_cache_metrics(&mut self, k: u32) {
         let Some(cache) = self.stages[k as usize].cache.as_ref() else {
             return;
@@ -799,7 +800,6 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.sync_cache_metrics(k);
     }
 
     /// Pending backwards at the last stage: queued forwards that are
@@ -1111,7 +1111,6 @@ impl<'a> Engine<'a> {
         };
         self.recorder.sample(k, latency, end.since(start).as_us());
         self.recorder.incr(k, count, 1);
-        self.sync_cache_metrics(k);
         let span = if let Some(edge) = cause {
             let span_kind = match kind {
                 TaskKind::Forward => SpanKind::Forward,
@@ -1331,8 +1330,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Hands the bus a snapshot of the recorder as of `at`, with every
-    /// stage's finished prefix as its `/status` watermark.
+    /// stage's finished prefix as its `/status` watermark. The cache
+    /// counters are brought up to date here, not after every task: no
+    /// cache stat moves between events.
     fn sample(&mut self, at: SimTime, publish: bool, observe: bool) {
+        for k in 0..self.d {
+            self.sync_cache_metrics(k);
+        }
         for (k, done) in self.finished.iter().enumerate() {
             let watermark = done.first_unfinished().0;
             self.bus
@@ -1470,11 +1474,8 @@ impl<'a> Engine<'a> {
         let last_event = self.queue.now();
         self.settle_all_idle(last_event);
         let makespan = self.makespan.max(SimTime::from_us(1));
-        for k in 0..self.d {
-            self.sync_cache_metrics(k); // final deltas (e.g. releases)
-        }
-        // One last sample at the makespan boundary, after the cache-metric
-        // sync above: the hub's last published state equals the report
+        // One last sample at the makespan boundary, which syncs the cache
+        // counters: the hub's last published state equals the report
         // totals, and a straggler that only becomes visible in the
         // closing window is still caught deterministically.
         self.sample(makespan, true, true);

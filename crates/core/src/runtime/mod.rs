@@ -25,11 +25,11 @@
 //! [`RunSpec::run`] is the only entry point and [`SupervisedRun`] the
 //! only result shape. The supervisor (`supervisor.rs`) resolves the spec
 //! once into an immutable run context — subnets, dataset, fault injector,
-//! checkpoint store and snapshot writer, event bus, epoch, window,
+//! checkpoint store and snapshot writer, event bus and hub, epoch, window,
 //! retry/timeout budget — that every stage worker (`worker.rs`) of every
 //! incarnation borrows, beside the state the worker itself mutates. The
-//! telemetry sampler and the snapshot writer (`sidecars.rs`) are the two
-//! threads that outlive incarnations.
+//! snapshot writer (`sidecars.rs`) is the one thread that outlives
+//! incarnations.
 //!
 //! # The worker, cut at its one blocking point
 //!
@@ -50,23 +50,23 @@
 //!
 //! The workers of one incarnation are scoped threads borrowing the run
 //! context, the incarnation's park flag and (debug builds) its invariant
-//! checker. A worker leaves early through one private `Halt`: `Parked`
-//! (the supervisor asked) or `Failed` (a [`TrainError`], via `?`); one
-//! helper makes a closed link or a receive timeout `Parked` under an
-//! active shutdown and `Failed` otherwise. As it exits, each worker sends
+//! checker. A worker leaves early through one private `Halt`: `Parked` (the
+//! supervisor asked) or `Failed` (a [`TrainError`], via `?`); one helper
+//! makes a closed link or a receive timeout `Parked` under an active
+//! shutdown and `Failed` otherwise. As it exits, each worker sends
 //! `(stage, Result<StageOutput, TrainError>)` over the incarnation's one
 //! hand-back channel — its state whether it finished or parked, a panic
-//! caught at the thread root being an error like any other. The
-//! supervisor waits in one loop over that channel: on the first `Err` it
-//! raises the shutdown flag and broadcasts a stop message, so surviving
-//! workers park instead of cascading into spurious
-//! [`TrainError::ChannelClosed`] failures (a supervisor-initiated
+//! caught at the thread root being an error like any other. The supervisor waits in one
+//! loop over that channel, sampling the run's hub whenever a sample falls
+//! due: on the first `Err` it raises the shutdown flag and broadcasts a
+//! stop message, so surviving workers park instead of cascading into
+//! spurious [`TrainError::ChannelClosed`] failures (a supervisor-initiated
 //! shutdown is *not* an error). It then classifies the root cause in
-//! descending stage order (a panic, timeout or invariant breach beats
-//! the channel failures it cascades into) and, when the failure is
-//! recoverable and the restart budget allows, respawns every stage from
-//! the newest complete CSP-watermark checkpoint (see
-//! [`crate::checkpoint`]) and replays only the tasks past the watermark.
+//! descending stage order (a panic, timeout or invariant breach beats the
+//! channel failures it cascades into) and, when the failure is recoverable
+//! and the restart budget allows, respawns every stage from the newest
+//! complete CSP-watermark checkpoint (see [`crate::checkpoint`]) and
+//! replays only the tasks past the watermark.
 //!
 //! Failure scenarios are injected deterministically from a
 //! [`FaultPlan`] (see [`crate::fault`]): workers consult the shared
@@ -80,11 +80,11 @@
 //! re-derivation of the CSP contract, re-registered fresh for every
 //! incarnation — so any admission the sequential exploration order could
 //! not have produced aborts the run with a [`TrainError::Invariant`].
-//! Each worker also records per-stage metrics into a private
-//! [`MetricsRecorder`](naspipe_obs::MetricsRecorder) (task counts and
-//! latencies, queue depth, stall/bubble time, plus retries, restarts and
-//! replayed tasks), merged across incarnations into the run's
-//! [`ObsReport`].
+//! Every thread of a run counts into its one
+//! [`TelemetryHub`](naspipe_obs::TelemetryHub) — workers their tasks,
+//! latencies, queues, idle time and retries, the supervisor restarts,
+//! replays and resumes, the writer persists — and the run's [`ObsReport`]
+//! is the hub's final snapshot, a failed worker's work included.
 
 mod sidecars;
 mod supervisor;
@@ -158,7 +158,7 @@ pub enum TrainError {
         cause: DurableError,
     },
     /// The [`RunSpec`] cannot be run as given (zero stages, a durable
-    /// directory with checkpointing off); nothing was started.
+    /// directory with checkpointing off, another run's hub); nothing ran.
     InvalidSpec(String),
 }
 
@@ -337,7 +337,7 @@ pub struct SupervisedRun {
     /// [`sequential_training`](crate::train::sequential_training) even
     /// across faults and restarts.
     pub result: TrainResult,
-    /// Per-stage observability merged across all incarnations.
+    /// Per-stage observability over all incarnations: the hub's last sample.
     pub report: ObsReport,
     /// What the supervisor did.
     pub recovery: RecoveryReport,
@@ -404,12 +404,11 @@ pub struct RunSpec<'a> {
     /// every stage from the newest complete checkpoint and replays only
     /// the tasks past its watermark.
     pub recovery: RecoveryOptions,
-    /// Live telemetry (default `None`): stage workers tee every metric
-    /// into the hub as it happens, and a sampler thread — which outlives
-    /// supervisor restarts — publishes a snapshot every
-    /// `sample_interval_us` of wall time plus a final one on every exit
-    /// path, after the workers have joined. The sampled series is
-    /// embedded in the returned report.
+    /// Live telemetry (default `None`): the run counts into this hub —
+    /// sized for `gpus` stages and fresh: one hub, one run — and the
+    /// supervisor publishes a snapshot every `sample_interval_us` of wall
+    /// time while it waits on the workers, then the final one the report
+    /// is rendered from (embedding the sampled series).
     pub telemetry: Option<TelemetryOptions>,
     /// Durable crash-safe checkpointing (default `None`): every
     /// completed cut is also persisted to `dir` (see [`crate::durable`]),
@@ -449,14 +448,20 @@ impl<'a> RunSpec<'a> {
         }
     }
 
-    /// The shapes an outside caller (the CLI) can reach.
+    /// The shapes an outside caller (the CLI) can reach, and a hub that
+    /// cannot be this run's ledger.
     fn validate(&self) -> Result<(), TrainError> {
+        let hub = self.telemetry.as_ref().map(|t| &t.hub);
         let why = if self.gpus == 0 {
             "gpus must be positive"
         } else if self.window == 0 {
             "window must be positive"
         } else if self.durable.is_some() && self.recovery.checkpoint_interval == 0 {
             "durable checkpoints need checkpoint_interval > 0"
+        } else if hub.is_some_and(|h| h.num_stages() != self.gpus as usize) {
+            "the telemetry hub must have one stage per gpu"
+        } else if hub.is_some_and(|h| h.published() > 0) {
+            "the telemetry hub already holds another run's samples"
         } else {
             return Ok(());
         };
@@ -482,14 +487,14 @@ impl<'a> RunSpec<'a> {
     ///
     /// # Errors
     ///
-    /// [`TrainError::InvalidSpec`] for zero `gpus`/`window` or `durable`
-    /// without a checkpoint interval; [`TrainError::Durable`] when the
-    /// snapshot directory cannot be opened or a resume hits an I/O
-    /// failure; the root-cause [`TrainError`] for unrecoverable failures
-    /// (CSP invariant breaches in debug builds, root-cause channel
-    /// closures, or any failure with `max_restarts == 0`); and
-    /// [`TrainError::RecoveryExhausted`] when the restart budget runs
-    /// out.
+    /// [`TrainError::InvalidSpec`] for zero `gpus`/`window`, `durable`
+    /// without a checkpoint interval or a mis-sized or used telemetry hub;
+    /// [`TrainError::Durable`] when the snapshot directory cannot be opened
+    /// or a resume hits an I/O failure; the root-cause [`TrainError`] for
+    /// unrecoverable failures (CSP invariant breaches in debug builds,
+    /// root-cause channel closures, or any failure with
+    /// `max_restarts == 0`); and [`TrainError::RecoveryExhausted`] when the
+    /// restart budget runs out.
     ///
     /// # Panics
     ///
@@ -535,6 +540,7 @@ fn elapsed_us(since: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use naspipe_obs::TelemetryHub;
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::subnet::SubnetId;
@@ -583,6 +589,34 @@ mod tests {
         let err = TrainError::InvalidSpec("gpus must be positive".into());
         assert_eq!(err.to_string(), "invalid run spec: gpus must be positive");
         assert_eq!(err.stage(), 0);
+    }
+
+    #[test]
+    fn a_telemetry_hub_is_one_runs_ledger() {
+        // An exported hub is where the run counts, so it must have one
+        // cell block per stage and nothing in it from another run.
+        let space = SearchSpace::uniform(Domain::Nlp, 8, 5);
+        let list = UniformSampler::new(&space, 99).take_subnets(4);
+        let with_hub = |hub: TelemetryHub| RunSpec {
+            telemetry: Some(TelemetryOptions::new(std::sync::Arc::new(hub))),
+            ..RunSpec::new(&space, list.clone(), TrainConfig::default(), 3)
+        };
+        let why = |spec: RunSpec| match spec.run() {
+            Err(TrainError::InvalidSpec(why)) => why,
+            Err(other) => panic!("expected InvalidSpec, got {other}"),
+            Ok(_) => panic!("expected InvalidSpec, got a finished run"),
+        };
+        assert_eq!(
+            why(with_hub(TelemetryHub::new(2, 0))),
+            "the telemetry hub must have one stage per gpu"
+        );
+        let used = TelemetryHub::new(3, 0);
+        used.publish(0);
+        assert_eq!(
+            why(with_hub(used)),
+            "the telemetry hub already holds another run's samples"
+        );
+        assert!(with_hub(TelemetryHub::new(3, 0)).run().is_ok());
     }
 
     #[test]

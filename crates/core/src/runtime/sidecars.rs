@@ -1,77 +1,14 @@
-//! The two threads of a run that outlive its incarnations: the
-//! wall-clock telemetry sampler and the durable snapshot writer.
+//! The one thread of a run that outlives its incarnations: the durable
+//! snapshot writer.
 
 use super::elapsed_us;
 use crate::checkpoint::Checkpoint;
 use crate::durable::DurableStore;
-use naspipe_obs::{Counter, EventBus, MetricsRecorder, Recorder, RunEvent, TeeRecorder};
-use naspipe_tensor::pool::{ComputePool, PoolStats};
+use naspipe_obs::{Counter, EventBus, RunEvent};
 use std::fmt;
-use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// The wall-clock sampler behind
-/// [`RunSpec::telemetry`](super::RunSpec::telemetry): a thread that every
-/// interval puts the shared pool's run delta into the hub, then the hub's
-/// snapshot onto the bus (ring, progress line, watchdog). Stopping it
-/// (explicitly via [`finish`](Self::finish) or implicitly on drop, so
-/// every supervisor exit path is covered) takes one final sample over the
-/// complete totals, so a straggler only visible in the closing window is
-/// still caught.
-pub(super) struct TelemetrySampler {
-    stop: Sender<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TelemetrySampler {
-    /// `None` when nothing samples this run (the bus has no hub).
-    /// `pool_base`: the pool's counters when the run started.
-    pub(super) fn start(
-        bus: &EventBus,
-        epoch: Instant,
-        pool: Arc<ComputePool>,
-        pool_base: PoolStats,
-        interval_us: u64,
-    ) -> Option<Self> {
-        let (bus, hub) = (bus.clone(), Arc::clone(bus.hub()?));
-        let sample = move || {
-            let stats = pool.stats().since(&pool_base);
-            hub.set_pool(stats.jobs, stats.chunks, stats.busy_us);
-            bus.sample(hub.snapshot(elapsed_us(epoch)), true, true);
-        };
-        let (stop, stop_rx) = channel::<()>();
-        let interval = Duration::from_micros(interval_us);
-        let handle = std::thread::Builder::new()
-            .name("naspipe-sampler".to_string())
-            .spawn(move || {
-                // recv_timeout doubles as the interval clock and the
-                // prompt-shutdown channel.
-                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                    sample();
-                }
-                sample();
-            })
-            .expect("spawn telemetry sampler");
-        let handle = Some(handle);
-        Some(TelemetrySampler { stop, handle })
-    }
-
-    /// Stops the sampler thread, which takes the final sample on its way
-    /// out. Idempotent; also runs on drop.
-    pub(super) fn finish(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            let _ = self.stop.send(());
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TelemetrySampler {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
+use std::time::Instant;
 
 /// What reaches the [`DurableWriter`]'s thread.
 enum Handoff {
@@ -91,16 +28,16 @@ enum Handoff {
 /// kill loses at most the newest cut.
 pub(super) struct DurableWriter {
     tx: Option<SyncSender<Handoff>>,
-    handle: Option<std::thread::JoinHandle<MetricsRecorder>>,
+    handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl DurableWriter {
     pub(super) fn start(store: DurableStore, bus: EventBus, epoch: Instant) -> Self {
         let (tx, rx) = sync_channel(0);
+        let hub = Arc::clone(bus.hub().expect("a wall-clock bus always has a hub"));
         let handle = std::thread::Builder::new()
             .name("naspipe-durable".to_string())
             .spawn(move || {
-                let mut recorder = TeeRecorder::new(bus.hub().cloned());
                 // Ends when `finish` drops the sender.
                 while let Ok(msg) = rx.recv() {
                     let Handoff::Cut { stage, cut } = msg else {
@@ -114,14 +51,13 @@ impl DurableWriter {
                     let event = match &persisted {
                         Ok(_) => {
                             // Counted for the stage that closed the cut.
-                            recorder.incr(stage, Counter::DurablePersist, 1);
+                            hub.record(stage, Counter::DurablePersist, 1);
                             RunEvent::DurablePersist { watermark }
                         }
                         Err(error) => RunEvent::DurablePersistFailed { watermark, error },
                     };
                     bus.emit(stage, elapsed_us(epoch), event);
                 }
-                recorder.into_inner()
             })
             .expect("spawn snapshot writer");
         DurableWriter {
@@ -158,12 +94,13 @@ impl DurableWriter {
         }
     }
 
-    /// Drains and joins the writer and returns its counters. Idempotent;
-    /// also runs on drop, so nothing is written after any supervisor exit.
-    pub(super) fn finish(&mut self) -> MetricsRecorder {
+    /// Drains and joins the writer. Idempotent; also runs on drop, so
+    /// nothing is written after any supervisor exit.
+    pub(super) fn finish(&mut self) {
         self.tx = None;
-        let joined = self.handle.take().and_then(|h| h.join().ok());
-        joined.unwrap_or_default()
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -237,6 +174,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("naspipe-writer-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (bus, state) = journaled_bus();
+        let hub = Arc::clone(bus.hub().expect("a wall-clock bus has a hub"));
         let store = DurableStore::open(&dir, 2, 7).unwrap();
         let mut writer = DurableWriter::start(store, bus.clone(), Instant::now());
         for (stage, watermark) in [(1, 8), (0, 16), (1, 24)] {
@@ -250,8 +188,11 @@ mod tests {
             "durable-persist Some(1) 24",
         ];
         assert_eq!(durable_lines(&state), all_three);
-        let report = writer.finish().report(1);
-        let counted: Vec<u64> = report.stages.iter().map(|s| s.durable_persists).collect();
+        writer.finish();
+        let snap = hub.snapshot(1);
+        let counted: Vec<u64> = (snap.stages.iter())
+            .map(|s| s.counter(Counter::DurablePersist))
+            .collect();
         assert_eq!(counted, [1, 2]);
         assert!(writer.tx.is_none() && writer.handle.is_none(), "joined");
         let store = DurableStore::open(&dir, 2, 7).unwrap();

@@ -1,9 +1,10 @@
 //! The supervisor behind [`RunSpec::run`]: resolve the spec, then per
-//! incarnation spawn the stage workers, collect what they hand back and
-//! classify it — and either assemble the result or account the failure
-//! and respawn from the newest complete cut.
+//! incarnation spawn the stage workers, collect what they hand back —
+//! sampling the run's hub while it waits — and classify it; and either
+//! assemble the result or account the failure and respawn from the
+//! newest complete cut.
 
-use super::sidecars::{DurableWriter, TelemetrySampler};
+use super::sidecars::DurableWriter;
 use super::worker::{Incarnation, Msg, RunContext, StageOutput, StageWorker};
 use super::{elapsed_us, RecoveryReport, RunSpec, SupervisedRun, TrainError};
 use crate::checkpoint::Checkpoint;
@@ -13,20 +14,18 @@ use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
 use crate::task::{StageId, TaskKind};
 use crate::train::TrainResult;
-use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
-    Counter, EventBus, MetricsRecorder, PoolWorkerObs, Recorder, RunEvent, RunMeta, SpanId,
-    SpanTrace, TeeRecorder, Tracer,
+    Counter, EventBus, MetricsSnapshot, PoolWorkerObs, RunEvent, RunMeta, SpanId, SpanTrace, Tracer,
 };
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::subnet::SubnetId;
 use naspipe_tensor::model::ParamStore;
-use naspipe_tensor::pool::{self, PoolStats};
+use naspipe_tensor::pool;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::channel;
-use std::time::Instant;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 /// What the stages that finished or parked handed back, by ascending stage.
 type Outputs = Vec<(usize, StageOutput)>;
@@ -37,7 +36,7 @@ pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, TrainError> 
     let mut run = Supervisor::resolve(spec)?;
     loop {
         let inc = Incarnation::new(&run.ctx, run.recovery.restarts);
-        let (handback, failed_at) = run_incarnation(&run.ctx, &inc);
+        let (handback, failed_at) = run_incarnation(&run.ctx, &inc, &mut run.next_sample);
         run.attribute_faults(inc.number);
         match classify(handback) {
             (None, outputs) => return Ok(run.assemble(outputs, inc.watermark)),
@@ -47,14 +46,16 @@ pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, TrainError> 
 }
 
 /// One incarnation: a scoped thread per stage, then the one loop in
-/// which the supervisor waits for them. Every worker sends its result —
-/// a panic, caught at the thread root, included — as it exits; the first
-/// `Err` raises the shutdown flag and wakes every worker, so survivors
-/// park instead of cascading. Returns the results by stage and when the
-/// first failure was seen.
+/// which the supervisor waits for them, taking each sample that falls
+/// due meanwhile. Every worker sends its result — a panic, caught at the
+/// thread root, included — as it exits; the first `Err` raises the
+/// shutdown flag and wakes every worker, so survivors park instead of
+/// cascading. Returns the results by stage and when the first failure
+/// was seen.
 fn run_incarnation(
     ctx: &RunContext,
     inc: &Incarnation,
+    next_sample: &mut Option<Instant>,
 ) -> (Vec<Result<StageOutput, TrainError>>, Option<Instant>) {
     let (workers, txs) = StageWorker::wire(ctx, inc);
     let mut handback: Vec<_> = workers.iter().map(|_| None).collect();
@@ -76,7 +77,19 @@ fn run_incarnation(
             }));
         }
         drop(done_tx);
-        for (stage, result) in done_rx {
+        loop {
+            // Until the next sample is due (std waits forever on `MAX`).
+            let until = |at: Instant| at.saturating_duration_since(Instant::now());
+            let wait = next_sample.map_or(Duration::MAX, until);
+            let (stage, result) = match done_rx.recv_timeout(wait) {
+                Ok(handed_back) => handed_back,
+                Err(RecvTimeoutError::Timeout) => {
+                    ctx.sample();
+                    *next_sample = ctx.sample_every.map(|every| Instant::now() + every);
+                    continue;
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
             if result.is_err() && failed_at.is_none() {
                 failed_at = Some(Instant::now());
                 inc.shutdown.store(true, Ordering::Release);
@@ -126,21 +139,13 @@ fn classify(handback: Vec<Result<StageOutput, TrainError>>) -> (Option<TrainErro
     (first, outputs)
 }
 
-/// One run under supervision: the resolved spec, the run-scoped sampler
-/// and what accumulates across incarnations.
+/// One run under supervision: the resolved spec and what accumulates
+/// across incarnations (but the counters: those are in `ctx.hub`).
 struct Supervisor {
-    // Before `sampler`: dropping the context joins the snapshot writer,
-    // which on every exit path must precede the sampler's final sample.
     ctx: RunContext,
-    sampler: Option<TelemetrySampler>,
+    // When the next sample is due: one deadline across incarnations.
+    next_sample: Option<Instant>,
     max_restarts: u32,
-    // The shared compute pool's counters at the start, so the final
-    // report attributes only this run's fan-out work.
-    pool_base: PoolStats,
-    master: MetricsRecorder,
-    // The supervisor's own recovery accounting, mirrored into the hub
-    // like any worker's counters and merged into `master` at the end.
-    own: TeeRecorder,
     spans: SpanTrace,
     recovery: RecoveryReport,
     attributed: BTreeSet<usize>,
@@ -148,7 +153,8 @@ struct Supervisor {
 
 impl Supervisor {
     /// Validates and resolves `spec` into the run context, starts the
-    /// sidecars and seeds the checkpoint store with a durable resume.
+    /// snapshot writer and seeds the checkpoint store with a durable
+    /// resume.
     fn resolve(spec: RunSpec<'_>) -> Result<Self, TrainError> {
         spec.validate()?;
         for (i, s) in spec.subnets.iter().enumerate() {
@@ -163,26 +169,15 @@ impl Supervisor {
         let bus = spec.bus();
         let (durable, initial_resume) = open_durable(&spec, &bus)?;
         let max_restarts = spec.recovery.max_restarts;
-        let telemetry = spec.telemetry.as_ref();
-        let interval_us = telemetry.map_or(DEFAULT_SAMPLE_INTERVAL_US, |t| t.interval_us());
         let mut ctx = RunContext::new(spec, bus);
-        let pool = pool::shared(ctx.train.threads);
-        let pool_base = pool.stats();
         // Publish the run shape and flip `/readyz` to admitting-work before
         // any stage thread starts.
         ctx.bus.start(ctx.total());
-        // The sampler owns snapshot publication for the whole run (all
-        // incarnations); its drop guard publishes a final snapshot on every
-        // exit path, after the workers have joined.
-        let base = pool_base.clone();
-        let sampler = TelemetrySampler::start(&ctx.bus, ctx.epoch, pool, base, interval_us);
-        // Started after the sampler and before the workers, because it
-        // ends between them: a thread that dies leaves its allocator arena
-        // to the next one that starts, and in this order each thread of
-        // the next run finds the arena its twin grew (see the join in
-        // `run_incarnation`).
+        // Started before the workers, because it ends after them: a thread
+        // that dies leaves its allocator arena to the next one that starts,
+        // and in this order each thread of the next run finds the arena its
+        // twin grew (see the join in `run_incarnation`).
         ctx.writer = durable.map(|store| DurableWriter::start(store, ctx.bus.clone(), ctx.epoch));
-        let mut own = TeeRecorder::new(ctx.bus.hub().cloned());
         // Seed the in-memory checkpoint store with the durable cut: every
         // incarnation resumes from the store's newest complete cut, so
         // incarnation 0 starts exactly as the uninterrupted run's workers
@@ -191,16 +186,13 @@ impl Supervisor {
             let store = ctx.ckpts.as_ref().expect("validated: durable has cuts");
             for (k, s) in cut.stages.into_iter().enumerate() {
                 store.record(cut.watermark, k, s, SpanId::EXTERNAL);
-                own.incr(k as u32, Counter::DurableResume, 1);
+                ctx.hub.record(k as u32, Counter::DurableResume, 1);
             }
         }
         Ok(Supervisor {
+            next_sample: ctx.sample_every.map(|every| Instant::now() + every),
             ctx,
-            sampler,
             max_restarts,
-            pool_base,
-            master: MetricsRecorder::new(),
-            own,
             spans: SpanTrace::default(),
             recovery: RecoveryReport::default(),
             attributed: BTreeSet::new(),
@@ -220,10 +212,13 @@ impl Supervisor {
         }
     }
 
-    /// Keeps a stage's metrics and spans for the run's report.
-    fn absorb(&mut self, out: &mut StageOutput) {
-        self.master.merge(&out.recorder);
-        self.spans.merge(out.tracer.take());
+    /// The run's last sample, on either exit path: the workers have
+    /// joined and the writer is joined here, so nothing writes any more.
+    fn last_sample(&mut self) -> MetricsSnapshot {
+        if let Some(w) = self.ctx.writer.as_mut() {
+            w.finish();
+        }
+        self.ctx.sample()
     }
 
     /// Success: every stage finished. Moves the slices (stage ranges are
@@ -238,7 +233,7 @@ impl Supervisor {
         for (k, mut out) in outputs {
             let range = self.ctx.partition.stage_range(StageId(k as u32));
             debug_assert_eq!(range.start, params.len());
-            self.absorb(&mut out);
+            self.spans.merge(out.tracer.take());
             params.extend(out.params);
             losses.extend(out.losses);
             real_tasks.extend(out.tasks);
@@ -250,20 +245,9 @@ impl Supervisor {
         let mut tasks = sequential_prefix_tasks(resume_w, &self.ctx.partition, gpus);
         tasks.extend(real_tasks);
         let wall_us = elapsed_us(self.ctx.epoch);
-        let pool_run = pool::shared(cfg.threads).stats().since(&self.pool_base);
-        // Stop the sampler last: its shutdown publishes the final
-        // snapshot (workers have joined, so the hub is complete), which
-        // must be in the series the report embeds.
-        if let Some(w) = self.ctx.writer.as_mut() {
-            self.master.merge(&w.finish());
-        }
-        if let Some(s) = self.sampler.as_mut() {
-            s.finish();
-        }
-        self.master.merge(self.own.inner());
-        let report = self
-            .master
-            .report(wall_us)
+        let pool_run = self.ctx.pool_run();
+        // The report is the last sample, which ends the series it embeds.
+        let report = (self.last_sample().report(wall_us))
             .with_meta(RunMeta::new("threaded", gpus).seed(cfg.seed))
             .with_pool(pool_worker_obs(&pool_run, wall_us));
         let restarts = Some(self.recovery.restarts);
@@ -285,8 +269,9 @@ impl Supervisor {
 
     /// A failed incarnation: gives up with the root cause (unrecoverable,
     /// or recovery disabled) or [`TrainError::RecoveryExhausted`], or
-    /// accounts the failure for the respawn that follows — metrics
-    /// salvaged from the workers that survived, and the tasks past the
+    /// accounts the failure for the respawn that follows — the spans of
+    /// the workers that survived (every worker's counters, the failed
+    /// one's included, are in the hub already), and the tasks past the
     /// resume watermark whose effects the rollback discards.
     fn restart(
         &mut self,
@@ -296,6 +281,7 @@ impl Supervisor {
     ) -> Result<(), TrainError> {
         let (restarts, stage) = (self.recovery.restarts, err.stage());
         if !err.is_recoverable() || restarts >= self.max_restarts {
+            self.last_sample();
             let failed = RunEvent::RunFailed { error: &err };
             let at_us = elapsed_us(self.ctx.epoch);
             self.ctx.bus.emit(stage as u32, at_us, failed);
@@ -314,15 +300,17 @@ impl Supervisor {
         let watermark = resume.map_or(0, |c| c.watermark);
         self.recovery.resume_watermarks.push(watermark);
         for (k, mut out) in salvaged {
-            self.absorb(&mut out);
+            self.spans.merge(out.tracer.take());
             let past = out.tasks.iter().filter(|t| t.subnet.0 >= watermark);
             let replayed = past.count() as u64;
             self.recovery.replayed_tasks += replayed;
-            self.own.incr(k as u32, Counter::ReplayedTask, replayed);
+            self.ctx
+                .hub
+                .record(k as u32, Counter::ReplayedTask, replayed);
         }
         self.recovery.restarts += 1;
         for k in 0..self.ctx.gpus() {
-            self.own.incr(k, Counter::Restart, 1);
+            self.ctx.hub.record(k, Counter::Restart, 1);
         }
         let restart = RunEvent::Restart {
             incarnation: self.recovery.restarts,
@@ -447,12 +435,14 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::repro::verify_csp_order_parts;
     use crate::train::{sequential_training, TrainConfig};
-    use naspipe_obs::{CauseKind, SpanKind};
+    use naspipe_obs::telemetry::diff_against_report;
+    use naspipe_obs::{CauseKind, SpanKind, TelemetryHub, TelemetryOptions};
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::space::SearchSpace;
     use naspipe_supernet::subnet::Subnet;
     use std::error::Error as _;
+    use std::sync::Arc;
 
     fn space() -> SearchSpace {
         SearchSpace::uniform(Domain::Nlp, 8, 5)
@@ -640,6 +630,38 @@ mod tests {
         assert_eq!(run.report.restarts(), 2, "both stages restarted once");
         verify_csp_order_parts(&run.subnets, &run.tasks)
             .expect("effective task stream is CSP-sequential per layer");
+    }
+
+    #[test]
+    fn a_restarted_run_reports_what_its_hub_counted_the_dead_worker_included() {
+        // One ledger: the report is the hub's final snapshot, so it also
+        // counts what the panicked worker did before it died.
+        let space = space();
+        let hub = Arc::new(TelemetryHub::new(2, 0));
+        let run = RunSpec {
+            recovery: RecoveryOptions {
+                fault_plan: FaultPlan::new().panic_on(1, 6, TaskKind::Backward),
+                checkpoint_interval: 4,
+                max_restarts: 2,
+                recv_timeout_ms: None,
+            },
+            telemetry: Some(TelemetryOptions::new(Arc::clone(&hub))),
+            ..RunSpec::new(&space, subnets(&space, 12), TrainConfig::default(), 2)
+        }
+        .run()
+        .expect("recovers from one panic");
+        assert_eq!(run.recovery.restarts, 1);
+        let last = hub.latest().expect("the final sample is published");
+        assert_eq!(run.report.series.last().map(|p| p.at_us), Some(last.at_us));
+        assert_eq!(
+            diff_against_report(&last, &run.report),
+            Vec::<String>::new()
+        );
+        // Stage 1 re-ran SN4..SN11 after the restart (the survivors-only
+        // count); before dying it had run the forwards of SN0..SN6.
+        let s1 = &run.report.stages[1];
+        assert!(s1.forward_tasks >= 8 + 7, "saw {}", s1.forward_tasks);
+        assert!(s1.backward_tasks >= 8 + 6, "saw {}", s1.backward_tasks);
     }
 
     #[test]

@@ -10,9 +10,10 @@ use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
 use crate::task::{FinishedSet, StageId, TaskKind};
 use crate::train::TrainConfig;
+use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
-    CauseKind, Counter, CspChecker, EventBus, MetricsRecorder, Recorder, RunEvent, Sample,
-    SpanDraft, SpanId, SpanKind, SpanTracer, TeeRecorder, Tracer, Violation,
+    CauseKind, Counter, CspChecker, EventBus, MetricsSnapshot, RunEvent, Sample, SpanDraft, SpanId,
+    SpanKind, SpanTracer, TelemetryHub, Tracer, Violation,
 };
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::layer::LayerRef;
@@ -20,6 +21,7 @@ use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::data::SyntheticDataset;
 use naspipe_tensor::layers::DenseParams;
 use naspipe_tensor::model::{ForwardCtx, NumericSupernet, ParamStore};
+use naspipe_tensor::pool::{self, PoolStats};
 use naspipe_tensor::tensor::Tensor;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -42,7 +44,6 @@ pub(super) enum Msg {
 pub(super) struct StageOutput {
     pub params: Vec<Vec<DenseParams>>,
     pub losses: BTreeMap<u64, f32>,
-    pub recorder: MetricsRecorder,
     pub tracer: SpanTracer,
     pub tasks: Vec<TaskRecord>,
 }
@@ -137,6 +138,12 @@ pub(super) struct RunContext {
     pub epoch: Instant,
     // The run's shared sinks (flight ring, journal, ops-plane gauges).
     pub bus: EventBus,
+    // The bus's hub: the run's one counter ledger.
+    pub hub: Arc<TelemetryHub>,
+    // How often the supervisor samples it (`None`: no exported hub or
+    // watchdog reads samples) and the compute pool's counters at `epoch`.
+    pub sample_every: Option<Duration>,
+    pool_base: PoolStats,
 }
 
 impl RunContext {
@@ -145,6 +152,9 @@ impl RunContext {
     pub(super) fn new(spec: RunSpec<'_>, bus: EventBus) -> Self {
         let (space, gpus, opts) = (spec.space, spec.gpus, spec.recovery);
         let m = space.num_blocks();
+        let telemetry = spec.telemetry.as_ref();
+        let every = telemetry.map_or(DEFAULT_SAMPLE_INTERVAL_US, |t| t.interval_us());
+        let sampled = telemetry.is_some() || spec.diagnostics.enabled;
         RunContext {
             data: SyntheticDataset::new(spec.train.seed, spec.train.rows, spec.train.dim),
             train: spec.train,
@@ -157,6 +167,9 @@ impl RunContext {
             ckpt_interval: opts.checkpoint_interval,
             writer: None,
             epoch: Instant::now(),
+            hub: Arc::clone(bus.hub().expect("a wall-clock bus always has a hub")),
+            sample_every: sampled.then(|| Duration::from_micros(every)),
+            pool_base: pool::shared(spec.train.threads).stats(),
             bus,
             subnets: spec.subnets,
         }
@@ -168,6 +181,23 @@ impl RunContext {
 
     pub(super) fn gpus(&self) -> u32 {
         self.partition.num_stages()
+    }
+
+    /// This run's share of the shared compute pool's work so far.
+    pub(super) fn pool_run(&self) -> PoolStats {
+        pool::shared(self.train.threads)
+            .stats()
+            .since(&self.pool_base)
+    }
+
+    /// Snapshots the hub, with the pool's run delta folded in, and hands
+    /// the bus a copy (for an exported hub's ring and the watchdog).
+    pub(super) fn sample(&self) -> MetricsSnapshot {
+        let run = self.pool_run();
+        self.hub.set_pool(run.jobs, run.chunks, run.busy_us);
+        let snap = self.hub.snapshot(elapsed_us(self.epoch));
+        self.bus.sample(snap.clone(), true, true);
+        snap
     }
 }
 
@@ -232,7 +262,6 @@ pub(super) struct StageWorker<'a> {
     finished_count: u64,
     injected: u64,
     losses: BTreeMap<u64, f32>,
-    recorder: TeeRecorder,
     tracer: SpanTracer,
     // The CSP admission cause of a forward is the latest of its layers'
     // last writers.
@@ -299,7 +328,6 @@ impl<'a> StageWorker<'a> {
             finished_count: resume_w,
             injected: resume_w,
             losses,
-            recorder: TeeRecorder::new(ctx.bus.hub().cloned()),
             tracer: SpanTracer::with_namespace(namespace),
             next_ckpt: resume_w + ctx.ckpt_interval,
             tasks: Vec::new(),
@@ -374,7 +402,7 @@ impl<'a> StageWorker<'a> {
         }
     }
 
-    fn into_output(mut self) -> StageOutput {
+    fn into_output(self) -> StageOutput {
         // Attribute the compute-pool work this stage's kernels fanned
         // out (drained from thread-local accounting; runs on the worker
         // thread, before the pool binding is dropped). Job and chunk
@@ -382,10 +410,10 @@ impl<'a> StageWorker<'a> {
         // counts; only busy time is timing-dependent.
         let pool = naspipe_tensor::pool::take_thread_stats();
         if pool.jobs > 0 {
-            let stage = self.stage as u32;
-            self.recorder.incr(stage, Counter::PoolJob, pool.jobs);
-            self.recorder.incr(stage, Counter::PoolChunk, pool.chunks);
-            self.recorder.incr(stage, Counter::PoolBusyUs, pool.busy_us);
+            let (stage, hub) = (self.stage as u32, &self.ctx.hub);
+            hub.record(stage, Counter::PoolJob, pool.jobs);
+            hub.record(stage, Counter::PoolChunk, pool.chunks);
+            hub.record(stage, Counter::PoolBusyUs, pool.busy_us);
             let jobs = pool.jobs;
             self.ctx
                 .bus
@@ -394,7 +422,6 @@ impl<'a> StageWorker<'a> {
         StageOutput {
             params: self.params,
             losses: self.losses,
-            recorder: self.recorder.into_inner(),
             tracer: self.tracer,
             tasks: self.tasks,
         }
@@ -441,7 +468,7 @@ impl<'a> StageWorker<'a> {
     /// fatal [`TrainError::Timeout`] chained to the underlying channel
     /// error.
     fn transient_fault(
-        &mut self,
+        &self,
         site: FaultSite,
         y: SubnetId,
         kind: TaskKind,
@@ -465,7 +492,7 @@ impl<'a> StageWorker<'a> {
                     cause: Some(Box::new(closed)),
                 });
             }
-            self.recorder.incr(stage as u32, Counter::Retry, 1);
+            self.ctx.hub.record(stage as u32, Counter::Retry, 1);
             let backoff = backoff_us.saturating_mul(1 << (attempt - 1).min(10));
             std::thread::sleep(Duration::from_micros(backoff));
         }
@@ -552,8 +579,8 @@ impl<'a> StageWorker<'a> {
         elapsed_us(self.ctx.epoch)
     }
 
-    fn sample_queue_depth(&mut self) {
-        self.recorder.sample(
+    fn sample_queue_depth(&self) {
+        self.ctx.hub.observe(
             self.stage as u32,
             Sample::QueueDepth,
             (self.fwd_queue.len() + self.bwd_queue.len()) as u64,
@@ -600,8 +627,8 @@ impl<'a> StageWorker<'a> {
             stage: StageId(stage),
             blocks: self.blocks.clone(),
         });
-        self.recorder.sample(stage, latency, end - start);
-        self.recorder.incr(stage, count, 1);
+        self.ctx.hub.observe(stage, latency, end - start);
+        self.ctx.hub.record(stage, count, 1);
         (span, end)
     }
 
@@ -792,7 +819,7 @@ impl<'a> StageWorker<'a> {
         if let Some((id, (grad, src, _arrival))) = self.bwd_queue.pop_first() {
             if !self.fwd_queue.is_empty() {
                 let stage = self.stage as u32;
-                self.recorder.incr(stage, Counter::BackwardPreemption, 1);
+                self.ctx.hub.record(stage, Counter::BackwardPreemption, 1);
             }
             self.run_backward(SubnetId(id), grad, src)?;
             return Ok(true);
@@ -834,7 +861,7 @@ impl<'a> StageWorker<'a> {
             } else {
                 Counter::BubbleUs
             };
-            self.recorder.incr(stage, idle, elapsed_us(waiting));
+            self.ctx.hub.record(stage, idle, elapsed_us(waiting));
             self.accept_msg(msg)?;
         }
         Ok(())

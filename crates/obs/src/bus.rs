@@ -17,10 +17,11 @@
 //! are one ring write: they never format and never allocate.
 //!
 //! **Shared vs per-thread sinks.** The bus owns what is written from
-//! several threads and read while the run is alive. A worker's counters
-//! ([`TeeRecorder`](crate::TeeRecorder)) and spans
-//! ([`SpanTracer`](crate::SpanTracer)) stay with the worker: they are
-//! lock-free *because* nobody else writes them.
+//! several threads and read while the run is alive — the threaded
+//! runtime's counters included: its stages, supervisor and snapshot
+//! writer all write the hub's atomic cells, the run's one ledger. A
+//! worker's spans ([`SpanTracer`](crate::SpanTracer)) stay with the
+//! worker: they are lock-free *because* nobody else writes them.
 //!
 //! **The journal always exists.** A caller that attaches an
 //! [`OpsState`] brings its journal (ring, optional sink file, optional
@@ -118,10 +119,10 @@ pub struct BusConfig<'a> {
     /// The caller's hub: snapshots are published to it and the sampled
     /// series is embedded in the final report.
     pub telemetry: Option<&'a TelemetryOptions>,
-    /// The engine samples on a wall-clock thread: it needs a hub to read
-    /// even when the caller exports none, and may repaint the progress
-    /// line. (Simulated time would repaint it thousands of times a
-    /// second.)
+    /// The threaded runtime: its stages count into a hub even when the
+    /// caller exports none (a private one is built), and a sample may
+    /// repaint the progress line. (Simulated time would repaint it
+    /// thousands of times a second.)
     pub wall_clock: bool,
 }
 
@@ -176,7 +177,7 @@ impl Inner {
 
     fn watchdog(&self) -> Option<MutexGuard<'_, (Watchdog, Vec<WatchdogVerdict>)>> {
         // The state is valid after every statement that touches it, so a
-        // sampler that panicked mid-observation loses nothing.
+        // thread that panicked mid-observation loses nothing.
         self.watchdog
             .as_ref()
             .map(|w| w.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
@@ -189,7 +190,7 @@ impl EventBus {
         let n = cfg.stages as usize;
         let hub = match cfg.telemetry {
             Some(t) => Some(Arc::clone(&t.hub)),
-            None => (cfg.enabled && cfg.wall_clock).then(|| Arc::new(TelemetryHub::new(n, 0))),
+            None => cfg.wall_clock.then(|| Arc::new(TelemetryHub::new(n, 0))),
         };
         EventBus {
             inner: Arc::new(Inner {
@@ -214,9 +215,8 @@ impl EventBus {
         }
     }
 
-    /// The hub per-worker [`TeeRecorder`](crate::TeeRecorder)s mirror
-    /// into and a wall-clock sampler snapshots: the caller's, or the
-    /// private one. `None` when nothing samples this run.
+    /// The hub a wall-clock run counts into: the caller's, or the private
+    /// one. `None` for a DES run that exports none.
     pub fn hub(&self) -> Option<&Arc<TelemetryHub>> {
         self.inner.hub.as_ref()
     }
@@ -412,16 +412,17 @@ impl EventBus {
     }
 
     /// One sampling tick over `snap`, taken by the threaded runtime's
-    /// sampler thread on its wall clock and by the DES when simulated
-    /// time crosses an interval. `publish` pushes it onto the hub ring
-    /// (and repaints the progress line); `observe` runs the watchdog
-    /// over it, and every verdict that latches is emitted as a
-    /// [`RunEvent::WatchdogTrip`]. The DES keeps two cadences, hence the
-    /// two flags; each is a no-op without its sink.
+    /// supervisor on its wall clock while it waits on its workers, and by
+    /// the DES when simulated time crosses an interval. `publish` pushes
+    /// it onto an exported hub's ring (and repaints the progress line);
+    /// `observe` runs the watchdog over it, and every verdict that latches
+    /// is emitted as a [`RunEvent::WatchdogTrip`]. The DES keeps two
+    /// cadences, hence the two flags; each is a no-op without its sink
+    /// (a private hub has no ring anyone reads).
     pub fn sample(&self, snap: MetricsSnapshot, publish: bool, observe: bool) {
         let b = &*self.inner;
         let snap = match &b.hub {
-            Some(hub) if publish => {
+            Some(hub) if publish && b.exported => {
                 let prev = if b.progress { hub.latest() } else { None };
                 let snap = hub.publish_snapshot(snap);
                 if b.progress {
@@ -480,7 +481,7 @@ mod tests {
     /// Which sinks a bus under test is given.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Sinks {
-        /// Diagnostics off, no ops plane: the private journal only.
+        /// Diagnostics off, no ops plane: the private journal and hub.
         None,
         /// Flight ring, watchdog and private hub; private journal.
         Flight,
@@ -892,7 +893,7 @@ mod tests {
         assert!(dump.starts_with("{\"reason\":\"end-of-run\""), "{dump}");
         let _ = std::fs::remove_file(&rig.dump);
 
-        // A private hub is sampled but never embedded.
+        // A private hub is neither published to nor embedded.
         let quiet = rig_with(Sinks::Flight, "private");
         let mut report = rec.report(2_000);
         status::tests::capture(|| {
@@ -901,7 +902,7 @@ mod tests {
                 .sample(MetricsSnapshot::from_recorder(&rec, 1_000, 0), true, true);
             report = quiet.bus.finish(report.clone(), 4, None);
         });
-        assert_eq!(quiet.bus.hub().expect("private hub").published(), 1);
+        assert_eq!(quiet.bus.hub().expect("private hub").published(), 0);
         assert!(report.series.is_empty());
         assert_eq!(report.watchdog.len(), 1);
         let _ = std::fs::remove_file(&quiet.dump);

@@ -799,22 +799,19 @@ pub fn monotonicity_violations(earlier: &str, later: &str) -> Result<Vec<String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::TeeRecorder;
-    use crate::Recorder as _;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn busy_hub() -> Arc<TelemetryHub> {
         let hub = Arc::new(TelemetryHub::new(2, 64));
-        let mut tee = TeeRecorder::new(Some(hub.clone()));
         for i in 0..20u64 {
-            tee.incr(0, Counter::ForwardTask, 1);
-            tee.incr(0, Counter::CacheHit, 2);
-            tee.incr(1, Counter::BackwardTask, 1);
-            tee.incr(1, Counter::CacheMiss, 1);
-            tee.sample(0, Sample::QueueDepth, i % 5);
-            tee.sample(1, Sample::ForwardLatencyUs, 100 + i);
-            tee.sample(1, Sample::BackwardLatencyUs, 300 + i);
+            hub.record(0, Counter::ForwardTask, 1);
+            hub.record(0, Counter::CacheHit, 2);
+            hub.record(1, Counter::BackwardTask, 1);
+            hub.record(1, Counter::CacheMiss, 1);
+            hub.observe(0, Sample::QueueDepth, i % 5);
+            hub.observe(1, Sample::ForwardLatencyUs, 100 + i);
+            hub.observe(1, Sample::BackwardLatencyUs, 300 + i);
         }
         hub.record(0, Counter::StallUs, 30_000);
         hub.set_pool(8, 64, 120_000);
@@ -936,13 +933,12 @@ mod tests {
                 let hub = hub.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
-                    let mut tee = TeeRecorder::new(Some(hub));
                     let mut i = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        tee.incr(stage, Counter::ForwardTask, 1);
-                        tee.incr(stage, Counter::CacheHit, 3);
-                        tee.incr(stage, Counter::StallUs, 17);
-                        tee.sample(stage, Sample::QueueDepth, i % 7);
+                        hub.record(stage, Counter::ForwardTask, 1);
+                        hub.record(stage, Counter::CacheHit, 3);
+                        hub.record(stage, Counter::StallUs, 17);
+                        hub.observe(stage, Sample::QueueDepth, i % 7);
                         i += 1;
                     }
                 })

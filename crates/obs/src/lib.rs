@@ -8,8 +8,8 @@
 //!    per-stage counters and histograms — queue depth, backward-first
 //!    preemptions, stall/bubble time, context-cache hits/misses/evictions,
 //!    and forward/backward task latency. [`MetricsRecorder`] is the
-//!    in-memory implementation; per-worker recorders from the threaded
-//!    runtime merge into one via [`MetricsRecorder::merge`].
+//!    DES event loop's in-memory implementation; the threaded runtime
+//!    writes the same counters into a [`TelemetryHub`] (layer 5).
 //! 2. **Invariants** ([`invariant`]): [`CspChecker`] validates the causal
 //!    synchronous parallelism contract on every task admission — no
 //!    unfinished earlier subnet may still own a layer the admitted task
@@ -30,13 +30,13 @@
 //!    walks the span DAG to attribute the end-to-end makespan to
 //!    compute, fetch, causal stall, and pipeline bubble.
 //! 5. **Live telemetry** ([`telemetry`] + [`expo`]): a [`TelemetryHub`]
-//!    of lock-light per-stage atomic cells mirrors the recorder stream
-//!    while the run is still in flight ([`TeeRecorder`]); a sampler
-//!    publishes [`MetricsSnapshot`]s onto a fixed-capacity ring, rates
-//!    are derived between snapshots, and [`expo`] renders the whole
-//!    thing as Prometheus 0.0.4 text (served by the ops plane's
-//!    `/metrics` route) — plus the parser / validator the
-//!    `repro telemetry` hard verdicts are built on.
+//!    of lock-light per-stage atomic cells, readable while the run is in
+//!    flight — the threaded runtime's one counter ledger, which its
+//!    stages write directly. The engine publishes [`MetricsSnapshot`]s
+//!    onto a fixed-capacity ring, rates are derived between snapshots,
+//!    and [`expo`] renders the whole thing as Prometheus 0.0.4 text
+//!    (served by the ops plane's `/metrics` route) — plus the parser /
+//!    validator the `repro telemetry` hard verdicts are built on.
 //! 6. **Diagnosis** ([`flight`] + [`watchdog`] + [`doctor`]): an
 //!    always-on bounded [`FlightRecorder`] of compact per-stage events
 //!    (dumped to `.flight.json` on faults, watchdog trips, or request),
@@ -58,10 +58,9 @@
 //!    gauges, [`OpsState`], watchdog, flight dump, stderr. An engine
 //!    reaches them only by handing a typed [`RunEvent`] to its run's
 //!    [`EventBus`]; one `match` there decides which sink gets what. The
-//!    per-worker [`TeeRecorder`] and [`SpanTracer`] of layers 1, 4 and 5
-//!    stay with their worker. Stderr is written through the private
-//!    `status` helper, so mirrored warnings and the progress line never
-//!    splice into each other.
+//!    per-worker [`SpanTracer`] of layer 4 stays with its worker. Stderr
+//!    is written through the private `status` helper, so mirrored
+//!    warnings and the progress line never splice into each other.
 //! 9. **JSON** ([`json`]): the one codec. JSON text is read and escaped
 //!    only there — [`parse_json`] / [`JsonValue`] behind every reader
 //!    (chrome traces, journal, `/status`, flight dumps, `BENCH_*.json`),
@@ -111,9 +110,7 @@ pub use journal::{
     DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
 };
 pub use json::{parse_json, JsonNum, JsonStr, JsonValue, MAX_JSON_DEPTH};
-pub use metrics::{
-    Counter, Histogram, MetricsRecorder, NullRecorder, Recorder, Sample, StageMetrics,
-};
+pub use metrics::{Counter, Histogram, MetricsRecorder, Recorder, Sample, StageMetrics};
 pub use ops::{
     http_get, render_top, validate_status, HttpResponse, OpsServer, OpsState, RunPhase,
     STATUS_SCHEMA_VERSION,

@@ -1,9 +1,10 @@
 //! Per-stage counters and histograms behind the [`Recorder`] trait.
 //!
-//! Emission sites in the runtimes call [`Recorder::incr`] /
-//! [`Recorder::sample`]; the trait keeps the hot path to an array index
-//! and an add, and lets tests substitute [`NullRecorder`] where metrics
-//! are irrelevant.
+//! The DES event loop calls [`Recorder::incr`] / [`Recorder::sample`] on
+//! its one [`MetricsRecorder`]; the trait keeps the hot path to an array
+//! index and an add. The threaded runtime writes the same [`Counter`]s and
+//! [`Sample`]s into a [`TelemetryHub`](crate::TelemetryHub)'s atomic cells
+//! instead; both engines' reports are rendered by one function.
 
 use crate::report::{ObsReport, StageObs};
 
@@ -168,16 +169,6 @@ pub trait Recorder: Send {
     fn sample(&mut self, stage: u32, sample: Sample, value: u64);
 }
 
-/// A recorder that drops everything; for benchmarks and tests that want
-/// the emission sites compiled but no bookkeeping.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn incr(&mut self, _stage: u32, _counter: Counter, _by: u64) {}
-    fn sample(&mut self, _stage: u32, _sample: Sample, _value: u64) {}
-}
-
 /// A min/max/sum/count summary with power-of-two buckets.
 ///
 /// Buckets hold counts of values whose bit length is the bucket index
@@ -271,17 +262,6 @@ impl Histogram {
         }
         self.max as f64
     }
-
-    /// Folds `other`'s observations into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-    }
 }
 
 /// Metrics for one pipeline stage.
@@ -312,11 +292,8 @@ impl StageMetrics {
     }
 }
 
-/// The in-memory [`Recorder`]: a growable vector of per-stage metrics.
-///
-/// The threaded runtime gives each stage worker its own recorder and
-/// [`merge`](MetricsRecorder::merge)s them after join, so recording
-/// never contends on a lock.
+/// The in-memory [`Recorder`]: a growable vector of per-stage metrics,
+/// owned by one thread (the DES event loop).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct MetricsRecorder {
     pub(crate) stages: Vec<StageMetrics>,
@@ -346,81 +323,74 @@ impl MetricsRecorder {
         self.stages.get(stage as usize)
     }
 
-    /// Folds `other`'s stages into `self` (per-worker recorder merge).
-    pub fn merge(&mut self, other: &MetricsRecorder) {
-        for (idx, theirs) in other.stages.iter().enumerate() {
-            let mine = self.stage_mut(idx as u32);
-            for c in 0..NUM_COUNTERS {
-                mine.counters[c] += theirs.counters[c];
-            }
-            for s in 0..NUM_SAMPLES {
-                mine.samples[s].merge(&theirs.samples[s]);
-            }
-        }
-    }
-
     /// Snapshots the recorded metrics into a renderable [`ObsReport`].
     ///
     /// `wall_us` is the total run time (simulated or wall-clock) used to
     /// turn the stall/bubble counters into ratios; pass 0 when unknown
     /// and the ratios render as 0.
     pub fn report(&self, wall_us: u64) -> ObsReport {
-        let stages = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(idx, m)| {
-                let hits = m.counter(Counter::CacheHit);
-                let misses = m.counter(Counter::CacheMiss);
-                let lookups = hits + misses;
-                let fwd = m.histogram(Sample::ForwardLatencyUs);
-                let bwd = m.histogram(Sample::BackwardLatencyUs);
-                let depth = m.histogram(Sample::QueueDepth);
-                StageObs {
-                    stage: idx as u32,
-                    forward_tasks: m.counter(Counter::ForwardTask),
-                    backward_tasks: m.counter(Counter::BackwardTask),
-                    backward_preemptions: m.counter(Counter::BackwardPreemption),
-                    stall_us: m.counter(Counter::StallUs),
-                    bubble_us: m.counter(Counter::BubbleUs),
-                    stall_ratio: ratio(m.counter(Counter::StallUs), wall_us),
-                    bubble_ratio: ratio(m.counter(Counter::BubbleUs), wall_us),
-                    cache_hits: hits,
-                    cache_misses: misses,
-                    cache_evictions: m.counter(Counter::CacheEviction),
-                    cache_prefetches: m.counter(Counter::CachePrefetch),
-                    cache_hit_rate: ratio(hits, lookups),
-                    retries: m.counter(Counter::Retry),
-                    restarts: m.counter(Counter::Restart),
-                    replayed_tasks: m.counter(Counter::ReplayedTask),
-                    pool_jobs: m.counter(Counter::PoolJob),
-                    pool_chunks: m.counter(Counter::PoolChunk),
-                    pool_busy_us: m.counter(Counter::PoolBusyUs),
-                    durable_persists: m.counter(Counter::DurablePersist),
-                    durable_resumes: m.counter(Counter::DurableResume),
-                    mean_queue_depth: depth.mean(),
-                    max_queue_depth: depth.max,
-                    queue_depth_p50: depth.percentile(50.0),
-                    queue_depth_p95: depth.percentile(95.0),
-                    queue_depth_p99: depth.percentile(99.0),
-                    fwd_latency_mean_us: fwd.mean(),
-                    fwd_latency_max_us: fwd.max,
-                    fwd_latency_p50_us: fwd.percentile(50.0),
-                    fwd_latency_p95_us: fwd.percentile(95.0),
-                    fwd_latency_p99_us: fwd.percentile(99.0),
-                    bwd_latency_mean_us: bwd.mean(),
-                    bwd_latency_max_us: bwd.max,
-                    bwd_latency_p50_us: bwd.percentile(50.0),
-                    bwd_latency_p95_us: bwd.percentile(95.0),
-                    bwd_latency_p99_us: bwd.percentile(99.0),
-                }
-            })
-            .collect();
-        ObsReport {
-            wall_us,
-            stages,
-            ..ObsReport::default()
-        }
+        report_of(&self.stages, wall_us)
+    }
+}
+
+/// Renders per-stage metrics as an [`ObsReport`]: the one place a report's
+/// per-stage rows are derived, for the DES recorder and the threaded
+/// runtime's final hub snapshot alike.
+pub(crate) fn report_of(stages: &[StageMetrics], wall_us: u64) -> ObsReport {
+    let stages = stages
+        .iter()
+        .enumerate()
+        .map(|(idx, m)| {
+            let hits = m.counter(Counter::CacheHit);
+            let misses = m.counter(Counter::CacheMiss);
+            let lookups = hits + misses;
+            let fwd = m.histogram(Sample::ForwardLatencyUs);
+            let bwd = m.histogram(Sample::BackwardLatencyUs);
+            let depth = m.histogram(Sample::QueueDepth);
+            StageObs {
+                stage: idx as u32,
+                forward_tasks: m.counter(Counter::ForwardTask),
+                backward_tasks: m.counter(Counter::BackwardTask),
+                backward_preemptions: m.counter(Counter::BackwardPreemption),
+                stall_us: m.counter(Counter::StallUs),
+                bubble_us: m.counter(Counter::BubbleUs),
+                stall_ratio: ratio(m.counter(Counter::StallUs), wall_us),
+                bubble_ratio: ratio(m.counter(Counter::BubbleUs), wall_us),
+                cache_hits: hits,
+                cache_misses: misses,
+                cache_evictions: m.counter(Counter::CacheEviction),
+                cache_prefetches: m.counter(Counter::CachePrefetch),
+                cache_hit_rate: ratio(hits, lookups),
+                retries: m.counter(Counter::Retry),
+                restarts: m.counter(Counter::Restart),
+                replayed_tasks: m.counter(Counter::ReplayedTask),
+                pool_jobs: m.counter(Counter::PoolJob),
+                pool_chunks: m.counter(Counter::PoolChunk),
+                pool_busy_us: m.counter(Counter::PoolBusyUs),
+                durable_persists: m.counter(Counter::DurablePersist),
+                durable_resumes: m.counter(Counter::DurableResume),
+                mean_queue_depth: depth.mean(),
+                max_queue_depth: depth.max,
+                queue_depth_p50: depth.percentile(50.0),
+                queue_depth_p95: depth.percentile(95.0),
+                queue_depth_p99: depth.percentile(99.0),
+                fwd_latency_mean_us: fwd.mean(),
+                fwd_latency_max_us: fwd.max,
+                fwd_latency_p50_us: fwd.percentile(50.0),
+                fwd_latency_p95_us: fwd.percentile(95.0),
+                fwd_latency_p99_us: fwd.percentile(99.0),
+                bwd_latency_mean_us: bwd.mean(),
+                bwd_latency_max_us: bwd.max,
+                bwd_latency_p50_us: bwd.percentile(50.0),
+                bwd_latency_p95_us: bwd.percentile(95.0),
+                bwd_latency_p99_us: bwd.percentile(99.0),
+            }
+        })
+        .collect();
+    ObsReport {
+        wall_us,
+        stages,
+        ..ObsReport::default()
     }
 }
 
@@ -535,45 +505,6 @@ mod tests {
                 assert_eq!(h.percentile(p), v as f64, "value {v} at p{p}");
             }
         }
-    }
-
-    #[test]
-    fn merge_with_empty_preserves_min_sentinel() {
-        // Empty histograms carry min == u64::MAX; merging one in either
-        // direction must not corrupt min/max or resurrect phantom counts.
-        let mut a = Histogram::default();
-        a.record(42);
-        a.merge(&Histogram::default());
-        assert_eq!((a.count, a.min, a.max), (1, 42, 42));
-        assert_eq!(a.percentile(99.0), 42.0);
-
-        let mut b = Histogram::default();
-        b.merge(&a);
-        assert_eq!((b.count, b.min, b.max), (1, 42, 42));
-
-        let mut e = Histogram::default();
-        e.merge(&Histogram::default());
-        assert_eq!(e.count, 0);
-        assert_eq!(e.min, u64::MAX, "empty+empty keeps the sentinel");
-        assert_eq!(e.min_or_zero(), 0);
-        assert_eq!(e.percentile(99.0), 0.0);
-    }
-
-    #[test]
-    fn merge_folds_counters_and_histograms() {
-        let mut a = MetricsRecorder::new();
-        a.incr(0, Counter::ForwardTask, 5);
-        a.sample(0, Sample::QueueDepth, 3);
-        let mut b = MetricsRecorder::new();
-        b.incr(0, Counter::ForwardTask, 7);
-        b.incr(1, Counter::BackwardTask, 2);
-        b.sample(0, Sample::QueueDepth, 5);
-        a.merge(&b);
-        assert_eq!(a.stage(0).unwrap().counter(Counter::ForwardTask), 12);
-        assert_eq!(a.stage(1).unwrap().counter(Counter::BackwardTask), 2);
-        let h = a.stage(0).unwrap().histogram(Sample::QueueDepth);
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 8);
     }
 
     #[test]

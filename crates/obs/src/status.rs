@@ -1,7 +1,7 @@
 //! Shared line-buffered stderr writer for single-line progress and
 //! watchdog alerts.
 //!
-//! The telemetry sampler repaints one `\r`-terminated progress line
+//! Each telemetry sample repaints one `\r`-terminated progress line
 //! while watchdog alerts (and recovery notices) want whole lines of
 //! their own. If both wrote to stderr directly, an alert landing
 //! mid-repaint would splice into the progress text. This module owns

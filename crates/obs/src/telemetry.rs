@@ -1,18 +1,19 @@
-//! Live telemetry: lock-light snapshots of the recorder counters while
+//! Live telemetry: lock-light snapshots of the per-stage counters while
 //! a run is still in flight.
 //!
-//! Everything else in this crate is post-hoc — a [`MetricsRecorder`] is
-//! private to its stage worker and only merged after join, so nothing
-//! can be read until the run ends. The [`TelemetryHub`] closes that gap
-//! with a second, concurrently readable copy of the same counters:
+//! The [`TelemetryHub`] holds every [`Counter`] and [`Sample`] of every
+//! stage in concurrently readable cells:
 //!
-//! * Stage workers tee every `incr`/`sample` into per-stage
-//!   [`AtomicU64`] cells ([`TeeRecorder`]) with `Relaxed` ordering — an
-//!   uncontended atomic add per event, no locks on the hot path.
-//! * A sampler thread (or the DES loop, in simulated time) calls
-//!   [`TelemetryHub::publish`] at a fixed interval, copying the cells
-//!   into an immutable [`MetricsSnapshot`] and pushing it onto a
-//!   fixed-capacity ring buffer. Only the sampler and scrapers touch
+//! * The threaded runtime's stage workers (and its supervisor and
+//!   snapshot writer) write the cells directly — `incr` / `sample` are
+//!   [`TelemetryHub::record`] / [`TelemetryHub::observe`], `Relaxed`
+//!   atomics: an uncontended atomic add per event, no locks on the hot
+//!   path. The hub is that run's one counter ledger: its report is
+//!   built from the final snapshot ([`MetricsSnapshot::report`]).
+//! * The threaded supervisor (while it waits on its workers) or the DES
+//!   loop (in simulated time, from its own [`MetricsRecorder`]) takes a
+//!   [`MetricsSnapshot`] at a fixed interval and publishes it onto a
+//!   fixed-capacity ring buffer. Only the publisher and scrapers touch
 //!   the ring's mutex; workers never do.
 //! * [`derive_rates`] turns consecutive snapshots into per-interval
 //!   rates (tasks/s, cache hit-rate, stall fraction, pool utilisation)
@@ -23,14 +24,13 @@
 //! event may straddle a snapshot. Each individual counter is still
 //! monotonically non-decreasing across snapshots (same-location loads
 //! respect coherence), which is exactly the contract Prometheus
-//! counters need. The merged [`MetricsRecorder`] totals in the final
-//! [`ObsReport`](crate::report::ObsReport) remain the source of truth;
-//! on a fault-free run the final snapshot equals them, and
-//! [`diff_against_report`] checks that equality.
+//! counters need. The final snapshot is exact: it is taken once nothing
+//! writes any more, and the report is built from it (threaded) or from
+//! the recorder it copies (DES), which [`diff_against_report`] checks.
 
-use crate::metrics::{Counter, Histogram, MetricsRecorder, Recorder, Sample, StageMetrics};
-use crate::metrics::{NUM_COUNTERS, NUM_SAMPLES};
-use crate::report::{SeriesPoint, SeriesStage};
+use crate::metrics::{report_of, Counter, Histogram, MetricsRecorder, Recorder, Sample};
+use crate::metrics::{StageMetrics, NUM_COUNTERS, NUM_SAMPLES};
+use crate::report::{ObsReport, SeriesPoint, SeriesStage};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,7 +60,7 @@ impl StageCells {
 }
 
 /// Global compute-pool counters at snapshot time (whole-run deltas of
-/// the shared pool, attributed by the sampler).
+/// the shared pool, attributed by the sampling thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolSnapshot {
     /// Fan-out jobs submitted.
@@ -113,6 +113,13 @@ impl MetricsSnapshot {
             pool: PoolSnapshot::default(),
         }
     }
+
+    /// The per-stage [`ObsReport`] of this snapshot, exactly as
+    /// [`MetricsRecorder::report`] renders a recorder: how the threaded
+    /// runtime reports from its hub's final snapshot.
+    pub fn report(&self, wall_us: u64) -> ObsReport {
+        report_of(&self.stages, wall_us)
+    }
 }
 
 struct Ring {
@@ -123,11 +130,12 @@ struct Ring {
 }
 
 /// The live-telemetry rendezvous: atomic counter cells written by stage
-/// workers, a snapshot ring written by the sampler, read by scrapers.
+/// workers, a snapshot ring written by the sampling thread, read by
+/// scrapers.
 ///
 /// Stage capacity is fixed at construction; writes to out-of-range
-/// stages are silently dropped (the run's merged recorder still has
-/// them — live telemetry only mirrors the stages it was sized for).
+/// stages are silently dropped (the threaded runtime only runs with a
+/// hub sized for its stages).
 pub struct TelemetryHub {
     stages: Vec<StageCells>,
     incarnation: AtomicU32,
@@ -224,10 +232,9 @@ impl TelemetryHub {
     }
 
     /// Publishes the global compute-pool counters (run-delta values; the
-    /// sampler owns attribution, so these are stores, not adds).
+    /// sampling thread owns attribution, so these are stores, not adds).
     pub fn set_pool(&self, jobs: u64, chunks: u64, busy_us: u64) {
-        // max-store keeps each cell monotone even if two publishers race
-        // (e.g. the periodic sampler and the final flush).
+        // max-store keeps each cell monotone even if two publishers race.
         self.pool_jobs.fetch_max(jobs, Ordering::Relaxed);
         self.pool_chunks.fetch_max(chunks, Ordering::Relaxed);
         self.pool_busy_us.fetch_max(busy_us, Ordering::Relaxed);
@@ -357,7 +364,8 @@ impl TelemetryHub {
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
     /// The hub snapshots are published to (shared with the `/metrics`
-    /// server and any scraper).
+    /// server and any scraper). A threaded run writes its counters here
+    /// too, so it takes a fresh hub sized for its stages.
     pub hub: Arc<TelemetryHub>,
     /// Sampling interval in run-time microseconds: wall-clock for the
     /// threaded runtime, simulated time for the DES engine. 0 selects
@@ -404,9 +412,11 @@ impl TelemetryOptions {
     }
 }
 
-/// A [`Recorder`] that forwards to a private [`MetricsRecorder`] (the
-/// source of truth, merged after join) and tees every event into the
-/// shared [`TelemetryHub`] when one is attached.
+/// A [`Recorder`] that forwards to a private [`MetricsRecorder`] and tees
+/// every event into a [`TelemetryHub`] when one is attached.
+///
+/// No engine uses it: it is kept only because the frozen benchmark
+/// harness's `obs.tee` microbench links it (ROADMAP item 1).
 #[derive(Debug, Default)]
 pub struct TeeRecorder {
     inner: MetricsRecorder,
@@ -420,11 +430,6 @@ impl TeeRecorder {
             inner: MetricsRecorder::new(),
             hub,
         }
-    }
-
-    /// Extracts the private recorder for the post-join merge.
-    pub fn into_inner(self) -> MetricsRecorder {
-        self.inner
     }
 
     /// Read-only view of the private recorder.
@@ -581,17 +586,11 @@ pub fn progress_line(cur: &MetricsSnapshot, prev: Option<&MetricsSnapshot>) -> S
     )
 }
 
-/// Compares a final snapshot against the merged per-stage totals of an
-/// [`ObsReport`](crate::report::ObsReport); returns one message per
-/// mismatching field (empty = totals agree).
-///
-/// Equality is only guaranteed on fault-free runs: a panicked worker's
-/// private recorder dies with it while its hub writes survive, so after
-/// a recovery the snapshot can legitimately exceed the report.
-pub fn diff_against_report(
-    snap: &MetricsSnapshot,
-    report: &crate::report::ObsReport,
-) -> Vec<String> {
+/// Compares a final snapshot against the per-stage totals of an
+/// [`ObsReport`]; returns one message per mismatching field (empty =
+/// totals agree, as they do for the final snapshot of any run of either
+/// engine, faults and restarts included).
+pub fn diff_against_report(snap: &MetricsSnapshot, report: &ObsReport) -> Vec<String> {
     let mut diffs = Vec::new();
     if snap.stages.len() < report.stages.len() {
         diffs.push(format!(
@@ -774,9 +773,9 @@ mod tests {
 
     #[test]
     fn from_recorder_matches_tee_mirror() {
-        // The DES path (from_recorder) and the threaded path (tee into
-        // atomic cells) must produce identical snapshots for the same
-        // event stream.
+        // The DES path (from_recorder) and the threaded path (atomic
+        // cells) must produce identical snapshots for the same event
+        // stream.
         let hub = TelemetryHub::new(2, 8);
         let mut rec = MetricsRecorder::new();
         for (stage, c, by) in [

@@ -7,7 +7,7 @@
 //! cleanly between the engines: the DES feeds it snapshots taken at
 //! simulated-time crossings, so every verdict (including its `at_us`)
 //! is bitwise reproducible across hosts and `NASPIPE_THREADS`; the
-//! threaded runtime feeds it wall-clock sampler snapshots, so verdicts
+//! threaded runtime feeds it wall-clock snapshots of its hub, so verdicts
 //! there are advisory (timing-dependent) but still side-effect-free —
 //! tripping never alters scheduling, only reporting and flight dumps.
 //!

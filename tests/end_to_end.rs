@@ -285,12 +285,13 @@ fn shims_are_their_specs_and_bare_specs_are_the_old_defaults() {
         if window != 0 {
             spec.window = window;
         }
+        // A hub is one run's ledger: the spec run gets a fresh one.
         (
             spec.recovery,
             spec.telemetry,
             spec.durable,
             spec.diagnostics,
-        ) = (recovery, telemetry, durable, diagnostics);
+        ) = (recovery, telemetry.map(|_| hub()), durable, diagnostics);
         let run = spec.run().unwrap();
         assert_eq!(shim.result.final_hash, run.result.final_hash, "{name}");
         assert_eq!(shim.result.losses, run.result.losses, "{name}");
