@@ -32,7 +32,7 @@ use crate::experiments::{simulate, subnet_stream};
 use naspipe_core::config::PipelineConfig;
 use naspipe_core::runtime::RunSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
-use naspipe_obs::{parse_json, JsonValue};
+use naspipe_obs::{parse_json, BenchDelta, JsonValue};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_tensor::hash::hash_tensors;
@@ -646,21 +646,12 @@ pub enum CheckFamily {
 /// One baseline-vs-fresh comparison from [`check_against`].
 #[derive(Debug, Clone)]
 pub struct CheckRow {
-    /// Human-readable metric name (e.g. `matmul 256x256x256 tiled GF/s @1t`).
-    pub metric: String,
     /// Tolerance family this row is judged under.
     pub family: CheckFamily,
-    /// When true the metric improves downward (the threaded makespan)
-    /// and regression means `fresh > baseline * (1 + threshold)`.
-    pub lower_is_better: bool,
-    /// Value recorded in the tracked baseline artifact.
-    pub baseline: f64,
-    /// Value measured by the fresh run.
-    pub fresh: f64,
-    /// `fresh / baseline`.
-    pub ratio: f64,
-    /// Whether the fresh value fell outside this family's band.
-    pub regressed: bool,
+    /// The comparison (metric name such as `matmul 256x256x256 tiled
+    /// GF/s @1t`, the two values, the metric's direction and the
+    /// family's band); [`BenchDelta::regressed`] is the verdict.
+    pub delta: BenchDelta,
 }
 
 /// A perf-regression check of a fresh [`ComputeMatrix`] against a
@@ -679,7 +670,7 @@ impl BenchCheck {
     /// Whether no compared metric regressed beyond its family's band.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.rows.iter().all(|r| !r.regressed)
+        self.rows.iter().all(|r| !r.delta.regressed())
     }
 
     /// Whether no kernel-family metric regressed (the CI gate: kernel
@@ -689,13 +680,13 @@ impl BenchCheck {
     pub fn kernels_ok(&self) -> bool {
         self.rows
             .iter()
-            .all(|r| r.family != CheckFamily::Kernel || !r.regressed)
+            .all(|r| r.family != CheckFamily::Kernel || !r.delta.regressed())
     }
 
     /// The rows that regressed beyond their band.
     #[must_use]
     pub fn regressions(&self) -> Vec<&CheckRow> {
-        self.rows.iter().filter(|r| r.regressed).collect()
+        self.rows.iter().filter(|r| r.delta.regressed()).collect()
     }
 }
 
@@ -744,33 +735,23 @@ pub fn check_against(
             .to_string());
     };
     let mut rows = Vec::new();
-    let mut push = |metric: String,
-                    family: CheckFamily,
-                    lower_is_better: bool,
-                    baseline: f64,
-                    fresh_v: f64| {
-        if baseline > 0.0 {
-            let ratio = fresh_v / baseline;
-            let band = match family {
-                CheckFamily::Kernel => threshold,
-                CheckFamily::EndToEnd => e2e_threshold,
-            };
-            let regressed = if lower_is_better {
-                ratio > 1.0 + band
-            } else {
-                ratio < 1.0 - band
-            };
-            rows.push(CheckRow {
-                metric,
-                family,
-                lower_is_better,
-                baseline,
-                fresh: fresh_v,
-                ratio,
-                regressed,
-            });
-        }
-    };
+    let mut push =
+        |metric: String, family: CheckFamily, lower_is_better: bool, baseline: f64, fresh: f64| {
+            if baseline > 0.0 {
+                let band = match family {
+                    CheckFamily::Kernel => threshold,
+                    CheckFamily::EndToEnd => e2e_threshold,
+                };
+                let delta = BenchDelta {
+                    metric,
+                    baseline,
+                    fresh,
+                    lower_is_better,
+                    band,
+                };
+                rows.push(CheckRow { family, delta });
+            }
+        };
 
     for base_run in runs {
         let Some(threads) = num(base_run, "threads") else {
@@ -879,15 +860,15 @@ pub fn render_check(check: &BenchCheck) -> String {
         check.threshold * 100.0,
         check.e2e_threshold * 100.0
     );
-    for r in &check.rows {
+    for r in check.rows.iter().map(|r| &r.delta) {
         let _ = writeln!(
             out,
             "{:>32}  {:>10.2}  {:>10.2}  {:>6.2}x  {}{}",
             r.metric,
             r.baseline,
             r.fresh,
-            r.ratio,
-            if r.regressed { "REGRESSED" } else { "ok" },
+            r.ratio(),
+            if r.regressed() { "REGRESSED" } else { "ok" },
             if r.lower_is_better {
                 " (lower is better)"
             } else {
@@ -1012,7 +993,10 @@ mod tests {
         assert!(check.kernels_ok());
         // Per run: 2 shapes + 1 transposed + batched + replay + makespan.
         assert_eq!(check.rows.len(), 6 * matrix.runs.len());
-        assert!(check.rows.iter().all(|r| (r.ratio - 1.0).abs() < 1e-9));
+        assert!(check
+            .rows
+            .iter()
+            .all(|r| (r.delta.ratio() - 1.0).abs() < 1e-9));
     }
 
     #[test]
@@ -1094,7 +1078,27 @@ mod tests {
         let check = check_against(&render_json(&baseline), &slower, 0.15, 0.35).unwrap();
         assert!(!check.ok());
         assert!(check.kernels_ok());
-        assert!(check.regressions()[0].lower_is_better);
+        assert!(check.regressions()[0].delta.lower_is_better);
+    }
+
+    #[test]
+    fn explain_lists_exactly_the_rows_the_gate_fails() {
+        let baseline = fabricated_matrix();
+        let mut moved = baseline.clone();
+        for run in &mut moved.runs {
+            run.threaded_makespan_us = run.threaded_makespan_us * 8 / 10; // a gain
+            run.replay_subnets_per_s *= 0.8; // inside the 35 % band
+        }
+        moved.runs[0].threaded_makespan_us *= 2;
+        moved.runs[1].matmul[0].tiled_gflops *= 0.5;
+        let check = check_against(&render_json(&baseline), &moved, 0.15, 0.35).unwrap();
+        assert_eq!(check.regressions().len(), 2);
+        let rows: Vec<BenchDelta> = check.rows.iter().map(|r| r.delta.clone()).collect();
+        let text = naspipe_obs::explain_bench_check(&rows);
+        for r in &rows {
+            let listed = text.contains(&format!("  {:<40} ", r.metric));
+            assert_eq!(listed, r.regressed(), "{}:\n{text}", r.metric);
+        }
     }
 
     #[test]
@@ -1142,7 +1146,7 @@ mod tests {
                 ])
             })
             .collect();
-        let read: Vec<f64> = check.rows.iter().map(|r| r.baseline).collect();
+        let read: Vec<f64> = check.rows.iter().map(|r| r.delta.baseline).collect();
         assert_eq!(read, written);
     }
 

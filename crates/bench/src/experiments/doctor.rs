@@ -1,15 +1,15 @@
 //! Automated regression diagnosis: `naspipe doctor` exercised end to
 //! end on known causes.
 //!
-//! Two controlled regressions are injected into the deterministic DES
-//! engine and diagnosed against the same clean baseline:
+//! Two controlled regressions are planted in the deterministic DES
+//! engine through its cost hook ([`SimSpec::cost`]) and diagnosed
+//! against the same clean baseline:
 //!
-//! 1. **throttled kernel** — every task's compute scaled by a constant
-//!    factor ([`DiagnosticsOptions::with_compute_scale`]), the simulated
+//! 1. **throttled kernel** — every stage's compute ×3, the simulated
 //!    analogue of a lost SIMD path. The doctor must attribute the
 //!    slowdown to the `compute` class and return the `kernel` verdict.
-//! 2. **seeded slow stage** — one stage scaled far beyond its peers
-//!    ([`DiagnosticsOptions::with_slow_stage`]). The doctor must rank
+//! 2. **seeded slow stage** — one stage ×8, far beyond its peers. The
+//!    doctor must rank
 //!    that stage as the top straggler *and* as the top exported-stall
 //!    grower: the idle time its causal edges (activations, gradients,
 //!    CSP writer completions) induce in the waiting stages. The slowed
@@ -25,8 +25,9 @@
 //! Set `REPRO_DOCTOR_JSON=<path>` to write both diagnoses as a
 //! machine-readable artifact.
 
-use crate::experiments::simulate;
-use naspipe_core::config::{DiagnosticsOptions, PipelineConfig};
+use crate::experiments::subnet_stream;
+use naspipe_core::config::PipelineConfig;
+use naspipe_core::pipeline::{SimSpec, TaskCost};
 use naspipe_obs::{diagnose, AttrClass, Diagnosis, SpanTrace};
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
@@ -72,20 +73,29 @@ impl DoctorRun {
 /// The stage the slow-stage scenario plants its regression on.
 pub const SLOW_STAGE: u32 = 2;
 
-fn traced_run(space: &SearchSpace, cfg: &PipelineConfig) -> SpanTrace {
-    simulate(space, cfg).expect("NASPipe fits").spans
+/// The shared stream simulated with `cost` as the price of every task.
+fn traced_run(
+    space: &SearchSpace,
+    cfg: &PipelineConfig,
+    cost: impl Fn(TaskCost) -> f64,
+) -> SpanTrace {
+    SimSpec {
+        subnets: Some(subnet_stream(space, cfg.num_subnets)),
+        cost: &cost,
+        ..SimSpec::new(space, cfg)
+    }
+    .run()
+    .expect("NASPipe fits")
+    .spans
 }
 
 /// Diagnoses both planted regressions of `id` on `num_gpus` stages.
 pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> DoctorRun {
     let space = SearchSpace::from_id(id);
     let cfg = PipelineConfig::naspipe(num_gpus, n).with_seed(7);
-    let base = traced_run(&space, &cfg);
+    let base = traced_run(&space, &cfg, |t| t.catalog_ms);
 
-    let throttled_cfg = cfg
-        .clone()
-        .with_diagnostics(DiagnosticsOptions::default().with_compute_scale(3.0));
-    let throttled = traced_run(&space, &throttled_cfg);
+    let throttled = traced_run(&space, &cfg, |t| t.catalog_ms * 3.0);
     let d1 = diagnose(&base, &throttled, 5);
     let s1 = Scenario {
         name: "throttled-kernel",
@@ -95,10 +105,10 @@ pub fn run(id: SpaceId, num_gpus: u32, n: u64) -> DoctorRun {
         diagnosis: d1,
     };
 
-    let slow_cfg = cfg
-        .clone()
-        .with_diagnostics(DiagnosticsOptions::default().with_slow_stage(SLOW_STAGE, 8.0));
-    let slow = traced_run(&space, &slow_cfg);
+    let slow = traced_run(&space, &cfg, |t| {
+        let factor = if t.stage.0 == SLOW_STAGE { 8.0 } else { 1.0 };
+        t.catalog_ms * factor
+    });
     let d2 = diagnose(&base, &slow, 5);
     let causal_stall_grew = d2
         .exporters
@@ -234,8 +244,8 @@ mod tests {
     fn identical_runs_diagnose_to_zero_delta() {
         let space = SearchSpace::from_id(SpaceId::NlpC2);
         let cfg = PipelineConfig::naspipe(2, 8).with_seed(7);
-        let a = traced_run(&space, &cfg);
-        let b = traced_run(&space, &cfg);
+        let a = traced_run(&space, &cfg, |t| t.catalog_ms);
+        let b = traced_run(&space, &cfg, |t| t.catalog_ms);
         let d = diagnose(&a, &b, 5);
         assert_eq!(d.makespan_delta_us(), 0);
         assert_eq!(d.class_delta_sum_us(), 0);

@@ -4,14 +4,11 @@ use naspipe_obs::WatchdogConfig;
 use naspipe_supernet::space::SearchSpace;
 
 /// Diagnosis-layer knobs shared by both engines: the always-on flight
-/// recorder, the progress watchdog, and deterministic slowdown hooks
-/// the `repro doctor` experiment uses to manufacture known regressions.
+/// recorder, the progress watchdog and the ops plane.
 ///
-/// None of these may ever change training results. The recorder and
-/// watchdog only observe (proven by the bitwise-equal run tests); the
-/// `slow_stage` / `compute_scale` multipliers change *simulated
-/// durations* in the DES — the schedule shifts, the training arithmetic
-/// does not.
+/// None of these may ever change training results or schedules: they
+/// only observe (proven by the bitwise-equal run tests). Perturbing the
+/// DES's timing is the cost hook's job (`SimSpec::cost`).
 #[derive(Debug, Clone)]
 pub struct DiagnosticsOptions {
     /// Master switch for the flight recorder + watchdog. On by default
@@ -21,12 +18,6 @@ pub struct DiagnosticsOptions {
     /// faults and watchdog trips also use it). `None` disables dumping;
     /// recording still happens.
     pub flight_dump: Option<String>,
-    /// DES-only: multiply the named stage's task durations by the given
-    /// factor — a deterministic injected straggler.
-    pub slow_stage: Option<(u32, f64)>,
-    /// DES-only: multiply every stage's task durations — a deterministic
-    /// "slower kernel" twin of the `NASPIPE_MATMUL_THROTTLE_US` hook.
-    pub compute_scale: f64,
     /// Watchdog detector thresholds.
     pub watchdog: WatchdogConfig,
     /// Live ops-plane state ([`/status`](naspipe_obs::ops::OpsState),
@@ -43,8 +34,6 @@ impl Default for DiagnosticsOptions {
         DiagnosticsOptions {
             enabled: true,
             flight_dump: None,
-            slow_stage: None,
-            compute_scale: 1.0,
             watchdog: WatchdogConfig::default(),
             ops: None,
         }
@@ -60,8 +49,6 @@ impl PartialEq for DiagnosticsOptions {
         };
         self.enabled == other.enabled
             && self.flight_dump == other.flight_dump
-            && self.slow_stage == other.slow_stage
-            && self.compute_scale == other.compute_scale
             && self.watchdog == other.watchdog
             && ops_eq
     }
@@ -75,19 +62,6 @@ impl DiagnosticsOptions {
             enabled: false,
             ..DiagnosticsOptions::default()
         }
-    }
-
-    /// Injects a deterministic straggler: `stage`'s DES task durations
-    /// are multiplied by `factor` (builder-style).
-    pub fn with_slow_stage(mut self, stage: u32, factor: f64) -> Self {
-        self.slow_stage = Some((stage, factor));
-        self
-    }
-
-    /// Scales every DES task duration by `factor` (builder-style).
-    pub fn with_compute_scale(mut self, factor: f64) -> Self {
-        self.compute_scale = factor;
-        self
     }
 
     /// Attaches the live ops-plane state (builder-style).
@@ -180,12 +154,6 @@ pub struct PipelineConfig {
     /// GPU parameter cache size as a multiple of one subnet's stage slice
     /// (the paper uses ~3x: current + evicting + prefetched).
     pub cache_factor: f64,
-    /// Probability that a task execution fails mid-flight (e.g. a
-    /// transient out-of-memory) and is re-executed, as the paper's
-    /// runtime does: "NASPipe catches runtime exception per stage
-    /// execution and re-executes a stage" (§4.2). Deterministic given
-    /// the seed; `0.0` disables injection.
-    pub fault_rate: f64,
     /// GPUs per host in the simulated topology: stage boundaries within
     /// a host use PCIe, boundaries across hosts use 40 GbE (the testbed
     /// packs 4 per host).
@@ -195,17 +163,10 @@ pub struct PipelineConfig {
     /// ignored for non-CSP policies, which always rematerialise inside
     /// the backward pass.
     pub recompute_ahead: bool,
-    /// Relative compute-time jitter: each task's duration varies
-    /// uniformly in `[1 - jitter, 1 + jitter]` (deterministic given the
-    /// seed). The paper's predictor relies on GPU compute being "roughly
-    /// deterministic"; jitter perturbs the *schedule* — it must never
-    /// perturb the *training result* under CSP.
-    pub jitter: f64,
     /// Seed for subnet exploration.
     pub seed: u64,
-    /// Diagnosis layer: flight recorder, watchdog, and deterministic
-    /// slowdown hooks. The recorder/watchdog never affect results; the
-    /// slowdown hooks shift the simulated schedule only.
+    /// Diagnosis layer: flight recorder, watchdog and ops plane. They
+    /// observe only; results and schedules never depend on them.
     pub diagnostics: DiagnosticsOptions,
 }
 
@@ -220,10 +181,8 @@ impl PipelineConfig {
             policy: SyncPolicy::naspipe(),
             max_queue: 30,
             cache_factor: 3.0,
-            fault_rate: 0.0,
             gpus_per_host: 4,
             recompute_ahead: true,
-            jitter: 0.0,
             seed: 0,
             diagnostics: DiagnosticsOptions::default(),
         }
@@ -244,19 +203,6 @@ impl PipelineConfig {
     /// Sets the synchronisation policy.
     pub fn with_policy(mut self, policy: SyncPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Enables deterministic fault injection at the given per-task rate.
-    pub fn with_fault_rate(mut self, fault_rate: f64) -> Self {
-        self.fault_rate = fault_rate;
-        self
-    }
-
-    /// Enables deterministic compute-time jitter of the given relative
-    /// magnitude.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
         self
     }
 
@@ -290,24 +236,8 @@ impl PipelineConfig {
         if self.cache_factor.is_nan() || self.cache_factor < 1.0 {
             return Err("cache_factor must be at least 1.0".into());
         }
-        if !(0.0..1.0).contains(&self.fault_rate) {
-            return Err("fault_rate must be in [0, 1)".into());
-        }
-        if !(0.0..1.0).contains(&self.jitter) {
-            return Err("jitter must be in [0, 1)".into());
-        }
         if self.gpus_per_host == 0 {
             return Err("gpus_per_host must be positive".into());
-        }
-        if !self.diagnostics.compute_scale.is_finite() || self.diagnostics.compute_scale <= 0.0 {
-            return Err("diagnostics.compute_scale must be a positive finite factor".into());
-        }
-        if let Some((_, factor)) = self.diagnostics.slow_stage {
-            if !factor.is_finite() || factor <= 0.0 {
-                return Err(
-                    "diagnostics.slow_stage factor must be a positive finite factor".into(),
-                );
-            }
         }
         if space.num_blocks() == 0 {
             return Err("search space has no blocks".into());

@@ -8,7 +8,7 @@
 //!
 //! The `F`/`B` rows are the run's task records, which every outcome has;
 //! a traced run's span stream ([`PipelineOutcome::spans`]) only adds a
-//! third `R` row per stage for recompute and fault-replay activity.
+//! third `R` row per stage for hoisted recompute activity.
 
 use crate::pipeline::PipelineOutcome;
 use crate::task::TaskKind;
@@ -31,7 +31,7 @@ struct Cell {
 enum Row {
     Fwd,
     Bwd,
-    /// Recompute / fault-replay activity (from spans).
+    /// Recompute activity (from spans).
     Aux,
 }
 
@@ -39,8 +39,8 @@ fn subnet_symbol(subnet: u64) -> u8 {
     SYMBOLS[(subnet % 36) as usize]
 }
 
-/// Forward and backward cells from the task records, plus an `R` row
-/// from the span stream: recompute (subnet symbol) and fault replay (`x`).
+/// Forward and backward cells from the task records, plus an `R` row of
+/// recompute spans (subnet symbol) from the span stream.
 fn cells(outcome: &PipelineOutcome) -> Vec<Cell> {
     let tasks = outcome.tasks.iter().map(|t| Cell {
         stage: t.stage.0,
@@ -52,20 +52,18 @@ fn cells(outcome: &PipelineOutcome) -> Vec<Cell> {
         start_us: t.start.as_us(),
         end_us: t.end.as_us(),
     });
-    let aux = outcome.spans.spans().iter().filter_map(|s| {
-        let sym = match s.kind {
-            SpanKind::Recompute => subnet_symbol(s.subnet.unwrap_or(0)),
-            SpanKind::Replay => b'x',
-            _ => return None,
-        };
-        Some(Cell {
+    let aux = outcome
+        .spans
+        .spans()
+        .iter()
+        .filter(|s| s.kind == SpanKind::Recompute)
+        .map(|s| Cell {
             stage: s.stage,
             row: Row::Aux,
-            sym,
+            sym: subnet_symbol(s.subnet.unwrap_or(0)),
             start_us: s.start_us,
             end_us: s.end_us,
-        })
-    });
+        });
     tasks.chain(aux).collect()
 }
 
@@ -74,8 +72,7 @@ fn cells(outcome: &PipelineOutcome) -> Vec<Cell> {
 ///
 /// Forward cells render as the subnet's symbol on the stage's `F` row,
 /// backwards on its `B` row. When the outcome carries a span trace,
-/// stages with recompute or fault-replay spans additionally get an `R`
-/// row (`x` marks a wasted fault attempt).
+/// stages with recompute spans additionally get an `R` row.
 ///
 /// # Panics
 ///
@@ -107,7 +104,7 @@ pub fn render_gantt(outcome: &PipelineOutcome, width: usize) -> String {
                 .filter(|c| c.stage == k && c.row == row)
                 .collect();
             if row == Row::Aux && on_row.is_empty() {
-                continue; // R rows only where recompute/replay happened
+                continue; // R rows only where recompute happened
             }
             let mut chars = vec![b'.'; width];
             for c in on_row {
@@ -210,23 +207,21 @@ mod tests {
     }
 
     #[test]
-    fn fault_replay_marks_the_aux_row() {
-        let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
-        let subnets = UniformSampler::new(&space, 3).take_subnets(10);
-        let cfg = PipelineConfig::naspipe(4, 10)
-            .with_batch(16)
-            .with_seed(3)
-            .with_fault_rate(0.3);
-        let out = SimSpec {
-            subnets: Some(subnets),
-            ..SimSpec::new(&space, &cfg)
-        }
-        .run()
-        .unwrap();
-        assert!(out.report.faults_injected > 0, "need at least one fault");
-        let g = render_gantt(&out, 100);
-        assert!(g.contains('x'), "replay marker missing:\n{g}");
-        assert!(g.lines().any(|l| l.contains(".R ")), "no R row:\n{g}");
+    fn hoisted_recompute_marks_the_aux_row() {
+        // CSP recomputes ahead of the backward wave, as spans of their
+        // own; the BSP baselines redo the forward inside the backward.
+        let has_r_row = |g: &str| g.lines().any(|l| l.contains(".R "));
+        let csp = render_gantt(&outcome(SyncPolicy::naspipe()), 100);
+        assert!(has_r_row(&csp), "no R row:\n{csp}");
+        let gpipe = SyncPolicy::Bsp {
+            bulk: 0,
+            swap: false,
+        };
+        let bsp = render_gantt(&outcome(gpipe), 100);
+        assert!(
+            !has_r_row(&bsp),
+            "in-backward recompute has no R row:\n{bsp}"
+        );
     }
 
     #[test]

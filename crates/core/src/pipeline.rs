@@ -281,6 +281,35 @@ pub struct SimSpec<'a> {
     /// series. Telemetry never touches the event queue: schedules and
     /// training results are bit-identical with and without a hub.
     pub telemetry: Option<&'a TelemetryOptions>,
+    /// The cost hook: every compute reservation's simulated duration, in
+    /// milliseconds, given its [`TaskCost`] (default: the catalog price,
+    /// unchanged). It is called once per task and once per hoisted
+    /// recompute, and is the one place the timing model is replaced or
+    /// perturbed: replayed measurements, a slowed stage, seeded noise.
+    /// Only the schedule can move; under CSP the training result cannot.
+    /// The hook must return a finite, non-negative duration.
+    pub cost: &'a dyn Fn(TaskCost) -> f64,
+}
+
+/// The default cost hook: the catalog price, unchanged.
+fn catalog_price(task: TaskCost) -> f64 {
+    task.catalog_ms
+}
+
+/// One compute reservation as [`SimSpec::cost`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskCost {
+    /// The subnet.
+    pub subnet: SubnetId,
+    /// The stage the work runs on.
+    pub stage: StageId,
+    /// Forward or backward. A hoisted recompute is priced as its subnet's
+    /// forward at that stage.
+    pub kind: TaskKind,
+    /// The catalog price: the slice's Table 5 time scaled to the run's
+    /// batch. A backward that rematerialises its activations in place
+    /// (the BSP baselines) includes the forward it redoes.
+    pub catalog_ms: f64,
 }
 
 impl<'a> SimSpec<'a> {
@@ -292,6 +321,7 @@ impl<'a> SimSpec<'a> {
             subnets: None,
             tracer: Box::new(SpanTracer::new()),
             telemetry: None,
+            cost: &catalog_price,
         }
     }
 
@@ -306,7 +336,8 @@ impl<'a> SimSpec<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any subnet is invalid for `space`.
+    /// Panics if any subnet is invalid for `space`, or if the cost hook
+    /// returns a negative or non-finite duration.
     pub fn run(self) -> Result<PipelineOutcome, PipelineError> {
         let (space, config) = (self.space, self.config);
         config
@@ -325,7 +356,15 @@ impl<'a> SimSpec<'a> {
         for s in &subnets {
             assert!(s.is_valid_for(space), "subnet {s} invalid for space");
         }
-        Engine::new(space, config, subnets, self.tracer, self.telemetry)?.run()
+        Engine::new(
+            space,
+            config,
+            subnets,
+            self.tracer,
+            self.telemetry,
+            self.cost,
+        )?
+        .run()
     }
 }
 
@@ -370,11 +409,10 @@ pub fn run_pipeline_telemetry(
     telemetry: Option<&TelemetryOptions>,
 ) -> Result<PipelineOutcome, PipelineError> {
     SimSpec {
-        space,
-        config,
         subnets: Some(subnets),
         tracer,
         telemetry,
+        ..SimSpec::new(space, config)
     }
     .run()
 }
@@ -450,7 +488,8 @@ struct Engine<'a> {
     makespan: SimTime,
     // Stages whose admission inputs the current event changed, ascending.
     wake: Vec<u32>,
-    faults: u64,
+    // `SimSpec::cost`: catalog price -> simulated duration.
+    cost: &'a dyn Fn(TaskCost) -> f64,
     recorder: MetricsRecorder,
     // Per-stage cache stats already folded into the recorder; the next
     // sync emits only the delta.
@@ -474,6 +513,7 @@ impl<'a> Engine<'a> {
         subnets: Vec<Subnet>,
         tracer: Box<dyn Tracer>,
         telemetry: Option<&TelemetryOptions>,
+        cost: &'a dyn Fn(TaskCost) -> f64,
     ) -> Result<Self, PipelineError> {
         let d = config.num_gpus;
         let plan = memory::plan(space, config.policy, d, config.cache_factor);
@@ -581,7 +621,7 @@ impl<'a> Engine<'a> {
             use_predictor,
             makespan: SimTime::ZERO,
             wake: Vec::new(),
-            faults: 0,
+            cost,
             recorder: MetricsRecorder::new(),
             cache_seen: vec![CacheStats::default(); d as usize],
             // Only CSP runs promise the causal contract; debug builds
@@ -1025,86 +1065,17 @@ impl<'a> Engine<'a> {
 
         let entry = self.table.get(subnet).expect("subnet in table");
         let blocks = entry.partition.stage_range(StageId(k));
-        let (fwd_ms, bwd_ms) =
-            self.partitioner
-                .stage_times(&entry.subnet, &entry.partition, StageId(k));
-        let scale = self.batch_scale();
-        let ms = match kind {
-            TaskKind::Forward => fwd_ms * scale,
-            TaskKind::Backward => {
-                // CSP hoists activation recomputation ahead of the
-                // gradient's arrival (reserved in `reserve_recompute`);
-                // BSP baselines rematerialise inside the backward pass.
-                let recompute =
-                    if self.config.policy.recomputes_activations() && !self.recompute_ahead() {
-                        fwd_ms
-                    } else {
-                        0.0
-                    };
-                (bwd_ms + recompute) * scale
-            }
-        };
+        let duration = self.price(entry, k, kind);
         // The backward wave approaches stage k-1 next: start its
         // recomputation now so the write lands as early as possible.
         if kind == TaskKind::Backward && self.recompute_ahead() && k > 0 {
             self.reserve_recompute(subnet, k - 1, now);
         }
-        // Diagnosis slowdowns (`repro doctor` scenarios): deterministic
-        // multiplicative scaling of the simulated duration. Guarded so a
-        // factor of exactly 1.0 leaves the arithmetic — and therefore the
-        // run — bitwise untouched.
-        let diag = &self.config.diagnostics;
-        let ms = if diag.compute_scale != 1.0 {
-            ms * diag.compute_scale
-        } else {
-            ms
-        };
-        let ms = match diag.slow_stage {
-            Some((stage, factor)) if stage == k && factor != 1.0 => ms * factor,
-            _ => ms,
-        };
-        let ms = if self.config.jitter > 0.0 {
-            // Deterministic per-task jitter in [1 - j, 1 + j].
-            let tag = (subnet.0 << 9)
-                ^ (u64::from(k) << 2)
-                ^ (u64::from(kind == TaskKind::Backward) << 1)
-                ^ 1;
-            let mut rng = naspipe_supernet::rng::DetRng::new(self.config.seed).split(tag);
-            ms * (1.0 + self.config.jitter * (2.0 * rng.next_f64() - 1.0))
-        } else {
-            ms
-        };
-        // Deterministic fault injection (the paper's runtime catches
-        // per-stage exceptions and re-executes, §4.2): a failing attempt
-        // wastes part of the task's compute, then the task retries.
-        let ready = if self.config.fault_rate > 0.0 && self.faulty(subnet, k, kind) {
-            self.faults += 1;
-            let wasted = SimDuration::from_ms(ms * 0.6);
-            let (w_start, w_end) = self
-                .cluster
-                .gpu_mut(GpuId(k))
-                .compute_mut()
-                .reserve_span(ready, wasted);
-            if self.tracer.enabled() {
-                self.tracer.emit(
-                    SpanDraft::new(k, SpanKind::Replay, w_start.as_us(), w_end.as_us())
-                        .subnet(subnet.0),
-                );
-            }
-            let subnet = subnet.0;
-            self.bus
-                .emit(k, w_start.as_us(), RunEvent::Fault { subnet });
-            self.bus
-                .emit(k, w_end.as_us(), RunEvent::Recovery { subnet });
-            w_end
-        } else {
-            ready
-        };
         let (start, end) = self
             .cluster
             .gpu_mut(GpuId(k))
             .compute_mut()
-            .reserve_span(ready, SimDuration::from_ms(ms));
+            .reserve_span(ready, duration);
         let (latency, count) = match kind {
             TaskKind::Forward => (Sample::ForwardLatencyUs, Counter::ForwardTask),
             TaskKind::Backward => (Sample::BackwardLatencyUs, Counter::BackwardTask),
@@ -1178,12 +1149,34 @@ impl<'a> Engine<'a> {
         memory::boundary_bytes_per_sample(self.space.domain()) * u64::from(self.batch)
     }
 
-    /// Deterministic per-task fault decision: a pure function of the
-    /// seed and the task identity, so faulty runs stay reproducible.
-    fn faulty(&self, subnet: SubnetId, stage: u32, kind: TaskKind) -> bool {
-        let tag = (subnet.0 << 8) ^ (u64::from(stage) << 1) ^ u64::from(kind == TaskKind::Backward);
-        let mut rng = naspipe_supernet::rng::DetRng::new(self.config.seed).split(tag);
-        rng.next_f64() < self.config.fault_rate
+    /// The simulated duration of `entry`'s `kind` work at stage `k`: the
+    /// catalog price (`stage_times` × `batch_scale`) through the cost
+    /// hook. CSP hoists activation recomputation ahead of the gradient's
+    /// arrival (`reserve_recompute`); the BSP baselines rematerialise
+    /// inside the backward, so their backward pays the forward again.
+    fn price(&self, entry: &SubnetEntry, k: u32, kind: TaskKind) -> SimDuration {
+        let (fwd_ms, bwd_ms) =
+            self.partitioner
+                .stage_times(&entry.subnet, &entry.partition, StageId(k));
+        let scale = self.batch_scale();
+        let catalog_ms = match kind {
+            TaskKind::Forward => fwd_ms * scale,
+            TaskKind::Backward => {
+                let recompute =
+                    if self.config.policy.recomputes_activations() && !self.recompute_ahead() {
+                        fwd_ms
+                    } else {
+                        0.0
+                    };
+                (bwd_ms + recompute) * scale
+            }
+        };
+        SimDuration::from_ms((self.cost)(TaskCost {
+            subnet: entry.subnet.seq_id(),
+            stage: StageId(k),
+            kind,
+            catalog_ms,
+        }))
     }
 
     /// Whether activation recomputation is hoisted ahead of the gradient's
@@ -1201,15 +1194,12 @@ impl<'a> Engine<'a> {
         let Some(entry) = self.table.get(subnet) else {
             return;
         };
-        let (fwd_ms, _) = self
-            .partitioner
-            .stage_times(&entry.subnet, &entry.partition, StageId(k));
-        let ms = fwd_ms * self.batch_scale();
+        let duration = self.price(entry, k, TaskKind::Forward);
         let (start, end) = self
             .cluster
             .gpu_mut(GpuId(k))
             .compute_mut()
-            .reserve_span(now, SimDuration::from_ms(ms));
+            .reserve_span(now, duration);
         if self.tracer.enabled() {
             self.tracer.emit(
                 SpanDraft::new(k, SpanKind::Recompute, start.as_us(), end.as_us()).subnet(subnet.0),
@@ -1553,7 +1543,6 @@ impl<'a> Engine<'a> {
             reported_param_bytes: self.plan.reported_param_bytes,
             cache_stats,
             scheduler_stats: self.scheduler.stats(),
-            faults_injected: self.faults,
             // The recorder's idle counters are the one ledger.
             stage_idle_blocked_secs: obs.stages.iter().map(|s| s.stall_us as f64 / 1e6).collect(),
             stage_idle_empty_secs: obs
@@ -1578,7 +1567,7 @@ mod tests {
     use super::*;
     use naspipe_obs::NullTracer;
     use naspipe_supernet::layer::Domain;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn small_space() -> SearchSpace {
         SearchSpace::uniform(Domain::Nlp, 8, 6)
@@ -1681,11 +1670,9 @@ mod tests {
         let hub = Arc::new(TelemetryHub::new(4, 0));
         let opts = TelemetryOptions::new(Arc::clone(&hub));
         let live = SimSpec {
-            space: &space,
-            config: &cfg,
             subnets: Some(subnets),
-            tracer: Box::new(SpanTracer::new()),
             telemetry: Some(&opts),
+            ..SimSpec::new(&space, &cfg)
         }
         .run()
         .unwrap();
@@ -1906,7 +1893,6 @@ mod tests {
     /// `fwd(x), bwd(x), fwd(y), bwd(y), ...` with x < y — sequential
     /// equivalence.
     fn assert_csp_order(out: &PipelineOutcome) {
-        use std::collections::HashMap;
         let arch: HashMap<u64, &Subnet> = out.subnets.iter().map(|s| (s.seq_id().0, s)).collect();
         let mut per_layer: HashMap<LayerRef, Vec<(SimTime, TaskKind, u64)>> = HashMap::new();
         for t in &out.tasks {
@@ -2110,63 +2096,71 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_retries_and_stays_reproducible() {
+    fn replaying_recorded_costs_reproduces_the_run() {
+        // Run B prices every reservation at what run A took for it: a
+        // task at its recorded length, a hoisted recompute at its
+        // subnet's recorded forward there. CSP hoists its recompute;
+        // GPipe redoes the forward inside the backward.
         let space = small_space();
-        let subnets = UniformSampler::new(&space, 5).take_subnets(30);
-        let run_with_faults = |gpus: u32| {
-            let cfg = PipelineConfig::naspipe(gpus, 30)
-                .with_batch(16)
-                .with_seed(5)
-                .with_fault_rate(0.15);
-            SimSpec {
-                subnets: Some(subnets.clone()),
+        let gpipe = SyncPolicy::Bsp {
+            bulk: 0,
+            swap: false,
+        };
+        for policy in [SyncPolicy::naspipe(), gpipe] {
+            let cfg = PipelineConfig::naspipe(4, 20)
+                .with_batch(32)
+                .with_policy(policy)
+                .with_seed(42);
+            let a = SimSpec::new(&space, &cfg).run().unwrap();
+            let recorded: HashMap<(SubnetId, StageId, TaskKind), u64> = a
+                .tasks
+                .iter()
+                .map(|t| ((t.subnet, t.stage, t.kind), t.end.since(t.start).as_us()))
+                .collect();
+            let b = SimSpec {
+                cost: &|t| recorded[&(t.subnet, t.stage, t.kind)] as f64 / 1e3,
                 ..SimSpec::new(&space, &cfg)
             }
             .run()
-            .unwrap()
-        };
-        let out4 = run_with_faults(4);
-        assert_eq!(
-            out4.report.subnets_completed, 30,
-            "all subnets survive faults"
-        );
-        assert!(out4.report.faults_injected > 0, "faults should have fired");
-        // Faulty runs stay deterministic...
-        let again = run_with_faults(4);
-        assert_eq!(out4.tasks, again.tasks);
-        // ...and CSP order still holds, so training is still reproducible.
-        let out8 = run_with_faults(8);
-        use crate::train::{replay_training, TrainConfig};
-        let tc = TrainConfig {
-            dim: 4,
-            rows: 2,
-            ..TrainConfig::default()
-        };
-        assert_eq!(
-            replay_training(&space, &out4, &tc).final_hash,
-            replay_training(&space, &out8, &tc).final_hash,
-        );
+            .unwrap();
+            assert!(!a.spans.spans().is_empty());
+            assert_eq!(a.tasks, b.tasks, "{policy:?}");
+            assert_eq!(a.report, b.report, "{policy:?}");
+            assert_eq!(a.spans, b.spans, "{policy:?}");
+        }
     }
 
     #[test]
-    fn faults_slow_the_pipeline_down() {
+    fn the_cost_hook_prices_every_task_and_hoisted_recompute() {
         let space = small_space();
-        let subnets = UniformSampler::new(&space, 5).take_subnets(30);
-        let run_rate = |rate: f64| {
-            let cfg = PipelineConfig::naspipe(4, 30)
-                .with_batch(16)
-                .with_seed(5)
-                .with_fault_rate(rate);
-            SimSpec {
-                subnets: Some(subnets.clone()),
-                ..SimSpec::new(&space, &cfg)
-            }
-            .run()
-            .unwrap()
-            .report
-            .makespan_secs
+        let cfg = PipelineConfig::naspipe(4, 10).with_batch(32).with_seed(42);
+        let calls = std::cell::Cell::new(0u64);
+        let out = SimSpec {
+            cost: &|t| {
+                calls.set(calls.get() + 1);
+                t.catalog_ms
+            },
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
+        let recomputes = |o: &PipelineOutcome, stage: u32| {
+            let spans = o.spans.spans().iter();
+            let on_stage = spans.filter(|s| s.kind == SpanKind::Recompute && s.stage == stage);
+            on_stage.fold((0, 0), |(n, us), s| (n + 1, us + s.end_us - s.start_us))
         };
-        assert!(run_rate(0.3) > run_rate(0.0));
+        let count: u64 = (0..4).map(|k| recomputes(&out, k).0).sum();
+        assert!(count > 0);
+        assert_eq!(calls.get(), out.tasks.len() as u64 + count);
+        // One price: a slowed stage also recomputes slowly.
+        let slow = SimSpec {
+            cost: &|t| t.catalog_ms * if t.stage == StageId(1) { 8.0 } else { 1.0 },
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
+        assert!(recomputes(&slow, 1).1 > 7 * recomputes(&out, 1).1);
+        assert_eq!(recomputes(&slow, 2), recomputes(&out, 2));
     }
 
     #[test]
@@ -2243,7 +2237,6 @@ mod tests {
     #[test]
     fn forward_precedes_backward_per_stage() {
         let out = run(SyncPolicy::naspipe(), 4, 15);
-        use std::collections::HashMap;
         let mut fwd_end: HashMap<(u64, u32), SimTime> = HashMap::new();
         for t in &out.tasks {
             match t.kind {

@@ -46,9 +46,6 @@ pub struct PipelineReport {
     pub cache_stats: CacheStats,
     /// Aggregated scheduler statistics across stages.
     pub scheduler_stats: SchedulerStats,
-    /// Task executions that failed and were re-executed (fault
-    /// injection, §4.2's exception-retry path).
-    pub faults_injected: u64,
     /// Per-stage idle seconds attributable to causal blocking (queued
     /// work, none admissible) — diagnostic behind the bubble ratio.
     pub stage_idle_blocked_secs: Vec<f64>,
@@ -112,7 +109,6 @@ mod tests {
             reported_param_bytes: 5_308_000_000,
             cache_stats: CacheStats::default(),
             scheduler_stats: SchedulerStats::default(),
-            faults_injected: 0,
             stage_idle_blocked_secs: vec![0.0; 8],
             stage_idle_empty_secs: vec![0.0; 8],
         }

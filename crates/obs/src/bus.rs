@@ -54,10 +54,8 @@ pub enum RunEvent<'a> {
     FetchWait { bytes: u64 },
     /// A batch of `jobs` compute-pool jobs retired with its worker.
     PoolJob { jobs: u64 },
-    /// An injected or simulated fault fired on `subnet`'s task.
+    /// An injected fault fired on `subnet`'s task.
     Fault { subnet: u64 },
-    /// The faulted task of `subnet` was re-executed in place (DES).
-    Recovery { subnet: u64 },
     /// `stage` has finished every subnet below `watermark`.
     Watermark { watermark: u64 },
     /// `stage` snapshotted itself at the cut boundary `watermark`;
@@ -248,7 +246,6 @@ impl EventBus {
             RunEvent::FetchWait { bytes } => b.fly(stage, at_us, F::FetchWait, bytes),
             RunEvent::PoolJob { jobs } => b.fly(stage, at_us, F::PoolJob, jobs),
             RunEvent::Fault { subnet } => b.fly(stage, at_us, F::Fault, subnet),
-            RunEvent::Recovery { subnet } => b.fly(stage, at_us, F::Recovery, subnet),
             RunEvent::Watermark { watermark } => {
                 if let Some(ops) = ops {
                     ops.note_stage_watermark(stage, watermark);
@@ -599,7 +596,6 @@ mod tests {
             quiet(RunEvent::FetchWait { bytes: 4096 }, &["1 fetch-wait 4096"]),
             quiet(RunEvent::PoolJob { jobs: 12 }, &["1 pool-job 12"]),
             quiet(RunEvent::Fault { subnet: 5 }, &["1 fault 5"]),
-            quiet(RunEvent::Recovery { subnet: 5 }, &["1 recovery 5"]),
             Row {
                 gauges: "starting 0 0 - 0 0/0/0 0/6",
                 ..quiet(RunEvent::Watermark { watermark: 6 }, &[])

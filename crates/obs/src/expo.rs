@@ -736,9 +736,12 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             if s.name == format!("{name}_bucket") {
                 let le = match s.label("le") {
                     Some("+Inf") => f64::INFINITY,
+                    // `"NaN".parse()` succeeds; no bucket can be bounded by it.
                     Some(le) => le
                         .parse::<f64>()
-                        .map_err(|_| format!("bad le {le:?} on {name}"))?,
+                        .ok()
+                        .filter(|v| !v.is_nan())
+                        .ok_or_else(|| format!("bad le {le:?} on {name}"))?,
                     None => return Err(format!("{name}_bucket without le label")),
                 };
                 per_series
@@ -750,7 +753,7 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             }
         }
         for (labels, mut buckets) in per_series {
-            buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le values comparable"));
+            buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mut prev = -1.0;
             for (_, v) in &buckets {
                 if *v < prev {
@@ -919,6 +922,15 @@ mod tests {
                     naspipe_queue_depth_bucket{le=\"+Inf\"} 3\n\
                     naspipe_queue_depth_sum 9\nnaspipe_queue_depth_count 4\n";
         assert!(validate_exposition(hist).unwrap_err().contains("+Inf"));
+    }
+
+    #[test]
+    fn a_nan_bucket_bound_is_an_error_not_a_panic() {
+        // `"NaN".parse::<f64>()` succeeds, and sorting the bounds once
+        // panicked on the incomparable value.
+        let hist = "# HELP h h\n# TYPE h histogram\n\
+                    h_bucket{le=\"NaN\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n";
+        assert!(validate_exposition(hist).unwrap_err().contains("bad le"));
     }
 
     #[test]

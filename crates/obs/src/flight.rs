@@ -35,10 +35,10 @@ pub enum FlightEventKind {
     FetchWait,
     /// A CSP-watermark checkpoint cut completed. `detail` = watermark.
     CheckpointCut,
-    /// An injected or simulated fault fired. `detail` = subnet.
+    /// An injected fault fired. `detail` = subnet.
     Fault,
-    /// A recovery transition (restart / rollback replay). `detail` =
-    /// the incarnation that takes over.
+    /// A pipeline restart, one mark per stage. `detail` = the
+    /// incarnation that ends.
     Recovery,
     /// A compute-pool job batch retired with the task that ran it.
     /// `detail` = job count.

@@ -22,7 +22,7 @@
 //!    `crates/bench` experiment drivers.
 //! 4. **Tracing** ([`trace`]): the [`Tracer`] trait emits per-task
 //!    [`Span`]s — forward/backward, fetch/prefetch/evict, checkpoint,
-//!    restart/replay — each carrying a causal edge naming why it started
+//!    restart — each carrying a causal edge naming why it started
 //!    when it did (activation arrival, CSP shared-layer writer
 //!    completion, fetch completion, recovery replay). Consumers:
 //!    [`chrome`] exports Chrome trace-event JSON loadable in Perfetto

@@ -3,7 +3,7 @@
 //! Where [`crate::metrics`] aggregates (counters and histograms), this
 //! module records *timelines*: one [`Span`] per unit of runtime work —
 //! forward/backward execution, parameter fetch/prefetch, activation
-//! recomputation, checkpoint, restart, replay — each carrying the stage
+//! recomputation, checkpoint, restart — each carrying the stage
 //! it ran on, the subnet it belongs to, and a **causal edge**
 //! naming *why it started when it did*: the predecessor stage's
 //! activation arrival, a shared-layer writer's backward completion (the
@@ -70,8 +70,6 @@ pub enum SpanKind {
     Checkpoint,
     /// The supervisor respawning a stage after a failure.
     Restart,
-    /// A task re-executed because a rollback discarded its effect.
-    Replay,
 }
 
 impl SpanKind {
@@ -86,7 +84,6 @@ impl SpanKind {
             SpanKind::Evict => "evict",
             SpanKind::Checkpoint => "checkpoint",
             SpanKind::Restart => "restart",
-            SpanKind::Replay => "replay",
         }
     }
 
@@ -101,7 +98,6 @@ impl SpanKind {
             "evict" => SpanKind::Evict,
             "checkpoint" => SpanKind::Checkpoint,
             "restart" => SpanKind::Restart,
-            "replay" => SpanKind::Replay,
             _ => return None,
         })
     }
@@ -112,7 +108,7 @@ impl SpanKind {
     pub fn is_compute(self) -> bool {
         matches!(
             self,
-            SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute | SpanKind::Replay
+            SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute
         )
     }
 }
@@ -699,7 +695,6 @@ mod tests {
             SpanKind::Evict,
             SpanKind::Checkpoint,
             SpanKind::Restart,
-            SpanKind::Replay,
         ] {
             assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
         }

@@ -572,16 +572,8 @@ fn cmd_bench_check(args: &Args) -> Result<(), String> {
         Ok(())
     } else {
         if args.flags.contains("explain") {
-            let rows: Vec<naspipe::obs::BenchDelta> = check
-                .rows
-                .iter()
-                .map(|r| naspipe::obs::BenchDelta {
-                    metric: r.metric.clone(),
-                    baseline: r.baseline,
-                    fresh: r.fresh,
-                })
-                .collect();
-            print!("{}", naspipe::obs::explain_bench_check(&rows, threshold));
+            let rows: Vec<_> = check.rows.iter().map(|r| r.delta.clone()).collect();
+            print!("{}", naspipe::obs::explain_bench_check(&rows));
         }
         Err(format!(
             "bench-check failed (gate {gate}): {} metric(s) regressed past the tolerance \
@@ -695,8 +687,8 @@ fn cmd_doctor(args: &Args) -> Result<(), String> {
         args.options.get("base-bench"),
         args.options.get("cand-bench"),
     ) {
-        let rows = bench_deltas(&read(bb)?, &read(cb)?);
-        print!("{}", naspipe::obs::explain_bench_check(&rows, threshold));
+        let rows = bench_deltas(&read(bb)?, &read(cb)?, threshold);
+        print!("{}", naspipe::obs::explain_bench_check(&rows));
     }
     for (label, key) in [("base", "base-flight"), ("cand", "cand-flight")] {
         if let Some(path) = args.options.get(key) {

@@ -7,7 +7,7 @@
 
 use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
 use naspipe::core::fault::FaultPlan;
-use naspipe::core::pipeline::SimSpec;
+use naspipe::core::pipeline::{SimSpec, TaskCost};
 use naspipe::core::replay_gate::loss_digest;
 use naspipe::core::runtime::{RecoveryOptions, RunSpec};
 use naspipe::core::task::TaskKind;
@@ -104,12 +104,18 @@ fn clean_runs_trip_no_watchdog_across_seeds() {
 #[test]
 fn des_straggler_verdict_is_deterministic() {
     let space = SearchSpace::from_id(SpaceId::NlpC2);
-    let cfg = PipelineConfig::naspipe(4, 24)
-        .with_seed(7)
-        .with_diagnostics(DiagnosticsOptions::default().with_slow_stage(1, 8.0));
+    let cfg = PipelineConfig::naspipe(4, 24).with_seed(7);
+    let slow_stage_1 = |t: TaskCost| t.catalog_ms * if t.stage.0 == 1 { 8.0 } else { 1.0 };
+    let run = || {
+        let spec = SimSpec {
+            cost: &slow_stage_1,
+            ..SimSpec::new(&space, &cfg)
+        };
+        spec.run().unwrap()
+    };
 
-    let a = SimSpec::new(&space, &cfg).run().unwrap();
-    let b = SimSpec::new(&space, &cfg).run().unwrap();
+    let a = run();
+    let b = run();
 
     let straggler = a
         .obs

@@ -8,12 +8,16 @@
 //! that rewrite moved no event: same kinds, same order, same levels,
 //! messages and fields. Wall-clock timestamps are left out of the
 //! threaded pins; the DES journal is simulated time and is pinned byte
-//! for byte. One line has been re-recorded since: the DES journal's
+//! for byte. It has been re-recorded twice since. First the
 //! `watchdog-trip` evidence, when the straggler detector began comparing
 //! mean task latency (`mean task 364283us vs peer median 45463us`, the
 //! planted 8x) instead of cumulative busy time (`busy 364283us vs peer
 //! median 0us`, a trip because the peers had not run yet). Same stage,
-//! same sample, same instant.
+//! same sample, same instant. Then the run's tail, when the planted 8x
+//! moved into the DES's cost hook, which prices the slow stage's hoisted
+//! recomputes too: the run ends at 37363044us instead of 28920572us, and
+//! the longer recomputes on stage 1 stall its neighbours into a
+//! `csp-convoy` trip at 10803412us. The straggler line did not move.
 //!
 //! To re-record after an intentional change, run
 //! `cargo test --test event_bus_pin -- --nocapture` and copy the output.
@@ -146,14 +150,13 @@ fn des_journal_is_byte_identical_to_the_recorded_one() {
     let state = ops_state("des", 4, 7);
     let cfg = PipelineConfig::naspipe(4, 24)
         .with_seed(7)
-        .with_diagnostics(
-            DiagnosticsOptions::default()
-                .with_slow_stage(1, 8.0)
-                .with_ops(Arc::clone(&state)),
-        );
-    SimSpec::new(&space, &cfg)
-        .run()
-        .expect("the DES run completes");
+        .with_diagnostics(DiagnosticsOptions::default().with_ops(Arc::clone(&state)));
+    SimSpec {
+        cost: &|t| t.catalog_ms * if t.stage.0 == 1 { 8.0 } else { 1.0 },
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
+    .expect("the DES run completes");
     let text: String = state
         .journal()
         .snapshot()

@@ -72,7 +72,7 @@ fn consume(input: &str) {
     let _ = parse_event(input);
     let _ = parse_journal(input);
     let _ = validate_journal(input);
-    let _ = bench_deltas(input, input);
+    let _ = bench_deltas(input, input, 0.15);
     let _ = flight_kind_counts(input);
     let _ = check_against(input, &matrix(), 0.15, 0.35);
 }

@@ -315,11 +315,10 @@ fn des_run_serves_its_flight_ring_and_stage_watermarks() {
         .with_seed(SEED)
         .with_diagnostics(DiagnosticsOptions::default().with_ops(Arc::clone(&state)));
     let out = SimSpec {
-        space: &space,
-        config: &cfg,
         subnets: Some(UniformSampler::new(&space, SEED).take_subnets(N as usize)),
         tracer: Box::new(NullTracer),
         telemetry: Some(&TelemetryOptions::new(hub)),
+        ..SimSpec::new(&space, &cfg)
     }
     .run()
     .expect("the DES run completes");

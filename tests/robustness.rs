@@ -1,27 +1,96 @@
 //! Robustness tests: perturb the *timing* of the pipeline (compute
-//! jitter, injected faults) and verify the *training result* is
-//! untouched — the deepest consequence of dependency preservation.
-//! Reproducibility under CSP comes from the causal order, not from any
-//! timing assumption; the predictor's accuracy may degrade, correctness
-//! may not.
+//! jitter, injected faults) through the DES's cost hook and verify the
+//! *training result* is untouched — the deepest consequence of
+//! dependency preservation. Reproducibility under CSP comes from the
+//! causal order, not from any timing assumption; the predictor's
+//! accuracy may degrade, correctness may not.
 
 use naspipe::core::config::PipelineConfig;
-use naspipe::core::pipeline::{PipelineOutcome, SimSpec};
+use naspipe::core::pipeline::{PipelineOutcome, SimSpec, TaskCost};
 use naspipe::core::repro::verify_csp_order;
+use naspipe::core::task::TaskKind;
 use naspipe::core::train::{replay_training, sequential_training, TrainConfig};
 use naspipe::supernet::layer::Domain;
+use naspipe::supernet::rng::DetRng;
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::SearchSpace;
 use naspipe::supernet::subnet::Subnet;
+use std::cell::Cell;
 
-/// Simulates `config` over an explicit subnet stream.
-fn simulate(space: &SearchSpace, config: &PipelineConfig, subnets: Vec<Subnet>) -> PipelineOutcome {
+/// Simulates `config` over an explicit subnet stream, pricing every
+/// reservation with `cost`.
+fn simulate(
+    space: &SearchSpace,
+    config: &PipelineConfig,
+    subnets: Vec<Subnet>,
+    cost: impl Fn(TaskCost) -> f64,
+) -> PipelineOutcome {
     SimSpec {
         subnets: Some(subnets),
+        cost: &cost,
         ..SimSpec::new(space, config)
     }
     .run()
     .unwrap()
+}
+
+/// A uniform draw in `[0, 1)` that is a pure function of the seed and
+/// the reservation's identity. The identity is split in twice — subnet,
+/// then stage and kind — so no two `(subnet, stage, kind)` share a
+/// draw at any pipeline depth.
+fn draw(seed: u64, t: &TaskCost, salt: u64) -> f64 {
+    let where_ = (u64::from(t.stage.0) << 1) | u64::from(t.kind == TaskKind::Backward);
+    DetRng::new(seed)
+        .split(salt)
+        .split(t.subnet.0)
+        .split(where_)
+        .next_f64()
+}
+
+/// Seeded compute noise: each price scaled uniformly in `[1 - j, 1 + j]`.
+fn jitter(seed: u64, j: f64) -> impl Fn(TaskCost) -> f64 {
+    move |t| t.catalog_ms * (1.0 + j * (2.0 * draw(seed, &t, 1) - 1.0))
+}
+
+/// Seeded faults in the paper's §4.2 style: with probability `rate` a
+/// task fails 60 % of the way in and is re-executed, so it holds its
+/// stage for 1.6x its price. `fired` counts the retries.
+fn retrying<'a>(
+    seed: u64,
+    rate: f64,
+    fired: &'a Cell<u64>,
+    price: impl Fn(TaskCost) -> f64 + 'a,
+) -> impl Fn(TaskCost) -> f64 + 'a {
+    move |t| {
+        let ms = price(t);
+        if draw(seed, &t, 2) < rate {
+            fired.set(fired.get() + 1);
+            ms * 1.6
+        } else {
+            ms
+        }
+    }
+}
+
+/// The draws stay distinct past 128 stages, where tags built by shifting
+/// the subnet id over the stage once collided (subnet 0 at stage 128 drew
+/// subnet 1 at stage 0's number).
+#[test]
+fn seeded_draws_never_collide_across_subnets_and_stages() {
+    let mut seen = std::collections::HashSet::new();
+    for subnet in 0..8 {
+        for stage in 0..512 {
+            for kind in [TaskKind::Forward, TaskKind::Backward] {
+                let t = TaskCost {
+                    subnet: naspipe::supernet::subnet::SubnetId(subnet),
+                    stage: naspipe::core::task::StageId(stage),
+                    kind,
+                    catalog_ms: 1.0,
+                };
+                assert!(seen.insert(draw(33, &t, 1).to_bits()), "{t:?}");
+            }
+        }
+    }
 }
 
 fn setup() -> (
@@ -46,17 +115,9 @@ fn jitter_changes_schedule_not_result() {
     let (space, subnets, cfg) = setup();
     let reference = sequential_training(&space, &subnets, &cfg);
 
-    let clean = {
-        let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(33);
-        simulate(&space, &pc, subnets.clone())
-    };
-    let jittered = {
-        let pc = PipelineConfig::naspipe(4, 40)
-            .with_batch(16)
-            .with_seed(33)
-            .with_jitter(0.4);
-        simulate(&space, &pc, subnets.clone())
-    };
+    let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(33);
+    let clean = simulate(&space, &pc, subnets.clone(), |t| t.catalog_ms);
+    let jittered = simulate(&space, &pc, subnets.clone(), jitter(33, 0.4));
     assert_ne!(
         clean.tasks, jittered.tasks,
         "40% jitter should perturb the schedule"
@@ -77,12 +138,12 @@ fn faults_and_jitter_combined_stay_correct() {
     for gpus in [2u32, 6] {
         let pc = PipelineConfig::naspipe(gpus, 40)
             .with_batch(16)
-            .with_seed(33)
-            .with_fault_rate(0.2)
-            .with_jitter(0.3);
-        let out = simulate(&space, &pc, subnets.clone());
+            .with_seed(33);
+        let retries = Cell::new(0);
+        let cost = retrying(33, 0.2, &retries, jitter(33, 0.3));
+        let out = simulate(&space, &pc, subnets.clone(), cost);
         assert_eq!(out.report.subnets_completed, 40);
-        assert!(out.report.faults_injected > 0);
+        assert!(retries.get() > 0);
         assert_eq!(
             replay_training(&space, &out, &cfg).final_hash,
             reference.final_hash,
@@ -91,17 +152,36 @@ fn faults_and_jitter_combined_stay_correct() {
     }
 }
 
+/// Retried tasks cost time, never determinism: the run is slower than a
+/// clean one and identical to itself.
+#[test]
+fn retries_slow_the_run_deterministically() {
+    let (space, subnets, _) = setup();
+    let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(33);
+    let retries = Cell::new(0);
+    let run = || {
+        simulate(
+            &space,
+            &pc,
+            subnets.clone(),
+            retrying(33, 0.3, &retries, |t| t.catalog_ms),
+        )
+    };
+    let clean = simulate(&space, &pc, subnets.clone(), |t| t.catalog_ms);
+    let faulty = run();
+    assert!(retries.get() > 0);
+    assert!(faulty.report.makespan_secs > clean.report.makespan_secs);
+    assert_eq!(faulty.tasks, run().tasks);
+}
+
 /// The predictor's hit rate may degrade under heavy jitter but stays
 /// functional (prefetching is advisory, never load-bearing).
 #[test]
 fn predictor_degrades_gracefully_under_jitter() {
     let (space, subnets, _) = setup();
-    let hit = |jitter: f64| {
-        let pc = PipelineConfig::naspipe(4, 40)
-            .with_batch(16)
-            .with_seed(33)
-            .with_jitter(jitter);
-        simulate(&space, &pc, subnets.clone())
+    let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(33);
+    let hit = |j: f64| {
+        simulate(&space, &pc, subnets.clone(), jitter(33, j))
             .report
             .cache_hit_rate
             .unwrap()
@@ -117,13 +197,8 @@ fn predictor_degrades_gracefully_under_jitter() {
 #[test]
 fn jitter_is_deterministic() {
     let (space, subnets, _) = setup();
-    let run = || {
-        let pc = PipelineConfig::naspipe(4, 40)
-            .with_batch(16)
-            .with_seed(33)
-            .with_jitter(0.25);
-        simulate(&space, &pc, subnets.clone())
-    };
+    let pc = PipelineConfig::naspipe(4, 40).with_batch(16).with_seed(33);
+    let run = || simulate(&space, &pc, subnets.clone(), jitter(33, 0.25));
     assert_eq!(run().tasks, run().tasks);
 }
 
