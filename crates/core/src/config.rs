@@ -1,5 +1,6 @@
 //! Pipeline configuration: synchronisation policy and tunables.
 
+use crate::scheduler::DEFAULT_WINDOW;
 use naspipe_obs::WatchdogConfig;
 use naspipe_supernet::space::SearchSpace;
 
@@ -148,8 +149,8 @@ pub struct PipelineConfig {
     pub num_subnets: u64,
     /// Synchronisation policy.
     pub policy: SyncPolicy,
-    /// Maximum forward-queue length per stage (`|L_q|`, "usually less
-    /// than 30" per §3.2).
+    /// Maximum forward-queue length per stage (`|L_q|`, default
+    /// [`DEFAULT_WINDOW`]).
     pub max_queue: usize,
     /// GPU parameter cache size as a multiple of one subnet's stage slice
     /// (the paper uses ~3x: current + evicting + prefetched).
@@ -179,7 +180,7 @@ impl PipelineConfig {
             batch: 0,
             num_subnets,
             policy: SyncPolicy::naspipe(),
-            max_queue: 30,
+            max_queue: DEFAULT_WINDOW as usize,
             cache_factor: 3.0,
             gpus_per_host: 4,
             recompute_ahead: true,

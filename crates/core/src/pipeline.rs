@@ -23,7 +23,7 @@ use crate::memory::{self, MemoryPlan, MemoryVerdict};
 use crate::partition::{PartitionMode, Partitioner};
 use crate::predictor::{Fetch, PendingBackward, Predictor};
 use crate::report::{alu_efficiency, PipelineReport};
-use crate::scheduler::{CspScheduler, SubnetEntry, SubnetTable};
+use crate::scheduler::{CspScheduler, Pick, StageQueues, SubnetEntry, SubnetTable};
 use crate::task::{FinishedSet, StageId, TaskKind};
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
@@ -155,58 +155,9 @@ struct Arrival {
     at: SimTime,
 }
 
-/// One stage's queued forwards. Under the CSP scheduler the queue is kept
-/// ascending by sequence ID, so `SCHEDULE()` scans it in place and no
-/// dispatch sorts anything; FIFO disciplines keep arrival order. Either
-/// way each entry remembers its [`Arrival`] and its position in the
-/// stage's arrival order.
-#[derive(Debug, Default)]
-struct ReadyQueue {
-    ids: Vec<SubnetId>,
-    // Parallel to `ids`: (arrival sequence number, arrival).
-    arrivals: Vec<(u64, Arrival)>,
-    next_seq: u64,
-}
-
-impl ReadyQueue {
-    fn insert(&mut self, id: SubnetId, edge: CausalEdge, at: SimTime, by_id: bool) {
-        let idx = if by_id {
-            self.ids.partition_point(|&q| q < id)
-        } else {
-            self.ids.len()
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.ids.insert(idx, id);
-        self.arrivals.insert(idx, (seq, Arrival { edge, at }));
-    }
-
-    fn remove(&mut self, idx: usize) -> (SubnetId, Arrival) {
-        (self.ids.remove(idx), self.arrivals.remove(idx).1)
-    }
-
-    fn ids(&self) -> &[SubnetId] {
-        &self.ids
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// When the longest-waiting queued forward arrived.
-    fn earliest_arrival(&self) -> Option<SimTime> {
-        self.arrivals.iter().map(|(_, a)| a.at).min()
-    }
-}
-
-/// A queued backward: the subnet, the pending-backward list its message
+/// A queued backward's payload: the pending-backward list its message
 /// carries (Algorithm 3), and the gradient arrival that queued it.
 struct QueuedBackward {
-    subnet: SubnetId,
     pending: Vec<PendingBackward>,
     arrival: Arrival,
 }
@@ -221,8 +172,7 @@ struct WriterDone {
 }
 
 struct StageState {
-    fwd_ready: ReadyQueue,
-    bwd_ready: Vec<QueuedBackward>,
+    queues: StageQueues<Arrival, QueuedBackward>,
     busy: bool,
     // Start of the idle interval not yet attributed to bubble/stall
     // (meaningful while `!busy`); see `Engine::settle_idle`.
@@ -571,8 +521,7 @@ impl<'a> Engine<'a> {
 
         let stages = (0..d)
             .map(|_| StageState {
-                fwd_ready: ReadyQueue::default(),
-                bwd_ready: Vec::new(),
+                queues: StageQueues::new(use_csp),
                 busy: false,
                 idle_since: SimTime::ZERO,
                 cache: cache.map(StageCache::new),
@@ -848,9 +797,9 @@ impl<'a> Engine<'a> {
         if !self.use_predictor {
             return Vec::new();
         }
-        let queue = &self.stages[k as usize].fwd_ready;
+        let queue = &self.stages[k as usize].queues.fwd;
         let mut pending: Vec<(u64, PendingBackward)> = Vec::new();
-        for (&y, &(seq, _)) in queue.ids.iter().zip(&queue.arrivals) {
+        for (y, seq, _) in queue.iter() {
             if CspScheduler::admissible(y, &self.finished, &self.table, StageId(k)) {
                 continue;
             }
@@ -883,7 +832,7 @@ impl<'a> Engine<'a> {
         let dt = now.since(st.idle_since).as_us();
         st.idle_since = now;
         if dt > 0 {
-            let counter = if st.fwd_ready.is_empty() && st.bwd_ready.is_empty() {
+            let counter = if st.queues.is_empty() {
                 Counter::BubbleUs
             } else {
                 Counter::StallUs
@@ -898,63 +847,44 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One dispatch attempt at stage `k`: start the queued backward with
-    /// the lowest ID, else the forward the discipline admits, else
-    /// nothing. Run only for stages the current event woke (see
-    /// [`Engine::run`]); samples `QueueDepth` once per attempt.
+    /// One dispatch attempt at stage `k`: whatever [`StageQueues::pick`]
+    /// takes — the queued backward with the lowest ID, else the forward
+    /// the discipline admits — or nothing. Run only for stages the current
+    /// event woke (see [`Engine::run`]); samples `QueueDepth` once per
+    /// attempt.
     fn dispatch(&mut self, k: u32, now: SimTime) {
         if self.stages[k as usize].busy {
             return;
         }
         self.settle_idle(k, now);
         let st = &mut self.stages[k as usize];
-        let depth = st.fwd_ready.len() + st.bwd_ready.len();
-        self.recorder.sample(k, Sample::QueueDepth, depth as u64);
-        // Backward tasks first (highest priority, lowest sequence ID).
-        if !st.bwd_ready.is_empty() {
-            if !st.fwd_ready.is_empty() {
-                self.recorder.incr(k, Counter::BackwardPreemption, 1);
+        let depth = st.queues.len() as u64;
+        self.recorder.sample(k, Sample::QueueDepth, depth);
+        let pick = st
+            .queues
+            .pick(&mut self.scheduler, &self.finished, &self.table, StageId(k));
+        match pick {
+            Pick::Backward {
+                id,
+                payload,
+                preempted,
+            } => {
+                if preempted {
+                    self.recorder.incr(k, Counter::BackwardPreemption, 1);
+                }
+                let (pending, arrival) = (payload.pending, payload.arrival);
+                self.run_task(id, k, TaskKind::Backward, now, pending, arrival);
             }
-            let idx = st
-                .bwd_ready
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| b.subnet)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let bwd = st.bwd_ready.remove(idx);
-            self.run_task(
-                bwd.subnet,
-                k,
-                TaskKind::Backward,
-                now,
-                bwd.pending,
-                bwd.arrival,
-            );
-            return;
-        }
-        // Then a forward, policy dependent.
-        let picked = if self.use_csp {
-            let choice = self.scheduler.schedule(
-                st.fwd_ready.ids(),
-                &self.finished,
-                &self.table,
-                StageId(k),
-            );
-            if choice.is_none() && !st.fwd_ready.is_empty() {
-                // Candidates queued but none admissible: every one still
-                // waits on an unfinished earlier sharer (a CSP stall).
-                let queued = st.fwd_ready.len() as u64;
-                self.bus.emit(k, now.as_us(), RunEvent::CspStall { queued });
+            Pick::Forward { id, payload } => {
+                self.run_task(id, k, TaskKind::Forward, now, Vec::new(), payload);
             }
-            choice.map(|(qidx, _)| qidx)
-        } else {
-            // FIFO (BSP/ASP and the w/o-scheduler ablation).
-            (!st.fwd_ready.is_empty()).then_some(0)
-        };
-        if let Some(qidx) = picked {
-            let (subnet, arrival) = st.fwd_ready.remove(qidx);
-            self.run_task(subnet, k, TaskKind::Forward, now, Vec::new(), arrival);
+            // Candidates queued but none admissible: every one still waits
+            // on an unfinished earlier sharer (a CSP stall).
+            Pick::Idle { blocked } if blocked > 0 => {
+                let stall = RunEvent::CspStall { queued: blocked };
+                self.bus.emit(k, now.as_us(), stall);
+            }
+            Pick::Idle { .. } => {}
         }
     }
 
@@ -984,7 +914,7 @@ impl<'a> Engine<'a> {
             let fetches = match kind {
                 TaskKind::Backward => stage.predictor.before_backward(
                     &mut self.scheduler,
-                    stage.fwd_ready.ids(),
+                    stage.queues.fwd.ids(),
                     &self.finished,
                     &self.table,
                     StageId(k),
@@ -993,7 +923,7 @@ impl<'a> Engine<'a> {
                 ),
                 TaskKind::Forward => stage.predictor.before_forward(
                     &mut self.scheduler,
-                    stage.fwd_ready.ids(),
+                    stage.queues.fwd.ids(),
                     &self.finished,
                     &self.table,
                     StageId(k),
@@ -1138,7 +1068,7 @@ impl<'a> Engine<'a> {
         // forward arrived. Every forward still queued here arrived at or
         // after `horizon` and every future one arrives later still, so a
         // completion at or before it has lost for good.
-        match stage.fwd_ready.earliest_arrival() {
+        match stage.queues.fwd.iter().map(|(_, _, a)| a.at).min() {
             Some(horizon) => stage.bwd_done.retain(|w| w.at > horizon),
             None => stage.bwd_done.clear(),
         }
@@ -1256,7 +1186,7 @@ impl<'a> Engine<'a> {
                 // With nothing queued the completion could only matter to
                 // forwards that arrive after it — which it cannot cause.
                 let stage = &mut self.stages[k as usize];
-                if self.tracer.enabled() && self.use_csp && !stage.fwd_ready.is_empty() {
+                if self.tracer.enabled() && self.use_csp && !stage.queues.fwd.is_empty() {
                     stage.bwd_done.push(WriterDone {
                         subnet: subnet.0,
                         span,
@@ -1345,11 +1275,11 @@ impl<'a> Engine<'a> {
                 continue;
             }
             assert!(
-                st.bwd_ready.is_empty(),
+                st.queues.bwd.is_empty(),
                 "missed wake-up: idle stage {k} holds a queued backward"
             );
             if self.use_csp {
-                for &y in st.fwd_ready.ids() {
+                for &y in st.queues.fwd.ids() {
                     assert!(
                         !CspScheduler::admissible(
                             y,
@@ -1362,7 +1292,7 @@ impl<'a> Engine<'a> {
                 }
             } else {
                 assert!(
-                    st.fwd_ready.is_empty(),
+                    st.queues.fwd.is_empty(),
                     "missed wake-up: idle FIFO stage {k} holds a queued forward"
                 );
             }
@@ -1398,12 +1328,13 @@ impl<'a> Engine<'a> {
                     } else {
                         CauseKind::ActivationArrival
                     };
-                    self.stages[stage as usize].fwd_ready.insert(
-                        subnet,
-                        CausalEdge { src, kind },
-                        now,
-                        self.use_csp,
-                    );
+                    let arrival = Arrival {
+                        edge: CausalEdge { src, kind },
+                        at: now,
+                    };
+                    self.stages[stage as usize]
+                        .queues
+                        .push_forward(subnet, arrival);
                     wake.push(stage);
                 }
                 Ev::BwdArrive {
@@ -1413,17 +1344,13 @@ impl<'a> Engine<'a> {
                     src,
                 } => {
                     self.settle_idle(stage, now);
-                    self.stages[stage as usize].bwd_ready.push(QueuedBackward {
-                        subnet,
-                        pending,
-                        arrival: Arrival {
-                            edge: CausalEdge {
-                                src,
-                                kind: CauseKind::GradientArrival,
-                            },
-                            at: now,
-                        },
-                    });
+                    let queues = &mut self.stages[stage as usize].queues;
+                    let edge = CausalEdge {
+                        src,
+                        kind: CauseKind::GradientArrival,
+                    };
+                    let arrival = Arrival { edge, at: now };
+                    queues.push_backward(subnet, QueuedBackward { pending, arrival });
                     wake.push(stage);
                 }
                 Ev::TaskDone {
@@ -1437,7 +1364,7 @@ impl<'a> Engine<'a> {
                     if kind == TaskKind::Backward {
                         wake.extend((stage + 1..self.d).filter(|&k| {
                             let st = &self.stages[k as usize];
-                            !st.busy && !st.fwd_ready.is_empty()
+                            !st.busy && !st.queues.fwd.is_empty()
                         }));
                     }
                 }
@@ -2161,33 +2088,6 @@ mod tests {
         .unwrap();
         assert!(recomputes(&slow, 1).1 > 7 * recomputes(&out, 1).1);
         assert_eq!(recomputes(&slow, 2), recomputes(&out, 2));
-    }
-
-    #[test]
-    fn ready_queue_orders_by_id_or_by_arrival() {
-        let edge = CausalEdge {
-            src: SpanId::EXTERNAL,
-            kind: CauseKind::Injection,
-        };
-        let at = |us| SimTime::from_us(us);
-        let mut by_id = ReadyQueue::default();
-        let mut fifo = ReadyQueue::default();
-        for (i, id) in [5u64, 2, 9].into_iter().enumerate() {
-            by_id.insert(SubnetId(id), edge, at(10 * (i as u64 + 1)), true);
-            fifo.insert(SubnetId(id), edge, at(10 * (i as u64 + 1)), false);
-        }
-        assert_eq!(by_id.ids(), &[SubnetId(2), SubnetId(5), SubnetId(9)]);
-        assert_eq!(fifo.ids(), &[SubnetId(5), SubnetId(2), SubnetId(9)]);
-        // Arrival sequence numbers travel with their entries.
-        let seqs: Vec<u64> = by_id.arrivals.iter().map(|&(seq, _)| seq).collect();
-        assert_eq!(seqs, vec![1, 0, 2]);
-        assert_eq!(by_id.earliest_arrival(), Some(at(10)));
-        let (id, arrival) = by_id.remove(1);
-        assert_eq!((id, arrival.at), (SubnetId(5), at(10)));
-        assert_eq!(by_id.earliest_arrival(), Some(at(20)));
-        assert_eq!(by_id.len(), 2);
-        assert!(!by_id.is_empty());
-        assert_eq!(ReadyQueue::default().earliest_arrival(), None);
     }
 
     #[test]

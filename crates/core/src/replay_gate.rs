@@ -40,7 +40,8 @@
 use crate::config::PipelineConfig;
 use crate::fault::FaultPlan;
 use crate::pipeline::{SimSpec, TaskRecord};
-use crate::runtime::{RecoveryOptions, RunSpec, DEFAULT_WINDOW};
+use crate::runtime::{RecoveryOptions, RunSpec};
+use crate::scheduler::DEFAULT_WINDOW;
 use crate::task::TaskKind;
 use crate::train::{replay_training, TrainConfig, TrainResult};
 use crate::transcript::Transcript;

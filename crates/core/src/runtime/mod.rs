@@ -94,6 +94,7 @@ use crate::config::DiagnosticsOptions;
 use crate::durable::{DurableError, DEFAULT_KEEP};
 use crate::fault::{FaultPlan, FiredFault};
 use crate::pipeline::TaskRecord;
+use crate::scheduler::DEFAULT_WINDOW;
 use crate::train::{TrainConfig, TrainResult};
 use naspipe_obs::{BusConfig, EventBus, ObsReport, SpanTrace, TelemetryOptions, Violation};
 use naspipe_supernet::space::SearchSpace;
@@ -352,9 +353,6 @@ pub struct SupervisedRun {
     /// incarnation (wall-clock µs since run start).
     pub spans: SpanTrace,
 }
-
-/// The paper's `|L_q|`: how many subnets may be in flight at once.
-pub const DEFAULT_WINDOW: u64 = 30;
 
 /// One threaded run, as data: what to train and on how many stage
 /// threads (the arguments of [`new`](Self::new)), plus every option with

@@ -8,6 +8,7 @@ use crate::checkpoint::{Checkpoint, CheckpointStore, StageSnapshot};
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
+use crate::scheduler::{CspScheduler, Pick, StageQueues, SubnetTable};
 use crate::task::{FinishedSet, StageId, TaskKind};
 use crate::train::TrainConfig;
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
@@ -253,14 +254,21 @@ pub(super) struct StageWorker<'a> {
     rx: Receiver<Msg>,
     next_tx: Option<Sender<Msg>>,
     prev_tx: Option<Sender<Msg>>,
-    // Queued work, each entry tagged with the producing span and its
-    // wall-clock arrival (for causal-edge binding).
-    fwd_queue: Vec<(SubnetId, Tensor, SpanId, u64)>,
-    bwd_queue: BTreeMap<u64, (Tensor, SpanId, u64)>,
+    // Queued work, each entry tagged with the producing span; a forward
+    // also with its wall-clock arrival (for causal-edge binding).
+    queues: StageQueues<(Tensor, SpanId, u64), (Tensor, SpanId)>,
+    // `L_SN` as this stage sees it: every subnet up to the highest one
+    // queued here (`registered` is the next to add, at stage 0 also the
+    // next to inject) that has not yet finished here.
+    table: SubnetTable,
+    registered: u64,
+    scheduler: CspScheduler,
     ctxs: BTreeMap<u64, ForwardCtx>,
-    finished: FinishedSet,
+    // `L_f` per stage, of which this stage writes and reads its own: under
+    // the run's one partition every earlier sharer of a slice layer
+    // writes it here.
+    finished: Vec<FinishedSet>,
     finished_count: u64,
-    injected: u64,
     losses: BTreeMap<u64, f32>,
     tracer: SpanTracer,
     // The CSP admission cause of a forward is the latest of its layers'
@@ -303,9 +311,9 @@ impl<'a> StageWorker<'a> {
             None => (Vec::new(), ctx.train.engine(), BTreeMap::new()),
         };
         let resume_w = inc.watermark;
-        let mut finished = FinishedSet::new();
+        let mut finished = vec![FinishedSet::new(); ctx.gpus() as usize];
         for y in 0..resume_w {
-            finished.insert(SubnetId(y));
+            finished[stage].insert(SubnetId(y));
         }
         // Distinct id namespace per (incarnation, stage) so the merged
         // trace never collides.
@@ -321,12 +329,13 @@ impl<'a> StageWorker<'a> {
             rx,
             next_tx,
             prev_tx,
-            fwd_queue: Vec::new(),
-            bwd_queue: BTreeMap::new(),
+            queues: StageQueues::new(true),
+            table: SubnetTable::new(),
+            registered: resume_w,
+            scheduler: CspScheduler::new(),
             ctxs: BTreeMap::new(),
             finished,
             finished_count: resume_w,
-            injected: resume_w,
             losses,
             tracer: SpanTracer::with_namespace(namespace),
             next_ckpt: resume_w + ctx.ckpt_interval,
@@ -365,15 +374,23 @@ impl<'a> StageWorker<'a> {
         &self.params[layer.block as usize - self.blocks.start][layer.choice as usize]
     }
 
-    fn admissible(&self, y: SubnetId) -> bool {
-        let subnet = &self.ctx.subnets[y.0 as usize];
-        for x in self.finished.unfinished_below(y) {
-            let earlier = &self.ctx.subnets[x.0 as usize];
-            if subnet.conflicts_within(self.blocks.clone(), earlier) {
-                return false;
-            }
+    /// This stage's finished list.
+    fn done(&self) -> &FinishedSet {
+        &self.finished[self.stage]
+    }
+
+    /// Queues `y`'s forward after registering every subnet up to `y` in
+    /// the table: injection runs in ID order, so each earlier one is
+    /// already in flight or done, and its pending writes bind `y`.
+    fn queue_forward(&mut self, y: SubnetId, input: Tensor, src: SpanId, arrival_us: u64) {
+        while self.registered <= y.0 {
+            let subnet = self.ctx.subnets[self.registered as usize].clone();
+            self.table
+                .insert(subnet, self.ctx.partition.clone())
+                .expect("registered in ID order");
+            self.registered += 1;
         }
-        true
+        self.queues.push_forward(y, (input, src, arrival_us));
     }
 
     /// Feeds `event` to the shared invariant checker, if one is active.
@@ -538,7 +555,7 @@ impl<'a> StageWorker<'a> {
                 },
                 RecvTimeoutError::Timeout => TrainError::Timeout {
                     stage,
-                    task: self.finished.first_unfinished().0,
+                    task: self.done().first_unfinished().0,
                     cause: None,
                 },
             })
@@ -554,10 +571,8 @@ impl<'a> StageWorker<'a> {
         self.transient_fault(FaultSite::Recv, y, kind, "inbound")?;
         let now = self.now_us();
         match kind {
-            TaskKind::Forward => self.fwd_queue.push((y, payload, src, now)),
-            TaskKind::Backward => {
-                self.bwd_queue.insert(y.0, (payload, src, now));
-            }
+            TaskKind::Forward => self.queue_forward(y, payload, src, now),
+            TaskKind::Backward => self.queues.push_backward(y, (payload, src)),
         }
         self.sample_queue_depth();
         Ok(())
@@ -583,7 +598,7 @@ impl<'a> StageWorker<'a> {
         self.ctx.hub.observe(
             self.stage as u32,
             Sample::QueueDepth,
-            (self.fwd_queue.len() + self.bwd_queue.len()) as u64,
+            self.queues.len() as u64,
         );
     }
 
@@ -643,7 +658,7 @@ impl<'a> StageWorker<'a> {
         let Some(store) = &ctx.ckpts else {
             return;
         };
-        let prefix = self.finished.first_unfinished().0;
+        let prefix = self.done().first_unfinished().0;
         if self.next_ckpt <= prefix {
             debug_assert_eq!(
                 prefix, self.next_ckpt,
@@ -651,8 +666,7 @@ impl<'a> StageWorker<'a> {
                 self.stage
             );
             debug_assert!(self.ctxs.is_empty(), "in-flight forward at watermark");
-            debug_assert!(self.bwd_queue.is_empty(), "queued backward at watermark");
-            debug_assert!(self.fwd_queue.is_empty(), "queued forward at watermark");
+            debug_assert!(self.queues.is_empty(), "queued task at watermark");
             let snap_start = elapsed_us(ctx.epoch);
             let snapshot = StageSnapshot {
                 params: self.params.clone(),
@@ -730,11 +744,11 @@ impl<'a> StageWorker<'a> {
             self.losses.insert(y.0, loss);
             grad
         });
-        let (span, end) = self.complete_task(TaskKind::Forward, y, started, (cause.0, cause.1));
+        let (span, _) = self.complete_task(TaskKind::Forward, y, started, (cause.0, cause.1));
         match loss_grad {
             // The gradient "arrives" from the local loss computation.
             Some(grad) => {
-                self.bwd_queue.insert(y.0, (grad, span, end));
+                self.queues.push_backward(y, (grad, span));
                 self.sample_queue_depth();
             }
             None => self.hand_off(TaskKind::Forward, y, out, span)?,
@@ -764,15 +778,16 @@ impl<'a> StageWorker<'a> {
         if self.prev_tx.is_some() {
             self.hand_off(TaskKind::Backward, y, grad, span)?;
         }
-        self.finished.insert(y);
+        self.finished[self.stage].insert(y);
         self.finished_count += 1;
+        self.table.retire_below(self.done().first_unfinished());
         Ok(())
     }
 
     fn try_inject(&mut self) {
         debug_assert_eq!(self.stage, 0);
-        while self.injected < self.ctx.total()
-            && self.injected - self.finished_count < self.ctx.window
+        while self.registered < self.ctx.total()
+            && self.registered - self.finished_count < self.ctx.window
         {
             // Injection barrier (no-op when checkpointing is off): a
             // subnet enters the pipeline only once the finished prefix
@@ -781,18 +796,17 @@ impl<'a> StageWorker<'a> {
             // anywhere before all stages snapshot it). Stage 0's
             // backward is the causally last task of each subnet, so its
             // prefix IS the global watermark.
-            if let Some(epochs) = self.injected.checked_div(self.ctx.ckpt_interval) {
+            if let Some(epochs) = self.registered.checked_div(self.ctx.ckpt_interval) {
                 let epoch_start = epochs * self.ctx.ckpt_interval;
-                if epoch_start > self.finished.first_unfinished().0 {
+                if epoch_start > self.done().first_unfinished().0 {
                     break;
                 }
             }
-            let y = SubnetId(self.injected);
+            let y = SubnetId(self.registered);
             let input = self.ctx.data.input(y.0);
             let now = self.now_us();
-            self.fwd_queue.push((y, input, SpanId::EXTERNAL, now));
+            self.queue_forward(y, input, SpanId::EXTERNAL, now);
             self.sample_queue_depth();
-            self.injected += 1;
         }
     }
 
@@ -815,25 +829,29 @@ impl<'a> StageWorker<'a> {
         // backward takes priority over queued forwards.
         self.drain_inbound()?;
         self.sample_queue_depth();
-        // Backwards first (they resolve dependencies).
-        if let Some((id, (grad, src, _arrival))) = self.bwd_queue.pop_first() {
-            if !self.fwd_queue.is_empty() {
-                let stage = self.stage as u32;
-                self.ctx.hub.record(stage, Counter::BackwardPreemption, 1);
-            }
-            self.run_backward(SubnetId(id), grad, src)?;
-            return Ok(true);
-        }
-        // Then the first admissible forward (Algorithm 2).
+        // The lowest-ID backward, else the lowest-ID admissible forward.
+        let stage = StageId(self.stage as u32);
         let pick = self
-            .fwd_queue
-            .iter()
-            .position(|(id, _, _, _)| self.admissible(*id));
-        if let Some(i) = pick {
-            let (y, input, src, arrival) = self.fwd_queue.remove(i);
-            self.run_forward(y, input, src, arrival)?;
+            .queues
+            .pick(&mut self.scheduler, &self.finished, &self.table, stage);
+        match pick {
+            Pick::Backward {
+                id,
+                payload: (grad, src),
+                preempted,
+            } => {
+                if preempted {
+                    self.ctx.hub.record(stage.0, Counter::BackwardPreemption, 1);
+                }
+                self.run_backward(id, grad, src)?;
+            }
+            Pick::Forward {
+                id,
+                payload: (input, src, arrival),
+            } => self.run_forward(id, input, src, arrival)?,
+            Pick::Idle { .. } => return Ok(false),
         }
-        Ok(pick.is_some())
+        Ok(true)
     }
 
     /// [`step`](Self::step) until the stream is trained, blocking for one
@@ -848,7 +866,7 @@ impl<'a> StageWorker<'a> {
             // Idle time with work queued is a causal stall (forwards
             // queued but none admissible); with an empty queue it is a
             // pipeline bubble.
-            let queued = self.fwd_queue.len() as u64;
+            let queued = self.queues.fwd.len() as u64;
             if queued > 0 {
                 self.ctx
                     .bus
@@ -887,9 +905,23 @@ mod tests {
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::space::SearchSpace;
 
+    /// Whether `x`'s forward may run at `w`'s stage: no subnet below it
+    /// that is unfinished there shares a layer of the stage's slice. The
+    /// worker's own check before it admitted through the scheduler, kept
+    /// as an independent oracle.
+    fn may_run(w: &StageWorker, x: SubnetId) -> bool {
+        let (done, subnets) = (w.done(), &w.ctx.subnets);
+        let reader = &subnets[x.0 as usize];
+        (done.first_unfinished().0..x.0)
+            .filter(|&v| !done.contains(SubnetId(v)))
+            .all(|v| !reader.conflicts_within(w.blocks.clone(), &subnets[v as usize]))
+    }
+
     /// Steps `gpus` workers over `list` on this thread, one `step` at a
     /// time in an order drawn from `seed`, until every stream is trained;
     /// returns the final parameter hash and the newest complete cut.
+    /// Every forward admission is checked against Algorithm 2's order: no
+    /// queued forward below it was admissible.
     /// Every third seed is an extreme order instead of a uniform one: a
     /// fixed priority among the stages, a lower one stepping only when
     /// no higher one can (a late stage racing ahead, stage 0 starved).
@@ -931,11 +963,25 @@ mod tests {
                 0 => first,
                 _ => candidates[rng.index(candidates.len())],
             };
+            let ran = workers[k].tasks.len();
             match workers[k].step() {
                 Ok(true) => idle.fill(false),
                 Ok(false) => idle[k] = true,
                 Err(Halt::Parked) => panic!("seed {seed}: stage {k} parked unasked"),
                 Err(Halt::Failed(err)) => panic!("seed {seed}: {err}"),
+            }
+            // A forward changes no finished list, so the state after the
+            // step is the one it picked from, less the admitted forward.
+            let w = &workers[k];
+            if let Some(t) = w.tasks.get(ran).filter(|t| t.kind == TaskKind::Forward) {
+                let y = t.subnet;
+                assert!(may_run(w, y), "seed {seed}: stage {k} admitted blocked {y}");
+                for &x in w.queues.fwd.ids().iter().filter(|&&x| x < y) {
+                    assert!(
+                        !may_run(w, x),
+                        "seed {seed}: stage {k} admitted {y} over admissible {x}"
+                    );
+                }
             }
         }
         // Nothing is in flight between steps (a sent message is delivered),
@@ -984,6 +1030,31 @@ mod tests {
                 assert_eq!(at_cut.bitwise_hash(), want, "seed {seed}, {gpus} stages");
             }
         }
+    }
+
+    #[test]
+    fn a_later_arrival_with_a_lower_id_is_admitted_first() {
+        // Stage 1 of 2 receives SN6's activation before SN5's. No two
+        // subnets share a layer, so both are admissible; Algorithm 2 takes
+        // the lower ID, not the earlier arrival.
+        let space = SearchSpace::uniform(Domain::Nlp, 4, 8);
+        let list = (0..7).map(|i| Subnet::new(SubnetId(i), vec![i as u32; 4]));
+        let spec = RunSpec::new(&space, list.collect(), TrainConfig::default(), 2);
+        let bus = spec.bus();
+        let ctx = RunContext::new(spec, bus);
+        let inc = Incarnation::new(&ctx, 0);
+        let (mut workers, inboxes) = StageWorker::wire(&ctx, &inc);
+        let last = &mut workers[1];
+        last.start();
+        for y in [6, 5] {
+            let activation = ctx.data.input(y);
+            let msg = Msg::Task(TaskKind::Forward, SubnetId(y), activation, SpanId::EXTERNAL);
+            inboxes[1].send(msg).expect("the worker holds its inbox");
+        }
+        assert!(matches!(last.step(), Ok(true)));
+        let admitted: Vec<SubnetId> = last.tasks.iter().map(|t| t.subnet).collect();
+        assert_eq!(admitted, [SubnetId(5)]);
+        assert_eq!(last.queues.fwd.ids(), [SubnetId(6)]);
     }
 
     #[test]

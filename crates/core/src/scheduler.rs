@@ -40,12 +40,26 @@
 //!
 //! Like the scan it replaces, the index keys on the raw choice value: two
 //! subnets that both *skip* a block are treated as sharing it.
+//!
+//! # One decision for both engines
+//!
+//! A stage's queued tasks live in a `StageQueues` pair, and
+//! `StageQueues::pick` is Algorithm 1's one choice of the next task:
+//! the lowest-ID backward, else the forward [`CspScheduler::schedule`]
+//! admits (FIFO for the non-CSP policies). The DES (`Engine::dispatch`)
+//! and the threaded stage worker (`StageWorker::step`) both call it, each
+//! over its own `L_SN` table and finished lists.
 
 use crate::partition::Partition;
 use crate::task::{FinishedSet, StageId};
 use naspipe_supernet::subnet::{Subnet, SubnetId, SKIP_CHOICE};
 use std::collections::VecDeque;
 use std::fmt;
+
+/// The paper's `|L_q|` ("usually less than 30", §3.2): how many subnets
+/// may be in flight at once. The default of both the DES's
+/// `PipelineConfig::max_queue` and the threaded runtime's `RunSpec::window`.
+pub const DEFAULT_WINDOW: u64 = 30;
 
 /// A sequence ID was registered in a [`SubnetTable`] twice. Admitting two
 /// in-flight subnets under one ID would let the scheduler check the wrong
@@ -400,6 +414,160 @@ impl CspScheduler {
     }
 }
 
+/// A stage's queued tasks of one kind, each with its engine's payload.
+/// Kept ascending by sequence ID under the CSP scheduler, so
+/// [`CspScheduler::schedule`] scans it in place and no pick sorts
+/// anything, or in arrival order for the FIFO disciplines. Either way
+/// each entry remembers its position in the stage's arrival order.
+#[derive(Debug)]
+pub(crate) struct ReadyQueue<T> {
+    ids: Vec<SubnetId>,
+    // Parallel to `ids`: (arrival sequence number, payload).
+    entries: Vec<(u64, T)>,
+    next_seq: u64,
+}
+
+impl<T> Default for ReadyQueue<T> {
+    fn default() -> Self {
+        ReadyQueue {
+            ids: Vec::new(),
+            entries: Vec::new(),
+            next_seq: 0,
+        }
+    }
+}
+
+impl<T> ReadyQueue<T> {
+    fn insert(&mut self, id: SubnetId, payload: T, by_id: bool) {
+        let idx = if by_id {
+            self.ids.partition_point(|&q| q < id)
+        } else {
+            self.ids.len()
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.ids.insert(idx, id);
+        self.entries.insert(idx, (seq, payload));
+    }
+
+    fn remove(&mut self, idx: usize) -> (SubnetId, T) {
+        (self.ids.remove(idx), self.entries.remove(idx).1)
+    }
+
+    /// The queued IDs, in queue order.
+    pub(crate) fn ids(&self) -> &[SubnetId] {
+        &self.ids
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Every entry in queue order: ID, arrival sequence number, payload.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SubnetId, u64, &T)> {
+        self.ids
+            .iter()
+            .zip(&self.entries)
+            .map(|(&id, (seq, payload))| (id, *seq, payload))
+    }
+}
+
+/// One stage's queues as Algorithm 1 reads them: queued forwards (`L_q`)
+/// with payload `F` and queued backwards with payload `B`.
+#[derive(Debug)]
+pub(crate) struct StageQueues<F, B> {
+    pub(crate) fwd: ReadyQueue<F>,
+    pub(crate) bwd: ReadyQueue<B>,
+    // Forwards are admitted by `CspScheduler::schedule` (else FIFO).
+    csp: bool,
+}
+
+/// What [`StageQueues::pick`] took off the queues.
+pub(crate) enum Pick<F, B> {
+    /// The lowest-ID queued backward; `preempted` if forwards were queued
+    /// too.
+    Backward {
+        id: SubnetId,
+        payload: B,
+        preempted: bool,
+    },
+    /// The admitted forward.
+    Forward { id: SubnetId, payload: F },
+    /// Nothing runnable: `blocked` forwards are queued and none is
+    /// admissible (0 when the stage has nothing queued).
+    Idle { blocked: u64 },
+}
+
+impl<F, B> StageQueues<F, B> {
+    /// Empty queues; `csp` selects [`CspScheduler`] admission over FIFO.
+    pub(crate) fn new(csp: bool) -> Self {
+        StageQueues {
+            fwd: ReadyQueue::default(),
+            bwd: ReadyQueue::default(),
+            csp,
+        }
+    }
+
+    pub(crate) fn push_forward(&mut self, id: SubnetId, payload: F) {
+        self.fwd.insert(id, payload, self.csp);
+    }
+
+    pub(crate) fn push_backward(&mut self, id: SubnetId, payload: B) {
+        self.bwd.insert(id, payload, true);
+    }
+
+    /// Queued tasks of both kinds.
+    pub(crate) fn len(&self) -> usize {
+        self.fwd.len() + self.bwd.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.fwd.is_empty() && self.bwd.is_empty()
+    }
+
+    /// Algorithm 1's next task at `stage`, removed from its queue: the
+    /// queued backward with the lowest ID (backwards resolve
+    /// dependencies), else the forward Algorithm 2 admits —
+    /// `scheduler.schedule` over `finished` and `table` under CSP, the
+    /// oldest arrival otherwise.
+    pub(crate) fn pick(
+        &mut self,
+        scheduler: &mut CspScheduler,
+        finished: &[FinishedSet],
+        table: &SubnetTable,
+        stage: StageId,
+    ) -> Pick<F, B> {
+        if !self.bwd.is_empty() {
+            let (id, payload) = self.bwd.remove(0);
+            let preempted = !self.fwd.is_empty();
+            return Pick::Backward {
+                id,
+                payload,
+                preempted,
+            };
+        }
+        let admitted = if self.csp {
+            let choice = scheduler.schedule(self.fwd.ids(), finished, table, stage);
+            choice.map(|(qidx, _)| qidx)
+        } else {
+            (!self.fwd.is_empty()).then_some(0)
+        };
+        match admitted {
+            Some(qidx) => {
+                let (id, payload) = self.fwd.remove(qidx);
+                Pick::Forward { id, payload }
+            }
+            None => Pick::Idle {
+                blocked: self.fwd.len() as u64,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,6 +899,80 @@ mod tests {
         t.retire_below(SubnetId(9));
         assert!(t.is_empty());
         assert_eq!(ids(&t, 0, 0), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn ready_queue_orders_by_id_or_by_arrival() {
+        let mut by_id = ReadyQueue::default();
+        let mut fifo = ReadyQueue::default();
+        for (i, id) in [5u64, 2, 9].into_iter().enumerate() {
+            by_id.insert(SubnetId(id), 10 * (i + 1), true);
+            fifo.insert(SubnetId(id), 10 * (i + 1), false);
+        }
+        assert_eq!(by_id.ids(), &[SubnetId(2), SubnetId(5), SubnetId(9)]);
+        assert_eq!(fifo.ids(), &[SubnetId(5), SubnetId(2), SubnetId(9)]);
+        // Arrival sequence numbers and payloads travel with their entries.
+        let entries: Vec<(u64, u64, usize)> =
+            by_id.iter().map(|(id, s, &p)| (id.0, s, p)).collect();
+        assert_eq!(entries, vec![(2, 1, 20), (5, 0, 10), (9, 2, 30)]);
+        assert_eq!(by_id.remove(1), (SubnetId(5), 10));
+        assert_eq!(by_id.len(), 2);
+        assert!(!by_id.is_empty());
+    }
+
+    #[test]
+    fn pick_takes_the_lowest_backward_then_the_lowest_admissible_forward() {
+        // SN1 conflicts with the unfinished SN0 at stage 0; SN2 is free.
+        let t = table(&[&[0, 0, 0, 0], &[0, 1, 1, 1], &[2, 2, 2, 2]]);
+        let f = fresh(2);
+        let mut s = CspScheduler::new();
+        let mut q: StageQueues<&str, &str> = StageQueues::new(true);
+        for (id, name) in [(2, "fwd2"), (1, "fwd1")] {
+            q.push_forward(SubnetId(id), name);
+        }
+        for (id, name) in [(7, "bwd7"), (3, "bwd3")] {
+            q.push_backward(SubnetId(id), name);
+        }
+        assert_eq!(q.len(), 4);
+        let mut picks = Vec::new();
+        loop {
+            match q.pick(&mut s, &f, &t, StageId(0)) {
+                Pick::Backward {
+                    id,
+                    payload,
+                    preempted,
+                } => picks.push(format!("{id} {payload} {preempted}")),
+                Pick::Forward { id, payload } => picks.push(format!("{id} {payload}")),
+                Pick::Idle { blocked } => {
+                    picks.push(format!("idle {blocked}"));
+                    break;
+                }
+            }
+        }
+        // SN1 waits on SN0's write; SN2 leapfrogs it.
+        assert_eq!(
+            picks,
+            ["SN3 bwd3 true", "SN7 bwd7 true", "SN2 fwd2", "idle 1"]
+        );
+        assert_eq!(s.stats().calls, 2);
+        // FIFO: the oldest arrival, whatever the table says.
+        let mut fifo: StageQueues<(), ()> = StageQueues::new(false);
+        fifo.push_forward(SubnetId(2), ());
+        fifo.push_forward(SubnetId(1), ());
+        assert!(matches!(
+            fifo.pick(&mut s, &f, &t, StageId(0)),
+            Pick::Forward {
+                id: SubnetId(2),
+                ..
+            }
+        ));
+        fifo.pick(&mut s, &f, &t, StageId(0));
+        assert!(fifo.is_empty());
+        assert!(matches!(
+            fifo.pick(&mut s, &f, &t, StageId(0)),
+            Pick::Idle { blocked: 0 }
+        ));
+        assert_eq!(s.stats().calls, 2, "FIFO never asks the scheduler");
     }
 
     #[cfg(feature = "proptest-tests")]

@@ -140,13 +140,6 @@ impl FinishedSet {
         SubnetId(self.prefix)
     }
 
-    /// Iterates the *unfinished* IDs in `[first_unfinished(), bound)`.
-    pub fn unfinished_below(&self, bound: SubnetId) -> impl Iterator<Item = SubnetId> + '_ {
-        (self.prefix..bound.0)
-            .map(SubnetId)
-            .filter(move |&id| !self.contains(id))
-    }
-
     /// Number of finished entries retained beyond the prefix (bounded by
     /// the scheduling window in practice).
     pub fn retained(&self) -> usize {
@@ -180,25 +173,6 @@ mod tests {
         assert_eq!(f.retained(), 0);
         assert!(f.contains(SubnetId(1)));
         assert!(!f.contains(SubnetId(3)));
-    }
-
-    #[test]
-    fn unfinished_below_skips_finished() {
-        let mut f = FinishedSet::new();
-        f.insert(SubnetId(0));
-        f.insert(SubnetId(2));
-        let pending: Vec<u64> = f.unfinished_below(SubnetId(5)).map(|s| s.0).collect();
-        assert_eq!(pending, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn unfinished_below_empty_when_all_done() {
-        let mut f = FinishedSet::new();
-        for i in 0..5 {
-            f.insert(SubnetId(i));
-        }
-        assert_eq!(f.unfinished_below(SubnetId(5)).count(), 0);
-        assert_eq!(f.first_unfinished(), SubnetId(5));
     }
 
     #[test]

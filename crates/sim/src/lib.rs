@@ -28,7 +28,6 @@ pub mod cluster;
 pub mod event;
 pub mod gpu;
 pub mod link;
-pub mod metrics;
 pub mod resource;
 pub mod time;
 
