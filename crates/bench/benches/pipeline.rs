@@ -1,15 +1,18 @@
 //! End-to-end engine benchmarks: how fast the discrete-event pipeline
 //! simulates each synchronisation policy, what CSP admission costs the
 //! simulator per task at the paper's 8 x 4 topology, what the span store
-//! costs per span and per exported byte, and how fast the numeric
-//! training replay runs. Results are recorded to
-//! `target/tmp/pipeline-benches.json`.
+//! costs per span and per exported byte, what one watchdog observation
+//! costs as the stage count grows, and how fast the numeric training
+//! replay runs. Results are recorded to `target/tmp/pipeline-benches.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
 use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
-use naspipe_obs::{export_chrome, NullTracer, RunMeta, SpanDraft, SpanTrace, SpanTracer, Tracer};
+use naspipe_obs::{
+    export_chrome, Counter, MetricsRecorder, NullTracer, Recorder, RunMeta, Sample, SpanDraft,
+    SpanTrace, SpanTracer, Tracer, Watchdog, WatchdogConfig,
+};
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
@@ -148,6 +151,35 @@ fn bench_span_store(c: &mut Criterion) {
     }
 }
 
+/// One watchdog observation at 8, 32 and 256 stages: what the DES pays
+/// every 200 ms of simulated time with diagnostics on (5 360 times on the
+/// paper's 32-GPU, 4000-subnet run). The watchdog reads the recorder in
+/// place; the stages run a healthy spread of paces, so nothing latches
+/// and the figure is the steady-state cost per observation.
+fn bench_watchdog_observe(c: &mut Criterion) {
+    for stages in [8u32, 32, 256] {
+        let mut rec = MetricsRecorder::new();
+        for k in 0..stages {
+            let us = 9_000 + 100 * u64::from(k % 5);
+            for _ in 0..100 {
+                rec.incr(k, Counter::ForwardTask, 1);
+                rec.sample(k, Sample::ForwardLatencyUs, us);
+                rec.incr(k, Counter::BackwardTask, 1);
+                rec.sample(k, Sample::BackwardLatencyUs, 2 * us);
+            }
+        }
+        let mut wd = Watchdog::new(stages as usize, WatchdogConfig::default());
+        let mut at = 0;
+        c.bench_function(&format!("watchdog_observe/{stages}_stages"), |b| {
+            b.iter(|| {
+                at += 200_000;
+                let verdicts = wd.observe(at, rec.stages());
+                assert!(verdicts.is_empty());
+            })
+        });
+    }
+}
+
 fn bench_replay(c: &mut Criterion) {
     let space = SearchSpace::uniform(Domain::Nlp, 16, 12);
     let subnets = UniformSampler::new(&space, 7).take_subnets(32);
@@ -169,6 +201,7 @@ criterion_group!(
     bench_policies,
     bench_csp_admission,
     bench_span_store,
+    bench_watchdog_observe,
     bench_replay
 );
 criterion_main!(benches);

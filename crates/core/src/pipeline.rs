@@ -1236,8 +1236,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Takes the sample due at `now`, if any: the hub and the watchdog
-    /// twin each have their own simulated-time cadence, and one snapshot
-    /// of the recorder serves whichever is due.
+    /// twin each have their own simulated-time cadence.
     fn sample_due(&mut self, now: SimTime) {
         let now_us = now.as_us();
         let publish = self.telemetry.as_mut().is_some_and(|c| c.due(now_us));
@@ -1249,21 +1248,28 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Hands the bus a snapshot of the recorder as of `at`, with every
-    /// stage's finished prefix as its `/status` watermark. The cache
-    /// counters are brought up to date here, not after every task: no
-    /// cache stat moves between events.
+    /// Hands the bus the recorder as of `at`, with every stage's finished
+    /// prefix as its `/status` watermark: a [`MetricsSnapshot`] copy for
+    /// the hub when it is due one (`publish`, only with a hub attached),
+    /// and the recorder's stages in place for the watchdog when it is
+    /// (`observe`). The cache counters are brought up to date here, not
+    /// after every task: no cache stat moves between events.
     fn sample(&mut self, at: SimTime, publish: bool, observe: bool) {
         for k in 0..self.d {
             self.sync_cache_metrics(k);
         }
+        let at_us = at.as_us();
         for (k, done) in self.finished.iter().enumerate() {
             let watermark = done.first_unfinished().0;
             self.bus
-                .emit(k as u32, at.as_us(), RunEvent::Watermark { watermark });
+                .emit(k as u32, at_us, RunEvent::Watermark { watermark });
         }
-        let snap = MetricsSnapshot::from_recorder(&self.recorder, at.as_us(), 0);
-        self.bus.sample(snap, publish, observe);
+        if publish {
+            let snap = MetricsSnapshot::from_recorder(&self.recorder, at_us, 0);
+            self.bus.sample(&snap, observe);
+        } else if observe {
+            self.bus.observe(at_us, self.recorder.stages());
+        }
     }
 
     /// Debug-build missed-wake-up detector: after an event's dispatch
@@ -1395,7 +1401,7 @@ impl<'a> Engine<'a> {
         // counters: the hub's last published state equals the report
         // totals, and a straggler that only becomes visible in the
         // closing window is still caught deterministically.
-        self.sample(makespan, true, true);
+        self.sample(makespan, self.telemetry.is_some(), true);
         let obs = self
             .recorder
             .report(makespan.as_us())

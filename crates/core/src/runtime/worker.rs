@@ -192,12 +192,13 @@ impl RunContext {
     }
 
     /// Snapshots the hub, with the pool's run delta folded in, and hands
-    /// the bus a copy (for an exported hub's ring and the watchdog).
+    /// the bus the snapshot by reference (it copies it only into an
+    /// exported hub's ring; the watchdog reads it in place).
     pub(super) fn sample(&self) -> MetricsSnapshot {
         let run = self.pool_run();
         self.hub.set_pool(run.jobs, run.chunks, run.busy_us);
         let snap = self.hub.snapshot(elapsed_us(self.epoch));
-        self.bus.sample(snap.clone(), true, true);
+        self.bus.sample(&snap, true);
         snap
     }
 }

@@ -5,16 +5,17 @@
 //!                                              ┌▶ flight ring  (kind, detail)
 //! engine ─ emit(stage, at_us, RunEvent) ─▶ one ├▶ journal      (level, kind, stage, msg, fields)
 //!                                        match │                 └▶ ring · sink file · stderr mirror
-//! engine ─ sample(snapshot) ─▶ hub ring        ├▶ hub          (incarnation, watchdog trips)
-//!                           └▶ watchdog ─trip─▶├▶ OpsState     (phase, totals, watermarks, last cut)
+//! engine ─ sample(&snapshot) ─▶ hub ring       ├▶ hub          (incarnation, watchdog trips)
+//! engine ─ observe(&stages) ─▶ watchdog ─trip─▶├▶ OpsState     (phase, totals, watermarks, last cut)
 //!                                              └▶ flight dump  (reason)
 //! ```
 //!
 //! Both engines call only [`EventBus::start`], [`emit`](EventBus::emit),
-//! [`sample`](EventBus::sample) and [`finish`](EventBus::finish); which
-//! event reaches which sink, at which level, with which message and
-//! fields is the `match` in `emit` and nowhere else. The per-task events
-//! are one ring write: they never format and never allocate.
+//! [`sample`](EventBus::sample), [`observe`](EventBus::observe) and
+//! [`finish`](EventBus::finish); which event reaches which sink, at which
+//! level, with which message and fields is the `match` in `emit` and
+//! nowhere else. The per-task events are one ring write: they never
+//! format and never allocate.
 //!
 //! **Shared vs per-thread sinks.** The bus owns what is written from
 //! several threads and read while the run is alive — the threaded
@@ -32,6 +33,7 @@
 
 use crate::flight::{FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use crate::journal::{Journal, JournalLevel};
+use crate::metrics::StageMetrics;
 use crate::ops::{OpsState, RunPhase};
 use crate::report::ObsReport;
 use crate::status;
@@ -84,7 +86,7 @@ pub enum RunEvent<'a> {
         watermark: u64,
         error: &'a dyn Display,
     },
-    /// A watchdog detector latched (emitted by [`EventBus::sample`], at
+    /// A watchdog detector latched (emitted by [`EventBus::observe`], at
     /// the verdict's own stage and time).
     WatchdogTrip(&'a WatchdogVerdict),
     /// The pipeline starts admitting work on `subnets` subnets (emitted
@@ -410,31 +412,35 @@ impl EventBus {
 
     /// One sampling tick over `snap`, taken by the threaded runtime's
     /// supervisor on its wall clock while it waits on its workers, and by
-    /// the DES when simulated time crosses an interval. `publish` pushes
-    /// it onto an exported hub's ring (and repaints the progress line);
-    /// `observe` runs the watchdog over it, and every verdict that latches
-    /// is emitted as a [`RunEvent::WatchdogTrip`]. The DES keeps two
-    /// cadences, hence the two flags; each is a no-op without its sink
-    /// (a private hub has no ring anyone reads).
-    pub fn sample(&self, snap: MetricsSnapshot, publish: bool, observe: bool) {
+    /// the DES when simulated time crosses its hub's interval. The
+    /// snapshot is pushed onto an exported hub's ring — the one copy made
+    /// of it — and repaints the progress line; a private hub has no ring
+    /// anyone reads, so it is not copied there. With `observe`, the
+    /// watchdog then runs over it, as [`observe`](Self::observe).
+    pub fn sample(&self, snap: &MetricsSnapshot, observe: bool) {
         let b = &*self.inner;
-        let snap = match &b.hub {
-            Some(hub) if publish && b.exported => {
-                let prev = if b.progress { hub.latest() } else { None };
-                let snap = hub.publish_snapshot(snap);
-                if b.progress {
-                    status::progress(&progress_line(&snap, prev.as_ref()));
-                }
-                snap
+        if let (Some(hub), true) = (&b.hub, b.exported) {
+            let prev = if b.progress { hub.latest() } else { None };
+            hub.publish_snapshot(snap);
+            if b.progress {
+                status::progress(&progress_line(snap, prev.as_ref()));
             }
-            _ => snap,
-        };
-        if !observe {
-            return;
         }
-        let fresh = match b.watchdog() {
+        if observe {
+            self.observe(snap.at_us, &snap.stages);
+        }
+    }
+
+    /// One watchdog tick over the cumulative per-stage metrics `stages`
+    /// as of `at_us`, read in place: every verdict that latches is
+    /// emitted as a [`RunEvent::WatchdogTrip`]. The DES calls this on the
+    /// watchdog's own simulated-time cadence with its recorder's stages,
+    /// so it copies no snapshot unless a hub is due one. A no-op with
+    /// diagnostics off.
+    pub fn observe(&self, at_us: u64, stages: &[StageMetrics]) {
+        let fresh = match self.inner.watchdog() {
             Some(mut guard) => {
-                let fresh = guard.0.observe(&snap);
+                let fresh = guard.0.observe(at_us, stages);
                 guard.1.extend(fresh.iter().cloned());
                 fresh
             }
@@ -854,11 +860,11 @@ mod tests {
         }
         let snap = MetricsSnapshot::from_recorder(&rec, 1_000, 0);
         let stderr = status::tests::capture(|| {
-            rig.bus.sample(snap.clone(), true, false); // hub only
+            rig.bus.sample(&snap, false); // hub only
             assert_eq!(ops.hub().published(), 1);
             assert_eq!(rig.bus.inner.journal.len(), 1, "nothing observed yet");
-            rig.bus.sample(snap.clone(), false, true); // watchdog only
-            rig.bus.sample(snap, true, true); // latched: no second trip
+            rig.bus.observe(1_000, rec.stages()); // watchdog only
+            rig.bus.sample(&snap, true); // latched: no second trip
         });
         assert_eq!(ops.hub().published(), 2);
         let trip =
@@ -895,7 +901,7 @@ mod tests {
         status::tests::capture(|| {
             quiet
                 .bus
-                .sample(MetricsSnapshot::from_recorder(&rec, 1_000, 0), true, true);
+                .sample(&MetricsSnapshot::from_recorder(&rec, 1_000, 0), true);
             report = quiet.bus.finish(report.clone(), 4, None);
         });
         assert_eq!(quiet.bus.hub().expect("private hub").published(), 0);

@@ -41,7 +41,8 @@
 //!    always-on bounded [`FlightRecorder`] of compact per-stage events
 //!    (dumped to `.flight.json` on faults, watchdog trips, or request),
 //!    a [`Watchdog`] running stall / straggler / CSP-convoy detectors
-//!    over the telemetry snapshot stream (deterministic in the DES,
+//!    over the sampled per-stage metrics (the DES's recorder read in
+//!    place, the threaded hub's snapshots; deterministic in the DES,
 //!    advisory under wall clock), and [`doctor::diagnose`] which diffs
 //!    two runs' critical paths into ranked attribution deltas and a
 //!    kernel-vs-scheduling verdict.

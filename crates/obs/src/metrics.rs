@@ -323,6 +323,12 @@ impl MetricsRecorder {
         self.stages.get(stage as usize)
     }
 
+    /// Every recorded stage's metrics, indexed by stage, borrowed: what
+    /// the DES's watchdog reads in place of a snapshot.
+    pub fn stages(&self) -> &[StageMetrics] {
+        &self.stages
+    }
+
     /// Snapshots the recorded metrics into a renderable [`ObsReport`].
     ///
     /// `wall_us` is the total run time (simulated or wall-clock) used to

@@ -101,9 +101,11 @@ impl MetricsSnapshot {
         self.total(Counter::ForwardTask) + self.total(Counter::BackwardTask)
     }
 
-    /// Builds a snapshot straight from a (single-threaded) recorder —
-    /// the DES engine path, where no atomics are needed because the
-    /// event loop owns the recorder.
+    /// Builds a snapshot straight from a (single-threaded) recorder, where
+    /// no atomics are needed because the event loop owns the recorder.
+    /// The DES copies its recorder this way only when a hub is attached
+    /// and due a snapshot; its watchdog reads the recorder in place
+    /// ([`MetricsRecorder::stages`]).
     pub fn from_recorder(rec: &MetricsRecorder, at_us: u64, incarnation: u32) -> Self {
         MetricsSnapshot {
             at_us,
@@ -281,22 +283,28 @@ impl TelemetryHub {
     /// Takes a snapshot and pushes it onto the ring; returns the
     /// published copy (with its sequence number).
     pub fn publish(&self, at_us: u64) -> MetricsSnapshot {
-        let snap = self.snapshot(at_us);
-        self.publish_snapshot(snap)
+        let mut snap = self.snapshot(at_us);
+        snap.seq = self.publish_snapshot(&snap);
+        snap
     }
 
-    /// Publishes an externally built snapshot (the DES engine builds its
-    /// own via [`MetricsSnapshot::from_recorder`]).
-    pub fn publish_snapshot(&self, mut snap: MetricsSnapshot) -> MetricsSnapshot {
+    /// Pushes a copy of `snap` onto the ring under the next sequence
+    /// number, which it returns (`snap.seq` is ignored). The bus publishes
+    /// the threaded supervisor's hub snapshots and, when a hub is
+    /// attached, the DES's [`MetricsSnapshot::from_recorder`] copies.
+    pub fn publish_snapshot(&self, snap: &MetricsSnapshot) -> u64 {
         let mut ring = self.ring.lock().expect("telemetry ring poisoned");
-        snap.seq = ring.published;
+        let seq = ring.published;
         ring.published += 1;
         if ring.buf.len() == ring.capacity {
             ring.buf.pop_front();
             ring.dropped += 1;
         }
-        ring.buf.push_back(snap.clone());
-        snap
+        ring.buf.push_back(MetricsSnapshot {
+            seq,
+            ..snap.clone()
+        });
+        seq
     }
 
     /// Latest published snapshot, if any.

@@ -1,21 +1,21 @@
 //! Progress watchdog: stall, straggler, and CSP-convoy detectors over
 //! the telemetry snapshot stream.
 //!
-//! A [`Watchdog`] consumes the same [`MetricsSnapshot`]s the live
-//! telemetry ring publishes and emits typed [`WatchdogVerdict`]s. It is
-//! a pure function of the snapshot sequence, which splits determinism
-//! cleanly between the engines: the DES feeds it snapshots taken at
-//! simulated-time crossings, so every verdict (including its `at_us`)
-//! is bitwise reproducible across hosts and `NASPIPE_THREADS`; the
-//! threaded runtime feeds it wall-clock snapshots of its hub, so verdicts
-//! there are advisory (timing-dependent) but still side-effect-free —
-//! tripping never alters scheduling, only reporting and flight dumps.
+//! A [`Watchdog`] reads the cumulative per-stage [`StageMetrics`] at
+//! every sample, borrowed, and emits typed [`WatchdogVerdict`]s. It is a
+//! pure function of the observation sequence, which splits determinism
+//! cleanly between the engines: the DES hands it its recorder's stages
+//! in place at simulated-time crossings, so every verdict (including its
+//! `at_us`) is bitwise reproducible across hosts and `NASPIPE_THREADS`;
+//! the threaded runtime hands it wall-clock snapshots of its hub, so
+//! verdicts there are advisory (timing-dependent) but still
+//! side-effect-free — tripping never alters scheduling, only reporting
+//! and flight dumps.
 //!
 //! Every detector latches: one verdict per (kind, stage) per run, so a
 //! persistent condition cannot flood the report.
 
-use crate::metrics::{Counter, Sample};
-use crate::telemetry::MetricsSnapshot;
+use crate::metrics::{Counter, Sample, StageMetrics};
 
 /// Detector thresholds. The defaults are intentionally conservative —
 /// a clean uniform run must stay at zero trips across the seed matrix
@@ -116,14 +116,15 @@ impl WatchdogVerdict {
 struct StageState {
     tasks: u64,
     stall: u64,
-    /// Snapshot time when `tasks` last advanced.
+    /// Observation time when `tasks` last advanced.
     progressed_at: u64,
     /// Stall total at that moment.
     stall_at_progress: u64,
 }
 
-/// The detector state machine. Feed it every published snapshot via
-/// [`observe`](Watchdog::observe); returned verdicts are newly latched.
+/// The detector state machine. Feed it the per-stage metrics at every
+/// sample via [`observe`](Watchdog::observe); returned verdicts are newly
+/// latched.
 #[derive(Clone)]
 pub struct Watchdog {
     config: WatchdogConfig,
@@ -131,6 +132,10 @@ pub struct Watchdog {
     prev_at_us: Option<u64>,
     latched: Vec<[bool; NUM_WATCHDOG_KINDS]>,
     convoy_latched: bool,
+    /// Scratch for the straggler check, reused so that an observation
+    /// that latches nothing allocates nothing: every stage's pace,
+    /// ascending.
+    paces: Vec<u64>,
 }
 
 impl std::fmt::Debug for Watchdog {
@@ -141,11 +146,15 @@ impl std::fmt::Debug for Watchdog {
     }
 }
 
+/// Forward + backward tasks completed.
+fn tasks(s: &StageMetrics) -> u64 {
+    s.counter(Counter::ForwardTask) + s.counter(Counter::BackwardTask)
+}
+
 /// Cumulative `(busy time, tasks timed)`: the forward + backward latency
 /// histograms' sums and counts. Deterministic in the DES (simulated
 /// durations), measured in the threaded runtime.
-fn busy_and_timed(snap: &MetricsSnapshot, stage: usize) -> (u64, u64) {
-    let s = &snap.stages[stage];
+fn busy_and_timed(s: &StageMetrics) -> (u64, u64) {
     let (fwd, bwd) = (
         s.histogram(Sample::ForwardLatencyUs),
         s.histogram(Sample::BackwardLatencyUs),
@@ -153,11 +162,26 @@ fn busy_and_timed(snap: &MetricsSnapshot, stage: usize) -> (u64, u64) {
     (fwd.sum + bwd.sum, fwd.count + bwd.count)
 }
 
-/// Lower median of `values` (deterministic; no float averaging); `None`
-/// of none.
-fn median(values: &mut [u64]) -> Option<u64> {
-    values.sort_unstable();
-    values.get(values.len().checked_sub(1)? / 2).copied()
+/// A stage's mean task latency; `None` before it has timed a task.
+fn pace(s: &StageMetrics) -> Option<u64> {
+    let (busy, timed) = busy_and_timed(s);
+    busy.checked_div(timed)
+}
+
+/// Lower median of a stage's peers' paces, read from `sorted` (every
+/// stage's pace, ascending, `mine` among them) with one instance of
+/// `mine` taken out: the `idx`-th of the `m = len − 1` peers is
+/// `sorted[idx]` below `mine`'s first position and `sorted[idx + 1]` from
+/// it on. Equal paces are interchangeable, so which instance goes does
+/// not matter. `None` without a peer.
+fn peer_median(sorted: &[u64], mine: u64) -> Option<u64> {
+    let idx = sorted.len().checked_sub(2)? / 2;
+    let pos = sorted.partition_point(|&v| v < mine);
+    Some(if pos <= idx {
+        sorted[idx + 1]
+    } else {
+        sorted[idx]
+    })
 }
 
 impl Watchdog {
@@ -177,50 +201,44 @@ impl Watchdog {
             prev_at_us: None,
             latched: vec![[false; NUM_WATCHDOG_KINDS]; num_stages],
             convoy_latched: false,
+            paces: Vec::with_capacity(num_stages),
         }
     }
 
-    /// Runs every detector against `snap`, returning verdicts that
-    /// latched on this observation. Pure: same snapshot sequence, same
-    /// verdicts.
-    pub fn observe(&mut self, snap: &MetricsSnapshot) -> Vec<WatchdogVerdict> {
-        let n = self.stages.len().min(snap.stages.len());
-        let at = snap.at_us;
+    /// Runs every detector against the cumulative per-stage metrics
+    /// `stages` as of `at_us`, returning verdicts that latched on this
+    /// observation. Pure: same observation sequence, same verdicts. Reads
+    /// `stages` in place (the DES passes its recorder's, the threaded
+    /// runtime its hub snapshot's) and allocates only for what latches.
+    pub fn observe(&mut self, at_us: u64, stages: &[StageMetrics]) -> Vec<WatchdogVerdict> {
+        let stages = &stages[..self.stages.len().min(stages.len())];
         let mut verdicts = Vec::new();
-
-        let mut tasks = vec![0u64; n];
-        let mut stall = vec![0u64; n];
-        let mut busy = vec![0u64; n];
-        let mut timed = vec![0u64; n];
-        for k in 0..n {
-            let s = &snap.stages[k];
-            tasks[k] = s.counter(Counter::ForwardTask) + s.counter(Counter::BackwardTask);
-            stall[k] = s.counter(Counter::StallUs);
-            (busy[k], timed[k]) = busy_and_timed(snap, k);
-        }
 
         // Straggler: a stage's pace — its mean task latency — an outlier
         // vs the peer median of the same. Cumulative busy time will not
         // do: pipeline fill, BSP bulks and injection bursts make one
         // stage busier than its peers by construction, at the same pace.
-        // A stage that has timed no task yet neither trips nor votes.
-        let pace: Vec<Option<u64>> = (0..n).map(|k| busy[k].checked_div(timed[k])).collect();
-        for k in 0..n {
+        // A stage that has timed no task yet neither trips nor votes. One
+        // sort of all paces serves every stage's peer median.
+        self.paces.clear();
+        self.paces.extend(stages.iter().filter_map(pace));
+        self.paces.sort_unstable();
+        for (k, s) in stages.iter().enumerate() {
             if self.latched[k][WatchdogVerdictKind::Straggler as usize] {
                 continue;
             }
-            let Some(mine) = pace[k] else { continue };
-            let mut peers: Vec<u64> = (0..n).filter(|&j| j != k).filter_map(|j| pace[j]).collect();
-            let Some(med) = median(&mut peers) else {
+            let Some(mine) = pace(s) else { continue };
+            let Some(med) = peer_median(&self.paces, mine) else {
                 continue;
             };
-            let excess = busy[k].saturating_sub(timed[k].saturating_mul(med));
+            let (busy, timed) = busy_and_timed(s);
+            let excess = busy.saturating_sub(timed.saturating_mul(med));
             let trip = excess >= self.config.straggler_min_busy_us
                 && (mine as f64) >= self.config.straggler_ratio * (med as f64);
             if trip {
                 self.latched[k][WatchdogVerdictKind::Straggler as usize] = true;
                 verdicts.push(WatchdogVerdict {
-                    at_us: at,
+                    at_us,
                     kind: WatchdogVerdictKind::Straggler,
                     stage: k as u32,
                     detail: format!("mean task {mine}us vs peer median {med}us"),
@@ -231,14 +249,15 @@ impl Watchdog {
         // CSP convoy: over a wide-enough window, >=2 stages made no task
         // progress while stalled for (almost) the whole window, and at
         // least one stage did progress — everyone queued behind it.
+        let n = stages.len();
         if let Some(prev_at) = self.prev_at_us {
-            let dt = at.saturating_sub(prev_at);
+            let dt = at_us.saturating_sub(prev_at);
             if !self.convoy_latched && dt >= self.config.convoy_min_window_us && n > 2 {
                 let mut convoyed = 0usize;
                 let mut hot: Option<(usize, u64)> = None;
-                for k in 0..n {
-                    let dtasks = tasks[k] - self.stages[k].tasks;
-                    let dstall = stall[k] - self.stages[k].stall;
+                for (k, s) in stages.iter().enumerate() {
+                    let dtasks = tasks(s) - self.stages[k].tasks;
+                    let dstall = s.counter(Counter::StallUs) - self.stages[k].stall;
                     if dtasks == 0 && dstall * 10 >= dt * 9 {
                         convoyed += 1;
                     } else if dtasks > 0 && hot.map(|(_, best)| dtasks > best).unwrap_or(true) {
@@ -249,7 +268,7 @@ impl Watchdog {
                     if let Some((hot_stage, dtasks)) = hot {
                         self.convoy_latched = true;
                         verdicts.push(WatchdogVerdict {
-                            at_us: at,
+                            at_us,
                             kind: WatchdogVerdictKind::CspConvoy,
                             stage: hot_stage as u32,
                             detail: format!(
@@ -265,30 +284,32 @@ impl Watchdog {
         // Stage stall: stall time accruing with no task completion past
         // the deadline. Requiring the stall counter to advance keeps
         // end-of-run bubbles (drained stages) from tripping it.
-        for k in 0..n {
-            if tasks[k] > self.stages[k].tasks {
-                self.stages[k].progressed_at = at;
-                self.stages[k].stall_at_progress = stall[k];
+        for (k, s) in stages.iter().enumerate() {
+            let (done, stall) = (tasks(s), s.counter(Counter::StallUs));
+            let st = &mut self.stages[k];
+            if done > st.tasks {
+                st.progressed_at = at_us;
+                st.stall_at_progress = stall;
             } else if !self.latched[k][WatchdogVerdictKind::StageStall as usize] {
-                let idle_for = at.saturating_sub(self.stages[k].progressed_at);
-                let stalled_since = stall[k] > self.stages[k].stall_at_progress;
+                let idle_for = at_us.saturating_sub(st.progressed_at);
+                let stalled_since = stall > st.stall_at_progress;
                 if idle_for >= self.config.stall_deadline_us && stalled_since {
                     self.latched[k][WatchdogVerdictKind::StageStall as usize] = true;
                     verdicts.push(WatchdogVerdict {
-                        at_us: at,
+                        at_us,
                         kind: WatchdogVerdictKind::StageStall,
                         stage: k as u32,
                         detail: format!(
                             "no task completed for {idle_for}us with {}us stall accrued",
-                            stall[k] - self.stages[k].stall_at_progress
+                            stall - st.stall_at_progress
                         ),
                     });
                 }
             }
-            self.stages[k].tasks = tasks[k];
-            self.stages[k].stall = stall[k];
+            st.tasks = done;
+            st.stall = stall;
         }
-        self.prev_at_us = Some(at);
+        self.prev_at_us = Some(at_us);
         verdicts
     }
 }
@@ -297,10 +318,7 @@ impl Watchdog {
 mod tests {
     use super::*;
     use crate::metrics::{MetricsRecorder, Recorder};
-
-    fn snap_at(rec: &MetricsRecorder, at_us: u64) -> MetricsSnapshot {
-        MetricsSnapshot::from_recorder(rec, at_us, 0)
-    }
+    use naspipe_supernet::rng::DetRng;
 
     #[test]
     fn uniform_run_never_trips() {
@@ -311,7 +329,7 @@ mod tests {
                 rec.incr(k, Counter::ForwardTask, 1);
                 rec.sample(k, Sample::ForwardLatencyUs, 10_000);
             }
-            assert!(wd.observe(&snap_at(&rec, step * 100_000)).is_empty());
+            assert!(wd.observe(step * 100_000, rec.stages()).is_empty());
         }
     }
 
@@ -323,16 +341,16 @@ mod tests {
             rec.incr(k, Counter::ForwardTask, 1);
             rec.sample(k, Sample::ForwardLatencyUs, 50_000);
         }
-        assert!(wd.observe(&snap_at(&rec, 100_000)).is_empty());
+        assert!(wd.observe(100_000, rec.stages()).is_empty());
         // Stage 2 accrues 10x the busy time of its peers.
         rec.sample(2, Sample::ForwardLatencyUs, 500_000);
-        let v = wd.observe(&snap_at(&rec, 200_000));
+        let v = wd.observe(200_000, rec.stages());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, WatchdogVerdictKind::Straggler);
         assert_eq!(v[0].stage, 2);
         assert_eq!(v[0].at_us, 200_000);
         // Latched: the same condition does not re-trip.
-        assert!(wd.observe(&snap_at(&rec, 300_000)).is_empty());
+        assert!(wd.observe(300_000, rec.stages()).is_empty());
     }
 
     #[test]
@@ -344,7 +362,7 @@ mod tests {
         rec.sample(0, Sample::ForwardLatencyUs, 40);
         rec.sample(1, Sample::ForwardLatencyUs, 5);
         rec.sample(2, Sample::ForwardLatencyUs, 5);
-        assert!(wd.observe(&snap_at(&rec, 1_000_000)).is_empty());
+        assert!(wd.observe(1_000_000, rec.stages()).is_empty());
     }
 
     /// `n` forward tasks of `us` each on `stage`.
@@ -372,7 +390,7 @@ mod tests {
         for (stage, n) in [(0, 20), (1, 5), (2, 1)] {
             run_tasks(&mut rec, stage, n, 10_000);
         }
-        assert!(wd.observe(&snap_at(&rec, 200_000)).is_empty());
+        assert!(wd.observe(200_000, rec.stages()).is_empty());
     }
 
     #[test]
@@ -383,11 +401,11 @@ mod tests {
             let us = if stage == 2 { 160_000 } else { 20_000 };
             run_tasks(&mut rec, stage, 10, us);
         }
-        let v = wd.observe(&snap_at(&rec, 2_000_000));
+        let v = wd.observe(2_000_000, rec.stages());
         assert_eq!(stragglers(&v), [2]);
         assert_eq!(v[0].detail, "mean task 160000us vs peer median 20000us");
         run_tasks(&mut rec, 2, 10, 160_000);
-        assert!(wd.observe(&snap_at(&rec, 4_000_000)).is_empty(), "latched");
+        assert!(wd.observe(4_000_000, rec.stages()).is_empty(), "latched");
     }
 
     #[test]
@@ -399,9 +417,9 @@ mod tests {
         run_tasks(&mut rec, 0, 1, 90_000);
         run_tasks(&mut rec, 1, 30, 10_000);
         run_tasks(&mut rec, 2, 30, 10_000);
-        assert!(wd.observe(&snap_at(&rec, 300_000)).is_empty());
+        assert!(wd.observe(300_000, rec.stages()).is_empty());
         run_tasks(&mut rec, 0, 1, 90_000);
-        assert_eq!(stragglers(&wd.observe(&snap_at(&rec, 400_000))), [0]);
+        assert_eq!(stragglers(&wd.observe(400_000, rec.stages())), [0]);
     }
 
     #[test]
@@ -410,11 +428,11 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         // Only stage 0 has run: there is no peer pace to hold it to.
         run_tasks(&mut rec, 0, 1, 400_000);
-        assert!(wd.observe(&snap_at(&rec, 500_000)).is_empty());
+        assert!(wd.observe(500_000, rec.stages()).is_empty());
         // Stage 1 sets a pace; idle stage 2 does not pull the median to
         // zero, and is itself no straggler.
         run_tasks(&mut rec, 1, 1, 50_000);
-        let v = wd.observe(&snap_at(&rec, 600_000));
+        let v = wd.observe(600_000, rec.stages());
         assert_eq!(stragglers(&v), [0]);
         assert_eq!(v[0].detail, "mean task 400000us vs peer median 50000us");
     }
@@ -429,11 +447,11 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         rec.incr(0, Counter::ForwardTask, 1);
         rec.incr(1, Counter::ForwardTask, 1);
-        assert!(wd.observe(&snap_at(&rec, 100_000)).is_empty());
+        assert!(wd.observe(100_000, rec.stages()).is_empty());
         // Stage 1 stalls (blocked, not bubbled) with no completions.
         rec.incr(1, Counter::StallUs, 2_000_000);
         rec.incr(0, Counter::ForwardTask, 5);
-        let v = wd.observe(&snap_at(&rec, 2_100_000));
+        let v = wd.observe(2_100_000, rec.stages());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, WatchdogVerdictKind::StageStall);
         assert_eq!(v[0].stage, 1);
@@ -442,9 +460,9 @@ mod tests {
         let mut rec2 = MetricsRecorder::new();
         rec2.incr(0, Counter::ForwardTask, 1);
         rec2.incr(1, Counter::ForwardTask, 1);
-        wd2.observe(&snap_at(&rec2, 100_000));
+        wd2.observe(100_000, rec2.stages());
         rec2.incr(1, Counter::BubbleUs, 20_000_000);
-        assert!(wd2.observe(&snap_at(&rec2, 20_000_000)).is_empty());
+        assert!(wd2.observe(20_000_000, rec2.stages()).is_empty());
     }
 
     #[test]
@@ -454,18 +472,18 @@ mod tests {
         for k in 0..4u32 {
             rec.incr(k, Counter::ForwardTask, 2);
         }
-        assert!(wd.observe(&snap_at(&rec, 1_000_000)).is_empty());
+        assert!(wd.observe(1_000_000, rec.stages()).is_empty());
         // Over the next 2s window: stage 1 completes 6 tasks, stages
         // 0/2/3 complete nothing and stall the whole window.
         rec.incr(1, Counter::ForwardTask, 6);
         for k in [0u32, 2, 3] {
             rec.incr(k, Counter::StallUs, 2_000_000);
         }
-        let v = wd.observe(&snap_at(&rec, 3_000_000));
+        let v = wd.observe(3_000_000, rec.stages());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, WatchdogVerdictKind::CspConvoy);
         assert_eq!(v[0].stage, 1, "charged to the hot stage");
-        assert!(wd.observe(&snap_at(&rec, 5_000_000)).is_empty(), "latched");
+        assert!(wd.observe(5_000_000, rec.stages()).is_empty(), "latched");
     }
 
     #[test]
@@ -478,9 +496,15 @@ mod tests {
         rec.sample(0, Sample::ForwardLatencyUs, 900_000);
         let mut a = Watchdog::new(3, WatchdogConfig::default());
         let mut b = Watchdog::new(3, WatchdogConfig::default());
-        let snaps = [snap_at(&rec, 100_000), snap_at(&rec, 200_000)];
-        let va: Vec<_> = snaps.iter().flat_map(|s| a.observe(s)).collect();
-        let vb: Vec<_> = snaps.iter().flat_map(|s| b.observe(s)).collect();
+        let times = [100_000, 200_000];
+        let va: Vec<_> = times
+            .iter()
+            .flat_map(|&t| a.observe(t, rec.stages()))
+            .collect();
+        let vb: Vec<_> = times
+            .iter()
+            .flat_map(|&t| b.observe(t, rec.stages()))
+            .collect();
         assert_eq!(va, vb);
         assert!(!va.is_empty());
     }
@@ -497,5 +521,158 @@ mod tests {
         assert!(line.contains("csp-convoy"));
         assert!(line.contains("stage 3"));
         assert!(line.contains("42us"));
+    }
+
+    #[test]
+    fn peer_median_drops_one_instance_of_the_stage_itself() {
+        assert_eq!(peer_median(&[7], 7), None, "no peer");
+        assert_eq!(peer_median(&[3, 7], 7), Some(3));
+        assert_eq!(peer_median(&[3, 7], 3), Some(7));
+        assert_eq!(peer_median(&[5, 5, 5], 5), Some(5), "ties");
+        // Peers of 1 in [1, 2, 3, 4]: [2, 3, 4], lower median 3; of 4:
+        // [1, 2, 3], lower median 2.
+        assert_eq!(peer_median(&[1, 2, 3, 4], 1), Some(3));
+        assert_eq!(peer_median(&[1, 2, 3, 4], 4), Some(2));
+        assert_eq!(peer_median(&[1, 2, 2, 4], 2), Some(2));
+    }
+
+    /// The peer median the one-sort lookup replaced, kept as the oracle
+    /// the differential tests compare against: collect the other stages'
+    /// paces and sort them, once per stage.
+    fn reference_peer_median(pace: &[Option<u64>], k: usize) -> Option<u64> {
+        let mut peers: Vec<u64> = (0..pace.len())
+            .filter(|&j| j != k)
+            .filter_map(|j| pace[j])
+            .collect();
+        peers.sort_unstable();
+        peers.get(peers.len().checked_sub(1)? / 2).copied()
+    }
+
+    /// The straggler check as it was, over [`reference_peer_median`].
+    fn reference_stragglers(
+        config: &WatchdogConfig,
+        at: u64,
+        stages: &[StageMetrics],
+        latched: &mut [bool],
+    ) -> Vec<WatchdogVerdict> {
+        let pace: Vec<Option<u64>> = stages.iter().map(pace).collect();
+        let mut verdicts = Vec::new();
+        for (k, s) in stages.iter().enumerate() {
+            if latched[k] {
+                continue;
+            }
+            let Some(mine) = pace[k] else { continue };
+            let Some(med) = reference_peer_median(&pace, k) else {
+                continue;
+            };
+            let (busy, timed) = busy_and_timed(s);
+            let excess = busy.saturating_sub(timed.saturating_mul(med));
+            let trip = excess >= config.straggler_min_busy_us
+                && (mine as f64) >= config.straggler_ratio * (med as f64);
+            if trip {
+                latched[k] = true;
+                verdicts.push(WatchdogVerdict {
+                    at_us: at,
+                    kind: WatchdogVerdictKind::Straggler,
+                    stage: k as u32,
+                    detail: format!("mean task {mine}us vs peer median {med}us"),
+                });
+            }
+        }
+        verdicts
+    }
+
+    /// Observes `d` stages `steps` times and checks every observation's
+    /// straggler verdicts against [`reference_stragglers`], and every
+    /// stage's peer median against [`reference_peer_median`] (a median
+    /// above the stage's own pace cannot trip, so verdicts alone would
+    /// not see it wrong); returns how many verdicts latched. Half the
+    /// stages run one fixed latency from a short list (so paces tie),
+    /// three in ten draw from it per task, a fifth never time a task
+    /// (`None` pace), and any stage may time none for a while. Stages
+    /// latched earlier keep voting in later observations.
+    fn stragglers_match_reference(seed: u64, d: usize, steps: usize) -> Result<usize, String> {
+        const LATENCIES: [u64; 6] = [5_000, 10_000, 10_000, 40_000, 90_000, 400_000];
+        let mut rng = DetRng::new(seed);
+        let config = WatchdogConfig::default();
+        let mut wd = Watchdog::new(d, config.clone());
+        let mut latched = vec![false; d];
+        let mut stages = vec![StageMetrics::default(); d];
+        let plan: Vec<Option<Option<u64>>> = (0..d)
+            .map(|_| match rng.index(10) {
+                0..=1 => None,
+                2..=6 => Some(Some(LATENCIES[rng.index(LATENCIES.len())])),
+                _ => Some(None),
+            })
+            .collect();
+        let mut latches = 0;
+        for step in 1..=steps {
+            for (s, plan) in stages.iter_mut().zip(&plan) {
+                let Some(fixed) = *plan else { continue };
+                for _ in 0..rng.index(4) {
+                    let h = &mut s.samples[Sample::ForwardLatencyUs as usize];
+                    h.sum += fixed.unwrap_or_else(|| LATENCIES[rng.index(LATENCIES.len())]);
+                    h.count += 1;
+                }
+            }
+            let at = step as u64 * 200_000;
+            let got: Vec<_> = wd
+                .observe(at, &stages)
+                .into_iter()
+                .filter(|v| v.kind == WatchdogVerdictKind::Straggler)
+                .collect();
+            let pace: Vec<Option<u64>> = stages.iter().map(pace).collect();
+            let mut sorted: Vec<u64> = pace.iter().flatten().copied().collect();
+            sorted.sort_unstable();
+            for (k, mine) in pace.iter().enumerate() {
+                let Some(mine) = *mine else { continue };
+                let (have, want) = (peer_median(&sorted, mine), reference_peer_median(&pace, k));
+                if have != want {
+                    return Err(format!(
+                        "seed {seed}, {d} stages, step {step}, stage {k}: median {have:?} vs {want:?}"
+                    ));
+                }
+            }
+            let want = reference_stragglers(&config, at, &stages, &mut latched);
+            if got != want {
+                return Err(format!(
+                    "seed {seed}, {d} stages, step {step}: {got:?} vs reference {want:?}"
+                ));
+            }
+            latches += got.len();
+        }
+        Ok(latches)
+    }
+
+    #[test]
+    fn one_sort_latches_the_reference_verdicts_at_the_edges() {
+        let mut latches = [0; 4];
+        for seed in 0..200 {
+            for (i, d) in [1, 2, 3, 32].into_iter().enumerate() {
+                latches[i] += stragglers_match_reference(seed, d, 6).unwrap();
+            }
+        }
+        assert_eq!(latches[0], 0, "a lone stage has no peer to be slow against");
+        assert!(latches[1..].iter().all(|&n| n > 0), "{latches:?}");
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The one-sort peer median latches exactly the straggler
+            /// verdicts — stage, trip time and evidence — of the
+            /// per-stage collect-and-sort it replaced, at D = 1 to 64.
+            #[test]
+            fn one_sort_latches_the_reference_verdicts(
+                seed in 0u64..u64::MAX,
+                d in 1usize..65,
+                steps in 1usize..8,
+            ) {
+                let checked = stragglers_match_reference(seed, d, steps);
+                prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+        }
     }
 }

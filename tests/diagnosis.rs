@@ -130,6 +130,39 @@ fn des_straggler_verdict_is_deterministic() {
     assert!(!a.obs.watchdog.is_empty());
 }
 
+/// The paper's 8 hosts x 4 GPUs on NLP.c1 with stage 5 slowed 8x: the
+/// straggler detector's peer median is taken over 31 paces on every
+/// sample of the run. The full verdict list — kind, stage, trip time and
+/// evidence — is pinned, so a detector change that moves any verdict, or
+/// adds one anywhere in the run, fails here.
+#[test]
+fn des_verdicts_at_paper_scale_are_pinned() {
+    let space = SearchSpace::from_id(SpaceId::NlpC1);
+    let cfg = PipelineConfig::naspipe(32, 400).with_seed(7);
+    let slow_stage_5 = |t: TaskCost| t.catalog_ms * if t.stage.0 == 5 { 8.0 } else { 1.0 };
+    let out = SimSpec {
+        cost: &slow_stage_5,
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
+    .unwrap();
+    let got: Vec<_> = out
+        .obs
+        .watchdog
+        .iter()
+        .map(|v| (v.kind, v.stage, v.at_us, v.detail.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        [(
+            WatchdogVerdictKind::Straggler,
+            5,
+            201_366,
+            "mean task 70819us vs peer median 9463us"
+        )]
+    );
+}
+
 #[test]
 fn threaded_seeded_slow_stage_trips_straggler() {
     let space = SearchSpace::from_id(SpaceId::NlpC2);
