@@ -2,20 +2,27 @@
 //! simulates each synchronisation policy, what CSP admission costs the
 //! simulator per task at the paper's 8 x 4 topology, what the span store
 //! costs per span and per exported byte, what one watchdog observation
-//! costs as the stage count grows, and how fast the numeric training
-//! replay runs. Results are recorded to `target/tmp/pipeline-benches.json`.
+//! costs as the stage count grows, what a checkpoint cut and a durable
+//! persist cost on the durable workload's shape, and how fast the numeric
+//! training replay runs. Results are recorded to
+//! `target/tmp/pipeline-benches.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use naspipe_core::checkpoint::{Checkpoint, StageSnapshot};
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
+use naspipe_core::durable::{encode_snapshot, DurableStore};
 use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
 use naspipe_obs::{
     export_chrome, Counter, MetricsRecorder, NullTracer, Recorder, RunMeta, Sample, SpanDraft,
-    SpanTrace, SpanTracer, Tracer, Watchdog, WatchdogConfig,
+    SpanId, SpanTrace, SpanTracer, Tracer, Watchdog, WatchdogConfig,
 };
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
+use naspipe_tensor::layers::DenseParams;
+use naspipe_tensor::model::ParamStore;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -180,6 +187,94 @@ fn bench_watchdog_observe(c: &mut Criterion) {
     }
 }
 
+/// One stage's slice at the `rt-durable-ops` shape (48 blocks × 48
+/// choices at dim 16 over two stages: blocks 0..24, 1152 layers), and
+/// the layers 16 of its subnets write — what one checkpoint interval
+/// leaves to copy when a stage refills the spare it took at the cut
+/// before last.
+fn durable_ops_slice() -> (Vec<Vec<DenseParams>>, Vec<(usize, usize)>) {
+    let space = SearchSpace::uniform(Domain::Nlp, 48, 48);
+    let params = (0..24)
+        .map(|b| ParamStore::init_block(16, 7, b, 48))
+        .collect();
+    let subnets = UniformSampler::new(&space, 7).take_subnets(16);
+    let written: BTreeSet<(usize, usize)> = (subnets.iter())
+        .flat_map(|s| {
+            (0..24)
+                .filter(|&b| !s.skips(b))
+                .map(|b| (b, s.layer(b).choice as usize))
+        })
+        .collect();
+    (params, written.into_iter().collect())
+}
+
+/// A checkpoint cut on one stage: a clone of the whole slice, against
+/// refilling a spare snapshot with the 16-subnet write set.
+fn bench_checkpoint_cut(c: &mut Criterion) {
+    let (params, written) = durable_ops_slice();
+    let engine = TrainConfig::default().engine();
+    let losses = BTreeMap::new();
+    c.report_value(
+        "checkpoint_cut/written_share",
+        written.len() as f64 / (24.0 * 48.0),
+        "ratio",
+    );
+    c.bench_function("checkpoint_cut/clone", |b| {
+        b.iter(|| {
+            black_box(StageSnapshot {
+                params: params.clone(),
+                engine: engine.clone(),
+                losses: losses.clone(),
+            })
+        })
+    });
+    let mut spare = StageSnapshot {
+        params: params.clone(),
+        engine: engine.clone(),
+        losses: losses.clone(),
+    };
+    c.bench_function("checkpoint_cut/spare", |b| {
+        b.iter(|| {
+            spare.refill(&params, written.iter().copied(), &engine, &losses);
+            black_box(&spare);
+        })
+    });
+}
+
+/// One durable persist of a two-stage `rt-durable-ops` cut (2.56 MB):
+/// into a created file (keep 1, nothing to recycle), against rewriting
+/// the cut retention drops (keep 2). Both fsync the file and the
+/// directory, so the figures are this host's disk.
+fn bench_durable_persist(c: &mut Criterion) {
+    let (params, _) = durable_ops_slice();
+    let stage = StageSnapshot {
+        params,
+        engine: TrainConfig::default().engine(),
+        losses: BTreeMap::new(),
+    };
+    let mut cut = Checkpoint {
+        watermark: 0,
+        stages: vec![stage.clone(), stage],
+        cut_span: SpanId::EXTERNAL,
+    };
+    c.report_value(
+        "durable_persist/cut_mb",
+        encode_snapshot(&cut, 0).len() as f64 / 1e6,
+        "MB",
+    );
+    let root = std::env::temp_dir().join(format!("naspipe-bench-persist-{}", std::process::id()));
+    for (name, keep) in [("create", 1), ("recycled", 2)] {
+        let store = DurableStore::open(&root.join(name), keep, 0).expect("scratch dir");
+        c.bench_function(&format!("durable_persist/{name}"), |b| {
+            b.iter(|| {
+                cut.watermark += 8;
+                store.persist(&cut).expect("persist")
+            })
+        });
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 fn bench_replay(c: &mut Criterion) {
     let space = SearchSpace::uniform(Domain::Nlp, 16, 12);
     let subnets = UniformSampler::new(&space, 7).take_subnets(32);
@@ -202,6 +297,8 @@ criterion_group!(
     bench_csp_admission,
     bench_span_store,
     bench_watchdog_observe,
+    bench_checkpoint_cut,
+    bench_durable_persist,
     bench_replay
 );
 criterion_main!(benches);

@@ -248,9 +248,9 @@ fn run_experiment(name: &str) {
         "crash" => {
             banner(
                 "Extra: crash-injection and durable resume",
-                "A seed x stages x crash-point matrix of real process deaths: each cell trains NLP.c2 in a child naspipe process with durable checkpointing, aborts it either at a specific forward task or in the middle of a snapshot write, then resumes a fresh process from disk — demanding a final parameter hash and loss digest bitwise equal to an uninterrupted baseline. Set REPRO_CRASH_JSON=1 to also dump JSON. Requires the naspipe binary in the same target directory (or NASPIPE_BIN).",
+                "A seed x stages x crash-point matrix of real process deaths: each cell trains NLP.c2 in a child naspipe process with durable checkpointing, aborts it either at a specific forward task or in the middle of a snapshot write (the third one under keep 2 overwrites a recycled file), then resumes a fresh process from disk — demanding a final parameter hash and loss digest bitwise equal to an uninterrupted baseline. Set REPRO_CRASH_JSON=1 to also dump JSON. Requires the naspipe binary in the same target directory (or NASPIPE_BIN).",
             );
-            let r = crash::run(SpaceId::NlpC2, 24, 8, &[5, 13, 21], &[3]);
+            let r = crash::run(SpaceId::NlpC2, 32, 8, &[5, 13, 21], &[3]);
             println!("{}", crash::render(&r));
             let json_on =
                 std::env::var("REPRO_CRASH_JSON").is_ok_and(|v| !v.is_empty() && v != "0");

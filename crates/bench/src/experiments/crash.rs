@@ -24,8 +24,13 @@
 //! stages at most: cut `W` is on disk before cut `W + interval` is handed
 //! over. So the kill lands just past the *second* cut and must resume from
 //! that cut or the one before — never from nothing — while the n-th write
-//! torn in half must resume from exactly cut `n - 1`.
+//! torn in half must resume from exactly cut `n - 1`. When the stream has a
+//! third cut, one more cell tears the third write under keep 2: that write
+//! overwrites the first cut's file in place (the cut retention drops), so
+//! the torn file is a recycled one, and the resume must still come from
+//! exactly the second cut.
 
+use naspipe_core::durable::DEFAULT_KEEP;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -115,10 +120,17 @@ pub struct CrashCell {
     pub gpus: u32,
     /// Where the crash run was made to die.
     pub point: CrashPoint,
+    /// Complete cuts the crash and resume runs keep on disk.
+    pub keep: usize,
     /// Whether the crash run died abnormally as demanded.
     pub crashed: bool,
     /// Complete snapshots on disk after the crash.
     pub snapshots_after_crash: usize,
+    /// Orphaned tmp files on disk after the crash (a torn write's).
+    pub tmp_after_crash: usize,
+    /// Tmp files on disk after the resume run, which must have removed
+    /// the orphans when it opened the directory.
+    pub tmp_after_resume: usize,
     /// Watermark the resume run reported loading, if any.
     pub resumed_watermark: Option<u64>,
     /// The watermarks (lowest, highest) the durability contract allows
@@ -132,12 +144,14 @@ pub struct CrashCell {
 
 impl CrashCell {
     /// Hard verdict: the child crashed, the resume loaded a cut inside
-    /// [`resume_bound`](Self::resume_bound) and finished, and its
-    /// hash/loss digest are bitwise equal to the uninterrupted baseline.
+    /// [`resume_bound`](Self::resume_bound), left no tmp file and
+    /// finished, and its hash/loss digest are bitwise equal to the
+    /// uninterrupted baseline.
     pub fn ok(&self) -> bool {
         let (lo, hi) = self.resume_bound;
         self.crashed
             && self.resumed_watermark.is_some_and(|w| lo <= w && w <= hi)
+            && self.tmp_after_resume == 0
             && match (self.baseline, self.resumed) {
                 (Some(b), Some(r)) => b == r,
                 _ => false,
@@ -188,6 +202,7 @@ struct ChildSpec<'a> {
     subnets: u64,
     seed: u64,
     interval: u64,
+    keep: usize,
     checkpoint_dir: Option<&'a Path>,
     resume: bool,
     kill_at: Option<(u32, u64)>,
@@ -213,7 +228,9 @@ fn run_child(bin: &Path, spec: &ChildSpec<'_>) -> std::io::Result<Output> {
         cmd.arg("--checkpoint-dir")
             .arg(dir)
             .arg("--checkpoint-interval")
-            .arg(spec.interval.to_string());
+            .arg(spec.interval.to_string())
+            .arg("--checkpoint-keep")
+            .arg(spec.keep.to_string());
     }
     if spec.resume {
         cmd.arg("--resume");
@@ -228,26 +245,33 @@ fn run_child(bin: &Path, spec: &ChildSpec<'_>) -> std::io::Result<Output> {
     cmd.output()
 }
 
-fn count_snapshots(dir: &Path) -> usize {
+/// The files in `dir` whose name passes `is`.
+fn count_files(dir: &Path, is: impl Fn(&str) -> bool) -> usize {
     std::fs::read_dir(dir)
         .map(|entries| {
             entries
                 .filter_map(Result::ok)
-                .filter(|e| {
-                    let name = e.file_name();
-                    let name = name.to_string_lossy();
-                    name.starts_with("ckpt-") && name.ends_with(".snap")
-                })
+                .filter(|e| is(&e.file_name().to_string_lossy()))
                 .count()
         })
         .unwrap_or(0)
 }
 
+fn is_snapshot(name: &str) -> bool {
+    name.starts_with("ckpt-") && name.ends_with(".snap")
+}
+
+fn is_tmp(name: &str) -> bool {
+    name.ends_with(".tmp")
+}
+
 /// Runs the crash matrix: for every `seed` × `gpus` × crash point, a
 /// baseline, a crashed, and a resumed child process, with bitwise
-/// verdicts per cell. Snapshot directories live under a fresh
-/// subdirectory of the system temp dir and are removed when the cell's
-/// verdict holds (kept for inspection when it fails).
+/// verdicts per cell. The recycled torn write is a crash point only when
+/// `n` subnets reach past a third cut (`3 * interval`). Snapshot
+/// directories live under a fresh subdirectory of the system temp dir and
+/// are removed when the cell's verdict holds (kept for inspection when it
+/// fails).
 ///
 /// # Panics
 ///
@@ -281,6 +305,7 @@ pub fn run_with_bin(
                 subnets: n,
                 seed,
                 interval,
+                keep: DEFAULT_KEEP,
                 checkpoint_dir: None,
                 resume: false,
                 kill_at: None,
@@ -292,22 +317,30 @@ pub fn run_with_bin(
 
             // Kill the last stage just past the second cut (handing that
             // one over waited for the first to be on disk), and die
-            // mid-way through the second snapshot.
+            // mid-way through the second snapshot; with a third cut, also
+            // mid-way through the third under keep 2, which recycles the
+            // first cut's file.
             assert!(2 * interval + 1 < n, "the kill point needs two cuts");
-            let points = [
+            let mut points = vec![
                 (
                     CrashPoint::KillAt {
                         stage: gpus - 1,
                         subnet: 2 * interval + 1,
                     },
+                    DEFAULT_KEEP,
                     (interval, 2 * interval),
                 ),
                 (
                     CrashPoint::MidWrite { persist_call: 2 },
+                    DEFAULT_KEEP,
                     (interval, interval),
                 ),
             ];
-            for (point, resume_bound) in points {
+            if 3 * interval < n {
+                let recycled = CrashPoint::MidWrite { persist_call: 3 };
+                points.push((recycled, 2, (2 * interval, 2 * interval)));
+            }
+            for (point, keep, resume_bound) in points {
                 let dir = scratch.join(format!("s{seed}-g{gpus}-{point}").replace([' ', ':'], "_"));
                 let _ = std::fs::remove_dir_all(&dir);
                 std::fs::create_dir_all(&dir).expect("scratch dir creatable");
@@ -317,6 +350,7 @@ pub fn run_with_bin(
                     CrashPoint::MidWrite { persist_call } => (None, Some(persist_call)),
                 };
                 let crash_spec = ChildSpec {
+                    keep,
                     checkpoint_dir: Some(&dir),
                     kill_at,
                     crash_write,
@@ -325,9 +359,11 @@ pub fn run_with_bin(
                 let crash_out = run_child(bin, &crash_spec)
                     .unwrap_or_else(|e| panic!("cannot spawn {}: {e}", bin.display()));
                 let crashed = !crash_out.status.success();
-                let snapshots_after_crash = count_snapshots(&dir);
+                let snapshots_after_crash = count_files(&dir, is_snapshot);
+                let tmp_after_crash = count_files(&dir, is_tmp);
 
                 let resume_spec = ChildSpec {
+                    keep,
                     checkpoint_dir: Some(&dir),
                     resume: true,
                     ..baseline_spec
@@ -342,8 +378,11 @@ pub fn run_with_bin(
                     seed,
                     gpus,
                     point,
+                    keep,
                     crashed,
                     snapshots_after_crash,
+                    tmp_after_crash,
+                    tmp_after_resume: count_files(&dir, is_tmp),
                     resumed_watermark,
                     resume_bound,
                     baseline,
@@ -387,12 +426,14 @@ pub fn render(run: &CrashRun) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<6} {:<6} {:<18} {:<8} {:<6} {:<8} {:<18} {:<18} verdict",
+        "{:<6} {:<6} {:<18} {:<4} {:<8} {:<6} {:<5} {:<8} {:<18} {:<18} verdict",
         "seed",
         "stages",
         "crash point",
+        "keep",
         "crashed",
         "snaps",
+        "tmp",
         "resume@",
         "baseline hash",
         "resumed hash"
@@ -400,12 +441,14 @@ pub fn render(run: &CrashRun) -> String {
     for c in &run.cells {
         let _ = writeln!(
             out,
-            "{:<6} {:<6} {:<18} {:<8} {:<6} {:<8} {:<18} {:<18} {}",
+            "{:<6} {:<6} {:<18} {:<4} {:<8} {:<6} {:<5} {:<8} {:<18} {:<18} {}",
             c.seed,
             c.gpus,
             c.point.to_string(),
+            c.keep,
             c.crashed,
             c.snapshots_after_crash,
+            format!("{}>{}", c.tmp_after_crash, c.tmp_after_resume),
             c.resumed_watermark
                 .map(|w| w.to_string())
                 .unwrap_or_else(|| "-".into()),
@@ -444,14 +487,18 @@ pub fn render_json(run: &CrashRun) -> String {
         }
         let _ = write!(
             out,
-            "{{\"seed\":{},\"gpus\":{},\"point\":\"{}\",\"crashed\":{},\
-             \"snapshots_after_crash\":{},\"resumed_watermark\":{},\
+            "{{\"seed\":{},\"gpus\":{},\"point\":\"{}\",\"keep\":{},\"crashed\":{},\
+             \"snapshots_after_crash\":{},\"tmp_after_crash\":{},\
+             \"tmp_after_resume\":{},\"resumed_watermark\":{},\
              \"baseline_hash\":{},\"resumed_hash\":{},\"ok\":{}}}",
             c.seed,
             c.gpus,
             c.point,
+            c.keep,
             c.crashed,
             c.snapshots_after_crash,
+            c.tmp_after_crash,
+            c.tmp_after_resume,
             c.resumed_watermark
                 .map(|w| w.to_string())
                 .unwrap_or_else(|| "null".into()),

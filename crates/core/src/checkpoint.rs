@@ -16,9 +16,16 @@
 //!
 //! A [`CheckpointStore`] collects the per-stage snapshots. A watermark is
 //! *complete* once all stages have reported; recovery always resumes from
-//! [`CheckpointStore::latest_complete`]. Lower complete watermarks are
-//! pruned as soon as a higher one completes — they can never be needed
-//! again, because no in-flight task predates the newest complete cut.
+//! [`CheckpointStore::latest_complete`]. A lower complete watermark is
+//! *retired* as soon as a higher one completes — it can never be resumed
+//! from again, because no in-flight task predates the newest complete
+//! cut. Its per-stage snapshots are not freed but kept as *spares*:
+//! whoever drops the retired cut's last `Arc` (the store, or the durable
+//! writer once it has persisted it) hands it to
+//! [`CheckpointStore::recycle`]. A stage's next cut takes its spare
+//! ([`CheckpointStore::take_spare`]) and [`StageSnapshot::refill`]s it,
+//! copying in place only the layers written since the spare's watermark,
+//! instead of cloning the whole slice.
 
 use naspipe_obs::SpanId;
 use naspipe_tensor::layers::DenseParams;
@@ -56,6 +63,36 @@ pub struct StageSnapshot {
     pub losses: BTreeMap<u64, f32>,
 }
 
+impl StageSnapshot {
+    /// Brings this snapshot of a stage, taken at an earlier watermark, up
+    /// to the stage's live state without reallocating its parameters: the
+    /// layers `written` names (`(block - blocks.start, choice)`, as
+    /// `params` is indexed) are copied in place, the engine and losses are
+    /// cloned. Every layer not named must be unchanged since this
+    /// snapshot was taken — the caller names at least every layer a
+    /// backward wrote since then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named layer is out of range or differs in shape from
+    /// its live counterpart: the snapshot is not of this stage.
+    pub fn refill(
+        &mut self,
+        params: &[Vec<DenseParams>],
+        written: impl IntoIterator<Item = (usize, usize)>,
+        engine: &NumericSupernet,
+        losses: &BTreeMap<u64, f32>,
+    ) {
+        for (b, c) in written {
+            let (dst, src) = (&mut self.params[b][c], &params[b][c]);
+            dst.weight.data_mut().copy_from_slice(src.weight.data());
+            dst.bias.data_mut().copy_from_slice(src.bias.data());
+        }
+        self.engine.clone_from(engine);
+        self.losses.clone_from(losses);
+    }
+}
+
 /// A complete consistent cut: all stages' snapshots at one watermark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -78,19 +115,24 @@ pub struct Checkpoint {
 /// [`latest_complete`](CheckpointStore::latest_complete) after a failure
 /// to pick the resume point. A complete cut is assembled once, by moving
 /// the stages' snapshots into one shared [`Checkpoint`]: the store, the
-/// durable writer and a resuming supervisor all hold the same `Arc`.
+/// durable writer and a resuming supervisor all hold the same `Arc`. A
+/// retired cut comes back through [`recycle`](CheckpointStore::recycle)
+/// and its snapshots wait, one per stage, for that stage's next cut.
 #[derive(Debug)]
 pub struct CheckpointStore {
     gpus: usize,
     slots: Mutex<Slots>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Slots {
     /// Cuts still collecting their stages' snapshots, by watermark.
     partial: BTreeMap<u64, Vec<Option<(StageSnapshot, SpanId)>>>,
     /// The newest complete cut.
     complete: Option<Arc<Checkpoint>>,
+    /// Per stage, the snapshot of the newest retired cut nobody else
+    /// holds, with that cut's watermark.
+    spares: Vec<Option<(u64, StageSnapshot)>>,
 }
 
 impl CheckpointStore {
@@ -103,7 +145,11 @@ impl CheckpointStore {
         assert!(gpus > 0, "need at least one stage");
         Self {
             gpus,
-            slots: Mutex::default(),
+            slots: Mutex::new(Slots {
+                partial: BTreeMap::new(),
+                complete: None,
+                spares: vec![None; gpus],
+            }),
         }
     }
 
@@ -161,8 +207,11 @@ impl CheckpointStore {
                 stages: parts.into_iter().flatten().map(|p| p.0).collect(),
                 cut_span: cut_span.unwrap_or(SpanId::EXTERNAL),
             });
-            // Replaces (drops the store's hold on) the older complete cut.
-            slots.complete = Some(Arc::clone(&cut));
+            // Retires the older complete cut: its snapshots become spares
+            // unless the durable writer still holds it.
+            if let Some(retired) = slots.complete.replace(Arc::clone(&cut)) {
+                slots.keep_spares(retired);
+            }
             return Some(cut);
         }
         // Bound partial-cut growth: drop the lowest incomplete entries
@@ -171,6 +220,30 @@ impl CheckpointStore {
             slots.partial.pop_first();
         }
         None
+    }
+
+    /// Drops a hold on `cut`. When it was the last one — the store has
+    /// retired the cut and nothing else holds it — the cut's snapshots
+    /// become its stages' spares (unless newer spares are waiting).
+    /// Recovers from a poisoned mutex (see [`record`](Self::record)).
+    pub fn recycle(&self, cut: Arc<Checkpoint>) {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots.keep_spares(cut);
+    }
+
+    /// Takes `stage`'s spare snapshot and the watermark it was taken at,
+    /// if there is one at or above `not_below`. A spare below it is
+    /// discarded: the caller cannot say which layers changed since then
+    /// (a respawned worker knows the writes since its resume watermark
+    /// only). Recovers from a poisoned mutex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range.
+    pub fn take_spare(&self, stage: usize, not_below: u64) -> Option<(u64, StageSnapshot)> {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let spare = slots.spares[stage].take();
+        spare.filter(|&(watermark, _)| watermark >= not_below)
     }
 
     /// The highest watermark every stage has snapshotted, if any.
@@ -191,6 +264,24 @@ impl CheckpointStore {
         let mut held: Vec<u64> = complete.chain(slots.partial.keys().copied()).collect();
         held.sort_unstable();
         held
+    }
+}
+
+impl Slots {
+    /// Keeps `cut`'s snapshots as spares if this was its last `Arc`
+    /// (`Arc::into_inner` hands the cut to exactly one of its holders).
+    fn keep_spares(&mut self, cut: Arc<Checkpoint>) {
+        let Some(Checkpoint {
+            watermark, stages, ..
+        }) = Arc::into_inner(cut)
+        else {
+            return;
+        };
+        for (spare, snapshot) in self.spares.iter_mut().zip(stages) {
+            if spare.as_ref().is_none_or(|&(held, _)| held < watermark) {
+                *spare = Some((watermark, snapshot));
+            }
+        }
     }
 }
 
@@ -257,6 +348,81 @@ mod tests {
         let ckpt = store.latest_complete().expect("complete");
         assert_eq!(ckpt.stages[0].losses.get(&3), Some(&0.5));
         assert_eq!(ckpt.cut_span, SpanId(2), "replayed span ids are ignored");
+    }
+
+    /// A snapshot told apart by its losses.
+    fn tagged(tag: u64) -> StageSnapshot {
+        StageSnapshot {
+            losses: BTreeMap::from([(tag, 0.5)]),
+            ..snap()
+        }
+    }
+
+    fn complete(store: &CheckpointStore, watermark: u64) -> Arc<Checkpoint> {
+        store.record(watermark, 0, tagged(watermark), SpanId(watermark));
+        let cut = store.record(watermark, 1, tagged(watermark + 1), SpanId(watermark));
+        cut.expect("both stages reported")
+    }
+
+    #[test]
+    fn a_retired_cut_becomes_spares_for_whoever_drops_it_last() {
+        let store = CheckpointStore::new(2);
+        // Nobody else holds cut 4: retiring it keeps its snapshots.
+        drop(complete(&store, 4));
+        assert!(store.take_spare(0, 0).is_none(), "cut 4 is not retired yet");
+        let held = complete(&store, 8);
+        let (watermark, spare) = store.take_spare(1, 0).expect("cut 4 was retired");
+        assert_eq!((watermark, spare), (4, tagged(5)));
+        assert!(store.take_spare(1, 0).is_none(), "taken once");
+        // The writer still holds cut 8 when 12 retires it, and hands it
+        // back after: the last drop is the one that recycles.
+        drop(complete(&store, 12));
+        assert_eq!(store.take_spare(0, 0).map(|s| s.0), Some(4));
+        store.recycle(held);
+        assert_eq!(store.take_spare(0, 0), Some((8, tagged(8))));
+        // A recycle while the store still holds the cut keeps nothing.
+        store.recycle(store.latest_complete().expect("cut 12"));
+        assert_eq!(store.take_spare(1, 0).map(|s| s.0), Some(8));
+    }
+
+    #[test]
+    fn spares_below_the_resume_watermark_are_discarded() {
+        let store = CheckpointStore::new(2);
+        drop(complete(&store, 4));
+        drop(complete(&store, 8));
+        assert!(store.take_spare(0, 8).is_none(), "4 < 8: unusable");
+        assert!(store.take_spare(0, 0).is_none(), "and gone");
+        assert_eq!(store.take_spare(1, 4).map(|s| s.0), Some(4));
+        // An older cut recycled late never replaces a newer spare.
+        let late = complete(&store, 12);
+        drop(complete(&store, 16));
+        let older = Arc::new(Checkpoint {
+            watermark: 2,
+            stages: vec![tagged(2), tagged(3)],
+            cut_span: SpanId::EXTERNAL,
+        });
+        store.recycle(older);
+        store.recycle(late);
+        assert_eq!(store.take_spare(0, 0).map(|s| s.0), Some(12));
+    }
+
+    #[test]
+    fn refill_copies_only_the_named_layers() {
+        let dense = |v: f32| naspipe_tensor::layers::DenseParams {
+            weight: naspipe_tensor::Tensor::from_vec(vec![v; 4], &[2, 2]),
+            bias: naspipe_tensor::Tensor::from_vec(vec![v; 2], &[1, 2]),
+        };
+        let mut spare = StageSnapshot {
+            params: vec![vec![dense(0.0), dense(1.0)], vec![dense(2.0)]],
+            ..snap()
+        };
+        let live = vec![vec![dense(0.0), dense(9.0)], vec![dense(8.0)]];
+        let engine = NumericSupernet::new(0.1);
+        let losses = BTreeMap::from([(3, 0.25)]);
+        spare.refill(&live, [(0, 1)], &engine, &losses);
+        assert_eq!(spare.params[0][1], dense(9.0));
+        assert_eq!(spare.params[1][0], dense(2.0), "not named: kept");
+        assert_eq!((spare.engine, spare.losses), (engine, losses));
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! # Durability model
 //!
-//! * **Atomic writes.** A snapshot is encoded into a buffer, written to a
-//!   `*.tmp` sibling, flushed (`sync_all`), and atomically renamed to its
+//! * **Atomic writes.** A snapshot is encoded in 64 KiB pieces straight
+//!   into a `*.tmp` sibling (new, or a recycled old cut — see retention),
+//!   its checksum taken as the pieces leave, so a persist never holds the
+//!   whole encoding; then flushed (`sync_all`) and atomically renamed to its
 //!   final `ckpt-<watermark>.snap` name. A crash at any byte of the write
 //!   leaves either the previous snapshot set intact or an orphaned tmp
 //!   file the loader never reads — torn snapshots are impossible by
@@ -28,7 +30,10 @@
 //! * **Retention.** The directory listing is the index: persisting a cut
 //!   prunes the `ckpt-*.snap` files below it beyond the newest `keep - 1`;
 //!   the loader prefers the newest valid snapshot and falls back cut by
-//!   cut, so one corrupt file never loses the run.
+//!   cut, so one corrupt file never loses the run. The oldest pruned file
+//!   is not unlinked but becomes the new cut's tmp file, rewritten in
+//!   place — only with `keep >= 2`, so a complete cut stays on disk for
+//!   the whole write; the bytes written are the same either way.
 //! * **Off the stage threads.** [`crate::runtime`] hands each completed
 //!   cut to one writer thread that owns the [`DurableStore`]: cut `W` is on
 //!   disk before cut `W + interval` is handed over.
@@ -41,18 +46,17 @@ use naspipe_obs::SpanId;
 use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::Subnet;
-use naspipe_tensor::hash::{fnv1a, fnv1a_words, FNV_OFFSET};
+use naspipe_tensor::hash::{fnv1a, fnv1a_words, WordHasher, FNV_OFFSET};
 use naspipe_tensor::layers::{DenseGrads, DenseParams};
 use naspipe_tensor::model::{NumericSupernet, Optimizer};
 use naspipe_tensor::optim::{MomentumSgd, Sgd};
 use naspipe_tensor::tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Magic prefix of every snapshot file.
 pub const SNAP_MAGIC: &[u8; 12] = b"NASPIPE-SNAP";
@@ -236,13 +240,52 @@ pub fn run_fingerprint(
 // v2 encoding
 // ---------------------------------------------------------------------------
 
-/// Appends to a caller-owned buffer, so [`DurableStore::persist`] reuses
-/// one allocation for every cut of a run.
+/// Bytes the encoder gathers before handing them on: persisting a cut
+/// holds about this much of its encoding, never the whole of it.
+const ENC_CHUNK: usize = 1 << 16;
+
+/// Builds the v2 encoding in `buf`. With an `out`, the whole words move
+/// on to it, checksummed as they leave, whenever `buf` holds a chunk
+/// ([`ENC_CHUNK`]); without one, `buf` ends holding the whole encoding.
+/// The first write error is kept, later writes are skipped, and
+/// [`finish`](Self::finish) returns it.
 struct Enc<'a> {
-    buf: &'a mut Vec<u8>,
+    buf: Vec<u8>,
+    out: Option<&'a mut dyn Write>,
+    sum: WordHasher,
+    sent: usize,
+    err: Option<std::io::Error>,
 }
 
 impl Enc<'_> {
+    fn spill(&mut self) {
+        if self.buf.len() < ENC_CHUNK {
+            return;
+        }
+        let Some(out) = self.out.as_mut() else {
+            return;
+        };
+        let words = self.buf.len() & !7;
+        self.sum.update(&self.buf[..words]);
+        if self.err.is_none() {
+            self.err = out.write_all(&self.buf[..words]).err();
+        }
+        self.sent += words;
+        self.buf.drain(..words);
+    }
+
+    /// Appends the trailing checksum and writes what `out` has not had
+    /// yet; returns `buf` and the length of the whole encoding.
+    fn finish(mut self) -> std::io::Result<(Vec<u8>, usize)> {
+        let checksum = self.sum.finish(&self.buf);
+        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        if let (Some(out), None) = (self.out, &self.err) {
+            self.err = out.write_all(&self.buf).err();
+        }
+        let len = self.sent + self.buf.len();
+        self.err.map_or(Ok((self.buf, len)), Err)
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -268,6 +311,7 @@ impl Enc<'_> {
         for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(t.data()) {
             dst.copy_from_slice(&x.to_bits().to_le_bytes());
         }
+        self.spill();
     }
     fn dense(&mut self, p: &DenseParams) {
         self.tensor(&p.weight);
@@ -425,7 +469,7 @@ fn decode_engine(dec: &mut Dec<'_>) -> Result<NumericSupernet, String> {
 }
 
 /// Exact encoded size of `ckpt`, trailer included — the grammar of
-/// [`encode_into`] with every field replaced by its width.
+/// [`encode_to`] with every field replaced by its width.
 fn encoded_len(ckpt: &Checkpoint) -> usize {
     let tensor = |t: &Tensor| 4 + 4 * t.shape().len() + 4 * t.data().len();
     let stage = |s: &StageSnapshot| {
@@ -444,13 +488,26 @@ fn encoded_len(ckpt: &Checkpoint) -> usize {
     HEADER_LEN + ckpt.stages.iter().map(stage).sum::<usize>() + 8
 }
 
-/// Appends the v2 encoding of `ckpt` (trailing checksum included) to the
-/// emptied `buf`, growing it at most once.
-fn encode_into(buf: &mut Vec<u8>, ckpt: &Checkpoint, fingerprint: u64) {
-    buf.clear();
-    let len = encoded_len(ckpt);
-    buf.reserve_exact(len);
-    let mut enc = Enc { buf };
+/// Encodes `ckpt` (trailing checksum included) into `out` in pieces of
+/// about [`ENC_CHUNK`] bytes, or without an `out` into the returned
+/// buffer; returns the buffer and the encoding's length.
+fn encode_to(
+    out: Option<&mut dyn Write>,
+    ckpt: &Checkpoint,
+    fingerprint: u64,
+) -> std::io::Result<(Vec<u8>, usize)> {
+    let capacity = if out.is_some() {
+        2 * ENC_CHUNK
+    } else {
+        encoded_len(ckpt)
+    };
+    let mut enc = Enc {
+        buf: Vec::with_capacity(capacity),
+        out,
+        sum: WordHasher::new(FNV_OFFSET),
+        sent: 0,
+        err: None,
+    };
     enc.buf.extend_from_slice(SNAP_MAGIC);
     enc.u32(SNAP_VERSION);
     enc.u64(fingerprint);
@@ -471,9 +528,13 @@ fn encode_into(buf: &mut Vec<u8>, ckpt: &Checkpoint, fingerprint: u64) {
             enc.f32(loss);
         }
     }
-    let checksum = fnv1a_words(FNV_OFFSET, enc.buf);
-    enc.u64(checksum);
-    debug_assert_eq!(buf.len(), len, "encoded_len disagrees with the encoder");
+    let (buf, len) = enc.finish()?;
+    debug_assert_eq!(
+        len,
+        encoded_len(ckpt),
+        "encoded_len disagrees with the encoder"
+    );
+    Ok((buf, len))
 }
 
 /// Encodes `ckpt` into the v2 byte format (including trailing checksum).
@@ -481,9 +542,8 @@ fn encode_into(buf: &mut Vec<u8>, ckpt: &Checkpoint, fingerprint: u64) {
 ///
 /// Exposed for tests; use [`DurableStore::persist`] to write files.
 pub fn encode_snapshot(ckpt: &Checkpoint, fingerprint: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(&mut buf, ckpt, fingerprint);
-    buf
+    let encoded = encode_to(None, ckpt, fingerprint).expect("nothing is written");
+    encoded.0
 }
 
 /// Parses a v2 snapshot, validating magic, version, checksum, and (when
@@ -625,8 +685,6 @@ pub struct DurableStore {
     fingerprint: u64,
     // `NASPIPE_CRASH_WRITE=<n>`, read once at open.
     crash_write: Option<u64>,
-    // The encode buffer, reused by every persist of the run.
-    buf: Mutex<Vec<u8>>,
 }
 
 impl DurableStore {
@@ -654,7 +712,6 @@ impl DurableStore {
             crash_write: std::env::var("NASPIPE_CRASH_WRITE")
                 .ok()
                 .and_then(|v| v.parse().ok()),
-            buf: Mutex::new(Vec::new()),
         })
     }
 
@@ -668,8 +725,14 @@ impl DurableStore {
         self.fingerprint
     }
 
-    /// Atomically persists `ckpt`, then prunes the cuts below it beyond
-    /// the retention limit. Returns the final snapshot path.
+    /// Atomically persists `ckpt`, pruning the cuts below it beyond the
+    /// retention limit. Returns the final snapshot path.
+    ///
+    /// The oldest cut retention prunes is not unlinked but renamed to
+    /// this write's tmp name and overwritten in place — when another
+    /// complete cut stays on disk for the whole write (`keep >= 2`);
+    /// otherwise the tmp file is created. Either way the file ends as the
+    /// v2 encoding of `ckpt` and nothing else.
     ///
     /// Honors the `NASPIPE_CRASH_WRITE=<n>` chaos hook: the n-th persist
     /// call process-wide aborts after writing *half* of the tmp file —
@@ -679,24 +742,43 @@ impl DurableStore {
     /// # Errors
     ///
     /// Surfaces I/O failures as [`DurableError::Io`]; the directory is
-    /// left with the previous snapshot set intact. Once the rename has
-    /// happened the cut is durable and the call succeeds: pruning is best
-    /// effort.
+    /// left with the previous snapshot set intact, less the cut this
+    /// write recycled (one retention was about to prune). Once the rename
+    /// has happened the cut is durable and the call succeeds: pruning is
+    /// best effort.
     pub fn persist(&self, ckpt: &Checkpoint) -> Result<PathBuf, DurableError> {
-        let mut bytes = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
-        encode_into(&mut bytes, ckpt, self.fingerprint);
         let final_path = self.dir.join(snapshot_file_name(ckpt.watermark));
         let tmp_path = self
             .dir
             .join(format!(".{}.tmp", snapshot_file_name(ckpt.watermark)));
+        // Retention: this cut and the newest `keep - 1` below it stay
+        // (files *above* it are another run's or a corrupt cut about to be
+        // rewritten; they must never evict the one just written).
+        let listed = self.list_snapshots().unwrap_or_default();
+        let below = listed.iter().rev().filter(|&&w| w < ckpt.watermark);
+        let mut pruned: Vec<u64> = below.skip(self.keep - 1).copied().collect();
+        let recycled = self.keep >= 2
+            && pruned.last().is_some_and(|&oldest| {
+                let oldest = self.dir.join(snapshot_file_name(oldest));
+                fs::rename(oldest, &tmp_path).is_ok()
+            });
+        if recycled {
+            pruned.pop();
+        }
 
         let call = PERSIST_CALLS.fetch_add(1, Ordering::SeqCst) + 1;
         {
-            let mut f = File::create(&tmp_path).map_err(|e| io_err(&tmp_path, "create", &e))?;
+            let mut f = if recycled {
+                let f = OpenOptions::new().write(true).open(&tmp_path);
+                f.map_err(|e| io_err(&tmp_path, "open", &e))?
+            } else {
+                File::create(&tmp_path).map_err(|e| io_err(&tmp_path, "create", &e))?
+            };
             if self.crash_write == Some(call) {
                 // Torn write: half the bytes hit the disk, then the
                 // process dies without renaming. abort() skips all
                 // destructors and exit handlers, like SIGKILL would.
+                let bytes = encode_snapshot(ckpt, self.fingerprint);
                 let half = bytes.len() / 2;
                 let _ = f.write_all(&bytes[..half]);
                 let _ = f.sync_all();
@@ -706,8 +788,13 @@ impl DurableStore {
                 );
                 std::process::abort();
             }
-            f.write_all(&bytes)
+            let (_, len) = encode_to(Some(&mut f), ckpt, self.fingerprint)
                 .map_err(|e| io_err(&tmp_path, "write", &e))?;
+            if recycled {
+                // Cut the old cut's bytes past this encoding.
+                f.set_len(len as u64)
+                    .map_err(|e| io_err(&tmp_path, "set_len", &e))?;
+            }
             f.sync_all().map_err(|e| io_err(&tmp_path, "sync", &e))?;
         }
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&final_path, "rename", &e))?;
@@ -716,12 +803,7 @@ impl DurableStore {
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        // Retention: this cut and the newest `keep - 1` below it stay
-        // (files *above* it are another run's or a corrupt cut about to be
-        // rewritten; they must never evict the one just written).
-        let older = self.list_snapshots().unwrap_or_default();
-        let older = older.iter().rev().filter(|&&w| w < ckpt.watermark);
-        for &w in older.skip(self.keep - 1) {
+        for w in pruned {
             let _ = fs::remove_file(self.dir.join(snapshot_file_name(w)));
         }
         Ok(final_path)

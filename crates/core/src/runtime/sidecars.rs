@@ -2,7 +2,7 @@
 //! snapshot writer.
 
 use super::elapsed_us;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::durable::DurableStore;
 use naspipe_obs::{Counter, EventBus, RunEvent};
 use std::fmt;
@@ -25,14 +25,21 @@ enum Handoff {
 /// *takes* the message, which it does only between persists — so they
 /// reach disk in hand-off (= watermark) order, at most one in flight:
 /// cut `W` is on disk before cut `W + interval` is handed over, and a
-/// kill loses at most the newest cut.
+/// kill loses at most the newest cut. A persisted cut goes back to the
+/// checkpoint store, which keeps its snapshots as spares once it is
+/// retired.
 pub(super) struct DurableWriter {
     tx: Option<SyncSender<Handoff>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl DurableWriter {
-    pub(super) fn start(store: DurableStore, bus: EventBus, epoch: Instant) -> Self {
+    pub(super) fn start(
+        store: DurableStore,
+        ckpts: Arc<CheckpointStore>,
+        bus: EventBus,
+        epoch: Instant,
+    ) -> Self {
         let (tx, rx) = sync_channel(0);
         let hub = Arc::clone(bus.hub().expect("a wall-clock bus always has a hub"));
         let handle = std::thread::Builder::new()
@@ -47,7 +54,7 @@ impl DurableWriter {
                     // Persist failures are non-fatal: a full disk
                     // degrades durability, not training.
                     let persisted = store.persist(&cut);
-                    drop(cut);
+                    ckpts.recycle(cut);
                     let event = match &persisted {
                         Ok(_) => {
                             // Counted for the stage that closed the cut.
@@ -176,7 +183,8 @@ mod tests {
         let (bus, state) = journaled_bus();
         let hub = Arc::clone(bus.hub().expect("a wall-clock bus has a hub"));
         let store = DurableStore::open(&dir, 2, 7).unwrap();
-        let mut writer = DurableWriter::start(store, bus.clone(), Instant::now());
+        let ckpts = Arc::new(CheckpointStore::new(1));
+        let mut writer = DurableWriter::start(store, ckpts, bus.clone(), Instant::now());
         for (stage, watermark) in [(1, 8), (0, 16), (1, 24)] {
             writer.hand_over(stage, empty_cut(watermark), &bus, Instant::now());
         }

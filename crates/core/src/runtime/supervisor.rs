@@ -177,7 +177,10 @@ impl Supervisor {
         // that dies leaves its allocator arena to the next one that starts,
         // and in this order each thread of the next run finds the arena its
         // twin grew (see the join in `run_incarnation`).
-        ctx.writer = durable.map(|store| DurableWriter::start(store, ctx.bus.clone(), ctx.epoch));
+        ctx.writer = durable.map(|store| {
+            let ckpts = ctx.ckpts.clone().expect("validated: durable has cuts");
+            DurableWriter::start(store, ckpts, ctx.bus.clone(), ctx.epoch)
+        });
         // Seed the in-memory checkpoint store with the durable cut: every
         // incarnation resumes from the store's newest complete cut, so
         // incarnation 0 starts exactly as the uninterrupted run's workers

@@ -66,7 +66,8 @@ impl From<TrainError> for Halt {
 
 /// The last completed backward — `(subnet, its span, its end µs)` — per
 /// owned `(block, choice)` layer: what names the binding CSP writer of a
-/// later forward. One slot per owned layer, so a lookup costs the
+/// later forward, and the layers a checkpoint cut copies into its spare
+/// snapshot. One slot per owned layer, so a lookup costs the
 /// forward's slice layers and the whole table is bounded by the stage's
 /// share of the supernet, however many subnets finish.
 struct LastWriters {
@@ -102,6 +103,20 @@ impl LastWriters {
         }
     }
 
+    /// The owned layers, as slot coordinates, whose last writer is
+    /// `watermark` or above: every layer a backward wrote since the cut
+    /// at `watermark`, provided no write since then predates the slots
+    /// (a respawned worker's start from its resume cut).
+    fn written_since(&self, watermark: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.slots.iter().enumerate().flat_map(move |(b, block)| {
+            let since = move |(c, slot): (usize, &Option<(u64, SpanId, u64)>)| {
+                slot.is_some_and(|(x, _, _)| x >= watermark)
+                    .then_some((b, c))
+            };
+            block.iter().enumerate().filter_map(since)
+        })
+    }
+
     /// The latest-finishing earlier writer of any layer `subnet` is
     /// about to read. Under CSP every slot `subnet` reads was last
     /// written by a subnet below it (a higher one sharing the layer is
@@ -131,7 +146,8 @@ pub(super) struct RunContext {
     // `Duration::MAX` (no timeout configured) waits forever: std treats
     // a deadline that overflows as none.
     recv_timeout: Duration,
-    pub ckpts: Option<CheckpointStore>,
+    // Shared with the durable writer, which recycles the cuts it persisted.
+    pub ckpts: Option<Arc<CheckpointStore>>,
     ckpt_interval: u64,
     // Where a complete cut goes to be persisted (None = in-memory
     // checkpoints only).
@@ -164,7 +180,8 @@ impl RunContext {
             window: spec.window,
             injector: FaultInjector::new(opts.fault_plan),
             recv_timeout: (opts.recv_timeout_ms).map_or(Duration::MAX, Duration::from_millis),
-            ckpts: (opts.checkpoint_interval > 0).then(|| CheckpointStore::new(gpus as usize)),
+            ckpts: (opts.checkpoint_interval > 0)
+                .then(|| Arc::new(CheckpointStore::new(gpus as usize))),
             ckpt_interval: opts.checkpoint_interval,
             writer: None,
             epoch: Instant::now(),
@@ -654,6 +671,11 @@ impl<'a> StageWorker<'a> {
     /// that moment the stage's state is *exactly* the sequential state
     /// after `next_ckpt` subnets — no task of any later subnet has run
     /// anywhere — which the `debug_assert`s below audit.
+    ///
+    /// The snapshot refills this stage's spare — its snapshot of a
+    /// retired cut at `Ws` — with only the layers written since `Ws`
+    /// (the last-writer slots name them), and is a fresh clone only when
+    /// there is no spare at or above the incarnation's resume watermark.
     fn maybe_checkpoint(&mut self) {
         let ctx = self.ctx;
         let Some(store) = &ctx.ckpts else {
@@ -669,10 +691,23 @@ impl<'a> StageWorker<'a> {
             debug_assert!(self.ctxs.is_empty(), "in-flight forward at watermark");
             debug_assert!(self.queues.is_empty(), "queued task at watermark");
             let snap_start = elapsed_us(ctx.epoch);
-            let snapshot = StageSnapshot {
-                params: self.params.clone(),
-                engine: self.engine.clone(),
-                losses: self.losses.clone(),
+            let snapshot = match store.take_spare(self.stage, self.inc.watermark) {
+                Some((since, mut spare)) => {
+                    let written = self.writers.written_since(since);
+                    spare.refill(&self.params, written, &self.engine, &self.losses);
+                    debug_assert!(
+                        spare.params == self.params,
+                        "stage {}: the refilled snapshot at {} differs from the live slice",
+                        self.stage,
+                        self.next_ckpt
+                    );
+                    spare
+                }
+                None => StageSnapshot {
+                    params: self.params.clone(),
+                    engine: self.engine.clone(),
+                    losses: self.losses.clone(),
+                },
             };
             let span = self.tracer.emit(SpanDraft::new(
                 self.stage as u32,

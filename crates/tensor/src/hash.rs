@@ -40,12 +40,50 @@ pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 /// with probability 1 - 2^-64.
 #[inline]
 pub fn fnv1a_words(state: u64, bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
-    let h = words.by_ref().fold(state, |h, w| {
-        (h ^ u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))).wrapping_mul(FNV_PRIME)
-    });
-    let h = fnv1a(h, words.remainder());
-    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
+    WordHasher::new(state).finish(bytes)
+}
+
+/// [`fnv1a_words`] over bytes that arrive in pieces, so a stream can be
+/// checksummed without holding it: whole words go through
+/// [`update`](Self::update), the last piece through
+/// [`finish`](Self::finish). Fed the pieces of `bytes`, split anywhere at
+/// multiples of 8, it finishes at `fnv1a_words(state, bytes)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordHasher {
+    state: u64,
+    len: u64,
+}
+
+impl WordHasher {
+    /// A hasher in `state` that has absorbed nothing.
+    pub fn new(state: u64) -> Self {
+        Self { state, len: 0 }
+    }
+
+    /// Absorbs `words`, one xor-multiply step per 8 bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` is not a multiple of 8: a tail belongs in
+    /// [`finish`](Self::finish).
+    #[inline]
+    pub fn update(&mut self, words: &[u8]) {
+        assert!(words.len().is_multiple_of(8), "a partial word is a tail");
+        self.state = words.chunks_exact(8).fold(self.state, |h, w| {
+            (h ^ u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))).wrapping_mul(FNV_PRIME)
+        });
+        self.len += words.len() as u64;
+    }
+
+    /// Absorbs the last piece (any length: its whole words, then its
+    /// tail byte by byte) and folds in the total length.
+    #[inline]
+    pub fn finish(mut self, last: &[u8]) -> u64 {
+        let (words, tail) = last.split_at(last.len() & !7);
+        self.update(words);
+        let h = fnv1a(self.state, tail);
+        (h ^ (self.len + tail.len() as u64)).wrapping_mul(FNV_PRIME)
+    }
 }
 
 /// Incrementally computes an FNV-1a fingerprint over f32 bit patterns.
@@ -172,6 +210,20 @@ mod tests {
             fnv1a_words(FNV_OFFSET, &[0; 8]),
             fnv1a_words(FNV_OFFSET, &[0; 16])
         );
+    }
+
+    #[test]
+    fn word_hasher_fed_in_pieces_is_the_one_shot_checksum() {
+        let bytes: Vec<u8> = (0..101u8).map(|i| i.wrapping_mul(29) ^ 0x3c).collect();
+        for split in (0..=bytes.len()).step_by(8) {
+            for second in (split..=bytes.len()).step_by(8) {
+                let mut h = WordHasher::new(FNV_OFFSET);
+                h.update(&bytes[..split]);
+                h.update(&bytes[split..second]);
+                let got = h.finish(&bytes[second..]);
+                assert_eq!(got, fnv1a_words(FNV_OFFSET, &bytes), "{split}, {second}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `CARGO_BIN_EXE_naspipe` (cargo builds it for integration tests).
 
 use naspipe::core::config::DiagnosticsOptions;
-use naspipe::core::durable::{load_latest_in, snapshot_file_name, DurableError};
+use naspipe::core::durable::{decode_snapshot, load_latest_in, snapshot_file_name, DurableError};
 use naspipe::core::fault::FaultPlan;
 use naspipe::core::replay_gate::{self, loss_digest, ScheduleDigest};
 use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec, TrainError};
@@ -17,6 +17,7 @@ use naspipe::core::train::{sequential_training, TrainConfig};
 use naspipe::obs::{Journal, OpsState, RunMeta, TelemetryHub};
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
+use naspipe::tensor::model::ParamStore;
 use naspipe_bench::experiments::crash;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -90,6 +91,32 @@ fn kill_and_resume_matrix_is_bitwise_identical() {
             "cell {c:?} resumed outside {allowed:?}"
         );
     }
+    assert!(r.all_ok(), "matrix failed:\n{}", crash::render(&r));
+}
+
+/// With a third cut in the stream the matrix tears the third write under
+/// keep 2, which renamed the first cut's file to its tmp name: only the
+/// second cut is left complete, the torn tmp is the orphan, and the resume
+/// comes from exactly the second cut, removes the orphan and matches the
+/// baseline bitwise.
+#[test]
+fn torn_write_into_a_recycled_file_resumes_from_the_cut_before() {
+    let r = crash::run_with_bin(naspipe_bin(), SpaceId::NlpC2, 32, 8, &[5], &[3]);
+    let recycled = crash::CrashPoint::MidWrite { persist_call: 3 };
+    let cell = r.cells.iter().find(|c| c.point == recycled);
+    let cell = cell.expect("32 subnets reach a third cut");
+    assert_eq!(cell.keep, 2);
+    assert!(cell.crashed, "{cell:?}");
+    assert_eq!(
+        (cell.snapshots_after_crash, cell.tmp_after_crash),
+        (1, 1),
+        "the first cut's file became the torn tmp: {cell:?}"
+    );
+    assert_eq!(cell.resumed_watermark, Some(16));
+    assert_eq!(
+        cell.tmp_after_resume, 0,
+        "the resume's open removed the orphan"
+    );
     assert!(r.all_ok(), "matrix failed:\n{}", crash::render(&r));
 }
 
@@ -443,6 +470,43 @@ fn failed_run_writes_nothing_after_it_returns() {
     assert_eq!(listing(&w), at_return);
     let journal = w.state.journal().snapshot();
     assert_eq!(journal.last().map(|e| e.kind.as_str()), Some("run-failed"));
+    let _ = std::fs::remove_dir_all(&w.dir);
+}
+
+/// A restart resumes from a cut while the checkpoint store still holds an
+/// older spare it must not refill: a fatal fault past the third cut rolls
+/// back to 12 with cut 8's snapshots spare, so the next cuts are fresh
+/// clones until a spare at or above 12 exists, then refills. Every cut the
+/// run completed — all kept on disk here — is the sequential state over
+/// its prefix (debug builds also compare every refill with the live slice
+/// inside the worker).
+#[test]
+fn cuts_across_a_restart_are_the_sequential_state_over_their_prefix() {
+    let w = WriterRun::new("writer-restart");
+    let plan = FaultPlan::new().panic_on(1, 13, TaskKind::Forward);
+    let spec = w.spec(30, 64, plan);
+    let subnets = spec.subnets.clone();
+    let run = spec.run().expect("recovers from one panic");
+    assert_eq!(run.recovery.resume_watermarks, [12]);
+    let seq = sequential_training(&w.space, &subnets, &w.cfg);
+    assert_eq!(run.result.final_hash, seq.final_hash);
+    let cuts: Vec<u64> = (4..30).step_by(4).collect();
+    assert_eq!(
+        w.files(),
+        cuts.iter()
+            .map(|&c| snapshot_file_name(c))
+            .collect::<Vec<_>>()
+    );
+    for watermark in cuts {
+        let path = w.dir.join(snapshot_file_name(watermark));
+        let bytes = std::fs::read(&path).unwrap();
+        let (cut, _) = decode_snapshot(&bytes, &path, None).expect("a complete cut");
+        let slices = cut.stages.into_iter().flat_map(|s| s.params);
+        let at_cut = ParamStore::from_blocks(w.cfg.dim, slices.collect());
+        let prefix = &subnets[..watermark as usize];
+        let want = sequential_training(&w.space, prefix, &w.cfg).final_hash;
+        assert_eq!(at_cut.bitwise_hash(), want, "cut {watermark}");
+    }
     let _ = std::fs::remove_dir_all(&w.dir);
 }
 

@@ -222,6 +222,144 @@ fn trailer_is_the_word_wise_checksum_of_the_body() {
     assert_eq!(trailer, fnv1a_words(FNV_OFFSET, body).to_le_bytes());
 }
 
+/// A cut of many odd-sized tensors (60- and 20-byte slabs, so words
+/// straddle tensors) whose encoding spans many of the encoder's chunks:
+/// its bytes are pinned to the encoding recorded before the encoder
+/// streamed, and its trailer is the one-shot checksum of its body.
+#[test]
+fn a_cut_spanning_many_chunks_encodes_to_the_recorded_bytes() {
+    let t = |r: usize, c: usize, seed: f32| {
+        let data = (0..r * c).map(|i| seed + i as f32 * 0.001).collect();
+        Tensor::from_vec(data, &[r, c])
+    };
+    let stage = |k: f32| StageSnapshot {
+        params: (0..40)
+            .map(|b| {
+                let dense = |c| DenseParams {
+                    weight: t(3, 5, k + b as f32 + c as f32 * 0.25),
+                    bias: t(1, 5, -k - c as f32),
+                };
+                (0..41).map(dense).collect()
+            })
+            .collect(),
+        engine: NumericSupernet::from_parts(Optimizer::Sgd(Sgd::new(0.05)), 1.0),
+        losses: (0..37).map(|i| (i, i as f32 / 3.0)).collect(),
+    };
+    let cut = Checkpoint {
+        watermark: 96,
+        stages: vec![stage(1.0), stage(-2.5), stage(7.0)],
+        cut_span: SpanId::EXTERNAL,
+    };
+    let bytes = encode_snapshot(&cut, 0xabcd);
+    let digest = naspipe::tensor::hash::fnv1a(FNV_OFFSET, &bytes);
+    assert_eq!((bytes.len(), digest), (RECORDED_LEN, RECORDED_DIGEST));
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    assert_eq!(trailer, fnv1a_words(FNV_OFFSET, body).to_le_bytes());
+
+    // A persist streams the same bytes, into a created file and (the
+    // third cut under keep 2) into a recycled one.
+    let dir = std::env::temp_dir().join(format!("naspipe-durable-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = naspipe::core::durable::DurableStore::open(&dir, 2, 0xabcd).unwrap();
+    let mut cut = cut;
+    for watermark in [96, 104, 112] {
+        cut.watermark = watermark;
+        let path = store.persist(&cut).unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), encode_snapshot(&cut, 0xabcd));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `encode_snapshot` of that cut under the whole-buffer encoder.
+const RECORDED_LEN: usize = 513_587;
+const RECORDED_DIGEST: u64 = 0x943e_2240_085a_1b30;
+
+/// The cut persisted at `watermark` by the retention test: the
+/// representative cut with weights shifted by the watermark and the
+/// second stage carrying `losses` entries, so encodings differ in
+/// content and length from cut to cut.
+fn cut_at(watermark: u64, losses: u64) -> Checkpoint {
+    let mut cut = representative();
+    cut.watermark = watermark;
+    for p in cut
+        .stages
+        .iter_mut()
+        .flat_map(|s| s.params.iter_mut().flatten())
+    {
+        p.weight
+            .data_mut()
+            .iter_mut()
+            .for_each(|x| *x += watermark as f32);
+    }
+    cut.stages[1].losses = (0..losses).map(|i| (i, i as f32 / 8.0)).collect();
+    cut
+}
+
+/// Every file name in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name());
+    let mut names: Vec<String> = names.map(|n| n.to_string_lossy().into_owned()).collect();
+    names.sort();
+    names
+}
+
+/// Persisting rewrites the cut retention drops next in place, and that
+/// changes no byte: ten cuts whose encodings grow and then shrink leave,
+/// after every persist, exactly the newest `keep` cuts, each file equal to
+/// `encode_snapshot` of its cut, and no tmp file. The file of the `i`-th
+/// cut is the inode of the `(i - 3)`-th under keep 3 (recycled), and never
+/// the inode of the cut it replaced under keep 1 (created: a lone cut is
+/// never overwritten).
+#[cfg(unix)]
+#[test]
+fn persisted_files_are_their_encodings_and_retention_holds_while_recycling() {
+    use naspipe::core::durable::{snapshot_file_name, DurableStore};
+    use std::os::unix::fs::MetadataExt;
+    let losses = [0u64, 3, 9, 27, 81, 40, 12, 2, 1, 0];
+    for keep in [3usize, 1] {
+        let dir = std::env::temp_dir().join(format!(
+            "naspipe-durable-format-{}-keep{keep}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DurableStore::open(&dir, keep, 0xfeed).unwrap();
+        let mut inodes = Vec::new();
+        for (i, &n) in losses.iter().enumerate() {
+            let watermark = 8 * (i as u64 + 1);
+            let path = store.persist(&cut_at(watermark, n)).unwrap();
+            let kept = (i + 1).saturating_sub(keep)..=i;
+            let names: Vec<String> = kept
+                .clone()
+                .map(|j| snapshot_file_name(8 * (j as u64 + 1)))
+                .collect();
+            assert_eq!(listing(&dir), names, "keep {keep}, after cut {watermark}");
+            for j in kept {
+                let w = 8 * (j as u64 + 1);
+                let bytes = std::fs::read(dir.join(snapshot_file_name(w))).unwrap();
+                assert_eq!(
+                    bytes,
+                    encode_snapshot(&cut_at(w, losses[j]), 0xfeed),
+                    "cut {w}"
+                );
+            }
+            inodes.push(std::fs::metadata(&path).unwrap().ino());
+            if keep == 3 && i >= 3 {
+                assert_eq!(
+                    inodes[i],
+                    inodes[i - 3],
+                    "cut {watermark} is a recycled file"
+                );
+            }
+            if keep == 1 && i >= 1 {
+                assert_ne!(inodes[i], inodes[i - 1], "keep 1 recycled cut {watermark}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A file the previous format's encoder wrote (`representative()` under
 /// fingerprint 7, committed before the codec changed) is the same typed
 /// error — by its version field, not as a checksum mismatch, although
