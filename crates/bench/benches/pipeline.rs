@@ -56,8 +56,9 @@ fn bench_policies(c: &mut Criterion) {
 
 /// The DES under CSP on NLP.c1 at 8 and 32 stages (untraced, the
 /// `des-scale-32gpu` shape at a tenth of its length): host time per
-/// simulated task, scheduler calls per task and candidates scanned per
-/// admission — the figures behind "admission is event-driven".
+/// simulated task, scheduler calls and candidates scanned per task, and
+/// candidates scanned per admission — the figures behind "admission is
+/// event-driven".
 fn bench_csp_admission(c: &mut Criterion) {
     const SUBNETS: u64 = 400;
     let space = SearchSpace::nlp_c1();
@@ -83,6 +84,11 @@ fn bench_csp_admission(c: &mut Criterion) {
             &format!("{name}/scheduler_calls_per_task"),
             stats.calls as f64 / tasks,
             "calls",
+        );
+        c.report_value(
+            &format!("{name}/scanned_per_task"),
+            stats.scanned as f64 / tasks,
+            "candidates",
         );
         c.report_value(
             &format!("{name}/scanned_per_admission"),

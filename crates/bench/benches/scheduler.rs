@@ -12,8 +12,9 @@
 //!   head queued at stage 0 (the queue the DES scans right after the
 //!   window fills; slices are 1-2 layers, so candidates rarely conflict).
 //!
-//! Besides ns/call the run reports how many candidates one call scans,
-//! and records everything to `target/tmp/scheduler-benches.json`.
+//! Besides ns/call the run reports how many candidates one call scans and
+//! what the writer index costs to maintain per subnet, and records
+//! everything to `target/tmp/scheduler-benches.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use naspipe_core::context::StageCache;
@@ -26,7 +27,7 @@ use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::profile::ProfiledSpace;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
-use naspipe_supernet::subnet::SubnetId;
+use naspipe_supernet::subnet::{Subnet, SubnetId};
 use std::hint::black_box;
 
 /// One scheduling decision to time: `schedule(queue, finished, table, stage)`.
@@ -96,6 +97,43 @@ fn bench_scheduler(c: &mut Criterion) {
             "candidates",
         );
     }
+}
+
+/// The writer index's bookkeeping per 48-block NLP.c1 subnet: register
+/// the next subnet (built beforehand) in a warm 8-stage table holding a
+/// 30-subnet window, and retire the oldest.
+fn bench_table(c: &mut Criterion) {
+    const WINDOW: u64 = 30;
+    let space = SearchSpace::nlp_c1();
+    let mut partitioner =
+        Partitioner::new(ProfiledSpace::new(&space, 192), 8, PartitionMode::Mirrored);
+    let archs: Vec<(Subnet, Partition)> = UniformSampler::new(&space, 1)
+        .take_subnets(400)
+        .into_iter()
+        .map(|s| {
+            let p = partitioner.partition_for(&s);
+            (s, p)
+        })
+        .collect();
+    // The shim times at most 10 000 iterations after one warm-up call.
+    let mut entries = (0..WINDOW + 10_001).map(|i| {
+        let (s, p) = &archs[i as usize % archs.len()];
+        (Subnet::new(SubnetId(i), s.choices().to_vec()), p.clone())
+    });
+    let mut table = SubnetTable::new();
+    for (s, p) in entries.by_ref().take(WINDOW as usize) {
+        table.insert(s, p).expect("fresh sequence IDs");
+    }
+    let mut entries: Vec<_> = entries.collect();
+    entries.reverse();
+    c.bench_function("subnet_table/insert_retire", |b| {
+        b.iter(|| {
+            let (s, p) = entries.pop().expect("one entry per iteration");
+            let oldest = SubnetId(s.seq_id().0 + 1 - WINDOW);
+            table.insert(black_box(s), p).expect("fresh sequence IDs");
+            table.retire_below(oldest);
+        })
+    });
 }
 
 fn bench_predictor(c: &mut Criterion) {
@@ -181,6 +219,7 @@ fn bench_cache(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_scheduler,
+    bench_table,
     bench_predictor,
     bench_partitioner,
     bench_cache

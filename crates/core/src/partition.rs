@@ -143,6 +143,20 @@ impl Partition {
         (end < self.boundaries.len()).then(|| StageId(end as u32 - 1))
     }
 
+    /// [`stage_of_block`](Self::stage_of_block) of blocks `0, 1, 2, ..`,
+    /// endlessly (`None` past the last covered block), from one walk over
+    /// the boundaries.
+    pub(crate) fn owners(&self) -> impl Iterator<Item = Option<StageId>> + '_ {
+        // `boundaries[end]` is the first boundary above the block.
+        let mut end = 1;
+        (0..).map(move |b| {
+            while end < self.boundaries.len() && self.boundaries[end] <= b {
+                end += 1;
+            }
+            (end < self.boundaries.len()).then(|| StageId(end as u32 - 1))
+        })
+    }
+
     /// `subnet`'s activated layers, each with the stage that owns it here:
     /// what both engines register a subnet with a
     /// [`CspChecker`](naspipe_obs::CspChecker) by.
@@ -316,6 +330,17 @@ mod tests {
         assert_eq!(p.stage_of_block(0), Some(StageId(0)));
         assert_eq!(p.stage_of_block(4), Some(StageId(1)));
         assert_eq!(p.stage_of_block(5), None);
+    }
+
+    #[test]
+    fn owners_walk_equals_stage_of_block() {
+        // Empty stages, a leading empty stage, and blocks past the end.
+        for bounds in [vec![0, 2, 5], vec![0, 0, 3, 3, 4], vec![0, 1], vec![0, 0]] {
+            let p = Partition::from_boundaries(bounds);
+            let walked: Vec<_> = p.owners().take(7).collect();
+            let probed: Vec<_> = (0..7).map(|b| p.stage_of_block(b)).collect();
+            assert_eq!(walked, probed, "{p:?}");
+        }
     }
 
     #[test]

@@ -61,12 +61,21 @@ pub struct TaskRecord {
     pub blocks: Range<usize>,
 }
 
+impl TaskRecord {
+    /// What [`PipelineOutcome::tasks`] is ordered by.
+    fn key(&self) -> (SimTime, SubnetId, StageId) {
+        (self.start, self.subnet, self.stage)
+    }
+}
+
 /// Everything a pipeline run produces.
 #[derive(Debug, Clone)]
 pub struct PipelineOutcome {
     /// Aggregate metrics (Table 2 row).
     pub report: PipelineReport,
-    /// Every executed task, ordered by `(start, dispatch order)`.
+    /// Every executed task, ordered by `(start, subnet, stage)` (ties, if a
+    /// zero-length task makes any, in dispatch order). The engine keeps
+    /// the order as it records each task; nothing sorts at the end.
     pub tasks: Vec<TaskRecord>,
     /// The subnets trained, in exploration order.
     pub subnets: Vec<Subnet>,
@@ -850,7 +859,7 @@ impl<'a> Engine<'a> {
     /// One dispatch attempt at stage `k`: whatever [`StageQueues::pick`]
     /// takes — the queued backward with the lowest ID, else the forward
     /// the discipline admits — or nothing. Run only for stages the current
-    /// event woke (see [`Engine::run`]); samples `QueueDepth` once per
+    /// event woke (see [`Engine::step`]); samples `QueueDepth` once per
     /// attempt.
     fn dispatch(&mut self, k: u32, now: SimTime) {
         if self.stages[k as usize].busy {
@@ -1026,14 +1035,20 @@ impl<'a> Engine<'a> {
             SpanId::EXTERNAL
         };
         self.stages[k as usize].busy = true;
-        self.records.push(TaskRecord {
+        // Each stage reserves its compute in dispatch order, so a record
+        // starts no earlier than its stage's previous one and is placed
+        // by a short walk from the back (`PipelineOutcome::tasks` order).
+        let record = TaskRecord {
             start,
             end,
             kind,
             subnet,
             stage: StageId(k),
             blocks,
-        });
+        };
+        let later = self.records.iter().rev();
+        let at = self.records.len() - later.take_while(|r| r.key() > record.key()).count();
+        self.records.insert(at, record);
         self.queue.push(
             end,
             Ev::TaskDone {
@@ -1306,6 +1321,20 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> Result<PipelineOutcome, PipelineError> {
+        self.start();
+        while let Some((now, ev)) = self.queue.pop() {
+            self.step(now, ev);
+        }
+        assert_eq!(
+            self.completed, self.config.num_subnets,
+            "pipeline deadlocked: {}/{} subnets completed",
+            self.completed, self.config.num_subnets
+        );
+        Ok(self.finish())
+    }
+
+    /// Everything before the first event: the first window injected.
+    fn start(&mut self) {
         // Observation only: publish the run shape and flip `/readyz` to
         // admitting-work before the first injection.
         self.bus.start(self.config.num_subnets);
@@ -1314,82 +1343,84 @@ impl<'a> Engine<'a> {
             self.recorder.incr(k, Counter::BubbleUs, 0);
         }
         self.try_inject(SimTime::ZERO);
-        while let Some((now, ev)) = self.queue.pop() {
-            self.sample_due(now);
-            // Apply the event and collect, ascending, the stages whose
-            // admission decision it can have changed. A stage's decision
-            // reads its own queues and busy flag, the table, and — through
-            // the `min(K, s_w)` owner-stage rule — `finished[j]` for every
-            // `j <= k`. So: an arrival wakes its stage; a completion wakes
-            // its stage (now idle) and, if it was a backward at `j`, every
-            // idle stage `k > j` with forwards queued. Injection and
-            // retirement change the table only for IDs no queued forward
-            // waits on, and wake nobody.
-            let mut wake = std::mem::take(&mut self.wake);
-            match ev {
-                Ev::FwdArrive { subnet, stage, src } => {
-                    self.settle_idle(stage, now);
-                    let kind = if src.is_external() {
-                        CauseKind::Injection
-                    } else {
-                        CauseKind::ActivationArrival
-                    };
-                    let arrival = Arrival {
-                        edge: CausalEdge { src, kind },
-                        at: now,
-                    };
-                    self.stages[stage as usize]
-                        .queues
-                        .push_forward(subnet, arrival);
-                    wake.push(stage);
-                }
-                Ev::BwdArrive {
-                    subnet,
-                    stage,
-                    pending,
+    }
+
+    /// Applies one event, then dispatches, ascending, the stages whose
+    /// admission decision it can have changed. A stage's decision reads
+    /// its own queues and busy flag, the table, and — through the
+    /// `min(K, s_w)` owner-stage rule — `finished[j]` for `j <= k`, and
+    /// there only for layers written at `j`. So: an arrival wakes its
+    /// stage; a completion wakes its stage (now idle) and, if it was `w`'s
+    /// backward at `j`, every idle stage `k > j` with forwards queued at
+    /// which a later in-flight sharer of a layer in `w`'s stage-`j` slice
+    /// reads that layer ([`SubnetTable::readers_above`]). Injection and
+    /// retirement change the table only for IDs no queued forward waits
+    /// on, and wake nobody.
+    fn step(&mut self, now: SimTime, ev: Ev) {
+        self.sample_due(now);
+        let mut wake = std::mem::take(&mut self.wake);
+        match ev {
+            Ev::FwdArrive { subnet, stage, src } => {
+                self.settle_idle(stage, now);
+                let kind = if src.is_external() {
+                    CauseKind::Injection
+                } else {
+                    CauseKind::ActivationArrival
+                };
+                let arrival = Arrival {
+                    edge: CausalEdge { src, kind },
+                    at: now,
+                };
+                self.stages[stage as usize]
+                    .queues
+                    .push_forward(subnet, arrival);
+                wake.push(stage);
+            }
+            Ev::BwdArrive {
+                subnet,
+                stage,
+                pending,
+                src,
+            } => {
+                self.settle_idle(stage, now);
+                let queues = &mut self.stages[stage as usize].queues;
+                let edge = CausalEdge {
                     src,
-                } => {
-                    self.settle_idle(stage, now);
-                    let queues = &mut self.stages[stage as usize].queues;
-                    let edge = CausalEdge {
-                        src,
-                        kind: CauseKind::GradientArrival,
-                    };
-                    let arrival = Arrival { edge, at: now };
-                    queues.push_backward(subnet, QueuedBackward { pending, arrival });
-                    wake.push(stage);
-                }
-                Ev::TaskDone {
-                    subnet,
-                    stage,
-                    kind,
-                    span,
-                } => {
-                    self.on_task_done(subnet, stage, kind, now, span);
-                    wake.push(stage);
-                    if kind == TaskKind::Backward {
-                        wake.extend((stage + 1..self.d).filter(|&k| {
-                            let st = &self.stages[k as usize];
-                            !st.busy && !st.queues.fwd.is_empty()
-                        }));
-                    }
-                }
+                    kind: CauseKind::GradientArrival,
+                };
+                let arrival = Arrival { edge, at: now };
+                queues.push_backward(subnet, QueuedBackward { pending, arrival });
+                wake.push(stage);
             }
-            for &k in &wake {
-                self.dispatch(k, now);
-            }
-            wake.clear();
-            self.wake = wake;
-            if cfg!(debug_assertions) {
-                self.assert_nothing_dispatchable();
+            Ev::TaskDone {
+                subnet,
+                stage,
+                kind,
+                span,
+            } => {
+                wake.push(stage);
+                // Asked before `on_task_done` can retire `subnet`. A FIFO
+                // stage never idles with a forward queued: nothing to ask.
+                if kind == TaskKind::Backward && self.use_csp {
+                    self.table.readers_above(subnet, StageId(stage), &mut wake);
+                }
+                self.on_task_done(subnet, stage, kind, now, span);
+                wake.sort_unstable();
+                wake.dedup();
+                wake.retain(|&k| {
+                    let st = &self.stages[k as usize];
+                    k == stage || (!st.busy && !st.queues.fwd.is_empty())
+                });
             }
         }
-        assert_eq!(
-            self.completed, self.config.num_subnets,
-            "pipeline deadlocked: {}/{} subnets completed",
-            self.completed, self.config.num_subnets
-        );
-        Ok(self.finish())
+        for &k in &wake {
+            self.dispatch(k, now);
+        }
+        wake.clear();
+        self.wake = wake;
+        if cfg!(debug_assertions) {
+            self.assert_nothing_dispatchable();
+        }
     }
 
     fn finish(mut self) -> PipelineOutcome {
@@ -1484,7 +1515,10 @@ impl<'a> Engine<'a> {
                 .map(|s| s.bubble_us as f64 / 1e6)
                 .collect(),
         };
-        self.records.sort_by_key(|r| (r.start, r.subnet, r.stage));
+        debug_assert!(
+            self.records.windows(2).all(|w| w[0].key() <= w[1].key()),
+            "task records left (start, subnet, stage) order"
+        );
         PipelineOutcome {
             report,
             tasks: self.records,
@@ -2113,6 +2147,68 @@ mod tests {
         // Every forward was admitted by exactly one hit; the predictor's
         // hits come on top.
         assert!(stats.hits >= tasks / 2);
+    }
+
+    #[test]
+    fn a_backward_no_later_subnet_reads_dispatches_no_later_stage() {
+        // CSP without the predictor: `calls` moves only when a woken idle
+        // stage with no backward queued asks the scheduler, so one event's
+        // change in `calls` counts its dispatch attempts past backwards.
+        let space = small_space();
+        let policy = SyncPolicy::Csp {
+            scheduler: true,
+            predictor: false,
+            mirroring: true,
+        };
+        let cfg = PipelineConfig::naspipe(8, 60)
+            .with_batch(32)
+            .with_policy(policy)
+            .with_seed(42);
+        let subnets = UniformSampler::new(&space, 42).take_subnets(60);
+        let tracer = Box::new(NullTracer);
+        let mut engine = Engine::new(&space, &cfg, subnets, tracer, None, &catalog_price).unwrap();
+        engine.start();
+        let (mut unread, mut skipped) = (0, 0);
+        while let Some((now, ev)) = engine.queue.pop() {
+            // A backward at `j` whose slice no later in-flight subnet
+            // reads: stage `j` asks the scheduler once unless a backward
+            // is queued there, and the idle later stages with forwards
+            // queued (which the wake once re-dispatched) not at all.
+            let quiet = match ev {
+                Ev::TaskDone {
+                    subnet,
+                    stage,
+                    kind: TaskKind::Backward,
+                    ..
+                } => {
+                    let mut readers = Vec::new();
+                    let table = &engine.table;
+                    table.readers_above(subnet, StageId(stage), &mut readers);
+                    readers.is_empty().then(|| {
+                        let own = u64::from(engine.stages[stage as usize].queues.bwd.is_empty());
+                        let waiting = |k: &u32| {
+                            let st = &engine.stages[*k as usize];
+                            !st.busy && !st.queues.fwd.is_empty()
+                        };
+                        (own, (stage + 1..engine.d).filter(waiting).count())
+                    })
+                }
+                _ => None,
+            };
+            let before = engine.scheduler.stats().calls;
+            engine.step(now, ev);
+            if let Some((own, waiting)) = quiet {
+                let calls = engine.scheduler.stats().calls - before;
+                assert_eq!(calls, own, "{waiting} later stages waiting at {now:?}");
+                unread += 1;
+                skipped += waiting;
+            }
+        }
+        assert_eq!(engine.completed, 60);
+        assert!(
+            unread > 0 && skipped > 0,
+            "{unread} quiet backwards, {skipped} skipped"
+        );
     }
 
     #[test]

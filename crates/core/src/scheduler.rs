@@ -38,8 +38,27 @@
 //! * the recorded owner stage is `partition.stage_of_block(b)` of the
 //!   subnet's *own* partition (`None` when no stage covers the block).
 //!
+//! IDs enter the table ascending and leave it ascending, so each list is a
+//! FIFO: all lists live in one flat array indexed by `block x choice`, an
+//! insert appends and a retirement advances the list's head. Each list
+//! stays one contiguous slice for the admission scan: the dead prefix a
+//! retirement leaves is dropped in place once it is as long as the live
+//! part, which moves every sharer at most once per retirement that paid
+//! for it, and holds a list's buffer under twice its largest occupancy —
+//! once the table is warm neither operation touches the heap. (An ID below
+//! one already tracked is still placed in order, by shifting that one
+//! list.)
+//!
 //! Like the scan it replaces, the index keys on the raw choice value: two
 //! subnets that both *skip* a block are treated as sharing it.
+//!
+//! The same lists say whom a backward can release. Subnet `w`'s backward
+//! at stage `j` adds `w` to `finished[j]`, which a check at stage `K`
+//! reads, through `min(K, s_w)`, only for a layer `w` writes at `j` and
+//! only when `K >= j`. So beyond stage `j` it can change a decision only
+//! at a stage where a later in-flight sharer of a layer in `w`'s stage-`j`
+//! slice owns that layer: [`SubnetTable::readers_above`] lists those
+//! stages, and the DES wakes nothing else.
 //!
 //! # One decision for both engines
 //!
@@ -97,8 +116,48 @@ pub struct SubnetTable {
     base: u64,
     slots: VecDeque<Option<SubnetEntry>>,
     len: usize,
-    // `sharers[block][choice slot]`: see the module docs.
-    sharers: Vec<Vec<Vec<Sharer>>>,
+    // `layers[block * stride + choice slot]`: that layer's sharers (see
+    // the module docs).
+    layers: Vec<Lane>,
+    // Choice slots per block in `layers`; grows to the largest seen.
+    stride: usize,
+}
+
+/// One layer's in-flight sharers, a FIFO ascending by ID: `sharers[head..]`
+/// are live, the prefix before `head` has retired.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    sharers: Vec<Sharer>,
+    head: usize,
+}
+
+impl Lane {
+    fn live(&self) -> &[Sharer] {
+        &self.sharers[self.head..]
+    }
+
+    /// Appends `sharer`, or places it in order if a later ID is tracked.
+    fn push(&mut self, sharer: Sharer) {
+        match self.sharers.last() {
+            Some(last) if last.id > sharer.id => {
+                let at = self.head + self.live().partition_point(|s| s.id < sharer.id);
+                self.sharers.insert(at, sharer);
+            }
+            _ => self.sharers.push(sharer),
+        }
+    }
+
+    /// Retires the head, dropping the dead prefix once it is as long as
+    /// the live part.
+    fn pop(&mut self) -> Option<Sharer> {
+        let head = *self.sharers.get(self.head)?;
+        self.head += 1;
+        if 2 * self.head >= self.sharers.len() {
+            self.sharers.drain(..self.head);
+            self.head = 0;
+        }
+        Some(head)
+    }
 }
 
 /// One in-flight subnet.
@@ -148,28 +207,32 @@ impl SubnetTable {
         if slot >= self.slots.len() {
             self.slots.resize_with(slot + 1, || None);
         }
-        if self.sharers.len() < subnet.num_layers() {
-            self.sharers.resize_with(subnet.num_layers(), Vec::new);
-        }
-        for (b, &choice) in subnet.choices().iter().enumerate() {
-            let lists = &mut self.sharers[b];
-            let c = choice_slot(choice);
-            if lists.len() <= c {
-                lists.resize_with(c + 1, Vec::new);
-            }
-            let list = &mut lists[c];
-            let at = list.partition_point(|s| s.id < id);
-            list.insert(
-                at,
-                Sharer {
-                    id,
-                    owner: partition.stage_of_block(b),
-                },
-            );
+        let choices = subnet.choices();
+        let widest = choices.iter().map(|&c| choice_slot(c) + 1).max();
+        self.reserve(choices.len(), widest.unwrap_or(0));
+        for ((b, &choice), owner) in choices.iter().enumerate().zip(partition.owners()) {
+            self.layers[b * self.stride + choice_slot(choice)].push(Sharer { id, owner });
         }
         self.slots[slot] = Some(SubnetEntry { subnet, partition });
         self.len += 1;
         Ok(())
+    }
+
+    /// Grows `layers` to cover `blocks` blocks of `stride` choice slots,
+    /// moving every list to its new index (warm-up only: a stream soon
+    /// shows every block and its widest choice).
+    fn reserve(&mut self, blocks: usize, stride: usize) {
+        let old_blocks = self.layers.len().checked_div(self.stride).unwrap_or(0);
+        if blocks <= old_blocks && stride <= self.stride {
+            return;
+        }
+        let (blocks, stride) = (blocks.max(old_blocks), stride.max(self.stride));
+        let mut layers = Vec::with_capacity(blocks * stride);
+        layers.resize_with(blocks * stride, Lane::default);
+        for (i, list) in self.layers.drain(..).enumerate() {
+            layers[i / self.stride * stride + i % self.stride] = list;
+        }
+        (self.layers, self.stride) = (layers, stride);
     }
 
     /// Looks up an in-flight subnet.
@@ -196,10 +259,35 @@ impl SubnetTable {
     /// by sequence ID (the per-layer writer index of the module docs).
     #[inline]
     fn sharers(&self, block: usize, choice: u32) -> &[Sharer] {
-        self.sharers
-            .get(block)
-            .and_then(|lists| lists.get(choice_slot(choice)))
-            .map_or(&[], Vec::as_slice)
+        let c = choice_slot(choice);
+        match self.layers.get(block * self.stride + c) {
+            Some(lane) if c < self.stride => lane.live(),
+            _ => &[],
+        }
+    }
+
+    /// The stages above `stage` whose admission decisions `writer`'s
+    /// backward at `stage` can change, pushed onto `out` (unordered, with
+    /// repeats): where each later in-flight sharer of a layer in
+    /// `writer`'s stage-`stage` slice owns that layer. See the module
+    /// docs; nothing is pushed for an untracked `writer`.
+    pub(crate) fn readers_above(&self, writer: SubnetId, stage: StageId, out: &mut Vec<u32>) {
+        let Some(entry) = self.get(writer) else {
+            return;
+        };
+        let choices = entry.subnet.choices();
+        for b in entry.partition.stage_range(stage) {
+            let later = self
+                .sharers(b, choices[b])
+                .iter()
+                .skip_while(|s| s.id <= writer);
+            out.extend(
+                later
+                    .filter_map(|s| s.owner)
+                    .filter(|&k| k > stage)
+                    .map(|k| k.0),
+            );
+        }
     }
 
     /// Drops subnets below `bound` (they finished everywhere and can no
@@ -214,11 +302,11 @@ impl SubnetTable {
             let Some(entry) = slot else { continue };
             self.len -= 1;
             for (b, &choice) in entry.subnet.choices().iter().enumerate() {
-                let list = &mut self.sharers[b][choice_slot(choice)];
+                let lane = &mut self.layers[b * self.stride + choice_slot(choice)];
                 // Retirement proceeds in ID order and lists ascend, so the
                 // retiree heads its lists.
-                debug_assert_eq!(list.first().map(|s| s.id), Some(id));
-                list.remove(0);
+                let head = lane.pop();
+                debug_assert_eq!(head.map(|s| s.id), Some(id));
             }
         }
     }
@@ -902,6 +990,40 @@ mod tests {
     }
 
     #[test]
+    fn readers_above_are_the_later_sharers_owner_stages() {
+        // Three stages. SN0 writes blocks 0-1 at stage 0. SN1 reads block
+        // 0 at stage 1; SN2 reads block 1 at stage 2; SN3 shares nothing
+        // with SN0's stage-0 slice.
+        let mut t = SubnetTable::new();
+        for (id, row, bounds) in [
+            (0, vec![0, 0, 0, 0], vec![0, 2, 3, 4]),
+            (1, vec![0, 1, 1, 1], vec![0, 0, 3, 4]),
+            (2, vec![2, 0, 2, 2], vec![0, 1, 1, 4]),
+            (3, vec![3, 3, 0, 3], vec![0, 1, 2, 4]),
+        ] {
+            t.insert(
+                Subnet::new(SubnetId(id), row),
+                Partition::from_boundaries(bounds),
+            )
+            .unwrap();
+        }
+        let readers = |w: u64, k: u32| {
+            let mut out = Vec::new();
+            t.readers_above(SubnetId(w), StageId(k), &mut out);
+            out.sort_unstable();
+            out
+        };
+        assert_eq!(readers(0, 0), [1, 2]);
+        // SN0 writes block 2 at stage 1; SN3 reads it at stage 2.
+        assert_eq!(readers(0, 1), [2]);
+        assert_eq!(readers(0, 2), Vec::<u32>::new());
+        // SN1's block 0 is shared with SN0 only: an earlier sharer waits
+        // on nobody's write.
+        assert_eq!(readers(1, 1), Vec::<u32>::new());
+        assert_eq!(readers(9, 0), Vec::<u32>::new(), "untracked writer");
+    }
+
+    #[test]
     fn ready_queue_orders_by_id_or_by_arrival() {
         let mut by_id = ReadyQueue::default();
         let mut fifo = ReadyQueue::default();
@@ -994,6 +1116,99 @@ mod tests {
             Partition::from_boundaries(bounds)
         }
 
+        /// The writer index before it went flat, kept as the reference
+        /// model of its lists: one sorted `Vec` per `[block][choice slot]`,
+        /// placed by `partition_point` and popped by `remove(0)`.
+        #[derive(Default)]
+        struct NestedIndex {
+            sharers: Vec<Vec<Vec<Sharer>>>,
+        }
+
+        impl NestedIndex {
+            fn insert(&mut self, subnet: &Subnet, partition: &Partition) {
+                let id = subnet.seq_id();
+                if self.sharers.len() < subnet.num_layers() {
+                    self.sharers.resize_with(subnet.num_layers(), Vec::new);
+                }
+                for (b, &choice) in subnet.choices().iter().enumerate() {
+                    let lists = &mut self.sharers[b];
+                    let c = choice_slot(choice);
+                    if lists.len() <= c {
+                        lists.resize_with(c + 1, Vec::new);
+                    }
+                    let at = lists[c].partition_point(|s| s.id < id);
+                    let owner = partition.stage_of_block(b);
+                    lists[c].insert(at, Sharer { id, owner });
+                }
+            }
+
+            fn retire(&mut self, subnet: &Subnet) {
+                for (b, &choice) in subnet.choices().iter().enumerate() {
+                    self.sharers[b][choice_slot(choice)].remove(0);
+                }
+            }
+
+            fn list(&self, block: usize, slot: usize) -> &[Sharer] {
+                self.sharers
+                    .get(block)
+                    .and_then(|lists| lists.get(slot))
+                    .map_or(&[], Vec::as_slice)
+            }
+
+            /// Every list of either index holds the same sharers.
+            fn matches(&self, table: &SubnetTable) -> Result<(), String> {
+                let blocks = self
+                    .sharers
+                    .len()
+                    .max(table.layers.len() / table.stride.max(1));
+                let slots = self.sharers.iter().map(Vec::len).max().unwrap_or(0);
+                for b in 0..blocks {
+                    for slot in 0..slots.max(table.stride) {
+                        let flat = (slot < table.stride)
+                            .then(|| table.layers.get(b * table.stride + slot))
+                            .flatten()
+                            .map_or(&[][..], Lane::live);
+                        if flat != self.list(b, slot) {
+                            return Err(format!(
+                                "layer ({b}, slot {slot}): flat {flat:?} vs nested {:?}",
+                                self.list(b, slot)
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            }
+        }
+
+        /// Reference `readers_above`: every tracked subnet above the
+        /// writer sharing a block of its slice, at that block's owner
+        /// stage in the reader's own partition, if above `stage`.
+        fn reference_readers_above(
+            writer: SubnetId,
+            table: &SubnetTable,
+            stage: StageId,
+        ) -> Vec<u32> {
+            let Some(w) = table.get(writer) else {
+                return Vec::new();
+            };
+            let mut out: Vec<u32> = table
+                .entries_below(SubnetId(u64::MAX))
+                .filter(|&(id, _)| id > writer)
+                .flat_map(|(_, y)| {
+                    w.partition
+                        .stage_range(stage)
+                        .filter(|&b| y.subnet.choices().get(b) == Some(&w.subnet.choices()[b]))
+                        .filter_map(|b| y.partition.stage_of_block(b))
+                        .filter(|&k| k > stage)
+                        .map(|k| k.0)
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        }
+
         /// Checks every indexed answer against its reference on the
         /// current `(table, finished)` state.
         fn compare(
@@ -1009,6 +1224,16 @@ mod tests {
             for k in 0..finished.len() {
                 let stage = StageId(k as u32);
                 for &id in &live {
+                    let mut got = Vec::new();
+                    table.readers_above(id, stage, &mut got);
+                    got.sort_unstable();
+                    got.dedup();
+                    let want = reference_readers_above(id, table, stage);
+                    if got != want {
+                        return Err(format!(
+                            "readers_above({id}, {stage}) = {got:?} vs {want:?}"
+                        ));
+                    }
                     let got = CspScheduler::admissible(id, finished, table, stage);
                     let want = reference_admissible(id, finished, table, stage);
                     if got != want {
@@ -1080,14 +1305,22 @@ mod tests {
             ) {
                 let mut rng = DetRng::new(seed);
                 let mut table = SubnetTable::new();
+                let mut nested = NestedIndex::default();
                 let mut finished = vec![FinishedSet::new(); stages];
                 let mut next_id = 0u64;
                 for _ in 0..ops {
                     match rng.index(6) {
                         // Register a subnet (sometimes leaving an ID hole,
-                        // sometimes shorter than the space).
+                        // sometimes filling one out of order, sometimes
+                        // shorter than the space).
                         0..=2 => {
-                            next_id += rng.next_below(2);
+                            let hole = SubnetId(rng.next_below(next_id + 1));
+                            let id = if rng.index(6) == 0 && hole.0 < next_id && table.get(hole).is_none() {
+                                hole
+                            } else {
+                                next_id += rng.next_below(2) + 1;
+                                SubnetId(next_id - 1)
+                            };
                             let len = if rng.index(5) == 0 { 1 + rng.index(blocks) } else { blocks };
                             let row: Vec<u32> = (0..len)
                                 .map(|_| {
@@ -1101,10 +1334,9 @@ mod tests {
                             // A partition over `len` blocks keeps the
                             // candidate's own slices inside its choices.
                             let partition = random_partition(&mut rng, len, stages);
-                            table
-                                .insert(Subnet::new(SubnetId(next_id), row), partition)
-                                .expect("fresh ID");
-                            next_id += 1;
+                            let subnet = Subnet::new(id, row);
+                            nested.insert(&subnet, &partition);
+                            table.insert(subnet, partition).expect("fresh ID");
                         }
                         // Finish some ID at some stage, in any order.
                         3..=4 => {
@@ -1117,9 +1349,18 @@ mod tests {
                             }
                         }
                         // Retire below an arbitrary bound.
-                        _ => table.retire_below(SubnetId(rng.next_below(next_id + 1))),
+                        _ => {
+                            let bound = SubnetId(rng.next_below(next_id + 1));
+                            for (_, e) in table.entries_below(bound) {
+                                nested.retire(&e.subnet);
+                            }
+                            table.retire_below(bound);
+                        }
                     }
-                    if let Err(msg) = compare(&mut rng, &table, &finished, next_id) {
+                    if let Err(msg) = nested
+                        .matches(&table)
+                        .and_then(|()| compare(&mut rng, &table, &finished, next_id))
+                    {
                         prop_assert!(false, "{}", msg);
                     }
                 }
