@@ -1097,7 +1097,6 @@ mod tests {
         assert_eq!(s.stats().calls, 2, "FIFO never asks the scheduler");
     }
 
-    #[cfg(feature = "proptest-tests")]
     mod differential {
         use super::*;
         use naspipe_supernet::rng::DetRng;

@@ -9,8 +9,6 @@
 //! byte totals and the residency of every layer — which pins the
 //! eviction order, not only the eviction count.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_core::context::{CacheStats, StageCache};
 use naspipe_supernet::layer::LayerRef;
 use proptest::prelude::*;

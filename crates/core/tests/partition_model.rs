@@ -6,8 +6,6 @@
 //! run the same floating-point operations in the same order, so they
 //! must agree on every boundary — not only on the bottleneck.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_core::partition::Partition;
 use proptest::prelude::*;
 

@@ -2,8 +2,6 @@
 //! whatever the schedule, seed, or pool size, `replay_training` (and
 //! the sequential reference it must match) produces the same bits.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_core::config::PipelineConfig;
 use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, sequential_training, TrainConfig};

@@ -2,8 +2,6 @@
 //! the identity over generated pipeline outcomes, and the golden-trace
 //! file format round-trips the cases built on top of it.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_core::config::PipelineConfig;
 use naspipe_core::pipeline::SimSpec;
 use naspipe_core::replay_gate::{parse_golden, regenerate, render_golden, CaseEngine, CaseSpec};

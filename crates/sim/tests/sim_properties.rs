@@ -1,7 +1,5 @@
 //! Property tests of the simulator's core invariants.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_sim::event::EventQueue;
 use naspipe_sim::link::Link;
 use naspipe_sim::resource::Resource;

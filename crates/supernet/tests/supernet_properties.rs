@@ -1,7 +1,5 @@
 //! Property tests of the search-space and exploration layer.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_supernet::evolution::{evolve, EvolutionConfig};
 use naspipe_supernet::hybrid::{HybridSampler, HybridSpace};
 use naspipe_supernet::layer::Domain;

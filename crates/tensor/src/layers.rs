@@ -403,7 +403,6 @@ mod tests {
         crate::tensor::set_force_portable(false);
     }
 
-    #[cfg(feature = "proptest-tests")]
     mod properties {
         use super::*;
         use proptest::prelude::*;

@@ -1,7 +1,5 @@
 //! Property tests of the numeric substrate's determinism and calculus.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};

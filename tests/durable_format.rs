@@ -4,8 +4,6 @@
 //! of an encoded snapshot is rejected with a typed error — the decoder
 //! never panics and never silently accepts damaged bytes.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe::core::checkpoint::{Checkpoint, StageSnapshot};
 use naspipe::core::durable::{
     decode_snapshot, encode_snapshot, DurableError, SNAP_MAGIC, SNAP_VERSION,

@@ -6,8 +6,6 @@
 //! 200 000-deep documents are pinned as plain unit tests next to
 //! `parse_json` and `parse_chrome`.)
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe::obs::{
     bench_deltas, export_chrome, flight_kind_counts, parse_chrome, parse_event, parse_journal,
     parse_json, render_top, validate_journal, validate_status, CauseKind, FlightEventKind,

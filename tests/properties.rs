@@ -1,7 +1,5 @@
 //! Property-based tests of the system's core invariants, across crates.
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe::core::config::{PipelineConfig, SyncPolicy};
 use naspipe::core::partition::Partition;
 use naspipe::core::pipeline::SimSpec;

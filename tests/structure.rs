@@ -1,0 +1,705 @@
+//! The workspace's structural rules, checked on its own sources.
+//!
+//! Each rule is a design decision an earlier change paid for (one JSON
+//! codec, one event fan-out, one way to start a run, one Algorithm 2,
+//! ...), written as names that must not appear in the files it names;
+//! its message names the commit that made the decision.
+//! Matching is on whitespace-folded text, so a call split across lines
+//! is still caught, and every file or directory a rule names must
+//! exist, so renaming a file cannot switch its rule off. A needle is
+//! literal text; a `\b` at either end asks for a word boundary there.
+//!
+//! The fixture tests at the bottom feed the same rules small trees
+//! written under the test's scratch directory.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Whether `c` can be part of an identifier (`grep`'s word character).
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// `text` with every whitespace run removed, except for one space where
+/// the run separates two word characters, and the 1-based line in
+/// `text` of each byte of the result.
+fn fold(text: &str) -> (String, Vec<usize>) {
+    let mut folded = String::with_capacity(text.len());
+    let mut line_of = Vec::with_capacity(text.len());
+    let (mut line, mut gap) = (1, false);
+    for c in text.chars() {
+        if c.is_whitespace() {
+            line += usize::from(c == '\n');
+            gap = true;
+            continue;
+        }
+        if gap && is_word(c) && folded.chars().next_back().is_some_and(is_word) {
+            folded.push(' ');
+            line_of.push(line);
+        }
+        gap = false;
+        folded.push(c);
+        line_of.extend(std::iter::repeat_n(line, c.len_utf8()));
+    }
+    (folded, line_of)
+}
+
+/// A source file as the rules see it.
+struct Source {
+    /// Path relative to the scanned root, `/`-separated.
+    path: String,
+    text: String,
+    folded: String,
+    line_of: Vec<usize>,
+}
+
+impl Source {
+    fn new(path: String, text: String) -> Self {
+        let (folded, line_of) = fold(&text);
+        Source {
+            path,
+            text,
+            folded,
+            line_of,
+        }
+    }
+
+    /// The file up to its test module: everything before the first line
+    /// that starts with `#[cfg(test)]`.
+    fn before_tests(&self) -> Source {
+        let mut cut = 0;
+        for line in self.text.split_inclusive('\n') {
+            if line.starts_with("#[cfg(test)]") {
+                break;
+            }
+            cut += line.len();
+        }
+        Source::new(self.path.clone(), self.text[..cut].to_string())
+    }
+
+    /// Byte offsets in `folded` where `needle` matches.
+    fn matches(&self, needle: &str) -> Vec<usize> {
+        let (needle, start) = match needle.strip_prefix(r"\b") {
+            Some(rest) => (rest, true),
+            None => (needle, false),
+        };
+        let (needle, end) = match needle.strip_suffix(r"\b") {
+            Some(rest) => (rest, true),
+            None => (needle, false),
+        };
+        let needle = fold(needle).0;
+        assert!(!needle.is_empty(), "empty needle");
+        let text = &self.folded;
+        let mut found = Vec::new();
+        let mut from = 0;
+        while let Some(i) = text[from..].find(&needle) {
+            let at = from + i;
+            let after = at + needle.len();
+            let starts = !start || !text[..at].chars().next_back().is_some_and(is_word);
+            let ends = !end || !text[after..].chars().next().is_some_and(is_word);
+            if starts && ends {
+                found.push(at);
+            }
+            from = at + text[at..].chars().next().map_or(1, char::len_utf8);
+        }
+        found
+    }
+
+    /// The trimmed text of 1-based line `n`.
+    fn line(&self, n: usize) -> &str {
+        self.text.lines().nth(n - 1).unwrap_or("").trim()
+    }
+}
+
+/// One rule's reading of a tree: the root it reads under and what it
+/// found wrong, a missing path included.
+struct Scan<'a> {
+    root: &'a Path,
+    problems: Vec<String>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(root: &'a Path) -> Self {
+        Scan {
+            root,
+            problems: Vec::new(),
+        }
+    }
+
+    fn missing(&mut self, rel: &str, what: &str) {
+        self.problems.push(format!(
+            "{rel}: named by the rule, but {what}; a renamed path takes its rule with it"
+        ));
+    }
+
+    fn read(&mut self, rel: String) -> Option<Source> {
+        match fs::read(self.root.join(&rel)) {
+            Ok(bytes) => Some(Source::new(rel, String::from_utf8_lossy(&bytes).into())),
+            Err(e) => {
+                self.problems.push(format!("{rel}: cannot read: {e}"));
+                None
+            }
+        }
+    }
+
+    /// The file at `rel`.
+    fn file(&mut self, rel: &str) -> Vec<Source> {
+        if !self.root.join(rel).is_file() {
+            self.missing(rel, "no such file");
+            return Vec::new();
+        }
+        self.read(rel.to_string()).into_iter().collect()
+    }
+
+    /// Entries of directory `rel`, sorted, as `(relative path, is dir)`.
+    fn entries(&mut self, rel: &str) -> Vec<(String, bool)> {
+        let Ok(dir) = fs::read_dir(self.root.join(rel)) else {
+            self.missing(rel, "no such directory");
+            return Vec::new();
+        };
+        let mut entries: Vec<(String, bool)> = dir
+            .filter_map(Result::ok)
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (format!("{rel}/{name}"), e.path().is_dir())
+            })
+            .collect();
+        entries.sort();
+        entries
+    }
+
+    /// The `.rs` files directly in `rel` (`rel/*.rs`).
+    fn rs_in(&mut self, rel: &str) -> Vec<Source> {
+        let files: Vec<String> = self
+            .entries(rel)
+            .into_iter()
+            .filter(|(path, is_dir)| !is_dir && path.ends_with(".rs"))
+            .map(|(path, _)| path)
+            .collect();
+        if files.is_empty() {
+            self.missing(&format!("{rel}/*.rs"), "it matches no file");
+        }
+        files.into_iter().filter_map(|p| self.read(p)).collect()
+    }
+
+    /// Every file under each of `rels`, or only the `.rs` ones.
+    fn tree(&mut self, rels: &[&str], rs_only: bool) -> Vec<Source> {
+        let mut files = Vec::new();
+        for rel in rels {
+            let before = files.len();
+            let mut dirs = vec![rel.to_string()];
+            while let Some(dir) = dirs.pop() {
+                for (path, is_dir) in self.entries(&dir) {
+                    if is_dir {
+                        dirs.push(path);
+                    } else if !rs_only || path.ends_with(".rs") {
+                        files.push(path);
+                    }
+                }
+            }
+            if files.len() == before && self.root.join(rel).is_dir() {
+                self.missing(rel, "it holds no file to scan");
+            }
+        }
+        files.sort();
+        files.into_iter().filter_map(|p| self.read(p)).collect()
+    }
+
+    /// The `src` directory of every crate under `crates/`
+    /// (`crates/*/src`).
+    fn crate_srcs(&mut self) -> Vec<String> {
+        let srcs: Vec<String> = self
+            .entries("crates")
+            .into_iter()
+            .filter(|(_, is_dir)| *is_dir)
+            .map(|(path, _)| format!("{path}/src"))
+            .filter(|src| self.root.join(src).is_dir())
+            .collect();
+        if srcs.is_empty() {
+            self.missing("crates/*/src", "it matches no directory");
+        }
+        srcs
+    }
+
+    /// Records every match of any of `needles` in `sources`, except on a
+    /// line that contains `exempt`.
+    fn forbid_unless<'s>(
+        &mut self,
+        sources: impl IntoIterator<Item = &'s Source>,
+        needles: &[&str],
+        exempt: Option<&str>,
+    ) {
+        for source in sources {
+            for needle in needles {
+                let mut lines: Vec<usize> = source
+                    .matches(needle)
+                    .iter()
+                    .map(|&at| source.line_of[at])
+                    .collect();
+                lines.dedup();
+                for n in lines {
+                    let line = source.line(n);
+                    if exempt.is_some_and(|e| line.contains(e)) {
+                        continue;
+                    }
+                    self.problems
+                        .push(format!("{}:{n}: `{needle}` in: {line}", source.path));
+                }
+            }
+        }
+    }
+
+    /// Records every match of any of `needles` in `sources`.
+    fn forbid<'s>(&mut self, sources: impl IntoIterator<Item = &'s Source>, needles: &[&str]) {
+        self.forbid_unless(sources, needles, None);
+    }
+
+    /// Records a problem unless the public `run_*` functions in `sources`
+    /// are exactly `want`.
+    fn exactly_pub_run_fns(&mut self, sources: &[Source], want: &[&str]) {
+        let mut found: Vec<String> = sources
+            .iter()
+            .flat_map(|s| {
+                s.matches(r"\bpub fn run_").into_iter().map(move |at| {
+                    let name = &s.folded[at + "pub fn ".len()..];
+                    let len = name.find(|c| !is_word(c)).unwrap_or(name.len());
+                    name[..len].to_string()
+                })
+            })
+            .collect();
+        found.sort();
+        let mut want: Vec<&str> = want.to_vec();
+        want.sort();
+        if found != want {
+            let files: Vec<&str> = sources.iter().map(|s| s.path.as_str()).collect();
+            self.problems.push(format!(
+                "public `run_*` functions in {files:?} are {found:?}, not exactly {want:?}"
+            ));
+        }
+    }
+
+    /// `Ok` when nothing was found, else `decision` and every problem.
+    fn verdict(self, decision: &str) -> Result<(), String> {
+        if self.problems.is_empty() {
+            return Ok(());
+        }
+        Err(format!("{decision}\n  {}", self.problems.join("\n  ")))
+    }
+}
+
+/// The rules. Each takes the root of a tree laid out like this
+/// workspace; each `forbid*` or `exactly_pub_run_fns` call in it is one
+/// check.
+mod rules {
+    use super::Scan;
+    use std::path::Path;
+
+    pub fn one_json_codec(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let sources = scan.tree(&["crates", "src"], true);
+        scan.forbid(
+            sources
+                .iter()
+                .filter(|s| s.path != "crates/obs/src/json.rs"),
+            &[
+                r"fn escape_json\b",
+                r"fn json_str\b",
+                r"fn json_f64\b",
+                r"fn json_block\b",
+                r"fn json_num\b",
+                r"fn split_objects\b",
+                r"fn parse_json\b",
+            ],
+        );
+        scan.verdict(
+            "one JSON codec (commit e2db161): JSON text is read and escaped only in \
+             crates/obs/src/json.rs. A second escaper, substring scanner or parser \
+             elsewhere is how the workspace once grew two parsers and three escapers.",
+        )
+    }
+
+    pub fn one_event_fan_out(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let mut engines = scan.rs_in("crates/core/src/runtime");
+        engines.extend(scan.file("crates/core/src/pipeline.rs"));
+        let engines: Vec<_> = engines.iter().map(|s| s.before_tests()).collect();
+        scan.forbid_unless(
+            &engines,
+            &[
+                "journal().emit(",
+                ".write_dump(",
+                "record_watchdog_trip(",
+                "status::",
+                "\"naspipe: ",
+                r"\bFlightRecorder\b",
+                r"\bFlightEventKind\b",
+                r"\bJournalLevel\b",
+            ],
+            Some("injected process kill"),
+        );
+        let core = scan.tree(&["crates/core/src"], true);
+        scan.forbid(
+            &core,
+            &[
+                ".set_phase(",
+                ".set_total_subnets(",
+                ".record_cut(",
+                ".note_stage_watermark(",
+                ".set_resume_watermark(",
+                ".attach_flight(",
+            ],
+        );
+        scan.verdict(
+            "one event fan-out (commit a49db47): the engines reach the shared sinks (flight \
+             ring, journal, hub trip counters, OpsState gauges, flight dumps, stderr) only \
+             through crates/obs/src/bus.rs; emit a RunEvent instead. A sink written at a \
+             call site is how one fact came to be coded once per sink and once per engine. \
+             Checked up to each engine file's test module; a worker's last words before an \
+             injected abort() are not a run event and stay a plain eprintln.",
+        )
+    }
+
+    pub fn no_write_only_manifest(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let sources = scan.tree(&["crates", "src"], true);
+        scan.forbid(
+            &sources,
+            &["MANIFEST_MAGIC", "write_manifest", "\"MANIFEST\""],
+        );
+        scan.verdict(
+            "no write-only manifest (commit c046ddc): a snapshot directory's index is its \
+             listing. v1 also fsync-renamed a MANIFEST per cut, re-reading every retained \
+             snapshot to fill it in, and nothing ever read it; it must not come back.",
+        )
+    }
+
+    pub fn one_way_to_start_a_run(root: &Path) -> Result<(), String> {
+        const SHIMS: [&str; 4] = [
+            r"\brun_threaded_diagnosed\b",
+            r"\brun_pipeline_with_subnets\b",
+            r"\brun_pipeline_with_tracer\b",
+            r"\brun_pipeline_telemetry\b",
+        ];
+        let mut scan = Scan::new(root);
+        let runtime = scan.rs_in("crates/core/src/runtime");
+        scan.exactly_pub_run_fns(&runtime, &["run_threaded_diagnosed"]);
+        let pipeline = scan.file("crates/core/src/pipeline.rs");
+        scan.exactly_pub_run_fns(
+            &pipeline,
+            &[
+                "run_pipeline_with_subnets",
+                "run_pipeline_with_tracer",
+                "run_pipeline_telemetry",
+            ],
+        );
+        let sources = scan.tree(&["crates", "src", "tests", "examples"], true);
+        scan.forbid(
+            sources.iter().filter(|s| {
+                !matches!(
+                    s.path.as_str(),
+                    "crates/core/src/runtime/mod.rs"
+                        | "crates/core/src/pipeline.rs"
+                        | "tests/end_to_end.rs"
+                        // The rules' own text.
+                        | "tests/structure.rs"
+                )
+            }),
+            &SHIMS,
+        );
+        scan.verdict(
+            "one way to start a run (commit b4a8bb0): a run starts through RunSpec::run \
+             (threaded) or SimSpec::run (DES). The only other public run_* functions in the \
+             engines are the four one-expression shims the frozen benchmark harness links \
+             by name (ROADMAP 1(a)); nothing in the workspace may call them (a caller is \
+             how ten entry points grew) except the one test in tests/end_to_end.rs that \
+             proves each shim equals its spec.",
+        )
+    }
+
+    pub fn flat_context_manager(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let context = scan.file("crates/core/src/context.rs");
+        scan.forbid(&context, &["BTreeMap", "VecDeque", "HashMap", ".position("]);
+        let sources = scan.tree(&["crates", "src"], true);
+        scan.forbid(&sources, &["take_evictions"]);
+        scan.verdict(
+            "flat context manager (commit 2f820cf): every StageCache operation is O(1) on \
+             dense slots and an intrusive LRU list, and allocates nothing in steady state. \
+             The ordered maps, the deque with its linear `position` removal and the \
+             per-task eviction log it replaced were most of a DES task's host time; the old \
+             implementation lives on only as the reference model in \
+             crates/core/tests/context_model.rs.",
+        )
+    }
+
+    pub fn one_halt_path(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let runtime = scan.tree(&["crates/core/src/runtime"], false);
+        scan.forbid(
+            &runtime,
+            &[
+                r"enum Flow\b",
+                r"enum WorkerExit\b",
+                r"enum ExitNote\b",
+                r"struct ExitGuard\b",
+            ],
+        );
+        scan.forbid(&runtime, &["Arc::try_unwrap"]);
+        scan.verdict(
+            "one halt path (commit 63d6129): a stage worker leaves its loop early through \
+             one type, Halt (parked by the supervisor, or failed), and hands its result \
+             back over one channel. The four control types that spelled \"park\" five ways, \
+             and the Arc-shared context that had to be unwrapped or cloned at the end, must \
+             not come back.",
+        )
+    }
+
+    pub fn ordered_span_store(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let trace = scan.file("crates/obs/src/trace.rs");
+        scan.forbid(&trace, &[".iter().find("]);
+        let critical_path = scan.file("crates/obs/src/critical_path.rs");
+        scan.forbid(&critical_path, &["HashMap<SpanId"]);
+        scan.verdict(
+            "ordered span store (commit 2b2f593): a span is looked up through the trace's \
+             own id index, built on the first lookup. A linear `get` (a scan of the whole \
+             store per causal edge) made every consumer that follows edges quadratic, a \
+             minute to export a 0.4 s simulation; and critical_path once hashed every span \
+             into a private id -> span map instead.",
+        )
+    }
+
+    pub fn evictions_are_not_spans(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let core = scan.tree(&["crates/core/src"], false);
+        scan.forbid(&core, &["SpanKind::Evict"]);
+        scan.verdict(
+            "evictions are not spans (commit 6594868): a span is something that takes time. \
+             An eviction takes none and happens only to make room for a swap-in, so the \
+             engines count it on the Fetch / Prefetch span that forced it (Span::evicted). \
+             Instant Evict marks were 46 % of a paper-scale trace, half its memory, and \
+             read by no analyzer; the kind itself stays in obs so old trace files load.",
+        )
+    }
+
+    pub fn one_counter_ledger(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let runtime = scan.rs_in("crates/core/src/runtime");
+        scan.forbid(
+            &runtime,
+            &[
+                "TeeRecorder",
+                "MetricsRecorder",
+                "TelemetrySampler",
+                "naspipe-sampler",
+            ],
+        );
+        scan.verdict(
+            "one counter ledger (commit b0976a8): a threaded run counts once, into its \
+             TelemetryHub: workers, the supervisor and the snapshot writer write its cells, \
+             and the report is its final snapshot. A second copy of the counters (a \
+             per-thread recorder teed beside the hub and merged after join) disagreed with \
+             it after a fault, and the supervisor samples while it waits, so no thread \
+             exists only to read them.",
+        )
+    }
+
+    pub fn one_pricing_path(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let mut dirs = scan.crate_srcs();
+        dirs.push("src".to_string());
+        let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+        let sources = scan.tree(&dirs, true);
+        scan.forbid(
+            &sources,
+            &[
+                r"\bjitter\b",
+                r"\bfault_rate\b",
+                r"\bcompute_scale\b",
+                r"\bslow_stage\b",
+            ],
+        );
+        scan.verdict(
+            "one pricing path (commit 28dc349): a DES task has one price, the catalog's, \
+             through SimSpec::cost, the one hook that replaces or perturbs it (a slowed \
+             stage, seeded noise, replayed measurements). Timing perturbations as config \
+             fields (multipliers and noise knobs on PipelineConfig / DiagnosticsOptions \
+             that one engine read, that priced the hoisted recompute another way, and that \
+             only tests set) must not come back.",
+        )
+    }
+
+    pub fn one_algorithm_2(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let runtime = scan.tree(&["crates/core/src/runtime"], false);
+        scan.forbid(&runtime, &[r"fn admissible\b", "unfinished_below"]);
+        scan.verdict(
+            "one Algorithm 2 (commit 29904b1): both engines admit forwards through \
+             scheduler::StageQueues::pick over CspScheduler::schedule. A private admission \
+             check in the runtime (the arrival-order scan over \
+             FinishedSet::unfinished_below it once had) let a higher ID run ahead of an \
+             admissible lower one.",
+        )
+    }
+}
+
+fn holds(rule: fn(&Path) -> Result<(), String>) {
+    if let Err(broken) = rule(Path::new(env!("CARGO_MANIFEST_DIR"))) {
+        panic!("{broken}");
+    }
+}
+
+#[test]
+fn one_json_codec() {
+    holds(rules::one_json_codec);
+}
+
+#[test]
+fn one_event_fan_out() {
+    holds(rules::one_event_fan_out);
+}
+
+#[test]
+fn no_write_only_manifest() {
+    holds(rules::no_write_only_manifest);
+}
+
+#[test]
+fn one_way_to_start_a_run() {
+    holds(rules::one_way_to_start_a_run);
+}
+
+#[test]
+fn flat_context_manager() {
+    holds(rules::flat_context_manager);
+}
+
+#[test]
+fn one_halt_path() {
+    holds(rules::one_halt_path);
+}
+
+#[test]
+fn ordered_span_store() {
+    holds(rules::ordered_span_store);
+}
+
+#[test]
+fn evictions_are_not_spans() {
+    holds(rules::evictions_are_not_spans);
+}
+
+#[test]
+fn one_counter_ledger() {
+    holds(rules::one_counter_ledger);
+}
+
+#[test]
+fn one_pricing_path() {
+    holds(rules::one_pricing_path);
+}
+
+#[test]
+fn one_algorithm_2() {
+    holds(rules::one_algorithm_2);
+}
+
+/// A fresh tree holding `files` (relative path, contents), named after
+/// the fixture so parallel tests do not share one.
+fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("structure")
+        .join(name);
+    let _ = fs::remove_dir_all(&root);
+    for (rel, text) in files {
+        let path = root.join(rel);
+        fs::create_dir_all(path.parent().expect("fixture paths have a parent"))
+            .expect("create fixture directory");
+        fs::write(&path, text).expect("write fixture file");
+    }
+    root
+}
+
+#[test]
+fn a_call_split_over_two_lines_is_still_the_call() {
+    let root = fixture(
+        "split_call",
+        &[
+            (
+                "crates/obs/src/trace.rs",
+                "fn get(&self, id: SpanId) -> Option<&Span> {\n    self.spans\n        .iter()\n        .find(|s| s.id == id)\n}\n",
+            ),
+            ("crates/obs/src/critical_path.rs", "use std::collections::HashMap;\n"),
+        ],
+    );
+    let broken = rules::ordered_span_store(&root).unwrap_err();
+    assert!(broken.contains("(commit 2b2f593)"), "{broken}");
+    assert!(
+        broken.contains("crates/obs/src/trace.rs:3: `.iter().find(`"),
+        "{broken}"
+    );
+}
+
+#[test]
+fn a_rule_whose_file_is_missing_fails() {
+    let root = fixture(
+        "missing_file",
+        &[
+            ("crates/core/src/lib.rs", "pub mod cache;\n"),
+            ("src/lib.rs", "pub use naspipe_core as core;\n"),
+        ],
+    );
+    let broken = rules::flat_context_manager(&root).unwrap_err();
+    assert!(
+        broken.contains("crates/core/src/context.rs: named by the rule, but no such file"),
+        "{broken}"
+    );
+}
+
+#[test]
+fn a_renamed_shim_fails_even_when_the_count_holds() {
+    let pipeline = "pub fn run_pipeline_with_subnets() {}\n\
+                    pub fn run_pipeline_with_tracer() {}\n\
+                    pub fn run_pipeline_telemetry() {}\n";
+    let files = |runtime| {
+        [
+            ("crates/core/src/runtime/mod.rs", runtime),
+            ("crates/core/src/pipeline.rs", pipeline),
+            ("src/lib.rs", ""),
+            ("tests/end_to_end.rs", ""),
+            ("examples/quickstart.rs", ""),
+        ]
+    };
+    let root = fixture("shims", &files("pub fn run_threaded_diagnosed() {}\n"));
+    rules::one_way_to_start_a_run(&root).expect("the four shims, uncalled");
+    let root = fixture("renamed_shim", &files("pub fn run_threaded_traced() {}\n"));
+    let broken = rules::one_way_to_start_a_run(&root).unwrap_err();
+    assert!(broken.contains("[\"run_threaded_traced\"]"), "{broken}");
+}
+
+#[test]
+fn the_fan_out_rule_stops_at_the_test_module() {
+    let sink = "    naspipe_obs::journal().emit(event);\n";
+    let tree = |runtime: &str| {
+        fixture(
+            "fan_out",
+            &[
+                ("crates/core/src/runtime/mod.rs", runtime),
+                ("crates/core/src/pipeline.rs", "pub fn run() {}\n"),
+            ],
+        )
+    };
+
+    let after = format!("pub fn run() {{}}\n\n#[cfg(test)]\nmod tests {{\n{sink}}}\n");
+    rules::one_event_fan_out(&tree(&after)).expect("a sink call in the test module is allowed");
+
+    let kill = "fn die() {\n    eprintln!(\"naspipe: injected process kill at {stage}\");\n}\n";
+    rules::one_event_fan_out(&tree(kill)).expect("the injected kill's last words are allowed");
+
+    let before = format!("fn f() {{\n{sink}}}\n\n#[cfg(test)]\nmod tests {{}}\n");
+    let broken = rules::one_event_fan_out(&tree(&before)).unwrap_err();
+    assert!(
+        broken.contains("crates/core/src/runtime/mod.rs:2: `journal().emit(`"),
+        "{broken}"
+    );
+}

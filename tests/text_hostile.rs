@@ -8,8 +8,6 @@
 //! that did, a `NaN` histogram bound, is pinned next to
 //! `validate_exposition`.)
 
-#![cfg(feature = "proptest-tests")]
-
 use naspipe::core::config::PipelineConfig;
 use naspipe::core::pipeline::SimSpec;
 use naspipe::core::replay_gate::parse_golden;

@@ -13,7 +13,6 @@ use naspipe::obs::{critical_path, export_chrome, RunMeta};
 use naspipe::supernet::space::SearchSpace;
 use naspipe::tensor::hash::{fnv1a, FNV_OFFSET};
 
-#[cfg(feature = "proptest-tests")]
 mod model {
     use naspipe::obs::{
         export_chrome, parse_chrome, CauseKind, RunMeta, Span, SpanDraft, SpanId, SpanKind,
