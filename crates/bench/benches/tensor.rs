@@ -8,7 +8,9 @@ use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::data::SyntheticDataset;
 use naspipe_tensor::hash::hash_tensors;
-use naspipe_tensor::layers::{dense_backward, dense_forward, DenseParams};
+use naspipe_tensor::layers::{
+    dense_backward, dense_backward_input, dense_backward_weight, dense_forward, DenseParams,
+};
 use naspipe_tensor::model::{NumericSupernet, ParamStore};
 use naspipe_tensor::optim::Sgd;
 use naspipe_tensor::pool;
@@ -71,9 +73,11 @@ fn bench_train_step(c: &mut Criterion) {
 
 /// One residual dense layer on one pool worker, at the two shapes the
 /// benchmark's threaded workloads run (`rt-compute-*`: 64 x 128,
-/// `rt-overhead-tiny`: 8 x 16): forward, backward, and the whole
-/// layer-step (forward + backward + SGD update) — the "layer glue" row
-/// of the performance ledger, with its allocation count.
+/// `rt-overhead-tiny`: 8 x 16): forward, backward and each of its two
+/// halves (the input gradient a stage hands upstream, then the weight
+/// gradient), and the whole layer-step (forward + backward + SGD update)
+/// — the "layer glue" row of the performance ledger, with its
+/// allocation count.
 fn bench_dense_layer(c: &mut Criterion) {
     for (rows, dim) in [(64usize, 128usize), (8, 16)] {
         let mut rng = DetRng::new(7);
@@ -96,11 +100,33 @@ fn bench_dense_layer(c: &mut Criterion) {
             });
             c.bench_function(&format!("dense_layer/bwd/{shape}"), |b| {
                 let (_, cache) = dense_forward(&params, x.clone(), 0.35);
-                b.iter(|| black_box(dense_backward(&params, cache.clone(), &grad_out, 0.35)))
+                b.iter(|| {
+                    black_box(dense_backward(
+                        &params,
+                        cache.clone(),
+                        &grad_out,
+                        0.35,
+                        true,
+                    ))
+                })
+            });
+            c.bench_function(&format!("dense_layer/bwd_input/{shape}"), |b| {
+                let (_, cache) = dense_forward(&params, x.clone(), 0.35);
+                b.iter(|| {
+                    let mut cache = cache.clone();
+                    black_box(dense_backward_input(
+                        &params, &mut cache, &grad_out, 0.35, true,
+                    ))
+                })
+            });
+            c.bench_function(&format!("dense_layer/bwd_weight/{shape}"), |b| {
+                let (_, mut cache) = dense_forward(&params, x.clone(), 0.35);
+                let (_, db) = dense_backward_input(&params, &mut cache, &grad_out, 0.35, true);
+                b.iter(|| black_box(dense_backward_weight(cache.clone(), db.clone())))
             });
             let mut step = |x: Tensor| {
                 let (y, cache) = dense_forward(&params, x, 0.35);
-                let (dx, grads) = dense_backward(&params, cache, &grad_out, 0.35);
+                let (dx, grads) = dense_backward(&params, cache, &grad_out, 0.35, true);
                 sgd.step(&mut params, &grads);
                 black_box((y, dx));
             };

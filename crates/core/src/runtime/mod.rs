@@ -37,14 +37,19 @@
 //! including — the blocking receive: cut a checkpoint, inject, drain the
 //! delivered messages, run one backward or one admissible forward, and
 //! say whether a task ran. The thread is "`step` until nothing is
-//! runnable, then block for one message". `step` never waits for a peer
-//! (injected `Slow` and retry back-off sleeps aside), so a test drives
-//! several workers through any interleaving on one thread; it is not a
-//! pure function of a message — it reads its inbox, the clock and the
-//! fault plan itself. A task's compute end is read from the clock once:
-//! its span, its [`TaskRecord`] and its latency sample carry the same
-//! `(start, end)`, and the hand-off that follows is the gap to the next
-//! task.
+//! runnable, then block for one message"; the last stage spends what
+//! would be that wait synthesizing upcoming loss targets. A backward
+//! hands its input gradient upstream before its weight half (`dL/dW` and
+//! the optimizer step), so the predecessor's backward overlaps it.
+//! `step` never waits for a peer (injected `Slow` and retry back-off
+//! sleeps aside), so a test drives several workers through any
+//! interleaving on one thread; it is not a pure function of a message —
+//! it reads its inbox, the clock and the fault plan itself. A task's
+//! start and end are read from the clock once: its spans, its
+//! [`TaskRecord`] and its latency sample carry the same `(start, end)`.
+//! A forward's hand-off comes after its span and is the gap to the next
+//! task; a backward's comes between its `Backward` and `Update` spans
+//! and is the gap between them, inside its record.
 //!
 //! # Supervision and recovery
 //!

@@ -444,6 +444,7 @@ mod tests {
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::space::SearchSpace;
     use naspipe_supernet::subnet::Subnet;
+    use std::collections::BTreeMap;
     use std::error::Error as _;
     use std::sync::Arc;
 
@@ -825,11 +826,29 @@ mod tests {
         assert_eq!(run.report.meta.stages, gpus);
         assert_eq!(run.report.meta.seed, Some(cfg.seed));
         let fwd = run.spans.of_kind(SpanKind::Forward).count() as u64;
-        let bwd = run.spans.of_kind(SpanKind::Backward).count() as u64;
+        let task = |kind| {
+            let mut keys: Vec<_> = (run.spans.of_kind(kind))
+                .map(|s| (s.stage, s.subnet))
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let bwd = task(SpanKind::Backward);
         assert_eq!(fwd, n * u64::from(gpus), "one forward span per task");
-        assert_eq!(bwd, n * u64::from(gpus), "one backward span per task");
+        assert_eq!(
+            bwd.len() as u64,
+            n * u64::from(gpus),
+            "one backward span per task"
+        );
+        assert_eq!(task(SpanKind::Update), bwd, "one update span per backward");
         assert_eq!(run.spans.num_stages(), gpus);
         for s in run.spans.spans() {
+            if s.kind == SpanKind::Update {
+                // It follows its own backward's hand-off: nothing
+                // released it.
+                assert_eq!(s.cause, None, "an update span carries no cause");
+                continue;
+            }
             let cause = s.cause.expect("every task span carries a cause");
             match s.kind {
                 SpanKind::Forward if s.stage == 0 => {
@@ -880,14 +899,28 @@ mod tests {
                 )
             })
             .collect();
+        // A forward is one span; a backward is its Backward span, the
+        // gradient's hand-off, and its Update span.
+        let mut updates: BTreeMap<(u32, u64), (u64, u64)> = (run.spans.of_kind(SpanKind::Update))
+            .map(|s| ((s.stage, s.subnet.unwrap()), (s.start_us, s.end_us)))
+            .collect();
         let tasks =
             |s: &&naspipe_obs::Span| matches!(s.kind, SpanKind::Forward | SpanKind::Backward);
         let mut spans: Vec<_> = (run.spans.spans().iter().filter(tasks))
             .map(|s| {
-                let forward = s.kind == SpanKind::Forward;
-                key(s.stage, s.subnet.unwrap(), forward, s.start_us, s.end_us)
+                let (stage, subnet) = (s.stage, s.subnet.unwrap());
+                if s.kind == SpanKind::Forward {
+                    return key(stage, subnet, true, s.start_us, s.end_us);
+                }
+                let (split, end) = updates.remove(&(stage, subnet)).expect("its update span");
+                assert!(
+                    s.end_us <= split,
+                    "SN{subnet}@P{stage}: the update starts after the backward"
+                );
+                key(stage, subnet, false, s.start_us, end)
             })
             .collect();
+        assert!(updates.is_empty(), "an update span without its backward");
         records.sort_unstable();
         spans.sort_unstable();
         assert_eq!(records.len(), 40 * 2 * 2);
@@ -910,6 +943,129 @@ mod tests {
                 stage.stage
             );
         }
+    }
+
+    #[test]
+    fn every_causal_edge_leaves_a_closed_span() {
+        // A hand-off sent before the span it names is closed shows up as
+        // an edge whose source ends after the span it releases starts.
+        // Clean, with checkpoints, and restarted from one: a worker that
+        // died loses its buffered spans, so only then may a source be
+        // missing from the trace.
+        let space = space();
+        let list = subnets(&space, 16);
+        let cuts = RecoveryOptions {
+            checkpoint_interval: 4,
+            ..RecoveryOptions::default()
+        };
+        let restart = RecoveryOptions {
+            fault_plan: FaultPlan::new().panic_on(1, 6, TaskKind::Backward),
+            max_restarts: 2,
+            ..cuts.clone()
+        };
+        for (recovery, restarted) in [
+            (RecoveryOptions::default(), false),
+            (cuts, false),
+            (restart, true),
+        ] {
+            let run = RunSpec {
+                recovery,
+                ..RunSpec::new(&space, list.clone(), TrainConfig::default(), 3)
+            }
+            .run()
+            .unwrap();
+            assert_eq!(run.recovery.restarts, u32::from(restarted));
+            let mut edges = 0;
+            for s in run.spans.spans() {
+                let Some(edge) = s.cause.filter(|e| !e.src.is_external()) else {
+                    continue;
+                };
+                let Some(src) = run.spans.get(edge.src) else {
+                    assert!(restarted, "dangling edge into {}", s.label());
+                    continue;
+                };
+                assert!(
+                    src.end_us <= s.start_us,
+                    "{} ends at {} us, after {} it released starts at {} us",
+                    src.label(),
+                    src.end_us,
+                    s.label(),
+                    s.start_us
+                );
+                edges += 1;
+            }
+            assert!(edges > 16 * 3, "edges checked: {edges}");
+            // Each Update follows its Backward. A parked worker halted in
+            // the hand-off between them keeps a lone Backward, allowed
+            // only if the restart ran that backward again, in full.
+            let mut runs: BTreeMap<(u32, u64), Vec<(u64, bool)>> = BTreeMap::new();
+            for s in run.spans.spans() {
+                if matches!(s.kind, SpanKind::Backward | SpanKind::Update) {
+                    let update = s.kind == SpanKind::Update;
+                    let key = (s.stage, s.subnet.unwrap());
+                    runs.entry(key).or_default().push((s.start_us, update));
+                }
+            }
+            for ((stage, subnet), mut halves) in runs {
+                halves.sort_unstable();
+                let (mut open, mut lone) = (false, 0);
+                for (_, update) in halves {
+                    match (update, open) {
+                        (true, true) => open = false,
+                        (true, false) => panic!("SN{subnet}@P{stage}: update without backward"),
+                        (false, true) => lone += 1,
+                        (false, false) => open = true,
+                    }
+                }
+                assert!(
+                    !open,
+                    "SN{subnet}@P{stage}: its last backward has no update"
+                );
+                assert!(
+                    restarted || lone == 0,
+                    "SN{subnet}@P{stage}: {lone} lone backwards"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_backwards_send_and_its_back_off_are_the_gap_before_its_update() {
+        // SN5's gradient fails to leave stage 1 twice: the retries sleep
+        // 20 + 40 ms, between its Backward and Update spans — outside
+        // both compute spans, inside its task record.
+        let space = space();
+        let recovery = RecoveryOptions {
+            fault_plan: (FaultPlan::new())
+                .transient_send(1, 5, TaskKind::Backward, 2)
+                .with_backoff_us(20_000),
+            ..RecoveryOptions::default()
+        };
+        let run = RunSpec {
+            recovery,
+            ..RunSpec::new(&space, subnets(&space, 8), TrainConfig::default(), 2)
+        }
+        .run()
+        .unwrap();
+        assert_eq!(run.report.retries(), 2);
+        let half = |kind| {
+            let mut it = run.spans.of_kind(kind);
+            let s = it.find(|s| (s.stage, s.subnet) == (1, Some(5))).unwrap();
+            (s.start_us, s.end_us)
+        };
+        let (backward, update) = (half(SpanKind::Backward), half(SpanKind::Update));
+        let backoff_us = 60_000;
+        assert!(
+            update.0 - backward.1 >= backoff_us,
+            "{backward:?} then {update:?}"
+        );
+        let record = (run.tasks.iter())
+            .find(|t| (t.stage.0, t.subnet.0, t.kind) == (1, 5, TaskKind::Backward))
+            .unwrap();
+        assert_eq!(
+            (record.start.as_us(), record.end.as_us()),
+            (backward.0, update.1)
+        );
     }
 
     #[test]

@@ -201,6 +201,12 @@ impl RunContext {
         self.partition.num_stages()
     }
 
+    /// Subnet `y`'s loss target: its input batch through the teacher. A
+    /// pure function of `y`, so who synthesizes it, and when, cannot show.
+    fn target(&self, y: u64) -> Tensor {
+        self.data.target_of(&self.data.input(y))
+    }
+
     /// This run's share of the shared compute pool's work so far.
     pub(super) fn pool_run(&self) -> PoolStats {
         pool::shared(self.train.threads)
@@ -282,6 +288,12 @@ pub(super) struct StageWorker<'a> {
     registered: u64,
     scheduler: CspScheduler,
     ctxs: BTreeMap<u64, ForwardCtx>,
+    // The last stage's loss targets synthesized in idle time, each
+    // waiting for its subnet's forward: at most `window` of them. They
+    // are made in subnet order: every subnet below `next_target` has a
+    // target waiting or its forward done here.
+    targets: BTreeMap<u64, Tensor>,
+    next_target: u64,
     // `L_f` per stage, of which this stage writes and reads its own: under
     // the run's one partition every earlier sharer of a slice layer
     // writes it here.
@@ -352,6 +364,8 @@ impl<'a> StageWorker<'a> {
             registered: resume_w,
             scheduler: CspScheduler::new(),
             ctxs: BTreeMap::new(),
+            targets: BTreeMap::new(),
+            next_target: resume_w,
             finished,
             finished_count: resume_w,
             losses,
@@ -620,38 +634,37 @@ impl<'a> StageWorker<'a> {
         );
     }
 
-    /// Closes the task whose compute just ended, bound to `cause`: one
-    /// clock read is the end its span, its [`TaskRecord`] and its latency
-    /// sample all carry, so the three agree. The hand-off comes after (a
-    /// message carries the span's id) and is the gap to the next task.
-    /// Returns the span and that end, in µs since the run's epoch.
-    fn complete_task(
+    /// µs since the run's epoch at `at`.
+    fn us_at(&self, at: Instant) -> u64 {
+        let us = at.duration_since(self.ctx.epoch).as_micros();
+        us.min(u64::MAX as u128) as u64
+    }
+
+    /// Emits one compute span of `y`'s task here, bound to `cause` if it
+    /// has one.
+    fn emit_span(
         &mut self,
-        kind: TaskKind,
+        kind: SpanKind,
         y: SubnetId,
-        started: Instant,
-        cause: (SpanId, CauseKind),
-    ) -> (SpanId, u64) {
-        let start = started.duration_since(self.ctx.epoch).as_micros();
-        let (start, end) = (start.min(u64::MAX as u128) as u64, self.now_us());
-        let (span_kind, latency, count) = match kind {
-            TaskKind::Forward => (
-                SpanKind::Forward,
-                Sample::ForwardLatencyUs,
-                Counter::ForwardTask,
-            ),
-            TaskKind::Backward => (
-                SpanKind::Backward,
-                Sample::BackwardLatencyUs,
-                Counter::BackwardTask,
-            ),
+        (start, end): (u64, u64),
+        cause: Option<(SpanId, CauseKind)>,
+    ) -> SpanId {
+        let draft = SpanDraft::new(self.stage as u32, kind, start, end).subnet(y.0);
+        self.tracer.emit(match cause {
+            Some((src, why)) => draft.caused_by(src, why),
+            None => draft,
+        })
+    }
+
+    /// Closes `y`'s task, which ran from `start` to `end` µs since the
+    /// run's epoch: its [`TaskRecord`] and its latency sample carry the
+    /// clock reads its spans start and end on, so the three agree.
+    fn complete_task(&mut self, kind: TaskKind, y: SubnetId, (start, end): (u64, u64)) {
+        let (latency, count) = match kind {
+            TaskKind::Forward => (Sample::ForwardLatencyUs, Counter::ForwardTask),
+            TaskKind::Backward => (Sample::BackwardLatencyUs, Counter::BackwardTask),
         };
         let stage = self.stage as u32;
-        let span = self.tracer.emit(
-            SpanDraft::new(stage, span_kind, start, end)
-                .subnet(y.0)
-                .caused_by(cause.0, cause.1),
-        );
         self.tasks.push(TaskRecord {
             start: SimTime::from_us(start),
             end: SimTime::from_us(end),
@@ -662,7 +675,6 @@ impl<'a> StageWorker<'a> {
         });
         self.ctx.hub.observe(stage, latency, end - start);
         self.ctx.hub.record(stage, count, 1);
-        (span, end)
     }
 
     /// Snapshots this stage's state into the checkpoint store when its
@@ -773,14 +785,22 @@ impl<'a> StageWorker<'a> {
                 cause = (wspan, CauseKind::CspWriterCompletion { writer: x }, wend);
             }
         }
-        // The last stage: the loss closes the forward pass.
+        // The last stage: the loss closes the forward pass, against the
+        // target idle time prepared or, on a miss, one made here.
         let loss_grad = self.next_tx.is_none().then(|| {
-            let target = self.ctx.data.target_of(&self.ctx.data.input(y.0));
+            let target = self
+                .targets
+                .remove(&y.0)
+                .unwrap_or_else(|| self.ctx.target(y.0));
             let (loss, grad) = naspipe_tensor::loss::mse(&out, &target);
             self.losses.insert(y.0, loss);
             grad
         });
-        let (span, _) = self.complete_task(TaskKind::Forward, y, started, (cause.0, cause.1));
+        // One clock read ends the span and the task; the hand-off comes
+        // after (a message carries the span's id).
+        let ran = (self.us_at(started), self.now_us());
+        let span = self.emit_span(SpanKind::Forward, y, ran, Some((cause.0, cause.1)));
+        self.complete_task(TaskKind::Forward, y, ran);
         match loss_grad {
             // The gradient "arrives" from the local loss computation.
             Some(grad) => {
@@ -793,27 +813,40 @@ impl<'a> StageWorker<'a> {
         Ok(())
     }
 
+    /// `y`'s backward in two halves with the hand-off between them: the
+    /// input-gradient half (span `Backward`) leaves the predecessor
+    /// nothing to wait for but its own work, and the weight half (span
+    /// `Update`: `dL/dW` and the step) runs while it does. The send, with
+    /// any injected retry back-off, is the gap between the two spans;
+    /// the task's record and latency sample cover all three. A halt in
+    /// the send leaves the Backward span without its Update: the
+    /// incarnation is over, and the task runs again after the restart.
     fn run_backward(&mut self, y: SubnetId, grad_out: Tensor, src: SpanId) -> Result<(), Halt> {
         let started = Instant::now();
         self.fire_execute_fault(y, TaskKind::Backward);
-        let ctx = self.ctxs.remove(&y.0).expect("forward context present");
-        // Backward + apply on the owned slice.
-        let (grad, grads) = self
-            .engine
-            .backward_slice(|l| self.layer_params(l), ctx, grad_out);
+        let mut ctx = self.ctxs.remove(&y.0).expect("forward context present");
+        let grad = (self.engine).backward_slice_input(|l| self.layer_params(l), &mut ctx, grad_out);
+        let (start, split) = (self.us_at(started), self.now_us());
+        let cause = (src, CauseKind::GradientArrival);
+        let span = self.emit_span(SpanKind::Backward, y, (start, split), Some(cause));
+        // Stage 0's slice yields none: nobody reads the subnet input's.
+        if let Some(grad) = grad {
+            self.hand_off(TaskKind::Backward, y, grad, span)?;
+        }
+        let resumed = self.now_us();
+        // The weight half, then the writes in block order.
+        let grads = self.engine.backward_slice_weight(ctx);
         for (layer, g) in grads.iter() {
             let params =
                 &mut self.params[layer.block as usize - self.blocks.start][layer.choice as usize];
             self.engine.step_layer(*layer, params, g);
         }
         self.check(|c| c.on_backward_done(y, self.stage as u32))?;
-        let cause = (src, CauseKind::GradientArrival);
-        let (span, end) = self.complete_task(TaskKind::Backward, y, started, cause);
+        let end = self.now_us();
+        let update = self.emit_span(SpanKind::Update, y, (resumed, end), None);
+        self.complete_task(TaskKind::Backward, y, (start, end));
         self.writers
-            .record(&self.ctx.subnets[y.0 as usize], span, end);
-        if self.prev_tx.is_some() {
-            self.hand_off(TaskKind::Backward, y, grad, span)?;
-        }
+            .record(&self.ctx.subnets[y.0 as usize], update, end);
         self.finished[self.stage].insert(y);
         self.finished_count += 1;
         self.table.retire_below(self.done().first_unfinished());
@@ -830,8 +863,10 @@ impl<'a> StageWorker<'a> {
             // has reached the start of its checkpoint epoch, so every
             // watermark is a consistent cut (no task past it exists
             // anywhere before all stages snapshot it). Stage 0's
-            // backward is the causally last task of each subnet, so its
-            // prefix IS the global watermark.
+            // backward is the causally last task of each subnet to start,
+            // so its prefix IS the global watermark: a later stage may
+            // still be in the weight half of its own backward, but it
+            // takes no other task, and cuts, before that is done.
             if let Some(epochs) = self.registered.checked_div(self.ctx.ckpt_interval) {
                 let epoch_start = epochs * self.ctx.ckpt_interval;
                 if epoch_start > self.done().first_unfinished().0 {
@@ -846,10 +881,37 @@ impl<'a> StageWorker<'a> {
         }
     }
 
+    /// Idle time at the last stage: synthesizes the loss target of the
+    /// lowest in-flight subnet (at most `window` above the finished
+    /// prefix) that has neither a target prepared nor its forward done
+    /// here. `false` when there is none, or this is not the last stage.
+    fn prepare_target(&mut self) -> bool {
+        if self.next_tx.is_some() {
+            return false;
+        }
+        let done = &self.finished[self.stage];
+        let end = (done.first_unfinished().0 + self.ctx.window).min(self.ctx.total());
+        // Past the forwards that ran on a miss.
+        let mut y = self.next_target;
+        while y < end && (done.contains(SubnetId(y)) || self.ctxs.contains_key(&y)) {
+            y += 1;
+        }
+        self.next_target = y;
+        if y >= end {
+            return false;
+        }
+        let target = self.ctx.target(y);
+        self.targets.insert(y, target);
+        self.next_target = y + 1;
+        true
+    }
+
     /// One turn of the Algorithm 1 loop, up to — not including — the
     /// blocking receive: `true` when a task ran, `false` when nothing is
     /// runnable until a message arrives. Never waits for a peer (it can
-    /// sleep in an injected `Slow` fault or retry back-off).
+    /// sleep in an injected `Slow` fault or retry back-off). The last
+    /// stage spends what would be the wait preparing loss targets, one
+    /// between looks at its inbox.
     fn step(&mut self) -> Result<bool, Halt> {
         if self.inc.shutdown.load(Ordering::Acquire) {
             return Err(Halt::Parked);
@@ -860,34 +922,37 @@ impl<'a> StageWorker<'a> {
         if self.stage == 0 {
             self.try_inject();
         }
-        // Pull every delivered message before picking work, so a
-        // burst shows up in the queue-depth metrics and a delivered
-        // backward takes priority over queued forwards.
-        self.drain_inbound()?;
-        self.sample_queue_depth();
-        // The lowest-ID backward, else the lowest-ID admissible forward.
         let stage = StageId(self.stage as u32);
-        let pick = self
-            .queues
-            .pick(&mut self.scheduler, &self.finished, &self.table, stage);
-        match pick {
-            Pick::Backward {
-                id,
-                payload: (grad, src),
-                preempted,
-            } => {
-                if preempted {
-                    self.ctx.hub.record(stage.0, Counter::BackwardPreemption, 1);
+        loop {
+            // Pull every delivered message before picking work, so a
+            // burst shows up in the queue-depth metrics and a delivered
+            // backward takes priority over queued forwards.
+            self.drain_inbound()?;
+            self.sample_queue_depth();
+            // The lowest-ID backward, else the lowest-ID admissible forward.
+            let pick = self
+                .queues
+                .pick(&mut self.scheduler, &self.finished, &self.table, stage);
+            match pick {
+                Pick::Backward {
+                    id,
+                    payload: (grad, src),
+                    preempted,
+                } => {
+                    if preempted {
+                        self.ctx.hub.record(stage.0, Counter::BackwardPreemption, 1);
+                    }
+                    self.run_backward(id, grad, src)?;
                 }
-                self.run_backward(id, grad, src)?;
+                Pick::Forward {
+                    id,
+                    payload: (input, src, arrival),
+                } => self.run_forward(id, input, src, arrival)?,
+                Pick::Idle { .. } if self.prepare_target() => continue,
+                Pick::Idle { .. } => return Ok(false),
             }
-            Pick::Forward {
-                id,
-                payload: (input, src, arrival),
-            } => self.run_forward(id, input, src, arrival)?,
-            Pick::Idle { .. } => return Ok(false),
+            return Ok(true);
         }
-        Ok(true)
     }
 
     /// [`step`](Self::step) until the stream is trained, blocking for one
@@ -1066,6 +1131,68 @@ mod tests {
                 assert_eq!(at_cut.bitwise_hash(), want, "seed {seed}, {gpus} stages");
             }
         }
+    }
+
+    #[test]
+    fn prepared_and_inline_targets_give_the_sequential_losses() {
+        // Two stages stepped in turn over a high-share stream. The last
+        // stage prepares targets whenever it idles; every odd subnet's is
+        // dropped before each of its steps, so that forward makes its
+        // own. Both kinds must give the sequential losses, bit for bit,
+        // and the stage never holds more than `window` targets.
+        let space = SearchSpace::uniform(Domain::Nlp, 8, 5);
+        let list = UniformSampler::new(&space, 3).take_subnets(24);
+        let cfg = TrainConfig::default();
+        let want = sequential_training(&space, &list, &cfg).losses;
+        let spec = RunSpec {
+            window: 4,
+            ..RunSpec::new(&space, list, cfg, 2)
+        };
+        let bus = spec.bus();
+        let ctx = RunContext::new(spec, bus);
+        let inc = Incarnation::new(&ctx, 0);
+        let (mut workers, _supervisor_txs) = StageWorker::wire(&ctx, &inc);
+        for w in &mut workers {
+            w.start();
+        }
+        let (mut prepared, mut inline) = (0, 0);
+        while workers.iter().any(|w| w.finished_count < ctx.total()) {
+            let mut ran = false;
+            for w in &mut workers {
+                w.targets.retain(|y, _| y % 2 == 0);
+                let held: Vec<u64> = w.targets.keys().copied().collect();
+                let before = w.tasks.len();
+                ran |= match w.step() {
+                    Ok(ran) => ran,
+                    Err(Halt::Parked) => panic!("stage {} parked unasked", w.stage),
+                    Err(Halt::Failed(err)) => panic!("{err}"),
+                };
+                assert!(
+                    w.targets.len() as u64 <= ctx.window,
+                    "{:?}",
+                    w.targets.keys()
+                );
+                let Some(t) = w.tasks.get(before) else {
+                    continue;
+                };
+                if w.next_tx.is_none() && t.kind == TaskKind::Forward {
+                    if held.contains(&t.subnet.0) {
+                        prepared += 1;
+                    } else {
+                        inline += 1;
+                    }
+                }
+            }
+            assert!(ran, "deadlock");
+        }
+        assert!(
+            prepared > 0 && inline > 0,
+            "{prepared} prepared, {inline} inline"
+        );
+        let last = workers.pop().expect("two stages").into_output();
+        let got: Vec<(u64, f32)> = last.losses.into_iter().collect();
+        let bits = |l: &[(u64, f32)]| l.iter().map(|&(y, v)| (y, v.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

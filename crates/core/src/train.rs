@@ -231,7 +231,10 @@ pub(crate) fn replay_tasks(
                     let (grad_in, layer_grads) =
                         engine.backward_slice(|l| store.layer(l), ctx, grad_out);
                     engine.apply(&mut store, &layer_grads);
-                    grads.insert((y, k), grad_in);
+                    // Stage 0's slice returns none: nobody reads it.
+                    if let Some(grad_in) = grad_in {
+                        grads.insert((y, k), grad_in);
+                    }
                 }
             }
         }

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// Which bucket a critical-path segment's time lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AttrClass {
-    /// A compute span (forward/backward/recompute) executing.
+    /// A compute span (forward/backward/update/recompute) executing.
     Compute,
     /// Waiting on (or inside) a parameter fetch/prefetch.
     Fetch,

@@ -2,7 +2,7 @@
 //!
 //! Where [`crate::metrics`] aggregates (counters and histograms), this
 //! module records *timelines*: one [`Span`] per unit of runtime work —
-//! forward/backward execution, parameter fetch/prefetch, activation
+//! forward/backward/update execution, parameter fetch/prefetch, activation
 //! recomputation, checkpoint, restart — each carrying the stage
 //! it ran on, the subnet it belongs to, and a **causal edge**
 //! naming *why it started when it did*: the predecessor stage's
@@ -53,7 +53,8 @@ impl fmt::Display for SpanId {
 pub enum SpanKind {
     /// A forward task executing on a stage.
     Forward,
-    /// A backward task executing on a stage.
+    /// A backward task executing on a stage: its input-gradient half,
+    /// up to the gradient's hand-off upstream in the threaded runtime.
     Backward,
     /// Hoisted activation recomputation ahead of the backward wave.
     Recompute,
@@ -70,6 +71,11 @@ pub enum SpanKind {
     Checkpoint,
     /// The supervisor respawning a stage after a failure.
     Restart,
+    /// A backward's weight half in the threaded runtime: `dL/dW` and the
+    /// optimizer step, after the input gradient's hand-off returned. Its
+    /// own Backward span released it, so like Recompute it carries no
+    /// cause.
+    Update,
 }
 
 impl SpanKind {
@@ -84,6 +90,7 @@ impl SpanKind {
             SpanKind::Evict => "evict",
             SpanKind::Checkpoint => "checkpoint",
             SpanKind::Restart => "restart",
+            SpanKind::Update => "update",
         }
     }
 
@@ -98,6 +105,7 @@ impl SpanKind {
             "evict" => SpanKind::Evict,
             "checkpoint" => SpanKind::Checkpoint,
             "restart" => SpanKind::Restart,
+            "update" => SpanKind::Update,
             _ => return None,
         })
     }
@@ -108,7 +116,7 @@ impl SpanKind {
     pub fn is_compute(self) -> bool {
         matches!(
             self,
-            SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute
+            SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute | SpanKind::Update
         )
     }
 }
@@ -695,6 +703,7 @@ mod tests {
             SpanKind::Evict,
             SpanKind::Checkpoint,
             SpanKind::Restart,
+            SpanKind::Update,
         ] {
             assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
         }

@@ -5,7 +5,7 @@
 //! step after backward), because the interleaving of those accesses across
 //! subnets is what CSP/BSP/ASP differ on.
 
-use crate::tensor::{MmOp, Tensor};
+use crate::tensor::Tensor;
 use naspipe_supernet::rng::DetRng;
 
 /// Parameters of one residual dense layer: `y = x + tanh(x W + b)`.
@@ -78,36 +78,63 @@ pub fn dense_forward(params: &DenseParams, input: Tensor, scale: f32) -> (Tensor
     (output, DenseCache { input, tanh_out })
 }
 
-/// Backward pass given `dL/dy` (with the same `scale` as the forward).
-/// Returns `(dL/dx, grads)`. Consumes the cache: `dz` is formed in the
-/// activation's buffer, so the only allocations are the three tensors
-/// returned.
-pub fn dense_backward(
+/// Input-gradient half of the backward pass, given `dL/dy` (with the
+/// same `scale` as the forward): the fused prologue turns the cache's
+/// activation into `dz` in place, and `dL/dx = dz Wᵀ + dL/dy` is formed
+/// from the weights as the forward read them. Returns `(dL/dx, dL/db)`;
+/// `dL/dx` is `None` unless `input_grad` (a subnet's first layer reads
+/// its input, whose gradient nobody reads).
+///
+/// Afterwards the cache holds `x` and `dz`: hand it and `dL/db` to
+/// [`dense_backward_weight`], which reads no weight — so a pipeline
+/// stage can send `dL/dx` upstream first. The only allocations are the
+/// tensors returned.
+pub fn dense_backward_input(
     params: &DenseParams,
-    cache: DenseCache,
+    cache: &mut DenseCache,
     grad_output: &Tensor,
     scale: f32,
-) -> (Tensor, DenseGrads) {
+    input_grad: bool,
+) -> (Option<Tensor>, Tensor) {
     // Through the scaled tanh branch; the residual passes grad_output
-    // through untouched. The two transposed products are independent, so
-    // they go to the pool as one batch (one fan-out instead of two); each
-    // is bitwise identical to the transpose()+matmul form it replaces,
-    // without materialising either transpose.
-    let DenseCache {
-        input,
-        tanh_out: mut dz,
-    } = cache;
+    // through untouched. The product is bitwise identical to the
+    // transpose()+matmul form, without materialising the transpose.
+    let dz = &mut cache.tanh_out;
     let grad_bias = dz.tanh_grad_inplace(grad_output, scale);
-    let [grad_weight, mut grad_input] =
-        Tensor::matmul_many([(MmOp::Tn, &input, &dz), (MmOp::Nt, &dz, &params.weight)]);
-    grad_input.add_inplace(grad_output);
-    (
-        grad_input,
-        DenseGrads {
-            weight: grad_weight,
-            bias: grad_bias,
-        },
-    )
+    let grad_input = input_grad.then(|| {
+        let mut grad_input = dz.matmul_t(&params.weight);
+        grad_input.add_inplace(grad_output);
+        grad_input
+    });
+    (grad_input, grad_bias)
+}
+
+/// Weight half of the backward pass: `dL/dW = xᵀ dz` from a cache that
+/// [`dense_backward_input`] turned into `dz`, beside the `dL/db` it
+/// returned. The product is independent of the input half's, so running
+/// it alone (or later) moves no bit. The only allocation is `dL/dW`.
+pub fn dense_backward_weight(cache: DenseCache, grad_bias: Tensor) -> DenseGrads {
+    DenseGrads {
+        weight: cache.input.t_matmul(&cache.tanh_out),
+        bias: grad_bias,
+    }
+}
+
+/// Backward pass given `dL/dy` (with the same `scale` as the forward):
+/// [`dense_backward_input`], then [`dense_backward_weight`]. Returns
+/// `(dL/dx, grads)`, with `dL/dx` only when `input_grad`. Consumes the
+/// cache: `dz` is formed in the activation's buffer, so the only
+/// allocations are the tensors returned.
+pub fn dense_backward(
+    params: &DenseParams,
+    mut cache: DenseCache,
+    grad_output: &Tensor,
+    scale: f32,
+    input_grad: bool,
+) -> (Option<Tensor>, DenseGrads) {
+    let (grad_input, grad_bias) =
+        dense_backward_input(params, &mut cache, grad_output, scale, input_grad);
+    (grad_input, dense_backward_weight(cache, grad_bias))
 }
 
 /// The op-by-op composition the fused layer replaced: one single-purpose
@@ -210,7 +237,7 @@ mod tests {
         let (y, cache) = dense_forward(&p, x.clone(), 1.0);
         // dL/dy for L = sum(y): all ones.
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (_, grads) = dense_backward(&p, cache, &grad_out, 1.0);
+        let (_, grads) = dense_backward(&p, cache, &grad_out, 1.0, true);
 
         let eps = 1e-3f32;
         for idx in [0usize, 5, 10, 15] {
@@ -242,7 +269,8 @@ mod tests {
         let x = Tensor::from_vec((0..4).map(|_| rng.next_f32()).collect(), &[1, 4]);
         let (y, cache) = dense_forward(&p, x.clone(), 1.0);
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (grad_in, _) = dense_backward(&p, cache, &grad_out, 1.0);
+        let (grad_in, _) = dense_backward(&p, cache, &grad_out, 1.0, true);
+        let grad_in = grad_in.expect("dL/dx asked for");
 
         let eps = 1e-3f32;
         for idx in 0..4 {
@@ -276,7 +304,8 @@ mod tests {
         let x = Tensor::from_vec((0..4).map(|_| rng.next_f32()).collect(), &[1, 4]);
         let (y, cache) = dense_forward(&p, x.clone(), scale);
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (grad_in, grads) = dense_backward(&p, cache, &grad_out, scale);
+        let (grad_in, grads) = dense_backward(&p, cache, &grad_out, scale, true);
+        let grad_in = grad_in.expect("dL/dx asked for");
         let eps = 1e-3f32;
         for idx in [0usize, 7, 13] {
             let mut pp = p.clone();
@@ -357,8 +386,17 @@ mod tests {
         );
         assert_bits(&cache.tanh_out, &want_cache.tanh_out, &format!("{what}: t"));
         let (want_dx, want_g) = reference::dense_backward(&p, &want_cache, &grad_out, scale);
-        let (dx, g) = dense_backward(&p, cache, &grad_out, scale);
-        assert_bits(&dx, &want_dx, &format!("{what}: dx"));
+        // A first layer skips dL/dx; its parameter gradients stay put.
+        let (no_dx, g) = dense_backward(&p, cache.clone(), &grad_out, scale, false);
+        assert!(no_dx.is_none(), "{what}: dL/dx not asked for");
+        assert_bits(
+            &g.weight,
+            &want_g.weight,
+            &format!("{what}: first-layer dW"),
+        );
+        assert_bits(&g.bias, &want_g.bias, &format!("{what}: first-layer db"));
+        let (dx, g) = dense_backward(&p, cache, &grad_out, scale, true);
+        assert_bits(&dx.unwrap(), &want_dx, &format!("{what}: dx"));
         assert_bits(&g.weight, &want_g.weight, &format!("{what}: dW"));
         assert_bits(&g.bias, &want_g.bias, &format!("{what}: db"));
     }

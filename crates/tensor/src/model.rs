@@ -6,7 +6,9 @@
 //! engine (in `naspipe-core`) decides *which* store state each access sees,
 //! which is exactly where CSP, BSP and ASP semantics diverge.
 
-use crate::layers::{dense_backward, dense_forward, DenseCache, DenseGrads, DenseParams};
+use crate::layers::{
+    dense_backward_input, dense_backward_weight, dense_forward, DenseCache, DenseGrads, DenseParams,
+};
 use crate::loss::mse;
 use crate::optim::{MomentumSgd, Sgd};
 use crate::tensor::Tensor;
@@ -142,13 +144,12 @@ impl ParamStore {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardCtx {
     layers: Vec<(LayerRef, DenseCache)>,
-}
-
-impl ForwardCtx {
-    /// The per-layer caches in block order.
-    pub fn layers(&self) -> &[(LayerRef, DenseCache)] {
-        &self.layers
-    }
+    // The slice starts at block 0: its input is the subnet's, whose
+    // gradient nobody reads.
+    from_input: bool,
+    // Each layer's dL/db in block order, once the backward's input half
+    // has run; empty before.
+    grad_bias: Vec<Tensor>,
 }
 
 /// Gradients for each activated layer of a subnet, in block order.
@@ -317,6 +318,7 @@ impl NumericSupernet {
         );
         let mut x = input;
         let mut layers = Vec::with_capacity(blocks.len());
+        let from_input = blocks.start == 0;
         for b in blocks {
             if subnet.skips(b) {
                 continue; // stateless pass-through block
@@ -326,29 +328,86 @@ impl NumericSupernet {
             x = y;
             layers.push((layer, cache));
         }
-        (x, ForwardCtx { layers })
+        (
+            x,
+            ForwardCtx {
+                layers,
+                from_input,
+                grad_bias: Vec::new(),
+            },
+        )
     }
 
     /// Backward pass of one forward slice given `dL/d(output)`, reading
     /// weights through `params` like
-    /// [`forward_slice`](Self::forward_slice) and writing nothing.
-    /// Returns the gradient with respect to the slice input plus the
-    /// per-layer parameter gradients.
+    /// [`forward_slice`](Self::forward_slice) and writing nothing:
+    /// [`backward_slice_input`](Self::backward_slice_input), then
+    /// [`backward_slice_weight`](Self::backward_slice_weight). Returns
+    /// the gradient with respect to the slice input plus the per-layer
+    /// parameter gradients.
     pub fn backward_slice<'p>(
         &self,
         params: impl Fn(LayerRef) -> &'p DenseParams,
-        ctx: ForwardCtx,
+        mut ctx: ForwardCtx,
         grad_output: Tensor,
-    ) -> (Tensor, SubnetGrads) {
+    ) -> (Option<Tensor>, SubnetGrads) {
+        let grad = self.backward_slice_input(params, &mut ctx, grad_output);
+        (grad, self.backward_slice_weight(ctx))
+    }
+
+    /// Input-gradient half of [`backward_slice`](Self::backward_slice):
+    /// [`dense_backward_input`] over the slice's layers, last first, on
+    /// the weights `params` reads. Keeps each layer's `dL/db` in `ctx`
+    /// for the weight half, which reads no weight — so a pipeline stage
+    /// can hand the returned gradient upstream, then update. A slice that
+    /// starts at block 0 returns none: its first layer skips `dL/dx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input half already ran on `ctx`.
+    pub fn backward_slice_input<'p>(
+        &self,
+        params: impl Fn(LayerRef) -> &'p DenseParams,
+        ctx: &mut ForwardCtx,
+        grad_output: Tensor,
+    ) -> Option<Tensor> {
+        assert!(ctx.grad_bias.is_empty(), "the input half runs once");
+        ctx.grad_bias.reserve_exact(ctx.layers.len());
         let mut grad = grad_output;
-        let mut grads = Vec::with_capacity(ctx.layers.len());
-        for (layer, cache) in ctx.layers.into_iter().rev() {
-            let (grad_in, g) = dense_backward(params(layer), cache, &grad, self.residual_scale);
-            grad = grad_in;
-            grads.push((layer, g));
+        for (i, (layer, cache)) in ctx.layers.iter_mut().enumerate().rev() {
+            let input_grad = i > 0 || !ctx.from_input;
+            let (grad_in, grad_bias) = dense_backward_input(
+                params(*layer),
+                cache,
+                &grad,
+                self.residual_scale,
+                input_grad,
+            );
+            grad = grad_in.unwrap_or(grad);
+            ctx.grad_bias.push(grad_bias);
         }
-        grads.reverse();
-        (grad, SubnetGrads { grads })
+        ctx.grad_bias.reverse();
+        (!ctx.from_input).then_some(grad)
+    }
+
+    /// Weight half of [`backward_slice`](Self::backward_slice): each
+    /// layer's [`dense_backward_weight`] from the `ctx` its input half
+    /// left, in block order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`backward_slice_input`](Self::backward_slice_input)
+    /// ran on `ctx`.
+    pub fn backward_slice_weight(&self, ctx: ForwardCtx) -> SubnetGrads {
+        assert_eq!(
+            ctx.grad_bias.len(),
+            ctx.layers.len(),
+            "the input half runs first"
+        );
+        let grads = (ctx.layers.into_iter().zip(ctx.grad_bias))
+            .map(|((layer, cache), grad_bias)| (layer, dense_backward_weight(cache, grad_bias)))
+            .collect();
+        SubnetGrads { grads }
     }
 
     /// Backward pass: computes the MSE loss of the forward `output`
@@ -529,7 +588,12 @@ mod tests {
         let (l_split, grad) = crate::loss::mse(&out, &y);
         let (grad_mid, g1) = engine.backward_slice(|l| split.layer(l), ctx1, grad);
         engine.apply(&mut split, &g1);
-        let (_, g0) = engine.backward_slice(|l| split.layer(l), ctx0, grad_mid);
+        let grad_mid = grad_mid.expect("a slice past block 0 returns dL/dx");
+        let (grad_in, g0) = engine.backward_slice(|l| split.layer(l), ctx0, grad_mid);
+        assert!(
+            grad_in.is_none(),
+            "nobody reads the subnet input's gradient"
+        );
         engine.apply(&mut split, &g0);
 
         assert_eq!(l_whole.to_bits(), l_split.to_bits());
@@ -545,7 +609,7 @@ mod tests {
         assert_eq!(out, x);
         let grad = Tensor::from_vec(vec![1.0; x.numel()], x.shape());
         let (grad_in, grads) = engine.backward_slice(|l| store.layer(l), ctx, grad.clone());
-        assert_eq!(grad_in, grad);
+        assert_eq!(grad_in, Some(grad));
         assert_eq!(grads.iter().count(), 0);
     }
 

@@ -1067,9 +1067,8 @@ impl Tensor {
     /// Executes several matrix products as **one** pool fan-out: the row
     /// bands of all items form a single flat chunk space (mapped back to
     /// `(item, band)`), so a group of small matmuls — the per-layer
-    /// sizes the scheduler actually issues, e.g. the two gradient
-    /// products of `dense_backward` — fills the pool instead of paying
-    /// one synchronisation per product. Results are bitwise identical to
+    /// sizes the scheduler actually issues — fills the pool instead of
+    /// paying one synchronisation per product. Results are bitwise identical to
     /// issuing the items individually, in any batch composition, at any
     /// worker count.
     ///

@@ -1,12 +1,15 @@
 //! Allocation guard for the fused dense layer: a steady-state layer-step
 //! (forward, backward, SGD update) may allocate its owned outputs and
-//! nothing else. A per-op temporary creeping back into the layer — or a
-//! kernel that allocates per call — fails this test.
+//! nothing else, and the backward's two halves together exactly what
+//! `dense_backward` does. A per-op temporary creeping back into the
+//! layer — or a kernel that allocates per call — fails this test.
 //!
 //! One test, in a binary of its own: the counting allocator is global.
 
 use naspipe_supernet::rng::DetRng;
-use naspipe_tensor::layers::{dense_backward, dense_forward, DenseParams};
+use naspipe_tensor::layers::{
+    dense_backward, dense_backward_input, dense_backward_weight, dense_forward, DenseParams,
+};
 use naspipe_tensor::optim::Sgd;
 use naspipe_tensor::pool;
 use naspipe_tensor::tensor::Tensor;
@@ -68,19 +71,20 @@ fn steady_state_layer_step_allocates_only_its_owned_outputs() {
         let (x, grad_out) = (fill(), fill());
         let sgd = Sgd::new(0.05);
         pool::with_threads(1, || {
-            let mut step = |x: Tensor| {
-                let before = ALLOCS.with(Cell::get);
+            let allocs = || ALLOCS.with(Cell::get);
+            let mut step = |x: Tensor, input_grad: bool| {
+                let before = allocs();
                 let (y, cache) = dense_forward(&params, x, 0.35);
-                let forward = ALLOCS.with(Cell::get) - before;
-                let (dx, grads) = dense_backward(&params, cache, &grad_out, 0.35);
+                let forward = allocs() - before;
+                let (dx, grads) = dense_backward(&params, cache, &grad_out, 0.35, input_grad);
                 sgd.step(&mut params, &grads);
-                let total = ALLOCS.with(Cell::get) - before;
+                let total = allocs() - before;
                 drop((y, dx, grads));
                 (forward, total - forward)
             };
             // The first step sizes this thread's packing scratch.
-            step(x.clone());
-            let (forward, backward) = step(x.clone());
+            step(x.clone(), true);
+            let (forward, backward) = step(x.clone(), true);
             // Forward owns the output and the cached activation (the
             // input moves into the cache); backward owns dL/dx, dL/dW and
             // dL/db (dz is formed in the activation's buffer); the update
@@ -93,6 +97,29 @@ fn steady_state_layer_step_allocates_only_its_owned_outputs() {
                 backward <= 3 * PER_TENSOR,
                 "{rows}x{dim}: backward + step made {backward} allocations"
             );
+            // The halves, on their own and at a first layer (no dL/dx):
+            // the input half owns dL/db and any dL/dx, the weight half
+            // dL/dW, and together they are `dense_backward`.
+            for input_grad in [true, false] {
+                let (_, mut cache) = dense_forward(&params, x.clone(), 0.35);
+                let before = allocs();
+                let (dx, db) =
+                    dense_backward_input(&params, &mut cache, &grad_out, 0.35, input_grad);
+                let input_half = allocs() - before;
+                let grads = dense_backward_weight(cache, db);
+                let weight_half = allocs() - before - input_half;
+                drop((dx, grads));
+                let (_, cache) = dense_forward(&params, x.clone(), 0.35);
+                let before = allocs();
+                let whole = dense_backward(&params, cache, &grad_out, 0.35, input_grad);
+                let composed = allocs() - before;
+                drop(whole);
+                let what = format!("{rows}x{dim}, dL/dx {input_grad}");
+                let owned = if input_grad { 2 } else { 1 };
+                assert_eq!(input_half, owned * PER_TENSOR, "{what}: input half");
+                assert_eq!(weight_half, PER_TENSOR, "{what}: weight half");
+                assert_eq!(composed, input_half + weight_half, "{what}: dense_backward");
+            }
         });
     }
 }

@@ -44,7 +44,7 @@ proptest! {
         let x = Tensor::from_vec((0..4).map(|_| rng.next_f32() - 0.5).collect(), &[1, 4]);
         let (y, cache) = dense_forward(&p, x.clone(), scale);
         let grad_out = Tensor::from_vec(vec![1.0; y.numel()], y.shape());
-        let (_, grads) = dense_backward(&p, cache, &grad_out, scale);
+        let (_, grads) = dense_backward(&p, cache, &grad_out, scale, true);
         let eps = 1e-3f32;
         let mut pp = p.clone();
         pp.weight.data_mut()[idx] += eps;

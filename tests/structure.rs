@@ -2,17 +2,19 @@
 //!
 //! Each rule is a design decision an earlier change paid for (one JSON
 //! codec, one event fan-out, one way to start a run, one Algorithm 2,
-//! ...), written as names that must not appear in the files it names;
+//! ...), written as names that must not appear in the files it names
+//! (or outside one function of a file, or that must appear in one);
 //! its message names the commit that made the decision.
 //! Matching is on whitespace-folded text, so a call split across lines
-//! is still caught, and every file or directory a rule names must
-//! exist, so renaming a file cannot switch its rule off. A needle is
+//! is still caught, and every file, directory or function a rule names
+//! must exist, so renaming one cannot switch its rule off. A needle is
 //! literal text; a `\b` at either end asks for a word boundary there.
 //!
 //! The fixture tests at the bottom feed the same rules small trees
 //! written under the test's scratch directory.
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Whether `c` can be part of an identifier (`grep`'s word character).
@@ -249,6 +251,69 @@ impl<'a> Scan<'a> {
         }
     }
 
+    /// The byte range in `source.folded` of function `name`'s body,
+    /// braces included; a problem when `source` defines no such function.
+    fn body(&mut self, source: &Source, name: &str) -> Option<Range<usize>> {
+        let text = &source.folded;
+        let body = source
+            .matches(&format!(r"\bfn {name}\b"))
+            .first()
+            .and_then(|&at| {
+                let open = at + text[at..].find('{')?;
+                let mut depth = 0usize;
+                for (i, c) in text[open..].char_indices() {
+                    match c {
+                        '{' => depth += 1,
+                        '}' if depth == 1 => return Some(open..open + i + 1),
+                        '}' => depth -= 1,
+                        _ => {}
+                    }
+                }
+                None
+            });
+        if body.is_none() {
+            self.problems.push(format!(
+                "{}: named by the rule, but no `fn {name}` body; a renamed function takes its rule with it",
+                source.path
+            ));
+        }
+        body
+    }
+
+    /// Records every match of any of `needles` in `source` outside the
+    /// body of function `name`.
+    fn confine(&mut self, source: &Source, name: &str, needles: &[&str]) {
+        let Some(body) = self.body(source, name) else {
+            return;
+        };
+        for needle in needles {
+            for at in source.matches(needle) {
+                if !body.contains(&at) {
+                    let n = source.line_of[at];
+                    self.problems.push(format!(
+                        "{}:{n}: `{needle}` outside fn {name} in: {}",
+                        source.path,
+                        source.line(n)
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Records a problem unless the body of function `name` in `source`
+    /// holds every one of `needles`.
+    fn require_in(&mut self, source: &Source, name: &str, needles: &[&str]) {
+        let Some(body) = self.body(source, name) else {
+            return;
+        };
+        for needle in needles {
+            if !source.matches(needle).iter().any(|at| body.contains(at)) {
+                self.problems
+                    .push(format!("{}: fn {name} has no `{needle}`", source.path));
+            }
+        }
+    }
+
     /// Records every match of any of `needles` in `sources`.
     fn forbid<'s>(&mut self, sources: impl IntoIterator<Item = &'s Source>, needles: &[&str]) {
         self.forbid_unless(sources, needles, None);
@@ -291,7 +356,7 @@ impl<'a> Scan<'a> {
 /// workspace; each `forbid*` or `exactly_pub_run_fns` call in it is one
 /// check.
 mod rules {
-    use super::Scan;
+    use super::{Scan, Source};
     use std::path::Path;
 
     pub fn one_json_codec(root: &Path) -> Result<(), String> {
@@ -529,6 +594,66 @@ mod rules {
         )
     }
 
+    pub fn one_backward_decomposition(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let sources = scan.tree(&["crates", "src"], true);
+        scan.forbid(
+            sources.iter().filter(|s| {
+                !matches!(
+                    s.path.as_str(),
+                    "crates/tensor/src/tensor.rs" | "crates/tensor/src/layers.rs"
+                )
+            }),
+            &["tanh_grad_inplace("],
+        );
+        let layers = scan.file("crates/tensor/src/layers.rs");
+        for layers in layers.iter().map(Source::before_tests) {
+            scan.confine(
+                &layers,
+                "dense_backward_input",
+                &["tanh_grad_inplace(", ".matmul_t("],
+            );
+            scan.confine(&layers, "dense_backward_weight", &[".t_matmul("]);
+            scan.require_in(
+                &layers,
+                "dense_backward",
+                &["dense_backward_input(", "dense_backward_weight("],
+            );
+        }
+        let model = scan.file("crates/tensor/src/model.rs");
+        for model in model.iter().map(Source::before_tests) {
+            scan.confine(&model, "backward_slice_input", &["dense_backward_input("]);
+            scan.confine(&model, "backward_slice_weight", &["dense_backward_weight("]);
+            scan.require_in(
+                &model,
+                "backward_slice",
+                &["backward_slice_input(", "backward_slice_weight("],
+            );
+        }
+        let runtime = scan.tree(&["crates/core/src", "src"], true);
+        scan.forbid(
+            &runtime,
+            &[
+                r"\bdense_backward(",
+                "dense_backward_input(",
+                "dense_backward_weight(",
+            ],
+        );
+        scan.verdict(
+            "one backward decomposition (commit \"Shorten the threaded pipeline's causal \
+             chain\"): a dense layer's backward is two halves in crates/tensor/src/layers.rs, \
+             dense_backward_input (the tanh-gradient prologue and dL/dx = dz Wt + dL/dy, on \
+             the weights the forward read) and dense_backward_weight (dL/dW = xt dz, reading \
+             no weight), and dense_backward is their composition; a slice's backward is \
+             likewise backward_slice_input and backward_slice_weight in \
+             crates/tensor/src/model.rs, each the only caller of its layer half, and \
+             backward_slice is their composition. The threaded stage worker runs the slice \
+             halves apart, handing the gradient upstream between them; sequential_training \
+             and replay run backward_slice. A second copy of the prologue, of either product \
+             or of the per-layer walk is how those paths would stop being one.",
+        )
+    }
+
     pub fn one_algorithm_2(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let runtime = scan.tree(&["crates/core/src/runtime"], false);
@@ -602,6 +727,11 @@ fn one_pricing_path() {
 #[test]
 fn one_algorithm_2() {
     holds(rules::one_algorithm_2);
+}
+
+#[test]
+fn one_backward_decomposition() {
+    holds(rules::one_backward_decomposition);
 }
 
 /// A fresh tree holding `files` (relative path, contents), named after
@@ -700,6 +830,78 @@ fn the_fan_out_rule_stops_at_the_test_module() {
     let broken = rules::one_event_fan_out(&tree(&before)).unwrap_err();
     assert!(
         broken.contains("crates/core/src/runtime/mod.rs:2: `journal().emit(`"),
+        "{broken}"
+    );
+}
+
+#[test]
+fn a_backward_that_forks_its_halves_fails() {
+    let halves = "pub fn dense_backward_input(p: &P, c: &mut C) -> T {\n    \
+                  let db = c.t.tanh_grad_inplace(g, s);\n    c.t.matmul_t(&p.w)\n}\n\
+                  pub fn dense_backward_weight(c: C, db: T) -> G {\n    c.x.t_matmul(&c.t)\n}\n";
+    let model = "pub fn backward_slice(c: C) -> G {\n    \
+                 backward_slice_input(&mut c);\n    backward_slice_weight(c)\n}\n\
+                 pub fn backward_slice_input(c: &mut C) {\n    dense_backward_input(p, c);\n}\n\
+                 pub fn backward_slice_weight(c: C) -> G {\n    dense_backward_weight(c, db)\n}\n";
+    let tree = |backward: &str| {
+        fixture(
+            "backward",
+            &[
+                (
+                    "crates/tensor/src/layers.rs",
+                    &format!("{halves}{backward}"),
+                ),
+                ("crates/tensor/src/model.rs", model),
+                ("crates/core/src/lib.rs", ""),
+                ("src/lib.rs", ""),
+            ],
+        )
+    };
+    let composed = "pub fn dense_backward(p: &P, mut c: C) -> G {\n    \
+                    let db = dense_backward_input(p, &mut c);\n    \
+                    dense_backward_weight(c, db)\n}\n";
+    rules::one_backward_decomposition(&tree(composed)).expect("the composition of the halves");
+    let forked = "pub fn dense_backward(p: &P, mut c: C) -> G {\n    \
+                  let db = c.t.tanh_grad_inplace(g, s);\n    \
+                  dense_backward_weight(c, db)\n}\n";
+    let broken = rules::one_backward_decomposition(&tree(forked)).unwrap_err();
+    assert!(broken.contains("Shorten the threaded pipeline"), "{broken}");
+    assert!(
+        broken.contains(
+            "crates/tensor/src/layers.rs:9: `tanh_grad_inplace(` outside fn dense_backward_input"
+        ),
+        "{broken}"
+    );
+    assert!(
+        broken.contains("fn dense_backward has no `dense_backward_input(`"),
+        "{broken}"
+    );
+}
+
+#[test]
+fn a_worker_that_walks_the_layer_halves_itself_fails() {
+    let layers = "pub fn dense_backward_input() {\n    tanh_grad_inplace(); matmul_t();\n}\n\
+                  pub fn dense_backward_weight() {\n    t_matmul();\n}\n\
+                  pub fn dense_backward() {\n    \
+                  dense_backward_input();\n    dense_backward_weight();\n}\n";
+    let model = "pub fn backward_slice() {\n    \
+                 backward_slice_input();\n    backward_slice_weight();\n}\n\
+                 pub fn backward_slice_input() {\n    dense_backward_input();\n}\n\
+                 pub fn backward_slice_weight() {\n    dense_backward_weight();\n}\n";
+    let worker = "fn run_backward() {\n    \
+                  for l in layers {\n        dense_backward_input(p, l);\n    }\n}\n";
+    let root = fixture(
+        "worker_walk",
+        &[
+            ("crates/tensor/src/layers.rs", layers),
+            ("crates/tensor/src/model.rs", model),
+            ("crates/core/src/runtime/worker.rs", worker),
+            ("src/lib.rs", ""),
+        ],
+    );
+    let broken = rules::one_backward_decomposition(&root).unwrap_err();
+    assert!(
+        broken.contains("crates/core/src/runtime/worker.rs:3"),
         "{broken}"
     );
 }
