@@ -7,7 +7,7 @@ use naspipe_supernet::rng::DetRng;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::data::SyntheticDataset;
-use naspipe_tensor::hash::hash_tensors;
+use naspipe_tensor::hash::{hash_tensors, layer_hash};
 use naspipe_tensor::layers::{
     dense_backward, dense_backward_input, dense_backward_weight, dense_forward, DenseParams,
 };
@@ -151,6 +151,12 @@ fn bench_hashing(c: &mut Criterion) {
     let t = Tensor::from_vec((0..65_536).map(|i| i as f32).collect(), &[256, 256]);
     c.bench_function("bitwise_hash_64k_f32", |b| {
         b.iter(|| black_box(hash_tensors([black_box(&t)])))
+    });
+    // One parameter layer's fingerprint, as a threaded stage computes it
+    // for each layer it owns when its stream ends.
+    let p = DenseParams::init(128, &mut DetRng::new(11));
+    c.bench_function("layer_fingerprint_128x128", |b| {
+        b.iter(|| black_box(layer_hash(black_box(&p.weight), black_box(&p.bias))))
     });
 }
 

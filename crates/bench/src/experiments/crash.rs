@@ -67,7 +67,7 @@ impl fmt::Display for CrashPoint {
 /// The parsed machine-readable `RESULT` line of one child run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChildResult {
-    /// Bitwise FNV-1a hash of the final parameter store.
+    /// The final parameter store's fingerprint (`TrainResult::final_hash`).
     pub hash: u64,
     /// FNV-1a digest over the `(step, loss)` sequence.
     pub loss_digest: u64,

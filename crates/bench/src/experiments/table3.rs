@@ -11,7 +11,9 @@ use crate::experiments::training::{search_score, train, training_space};
 use crate::format::render_table;
 use crate::score::render_score;
 use naspipe_baselines::SystemKind;
+use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::space::SpaceId;
+use naspipe_tensor::model::ParamStore;
 
 /// GPU counts evaluated, as in the paper.
 pub const GPU_COUNTS: [u32; 3] = [4, 8, 16];
@@ -29,12 +31,16 @@ pub struct Table3Row {
     pub scores: Vec<f64>,
     /// Bitwise parameter hash per GPU count.
     pub hashes: Vec<u64>,
+    /// The first GPU count whose parameters differ from those trained on
+    /// the first, and the first layer (block/choice order) where they
+    /// do; `None` when every count trained identical parameters.
+    pub divergence: Option<(u32, LayerRef)>,
 }
 
 impl Table3Row {
     /// Whether every GPU count produced bitwise-identical parameters.
     pub fn is_reproducible(&self) -> bool {
-        self.hashes.windows(2).all(|w| w[0] == w[1])
+        self.divergence.is_none()
     }
 }
 
@@ -53,11 +59,20 @@ pub fn row_for(id: SpaceId, system: SystemKind, n: u64) -> Table3Row {
     let mut losses = Vec::new();
     let mut scores = Vec::new();
     let mut hashes = Vec::new();
+    let mut first: Option<ParamStore> = None;
+    let mut divergence = None;
     for gpus in GPU_COUNTS {
         let result = train(&space, system, gpus, n);
         losses.push(result.converged_loss());
         scores.push(search_score(&space, &result));
         hashes.push(result.final_hash);
+        match &first {
+            None => first = Some(result.store),
+            Some(store) => {
+                let differs = store.first_divergence(&result.store);
+                divergence = divergence.or(differs.map(|layer| (gpus, layer)));
+            }
+        }
     }
     Table3Row {
         space: id,
@@ -65,6 +80,7 @@ pub fn row_for(id: SpaceId, system: SystemKind, n: u64) -> Table3Row {
         losses,
         scores,
         hashes,
+        divergence,
     }
 }
 
@@ -90,7 +106,10 @@ pub fn render(rows: &[Table3Row]) -> String {
             for s in &r.scores {
                 row.push(render_score(domain, *s));
             }
-            row.push(if r.is_reproducible() { "yes" } else { "no" }.to_string());
+            row.push(match r.divergence {
+                None => "yes".to_string(),
+                Some((gpus, layer)) => format!("no ({gpus} GPUs: {layer})"),
+            });
             row
         })
         .collect();
@@ -117,7 +136,8 @@ mod tests {
     #[test]
     fn csp_row_is_bitwise_reproducible() {
         let row = row_for(SpaceId::CvC3, SystemKind::NasPipe, 40);
-        assert!(row.is_reproducible(), "hashes {:?}", row.hashes);
+        assert!(row.is_reproducible(), "{:?}", row.divergence);
+        assert!(row.hashes.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(row.losses[0], row.losses[1]);
         assert_eq!(row.losses[1], row.losses[2]);
         assert_eq!(row.scores[0], row.scores[2]);
@@ -131,6 +151,7 @@ mod tests {
             "BSP should diverge: {:?}",
             row.hashes
         );
+        assert!(render(&[row]).contains("no (8 GPUs: b"));
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl fmt::Display for ScheduleDigest {
 /// The recorded expectations of one golden case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Expectations {
-    /// Bitwise FNV-1a hash of the final parameter store.
+    /// The final parameter store's fingerprint (`TrainResult::final_hash`).
     pub final_hash: u64,
     /// Number of per-subnet losses recorded.
     pub loss_count: u64,
@@ -449,7 +449,8 @@ impl GateReport {
 }
 
 /// Bitwise digest of a loss sequence: order, steps, and exact f32 bits
-/// (FNV-1a, the same fingerprint family the parameter store uses).
+/// (byte-wise FNV-1a, the family whose word-wise sibling fingerprints
+/// the parameter store).
 pub fn loss_digest(losses: &[(u64, f32)]) -> u64 {
     losses.iter().fold(FNV_OFFSET, |h, &(step, loss)| {
         fnv1a(fnv1a(h, &step.to_le_bytes()), &loss.to_bits().to_le_bytes())
@@ -954,6 +955,18 @@ impl CaseRun {
     }
 }
 
+/// Whether a threaded run trained exactly the DES replay's parameters;
+/// if not, the first layer (in block/choice order) where they differ.
+fn engines_agree(des: &TrainResult, thr: &TrainResult) -> Result<(), String> {
+    match des.store.first_divergence(&thr.store) {
+        None => Ok(()),
+        Some(layer) => Err(format!(
+            "parameters first differ at layer {layer}: des {:016x}, threaded {:016x}",
+            des.final_hash, thr.final_hash
+        )),
+    }
+}
+
 /// Re-executes one golden case against the current scheduler and
 /// validates every recorded policy.
 pub fn run_case(case: &GoldenCase) -> CaseReport {
@@ -988,6 +1001,8 @@ pub fn run_case(case: &GoldenCase) -> CaseReport {
             }),
     );
 
+    // A `both` case's DES result, for the engines' agreement check.
+    let mut des_result = None;
     if spec.engine.has_des() {
         match execute_des(spec) {
             Ok(des) => {
@@ -1032,6 +1047,7 @@ pub fn run_case(case: &GoldenCase) -> CaseReport {
                         ))
                     },
                 );
+                des_result = Some(des.result);
             }
             Err(detail) => run.divergences.push(Divergence::Policy {
                 check: "des-execution",
@@ -1050,6 +1066,9 @@ pub fn run_case(case: &GoldenCase) -> CaseReport {
                     expect.final_hash,
                     thr.result.final_hash,
                 );
+                if let Some(des) = &des_result {
+                    run.policy("engine-agreement", engines_agree(des, &thr.result));
+                }
                 if spec.engine == CaseEngine::Threaded {
                     run.metric(
                         "loss-count",
@@ -1182,12 +1201,8 @@ pub fn regenerate(spec: &CaseSpec) -> Result<GoldenCase, String> {
         CaseEngine::Both => {
             let des = execute_des(spec)?;
             let thr = execute_threaded(spec)?;
-            if thr.result.final_hash != des.result.final_hash {
-                return Err(format!(
-                    "engines disagree on {}: des {:016x}, threaded {:016x}",
-                    spec.name, des.result.final_hash, thr.result.final_hash
-                ));
-            }
+            engines_agree(&des.result, &thr.result)
+                .map_err(|e| format!("engines disagree on {}: {e}", spec.name))?;
             (
                 des.transcript,
                 des.transcript_text,
@@ -1397,6 +1412,28 @@ mod tests {
             report.divergences
         );
         assert!(report.checks_passed >= 8, "got {}", report.checks_passed);
+    }
+
+    #[test]
+    fn engine_disagreement_names_the_first_differing_layer() {
+        let space = SearchSpace::uniform(Domain::Nlp, 3, 2);
+        let store = naspipe_tensor::model::ParamStore::init(&space, 4, 1);
+        let result = |store: naspipe_tensor::model::ParamStore| TrainResult {
+            losses: Vec::new(),
+            final_hash: store.bitwise_hash(),
+            store,
+        };
+        let des = result(store.clone());
+        assert_eq!(engines_agree(&des, &result(store.clone())), Ok(()));
+        let mut other = store;
+        for l in [LayerRef::new(2, 0), LayerRef::new(1, 1)] {
+            other.layer_mut(l).bias.data_mut()[3] += 1.0;
+        }
+        let err = engines_agree(&des, &result(other)).unwrap_err();
+        assert!(
+            err.starts_with("parameters first differ at layer b1c1: des "),
+            "{err}"
+        );
     }
 
     #[test]

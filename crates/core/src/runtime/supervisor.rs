@@ -19,6 +19,7 @@ use naspipe_obs::{
 };
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::subnet::SubnetId;
+use naspipe_tensor::hash::store_hash;
 use naspipe_tensor::model::ParamStore;
 use naspipe_tensor::pool;
 use std::collections::BTreeSet;
@@ -225,11 +226,18 @@ impl Supervisor {
     }
 
     /// Success: every stage finished. Moves the slices (stage ranges are
-    /// contiguous and ascending) into one store and assembles the
+    /// contiguous and ascending) into one store, folds the stages' layer
+    /// hashes in stage order into its fingerprint (each stage hashed its
+    /// own slice; no pass over the whole store here) and assembles the
     /// effective task stream over the resume watermark's prefix.
     fn assemble(mut self, outputs: Outputs, resume_w: u64) -> SupervisedRun {
         let (gpus, cfg) = (self.ctx.gpus(), self.ctx.train);
         debug_assert_eq!(outputs.len(), gpus as usize);
+        let final_hash = store_hash(outputs.iter().flat_map(|(k, out)| {
+            let layers: usize = out.params.iter().map(Vec::len).sum();
+            debug_assert_eq!(out.layer_hashes.len(), layers, "stage {k} hashed its slice");
+            out.layer_hashes.iter().copied()
+        }));
         let mut params = Vec::new();
         let mut losses = Vec::new();
         let mut real_tasks: Vec<TaskRecord> = Vec::new();
@@ -259,7 +267,7 @@ impl Supervisor {
         SupervisedRun {
             result: TrainResult {
                 losses,
-                final_hash: store.bitwise_hash(),
+                final_hash,
                 store,
             },
             report,
@@ -473,6 +481,8 @@ mod tests {
                 res.final_hash, seq.final_hash,
                 "threaded run on {gpus} threads diverged"
             );
+            // The stages' folded layer hashes are the store's.
+            assert_eq!(res.final_hash, res.store.bitwise_hash());
             assert_eq!(res.losses, seq.losses);
         }
     }
@@ -634,6 +644,39 @@ mod tests {
         assert_eq!(run.report.restarts(), 2, "both stages restarted once");
         verify_csp_order_parts(&run.subnets, &run.tasks)
             .expect("effective task stream is CSP-sequential per layer");
+    }
+
+    #[test]
+    fn a_restarted_run_fingerprints_the_sequential_store() {
+        // Only the last incarnation's stages hash their slices (the
+        // parked ones of the first do not); their fold is the assembled
+        // store's fingerprint and the sequential one, with the restart
+        // on the last stage of 2, 3 and 4.
+        let space = space();
+        let list = subnets(&space, 12);
+        let cfg = TrainConfig::default();
+        let seq = sequential_training(&space, &list, &cfg);
+        for gpus in [2u32, 3, 4] {
+            let run = RunSpec {
+                recovery: RecoveryOptions {
+                    fault_plan: FaultPlan::new().panic_on(gpus - 1, 6, TaskKind::Backward),
+                    checkpoint_interval: 4,
+                    max_restarts: 1,
+                    recv_timeout_ms: None,
+                },
+                ..RunSpec::new(&space, list.clone(), cfg, gpus)
+            }
+            .run()
+            .expect("recovers from one panic");
+            assert_eq!(run.recovery.restarts, 1, "{gpus} stages");
+            assert_eq!(
+                run.result.store.first_divergence(&seq.store),
+                None,
+                "{gpus} stages"
+            );
+            assert_eq!(run.result.final_hash, run.result.store.bitwise_hash());
+            assert_eq!(run.result.final_hash, seq.final_hash, "{gpus} stages");
+        }
     }
 
     #[test]

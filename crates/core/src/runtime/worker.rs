@@ -21,7 +21,7 @@ use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::data::SyntheticDataset;
 use naspipe_tensor::layers::DenseParams;
-use naspipe_tensor::model::{ForwardCtx, NumericSupernet, ParamStore};
+use naspipe_tensor::model::{layer_hashes, ForwardCtx, NumericSupernet, ParamStore};
 use naspipe_tensor::pool::{self, PoolStats};
 use naspipe_tensor::tensor::Tensor;
 use std::collections::BTreeMap;
@@ -44,6 +44,10 @@ pub(super) enum Msg {
 /// whether every subnet is trained or the supervisor parked it.
 pub(super) struct StageOutput {
     pub params: Vec<Vec<DenseParams>>,
+    /// The [`layer_hashes`] of `params` if the stream was trained (empty
+    /// if the stage was parked): the stage's share of the run's
+    /// fingerprint, computed on its own thread.
+    pub layer_hashes: Vec<u64>,
     pub losses: BTreeMap<u64, f32>,
     pub tracer: SpanTracer,
     pub tasks: Vec<TaskRecord>,
@@ -451,7 +455,15 @@ impl<'a> StageWorker<'a> {
         }
     }
 
-    fn into_output(self) -> StageOutput {
+    /// The output of a stage whose stream is trained. Its slice is final,
+    /// so it is fingerprinted here, on the stage's own thread, while the
+    /// other stages do the same with theirs.
+    fn finish(self) -> StageOutput {
+        let hashes = layer_hashes(&self.params).collect();
+        self.into_output(hashes)
+    }
+
+    fn into_output(self, layer_hashes: Vec<u64>) -> StageOutput {
         // Attribute the compute-pool work this stage's kernels fanned
         // out (drained from thread-local accounting; runs on the worker
         // thread, before the pool binding is dropped). Job and chunk
@@ -470,6 +482,7 @@ impl<'a> StageWorker<'a> {
         }
         StageOutput {
             params: self.params,
+            layer_hashes,
             losses: self.losses,
             tracer: self.tracer,
             tasks: self.tasks,
@@ -990,7 +1003,9 @@ impl<'a> StageWorker<'a> {
     /// stream finished or the supervisor parked it.
     pub(super) fn run(mut self) -> Result<StageOutput, TrainError> {
         match self.train() {
-            Ok(()) | Err(Halt::Parked) => Ok(self.into_output()),
+            Ok(()) => Ok(self.finish()),
+            // A restart follows and rolls the slice back: no fingerprint.
+            Err(Halt::Parked) => Ok(self.into_output(Vec::new())),
             Err(Halt::Failed(err)) => Err(err),
         }
     }
@@ -1005,6 +1020,7 @@ mod tests {
     use naspipe_supernet::rng::DetRng;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::space::SearchSpace;
+    use naspipe_tensor::hash::store_hash;
 
     /// Whether `x`'s forward may run at `w`'s stage: no subnet below it
     /// that is unfinished there shares a layer of the stage's slice. The
@@ -1020,7 +1036,8 @@ mod tests {
 
     /// Steps `gpus` workers over `list` on this thread, one `step` at a
     /// time in an order drawn from `seed`, until every stream is trained;
-    /// returns the final parameter hash and the newest complete cut.
+    /// returns the final parameter hash (folded from the stages' layer
+    /// hashes, as the supervisor does) and the newest complete cut.
     /// Every forward admission is checked against Algorithm 2's order: no
     /// queued forward below it was admissible.
     /// Every third seed is an extreme order instead of a uniform one: a
@@ -1094,11 +1111,21 @@ mod tests {
                 "seed {seed}: stage {k} deadlocked"
             );
         }
-        let outputs = workers.into_iter().map(StageWorker::into_output);
-        let params = outputs.flat_map(|out| out.params).collect();
+        let outputs: Vec<StageOutput> = workers.into_iter().map(StageWorker::finish).collect();
+        let hash = store_hash(
+            outputs
+                .iter()
+                .flat_map(|out| out.layer_hashes.iter().copied()),
+        );
+        let params = outputs.into_iter().flat_map(|out| out.params).collect();
         let store = ParamStore::from_blocks(ctx.train.dim, params);
+        assert_eq!(
+            hash,
+            store.bitwise_hash(),
+            "seed {seed}: the fold is the store's"
+        );
         let cut = ctx.ckpts.as_ref().and_then(|s| s.latest_complete());
-        (store.bitwise_hash(), cut)
+        (hash, cut)
     }
 
     #[test]
@@ -1189,7 +1216,7 @@ mod tests {
             prepared > 0 && inline > 0,
             "{prepared} prepared, {inline} inline"
         );
-        let last = workers.pop().expect("two stages").into_output();
+        let last = workers.pop().expect("two stages").finish();
         let got: Vec<(u64, f32)> = last.losses.into_iter().collect();
         let bits = |l: &[(u64, f32)]| l.iter().map(|&(y, v)| (y, v.to_bits())).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));

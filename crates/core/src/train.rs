@@ -89,7 +89,12 @@ impl TrainConfig {
 pub struct TrainResult {
     /// `(training step, loss)` per subnet, in sequence order.
     pub losses: Vec<(u64, f32)>,
-    /// Bitwise FNV-1a fingerprint of the final parameter store.
+    /// The final parameter store's fingerprint,
+    /// [`ParamStore::bitwise_hash`]: word-wise FNV-1a over each layer's
+    /// f32 bits, the layer hashes folded word-wise in `(block, choice)`
+    /// order (`naspipe_tensor::hash::{layer_hash, store_hash}`). Equal
+    /// iff the stores are bitwise equal; [`ParamStore::first_divergence`]
+    /// names where two stores differ.
     pub final_hash: u64,
     /// The trained parameters.
     pub store: ParamStore,

@@ -1,10 +1,23 @@
-//! Bitwise hashing of parameter state.
+//! Bitwise hashing of parameter state and kernel outputs.
 //!
 //! Reproducibility is defined as *bitwise* equality of all layer weights
 //! (Definition 1). Comparing multi-gigabyte states is impractical, so we
-//! fingerprint the exact bit patterns with 64-bit FNV-1a: two states hash
-//! equal iff every f32 has the identical bit representation (up to hash
-//! collisions, negligible for testing).
+//! fingerprint the exact bit patterns: two states hash equal iff every
+//! f32 has the identical bit representation.
+//!
+//! The parameter fingerprint is two levels of [`fnv1a_words`]. A layer's
+//! hash ([`layer_hash`]) is the word-wise checksum of its weight's, then
+//! its bias's, little-endian f32 bytes; a store's ([`store_hash`]) is the
+//! word-wise checksum of its little-endian layer hashes in
+//! `(block, choice)` order. So each layer is hashed where it lives (a
+//! threaded stage hashes its own slice on its own thread) and the hashes
+//! are folded in layer order, with no pass over the whole store. Every
+//! step of both levels is a bijection in its word (see [`fnv1a_words`]),
+//! so two stores of one shape that differ in any bit of any one layer
+//! always hash apart.
+//!
+//! [`BitHasher`] and [`hash_tensors`] are the byte-serial FNV-1a of a
+//! kernel's output tensor, as the compute benchmark records it.
 
 use crate::tensor::Tensor;
 
@@ -13,10 +26,11 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Absorbs `bytes` into an FNV-1a `state` (start from [`FNV_OFFSET`]).
-/// The workspace's one copy of the loop: parameter fingerprints, the
+/// The workspace's one copy of the loop: kernel output fingerprints, the
 /// durable run fingerprint and the golden-trace loss digest are all this
-/// function over different byte streams (the durable snapshot checksum is
-/// its word-wise sibling, [`fnv1a_words`]).
+/// function over different byte streams (the durable snapshot checksum
+/// and the parameter fingerprint are its word-wise sibling,
+/// [`fnv1a_words`]).
 #[inline]
 pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     bytes
@@ -69,10 +83,17 @@ impl WordHasher {
     #[inline]
     pub fn update(&mut self, words: &[u8]) {
         assert!(words.len().is_multiple_of(8), "a partial word is a tail");
-        self.state = words.chunks_exact(8).fold(self.state, |h, w| {
-            (h ^ u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"))).wrapping_mul(FNV_PRIME)
-        });
-        self.len += words.len() as u64;
+        for w in words.chunks_exact(8) {
+            self.word(u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")));
+        }
+    }
+
+    /// Absorbs one word: what [`update`](Self::update) does with the
+    /// 8 bytes `w.to_le_bytes()`.
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.state = (self.state ^ w).wrapping_mul(FNV_PRIME);
+        self.len += 8;
     }
 
     /// Absorbs the last piece (any length: its whole words, then its
@@ -86,7 +107,39 @@ impl WordHasher {
     }
 }
 
-/// Incrementally computes an FNV-1a fingerprint over f32 bit patterns.
+/// The fingerprint of one layer: [`fnv1a_words`] from [`FNV_OFFSET`]
+/// over the little-endian bytes of `weight`'s f32s followed by `bias`'s,
+/// taken two f32s to a word as they come, without building the buffer.
+/// A layer's optimizer state (its velocity) is fingerprinted the same
+/// way.
+pub fn layer_hash(weight: &Tensor, bias: &Tensor) -> u64 {
+    let mut h = WordHasher::new(FNV_OFFSET);
+    let mut bits = weight.data().iter().chain(bias.data()).map(|x| x.to_bits());
+    while let Some(low) = bits.next() {
+        match bits.next() {
+            Some(high) => h.word(u64::from(low) | u64::from(high) << 32),
+            // An odd count: the last f32 is a 4-byte tail.
+            None => return h.finish(&low.to_le_bytes()),
+        }
+    }
+    h.finish(&[])
+}
+
+/// The fingerprint of a store from its layers' [`layer_hash`]es in
+/// `(block, choice)` order: [`fnv1a_words`] from [`FNV_OFFSET`] over
+/// their little-endian bytes. The hashes may come from anywhere (per
+/// stage, concatenated in stage order): only their order matters.
+pub fn store_hash<I: IntoIterator<Item = u64>>(layer_hashes: I) -> u64 {
+    let mut h = WordHasher::new(FNV_OFFSET);
+    for w in layer_hashes {
+        h.word(w);
+    }
+    h.finish(&[])
+}
+
+/// Incrementally computes the byte-serial FNV-1a fingerprint of f32 bit
+/// patterns: the kernel-output hash (parameters go through
+/// [`layer_hash`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitHasher {
     state: u64,
@@ -122,7 +175,7 @@ impl BitHasher {
     }
 }
 
-/// Fingerprints a sequence of tensors.
+/// Fingerprints a sequence of tensors (kernel outputs) byte by byte.
 pub fn hash_tensors<'a, I: IntoIterator<Item = &'a Tensor>>(tensors: I) -> u64 {
     let mut h = BitHasher::new();
     for t in tensors {
@@ -234,6 +287,81 @@ mod tests {
             let mut bad = bytes.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             assert_ne!(fnv1a_words(FNV_OFFSET, &bad), clean, "bit {bit}");
+        }
+    }
+
+    /// `fnv1a_words(FNV_OFFSET, ..)` over the tensors' little-endian f32
+    /// bytes, the buffer built: the definition [`layer_hash`] streams.
+    fn layer_hash_by_definition(weight: &Tensor, bias: &Tensor) -> u64 {
+        let bytes: Vec<u8> = (weight.data().iter().chain(bias.data()))
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .collect();
+        fnv1a_words(FNV_OFFSET, &bytes)
+    }
+
+    #[test]
+    fn layer_fingerprint_matches_known_answers() {
+        // Computed independently (Python, struct.pack('<f')). An odd
+        // width: 9 weights, so one word holds the last weight and the
+        // first bias.
+        let w = Tensor::from_vec(
+            vec![1.0, -2.0, 0.5, 0.25, -0.0, 3.0, 1.5, -4.0, 8.0],
+            &[3, 3],
+        );
+        let b = Tensor::from_vec(vec![0.0, 2.5, -1.0], &[1, 3]);
+        assert_eq!(layer_hash(&w, &b), 0x9ba1_ba7c_26a7_1917);
+        // An odd count in all: two words and a 4-byte tail.
+        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
+        let b = Tensor::from_vec(vec![4.0, 5.0], &[1, 2]);
+        assert_eq!(layer_hash(&w, &b), 0xf741_1d2b_6d8f_538b);
+        assert_eq!(layer_hash(&w, &b), layer_hash_by_definition(&w, &b));
+        // A store of no layers is the checksum of no bytes.
+        assert_eq!(store_hash([]), fnv1a_words(FNV_OFFSET, b""));
+    }
+
+    #[test]
+    fn layer_fingerprint_streams_its_definition_at_every_split() {
+        let xs: Vec<f32> = (0..23).map(|i| i as f32 * -0.375 + 1.0).collect();
+        for n in 1..xs.len() {
+            for split in 0..=n {
+                let w = Tensor::from_vec(xs[..split].to_vec(), &[1, split]);
+                let b = Tensor::from_vec(xs[split..n].to_vec(), &[1, n - split]);
+                assert_eq!(
+                    layer_hash(&w, &b),
+                    layer_hash_by_definition(&w, &b),
+                    "{split}/{n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn store_fingerprint_is_the_checksum_of_its_layer_hashes() {
+        let hashes = [0x0123_4567_89ab_cdefu64, 7, u64::MAX];
+        let bytes: Vec<u8> = hashes.iter().flat_map(|h| h.to_le_bytes()).collect();
+        assert_eq!(store_hash(hashes), fnv1a_words(FNV_OFFSET, &bytes));
+        assert_ne!(
+            store_hash(hashes),
+            store_hash([hashes[1], hashes[0], hashes[2]])
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_layer_fingerprint() {
+        let w = Tensor::from_vec((0..9).map(|i| i as f32 * 0.75 - 3.0).collect(), &[3, 3]);
+        let b = Tensor::from_vec(vec![0.5, -0.0, 2.0], &[1, 3]);
+        let clean = layer_hash(&w, &b);
+        for i in 0..12 {
+            for bit in 0..32 {
+                let (mut w, mut b) = (w.clone(), b.clone());
+                let x = if i < 9 {
+                    &mut w.data_mut()[i]
+                } else {
+                    &mut b.data_mut()[i - 9]
+                };
+                *x = f32::from_bits(x.to_bits() ^ 1 << bit);
+                assert_ne!(layer_hash(&w, &b), clean, "f32 {i}, bit {bit}");
+            }
         }
     }
 

@@ -18,8 +18,8 @@
 //! * [`pool`] — a hand-rolled scoped worker pool the tensor kernels fan
 //!   out on; chunk boundaries derive from shapes (never thread counts),
 //!   so results stay bitwise identical at any worker count,
-//! * [`hash`] — FNV-1a hashing of parameter bit patterns for cheap bitwise
-//!   equality checks.
+//! * [`hash`] — word-wise FNV-1a fingerprints of parameter bit patterns
+//!   (per layer, folded in layer order) for cheap bitwise equality checks.
 //!
 //! # Example
 //!

@@ -6,6 +6,7 @@
 //! engine (in `naspipe-core`) decides *which* store state each access sees,
 //! which is exactly where CSP, BSP and ASP semantics diverge.
 
+use crate::hash;
 use crate::layers::{
     dense_backward_input, dense_backward_weight, dense_forward, DenseCache, DenseGrads, DenseParams,
 };
@@ -107,27 +108,40 @@ impl ParamStore {
         &mut self.params[layer.block as usize][layer.choice as usize]
     }
 
-    /// Bitwise FNV-1a fingerprint of every parameter in block/choice
-    /// order — equal iff the whole store is bitwise equal.
+    /// The fingerprint of every parameter ([`hash::store_hash`] of the
+    /// layer hashes in block/choice order): equal iff the whole store is
+    /// bitwise equal.
     pub fn bitwise_hash(&self) -> u64 {
         self.bitwise_hash_blocks(0..self.params.len())
     }
 
-    /// Bitwise fingerprint restricted to `blocks` — for comparing one
-    /// member space's slice of a hybrid union supernet.
+    /// The fingerprint restricted to `blocks`, for comparing one member
+    /// space's slice of a hybrid union supernet.
     ///
     /// # Panics
     ///
     /// Panics if `blocks` is out of range.
     pub fn bitwise_hash_blocks(&self, blocks: std::ops::Range<usize>) -> u64 {
-        let mut h = crate::hash::BitHasher::new();
-        for block in &self.params[blocks] {
-            for p in block {
-                h.write_tensor(&p.weight);
-                h.write_tensor(&p.bias);
-            }
-        }
-        h.finish()
+        hash::store_hash(layer_hashes(&self.params[blocks]))
+    }
+
+    /// The first layer, in block/choice order, whose [`hash::layer_hash`]
+    /// differs between `self` and `other` (a layer only one of them has
+    /// counts as differing); `None` iff the stores are bitwise equal.
+    pub fn first_divergence(&self, other: &ParamStore) -> Option<LayerRef> {
+        let none: &[DenseParams] = &[];
+        let blocks = self.params.len().max(other.params.len());
+        (0..blocks).find_map(|b| {
+            let mine = self.params.get(b).map_or(none, Vec::as_slice);
+            let theirs = other.params.get(b).map_or(none, Vec::as_slice);
+            let fingerprint = |p: &DenseParams| hash::layer_hash(&p.weight, &p.bias);
+            (0..mine.len().max(theirs.len()))
+                .find(|&c| match (mine.get(c), theirs.get(c)) {
+                    (Some(x), Some(y)) => fingerprint(x) != fingerprint(y),
+                    _ => true,
+                })
+                .map(|c| LayerRef::new(b as u32, c as u32))
+        })
     }
 
     /// Total scalar parameter count.
@@ -137,6 +151,16 @@ impl ParamStore {
             .map(|b| b.iter().map(DenseParams::numel).sum::<usize>())
             .sum()
     }
+}
+
+/// The [`hash::layer_hash`] of every layer of `blocks`
+/// (`blocks[block][choice]`) in block/choice order: what the owner of a
+/// block range folds into the store's fingerprint.
+pub fn layer_hashes(blocks: &[Vec<DenseParams>]) -> impl Iterator<Item = u64> + '_ {
+    blocks
+        .iter()
+        .flatten()
+        .map(|p| hash::layer_hash(&p.weight, &p.bias))
 }
 
 /// Per-layer state captured by a subnet's forward pass, consumed by its
@@ -611,6 +635,59 @@ mod tests {
         let (grad_in, grads) = engine.backward_slice(|l| store.layer(l), ctx, grad.clone());
         assert_eq!(grad_in, Some(grad));
         assert_eq!(grads.iter().count(), 0);
+    }
+
+    #[test]
+    fn store_fingerprint_matches_known_answer() {
+        // Computed independently (Python, struct.pack('<f')). Width 3 is
+        // odd, so one word of each layer holds its last weight and its
+        // first bias. Layer k: weight[i] = (i - 4) / 2 + k, bias[j] =
+        // -(j + k + 1) / 4.
+        let layer = |k: usize| DenseParams {
+            weight: Tensor::from_vec(
+                (0..9).map(|i| (i as f32 - 4.0) * 0.5 + k as f32).collect(),
+                &[3, 3],
+            ),
+            bias: Tensor::from_vec(
+                (0..3).map(|j| (j + k + 1) as f32 * -0.25).collect(),
+                &[1, 3],
+            ),
+        };
+        let store = ParamStore::from_blocks(3, vec![vec![layer(0), layer(1)], vec![layer(2)]]);
+        let hashes: Vec<u64> = layer_hashes(&store.params).collect();
+        assert_eq!(
+            hashes,
+            [
+                0x0999_2391_4b87_1917,
+                0xdbce_05c9_ef87_1917,
+                0xf56b_9428_eb47_1917
+            ]
+        );
+        assert_eq!(store.bitwise_hash(), 0x5169_7469_fec5_3a7c);
+        assert_eq!(
+            store.bitwise_hash_blocks(1..2),
+            hash::store_hash([hashes[2]])
+        );
+    }
+
+    #[test]
+    fn first_divergence_names_the_first_differing_layer() {
+        let (_, store, _, _) = setup();
+        assert_eq!(store.first_divergence(&store.clone()), None);
+        let mut other = store.clone();
+        for l in [LayerRef::new(2, 1), LayerRef::new(1, 2)] {
+            let w = other.layer_mut(l).weight.data_mut();
+            w[5] = f32::from_bits(w[5].to_bits() ^ 1);
+        }
+        assert_eq!(store.first_divergence(&other), Some(LayerRef::new(1, 2)));
+        assert_eq!(other.first_divergence(&store), Some(LayerRef::new(1, 2)));
+        // A layer only one store has is a difference too.
+        let smaller = SearchSpace::uniform(Domain::Nlp, 4, 2);
+        let fewer = ParamStore::init(&smaller, 8, 42);
+        assert_eq!(store.first_divergence(&fewer), Some(LayerRef::new(0, 2)));
+        let shorter = SearchSpace::uniform(Domain::Nlp, 3, 3);
+        let shorter = ParamStore::init(&shorter, 8, 42);
+        assert_eq!(shorter.first_divergence(&store), Some(LayerRef::new(3, 0)));
     }
 
     #[test]

@@ -183,15 +183,12 @@ impl MomentumSgd {
         }
     }
 
-    /// Bitwise fingerprint over the velocity state (layer order) — for
-    /// asserting optimizer-state reproducibility.
+    /// Bitwise fingerprint over the velocity state, the parameter
+    /// fingerprint's definition over each layer's velocity in layer
+    /// order — for asserting optimizer-state reproducibility.
     pub fn state_hash(&self) -> u64 {
-        let mut h = crate::hash::BitHasher::new();
-        for v in self.velocity.values() {
-            h.write_tensor(&v.weight);
-            h.write_tensor(&v.bias);
-        }
-        h.finish()
+        let layers = self.velocity.values();
+        crate::hash::store_hash(layers.map(|v| crate::hash::layer_hash(&v.weight, &v.bias)))
     }
 }
 

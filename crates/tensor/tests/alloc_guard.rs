@@ -2,11 +2,16 @@
 //! (forward, backward, SGD update) may allocate its owned outputs and
 //! nothing else, and the backward's two halves together exactly what
 //! `dense_backward` does. A per-op temporary creeping back into the
-//! layer — or a kernel that allocates per call — fails this test.
+//! layer — or a kernel that allocates per call — fails this test. The
+//! parameter fingerprint allocates nothing: a layer's hash streams its
+//! f32s two to a word (no byte buffer), and a stage's layer hashes fold
+//! in place.
 //!
-//! One test, in a binary of its own: the counting allocator is global.
+//! A binary of its own: the counting allocator is global (its count is
+//! per thread, so the tests do not disturb each other).
 
 use naspipe_supernet::rng::DetRng;
+use naspipe_tensor::hash::{layer_hash, store_hash};
 use naspipe_tensor::layers::{
     dense_backward, dense_backward_input, dense_backward_weight, dense_forward, DenseParams,
 };
@@ -121,5 +126,23 @@ fn steady_state_layer_step_allocates_only_its_owned_outputs() {
                 assert_eq!(composed, input_half + weight_half, "{what}: dense_backward");
             }
         });
+    }
+}
+
+#[test]
+fn fingerprinting_a_layer_and_folding_a_stage_allocate_nothing() {
+    // A stage of the benchmark's low-share workload: 4 blocks of 64
+    // candidate 128 x 128 layers; the odd width puts a word across the
+    // weight/bias boundary.
+    for dim in [128usize, 127] {
+        let mut rng = DetRng::new(5);
+        let params = DenseParams::init(dim, &mut rng);
+        let stage: Vec<u64> = (0..4 * 64).map(|i| i * 0x9e37_79b9).collect();
+        let allocs = || ALLOCS.with(Cell::get);
+        let before = allocs();
+        let layer = layer_hash(&params.weight, &params.bias);
+        let folded = store_hash(stage.iter().copied());
+        assert_eq!(allocs() - before, 0, "{dim}: fingerprint allocated");
+        assert_ne!(layer, folded);
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests of the numeric substrate's determinism and calculus.
 
 use naspipe_supernet::layer::Domain;
+use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::data::SyntheticDataset;
-use naspipe_tensor::hash::hash_tensors;
+use naspipe_tensor::hash::{hash_tensors, store_hash};
 use naspipe_tensor::layers::{dense_backward, dense_forward, DenseParams};
-use naspipe_tensor::model::{NumericSupernet, ParamStore};
+use naspipe_tensor::model::{layer_hashes, NumericSupernet, ParamStore};
 use naspipe_tensor::pool;
 use naspipe_tensor::tensor::{MmOp, Tensor, K_SEG};
 use proptest::prelude::*;
@@ -107,6 +108,79 @@ proptest! {
         bumped[idx] = f32::from_bits(bits ^ 1);
         let tb = Tensor::from_vec(bumped, &[t.numel()]);
         prop_assert_ne!(hash_tensors([&t]), hash_tensors([&tb]));
+    }
+
+    /// Flipping any bit of any f32 of any layer changes the store's
+    /// fingerprint, and `first_divergence` names that layer.
+    #[test]
+    fn fingerprint_sees_every_bit_of_every_layer(
+        blocks in 1u32..5,
+        choices in 1u32..4,
+        dim in 1usize..6,
+        seed in 0u64..1_000,
+        pick in (0u64..u64::MAX, 0u64..u64::MAX, 0u32..32),
+    ) {
+        let (layer_pick, index_pick, bit) = pick;
+        let space = SearchSpace::uniform(Domain::Nlp, blocks, choices);
+        let store = ParamStore::init(&space, dim, seed);
+        let n = u64::from(blocks * choices);
+        let l = LayerRef::new((layer_pick % n / u64::from(choices)) as u32, (layer_pick % u64::from(choices)) as u32);
+        let mut flipped = store.clone();
+        let p = flipped.layer_mut(l);
+        let i = (index_pick % (dim * dim + dim) as u64) as usize;
+        let x = if i < dim * dim { &mut p.weight.data_mut()[i] } else { &mut p.bias.data_mut()[i - dim * dim] };
+        *x = f32::from_bits(x.to_bits() ^ 1 << bit);
+        prop_assert_ne!(flipped.bitwise_hash(), store.bitwise_hash());
+        prop_assert_eq!(flipped.first_divergence(&store), Some(l));
+    }
+
+    /// Swapping two (different) layers changes the store's fingerprint:
+    /// the fold is over positions, not a set of layers.
+    #[test]
+    fn fingerprint_sees_two_layers_swapped(
+        blocks in 1u32..5,
+        choices in 1u32..4,
+        dim in 1usize..6,
+        seed in 0u64..1_000,
+        picks in (0u64..u64::MAX, 0u64..u64::MAX),
+    ) {
+        let space = SearchSpace::uniform(Domain::Nlp, blocks, choices);
+        let store = ParamStore::init(&space, dim, seed);
+        let n = u64::from(blocks * choices);
+        let at = |pick: u64| LayerRef::new((pick % n / u64::from(choices)) as u32, (pick % u64::from(choices)) as u32);
+        let (a, b) = (at(picks.0), at(picks.1));
+        prop_assume!(store.layer(a) != store.layer(b));
+        let mut swapped = store.clone();
+        *swapped.layer_mut(a) = store.layer(b).clone();
+        *swapped.layer_mut(b) = store.layer(a).clone();
+        prop_assert_ne!(swapped.bitwise_hash(), store.bitwise_hash());
+        prop_assert_eq!(swapped.first_divergence(&store), Some(a.min(b)));
+    }
+
+    /// Stages that own contiguous block ranges, each hashing its own
+    /// layers, fold (concatenated in stage order) to the whole store's
+    /// fingerprint at 1-4 stages.
+    #[test]
+    fn per_stage_layer_hashes_fold_to_the_store_fingerprint(
+        blocks in 1u32..9,
+        choices in 1u32..4,
+        dim in 1usize..6,
+        seed in 0u64..1_000,
+        cuts in proptest::collection::vec(0usize..9, 0..4),
+    ) {
+        let nb = blocks as usize;
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (nb + 1)).collect();
+        cuts.extend([0, nb]);
+        cuts.sort_unstable();
+        let stages: Vec<Vec<Vec<DenseParams>>> = cuts
+            .windows(2)
+            .map(|r| (r[0]..r[1]).map(|b| ParamStore::init_block(dim, seed, b, choices)).collect())
+            .collect();
+        let per_stage: Vec<Vec<u64>> = stages.iter().map(|s| layer_hashes(s).collect()).collect();
+        let whole = ParamStore::from_blocks(dim, stages.into_iter().flatten().collect());
+        prop_assert_eq!(store_hash(per_stage.iter().flatten().copied()), whole.bitwise_hash());
+        let space = SearchSpace::uniform(Domain::Nlp, blocks, choices);
+        prop_assert_eq!(whole.bitwise_hash(), ParamStore::init(&space, dim, seed).bitwise_hash());
     }
 
     /// A batch fetched in halves — the input a pipeline's first stage

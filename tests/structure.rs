@@ -654,6 +654,44 @@ mod rules {
         )
     }
 
+    pub fn one_parameter_fingerprint(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let mut dirs = scan.crate_srcs();
+        dirs.push("src".to_string());
+        let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+        let sources = scan.tree(&dirs, true);
+        scan.forbid(
+            sources.iter().filter(|s| {
+                !matches!(
+                    s.path.as_str(),
+                    "crates/tensor/src/hash.rs"
+                        // Kernel outputs, not parameters.
+                        | "crates/bench/src/experiments/compute.rs"
+                )
+            }),
+            &[
+                r"\bBitHasher\b",
+                "write_tensor(",
+                "write_f32(",
+                r"\bhash_tensors\b",
+            ],
+        );
+        let runtime = scan.rs_in("crates/core/src/runtime");
+        let runtime: Vec<_> = runtime.iter().map(Source::before_tests).collect();
+        scan.forbid(&runtime, &[r"\bbitwise_hash"]);
+        scan.verdict(
+            "one parameter fingerprint (commit \"Fingerprint the parameters where they \
+             live\"): a store's fingerprint is tensor::hash::store_hash over each layer's \
+             tensor::hash::layer_hash, word-wise, in (block, choice) order, and the \
+             optimizer's velocity is fingerprinted the same way. Only \
+             crates/tensor/src/hash.rs folds f32 bits; the byte-serial BitHasher / \
+             hash_tensors is for the compute benchmark's kernel outputs. The threaded \
+             runtime makes no whole-store pass: each stage hashes its own slice on its own \
+             thread and the supervisor folds the stages' layer hashes; a bitwise_hash there \
+             is the 34 MB serial pass that was a tenth of a run's wall.",
+        )
+    }
+
     pub fn one_algorithm_2(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let runtime = scan.tree(&["crates/core/src/runtime"], false);
@@ -732,6 +770,11 @@ fn one_algorithm_2() {
 #[test]
 fn one_backward_decomposition() {
     holds(rules::one_backward_decomposition);
+}
+
+#[test]
+fn one_parameter_fingerprint() {
+    holds(rules::one_parameter_fingerprint);
 }
 
 /// A fresh tree holding `files` (relative path, contents), named after
@@ -904,4 +947,38 @@ fn a_worker_that_walks_the_layer_halves_itself_fails() {
         broken.contains("crates/core/src/runtime/worker.rs:3"),
         "{broken}"
     );
+}
+
+#[test]
+fn a_byte_serial_parameter_hash_or_a_whole_store_pass_fails() {
+    let tree = |model: &str, supervisor: &str| {
+        fixture(
+            "fingerprint",
+            &[
+                ("crates/tensor/src/hash.rs", "pub struct BitHasher;\n"),
+                ("crates/tensor/src/model.rs", model),
+                ("crates/core/src/runtime/supervisor.rs", supervisor),
+                ("src/lib.rs", ""),
+            ],
+        )
+    };
+    let folded = "fn assemble(outs: &[Out]) -> u64 {\n    \
+                  store_hash(outs.iter().flat_map(|o| o.layer_hashes.iter().copied()))\n}\n\
+                  #[cfg(test)]\nmod tests {\n    fn t() { store.bitwise_hash(); }\n}\n";
+    let by_layer = "pub fn bitwise_hash(&self) -> u64 {\n    \
+                    hash::store_hash(layer_hashes(&self.params))\n}\n";
+    rules::one_parameter_fingerprint(&tree(by_layer, folded)).expect("the layer-wise fold");
+    let serial = "pub fn bitwise_hash(&self) -> u64 {\n    \
+                  let mut h = BitHasher::new();\n    for p in params {\n        \
+                  h.write_tensor(&p.weight);\n    }\n    h.finish()\n}\n";
+    let whole = "fn assemble(store: ParamStore) -> u64 {\n    store\n        .bitwise_hash()\n}\n";
+    let broken = rules::one_parameter_fingerprint(&tree(serial, whole)).unwrap_err();
+    assert!(broken.contains("Fingerprint the parameters"), "{broken}");
+    for needle in [
+        "crates/tensor/src/model.rs:2: `\\bBitHasher\\b`",
+        "crates/tensor/src/model.rs:4: `write_tensor(`",
+        "crates/core/src/runtime/supervisor.rs:3: `\\bbitwise_hash`",
+    ] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
 }
