@@ -9,7 +9,7 @@ use naspipe_core::config::PipelineConfig;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// Cache factors swept.
-pub const FACTORS: [f64; 6] = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0];
+pub(crate) const FACTORS: [f64; 6] = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0];
 
 /// One sweep point.
 #[derive(Debug, Clone, PartialEq)]

@@ -130,7 +130,7 @@ pub struct ComputeRun {
 impl ComputeRun {
     /// Whether every within-run bitwise verdict holds at this pool size.
     #[must_use]
-    pub fn bitwise_ok(&self) -> bool {
+    pub(crate) fn bitwise_ok(&self) -> bool {
         self.matmul.iter().all(|s| s.bitwise_equal)
             && self.transposed.iter().all(|t| t.bitwise_equal)
             && self.batched.bitwise_equal
@@ -152,7 +152,7 @@ pub struct ComputeMatrix {
 impl ComputeMatrix {
     /// Whether every run's within-run bitwise verdicts hold.
     #[must_use]
-    pub fn bitwise_ok(&self) -> bool {
+    pub(crate) fn bitwise_ok(&self) -> bool {
         self.runs.iter().all(ComputeRun::bitwise_ok)
     }
 
@@ -160,7 +160,7 @@ impl ComputeMatrix {
     /// threaded final hashes — is identical across the thread counts.
     /// This is the cross-pool-size determinism verdict.
     #[must_use]
-    pub fn cross_thread_invariant(&self) -> bool {
+    pub(crate) fn cross_thread_invariant(&self) -> bool {
         let Some(first) = self.runs.first() else {
             return true;
         };
@@ -185,18 +185,6 @@ impl ComputeMatrix {
     #[must_use]
     pub fn all_ok(&self) -> bool {
         self.bitwise_ok() && self.cross_thread_invariant()
-    }
-
-    /// Speedup of the `side`³ square shape in the run at `threads`.
-    #[must_use]
-    pub fn square_speedup(&self, threads: usize, side: usize) -> Option<f64> {
-        self.runs
-            .iter()
-            .find(|r| r.threads == threads)?
-            .matmul
-            .iter()
-            .find(|s| s.m == side && s.k == side && s.n == side)
-            .map(|s| s.speedup)
     }
 }
 
@@ -952,7 +940,6 @@ mod tests {
     fn json_is_balanced_and_carries_verdicts() {
         let matrix = fabricated_matrix();
         assert!(matrix.all_ok());
-        assert_eq!(matrix.square_speedup(4, 256), Some(20.0));
         let json = render_json(&matrix);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

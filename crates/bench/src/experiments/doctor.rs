@@ -71,7 +71,7 @@ impl DoctorRun {
 }
 
 /// The stage the slow-stage scenario plants its regression on.
-pub const SLOW_STAGE: u32 = 2;
+pub(crate) const SLOW_STAGE: u32 = 2;
 
 /// The shared stream simulated with `cost` as the price of every task.
 fn traced_run(

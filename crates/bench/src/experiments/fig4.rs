@@ -49,7 +49,7 @@ fn smooth(losses: &[(u64, f32)], w: usize) -> Vec<(u64, f64)> {
 }
 
 /// Runs one panel (4 systems on `id`, 8 GPUs, `n` subnets).
-pub fn panel_for(id: SpaceId, n: u64) -> Fig4Panel {
+pub(crate) fn panel_for(id: SpaceId, n: u64) -> Fig4Panel {
     let space = training_space(id);
     let curves = SystemKind::ALL
         .into_iter()

@@ -30,7 +30,7 @@ pub fn run(num_gpus: u32, n: u64) -> Vec<Fig5Group> {
 }
 
 /// Runs one space's bar group.
-pub fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig5Group {
+pub(crate) fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig5Group {
     let results = run_all_systems(id, num_gpus, n);
     let throughput = |k: SystemKind| -> Option<f64> {
         results

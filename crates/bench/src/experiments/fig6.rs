@@ -74,7 +74,7 @@ pub struct Fig6Group {
 }
 
 /// Runs one space's ablation.
-pub fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig6Group {
+pub(crate) fn group_for(id: SpaceId, num_gpus: u32, n: u64) -> Fig6Group {
     let space = SearchSpace::from_id(id);
     let run_variant = |v: Variant| -> Option<(f64, f64)> {
         let cfg = PipelineConfig::naspipe(num_gpus, n)

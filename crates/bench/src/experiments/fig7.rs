@@ -11,7 +11,7 @@ use naspipe_baselines::SystemKind;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// GPU counts swept, as in the paper.
-pub const GPU_COUNTS: [u32; 4] = [4, 8, 12, 16];
+pub(crate) const GPU_COUNTS: [u32; 4] = [4, 8, 12, 16];
 
 /// One system's scalability series.
 #[derive(Debug, Clone)]

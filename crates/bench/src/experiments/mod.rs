@@ -36,7 +36,7 @@ use naspipe_supernet::subnet::Subnet;
 /// The shared exploration stream all systems train for a given space:
 /// identical subnets in identical order, so differences between systems
 /// are purely scheduling.
-pub fn subnet_stream(space: &SearchSpace, n: u64) -> Vec<Subnet> {
+pub(crate) fn subnet_stream(space: &SearchSpace, n: u64) -> Vec<Subnet> {
     UniformSampler::new(space, crate::SEED).take_subnets(n as usize)
 }
 

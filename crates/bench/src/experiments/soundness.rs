@@ -41,7 +41,7 @@ pub fn run(id: SpaceId, n: u64) -> SoundnessReport {
 }
 
 /// The offline analysis over a finished schedule.
-pub fn analyse(out: &PipelineOutcome) -> SoundnessReport {
+pub(crate) fn analyse(out: &PipelineOutcome) -> SoundnessReport {
     // Index: backward end time per (subnet, stage), block owner per
     // (subnet, block), forward tasks.
     let mut bwd_end: BTreeMap<(u64, u32), u64> = BTreeMap::new();

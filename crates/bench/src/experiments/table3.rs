@@ -16,7 +16,7 @@ use naspipe_supernet::space::SpaceId;
 use naspipe_tensor::model::ParamStore;
 
 /// GPU counts evaluated, as in the paper.
-pub const GPU_COUNTS: [u32; 3] = [4, 8, 16];
+pub(crate) const GPU_COUNTS: [u32; 3] = [4, 8, 16];
 
 /// One (space, discipline) row.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ pub fn disciplines() -> [SystemKind; 3] {
 }
 
 /// Runs one (space, discipline) row over all GPU counts.
-pub fn row_for(id: SpaceId, system: SystemKind, n: u64) -> Table3Row {
+pub(crate) fn row_for(id: SpaceId, system: SystemKind, n: u64) -> Table3Row {
     let space = training_space(id);
     let mut losses = Vec::new();
     let mut scores = Vec::new();

@@ -25,7 +25,7 @@ pub struct Table4Row {
 
 impl Table4Row {
     /// Whether the two orders match (reproducibility of the interleaving).
-    pub fn orders_match(&self) -> bool {
+    pub(crate) fn orders_match(&self) -> bool {
         self.order_4gpu == self.order_8gpu
     }
 }

@@ -14,7 +14,7 @@
 //! 2. **Monotonicity** — no counter series moves backwards between any
 //!    two consecutive scrapes ([`monotonicity_violations`]).
 //! 3. **Consistency** — after the run the hub's final snapshot equals
-//!    the [`ObsReport`] field-for-field
+//!    the [`ObsReport`](naspipe_obs::ObsReport) field-for-field
 //!    ([`diff_against_report`]), and the scraped
 //!    `naspipe_tasks_total` series sum to the report's task totals —
 //!    the live endpoint and the post-mortem report tell one story.

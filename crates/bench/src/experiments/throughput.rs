@@ -4,13 +4,13 @@
 
 use crate::experiments::subnet_stream;
 use naspipe_baselines::SystemKind;
-use naspipe_core::pipeline::{PipelineError, PipelineOutcome};
+use naspipe_core::pipeline::PipelineError;
 use naspipe_core::report::PipelineReport;
 use naspipe_supernet::space::{SearchSpace, SpaceId};
 
 /// The result of running one system on one space.
 #[derive(Debug, Clone)]
-pub enum SystemResult {
+pub(crate) enum SystemResult {
     /// The run completed.
     Ok(Box<PipelineReport>),
     /// The system could not hold its parameters (Table 2's "failed to
@@ -34,7 +34,12 @@ impl SystemResult {
 ///
 /// Panics on configuration errors other than out-of-memory (those are
 /// harness bugs).
-pub fn run_system(space: &SearchSpace, system: SystemKind, num_gpus: u32, n: u64) -> SystemResult {
+pub(crate) fn run_system(
+    space: &SearchSpace,
+    system: SystemKind,
+    num_gpus: u32,
+    n: u64,
+) -> SystemResult {
     let subnets = subnet_stream(space, n);
     match system.run(space, num_gpus, subnets) {
         Ok(out) => SystemResult::Ok(Box::new(out.report)),
@@ -43,27 +48,12 @@ pub fn run_system(space: &SearchSpace, system: SystemKind, num_gpus: u32, n: u64
     }
 }
 
-/// Like [`run_system`] but returning the full outcome (tasks + trace).
-///
-/// # Panics
-///
-/// Panics on errors other than out-of-memory.
-pub fn run_system_full(
-    space: &SearchSpace,
-    system: SystemKind,
+/// All four systems on one space (Table 2 / Figure 5 cell group).
+pub(crate) fn run_all_systems(
+    id: SpaceId,
     num_gpus: u32,
     n: u64,
-) -> Option<PipelineOutcome> {
-    let subnets = subnet_stream(space, n);
-    match system.run(space, num_gpus, subnets) {
-        Ok(out) => Some(out),
-        Err(PipelineError::OutOfMemory { .. }) => None,
-        Err(e) => panic!("{system} on {:?}: {e}", space.id()),
-    }
-}
-
-/// All four systems on one space (Table 2 / Figure 5 cell group).
-pub fn run_all_systems(id: SpaceId, num_gpus: u32, n: u64) -> Vec<(SystemKind, SystemResult)> {
+) -> Vec<(SystemKind, SystemResult)> {
     let space = SearchSpace::from_id(id);
     SystemKind::ALL
         .into_iter()
@@ -89,12 +79,5 @@ mod tests {
         assert!(get(SystemKind::VPipe));
         assert!(!get(SystemKind::GPipe));
         assert!(!get(SystemKind::PipeDream));
-    }
-
-    #[test]
-    fn run_system_full_returns_tasks() {
-        let space = SearchSpace::from_id(SpaceId::CvC3);
-        let out = run_system_full(&space, SystemKind::NasPipe, 4, 8).unwrap();
-        assert_eq!(out.tasks.len(), 8 * 4 * 2);
     }
 }

@@ -55,7 +55,7 @@ pub fn schedule(space: &SearchSpace, system: SystemKind, gpus: u32, n: u64) -> P
 
 /// Searches the trained supernet and returns the domain-appropriate
 /// quality score of the best subnet found.
-pub fn search_score(space: &SearchSpace, result: &TrainResult) -> f64 {
+pub(crate) fn search_score(space: &SearchSpace, result: &TrainResult) -> f64 {
     let (best_loss, _) = search_best_subnet(space, &result.store, &train_config(), 48);
     score_from_loss(space.domain(), best_loss)
 }
@@ -67,7 +67,7 @@ pub fn search_score(space: &SearchSpace, result: &TrainResult) -> f64 {
 /// converges), while preserving the relative collision ordering across
 /// spaces. The schedule and the replay use the same scaled space, so the
 /// reproducibility semantics are exact.
-pub fn training_space(id: SpaceId) -> SearchSpace {
+pub(crate) fn training_space(id: SpaceId) -> SearchSpace {
     let (blocks, choices) = id.shape();
     SearchSpace::uniform(id.domain(), blocks, (choices / 6).max(2))
 }

@@ -5,7 +5,7 @@
 /// # Panics
 ///
 /// Panics if any row's width differs from the header's.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         assert_eq!(row.len(), headers.len(), "row width mismatch");
     }
@@ -37,18 +37,18 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a ratio as the paper's `x` factors, e.g. `3.9x`.
-pub fn x_factor(v: f64) -> String {
+pub(crate) fn x_factor(v: f64) -> String {
     format!("{v:.1}x")
 }
 
 /// Formats a fraction as a percentage, e.g. `86.4%`.
-pub fn percent(v: f64) -> String {
+pub(crate) fn percent(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
 /// Formats bytes as the paper's parameter counts, e.g. `1327M` (f32
 /// parameters) or `14.8B`.
-pub fn param_count(bytes: u64) -> String {
+pub(crate) fn param_count(bytes: u64) -> String {
     let params = bytes as f64 / 4.0;
     if params >= 1e9 {
         format!("{:.1}B", params / 1e9)

@@ -15,7 +15,7 @@ use naspipe_supernet::layer::Domain;
 ///
 /// Calibrated so converged validation losses of the scaled training
 /// substrate (~0.26-0.38) land in the paper's BLEU range (~20.5-22).
-pub fn bleu_from_loss(loss: f64) -> f64 {
+pub(crate) fn bleu_from_loss(loss: f64) -> f64 {
     (24.0 - 8.0 * loss).max(0.0)
 }
 
@@ -24,12 +24,12 @@ pub fn bleu_from_loss(loss: f64) -> f64 {
 ///
 /// Calibrated so converged validation losses (~0.20-0.36) land in the
 /// paper's top-5 range (~78-83 %).
-pub fn top5_from_loss(loss: f64) -> f64 {
+pub(crate) fn top5_from_loss(loss: f64) -> f64 {
     (89.0 - 30.0 * loss).clamp(0.0, 100.0)
 }
 
 /// Domain-appropriate score for a validation loss.
-pub fn score_from_loss(domain: Domain, loss: f64) -> f64 {
+pub(crate) fn score_from_loss(domain: Domain, loss: f64) -> f64 {
     match domain {
         Domain::Nlp => bleu_from_loss(loss),
         Domain::Cv => top5_from_loss(loss),
@@ -38,7 +38,7 @@ pub fn score_from_loss(domain: Domain, loss: f64) -> f64 {
 
 /// Renders a score with the paper's precision (two decimals for BLEU,
 /// one + `%` for top-5).
-pub fn render_score(domain: Domain, score: f64) -> String {
+pub(crate) fn render_score(domain: Domain, score: f64) -> String {
     match domain {
         Domain::Nlp => format!("{score:.2}"),
         Domain::Cv => format!("{score:.1}%"),

@@ -14,16 +14,16 @@
 //! holds after training subnets `0..W` — which is what makes resuming
 //! from it bitwise-exact.
 //!
-//! A [`CheckpointStore`] collects the per-stage snapshots. A watermark is
+//! A `CheckpointStore` collects the per-stage snapshots. A watermark is
 //! *complete* once all stages have reported; recovery always resumes from
-//! [`CheckpointStore::latest_complete`]. A lower complete watermark is
+//! `CheckpointStore::latest_complete`. A lower complete watermark is
 //! *retired* as soon as a higher one completes — it can never be resumed
 //! from again, because no in-flight task predates the newest complete
 //! cut. Its per-stage snapshots are not freed but kept as *spares*:
 //! whoever drops the retired cut's last `Arc` (the store, or the durable
 //! writer once it has persisted it) hands it to
-//! [`CheckpointStore::recycle`]. A stage's next cut takes its spare
-//! ([`CheckpointStore::take_spare`]) and [`StageSnapshot::refill`]s it,
+//! `CheckpointStore::recycle`. A stage's next cut takes its spare
+//! (`CheckpointStore::take_spare`) and [`StageSnapshot::refill`]s it,
 //! copying in place only the layers written since the spare's watermark,
 //! instead of cloning the whole slice.
 
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// stage would grow the map without bound on long runs. The lowest
 /// partials are dropped first: recovery only ever resumes from
 /// [`CheckpointStore::latest_complete`], which a partial never is.
-pub const MAX_PARTIAL_CUTS: usize = 8;
+pub(crate) const MAX_PARTIAL_CUTS: usize = 8;
 
 /// One stage's frozen state at a watermark.
 ///
@@ -119,7 +119,7 @@ pub struct Checkpoint {
 /// retired cut comes back through [`recycle`](CheckpointStore::recycle)
 /// and its snapshots wait, one per stage, for that stage's next cut.
 #[derive(Debug)]
-pub struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     gpus: usize,
     slots: Mutex<Slots>,
 }
@@ -226,7 +226,7 @@ impl CheckpointStore {
     /// retired the cut and nothing else holds it — the cut's snapshots
     /// become its stages' spares (unless newer spares are waiting).
     /// Recovers from a poisoned mutex (see [`record`](Self::record)).
-    pub fn recycle(&self, cut: Arc<Checkpoint>) {
+    pub(crate) fn recycle(&self, cut: Arc<Checkpoint>) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         slots.keep_spares(cut);
     }
@@ -240,7 +240,7 @@ impl CheckpointStore {
     /// # Panics
     ///
     /// Panics if `stage` is out of range.
-    pub fn take_spare(&self, stage: usize, not_below: u64) -> Option<(u64, StageSnapshot)> {
+    pub(crate) fn take_spare(&self, stage: usize, not_below: u64) -> Option<(u64, StageSnapshot)> {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let spare = slots.spares[stage].take();
         spare.filter(|&(watermark, _)| watermark >= not_below)
@@ -251,14 +251,15 @@ impl CheckpointStore {
     /// Recovers from a poisoned mutex (see [`record`](Self::record)) —
     /// this is the supervisor's resume-point query, the one place where
     /// poison amplification would abort an otherwise recoverable run.
-    pub fn latest_complete(&self) -> Option<Arc<Checkpoint>> {
+    pub(crate) fn latest_complete(&self) -> Option<Arc<Checkpoint>> {
         let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         slots.complete.clone()
     }
 
-    /// Watermarks currently held (complete or partial), ascending — for
-    /// tests and diagnostics. Recovers from a poisoned mutex.
-    pub fn watermarks(&self) -> Vec<u64> {
+    /// Watermarks currently held (complete or partial), ascending.
+    /// Recovers from a poisoned mutex.
+    #[cfg(test)]
+    pub(crate) fn watermarks(&self) -> Vec<u64> {
         let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let complete = slots.complete.iter().map(|c| c.watermark);
         let mut held: Vec<u64> = complete.chain(slots.partial.keys().copied()).collect();

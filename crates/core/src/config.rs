@@ -128,7 +128,7 @@ impl SyncPolicy {
     }
 
     /// The effective bulk size for BSP at pipeline depth `d`.
-    pub fn bulk_size(self, d: u32) -> u32 {
+    pub(crate) fn bulk_size(self, d: u32) -> u32 {
         match self {
             SyncPolicy::Bsp { bulk: 0, .. } => d / 2 + 1,
             SyncPolicy::Bsp { bulk, .. } => bulk,
@@ -224,7 +224,7 @@ impl PipelineConfig {
     /// # Errors
     ///
     /// Returns a message when a field is out of range.
-    pub fn validate(&self, space: &SearchSpace) -> Result<(), String> {
+    pub(crate) fn validate(&self, space: &SearchSpace) -> Result<(), String> {
         if self.num_gpus == 0 {
             return Err("num_gpus must be positive".into());
         }

@@ -49,7 +49,7 @@ impl CacheStats {
 /// The owner's note on a layer's latest transfer. The cache only stores
 /// it: it plays no part in residency and outlives eviction.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Landing {
+pub(crate) struct Landing {
     /// When the transfer completes; `None` before the layer's first.
     pub at: Option<SimTime>,
     /// The span that carries it (external when untraced).
@@ -147,7 +147,7 @@ impl StageCache {
     }
 
     /// The note kept for `layer` (see [`Landing`]).
-    pub fn landing(&mut self, layer: LayerRef) -> &mut Landing {
+    pub(crate) fn landing(&mut self, layer: LayerRef) -> &mut Landing {
         &mut self.slot(layer).landing
     }
 

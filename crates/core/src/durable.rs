@@ -1,6 +1,6 @@
 //! Durable, crash-safe checkpoint snapshots.
 //!
-//! The in-memory [`CheckpointStore`](crate::checkpoint::CheckpointStore)
+//! The in-memory `CheckpointStore`
 //! gives the supervised runtime *in-process* recovery; this module makes
 //! the same CSP-watermark consistent cuts survive a process death. The
 //! contract mirrors the in-memory one: a snapshot at watermark `W` is
@@ -814,7 +814,7 @@ impl DurableStore {
     /// # Errors
     ///
     /// Fails on directory-read I/O errors.
-    pub fn list_snapshots(&self) -> Result<Vec<u64>, DurableError> {
+    pub(crate) fn list_snapshots(&self) -> Result<Vec<u64>, DurableError> {
         let mut cuts: Vec<u64> = fs::read_dir(&self.dir)
             .map_err(|e| io_err(&self.dir, "read dir", &e))?
             .filter_map(Result::ok)

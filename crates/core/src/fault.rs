@@ -11,7 +11,7 @@
 //! from a seed with [`FaultPlan::seeded`], which makes every failure
 //! scenario replayable from a single integer.
 //!
-//! Each fault fires **once per run** (tracked by [`FaultInjector`], whose
+//! Each fault fires **once per run** (tracked by `FaultInjector`, whose
 //! consumed-state survives supervisor restarts — a crash that already
 //! happened does not happen again during replay), mirroring how a real
 //! worker crash is a one-time event the recovery path must get past.
@@ -35,8 +35,8 @@ pub enum FaultKind {
     },
     /// The send of the trigger task's output fails `failures` times
     /// before succeeding — modelling a flaky interconnect. Survivable
-    /// while `failures <= max_retries`; beyond that the worker gives up
-    /// with a [`crate::runtime::TrainError::Timeout`].
+    /// while `failures` is at most the retry budget (3); beyond that the
+    /// worker gives up with a [`crate::runtime::TrainError::Timeout`].
     TransientSend {
         /// Consecutive send failures before the send goes through.
         failures: u32,
@@ -56,13 +56,13 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Whether this fault, under `max_retries`, kills its worker.
-    pub fn is_fatal(&self, max_retries: u32) -> bool {
+    /// Whether this fault, under the retry budget, kills its worker.
+    pub(crate) fn is_fatal(&self) -> bool {
         match self {
             FaultKind::Panic | FaultKind::ProcessKill => true,
             FaultKind::Slow { .. } => false,
             FaultKind::TransientSend { failures } | FaultKind::TransientRecv { failures } => {
-                *failures > max_retries
+                *failures > MAX_RETRIES
             }
         }
     }
@@ -82,7 +82,7 @@ impl fmt::Display for FaultKind {
 
 /// Where in the worker loop a fault is checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSite {
+pub(crate) enum FaultSite {
     /// At the start of executing the trigger task (panic / slow).
     Execute,
     /// When sending the trigger task's output downstream/upstream.
@@ -137,17 +137,19 @@ impl fmt::Display for Fault {
 ///
 /// let plan = FaultPlan::new()
 ///     .panic_on(1, 5, TaskKind::Forward)
-///     .transient_send(0, 2, TaskKind::Forward, 2)
-///     .with_max_retries(3);
+///     .transient_send(0, 2, TaskKind::Forward, 2);
 /// assert_eq!(plan.faults().len(), 2);
 /// assert_eq!(plan.fatal_faults().count(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
-    max_retries: u32,
     backoff_us: u64,
 }
+
+/// Retry budget for a transient fault: a worker retries while
+/// `failures <= MAX_RETRIES`.
+pub(crate) const MAX_RETRIES: u32 = 3;
 
 impl Default for FaultPlan {
     fn default() -> Self {
@@ -160,7 +162,6 @@ impl FaultPlan {
     pub fn new() -> Self {
         Self {
             faults: Vec::new(),
-            max_retries: 3,
             backoff_us: 50,
         }
     }
@@ -224,7 +225,7 @@ impl FaultPlan {
 
     /// Adds a transient receive failure.
     #[must_use]
-    pub fn transient_recv(
+    pub(crate) fn transient_recv(
         mut self,
         stage: u32,
         subnet: u64,
@@ -240,13 +241,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the retry budget for transient faults.
-    #[must_use]
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
     /// Sets the base backoff (doubled per attempt) in microseconds.
     #[must_use]
     pub fn with_backoff_us(mut self, backoff_us: u64) -> Self {
@@ -259,21 +253,13 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// The faults that will kill their worker under this plan's retry
-    /// budget.
+    /// The faults that will kill their worker under the retry budget.
     pub fn fatal_faults(&self) -> impl Iterator<Item = &Fault> {
-        self.faults
-            .iter()
-            .filter(move |f| f.kind.is_fatal(self.max_retries))
-    }
-
-    /// Retry budget for transient faults.
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
+        self.faults.iter().filter(|f| f.kind.is_fatal())
     }
 
     /// Base backoff in microseconds.
-    pub fn backoff_us(&self) -> u64 {
+    pub(crate) fn backoff_us(&self) -> u64 {
         self.backoff_us
     }
 
@@ -339,7 +325,7 @@ impl FaultPlan {
             plan = plan.panic_on(stage, subnet, task);
         }
 
-        // Transient channel faults: survivable (failures <= max_retries),
+        // Transient channel faults: survivable (failures <= MAX_RETRIES),
         // placed in epochs without a fatal fault when possible.
         let free_epochs: Vec<u64> = (0..epochs).filter(|e| !fatal_epochs.contains(e)).collect();
         for _ in 0..transient {
@@ -351,7 +337,7 @@ impl FaultPlan {
             let lo = e * interval;
             let hi = subnets.min(lo + interval);
             let subnet = lo + rng.next_below(hi - lo);
-            let failures = 1 + rng.next_below(plan.max_retries as u64) as u32;
+            let failures = 1 + rng.next_below(u64::from(MAX_RETRIES)) as u32;
             // Pick a site that exists in the topology: forward sends
             // leave every stage but the last, backward sends leave every
             // stage but the first, and receives mirror them.
@@ -384,7 +370,7 @@ pub struct FiredFault {
 /// Firing is a compare-and-swap on a per-fault flag, so a fault consumed
 /// in one incarnation stays consumed after a supervisor restart.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     fired: Vec<AtomicBool>,
 }
@@ -404,7 +390,7 @@ impl FaultInjector {
     /// Consumes and returns the fault scheduled for `(stage, subnet,
     /// task)` at `site`, if one is still pending. At most one fault per
     /// call site fires; each fault fires exactly once per run.
-    pub fn fire(
+    pub(crate) fn fire(
         &self,
         stage: u32,
         subnet: u64,
@@ -427,7 +413,7 @@ impl FaultInjector {
     }
 
     /// Indices of the faults that have fired so far.
-    pub fn fired_indices(&self) -> Vec<usize> {
+    pub(crate) fn fired_indices(&self) -> Vec<usize> {
         self.fired
             .iter()
             .enumerate()
@@ -448,7 +434,7 @@ impl FaultInjector {
 /// other panic to the previously installed hook. The supervisor calls
 /// this before running a plan with fatal faults so deliberate crashes
 /// don't spam test and experiment output.
-pub fn silence_injected_panics() {
+pub(crate) fn silence_injected_panics() {
     use std::sync::Once;
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
@@ -501,7 +487,7 @@ mod tests {
                 match f.kind {
                     FaultKind::TransientSend { failures }
                     | FaultKind::TransientRecv { failures } => {
-                        assert!(failures <= plan.max_retries());
+                        assert!(failures <= MAX_RETRIES);
                     }
                     _ => {}
                 }
@@ -532,10 +518,10 @@ mod tests {
 
     #[test]
     fn fatality_depends_on_retry_budget() {
-        assert!(FaultKind::Panic.is_fatal(10));
-        assert!(!FaultKind::Slow { delay_ms: 5 }.is_fatal(0));
-        assert!(!FaultKind::TransientSend { failures: 3 }.is_fatal(3));
-        assert!(FaultKind::TransientSend { failures: 4 }.is_fatal(3));
+        assert!(FaultKind::Panic.is_fatal());
+        assert!(!FaultKind::Slow { delay_ms: 5 }.is_fatal());
+        assert!(!FaultKind::TransientSend { failures: 3 }.is_fatal());
+        assert!(FaultKind::TransientSend { failures: 4 }.is_fatal());
     }
 
     #[test]

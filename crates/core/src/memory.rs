@@ -24,19 +24,19 @@ use naspipe_supernet::space::SearchSpace;
 
 /// Fixed per-GPU reservation for framework workspace, kernels, and
 /// fragmentation, bytes.
-pub const WORKSPACE_BYTES: u64 = 1_073_741_824;
+pub(crate) const WORKSPACE_BYTES: u64 = 1_073_741_824;
 
 /// Calibrated per-sample working activation footprint of one NLP choice
 /// block, bytes.
-pub const NLP_ACT_BYTES_PER_BLOCK: u64 = 5 * 1_048_576;
+pub(crate) const NLP_ACT_BYTES_PER_BLOCK: u64 = 5 * 1_048_576;
 
 /// Calibrated per-sample working activation footprint of one CV choice
 /// block, bytes.
-pub const CV_ACT_BYTES_PER_BLOCK: u64 = 12 * 1_048_576;
+pub(crate) const CV_ACT_BYTES_PER_BLOCK: u64 = 12 * 1_048_576;
 
 /// Per-sample bytes crossing a stage boundary (activations forwarded to
 /// the next stage / gradients returned).
-pub fn boundary_bytes_per_sample(domain: Domain) -> u64 {
+pub(crate) fn boundary_bytes_per_sample(domain: Domain) -> u64 {
     match domain {
         // hidden=1024 f32 vector per token position, pooled.
         Domain::Nlp => 1024 * 4,

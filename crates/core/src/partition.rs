@@ -136,7 +136,7 @@ impl Partition {
     }
 
     /// The stage owning block `b`, if any stage covers it.
-    pub fn stage_of_block(&self, b: usize) -> Option<StageId> {
+    pub(crate) fn stage_of_block(&self, b: usize) -> Option<StageId> {
         // The first boundary above `b` closes the (non-empty) range
         // holding it.
         let end = self.boundaries.partition_point(|&x| x <= b);
@@ -169,7 +169,7 @@ impl Partition {
     }
 
     /// Stage execution times under `costs`.
-    pub fn stage_costs(&self, costs: &[f64]) -> Vec<f64> {
+    pub(crate) fn stage_costs(&self, costs: &[f64]) -> Vec<f64> {
         (0..self.num_stages())
             .map(|k| self.stage_range(StageId(k)).map(|b| costs[b]).sum())
             .collect()
@@ -238,12 +238,6 @@ impl Partitioner {
         &self.profile
     }
 
-    /// The static partition (used by every subnet in
-    /// [`PartitionMode::Static`]).
-    pub fn static_partition(&self) -> &Partition {
-        &self.static_partition
-    }
-
     /// The partition `subnet` executes with.
     ///
     /// Mirrored partitions are computed per call and not memoised: an
@@ -265,7 +259,12 @@ impl Partitioner {
     /// Stage compute time of `subnet` at stage `k` of `partition` (the
     /// one [`partition_for`](Self::partition_for) gave it), in
     /// milliseconds, split as `(fwd_ms, bwd_ms)`.
-    pub fn stage_times(&self, subnet: &Subnet, partition: &Partition, k: StageId) -> (f64, f64) {
+    pub(crate) fn stage_times(
+        &self,
+        subnet: &Subnet,
+        partition: &Partition,
+        k: StageId,
+    ) -> (f64, f64) {
         let mut fwd = 0.0;
         let mut bwd = 0.0;
         for b in partition.stage_range(k) {

@@ -329,7 +329,8 @@ impl<'a> SimSpec<'a> {
 
 // The three DES entry points `benchmark/src/workloads.rs` links by name.
 // The harness is frozen outside `benchmark` PRs, so they stay until the
-// `benchmark` PR that moves it to `SimSpec` (ROADMAP 1b); 1c deletes them.
+// `benchmark` PR that moves it to `SimSpec` (ROADMAP 1(a)); the
+// simplicity change after it deletes them.
 
 #[doc(hidden)]
 pub fn run_pipeline_with_subnets(
@@ -560,11 +561,7 @@ impl<'a> Engine<'a> {
             reference_batch,
             plan,
             partitioner,
-            cluster: Cluster::with_hosts(
-                d,
-                config.gpus_per_host,
-                naspipe_sim::cluster::GPU_MEMORY_BYTES,
-            ),
+            cluster: Cluster::with_hosts(d, config.gpus_per_host),
             queue: EventQueue::new(),
             stages,
             finished: vec![FinishedSet::new(); d as usize],

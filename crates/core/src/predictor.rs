@@ -42,7 +42,6 @@ pub struct Fetch {
 #[derive(Debug, Clone, Default)]
 pub struct Predictor {
     blocked: Vec<PendingBackward>,
-    predictions: u64,
 }
 
 impl Predictor {
@@ -51,13 +50,9 @@ impl Predictor {
         Self::default()
     }
 
-    /// Number of predictions issued.
-    pub fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    /// Pending backwards currently remembered (test/diagnostic hook).
-    pub fn blocked(&self) -> &[PendingBackward] {
+    /// Pending backwards currently remembered.
+    #[cfg(test)]
+    pub(crate) fn blocked(&self) -> &[PendingBackward] {
         &self.blocked
     }
 
@@ -92,7 +87,6 @@ impl Predictor {
                 self.blocked.push(bwd);
             }
         }
-        self.predictions += fetches.len() as u64;
         fetches
     }
 
@@ -101,7 +95,7 @@ impl Predictor {
     /// resolves, then predicts the next forward.
     ///
     /// Returns the contexts to prefetch.
-    pub fn before_forward(
+    pub(crate) fn before_forward(
         &mut self,
         scheduler: &mut CspScheduler,
         queue: &[SubnetId],
@@ -130,7 +124,6 @@ impl Predictor {
                 });
             }
         }
-        self.predictions += fetches.len() as u64;
         fetches
     }
 }
@@ -171,7 +164,6 @@ mod tests {
                 kind: TaskKind::Forward
             }]
         );
-        assert_eq!(p.predictions(), 1);
     }
 
     #[test]

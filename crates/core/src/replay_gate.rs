@@ -56,7 +56,7 @@ use std::fmt;
 use std::path::Path;
 
 /// First line of every golden-trace file.
-pub const GOLDEN_HEADER: &str = "naspipe-golden v1";
+pub(crate) const GOLDEN_HEADER: &str = "naspipe-golden v1";
 
 /// Where the committed corpus lives, relative to the repo root.
 pub const DEFAULT_CORPUS_DIR: &str = "traces/golden";
@@ -283,7 +283,7 @@ pub struct GoldenCase {
 impl GoldenCase {
     /// The golden-file line holding task `index` of the embedded
     /// transcript (header + subnet lines precede the tasks).
-    pub fn task_line(&self, index: usize) -> usize {
+    pub(crate) fn task_line(&self, index: usize) -> usize {
         self.transcript_line + self.transcript.subnets.len() + 1 + index
     }
 }
@@ -470,7 +470,10 @@ pub fn loss_digest(losses: &[(u64, f32)]) -> u64 {
 ///
 /// Returns the first [`naspipe_obs::Violation`] rendered as text, or a
 /// description of a task referencing an unknown subnet.
-pub fn check_csp_stream(subnets: &[Subnet], tasks: &[TaskRecord]) -> Result<(u64, u64), String> {
+pub(crate) fn check_csp_stream(
+    subnets: &[Subnet],
+    tasks: &[TaskRecord],
+) -> Result<(u64, u64), String> {
     let arch: BTreeMap<u64, &Subnet> = subnets.iter().map(|s| (s.seq_id().0, s)).collect();
     let mut owners: BTreeMap<u64, BTreeMap<LayerRef, u32>> = BTreeMap::new();
     for t in tasks.iter().filter(|t| t.kind == TaskKind::Forward) {
@@ -524,7 +527,7 @@ fn render_subnet(s: &Subnet) -> String {
 
 /// Structural diff of two transcripts: the subnet-stream divergence or
 /// the first divergent task, if any.
-pub fn diff_transcripts(golden: &GoldenCase, fresh: &Transcript) -> Option<Divergence> {
+pub(crate) fn diff_transcripts(golden: &GoldenCase, fresh: &Transcript) -> Option<Divergence> {
     let g = &golden.transcript;
     let n = g.subnets.len().max(fresh.subnets.len());
     for i in 0..n {

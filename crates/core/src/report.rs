@@ -70,12 +70,6 @@ impl PipelineReport {
         }
         self.subnets_completed as f64 / (self.makespan_secs / 3_600.0)
     }
-
-    /// Reported parameter count in units of 1e6 parameters (f32), the
-    /// paper's "1327M"-style figures.
-    pub fn reported_param_m(&self) -> f64 {
-        self.reported_param_bytes as f64 / 4.0 / 1e6
-    }
 }
 
 /// GPU compute efficiency at a given batch size, relative to the
@@ -119,7 +113,6 @@ mod tests {
         let r = report();
         assert!((r.throughput_samples_per_sec() - 96.0).abs() < 1e-9);
         assert!((r.subnets_per_hour() - 1_800.0).abs() < 1e-9);
-        assert!((r.reported_param_m() - 1_327.0).abs() < 1.0);
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub fn all_access_orders(outcome: &PipelineOutcome) -> BTreeMap<LayerRef, Access
 /// [`all_access_orders`] over raw parts — for task streams that don't
 /// come wrapped in a [`PipelineOutcome`], such as the threaded runtime's
 /// supervised runs. `tasks` must already be in chronological order.
-pub fn all_access_orders_parts(
+pub(crate) fn all_access_orders_parts(
     subnets: &[Subnet],
     tasks: &[TaskRecord],
 ) -> BTreeMap<LayerRef, AccessOrder> {
@@ -142,7 +142,7 @@ pub fn verify_csp_order(outcome: &PipelineOutcome) -> Result<(), (LayerRef, Acce
     verify_csp_order_parts(&outcome.subnets, &outcome.tasks)
 }
 
-/// [`verify_csp_order`] over raw parts (see [`all_access_orders_parts`]).
+/// [`verify_csp_order`] over raw parts (see `all_access_orders_parts`).
 ///
 /// # Errors
 ///
@@ -162,7 +162,8 @@ pub fn verify_csp_order_parts(
 /// A subnet whose layer is shared picks the first layer activated by at
 /// least `min_subnets` distinct subnets — the "randomly chosen layer" of
 /// Table 4 made deterministic.
-pub fn most_shared_layer(outcome: &PipelineOutcome, min_subnets: usize) -> Option<LayerRef> {
+#[cfg(test)]
+pub(crate) fn most_shared_layer(outcome: &PipelineOutcome, min_subnets: usize) -> Option<LayerRef> {
     let mut counts: BTreeMap<LayerRef, std::collections::BTreeSet<u64>> = BTreeMap::new();
     for s in &outcome.subnets {
         for l in s.layers() {

@@ -510,8 +510,9 @@ impl<'a> RunSpec<'a> {
 
 /// The one threaded entry point `benchmark/src/workloads.rs` links by
 /// name; the harness is frozen outside `benchmark` PRs, so this stays
-/// until the `benchmark` PR that moves it to [`RunSpec`] (ROADMAP 1b),
-/// and 1c deletes it. `window == 0` is the harness's "default".
+/// until the `benchmark` PR that moves it to [`RunSpec`] (ROADMAP 1(a)),
+/// and the simplicity change after it deletes it. `window == 0` is the
+/// harness's "default".
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn run_threaded_diagnosed(

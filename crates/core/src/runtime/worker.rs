@@ -5,7 +5,7 @@
 use super::sidecars::DurableWriter;
 use super::{elapsed_us, RunSpec, TrainError};
 use crate::checkpoint::{Checkpoint, CheckpointStore, StageSnapshot};
-use crate::fault::{FaultInjector, FaultKind, FaultSite};
+use crate::fault::{FaultInjector, FaultKind, FaultSite, MAX_RETRIES};
 use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
 use crate::scheduler::{CspScheduler, Pick, StageQueues, SubnetTable};
@@ -543,10 +543,9 @@ impl<'a> StageWorker<'a> {
             }
             _ => return Ok(()),
         };
-        let plan = self.ctx.injector.plan();
-        let (max_retries, backoff_us) = (plan.max_retries(), plan.backoff_us());
+        let backoff_us = self.ctx.injector.plan().backoff_us();
         for attempt in 1..=failures {
-            if attempt > max_retries {
+            if attempt > MAX_RETRIES {
                 let closed = TrainError::ChannelClosed { stage, link };
                 return Err(TrainError::Timeout {
                     stage,

@@ -57,7 +57,7 @@
 //! reads, through `min(K, s_w)`, only for a layer `w` writes at `j` and
 //! only when `K >= j`. So beyond stage `j` it can change a decision only
 //! at a stage where a later in-flight sharer of a layer in `w`'s stage-`j`
-//! slice owns that layer: [`SubnetTable::readers_above`] lists those
+//! slice owns that layer: `SubnetTable::readers_above` lists those
 //! stages, and the DES wakes nothing else.
 //!
 //! # One decision for both engines
@@ -243,7 +243,11 @@ impl SubnetTable {
     }
 
     /// Tracked subnets with sequence ID strictly below `bound`, ascending.
-    pub fn entries_below(&self, bound: SubnetId) -> impl Iterator<Item = (SubnetId, &SubnetEntry)> {
+    #[cfg(test)]
+    pub(crate) fn entries_below(
+        &self,
+        bound: SubnetId,
+    ) -> impl Iterator<Item = (SubnetId, &SubnetEntry)> {
         let n = bound
             .0
             .saturating_sub(self.base)

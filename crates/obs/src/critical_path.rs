@@ -68,7 +68,7 @@ pub struct PathSegment {
 
 impl PathSegment {
     /// Segment length in microseconds.
-    pub fn dur_us(&self) -> u64 {
+    pub(crate) fn dur_us(&self) -> u64 {
         self.end_us - self.start_us
     }
 }

@@ -667,7 +667,7 @@ fn tally(keys: impl IntoIterator<Item = String>) -> Vec<(String, u64)> {
 /// `BENCH_compute.json`), in document order. Repeated keys get `#2`,
 /// `#3`, ... suffixes so two structurally identical artifacts pair up
 /// by position. A document that does not parse has no fields.
-pub fn scan_numeric_fields(json: &str) -> Vec<(String, f64)> {
+pub(crate) fn scan_numeric_fields(json: &str) -> Vec<(String, f64)> {
     let Ok(doc) = parse_json(json) else {
         return Vec::new();
     };

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// The `Content-Type` of the text exposition format this module emits.
-pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+pub(crate) const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Histogram family names (everything else is classified by suffix).
 const HISTOGRAM_FAMILIES: [&str; 2] = ["naspipe_queue_depth", "naspipe_task_latency_microseconds"];
@@ -45,7 +45,7 @@ pub fn classify(name: &str) -> &'static str {
 
 /// Escapes a label value per the 0.0.4 format: backslash, double quote
 /// and newline.
-pub fn escape_label_value(v: &str) -> String {
+pub(crate) fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -59,7 +59,7 @@ pub fn escape_label_value(v: &str) -> String {
 }
 
 /// Escapes `# HELP` text: backslash and newline.
-pub fn escape_help(v: &str) -> String {
+pub(crate) fn escape_help(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -115,7 +115,7 @@ pub fn render_exposition(hub: &TelemetryHub, meta: &RunMeta) -> String {
 /// `naspipe_journal_dropped_total` when a journal is attached and
 /// `naspipe_flight_dropped_total` when a flight recorder is, so ring
 /// overflow is visible on a scrape long before anyone reads a dump.
-pub fn render_exposition_ops(
+pub(crate) fn render_exposition_ops(
     hub: &TelemetryHub,
     meta: &RunMeta,
     journal_dropped: Option<u64>,
@@ -440,7 +440,7 @@ pub struct ParsedSample {
 
 impl ParsedSample {
     /// Canonical series key: name plus sorted labels.
-    pub fn series_key(&self) -> String {
+    pub(crate) fn series_key(&self) -> String {
         let mut labels = self.labels.clone();
         labels.sort();
         let body: Vec<String> = labels
@@ -472,7 +472,7 @@ pub struct Exposition {
 impl Exposition {
     /// The family a sample belongs to: its own name, or the base name
     /// for `_bucket`/`_sum`/`_count` samples of a declared histogram.
-    pub fn family_of(&self, sample_name: &str) -> Option<&str> {
+    pub(crate) fn family_of(&self, sample_name: &str) -> Option<&str> {
         if self.types.contains_key(sample_name) {
             return self
                 .types

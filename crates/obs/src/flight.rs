@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Ring capacity per stage when the configuration leaves it 0.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// What happened. The `detail` payload of a [`FlightEvent`] is
 /// kind-specific (documented per variant).
@@ -101,7 +101,7 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder for `num_stages` stages with `capacity` events per
-    /// stage (0 means [`DEFAULT_FLIGHT_CAPACITY`]).
+    /// stage (0 means `DEFAULT_FLIGHT_CAPACITY`).
     pub fn new(num_stages: usize, capacity: usize) -> Self {
         let capacity = if capacity == 0 {
             DEFAULT_FLIGHT_CAPACITY
@@ -228,7 +228,7 @@ impl FlightLog {
     }
 
     /// Writes the dump artifact to `path` (creating parent directories).
-    pub fn write_dump(&self, path: &str, reason: &str) -> std::io::Result<()> {
+    pub(crate) fn write_dump(&self, path: &str, reason: &str) -> std::io::Result<()> {
         if let Some(parent) = std::path::Path::new(path).parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;

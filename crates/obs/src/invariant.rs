@@ -11,10 +11,10 @@
 //! scheduler applies.
 //!
 //! The runtimes feed the checker their observed event stream
-//! ([`register`](CspChecker::register) → [`on_admit_forward`]
-//! (CspChecker::on_admit_forward) → [`on_backward_done`]
-//! (CspChecker::on_backward_done) → [`retire_below`]
-//! (CspChecker::retire_below)); any interleaving a sequential
+//! ([`register`](CspChecker::register) →
+//! [`on_admit_forward`](CspChecker::on_admit_forward) →
+//! [`on_backward_done`](CspChecker::on_backward_done) →
+//! [`retire_below`](CspChecker::retire_below)); any interleaving a sequential
 //! exploration loop could not have produced surfaces as a [`Violation`]
 //! naming the offending subnet pair and the shared layer. Because the
 //! checker never consults the scheduler's own data structures, a

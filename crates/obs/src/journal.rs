@@ -28,10 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Ring capacity when the configuration leaves it 0.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 /// Schema version stamped into every line as `"v"`.
-pub const JOURNAL_SCHEMA_VERSION: u64 = 1;
+pub(crate) const JOURNAL_SCHEMA_VERSION: u64 = 1;
 
 /// Event severity. `Info` is the normal lifecycle narration; `Warn` and
 /// `Error` are mirrored to stderr when the journal mirrors.
@@ -150,7 +150,7 @@ impl std::fmt::Debug for Journal {
 
 impl Journal {
     /// A journal retaining `capacity` events (0 means
-    /// [`DEFAULT_JOURNAL_CAPACITY`]); no sink, no stderr mirror.
+    /// `DEFAULT_JOURNAL_CAPACITY`); no sink, no stderr mirror.
     pub fn new(capacity: usize) -> Self {
         let capacity = if capacity == 0 {
             DEFAULT_JOURNAL_CAPACITY
@@ -190,11 +190,6 @@ impl Journal {
         self.inner.get_mut().expect("journal lock poisoned").sink = Some(file);
         self.sink_path = Some(path.to_path_buf());
         Ok(self)
-    }
-
-    /// The sink file path, when one is attached.
-    pub fn sink_path(&self) -> Option<&Path> {
-        self.sink_path.as_deref()
     }
 
     /// Ring capacity.
@@ -255,7 +250,7 @@ impl Journal {
 
     /// Retained events with `seq >= since` (for incremental `/events`
     /// consumers).
-    pub fn events_since(&self, since: u64) -> Vec<JournalEvent> {
+    pub(crate) fn events_since(&self, since: u64) -> Vec<JournalEvent> {
         let inner = self.inner.lock().expect("journal lock poisoned");
         inner
             .ring

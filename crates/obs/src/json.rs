@@ -6,12 +6,12 @@
 //! the `/status` document, flight dumps, `BENCH_compute.json` and the
 //! benchmark harness all go through it, so there is one decoder to
 //! harden: hostile input returns `Err`, it never panics, and nesting
-//! past [`MAX_JSON_DEPTH`] is an error rather than a stack overflow.
+//! past `MAX_JSON_DEPTH` is an error rather than a stack overflow.
 //!
 //! **Writing**: emitters keep their own `write!` templates (the
 //! documents are flat and their byte layout is pinned by tests and
 //! golden files); what they share is how a value becomes JSON text —
-//! [`JsonStr`] for a string literal and [`JsonNum`] for a float. Both
+//! `JsonStr` for a string literal and `JsonNum` for a float. Both
 //! are `Display` adapters, so `write!(out, "{}", JsonStr(s))` appends
 //! straight into `out` without an intermediate `String`.
 //!
@@ -22,11 +22,11 @@ use std::fmt::{self, Write as _};
 /// Deepest array/object nesting [`parse_json`] accepts. Every document
 /// the workspace emits nests at most five levels; the bound only keeps
 /// the recursion — and so the stack — independent of the input.
-pub const MAX_JSON_DEPTH: usize = 128;
+pub(crate) const MAX_JSON_DEPTH: usize = 128;
 
 /// `Display`s a string as a JSON string literal, quotes included.
 #[derive(Debug, Clone, Copy)]
-pub struct JsonStr<'a>(pub &'a str);
+pub(crate) struct JsonStr<'a>(pub &'a str);
 
 impl fmt::Display for JsonStr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -58,7 +58,7 @@ impl fmt::Display for JsonStr<'_> {
 /// `Display`s an `f64` as a JSON number, or `null` when it is not
 /// finite (JSON has no NaN/Infinity).
 #[derive(Debug, Clone, Copy)]
-pub struct JsonNum(pub f64);
+pub(crate) struct JsonNum(pub f64);
 
 impl fmt::Display for JsonNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -26,7 +26,7 @@
 //!    when it did (activation arrival, CSP shared-layer writer
 //!    completion, fetch completion, recovery replay). Consumers:
 //!    [`chrome`] exports Chrome trace-event JSON loadable in Perfetto
-//!    (with flow events drawing the causal edges), and [`critical_path`]
+//!    (with flow events drawing the causal edges), and [`critical_path`](mod@critical_path)
 //!    walks the span DAG to attribute the end-to-end makespan to
 //!    compute, fetch, causal stall, and pipeline bubble.
 //! 5. **Live telemetry** ([`telemetry`] + [`expo`]): a [`TelemetryHub`]
@@ -65,7 +65,7 @@
 //! 9. **JSON** ([`json`]): the one codec. JSON text is read and escaped
 //!    only there — [`parse_json`] / [`JsonValue`] behind every reader
 //!    (chrome traces, journal, `/status`, flight dumps, `BENCH_*.json`),
-//!    [`JsonStr`] / [`JsonNum`] inside every emitter's `write!`
+//!    `JsonStr` / `JsonNum` inside every emitter's `write!`
 //!    template. No module keeps a private parser, escaper or scanner.
 //!
 //! The crate deliberately has no dependency on `naspipe-core`: the
@@ -92,41 +92,23 @@ pub mod trace;
 pub mod watchdog;
 
 pub use bus::{BusConfig, EventBus, RunEvent};
-pub use chrome::{export_chrome, parse_chrome, ChromeParseError};
-pub use critical_path::{critical_path, AttrClass, CriticalPath, PathSegment};
+pub use chrome::{export_chrome, parse_chrome};
+pub use critical_path::{critical_path, AttrClass, CriticalPath};
 pub use doctor::{
     bench_deltas, diagnose, explain_bench_check, explain_replay, flight_kind_counts,
-    journal_summary, BenchDelta, Diagnosis, SpanShift, StageDelta, StallExport, StragglerRank,
+    journal_summary, BenchDelta, Diagnosis,
 };
-pub use expo::{
-    counter_values, monotonicity_violations, render_exposition, render_exposition_ops,
-    validate_exposition,
-};
-pub use flight::{
-    FlightEvent, FlightEventKind, FlightLog, FlightRecorder, FlightSummary, DEFAULT_FLIGHT_CAPACITY,
-};
+pub use expo::{counter_values, monotonicity_violations, render_exposition, validate_exposition};
+pub use flight::{FlightEventKind, FlightRecorder};
 pub use invariant::{CspChecker, Violation};
-pub use journal::{
-    parse_event, parse_journal, validate_journal, Journal, JournalEvent, JournalLevel,
-    DEFAULT_JOURNAL_CAPACITY, JOURNAL_SCHEMA_VERSION,
-};
-pub use json::{parse_json, JsonNum, JsonStr, JsonValue, MAX_JSON_DEPTH};
-pub use metrics::{Counter, Histogram, MetricsRecorder, Recorder, Sample, StageMetrics};
-pub use ops::{
-    http_get, render_top, validate_status, HttpResponse, OpsServer, OpsState, RunPhase,
-    STATUS_SCHEMA_VERSION,
-};
-pub use report::{
-    ObsReport, PoolWorkerObs, RunMeta, SeriesPoint, SeriesStage, StageObs, OBS_SCHEMA_VERSION,
-};
-pub use telemetry::{
-    derive_rates, MetricsSnapshot, RatePoint, StageRate, TeeRecorder, TelemetryHub,
-    TelemetryOptions,
-};
+pub use journal::{parse_event, parse_journal, validate_journal, Journal, JournalLevel};
+pub use json::{parse_json, JsonValue};
+pub use metrics::{Counter, MetricsRecorder, Recorder, Sample};
+pub use ops::{http_get, render_top, validate_status, OpsServer, OpsState, RunPhase};
+pub use report::{ObsReport, PoolWorkerObs, RunMeta};
+pub use telemetry::{MetricsSnapshot, TeeRecorder, TelemetryHub, TelemetryOptions};
 pub use trace::{
     CausalEdge, CauseKind, NullTracer, Span, SpanDraft, SpanId, SpanKind, SpanTrace, SpanTracer,
     Tracer,
 };
-pub use watchdog::{
-    Watchdog, WatchdogConfig, WatchdogVerdict, WatchdogVerdictKind, NUM_WATCHDOG_KINDS,
-};
+pub use watchdog::{Watchdog, WatchdogConfig, WatchdogVerdictKind};

@@ -68,7 +68,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants; sizes the per-stage counter array.
-pub const NUM_COUNTERS: usize = Counter::DurableResume as usize + 1;
+pub(crate) const NUM_COUNTERS: usize = Counter::DurableResume as usize + 1;
 
 impl Counter {
     /// Every variant in declaration (= index) order, so snapshot and
@@ -136,7 +136,7 @@ pub enum Sample {
 }
 
 /// Number of [`Sample`] variants; sizes the per-stage histogram array.
-pub const NUM_SAMPLES: usize = Sample::BackwardLatencyUs as usize + 1;
+pub(crate) const NUM_SAMPLES: usize = Sample::BackwardLatencyUs as usize + 1;
 
 impl Sample {
     /// Every variant in declaration (= index) order; see
@@ -221,7 +221,7 @@ impl Histogram {
     }
 
     /// Smallest recorded value, or 0 when empty.
-    pub fn min_or_zero(&self) -> u64 {
+    pub(crate) fn min_or_zero(&self) -> u64 {
         if self.count == 0 {
             0
         } else {

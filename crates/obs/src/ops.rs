@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Version stamped into the `/status` document as `"v"`.
-pub const STATUS_SCHEMA_VERSION: u64 = 1;
+pub(crate) const STATUS_SCHEMA_VERSION: u64 = 1;
 
 /// Sentinel for "no checkpoint cut completed yet".
 const NO_CUT: u64 = u64::MAX;
@@ -140,7 +140,7 @@ impl OpsState {
     }
 
     /// Attaches the run's flight recorder so `/flight` can dump it.
-    pub fn attach_flight(&self, flight: Arc<FlightRecorder>) {
+    pub(crate) fn attach_flight(&self, flight: Arc<FlightRecorder>) {
         *self.flight.lock().expect("ops flight lock poisoned") = Some(flight);
     }
 
@@ -169,7 +169,7 @@ impl OpsState {
 
     /// Records the watermark the current incarnation resumed from (also
     /// floors every per-stage watermark).
-    pub fn set_resume_watermark(&self, watermark: u64) {
+    pub(crate) fn set_resume_watermark(&self, watermark: u64) {
         self.resume_watermark
             .fetch_max(watermark, Ordering::Relaxed);
         for w in &self.stage_watermarks {
@@ -179,14 +179,14 @@ impl OpsState {
 
     /// Advances one stage's CSP watermark (called when the stage
     /// contributes `watermark` to a checkpoint cut).
-    pub fn note_stage_watermark(&self, stage: u32, watermark: u64) {
+    pub(crate) fn note_stage_watermark(&self, stage: u32, watermark: u64) {
         if let Some(w) = self.stage_watermarks.get(stage as usize) {
             w.fetch_max(watermark, Ordering::Relaxed);
         }
     }
 
     /// Records a completed (all-stage) checkpoint cut.
-    pub fn record_cut(&self, watermark: u64) {
+    pub(crate) fn record_cut(&self, watermark: u64) {
         let _ = self
             .last_cut
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
@@ -199,7 +199,7 @@ impl OpsState {
     }
 
     /// The newest completed cut, when any completed.
-    pub fn last_cut(&self) -> Option<u64> {
+    pub(crate) fn last_cut(&self) -> Option<u64> {
         match self.last_cut.load(Ordering::Relaxed) {
             NO_CUT => None,
             w => Some(w),

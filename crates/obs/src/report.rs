@@ -151,7 +151,7 @@ impl StageObs {
 /// recorded anything the compact text rendering is byte-identical to
 /// schema 4's. Every schema-4 field keeps its exact key name and value
 /// formatting.
-pub const OBS_SCHEMA_VERSION: u32 = 5;
+pub(crate) const OBS_SCHEMA_VERSION: u32 = 5;
 
 /// One stage's cumulative counters at a sampled instant (schema-4
 /// `"series"` entries; a compressed projection of the live
@@ -241,20 +241,20 @@ impl ObsReport {
 
     /// Attaches the sampled telemetry series with its explicit drop
     /// count (builder-style).
-    pub fn with_series(mut self, series: Vec<SeriesPoint>, samples_dropped: u64) -> Self {
+    pub(crate) fn with_series(mut self, series: Vec<SeriesPoint>, samples_dropped: u64) -> Self {
         self.series = series;
         self.samples_dropped = samples_dropped;
         self
     }
 
     /// Attaches the latched watchdog verdicts (builder-style).
-    pub fn with_watchdog(mut self, watchdog: Vec<crate::watchdog::WatchdogVerdict>) -> Self {
+    pub(crate) fn with_watchdog(mut self, watchdog: Vec<crate::watchdog::WatchdogVerdict>) -> Self {
         self.watchdog = watchdog;
         self
     }
 
     /// Attaches the flight-recorder totals (builder-style).
-    pub fn with_flight(mut self, flight: crate::flight::FlightSummary) -> Self {
+    pub(crate) fn with_flight(mut self, flight: crate::flight::FlightSummary) -> Self {
         self.flight = flight;
         self
     }
@@ -274,7 +274,7 @@ impl ObsReport {
     }
 
     /// Whole-pipeline stall ratio: mean of the per-stage stall ratios.
-    pub fn stall_ratio(&self) -> f64 {
+    pub(crate) fn stall_ratio(&self) -> f64 {
         mean(self.stages.iter().map(|s| s.stall_ratio))
     }
 
@@ -405,7 +405,7 @@ impl ObsReport {
 
     /// Renders the report as a JSON object.
     ///
-    /// `"schema"` is [`OBS_SCHEMA_VERSION`]; schema-1 fields keep their
+    /// `"schema"` is `OBS_SCHEMA_VERSION`; schema-1 fields keep their
     /// exact key names and value formatting, so schema-1 consumers that
     /// ignore unknown keys keep working unchanged.
     pub fn to_json(&self) -> String {

@@ -56,7 +56,7 @@ pub fn progress(line: &str) {
 
 /// Emits a whole line of its own (e.g. a watchdog alert), clearing any
 /// open progress line first. The next [`progress`] call repaints below.
-pub fn alert(line: &str) {
+pub(crate) fn alert(line: &str) {
     let mut open = lock();
     let mut buf = String::with_capacity(line.len() + *open + 8);
     if *open > 0 {
@@ -74,7 +74,7 @@ pub fn alert(line: &str) {
 
 /// Terminates an open progress line with a newline (end-of-run flush).
 /// A no-op when no progress line is open.
-pub fn newline() {
+pub(crate) fn newline() {
     let mut open = lock();
     if *open > 0 {
         *open = 0;

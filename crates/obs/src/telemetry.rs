@@ -15,7 +15,7 @@
 //!   [`MetricsSnapshot`] at a fixed interval and publishes it onto a
 //!   fixed-capacity ring buffer. Only the publisher and scrapers touch
 //!   the ring's mutex; workers never do.
-//! * [`derive_rates`] turns consecutive snapshots into per-interval
+//! * `rate_between` turns two consecutive snapshots into per-interval
 //!   rates (tasks/s, cache hit-rate, stall fraction, pool utilisation)
 //!   for the `/metrics` endpoint and the live progress line.
 //!
@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default ring-buffer capacity (snapshots kept live).
-pub const DEFAULT_RING_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 512;
 
 /// Atomic mirror of one stage's counters and histograms.
 struct StageCells {
@@ -97,7 +97,7 @@ impl MetricsSnapshot {
     }
 
     /// Forward + backward tasks completed across all stages.
-    pub fn tasks_done(&self) -> u64 {
+    pub(crate) fn tasks_done(&self) -> u64 {
         self.total(Counter::ForwardTask) + self.total(Counter::BackwardTask)
     }
 
@@ -159,7 +159,7 @@ impl std::fmt::Debug for TelemetryHub {
 
 impl TelemetryHub {
     /// A hub for `num_stages` stages keeping up to `capacity` snapshots
-    /// live (0 selects [`DEFAULT_RING_CAPACITY`]).
+    /// live (0 selects `DEFAULT_RING_CAPACITY`).
     pub fn new(num_stages: usize, capacity: usize) -> Self {
         let capacity = if capacity == 0 {
             DEFAULT_RING_CAPACITY
@@ -212,7 +212,7 @@ impl TelemetryHub {
     /// Exposed as a gauge, not a label: folding the incarnation into
     /// counter labels would reset each labelset on restart and break
     /// per-series monotonicity.
-    pub fn set_incarnation(&self, incarnation: u32) {
+    pub(crate) fn set_incarnation(&self, incarnation: u32) {
         self.incarnation.store(incarnation, Ordering::Relaxed);
     }
 
@@ -229,7 +229,7 @@ impl TelemetryHub {
 
     /// Cumulative trips per [`WatchdogVerdictKind`](crate::watchdog::WatchdogVerdictKind),
     /// index order.
-    pub fn watchdog_trips(&self) -> [u64; crate::watchdog::NUM_WATCHDOG_KINDS] {
+    pub(crate) fn watchdog_trips(&self) -> [u64; crate::watchdog::NUM_WATCHDOG_KINDS] {
         std::array::from_fn(|i| self.watchdog_trips[i].load(Ordering::Relaxed))
     }
 
@@ -292,7 +292,7 @@ impl TelemetryHub {
     /// number, which it returns (`snap.seq` is ignored). The bus publishes
     /// the threaded supervisor's hub snapshots and, when a hub is
     /// attached, the DES's [`MetricsSnapshot::from_recorder`] copies.
-    pub fn publish_snapshot(&self, snap: &MetricsSnapshot) -> u64 {
+    pub(crate) fn publish_snapshot(&self, snap: &MetricsSnapshot) -> u64 {
         let mut ring = self.ring.lock().expect("telemetry ring poisoned");
         let seq = ring.published;
         ring.published += 1;
@@ -315,7 +315,7 @@ impl TelemetryHub {
 
     /// Latest two published snapshots `(previous, latest)` — the pair
     /// rate gauges are derived from.
-    pub fn latest_pair(&self) -> (Option<MetricsSnapshot>, Option<MetricsSnapshot>) {
+    pub(crate) fn latest_pair(&self) -> (Option<MetricsSnapshot>, Option<MetricsSnapshot>) {
         let ring = self.ring.lock().expect("telemetry ring poisoned");
         let n = ring.buf.len();
         let prev = n.checked_sub(2).and_then(|i| ring.buf.get(i)).cloned();
@@ -339,8 +339,8 @@ impl TelemetryHub {
     }
 
     /// Converts the ring into `(series, samples_dropped)` for embedding
-    /// in the [`ObsReport`](crate::report::ObsReport) JSON (schema 4).
-    pub fn series_points(&self) -> (Vec<SeriesPoint>, u64) {
+    /// in the [`ObsReport`] JSON (schema 4).
+    pub(crate) fn series_points(&self) -> (Vec<SeriesPoint>, u64) {
         let series = self.series();
         let points = series
             .iter()
@@ -464,7 +464,7 @@ impl Recorder for TeeRecorder {
 
 /// Per-stage rates over one inter-snapshot interval.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageRate {
+pub(crate) struct StageRate {
     /// Stage index.
     pub stage: u32,
     /// Forward tasks completed per second of run time.
@@ -484,7 +484,7 @@ pub struct StageRate {
 
 /// Whole-pipeline rates derived from two consecutive snapshots.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RatePoint {
+pub(crate) struct RatePoint {
     /// Interval start (run time, µs).
     pub t0_us: u64,
     /// Interval end (run time, µs).
@@ -500,17 +500,8 @@ pub struct RatePoint {
     pub stages: Vec<StageRate>,
 }
 
-/// Derives an interval rate from each adjacent snapshot pair (oldest
-/// first). Zero-length or backwards intervals are skipped.
-pub fn derive_rates(series: &[MetricsSnapshot]) -> Vec<RatePoint> {
-    series
-        .windows(2)
-        .filter_map(|w| rate_between(&w[0], &w[1]))
-        .collect()
-}
-
 /// The rate over `[prev, cur]`, or `None` when the interval is empty.
-pub fn rate_between(prev: &MetricsSnapshot, cur: &MetricsSnapshot) -> Option<RatePoint> {
+pub(crate) fn rate_between(prev: &MetricsSnapshot, cur: &MetricsSnapshot) -> Option<RatePoint> {
     if cur.at_us <= prev.at_us {
         return None;
     }
@@ -570,7 +561,7 @@ pub fn rate_between(prev: &MetricsSnapshot, cur: &MetricsSnapshot) -> Option<Rat
 
 /// One-line live progress summary for stderr, e.g.
 /// `[ 1.2s] 384 tasks | 612.0 tasks/s | cache 93.1% | pool 3.2x | inc 0`.
-pub fn progress_line(cur: &MetricsSnapshot, prev: Option<&MetricsSnapshot>) -> String {
+pub(crate) fn progress_line(cur: &MetricsSnapshot, prev: Option<&MetricsSnapshot>) -> String {
     let rate = prev.and_then(|p| rate_between(p, cur));
     let (tps, pool) = rate
         .as_ref()
@@ -753,9 +744,9 @@ mod tests {
         hub.record(0, Counter::StallUs, 500_000);
         hub.set_pool(1, 2, 2_000_000);
         hub.publish(2_000_000);
-        let rates = derive_rates(&hub.series());
-        assert_eq!(rates.len(), 1);
-        let r = &rates[0];
+        let series = hub.series();
+        assert_eq!(series.len(), 2);
+        let r = rate_between(&series[0], &series[1]).expect("a 1 s interval");
         assert_eq!((r.t0_us, r.t1_us), (1_000_000, 2_000_000));
         assert_eq!(r.tasks_per_s, 5.0, "only the interval delta counts");
         assert_eq!(r.pool_busy_frac, 2.0, "worker-seconds per second");
@@ -776,7 +767,6 @@ mod tests {
             ..Default::default()
         };
         assert!(rate_between(&a, &b).is_none());
-        assert!(derive_rates(&[a, b]).is_empty());
     }
 
     #[test]

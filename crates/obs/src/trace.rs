@@ -18,7 +18,7 @@
 //! runtime get distinct id namespaces and their buffers merge into one
 //! [`SpanTrace`] after join. Two consumers sit downstream: the Chrome
 //! trace-event exporter ([`crate::chrome`], loadable in Perfetto) and the
-//! critical-path analyzer ([`crate::critical_path`]).
+//! critical-path analyzer ([`critical_path`](mod@crate::critical_path)).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -95,7 +95,7 @@ impl SpanKind {
     }
 
     /// Parses [`name`](Self::name) back.
-    pub fn from_name(name: &str) -> Option<SpanKind> {
+    pub(crate) fn from_name(name: &str) -> Option<SpanKind> {
         Some(match name {
             "forward" => SpanKind::Forward,
             "backward" => SpanKind::Backward,
@@ -113,7 +113,7 @@ impl SpanKind {
     /// Whether spans of this kind occupy the stage's compute resource
     /// (and therefore serialize on it). Fetch/prefetch occupy the PCIe
     /// link; evict/checkpoint/restart are bookkeeping marks.
-    pub fn is_compute(self) -> bool {
+    pub(crate) fn is_compute(self) -> bool {
         matches!(
             self,
             SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute | SpanKind::Update
@@ -217,7 +217,7 @@ const _: () = assert!(std::mem::size_of::<Span>() == 72);
 
 impl Span {
     /// Duration in microseconds.
-    pub fn dur_us(&self) -> u64 {
+    pub(crate) fn dur_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 

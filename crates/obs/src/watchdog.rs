@@ -63,7 +63,7 @@ pub enum WatchdogVerdictKind {
 }
 
 /// Number of verdict kinds; sizes the trip-counter arrays.
-pub const NUM_WATCHDOG_KINDS: usize = WatchdogVerdictKind::CspConvoy as usize + 1;
+pub(crate) const NUM_WATCHDOG_KINDS: usize = WatchdogVerdictKind::CspConvoy as usize + 1;
 
 impl WatchdogVerdictKind {
     /// Every variant in declaration (= index) order.

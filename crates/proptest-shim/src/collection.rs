@@ -31,7 +31,7 @@ pub fn vec<S: Strategy, R: IntoSizeRange>(element: S, size: R) -> VecStrategy<S>
     VecStrategy { element, min, max }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

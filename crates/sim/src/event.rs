@@ -92,11 +92,6 @@ impl<E> EventQueue<E> {
         Some((self.now, entry.payload))
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// The current simulation time (time of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -161,9 +156,7 @@ mod tests {
         assert!(q.is_empty());
         q.push(SimTime::ZERO, ());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 }

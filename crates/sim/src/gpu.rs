@@ -1,4 +1,4 @@
-//! GPU devices: a compute engine plus a bounded memory pool.
+//! GPU devices: one serially occupied compute engine each.
 
 use crate::resource::Resource;
 use std::fmt;
@@ -14,122 +14,22 @@ impl fmt::Display for GpuId {
     }
 }
 
-/// Error returned when an allocation would exceed a pool's capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocError {
-    /// Bytes requested.
-    pub requested: u64,
-    /// Bytes currently free.
-    pub available: u64,
-}
-
-impl fmt::Display for AllocError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "out of device memory: requested {} bytes, {} available",
-            self.requested, self.available
-        )
-    }
-}
-
-impl std::error::Error for AllocError {}
-
-/// A bounded byte pool tracking current usage and the high-water mark.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryPool {
-    capacity: u64,
-    used: u64,
-    high_water: u64,
-}
-
-impl MemoryPool {
-    /// Creates a pool of `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
-        Self {
-            capacity,
-            used: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently allocated.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Bytes currently free.
-    pub fn available(&self) -> u64 {
-        self.capacity - self.used
-    }
-
-    /// Largest usage ever observed.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
-    }
-
-    /// Whether `bytes` more would fit right now.
-    pub fn fits(&self, bytes: u64) -> bool {
-        bytes <= self.available()
-    }
-
-    /// Allocates `bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError`] if the pool would overflow; usage is
-    /// unchanged on error (this models the paper's GPU memory limit check
-    /// that delays operator copies until evictions free space).
-    pub fn alloc(&mut self, bytes: u64) -> Result<(), AllocError> {
-        if !self.fits(bytes) {
-            return Err(AllocError {
-                requested: bytes,
-                available: self.available(),
-            });
-        }
-        self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
-        Ok(())
-    }
-
-    /// Releases `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more is freed than is allocated (an accounting bug).
-    pub fn free(&mut self, bytes: u64) {
-        assert!(
-            bytes <= self.used,
-            "freeing {bytes} bytes but only {} used",
-            self.used
-        );
-        self.used -= bytes;
-    }
-}
-
-/// One simulated GPU: a serial compute engine and a memory pool.
+/// One simulated GPU: a serial compute engine.
 ///
-/// The 2080Ti of the paper's testbed has 11 GB of device memory; transfers
-/// to/from host memory go through the cluster's per-GPU PCIe link.
+/// Transfers to/from host memory go through the cluster's per-GPU PCIe
+/// link; device memory is budgeted by the engines' memory plan, not here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuDevice {
     id: GpuId,
     compute: Resource,
-    memory: MemoryPool,
 }
 
 impl GpuDevice {
-    /// Creates GPU `id` with `mem_capacity` bytes of device memory.
-    pub fn new(id: GpuId, mem_capacity: u64) -> Self {
+    /// Creates GPU `id` with an idle compute engine.
+    pub fn new(id: GpuId) -> Self {
         Self {
             id,
             compute: Resource::new(),
-            memory: MemoryPool::new(mem_capacity),
         }
     }
 
@@ -147,16 +47,6 @@ impl GpuDevice {
     pub fn compute_mut(&mut self) -> &mut Resource {
         &mut self.compute
     }
-
-    /// The device memory pool.
-    pub fn memory(&self) -> &MemoryPool {
-        &self.memory
-    }
-
-    /// Mutable access to the device memory pool.
-    pub fn memory_mut(&mut self) -> &mut MemoryPool {
-        &mut self.memory
-    }
 }
 
 #[cfg(test)]
@@ -164,51 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_free_and_high_water() {
-        let mut pool = MemoryPool::new(100);
-        pool.alloc(60).unwrap();
-        pool.alloc(30).unwrap();
-        assert_eq!(pool.used(), 90);
-        pool.free(50);
-        assert_eq!(pool.used(), 40);
-        assert_eq!(pool.high_water(), 90);
-        assert_eq!(pool.available(), 60);
-    }
-
-    #[test]
-    fn alloc_fails_without_mutation() {
-        let mut pool = MemoryPool::new(10);
-        pool.alloc(8).unwrap();
-        let err = pool.alloc(5).unwrap_err();
-        assert_eq!(err.requested, 5);
-        assert_eq!(err.available, 2);
-        assert_eq!(pool.used(), 8);
-        assert!(err.to_string().contains("out of device memory"));
-    }
-
-    #[test]
-    fn fits_checks_without_alloc() {
-        let mut pool = MemoryPool::new(10);
-        assert!(pool.fits(10));
-        pool.alloc(4).unwrap();
-        assert!(pool.fits(6));
-        assert!(!pool.fits(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "freeing")]
-    fn over_free_panics() {
-        let mut pool = MemoryPool::new(10);
-        pool.free(1);
-    }
-
-    #[test]
     fn gpu_device_accessors() {
-        let mut gpu = GpuDevice::new(GpuId(3), 1_000);
+        let mut gpu = GpuDevice::new(GpuId(3));
         assert_eq!(gpu.id(), GpuId(3));
         assert_eq!(gpu.id().to_string(), "GPU3");
-        gpu.memory_mut().alloc(10).unwrap();
-        assert_eq!(gpu.memory().used(), 10);
         gpu.compute_mut().reserve_from(
             crate::time::SimTime::ZERO,
             crate::time::SimDuration::from_us(5),

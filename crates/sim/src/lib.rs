@@ -3,14 +3,15 @@
 //! The NASPipe paper evaluates on 8 hosts x 4 Nvidia 2080Ti GPUs (11 GB
 //! each, PCIe 3.0 x16 at 15 760 MB/s, 40 Gbps Ethernet). This crate
 //! substitutes for that hardware: it models GPUs as serially-occupied
-//! compute engines with a memory pool, PCIe links as bandwidth-limited
-//! transfer resources, and advances a virtual clock through an event queue
-//! with fully deterministic tie-breaking.
+//! compute engines, PCIe links as bandwidth-limited transfer resources,
+//! and advances a virtual clock through an event queue with fully
+//! deterministic tie-breaking. Device memory is budgeted by the engines'
+//! memory plan against [`cluster::GPU_MEMORY_BYTES`].
 //!
-//! Every quantity the paper's systems evaluation reports — throughput,
-//! bubble ratio, ALU utilisation, memory high-water marks, cache hits — is
-//! a function of task durations and ordering, which this simulator
-//! reproduces exactly and reproducibly.
+//! Every timing quantity the paper's systems evaluation reports —
+//! throughput, bubble ratio, ALU utilisation, cache hits — is a function
+//! of task durations and ordering, which this simulator reproduces
+//! exactly and reproducibly.
 //!
 //! # Example
 //!
@@ -33,7 +34,7 @@ pub mod time;
 
 pub use cluster::Cluster;
 pub use event::EventQueue;
-pub use gpu::{GpuDevice, GpuId, MemoryPool};
+pub use gpu::GpuId;
 pub use link::Link;
 pub use resource::Resource;
 pub use time::{SimDuration, SimTime};

@@ -44,7 +44,7 @@ impl Link {
     }
 
     /// 40 Gbps Ethernet with the testbed's 0.17 ms average ping latency.
-    pub fn ethernet_40g() -> Self {
+    pub(crate) fn ethernet_40g() -> Self {
         // 40 Gbps ~ 4768 MB/s; the paper observed 867 MB/s achievable.
         Self::new(867.0, SimDuration::from_us(170))
     }
@@ -61,11 +61,6 @@ impl Link {
         self.bytes_moved += bytes;
         self.channel
             .reserve_span(earliest, self.transfer_time(bytes))
-    }
-
-    /// First instant the link is idle.
-    pub fn free_at(&self) -> SimTime {
-        self.channel.free_at()
     }
 
     /// Total bytes moved over this link.

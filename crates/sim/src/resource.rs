@@ -12,7 +12,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Resource {
     free_at: SimTime,
     busy: SimDuration,
-    reservations: u64,
 }
 
 impl Resource {
@@ -28,7 +27,6 @@ impl Resource {
         let start = self.free_at.max(earliest);
         self.free_at = start + duration;
         self.busy += duration;
-        self.reservations += 1;
         start
     }
 
@@ -39,19 +37,9 @@ impl Resource {
         (start, start + duration)
     }
 
-    /// The first instant at which the resource is idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// Total accumulated busy time.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Number of reservations served.
-    pub fn reservations(&self) -> u64 {
-        self.reservations
     }
 
     /// Fraction of `[SimTime::ZERO, horizon]` this resource was busy,
@@ -86,9 +74,7 @@ mod tests {
         let s2 = r.reserve_from(SimTime::ZERO, SimDuration::from_us(50));
         assert_eq!(s1.as_us(), 0);
         assert_eq!(s2.as_us(), 100);
-        assert_eq!(r.free_at().as_us(), 150);
         assert_eq!(r.busy_time().as_us(), 150);
-        assert_eq!(r.reservations(), 2);
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl SimTime {
     }
 
     /// Milliseconds since simulation start.
-    pub fn as_ms(self) -> f64 {
+    pub(crate) fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -84,18 +84,13 @@ impl SimDuration {
     }
 
     /// Length in milliseconds.
-    pub fn as_ms(self) -> f64 {
+    pub(crate) fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Length in seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Whether this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

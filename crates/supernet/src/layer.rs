@@ -17,7 +17,7 @@ use std::fmt;
 
 /// PCIe 3.0 x16 host-to-device bandwidth of the paper's testbed, in
 /// megabytes per second.
-pub const PCIE_BANDWIDTH_MB_PER_S: f64 = 15_760.0;
+pub(crate) const PCIE_BANDWIDTH_MB_PER_S: f64 = 15_760.0;
 
 /// Task domain a search space targets. Determines which base layer kinds
 /// its choice blocks draw from.
@@ -111,24 +111,6 @@ impl LayerKind {
             _ => 64,
         }
     }
-
-    /// Per-sample activation footprint in bytes at the reference input
-    /// size, used by the memory model to derive supported batch sizes.
-    pub fn activation_bytes_per_sample(self) -> u64 {
-        match self {
-            // (seq=?, hidden=1024) activations, fp32; attention keeps
-            // additional per-head score tensors.
-            LayerKind::Conv3x1 => 1024 * 4 * 2,
-            LayerKind::SepConv7x1 => 1024 * 4 * 2,
-            LayerKind::LightConv5x1 => 1024 * 4,
-            LayerKind::Attention8Head => 1024 * 4 * 4,
-            // (112 x 112 x C) feature maps, fp32.
-            LayerKind::Conv3x3 => 112 * 112 * 4 * 4,
-            LayerKind::SepConv3x3 => 112 * 112 * 4 * 2,
-            LayerKind::SepConv5x5 => 112 * 112 * 4 * 3,
-            LayerKind::DilConv3x3 => 112 * 112 * 4 * 2,
-        }
-    }
 }
 
 impl fmt::Display for LayerKind {
@@ -178,7 +160,7 @@ impl LayerCost {
 
     /// Compute cost rescaled linearly from the profiled reference batch to
     /// `batch` samples; swap cost and parameter bytes are batch-invariant.
-    pub fn at_batch(&self, reference_batch: u32, batch: u32) -> LayerCost {
+    pub(crate) fn at_batch(&self, reference_batch: u32, batch: u32) -> LayerCost {
         let ratio = f64::from(batch) / f64::from(reference_batch);
         LayerCost {
             fwd_ms: self.fwd_ms * ratio,
@@ -226,7 +208,7 @@ impl fmt::Display for LayerRef {
 /// four-candidate tier, so total supernet parameter sizes track the
 /// paper's (GPipe can just hold NLP.c1's stage slice on 8 GPUs but not
 /// NLP.c0's, matching §5.1).
-pub fn candidate_cost(domain: Domain, choice: u32) -> (LayerKind, LayerCost) {
+pub(crate) fn candidate_cost(domain: Domain, choice: u32) -> (LayerKind, LayerCost) {
     let kinds = LayerKind::base_kinds(domain);
     let kind = kinds[(choice as usize) % kinds.len()];
     let tier = f64::from(choice / kinds.len() as u32);
@@ -277,7 +259,6 @@ mod tests {
                 let c = kind.profiled_cost();
                 assert!(c.fwd_ms > 0.0 && c.bwd_ms > 0.0 && c.swap_ms > 0.0);
                 assert!(c.param_bytes > 0);
-                assert!(kind.activation_bytes_per_sample() > 0);
             }
         }
     }

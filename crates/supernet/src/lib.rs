@@ -1,7 +1,7 @@
 //! Supernet modelling for the NASPipe reproduction.
 //!
 //! A *supernet* embeds an entire neural-architecture search space into one
-//! monolithic model: a sequence of [`ChoiceBlock`]s, each holding a set of
+//! monolithic model: a sequence of [`ChoiceBlock`](space::ChoiceBlock)s, each holding a set of
 //! candidate layers. A *subnet* picks exactly one candidate per block and is
 //! trained on one input batch, in the order produced by an exploration
 //! strategy (uniform sampling as in SPOS, or regularised evolution).
@@ -33,7 +33,6 @@
 //! ```
 
 pub mod evolution;
-pub mod frontend;
 pub mod hybrid;
 pub mod layer;
 pub mod profile;
@@ -42,7 +41,7 @@ pub mod sampler;
 pub mod space;
 pub mod subnet;
 
-pub use layer::{LayerCost, LayerKind, LayerRef};
+pub use layer::{LayerKind, LayerRef};
 pub use sampler::{ExplorationStrategy, UniformSampler};
-pub use space::{ChoiceBlock, SearchSpace, SpaceId};
+pub use space::{SearchSpace, SpaceId};
 pub use subnet::{Subnet, SubnetId};

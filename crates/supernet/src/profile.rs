@@ -87,7 +87,7 @@ impl ProfiledSpace {
     /// # Panics
     ///
     /// Panics if `layer` is out of range.
-    pub fn compute_ms(&self, layer: LayerRef) -> f64 {
+    pub(crate) fn compute_ms(&self, layer: LayerRef) -> f64 {
         self.cost(layer).total_ms()
     }
 
@@ -117,15 +117,6 @@ impl ProfiledSpace {
     pub fn subnet_total_ms(&self, subnet: &Subnet) -> f64 {
         self.subnet_block_costs(subnet).iter().sum()
     }
-
-    /// Total parameter bytes of a subnet's activated layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subnet does not match the profiled space.
-    pub fn subnet_param_bytes(&self, subnet: &Subnet) -> u64 {
-        subnet.layers().map(|l| self.cost(l).param_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +145,6 @@ mod tests {
         assert_eq!(blocks.len(), 5);
         let total: f64 = blocks.iter().sum();
         assert!((profile.subnet_total_ms(&s) - total).abs() < 1e-9);
-        assert!(profile.subnet_param_bytes(&s) > 0);
     }
 
     #[test]

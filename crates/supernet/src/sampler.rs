@@ -65,52 +65,6 @@ impl ExplorationStrategy for UniformSampler {
     }
 }
 
-/// Replays a fixed, pre-computed subnet list (useful for tests and for
-/// feeding identical exploration orders to different training systems).
-#[derive(Debug, Clone)]
-pub struct ReplayStrategy {
-    subnets: std::vec::IntoIter<Subnet>,
-    next_id: u64,
-}
-
-impl ReplayStrategy {
-    /// Wraps an explicit subnet list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subnets are not in consecutive sequence-ID order
-    /// starting at the first element's ID.
-    pub fn new(subnets: Vec<Subnet>) -> Self {
-        let start = subnets.first().map(|s| s.seq_id().0).unwrap_or(0);
-        for (i, s) in subnets.iter().enumerate() {
-            assert_eq!(
-                s.seq_id().0,
-                start + i as u64,
-                "replayed subnets must have consecutive sequence IDs"
-            );
-        }
-        Self {
-            next_id: start,
-            subnets: subnets.into_iter(),
-        }
-    }
-}
-
-impl ExplorationStrategy for ReplayStrategy {
-    /// # Panics
-    ///
-    /// Panics when the replay list is exhausted.
-    fn next_subnet(&mut self) -> Subnet {
-        let s = self.subnets.next().expect("replay strategy exhausted");
-        self.next_id = s.seq_id().0 + 1;
-        s
-    }
-
-    fn next_seq_id(&self) -> SubnetId {
-        SubnetId(self.next_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,27 +121,6 @@ mod tests {
         for c in counts {
             assert!((800..1200).contains(&c), "counts {counts:?}");
         }
-    }
-
-    #[test]
-    fn replay_returns_exact_list() {
-        let list = vec![
-            Subnet::new(SubnetId(0), vec![1, 2]),
-            Subnet::new(SubnetId(1), vec![0, 0]),
-        ];
-        let mut r = ReplayStrategy::new(list.clone());
-        assert_eq!(r.next_subnet(), list[0]);
-        assert_eq!(r.next_seq_id(), SubnetId(1));
-        assert_eq!(r.next_subnet(), list[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "consecutive sequence IDs")]
-    fn replay_rejects_gaps() {
-        ReplayStrategy::new(vec![
-            Subnet::new(SubnetId(0), vec![1]),
-            Subnet::new(SubnetId(2), vec![1]),
-        ]);
     }
 
     #[test]

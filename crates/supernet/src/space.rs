@@ -119,27 +119,12 @@ impl ChoiceBlock {
     /// # Panics
     ///
     /// Panics if `num_choices == 0`.
-    pub fn from_catalog(domain: Domain, num_choices: u32) -> Self {
+    pub(crate) fn from_catalog(domain: Domain, num_choices: u32) -> Self {
         assert!(
             num_choices > 0,
             "a choice block needs at least one candidate"
         );
         let (kinds, costs) = (0..num_choices).map(|c| candidate_cost(domain, c)).unzip();
-        Self { kinds, costs }
-    }
-
-    /// Builds a block from explicit candidate costs (for tests and custom
-    /// spaces).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty.
-    pub fn from_costs(candidates: Vec<(LayerKind, LayerCost)>) -> Self {
-        assert!(
-            !candidates.is_empty(),
-            "a choice block needs at least one candidate"
-        );
-        let (kinds, costs) = candidates.into_iter().unzip();
         Self { kinds, costs }
     }
 
@@ -292,7 +277,7 @@ impl SearchSpace {
     /// # Panics
     ///
     /// Panics if `layer` is out of range.
-    pub fn layer_cost(&self, layer: LayerRef) -> LayerCost {
+    pub(crate) fn layer_cost(&self, layer: LayerRef) -> LayerCost {
         self.blocks[layer.block as usize].cost(layer.choice)
     }
 

@@ -137,15 +137,6 @@ impl Subnet {
     pub fn param_bytes(&self, space: &SearchSpace) -> u64 {
         self.layers().map(|l| space.layer_cost(l).param_bytes).sum()
     }
-
-    /// Total profiled compute time (fwd+bwd) of the subnet in `space`, ms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subnet is not valid for `space`.
-    pub fn compute_ms(&self, space: &SearchSpace) -> f64 {
-        self.layers().map(|l| space.layer_cost(l).total_ms()).sum()
-    }
 }
 
 impl fmt::Display for Subnet {
@@ -220,14 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn param_and_compute_totals_are_sums() {
+    fn param_totals_are_sums() {
         let space = SearchSpace::uniform(Domain::Cv, 3, 4);
         let s = subnet(0, &[0, 1, 2]);
         let expected_bytes: u64 = (0..3)
             .map(|b| space.layer_cost(LayerRef::new(b, b)).param_bytes)
             .sum();
         assert_eq!(s.param_bytes(&space), expected_bytes);
-        assert!(s.compute_ms(&space) > 0.0);
     }
 
     #[test]

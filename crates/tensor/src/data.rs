@@ -42,11 +42,6 @@ impl SyntheticDataset {
         }
     }
 
-    /// Batch size of emitted pairs.
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     /// Feature dimension of emitted pairs.
     pub fn dim(&self) -> usize {
         self.dim
@@ -134,7 +129,6 @@ mod tests {
         let (x, y) = d.step_batch(0);
         assert_eq!(x.shape(), &[3, 5]);
         assert_eq!(y.shape(), &[3, 5]);
-        assert_eq!(d.batch_size(), 3);
         assert_eq!(d.dim(), 5);
     }
 

@@ -16,7 +16,7 @@
 //! so two stores of one shape that differ in any bit of any one layer
 //! always hash apart.
 //!
-//! [`BitHasher`] and [`hash_tensors`] are the byte-serial FNV-1a of a
+//! `BitHasher` and [`hash_tensors`] are the byte-serial FNV-1a of a
 //! kernel's output tensor, as the compute benchmark records it.
 
 use crate::tensor::Tensor;
@@ -141,7 +141,7 @@ pub fn store_hash<I: IntoIterator<Item = u64>>(layer_hashes: I) -> u64 {
 /// patterns: the kernel-output hash (parameters go through
 /// [`layer_hash`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitHasher {
+pub(crate) struct BitHasher {
     state: u64,
 }
 
@@ -158,12 +158,12 @@ impl BitHasher {
     }
 
     /// Absorbs one f32's bit pattern.
-    pub fn write_f32(&mut self, x: f32) {
+    pub(crate) fn write_f32(&mut self, x: f32) {
         self.state = fnv1a(self.state, &x.to_bits().to_le_bytes());
     }
 
     /// Absorbs a whole tensor.
-    pub fn write_tensor(&mut self, t: &Tensor) {
+    pub(crate) fn write_tensor(&mut self, t: &Tensor) {
         for &x in t.data() {
             self.write_f32(x);
         }

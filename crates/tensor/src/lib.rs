@@ -27,8 +27,8 @@
 //! use naspipe_tensor::tensor::Tensor;
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
+//! let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
+//! let c = a.matmul(&identity);
 //! assert_eq!(c.data(), a.data());
 //! ```
 

@@ -134,11 +134,6 @@ impl MomentumSgd {
         &self.velocity
     }
 
-    /// Number of layers with live velocity state.
-    pub fn tracked_layers(&self) -> usize {
-        self.velocity.len()
-    }
-
     /// Applies one update step to `layer`'s parameters in place.
     ///
     /// # Panics
@@ -181,14 +176,6 @@ impl MomentumSgd {
             *vb = mu * *vb + g + wd * *b;
             *b -= self.lr * *vb;
         }
-    }
-
-    /// Bitwise fingerprint over the velocity state, the parameter
-    /// fingerprint's definition over each layer's velocity in layer
-    /// order — for asserting optimizer-state reproducibility.
-    pub fn state_hash(&self) -> u64 {
-        let layers = self.velocity.values();
-        crate::hash::store_hash(layers.map(|v| crate::hash::layer_hash(&v.weight, &v.bias)))
     }
 }
 
@@ -242,7 +229,7 @@ mod tests {
         // Second step: v = 0.9*1 + 1 = 1.9, w = 0.9 - 0.19 = 0.71.
         opt.step(layer, &mut p, &g);
         assert!((p.weight.data()[0] - 0.71).abs() < 1e-6);
-        assert_eq!(opt.tracked_layers(), 1);
+        assert_eq!(opt.velocity().len(), 1);
         assert_eq!(opt.momentum(), 0.9);
     }
 
@@ -277,16 +264,7 @@ mod tests {
         opt.step(LayerRef::new(1, 0), &mut p2, &g);
         // Both got a first step (v = g), so equal updates.
         assert_eq!(p1, p2);
-        assert_eq!(opt.tracked_layers(), 2);
-    }
-
-    #[test]
-    fn state_hash_tracks_velocity() {
-        let (mut p, g) = tiny();
-        let mut opt = MomentumSgd::new(0.1, 0.9, 0.0);
-        let h0 = opt.state_hash();
-        opt.step(LayerRef::new(0, 0), &mut p, &g);
-        assert_ne!(opt.state_hash(), h0);
+        assert_eq!(opt.velocity().len(), 2);
     }
 
     #[test]

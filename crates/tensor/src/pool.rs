@@ -16,7 +16,7 @@
 //! counter. The submitter always participates in execution, so a job
 //! makes progress even if every helper is busy elsewhere, and blocks
 //! until the last chunk completes — which is what makes lending the
-//! task closure across threads sound (see [`TaskRef`]).
+//! task closure across threads sound (see `TaskRef`).
 //!
 //! Binding is scoped and thread-local: [`with_threads`] pins a pool for
 //! the duration of a closure (stage workers in the threaded runtime each
@@ -30,11 +30,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Environment variable selecting the default worker count.
-pub const THREADS_ENV: &str = "NASPIPE_THREADS";
+pub(crate) const THREADS_ENV: &str = "NASPIPE_THREADS";
 
 /// Upper bound on workers per pool (claim counters and stats are cheap,
 /// but a runaway env value should not spawn hundreds of threads).
-pub const MAX_THREADS: usize = 64;
+pub(crate) const MAX_THREADS: usize = 64;
 
 /// A borrowed task closure smuggled across threads with its lifetime
 /// erased.
@@ -172,7 +172,7 @@ pub struct ComputePool {
 impl ComputePool {
     /// Builds a pool of `threads` workers (the submitting thread plus
     /// `threads - 1` parked helpers). `0` is treated as `1`; counts are
-    /// capped at [`MAX_THREADS`].
+    /// capped at `MAX_THREADS`.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_THREADS);
@@ -240,7 +240,7 @@ impl ComputePool {
     /// # Panics
     ///
     /// Re-raises (as a fresh panic) if any chunk panicked on any worker.
-    pub fn run_chunked(&self, chunks: usize, grab: usize, task: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run_chunked(&self, chunks: usize, grab: usize, task: &(dyn Fn(usize) + Sync)) {
         if chunks == 0 {
             return;
         }
@@ -447,7 +447,7 @@ fn helper_loop(shared: &Shared, widx: usize) {
 /// Resolves the process-default worker count: `NASPIPE_THREADS` when set
 /// (clamped to `1..=MAX_THREADS`), else the machine's available
 /// parallelism capped at 8. Read once; later env changes are ignored.
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         std::env::var(THREADS_ENV)
@@ -466,7 +466,7 @@ pub fn default_threads() -> usize {
 }
 
 /// The shared registry pool for `threads` workers (`0` selects
-/// [`default_threads`]). Pools are created on first use and live for the
+/// `default_threads`). Pools are created on first use and live for the
 /// process; use [`PoolStats::since`] to attribute one run's work.
 pub fn shared(threads: usize) -> Arc<ComputePool> {
     static REGISTRY: OnceLock<Mutex<HashMap<usize, Arc<ComputePool>>>> = OnceLock::new();

@@ -41,7 +41,7 @@
 //! CPU has both, an identically-ordered portable scalar twin otherwise —
 //! see [`set_force_portable`]) treat lanes as independent output elements
 //! and only reorder *across* elements, never within one. Operand packing
-//! ([`pack_b`] column panels, [`pack_a`] row tiles) is pure data movement.
+//! (`pack_b` column panels, `pack_a` row tiles) is pure data movement.
 //! So the tiled, tailed, packed, batched and parallel paths all agree
 //! bitwise — with each other and with the reference kernel
 //! [`Tensor::matmul_naive`], at any pool size.
@@ -162,7 +162,7 @@ pub fn set_force_portable(on: bool) {
 }
 
 /// Whether [`set_force_portable`] is currently engaged.
-pub fn force_portable() -> bool {
+pub(crate) fn force_portable() -> bool {
     FORCE_PORTABLE.load(std::sync::atomic::Ordering::Relaxed)
 }
 
@@ -921,7 +921,8 @@ impl Tensor {
     }
 
     /// Creates the `n` x `n` identity matrix.
-    pub fn eye(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn eye(n: usize) -> Self {
         let mut t = Self::zeros(&[n, n]);
         for i in 0..n {
             t.data[i * n + i] = 1.0;

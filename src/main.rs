@@ -233,6 +233,12 @@ impl Args {
         }
     }
 
+    /// Like [`u64_opt`](Self::u64_opt), for a value that must fit a `u32`.
+    fn u32_opt(&self, key: &str, default: u32) -> Result<u32, String> {
+        u32::try_from(self.u64_opt(key, default.into())?)
+            .map_err(|_| format!("--{key} wants an integer up to {}", u32::MAX))
+    }
+
     fn system(&self) -> Result<SystemKind, String> {
         match self.options.get("system").map(String::as_str) {
             None | Some("naspipe") => Ok(SystemKind::NasPipe),
@@ -255,7 +261,14 @@ impl Args {
 
     /// `--sample-interval-ms` as microseconds (0 = telemetry default).
     fn sample_interval_us(&self) -> Result<u64, String> {
-        Ok(self.u64_opt("sample-interval-ms", 0)? * 1000)
+        self.u64_opt("sample-interval-ms", 0)?
+            .checked_mul(1000)
+            .ok_or_else(|| {
+                format!(
+                    "--sample-interval-ms wants an integer up to {}",
+                    u64::MAX / 1000
+                )
+            })
     }
 
     /// `--kill-at STAGE:SUBNET`: abort the whole process when that stage
@@ -295,6 +308,7 @@ impl Args {
     /// server (port 0 resolves to an ephemeral port, printed once so it
     /// can be curled).
     fn ops_plane(&self, engine: &str, gpus: u32, seed: u64) -> Result<Option<OpsPlane>, String> {
+        let interval_us = self.sample_interval_us()?;
         let addr = self.options.get("metrics-addr");
         let journal_path = self.options.get("journal");
         if addr.is_none() && journal_path.is_none() {
@@ -319,7 +333,7 @@ impl Args {
         // The progress line stays tied to live scraping: journal-only
         // runs keep their stderr exactly as before.
         let topts = TelemetryOptions::new(hub)
-            .with_interval_us(self.sample_interval_us()?)
+            .with_interval_us(interval_us)
             .with_progress(addr.is_some());
         Ok(Some(OpsPlane {
             topts,
@@ -373,10 +387,10 @@ fn cmd_spaces() {
 
 fn cmd_train(args: &Args) -> Result<(), String> {
     let space = args.space()?;
-    let gpus = args.u64_opt("gpus", 8)? as u32;
+    let gpus = args.u32_opt("gpus", 8)?;
     let n = args.u64_opt("subnets", 64)?;
     let seed = args.u64_opt("seed", 0)?;
-    let batch = args.u64_opt("batch", 0)? as u32;
+    let batch = args.u32_opt("batch", 0)?;
     let threads = args.u64_opt("threads", 0)? as usize;
     let system = args.system()?;
     let engine = args.engine()?;
@@ -734,7 +748,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
 
 fn cmd_search(args: &Args) -> Result<(), String> {
     let space = args.space()?;
-    let gpus = args.u64_opt("gpus", 8)? as u32;
+    let gpus = args.u32_opt("gpus", 8)?;
     let n = args.u64_opt("subnets", 64)?;
     let seed = args.u64_opt("seed", 0)?;
     let rounds = args.u64_opt("rounds", 64)? as usize;

@@ -227,7 +227,7 @@ fn byte_serial_store_hash(space: &SearchSpace, store: &naspipe::tensor::model::P
 /// `run_threaded(.., 0)` / `run_pipeline` were (values recorded on the
 /// commit before the entry-point tower was removed). The one place
 /// outside the two engine files allowed to name the shims; it goes when
-/// they do (ROADMAP 1c).
+/// they do (the deletion that follows ROADMAP 1(a)).
 #[test]
 fn shims_are_their_specs_and_bare_specs_are_the_old_defaults() {
     use naspipe::core::config::DiagnosticsOptions;
@@ -412,4 +412,34 @@ fn cli_threaded_zero_gpus_is_an_error_not_a_panic() {
     assert_eq!(stderr, "invalid run spec: gpus must be positive\n");
     assert!(!stderr.contains("panicked"));
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn cli_out_of_range_integers_are_errors_not_truncations() {
+    for (flag, value, want) in [
+        (
+            "--gpus",
+            "4294967297",
+            "--gpus wants an integer up to 4294967295",
+        ),
+        (
+            "--batch",
+            "4294967320",
+            "--batch wants an integer up to 4294967295",
+        ),
+        (
+            "--sample-interval-ms",
+            "18446744073709552",
+            "--sample-interval-ms wants an integer up to 18446744073709551",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_naspipe"))
+            .args(["train", "--space", "NLP.c2", "--subnets", "4", flag, value])
+            .output()
+            .expect("naspipe runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: stderr: {stderr}");
+        assert_eq!(stderr, format!("{want}\n"));
+        assert!(out.stdout.is_empty(), "{flag} ran anyway");
+    }
 }

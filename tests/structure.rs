@@ -3,8 +3,10 @@
 //! Each rule is a design decision an earlier change paid for (one JSON
 //! codec, one event fan-out, one way to start a run, one Algorithm 2,
 //! ...), written as names that must not appear in the files it names
-//! (or outside one function of a file, or that must appear in one);
-//! its message names the commit that made the decision.
+//! (or outside one function of a file, or that must appear in one), or,
+//! for the public surface, as a per-crate count of `pub` names that no
+//! caller outside the crate names; its message names the commit that
+//! made the decision.
 //! Matching is on whitespace-folded text, so a call split across lines
 //! is still caught, and every file, directory or function a rule names
 //! must exist, so renaming one cannot switch its rule off. A needle is
@@ -13,6 +15,7 @@
 //! The fixture tests at the bottom feed the same rules small trees
 //! written under the test's scratch directory.
 
+use std::collections::HashSet;
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -343,6 +346,16 @@ impl<'a> Scan<'a> {
         }
     }
 
+    /// The `.rs` files under `rel`, or none when `rel` is not a
+    /// directory: for callers that a tree may not have.
+    fn tree_if_present(&mut self, rel: &str) -> Vec<Source> {
+        if self.root.join(rel).is_dir() {
+            self.tree(&[rel], true)
+        } else {
+            Vec::new()
+        }
+    }
+
     /// `Ok` when nothing was found, else `decision` and every problem.
     fn verdict(self, decision: &str) -> Result<(), String> {
         if self.problems.is_empty() {
@@ -352,12 +365,215 @@ impl<'a> Scan<'a> {
     }
 }
 
+/// A `pub` item as declared: its kind (`fn`, `struct`, ...), its name
+/// and `path:line`.
+struct PubItem {
+    kind: &'static str,
+    name: String,
+    at: String,
+}
+
+/// The `pub` fn, struct, enum, trait, type, const, static and mod items
+/// `source` declares before its test module. `pub(crate)` and narrower
+/// are not `pub`.
+fn pub_items(source: &Source) -> Vec<PubItem> {
+    const KINDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let source = source.before_tests();
+    let mut items = Vec::new();
+    for at in source.matches(r"\bpub ") {
+        let n = source.line_of[at];
+        if source.line(n).starts_with("//") {
+            continue;
+        }
+        let mut words = source.folded[at + "pub ".len()..]
+            .split(|c: char| !is_word(c))
+            .filter(|w| !w.is_empty())
+            .peekable();
+        let kind = loop {
+            match words.next() {
+                Some("unsafe" | "async") => {}
+                Some("const") if matches!(words.peek(), Some(&("fn" | "unsafe" | "async"))) => {}
+                Some(word) => break KINDS.into_iter().find(|&k| k == word),
+                None => break None,
+            }
+        };
+        let name = match words.next() {
+            Some("mut") => words.next(),
+            name => name,
+        };
+        if let (Some(kind), Some(name)) = (kind, name) {
+            items.push(PubItem {
+                kind,
+                name: name.to_string(),
+                at: format!("{}:{n}", source.path),
+            });
+        }
+    }
+    items
+}
+
+/// Adds to `names` every identifier `text` names in code: on lines that
+/// are not comments, and in the doc examples rustdoc compiles (code
+/// fences in `///` and `//!` comments). With `examples_only`, only in
+/// the doc examples.
+fn add_names(text: &str, examples_only: bool, names: &mut HashSet<String>) {
+    // Inside a fence: whether rustdoc compiles it.
+    let mut fence: Option<bool> = None;
+    for line in text.lines() {
+        let trimmed = line.trim_start();
+        let doc = trimmed
+            .strip_prefix("///")
+            .or_else(|| trimmed.strip_prefix("//!"));
+        let code = match (doc, fence) {
+            (Some(doc), _) => match (doc.trim().strip_prefix("```"), fence) {
+                (Some(info), None) => {
+                    let compiled = info.is_empty()
+                        || ["rust", "no_run", "should_panic"]
+                            .iter()
+                            .any(|k| info.contains(k));
+                    fence = Some(compiled);
+                    continue;
+                }
+                (Some(_), Some(_)) => {
+                    fence = None;
+                    continue;
+                }
+                (None, Some(true)) => doc,
+                (None, _) => continue,
+            },
+            (None, _) if examples_only || trimmed.starts_with("//") => continue,
+            (None, _) => line,
+        };
+        names.extend(
+            code.split(|c: char| !is_word(c))
+                .filter(|w| w.starts_with(|c: char| !c.is_ascii_digit()))
+                .map(str::to_owned),
+        );
+    }
+}
+
 /// The rules. Each takes the root of a tree laid out like this
 /// workspace; each `forbid*` or `exactly_pub_run_fns` call in it is one
 /// check.
 mod rules {
-    use super::{Scan, Source};
+    use super::{add_names, pub_items, Scan, Source};
+    use std::collections::HashSet;
     use std::path::Path;
+
+    /// Per crate under `crates/`, how many of its `pub` names no caller
+    /// outside it names: the types a `pub` signature needs (rustc's
+    /// `private_interfaces` lint names them). A change that demotes or
+    /// deletes one lowers its crate's count here.
+    pub const UNNAMED_PUB: [(&str, usize); 7] = [
+        ("obs", 21),
+        ("core", 13),
+        ("supernet", 4),
+        ("tensor", 4),
+        ("sim", 1),
+        ("baselines", 1),
+        ("bench", 34),
+    ];
+
+    pub fn every_pub_name_has_a_caller(root: &Path) -> Result<(), String> {
+        unnamed_pub_names(root, &UNNAMED_PUB)
+    }
+
+    /// Checks each `(crate, count)` of `recorded`: the crate's `pub` names
+    /// (in `crates/<crate>/src`, outside `src/bin`) that no outside caller
+    /// names must number exactly `count`. An outside caller is any other
+    /// crate under `crates/`, the root package's `src`, `tests` and
+    /// `examples`, the crate's own `tests`, `benches` and `src/bin`, a doc
+    /// example in its `src`, and the benchmark harness (`benchmark/src`,
+    /// `benchmark/tests`).
+    pub fn unnamed_pub_names(root: &Path, recorded: &[(&str, usize)]) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let crates: Vec<String> = scan
+            .entries("crates")
+            .into_iter()
+            .filter(|(_, is_dir)| *is_dir)
+            .map(|(path, _)| path)
+            .collect();
+        let mut shared = HashSet::new();
+        for rel in [
+            "src",
+            "tests",
+            "examples",
+            "benchmark/src",
+            "benchmark/tests",
+        ] {
+            for source in scan.tree_if_present(rel) {
+                // The rules' own text.
+                if source.path != "tests/structure.rs" {
+                    add_names(&source.text, false, &mut shared);
+                }
+            }
+        }
+        let mut whole = Vec::new();
+        for dir in &crates {
+            let mut names = HashSet::new();
+            for source in scan.tree_if_present(dir) {
+                add_names(&source.text, false, &mut names);
+            }
+            whole.push(names);
+        }
+        for &(name, count) in recorded {
+            let dir = format!("crates/{name}");
+            let src = format!("{dir}/src");
+            let bin = format!("{src}/bin");
+            let mut outside = shared.clone();
+            for (other, names) in crates.iter().zip(&whole) {
+                if *other != dir {
+                    outside.extend(names.iter().cloned());
+                }
+            }
+            for rel in [
+                format!("{dir}/tests"),
+                format!("{dir}/benches"),
+                bin.clone(),
+            ] {
+                for source in scan.tree_if_present(&rel) {
+                    add_names(&source.text, false, &mut outside);
+                }
+            }
+            let sources: Vec<Source> = scan
+                .tree(&[&src], true)
+                .into_iter()
+                .filter(|s| !s.path.starts_with(&format!("{bin}/")))
+                .collect();
+            for source in &sources {
+                add_names(&source.text, true, &mut outside);
+            }
+            let unnamed: Vec<String> = sources
+                .iter()
+                .flat_map(pub_items)
+                .filter(|item| !outside.contains(&item.name))
+                .map(|item| format!("pub {} {} ({})", item.kind, item.name, item.at))
+                .collect();
+            let found = unnamed.len();
+            if found > count {
+                scan.problems.push(format!(
+                    "{src}: {found} `pub` names no outside caller names, {count} recorded; make \
+                     the new one pub(crate) or delete it: {}",
+                    unnamed.join(", ")
+                ));
+            } else if found < count {
+                scan.problems.push(format!(
+                    "{src}: {found} `pub` names no outside caller names, {count} recorded; \
+                     lower the constant to {found}"
+                ));
+            }
+        }
+        scan.verdict(
+            "every pub name has a caller (commit \"A public surface that is what callers \
+             use\"): an item is `pub` only when something outside its crate names it (another \
+             crate, the root package, the crate's own tests, benches or bins, a doc example, \
+             the benchmark harness) or a `pub` signature needs it. rustc's dead_code lint \
+             cannot see an unused `pub` item; a `pub(crate)` one it can, and clippy -D \
+             warnings then fails on it.",
+        )
+    }
 
     pub fn one_json_codec(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
@@ -682,8 +898,7 @@ mod rules {
         scan.verdict(
             "one parameter fingerprint (commit \"Fingerprint the parameters where they \
              live\"): a store's fingerprint is tensor::hash::store_hash over each layer's \
-             tensor::hash::layer_hash, word-wise, in (block, choice) order, and the \
-             optimizer's velocity is fingerprinted the same way. Only \
+             tensor::hash::layer_hash, word-wise, in (block, choice) order. Only \
              crates/tensor/src/hash.rs folds f32 bits; the byte-serial BitHasher / \
              hash_tensors is for the compute benchmark's kernel outputs. The threaded \
              runtime makes no whole-store pass: each stage hashes its own slice on its own \
@@ -775,6 +990,11 @@ fn one_backward_decomposition() {
 #[test]
 fn one_parameter_fingerprint() {
     holds(rules::one_parameter_fingerprint);
+}
+
+#[test]
+fn every_pub_name_has_a_caller() {
+    holds(rules::every_pub_name_has_a_caller);
 }
 
 /// A fresh tree holding `files` (relative path, contents), named after
@@ -981,4 +1201,102 @@ fn a_byte_serial_parameter_hash_or_a_whole_store_pass_fails() {
     ] {
         assert!(broken.contains(needle), "{needle} in {broken}");
     }
+}
+
+#[test]
+fn an_unnamed_pub_fn_fails_and_the_message_names_its_crate() {
+    let root = fixture(
+        "unnamed_pub",
+        &[
+            (
+                "crates/sim/src/lib.rs",
+                "pub fn used() {}\n// orphan is named only in this comment.\npub fn orphan() {}\n",
+            ),
+            (
+                "crates/core/src/lib.rs",
+                "fn f() {\n    naspipe_sim::used();\n}\n",
+            ),
+        ],
+    );
+    let broken = rules::unnamed_pub_names(&root, &[("sim", 0)]).unwrap_err();
+    assert!(broken.contains("A public surface"), "{broken}");
+    assert!(
+        broken.contains("crates/sim/src: 1 `pub` names no outside caller names, 0 recorded"),
+        "{broken}"
+    );
+    assert!(
+        broken.contains("pub fn orphan (crates/sim/src/lib.rs:3)"),
+        "{broken}"
+    );
+    assert!(!broken.contains("pub fn used"), "{broken}");
+}
+
+#[test]
+fn a_pub_fn_named_by_another_crate_a_doc_example_or_a_bin_passes() {
+    let lib = "pub fn used() {}\npub fn orphan() {}\n";
+    let core = "fn f() {\n    naspipe_sim::used();\n}\n";
+    let callers: [(&str, &[(&str, &str)]); 3] = [
+        (
+            "named_by_crate",
+            &[
+                ("crates/sim/src/lib.rs", lib),
+                ("crates/core/tests/t.rs", "fn t() {\n    naspipe_sim::orphan();\n}\n"),
+            ],
+        ),
+        (
+            "named_by_doc_example",
+            &[(
+                "crates/sim/src/lib.rs",
+                "/// ```\n/// naspipe_sim::orphan();\n/// ```\npub fn used() {}\npub fn orphan() {}\n",
+            )],
+        ),
+        (
+            "named_by_bin",
+            &[
+                ("crates/sim/src/lib.rs", lib),
+                ("crates/sim/src/bin/tool.rs", "fn main() {\n    naspipe_sim::orphan();\n}\n"),
+            ],
+        ),
+    ];
+    for (name, files) in callers {
+        let mut files = files.to_vec();
+        files.push(("crates/core/src/lib.rs", core));
+        let root = fixture(name, &files);
+        rules::unnamed_pub_names(&root, &[("sim", 0)]).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    let prose =
+        "/// ```text\n/// naspipe_sim::orphan();\n/// ```\npub fn used() {}\npub fn orphan() {}\n";
+    let root = fixture(
+        "named_by_text_block",
+        &[
+            ("crates/sim/src/lib.rs", prose),
+            ("crates/core/src/lib.rs", core),
+        ],
+    );
+    let broken = rules::unnamed_pub_names(&root, &[("sim", 0)]).unwrap_err();
+    assert!(broken.contains("pub fn orphan"), "{broken}");
+}
+
+#[test]
+fn a_count_below_its_constant_asks_to_lower_it() {
+    let root = fixture(
+        "lower_the_constant",
+        &[
+            (
+                "crates/sim/src/lib.rs",
+                "pub fn used() {}\npub(crate) fn inner() {}\n",
+            ),
+            (
+                "crates/core/src/lib.rs",
+                "fn f() {\n    naspipe_sim::used();\n}\n",
+            ),
+        ],
+    );
+    let broken = rules::unnamed_pub_names(&root, &[("sim", 1)]).unwrap_err();
+    assert!(
+        broken.contains(
+            "crates/sim/src: 0 `pub` names no outside caller names, 1 recorded; lower the constant to 0"
+        ),
+        "{broken}"
+    );
 }
