@@ -14,7 +14,8 @@
 //!
 //! * [`scheduler`] — the CSP scheduler (Algorithms 1–2): out-of-order
 //!   admission of forward tasks whose dependencies are resolved,
-//!   backward-first priority;
+//!   backward-first priority, driven by one per-stage bookkeeping core
+//!   (`stage`) that both engines share;
 //! * [`predictor`] — the context predictor (Algorithm 3): simulates the
 //!   near-future schedule to prefetch parameter contexts;
 //! * [`context`] — the context manager: an LRU parameter cache per stage
@@ -58,6 +59,7 @@ pub mod report;
 pub mod repro;
 pub mod runtime;
 pub mod scheduler;
+mod stage;
 pub mod task;
 pub mod train;
 pub mod transcript;

@@ -23,8 +23,9 @@ use crate::memory::{self, MemoryPlan, MemoryVerdict};
 use crate::partition::{PartitionMode, Partitioner};
 use crate::predictor::{Fetch, PendingBackward, Predictor};
 use crate::report::{alu_efficiency, PipelineReport};
-use crate::scheduler::{CspScheduler, Pick, StageQueues, SubnetEntry, SubnetTable};
-use crate::task::{FinishedSet, StageId, TaskKind};
+use crate::scheduler::SubnetEntry;
+use crate::stage::{Injection, Pick, StageCore};
+use crate::task::{StageId, TaskKind};
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
     BusConfig, CausalEdge, CauseKind, Counter, CspChecker, EventBus, MetricsRecorder,
@@ -120,15 +121,6 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Injection discipline derived from the policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Injection {
-    /// Keep up to `window` subnets in flight.
-    Window(u64),
-    /// Inject `bulk` subnets, flush, repeat.
-    Bulk(u64),
-}
-
 #[derive(Debug)]
 enum Ev {
     FwdArrive {
@@ -171,17 +163,7 @@ struct QueuedBackward {
     arrival: Arrival,
 }
 
-/// A backward completion at a stage — a CSP shared-layer writer candidate
-/// for the causal edge of a later forward admission there.
-#[derive(Debug, Clone, Copy)]
-struct WriterDone {
-    subnet: u64,
-    span: SpanId,
-    at: SimTime,
-}
-
 struct StageState {
-    queues: StageQueues<Arrival, QueuedBackward>,
     busy: bool,
     // Start of the idle interval not yet attributed to bubble/stall
     // (meaningful while `!busy`); see `Engine::settle_idle`.
@@ -191,9 +173,6 @@ struct StageState {
     cache: Option<StageCache>,
     predictor: Predictor,
     pinned: Vec<LayerRef>,
-    // Tracing side-state (populated only when the tracer is enabled):
-    // writer candidates still able to out-wait a queued forward's arrival.
-    bwd_done: Vec<WriterDone>,
 }
 
 /// One simulated pipeline run, as data: the space and configuration (the
@@ -435,14 +414,10 @@ struct Engine<'a> {
     cluster: Cluster,
     queue: EventQueue<Ev>,
     stages: Vec<StageState>,
-    finished: Vec<FinishedSet>,
-    table: SubnetTable,
-    scheduler: CspScheduler,
+    // Queues, `L_SN`, `L_f`, scheduler, injection and writer marks.
+    core: StageCore<Arrival, QueuedBackward>,
     subnets: Vec<Subnet>,
-    injected: u64,
-    completed: u64,
     records: Vec<TaskRecord>,
-    injection: Injection,
     use_csp: bool,
     use_predictor: bool,
     makespan: SimTime,
@@ -531,13 +506,11 @@ impl<'a> Engine<'a> {
 
         let stages = (0..d)
             .map(|_| StageState {
-                queues: StageQueues::new(use_csp),
                 busy: false,
                 idle_since: SimTime::ZERO,
                 cache: cache.map(StageCache::new),
                 predictor: Predictor::new(),
                 pinned: Vec::new(),
-                bwd_done: Vec::new(),
             })
             .collect();
 
@@ -552,6 +525,8 @@ impl<'a> Engine<'a> {
             // per stage in flight: 2D batches saturate the pipeline.
             SyncPolicy::Asp => Injection::Window(2 * u64::from(d)),
         };
+        let choices: Vec<u32> = space.blocks().iter().map(|b| b.num_choices()).collect();
+        let core = StageCore::new(0..d, d, &choices, use_csp, injection, config.num_subnets);
 
         Ok(Self {
             space,
@@ -564,14 +539,9 @@ impl<'a> Engine<'a> {
             cluster: Cluster::with_hosts(d, config.gpus_per_host),
             queue: EventQueue::new(),
             stages,
-            finished: vec![FinishedSet::new(); d as usize],
-            table: SubnetTable::new(),
-            scheduler: CspScheduler::new(),
+            core,
             subnets,
-            injected: 0,
-            completed: 0,
             records: Vec::new(),
-            injection,
             use_csp,
             use_predictor,
             makespan: SimTime::ZERO,
@@ -607,40 +577,22 @@ impl<'a> Engine<'a> {
         (f64::from(self.batch) + sat) / (f64::from(self.reference_batch) + sat)
     }
 
-    fn in_flight(&self) -> u64 {
-        self.injected - self.completed
-    }
-
-    fn try_inject(&mut self, now: SimTime) {
-        let total = self.config.num_subnets;
-        let want = match self.injection {
-            Injection::Window(w) => {
-                if self.in_flight() >= w {
-                    0
-                } else {
-                    (w - self.in_flight()).min(total - self.injected)
+    /// Injects what the core's injection rule admits, registering each
+    /// subnet with its partition.
+    fn inject(&mut self, now: SimTime) {
+        for id in self.core.injectable().map(SubnetId) {
+            let (subnets, partitioner) = (&self.subnets, &mut self.partitioner);
+            let checker = &mut self.checker;
+            self.core.register_through(id, |id| {
+                let subnet = &subnets[id.0 as usize];
+                let partition = partitioner.partition_for(subnet);
+                if let Some(checker) = checker.as_mut() {
+                    checker
+                        .register(id, partition.layer_owners(subnet))
+                        .unwrap_or_else(|v| panic!("{v}"));
                 }
-            }
-            Injection::Bulk(b) => {
-                if self.in_flight() > 0 {
-                    0
-                } else {
-                    b.min(total - self.injected)
-                }
-            }
-        };
-        for _ in 0..want {
-            let subnet = &self.subnets[self.injected as usize];
-            let id = subnet.seq_id();
-            let partition = self.partitioner.partition_for(subnet);
-            if let Some(checker) = self.checker.as_mut() {
-                checker
-                    .register(id, partition.layer_owners(subnet))
-                    .unwrap_or_else(|v| panic!("{v}"));
-            }
-            self.table
-                .insert(subnet.clone(), partition)
-                .unwrap_or_else(|dup| panic!("injection re-used a sequence ID: {dup}"));
+                (subnet.clone(), partition)
+            });
             self.queue.push(
                 now,
                 Ev::FwdArrive {
@@ -649,7 +601,6 @@ impl<'a> Engine<'a> {
                     src: SpanId::EXTERNAL,
                 },
             );
-            self.injected += 1;
         }
     }
 
@@ -669,7 +620,7 @@ impl<'a> Engine<'a> {
             return (now, None);
         };
         let traced = self.tracer.enabled();
-        let entry = self.table.get(subnet).expect("subnet in table");
+        let entry = self.core.entry(subnet).expect("subnet in table");
         let profile = self.partitioner.profile();
         let mut ready = now;
         let mut gate: Option<(SpanId, SimTime)> = None;
@@ -772,7 +723,7 @@ impl<'a> Engine<'a> {
     fn apply_fetches(&mut self, k: u32, now: SimTime, fetches: &[Fetch]) {
         let traced = self.tracer.enabled();
         for fetch in fetches {
-            let Some(entry) = self.table.get(fetch.subnet) else {
+            let Some(entry) = self.core.entry(fetch.subnet) else {
                 continue;
             };
             let stage = &mut self.stages[k as usize];
@@ -797,33 +748,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Pending backwards at the last stage: queued forwards that are
-    /// causally blocked, with their first blocker, in arrival order.
-    fn pending_backwards(&mut self, k: u32) -> Vec<PendingBackward> {
-        if !self.use_predictor {
-            return Vec::new();
-        }
-        let queue = &self.stages[k as usize].queues.fwd;
-        let mut pending: Vec<(u64, PendingBackward)> = Vec::new();
-        for (y, seq, _) in queue.iter() {
-            if CspScheduler::admissible(y, &self.finished, &self.table, StageId(k)) {
-                continue;
-            }
-            if let Some(b) = CspScheduler::first_blocker(y, &self.finished, &self.table, StageId(k))
-            {
-                pending.push((
-                    seq,
-                    PendingBackward {
-                        id: y,
-                        precedence: b,
-                    },
-                ));
-            }
-        }
-        pending.sort_unstable_by_key(|&(seq, _)| seq);
-        pending.into_iter().map(|(_, p)| p).collect()
-    }
-
     /// Attributes stage `k`'s idle time since the last attribution: to
     /// `BubbleUs` if nothing was queued over that interval, to `StallUs`
     /// if work was queued but none admissible. Called before every change
@@ -838,12 +762,7 @@ impl<'a> Engine<'a> {
         let dt = now.since(st.idle_since).as_us();
         st.idle_since = now;
         if dt > 0 {
-            let counter = if st.queues.is_empty() {
-                Counter::BubbleUs
-            } else {
-                Counter::StallUs
-            };
-            self.recorder.incr(k, counter, dt);
+            self.recorder.incr(k, self.core.idle_counter(k), dt);
         }
     }
 
@@ -853,7 +772,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// One dispatch attempt at stage `k`: whatever [`StageQueues::pick`]
+    /// One dispatch attempt at stage `k`: whatever the core's `pick`
     /// takes — the queued backward with the lowest ID, else the forward
     /// the discipline admits — or nothing. Run only for stages the current
     /// event woke (see [`Engine::step`]); samples `QueueDepth` once per
@@ -863,13 +782,9 @@ impl<'a> Engine<'a> {
             return;
         }
         self.settle_idle(k, now);
-        let st = &mut self.stages[k as usize];
-        let depth = st.queues.len() as u64;
-        self.recorder.sample(k, Sample::QueueDepth, depth);
-        let pick = st
-            .queues
-            .pick(&mut self.scheduler, &self.finished, &self.table, StageId(k));
-        match pick {
+        self.recorder
+            .sample(k, Sample::QueueDepth, self.core.depth(k));
+        match self.core.pick(k) {
             Pick::Backward {
                 id,
                 payload,
@@ -916,26 +831,8 @@ impl<'a> Engine<'a> {
         }
         // Predictor hooks (Algorithm 1 lines 6 and 21).
         if self.use_predictor {
-            let stage = &mut self.stages[k as usize];
-            let fetches = match kind {
-                TaskKind::Backward => stage.predictor.before_backward(
-                    &mut self.scheduler,
-                    stage.queues.fwd.ids(),
-                    &self.finished,
-                    &self.table,
-                    StageId(k),
-                    subnet,
-                    &pending,
-                ),
-                TaskKind::Forward => stage.predictor.before_forward(
-                    &mut self.scheduler,
-                    stage.queues.fwd.ids(),
-                    &self.finished,
-                    &self.table,
-                    StageId(k),
-                    subnet,
-                ),
-            };
+            let predictor = &mut self.stages[k as usize].predictor;
+            let fetches = self.core.predict(predictor, k, kind, subnet, &pending);
             self.apply_fetches(k, now, &fetches);
 
             // Pipeline-status passing (§3.3): neighbouring stages can see
@@ -973,15 +870,11 @@ impl<'a> Engine<'a> {
         let cause = self.tracer.enabled().then(|| {
             let mut cause = (arrival.edge, arrival.at);
             if kind == TaskKind::Forward && self.use_csp {
-                if let Some(w) = self.last_writer(subnet, k) {
-                    if w.at > cause.1 {
-                        cause = (
-                            CausalEdge {
-                                src: w.span,
-                                kind: CauseKind::CspWriterCompletion { writer: w.subnet },
-                            },
-                            w.at,
-                        );
+                if let Some(w) = self.core.last_writer(k, subnet) {
+                    let at = SimTime::from_us(w.at);
+                    if at > cause.1 {
+                        let kind = CauseKind::CspWriterCompletion { writer: w.writer };
+                        cause = (CausalEdge { src: w.span, kind }, at);
                     }
                 }
             }
@@ -999,7 +892,7 @@ impl<'a> Engine<'a> {
             cause.0
         });
 
-        let entry = self.table.get(subnet).expect("subnet in table");
+        let entry = self.core.entry(subnet).expect("subnet in table");
         let blocks = entry.partition.stage_range(StageId(k));
         let duration = self.price(entry, k, kind);
         // The backward wave approaches stage k-1 next: start its
@@ -1057,36 +950,6 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// The CSP writer-completion candidate for `subnet`'s forward
-    /// admission at stage `k`: the latest backward completion there by an
-    /// earlier subnet sharing a layer of the slice. Then drops every
-    /// candidate that can never again be the cause of an admission.
-    fn last_writer(&mut self, subnet: SubnetId, k: u32) -> Option<WriterDone> {
-        let entry = self.table.get(subnet).expect("subnet in table");
-        let range = entry.partition.stage_range(StageId(k));
-        let stage = &mut self.stages[k as usize];
-        let writer = stage
-            .bwd_done
-            .iter()
-            .filter(|w| w.subnet < subnet.0)
-            .filter(|w| {
-                entry
-                    .subnet
-                    .conflicts_within(range.clone(), &self.subnets[w.subnet as usize])
-            })
-            .max_by_key(|w| (w.at, w.subnet))
-            .copied();
-        // A candidate wins only by completing *after* the admitted
-        // forward arrived. Every forward still queued here arrived at or
-        // after `horizon` and every future one arrives later still, so a
-        // completion at or before it has lost for good.
-        match stage.queues.fwd.iter().map(|(_, _, a)| a.at).min() {
-            Some(horizon) => stage.bwd_done.retain(|w| w.at > horizon),
-            None => stage.bwd_done.clear(),
-        }
-        writer
-    }
-
     fn boundary_bytes(&self) -> u64 {
         memory::boundary_bytes_per_sample(self.space.domain()) * u64::from(self.batch)
     }
@@ -1133,7 +996,7 @@ impl<'a> Engine<'a> {
     /// Reserves stage `k`'s compute for recomputing `subnet`'s forward
     /// slice, to overlap with the backward wave still one stage away.
     fn reserve_recompute(&mut self, subnet: SubnetId, k: u32, now: SimTime) {
-        let Some(entry) = self.table.get(subnet) else {
+        let Some(entry) = self.core.entry(subnet) else {
             return;
         };
         let duration = self.price(entry, k, TaskKind::Forward);
@@ -1182,66 +1045,49 @@ impl<'a> Engine<'a> {
                     if self.recompute_ahead() {
                         self.reserve_recompute(subnet, k, now);
                     }
-                    let pending = self.pending_backwards(k);
+                    let predict = self.use_predictor;
+                    let pending = predict.then(|| self.core.pending_backwards(k));
                     self.queue.push(
                         now,
                         Ev::BwdArrive {
                             subnet,
                             stage: k,
-                            pending,
+                            pending: pending.unwrap_or_default(),
                             src: span,
                         },
                     );
                 }
             }
             TaskKind::Backward => {
-                // With nothing queued the completion could only matter to
-                // forwards that arrive after it — which it cannot cause.
-                let stage = &mut self.stages[k as usize];
-                if self.tracer.enabled() && self.use_csp && !stage.queues.fwd.is_empty() {
-                    stage.bwd_done.push(WriterDone {
-                        subnet: subnet.0,
-                        span,
-                        at: now,
-                    });
-                }
                 if let Some(checker) = self.checker.as_mut() {
                     checker
                         .on_backward_done(subnet, k)
                         .unwrap_or_else(|v| panic!("{v}"));
                 }
-                self.finished[k as usize].insert(subnet);
+                // Writer marks bind causal edges: only a traced CSP run
+                // reads them.
+                let mark = (self.tracer.enabled() && self.use_csp).then_some((span, now.as_us()));
+                self.core.finished(k, subnet, mark);
                 if k > 0 {
                     let dt = self
                         .cluster
                         .stage_transfer_time(GpuId(k - 1), self.boundary_bytes());
-                    let pending = if k == self.d - 1 {
-                        self.pending_backwards(k)
-                    } else {
-                        Vec::new()
-                    };
+                    let predict = self.use_predictor && k == self.d - 1;
+                    let pending = predict.then(|| self.core.pending_backwards(k));
                     self.queue.push(
                         now + dt,
                         Ev::BwdArrive {
                             subnet,
                             stage: k - 1,
-                            pending,
+                            pending: pending.unwrap_or_default(),
                             src: span,
                         },
                     );
                 } else {
-                    self.completed += 1;
-                    let min_unfinished = self
-                        .finished
-                        .iter()
-                        .map(|f| f.first_unfinished())
-                        .min()
-                        .expect("at least one stage");
-                    self.table.retire_below(min_unfinished);
                     if let Some(checker) = self.checker.as_mut() {
-                        checker.retire_below(min_unfinished);
+                        checker.retire_below(self.core.first_unfinished(0));
                     }
-                    self.try_inject(now);
+                    self.inject(now);
                 }
             }
         }
@@ -1271,10 +1117,9 @@ impl<'a> Engine<'a> {
             self.sync_cache_metrics(k);
         }
         let at_us = at.as_us();
-        for (k, done) in self.finished.iter().enumerate() {
-            let watermark = done.first_unfinished().0;
-            self.bus
-                .emit(k as u32, at_us, RunEvent::Watermark { watermark });
+        for k in 0..self.d {
+            let watermark = self.core.first_unfinished(k).0;
+            self.bus.emit(k, at_us, RunEvent::Watermark { watermark });
         }
         if publish {
             let snap = MetricsSnapshot::from_recorder(&self.recorder, at_us, 0);
@@ -1288,32 +1133,11 @@ impl<'a> Engine<'a> {
     /// pass, no idle stage — woken or skipped as clean — may hold a task
     /// the all-stages dispatch loop would have started.
     fn assert_nothing_dispatchable(&self) {
-        for (k, st) in self.stages.iter().enumerate() {
-            if st.busy {
-                continue;
-            }
+        for k in 0..self.d {
             assert!(
-                st.queues.bwd.is_empty(),
-                "missed wake-up: idle stage {k} holds a queued backward"
+                self.stages[k as usize].busy || !self.core.runnable(k),
+                "missed wake-up: idle stage {k} holds a runnable task"
             );
-            if self.use_csp {
-                for &y in st.queues.fwd.ids() {
-                    assert!(
-                        !CspScheduler::admissible(
-                            y,
-                            &self.finished,
-                            &self.table,
-                            StageId(k as u32)
-                        ),
-                        "missed wake-up: idle stage {k} holds admissible forward {y}"
-                    );
-                }
-            } else {
-                assert!(
-                    st.queues.fwd.is_empty(),
-                    "missed wake-up: idle FIFO stage {k} holds a queued forward"
-                );
-            }
         }
     }
 
@@ -1322,10 +1146,11 @@ impl<'a> Engine<'a> {
         while let Some((now, ev)) = self.queue.pop() {
             self.step(now, ev);
         }
+        let completed = self.core.done(0);
         assert_eq!(
-            self.completed, self.config.num_subnets,
-            "pipeline deadlocked: {}/{} subnets completed",
-            self.completed, self.config.num_subnets
+            completed, self.config.num_subnets,
+            "pipeline deadlocked: {completed}/{} subnets completed",
+            self.config.num_subnets
         );
         Ok(self.finish())
     }
@@ -1339,7 +1164,7 @@ impl<'a> Engine<'a> {
         for k in 0..self.d {
             self.recorder.incr(k, Counter::BubbleUs, 0);
         }
-        self.try_inject(SimTime::ZERO);
+        self.inject(SimTime::ZERO);
     }
 
     /// Applies one event, then dispatches, ascending, the stages whose
@@ -1350,7 +1175,7 @@ impl<'a> Engine<'a> {
     /// stage; a completion wakes its stage (now idle) and, if it was `w`'s
     /// backward at `j`, every idle stage `k > j` with forwards queued at
     /// which a later in-flight sharer of a layer in `w`'s stage-`j` slice
-    /// reads that layer ([`SubnetTable::readers_above`]). Injection and
+    /// reads that layer (the core's `readers_above`). Injection and
     /// retirement change the table only for IDs no queued forward waits
     /// on, and wake nobody.
     fn step(&mut self, now: SimTime, ev: Ev) {
@@ -1368,9 +1193,7 @@ impl<'a> Engine<'a> {
                     edge: CausalEdge { src, kind },
                     at: now,
                 };
-                self.stages[stage as usize]
-                    .queues
-                    .push_forward(subnet, arrival);
+                self.core.deliver_forward(stage, subnet, arrival);
                 wake.push(stage);
             }
             Ev::BwdArrive {
@@ -1380,13 +1203,13 @@ impl<'a> Engine<'a> {
                 src,
             } => {
                 self.settle_idle(stage, now);
-                let queues = &mut self.stages[stage as usize].queues;
                 let edge = CausalEdge {
                     src,
                     kind: CauseKind::GradientArrival,
                 };
                 let arrival = Arrival { edge, at: now };
-                queues.push_backward(subnet, QueuedBackward { pending, arrival });
+                let queued = QueuedBackward { pending, arrival };
+                self.core.deliver_backward(stage, subnet, queued);
                 wake.push(stage);
             }
             Ev::TaskDone {
@@ -1399,14 +1222,14 @@ impl<'a> Engine<'a> {
                 // Asked before `on_task_done` can retire `subnet`. A FIFO
                 // stage never idles with a forward queued: nothing to ask.
                 if kind == TaskKind::Backward && self.use_csp {
-                    self.table.readers_above(subnet, StageId(stage), &mut wake);
+                    self.core.readers_above(subnet, stage, &mut wake);
                 }
                 self.on_task_done(subnet, stage, kind, now, span);
                 wake.sort_unstable();
                 wake.dedup();
                 wake.retain(|&k| {
-                    let st = &self.stages[k as usize];
-                    k == stage || (!st.busy && !st.queues.fwd.is_empty())
+                    let idle = !self.stages[k as usize].busy;
+                    k == stage || (idle && !self.core.forwards(k).is_empty())
                 });
             }
         }
@@ -1434,7 +1257,8 @@ impl<'a> Engine<'a> {
             .recorder
             .report(makespan.as_us())
             .with_meta(RunMeta::new("des", self.d).seed(self.config.seed));
-        let obs = self.bus.finish(obs, self.completed, None);
+        let completed = self.core.done(0);
+        let obs = self.bus.finish(obs, completed, None);
         let eff = alu_efficiency(self.batch, self.reference_batch);
         let busy: Vec<f64> = self
             .cluster
@@ -1477,10 +1301,10 @@ impl<'a> Engine<'a> {
             .sum();
 
         let busy_total_secs: f64 = busy.iter().map(|b| b * makespan.as_secs()).sum();
-        let avg_exec = if self.completed == 0 {
+        let avg_exec = if completed == 0 {
             0.0
         } else {
-            busy_total_secs / self.completed as f64
+            busy_total_secs / completed as f64
         };
 
         let report = PipelineReport {
@@ -1489,8 +1313,8 @@ impl<'a> Engine<'a> {
             num_gpus: self.d,
             batch: self.batch,
             makespan_secs: makespan.as_secs(),
-            subnets_completed: self.completed,
-            samples_processed: self.completed * u64::from(self.batch),
+            subnets_completed: completed,
+            samples_processed: completed * u64::from(self.batch),
             bubble_ratio: bubble,
             total_alu,
             gpu_mem_factor: mem_factor,
@@ -1503,7 +1327,7 @@ impl<'a> Engine<'a> {
             },
             reported_param_bytes: self.plan.reported_param_bytes,
             cache_stats,
-            scheduler_stats: self.scheduler.stats(),
+            scheduler_stats: self.core.scheduler_stats(),
             // The recorder's idle counters are the one ledger.
             stage_idle_blocked_secs: obs.stages.iter().map(|s| s.stall_us as f64 / 1e6).collect(),
             stage_idle_empty_secs: obs
@@ -2178,30 +2002,29 @@ mod tests {
                     kind: TaskKind::Backward,
                     ..
                 } => {
-                    let mut readers = Vec::new();
-                    let table = &engine.table;
-                    table.readers_above(subnet, StageId(stage), &mut readers);
+                    let (mut readers, core) = (Vec::new(), &engine.core);
+                    core.readers_above(subnet, stage, &mut readers);
                     readers.is_empty().then(|| {
-                        let own = u64::from(engine.stages[stage as usize].queues.bwd.is_empty());
+                        let queued = core.depth(stage) - core.forwards(stage).len() as u64;
+                        let own = u64::from(queued == 0);
                         let waiting = |k: &u32| {
-                            let st = &engine.stages[*k as usize];
-                            !st.busy && !st.queues.fwd.is_empty()
+                            !engine.stages[*k as usize].busy && !core.forwards(*k).is_empty()
                         };
                         (own, (stage + 1..engine.d).filter(waiting).count())
                     })
                 }
                 _ => None,
             };
-            let before = engine.scheduler.stats().calls;
+            let before = engine.core.scheduler_stats().calls;
             engine.step(now, ev);
             if let Some((own, waiting)) = quiet {
-                let calls = engine.scheduler.stats().calls - before;
+                let calls = engine.core.scheduler_stats().calls - before;
                 assert_eq!(calls, own, "{waiting} later stages waiting at {now:?}");
                 unread += 1;
                 skipped += waiting;
             }
         }
-        assert_eq!(engine.completed, 60);
+        assert_eq!(engine.core.done(0), 60);
         assert!(
             unread > 0 && skipped > 0,
             "{unread} quiet backwards, {skipped} skipped"

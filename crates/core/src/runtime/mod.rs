@@ -36,7 +36,11 @@
 //! `StageWorker::step` is one turn of the Algorithm 1 loop up to — not
 //! including — the blocking receive: cut a checkpoint, inject, drain the
 //! delivered messages, run one backward or one admissible forward, and
-//! say whether a task ran. The thread is "`step` until nothing is
+//! say whether a task ran. The loop's bookkeeping (registration, queues,
+//! `L_f`, the window and checkpoint-epoch barrier, the writer marks, the
+//! stall/bubble class of a wait) is a one-stage `crate::stage::StageCore`,
+//! the same core the DES drives over all its stages; the worker keeps its
+//! channels, parameters, checkpoints and loss targets. The thread is "`step` until nothing is
 //! runnable, then block for one message"; the last stage spends what
 //! would be that wait synthesizing upcoming loss targets. A backward
 //! hands its input gradient upstream before its weight half (`dL/dW` and
@@ -621,6 +625,25 @@ mod tests {
             "the telemetry hub already holds another run's samples"
         );
         assert!(with_hub(TelemetryHub::new(3, 0)).run().is_ok());
+    }
+
+    #[test]
+    fn an_unbounded_window_trains_the_sequential_result() {
+        // `u64::MAX` passes `validate`: every window end saturates at the
+        // stream's length instead of overflowing (a debug build panicked
+        // in the last stage's target window before).
+        let space = SearchSpace::uniform(Domain::Nlp, 4, 3);
+        let list = UniformSampler::new(&space, 6).take_subnets(6);
+        let want = crate::train::sequential_training(&space, &list, &TrainConfig::default());
+        for gpus in [2, 3] {
+            let run = RunSpec {
+                window: u64::MAX,
+                ..RunSpec::new(&space, list.clone(), TrainConfig::default(), gpus)
+            }
+            .run()
+            .unwrap_or_else(|e| panic!("{gpus} stages: {e}"));
+            assert_eq!(run.result.final_hash, want.final_hash, "{gpus} stages");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::checkpoint::{Checkpoint, CheckpointStore, StageSnapshot};
 use crate::fault::{FaultInjector, FaultKind, FaultSite, MAX_RETRIES};
 use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
-use crate::scheduler::{CspScheduler, Pick, StageQueues, SubnetTable};
-use crate::task::{FinishedSet, StageId, TaskKind};
+use crate::stage::{Injection, Pick, StageCore};
+use crate::task::{StageId, TaskKind};
 use crate::train::TrainConfig;
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
@@ -65,72 +65,6 @@ pub(super) enum Halt {
 impl From<TrainError> for Halt {
     fn from(err: TrainError) -> Self {
         Halt::Failed(err)
-    }
-}
-
-/// The last completed backward — `(subnet, its span, its end µs)` — per
-/// owned `(block, choice)` layer: what names the binding CSP writer of a
-/// later forward, and the layers a checkpoint cut copies into its spare
-/// snapshot. One slot per owned layer, so a lookup costs the
-/// forward's slice layers and the whole table is bounded by the stage's
-/// share of the supernet, however many subnets finish.
-struct LastWriters {
-    first_block: usize,
-    // slots[block - first_block][choice]
-    slots: Vec<Vec<Option<(u64, SpanId, u64)>>>,
-}
-
-impl LastWriters {
-    /// Empty slots for the blocks from `first_block` on, `choices[i]`
-    /// candidates in the `i`-th of them.
-    fn new(first_block: usize, choices: &[u32]) -> Self {
-        Self {
-            first_block,
-            slots: choices.iter().map(|&c| vec![None; c as usize]).collect(),
-        }
-    }
-
-    /// `subnet`'s activated layers among the owned blocks, as slot
-    /// coordinates.
-    fn owned_layers<'a>(&self, subnet: &'a Subnet) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let first = self.first_block;
-        (first..first + self.slots.len())
-            .filter(|&b| !subnet.skips(b))
-            .map(move |b| (b - first, subnet.layer(b).choice as usize))
-    }
-
-    /// Notes that `subnet`'s backward (span `span`) wrote its owned
-    /// layers at `end_us`.
-    fn record(&mut self, subnet: &Subnet, span: SpanId, end_us: u64) {
-        for (b, c) in self.owned_layers(subnet) {
-            self.slots[b][c] = Some((subnet.seq_id().0, span, end_us));
-        }
-    }
-
-    /// The owned layers, as slot coordinates, whose last writer is
-    /// `watermark` or above: every layer a backward wrote since the cut
-    /// at `watermark`, provided no write since then predates the slots
-    /// (a respawned worker's start from its resume cut).
-    fn written_since(&self, watermark: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.slots.iter().enumerate().flat_map(move |(b, block)| {
-            let since = move |(c, slot): (usize, &Option<(u64, SpanId, u64)>)| {
-                slot.is_some_and(|(x, _, _)| x >= watermark)
-                    .then_some((b, c))
-            };
-            block.iter().enumerate().filter_map(since)
-        })
-    }
-
-    /// The latest-finishing earlier writer of any layer `subnet` is
-    /// about to read. Under CSP every slot `subnet` reads was last
-    /// written by a subnet below it (a higher one sharing the layer is
-    /// not admissible before `subnet` finishes here), so this is the
-    /// writer a scan of every finished backward would name.
-    fn latest(&self, subnet: &Subnet) -> Option<(u64, SpanId, u64)> {
-        self.owned_layers(subnet)
-            .filter_map(|(b, c)| self.slots[b][c])
-            .inspect(|&(x, _, _)| debug_assert!(x < subnet.seq_id().0, "CSP: writer above reader"))
-            .max_by_key(|&(x, _, end)| (end, x))
     }
 }
 
@@ -282,15 +216,10 @@ pub(super) struct StageWorker<'a> {
     rx: Receiver<Msg>,
     next_tx: Option<Sender<Msg>>,
     prev_tx: Option<Sender<Msg>>,
-    // Queued work, each entry tagged with the producing span; a forward
+    // This stage's queues, `L_SN` as it sees it, its `L_f` and writer
+    // marks. Queued work is tagged with the producing span; a forward
     // also with its wall-clock arrival (for causal-edge binding).
-    queues: StageQueues<(Tensor, SpanId, u64), (Tensor, SpanId)>,
-    // `L_SN` as this stage sees it: every subnet up to the highest one
-    // queued here (`registered` is the next to add, at stage 0 also the
-    // next to inject) that has not yet finished here.
-    table: SubnetTable,
-    registered: u64,
-    scheduler: CspScheduler,
+    core: StageCore<(Tensor, SpanId, u64), (Tensor, SpanId)>,
     ctxs: BTreeMap<u64, ForwardCtx>,
     // The last stage's loss targets synthesized in idle time, each
     // waiting for its subnet's forward: at most `window` of them. They
@@ -298,16 +227,8 @@ pub(super) struct StageWorker<'a> {
     // target waiting or its forward done here.
     targets: BTreeMap<u64, Tensor>,
     next_target: u64,
-    // `L_f` per stage, of which this stage writes and reads its own: under
-    // the run's one partition every earlier sharer of a slice layer
-    // writes it here.
-    finished: Vec<FinishedSet>,
-    finished_count: u64,
     losses: BTreeMap<u64, f32>,
     tracer: SpanTracer,
-    // The CSP admission cause of a forward is the latest of its layers'
-    // last writers.
-    writers: LastWriters,
     next_ckpt: u64,
     tasks: Vec<TaskRecord>,
 }
@@ -345,10 +266,12 @@ impl<'a> StageWorker<'a> {
             None => (Vec::new(), ctx.train.engine(), BTreeMap::new()),
         };
         let resume_w = inc.watermark;
-        let mut finished = vec![FinishedSet::new(); ctx.gpus() as usize];
-        for y in 0..resume_w {
-            finished[stage].insert(SubnetId(y));
-        }
+        // Under the run's one partition every earlier sharer of a slice
+        // layer writes it here, so this stage's `L_f` is all it reads.
+        let (k, gpus) = (stage as u32, ctx.gpus());
+        let window = Injection::Window(ctx.window);
+        let core = StageCore::new(k..k + 1, gpus, &ctx.choices, true, window, ctx.total())
+            .resumed_at(resume_w, ctx.ckpt_interval);
         // Distinct id namespace per (incarnation, stage) so the merged
         // trace never collides.
         let namespace = u64::from(inc.number) * u64::from(ctx.gpus()) + stage as u64;
@@ -356,22 +279,16 @@ impl<'a> StageWorker<'a> {
             ctx,
             inc,
             stage,
-            writers: LastWriters::new(blocks.start, &ctx.choices[blocks.clone()]),
             blocks,
             engine,
             params,
             rx,
             next_tx,
             prev_tx,
-            queues: StageQueues::new(true),
-            table: SubnetTable::new(),
-            registered: resume_w,
-            scheduler: CspScheduler::new(),
+            core,
             ctxs: BTreeMap::new(),
             targets: BTreeMap::new(),
             next_target: resume_w,
-            finished,
-            finished_count: resume_w,
             losses,
             tracer: SpanTracer::with_namespace(namespace),
             next_ckpt: resume_w + ctx.ckpt_interval,
@@ -410,23 +327,17 @@ impl<'a> StageWorker<'a> {
         &self.params[layer.block as usize - self.blocks.start][layer.choice as usize]
     }
 
-    /// This stage's finished list.
-    fn done(&self) -> &FinishedSet {
-        &self.finished[self.stage]
+    /// The stage as the core numbers it.
+    fn k(&self) -> u32 {
+        self.stage as u32
     }
 
-    /// Queues `y`'s forward after registering every subnet up to `y` in
-    /// the table: injection runs in ID order, so each earlier one is
-    /// already in flight or done, and its pending writes bind `y`.
-    fn queue_forward(&mut self, y: SubnetId, input: Tensor, src: SpanId, arrival_us: u64) {
-        while self.registered <= y.0 {
-            let subnet = self.ctx.subnets[self.registered as usize].clone();
-            self.table
-                .insert(subnet, self.ctx.partition.clone())
-                .expect("registered in ID order");
-            self.registered += 1;
-        }
-        self.queues.push_forward(y, (input, src, arrival_us));
+    /// Queues `y`'s forward, registering every subnet up to it first.
+    fn deliver_forward(&mut self, y: SubnetId, payload: (Tensor, SpanId, u64)) {
+        let ctx = self.ctx;
+        let entry = |id: SubnetId| (ctx.subnets[id.0 as usize].clone(), ctx.partition.clone());
+        self.core.register_through(y, entry);
+        self.core.deliver_forward(self.k(), y, payload);
     }
 
     /// Feeds `event` to the shared invariant checker, if one is active.
@@ -599,7 +510,7 @@ impl<'a> StageWorker<'a> {
                 },
                 RecvTimeoutError::Timeout => TrainError::Timeout {
                     stage,
-                    task: self.done().first_unfinished().0,
+                    task: self.core.first_unfinished(self.k()).0,
                     cause: None,
                 },
             })
@@ -615,8 +526,8 @@ impl<'a> StageWorker<'a> {
         self.transient_fault(FaultSite::Recv, y, kind, "inbound")?;
         let now = self.now_us();
         match kind {
-            TaskKind::Forward => self.queue_forward(y, payload, src, now),
-            TaskKind::Backward => self.queues.push_backward(y, (payload, src)),
+            TaskKind::Forward => self.deliver_forward(y, (payload, src, now)),
+            TaskKind::Backward => self.core.deliver_backward(self.k(), y, (payload, src)),
         }
         self.sample_queue_depth();
         Ok(())
@@ -639,11 +550,8 @@ impl<'a> StageWorker<'a> {
     }
 
     fn sample_queue_depth(&self) {
-        self.ctx.hub.observe(
-            self.stage as u32,
-            Sample::QueueDepth,
-            self.queues.len() as u64,
-        );
+        let depth = self.core.depth(self.k());
+        self.ctx.hub.observe(self.k(), Sample::QueueDepth, depth);
     }
 
     /// µs since the run's epoch at `at`.
@@ -691,21 +599,21 @@ impl<'a> StageWorker<'a> {
 
     /// Snapshots this stage's state into the checkpoint store when its
     /// finished prefix reaches the next watermark boundary. Thanks to
-    /// the injection barrier in [`try_inject`](Self::try_inject), at
+    /// the core's injection barrier, at
     /// that moment the stage's state is *exactly* the sequential state
     /// after `next_ckpt` subnets — no task of any later subnet has run
     /// anywhere — which the `debug_assert`s below audit.
     ///
     /// The snapshot refills this stage's spare — its snapshot of a
     /// retired cut at `Ws` — with only the layers written since `Ws`
-    /// (the last-writer slots name them), and is a fresh clone only when
+    /// (the core's writer marks name them), and is a fresh clone only when
     /// there is no spare at or above the incarnation's resume watermark.
     fn maybe_checkpoint(&mut self) {
         let ctx = self.ctx;
         let Some(store) = &ctx.ckpts else {
             return;
         };
-        let prefix = self.done().first_unfinished().0;
+        let prefix = self.core.first_unfinished(self.k()).0;
         if self.next_ckpt <= prefix {
             debug_assert_eq!(
                 prefix, self.next_ckpt,
@@ -713,11 +621,13 @@ impl<'a> StageWorker<'a> {
                 self.stage
             );
             debug_assert!(self.ctxs.is_empty(), "in-flight forward at watermark");
-            debug_assert!(self.queues.is_empty(), "queued task at watermark");
+            debug_assert_eq!(self.core.depth(self.k()), 0, "queued task at watermark");
             let snap_start = elapsed_us(ctx.epoch);
             let snapshot = match store.take_spare(self.stage, self.inc.watermark) {
                 Some((since, mut spare)) => {
-                    let written = self.writers.written_since(since);
+                    let written = self
+                        .core
+                        .written_since(self.k(), since, self.blocks.clone());
                     spare.refill(&self.params, written, &self.engine, &self.losses);
                     debug_assert!(
                         spare.params == self.params,
@@ -792,9 +702,10 @@ impl<'a> StageWorker<'a> {
             CauseKind::ActivationArrival
         };
         let mut cause = (src, arrival_kind, arrival_us);
-        if let Some((x, wspan, wend)) = self.writers.latest(subnet) {
-            if wend > cause.2 {
-                cause = (wspan, CauseKind::CspWriterCompletion { writer: x }, wend);
+        if let Some(w) = self.core.last_writer(self.k(), y) {
+            if w.at > cause.2 {
+                let writer = w.writer;
+                cause = (w.span, CauseKind::CspWriterCompletion { writer }, w.at);
             }
         }
         // The last stage: the loss closes the forward pass, against the
@@ -816,7 +727,7 @@ impl<'a> StageWorker<'a> {
         match loss_grad {
             // The gradient "arrives" from the local loss computation.
             Some(grad) => {
-                self.queues.push_backward(y, (grad, span));
+                self.core.deliver_backward(self.k(), y, (grad, span));
                 self.sample_queue_depth();
             }
             None => self.hand_off(TaskKind::Forward, y, out, span)?,
@@ -857,55 +768,34 @@ impl<'a> StageWorker<'a> {
         let end = self.now_us();
         let update = self.emit_span(SpanKind::Update, y, (resumed, end), None);
         self.complete_task(TaskKind::Backward, y, (start, end));
-        self.writers
-            .record(&self.ctx.subnets[y.0 as usize], update, end);
-        self.finished[self.stage].insert(y);
-        self.finished_count += 1;
-        self.table.retire_below(self.done().first_unfinished());
+        self.core.finished(self.k(), y, Some((update, end)));
         Ok(())
     }
 
-    fn try_inject(&mut self) {
-        debug_assert_eq!(self.stage, 0);
-        while self.registered < self.ctx.total()
-            && self.registered - self.finished_count < self.ctx.window
-        {
-            // Injection barrier (no-op when checkpointing is off): a
-            // subnet enters the pipeline only once the finished prefix
-            // has reached the start of its checkpoint epoch, so every
-            // watermark is a consistent cut (no task past it exists
-            // anywhere before all stages snapshot it). Stage 0's
-            // backward is the causally last task of each subnet to start,
-            // so its prefix IS the global watermark: a later stage may
-            // still be in the weight half of its own backward, but it
-            // takes no other task, and cuts, before that is done.
-            if let Some(epochs) = self.registered.checked_div(self.ctx.ckpt_interval) {
-                let epoch_start = epochs * self.ctx.ckpt_interval;
-                if epoch_start > self.done().first_unfinished().0 {
-                    break;
-                }
-            }
-            let y = SubnetId(self.registered);
+    /// Injects what the core admits. Stage 0's prefix is the global
+    /// watermark: a later stage may still be in the weight half of its own
+    /// backward, but takes no other task, and cuts, before that is done.
+    fn inject(&mut self) {
+        for y in self.core.injectable().map(SubnetId) {
             let input = self.ctx.data.input(y.0);
             let now = self.now_us();
-            self.queue_forward(y, input, SpanId::EXTERNAL, now);
+            self.deliver_forward(y, (input, SpanId::EXTERNAL, now));
             self.sample_queue_depth();
         }
     }
 
     /// Idle time at the last stage: synthesizes the loss target of the
-    /// lowest in-flight subnet (at most `window` above the finished
-    /// prefix) that has neither a target prepared nor its forward done
-    /// here. `false` when there is none, or this is not the last stage.
+    /// lowest subnet in the core's window above the finished prefix that
+    /// has neither a target prepared nor its forward done here. `false`
+    /// when there is none, or this is not the last stage.
     fn prepare_target(&mut self) -> bool {
         if self.next_tx.is_some() {
             return false;
         }
-        let done = &self.finished[self.stage];
-        let end = (done.first_unfinished().0 + self.ctx.window).min(self.ctx.total());
+        let (k, end) = (self.k(), self.core.window(self.k()).end);
         // Past the forwards that ran on a miss.
         let mut y = self.next_target;
-        while y < end && (done.contains(SubnetId(y)) || self.ctxs.contains_key(&y)) {
+        while y < end && (self.core.is_finished(k, SubnetId(y)) || self.ctxs.contains_key(&y)) {
             y += 1;
         }
         self.next_target = y;
@@ -932,9 +822,9 @@ impl<'a> StageWorker<'a> {
         // provably empty, and injection must not race the cut.
         self.maybe_checkpoint();
         if self.stage == 0 {
-            self.try_inject();
+            self.inject();
         }
-        let stage = StageId(self.stage as u32);
+        let stage = self.k();
         loop {
             // Pull every delivered message before picking work, so a
             // burst shows up in the queue-depth metrics and a delivered
@@ -942,17 +832,14 @@ impl<'a> StageWorker<'a> {
             self.drain_inbound()?;
             self.sample_queue_depth();
             // The lowest-ID backward, else the lowest-ID admissible forward.
-            let pick = self
-                .queues
-                .pick(&mut self.scheduler, &self.finished, &self.table, stage);
-            match pick {
+            match self.core.pick(stage) {
                 Pick::Backward {
                     id,
                     payload: (grad, src),
                     preempted,
                 } => {
                     if preempted {
-                        self.ctx.hub.record(stage.0, Counter::BackwardPreemption, 1);
+                        self.ctx.hub.record(stage, Counter::BackwardPreemption, 1);
                     }
                     self.run_backward(id, grad, src)?;
                 }
@@ -971,27 +858,21 @@ impl<'a> StageWorker<'a> {
     /// message whenever nothing is runnable.
     fn train(&mut self) -> Result<(), Halt> {
         self.start();
-        let stage = self.stage as u32;
-        while self.finished_count < self.ctx.total() {
+        let stage = self.k();
+        while self.core.done(stage) < self.ctx.total() {
             if self.step()? {
                 continue;
             }
-            // Idle time with work queued is a causal stall (forwards
-            // queued but none admissible); with an empty queue it is a
-            // pipeline bubble.
-            let queued = self.queues.fwd.len() as u64;
+            // Nothing runnable: whatever is queued is a blocked forward.
+            let queued = self.core.depth(stage);
             if queued > 0 {
                 self.ctx
                     .bus
                     .emit(stage, self.now_us(), RunEvent::CspStall { queued });
             }
+            let idle = self.core.idle_counter(stage);
             let waiting = Instant::now();
             let msg = self.recv_blocking()?;
-            let idle = if queued > 0 {
-                Counter::StallUs
-            } else {
-                Counter::BubbleUs
-            };
             self.ctx.hub.record(stage, idle, elapsed_us(waiting));
             self.accept_msg(msg)?;
         }
@@ -1024,12 +905,15 @@ mod tests {
     /// Whether `x`'s forward may run at `w`'s stage: no subnet below it
     /// that is unfinished there shares a layer of the stage's slice. The
     /// worker's own check before it admitted through the scheduler, kept
-    /// as an independent oracle.
+    /// as an independent oracle: it reads what finished from the stage's
+    /// backward records, not from the stage core.
     fn may_run(w: &StageWorker, x: SubnetId) -> bool {
-        let (done, subnets) = (w.done(), &w.ctx.subnets);
+        let subnets = &w.ctx.subnets;
         let reader = &subnets[x.0 as usize];
-        (done.first_unfinished().0..x.0)
-            .filter(|&v| !done.contains(SubnetId(v)))
+        let backwards = w.tasks.iter().filter(|t| t.kind == TaskKind::Backward);
+        let done: Vec<u64> = backwards.map(|t| t.subnet.0).collect();
+        (0..x.0)
+            .filter(|v| !done.contains(v))
             .all(|v| !reader.conflicts_within(w.blocks.clone(), &subnets[v as usize]))
     }
 
@@ -1071,7 +955,7 @@ mod tests {
         // task has run since: stepping one again cannot find more.
         let mut idle = vec![false; workers.len()];
         loop {
-            let runnable = |&k: &usize| !idle[k] && workers[k].finished_count < ctx.total();
+            let runnable = |&k: &usize| !idle[k] && workers[k].core.done(k as u32) < ctx.total();
             let candidates: Vec<usize> = priority.iter().copied().filter(runnable).collect();
             let Some(&first) = candidates.first() else {
                 break;
@@ -1093,7 +977,7 @@ mod tests {
             if let Some(t) = w.tasks.get(ran).filter(|t| t.kind == TaskKind::Forward) {
                 let y = t.subnet;
                 assert!(may_run(w, y), "seed {seed}: stage {k} admitted blocked {y}");
-                for &x in w.queues.fwd.ids().iter().filter(|&&x| x < y) {
+                for &x in w.core.forwards(w.k()).iter().filter(|&&x| x < y) {
                     assert!(
                         !may_run(w, x),
                         "seed {seed}: stage {k} admitted {y} over admissible {x}"
@@ -1105,7 +989,7 @@ mod tests {
         // so a full round of `false` with a stream unfinished is a deadlock.
         for (k, w) in workers.iter().enumerate() {
             assert_eq!(
-                w.finished_count,
+                w.core.done(w.k()),
                 ctx.total(),
                 "seed {seed}: stage {k} deadlocked"
             );
@@ -1182,7 +1066,7 @@ mod tests {
             w.start();
         }
         let (mut prepared, mut inline) = (0, 0);
-        while workers.iter().any(|w| w.finished_count < ctx.total()) {
+        while workers.iter().any(|w| w.core.done(w.k()) < ctx.total()) {
             let mut ran = false;
             for w in &mut workers {
                 w.targets.retain(|y, _| y % 2 == 0);
@@ -1243,55 +1127,6 @@ mod tests {
         assert!(matches!(last.step(), Ok(true)));
         let admitted: Vec<SubnetId> = last.tasks.iter().map(|t| t.subnet).collect();
         assert_eq!(admitted, [SubnetId(5)]);
-        assert_eq!(last.queues.fwd.ids(), [SubnetId(6)]);
-    }
-
-    #[test]
-    fn last_writer_slots_name_the_writer_a_full_scan_would() {
-        // A high-share stream (3 choices per block) driven through one
-        // stage's admit / finish events in a seeded CSP-legal order, with
-        // backwards completing out of sequence order. The oracle is the
-        // bookkeeping the slots replaced: every finished backward kept,
-        // all of them scanned per forward.
-        let space = SearchSpace::uniform(Domain::Nlp, 8, 3);
-        let list = UniformSampler::new(&space, 5).take_subnets(400);
-        let blocks = 2..6usize;
-        let mut slots = LastWriters::new(blocks.start, &[3; 4]);
-        let mut done: BTreeMap<u64, (SpanId, u64)> = BTreeMap::new();
-        let mut in_flight: Vec<u64> = Vec::new();
-        let mut rng = naspipe_supernet::rng::DetRng::new(17);
-        let mut tracer = SpanTracer::new();
-        let (mut next, mut now, mut named) = (0u64, 0u64, 0u32);
-        while done.len() < list.len() {
-            now += 1 + rng.next_below(5);
-            let y = &list[(next as usize).min(list.len() - 1)];
-            let admissible = next < list.len() as u64
-                && in_flight.len() < 12
-                && in_flight
-                    .iter()
-                    .all(|&x| !y.conflicts_within(blocks.clone(), &list[x as usize]));
-            if admissible && (in_flight.is_empty() || rng.next_below(3) > 0) {
-                let scan = done
-                    .iter()
-                    .filter(|(&x, _)| x < next)
-                    .filter(|(&x, _)| y.conflicts_within(blocks.clone(), &list[x as usize]))
-                    .max_by_key(|(_, &(_, end))| end)
-                    .map(|(&x, &(span, end))| (x, span, end));
-                assert_eq!(slots.latest(y), scan, "forward of SN{next}");
-                named += u32::from(scan.is_some());
-                in_flight.push(next);
-                next += 1;
-            } else {
-                let x = in_flight.swap_remove(rng.index(in_flight.len()));
-                let span = tracer.emit(SpanDraft::new(0, SpanKind::Backward, now, now));
-                slots.record(&list[x as usize], span, now);
-                done.insert(x, (span, now));
-            }
-        }
-        assert!(named > 300, "the stream must share layers, named {named}");
-        // 400 backwards later the table is what it was sized as: one slot
-        // per owned layer.
-        let slot_count: usize = slots.slots.iter().map(Vec::len).sum();
-        assert_eq!(slot_count, 4 * 3);
+        assert_eq!(last.core.forwards(1), [SubnetId(6)]);
     }
 }

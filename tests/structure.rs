@@ -1,7 +1,7 @@
 //! The workspace's structural rules, checked on its own sources.
 //!
 //! Each rule is a design decision an earlier change paid for (one JSON
-//! codec, one event fan-out, one way to start a run, one Algorithm 2,
+//! codec, one event fan-out, one way to start a run, one stage core,
 //! ...), written as names that must not appear in the files it names
 //! (or outside one function of a file, or that must appear in one), or,
 //! for the public surface, as a per-crate count of `pub` names that no
@@ -907,16 +907,36 @@ mod rules {
         )
     }
 
-    pub fn one_algorithm_2(root: &Path) -> Result<(), String> {
+    pub fn one_stage_core(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
+        let mut engines = scan.file("crates/core/src/pipeline.rs");
+        engines.extend(scan.file("crates/core/src/runtime/worker.rs"));
+        let engines: Vec<_> = engines.iter().map(Source::before_tests).collect();
+        scan.forbid(
+            &engines,
+            &[
+                r"\bCspScheduler\b",
+                r"\bSubnetTable\b",
+                r"\bFinishedSet\b",
+                r"\bStageQueues\b",
+                r"\bLastWriters\b",
+                r"\bWriterDone\b",
+                r"\bbwd_done\b",
+                r"\bfn try_inject\b",
+            ],
+        );
         let runtime = scan.tree(&["crates/core/src/runtime"], false);
         scan.forbid(&runtime, &[r"fn admissible\b", "unfinished_below"]);
         scan.verdict(
-            "one Algorithm 2 (commit 29904b1): both engines admit forwards through \
-             scheduler::StageQueues::pick over CspScheduler::schedule. A private admission \
-             check in the runtime (the arrival-order scan over \
-             FinishedSet::unfinished_below it once had) let a higher ID run ahead of an \
-             admissible lower one.",
+            "one stage core (One stage core for both engines): the DES and the stage worker \
+             drive one crate::stage::StageCore, which owns the subnet table, the queues, \
+             the finished lists, the scheduler, injection and the writer marks; a second \
+             copy of that bookkeeping in an engine is a second place for the two to \
+             diverge. It holds one Algorithm 2 (commit \
+             29904b1): forwards are admitted through StageCore::pick over \
+             CspScheduler::schedule, and a private admission check in the runtime (the \
+             arrival-order scan over FinishedSet::unfinished_below it once had) let a higher \
+             ID run ahead of an admissible lower one.",
         )
     }
 }
@@ -978,8 +998,8 @@ fn one_pricing_path() {
 }
 
 #[test]
-fn one_algorithm_2() {
-    holds(rules::one_algorithm_2);
+fn one_stage_core() {
+    holds(rules::one_stage_core);
 }
 
 #[test]
@@ -1299,4 +1319,36 @@ fn a_count_below_its_constant_asks_to_lower_it() {
         ),
         "{broken}"
     );
+}
+
+#[test]
+fn a_private_copy_of_the_stage_bookkeeping_fails() {
+    let tree = |pipeline: &str, worker: &str| {
+        fixture(
+            "stage_core",
+            &[
+                ("crates/core/src/pipeline.rs", pipeline),
+                ("crates/core/src/runtime/worker.rs", worker),
+            ],
+        )
+    };
+    let tests = "#[cfg(test)]\nmod tests {\n    fn t(t: &SubnetTable) {}\n}\n";
+    let driven = format!("fn inject(core: &mut StageCore) {{}}\n{tests}");
+    rules::one_stage_core(&tree(&driven, &driven)).expect("an engine that calls the core");
+    let copy = "struct WriterDone;\nfn try_inject(&mut self) {\n    self.table.insert(x);\n}\n";
+    let check = "fn admissible(y: u64,\n    finished: &[FinishedSet]) -> bool {\n    true\n}\n";
+    let broken = rules::one_stage_core(&tree(copy, &format!("{check}{tests}"))).unwrap_err();
+    assert!(
+        broken.contains("One stage core for both engines"),
+        "{broken}"
+    );
+    for needle in [
+        "crates/core/src/pipeline.rs:1: `\\bWriterDone\\b`",
+        "crates/core/src/pipeline.rs:2: `\\bfn try_inject\\b`",
+        "crates/core/src/runtime/worker.rs:1: `fn admissible\\b`",
+        "crates/core/src/runtime/worker.rs:2: `\\bFinishedSet\\b`",
+    ] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
+    assert!(!broken.contains("SubnetTable"), "{broken}");
 }
