@@ -58,13 +58,7 @@ pub fn estimate(
         microbatches <= batch,
         "cannot split {batch} samples into {microbatches}"
     );
-    let reference = space
-        .id()
-        .map(|id| id.default_batch())
-        .unwrap_or(match space.domain() {
-            naspipe_supernet::layer::Domain::Nlp => 192,
-            naspipe_supernet::layer::Domain::Cv => 64,
-        });
+    let reference = space.domain().default_batch();
     let micro = batch / microbatches;
     let profile = ProfiledSpace::new(space, reference);
 

@@ -15,7 +15,7 @@ use naspipe_core::pipeline::SimSpec;
 use naspipe_core::train::{replay_training, TrainConfig};
 use naspipe_obs::{
     export_chrome, Counter, MetricsRecorder, NullTracer, Recorder, RunMeta, Sample, SpanDraft,
-    SpanId, SpanTrace, SpanTracer, Tracer, Watchdog, WatchdogConfig,
+    SpanId, SpanTrace, SpanTracer, Tracer, Watchdog,
 };
 use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -181,7 +181,7 @@ fn bench_watchdog_observe(c: &mut Criterion) {
                 rec.sample(k, Sample::BackwardLatencyUs, 2 * us);
             }
         }
-        let mut wd = Watchdog::new(stages as usize, WatchdogConfig::default());
+        let mut wd = Watchdog::new(stages as usize);
         let mut at = 0;
         c.bench_function(&format!("watchdog_observe/{stages}_stages"), |b| {
             b.iter(|| {

@@ -1,76 +1,8 @@
 //! Pipeline configuration: synchronisation policy and tunables.
 
 use crate::scheduler::DEFAULT_WINDOW;
-use naspipe_obs::WatchdogConfig;
+pub use naspipe_obs::DiagnosticsOptions;
 use naspipe_supernet::space::SearchSpace;
-
-/// Diagnosis-layer knobs shared by both engines: the always-on flight
-/// recorder, the progress watchdog and the ops plane.
-///
-/// None of these may ever change training results or schedules: they
-/// only observe (proven by the bitwise-equal run tests). Perturbing the
-/// DES's timing is the cost hook's job (`SimSpec::cost`).
-#[derive(Debug, Clone)]
-pub struct DiagnosticsOptions {
-    /// Master switch for the flight recorder + watchdog. On by default
-    /// (the subsystems are designed to be always-on and lock-light).
-    pub enabled: bool,
-    /// Write a `.flight.json` dump to this path at end of run (dumps on
-    /// faults and watchdog trips also use it). `None` disables dumping;
-    /// recording still happens.
-    pub flight_dump: Option<String>,
-    /// Watchdog detector thresholds.
-    pub watchdog: WatchdogConfig,
-    /// Live ops-plane state ([`/status`](naspipe_obs::ops::OpsState),
-    /// journal, readiness). `Some` makes its journal the one the run's
-    /// events land in (`None`: a private one that only mirrors warnings
-    /// to stderr) and publishes phase, totals, checkpoint cuts and the
-    /// per-stage CSP watermarks to the HTTP surface. Observation only —
-    /// never affects results.
-    pub ops: Option<std::sync::Arc<naspipe_obs::OpsState>>,
-}
-
-impl Default for DiagnosticsOptions {
-    fn default() -> Self {
-        DiagnosticsOptions {
-            enabled: true,
-            flight_dump: None,
-            watchdog: WatchdogConfig::default(),
-            ops: None,
-        }
-    }
-}
-
-impl PartialEq for DiagnosticsOptions {
-    fn eq(&self, other: &Self) -> bool {
-        let ops_eq = match (&self.ops, &other.ops) {
-            (None, None) => true,
-            (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        self.enabled == other.enabled
-            && self.flight_dump == other.flight_dump
-            && self.watchdog == other.watchdog
-            && ops_eq
-    }
-}
-
-impl DiagnosticsOptions {
-    /// Disables the flight recorder and watchdog entirely (the
-    /// bitwise-equal tests compare against this).
-    pub fn disabled() -> Self {
-        DiagnosticsOptions {
-            enabled: false,
-            ..DiagnosticsOptions::default()
-        }
-    }
-
-    /// Attaches the live ops-plane state (builder-style).
-    pub fn with_ops(mut self, ops: std::sync::Arc<naspipe_obs::OpsState>) -> Self {
-        self.ops = Some(ops);
-        self
-    }
-}
 
 /// The synchronisation discipline a pipeline run enforces (Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

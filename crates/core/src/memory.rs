@@ -169,7 +169,10 @@ pub fn plan(
     }
     let free = available - param_per_gpu;
     let raw = (free / act_per_sample.max(1)) as u32;
-    let cap = space.id().map(|id| id.default_batch()).unwrap_or(u32::MAX);
+    // Unnamed spaces have no Table 2 batch to stop at.
+    let cap = space
+        .id()
+        .map_or(u32::MAX, |id| id.domain().default_batch());
     let batch = raw.min(cap).max(1);
     let batch = if batch >= 8 { batch / 8 * 8 } else { batch };
     MemoryPlan {
@@ -270,7 +273,7 @@ mod tests {
                 .verdict
                 .batch()
                 .unwrap();
-            assert_eq!(batch, id.default_batch(), "{id}");
+            assert_eq!(batch, id.domain().default_batch(), "{id}");
         }
     }
 

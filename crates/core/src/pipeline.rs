@@ -28,15 +28,15 @@ use crate::stage::{Injection, Pick, StageCore};
 use crate::task::{StageId, TaskKind};
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
-    BusConfig, CausalEdge, CauseKind, Counter, CspChecker, EventBus, MetricsRecorder,
-    MetricsSnapshot, ObsReport, Recorder, RunEvent, RunMeta, Sample, SpanDraft, SpanId, SpanKind,
-    SpanTrace, SpanTracer, TelemetryOptions, Tracer,
+    CausalEdge, CauseKind, Counter, CspChecker, EventBus, MetricsRecorder, MetricsSnapshot,
+    ObsReport, Recorder, RunEvent, RunMeta, Sample, SpanDraft, SpanId, SpanKind, SpanTrace,
+    SpanTracer, TelemetryOptions, Tracer,
 };
 use naspipe_sim::cluster::Cluster;
 use naspipe_sim::event::EventQueue;
 use naspipe_sim::gpu::GpuId;
 use naspipe_sim::time::{SimDuration, SimTime};
-use naspipe_supernet::layer::{Domain, LayerRef};
+use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::profile::ProfiledSpace;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
@@ -386,14 +386,6 @@ impl Cadence {
     }
 }
 
-/// Reference pipeline batch of a space's domain when the space is unnamed.
-fn domain_reference_batch(domain: Domain) -> u32 {
-    match domain {
-        Domain::Nlp => 192,
-        Domain::Cv => 64,
-    }
-}
-
 /// The non-skipped layers of `entry`'s stage-`k` slice, in block order.
 fn slice_layers(entry: &SubnetEntry, k: u32) -> impl Iterator<Item = LayerRef> + '_ {
     entry
@@ -468,10 +460,7 @@ impl<'a> Engine<'a> {
                 }
             }
         };
-        let reference_batch = space
-            .id()
-            .map(|id| id.default_batch())
-            .unwrap_or_else(|| domain_reference_batch(space.domain()));
+        let reference_batch = space.domain().default_batch();
 
         let mode = match config.policy {
             SyncPolicy::Csp { mirroring, .. } if mirroring => PartitionMode::Mirrored,
@@ -553,16 +542,7 @@ impl<'a> Engine<'a> {
             // re-verify every admission against it.
             checker: (cfg!(debug_assertions) && use_csp).then(CspChecker::new),
             tracer,
-            bus: EventBus::new(BusConfig {
-                engine: "des",
-                stages: d,
-                enabled: config.diagnostics.enabled,
-                watchdog: &config.diagnostics.watchdog,
-                flight_dump: config.diagnostics.flight_dump.as_deref(),
-                ops: config.diagnostics.ops.as_ref(),
-                telemetry,
-                wall_clock: false,
-            }),
+            bus: EventBus::new("des", d, &config.diagnostics, telemetry, false),
             telemetry: telemetry.map(|t| Cadence::new(t.interval_us())),
             watchdog: (config.diagnostics.enabled)
                 .then(|| Cadence::new(DEFAULT_SAMPLE_INTERVAL_US)),

@@ -446,6 +446,30 @@ impl GateReport {
         );
         out
     }
+
+    /// The `replay-check --explain` analysis of the report: each
+    /// divergence under its case, whole (a divergent task keeps its
+    /// `golden:` and `fresh :` lines), then the verdict and what to do.
+    pub fn explain(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from("doctor: replay-check failure analysis\n");
+        for case in &self.cases {
+            for d in &case.divergences {
+                let d = d.to_string().replace('\n', "\n  ");
+                let _ = writeln!(out, "  case {}: {d}", case.name);
+            }
+        }
+        if self.ok() {
+            out.push_str("  (no case diverged)\n");
+        }
+        out.push_str(
+            "dominant delta: determinism (behavioral divergence, not throughput)\n\
+             hint: the `golden:` and `fresh :` lines show where the two runs part, and a \
+             failed check names its rule - re-record with `naspipe replay-check --bless` \
+             only if the behavior change is intended\n",
+        );
+        out
+    }
 }
 
 /// Bitwise digest of a loss sequence: order, steps, and exact f32 bits
@@ -1505,6 +1529,43 @@ mod tests {
             .iter()
             .any(|d| matches!(d, Divergence::Policy { check, .. }
                 if check.starts_with("golden-"))));
+    }
+
+    #[test]
+    fn explain_names_every_divergence_whole() {
+        let report = GateReport {
+            cases: vec![
+                CaseReport {
+                    name: "a".into(),
+                    checks_passed: 9,
+                    divergences: vec![Divergence::FirstDivergentTask {
+                        index: 7,
+                        line: 40,
+                        golden: Some("F SN1 stage 0".into()),
+                        fresh: None,
+                    }],
+                },
+                CaseReport {
+                    name: "b".into(),
+                    checks_passed: 2,
+                    divergences: vec![Divergence::Policy {
+                        check: "golden-csp-order",
+                        detail: "SN3 admitted early".into(),
+                    }],
+                },
+            ],
+        };
+        let text = report.explain();
+        for line in [
+            "  case a: first divergent task: #7 (golden line 40)",
+            "      golden: F SN1 stage 0",
+            "      fresh : <no task — fresh run ended early>",
+            "  case b: golden-csp-order check failed: SN3 admitted early",
+            "dominant delta: determinism (behavioral divergence, not throughput)",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line:?} in\n{text}");
+        }
+        assert!(GateReport::default().explain().contains("no case diverged"));
     }
 
     #[test]

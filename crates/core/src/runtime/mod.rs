@@ -105,7 +105,7 @@ use crate::fault::{FaultPlan, FiredFault};
 use crate::pipeline::TaskRecord;
 use crate::scheduler::DEFAULT_WINDOW;
 use crate::train::{TrainConfig, TrainResult};
-use naspipe_obs::{BusConfig, EventBus, ObsReport, SpanTrace, TelemetryOptions, Violation};
+use naspipe_obs::{EventBus, ObsReport, SpanTrace, TelemetryOptions, Violation};
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::Subnet;
 use std::fmt;
@@ -477,17 +477,8 @@ impl<'a> RunSpec<'a> {
 
     /// The run's shared sinks, as the spec configures them.
     fn bus(&self) -> EventBus {
-        let diag = &self.diagnostics;
-        EventBus::new(BusConfig {
-            engine: "threaded",
-            stages: self.gpus,
-            enabled: diag.enabled,
-            watchdog: &diag.watchdog,
-            flight_dump: diag.flight_dump.as_deref(),
-            ops: diag.ops.as_ref(),
-            telemetry: self.telemetry.as_ref(),
-            wall_clock: true,
-        })
+        let telemetry = self.telemetry.as_ref();
+        EventBus::new("threaded", self.gpus, &self.diagnostics, telemetry, true)
     }
 
     /// Runs the spec under the supervisor.

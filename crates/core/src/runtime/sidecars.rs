@@ -121,7 +121,7 @@ impl Drop for DurableWriter {
 mod tests {
     use super::*;
     use crate::checkpoint::StageSnapshot;
-    use naspipe_obs::{BusConfig, RunMeta, SpanId, TelemetryHub};
+    use naspipe_obs::{RunMeta, SpanId, TelemetryHub};
     use naspipe_tensor::model::NumericSupernet;
     use std::collections::BTreeMap;
 
@@ -133,16 +133,8 @@ mod tests {
             Arc::new(TelemetryHub::new(2, 0)),
             Arc::new(naspipe_obs::Journal::new(0)),
         ));
-        let bus = EventBus::new(BusConfig {
-            engine: "threaded",
-            stages: 2,
-            enabled: true,
-            watchdog: &naspipe_obs::WatchdogConfig::default(),
-            flight_dump: None,
-            ops: Some(&state),
-            telemetry: None,
-            wall_clock: true,
-        });
+        let diag = naspipe_obs::DiagnosticsOptions::default().with_ops(Arc::clone(&state));
+        let bus = EventBus::new("threaded", 2, &diag, None, true);
         (bus, state)
     }
 

@@ -164,15 +164,50 @@ pub fn sequential_training(
 ///
 /// # Panics
 ///
-/// Panics if the outcome's tasks are inconsistent (missing forward
-/// context or boundary activation — a pipeline engine bug).
+/// Panics if the outcome's tasks cannot be replayed (a [`ReplayError`]:
+/// a pipeline engine bug).
 pub fn replay_training(
     space: &SearchSpace,
     outcome: &PipelineOutcome,
     cfg: &TrainConfig,
 ) -> TrainResult {
     replay_tasks(space, &outcome.subnets, &outcome.tasks, cfg)
+        .unwrap_or_else(|e| panic!("engine output does not replay: {e}"))
 }
+
+/// Why a task stream cannot be replayed. An engine's own output always
+/// replays; a transcript read from a file may not fit the space it is
+/// replayed on, or may be cut short. A task is named by its index in the
+/// stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// This subnet's block count or a choice does not fit the space.
+    InvalidSubnet(u64),
+    /// This task's blocks run past the space's, or, on the loss stage,
+    /// stop short of its last block.
+    Blocks(usize, std::ops::Range<usize>),
+    /// This task consumes an input no earlier task produced (or one an
+    /// earlier task already consumed).
+    MissingInput(usize, &'static str),
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::InvalidSubnet(y) => write!(f, "subnet {y} does not fit the search space"),
+            ReplayError::Blocks(task, b) => write!(
+                f,
+                "task {task}: blocks {}..{} do not fit the search space",
+                b.start, b.end
+            ),
+            ReplayError::MissingInput(task, input) => {
+                write!(f, "task {task}: no {input} to consume")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
 
 /// [`replay_training`] on the two parts of an outcome it reads: the
 /// subnets trained and their tasks in start order.
@@ -181,7 +216,10 @@ pub(crate) fn replay_tasks(
     subnets: &[Subnet],
     tasks: &[TaskRecord],
     cfg: &TrainConfig,
-) -> TrainResult {
+) -> Result<TrainResult, ReplayError> {
+    if let Some(bad) = subnets.iter().find(|s| !s.is_valid_for(space)) {
+        return Err(ReplayError::InvalidSubnet(bad.seq_id().0));
+    }
     pool::with_threads(cfg.threads, || {
         let mut store = ParamStore::init(space, cfg.dim, cfg.seed);
         let mut engine = cfg.engine();
@@ -197,17 +235,22 @@ pub(crate) fn replay_tasks(
         let mut ctxs: BTreeMap<(u64, u32), ForwardCtx> = BTreeMap::new();
         let mut losses: BTreeMap<u64, f32> = BTreeMap::new();
 
-        for task in tasks {
+        for (i, task) in tasks.iter().enumerate() {
             let y = task.subnet.0;
             let k = task.stage.0;
-            let subnet = arch[&y];
+            let missing = |input| ReplayError::MissingInput(i, input);
+            let loss_stage = task.kind == TaskKind::Backward && k == last_stage;
+            if task.blocks.end > m || (loss_stage && task.blocks.end != m) {
+                return Err(ReplayError::Blocks(i, task.blocks.clone()));
+            }
+            let subnet = *arch.get(&y).ok_or(missing("declared subnet"))?;
             match task.kind {
                 TaskKind::Forward => {
                     let input = if k == 0 {
                         data.input(y)
                     } else {
                         acts.remove(&(y, k - 1))
-                            .expect("boundary activation present")
+                            .ok_or(missing("boundary activation"))?
                     };
                     let (output, ctx) = engine.forward_slice(
                         |l| store.layer(l),
@@ -219,9 +262,8 @@ pub(crate) fn replay_tasks(
                     ctxs.insert((y, k), ctx);
                 }
                 TaskKind::Backward => {
-                    let grad_out = if k == last_stage {
-                        let output = acts.remove(&(y, k)).expect("last-stage output present");
-                        debug_assert_eq!(task.blocks.end, m, "last stage covers final block");
+                    let grad_out = if loss_stage {
+                        let output = acts.remove(&(y, k)).ok_or(missing("last-stage output"))?;
                         let target = data.target_of(&data.input(y));
                         let (loss, grad) = naspipe_tensor::loss::mse(&output, &target);
                         losses.insert(y, loss);
@@ -230,9 +272,9 @@ pub(crate) fn replay_tasks(
                         acts.remove(&(y, k));
                         grads
                             .remove(&(y, k + 1))
-                            .expect("gradient from later stage")
+                            .ok_or(missing("gradient from the next stage"))?
                     };
-                    let ctx = ctxs.remove(&(y, k)).expect("forward context present");
+                    let ctx = ctxs.remove(&(y, k)).ok_or(missing("forward context"))?;
                     let (grad_in, layer_grads) =
                         engine.backward_slice(|l| store.layer(l), ctx, grad_out);
                     engine.apply(&mut store, &layer_grads);
@@ -244,11 +286,11 @@ pub(crate) fn replay_tasks(
             }
         }
 
-        TrainResult {
+        Ok(TrainResult {
             losses: losses.into_iter().collect(),
             final_hash: store.bitwise_hash(),
             store,
-        }
+        })
     })
 }
 

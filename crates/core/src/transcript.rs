@@ -311,11 +311,16 @@ impl Transcript {
 
 /// Replays a transcript numerically — identical semantics to
 /// [`crate::train::replay_training`] on the original outcome.
+///
+/// # Errors
+///
+/// A [`ReplayError`](crate::train::ReplayError) when the transcript does
+/// not fit `space` or a task's input is missing.
 pub fn replay_transcript(
     space: &naspipe_supernet::space::SearchSpace,
     transcript: &Transcript,
     cfg: &crate::train::TrainConfig,
-) -> crate::train::TrainResult {
+) -> Result<crate::train::TrainResult, crate::train::ReplayError> {
     crate::train::replay_tasks(space, &transcript.subnets, &transcript.tasks, cfg)
 }
 
@@ -359,7 +364,7 @@ mod tests {
         let t = Transcript::from_outcome(&out);
         let text = t.to_text();
         let parsed = Transcript::read(&mut text.as_bytes()).unwrap();
-        let replayed = replay_transcript(&space, &parsed, &cfg);
+        let replayed = replay_transcript(&space, &parsed, &cfg).unwrap();
         assert_eq!(direct.final_hash, replayed.final_hash);
         assert_eq!(direct.losses, replayed.losses);
     }

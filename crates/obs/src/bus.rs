@@ -38,7 +38,7 @@ use crate::ops::{OpsState, RunPhase};
 use crate::report::ObsReport;
 use crate::status;
 use crate::telemetry::{progress_line, MetricsSnapshot, TelemetryHub, TelemetryOptions};
-use crate::watchdog::{Watchdog, WatchdogConfig, WatchdogVerdict};
+use crate::watchdog::{Watchdog, WatchdogVerdict};
 use std::fmt::Display;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -99,31 +99,68 @@ pub enum RunEvent<'a> {
     RunFailed { error: &'a dyn Display },
 }
 
-/// What [`EventBus::new`] builds the shared sinks from: the fields of
-/// the engines' diagnostics and telemetry options, spelled out because
-/// this crate cannot name `naspipe-core` types.
-pub struct BusConfig<'a> {
-    /// Engine name in the run-start line (`"threaded"`, `"des"`).
-    pub engine: &'static str,
-    /// Pipeline stages (sizes the flight ring, the watchdog and a
-    /// private hub).
-    pub stages: u32,
-    /// Flight ring and watchdog on (`DiagnosticsOptions::enabled`).
+/// Diagnosis-layer knobs shared by both engines: the always-on flight
+/// recorder, the progress watchdog and the ops plane; what
+/// [`EventBus::new`] builds a run's shared sinks from. Engines take it as
+/// `naspipe_core::config::DiagnosticsOptions`.
+///
+/// None of these may ever change training results or schedules: they
+/// only observe (proven by the bitwise-equal run tests). Perturbing the
+/// DES's timing is the cost hook's job (`SimSpec::cost`).
+#[derive(Debug, Clone)]
+pub struct DiagnosticsOptions {
+    /// Master switch for the flight recorder + watchdog. On by default
+    /// (the subsystems are designed to be always-on and lock-light).
     pub enabled: bool,
-    /// Watchdog detector thresholds.
-    pub watchdog: &'a WatchdogConfig,
-    /// Where flight dumps go, when anywhere.
-    pub flight_dump: Option<&'a str>,
-    /// The caller's ops plane: its journal and the gauges `/status` reads.
-    pub ops: Option<&'a Arc<OpsState>>,
-    /// The caller's hub: snapshots are published to it and the sampled
-    /// series is embedded in the final report.
-    pub telemetry: Option<&'a TelemetryOptions>,
-    /// The threaded runtime: its stages count into a hub even when the
-    /// caller exports none (a private one is built), and a sample may
-    /// repaint the progress line. (Simulated time would repaint it
-    /// thousands of times a second.)
-    pub wall_clock: bool,
+    /// Write a `.flight.json` dump to this path at end of run (dumps on
+    /// faults and watchdog trips also use it). `None` disables dumping;
+    /// recording still happens.
+    pub flight_dump: Option<String>,
+    /// Live ops-plane state ([`/status`](crate::ops::OpsState), journal,
+    /// readiness). `Some` makes its journal the one the run's events land
+    /// in (`None`: a private one that only mirrors warnings to stderr)
+    /// and publishes phase, totals, checkpoint cuts and the per-stage CSP
+    /// watermarks to the HTTP surface. Observation only — never affects
+    /// results.
+    pub ops: Option<Arc<OpsState>>,
+}
+
+impl Default for DiagnosticsOptions {
+    fn default() -> Self {
+        DiagnosticsOptions {
+            enabled: true,
+            flight_dump: None,
+            ops: None,
+        }
+    }
+}
+
+impl PartialEq for DiagnosticsOptions {
+    fn eq(&self, other: &Self) -> bool {
+        let ops_eq = match (&self.ops, &other.ops) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        self.enabled == other.enabled && self.flight_dump == other.flight_dump && ops_eq
+    }
+}
+
+impl DiagnosticsOptions {
+    /// Disables the flight recorder and watchdog entirely (the
+    /// bitwise-equal tests compare against this).
+    pub fn disabled() -> Self {
+        DiagnosticsOptions {
+            enabled: false,
+            ..DiagnosticsOptions::default()
+        }
+    }
+
+    /// Attaches the live ops-plane state (builder-style).
+    pub fn with_ops(mut self, ops: Arc<OpsState>) -> Self {
+        self.ops = Some(ops);
+        self
+    }
 }
 
 struct Inner {
@@ -185,32 +222,46 @@ impl Inner {
 }
 
 impl EventBus {
-    /// Builds one run's shared sinks.
-    pub fn new(cfg: BusConfig<'_>) -> Self {
-        let n = cfg.stages as usize;
-        let hub = match cfg.telemetry {
+    /// Builds one run's shared sinks for `stages` pipeline stages (they
+    /// size the flight ring, the watchdog and a private hub). `engine`
+    /// names the run in its run-start line (`"threaded"`, `"des"`);
+    /// `telemetry` is the caller's hub: snapshots are published to it and
+    /// the sampled series is embedded in the final report. `wall_clock`
+    /// is the threaded runtime: its stages count into a hub even when the
+    /// caller exports none (a private one is built), and a sample may
+    /// repaint the progress line. (Simulated time would repaint it
+    /// thousands of times a second.)
+    pub fn new(
+        engine: &'static str,
+        stages: u32,
+        diag: &DiagnosticsOptions,
+        telemetry: Option<&TelemetryOptions>,
+        wall_clock: bool,
+    ) -> Self {
+        let n = stages as usize;
+        let hub = match telemetry {
             Some(t) => Some(Arc::clone(&t.hub)),
-            None => cfg.wall_clock.then(|| Arc::new(TelemetryHub::new(n, 0))),
+            None => wall_clock.then(|| Arc::new(TelemetryHub::new(n, 0))),
         };
         EventBus {
             inner: Arc::new(Inner {
-                engine: cfg.engine,
-                stages: cfg.stages,
-                flight: cfg
+                engine,
+                stages,
+                flight: diag
                     .enabled
                     .then(|| Arc::new(FlightRecorder::new(n, DEFAULT_FLIGHT_CAPACITY))),
-                dump: cfg.flight_dump.map(str::to_string),
-                journal: match cfg.ops {
+                dump: diag.flight_dump.clone(),
+                journal: match &diag.ops {
                     Some(ops) => ops.journal(),
                     None => Arc::new(Journal::new(0).with_mirror()),
                 },
                 hub,
-                exported: cfg.telemetry.is_some(),
-                progress: cfg.wall_clock && cfg.telemetry.is_some_and(|t| t.progress),
-                ops: cfg.ops.cloned(),
-                watchdog: cfg
+                exported: telemetry.is_some(),
+                progress: wall_clock && telemetry.is_some_and(|t| t.progress),
+                ops: diag.ops.clone(),
+                watchdog: diag
                     .enabled
-                    .then(|| Mutex::new((Watchdog::new(n, cfg.watchdog.clone()), Vec::new()))),
+                    .then(|| Mutex::new((Watchdog::new(n), Vec::new()))),
             }),
         }
     }
@@ -516,16 +567,12 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&dump);
-        let bus = EventBus::new(BusConfig {
-            engine: "threaded",
-            stages: 2,
+        let diag = DiagnosticsOptions {
             enabled: matches!(sinks, Sinks::Flight | Sinks::All),
-            watchdog: &WatchdogConfig::default(),
-            flight_dump: dump.to_str(),
-            ops: ops.as_ref(),
-            telemetry: ops.as_ref().map(|_| &topts),
-            wall_clock: true,
-        });
+            flight_dump: dump.to_str().map(str::to_string),
+            ops: ops.clone(),
+        };
+        let bus = EventBus::new("threaded", 2, &diag, ops.as_ref().map(|_| &topts), true);
         Rig { bus, ops, dump }
     }
 

@@ -9,11 +9,10 @@
 //! construction, the four class deltas sum to the measured makespan
 //! delta *exactly* — the invariant `repro doctor` asserts.
 //!
-//! The `explain_*` helpers turn existing gate failures into the same
-//! vocabulary: [`explain_bench_check`] renders a kernel-vs-scheduling
-//! verdict from `bench-check` rows, and [`explain_replay`] summarizes a
-//! replay-gate divergence report. Both are invoked automatically by the
-//! CLI's `--explain` flags.
+//! [`explain_bench_check`] turns a `bench-check` failure into the same
+//! vocabulary: a kernel-vs-scheduling verdict from its rows, printed by
+//! the CLI's `bench-check --explain`. (A replay-gate failure is explained
+//! beside its report type, by `naspipe_core::replay_gate`.)
 
 use crate::critical_path::{critical_path, AttrClass};
 use crate::json::{parse_json, JsonValue};
@@ -604,34 +603,6 @@ pub fn explain_bench_check(rows: &[BenchDelta]) -> String {
     out
 }
 
-/// Explains a failed replay-check: summarizes the gate's divergence
-/// report and points at the doctor workflow for the trace-level diff.
-pub fn explain_replay(report_text: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "doctor: replay-check failure analysis");
-    let mut lines = 0;
-    for line in report_text.lines() {
-        let l = line.trim();
-        if l.contains("FAIL") || l.contains("diverg") || l.contains("mismatch") {
-            let _ = writeln!(out, "  {l}");
-            lines += 1;
-        }
-    }
-    if lines == 0 {
-        let _ = writeln!(out, "  (no divergence lines found in the gate report)");
-    }
-    let _ = writeln!(
-        out,
-        "dominant delta: determinism (behavioral divergence, not throughput)"
-    );
-    let _ = writeln!(
-        out,
-        "hint: the first divergent task above names stage/subnet/kind - re-record with \
-         `naspipe replay-check --bless` only if the behavior change is intended"
-    );
-    out
-}
-
 /// Visits every object member of `value`, depth first in document
 /// order (the order a reader of the text meets the keys in).
 fn for_each_member<'a>(value: &'a JsonValue, visit: &mut impl FnMut(&'a str, &'a JsonValue)) {
@@ -731,10 +702,10 @@ pub fn flight_kind_counts(json: &str) -> Vec<(String, u64)> {
 /// output) for `naspipe doctor`: per-(level, kind) event counts in
 /// first-seen order, plus any schema violations found by the strict
 /// parser. Unparseable lines surface as problems, not a hard error —
-/// diagnosis works on whatever survived.
+/// diagnosis works on whatever survived: a torn last line (what a killed
+/// run leaves) costs that line only.
 pub fn journal_summary(text: &str) -> (Vec<(String, u64)>, Vec<String>) {
-    let problems = crate::journal::validate_journal(text);
-    let events = crate::journal::parse_journal(text).unwrap_or_default();
+    let (events, problems) = crate::journal::read_journal(text);
     let rows = tally(
         events
             .iter()
@@ -941,9 +912,31 @@ mod tests {
     }
 
     #[test]
-    fn explain_replay_surfaces_divergence_lines() {
-        let text = explain_replay("case a: FAIL first divergence at task 7\ncase b: ok");
-        assert!(text.contains("FAIL first divergence at task 7"));
-        assert!(text.contains("dominant delta: determinism"));
+    fn a_torn_last_line_costs_that_line_only() {
+        let event = |seq: u64, kind: &str| crate::journal::JournalEvent {
+            seq,
+            at_us: seq * 10,
+            level: crate::journal::JournalLevel::Info,
+            kind: kind.into(),
+            stage: None,
+            message: "m".into(),
+            fields: vec![],
+        };
+        let whole = [event(0, "run-start"), event(1, "checkpoint-cut")]
+            .iter()
+            .map(|e| e.to_json() + "\n")
+            .collect::<String>();
+        let torn = event(2, "checkpoint-cut").to_json();
+        let text = format!("{whole}{}", &torn[..torn.len() / 2]);
+        let (rows, problems) = journal_summary(&text);
+        assert_eq!(
+            rows,
+            vec![
+                ("info run-start".to_string(), 1),
+                ("info checkpoint-cut".to_string(), 1)
+            ]
+        );
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("line 3: "), "{problems:?}");
     }
 }

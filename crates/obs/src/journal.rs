@@ -325,25 +325,33 @@ pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
     })
 }
 
-/// Parses a whole journal (one JSON object per non-empty line).
-pub fn parse_journal(text: &str) -> Result<Vec<JournalEvent>, String> {
+/// Each non-empty line of a journal text, parsed; an error names its
+/// 1-based number among the non-empty lines.
+fn parsed_lines(text: &str) -> impl Iterator<Item = Result<JournalEvent, String>> + '_ {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .enumerate()
         .map(|(i, line)| parse_event(line).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
 }
 
-/// Validates a journal text: every line schema-valid, sequence strictly
-/// increasing (order-preserving). Returns the list of problems (empty =
-/// valid).
-pub fn validate_journal(text: &str) -> Vec<String> {
-    let events = match parse_journal(text) {
-        Ok(ev) => ev,
-        Err(e) => return vec![e],
-    };
-    let mut problems = Vec::new();
+/// Parses a whole journal (one JSON object per non-empty line).
+pub fn parse_journal(text: &str) -> Result<Vec<JournalEvent>, String> {
+    parsed_lines(text).collect()
+}
+
+/// Reads a journal text in one pass, keeping what survives: every event
+/// that parses, in order, and the problems — one per line that does not
+/// parse, then one per place the parsed events' sequence fails to
+/// increase strictly.
+pub(crate) fn read_journal(text: &str) -> (Vec<JournalEvent>, Vec<String>) {
+    let (mut events, mut problems) = (Vec::new(), Vec::new());
+    for line in parsed_lines(text) {
+        match line {
+            Ok(event) => events.push(event),
+            Err(problem) => problems.push(problem),
+        }
+    }
     for pair in events.windows(2) {
         if pair[1].seq <= pair[0].seq {
             problems.push(format!(
@@ -352,7 +360,14 @@ pub fn validate_journal(text: &str) -> Vec<String> {
             ));
         }
     }
-    problems
+    (events, problems)
+}
+
+/// Validates a journal text: every line schema-valid, sequence strictly
+/// increasing (order-preserving). Returns the list of problems (empty =
+/// valid).
+pub fn validate_journal(text: &str) -> Vec<String> {
+    read_journal(text).1
 }
 
 #[cfg(test)]

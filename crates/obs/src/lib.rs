@@ -91,12 +91,12 @@ pub mod telemetry;
 pub mod trace;
 pub mod watchdog;
 
-pub use bus::{BusConfig, EventBus, RunEvent};
+pub use bus::{DiagnosticsOptions, EventBus, RunEvent};
 pub use chrome::{export_chrome, parse_chrome};
 pub use critical_path::{critical_path, AttrClass, CriticalPath};
 pub use doctor::{
-    bench_deltas, diagnose, explain_bench_check, explain_replay, flight_kind_counts,
-    journal_summary, BenchDelta, Diagnosis,
+    bench_deltas, diagnose, explain_bench_check, flight_kind_counts, journal_summary, BenchDelta,
+    Diagnosis,
 };
 pub use expo::{counter_values, monotonicity_violations, render_exposition, validate_exposition};
 pub use flight::{FlightEventKind, FlightRecorder};
@@ -111,4 +111,4 @@ pub use trace::{
     CausalEdge, CauseKind, NullTracer, Span, SpanDraft, SpanId, SpanKind, SpanTrace, SpanTracer,
     Tracer,
 };
-pub use watchdog::{Watchdog, WatchdogConfig, WatchdogVerdictKind};
+pub use watchdog::{Watchdog, WatchdogVerdictKind};

@@ -16,7 +16,7 @@
 //! |            | watermarks, checkpoint cuts, recovery/durable          |
 //! |            | counters, watchdog trips, progress %                   |
 //! | `/flight`  | on-demand flight-recorder dump (without ending the run)|
-//! | `/events`  | the structured journal, streamed as chunked JSONL      |
+//! | `/events`  | the structured journal as JSONL (`?since=SEQ` filters) |
 //!
 //! [`OpsState`] is the shared snapshot the routes read: the run's
 //! [`EventBus`](crate::bus) updates it (phase, watermarks, checkpoint
@@ -134,7 +134,7 @@ impl OpsState {
         Arc::clone(&self.hub)
     }
 
-    /// The structured journal `/events` streams.
+    /// The structured journal `/events` serves.
     pub fn journal(&self) -> Arc<Journal> {
         Arc::clone(&self.journal)
     }
@@ -550,7 +550,16 @@ pub fn render_top(doc: &JsonValue, metrics: &str) -> Result<String, String> {
                 * 100.0,
         );
     }
-    let pool = gauge_value(metrics, "naspipe_pool_utilization");
+    // A scrape that does not parse has no gauge.
+    let pool = crate::expo::parse_exposition(metrics)
+        .ok()
+        .and_then(|expo| {
+            let sample = expo
+                .samples
+                .into_iter()
+                .find(|s| s.name == "naspipe_pool_utilization" && s.labels.is_empty());
+            sample.map(|s| s.value)
+        });
     let wd = |kind: WatchdogVerdictKind| {
         doc.get("watchdog")
             .and_then(|o| o.get(kind.name()))
@@ -579,16 +588,6 @@ pub fn render_top(doc: &JsonValue, metrics: &str) -> Result<String, String> {
         pool.map_or("-".to_string(), |p| format!("{:.0}%", p * 100.0)),
     );
     Ok(out)
-}
-
-/// First sample value of an unlabelled gauge/counter family in a
-/// Prometheus text exposition.
-fn gauge_value(metrics: &str, family: &str) -> Option<f64> {
-    metrics.lines().find_map(|line| {
-        line.strip_prefix(family)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .and_then(|v| v.trim().parse::<f64>().ok())
-    })
 }
 
 /// The multi-route HTTP server. Binding spawns one listener thread
@@ -728,7 +727,9 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<OpsState>) {
                 .find_map(|kv| kv.strip_prefix("since="))
                 .and_then(|v| v.parse::<u64>().ok())
                 .unwrap_or(0);
-            stream_events(&mut stream, &state.journal().events_since(since));
+            let events = state.journal().events_since(since);
+            let body: String = events.iter().map(|e| e.to_json() + "\n").collect();
+            respond(&mut stream, "200 OK", "application/x-ndjson", &body);
         }
         _ => respond(&mut stream, "404 Not Found", "text/plain", "not found\n"),
     }
@@ -742,34 +743,18 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     );
 }
 
-/// Streams journal events as chunked JSONL: one chunk per event line, so
-/// a consumer sees events as they are written without a length up front.
-fn stream_events(stream: &mut TcpStream, events: &[crate::journal::JournalEvent]) {
-    let _ = write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-    );
-    for e in events {
-        let line = format!("{}\n", e.to_json());
-        if write!(stream, "{:x}\r\n{line}\r\n", line.len()).is_err() {
-            return;
-        }
-    }
-    let _ = write!(stream, "0\r\n\r\n");
-}
-
 /// A decoded HTTP response from [`http_get`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     /// The status code from the response line.
     pub status: u16,
-    /// The body, with chunked transfer encoding already decoded.
+    /// The body.
     pub body: String,
 }
 
-/// Minimal HTTP/1.1 GET against an ops-plane route. Decodes chunked
-/// bodies (the `/events` stream) and returns non-200 responses rather
-/// than erroring, so callers can assert on `/readyz` 503 semantics.
+/// Minimal HTTP/1.1 GET against an ops-plane route. Returns non-200
+/// responses rather than erroring, so callers can assert on `/readyz`
+/// 503 semantics.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<HttpResponse> {
     let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable addr")
@@ -796,46 +781,8 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<HttpResponse> {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|c| c.parse::<u16>().ok())
         .ok_or_else(|| invalid("missing status code"))?;
-    let chunked = head
-        .lines()
-        .any(|l| l.to_ascii_lowercase().replace(' ', "") == "transfer-encoding:chunked");
-    let body = if chunked {
-        decode_chunked(&body).map_err(invalid)?
-    } else {
-        body
-    };
     let body = String::from_utf8(body).map_err(|_| invalid("body is not UTF-8"))?;
     Ok(HttpResponse { status, body })
-}
-
-/// Joins the chunks of a `Transfer-Encoding: chunked` body. Works on
-/// bytes: a chunk size counts bytes, not characters, and it comes from
-/// the peer, so every offset derived from it is checked.
-fn decode_chunked(mut rest: &[u8]) -> Result<Vec<u8>, &'static str> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = rest
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or("truncated chunk size line")?;
-        let size = std::str::from_utf8(&rest[..line_end])
-            .ok()
-            .and_then(|line| usize::from_str_radix(line.trim(), 16).ok())
-            .ok_or("bad chunk size")?;
-        if size == 0 {
-            return Ok(out);
-        }
-        let data = line_end + 2;
-        let end = data.checked_add(size).ok_or("chunk size overflows")?;
-        if rest
-            .get(end..)
-            .is_none_or(|tail| !tail.starts_with(b"\r\n"))
-        {
-            return Err("truncated chunk body");
-        }
-        out.extend_from_slice(&rest[data..end]);
-        rest = &rest[end + 2..];
-    }
 }
 
 #[cfg(test)]
@@ -1016,6 +963,33 @@ mod tests {
     }
 
     #[test]
+    fn events_are_one_body_with_a_length() {
+        let st = state(1);
+        for i in 0..3u64 {
+            st.journal()
+                .emit(JournalLevel::Info, "run-start", None, i, "é", vec![]);
+        }
+        let server = OpsServer::bind("127.0.0.1:0", Arc::clone(&st)).expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .write_all(b"GET /events HTTP/1.1\r\nHost: naspipe\r\n\r\n")
+            .expect("request");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("response");
+        let (head, body) = raw.split_once("\r\n\r\n").expect("head and body");
+        assert!(!head.contains("Transfer-Encoding"), "{head}");
+        let want: String = st
+            .journal()
+            .snapshot()
+            .iter()
+            .map(|e| e.to_json() + "\n")
+            .collect();
+        assert_eq!(body, want);
+        let length = format!("Content-Length: {}", body.len());
+        assert!(head.lines().any(|l| l == length), "{head}");
+    }
+
+    #[test]
     fn top_renders_per_stage_lines_from_status_and_metrics() {
         let st = state(2);
         st.set_phase(RunPhase::Running);
@@ -1044,18 +1018,6 @@ mod tests {
         assert!(render_top(&parse_json("{}").unwrap(), "").is_err());
     }
 
-    #[test]
-    fn chunked_decoding_round_trips() {
-        assert_eq!(
-            decode_chunked(b"5\r\nhello\r\n1\r\n \r\n5\r\nworld\r\n0\r\n\r\n").unwrap(),
-            b"hello world"
-        );
-        assert!(decode_chunked(b"zz\r\nhello").is_err());
-        assert!(decode_chunked(b"5\r\nhel").is_err());
-        assert!(decode_chunked(b"5\r\nhello").is_err(), "no CRLF after data");
-        assert!(decode_chunked(b"5\r\nhello\r\n").is_err(), "no last chunk");
-    }
-
     /// `http_get` against a server that answers one request with
     /// `response`, whatever was asked, and closes.
     fn get_canned(response: &[u8]) -> std::io::Result<HttpResponse> {
@@ -1079,22 +1041,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_chunked_bodies_are_errors_not_panics() {
-        const HEAD: &str = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
-        for (body, why) in [
-            // size + 2 used to overflow usize.
-            ("ffffffffffffffff\r\nx\r\n0\r\n\r\n", "size overflows"),
-            // The size used to be a str index inside the two-byte 'é'.
-            ("1\r\n\u{e9}\r\n0\r\n\r\n", "size splits a character"),
-            ("a\r\nhello", "truncated body"),
-            ("5\r\nhello\r\n", "missing last chunk"),
-        ] {
-            let err = get_canned(format!("{HEAD}{body}").as_bytes()).expect_err(why);
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{why}: {err}");
-        }
-        let whole = get_canned(format!("{HEAD}2\r\n\u{e9}\r\n0\r\n\r\n").as_bytes())
-            .expect("a chunk that holds the whole character decodes");
-        assert_eq!(whole.body, "\u{e9}");
+    fn a_body_that_is_not_text_is_an_error() {
         let binary = get_canned(b"HTTP/1.1 200 OK\r\n\r\n\xff\xfe").expect_err("not text");
         assert_eq!(binary.kind(), std::io::ErrorKind::InvalidData);
     }

@@ -17,36 +17,23 @@
 
 use crate::metrics::{Counter, Sample, StageMetrics};
 
-/// Detector thresholds. The defaults are intentionally conservative —
-/// a clean uniform run must stay at zero trips across the seed matrix
-/// (enforced by `core`'s watchdog determinism tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WatchdogConfig {
-    /// Stage-stall deadline: a stage with stall time accruing but no
-    /// task completing for this long trips `StageStall`.
-    pub stall_deadline_us: u64,
-    /// Straggler trip ratio: a stage whose mean task latency reaches
-    /// this multiple of the peer median trips `Straggler`.
-    pub straggler_ratio: f64,
-    /// Minimum busy time (us) a stage must have spent beyond what its
-    /// tasks would have cost at the peer-median latency before
-    /// `Straggler` can trip, so tiny warm-up skews don't fire.
-    pub straggler_min_busy_us: u64,
-    /// Minimum window between two snapshots for the convoy detector to
-    /// evaluate (rates over shorter windows are too noisy).
-    pub convoy_min_window_us: u64,
-}
+// Detector thresholds. They are intentionally conservative: a clean
+// uniform run must stay at zero trips across the seed matrix (enforced
+// by `core`'s watchdog determinism tests).
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            stall_deadline_us: 5_000_000,
-            straggler_ratio: 4.0,
-            straggler_min_busy_us: 100_000,
-            convoy_min_window_us: 1_000_000,
-        }
-    }
-}
+/// Stage-stall deadline: a stage with stall time accruing but no task
+/// completing for this long trips `StageStall`.
+const STALL_DEADLINE_US: u64 = 5_000_000;
+/// Straggler trip ratio: a stage whose mean task latency reaches this
+/// multiple of the peer median trips `Straggler`.
+const STRAGGLER_RATIO: f64 = 4.0;
+/// Minimum busy time (us) a stage must have spent beyond what its tasks
+/// would have cost at the peer-median latency before `Straggler` can
+/// trip, so tiny warm-up skews don't fire.
+const STRAGGLER_MIN_BUSY_US: u64 = 100_000;
+/// Minimum window between two snapshots for the convoy detector to
+/// evaluate (rates over shorter windows are too noisy).
+const CONVOY_MIN_WINDOW_US: u64 = 1_000_000;
 
 /// Which detector fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -127,7 +114,6 @@ struct StageState {
 /// latched.
 #[derive(Clone)]
 pub struct Watchdog {
-    config: WatchdogConfig,
     stages: Vec<StageState>,
     prev_at_us: Option<u64>,
     latched: Vec<[bool; NUM_WATCHDOG_KINDS]>,
@@ -186,9 +172,8 @@ fn peer_median(sorted: &[u64], mine: u64) -> Option<u64> {
 
 impl Watchdog {
     /// A watchdog for `num_stages` stages.
-    pub fn new(num_stages: usize, config: WatchdogConfig) -> Self {
+    pub fn new(num_stages: usize) -> Self {
         Watchdog {
-            config,
             stages: vec![
                 StageState {
                     tasks: 0,
@@ -233,8 +218,8 @@ impl Watchdog {
             };
             let (busy, timed) = busy_and_timed(s);
             let excess = busy.saturating_sub(timed.saturating_mul(med));
-            let trip = excess >= self.config.straggler_min_busy_us
-                && (mine as f64) >= self.config.straggler_ratio * (med as f64);
+            let trip =
+                excess >= STRAGGLER_MIN_BUSY_US && (mine as f64) >= STRAGGLER_RATIO * (med as f64);
             if trip {
                 self.latched[k][WatchdogVerdictKind::Straggler as usize] = true;
                 verdicts.push(WatchdogVerdict {
@@ -252,7 +237,7 @@ impl Watchdog {
         let n = stages.len();
         if let Some(prev_at) = self.prev_at_us {
             let dt = at_us.saturating_sub(prev_at);
-            if !self.convoy_latched && dt >= self.config.convoy_min_window_us && n > 2 {
+            if !self.convoy_latched && dt >= CONVOY_MIN_WINDOW_US && n > 2 {
                 let mut convoyed = 0usize;
                 let mut hot: Option<(usize, u64)> = None;
                 for (k, s) in stages.iter().enumerate() {
@@ -293,7 +278,7 @@ impl Watchdog {
             } else if !self.latched[k][WatchdogVerdictKind::StageStall as usize] {
                 let idle_for = at_us.saturating_sub(st.progressed_at);
                 let stalled_since = stall > st.stall_at_progress;
-                if idle_for >= self.config.stall_deadline_us && stalled_since {
+                if idle_for >= STALL_DEADLINE_US && stalled_since {
                     self.latched[k][WatchdogVerdictKind::StageStall as usize] = true;
                     verdicts.push(WatchdogVerdict {
                         at_us,
@@ -322,7 +307,7 @@ mod tests {
 
     #[test]
     fn uniform_run_never_trips() {
-        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut wd = Watchdog::new(4);
         let mut rec = MetricsRecorder::new();
         for step in 1..=20u64 {
             for k in 0..4u32 {
@@ -335,7 +320,7 @@ mod tests {
 
     #[test]
     fn straggler_latches_once_on_outlier_busy_time() {
-        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut wd = Watchdog::new(4);
         let mut rec = MetricsRecorder::new();
         for k in 0..4u32 {
             rec.incr(k, Counter::ForwardTask, 1);
@@ -357,7 +342,7 @@ mod tests {
     fn straggler_needs_absolute_excess_not_just_ratio() {
         // 40us vs 5us peers is an 8x ratio but far below the 100ms
         // absolute floor — warm-up noise, not a straggler.
-        let mut wd = Watchdog::new(3, WatchdogConfig::default());
+        let mut wd = Watchdog::new(3);
         let mut rec = MetricsRecorder::new();
         rec.sample(0, Sample::ForwardLatencyUs, 40);
         rec.sample(1, Sample::ForwardLatencyUs, 5);
@@ -385,7 +370,7 @@ mod tests {
         // Filling: every stage runs 10 ms tasks, the early ones have run
         // many, the last none. Stage 0 is 190 ms busier than the median
         // peer, at exactly the peers' pace.
-        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut wd = Watchdog::new(4);
         let mut rec = MetricsRecorder::new();
         for (stage, n) in [(0, 20), (1, 5), (2, 1)] {
             run_tasks(&mut rec, stage, n, 10_000);
@@ -395,7 +380,7 @@ mod tests {
 
     #[test]
     fn an_eightfold_pace_trips_once() {
-        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut wd = Watchdog::new(4);
         let mut rec = MetricsRecorder::new();
         for stage in 0..4u32 {
             let us = if stage == 2 { 160_000 } else { 20_000 };
@@ -412,7 +397,7 @@ mod tests {
     fn a_slow_pace_must_have_cost_the_floor_in_excess_time() {
         // One 90 ms task against 10 ms peers is a 9x pace that has cost
         // 80 ms so far; the second such task takes the excess past 100 ms.
-        let mut wd = Watchdog::new(3, WatchdogConfig::default());
+        let mut wd = Watchdog::new(3);
         let mut rec = MetricsRecorder::new();
         run_tasks(&mut rec, 0, 1, 90_000);
         run_tasks(&mut rec, 1, 30, 10_000);
@@ -424,7 +409,7 @@ mod tests {
 
     #[test]
     fn a_stage_that_has_run_nothing_neither_trips_nor_votes() {
-        let mut wd = Watchdog::new(3, WatchdogConfig::default());
+        let mut wd = Watchdog::new(3);
         let mut rec = MetricsRecorder::new();
         // Only stage 0 has run: there is no peer pace to hold it to.
         run_tasks(&mut rec, 0, 1, 400_000);
@@ -439,24 +424,23 @@ mod tests {
 
     #[test]
     fn stage_stall_needs_deadline_and_stall_accrual() {
-        let cfg = WatchdogConfig {
-            stall_deadline_us: 1_000_000,
-            ..WatchdogConfig::default()
-        };
-        let mut wd = Watchdog::new(2, cfg);
+        let mut wd = Watchdog::new(2);
         let mut rec = MetricsRecorder::new();
         rec.incr(0, Counter::ForwardTask, 1);
         rec.incr(1, Counter::ForwardTask, 1);
         assert!(wd.observe(100_000, rec.stages()).is_empty());
-        // Stage 1 stalls (blocked, not bubbled) with no completions.
+        // Stage 1 stalls (blocked, not bubbled) with no completions: not
+        // yet past the deadline, then past it.
         rec.incr(1, Counter::StallUs, 2_000_000);
         rec.incr(0, Counter::ForwardTask, 5);
-        let v = wd.observe(2_100_000, rec.stages());
+        assert!(wd.observe(2_100_000, rec.stages()).is_empty());
+        rec.incr(1, Counter::StallUs, 4_000_000);
+        let v = wd.observe(STALL_DEADLINE_US + 100_000, rec.stages());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, WatchdogVerdictKind::StageStall);
         assert_eq!(v[0].stage, 1);
         // Bubble-only idling (no stall accrual) never trips.
-        let mut wd2 = Watchdog::new(2, WatchdogConfig::default());
+        let mut wd2 = Watchdog::new(2);
         let mut rec2 = MetricsRecorder::new();
         rec2.incr(0, Counter::ForwardTask, 1);
         rec2.incr(1, Counter::ForwardTask, 1);
@@ -467,7 +451,7 @@ mod tests {
 
     #[test]
     fn convoy_trips_when_peers_fully_stall_behind_one_hot_stage() {
-        let mut wd = Watchdog::new(4, WatchdogConfig::default());
+        let mut wd = Watchdog::new(4);
         let mut rec = MetricsRecorder::new();
         for k in 0..4u32 {
             rec.incr(k, Counter::ForwardTask, 2);
@@ -494,8 +478,8 @@ mod tests {
             rec.sample(k, Sample::ForwardLatencyUs, 20_000);
         }
         rec.sample(0, Sample::ForwardLatencyUs, 900_000);
-        let mut a = Watchdog::new(3, WatchdogConfig::default());
-        let mut b = Watchdog::new(3, WatchdogConfig::default());
+        let mut a = Watchdog::new(3);
+        let mut b = Watchdog::new(3);
         let times = [100_000, 200_000];
         let va: Vec<_> = times
             .iter()
@@ -550,7 +534,6 @@ mod tests {
 
     /// The straggler check as it was, over [`reference_peer_median`].
     fn reference_stragglers(
-        config: &WatchdogConfig,
         at: u64,
         stages: &[StageMetrics],
         latched: &mut [bool],
@@ -567,8 +550,8 @@ mod tests {
             };
             let (busy, timed) = busy_and_timed(s);
             let excess = busy.saturating_sub(timed.saturating_mul(med));
-            let trip = excess >= config.straggler_min_busy_us
-                && (mine as f64) >= config.straggler_ratio * (med as f64);
+            let trip =
+                excess >= STRAGGLER_MIN_BUSY_US && (mine as f64) >= STRAGGLER_RATIO * (med as f64);
             if trip {
                 latched[k] = true;
                 verdicts.push(WatchdogVerdict {
@@ -594,8 +577,7 @@ mod tests {
     fn stragglers_match_reference(seed: u64, d: usize, steps: usize) -> Result<usize, String> {
         const LATENCIES: [u64; 6] = [5_000, 10_000, 10_000, 40_000, 90_000, 400_000];
         let mut rng = DetRng::new(seed);
-        let config = WatchdogConfig::default();
-        let mut wd = Watchdog::new(d, config.clone());
+        let mut wd = Watchdog::new(d);
         let mut latched = vec![false; d];
         let mut stages = vec![StageMetrics::default(); d];
         let plan: Vec<Option<Option<u64>>> = (0..d)
@@ -633,7 +615,7 @@ mod tests {
                     ));
                 }
             }
-            let want = reference_stragglers(&config, at, &stages, &mut latched);
+            let want = reference_stragglers(at, &stages, &mut latched);
             if got != want {
                 return Err(format!(
                     "seed {seed}, {d} stages, step {step}: {got:?} vs reference {want:?}"

@@ -7,7 +7,7 @@
 //!
 //! One test, in a binary of its own: the counting allocator is global.
 
-use naspipe_obs::{Counter, MetricsRecorder, Recorder, Sample, Watchdog, WatchdogConfig};
+use naspipe_obs::{Counter, MetricsRecorder, Recorder, Sample, Watchdog};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,7 +64,7 @@ fn advance(rec: &mut MetricsRecorder) {
 
 #[test]
 fn a_steady_state_observation_allocates_nothing() {
-    let mut wd = Watchdog::new(STAGES as usize, WatchdogConfig::default());
+    let mut wd = Watchdog::new(STAGES as usize);
     let mut rec = MetricsRecorder::new();
     advance(&mut rec);
     assert!(wd.observe(200_000, rec.stages()).is_empty());

@@ -29,6 +29,18 @@ pub enum Domain {
     Cv,
 }
 
+impl Domain {
+    /// Default pipeline input batch size NASPipe uses on a space of this
+    /// domain (Table 2 "B.S." column), and the batch the DES and the
+    /// intra-subnet baseline price layers at.
+    pub fn default_batch(self) -> u32 {
+        match self {
+            Domain::Nlp => 192,
+            Domain::Cv => 64,
+        }
+    }
+}
+
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

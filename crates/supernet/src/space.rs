@@ -78,15 +78,6 @@ impl SpaceId {
             SpaceId::CvC3 => (32, 12),
         }
     }
-
-    /// Default pipeline input batch size NASPipe uses on this space
-    /// (Table 2 "B.S." column).
-    pub fn default_batch(self) -> u32 {
-        match self.domain() {
-            Domain::Nlp => 192,
-            Domain::Cv => 64,
-        }
-    }
 }
 
 impl fmt::Display for SpaceId {
@@ -350,8 +341,8 @@ mod tests {
 
     #[test]
     fn default_batches_match_table2() {
-        assert_eq!(SpaceId::NlpC1.default_batch(), 192);
-        assert_eq!(SpaceId::CvC1.default_batch(), 64);
+        assert_eq!(SpaceId::NlpC1.domain().default_batch(), 192);
+        assert_eq!(SpaceId::CvC1.domain().default_batch(), 64);
     }
 
     #[test]

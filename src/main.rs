@@ -29,7 +29,7 @@
 //! training: `GET /metrics` (Prometheus 0.0.4 text), `/healthz` +
 //! `/readyz` (liveness vs. admitting-work), `/status` (versioned JSON
 //! status document), `/flight` (on-demand flight-recorder dump), and
-//! `/events` (chunked stream of the structured journal). `--journal
+//! `/events` (the structured journal as JSONL). `--journal
 //! PATH` tees the same journal to a JSONL file; `naspipe top` renders a
 //! live per-stage terminal view by scraping `/status` + `/metrics`.
 //!
@@ -273,17 +273,22 @@ impl Args {
 
     /// `--kill-at STAGE:SUBNET`: abort the whole process when that stage
     /// starts that subnet's forward (crash-injection for durable-resume
-    /// testing).
-    fn kill_at(&self) -> Result<Option<(u32, u64)>, String> {
+    /// testing). A point the run of `gpus` stages over `subnets` subnets
+    /// never reaches is an error, not a clean run.
+    fn kill_at(&self, gpus: u32, subnets: u64) -> Result<Option<(u32, u64)>, String> {
         let Some(v) = self.options.get("kill-at") else {
             return Ok(None);
         };
-        let parsed = v
+        let (stage, subnet) = v
             .split_once(':')
-            .and_then(|(s, y)| Some((s.parse::<u32>().ok()?, y.parse::<u64>().ok()?)));
-        parsed
-            .map(Some)
-            .ok_or_else(|| format!("--kill-at wants STAGE:SUBNET, got '{v}'"))
+            .and_then(|(s, y)| Some((s.parse::<u32>().ok()?, y.parse::<u64>().ok()?)))
+            .ok_or_else(|| format!("--kill-at wants STAGE:SUBNET, got '{v}'"))?;
+        if stage >= gpus || subnet >= subnets {
+            return Err(format!(
+                "--kill-at {v} never fires: stages are 0..{gpus} and subnets 0..{subnets}"
+            ));
+        }
+        Ok(Some((stage, subnet)))
     }
 
     /// Durable-checkpoint options when `--checkpoint-dir` is given.
@@ -394,13 +399,14 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let threads = args.u64_opt("threads", 0)? as usize;
     let system = args.system()?;
     let engine = args.engine()?;
+    let kill_at = args.kill_at(gpus, n)?;
 
     let subnets = UniformSampler::new(&space, seed).take_subnets(n as usize);
     if engine == Engine::Threaded {
         if system != SystemKind::NasPipe {
             return Err("--engine threaded only trains the naspipe system (CSP)".into());
         }
-        return train_threaded(args, &space, subnets, gpus, seed, threads);
+        return train_threaded(args, &space, subnets, gpus, seed, threads, kill_at);
     }
     if args.options.contains_key("checkpoint-dir")
         || args.options.contains_key("kill-at")
@@ -472,6 +478,7 @@ fn train_threaded(
     gpus: u32,
     seed: u64,
     threads: usize,
+    kill_at: Option<(u32, u64)>,
 ) -> Result<(), String> {
     let n = subnets.len();
     let mut ops = args.ops_plane("threaded", gpus, seed)?;
@@ -486,7 +493,7 @@ fn train_threaded(
     if durable.is_some() && opts.checkpoint_interval == 0 {
         return Err("--checkpoint-dir needs --checkpoint-interval > 0".into());
     }
-    if let Some((stage, subnet)) = args.kill_at()? {
+    if let Some((stage, subnet)) = kill_at {
         opts.fault_plan = FaultPlan::new().kill_on(stage, subnet, TaskKind::Forward);
     }
     let diag = DiagnosticsOptions {
@@ -637,7 +644,7 @@ fn cmd_replay_check(args: &Args) -> Result<(), String> {
         Ok(())
     } else {
         if args.flags.contains("explain") {
-            print!("{}", naspipe::obs::explain_replay(&report.render_text()));
+            print!("{}", report.explain());
         }
         Err(format!(
             "replay-check failed: {} divergence(s) from the golden corpus \
@@ -733,7 +740,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         t.tasks.len(),
         t.subnets.len()
     );
-    let result = replay_transcript(&space, &t, &train_config(seed, threads));
+    let result = replay_transcript(&space, &t, &train_config(seed, threads))
+        .map_err(|e| format!("cannot replay {path}: {e}"))?;
     println!(
         "converged loss {:.4}, parameter hash {:016x}",
         result.converged_loss(),
@@ -872,7 +880,7 @@ fn usage() -> &'static str {
      --metrics-addr serves the live ops plane while the run is in\n\
      flight: GET /metrics (Prometheus 0.0.4 text), /healthz, /readyz,\n\
      /status (versioned JSON), /flight (on-demand flight dump), and\n\
-     /events (chunked journal stream); port 0 picks an ephemeral port,\n\
+     /events (the journal as JSONL); port 0 picks an ephemeral port,\n\
      printed once on stderr.\n\
      --journal PATH tees the structured event journal (watchdog trips,\n\
      checkpoint cuts, recovery and durable notices) to a JSONL file;\n\
@@ -1005,16 +1013,19 @@ mod tests {
         assert_eq!(d.dir, std::path::PathBuf::from("/tmp/ck"));
         assert_eq!(d.keep, 5);
         assert!(d.resume);
-        assert_eq!(a.kill_at().unwrap(), Some((1, 13)));
+        assert_eq!(a.kill_at(8, 64).unwrap(), Some((1, 13)));
+        // A point the run never reaches is rejected too.
+        assert!(a.kill_at(1, 64).is_err(), "stage 1 of 1");
+        assert!(a.kill_at(8, 13).is_err(), "subnet 13 of 13");
 
         // --resume without --checkpoint-dir is a usage error.
         let a = parse_args(&argv("train --space NLP.c2 --resume")).unwrap();
         assert!(a.durable().is_err());
         // Malformed --kill-at is rejected, not silently ignored.
         let a = parse_args(&argv("train --space NLP.c2 --kill-at 13")).unwrap();
-        assert!(a.kill_at().is_err());
+        assert!(a.kill_at(8, 64).is_err());
         let a = parse_args(&argv("train --space NLP.c2 --kill-at a:b")).unwrap();
-        assert!(a.kill_at().is_err());
+        assert!(a.kill_at(8, 64).is_err());
         // No durable options at all: None, no error.
         let a = parse_args(&argv("train --space NLP.c2")).unwrap();
         assert_eq!(a.durable().unwrap(), None);

@@ -432,6 +432,18 @@ fn cli_out_of_range_integers_are_errors_not_truncations() {
             "18446744073709552",
             "--sample-interval-ms wants an integer up to 18446744073709551",
         ),
+        // Past the run: it would never fire, and a crash cell would see
+        // a clean run.
+        (
+            "--kill-at",
+            "9:1",
+            "--kill-at 9:1 never fires: stages are 0..8 and subnets 0..4",
+        ),
+        (
+            "--kill-at",
+            "1:4",
+            "--kill-at 1:4 never fires: stages are 0..8 and subnets 0..4",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_naspipe"))
             .args(["train", "--space", "NLP.c2", "--subnets", "4", flag, value])
@@ -442,4 +454,59 @@ fn cli_out_of_range_integers_are_errors_not_truncations() {
         assert_eq!(stderr, format!("{want}\n"));
         assert!(out.stdout.is_empty(), "{flag} ran anyway");
     }
+}
+
+/// `naspipe replay` of a transcript that parses but does not fit the
+/// space, or is cut short, exits 1 with one line on stderr, not a panic.
+#[test]
+fn cli_replay_of_a_transcript_that_does_not_fit_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("naspipe-replay-fit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let recorded = dir.join("nlp_c2.nt");
+    let naspipe = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_naspipe"))
+            .args(args)
+            .output()
+            .expect("naspipe runs")
+    };
+    let path = recorded.to_str().unwrap();
+    let train = [
+        "train",
+        "--space",
+        "NLP.c2",
+        "--gpus",
+        "2",
+        "--subnets",
+        "2",
+    ];
+    let out = naspipe(&[&train[..], &["--transcript", path]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&recorded).unwrap();
+    let subnet = text.lines().find(|l| l.starts_with("subnet 0 ")).unwrap();
+    let lone_backward = dir.join("lone_backward.nt");
+    std::fs::write(
+        &lone_backward,
+        format!("naspipe-transcript v1\n{subnet}\ntask 0 5 B 0 0 0 48\n"),
+    )
+    .unwrap();
+    for (space, transcript, want) in [
+        (
+            "NLP.c3",
+            &recorded,
+            "subnet 0 does not fit the search space",
+        ),
+        ("CV.c1", &recorded, "subnet 0 does not fit the search space"),
+        (
+            "NLP.c2",
+            &lone_backward,
+            "task 0: no last-stage output to consume",
+        ),
+    ] {
+        let file = transcript.to_str().unwrap();
+        let out = naspipe(&["replay", "--space", space, "--transcript", file]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{space} {file}: {stderr}");
+        assert_eq!(stderr, format!("cannot replay {file}: {want}\n"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

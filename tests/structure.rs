@@ -907,6 +907,32 @@ mod rules {
         )
     }
 
+    pub fn one_copy_in_obs(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let sources = scan.tree(&["crates/obs/src", "src"], true);
+        let sources: Vec<_> = sources.iter().map(Source::before_tests).collect();
+        scan.forbid(
+            &sources,
+            &[
+                r"\bBusConfig\b",
+                r"\bWatchdogConfig\b",
+                "Transfer-Encoding",
+                r"\bexplain_replay\b",
+                r"\bfn gauge_value\b",
+            ],
+        );
+        scan.verdict(
+            "one copy in obs (obs keeps one copy of each thing it knows): the event bus is \
+             built from DiagnosticsOptions itself, not a struct restating its fields; the \
+             watchdog's thresholds are constants in crates/obs/src/watchdog.rs; /events is \
+             one Content-Length body like every other route, so the client decodes no \
+             chunks; a replay-gate failure is explained from its Divergence values beside \
+             the type (GateReport::explain), not by filtering its rendered text; `top` reads \
+             /metrics through expo::parse_exposition. A second copy is a second place to \
+             drift: the text filter once missed every policy divergence.",
+        )
+    }
+
     pub fn one_stage_core(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let mut engines = scan.file("crates/core/src/pipeline.rs");
@@ -1010,6 +1036,11 @@ fn one_backward_decomposition() {
 #[test]
 fn one_parameter_fingerprint() {
     holds(rules::one_parameter_fingerprint);
+}
+
+#[test]
+fn one_copy_in_obs() {
+    holds(rules::one_copy_in_obs);
 }
 
 #[test]
@@ -1351,4 +1382,29 @@ fn a_private_copy_of_the_stage_bookkeeping_fails() {
         assert!(broken.contains(needle), "{needle} in {broken}");
     }
     assert!(!broken.contains("SubnetTable"), "{broken}");
+}
+
+#[test]
+fn a_second_copy_in_obs_fails() {
+    let tree = |ops: &str, main: &str| {
+        fixture(
+            "obs_copy",
+            &[("crates/obs/src/ops.rs", ops), ("src/main.rs", main)],
+        )
+    };
+    let tests = "#[cfg(test)]\nmod tests {\n    // Transfer-Encoding: chunked\n}\n";
+    let ops = format!("fn serve() {{\n    respond(body);\n}}\n{tests}");
+    let main = "fn explain(r: &GateReport) {\n    r.explain();\n}\n";
+    rules::one_copy_in_obs(&tree(&ops, main)).expect("a test that names the header");
+    let copy = "fn gauge_value(m: &str) {}\nconst H: &str = \"Transfer-Encoding: chunked\";\n";
+    let call = "fn explain(r: &str) {\n    naspipe::obs::explain_replay(r);\n}\n";
+    let broken = rules::one_copy_in_obs(&tree(copy, call)).unwrap_err();
+    assert!(broken.contains("obs keeps one copy"), "{broken}");
+    for needle in [
+        "crates/obs/src/ops.rs:1: `\\bfn gauge_value\\b`",
+        "crates/obs/src/ops.rs:2: `Transfer-Encoding`",
+        "src/main.rs:2: `\\bexplain_replay\\b`",
+    ] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
 }

@@ -4,14 +4,16 @@
 //! and `expo::parse_exposition` with the checks built on it. Arbitrary
 //! token soups, every truncation and single-byte corruptions of the
 //! documents the workspace itself emits. The property is only
-//! "returns": no decoder may panic on any input. (The one input found
+//! "returns": no decoder may panic on any input, and neither may the
+//! replay of a transcript that parses. (The one input found
 //! that did, a `NaN` histogram bound, is pinned next to
 //! `validate_exposition`.)
 
 use naspipe::core::config::PipelineConfig;
 use naspipe::core::pipeline::SimSpec;
 use naspipe::core::replay_gate::parse_golden;
-use naspipe::core::transcript::Transcript;
+use naspipe::core::train::{ReplayError, TrainConfig};
+use naspipe::core::transcript::{replay_transcript, Transcript};
 use naspipe::obs::expo::parse_exposition;
 use naspipe::obs::{
     counter_values, monotonicity_violations, render_exposition, validate_exposition, Counter,
@@ -24,8 +26,18 @@ use proptest::prelude::*;
 /// One decoder under test, fed raw bytes.
 type Decoder = fn(&[u8]);
 
+/// Reads a transcript and replays whatever parses on the space the
+/// valid one was recorded on: a transcript that parses but does not fit
+/// is a [`ReplayError`], never a panic.
 fn read_transcript(input: &[u8]) {
-    let _ = Transcript::read(&mut &input[..]);
+    if let Ok(t) = Transcript::read(&mut &input[..]) {
+        let _ = replay_transcript(&recorded_space(), &t, &TrainConfig::default());
+    }
+}
+
+/// The space the valid transcript below is recorded on.
+fn recorded_space() -> SearchSpace {
+    SearchSpace::uniform(Domain::Nlp, 4, 3)
 }
 
 fn read_golden(input: &[u8]) {
@@ -51,7 +63,7 @@ fn consume(input: &[u8]) {
 /// One of each document the workspace writes and later reads back, with
 /// the decoder that reads its kind.
 fn valid_documents() -> Vec<(String, Decoder)> {
-    let space = SearchSpace::uniform(Domain::Nlp, 4, 3);
+    let space = recorded_space();
     let cfg = PipelineConfig::naspipe(2, 4).with_batch(8).with_seed(3);
     let out = SimSpec::new(&space, &cfg).run().unwrap();
     let transcript = Transcript::from_outcome(&out).to_text();
@@ -79,6 +91,13 @@ fn valid_documents_are_valid() {
     let docs: Vec<String> = valid_documents().into_iter().map(|(d, _)| d).collect();
     let t = Transcript::read(&mut docs[0].as_bytes()).unwrap();
     assert_eq!(t.tasks.len(), 4 * 2 * 2);
+    let cfg = TrainConfig::default();
+    assert!(replay_transcript(&recorded_space(), &t, &cfg).is_ok());
+    let wider = SearchSpace::uniform(Domain::Nlp, 5, 3);
+    assert_eq!(
+        replay_transcript(&wider, &t, &cfg).unwrap_err(),
+        ReplayError::InvalidSubnet(0)
+    );
     assert!(parse_golden(&docs[1]).is_ok());
     let recover = parse_golden(&docs[2]).unwrap();
     assert!(recover.spec.faults.is_some() && recover.expect.schedule.is_some());
