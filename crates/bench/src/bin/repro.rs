@@ -2,17 +2,19 @@
 //!
 //! ```text
 //! repro <experiment> [..]     where experiment is one of:
-//!   fig1 table1 fig4 fig5 table2 table3 table4 table5 fig6 fig7 all
+//!   fig1 table1 fig4 fig5 table2 table3 table4 table5 fig6 fig7
+//!   cache soundness generation topology recompute obs trace bench all
 //! ```
 //!
-//! With no arguments, prints usage. `all` runs everything in paper order.
+//! The first row is the paper's figures and tables; the second explains
+//! them further. With no arguments, prints usage. `all` runs everything,
+//! the paper first, in order.
 //! Build with `--release`; the training-semantics experiments replay real
 //! floating-point training for dozens of pipeline schedules.
 
 use naspipe_bench::experiments::{
-    cache_sweep, compute, crash, doctor, faults, fig1, fig4, fig5, fig6, fig7, generation, obs,
-    ops_plane, recompute, replay, soundness, table1, table2, table3, table4, table5, telemetry,
-    topology, trace,
+    cache_sweep, compute, fig1, fig4, fig5, fig6, fig7, generation, obs, recompute, soundness,
+    table1, table2, table3, table4, table5, topology, trace,
 };
 use naspipe_bench::{THROUGHPUT_SUBNETS, TRAINING_SUBNETS};
 use naspipe_supernet::space::SpaceId;
@@ -35,14 +37,8 @@ const EXPERIMENTS: &[&str] = &[
     "topology",
     "recompute",
     "obs",
-    "faults",
-    "crash",
     "trace",
     "bench",
-    "telemetry",
-    "ops",
-    "replay",
-    "doctor",
 ];
 
 /// Resolves an artifact env var: unset/empty/`"0"` = off, `"1"` = the
@@ -228,60 +224,19 @@ fn run_experiment(name: &str) {
                 println!("{}", obs::render_json(&r));
             }
         }
-        "faults" => {
-            banner(
-                "Extra: supervised fault tolerance",
-                "A seeded failure scenario (one fatal stage panic plus transient channel faults) injected into the threaded CSP runtime on NLP.c2, 4 stages: the supervisor retries, restarts from the CSP-watermark checkpoint, and the recovered run is bitwise equal to sequential training with a reproducible recovery schedule. Set REPRO_FAULTS_JSON=1 to also dump JSON.",
-            );
-            let r = faults::run(SpaceId::NlpC2, 4, 48, 7, 8);
-            println!("{}", faults::render(&r));
-            let json_on =
-                std::env::var("REPRO_FAULTS_JSON").is_ok_and(|v| !v.is_empty() && v != "0");
-            if json_on {
-                println!("{}", faults::render_json(&r));
-            }
-            assert!(
-                r.bitwise_equal && r.csp_ok && r.schedule_reproducible,
-                "fault-tolerance verdicts failed"
-            );
-        }
-        "crash" => {
-            banner(
-                "Extra: crash-injection and durable resume",
-                "A seed x stages x crash-point matrix of real process deaths: each cell trains NLP.c2 in a child naspipe process with durable checkpointing, aborts it either at a specific forward task or in the middle of a snapshot write (the third one under keep 2 overwrites a recycled file), then resumes a fresh process from disk — demanding a final parameter hash and loss digest bitwise equal to an uninterrupted baseline. Set REPRO_CRASH_JSON=1 to also dump JSON. Requires the naspipe binary in the same target directory (or NASPIPE_BIN).",
-            );
-            let r = crash::run(SpaceId::NlpC2, 32, 8, &[5, 13, 21], &[3]);
-            println!("{}", crash::render(&r));
-            let json_on =
-                std::env::var("REPRO_CRASH_JSON").is_ok_and(|v| !v.is_empty() && v != "0");
-            if json_on {
-                println!("{}", crash::render_json(&r));
-            }
-            assert!(
-                r.all_ok(),
-                "crash-matrix verdicts failed: every cell must crash, resume \
-                 from disk, and finish bitwise equal to its uninterrupted \
-                 baseline (failed cells keep their snapshot directories under \
-                 the system temp dir for inspection)"
-            );
-        }
         "trace" => {
             banner(
                 "Extra: causal span tracing and critical-path attribution",
-                "Both engines (DES pipeline and threaded supervised runtime) traced on NLP.c2, 4 stages: per-task spans with causal edges, exported as Perfetto-loadable Chrome JSON, plus the critical path through the span graph attributed to compute / fetch / causal-stall / bubble. Set REPRO_TRACE_JSON=<dir> to write the .trace.json artifacts.",
+                "Both engines (DES pipeline and threaded supervised runtime) traced on NLP.c2, 4 stages: per-task spans with causal edges, exported as Perfetto-loadable Chrome JSON, plus the critical path through the span graph attributed to compute / fetch / causal-stall / bubble. Set REPRO_TRACE_JSON=<dir> to write des.trace.json and threaded.trace.json (the inputs of `naspipe doctor --base/--cand`).",
             );
-            let r = trace::run(SpaceId::NlpC2, 4, 24);
-            println!("{}", trace::render(&r));
+            let traces = trace::run(SpaceId::NlpC2, 4, 24);
+            println!("{}", trace::render(&traces));
             if let Some(dir) = artifact_path("REPRO_TRACE_JSON", "artifacts/trace") {
-                let paths = trace::write_artifacts(&r, &dir).expect("trace artifacts written");
+                let paths = trace::write_artifacts(&traces, &dir).expect("trace artifacts written");
                 for p in paths {
                     println!("wrote {}", p.display());
                 }
             }
-            assert!(
-                r.all_ok(),
-                "trace verdicts failed: critical path must equal the makespan,                  the chrome export must round-trip, and DES path idle must stay                  within the recorder's stall+bubble counters"
-            );
         }
         "bench" => {
             banner(
@@ -301,67 +256,6 @@ fn run_experiment(name: &str) {
                 "compute verdicts failed: every kernel must match the naive \
                  reference bitwise and every output and end-to-end hash must \
                  be invariant across pool sizes {{1, 4, 8}}"
-            );
-        }
-        "telemetry" => {
-            banner(
-                "Extra: live telemetry",
-                "The threaded CSP runtime on NLP.c2, 4 stages, with a TelemetryHub attached and a Prometheus endpoint on an ephemeral port — scraped by the experiment itself mid-run. Hard verdicts: every scrape is well-formed 0.0.4 text, counters never move backwards between scrapes, and the final snapshot equals the observability report.",
-            );
-            let r = telemetry::run(SpaceId::NlpC2, 4, 32);
-            println!("{}", telemetry::render(&r));
-            assert!(
-                r.all_ok(),
-                "telemetry verdicts failed: the live endpoint and the \
-                 post-mortem report must tell one consistent story"
-            );
-        }
-        "ops" => {
-            banner(
-                "Extra: ops plane",
-                "The threaded CSP runtime on NLP.c2, 4 stages, run twice: bare, then with the full ops plane attached — structured journal sinking to a JSONL file and a multi-route HTTP server (/metrics /healthz /readyz /status /flight /events) scraped concurrently by the experiment mid-run. Hard verdicts: results are bitwise identical to the bare run, every route answers schema-valid content on every sweep, /events replays exactly the journal lines the sink wrote, and /readyz flips to 503 once a stage-stall watchdog verdict latches.",
-            );
-            let r = ops_plane::run(SpaceId::NlpC2, 4, 32);
-            println!("{}", ops_plane::render(&r));
-            assert!(
-                r.all_ok(),
-                "ops-plane verdicts failed: full observability must be \
-                 bitwise zero-effect with every route live and the journal \
-                 single-sourced"
-            );
-        }
-        "replay" => {
-            banner(
-                "Extra: golden-trace replay gate",
-                "The behavioral twin of bench-check: every committed golden trace (CSP DES runs, threaded fault-recovery runs, a multi-engine agreement case) re-executed against the current scheduler and validated — CSP admission order, checkpoint-cut consistency, transcript bitwise equality, critical-path attribution — plus a deliberate-divergence smoke test that must name the first divergent task.",
-            );
-            let r = replay::run(std::path::Path::new(
-                naspipe_core::replay_gate::DEFAULT_CORPUS_DIR,
-            ));
-            println!("{}", replay::render(&r));
-            assert!(
-                r.all_ok(),
-                "replay-gate verdicts failed: the strict gate must pass on the \
-                 corpus and the smoke mutation must be caught naming the first \
-                 divergent task"
-            );
-        }
-        "doctor" => {
-            banner(
-                "Extra: automated regression diagnosis",
-                "Two regressions planted into the deterministic DES engine (an all-stage compute throttle and a single slow stage) and diagnosed against the same clean baseline by the `naspipe doctor` critical-path differ. Hard verdicts: the throttle is attributed to compute with the kernel verdict, the slow stage ranks as the top straggler with its exported causal-stall time growing, and per-class deltas sum exactly to each makespan delta. Set REPRO_DOCTOR_JSON=<path> (or =1 for artifacts/REPRO_doctor.json) to write the machine-readable artifact.",
-            );
-            let r = doctor::run(SpaceId::NlpC2, 4, 24);
-            println!("{}", doctor::render(&r));
-            if let Some(path) = artifact_path("REPRO_DOCTOR_JSON", "artifacts/REPRO_doctor.json") {
-                std::fs::write(&path, doctor::render_json(&r)).expect("doctor artifact written");
-                println!("wrote {path}");
-            }
-            assert!(
-                r.all_ok(),
-                "doctor verdicts failed: every planted regression must be \
-                 diagnosed to its cause with attribution summing to the \
-                 makespan delta"
             );
         }
         _ => unreachable!("validated in main"),

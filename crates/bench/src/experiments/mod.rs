@@ -2,9 +2,6 @@
 
 pub mod cache_sweep;
 pub mod compute;
-pub mod crash;
-pub mod doctor;
-pub mod faults;
 pub mod fig1;
 pub mod fig4;
 pub mod fig5;
@@ -12,16 +9,13 @@ pub mod fig6;
 pub mod fig7;
 pub mod generation;
 pub mod obs;
-pub mod ops_plane;
 pub mod recompute;
-pub mod replay;
 pub mod soundness;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
 pub mod table5;
-pub mod telemetry;
 pub mod throughput;
 pub mod topology;
 pub mod trace;

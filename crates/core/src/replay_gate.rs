@@ -1273,7 +1273,7 @@ pub fn regenerate(spec: &CaseSpec) -> Result<GoldenCase, String> {
 /// The built-in corpus: CSP DES runs at several seeds and stage counts,
 /// threaded fault-recovery runs, and a multi-engine agreement case.
 /// Sized so the whole gate stays in CI-smoke territory.
-pub fn default_corpus() -> Vec<CaseSpec> {
+pub(crate) fn default_corpus() -> Vec<CaseSpec> {
     let des = |name: &str, domain, blocks, choices, gpus, subnets, seed, batch| CaseSpec {
         name: name.into(),
         engine: CaseEngine::Des,
@@ -1346,27 +1346,9 @@ pub fn default_corpus() -> Vec<CaseSpec> {
     ]
 }
 
-/// Regenerates cases in memory (no files written): each spec is
-/// re-executed and round-tripped through the file format, so the result
-/// is exactly what a freshly blessed file would parse to.
-///
-/// # Errors
-///
-/// Propagates engine refusals and format round-trip failures.
-pub fn bless_in_memory(specs: &[CaseSpec]) -> Result<Vec<GoldenCase>, String> {
-    specs
-        .iter()
-        .map(|s| {
-            regenerate(s).and_then(|c| {
-                parse_golden(&render_golden(&c)).map_err(|e| format!("{}: {e}", s.name))
-            })
-        })
-        .collect()
-}
-
 /// Regenerates the corpus under `dir` — existing `.golden` files are
 /// re-blessed from their own embedded specs; an empty (or missing)
-/// directory is seeded from [`default_corpus`]. Returns the written
+/// directory is seeded from `default_corpus`. Returns the written
 /// file paths.
 ///
 /// # Errors

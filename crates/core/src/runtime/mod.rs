@@ -302,14 +302,6 @@ pub struct RecoveryReport {
     pub resume_watermarks: Vec<u64>,
     /// Every fault that fired, with the incarnation it hit.
     pub faults_fired: Vec<FiredFault>,
-    /// Tasks whose effects a rollback discarded (they re-ran after the
-    /// resume watermark). Timing-dependent: how far past the crash
-    /// point other stages raced is scheduling luck, so this is excluded
-    /// from [`schedule`](Self::schedule).
-    pub replayed_tasks: u64,
-    /// Wall time spent between detecting failures and completing the
-    /// respawns, in microseconds. Timing-dependent.
-    pub recovery_latency_us: u64,
 }
 
 impl RecoveryReport {

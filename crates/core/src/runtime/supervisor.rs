@@ -37,11 +37,11 @@ pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, TrainError> 
     let mut run = Supervisor::resolve(spec)?;
     loop {
         let inc = Incarnation::new(&run.ctx, run.recovery.restarts);
-        let (handback, failed_at) = run_incarnation(&run.ctx, &inc, &mut run.next_sample);
+        let handback = run_incarnation(&run.ctx, &inc, &mut run.next_sample);
         run.attribute_faults(inc.number);
         match classify(handback) {
             (None, outputs) => return Ok(run.assemble(outputs, inc.watermark)),
-            (Some(err), salvaged) => run.restart(err, salvaged, failed_at)?,
+            (Some(err), salvaged) => run.restart(err, salvaged)?,
         }
     }
 }
@@ -51,16 +51,15 @@ pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, TrainError> 
 /// due meanwhile. Every worker sends its result — a panic, caught at the
 /// thread root, included — as it exits; the first `Err` raises the
 /// shutdown flag and wakes every worker, so survivors park instead of
-/// cascading. Returns the results by stage and when the first failure
-/// was seen.
+/// cascading. Returns the results by stage.
 fn run_incarnation(
     ctx: &RunContext,
     inc: &Incarnation,
     next_sample: &mut Option<Instant>,
-) -> (Vec<Result<StageOutput, TrainError>>, Option<Instant>) {
+) -> Vec<Result<StageOutput, TrainError>> {
     let (workers, txs) = StageWorker::wire(ctx, inc);
     let mut handback: Vec<_> = workers.iter().map(|_| None).collect();
-    let mut failed_at = None;
+    let mut failed = false;
     let threads = ctx.train.threads;
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = channel();
@@ -91,8 +90,8 @@ fn run_incarnation(
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
             };
-            if result.is_err() && failed_at.is_none() {
-                failed_at = Some(Instant::now());
+            if result.is_err() && !failed {
+                failed = true;
                 inc.shutdown.store(true, Ordering::Release);
                 for tx in &txs {
                     let _ = tx.send(Msg::Stop);
@@ -115,7 +114,7 @@ fn run_incarnation(
         w.drain();
     }
     let reported = |r: Option<_>| r.expect("every worker reports once");
-    (handback.into_iter().map(reported).collect(), failed_at)
+    handback.into_iter().map(reported).collect()
 }
 
 /// The root cause of an incarnation, if any stage failed, and the state
@@ -284,12 +283,7 @@ impl Supervisor {
     /// the workers that survived (every worker's counters, the failed
     /// one's included, are in the hub already), and the tasks past the
     /// resume watermark whose effects the rollback discards.
-    fn restart(
-        &mut self,
-        err: TrainError,
-        salvaged: Outputs,
-        failed_at: Option<Instant>,
-    ) -> Result<(), TrainError> {
+    fn restart(&mut self, err: TrainError, salvaged: Outputs) -> Result<(), TrainError> {
         let (restarts, stage) = (self.recovery.restarts, err.stage());
         if !err.is_recoverable() || restarts >= self.max_restarts {
             self.last_sample();
@@ -314,7 +308,6 @@ impl Supervisor {
             self.spans.merge(out.tracer.take());
             let past = out.tasks.iter().filter(|t| t.subnet.0 >= watermark);
             let replayed = past.count() as u64;
-            self.recovery.replayed_tasks += replayed;
             self.ctx
                 .hub
                 .record(k as u32, Counter::ReplayedTask, replayed);
@@ -330,9 +323,6 @@ impl Supervisor {
         };
         let at_us = elapsed_us(self.ctx.epoch);
         self.ctx.bus.emit(stage as u32, at_us, restart);
-        if let Some(at) = failed_at {
-            self.recovery.recovery_latency_us += elapsed_us(at);
-        }
         Ok(())
     }
 }

@@ -707,7 +707,7 @@ mod tests {
                     &[],
                 )
             },
-            // The line `repro crash` parses the resume watermark from.
+            // The line `tests/crash_recovery.rs` reads the resume watermark from.
             Row {
                 journal: Some(
                     r#"info durable-resume None "resuming from watermark 16 (ck/ckpt-16.snap)" [("watermark", "16")]"#,

@@ -7,7 +7,7 @@
 //! most, and a per-stage compute-time straggler ranking. Because the
 //! critical path attributes every microsecond of each run by
 //! construction, the four class deltas sum to the measured makespan
-//! delta *exactly* — the invariant `repro doctor` asserts.
+//! delta *exactly* — the invariant `tests/diagnosis.rs` asserts.
 //!
 //! [`explain_bench_check`] turns a `bench-check` failure into the same
 //! vocabulary: a kernel-vs-scheduling verdict from its rows, printed by

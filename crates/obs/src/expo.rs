@@ -7,8 +7,8 @@
 //!   snapshot, rate/utilisation gauges derived from the last interval,
 //!   and the log2 histograms re-expressed as cumulative `le` buckets.
 //! * [`validate_exposition`] / [`counter_values`] parse the text back:
-//!   the `repro telemetry` experiment and CI scrape a live endpoint and
-//!   hard-verify well-formedness and counter monotonicity with these.
+//!   `tests/ops_plane.rs` and CI scrape a live endpoint and hard-verify
+//!   well-formedness and counter monotonicity with these.
 //! * Serving is the ops plane's job: [`OpsServer`](crate::ops::OpsServer)
 //!   answers `GET /metrics` with this text (next to `/healthz`,
 //!   `/readyz`, `/status`, `/flight` and `/events`), and

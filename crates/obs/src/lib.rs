@@ -36,7 +36,7 @@
 //!    onto a fixed-capacity ring, rates are derived between snapshots,
 //!    and [`expo`] renders the whole thing as Prometheus 0.0.4 text
 //!    (served by the ops plane's `/metrics` route) — plus the parser /
-//!    validator the `repro telemetry` hard verdicts are built on.
+//!    validator the live-scrape tests' hard verdicts are built on.
 //! 6. **Diagnosis** ([`flight`] + [`watchdog`] + [`doctor`]): an
 //!    always-on bounded [`FlightRecorder`] of compact per-stage events
 //!    (dumped to `.flight.json` on faults, watchdog trips, or request),

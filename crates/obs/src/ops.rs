@@ -23,7 +23,7 @@
 //! cuts) while the [`TelemetryHub`] and [`Journal`] carry the high-rate
 //! and event-structured sides. Everything here is read-only with respect to
 //! training: scraping any route concurrently never changes a result bit
-//! (proven by `repro ops` and the `tests/ops_plane.rs` bitwise gate).
+//! (proven by the `tests/ops_plane.rs` bitwise gates).
 
 use crate::flight::FlightRecorder;
 use crate::journal::Journal;
@@ -372,7 +372,7 @@ impl OpsState {
 
 /// Validates a parsed `/status` document against schema v1. Returns the
 /// list of problems (empty = valid). This is the scanner-backed check
-/// the CI ops job and `repro ops` run against a live server.
+/// the CI ops job and `tests/ops_plane.rs` run against a live server.
 pub fn validate_status(doc: &JsonValue) -> Vec<String> {
     let mut problems = Vec::new();
     let mut need = |key: &str, ok: bool| {

@@ -289,7 +289,7 @@ impl ObsReport {
     }
 
     /// Total replayed tasks across all stages.
-    pub fn replayed_tasks(&self) -> u64 {
+    pub(crate) fn replayed_tasks(&self) -> u64 {
         self.stages.iter().map(|s| s.replayed_tasks).sum()
     }
 

@@ -223,7 +223,7 @@ impl TelemetryHub {
 
     /// Counts one watchdog detector trip (feeds the
     /// `naspipe_watchdog_trips_total` Prometheus family).
-    pub fn record_watchdog_trip(&self, kind: crate::watchdog::WatchdogVerdictKind) {
+    pub(crate) fn record_watchdog_trip(&self, kind: crate::watchdog::WatchdogVerdictKind) {
         self.watchdog_trips[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -334,7 +334,7 @@ impl TelemetryHub {
     }
 
     /// Snapshots evicted from the ring because it was full.
-    pub fn samples_dropped(&self) -> u64 {
+    pub(crate) fn samples_dropped(&self) -> u64 {
         self.ring.lock().expect("telemetry ring poisoned").dropped
     }
 

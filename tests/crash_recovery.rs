@@ -8,7 +8,9 @@
 //! `CARGO_BIN_EXE_naspipe` (cargo builds it for integration tests).
 
 use naspipe::core::config::DiagnosticsOptions;
-use naspipe::core::durable::{decode_snapshot, load_latest_in, snapshot_file_name, DurableError};
+use naspipe::core::durable::{
+    decode_snapshot, load_latest_in, snapshot_file_name, DurableError, DEFAULT_KEEP,
+};
 use naspipe::core::fault::FaultPlan;
 use naspipe::core::replay_gate::{self, loss_digest, ScheduleDigest};
 use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec, TrainError};
@@ -18,14 +20,9 @@ use naspipe::obs::{Journal, OpsState, RunMeta, TelemetryHub};
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
 use naspipe::tensor::model::ParamStore;
-use naspipe_bench::experiments::crash;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 use std::sync::Arc;
-
-fn naspipe_bin() -> &'static Path {
-    Path::new(env!("CARGO_BIN_EXE_naspipe"))
-}
 
 /// A fresh scratch directory under the target tmp space, per test.
 fn scratch(tag: &str) -> PathBuf {
@@ -35,31 +32,43 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn train_cmd(args: &[&str]) -> std::process::Output {
-    Command::new(naspipe_bin())
-        .args([
-            "train",
-            "--space",
-            "NLP.c2",
-            "--engine",
-            "threaded",
-            "--gpus",
-            "3",
-            "--subnets",
-            "24",
-            "--seed",
-            "5",
-            "--threads",
-            "2",
-        ])
-        .args(args)
-        .env_remove("NASPIPE_CRASH_WRITE")
-        .output()
-        .expect("naspipe child spawns")
+/// A threaded `naspipe train` child: NLP.c2 on 3 stages, 24 subnets, seed
+/// 5, then `args` (the CLI keeps the last value of a repeated option).
+fn train(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_naspipe"));
+    cmd.args([
+        "train",
+        "--space",
+        "NLP.c2",
+        "--engine",
+        "threaded",
+        "--gpus",
+        "3",
+        "--subnets",
+        "24",
+        "--seed",
+        "5",
+        "--threads",
+        "2",
+    ])
+    .args(args)
+    .env_remove("NASPIPE_CRASH_WRITE");
+    cmd
 }
 
-fn result_of(out: &std::process::Output) -> crash::ChildResult {
-    parse_maybe(out).unwrap_or_else(|| {
+fn train_cmd(args: &[&str]) -> Output {
+    train(args).output().expect("naspipe child spawns")
+}
+
+/// The child's `RESULT hash=<hex> loss_digest=<hex> losses=<n>` line.
+fn result_line(out: &Output) -> Option<String> {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.starts_with("RESULT "));
+    line.map(String::from)
+}
+
+fn result_of(out: &Output) -> String {
+    result_line(out).unwrap_or_else(|| {
         panic!(
             "child printed no RESULT line.\nstdout:\n{}\nstderr:\n{}",
             String::from_utf8_lossy(&out.stdout),
@@ -68,56 +77,161 @@ fn result_of(out: &std::process::Output) -> crash::ChildResult {
     })
 }
 
-fn parse_maybe(out: &std::process::Output) -> Option<crash::ChildResult> {
-    crash::parse_result(&String::from_utf8_lossy(&out.stdout))
+/// The watermark of the child's `naspipe: resuming from watermark W
+/// (path)` line.
+fn resumed_from(out: &Output) -> Option<u64> {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr.lines().find_map(|l| {
+        l.strip_prefix("naspipe: resuming from watermark ")
+            .map(String::from)
+    })?;
+    line.split_whitespace().next()?.parse().ok()
 }
 
-/// The full seeded matrix: kill at a forward task and mid-snapshot-write,
+/// Where a crash cell's child dies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CrashPoint {
+    /// `--kill-at stage:subnet`: abort when that stage starts that
+    /// subnet's forward.
+    KillAt(u32, u64),
+    /// `NASPIPE_CRASH_WRITE=n`: abort half-way through the n-th snapshot
+    /// write, leaving a torn tmp file behind.
+    MidWrite(u64),
+}
+
+/// One cell of the crash matrix: what the crashed child left on disk and
+/// what the resumed one did.
+#[derive(Debug)]
+struct Cell {
+    seed: u64,
+    point: CrashPoint,
+    keep: usize,
+    snapshots_after_crash: usize,
+    tmp_after_crash: usize,
+    resumed_watermark: Option<u64>,
+}
+
+/// Runs the crash matrix over `seeds` at `subnets` subnets, a durable cut
+/// every 8, in `scratch(tag)`. Per seed: an uninterrupted baseline, then
+/// per crash point a child that dies there and a `--resume` child over
+/// what it left. A snapshot reaches disk one cut behind the stages at
+/// most, so a kill just past the second cut (16) resumes from 8 or 16; a
+/// torn second write resumes from 8; and with a third cut, a torn third
+/// write under keep 2 (it overwrites the first cut's file) resumes from
+/// 16. Every cell must crash, resume inside that bound, leave no tmp file
+/// after the resume, and print the baseline's RESULT line. A failing cell
+/// keeps its directory.
+fn crash_matrix(tag: &str, subnets: u64, seeds: &[u64]) -> Vec<Cell> {
+    const INTERVAL: u64 = 8;
+    let root = scratch(tag);
+    let files = |dir: &Path, suffix: &str| {
+        let entries = std::fs::read_dir(dir).unwrap().filter_map(Result::ok);
+        let names = entries.map(|e| e.file_name().to_string_lossy().into_owned());
+        names.filter(|n| n.ends_with(suffix)).count()
+    };
+    let mut points = vec![
+        (
+            CrashPoint::KillAt(2, 2 * INTERVAL + 1),
+            DEFAULT_KEEP,
+            (8, 16),
+        ),
+        (CrashPoint::MidWrite(2), DEFAULT_KEEP, (8, 8)),
+    ];
+    if 3 * INTERVAL < subnets {
+        points.push((CrashPoint::MidWrite(3), 2, (16, 16)));
+    }
+    let mut cells = Vec::new();
+    for seed in seeds {
+        let (seed_arg, n_arg) = (seed.to_string(), subnets.to_string());
+        let run = ["--seed", &seed_arg, "--subnets", &n_arg];
+        let baseline = result_of(&train_cmd(&run));
+        for &(point, keep, (lo, hi)) in &points {
+            let dir = root.join(format!("s{seed}-{point:?}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let (dir_arg, keep_arg) = (dir.to_str().unwrap(), keep.to_string());
+            let durable = ["--checkpoint-dir", dir_arg, "--checkpoint-interval", "8"];
+            let durable = [&run[..], &durable, &["--checkpoint-keep", &keep_arg]].concat();
+            let mut crash = train(&durable);
+            match point {
+                CrashPoint::KillAt(stage, subnet) => {
+                    crash.args(["--kill-at", &format!("{stage}:{subnet}")])
+                }
+                CrashPoint::MidWrite(n) => crash.env("NASPIPE_CRASH_WRITE", n.to_string()),
+            };
+            let crashed = crash.output().expect("naspipe child spawns");
+            let left = (files(&dir, ".snap"), files(&dir, ".tmp"));
+            let resumed = train_cmd(&[&durable[..], &["--resume"]].concat());
+            let cell = Cell {
+                seed: *seed,
+                point,
+                keep,
+                snapshots_after_crash: left.0,
+                tmp_after_crash: left.1,
+                resumed_watermark: resumed_from(&resumed),
+            };
+            assert!(!crashed.status.success(), "{cell:?} did not crash");
+            assert!(
+                cell.resumed_watermark.is_some_and(|w| lo <= w && w <= hi),
+                "{cell:?} resumed outside {lo}..={hi}"
+            );
+            assert_eq!(files(&dir, ".tmp"), 0, "{cell:?}: the resume left a tmp");
+            assert_eq!(result_line(&resumed).as_ref(), Some(&baseline), "{cell:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+            cells.push(cell);
+        }
+    }
+    let _ = std::fs::remove_dir(&root);
+    cells
+}
+
+/// The seeded matrix: kill at a forward task and mid-snapshot-write,
 /// across seeds, each cell resumed cross-process and compared bitwise.
 #[test]
 fn kill_and_resume_matrix_is_bitwise_identical() {
-    let r = crash::run_with_bin(naspipe_bin(), SpaceId::NlpC2, 24, 8, &[5, 13], &[3]);
-    for c in &r.cells {
-        assert!(c.crashed, "cell {c:?} did not crash");
+    let cells = crash_matrix("matrix", 24, &[5, 13]);
+    let seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
+    assert_eq!(
+        seeds,
+        [5, 5, 13, 13],
+        "24 subnets hold two cuts: two points"
+    );
+    for c in &cells {
         // The writer runs at most one cut behind: a kill just past the
         // second cut resumes from it or from the first, never from
         // nothing; a write torn in half resumes from the one before it.
         let allowed: &[u64] = match c.point {
-            crash::CrashPoint::KillAt { .. } => &[8, 16],
-            crash::CrashPoint::MidWrite { .. } => &[8],
+            CrashPoint::KillAt(..) => &[8, 16],
+            CrashPoint::MidWrite(_) => &[8],
         };
         assert!(
             c.resumed_watermark.is_some_and(|w| allowed.contains(&w)),
             "cell {c:?} resumed outside {allowed:?}"
         );
     }
-    assert!(r.all_ok(), "matrix failed:\n{}", crash::render(&r));
 }
 
 /// With a third cut in the stream the matrix tears the third write under
 /// keep 2, which renamed the first cut's file to its tmp name: only the
 /// second cut is left complete, the torn tmp is the orphan, and the resume
 /// comes from exactly the second cut, removes the orphan and matches the
-/// baseline bitwise.
+/// baseline bitwise. Seeds 5, 13 and 21, three cells each.
 #[test]
 fn torn_write_into_a_recycled_file_resumes_from_the_cut_before() {
-    let r = crash::run_with_bin(naspipe_bin(), SpaceId::NlpC2, 32, 8, &[5], &[3]);
-    let recycled = crash::CrashPoint::MidWrite { persist_call: 3 };
-    let cell = r.cells.iter().find(|c| c.point == recycled);
-    let cell = cell.expect("32 subnets reach a third cut");
-    assert_eq!(cell.keep, 2);
-    assert!(cell.crashed, "{cell:?}");
-    assert_eq!(
-        (cell.snapshots_after_crash, cell.tmp_after_crash),
-        (1, 1),
-        "the first cut's file became the torn tmp: {cell:?}"
-    );
-    assert_eq!(cell.resumed_watermark, Some(16));
-    assert_eq!(
-        cell.tmp_after_resume, 0,
-        "the resume's open removed the orphan"
-    );
-    assert!(r.all_ok(), "matrix failed:\n{}", crash::render(&r));
+    let cells = crash_matrix("recycled", 32, &[5, 13, 21]);
+    assert_eq!(cells.len(), 9, "32 subnets reach a third cut");
+    let recycled = cells.iter().filter(|c| c.point == CrashPoint::MidWrite(3));
+    let recycled: Vec<&Cell> = recycled.collect();
+    let seeds: Vec<u64> = recycled.iter().map(|c| c.seed).collect();
+    assert_eq!(seeds, [5, 13, 21], "{cells:?}");
+    for cell in recycled {
+        assert_eq!(cell.keep, 2);
+        assert_eq!(
+            (cell.snapshots_after_crash, cell.tmp_after_crash),
+            (1, 1),
+            "the first cut's file became the torn tmp: {cell:?}"
+        );
+        assert_eq!(cell.resumed_watermark, Some(16), "{cell:?}");
+    }
 }
 
 /// `--resume` on an empty directory is a fresh start, not an error, and
@@ -189,7 +303,7 @@ fn corrupt_newest_snapshot_falls_back_to_previous_cut() {
         stderr.contains("skipping snapshot"),
         "expected the corrupt file to be skipped:\n{stderr}"
     );
-    let older = crash::parse_resume_watermark(&stderr).expect("resumed from the older cut");
+    let older = resumed_from(&resumed).expect("resumed from the older cut");
     assert_eq!(older, 8, "must fall back to the previous good watermark");
     assert_eq!(result_of(&resumed), baseline);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,10 @@
 //! The always-on diagnosis layer must never change results: flight
 //! recorder + watchdog enabled vs. disabled produce bitwise-identical
 //! schedules, reports, and trained parameters on both engines; clean
-//! runs trip no detector; and the DES watchdog's verdicts are a pure
+//! runs trip no detector; the DES watchdog's verdicts are a pure
 //! function of the configuration (identical across repeated runs and,
-//! via the CI `NASPIPE_THREADS` matrix, across compute-pool sizes).
+//! via the CI `NASPIPE_THREADS` matrix, across compute-pool sizes); and
+//! `naspipe doctor`'s diagnosis names regressions planted in the DES.
 
 use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
 use naspipe::core::fault::FaultPlan;
@@ -12,7 +13,7 @@ use naspipe::core::replay_gate::loss_digest;
 use naspipe::core::runtime::{RecoveryOptions, RunSpec};
 use naspipe::core::task::TaskKind;
 use naspipe::core::train::TrainConfig;
-use naspipe::obs::WatchdogVerdictKind;
+use naspipe::obs::{diagnose, AttrClass, Diagnosis, SpanTrace, WatchdogVerdictKind};
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
 
@@ -189,4 +190,60 @@ fn threaded_seeded_slow_stage_trips_straggler() {
         .find(|v| v.kind == WatchdogVerdictKind::Straggler)
         .expect("an injected 800ms delay must trip the straggler detector");
     assert_eq!(straggler.stage, 1, "the delayed stage is charged");
+}
+
+/// NLP.c2 on 4 stages, 24 subnets, each task priced by `cost`: the span
+/// trace the doctor reads.
+fn priced_trace(cost: impl Fn(TaskCost) -> f64) -> SpanTrace {
+    let space = SearchSpace::from_id(SpaceId::NlpC2);
+    let cfg = PipelineConfig::naspipe(4, 24).with_seed(7);
+    SimSpec {
+        subnets: Some(UniformSampler::new(&space, 2022).take_subnets(24)),
+        cost: &cost,
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
+    .unwrap()
+    .spans
+}
+
+/// The doctor's diagnosis of the run priced by `cost` against the clean
+/// one; its class deltas sum exactly to its makespan delta.
+fn against_clean(cost: impl Fn(TaskCost) -> f64) -> Diagnosis {
+    let d = diagnose(&priced_trace(|t| t.catalog_ms), &priced_trace(cost), 5);
+    assert_eq!(d.class_delta_sum_us(), d.makespan_delta_us());
+    d
+}
+
+/// Two regressions planted through the DES's cost hook are diagnosed to
+/// their causes against one clean baseline. Every stage's compute x3 (a
+/// lost SIMD path) is the `kernel` verdict with compute dominant. Stage
+/// 2 x8 tops the straggler ranking and the exported-stall ranking, with
+/// the stall it exports grown: it keeps itself busy, so on the critical
+/// path it is compute, and the idle it plants in its peers shows only in
+/// the exporter ranking.
+#[test]
+fn planted_regressions_are_diagnosed_with_exact_attribution() {
+    let throttled = against_clean(|t| t.catalog_ms * 3.0);
+    assert_eq!(throttled.verdict, "kernel", "{}", throttled.render_text());
+    assert_eq!(throttled.dominant, AttrClass::Compute);
+    assert!(
+        throttled.makespan_delta_us() > 0,
+        "3x compute slows the run"
+    );
+
+    let slow = against_clean(|t| t.catalog_ms * if t.stage.0 == 2 { 8.0 } else { 1.0 });
+    let text = slow.render_text();
+    assert_eq!(slow.stragglers.first().map(|s| s.stage), Some(2), "{text}");
+    let top_exporter = slow.exporters.first().expect("stages exist");
+    assert_eq!(top_exporter.stage, 2, "{text}");
+    assert!(top_exporter.delta_us() > 0, "{text}");
+}
+
+/// Twin runs diagnose to nothing: no delta, and no span shifted.
+#[test]
+fn identical_runs_diagnose_to_zero_delta() {
+    let d = against_clean(|t| t.catalog_ms);
+    assert_eq!(d.makespan_delta_us(), 0);
+    assert!(d.shifts.is_empty(), "no span may shift between twin runs");
 }

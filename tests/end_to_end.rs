@@ -4,6 +4,7 @@
 use naspipe::baselines::SystemKind;
 use naspipe::core::config::{PipelineConfig, SyncPolicy};
 use naspipe::core::pipeline::{PipelineError, PipelineOutcome, SimSpec};
+use naspipe::core::replay_gate::{self, Divergence, GateReport, GoldenCase};
 use naspipe::core::repro::verify_csp_order;
 use naspipe::core::runtime::RunSpec;
 use naspipe::core::train::{replay_training, search_best_subnet, sequential_training, TrainConfig};
@@ -509,4 +510,39 @@ fn cli_replay_of_a_transcript_that_does_not_fit_is_an_error_not_a_panic() {
         assert_eq!(stderr, format!("cannot replay {file}: {want}\n"));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A copy of `case` whose last task ends 7 µs later.
+fn nudge_last_task(case: &GoldenCase) -> GoldenCase {
+    let text = replay_gate::render_golden(case);
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let last = lines.iter().rposition(|l| l.starts_with("task ")).unwrap();
+    let mut fields: Vec<String> = lines[last].split(' ').map(String::from).collect();
+    fields[2] = (fields[2].parse::<u64>().unwrap() + 7).to_string();
+    lines[last] = fields.join(" ");
+    replay_gate::parse_golden(&(lines.join("\n") + "\n")).expect("still parses")
+}
+
+/// The golden-trace gate, strict, over the whole committed corpus: the
+/// DES, threaded-recovery and two-engine cases all re-execute to their
+/// goldens. A copy of the first case with its last task ending 7 µs
+/// later is caught as exactly one divergence, which names that task.
+#[test]
+fn golden_corpus_passes_strict_and_a_nudged_task_is_named() {
+    let dir = std::path::Path::new(replay_gate::DEFAULT_CORPUS_DIR);
+    let report: GateReport = replay_gate::run_gate(dir, None).expect("the corpus loads");
+    assert_eq!(report.cases.len(), 7, "{}", report.render_text());
+    assert!(report.ok(), "{}", report.render_text());
+
+    let cases = replay_gate::load_corpus(dir, None).expect("the corpus loads");
+    let victim = cases.iter().find(|c| !c.transcript.tasks.is_empty());
+    let nudged = nudge_last_task(victim.expect("a case with tasks"));
+    let divergences = replay_gate::run_case(&nudged).divergences;
+    assert!(
+        matches!(
+            divergences.as_slice(),
+            [Divergence::FirstDivergentTask { .. }]
+        ),
+        "{divergences:?}"
+    );
 }

@@ -1,8 +1,10 @@
-//! Ops-plane integration tests: the multi-route HTTP surface scraped
-//! concurrently while a real durable-checkpoint **resume** trains, held
-//! to bitwise identity with an ops-disabled resume — plus the CLI-level
-//! `--journal` zero-effect check on a real `naspipe` child process, and
-//! the DES engine's side of the same surface.
+//! Ops-plane integration tests: every route swept while a threaded run
+//! trains, held to bitwise identity with a bare run and to agreement with
+//! its report; the multi-route HTTP surface scraped concurrently while a
+//! real durable-checkpoint **resume** trains, held to bitwise identity
+//! with an ops-disabled resume — plus the CLI-level `--journal`
+//! zero-effect check on a real `naspipe` child process, and the DES
+//! engine's side of the same surface.
 //!
 //! The child binary is the workspace `naspipe` CLI, located via
 //! `CARGO_BIN_EXE_naspipe` (cargo builds it for integration tests).
@@ -10,16 +12,16 @@
 use naspipe::core::config::{DiagnosticsOptions, PipelineConfig};
 use naspipe::core::pipeline::SimSpec;
 use naspipe::core::replay_gate::loss_digest;
-use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec};
+use naspipe::core::runtime::{DurableOptions, RecoveryOptions, RunSpec, SupervisedRun};
 use naspipe::core::train::TrainConfig;
+use naspipe::obs::telemetry::diff_against_report;
 use naspipe::obs::{
-    http_get, parse_journal, parse_json, validate_exposition, validate_journal, validate_status,
-    Journal, JournalLevel, NullTracer, OpsServer, OpsState, RunMeta, TelemetryHub,
-    TelemetryOptions,
+    counter_values, http_get, monotonicity_violations, parse_journal, parse_json,
+    validate_exposition, validate_journal, validate_status, Journal, JournalLevel, NullTracer,
+    OpsServer, OpsState, RunMeta, TelemetryHub, TelemetryOptions,
 };
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
-use naspipe_bench::experiments::crash;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,6 +75,148 @@ fn recovery() -> RecoveryOptions {
         checkpoint_interval: CKPT_INTERVAL,
         ..RecoveryOptions::default()
     }
+}
+
+/// The threaded runtime on NLP.c2, 2 stages, 8 subnets, trained bare and
+/// then with the whole ops plane attached: a hub sampling every 2 ms, the
+/// journal sinking to a file, and every route swept from the test thread
+/// while the stages train. Every sweep answers what its phase allows, with
+/// `/metrics` well-formed and `/status` schema-valid, and some sweep sees
+/// the run running. No counter moves backwards between two `/metrics`
+/// scrapes. After the run, the hub's last snapshot equals the report field
+/// for field, the scraped `naspipe_tasks_total` series sum to the report's
+/// tasks, and `/events` serves exactly the lines the sink wrote. The
+/// instrumented run is bitwise the bare one. (`/readyz` turning 503 once a
+/// stall verdict latches is `obs`'s own route test.)
+#[test]
+fn swept_ops_plane_is_zero_effect_and_tells_the_report_s_story() {
+    const STAGES: u32 = 2;
+    const N: u64 = 8;
+    let space = SearchSpace::from_id(SpaceId::NlpC2);
+    let subnets = UniformSampler::new(&space, 2022).take_subnets(N as usize);
+    let cfg = TrainConfig {
+        dim: 96,
+        rows: 48,
+        seed: 2022,
+        ..TrainConfig::default()
+    };
+    let bare = RunSpec::new(&space, subnets.clone(), cfg, STAGES).run();
+    let bare = bare.expect("bare run trains");
+
+    let sink = scratch("sweep").join("run.journal.jsonl");
+    let hub = Arc::new(TelemetryHub::new(STAGES as usize, 0));
+    let journal = Journal::new(0)
+        .with_sink(&sink)
+        .expect("journal sink creatable");
+    let state = Arc::new(OpsState::new(
+        RunMeta::new("threaded", STAGES).seed(2022),
+        Arc::clone(&hub),
+        Arc::new(journal),
+    ));
+    let mut server =
+        OpsServer::bind("127.0.0.1:0", Arc::clone(&state)).expect("ops plane binds port 0");
+    let addr = server.local_addr().to_string();
+    let get = |route: &str| http_get(&addr, route).unwrap_or_else(|e| panic!("{route}: {e}"));
+
+    let mut scrapes = Vec::new();
+    let instrumented = std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            let topts = TelemetryOptions::new(Arc::clone(&hub))
+                .with_interval_us(2_000)
+                .with_progress(false);
+            RunSpec {
+                telemetry: Some(topts),
+                diagnostics: DiagnosticsOptions::default().with_ops(Arc::clone(&state)),
+                ..RunSpec::new(&space, subnets, cfg, STAGES)
+            }
+            .run()
+        });
+        // Until the runtime marks the state running, `/flight` has no ring
+        // (404) and `/readyz` is not ready; once running, `/readyz` may
+        // leave 200 only on a latched verdict or the run being done.
+        let mut running_sweeps = 0;
+        while !worker.is_finished() {
+            let status = get("/status");
+            assert_eq!(status.status, 200);
+            let doc = parse_json(&status.body).expect("/status is JSON");
+            assert_eq!(validate_status(&doc), Vec::<String>::new());
+            let running = doc.get("phase").and_then(|v| v.as_str()) == Some("running");
+            running_sweeps += usize::from(running);
+            for route in ["/metrics", "/healthz", "/events"] {
+                assert_eq!(get(route).status, 200, "{route}");
+            }
+            scrapes.push(get("/metrics").body);
+            let flight = get("/flight").status;
+            assert!(
+                flight == 200 || flight == 404 && !running,
+                "/flight {flight}"
+            );
+            let ready = get("/readyz");
+            let why = &ready.body;
+            let excused = !running || why.contains("watchdog") || why.contains("done");
+            assert!(
+                ready.status == 200 || ready.status == 503 && excused,
+                "{why}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert!(running_sweeps > 0, "no sweep saw the run running");
+        worker.join().expect("the run's thread joins")
+    })
+    .expect("instrumented run trains");
+
+    scrapes.push(get("/metrics").body);
+    for scrape in &scrapes {
+        validate_exposition(scrape).unwrap_or_else(|e| panic!("{e}\n{scrape}"));
+    }
+    for pair in scrapes.windows(2) {
+        assert_eq!(monotonicity_violations(&pair[0], &pair[1]), Ok(vec![]));
+    }
+    let last = hub.latest().expect("a final snapshot");
+    assert_eq!(
+        diff_against_report(&last, &instrumented.report),
+        Vec::<String>::new()
+    );
+    let stages = &instrumented.report.stages;
+    let tasks: u64 = stages
+        .iter()
+        .map(|s| s.forward_tasks + s.backward_tasks)
+        .sum();
+    assert_eq!(tasks, N * u64::from(STAGES) * 2);
+    let scraped = counter_values(scrapes.last().unwrap()).expect("counters parse");
+    let scraped = scraped
+        .iter()
+        .filter(|(k, _)| k.starts_with("naspipe_tasks_total"));
+    assert_eq!(scraped.map(|(_, v)| *v as u64).sum::<u64>(), tasks);
+
+    let events = get("/events");
+    assert_eq!(events.status, 200);
+    assert_eq!(validate_journal(&events.body), Vec::<String>::new());
+    let sunk = std::fs::read_to_string(&sink).expect("journal sink readable");
+    let lines = |text: &str| -> Vec<String> {
+        let lines = text.lines().filter(|l| !l.is_empty());
+        lines.map(String::from).collect()
+    };
+    assert_eq!(lines(&events.body), lines(&sunk), "/events is the sink");
+    assert!(lines(&sunk).len() >= 2, "run-start and run-end at least");
+    server.shutdown();
+
+    assert_eq!(instrumented.result.final_hash, bare.result.final_hash);
+    assert_eq!(
+        loss_digest(&instrumented.result.losses),
+        loss_digest(&bare.result.losses)
+    );
+    // Task times are wall clock; what the run did is the multiset of
+    // (stage, kind, subnet, blocks).
+    let executed = |run: &SupervisedRun| {
+        let tasks = run.tasks.iter();
+        let mut v: Vec<_> = tasks
+            .map(|t| format!("{:?} {:?} {:?} {:?}", t.stage, t.kind, t.subnet, t.blocks))
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(executed(&instrumented), executed(&bare));
 }
 
 /// The tentpole guarantee, satellite 3: a durable **resume** with the
@@ -275,11 +419,16 @@ fn journal_flag_is_zero_effect_on_child_process() {
         "journaled child failed: {journaled:?}"
     );
 
-    let a = crash::parse_result(&String::from_utf8_lossy(&plain.stdout))
-        .expect("plain child printed RESULT");
-    let b = crash::parse_result(&String::from_utf8_lossy(&journaled.stdout))
-        .expect("journaled child printed RESULT");
-    assert_eq!(a, b, "--journal changed the RESULT line");
+    let result_line = |out: &std::process::Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("RESULT "));
+        line.map(String::from).expect("the child printed RESULT")
+    };
+    assert_eq!(
+        result_line(&plain),
+        result_line(&journaled),
+        "--journal changed the RESULT line"
+    );
 
     let text = std::fs::read_to_string(&journal_path).expect("journal file written");
     assert_eq!(validate_journal(&text), Vec::<String>::new());

@@ -9,7 +9,7 @@ use naspipe::core::config::PipelineConfig;
 use naspipe::core::pipeline::{PipelineOutcome, SimSpec, TaskCost};
 use naspipe::core::repro::verify_csp_order;
 use naspipe::core::task::TaskKind;
-use naspipe::core::train::{replay_training, sequential_training, TrainConfig};
+use naspipe::core::train::{replay_training, sequential_training, TrainConfig, TrainResult};
 use naspipe::supernet::layer::Domain;
 use naspipe::supernet::rng::DetRng;
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
@@ -207,11 +207,70 @@ fn jitter_is_deterministic() {
 /// crash (plus transient channel faults) recovers through the
 /// CSP-watermark checkpoint to a result bitwise equal to sequential
 /// training — and replays the identical recovery schedule when re-run.
+/// The last input is the wider scenario `naspipe train` users see: NLP.c2
+/// on 4 stages, 48 subnets, fault seed 7, a cut every 8, default backoff.
 #[test]
 fn fault_recovery_matrix_is_bitwise_exact_and_replayable() {
     use naspipe::core::fault::FaultPlan;
     use naspipe::core::repro::verify_csp_order_parts;
-    use naspipe::core::runtime::{RecoveryOptions, RunSpec};
+    use naspipe::core::runtime::{RecoveryOptions, RecoverySchedule, RunSpec};
+    use naspipe::supernet::space::SpaceId;
+
+    // One input: a fatal fault recovered from, bitwise and replayably.
+    let recovers = |spec: RunSpec<'_>, reference: &TrainResult, tag: &str| {
+        let (gpus, interval) = (spec.gpus, spec.recovery.checkpoint_interval);
+        let run = spec
+            .clone()
+            .run()
+            .unwrap_or_else(|e| panic!("{tag}: failed to recover: {e}"));
+        assert_eq!(
+            run.result.final_hash, reference.final_hash,
+            "{tag}: recovered run diverged from sequential"
+        );
+        assert_eq!(
+            run.result.losses, reference.losses,
+            "{tag}: losses diverged"
+        );
+        assert!(
+            run.recovery.restarts >= 1,
+            "{tag}: plan has a fatal fault, so at least one restart"
+        );
+        assert!(
+            run.report.restarts() >= u64::from(gpus),
+            "{tag}: every stage counts each restart"
+        );
+        verify_csp_order_parts(&run.subnets, &run.tasks)
+            .unwrap_or_else(|(l, o)| panic!("{tag}: CSP violated at {l}: {}", o.notation()));
+        // Every restart resumes from a cut (or from scratch).
+        let RecoverySchedule {
+            resume_watermarks, ..
+        } = run.recovery.schedule();
+        assert!(
+            resume_watermarks.iter().all(|w| w % interval == 0),
+            "{tag}: resumed from {resume_watermarks:?}"
+        );
+
+        // Determinism: the same seeded plan replays the same faults and
+        // the same recovery schedule.
+        let again = spec
+            .run()
+            .unwrap_or_else(|e| panic!("{tag}: rerun failed: {e}"));
+        assert_eq!(again.result.final_hash, reference.final_hash);
+        assert_eq!(
+            run.recovery.schedule(),
+            again.recovery.schedule(),
+            "{tag}: recovery schedule must be reproducible"
+        );
+    };
+    let supervised = |space, subnets: &[Subnet], cfg, gpus, interval, plan| RunSpec {
+        recovery: RecoveryOptions {
+            fault_plan: plan,
+            checkpoint_interval: interval,
+            max_restarts: 3,
+            recv_timeout_ms: None,
+        },
+        ..RunSpec::new(space, subnets.to_vec(), cfg, gpus)
+    };
 
     let space = SearchSpace::uniform(Domain::Nlp, 8, 5);
     let n = 24u64;
@@ -221,55 +280,23 @@ fn fault_recovery_matrix_is_bitwise_exact_and_replayable() {
         ..TrainConfig::default()
     };
     let reference = sequential_training(&space, &subnets, &cfg);
-
     for fault_seed in [1u64, 2, 3] {
         for gpus in [2u32, 4] {
             for interval in [4u64, 8] {
                 let plan =
                     FaultPlan::seeded(fault_seed, gpus, n, interval, 1, 2).with_backoff_us(10);
-                let opts = RecoveryOptions {
-                    fault_plan: plan,
-                    checkpoint_interval: interval,
-                    max_restarts: 3,
-                    recv_timeout_ms: None,
-                };
+                let spec = supervised(&space, &subnets, cfg, gpus, interval, plan);
                 let tag = format!("seed {fault_seed}, {gpus} stages, C={interval}");
-                let spec = RunSpec {
-                    recovery: opts,
-                    ..RunSpec::new(&space, subnets.clone(), cfg, gpus)
-                };
-                let run = spec
-                    .clone()
-                    .run()
-                    .unwrap_or_else(|e| panic!("{tag}: failed to recover: {e}"));
-                assert_eq!(
-                    run.result.final_hash, reference.final_hash,
-                    "{tag}: recovered run diverged from sequential"
-                );
-                assert_eq!(
-                    run.result.losses, reference.losses,
-                    "{tag}: losses diverged"
-                );
-                assert!(
-                    run.recovery.restarts >= 1,
-                    "{tag}: plan has a fatal fault, so at least one restart"
-                );
-                verify_csp_order_parts(&run.subnets, &run.tasks).unwrap_or_else(|(l, o)| {
-                    panic!("{tag}: CSP violated at {l}: {}", o.notation())
-                });
-
-                // Determinism: the same seeded plan replays the same
-                // faults and the same recovery schedule.
-                let again = spec
-                    .run()
-                    .unwrap_or_else(|e| panic!("{tag}: rerun failed: {e}"));
-                assert_eq!(again.result.final_hash, reference.final_hash);
-                assert_eq!(
-                    run.recovery.schedule(),
-                    again.recovery.schedule(),
-                    "{tag}: recovery schedule must be reproducible"
-                );
+                recovers(spec, &reference, &tag);
             }
         }
     }
+
+    let space = SearchSpace::from_id(SpaceId::NlpC2);
+    let subnets = UniformSampler::new(&space, 2022).take_subnets(48);
+    let cfg = TrainConfig::default();
+    let plan = FaultPlan::seeded(7, 4, 48, 8, 1, 2);
+    let spec = supervised(&space, &subnets, cfg, 4, 8, plan);
+    let reference = sequential_training(&space, &subnets, &cfg);
+    recovers(spec, &reference, "NLP.c2, seed 7, 4 stages, C=8");
 }

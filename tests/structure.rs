@@ -346,6 +346,38 @@ impl<'a> Scan<'a> {
         }
     }
 
+    /// Records a problem unless the string literals of `const {name}` in
+    /// `source` are, in any order, exactly `want`.
+    fn exactly_strings_in_const(&mut self, source: &Source, name: &str, want: &[&str]) {
+        let text = &source.folded;
+        let list = source
+            .matches(&format!(r"\bconst {name}\b"))
+            .first()
+            .and_then(|&at| {
+                let value = at + text[at..].find('=')?;
+                let open = value + text[value..].find('[')?;
+                let close = open + text[open..].find(']')?;
+                Some(&text[open..close])
+            });
+        let Some(list) = list else {
+            self.problems.push(format!(
+                "{}: named by the rule, but no `const {name}` list; a renamed const takes its rule with it",
+                source.path
+            ));
+            return;
+        };
+        let mut found: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
+        found.sort_unstable();
+        let mut want = want.to_vec();
+        want.sort_unstable();
+        if found != want {
+            self.problems.push(format!(
+                "{}: `{name}` is {found:?}, not exactly {want:?}",
+                source.path
+            ));
+        }
+    }
+
     /// The `.rs` files under `rel`, or none when `rel` is not a
     /// directory: for callers that a tree may not have.
     fn tree_if_present(&mut self, rel: &str) -> Vec<Source> {
@@ -473,7 +505,7 @@ mod rules {
         ("tensor", 4),
         ("sim", 1),
         ("baselines", 1),
-        ("bench", 34),
+        ("bench", 26),
     ];
 
     pub fn every_pub_name_has_a_caller(root: &Path) -> Result<(), String> {
@@ -965,6 +997,44 @@ mod rules {
              ID run ahead of an admissible lower one.",
         )
     }
+
+    /// The paper's evaluation (§5): the figures and tables `repro`
+    /// regenerates.
+    pub const PAPER: [&str; 10] = [
+        "fig1", "table1", "fig4", "fig5", "table2", "table3", "table4", "table5", "fig6", "fig7",
+    ];
+
+    /// What `repro` adds to the paper: experiments that explain it further.
+    pub const EXTRAS: [&str; 8] = [
+        "cache",
+        "soundness",
+        "generation",
+        "topology",
+        "recompute",
+        "obs",
+        "trace",
+        "bench",
+    ];
+
+    pub fn repro_reproduces_the_paper(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let want: Vec<&str> = PAPER.iter().chain(&EXTRAS).copied().collect();
+        for repro in scan.file("crates/bench/src/bin/repro.rs") {
+            scan.exactly_strings_in_const(&repro, "EXPERIMENTS", &want);
+        }
+        // bench-check's gate reads compute's verdicts.
+        let gate = "crates/bench/src/experiments/compute.rs";
+        scan.file(gate);
+        let experiments = scan.rs_in("crates/bench/src/experiments");
+        let experiments = experiments.iter().filter(|s| s.path != gate);
+        scan.forbid(experiments, &[r"\bfn all_ok\b", r"\bfn verdict("]);
+        scan.verdict(
+            "repro reproduces the paper (Verdicts are tests): `repro` runs the paper's figures \
+             and tables and the experiments that explain them. A self-test is an assert in a \
+             root tests/ file, which tier-1 runs; as a `repro` experiment with its own verdict \
+             table it ran only when someone ran it.",
+        )
+    }
 }
 
 fn holds(rule: fn(&Path) -> Result<(), String>) {
@@ -1046,6 +1116,11 @@ fn one_copy_in_obs() {
 #[test]
 fn every_pub_name_has_a_caller() {
     holds(rules::every_pub_name_has_a_caller);
+}
+
+#[test]
+fn repro_reproduces_the_paper() {
+    holds(rules::repro_reproduces_the_paper);
 }
 
 /// A fresh tree holding `files` (relative path, contents), named after
@@ -1407,4 +1482,42 @@ fn a_second_copy_in_obs_fails() {
     ] {
         assert!(broken.contains(needle), "{needle} in {broken}");
     }
+}
+
+#[test]
+fn a_self_test_experiment_in_repro_fails() {
+    let experiments = |extra: &str| {
+        let names = rules::PAPER.iter().chain(&rules::EXTRAS).chain([&extra]);
+        let names: Vec<String> = names.map(|n| format!("    \"{n}\",\n")).collect();
+        format!("const EXPERIMENTS: &[&str] = &[\n{}];\n", names.concat())
+    };
+    let gate = "pub fn all_ok(&self) -> bool {\n    true\n}\nfn verdict(ok: bool) {}\n";
+    let tree = |name: &str, repro: &str, faults: &str| {
+        fixture(
+            name,
+            &[
+                ("crates/bench/src/bin/repro.rs", repro),
+                ("crates/bench/src/experiments/compute.rs", gate),
+                ("crates/bench/src/experiments/faults.rs", faults),
+            ],
+        )
+    };
+    let paper = experiments("all").replace("    \"all\",\n", "");
+    let root = tree("repro_paper", &paper, "pub fn run() {}\n");
+    rules::repro_reproduces_the_paper(&root).expect("the paper, its extras, compute's gate");
+
+    let self_test = "pub fn all_ok(&self) -> bool {\n    true\n}\n\
+                     fn verdict(ok: bool) -> &'static str {\n    \"ok\"\n}\n";
+    let root = tree("repro_self_test", &experiments("faults"), self_test);
+    let broken = rules::repro_reproduces_the_paper(&root).unwrap_err();
+    assert!(broken.contains("Verdicts are tests"), "{broken}");
+    for needle in [
+        "crates/bench/src/bin/repro.rs: `EXPERIMENTS` is",
+        "\"faults\"",
+        "crates/bench/src/experiments/faults.rs:1: `\\bfn all_ok\\b`",
+        "crates/bench/src/experiments/faults.rs:4: `\\bfn verdict(`",
+    ] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
+    assert!(!broken.contains("compute.rs"), "{broken}");
 }

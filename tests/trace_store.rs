@@ -252,3 +252,73 @@ fn des_trace_bytes_match_the_recorded_digests() {
     }
     assert_eq!(got.as_slice(), PINNED.as_slice());
 }
+
+/// Both engines on NLP.c2, 4 stages, 24 subnets, traced. Per engine: the
+/// critical path through the span graph totals exactly the makespan (the
+/// causal edges the engine recorded explain the whole schedule); the
+/// chrome export parses back to the identical trace and meta; spans
+/// carry causal flows, and every forward and backward names its cause:
+/// an injection, or a span of the trace. On the DES, each stage's idle time on the path is
+/// within the stall + bubble time the recorder counted on its own (the
+/// threaded recorder's idle is wall-clock noise, so it is not compared).
+/// The threaded run cuts a checkpoint every 8 subnets, and its trace
+/// holds those cuts.
+#[test]
+fn both_engines_trace_a_critical_path_that_is_the_makespan() {
+    use naspipe::core::runtime::{RecoveryOptions, RunSpec};
+    use naspipe::core::train::TrainConfig;
+    use naspipe::obs::{parse_chrome, CauseKind, CriticalPath, ObsReport, SpanKind, SpanTrace};
+    use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
+    use naspipe::supernet::space::SpaceId;
+
+    let space = SearchSpace::from_id(SpaceId::NlpC2);
+    let subnets = UniformSampler::new(&space, 2022).take_subnets(24);
+    let des = SimSpec {
+        subnets: Some(subnets.clone()),
+        ..SimSpec::new(&space, &PipelineConfig::naspipe(4, 24))
+    }
+    .run()
+    .expect("NLP.c2 fits under CSP");
+    let threaded = RunSpec {
+        recovery: RecoveryOptions {
+            checkpoint_interval: 8,
+            ..RecoveryOptions::default()
+        },
+        ..RunSpec::new(&space, subnets, TrainConfig::default(), 4)
+    }
+    .run()
+    .expect("a clean threaded run");
+
+    let check = |engine: &str, spans: &SpanTrace, report: &ObsReport| -> CriticalPath {
+        let path = critical_path(spans);
+        assert_eq!(path.total_us, spans.makespan_us(), "{engine}");
+        let chrome = export_chrome(spans, &report.meta);
+        let parsed = parse_chrome(&chrome).expect("the export parses");
+        assert!(parsed == (spans.clone(), report.meta.clone()), "{engine}");
+        let mut flows = spans.spans().iter().filter_map(|s| s.cause);
+        assert!(flows.any(|c| spans.get(c.src).is_some()), "{engine}");
+        // Every forward and backward says why it started: an injection,
+        // or a span of the trace.
+        let tasks = spans.spans().iter();
+        let tasks = tasks.filter(|s| matches!(s.kind, SpanKind::Forward | SpanKind::Backward));
+        for s in tasks {
+            let cause = s
+                .cause
+                .unwrap_or_else(|| panic!("{engine}: no cause: {s:?}"));
+            let injected = cause.kind == CauseKind::Injection;
+            assert!(
+                injected || spans.get(cause.src).is_some(),
+                "{engine}: {s:?}"
+            );
+        }
+        path
+    };
+    let path = check("des", &des.spans, &des.obs);
+    for (k, stage) in des.obs.stages.iter().enumerate() {
+        let idle = path.stage_idle_us.get(k).copied().unwrap_or(0);
+        assert!(idle <= stage.stall_us + stage.bubble_us + 1, "stage {k}");
+    }
+    check("threaded", &threaded.spans, &threaded.report);
+    let cuts = threaded.spans.of_kind(SpanKind::Checkpoint);
+    assert!(cuts.count() > 0, "the threaded trace holds its cuts");
+}
