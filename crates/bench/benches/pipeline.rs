@@ -8,7 +8,7 @@
 //! `target/tmp/pipeline-benches.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use naspipe_core::checkpoint::{Checkpoint, StageSnapshot};
+use naspipe_core::checkpoint::{Checkpoint, StageSnapshot, Written};
 use naspipe_core::config::{PipelineConfig, SyncPolicy};
 use naspipe_core::durable::{encode_snapshot, DurableStore};
 use naspipe_core::pipeline::SimSpec;
@@ -247,10 +247,34 @@ fn bench_checkpoint_cut(c: &mut Criterion) {
     });
 }
 
+/// Per 8-subnet interval of a 2-stage, uniform(48, 48) stream, the layers
+/// each stage's 24 blocks activate.
+fn interval_writes(intervals: usize) -> Vec<Vec<Vec<(usize, usize)>>> {
+    let space = SearchSpace::uniform(Domain::Nlp, 48, 48);
+    let subnets = UniformSampler::new(&space, 7).take_subnets(8 * intervals);
+    let interval = |subnets: &[naspipe_supernet::subnet::Subnet]| {
+        let mut layers = vec![BTreeSet::new(), BTreeSet::new()];
+        for s in subnets {
+            for b in (0..48).filter(|&b| !s.skips(b)) {
+                layers[b / 24].insert((b % 24, s.layer(b).choice as usize));
+            }
+        }
+        layers
+            .into_iter()
+            .map(|l| l.into_iter().collect())
+            .collect()
+    };
+    subnets.chunks(8).map(interval).collect()
+}
+
 /// One durable persist of a two-stage `rt-durable-ops` cut (2.56 MB):
 /// into a created file (keep 1, nothing to recycle), against rewriting
 /// the cut retention drops (keep 2). Both fsync the file and the
-/// directory, so the figures are this host's disk.
+/// directory, so the figures are this host's disk. `delta` is the stream
+/// the runtime's writer persists on keep 3: each cut with the layers an
+/// 8-subnet interval writes, a delta on the cut before, except the full
+/// that opens each chain once the deltas would outweigh one — one persist
+/// in seven here, so the row is six deltas and a full over seven.
 fn bench_durable_persist(c: &mut Criterion) {
     let (params, _) = durable_ops_slice();
     let stage = StageSnapshot {
@@ -278,6 +302,18 @@ fn bench_durable_persist(c: &mut Criterion) {
             })
         });
     }
+    let writes = interval_writes(63);
+    let store = DurableStore::open(&root.join("delta"), 3, 0).expect("scratch dir");
+    let mut next = writes.iter().cycle();
+    c.bench_function("durable_persist/delta", |b| {
+        b.iter(|| {
+            let since = cut.watermark;
+            cut.watermark += 8;
+            let layers = next.next().expect("cycles").clone();
+            let written = Written { since, layers };
+            store.persist_cut(&cut, &written).expect("persist")
+        })
+    });
     let _ = std::fs::remove_dir_all(&root);
 }
 

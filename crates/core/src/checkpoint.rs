@@ -26,6 +26,10 @@
 //! (`CheckpointStore::take_spare`) and [`StageSnapshot::refill`]s it,
 //! copying in place only the layers written since the spare's watermark,
 //! instead of cloning the whole slice.
+//!
+//! Each stage records, beside its snapshot, the layers it wrote since the
+//! previous cut; a completed cut comes with those sets ([`Written`]), so
+//! the durable writer can persist it as a delta on the previous cut.
 
 use naspipe_obs::SpanId;
 use naspipe_tensor::layers::DenseParams;
@@ -93,6 +97,19 @@ impl StageSnapshot {
     }
 }
 
+/// The layers each stage of a cut wrote since an earlier cut of the same
+/// run, at watermark `since`: what a durable delta on that cut holds
+/// ([`crate::durable::DurableStore::persist_cut`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Written {
+    /// The earlier cut's watermark.
+    pub since: u64,
+    /// Per stage, the layers written since, as `(block - first block of
+    /// the stage, choice)` — how [`StageSnapshot::params`] is indexed —
+    /// ascending. A stage may name more layers than it wrote, never fewer.
+    pub layers: Vec<Vec<(usize, usize)>>,
+}
+
 /// A complete consistent cut: all stages' snapshots at one watermark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -124,10 +141,20 @@ pub(crate) struct CheckpointStore {
     slots: Mutex<Slots>,
 }
 
+/// One stage's record of a cut: its snapshot, the span that traced it,
+/// and the layers it wrote since watermark `since`.
+#[derive(Debug, Clone)]
+struct Part {
+    snapshot: StageSnapshot,
+    span: SpanId,
+    since: u64,
+    written: Vec<(usize, usize)>,
+}
+
 #[derive(Debug)]
 struct Slots {
-    /// Cuts still collecting their stages' snapshots, by watermark.
-    partial: BTreeMap<u64, Vec<Option<(StageSnapshot, SpanId)>>>,
+    /// Cuts still collecting their stages' records, by watermark.
+    partial: BTreeMap<u64, Vec<Option<Part>>>,
     /// The newest complete cut.
     complete: Option<Arc<Checkpoint>>,
     /// Per stage, the snapshot of the newest retired cut nobody else
@@ -154,13 +181,15 @@ impl CheckpointStore {
     }
 
     /// Records `stage`'s snapshot at `watermark`, tagged with the span
-    /// that traced the snapshot work. Idempotent per `(watermark, stage)`
-    /// across incarnations: a respawned worker re-reaching a boundary it
-    /// already snapshotted is a no-op, so a checkpoint is never
-    /// half-overwritten by replayed state.
+    /// that traced the snapshot work, and the layers `written` since
+    /// watermark `since` (in [`Written::layers`]' form). Idempotent per
+    /// `(watermark, stage)` across incarnations: a respawned worker
+    /// re-reaching a boundary it already snapshotted is a no-op, so a
+    /// checkpoint is never half-overwritten by replayed state.
     ///
     /// Returns the cut when this call completed it — every stage has now
-    /// snapshotted `watermark` — and `None` otherwise (a replayed record
+    /// snapshotted `watermark` — with the stages' written layers since the
+    /// highest of their `since`s, and `None` otherwise (a replayed record
     /// of an already complete cut included).
     ///
     /// A poisoned mutex is recovered, not propagated: a stage worker
@@ -179,7 +208,8 @@ impl CheckpointStore {
         stage: usize,
         snapshot: StageSnapshot,
         span: SpanId,
-    ) -> Option<Arc<Checkpoint>> {
+        (since, written): (u64, Vec<(usize, usize)>),
+    ) -> Option<(Arc<Checkpoint>, Written)> {
         assert!(stage < self.gpus, "stage {stage} out of range");
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots
@@ -194,17 +224,35 @@ impl CheckpointStore {
             .entry(watermark)
             .or_insert_with(|| vec![None; self.gpus]);
         if entry[stage].is_none() {
-            entry[stage] = Some((snapshot, span));
+            entry[stage] = Some(Part {
+                snapshot,
+                span,
+                since,
+                written,
+            });
         }
         if entry.iter().all(Option::is_some) {
             let parts = slots.partial.remove(&watermark).expect("just filled");
+            let parts: Vec<Part> = parts.into_iter().flatten().collect();
             // The completing record is the one with the highest span id
             // at this watermark under per-worker namespaces; any of them
             // anchors the recovery flow, so take the max for determinism.
-            let cut_span = parts.iter().flatten().map(|p| p.1).max();
+            let cut_span = parts.iter().map(|p| p.span).max();
+            // A stage's set since an earlier watermark covers the writes
+            // since a later one too.
+            let since = parts.iter().map(|p| p.since).max().unwrap_or(watermark);
+            let mut written = Written {
+                since,
+                layers: Vec::with_capacity(parts.len()),
+            };
+            let mut stages = Vec::with_capacity(parts.len());
+            for part in parts {
+                stages.push(part.snapshot);
+                written.layers.push(part.written);
+            }
             let cut = Arc::new(Checkpoint {
                 watermark,
-                stages: parts.into_iter().flatten().map(|p| p.0).collect(),
+                stages,
                 cut_span: cut_span.unwrap_or(SpanId::EXTERNAL),
             });
             // Retires the older complete cut: its snapshots become spares
@@ -212,7 +260,7 @@ impl CheckpointStore {
             if let Some(retired) = slots.complete.replace(Arc::clone(&cut)) {
                 slots.keep_spares(retired);
             }
-            return Some(cut);
+            return Some((cut, written));
         }
         // Bound partial-cut growth: drop the lowest incomplete entries
         // once more than MAX_PARTIAL_CUTS accumulate (see the const).
@@ -290,6 +338,11 @@ impl Slots {
 mod tests {
     use super::*;
 
+    /// A record that names no written layer.
+    fn nothing() -> (u64, Vec<(usize, usize)>) {
+        (0, Vec::new())
+    }
+
     fn snap() -> StageSnapshot {
         StageSnapshot {
             params: Vec::new(),
@@ -301,12 +354,12 @@ mod tests {
     #[test]
     fn incomplete_watermarks_are_invisible() {
         let store = CheckpointStore::new(2);
-        assert!(store.record(8, 0, snap(), SpanId(1)).is_none());
+        assert!(store.record(8, 0, snap(), SpanId(1), nothing()).is_none());
         assert!(store.latest_complete().is_none());
-        let closed = store.record(8, 1, snap(), SpanId(2));
+        let closed = store.record(8, 1, snap(), SpanId(2), nothing());
         let ckpt = store.latest_complete().expect("complete");
         assert!(
-            closed.is_some_and(|c| Arc::ptr_eq(&c, &ckpt)),
+            closed.is_some_and(|(c, _)| Arc::ptr_eq(&c, &ckpt)),
             "second stage completes the cut and is handed the shared copy"
         );
         assert_eq!(ckpt.watermark, 8);
@@ -321,12 +374,12 @@ mod tests {
     #[test]
     fn completion_prunes_older_complete_watermarks() {
         let store = CheckpointStore::new(2);
-        store.record(4, 0, snap(), SpanId(1));
-        store.record(4, 1, snap(), SpanId(2));
-        store.record(8, 0, snap(), SpanId(3));
+        store.record(4, 0, snap(), SpanId(1), nothing());
+        store.record(4, 1, snap(), SpanId(2), nothing());
+        store.record(8, 0, snap(), SpanId(3), nothing());
         // 8 is partial: 4 must survive.
         assert_eq!(store.latest_complete().expect("complete").watermark, 4);
-        store.record(8, 1, snap(), SpanId(4));
+        store.record(8, 1, snap(), SpanId(4), nothing());
         assert_eq!(store.latest_complete().expect("complete").watermark, 8);
         assert_eq!(store.watermarks(), vec![8]);
     }
@@ -336,14 +389,14 @@ mod tests {
         let store = CheckpointStore::new(2);
         let mut first = snap();
         first.losses.insert(3, 0.5);
-        store.record(4, 0, first, SpanId(1));
-        store.record(4, 0, snap(), SpanId(9)); // replayed worker: ignored
+        store.record(4, 0, first, SpanId(1), nothing());
+        store.record(4, 0, snap(), SpanId(9), nothing()); // replayed worker: ignored
         assert!(
-            store.record(4, 1, snap(), SpanId(2)).is_some(),
+            store.record(4, 1, snap(), SpanId(2), nothing()).is_some(),
             "completion reported exactly once"
         );
         assert!(
-            store.record(4, 1, snap(), SpanId(3)).is_none(),
+            store.record(4, 1, snap(), SpanId(3), nothing()).is_none(),
             "already complete"
         );
         let ckpt = store.latest_complete().expect("complete");
@@ -360,9 +413,21 @@ mod tests {
     }
 
     fn complete(store: &CheckpointStore, watermark: u64) -> Arc<Checkpoint> {
-        store.record(watermark, 0, tagged(watermark), SpanId(watermark));
-        let cut = store.record(watermark, 1, tagged(watermark + 1), SpanId(watermark));
-        cut.expect("both stages reported")
+        store.record(
+            watermark,
+            0,
+            tagged(watermark),
+            SpanId(watermark),
+            nothing(),
+        );
+        let cut = store.record(
+            watermark,
+            1,
+            tagged(watermark + 1),
+            SpanId(watermark),
+            nothing(),
+        );
+        cut.expect("both stages reported").0
     }
 
     #[test]
@@ -408,6 +473,20 @@ mod tests {
     }
 
     #[test]
+    fn a_completed_cut_carries_its_stages_written_layers() {
+        let store = CheckpointStore::new(2);
+        // Stage 1's incarnation resumed at 8, so it knows the writes since
+        // 8 only; stage 0's set since 4 covers the writes since 8 too.
+        store.record(12, 1, snap(), SpanId(1), (8, vec![(0, 1)]));
+        store.record(12, 1, snap(), SpanId(2), (4, vec![(9, 9)])); // replayed
+        let (_, written) = store
+            .record(12, 0, snap(), SpanId(3), (4, vec![(0, 0), (2, 5)]))
+            .expect("both stages reported");
+        let layers = vec![vec![(0, 0), (2, 5)], vec![(0, 1)]];
+        assert_eq!(written, Written { since: 8, layers });
+    }
+
+    #[test]
     fn refill_copies_only_the_named_layers() {
         let dense = |v: f32| naspipe_tensor::layers::DenseParams {
             weight: naspipe_tensor::Tensor::from_vec(vec![v; 4], &[2, 2]),
@@ -429,14 +508,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_stage_panics() {
-        CheckpointStore::new(1).record(0, 1, snap(), SpanId::EXTERNAL);
+        CheckpointStore::new(1).record(0, 1, snap(), SpanId::EXTERNAL, nothing());
     }
 
     #[test]
     fn poisoned_store_still_records_and_recovers() {
         let store = Arc::new(CheckpointStore::new(2));
-        store.record(4, 0, snap(), SpanId(1));
-        store.record(4, 1, snap(), SpanId(2));
+        store.record(4, 0, snap(), SpanId(1), nothing());
+        store.record(4, 1, snap(), SpanId(2), nothing());
 
         // A recorder thread dies mid-`record` while holding the slots
         // lock — the panic poisons the mutex.
@@ -450,8 +529,8 @@ mod tests {
         // The supervisor's resume query and later records must recover
         // the data instead of amplifying the panic.
         assert_eq!(store.latest_complete().expect("recovered").watermark, 4);
-        assert!(store.record(8, 0, snap(), SpanId(3)).is_none());
-        assert!(store.record(8, 1, snap(), SpanId(4)).is_some());
+        assert!(store.record(8, 0, snap(), SpanId(3), nothing()).is_none());
+        assert!(store.record(8, 1, snap(), SpanId(4), nothing()).is_some());
         assert_eq!(store.latest_complete().expect("recovered").watermark, 8);
         assert_eq!(store.watermarks(), vec![8]);
     }
@@ -463,7 +542,7 @@ mod tests {
         let store = CheckpointStore::new(2);
         let rounds = (MAX_PARTIAL_CUTS as u64 + 20) * 4;
         for w in (4..=rounds).step_by(4) {
-            store.record(w, 0, snap(), SpanId(w));
+            store.record(w, 0, snap(), SpanId(w), nothing());
         }
         let held = store.watermarks();
         assert_eq!(held.len(), MAX_PARTIAL_CUTS, "partials must be capped");
@@ -479,10 +558,10 @@ mod tests {
     #[test]
     fn partial_cap_never_drops_complete_cuts() {
         let store = CheckpointStore::new(2);
-        store.record(4, 0, snap(), SpanId(1));
-        store.record(4, 1, snap(), SpanId(2));
+        store.record(4, 0, snap(), SpanId(1), nothing());
+        store.record(4, 1, snap(), SpanId(2), nothing());
         for w in (8..(8 + 4 * (MAX_PARTIAL_CUTS as u64 + 6))).step_by(4) {
-            store.record(w, 0, snap(), SpanId(w));
+            store.record(w, 0, snap(), SpanId(w), nothing());
         }
         // The complete cut at 4 outlives any amount of partial churn.
         assert_eq!(store.latest_complete().expect("complete").watermark, 4);

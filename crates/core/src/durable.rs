@@ -8,10 +8,26 @@
 //! `0..W`, so resuming from disk continues to a final parameter hash
 //! bitwise-equal to an uninterrupted run.
 //!
+//! # Fulls, deltas and chains
+//!
+//! A cut's file `ckpt-<watermark>.snap` is one of two kinds. A *full*
+//! ([`SNAP_MAGIC`]) holds the whole cut. A *delta* ([`DELTA_MAGIC`])
+//! holds, per stage, only the layers written since its parent cut, the
+//! optimizer state of those layers and the new loss entries, and names
+//! its parent by watermark and by the parent file's trailing checksum.
+//! A subnet activates one choice per block, so a checkpoint interval
+//! writes a small share of the supernet and a delta is that share of a
+//! full. [`DurableStore::persist_cut`] writes a delta when the newest
+//! cut this store persisted is the one the delta extends, and a full
+//! when the store was just opened, its previous persist failed, or the
+//! deltas since the last full would outweigh one full — so loading a
+//! cut never reads more than two fulls' worth of bytes. A cut loads
+//! through its *chain*: deltas down to a full, every link checked.
+//!
 //! # Durability model
 //!
 //! * **Atomic writes.** A snapshot is encoded in 64 KiB pieces straight
-//!   into a `*.tmp` sibling (new, or a recycled old cut — see retention),
+//!   into a `*.tmp` sibling (new, or a recycled old file — see retention),
 //!   its checksum taken as the pieces leave, so a persist never holds the
 //!   whole encoding; then flushed (`sync_all`) and atomically renamed to its
 //!   final `ckpt-<watermark>.snap` name. A crash at any byte of the write
@@ -28,19 +44,23 @@
 //!   [`DurableError::FingerprintMismatch`] — resuming it would silently
 //!   break bitwise identity.
 //! * **Retention.** The directory listing is the index: persisting a cut
-//!   prunes the `ckpt-*.snap` files below it beyond the newest `keep - 1`;
-//!   the loader prefers the newest valid snapshot and falls back cut by
-//!   cut, so one corrupt file never loses the run. The oldest pruned file
-//!   is not unlinked but becomes the new cut's tmp file, rewritten in
-//!   place — only with `keep >= 2`, so a complete cut stays on disk for
-//!   the whole write; the bytes written are the same either way.
+//!   keeps it and the newest `keep - 1` loadable cuts below it, and every
+//!   file their chains need; it prunes the other files below it. The
+//!   loader prefers the newest loadable cut and falls back cut by cut, so
+//!   one corrupt file never loses the run. A pruned file is not unlinked
+//!   but becomes a later cut's tmp file, rewritten in place: a pruned
+//!   chain loses its full, and its deltas, which then load no more, wait
+//!   for the next writes; a pruned loadable file is recycled only while
+//!   another loadable cut stays on disk for the whole write. The bytes
+//!   written are the same either way.
 //! * **Off the stage threads.** [`crate::runtime`] hands each completed
-//!   cut to one writer thread that owns the [`DurableStore`]: cut `W` is on
-//!   disk before cut `W + interval` is handed over.
+//!   cut, with the layers its stages wrote since the previous one, to one
+//!   writer thread that owns the [`DurableStore`]: cut `W` is on disk
+//!   before cut `W + interval` is handed over.
 //!
-//! The v2 snapshot grammar is documented in `DESIGN.md` §3g.
+//! The v2 snapshot grammar, both kinds, is documented in `DESIGN.md` §3g.
 
-use crate::checkpoint::{Checkpoint, StageSnapshot};
+use crate::checkpoint::{Checkpoint, StageSnapshot, Written};
 use crate::train::TrainConfig;
 use naspipe_obs::SpanId;
 use naspipe_supernet::layer::LayerRef;
@@ -51,12 +71,14 @@ use naspipe_tensor::layers::{DenseGrads, DenseParams};
 use naspipe_tensor::model::{NumericSupernet, Optimizer};
 use naspipe_tensor::optim::{MomentumSgd, Sgd};
 use naspipe_tensor::tensor::Tensor;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Magic prefix of every snapshot file.
 pub const SNAP_MAGIC: &[u8; 12] = b"NASPIPE-SNAP";
@@ -65,8 +87,17 @@ pub const SNAP_MAGIC: &[u8; 12] = b"NASPIPE-SNAP";
 pub const SNAP_VERSION: u32 = 2;
 /// Magic, version, fingerprint, watermark, stage count.
 const HEADER_LEN: usize = SNAP_MAGIC.len() + 4 + 8 + 8 + 4;
+/// Magic prefix of every delta file: format v2's second kind, a cut
+/// stored as the layers written since its parent cut.
+pub const DELTA_MAGIC: &[u8; 12] = b"NASPIPE-DLTA";
+/// Magic, version, fingerprint, watermark, parent watermark, parent
+/// trailer, stage count.
+const DELTA_HEADER_LEN: usize = DELTA_MAGIC.len() + 4 + 8 + 8 + 8 + 8 + 4;
 /// Default number of complete cuts retained on disk.
 pub const DEFAULT_KEEP: usize = 3;
+/// Pruned deltas kept on disk for later writes to recycle: dead ones,
+/// whose chain's full is gone, so no loadable cut.
+const MAX_DEAD: usize = 8;
 
 /// Counts [`DurableStore::persist`] calls process-wide, so the
 /// `NASPIPE_CRASH_WRITE=<n>` chaos hook can abort deterministically in
@@ -131,6 +162,15 @@ pub enum DurableError {
         /// Version recorded in the file.
         version: u32,
     },
+    /// A delta whose chain does not lead down to a full snapshot: its
+    /// parent's file is missing or unreadable, or is not the file the
+    /// delta was written on.
+    BrokenChain {
+        /// The delta that cannot be loaded.
+        path: PathBuf,
+        /// Which link failed.
+        detail: String,
+    },
 }
 
 impl fmt::Display for DurableError {
@@ -179,6 +219,9 @@ impl fmt::Display for DurableError {
                 "snapshot {} has format version {version}, other than v{SNAP_VERSION} (the one this build reads)",
                 path.display()
             ),
+            DurableError::BrokenChain { path, detail } => {
+                write!(f, "broken chain at {}: {detail}", path.display())
+            }
         }
     }
 }
@@ -257,7 +300,16 @@ struct Enc<'a> {
     err: Option<std::io::Error>,
 }
 
-impl Enc<'_> {
+/// What an encoder leaves: the bytes it still holds (the whole encoding
+/// when it had no `out`), the encoding's length and its trailing
+/// checksum.
+struct Encoded {
+    buf: Vec<u8>,
+    len: usize,
+    trailer: u64,
+}
+
+impl<'a> Enc<'a> {
     fn spill(&mut self) {
         if self.buf.len() < ENC_CHUNK {
             return;
@@ -274,16 +326,31 @@ impl Enc<'_> {
         self.buf.drain(..words);
     }
 
+    fn new(out: Option<&'a mut dyn Write>, capacity: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(capacity),
+            out,
+            sum: WordHasher::new(FNV_OFFSET),
+            sent: 0,
+            err: None,
+        }
+    }
+
     /// Appends the trailing checksum and writes what `out` has not had
-    /// yet; returns `buf` and the length of the whole encoding.
-    fn finish(mut self) -> std::io::Result<(Vec<u8>, usize)> {
-        let checksum = self.sum.finish(&self.buf);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
+    /// yet.
+    fn finish(mut self) -> std::io::Result<Encoded> {
+        let trailer = self.sum.finish(&self.buf);
+        self.buf.extend_from_slice(&trailer.to_le_bytes());
         if let (Some(out), None) = (self.out, &self.err) {
             self.err = out.write_all(&self.buf).err();
         }
         let len = self.sent + self.buf.len();
-        self.err.map_or(Ok((self.buf, len)), Err)
+        let encoded = Encoded {
+            buf: self.buf,
+            len,
+            trailer,
+        };
+        self.err.map_or(Ok(encoded), Err)
     }
 
     fn u8(&mut self, v: u8) {
@@ -316,6 +383,13 @@ impl Enc<'_> {
     fn dense(&mut self, p: &DenseParams) {
         self.tensor(&p.weight);
         self.tensor(&p.bias);
+    }
+    fn losses<'l>(&mut self, losses: impl ExactSizeIterator<Item = (&'l u64, &'l f32)>) {
+        self.u32(losses.len() as u32);
+        for (&step, &loss) in losses {
+            self.u64(step);
+            self.f32(loss);
+        }
     }
 }
 
@@ -388,6 +462,20 @@ impl<'a> Dec<'a> {
             bias: self.tensor()?,
         })
     }
+    /// A count, then that many `(step, loss)` pairs in ascending step
+    /// order.
+    fn losses(&mut self) -> Result<Vec<(u64, f32)>, String> {
+        let n = self.len("loss count", usize::MAX)?;
+        let mut losses = Vec::with_capacity(n);
+        for _ in 0..n {
+            let step = self.u64()?;
+            if losses.last().is_some_and(|&(prev, _)| prev >= step) {
+                return Err("loss steps out of order".into());
+            }
+            losses.push((step, self.f32()?));
+        }
+        Ok(losses)
+    }
     fn done(&self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -400,7 +488,13 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_engine(enc: &mut Enc, engine: &NumericSupernet) {
+/// The engine with `velocity` standing for its optimizer's velocity map:
+/// all of it in a full, the written layers' entries in a delta.
+fn encode_engine<'v>(
+    enc: &mut Enc,
+    engine: &NumericSupernet,
+    velocity: impl ExactSizeIterator<Item = (&'v LayerRef, &'v DenseGrads)>,
+) {
     enc.f32(engine.residual_scale());
     match engine.optimizer() {
         Optimizer::Sgd(o) => {
@@ -412,8 +506,8 @@ fn encode_engine(enc: &mut Enc, engine: &NumericSupernet) {
             enc.f32(o.lr());
             enc.f32(o.momentum());
             enc.f32(o.weight_decay());
-            enc.u32(o.velocity().len() as u32);
-            for (layer, v) in o.velocity() {
+            enc.u32(velocity.len() as u32);
+            for (layer, v) in velocity {
                 enc.u32(layer.block);
                 enc.u32(layer.choice);
                 enc.tensor(&v.weight);
@@ -468,22 +562,45 @@ fn decode_engine(dec: &mut Dec<'_>) -> Result<NumericSupernet, String> {
     Ok(NumericSupernet::from_parts(optimizer, residual_scale))
 }
 
+fn tensor_len(t: &Tensor) -> usize {
+    4 + 4 * t.shape().len() + 4 * t.data().len()
+}
+
+fn dense_len(p: &DenseParams) -> usize {
+    tensor_len(&p.weight) + tensor_len(&p.bias)
+}
+
+/// Encoded size of [`encode_engine`]'s output.
+fn engine_len<'v>(
+    engine: &NumericSupernet,
+    velocity: impl Iterator<Item = &'v DenseGrads>,
+) -> usize {
+    let optimizer = match engine.optimizer() {
+        Optimizer::Sgd(_) => 4,
+        Optimizer::Momentum(_) => {
+            let velocity = velocity.map(|v| 8 + tensor_len(&v.weight) + tensor_len(&v.bias));
+            12 + 4 + velocity.sum::<usize>()
+        }
+    };
+    4 + 1 + optimizer
+}
+
+/// The engine's whole velocity map (empty under plain SGD).
+fn velocity_of(engine: &NumericSupernet) -> &BTreeMap<LayerRef, DenseGrads> {
+    static NONE: BTreeMap<LayerRef, DenseGrads> = BTreeMap::new();
+    match engine.optimizer() {
+        Optimizer::Sgd(_) => &NONE,
+        Optimizer::Momentum(o) => o.velocity(),
+    }
+}
+
 /// Exact encoded size of `ckpt`, trailer included — the grammar of
 /// [`encode_to`] with every field replaced by its width.
 fn encoded_len(ckpt: &Checkpoint) -> usize {
-    let tensor = |t: &Tensor| 4 + 4 * t.shape().len() + 4 * t.data().len();
     let stage = |s: &StageSnapshot| {
-        let layers = s.params.iter().flatten();
-        let params: usize = layers.map(|p| tensor(&p.weight) + tensor(&p.bias)).sum();
-        let optimizer = match s.engine.optimizer() {
-            Optimizer::Sgd(_) => 4,
-            Optimizer::Momentum(o) => {
-                let velocity = o.velocity().values();
-                let velocity = velocity.map(|v| 8 + tensor(&v.weight) + tensor(&v.bias));
-                12 + 4 + velocity.sum::<usize>()
-            }
-        };
-        4 + 4 * s.params.len() + params + 4 + 1 + optimizer + 4 + 12 * s.losses.len()
+        let params: usize = s.params.iter().flatten().map(dense_len).sum();
+        let engine = engine_len(&s.engine, velocity_of(&s.engine).values());
+        4 + 4 * s.params.len() + params + engine + 4 + 12 * s.losses.len()
     };
     HEADER_LEN + ckpt.stages.iter().map(stage).sum::<usize>() + 8
 }
@@ -495,19 +612,13 @@ fn encode_to(
     out: Option<&mut dyn Write>,
     ckpt: &Checkpoint,
     fingerprint: u64,
-) -> std::io::Result<(Vec<u8>, usize)> {
+) -> std::io::Result<Encoded> {
     let capacity = if out.is_some() {
         2 * ENC_CHUNK
     } else {
         encoded_len(ckpt)
     };
-    let mut enc = Enc {
-        buf: Vec::with_capacity(capacity),
-        out,
-        sum: WordHasher::new(FNV_OFFSET),
-        sent: 0,
-        err: None,
-    };
+    let mut enc = Enc::new(out, capacity);
     enc.buf.extend_from_slice(SNAP_MAGIC);
     enc.u32(SNAP_VERSION);
     enc.u64(fingerprint);
@@ -521,20 +632,16 @@ fn encode_to(
                 enc.dense(p);
             }
         }
-        encode_engine(&mut enc, &stage.engine);
-        enc.u32(stage.losses.len() as u32);
-        for (&step, &loss) in &stage.losses {
-            enc.u64(step);
-            enc.f32(loss);
-        }
+        encode_engine(&mut enc, &stage.engine, velocity_of(&stage.engine).iter());
+        enc.losses(stage.losses.iter());
     }
-    let (buf, len) = enc.finish()?;
+    let encoded = enc.finish()?;
     debug_assert_eq!(
-        len,
+        encoded.len,
         encoded_len(ckpt),
         "encoded_len disagrees with the encoder"
     );
-    Ok((buf, len))
+    Ok(encoded)
 }
 
 /// Encodes `ckpt` into the v2 byte format (including trailing checksum).
@@ -543,7 +650,48 @@ fn encode_to(
 /// Exposed for tests; use [`DurableStore::persist`] to write files.
 pub fn encode_snapshot(ckpt: &Checkpoint, fingerprint: u64) -> Vec<u8> {
     let encoded = encode_to(None, ckpt, fingerprint).expect("nothing is written");
-    encoded.0
+    encoded.buf
+}
+
+/// Reads the version and the fingerprint that follow a file's magic,
+/// verifying the trailing checksum `tail` over the body between them:
+/// what the checksum *is* depends on the version, so another version's
+/// file is [`DurableError::UnsupportedVersion`], not a checksum mismatch.
+fn check_envelope(
+    dec: &mut Dec<'_>,
+    tail: &[u8],
+    path: &Path,
+    expect_fingerprint: Option<u64>,
+) -> Result<u64, DurableError> {
+    let corrupt = |detail: String| DurableError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let version = dec.u32().map_err(corrupt)?;
+    if version != SNAP_VERSION {
+        return Err(DurableError::UnsupportedVersion {
+            path: path.to_path_buf(),
+            version,
+        });
+    }
+    let expected = u64::from_le_bytes(tail.try_into().expect("an 8-byte trailer"));
+    let actual = fnv1a_words(FNV_OFFSET, dec.bytes);
+    if expected != actual {
+        return Err(DurableError::ChecksumMismatch {
+            path: path.to_path_buf(),
+            expected,
+            actual,
+        });
+    }
+    let fingerprint = dec.u64().map_err(corrupt)?;
+    match expect_fingerprint {
+        Some(expect) if fingerprint != expect => Err(DurableError::FingerprintMismatch {
+            path: path.to_path_buf(),
+            expected: expect,
+            actual: fingerprint,
+        }),
+        _ => Ok(fingerprint),
+    }
 }
 
 /// Parses a v2 snapshot, validating magic, version, checksum, and (when
@@ -574,34 +722,14 @@ pub fn decode_snapshot(
     let mut dec = Dec::new(body);
     let magic = dec.take(SNAP_MAGIC.len()).map_err(&corrupt)?;
     if magic != SNAP_MAGIC {
-        return Err(corrupt("bad magic".into()));
+        let what = if magic == DELTA_MAGIC {
+            "a delta, not a full snapshot"
+        } else {
+            "bad magic"
+        };
+        return Err(corrupt(what.into()));
     }
-    let version = dec.u32().map_err(&corrupt)?;
-    if version != SNAP_VERSION {
-        return Err(DurableError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            version,
-        });
-    }
-    let expected = u64::from_le_bytes(tail.try_into().unwrap());
-    let actual = fnv1a_words(FNV_OFFSET, body);
-    if expected != actual {
-        return Err(DurableError::ChecksumMismatch {
-            path: path.to_path_buf(),
-            expected,
-            actual,
-        });
-    }
-    let fingerprint = dec.u64().map_err(&corrupt)?;
-    if let Some(expect) = expect_fingerprint {
-        if fingerprint != expect {
-            return Err(DurableError::FingerprintMismatch {
-                path: path.to_path_buf(),
-                expected: expect,
-                actual: fingerprint,
-            });
-        }
-    }
+    let fingerprint = check_envelope(&mut dec, tail, path, expect_fingerprint)?;
     let watermark = dec.u64().map_err(&corrupt)?;
     let num_stages = dec.len("stage count", 4096).map_err(&corrupt)?;
     if num_stages == 0 {
@@ -620,18 +748,7 @@ pub fn decode_snapshot(
             params.push(block);
         }
         let engine = decode_engine(&mut dec).map_err(&corrupt)?;
-        let num_losses = dec.len("loss count", usize::MAX).map_err(&corrupt)?;
-        let mut losses = BTreeMap::new();
-        let mut prev: Option<u64> = None;
-        for _ in 0..num_losses {
-            let step = dec.u64().map_err(&corrupt)?;
-            if prev.is_some_and(|p| p >= step) {
-                return Err(corrupt("loss steps out of order".into()));
-            }
-            prev = Some(step);
-            let loss = dec.f32().map_err(&corrupt)?;
-            losses.insert(step, loss);
-        }
+        let losses = dec.losses().map_err(&corrupt)?.into_iter().collect();
         stages.push(StageSnapshot {
             params,
             engine,
@@ -650,7 +767,217 @@ pub fn decode_snapshot(
 }
 
 // ---------------------------------------------------------------------------
-// Store: atomic persistence, retention
+// Deltas
+// ---------------------------------------------------------------------------
+
+/// A cut to encode as a delta on `parent`.
+struct DeltaPlan<'a> {
+    ckpt: &'a Checkpoint,
+    parent: u64,
+    parent_trailer: u64,
+    stages: Vec<StagePlan<'a>>,
+}
+
+/// One stage of a [`DeltaPlan`]: the layers written since the parent,
+/// ascending, their velocity entries, and how many of the stage's losses
+/// (its first ones) the parent already holds.
+struct StagePlan<'a> {
+    layers: Cow<'a, [(usize, usize)]>,
+    velocity: Vec<(&'a LayerRef, &'a DenseGrads)>,
+    old_losses: usize,
+}
+
+impl DeltaPlan<'_> {
+    /// Exact encoded size, trailer included — the grammar of
+    /// [`encode`](Self::encode) with every field replaced by its width.
+    fn len(&self) -> usize {
+        let stage = |(s, p): (&StageSnapshot, &StagePlan)| {
+            let layers = p
+                .layers
+                .iter()
+                .map(|&(b, c)| 8 + dense_len(&s.params[b][c]));
+            let engine = engine_len(&s.engine, p.velocity.iter().map(|e| e.1));
+            let losses = 4 + 4 + 12 * (s.losses.len() - p.old_losses);
+            4 + layers.sum::<usize>() + engine + 4 + losses
+        };
+        let stages = self.ckpt.stages.iter().zip(&self.stages).map(stage);
+        DELTA_HEADER_LEN + stages.sum::<usize>() + 8
+    }
+
+    /// Encodes the delta like [`encode_to`] encodes a full.
+    fn encode(&self, out: Option<&mut dyn Write>, fingerprint: u64) -> std::io::Result<Encoded> {
+        let capacity = if out.is_some() {
+            2 * ENC_CHUNK
+        } else {
+            self.len()
+        };
+        let mut enc = Enc::new(out, capacity);
+        enc.buf.extend_from_slice(DELTA_MAGIC);
+        enc.u32(SNAP_VERSION);
+        enc.u64(fingerprint);
+        enc.u64(self.ckpt.watermark);
+        enc.u64(self.parent);
+        enc.u64(self.parent_trailer);
+        enc.u32(self.ckpt.stages.len() as u32);
+        for (s, p) in self.ckpt.stages.iter().zip(&self.stages) {
+            enc.u32(p.layers.len() as u32);
+            for &(b, c) in p.layers.iter() {
+                enc.u32(b as u32);
+                enc.u32(c as u32);
+                enc.dense(&s.params[b][c]);
+            }
+            encode_engine(&mut enc, &s.engine, p.velocity.iter().copied());
+            enc.u32(velocity_of(&s.engine).len() as u32);
+            enc.u32(s.losses.len() as u32);
+            enc.losses(s.losses.iter().skip(p.old_losses));
+        }
+        let encoded = enc.finish()?;
+        debug_assert_eq!(encoded.len, self.len(), "len disagrees with the encoder");
+        Ok(encoded)
+    }
+}
+
+/// A decoded delta, checksummed and structurally valid, not yet applied.
+struct Delta {
+    watermark: u64,
+    parent: u64,
+    parent_trailer: u64,
+    stages: Vec<DeltaStage>,
+}
+
+struct DeltaStage {
+    layers: Vec<(usize, usize, DenseParams)>,
+    /// The stage's engine, its velocity holding the written layers' only.
+    engine: NumericSupernet,
+    /// Velocity entries and losses of the whole cut.
+    velocity_total: usize,
+    loss_total: usize,
+    /// The losses the parent does not hold.
+    losses: Vec<(u64, f32)>,
+}
+
+/// Parses a delta file like [`decode_snapshot`] parses a full: magic,
+/// version, checksum and fingerprint first, then the body. A parent not
+/// below the delta's own watermark is corrupt, so a chain always ends.
+fn decode_delta(
+    bytes: &[u8],
+    path: &Path,
+    expect_fingerprint: Option<u64>,
+) -> Result<Delta, DurableError> {
+    let corrupt = |detail: String| DurableError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    if bytes.len() < DELTA_HEADER_LEN + 8 {
+        return Err(corrupt(format!("{} byte(s) is too short", bytes.len())));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let mut dec = Dec::new(body);
+    if dec.take(DELTA_MAGIC.len()).map_err(&corrupt)? != DELTA_MAGIC {
+        return Err(corrupt("bad magic".into()));
+    }
+    check_envelope(&mut dec, tail, path, expect_fingerprint)?;
+    let mut body = || -> Result<Delta, String> {
+        let (watermark, parent, parent_trailer) = (dec.u64()?, dec.u64()?, dec.u64()?);
+        if parent >= watermark {
+            return Err(format!("parent cut {parent} is not below {watermark}"));
+        }
+        let num_stages = dec.len("stage count", 4096)?;
+        if num_stages == 0 {
+            return Err("delta has zero stages".into());
+        }
+        let mut stages = Vec::with_capacity(num_stages);
+        for _ in 0..num_stages {
+            let count = dec.len("layer count", usize::MAX)?;
+            let mut layers: Vec<(usize, usize, DenseParams)> = Vec::new();
+            for _ in 0..count {
+                let (b, c) = (dec.u32()? as usize, dec.u32()? as usize);
+                if layers.last().is_some_and(|l| (l.0, l.1) >= (b, c)) {
+                    return Err("written layers out of order".into());
+                }
+                layers.push((b, c, dec.dense()?));
+            }
+            stages.push(DeltaStage {
+                layers,
+                engine: decode_engine(&mut dec)?,
+                velocity_total: dec.u32()? as usize,
+                loss_total: dec.u32()? as usize,
+                losses: dec.losses()?,
+            });
+        }
+        dec.done()?;
+        Ok(Delta {
+            watermark,
+            parent,
+            parent_trailer,
+            stages,
+        })
+    };
+    body().map_err(corrupt)
+}
+
+impl Delta {
+    /// Brings `ckpt`, the parent cut, up to this delta's cut. On an error
+    /// `ckpt` is left part-way and must be dropped.
+    fn apply(self, ckpt: &mut Checkpoint) -> Result<(), String> {
+        if self.stages.len() != ckpt.stages.len() {
+            let parent = ckpt.stages.len();
+            return Err(format!(
+                "{} stages on a parent of {parent}",
+                self.stages.len()
+            ));
+        }
+        for (k, (d, s)) in self.stages.into_iter().zip(&mut ckpt.stages).enumerate() {
+            for (b, c, p) in d.layers {
+                let slot = s.params.get_mut(b).and_then(|block| block.get_mut(c));
+                let slot = slot
+                    .ok_or_else(|| format!("stage {k}: layer ({b}, {c}) is not in the parent"))?;
+                if slot.weight.shape() != p.weight.shape() || slot.bias.shape() != p.bias.shape() {
+                    return Err(format!("stage {k}: layer ({b}, {c}) changed shape"));
+                }
+                *slot = p;
+            }
+            let merged = match d.engine.optimizer() {
+                Optimizer::Sgd(_) => None,
+                Optimizer::Momentum(o) => {
+                    let mut velocity = velocity_of(&s.engine).clone();
+                    velocity.extend(o.velocity().iter().map(|(l, v)| (*l, v.clone())));
+                    let (lr, mu, wd) = (o.lr(), o.momentum(), o.weight_decay());
+                    let o = MomentumSgd::from_state(lr, mu, wd, velocity);
+                    let scale = d.engine.residual_scale();
+                    Some(NumericSupernet::from_parts(Optimizer::Momentum(o), scale))
+                }
+            };
+            s.engine = merged.unwrap_or(d.engine);
+            let velocity = velocity_of(&s.engine).len();
+            if velocity != d.velocity_total {
+                let want = d.velocity_total;
+                return Err(format!(
+                    "stage {k}: {velocity} velocity entries, the cut had {want}"
+                ));
+            }
+            let last = s.losses.last_key_value().map(|(&step, _)| step);
+            if d.losses
+                .first()
+                .is_some_and(|&(step, _)| last.is_some_and(|l| step <= l))
+            {
+                return Err(format!(
+                    "stage {k}: new loss steps do not follow the parent's"
+                ));
+            }
+            s.losses.extend(d.losses);
+            if s.losses.len() != d.loss_total {
+                let (got, want) = (s.losses.len(), d.loss_total);
+                return Err(format!("stage {k}: {got} losses, the cut had {want}"));
+            }
+        }
+        ckpt.watermark = self.watermark;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Store: atomic persistence, chains, retention
 // ---------------------------------------------------------------------------
 
 /// File name of the snapshot at `watermark`. Zero-padded so
@@ -659,9 +986,12 @@ pub fn snapshot_file_name(watermark: u64) -> String {
     format!("ckpt-{watermark:020}.snap")
 }
 
+/// The watermark a cut's file is named after: exactly
+/// [`snapshot_file_name`]'s form, so one cut has one name.
 fn parse_snapshot_file_name(name: &str) -> Option<u64> {
     let stem = name.strip_prefix("ckpt-")?.strip_suffix(".snap")?;
-    stem.parse().ok()
+    let digits = stem.len() == 20 && stem.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| stem.parse().ok()).flatten()
 }
 
 /// A successfully loaded resume point.
@@ -669,15 +999,159 @@ fn parse_snapshot_file_name(name: &str) -> Option<u64> {
 pub struct LoadedCheckpoint {
     /// The decoded consistent cut.
     pub checkpoint: Checkpoint,
-    /// The file it came from.
+    /// The file it came from (the top of its chain).
     pub path: PathBuf,
     /// Newer candidate files that were rejected (path, reason), newest
     /// first — non-empty means the loader *fell back*.
     pub skipped: Vec<(PathBuf, String)>,
 }
 
-/// Handle on a checkpoint directory: persists cuts atomically, prunes old
-/// cuts, and loads the newest valid one.
+/// What a `ckpt-*.snap` file of the directory is, by its header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    Full,
+    /// A delta on the cut at this watermark, which is below its own.
+    Delta(u64),
+    /// Not a cut of this run: unreadable, of another version or run, or
+    /// named other than its header's watermark.
+    Unusable,
+}
+
+/// The newest cut this store persisted: what the next delta extends.
+#[derive(Debug)]
+struct Head {
+    watermark: u64,
+    trailer: u64,
+    /// [`shape_digest`] of the cut.
+    shape: u64,
+    /// Per stage, how many losses the cut held, and their
+    /// [`loss_digest`].
+    losses: Vec<(usize, u64)>,
+    /// Bytes of the deltas written since the chain's full.
+    deltas_len: usize,
+}
+
+/// Digest of a cut's shape: its stage count, each stage's block count
+/// and each block's choice count.
+fn shape_digest(ckpt: &Checkpoint) -> u64 {
+    let word = |h: u64, n: usize| fnv1a(h, &(n as u64).to_le_bytes());
+    let blocks = ckpt.stages.iter().flat_map(|s| {
+        let choices = s.params.iter().map(Vec::len);
+        std::iter::once(s.params.len()).chain(choices)
+    });
+    blocks.fold(word(FNV_OFFSET, ckpt.stages.len()), word)
+}
+
+/// Digest of a run of `(step, loss)` entries.
+fn loss_digest<'l>(losses: impl Iterator<Item = (&'l u64, &'l f32)>) -> u64 {
+    losses.fold(FNV_OFFSET, |h, (&step, &loss)| {
+        fnv1a(fnv1a(h, &step.to_le_bytes()), &loss.to_bits().to_le_bytes())
+    })
+}
+
+impl Head {
+    /// `ckpt` as a delta on this head: when `written` names the layers
+    /// each stage wrote since this head, the shapes agree, and the head's
+    /// losses are the cut's first ones (by digest).
+    fn plan<'a>(&self, ckpt: &'a Checkpoint, written: &'a Written) -> Option<DeltaPlan<'a>> {
+        let fits = written.since == self.watermark
+            && self.watermark < ckpt.watermark
+            && written.layers.len() == ckpt.stages.len()
+            && self.losses.len() == ckpt.stages.len()
+            && shape_digest(ckpt) == self.shape;
+        if !fits {
+            return None;
+        }
+        let mut stages = Vec::with_capacity(ckpt.stages.len());
+        // A cut's stages hold consecutive blocks, the first from block 0.
+        let mut first_block = 0;
+        let parts = ckpt.stages.iter().zip(&written.layers);
+        for ((s, layers), &(old_losses, digest)) in parts.zip(&self.losses) {
+            let extends = s.losses.len() >= old_losses
+                && loss_digest(s.losses.iter().take(old_losses)) == digest;
+            if !extends {
+                return None;
+            }
+            let layers = if layers.windows(2).all(|w| w[0] < w[1]) {
+                Cow::Borrowed(&layers[..])
+            } else {
+                let mut sorted = layers.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                Cow::Owned(sorted)
+            };
+            if layers
+                .iter()
+                .any(|&(b, c)| s.params.get(b).is_none_or(|block| c >= block.len()))
+            {
+                return None;
+            }
+            let velocity = velocity_of(&s.engine);
+            let layer =
+                |&(b, c): &(usize, usize)| LayerRef::new((first_block + b) as u32, c as u32);
+            let velocity = layers
+                .iter()
+                .filter_map(|at| velocity.get_key_value(&layer(at)));
+            stages.push(StagePlan {
+                velocity: velocity.collect(),
+                layers,
+                old_losses,
+            });
+            first_block += s.params.len();
+        }
+        Some(DeltaPlan {
+            ckpt,
+            parent: self.watermark,
+            parent_trailer: self.trailer,
+            stages,
+        })
+    }
+}
+
+/// The files `watermark`'s chain consists of, itself first, if every
+/// link is on disk down to a full.
+fn chain_of(links: &BTreeMap<u64, Link>, mut watermark: u64) -> Option<Vec<u64>> {
+    let mut chain = Vec::new();
+    loop {
+        chain.push(watermark);
+        match links.get(&watermark)? {
+            Link::Full => return Some(chain),
+            // Strictly below: the walk ends.
+            &Link::Delta(parent) => watermark = parent,
+            Link::Unusable => return None,
+        }
+    }
+}
+
+/// What a store remembers between persists.
+#[derive(Debug, Default)]
+struct State {
+    /// `None` after `open` and after a failed persist: the next is a full.
+    head: Option<Head>,
+    /// The directory's cut files, as last listed.
+    links: BTreeMap<u64, Link>,
+}
+
+/// The tmp file being written: each `write` is one file operation.
+struct Steps<'a> {
+    file: &'a mut File,
+    store: &'a DurableStore,
+}
+
+impl Write for Steps<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let step = self.store.step();
+        step.map_err(|e| std::io::Error::other(e.to_string()))?;
+        self.file.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Handle on a checkpoint directory: persists cuts atomically, as fulls
+/// or as deltas on the cut it persisted last, prunes old files, and
+/// loads the newest valid cut.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
@@ -685,11 +1159,16 @@ pub struct DurableStore {
     fingerprint: u64,
     // `NASPIPE_CRASH_WRITE=<n>`, read once at open.
     crash_write: Option<u64>,
+    state: Mutex<State>,
+    /// File operations persists may still make before a crash test stops
+    /// them ([`step`](Self::step)).
+    #[cfg(test)]
+    ops_left: AtomicU64,
 }
 
 impl DurableStore {
     /// Opens (creating if needed) the checkpoint directory, keeping the
-    /// last `keep` complete cuts on disk (`0` is treated as `1` — a
+    /// last `keep` loadable cuts on disk (`0` is treated as `1` — a
     /// store that retains nothing could never resume). Orphaned tmp files
     /// of a previous, crashed incarnation are removed here, once.
     ///
@@ -712,6 +1191,9 @@ impl DurableStore {
             crash_write: std::env::var("NASPIPE_CRASH_WRITE")
                 .ok()
                 .and_then(|v| v.parse().ok()),
+            state: Mutex::new(State::default()),
+            #[cfg(test)]
+            ops_left: AtomicU64::new(u64::MAX),
         })
     }
 
@@ -725,14 +1207,15 @@ impl DurableStore {
         self.fingerprint
     }
 
-    /// Atomically persists `ckpt`, pruning the cuts below it beyond the
-    /// retention limit. Returns the final snapshot path.
+    /// Atomically persists `ckpt` as a full snapshot, pruning the files
+    /// below it that retention no longer needs. Returns the final
+    /// snapshot path.
     ///
-    /// The oldest cut retention prunes is not unlinked but renamed to
+    /// The oldest file retention prunes is not unlinked but renamed to
     /// this write's tmp name and overwritten in place — when another
-    /// complete cut stays on disk for the whole write (`keep >= 2`);
-    /// otherwise the tmp file is created. Either way the file ends as the
-    /// v2 encoding of `ckpt` and nothing else.
+    /// loadable cut stays on disk for the whole write; otherwise the tmp
+    /// file is created. Either way the file ends as the v2 encoding of
+    /// `ckpt` ([`encode_snapshot`]) and nothing else.
     ///
     /// Honors the `NASPIPE_CRASH_WRITE=<n>` chaos hook: the n-th persist
     /// call process-wide aborts after writing *half* of the tmp file —
@@ -742,32 +1225,103 @@ impl DurableStore {
     /// # Errors
     ///
     /// Surfaces I/O failures as [`DurableError::Io`]; the directory is
-    /// left with the previous snapshot set intact, less the cut this
+    /// left with the previous snapshot set intact, less the file this
     /// write recycled (one retention was about to prune). Once the rename
     /// has happened the cut is durable and the call succeeds: pruning is
     /// best effort.
     pub fn persist(&self, ckpt: &Checkpoint) -> Result<PathBuf, DurableError> {
-        let final_path = self.dir.join(snapshot_file_name(ckpt.watermark));
-        let tmp_path = self
-            .dir
-            .join(format!(".{}.tmp", snapshot_file_name(ckpt.watermark)));
-        // Retention: this cut and the newest `keep - 1` below it stay
+        self.write(ckpt, None)
+    }
+
+    /// Persists `ckpt` like [`persist`](Self::persist), but as a delta
+    /// when `written` names, per stage, every layer written since cut
+    /// `written.since` and that cut is the one this store persisted last
+    /// (and the deltas since its chain's full, this one included, stay
+    /// within one full's bytes). Otherwise writes a full. A delta holds the
+    /// written layers, their optimizer state, the new losses, and its
+    /// parent's watermark and trailing checksum.
+    ///
+    /// The layers are `(block - first block of the stage, choice)`, as
+    /// [`StageSnapshot::params`] is indexed; a layer not named must be
+    /// unchanged since `written.since`, its velocity entry included.
+    ///
+    /// # Errors
+    ///
+    /// As [`persist`](Self::persist); the persist after a failed one is a
+    /// full.
+    pub fn persist_cut(
+        &self,
+        ckpt: &Checkpoint,
+        written: &Written,
+    ) -> Result<PathBuf, DurableError> {
+        self.write(ckpt, Some(written))
+    }
+
+    fn write(&self, ckpt: &Checkpoint, written: Option<&Written>) -> Result<PathBuf, DurableError> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let written = self.write_locked(&mut state, ckpt, written);
+        if written.is_err() {
+            *state = State::default();
+        }
+        written
+    }
+
+    fn write_locked(
+        &self,
+        state: &mut State,
+        ckpt: &Checkpoint,
+        written: Option<&Written>,
+    ) -> Result<PathBuf, DurableError> {
+        let watermark = ckpt.watermark;
+        let name = snapshot_file_name(watermark);
+        let final_path = self.dir.join(&name);
+        let tmp_path = self.dir.join(format!(".{name}.tmp"));
+        let State { head, links } = state;
+        self.scan(links);
+        links.remove(&watermark);
+
+        // Full or delta: a delta extends the newest cut this store wrote,
+        // while its file is there, up to one full's worth of deltas.
+        let head_on_disk = head
+            .as_ref()
+            .filter(|h| chain_of(links, h.watermark).is_some());
+        let plan = head_on_disk.zip(written).and_then(|(h, written)| {
+            let plan = h.plan(ckpt, written)?;
+            let deltas_len = h.deltas_len + plan.len();
+            (deltas_len <= encoded_len(ckpt)).then_some((plan, deltas_len))
+        });
+
+        // Retention: this cut, the newest `keep - 1` loadable cuts below
+        // it, and every file their chains and this cut's chain need stay
         // (files *above* it are another run's or a corrupt cut about to be
-        // rewritten; they must never evict the one just written).
-        let listed = self.list_snapshots().unwrap_or_default();
-        let below = listed.iter().rev().filter(|&&w| w < ckpt.watermark);
-        let mut pruned: Vec<u64> = below.skip(self.keep - 1).copied().collect();
-        let recycled = self.keep >= 2
-            && pruned.last().is_some_and(|&oldest| {
-                let oldest = self.dir.join(snapshot_file_name(oldest));
-                fs::rename(oldest, &tmp_path).is_ok()
-            });
-        if recycled {
-            pruned.pop();
+        // rewritten; they never evict the one just written).
+        let mut needed = BTreeSet::new();
+        if let Some((plan, _)) = &plan {
+            needed.extend(chain_of(links, plan.parent).into_iter().flatten());
+        }
+        let below = links.range(..watermark).rev().map(|(&w, _)| w);
+        let retained = below.filter_map(|w| chain_of(links, w)).take(self.keep - 1);
+        needed.extend(retained.flatten());
+        let below = links.range(..watermark).map(|(&w, _)| w);
+        let mut pruned: Vec<u64> = below.filter(|w| !needed.contains(w)).collect();
+        // The write goes into the oldest pruned file that is no loadable
+        // cut (a delta whose chain is gone), else into the oldest pruned
+        // file, which takes a cut off the disk for the write: only while
+        // a loadable cut below stays.
+        let dead = pruned.iter().position(|&w| chain_of(links, w).is_none());
+        let safe = needed.range(..watermark).next().is_some();
+        let recycle = dead.or((safe && !pruned.is_empty()).then_some(0));
+        self.step()?;
+        let recycled = recycle.is_some_and(|at| {
+            let file = self.dir.join(snapshot_file_name(pruned[at]));
+            fs::rename(file, &tmp_path).is_ok()
+        });
+        if let (true, Some(at)) = (recycled, recycle) {
+            links.remove(&pruned.remove(at));
         }
 
         let call = PERSIST_CALLS.fetch_add(1, Ordering::SeqCst) + 1;
-        {
+        let encoded = {
             let mut f = if recycled {
                 let f = OpenOptions::new().write(true).open(&tmp_path);
                 f.map_err(|e| io_err(&tmp_path, "open", &e))?
@@ -778,7 +1332,11 @@ impl DurableStore {
                 // Torn write: half the bytes hit the disk, then the
                 // process dies without renaming. abort() skips all
                 // destructors and exit handlers, like SIGKILL would.
-                let bytes = encode_snapshot(ckpt, self.fingerprint);
+                let bytes = match &plan {
+                    Some((plan, _)) => plan.encode(None, self.fingerprint).map(|e| e.buf),
+                    None => Ok(encode_snapshot(ckpt, self.fingerprint)),
+                };
+                let bytes = bytes.expect("nothing is written");
                 let half = bytes.len() / 2;
                 let _ = f.write_all(&bytes[..half]);
                 let _ = f.sync_all();
@@ -788,25 +1346,123 @@ impl DurableStore {
                 );
                 std::process::abort();
             }
-            let (_, len) = encode_to(Some(&mut f), ckpt, self.fingerprint)
-                .map_err(|e| io_err(&tmp_path, "write", &e))?;
+            let mut out = Steps {
+                file: &mut f,
+                store: self,
+            };
+            let encoded = match &plan {
+                Some((plan, _)) => plan.encode(Some(&mut out), self.fingerprint),
+                None => encode_to(Some(&mut out), ckpt, self.fingerprint),
+            };
+            let encoded = encoded.map_err(|e| io_err(&tmp_path, "write", &e))?;
             if recycled {
-                // Cut the old cut's bytes past this encoding.
-                f.set_len(len as u64)
+                // Cut the old file's bytes past this encoding.
+                self.step()?;
+                f.set_len(encoded.len as u64)
                     .map_err(|e| io_err(&tmp_path, "set_len", &e))?;
             }
+            self.step()?;
             f.sync_all().map_err(|e| io_err(&tmp_path, "sync", &e))?;
-        }
+            encoded
+        };
+        self.step()?;
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&final_path, "rename", &e))?;
         // Make the rename itself durable (best-effort: directory fsync is
         // Linux-specific and advisory elsewhere).
+        self.step()?;
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        for w in pruned {
+        let link = plan
+            .as_ref()
+            .map_or(Link::Full, |(p, _)| Link::Delta(p.parent));
+        links.insert(watermark, link);
+        *head = Some(Head {
+            watermark,
+            trailer: encoded.trailer,
+            shape: shape_digest(ckpt),
+            losses: (ckpt.stages.iter())
+                .map(|s| (s.losses.len(), loss_digest(s.losses.iter())))
+                .collect(),
+            deltas_len: plan.map_or(0, |(_, deltas_len)| deltas_len),
+        });
+        // Pruning unlinks the fulls (and unusable files): a chain whose
+        // full is gone loads no more, so its deltas stay, dead, for later
+        // writes to recycle — the newest `MAX_DEAD` of them. A delta that
+        // still loads (its full is needed) goes too.
+        let unlink = |w: u64, links: &mut BTreeMap<u64, Link>| {
+            self.step()?;
             let _ = fs::remove_file(self.dir.join(snapshot_file_name(w)));
+            links.remove(&w);
+            Ok::<(), DurableError>(())
+        };
+        let is_delta = |w: &u64| matches!(links.get(w), Some(Link::Delta(_)));
+        let (deltas, others): (Vec<u64>, Vec<u64>) = pruned.into_iter().partition(is_delta);
+        for w in others {
+            unlink(w, links)?;
+        }
+        let (live, dead): (Vec<u64>, Vec<u64>) =
+            (deltas.into_iter()).partition(|&w| chain_of(links, w).is_some());
+        let surplus = dead.len().saturating_sub(MAX_DEAD);
+        for w in live.into_iter().chain(dead.into_iter().take(surplus)) {
+            unlink(w, links)?;
         }
         Ok(final_path)
+    }
+
+    /// Brings `links` up to the directory's listing, reading the header
+    /// of each file it does not know yet.
+    fn scan(&self, links: &mut BTreeMap<u64, Link>) {
+        let listed = self.list_snapshots().unwrap_or_default();
+        links.retain(|w, _| listed.binary_search(w).is_ok());
+        for w in listed {
+            links.entry(w).or_insert_with(|| self.read_link(w));
+        }
+    }
+
+    /// What the file of the cut at `watermark` is, by its header.
+    fn read_link(&self, watermark: u64) -> Link {
+        let path = self.dir.join(snapshot_file_name(watermark));
+        let mut head = Vec::with_capacity(DELTA_HEADER_LEN);
+        let read = File::open(path).and_then(|f| {
+            let mut header = f.take(DELTA_HEADER_LEN as u64);
+            header.read_to_end(&mut head)
+        });
+        let word = |at: usize| {
+            let bytes = head.get(at..at + 8)?;
+            Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        };
+        let ours = read.is_ok()
+            && head.get(12..16) == Some(&SNAP_VERSION.to_le_bytes()[..])
+            && word(16) == Some(self.fingerprint)
+            && word(24) == Some(watermark);
+        match &head[..head.len().min(12)] {
+            magic if ours && magic == SNAP_MAGIC => Link::Full,
+            magic if ours && magic == DELTA_MAGIC => match word(32) {
+                Some(parent) if parent < watermark => Link::Delta(parent),
+                _ => Link::Unusable,
+            },
+            _ => Link::Unusable,
+        }
+    }
+
+    /// Counts one file operation of a persist. Under `cfg(test)` a crash
+    /// test stops persists in front of the first operation past its
+    /// budget, leaving the directory as a process killed there would.
+    fn step(&self) -> Result<(), DurableError> {
+        #[cfg(test)]
+        {
+            let left = (self.ops_left)
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+            if left.is_err() {
+                return Err(DurableError::Io {
+                    path: self.dir.clone(),
+                    op: "crash test",
+                    detail: "stopped".into(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Watermarks of the snapshot files currently on disk, ascending.
@@ -821,12 +1477,11 @@ impl DurableStore {
             .filter_map(|e| parse_snapshot_file_name(&e.file_name().to_string_lossy()))
             .collect();
         cuts.sort_unstable();
-        cuts.dedup();
         Ok(cuts)
     }
 
-    /// Loads the newest valid snapshot of this run, falling back cut by
-    /// cut past corrupt, truncated, or foreign files.
+    /// Loads the newest valid cut of this run, falling back cut by cut
+    /// past corrupt, truncated, foreign or broken-chain files.
     ///
     /// # Errors
     ///
@@ -837,10 +1492,84 @@ impl DurableStore {
     }
 }
 
+/// Loads the cut at `watermark` from `dir` through its chain: the deltas
+/// down to a full, each link checked — the parent's file is there, below
+/// the delta, ends in the trailer the delta names, and every file's
+/// header watermark is the one its name says.
+///
+/// # Errors
+///
+/// The first failing link's typed error: [`DurableError::Io`] when the
+/// cut's own file cannot be read, [`DurableError::BrokenChain`] for a
+/// missing or replaced parent, and the decode errors of
+/// [`decode_snapshot`] otherwise.
+pub fn load_cut_in(
+    dir: &Path,
+    watermark: u64,
+    expect_fingerprint: Option<u64>,
+) -> Result<Checkpoint, DurableError> {
+    let mut deltas = Vec::new();
+    // The delta whose parent is read next, and the trailer it names.
+    let mut child: Option<(PathBuf, u64)> = None;
+    let mut at = watermark;
+    let mut ckpt = loop {
+        let path = dir.join(snapshot_file_name(at));
+        let bytes = match (fs::read(&path), child.take()) {
+            (Ok(bytes), None) => bytes,
+            (Err(e), None) => return Err(io_err(&path, "read", &e)),
+            (Err(e), Some((child, _))) => {
+                let detail = format!("its parent {} cannot be read: {e}", path.display());
+                return Err(DurableError::BrokenChain {
+                    path: child,
+                    detail,
+                });
+            }
+            (Ok(bytes), Some((child, trailer))) => {
+                let tail = bytes.len().checked_sub(8).map(|at| &bytes[at..]);
+                if tail != Some(&trailer.to_le_bytes()[..]) {
+                    let detail = format!(
+                        "it extends a file {} no longer holds (trailer {trailer:016x})",
+                        path.display()
+                    );
+                    return Err(DurableError::BrokenChain {
+                        path: child,
+                        detail,
+                    });
+                }
+                bytes
+            }
+        };
+        let named = |found: u64| match found == at {
+            true => Ok(()),
+            false => Err(DurableError::Corrupt {
+                path: path.clone(),
+                detail: format!("its header says watermark {found}, its name {at}"),
+            }),
+        };
+        if bytes.starts_with(DELTA_MAGIC) {
+            let delta = decode_delta(&bytes, &path, expect_fingerprint)?;
+            named(delta.watermark)?;
+            at = delta.parent;
+            child = Some((path.clone(), delta.parent_trailer));
+            deltas.push((path, delta));
+        } else {
+            let (ckpt, _) = decode_snapshot(&bytes, &path, expect_fingerprint)?;
+            named(ckpt.watermark)?;
+            break ckpt;
+        }
+    };
+    for (path, delta) in deltas.into_iter().rev() {
+        let applied = delta.apply(&mut ckpt);
+        applied.map_err(|detail| DurableError::Corrupt { path, detail })?;
+    }
+    Ok(ckpt)
+}
+
 /// Directory-level loader behind [`DurableStore::load_latest`] — usable
-/// without a store handle (e.g. inspection tools). Tries snapshot files
-/// newest-first; a file is used only if it parses, checksums, and (when
-/// given) fingerprint-matches.
+/// without a store handle (e.g. inspection tools). Tries cuts
+/// newest-first, each through [`load_cut_in`]; a cut is used only if its
+/// whole chain parses, checksums, links up and (when given)
+/// fingerprint-matches.
 ///
 /// # Errors
 ///
@@ -859,25 +1588,17 @@ pub fn load_latest_in(
             })
         }
     };
-    let mut cuts: Vec<(u64, PathBuf)> = entries
+    let mut cuts: Vec<u64> = entries
         .filter_map(Result::ok)
-        .filter_map(|e| {
-            parse_snapshot_file_name(&e.file_name().to_string_lossy()).map(|w| (w, e.path()))
-        })
+        .filter_map(|e| parse_snapshot_file_name(&e.file_name().to_string_lossy()))
         .collect();
-    cuts.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
+    cuts.sort_unstable_by(|a, b| b.cmp(a));
 
     let mut skipped = Vec::new();
-    for (_, path) in cuts {
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                skipped.push((path, format!("read failed: {e}")));
-                continue;
-            }
-        };
-        match decode_snapshot(&bytes, &path, expect_fingerprint) {
-            Ok((checkpoint, _)) => {
+    for watermark in cuts {
+        let path = dir.join(snapshot_file_name(watermark));
+        match load_cut_in(dir, watermark, expect_fingerprint) {
+            Ok(checkpoint) => {
                 return Ok(LoadedCheckpoint {
                     checkpoint,
                     path,
@@ -891,4 +1612,167 @@ pub fn load_latest_in(
         dir: dir.to_path_buf(),
         skipped,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use naspipe_tensor::optim::MomentumSgd;
+
+    const FP: u64 = 0x5eed;
+
+    fn dense(v: f32) -> DenseParams {
+        DenseParams {
+            weight: Tensor::from_vec(vec![v, v + 0.5, -v, v * 2.0], &[2, 2]),
+            bias: Tensor::from_vec(vec![v * 0.1, -v], &[1, 2]),
+        }
+    }
+
+    /// `n` cuts of a two-stage run (3 blocks of 4 choices per stage, the
+    /// second stage under momentum and holding the losses), each with the
+    /// layers written since the cut before: two or three per stage, so
+    /// the persists mix fulls and deltas.
+    fn stream(n: u64) -> Vec<(Checkpoint, Written)> {
+        let stage = |k: usize| StageSnapshot {
+            params: (0..3)
+                .map(|b| (0..4).map(|c| dense((10 * k + 4 * b + c) as f32)).collect())
+                .collect(),
+            engine: match k {
+                0 => NumericSupernet::new(0.05),
+                _ => NumericSupernet::from_parts(
+                    Optimizer::Momentum(MomentumSgd::new(0.05, 0.9, 0.0)),
+                    1.0,
+                ),
+            },
+            losses: BTreeMap::new(),
+        };
+        let mut cut = Checkpoint {
+            watermark: 0,
+            stages: vec![stage(0), stage(1)],
+            cut_span: SpanId::EXTERNAL,
+        };
+        let mut out = Vec::new();
+        for i in 0..n {
+            let since = cut.watermark;
+            cut.watermark += 4;
+            let mut layers = Vec::new();
+            for (k, s) in cut.stages.iter_mut().enumerate() {
+                let mut written: Vec<(usize, usize)> = (0..2 + (i + k as u64) % 2)
+                    .map(|j| {
+                        (
+                            ((i + j) % 3) as usize,
+                            ((i * 3 + j + k as u64) % 4) as usize,
+                        )
+                    })
+                    .collect();
+                written.sort_unstable();
+                written.dedup();
+                for &(b, c) in &written {
+                    s.params[b][c] = dense(i as f32 + 0.25 * c as f32);
+                    if let Optimizer::Momentum(o) = s.engine.optimizer() {
+                        let mut velocity = o.velocity().clone();
+                        let grads = DenseGrads {
+                            weight: Tensor::from_vec(vec![i as f32; 4], &[2, 2]),
+                            bias: Tensor::from_vec(vec![-(i as f32); 2], &[1, 2]),
+                        };
+                        velocity.insert(LayerRef::new(3 + b as u32, c as u32), grads);
+                        let o = MomentumSgd::from_state(0.05, 0.9, 0.0, velocity);
+                        s.engine = NumericSupernet::from_parts(Optimizer::Momentum(o), 1.0);
+                    }
+                }
+                if k == 1 {
+                    s.losses.insert(cut.watermark - 1, i as f32 / 8.0);
+                }
+                layers.push(written);
+            }
+            out.push((cut.clone(), Written { since, layers }));
+        }
+        out
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("naspipe-durable-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn the_stream_mixes_fulls_and_deltas_and_every_cut_loads() {
+        let dir = scratch("mix");
+        let store = DurableStore::open(&dir, 14, FP).unwrap();
+        let cuts = stream(14);
+        let mut kinds = String::new();
+        for (cut, written) in &cuts {
+            let path = store.persist_cut(cut, written).unwrap();
+            let bytes = fs::read(path).unwrap();
+            kinds.push(if bytes.starts_with(DELTA_MAGIC) {
+                'D'
+            } else {
+                'F'
+            });
+        }
+        assert_eq!(kinds, "FDDDFDDDFDDDFD");
+        for (cut, _) in &cuts {
+            assert_eq!(&load_cut_in(&dir, cut.watermark, Some(FP)).unwrap(), cut);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A process killed between any two file operations of any persist —
+    /// creating or recycling the tmp, each write, `set_len`, `sync_all`,
+    /// the rename, the directory fsync, each prune — leaves a directory
+    /// whose newest loadable cut is one some persist was given, no older
+    /// than the newest persist that returned; and the next incarnation's
+    /// store persists and loads on it.
+    #[test]
+    fn a_crash_at_every_file_operation_boundary_is_safe() {
+        let cuts = stream(14);
+        for keep in 1..=3 {
+            let dir = scratch(&format!("crash-keep{keep}"));
+            for ops in 0.. {
+                let _ = fs::remove_dir_all(&dir);
+                let store = DurableStore::open(&dir, keep, FP).unwrap();
+                store.ops_left.store(ops, Ordering::SeqCst);
+                let mut returned = None;
+                let mut stopped = false;
+                for (cut, written) in &cuts {
+                    if store.persist_cut(cut, written).is_err() {
+                        stopped = true;
+                        break;
+                    }
+                    returned = Some(cut.watermark);
+                }
+                drop(store);
+                let store = DurableStore::open(&dir, keep, FP).unwrap();
+                let case = format!("keep {keep}, stopped after {ops} operation(s)");
+                match load_latest_in(&dir, Some(FP)) {
+                    Ok(loaded) => {
+                        let cut = loaded.checkpoint;
+                        assert!(
+                            cuts.iter().any(|(c, _)| *c == cut),
+                            "{case}: a cut never given"
+                        );
+                        let newest = returned.unwrap_or(0);
+                        assert!(
+                            cut.watermark >= newest,
+                            "{case}: {} < {newest}",
+                            cut.watermark
+                        );
+                    }
+                    Err(e) => assert_eq!(returned, None, "{case}: {e}"),
+                }
+                let (last, written) = &cuts[cuts.len() - 1];
+                store
+                    .persist_cut(last, written)
+                    .expect("the next incarnation persists");
+                let loaded = load_latest_in(&dir, Some(FP)).expect("and loads");
+                assert_eq!(&loaded.checkpoint, last, "{case}");
+                if !stopped {
+                    break;
+                }
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //! snapshot writer.
 
 use super::elapsed_us;
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::{Checkpoint, CheckpointStore, Written};
 use crate::durable::DurableStore;
 use naspipe_obs::{Counter, EventBus, RunEvent};
 use std::fmt;
@@ -12,8 +12,13 @@ use std::time::Instant;
 
 /// What reaches the [`DurableWriter`]'s thread.
 enum Handoff {
-    /// `stage` closed `cut`: persist it.
-    Cut { stage: u32, cut: Arc<Checkpoint> },
+    /// `stage` closed `cut`, whose stages wrote `written` since the
+    /// previous cut: persist it.
+    Cut {
+        stage: u32,
+        cut: Arc<Checkpoint>,
+        written: Written,
+    },
     /// Nothing to do: being taken is the point ([`DurableWriter::drain`]).
     Drain,
 }
@@ -27,7 +32,8 @@ enum Handoff {
 /// cut `W` is on disk before cut `W + interval` is handed over, and a
 /// kill loses at most the newest cut. A persisted cut goes back to the
 /// checkpoint store, which keeps its snapshots as spares once it is
-/// retired.
+/// retired. A cut is persisted as a delta on the previous one when the
+/// store can ([`DurableStore::persist_cut`]).
 pub(super) struct DurableWriter {
     tx: Option<SyncSender<Handoff>>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -47,13 +53,18 @@ impl DurableWriter {
             .spawn(move || {
                 // Ends when `finish` drops the sender.
                 while let Ok(msg) = rx.recv() {
-                    let Handoff::Cut { stage, cut } = msg else {
+                    let Handoff::Cut {
+                        stage,
+                        cut,
+                        written,
+                    } = msg
+                    else {
                         continue;
                     };
                     let watermark = cut.watermark;
                     // Persist failures are non-fatal: a full disk
                     // degrades durability, not training.
-                    let persisted = store.persist(&cut);
+                    let persisted = store.persist_cut(&cut, &written);
                     ckpts.recycle(cut);
                     let event = match &persisted {
                         Ok(_) => {
@@ -74,18 +85,24 @@ impl DurableWriter {
     }
 
     /// Hands `cut` (the checkpoint store's own copy, shared), which `stage`
-    /// closed, to the writer thread, waiting only while the previous cut
-    /// is still being written. A dead writer is reported like any failed
-    /// persist: the in-memory checkpoints still cover in-process recovery.
+    /// closed, and the layers its stages `written` since the previous cut
+    /// to the writer thread, waiting only while the previous cut is still
+    /// being written. A dead writer is reported like any failed persist:
+    /// the in-memory checkpoints still cover in-process recovery.
     pub(super) fn hand_over(
         &self,
         stage: u32,
         cut: Arc<Checkpoint>,
+        written: Written,
         bus: &EventBus,
         epoch: Instant,
     ) {
         let watermark = cut.watermark;
-        let handoff = Handoff::Cut { stage, cut };
+        let handoff = Handoff::Cut {
+            stage,
+            cut,
+            written,
+        };
         if self.tx.as_ref().is_none_or(|tx| tx.send(handoff).is_err()) {
             let error: &dyn fmt::Display = &"the snapshot writer thread is gone";
             let failed = RunEvent::DurablePersistFailed { watermark, error };
@@ -164,7 +181,8 @@ mod tests {
         let (tx, rx) = sync_channel(0);
         drop(rx);
         let (tx, handle) = (Some(tx), None);
-        DurableWriter { tx, handle }.hand_over(1, empty_cut(8), &bus, Instant::now());
+        let writer = DurableWriter { tx, handle };
+        writer.hand_over(1, empty_cut(8), Written::default(), &bus, Instant::now());
         assert_eq!(durable_lines(&state), ["durable-persist-failed Some(1) 8"]);
     }
 
@@ -178,7 +196,8 @@ mod tests {
         let ckpts = Arc::new(CheckpointStore::new(1));
         let mut writer = DurableWriter::start(store, ckpts, bus.clone(), Instant::now());
         for (stage, watermark) in [(1, 8), (0, 16), (1, 24)] {
-            writer.hand_over(stage, empty_cut(watermark), &bus, Instant::now());
+            let written = Written::default();
+            writer.hand_over(stage, empty_cut(watermark), written, &bus, Instant::now());
         }
         // Having been taken, a drain means everything before it is done.
         writer.drain();

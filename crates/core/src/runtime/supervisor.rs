@@ -188,7 +188,8 @@ impl Supervisor {
         if let Some(cut) = initial_resume {
             let store = ctx.ckpts.as_ref().expect("validated: durable has cuts");
             for (k, s) in cut.stages.into_iter().enumerate() {
-                store.record(cut.watermark, k, s, SpanId::EXTERNAL);
+                let nothing_since = (cut.watermark, Vec::new());
+                store.record(cut.watermark, k, s, SpanId::EXTERNAL, nothing_since);
                 ctx.hub.record(k as u32, Counter::DurableResume, 1);
             }
         }

@@ -608,6 +608,10 @@ impl<'a> StageWorker<'a> {
     /// retired cut at `Ws` — with only the layers written since `Ws`
     /// (the core's writer marks name them), and is a fresh clone only when
     /// there is no spare at or above the incarnation's resume watermark.
+    /// With a durable writer, the record also names the layers written
+    /// since the previous cut, `W − C` (or since the resume watermark,
+    /// the earliest this incarnation's marks know), so the cut can be
+    /// persisted as a delta on it.
     fn maybe_checkpoint(&mut self) {
         let ctx = self.ctx;
         let Some(store) = &ctx.ckpts else {
@@ -643,6 +647,13 @@ impl<'a> StageWorker<'a> {
                     losses: self.losses.clone(),
                 },
             };
+            let since = (self.next_ckpt.saturating_sub(ctx.ckpt_interval)).max(self.inc.watermark);
+            let written = match ctx.writer {
+                Some(_) => (self.core)
+                    .written_since(self.k(), since, self.blocks.clone())
+                    .collect(),
+                None => Vec::new(),
+            };
             let span = self.tracer.emit(SpanDraft::new(
                 self.stage as u32,
                 SpanKind::Checkpoint,
@@ -651,7 +662,8 @@ impl<'a> StageWorker<'a> {
             ));
             // The store keeps the completing span per cut; a restart
             // resuming from this watermark names it as its cause.
-            let completed = store.record(self.next_ckpt, self.stage, snapshot, span);
+            let (at, stage) = (self.next_ckpt, self.stage);
+            let completed = store.record(at, stage, snapshot, span, (since, written));
             // Reaching a cut boundary proves this stage finished every
             // subnet below it — the per-stage CSP watermark `/status`
             // reports (cut granularity keeps this off the hot path).
@@ -665,8 +677,8 @@ impl<'a> StageWorker<'a> {
             ctx.bus.emit(stage, snap_start, cut);
             // The worker whose record completes the cut hands it over to be
             // persisted and goes back to training; no lock is held here.
-            if let (Some(cut), Some(writer)) = (completed, &ctx.writer) {
-                writer.hand_over(stage, cut, &ctx.bus, ctx.epoch);
+            if let (Some((cut, written)), Some(writer)) = (completed, &ctx.writer) {
+                writer.hand_over(stage, cut, written, &ctx.bus, ctx.epoch);
             }
             self.next_ckpt += ctx.ckpt_interval;
         }

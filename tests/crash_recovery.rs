@@ -9,7 +9,7 @@
 
 use naspipe::core::config::DiagnosticsOptions;
 use naspipe::core::durable::{
-    decode_snapshot, load_latest_in, snapshot_file_name, DurableError, DEFAULT_KEEP,
+    load_cut_in, load_latest_in, snapshot_file_name, DurableError, DEFAULT_KEEP,
 };
 use naspipe::core::fault::FaultPlan;
 use naspipe::core::replay_gate::{self, loss_digest, ScheduleDigest};
@@ -114,13 +114,17 @@ struct Cell {
 /// Runs the crash matrix over `seeds` at `subnets` subnets, a durable cut
 /// every 8, in `scratch(tag)`. Per seed: an uninterrupted baseline, then
 /// per crash point a child that dies there and a `--resume` child over
-/// what it left. A snapshot reaches disk one cut behind the stages at
-/// most, so a kill just past the second cut (16) resumes from 8 or 16; a
-/// torn second write resumes from 8; and with a third cut, a torn third
-/// write under keep 2 (it overwrites the first cut's file) resumes from
-/// 16. Every cell must crash, resume inside that bound, leave no tmp file
-/// after the resume, and print the baseline's RESULT line. A failing cell
-/// keeps its directory.
+/// what it left. The cuts of this stream persist as a full (8), six
+/// deltas (16 ..= 56), a full that opens a new chain (64) and a delta on
+/// it (72). A snapshot reaches disk one cut behind the stages at most, so
+/// a kill just past the second cut (16) resumes from 8 or 16; a torn
+/// write resumes from the cut before it: the second write (a delta) from
+/// 8, the third (a delta, under keep 2) from 16, the eighth (the full)
+/// from 56, and the ninth, under keep 2 the first write into a recycled
+/// file (cut 8's: chain 8 ..= 56 is no longer retained), from 64. Every
+/// cell must crash, resume inside that bound, leave no tmp file after
+/// the resume, and print the baseline's RESULT line. A failing cell keeps
+/// its directory.
 fn crash_matrix(tag: &str, subnets: u64, seeds: &[u64]) -> Vec<Cell> {
     const INTERVAL: u64 = 8;
     let root = scratch(tag);
@@ -139,6 +143,10 @@ fn crash_matrix(tag: &str, subnets: u64, seeds: &[u64]) -> Vec<Cell> {
     ];
     if 3 * INTERVAL < subnets {
         points.push((CrashPoint::MidWrite(3), 2, (16, 16)));
+    }
+    if 9 * INTERVAL < subnets {
+        points.push((CrashPoint::MidWrite(8), 2, (56, 56)));
+        points.push((CrashPoint::MidWrite(9), 2, (64, 64)));
     }
     let mut cells = Vec::new();
     for seed in seeds {
@@ -210,27 +218,34 @@ fn kill_and_resume_matrix_is_bitwise_identical() {
     }
 }
 
-/// With a third cut in the stream the matrix tears the third write under
-/// keep 2, which renamed the first cut's file to its tmp name: only the
-/// second cut is left complete, the torn tmp is the orphan, and the resume
-/// comes from exactly the second cut, removes the orphan and matches the
-/// baseline bitwise. Seeds 5, 13 and 21, three cells each.
+/// With nine cuts in the stream the matrix tears, under keep 2, the third
+/// write (a delta: cuts 8 and 16 are left, no file was recycled), the
+/// eighth (the full that opens a new chain: the whole old chain is left)
+/// and the ninth, which renamed the first cut's file to its tmp name: the
+/// old chain's other files and the new full are left complete, the torn
+/// tmp is the orphan, and the resume comes from exactly the cut before,
+/// removes the orphan and matches the baseline bitwise. Seeds 5, 13 and
+/// 21, five cells each.
 #[test]
 fn torn_write_into_a_recycled_file_resumes_from_the_cut_before() {
-    let cells = crash_matrix("recycled", 32, &[5, 13, 21]);
-    assert_eq!(cells.len(), 9, "32 subnets reach a third cut");
-    let recycled = cells.iter().filter(|c| c.point == CrashPoint::MidWrite(3));
-    let recycled: Vec<&Cell> = recycled.collect();
-    let seeds: Vec<u64> = recycled.iter().map(|c| c.seed).collect();
-    assert_eq!(seeds, [5, 13, 21], "{cells:?}");
-    for cell in recycled {
-        assert_eq!(cell.keep, 2);
-        assert_eq!(
-            (cell.snapshots_after_crash, cell.tmp_after_crash),
-            (1, 1),
-            "the first cut's file became the torn tmp: {cell:?}"
-        );
-        assert_eq!(cell.resumed_watermark, Some(16), "{cell:?}");
+    let cells = crash_matrix("recycled", 80, &[5, 13, 21]);
+    assert_eq!(cells.len(), 15, "80 subnets reach a ninth cut");
+    for (write, left, resumed) in [(3, 2, 16), (8, 7, 56), (9, 7, 64)] {
+        let torn = cells
+            .iter()
+            .filter(|c| c.point == CrashPoint::MidWrite(write));
+        let torn: Vec<&Cell> = torn.collect();
+        let seeds: Vec<u64> = torn.iter().map(|c| c.seed).collect();
+        assert_eq!(seeds, [5, 13, 21], "{cells:?}");
+        for cell in torn {
+            assert_eq!(cell.keep, 2);
+            assert_eq!(
+                (cell.snapshots_after_crash, cell.tmp_after_crash),
+                (left, 1),
+                "write {write} left the cuts before it and one torn tmp: {cell:?}"
+            );
+            assert_eq!(cell.resumed_watermark, Some(resumed), "{cell:?}");
+        }
     }
 }
 
@@ -522,7 +537,8 @@ impl WriterRun {
 }
 
 /// When `run()` returns, the writer has been drained and joined: the
-/// directory holds exactly the newest `keep` cuts and nothing else, every
+/// directory holds exactly the newest `keep` cuts and the files their
+/// chains need, and nothing else, every
 /// cut was counted once, and in the journal each persist follows its own
 /// cut with watermarks strictly increasing.
 #[test]
@@ -533,8 +549,10 @@ fn returned_run_left_exactly_the_retained_cuts_in_journal_order() {
     let run = spec.run().expect("clean run");
     assert_eq!(run.result.final_hash, seq.final_hash);
 
-    // 30 subnets, a cut every 4: 4, 8, .., 28 — seven cuts, three kept.
-    let kept = [20, 24, 28].map(snapshot_file_name);
+    // 30 subnets, a cut every 4: 4, 8, .., 28 — seven cuts, a full and
+    // six deltas on it. Three are kept, 20, 24 and 28, and their chains
+    // need every file.
+    let kept = [4, 8, 12, 16, 20, 24, 28].map(snapshot_file_name);
     assert_eq!(w.files(), kept, "no tmp, no manifest, nothing pruned late");
     let newest = load_latest_in(&w.dir, None).expect("newest cut loads");
     assert_eq!(newest.checkpoint.watermark, 28);
@@ -591,9 +609,9 @@ fn failed_run_writes_nothing_after_it_returns() {
 /// older spare it must not refill: a fatal fault past the third cut rolls
 /// back to 12 with cut 8's snapshots spare, so the next cuts are fresh
 /// clones until a spare at or above 12 exists, then refills. Every cut the
-/// run completed — all kept on disk here — is the sequential state over
-/// its prefix (debug builds also compare every refill with the live slice
-/// inside the worker).
+/// run completed — all kept on disk here, each loaded through its chain —
+/// is the sequential state over its prefix (debug builds also compare
+/// every refill with the live slice inside the worker).
 #[test]
 fn cuts_across_a_restart_are_the_sequential_state_over_their_prefix() {
     let w = WriterRun::new("writer-restart");
@@ -612,9 +630,7 @@ fn cuts_across_a_restart_are_the_sequential_state_over_their_prefix() {
             .collect::<Vec<_>>()
     );
     for watermark in cuts {
-        let path = w.dir.join(snapshot_file_name(watermark));
-        let bytes = std::fs::read(&path).unwrap();
-        let (cut, _) = decode_snapshot(&bytes, &path, None).expect("a complete cut");
+        let cut = load_cut_in(&w.dir, watermark, None).expect("a complete cut");
         let slices = cut.stages.into_iter().flat_map(|s| s.params);
         let at_cut = ParamStore::from_blocks(w.cfg.dim, slices.collect());
         let prefix = &subnets[..watermark as usize];

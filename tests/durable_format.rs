@@ -2,11 +2,14 @@
 //! checkpoints round-trip bitwise through `encode_snapshot` /
 //! `decode_snapshot`, and *every* single-byte corruption or truncation
 //! of an encoded snapshot is rejected with a typed error — the decoder
-//! never panics and never silently accepts damaged bytes.
+//! never panics and never silently accepts damaged bytes. The same holds
+//! for deltas, loaded through their chains, and a chain with a bad link
+//! is skipped for the cut below it.
 
-use naspipe::core::checkpoint::{Checkpoint, StageSnapshot};
+use naspipe::core::checkpoint::{Checkpoint, StageSnapshot, Written};
 use naspipe::core::durable::{
-    decode_snapshot, encode_snapshot, DurableError, SNAP_MAGIC, SNAP_VERSION,
+    decode_snapshot, encode_snapshot, load_cut_in, load_latest_in, snapshot_file_name,
+    DurableError, DurableStore, DELTA_MAGIC, SNAP_MAGIC, SNAP_VERSION,
 };
 use naspipe::obs::SpanId;
 use naspipe::supernet::layer::LayerRef;
@@ -303,6 +306,17 @@ fn listing(dir: &Path) -> Vec<String> {
     names
 }
 
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "naspipe-durable-format-{}-{tag}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// Persisting rewrites the cut retention drops next in place, and that
 /// changes no byte: ten cuts whose encodings grow and then shrink leave,
 /// after every persist, exactly the newest `keep` cuts, each file equal to
@@ -372,4 +386,414 @@ fn v1_snapshot_is_an_unsupported_version() {
         }
         other => panic!("expected UnsupportedVersion {{ version: 1 }}, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// File names
+// ---------------------------------------------------------------------------
+
+/// Only `ckpt-` + exactly 20 digits + `.snap` names a cut: an unpadded,
+/// signed or over-long copy is no cut at all, so it is neither loaded nor
+/// counted, and one cut has one file.
+#[test]
+fn only_the_padded_name_is_a_cut() {
+    let dir = scratch("names");
+    let bytes = encode_snapshot(&cut_at(16, 2), 7);
+    for stray in [
+        "ckpt-16.snap",
+        "ckpt-+16.snap",
+        "ckpt-000000000000000000016.snap",
+        "ckpt-0000000000000000016.snap",
+    ] {
+        std::fs::write(dir.join(stray), &bytes).unwrap();
+    }
+    match load_latest_in(&dir, Some(7)) {
+        Err(DurableError::NoSnapshot { skipped, .. }) => assert!(skipped.is_empty(), "{skipped:?}"),
+        other => panic!("stray names are no cuts, got {other:?}"),
+    }
+    std::fs::write(dir.join(snapshot_file_name(16)), &bytes).unwrap();
+    let loaded = load_latest_in(&dir, Some(7)).unwrap();
+    assert_eq!(loaded.checkpoint, cut_at(16, 2));
+    assert!(loaded.skipped.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cut 8's bytes under cut 40's name are skipped, with the reason, and
+/// the loader falls back to the real newest cut.
+#[test]
+fn a_file_named_other_than_its_header_watermark_is_skipped() {
+    let dir = scratch("misnamed");
+    let write = |name: u64, cut: &Checkpoint| {
+        std::fs::write(dir.join(snapshot_file_name(name)), encode_snapshot(cut, 7)).unwrap()
+    };
+    write(8, &cut_at(8, 1));
+    write(16, &cut_at(16, 2));
+    write(40, &cut_at(8, 1));
+    let loaded = load_latest_in(&dir, Some(7)).unwrap();
+    assert_eq!(loaded.checkpoint, cut_at(16, 2));
+    let [(path, why)] = &loaded.skipped[..] else {
+        panic!("one skip: {:?}", loaded.skipped)
+    };
+    assert_eq!(*path, dir.join(snapshot_file_name(40)));
+    assert!(
+        why.contains("header says watermark 8, its name 40"),
+        "{why}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Deltas
+// ---------------------------------------------------------------------------
+
+/// `representative()`, widened, at cut 8, then two cuts that each rewrite one layer
+/// per stage: stage 1 (whose first block is 2) gains a velocity entry for
+/// its rewritten layer and a loss. Each comes with its written layers.
+fn delta_stream() -> Vec<(Checkpoint, Written)> {
+    let mut cut = representative();
+    // Eight choices per block, so two one-layer deltas stay below a full.
+    for block in cut.stages.iter_mut().flat_map(|s| &mut s.params) {
+        let more = block[0].clone();
+        block.resize(8, more);
+    }
+    let mut out = vec![(cut.clone(), Written::default())];
+    for (step, (b0, c0), (b1, c1)) in [(16u64, (1, 0), (0, 0)), (24, (0, 1), (0, 0))] {
+        let since = cut.watermark;
+        cut.watermark = step;
+        let shift = |p: &mut DenseParams| {
+            p.weight
+                .data_mut()
+                .iter_mut()
+                .for_each(|x| *x += step as f32);
+        };
+        shift(&mut cut.stages[0].params[b0][c0]);
+        shift(&mut cut.stages[1].params[b1][c1]);
+        let Optimizer::Momentum(o) = cut.stages[1].engine.optimizer() else {
+            unreachable!("stage 1 runs momentum")
+        };
+        let mut velocity = o.velocity().clone();
+        let grads = DenseGrads {
+            weight: Tensor::from_vec(vec![step as f32; 4], &[2, 2]),
+            bias: Tensor::from_vec(vec![-(step as f32); 2], &[1, 2]),
+        };
+        velocity.insert(LayerRef::new(2 + b1 as u32, c1 as u32), grads);
+        let o = MomentumSgd::from_state(0.05, 0.9, 0.01, velocity);
+        cut.stages[1].engine = NumericSupernet::from_parts(Optimizer::Momentum(o), 0.5);
+        cut.stages[1].losses.insert(step - 1, step as f32 / 64.0);
+        let layers = vec![vec![(b0, c0)], vec![(b1, c1)]];
+        out.push((cut.clone(), Written { since, layers }));
+    }
+    out
+}
+
+/// Persists `delta_stream()` into `dir`: a full at 8, deltas at 16, 24.
+fn persist_delta_stream(dir: &Path) -> Vec<Checkpoint> {
+    let store = DurableStore::open(dir, 3, 7).unwrap();
+    let mut kinds = Vec::new();
+    let mut cuts = Vec::new();
+    for (cut, written) in delta_stream() {
+        let bytes = std::fs::read(store.persist_cut(&cut, &written).unwrap()).unwrap();
+        kinds.push(bytes.starts_with(DELTA_MAGIC));
+        cuts.push(cut);
+    }
+    assert_eq!(kinds, [false, true, true], "a full, then deltas");
+    cuts
+}
+
+#[test]
+fn every_delta_truncation_and_byte_flip_is_a_typed_error() {
+    let dir = scratch("delta-hostile");
+    let cuts = persist_delta_stream(&dir);
+    let top = dir.join(snapshot_file_name(24));
+    let bytes = std::fs::read(&top).unwrap();
+    assert_eq!(load_cut_in(&dir, 24, Some(7)).unwrap(), cuts[2]);
+    let rejected = |bad: &[u8], what: &str| {
+        std::fs::write(&top, bad).unwrap();
+        match load_cut_in(&dir, 24, Some(7)) {
+            Err(e) => assert!(!e.to_string().is_empty()),
+            Ok(cut) => panic!("{what} was accepted as {cut:?}"),
+        }
+    };
+    for n in 0..bytes.len() {
+        rejected(&bytes[..n], &format!("a prefix of {n} byte(s)"));
+    }
+    rejected(&[&bytes[..], &[0]].concat(), "trailing garbage");
+    for i in 0..bytes.len() {
+        for flip in [0x01u8, 0x80, 0xff] {
+            let mut bad = bytes.clone();
+            bad[i] ^= flip;
+            rejected(&bad, &format!("byte {i} ^ {flip:#04x}"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bytes` with the u64 at `at` replaced and the trailer fixed up.
+fn patched(mut bytes: Vec<u8>, at: usize, value: u64) -> Vec<u8> {
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a_words(FNV_OFFSET, &bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// A delta whose parent is missing, is not below it, or ends in another
+/// trailer than the one it names: its cut is skipped with the reason and
+/// the loader falls back to the newest cut below that loads.
+#[test]
+fn a_delta_with_a_bad_link_is_skipped_for_the_cut_below() {
+    let dir = scratch("delta-links");
+    let cuts = persist_delta_stream(&dir);
+    let path = |w: u64| dir.join(snapshot_file_name(w));
+    let (mid, top) = (
+        std::fs::read(path(16)).unwrap(),
+        std::fs::read(path(24)).unwrap(),
+    );
+    let fell_back = |to: &Checkpoint, reason: &str| {
+        let loaded = load_latest_in(&dir, Some(7)).unwrap();
+        assert_eq!(&loaded.checkpoint, to);
+        let (skipped, why) = &loaded.skipped[0];
+        assert_eq!(*skipped, path(24));
+        assert!(why.contains(reason), "{why}");
+    };
+
+    // Missing: without 16, 24 cannot load and 8 is the newest cut.
+    std::fs::remove_file(path(16)).unwrap();
+    fell_back(&cuts[0], "cannot be read");
+    // A different trailer: 16 rewritten as a full is a valid cut, but not
+    // the file 24 was written on.
+    std::fs::write(path(16), encode_snapshot(&cuts[1], 7)).unwrap();
+    fell_back(&cuts[1], "no longer holds");
+    std::fs::write(path(16), &mid).unwrap();
+    assert_eq!(load_latest_in(&dir, Some(7)).unwrap().checkpoint, cuts[2]);
+    // Not below: 24 naming itself or 40 as its parent (offset 32: magic,
+    // version, fingerprint, watermark) is corrupt, checksum and all.
+    for parent in [24, 40] {
+        std::fs::write(path(24), patched(top.clone(), 32, parent)).unwrap();
+        fell_back(&cuts[1], "is not below 24");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The watermarks of cut `watermark`'s chain in `dir`, read off the
+/// delta headers (the parent watermark follows magic, version,
+/// fingerprint and watermark).
+fn chain(dir: &Path, mut watermark: u64) -> Vec<u64> {
+    let mut chain = vec![watermark];
+    loop {
+        let bytes = std::fs::read(dir.join(snapshot_file_name(watermark))).unwrap();
+        if !bytes.starts_with(DELTA_MAGIC) {
+            return chain;
+        }
+        watermark = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
+        chain.push(watermark);
+    }
+}
+
+/// A deterministic xorshift stream for the random cut sequences.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// A random sequence of cuts of one random two-stage shape, each with
+/// its written layers (sometimes unsorted, sometimes more than were
+/// written, sometimes since a cut that is not the previous one).
+fn random_stream(seed: u64, n: usize) -> Vec<(Checkpoint, Written)> {
+    let mut rng = Rng(seed | 1);
+    let rows = 1 + rng.next(2) as usize;
+    let shape: Vec<Vec<usize>> = (0..2)
+        .map(|_| {
+            (0..1 + rng.next(3))
+                .map(|_| 1 + rng.next(3) as usize)
+                .collect()
+        })
+        .collect();
+    let dense = |v: f32| DenseParams {
+        weight: Tensor::from_vec(vec![v; rows * 2], &[rows, 2]),
+        bias: Tensor::from_vec(vec![-v; 2], &[1, 2]),
+    };
+    let mut cut = Checkpoint {
+        watermark: 0,
+        stages: shape
+            .iter()
+            .enumerate()
+            .map(|(k, blocks)| StageSnapshot {
+                params: blocks
+                    .iter()
+                    .map(|&c| (0..c).map(|_| dense(0.5)).collect())
+                    .collect(),
+                engine: match k {
+                    0 => NumericSupernet::from_parts(Optimizer::Sgd(Sgd::new(0.05)), 1.0),
+                    _ => NumericSupernet::from_parts(
+                        Optimizer::Momentum(MomentumSgd::from_state(
+                            0.05,
+                            0.5,
+                            0.0,
+                            BTreeMap::new(),
+                        )),
+                        1.0,
+                    ),
+                },
+                losses: BTreeMap::new(),
+            })
+            .collect(),
+        cut_span: SpanId::EXTERNAL,
+    };
+    let first_block = [0, shape[0].len()];
+    let mut out = Vec::new();
+    for _ in 0..n {
+        let since = cut.watermark;
+        cut.watermark += 1 + rng.next(5);
+        let mut layers = Vec::new();
+        for (k, s) in cut.stages.iter_mut().enumerate() {
+            let mut written = Vec::new();
+            for (b, &choices) in shape[k].iter().enumerate() {
+                for c in 0..choices {
+                    match rng.next(4) {
+                        0 => {
+                            s.params[b][c] = dense(rng.next(1000) as f32);
+                            if let Optimizer::Momentum(o) = s.engine.optimizer() {
+                                let mut velocity = o.velocity().clone();
+                                let layer = LayerRef::new((first_block[k] + b) as u32, c as u32);
+                                let v = rng.next(100) as f32;
+                                let grads = DenseGrads {
+                                    weight: Tensor::from_vec(vec![v; rows * 2], &[rows, 2]),
+                                    bias: Tensor::from_vec(vec![v; 2], &[1, 2]),
+                                };
+                                velocity.insert(layer, grads);
+                                let o = MomentumSgd::from_state(0.05, 0.5, 0.0, velocity);
+                                s.engine = NumericSupernet::from_parts(Optimizer::Momentum(o), 1.0);
+                            }
+                            written.push((b, c));
+                        }
+                        // Named but not written: allowed.
+                        1 => written.push((b, c)),
+                        _ => {}
+                    }
+                }
+            }
+            if rng.next(4) == 0 {
+                written.reverse();
+            }
+            if k == 1 {
+                s.losses
+                    .insert(cut.watermark - 1, rng.next(64) as f32 / 8.0);
+            }
+            layers.push(written);
+        }
+        let since = if rng.next(6) == 0 { since + 1 } else { since };
+        out.push((cut.clone(), Written { since, layers }));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Under keep 1-3, after every persist of a random cut sequence, the
+    /// cuts on disk that load are exactly the newest `keep` persisted and
+    /// the links of their chains, each equal through its chain to the cut
+    /// persisted at its watermark; any other file there is a dead delta,
+    /// whose chain's full is gone.
+    #[test]
+    fn every_retained_cut_loads_through_its_chain(
+        seed in 0u64..u64::MAX,
+        keep in 1usize..4,
+        n in 2usize..12,
+    ) {
+        let dir = scratch(&format!("chains-{seed}-{keep}-{n}"));
+        let store = DurableStore::open(&dir, keep, 9).unwrap();
+        let stream = random_stream(seed, n);
+        for (i, (cut, written)) in stream.iter().enumerate() {
+            store.persist_cut(cut, written).unwrap();
+            let on_disk = listing(&dir);
+            let mut loaded = Vec::new();
+            for (persisted, _) in &stream[..=i] {
+                if !on_disk.contains(&snapshot_file_name(persisted.watermark)) {
+                    continue;
+                }
+                match load_cut_in(&dir, persisted.watermark, Some(9)) {
+                    Ok(cut) => {
+                        prop_assert_eq!(&cut, persisted);
+                        loaded.push(cut.watermark);
+                    }
+                    Err(DurableError::BrokenChain { .. }) => {}
+                    Err(e) => prop_assert!(false, "{}", e),
+                }
+            }
+            let mut retained = std::collections::BTreeSet::new();
+            for (newest, _) in &stream[i.saturating_sub(keep - 1)..=i] {
+                retained.extend(chain(&dir, newest.watermark));
+            }
+            prop_assert_eq!(loaded, retained.into_iter().collect::<Vec<u64>>());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The gain, counted: the 62 durable cuts of `rt-durable-ops`
+/// (uniform(48, 48) at dim 16 on 2 stages, a cut every 8 of 500 subnets
+/// of `UniformSampler` seed 2022), each with the layers its interval's
+/// subnets activate, write a full and then six deltas per chain, and at
+/// most 35 % of the bytes 62 fulls would write.
+#[test]
+fn the_rt_durable_ops_cuts_write_a_third_of_the_full_bytes() {
+    use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
+    use naspipe::supernet::space::SearchSpace;
+    use naspipe::tensor::model::ParamStore;
+    let space = SearchSpace::uniform(naspipe::supernet::layer::Domain::Nlp, 48, 48);
+    let subnets = UniformSampler::new(&space, 2022).take_subnets(500);
+    let stage = |blocks: std::ops::Range<usize>| StageSnapshot {
+        params: blocks
+            .map(|b| ParamStore::init_block(16, 2022, b, 48))
+            .collect(),
+        engine: NumericSupernet::from_parts(Optimizer::Sgd(Sgd::new(0.05)), 1.0),
+        losses: BTreeMap::new(),
+    };
+    let mut cut = Checkpoint {
+        watermark: 0,
+        stages: vec![stage(0..24), stage(24..48)],
+        cut_span: SpanId::EXTERNAL,
+    };
+    let full = encode_snapshot(&cut, 0).len() as u64;
+    let dir = scratch("rt-durable-ops");
+    let store = DurableStore::open(&dir, 3, 0).unwrap();
+    let (mut bytes, mut kinds) = (0, String::new());
+    for interval in subnets.chunks(8).filter(|c| c.len() == 8) {
+        let since = cut.watermark;
+        cut.watermark += 8;
+        let mut layers = vec![Vec::new(), Vec::new()];
+        for s in interval {
+            for b in (0..48).filter(|&b| !s.skips(b)) {
+                layers[b / 24].push((b % 24, s.layer(b).choice as usize));
+            }
+        }
+        for stage in &mut layers {
+            stage.sort_unstable();
+            stage.dedup();
+        }
+        let path = store.persist_cut(&cut, &Written { since, layers }).unwrap();
+        let file = std::fs::read(path).unwrap();
+        bytes += file.len() as u64;
+        kinds.push(if file.starts_with(DELTA_MAGIC) {
+            'D'
+        } else {
+            'F'
+        });
+    }
+    assert_eq!(kinds.len(), 62);
+    assert_eq!(kinds, "FDDDDDD".repeat(9)[..62]);
+    assert!(
+        bytes * 100 <= 35 * 62 * full,
+        "{bytes} bytes written, {} % of 62 fulls",
+        bytes * 100 / (62 * full)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
