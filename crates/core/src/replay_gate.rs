@@ -20,6 +20,11 @@
 //! * **checkpoint-cut consistency** (threaded cases) — the recovery
 //!   schedule must match the golden exactly and satisfy the cut laws
 //!   (watermarks on interval boundaries, within range, non-decreasing);
+//! * **threaded task order** (threaded cases) — the golden's last
+//!   incarnation is replayed on one thread through today's stage worker
+//!   ([`RunSpec::replay`]), each stage handed the messages the golden
+//!   says it had taken; every stage must pick the golden's task, in its
+//!   order, and train the golden's final hash;
 //! * **critical-path attribution** (DES cases) — the per-class
 //!   attribution sums (compute/fetch/causal-stall/bubble) and their
 //!   makespan identity must reproduce exactly;
@@ -40,7 +45,7 @@
 use crate::config::PipelineConfig;
 use crate::fault::FaultPlan;
 use crate::pipeline::{SimSpec, TaskRecord};
-use crate::runtime::{RecoveryOptions, RunSpec};
+use crate::runtime::{RecoveryOptions, ReplayDivergence, RunSpec};
 use crate::scheduler::DEFAULT_WINDOW;
 use crate::task::TaskKind;
 use crate::train::{replay_training, TrainConfig, TrainResult};
@@ -282,9 +287,12 @@ pub struct GoldenCase {
 
 impl GoldenCase {
     /// The golden-file line holding task `index` of the embedded
-    /// transcript (header + subnet lines precede the tasks).
+    /// transcript (header + subnet lines precede the tasks, and a counted
+    /// task's `taken` line follows it).
     pub(crate) fn task_line(&self, index: usize) -> usize {
-        self.transcript_line + self.transcript.subnets.len() + 1 + index
+        let t = &self.transcript;
+        let counted = index.saturating_sub(t.tasks.len().saturating_sub(t.taken.len()));
+        self.transcript_line + t.subnets.len() + 1 + index + counted
     }
 }
 
@@ -594,6 +602,11 @@ fn domain_str(d: Domain) -> &'static str {
 
 /// Renders a golden case in the v1 file format.
 pub fn render_golden(case: &GoldenCase) -> String {
+    render_meta(case) + &case.transcript_text
+}
+
+/// The lines of a golden file before its embedded transcript.
+fn render_meta(case: &GoldenCase) -> String {
     use std::fmt::Write as _;
     let s = &case.spec;
     let e = &case.expect;
@@ -654,7 +667,6 @@ pub fn render_golden(case: &GoldenCase) -> String {
         );
     }
     let _ = writeln!(out, "transcript");
-    out.push_str(&case.transcript_text);
     out
 }
 
@@ -691,6 +703,11 @@ pub fn parse_golden(text: &str) -> Result<GoldenCase, String> {
         tok.and_then(|t| t.parse().ok())
             .ok_or_else(|| format!("line {lineno}: bad {field}"))
     };
+    // Range-checked before narrowing: `gpus 4294967298` is not 2 GPUs.
+    let parse_u32 = |lineno: usize, field: &str, tok: Option<&str>| -> Result<u32, String> {
+        let wide = parse_u64(lineno, field, tok)?;
+        u32::try_from(wide).map_err(|_| format!("line {lineno}: {field} {wide} out of range"))
+    };
     let parse_hex = |lineno: usize, field: &str, tok: Option<&str>| -> Result<u64, String> {
         tok.and_then(|t| u64::from_str_radix(t, 16).ok())
             .ok_or_else(|| format!("line {lineno}: bad {field} (want hex)"))
@@ -722,13 +739,13 @@ pub fn parse_golden(text: &str) -> Result<GoldenCase, String> {
                     Some("cv") => Domain::Cv,
                     other => return Err(format!("line {lineno}: unknown domain {other:?}")),
                 });
-                blocks = parse_u64(lineno, "space blocks", p.next())? as u32;
-                choices = parse_u64(lineno, "space choices", p.next())? as u32;
+                blocks = parse_u32(lineno, "space blocks", p.next())?;
+                choices = parse_u32(lineno, "space choices", p.next())?;
             }
-            Some("gpus") => gpus = Some(parse_u64(lineno, "gpus", p.next())? as u32),
+            Some("gpus") => gpus = Some(parse_u32(lineno, "gpus", p.next())?),
             Some("subnets") => subnets = Some(parse_u64(lineno, "subnets", p.next())?),
             Some("seed") => seed = Some(parse_u64(lineno, "seed", p.next())?),
-            Some("batch") => batch = parse_u64(lineno, "batch", p.next())? as u32,
+            Some("batch") => batch = parse_u32(lineno, "batch", p.next())?,
             Some("window") => window = parse_u64(lineno, "window", p.next())?,
             Some("ckpt-interval") => ckpt = parse_u64(lineno, "ckpt-interval", p.next())?,
             Some("faults") => match p.next() {
@@ -736,8 +753,8 @@ pub fn parse_golden(text: &str) -> Result<GoldenCase, String> {
                 tok => {
                     faults = Some(FaultSpec {
                         seed: parse_u64(lineno, "fault seed", tok)?,
-                        fatal: parse_u64(lineno, "fatal count", p.next())? as u32,
-                        transient: parse_u64(lineno, "transient count", p.next())? as u32,
+                        fatal: parse_u32(lineno, "fatal count", p.next())?,
+                        transient: parse_u32(lineno, "transient count", p.next())?,
                     });
                 }
             },
@@ -767,7 +784,7 @@ pub fn parse_golden(text: &str) -> Result<GoldenCase, String> {
                     });
                 }
                 Some("schedule") => {
-                    let restarts = parse_u64(lineno, "restarts", p.next())? as u32;
+                    let restarts = parse_u32(lineno, "restarts", p.next())?;
                     let marks = p
                         .next()
                         .ok_or(format!("line {lineno}: missing resume watermarks"))?;
@@ -903,6 +920,7 @@ fn execute_threaded(spec: &CaseSpec) -> Result<ThreadedRun, String> {
         transcript: Transcript {
             subnets: run.subnets,
             tasks: run.tasks,
+            taken: run.taken,
         },
         result: run.result,
         schedule: ScheduleDigest {
@@ -1140,11 +1158,48 @@ pub fn run_case(case: &GoldenCase) -> CaseReport {
             }),
         }
     }
+    if spec.engine == CaseEngine::Threaded {
+        replay_threaded(case, &mut run);
+    }
 
     CaseReport {
         name: spec.name.clone(),
         checks_passed: run.passed,
         divergences: run.divergences,
+    }
+}
+
+/// Replays a threaded golden through today's stage worker: its task
+/// order and final hash must be the golden's.
+fn replay_threaded(case: &GoldenCase, run: &mut CaseRun) {
+    let space = case.spec.space();
+    let t = &case.transcript;
+    match case.spec.run_spec(&space).replay(t) {
+        Ok(replayed) => {
+            run.passed += 1;
+            let (golden, fresh) = (case.expect.final_hash, replayed.final_hash);
+            run.metric_hex("replayed-final-hash", golden, fresh);
+        }
+        Err(ReplayDivergence::Task { index, ran }) => {
+            let golden = t.tasks.get(index);
+            let fresh = match (ran, golden) {
+                (Some((kind, y)), Some(g)) => {
+                    let kind = if kind == TaskKind::Forward { "F" } else { "B" };
+                    format!("{kind} {y} stage {} (replayed)", g.stage.0)
+                }
+                _ => "<nothing picked with the golden's messages>".to_string(),
+            };
+            run.divergences.push(Divergence::FirstDivergentTask {
+                index,
+                line: case.task_line(index),
+                golden: golden.map(render_task),
+                fresh: Some(fresh),
+            });
+        }
+        Err(other) => run.divergences.push(Divergence::Policy {
+            check: "threaded-replay",
+            detail: other.to_string(),
+        }),
     }
 }
 
@@ -1218,11 +1273,7 @@ pub fn regenerate(spec: &CaseSpec) -> Result<GoldenCase, String> {
         }
         CaseEngine::Threaded => {
             let thr = execute_threaded(spec)?;
-            let text = Transcript {
-                subnets: thr.transcript.subnets.clone(),
-                tasks: thr.transcript.tasks.clone(),
-            }
-            .to_text();
+            let text = thr.transcript.to_text();
             (thr.transcript, text, thr.result, None, Some(thr.schedule))
         }
         CaseEngine::Both => {
@@ -1241,7 +1292,7 @@ pub fn regenerate(spec: &CaseSpec) -> Result<GoldenCase, String> {
     };
     let (csp_admissions, csp_writes) = check_csp_stream(&transcript.subnets, &transcript.tasks)
         .map_err(|e| format!("{}: refusing to bless a CSP-violating run: {e}", spec.name))?;
-    Ok(GoldenCase {
+    let mut case = GoldenCase {
         expect: Expectations {
             final_hash: result.final_hash,
             loss_count: result.losses.len() as u64,
@@ -1252,22 +1303,14 @@ pub fn regenerate(spec: &CaseSpec) -> Result<GoldenCase, String> {
             schedule,
         },
         spec: spec.clone(),
-        // The transcript header lands right after the metadata block.
-        transcript_line: 0, // recomputed below
+        transcript_line: 0,
         transcript,
         transcript_text,
-    })
-    .map(|mut case| {
-        // Count the metadata lines render_golden will emit before the
-        // transcript so task_line() is exact for freshly blessed cases.
-        let rendered = render_golden(&case);
-        let header_at = rendered
-            .lines()
-            .position(|l| l == "naspipe-transcript v1")
-            .expect("rendered golden embeds a transcript");
-        case.transcript_line = header_at + 1;
-        case
-    })
+    };
+    // The transcript's header is the line after the metadata, so
+    // task_line() is exact for freshly blessed cases.
+    case.transcript_line = render_meta(&case).lines().count() + 1;
+    Ok(case)
 }
 
 /// The built-in corpus: CSP DES runs at several seeds and stage counts,
@@ -1494,6 +1537,66 @@ mod tests {
         }
         // Everything else still reproduces: exactly one divergence.
         assert_eq!(report.divergences.len(), 1, "{:?}", report.divergences);
+    }
+
+    #[test]
+    fn a_swapped_threaded_admission_is_the_first_divergent_task() {
+        let case = regenerate(&CaseSpec {
+            name: "t_thr".into(),
+            engine: CaseEngine::Threaded,
+            ..small_des_spec()
+        })
+        .unwrap();
+        assert!(run_case(&case).ok(), "{:?}", run_case(&case).divergences);
+        // Two forwards one stage ran back to back, swapped with their
+        // counts: the replayed stage picks the first where the golden now
+        // has the second. Neither shares a layer of that stage's slice
+        // with the other (CSP admitted the second before the first's
+        // backward), so nothing else diverges.
+        let mut t = case.transcript.clone();
+        let i = (0..t.tasks.len() - 1)
+            .find(|&i| {
+                let (a, b) = (&t.tasks[i], &t.tasks[i + 1]);
+                (a.kind, b.kind) == (TaskKind::Forward, TaskKind::Forward) && a.stage == b.stage
+            })
+            .expect("a stage ran two forwards back to back");
+        t.tasks.swap(i, i + 1);
+        t.taken.swap(i, i + 1);
+        let text = render_golden(&GoldenCase {
+            transcript_text: t.to_text(),
+            ..case.clone()
+        });
+        let mutated = parse_golden(&text).unwrap();
+        let report = run_case(&mutated);
+        assert_eq!(report.divergences.len(), 1, "{:?}", report.divergences);
+        let Divergence::FirstDivergentTask {
+            index,
+            line,
+            golden,
+            fresh,
+        } = &report.divergences[0]
+        else {
+            panic!("{:?}", report.divergences);
+        };
+        assert_eq!(*index, i);
+        let golden_line = text.lines().nth(line - 1).unwrap();
+        let recorded = &mutated.transcript.tasks[i];
+        let head = format!(
+            "task {} {} F {} ",
+            recorded.start.as_us(),
+            recorded.end.as_us(),
+            recorded.subnet.0
+        );
+        assert!(golden_line.starts_with(&head), "{golden_line} for {head}");
+        assert!(golden
+            .as_deref()
+            .unwrap()
+            .contains(&recorded.subnet.to_string()));
+        let first = t.tasks[i + 1].subnet;
+        assert_eq!(
+            fresh.as_deref(),
+            Some(format!("F {first} stage {} (replayed)", recorded.stage.0).as_str())
+        );
     }
 
     #[test]

@@ -31,29 +31,42 @@
 //! snapshot writer (`sidecars.rs`) is the one thread that outlives
 //! incarnations.
 //!
-//! # The worker, cut at its one blocking point
+//! # One stage worker, three drivers
 //!
 //! `StageWorker::step` is one turn of the Algorithm 1 loop up to — not
-//! including — the blocking receive: cut a checkpoint, inject, drain the
-//! delivered messages, run one backward or one admissible forward, and
-//! say whether a task ran. The loop's bookkeeping (registration, queues,
-//! `L_f`, the window and checkpoint-epoch barrier, the writer marks, the
-//! stall/bubble class of a wait) is a one-stage `crate::stage::StageCore`,
-//! the same core the DES drives over all its stages; the worker keeps its
-//! channels, parameters, checkpoints and loss targets. The thread is "`step` until nothing is
-//! runnable, then block for one message"; the last stage spends what
-//! would be that wait synthesizing upcoming loss targets. A backward
-//! hands its input gradient upstream before its weight half (`dL/dW` and
-//! the optimizer step), so the predecessor's backward overlaps it.
-//! `step` never waits for a peer (injected `Slow` and retry back-off
-//! sleeps aside), so a test drives several workers through any
-//! interleaving on one thread; it is not a pure function of a message —
-//! it reads its inbox, the clock and the fault plan itself. A task's
-//! start and end are read from the clock once: its spans, its
-//! [`TaskRecord`] and its latency sample carry the same `(start, end)`.
-//! A forward's hand-off comes after its span and is the gap to the next
-//! task; a backward's comes between its `Backward` and `Update` spans
-//! and is the gap between them, inside its record.
+//! including — a wait for a message: cut a checkpoint, inject, take the
+//! messages its driver delivered, run one backward or one admissible
+//! forward, and say whether a task ran. The worker does no I/O: it takes
+//! deliveries from, and gives its hand-offs to, its driver through one
+//! private `Io` trait, and holds no channel. The loop's bookkeeping
+//! (registration, queues, `L_f`, the window and checkpoint-epoch barrier,
+//! the writer marks, the stall/bubble class of a wait) is a one-stage
+//! `crate::stage::StageCore`, the same core the DES drives over all its
+//! stages; the worker keeps its parameters, checkpoints and loss targets.
+//! The clock and the fault plan stay inside `step`. Three drivers run it:
+//!
+//! * the **thread driver** (`supervisor.rs`), one per stage thread: its
+//!   inbox and links are channels, and it is "`step` until nothing is
+//!   runnable, then block for one message and hold it for the next
+//!   `step`";
+//! * the **replay** ([`RunSpec::replay`], `replay.rs`): every worker on
+//!   one thread, each step handed exactly the messages a recorded run's
+//!   stage had taken when it picked (its [`Taken`] counts; a channel is
+//!   FIFO per sender, so they fix the inbox), and the pick checked
+//!   against the record;
+//! * the **seeded stepper** (`worker::tests`), the same one-thread driver
+//!   handing each step a seeded part of what is in flight.
+//!
+//! The last stage spends what would be a wait synthesizing upcoming loss
+//! targets. A backward hands its input gradient upstream before its
+//! weight half (`dL/dW` and the optimizer step), so the predecessor's
+//! backward overlaps it. `step` never waits for a peer (injected `Slow`
+//! and retry back-off sleeps aside). A task's start and end are read from
+//! the clock once: its spans, its [`TaskRecord`] and its latency sample
+//! carry the same `(start, end)`. A forward's hand-off comes after its
+//! span and is the gap to the next task; a backward's comes between its
+//! `Backward` and `Update` spans and is the gap between them, inside its
+//! record.
 //!
 //! # Supervision and recovery
 //!
@@ -61,8 +74,8 @@
 //! context, the incarnation's park flag and (debug builds) its invariant
 //! checker. A worker leaves early through one private `Halt`: `Parked` (the
 //! supervisor asked) or `Failed` (a [`TrainError`], via `?`); one helper
-//! makes a closed link or a receive timeout `Parked` under an active
-//! shutdown and `Failed` otherwise. As it exits, each worker sends
+//! of the thread driver makes a closed link or a receive timeout `Parked`
+//! under an active shutdown and `Failed` otherwise. As it exits, each worker sends
 //! `(stage, Result<StageOutput, TrainError>)` over the incarnation's one
 //! hand-back channel — its state whether it finished or parked, a panic
 //! caught at the thread root being an error like any other. The supervisor waits in one
@@ -95,6 +108,7 @@
 //! replays and resumes, the writer persists — and the run's [`ObsReport`]
 //! is the hub's final snapshot, a failed worker's work included.
 
+mod replay;
 mod sidecars;
 mod supervisor;
 mod worker;
@@ -104,10 +118,12 @@ use crate::durable::{DurableError, DEFAULT_KEEP};
 use crate::fault::{FaultPlan, FiredFault};
 use crate::pipeline::TaskRecord;
 use crate::scheduler::DEFAULT_WINDOW;
+use crate::task::TaskKind;
 use crate::train::{TrainConfig, TrainResult};
+use crate::transcript::Transcript;
 use naspipe_obs::{EventBus, ObsReport, SpanTrace, TelemetryOptions, Violation};
 use naspipe_supernet::space::SearchSpace;
-use naspipe_supernet::subnet::Subnet;
+use naspipe_supernet::subnet::{Subnet, SubnetId};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -348,12 +364,83 @@ pub struct SupervisedRun {
     /// incarnation's recorded tasks in start order — suitable for
     /// [`verify_csp_order_parts`](crate::repro::verify_csp_order_parts).
     pub tasks: Vec<TaskRecord>,
+    /// What each stage had taken from its inbox when it picked each of
+    /// the last incarnation's tasks: `taken[i]` belongs to
+    /// `tasks[tasks.len() - taken.len() + i]`. With the tasks it is what
+    /// [`RunSpec::replay`] replays.
+    pub taken: Vec<Taken>,
     /// The subnets trained, in exploration order.
     pub subnets: Vec<Subnet>,
     /// Causal span trace, merged across every stage worker and
     /// incarnation (wall-clock µs since run start).
     pub spans: SpanTrace,
 }
+
+/// What a threaded stage had taken from its inbox when it picked a
+/// task: the forward messages (activations from its predecessor) and the
+/// backward messages (gradients from its successor) handed to it so far
+/// in its incarnation. A channel is FIFO per sender, so the two counts
+/// fix which messages the stage had picked from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Taken {
+    /// Activations taken.
+    pub forwards: u64,
+    /// Gradients taken.
+    pub backwards: u64,
+}
+
+/// What [`RunSpec::replay`] reproduced of a threaded run, on one thread.
+#[derive(Debug, Clone)]
+pub struct Replayed {
+    /// The replayed parameters' fingerprint (`TrainResult::final_hash`).
+    pub final_hash: u64,
+    /// Every task the replayed stages ran, stage by stage, each stage's
+    /// in the order it ran them.
+    pub tasks: Vec<TaskRecord>,
+    /// Per stage, every checkpoint cut it took: its watermark and how many
+    /// of the stage's replayed tasks ran before it.
+    pub cuts: Vec<Vec<(u64, usize)>>,
+    /// The replayed incarnation's counts: its hub's last snapshot.
+    pub report: ObsReport,
+}
+
+/// Where [`RunSpec::replay`] parted from the run it replays.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayDivergence {
+    /// The transcript is not a threaded run of this spec: no inbox
+    /// counts, other subnets, a stage or prefix the spec does not have.
+    Unfit(String),
+    /// Handed what the record says it had taken, the stage of the
+    /// transcript's task `index` did not pick that task: `ran` is what it
+    /// ran instead (`None`: nothing, or the messages it needed were never
+    /// sent).
+    Task {
+        /// Index into the transcript's tasks.
+        index: usize,
+        /// The task the stage ran instead, as `(kind, subnet)`.
+        ran: Option<(TaskKind, SubnetId)>,
+    },
+    /// A replayed worker failed.
+    Failed(TrainError),
+}
+
+impl fmt::Display for ReplayDivergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayDivergence::Unfit(why) => write!(f, "the transcript does not fit: {why}"),
+            ReplayDivergence::Task { index, ran: None } => {
+                write!(f, "task #{index}: its stage picked nothing")
+            }
+            ReplayDivergence::Task {
+                index,
+                ran: Some((kind, y)),
+            } => write!(f, "task #{index}: its stage picked {y}.{kind} instead"),
+            ReplayDivergence::Failed(err) => write!(f, "the replay failed: {err}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayDivergence {}
 
 /// One threaded run, as data: what to train and on how many stage
 /// threads (the arguments of [`new`](Self::new)), plus every option with
@@ -492,6 +579,21 @@ impl<'a> RunSpec<'a> {
     /// subnet is invalid for `space` — caller bugs, not inputs.
     pub fn run(self) -> Result<SupervisedRun, TrainError> {
         supervisor::supervise(self)
+    }
+
+    /// Replays the threaded run `transcript` recorded on one thread, with
+    /// this spec's workers: before each recorded task, its stage is handed
+    /// exactly the messages the record says it had taken, and it must pick
+    /// that task (Algorithm 2, checked in every build). A restarted run
+    /// replays its last incarnation from the sequential state at its
+    /// resume watermark. Faults, telemetry, durable snapshots and
+    /// diagnostics are off in the replay.
+    ///
+    /// # Errors
+    ///
+    /// The [`ReplayDivergence`] where the replay left the record.
+    pub fn replay(self, transcript: &Transcript) -> Result<Replayed, ReplayDivergence> {
+        replay::replay(self, transcript)
     }
 }
 

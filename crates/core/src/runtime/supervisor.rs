@@ -1,12 +1,12 @@
 //! The supervisor behind [`RunSpec::run`]: resolve the spec, then per
-//! incarnation spawn the stage workers, collect what they hand back —
-//! sampling the run's hub while it waits — and classify it; and either
-//! assemble the result or account the failure and respawn from the
-//! newest complete cut.
+//! incarnation spawn a thread driver per stage worker, collect what they
+//! hand back — sampling the run's hub while it waits — and classify it;
+//! and either assemble the result or account the failure and respawn
+//! from the newest complete cut.
 
 use super::sidecars::DurableWriter;
-use super::worker::{Incarnation, Msg, RunContext, StageOutput, StageWorker};
-use super::{elapsed_us, RecoveryReport, RunSpec, SupervisedRun, TrainError};
+use super::worker::{Halt, Incarnation, Io, Msg, RunContext, StageOutput, StageWorker};
+use super::{elapsed_us, RecoveryReport, RunSpec, SupervisedRun, Taken, TrainError};
 use crate::checkpoint::Checkpoint;
 use crate::durable::{run_fingerprint, DurableError, DurableStore};
 use crate::fault::FiredFault;
@@ -15,7 +15,7 @@ use crate::pipeline::TaskRecord;
 use crate::task::{StageId, TaskKind};
 use crate::train::TrainResult;
 use naspipe_obs::{
-    Counter, EventBus, MetricsSnapshot, PoolWorkerObs, RunEvent, RunMeta, SpanId, SpanTrace, Tracer,
+    Counter, EventBus, MetricsSnapshot, PoolWorkerObs, RunEvent, RunMeta, SpanTrace, Tracer,
 };
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::subnet::SubnetId;
@@ -25,7 +25,7 @@ use naspipe_tensor::pool;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 /// What the stages that finished or parked handed back, by ascending stage.
@@ -46,6 +46,135 @@ pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, TrainError> 
     }
 }
 
+/// What travels a stage's inbox: a neighbour's hand-off, or the
+/// supervisor's stop.
+enum Post {
+    Task(Msg),
+    Stop,
+}
+
+/// The thread driver's side of one stage: its inbox, its links to its
+/// neighbours, and the message its last wait received.
+struct Link<'a> {
+    ctx: &'a RunContext,
+    inc: &'a Incarnation,
+    stage: usize,
+    rx: Receiver<Post>,
+    next: Option<Sender<Post>>,
+    prev: Option<Sender<Post>>,
+    // Taken by the next `step` before anything else.
+    held: Option<Msg>,
+}
+
+impl Io for Link<'_> {
+    fn take(&mut self) -> Result<Option<Msg>, Halt> {
+        if let Some(msg) = self.held.take() {
+            return Ok(Some(msg));
+        }
+        // A disconnect surfaces through the blocking wait once nothing
+        // is runnable; buffered messages drain first.
+        match self.rx.try_recv() {
+            Ok(Post::Task(msg)) => Ok(Some(msg)),
+            Ok(Post::Stop) => Err(Halt::Parked),
+            Err(_) => Ok(None),
+        }
+    }
+
+    fn send(&mut self, msg: Msg) -> Result<(), Halt> {
+        let (link, tx) = match msg.kind {
+            TaskKind::Forward => ("successor", &self.next),
+            TaskKind::Backward => ("predecessor", &self.prev),
+        };
+        let tx = tx.as_ref().expect("an inner link has its neighbour");
+        let stage = self.stage;
+        tx.send(Post::Task(msg))
+            .map_err(|_| self.lost(TrainError::ChannelClosed { stage, link }))
+    }
+}
+
+impl Link<'_> {
+    /// A link that closed or a wait that timed out: the supervisor's
+    /// doing under an active shutdown — a park request — and the failure
+    /// `err` otherwise. The one place the two are told apart.
+    fn lost(&self, err: TrainError) -> Halt {
+        if self.inc.shutdown.load(Ordering::Acquire) {
+            Halt::Parked
+        } else {
+            Halt::Failed(err)
+        }
+    }
+
+    /// Blocks for one message and holds it for the next `step`.
+    fn wait(&mut self, worker: &StageWorker) -> Result<(), Halt> {
+        let stage = self.stage;
+        match self.rx.recv_timeout(self.ctx.recv_timeout) {
+            Ok(Post::Task(msg)) => self.held = Some(msg),
+            Ok(Post::Stop) => return Err(Halt::Parked),
+            Err(RecvTimeoutError::Disconnected) => {
+                let link = "inbound";
+                return Err(self.lost(TrainError::ChannelClosed { stage, link }));
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                let task = worker.first_unfinished();
+                let cause = None;
+                return Err(self.lost(TrainError::Timeout { stage, task, cause }));
+            }
+        }
+        Ok(())
+    }
+
+    /// `step`s `worker` until its stream is trained, blocking for one
+    /// message whenever nothing is runnable.
+    fn train(&mut self, worker: &mut StageWorker) -> Result<(), Halt> {
+        worker.start();
+        while !worker.trained() {
+            if worker.step(self)? {
+                continue;
+            }
+            let idle = worker.idle();
+            let waiting = Instant::now();
+            self.wait(worker)?;
+            (self.ctx.hub).record(self.stage as u32, idle, elapsed_us(waiting));
+        }
+        Ok(())
+    }
+}
+
+/// One incarnation's workers, each with its thread driver's links wired
+/// stage to stage, and a sender into every stage's inbox: the
+/// supervisor's, to broadcast the stop and wake waiting workers on a
+/// failure.
+fn wire<'a>(
+    ctx: &'a RunContext,
+    inc: &'a Incarnation,
+) -> (Vec<(StageWorker<'a>, Link<'a>)>, Vec<Sender<Post>>) {
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..ctx.gpus()).map(|_| channel()).unzip();
+    let stages = rxs.into_iter().enumerate().map(|(stage, rx)| {
+        let link = Link {
+            ctx,
+            inc,
+            stage,
+            rx,
+            next: txs.get(stage + 1).cloned(),
+            prev: stage.checked_sub(1).map(|p| txs[p].clone()),
+            held: None,
+        };
+        (StageWorker::new(ctx, inc, stage), link)
+    });
+    (stages.collect(), txs)
+}
+
+/// The thread driver: a worker thread's body. Hands the stage's state
+/// back whether the stream finished or the supervisor parked it.
+fn drive(mut worker: StageWorker, mut link: Link) -> Result<StageOutput, TrainError> {
+    match link.train(&mut worker) {
+        Ok(()) => Ok(worker.finish()),
+        // A restart follows and rolls the slice back: no fingerprint.
+        Err(Halt::Parked) => Ok(worker.into_output(Vec::new())),
+        Err(Halt::Failed(err)) => Err(err),
+    }
+}
+
 /// One incarnation: a scoped thread per stage, then the one loop in
 /// which the supervisor waits for them, taking each sample that falls
 /// due meanwhile. Every worker sends its result — a panic, caught at the
@@ -57,20 +186,20 @@ fn run_incarnation(
     inc: &Incarnation,
     next_sample: &mut Option<Instant>,
 ) -> Vec<Result<StageOutput, TrainError>> {
-    let (workers, txs) = StageWorker::wire(ctx, inc);
-    let mut handback: Vec<_> = workers.iter().map(|_| None).collect();
+    let (stages, txs) = wire(ctx, inc);
+    let mut handback: Vec<_> = stages.iter().map(|_| None).collect();
     let mut failed = false;
     let threads = ctx.train.threads;
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = channel();
         let mut handles = Vec::new();
-        for (stage, worker) in workers.into_iter().enumerate().rev() {
+        for (stage, (worker, link)) in stages.into_iter().enumerate().rev() {
             let done = done_tx.clone();
             handles.push(scope.spawn(move || {
                 // Each stage worker runs its numeric kernels on the
                 // configured compute pool — the software analogue of
                 // each pipeline stage owning one GPU.
-                let body = || pool::with_threads(threads, || worker.run());
+                let body = || pool::with_threads(threads, || drive(worker, link));
                 let result = catch_unwind(AssertUnwindSafe(body))
                     .unwrap_or(Err(TrainError::StagePanicked { stage }));
                 let _ = done.send((stage, result));
@@ -94,7 +223,7 @@ fn run_incarnation(
                 failed = true;
                 inc.shutdown.store(true, Ordering::Release);
                 for tx in &txs {
-                    let _ = tx.send(Msg::Stop);
+                    let _ = tx.send(Post::Stop);
                 }
             }
             handback[stage] = Some(result);
@@ -186,12 +315,10 @@ impl Supervisor {
         // incarnation 0 starts exactly as the uninterrupted run's workers
         // stood after that watermark and no restart falls below it.
         if let Some(cut) = initial_resume {
-            let store = ctx.ckpts.as_ref().expect("validated: durable has cuts");
-            for (k, s) in cut.stages.into_iter().enumerate() {
-                let nothing_since = (cut.watermark, Vec::new());
-                store.record(cut.watermark, k, s, SpanId::EXTERNAL, nothing_since);
+            for k in 0..cut.stages.len() {
                 ctx.hub.record(k as u32, Counter::DurableResume, 1);
             }
+            ctx.resume_from(cut.watermark, cut.stages);
         }
         Ok(Supervisor {
             next_sample: ctx.sample_every.map(|every| Instant::now() + every),
@@ -240,19 +367,20 @@ impl Supervisor {
         }));
         let mut params = Vec::new();
         let mut losses = Vec::new();
-        let mut real_tasks: Vec<TaskRecord> = Vec::new();
+        let mut real_tasks: Vec<(TaskRecord, Taken)> = Vec::new();
         for (k, mut out) in outputs {
             let range = self.ctx.partition.stage_range(StageId(k as u32));
             debug_assert_eq!(range.start, params.len());
             self.spans.merge(out.tracer.take());
             params.extend(out.params);
             losses.extend(out.losses);
-            real_tasks.extend(out.tasks);
+            real_tasks.extend(out.tasks.into_iter().zip(out.taken));
         }
         // Stable by-start sort keeps each stage's (already ordered)
         // stream in order; cross-stage ties don't affect per-layer
         // access order because each layer has one owner stage.
-        real_tasks.sort_by_key(|t| t.start);
+        real_tasks.sort_by_key(|(t, _)| t.start);
+        let (real_tasks, taken): (Vec<_>, Vec<_>) = real_tasks.into_iter().unzip();
         let mut tasks = sequential_prefix_tasks(resume_w, &self.ctx.partition, gpus);
         tasks.extend(real_tasks);
         let wall_us = elapsed_us(self.ctx.epoch);
@@ -273,6 +401,7 @@ impl Supervisor {
             report,
             recovery: self.recovery,
             tasks,
+            taken,
             subnets: self.ctx.subnets,
             spans: self.spans,
         }

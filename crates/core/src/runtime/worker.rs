@@ -1,9 +1,12 @@
-//! The stage worker: one pipeline stage's Algorithm 1 loop, cut at its
-//! one blocking point into a non-blocking [`StageWorker::step`] and the
-//! wait for the next message.
+//! The stage worker: one pipeline stage's Algorithm 1 loop as a
+//! non-blocking [`StageWorker::step`] that does no I/O of its own. Its
+//! driver hands it the messages delivered to its stage and sends the
+//! hand-offs it makes, through [`Io`]: the thread driver
+//! (`supervisor.rs`) over channels, the single-thread driver
+//! (`replay.rs`) from a record or a seed.
 
 use super::sidecars::DurableWriter;
-use super::{elapsed_us, RunSpec, TrainError};
+use super::{elapsed_us, RunSpec, Taken, TrainError};
 use crate::checkpoint::{Checkpoint, CheckpointStore, StageSnapshot};
 use crate::fault::{FaultInjector, FaultKind, FaultSite, MAX_RETRIES};
 use crate::partition::Partition;
@@ -27,17 +30,27 @@ use naspipe_tensor::tensor::Tensor;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-pub(super) enum Msg {
-    /// The input of a subnet's next task here — a forward's activation
-    /// from the predecessor, a backward's gradient from the successor —
-    /// tagged with the span that produced it.
-    Task(TaskKind, SubnetId, Tensor, SpanId),
-    /// Supervisor-initiated shutdown: park, do not treat as a failure.
-    Stop,
+/// The input of a subnet's next task at a neighbour — a forward's
+/// activation for the successor, a backward's gradient for the
+/// predecessor — tagged with the span that produced it.
+pub(super) struct Msg {
+    pub kind: TaskKind,
+    pub subnet: SubnetId,
+    pub payload: Tensor,
+    pub span: SpanId,
+}
+
+/// The I/O a driver does for its worker's [`StageWorker::step`].
+pub(super) trait Io {
+    /// The next message delivered to the stage, if one has been; never
+    /// waits.
+    fn take(&mut self) -> Result<Option<Msg>, Halt>;
+    /// Sends a hand-off to the neighbour its kind names: a forward's
+    /// downstream, a backward's upstream.
+    fn send(&mut self, msg: Msg) -> Result<(), Halt>;
 }
 
 /// What a stage worker hands back when it exits without an error,
@@ -51,12 +64,15 @@ pub(super) struct StageOutput {
     pub losses: BTreeMap<u64, f32>,
     pub tracer: SpanTracer,
     pub tasks: Vec<TaskRecord>,
+    /// What the stage had taken from its inbox when it picked each of
+    /// `tasks`.
+    pub taken: Vec<Taken>,
 }
 
 /// Why a worker leaves its loop before its stream is trained. Every
 /// worker method returns it through `?`.
 pub(super) enum Halt {
-    /// The supervisor asked (the shutdown flag, a [`Msg::Stop`], a link
+    /// The supervisor asked (the shutdown flag, its stop message, a link
     /// lost under an active shutdown): not an error.
     Parked,
     Failed(TrainError),
@@ -73,7 +89,7 @@ impl From<TrainError> for Halt {
 /// state lives in [`StageWorker`], beside a borrow of this.
 pub(super) struct RunContext {
     pub subnets: Vec<Subnet>,
-    data: SyntheticDataset,
+    pub data: SyntheticDataset,
     pub train: TrainConfig,
     pub partition: Partition,
     // `choices[block]`: candidate count of every block of the space.
@@ -81,9 +97,9 @@ pub(super) struct RunContext {
     window: u64,
     // Fault tolerance.
     pub injector: FaultInjector,
-    // `Duration::MAX` (no timeout configured) waits forever: std treats
-    // a deadline that overflows as none.
-    recv_timeout: Duration,
+    // The thread driver's; `Duration::MAX` (no timeout configured) waits
+    // forever: std treats a deadline that overflows as none.
+    pub recv_timeout: Duration,
     // Shared with the durable writer, which recycles the cuts it persisted.
     pub ckpts: Option<Arc<CheckpointStore>>,
     ckpt_interval: u64,
@@ -137,6 +153,16 @@ impl RunContext {
 
     pub(super) fn gpus(&self) -> u32 {
         self.partition.num_stages()
+    }
+
+    /// Seeds the checkpoint store with `stages`, the cut at `watermark`
+    /// an incarnation resumes from.
+    pub(super) fn resume_from(&self, watermark: u64, stages: Vec<StageSnapshot>) {
+        let store = self.ckpts.as_ref().expect("a run that resumes has cuts");
+        for (k, s) in stages.into_iter().enumerate() {
+            let nothing_since = (watermark, Vec::new());
+            store.record(watermark, k, s, SpanId::EXTERNAL, nothing_since);
+        }
     }
 
     /// Subnet `y`'s loss target: its input batch through the teacher. A
@@ -213,9 +239,6 @@ pub(super) struct StageWorker<'a> {
     engine: NumericSupernet,
     // Owned parameter slice: params[block - blocks.start][choice].
     params: Vec<Vec<DenseParams>>,
-    rx: Receiver<Msg>,
-    next_tx: Option<Sender<Msg>>,
-    prev_tx: Option<Sender<Msg>>,
     // This stage's queues, `L_SN` as it sees it, its `L_f` and writer
     // marks. Queued work is tagged with the producing span; a forward
     // also with its wall-clock arrival (for causal-edge binding).
@@ -229,34 +252,19 @@ pub(super) struct StageWorker<'a> {
     next_target: u64,
     losses: BTreeMap<u64, f32>,
     tracer: SpanTracer,
-    next_ckpt: u64,
-    tasks: Vec<TaskRecord>,
+    /// The watermark of the next cut this stage takes.
+    pub next_ckpt: u64,
+    pub tasks: Vec<TaskRecord>,
+    /// The messages taken from the driver so far, and what that was when
+    /// each of `tasks` was picked.
+    pub taken_now: Taken,
+    pub taken: Vec<Taken>,
 }
 
 impl<'a> StageWorker<'a> {
-    /// One incarnation's workers, wired stage to stage, and a sender
-    /// into every stage's inbox: the supervisor's, to broadcast
-    /// [`Msg::Stop`] and wake recv-blocked workers on a failure.
-    pub(super) fn wire(ctx: &'a RunContext, inc: &'a Incarnation) -> (Vec<Self>, Vec<Sender<Msg>>) {
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..ctx.gpus()).map(|_| channel()).unzip();
-        let workers = rxs.into_iter().enumerate().map(|(k, rx)| {
-            let next_tx = txs.get(k + 1).cloned();
-            let prev_tx = k.checked_sub(1).map(|p| txs[p].clone());
-            StageWorker::new(ctx, inc, k, rx, next_tx, prev_tx)
-        });
-        (workers.collect(), txs)
-    }
-
     /// Stage `stage` as the incarnation's cut left it; without a cut
     /// [`start`](Self::start) initialises the parameters.
-    fn new(
-        ctx: &'a RunContext,
-        inc: &'a Incarnation,
-        stage: usize,
-        rx: Receiver<Msg>,
-        next_tx: Option<Sender<Msg>>,
-        prev_tx: Option<Sender<Msg>>,
-    ) -> Self {
+    pub(super) fn new(ctx: &'a RunContext, inc: &'a Incarnation, stage: usize) -> Self {
         let blocks = ctx.partition.stage_range(StageId(stage as u32));
         let (params, engine, losses) = match &inc.resume {
             Some(ckpt) => {
@@ -282,9 +290,6 @@ impl<'a> StageWorker<'a> {
             blocks,
             engine,
             params,
-            rx,
-            next_tx,
-            prev_tx,
             core,
             ctxs: BTreeMap::new(),
             targets: BTreeMap::new(),
@@ -293,11 +298,13 @@ impl<'a> StageWorker<'a> {
             tracer: SpanTracer::with_namespace(namespace),
             next_ckpt: resume_w + ctx.ckpt_interval,
             tasks: Vec::new(),
+            taken_now: Taken::default(),
+            taken: Vec::new(),
         }
     }
 
-    /// The incarnation's prologue, on the worker's own thread.
-    fn start(&mut self) {
+    /// The incarnation's prologue, on the thread that drives the worker.
+    pub(super) fn start(&mut self) {
         if self.inc.resume.is_none() {
             // No cut to resume from: every stage initialises its own
             // block range, all stages at once.
@@ -332,6 +339,34 @@ impl<'a> StageWorker<'a> {
         self.stage as u32
     }
 
+    /// Whether this stage computes the loss.
+    fn is_last(&self) -> bool {
+        self.k() + 1 == self.ctx.gpus()
+    }
+
+    /// Whether every subnet of the stream is trained here.
+    pub(super) fn trained(&self) -> bool {
+        self.core.done(self.k()) == self.ctx.total()
+    }
+
+    /// The first subnet this stage has not finished: what a wait that
+    /// timed out was waiting to make progress on.
+    pub(super) fn first_unfinished(&self) -> u64 {
+        self.core.first_unfinished(self.k()).0
+    }
+
+    /// Nothing is runnable until a message arrives: notes a CSP stall if
+    /// forwards are queued, and names the counter the wait is idle time
+    /// of.
+    pub(super) fn idle(&self) -> Counter {
+        let (stage, queued) = (self.k(), self.core.depth(self.k()));
+        if queued > 0 {
+            let stall = RunEvent::CspStall { queued };
+            self.ctx.bus.emit(stage, self.now_us(), stall);
+        }
+        self.core.idle_counter(stage)
+    }
+
     /// Queues `y`'s forward, registering every subnet up to it first.
     fn deliver_forward(&mut self, y: SubnetId, payload: (Tensor, SpanId, u64)) {
         let ctx = self.ctx;
@@ -355,26 +390,15 @@ impl<'a> StageWorker<'a> {
         event(&mut guard).map_err(|violation| TrainError::Invariant { stage, violation })
     }
 
-    /// A link that closed or a receive that timed out: the supervisor's
-    /// doing under an active shutdown — a park request — and the failure
-    /// `err` otherwise. The one place the two are told apart.
-    fn lost(&self, err: TrainError) -> Halt {
-        if self.inc.shutdown.load(Ordering::Acquire) {
-            Halt::Parked
-        } else {
-            Halt::Failed(err)
-        }
-    }
-
     /// The output of a stage whose stream is trained. Its slice is final,
     /// so it is fingerprinted here, on the stage's own thread, while the
     /// other stages do the same with theirs.
-    fn finish(self) -> StageOutput {
+    pub(super) fn finish(self) -> StageOutput {
         let hashes = layer_hashes(&self.params).collect();
         self.into_output(hashes)
     }
 
-    fn into_output(self, layer_hashes: Vec<u64>) -> StageOutput {
+    pub(super) fn into_output(self, layer_hashes: Vec<u64>) -> StageOutput {
         // Attribute the compute-pool work this stage's kernels fanned
         // out (drained from thread-local accounting; runs on the worker
         // thread, before the pool binding is dropped). Job and chunk
@@ -397,6 +421,7 @@ impl<'a> StageWorker<'a> {
             losses: self.losses,
             tracer: self.tracer,
             tasks: self.tasks,
+            taken: self.taken,
         }
     }
 
@@ -471,77 +496,53 @@ impl<'a> StageWorker<'a> {
         Ok(())
     }
 
-    /// Hands the result of `y`'s task to the neighbour that runs its next
-    /// one — a forward's activation to the successor, a backward's
-    /// gradient to the predecessor — after any scheduled transient send
-    /// fault.
+    /// Hands the result of `y`'s task to `io` for the neighbour that runs
+    /// its next one — a forward's activation to the successor, a
+    /// backward's gradient to the predecessor — after any scheduled
+    /// transient send fault.
     fn hand_off(
         &mut self,
+        io: &mut impl Io,
         kind: TaskKind,
         y: SubnetId,
         payload: Tensor,
         span: SpanId,
     ) -> Result<(), Halt> {
-        let (link, to_next) = match kind {
-            TaskKind::Forward => ("successor", true),
-            TaskKind::Backward => ("predecessor", false),
+        let link = match kind {
+            TaskKind::Forward => "successor",
+            TaskKind::Backward => "predecessor",
         };
         self.transient_fault(FaultSite::Send, y, kind, link)?;
-        let tx = if to_next {
-            &self.next_tx
-        } else {
-            &self.prev_tx
-        };
-        let tx = tx.as_ref().expect("an inner link has its neighbour");
-        let stage = self.stage;
-        tx.send(Msg::Task(kind, y, payload, span))
-            .map_err(|_| self.lost(TrainError::ChannelClosed { stage, link }))
-    }
-
-    /// Blocking receive. Fault injection and enqueueing happen in
-    /// [`accept_msg`](Self::accept_msg).
-    fn recv_blocking(&mut self) -> Result<Msg, Halt> {
-        let stage = self.stage;
-        self.rx.recv_timeout(self.ctx.recv_timeout).map_err(|e| {
-            self.lost(match e {
-                RecvTimeoutError::Disconnected => TrainError::ChannelClosed {
-                    stage,
-                    link: "inbound",
-                },
-                RecvTimeoutError::Timeout => TrainError::Timeout {
-                    stage,
-                    task: self.core.first_unfinished(self.k()).0,
-                    cause: None,
-                },
-            })
+        io.send(Msg {
+            kind,
+            subnet: y,
+            payload,
+            span,
         })
     }
 
     /// Fires any scheduled transient receive fault on `msg`, stamps its
-    /// arrival, and enqueues it; a supervisor [`Msg::Stop`] parks.
-    fn accept_msg(&mut self, msg: Msg) -> Result<(), Halt> {
-        let Msg::Task(kind, y, payload, src) = msg else {
-            return Err(Halt::Parked);
-        };
+    /// arrival, enqueues it and counts it taken.
+    fn accept(&mut self, msg: Msg) -> Result<(), Halt> {
+        let Msg {
+            kind,
+            subnet: y,
+            payload,
+            span: src,
+        } = msg;
         self.transient_fault(FaultSite::Recv, y, kind, "inbound")?;
         let now = self.now_us();
         match kind {
-            TaskKind::Forward => self.deliver_forward(y, (payload, src, now)),
-            TaskKind::Backward => self.core.deliver_backward(self.k(), y, (payload, src)),
+            TaskKind::Forward => {
+                self.taken_now.forwards += 1;
+                self.deliver_forward(y, (payload, src, now));
+            }
+            TaskKind::Backward => {
+                self.taken_now.backwards += 1;
+                self.core.deliver_backward(self.k(), y, (payload, src));
+            }
         }
         self.sample_queue_depth();
-        Ok(())
-    }
-
-    /// Moves every already-delivered message into the local queues, so
-    /// arrival bursts are visible to queue-depth metrics and an arrived
-    /// backward can preempt queued forwards without a blocking receive.
-    fn drain_inbound(&mut self) -> Result<(), Halt> {
-        // A disconnect surfaces through the blocking receive once
-        // nothing is runnable; buffered messages drain first.
-        while let Ok(msg) = self.rx.try_recv() {
-            self.accept_msg(msg)?;
-        }
         Ok(())
     }
 
@@ -593,6 +594,7 @@ impl<'a> StageWorker<'a> {
             stage: StageId(stage),
             blocks: self.blocks.clone(),
         });
+        self.taken.push(self.taken_now);
         self.ctx.hub.observe(stage, latency, end - start);
         self.ctx.hub.record(stage, count, 1);
     }
@@ -686,6 +688,7 @@ impl<'a> StageWorker<'a> {
 
     fn run_forward(
         &mut self,
+        io: &mut impl Io,
         y: SubnetId,
         input: Tensor,
         src: SpanId,
@@ -722,7 +725,7 @@ impl<'a> StageWorker<'a> {
         }
         // The last stage: the loss closes the forward pass, against the
         // target idle time prepared or, on a miss, one made here.
-        let loss_grad = self.next_tx.is_none().then(|| {
+        let loss_grad = self.is_last().then(|| {
             let target = self
                 .targets
                 .remove(&y.0)
@@ -742,7 +745,7 @@ impl<'a> StageWorker<'a> {
                 self.core.deliver_backward(self.k(), y, (grad, span));
                 self.sample_queue_depth();
             }
-            None => self.hand_off(TaskKind::Forward, y, out, span)?,
+            None => self.hand_off(io, TaskKind::Forward, y, out, span)?,
         }
         self.ctxs.insert(y.0, ctx);
         Ok(())
@@ -756,7 +759,13 @@ impl<'a> StageWorker<'a> {
     /// the task's record and latency sample cover all three. A halt in
     /// the send leaves the Backward span without its Update: the
     /// incarnation is over, and the task runs again after the restart.
-    fn run_backward(&mut self, y: SubnetId, grad_out: Tensor, src: SpanId) -> Result<(), Halt> {
+    fn run_backward(
+        &mut self,
+        io: &mut impl Io,
+        y: SubnetId,
+        grad_out: Tensor,
+        src: SpanId,
+    ) -> Result<(), Halt> {
         let started = Instant::now();
         self.fire_execute_fault(y, TaskKind::Backward);
         let mut ctx = self.ctxs.remove(&y.0).expect("forward context present");
@@ -766,7 +775,7 @@ impl<'a> StageWorker<'a> {
         let span = self.emit_span(SpanKind::Backward, y, (start, split), Some(cause));
         // Stage 0's slice yields none: nobody reads the subnet input's.
         if let Some(grad) = grad {
-            self.hand_off(TaskKind::Backward, y, grad, span)?;
+            self.hand_off(io, TaskKind::Backward, y, grad, span)?;
         }
         let resumed = self.now_us();
         // The weight half, then the writes in block order.
@@ -801,7 +810,7 @@ impl<'a> StageWorker<'a> {
     /// has neither a target prepared nor its forward done here. `false`
     /// when there is none, or this is not the last stage.
     fn prepare_target(&mut self) -> bool {
-        if self.next_tx.is_some() {
+        if !self.is_last() {
             return false;
         }
         let (k, end) = (self.k(), self.core.window(self.k()).end);
@@ -820,13 +829,14 @@ impl<'a> StageWorker<'a> {
         true
     }
 
-    /// One turn of the Algorithm 1 loop, up to — not including — the
-    /// blocking receive: `true` when a task ran, `false` when nothing is
-    /// runnable until a message arrives. Never waits for a peer (it can
-    /// sleep in an injected `Slow` fault or retry back-off). The last
-    /// stage spends what would be the wait preparing loss targets, one
-    /// between looks at its inbox.
-    fn step(&mut self) -> Result<bool, Halt> {
+    /// One turn of the Algorithm 1 loop, up to — not including — a wait
+    /// for a message: `true` when a task ran, `false` when nothing is
+    /// runnable until a message arrives. It takes every message `io` has
+    /// delivered before it picks, and gives `io` its hand-offs. Never
+    /// waits for a peer (it can sleep in an injected `Slow` fault or
+    /// retry back-off). The last stage spends what would be the wait
+    /// preparing loss targets, one between looks at what `io` delivered.
+    pub(super) fn step(&mut self, io: &mut impl Io) -> Result<bool, Halt> {
         if self.inc.shutdown.load(Ordering::Acquire) {
             return Err(Halt::Parked);
         }
@@ -838,10 +848,12 @@ impl<'a> StageWorker<'a> {
         }
         let stage = self.k();
         loop {
-            // Pull every delivered message before picking work, so a
+            // Take every delivered message before picking work, so a
             // burst shows up in the queue-depth metrics and a delivered
             // backward takes priority over queued forwards.
-            self.drain_inbound()?;
+            while let Some(msg) = io.take()? {
+                self.accept(msg)?;
+            }
             self.sample_queue_depth();
             // The lowest-ID backward, else the lowest-ID admissible forward.
             match self.core.pick(stage) {
@@ -853,58 +865,23 @@ impl<'a> StageWorker<'a> {
                     if preempted {
                         self.ctx.hub.record(stage, Counter::BackwardPreemption, 1);
                     }
-                    self.run_backward(id, grad, src)?;
+                    self.run_backward(io, id, grad, src)?;
                 }
                 Pick::Forward {
                     id,
                     payload: (input, src, arrival),
-                } => self.run_forward(id, input, src, arrival)?,
+                } => self.run_forward(io, id, input, src, arrival)?,
                 Pick::Idle { .. } if self.prepare_target() => continue,
                 Pick::Idle { .. } => return Ok(false),
             }
             return Ok(true);
         }
     }
-
-    /// [`step`](Self::step) until the stream is trained, blocking for one
-    /// message whenever nothing is runnable.
-    fn train(&mut self) -> Result<(), Halt> {
-        self.start();
-        let stage = self.k();
-        while self.core.done(stage) < self.ctx.total() {
-            if self.step()? {
-                continue;
-            }
-            // Nothing runnable: whatever is queued is a blocked forward.
-            let queued = self.core.depth(stage);
-            if queued > 0 {
-                self.ctx
-                    .bus
-                    .emit(stage, self.now_us(), RunEvent::CspStall { queued });
-            }
-            let idle = self.core.idle_counter(stage);
-            let waiting = Instant::now();
-            let msg = self.recv_blocking()?;
-            self.ctx.hub.record(stage, idle, elapsed_us(waiting));
-            self.accept_msg(msg)?;
-        }
-        Ok(())
-    }
-
-    /// The worker thread's body: hands the stage's state back whether the
-    /// stream finished or the supervisor parked it.
-    pub(super) fn run(mut self) -> Result<StageOutput, TrainError> {
-        match self.train() {
-            Ok(()) => Ok(self.finish()),
-            // A restart follows and rolls the slice back: no fingerprint.
-            Err(Halt::Parked) => Ok(self.into_output(Vec::new())),
-            Err(Halt::Failed(err)) => Err(err),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::replay::Stepper;
     use super::super::RecoveryOptions;
     use super::*;
     use crate::train::sequential_training;
@@ -929,10 +906,13 @@ mod tests {
             .all(|v| !reader.conflicts_within(w.blocks.clone(), &subnets[v as usize]))
     }
 
-    /// Steps `gpus` workers over `list` on this thread, one `step` at a
-    /// time in an order drawn from `seed`, until every stream is trained;
-    /// returns the final parameter hash (folded from the stages' layer
-    /// hashes, as the supervisor does) and the newest complete cut.
+    /// Steps `gpus` workers over `list` through the single-thread driver,
+    /// one `step` at a time in an order drawn from `seed`, each handed a
+    /// seeded part of the messages in flight to it (a prefix of each
+    /// side's, as a channel delivers them; the rest stays in flight),
+    /// until every stream is trained; returns the final parameter hash
+    /// (folded from the stages' layer hashes, as the supervisor does) and
+    /// the newest complete cut.
     /// Every forward admission is checked against Algorithm 2's order: no
     /// queued forward below it was admissible.
     /// Every third seed is an extreme order instead of a uniform one: a
@@ -956,18 +936,16 @@ mod tests {
         let bus = spec.bus();
         let ctx = RunContext::new(spec, bus);
         let inc = Incarnation::new(&ctx, 0);
-        let (mut workers, _supervisor_txs) = StageWorker::wire(&ctx, &inc);
+        let mut s = Stepper::new(&ctx, &inc);
         let mut rng = DetRng::new(seed);
-        let mut priority: Vec<usize> = (0..workers.len()).collect();
+        let mut priority: Vec<usize> = (0..s.workers.len()).collect();
         rng.shuffle(&mut priority);
-        for w in &mut workers {
-            w.start();
-        }
-        // The stages whose last `step` found nothing runnable and that no
-        // task has run since: stepping one again cannot find more.
-        let mut idle = vec![false; workers.len()];
+        // The stages whose last `step`, handed everything in flight to
+        // them, found nothing runnable, and that no task has run since:
+        // stepping one again cannot find more.
+        let mut idle = vec![false; s.workers.len()];
         loop {
-            let runnable = |&k: &usize| !idle[k] && workers[k].core.done(k as u32) < ctx.total();
+            let runnable = |&k: &usize| !idle[k] && !s.workers[k].trained();
             let candidates: Vec<usize> = priority.iter().copied().filter(runnable).collect();
             let Some(&first) = candidates.first() else {
                 break;
@@ -976,16 +954,18 @@ mod tests {
                 0 => first,
                 _ => candidates[rng.index(candidates.len())],
             };
-            let ran = workers[k].tasks.len();
-            match workers[k].step() {
+            let sent = s.sent_to(k);
+            let hand = sent.map(|n| rng.index(n + 1));
+            let ran = s.workers[k].tasks.len();
+            match s.step(k, hand) {
                 Ok(true) => idle.fill(false),
-                Ok(false) => idle[k] = true,
+                Ok(false) => idle[k] = hand == sent,
                 Err(Halt::Parked) => panic!("seed {seed}: stage {k} parked unasked"),
                 Err(Halt::Failed(err)) => panic!("seed {seed}: {err}"),
             }
             // A forward changes no finished list, so the state after the
             // step is the one it picked from, less the admitted forward.
-            let w = &workers[k];
+            let w = &s.workers[k];
             if let Some(t) = w.tasks.get(ran).filter(|t| t.kind == TaskKind::Forward) {
                 let y = t.subnet;
                 assert!(may_run(w, y), "seed {seed}: stage {k} admitted blocked {y}");
@@ -997,16 +977,13 @@ mod tests {
                 }
             }
         }
-        // Nothing is in flight between steps (a sent message is delivered),
-        // so a full round of `false` with a stream unfinished is a deadlock.
-        for (k, w) in workers.iter().enumerate() {
-            assert_eq!(
-                w.core.done(w.k()),
-                ctx.total(),
-                "seed {seed}: stage {k} deadlocked"
-            );
+        // Nothing runnable and nothing in flight, with a stream
+        // unfinished, is a deadlock.
+        for (k, w) in s.workers.iter().enumerate() {
+            assert_eq!(s.sent_to(k), [0, 0], "seed {seed}: left in flight to {k}");
+            assert!(w.trained(), "seed {seed}: stage {k} deadlocked");
         }
-        let outputs: Vec<StageOutput> = workers.into_iter().map(StageWorker::finish).collect();
+        let outputs: Vec<StageOutput> = s.workers.into_iter().map(StageWorker::finish).collect();
         let hash = store_hash(
             outputs
                 .iter()
@@ -1073,22 +1050,21 @@ mod tests {
         let bus = spec.bus();
         let ctx = RunContext::new(spec, bus);
         let inc = Incarnation::new(&ctx, 0);
-        let (mut workers, _supervisor_txs) = StageWorker::wire(&ctx, &inc);
-        for w in &mut workers {
-            w.start();
-        }
+        let mut s = Stepper::new(&ctx, &inc);
         let (mut prepared, mut inline) = (0, 0);
-        while workers.iter().any(|w| w.core.done(w.k()) < ctx.total()) {
+        while s.workers.iter().any(|w| !w.trained()) {
             let mut ran = false;
-            for w in &mut workers {
+            for k in 0..s.workers.len() {
+                let w = &mut s.workers[k];
                 w.targets.retain(|y, _| y % 2 == 0);
                 let held: Vec<u64> = w.targets.keys().copied().collect();
                 let before = w.tasks.len();
-                ran |= match w.step() {
+                ran |= match s.step(k, s.sent_to(k)) {
                     Ok(ran) => ran,
-                    Err(Halt::Parked) => panic!("stage {} parked unasked", w.stage),
+                    Err(Halt::Parked) => panic!("stage {k} parked unasked"),
                     Err(Halt::Failed(err)) => panic!("{err}"),
                 };
+                let w = &s.workers[k];
                 assert!(
                     w.targets.len() as u64 <= ctx.window,
                     "{:?}",
@@ -1097,7 +1073,7 @@ mod tests {
                 let Some(t) = w.tasks.get(before) else {
                     continue;
                 };
-                if w.next_tx.is_none() && t.kind == TaskKind::Forward {
+                if w.is_last() && t.kind == TaskKind::Forward {
                     if held.contains(&t.subnet.0) {
                         prepared += 1;
                     } else {
@@ -1111,7 +1087,7 @@ mod tests {
             prepared > 0 && inline > 0,
             "{prepared} prepared, {inline} inline"
         );
-        let last = workers.pop().expect("two stages").finish();
+        let last = s.workers.pop().expect("two stages").finish();
         let got: Vec<(u64, f32)> = last.losses.into_iter().collect();
         let bits = |l: &[(u64, f32)]| l.iter().map(|&(y, v)| (y, v.to_bits())).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
@@ -1128,15 +1104,17 @@ mod tests {
         let bus = spec.bus();
         let ctx = RunContext::new(spec, bus);
         let inc = Incarnation::new(&ctx, 0);
-        let (mut workers, inboxes) = StageWorker::wire(&ctx, &inc);
-        let last = &mut workers[1];
-        last.start();
+        let mut s = Stepper::new(&ctx, &inc);
         for y in [6, 5] {
-            let activation = ctx.data.input(y);
-            let msg = Msg::Task(TaskKind::Forward, SubnetId(y), activation, SpanId::EXTERNAL);
-            inboxes[1].send(msg).expect("the worker holds its inbox");
+            s.in_flight[1][0].push_back(Msg {
+                kind: TaskKind::Forward,
+                subnet: SubnetId(y),
+                payload: ctx.data.input(y),
+                span: SpanId::EXTERNAL,
+            });
         }
-        assert!(matches!(last.step(), Ok(true)));
+        assert!(matches!(s.step(1, [2, 0]), Ok(true)));
+        let last = &s.workers[1];
         let admitted: Vec<SubnetId> = last.tasks.iter().map(|t| t.subnet).collect();
         assert_eq!(admitted, [SubnetId(5)]);
         assert_eq!(last.core.forwards(1), [SubnetId(6)]);

@@ -14,9 +14,19 @@
 //! naspipe-transcript v1
 //! subnet <id> <choice>,<choice>,...      (skip rendered as "~")
 //! task <start_us> <end_us> <F|B> <subnet> <stage> <block_lo> <block_hi>
+//! taken <forwards> <backwards>
 //! ```
+//!
+//! A threaded run follows each task its last incarnation ran with a
+//! `taken` record: what the stage had taken from its inbox when it picked
+//! the task ([`Taken`]), which [`RunSpec::replay`] hands it again. The
+//! tasks without one (a restart's sequential prefix) come first. A DES
+//! transcript has no `taken` record.
+//!
+//! [`RunSpec::replay`]: crate::runtime::RunSpec::replay
 
 use crate::pipeline::{PipelineOutcome, TaskRecord};
+use crate::runtime::Taken;
 use crate::task::{StageId, TaskKind};
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::subnet::{Subnet, SubnetId, SKIP_CHOICE};
@@ -49,7 +59,14 @@ pub struct Transcript {
     pub subnets: Vec<Subnet>,
     /// The executed tasks, in schedule order.
     pub tasks: Vec<TaskRecord>,
+    /// What the stage of each of the last `taken.len()` tasks had taken
+    /// from its inbox when it picked it, in `tasks`' order (a threaded
+    /// run's; a DES run has none).
+    pub taken: Vec<Taken>,
 }
+
+/// The first line of every transcript.
+pub(crate) const TRANSCRIPT_HEADER: &str = "naspipe-transcript v1";
 
 /// Upper bound on plausible stage ids in a transcript — far above any
 /// real pipeline depth, so a huge value can only be corruption.
@@ -82,6 +99,7 @@ impl Transcript {
         Self {
             subnets: outcome.subnets.clone(),
             tasks: outcome.tasks.clone(),
+            taken: Vec::new(),
         }
     }
 
@@ -91,7 +109,7 @@ impl Transcript {
     ///
     /// Propagates I/O errors from `out`.
     pub fn write(&self, out: &mut impl Write) -> std::io::Result<()> {
-        writeln!(out, "naspipe-transcript v1")?;
+        writeln!(out, "{TRANSCRIPT_HEADER}")?;
         for s in &self.subnets {
             let choices = s
                 .choices()
@@ -107,7 +125,8 @@ impl Transcript {
                 .join(",");
             writeln!(out, "subnet {} {}", s.seq_id().0, choices)?;
         }
-        for t in &self.tasks {
+        let counted = self.tasks.len().saturating_sub(self.taken.len());
+        for (i, t) in self.tasks.iter().enumerate() {
             let kind = match t.kind {
                 TaskKind::Forward => "F",
                 TaskKind::Backward => "B",
@@ -122,6 +141,9 @@ impl Transcript {
                 t.blocks.start,
                 t.blocks.end,
             )?;
+            if let Some(taken) = i.checked_sub(counted).and_then(|j| self.taken.get(j)) {
+                writeln!(out, "taken {} {}", taken.forwards, taken.backwards)?;
+            }
         }
         Ok(())
     }
@@ -148,11 +170,15 @@ impl Transcript {
             let l = l.map_err(|e| err(i + 1, &format!("I/O error: {e}")))?;
             lines.push(l);
         }
-        if lines.first().map(String::as_str) != Some("naspipe-transcript v1") {
-            return Err(err(1, "missing 'naspipe-transcript v1' header"));
+        if lines.first().map(String::as_str) != Some(TRANSCRIPT_HEADER) {
+            return Err(err(1, &format!("missing '{TRANSCRIPT_HEADER}' header")));
         }
         let mut subnets: Vec<Subnet> = Vec::new();
         let mut tasks = Vec::new();
+        let mut taken: Vec<Taken> = Vec::new();
+        // Whether the record before this line was a task without its
+        // `taken` yet; once one task has counts, every later one must.
+        let (mut open_task, mut counting) = (false, false);
         let mut declared: std::collections::BTreeMap<u64, usize> =
             std::collections::BTreeMap::new();
         let mut task_lines: Vec<usize> = Vec::new();
@@ -162,7 +188,15 @@ impl Transcript {
                 continue;
             }
             let mut parts = line.split_whitespace();
-            match parts.next() {
+            let record = parts.next();
+            let after_task = std::mem::take(&mut open_task);
+            if after_task && counting && record != Some("taken") {
+                return Err(err(
+                    task_lines[tasks.len() - 1],
+                    "task has no 'taken' record",
+                ));
+            }
+            match record {
                 Some("subnet") => {
                     let id: u64 = parts
                         .next()
@@ -261,6 +295,7 @@ impl Transcript {
                         ));
                     }
                     task_lines.push(lineno);
+                    open_task = true;
                     tasks.push(TaskRecord {
                         start: SimTime::from_us(start),
                         end: SimTime::from_us(end),
@@ -270,11 +305,41 @@ impl Transcript {
                         blocks: lo..hi,
                     });
                 }
+                Some("taken") => {
+                    if !after_task {
+                        return Err(err(lineno, "'taken' record without its task"));
+                    }
+                    counting = true;
+                    let mut next_u64 = || -> Result<u64, ParseTranscriptError> {
+                        parts
+                            .next()
+                            .and_then(|p| p.parse().ok())
+                            .ok_or_else(|| err(lineno, "bad taken field"))
+                    };
+                    let forwards = next_u64()?;
+                    let backwards = next_u64()?;
+                    if let Some(stray) = parts.next() {
+                        return Err(err(
+                            lineno,
+                            &format!("stray token '{stray}' after taken record"),
+                        ));
+                    }
+                    taken.push(Taken {
+                        forwards,
+                        backwards,
+                    });
+                }
                 Some(other) => {
                     return Err(err(lineno, &format!("unknown record '{other}'")));
                 }
                 None => {}
             }
+        }
+        if open_task && counting {
+            return Err(err(
+                task_lines[tasks.len() - 1],
+                "task has no 'taken' record",
+            ));
         }
         // A stage executes one task at a time: two tasks on the same
         // stage with genuinely overlapping time intervals cannot come
@@ -299,7 +364,11 @@ impl Transcript {
                 }
             }
         }
-        Ok(Self { subnets, tasks })
+        Ok(Self {
+            subnets,
+            tasks,
+            taken,
+        })
     }
 
     /// Reconstructs a minimal [`PipelineOutcome`]-shaped pair for
@@ -375,11 +444,34 @@ mod tests {
         let t = Transcript {
             subnets: vec![Subnet::new(SubnetId(0), vec![1, SKIP_CHOICE, 2])],
             tasks: vec![],
+            taken: vec![],
         };
         let text = t.to_text();
         assert!(text.contains("1,~,2"));
         let parsed = Transcript::read(&mut text.as_bytes()).unwrap();
         assert_eq!(parsed, t);
+    }
+
+    #[test]
+    fn taken_records_round_trip_after_an_uncounted_prefix() {
+        let (_, out) = outcome();
+        let mut t = Transcript::from_outcome(&out);
+        t.tasks.truncate(8);
+        let taken = |forwards, backwards| Taken {
+            forwards,
+            backwards,
+        };
+        t.taken = vec![taken(0, 0), taken(3, 1), taken(3, 2)];
+        let text = t.to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        let first_task = lines.iter().position(|l| l.starts_with("task ")).unwrap();
+        assert!(lines[first_task + 5].starts_with("task "));
+        assert_eq!(lines[first_task + 6], "taken 0 0");
+        assert_eq!(lines.last(), Some(&"taken 3 2"));
+        assert_eq!(Transcript::read(&mut text.as_bytes()).unwrap(), t);
+        // A DES transcript has none, and reads back without.
+        let des = Transcript::from_outcome(&out);
+        assert!(!des.to_text().contains("taken"));
     }
 
     #[test]
@@ -439,6 +531,33 @@ mod tests {
             (
                 "subnet 0 1,2\ntask 1 2 F 0 0 0 1 junk",
                 "stray token 'junk' after task record",
+            ),
+            // taken records
+            ("subnet 0 1,2\ntaken 0 0", "'taken' record without its task"),
+            (
+                "subnet 0 1,2\ntask 1 2 F 0 0 0 1\ntaken 0 0\ntaken 0 0",
+                "'taken' record without its task",
+            ),
+            (
+                "subnet 0 1,2\ntask 1 2 F 0 0 0 1\ntaken x 0",
+                "bad taken field",
+            ),
+            (
+                "subnet 0 1,2\ntask 1 2 F 0 0 0 1\ntaken 1",
+                "bad taken field",
+            ),
+            (
+                "subnet 0 1,2\ntask 1 2 F 0 0 0 1\ntaken 0 0 junk",
+                "stray token 'junk' after taken record",
+            ),
+            (
+                "subnet 0 1,2\ntask 1 2 F 0 0 0 1\ntaken 0 0\ntask 2 3 F 0 1 0 1",
+                "line 5: task has no 'taken' record",
+            ),
+            (
+                "subnet 0 1,2\ntask 1 2 F 0 0 0 1\ntaken 0 0\ntask 2 3 F 0 1 0 1\n\
+                 task 3 4 F 0 2 0 1\ntaken 0 0",
+                "line 5: task has no 'taken' record",
             ),
             // other records
             ("frobnicate", "unknown record 'frobnicate'"),

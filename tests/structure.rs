@@ -257,9 +257,16 @@ impl<'a> Scan<'a> {
     /// The byte range in `source.folded` of function `name`'s body,
     /// braces included; a problem when `source` defines no such function.
     fn body(&mut self, source: &Source, name: &str) -> Option<Range<usize>> {
+        self.item_body(source, "fn", name)
+    }
+
+    /// The byte range in `source.folded` of the body of the `keyword`
+    /// item (`fn`, `struct`, ...) `name`, braces included; a problem when
+    /// `source` defines no such item.
+    fn item_body(&mut self, source: &Source, keyword: &str, name: &str) -> Option<Range<usize>> {
         let text = &source.folded;
         let body = source
-            .matches(&format!(r"\bfn {name}\b"))
+            .matches(&format!(r"\b{keyword} {name}\b"))
             .first()
             .and_then(|&at| {
                 let open = at + text[at..].find('{')?;
@@ -276,7 +283,7 @@ impl<'a> Scan<'a> {
             });
         if body.is_none() {
             self.problems.push(format!(
-                "{}: named by the rule, but no `fn {name}` body; a renamed function takes its rule with it",
+                "{}: named by the rule, but no `{keyword} {name}` body; a renamed item takes its rule with it",
                 source.path
             ));
         }
@@ -295,6 +302,26 @@ impl<'a> Scan<'a> {
                     let n = source.line_of[at];
                     self.problems.push(format!(
                         "{}:{n}: `{needle}` outside fn {name} in: {}",
+                        source.path,
+                        source.line(n)
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Records every match of any of `needles` inside the body of the
+    /// `keyword` item `name` in `source`.
+    fn forbid_in(&mut self, source: &Source, keyword: &str, name: &str, needles: &[&str]) {
+        let Some(body) = self.item_body(source, keyword, name) else {
+            return;
+        };
+        for needle in needles {
+            for at in source.matches(needle) {
+                if body.contains(&at) {
+                    let n = source.line_of[at];
+                    self.problems.push(format!(
+                        "{}:{n}: `{needle}` in {keyword} {name}: {}",
                         source.path,
                         source.line(n)
                     ));
@@ -1016,6 +1043,22 @@ mod rules {
         "bench",
     ];
 
+    pub fn stage_worker_owns_no_channel(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        for worker in scan.file("crates/core/src/runtime/worker.rs") {
+            let channels = [r"\bSender\b", r"\bReceiver\b", r"\bmpsc\b"];
+            scan.forbid_in(&worker, "struct", "StageWorker", &channels);
+        }
+        scan.verdict(
+            "the stage worker owns no channel (One stage worker, three drivers): \
+             StageWorker::step takes what its driver delivers and gives it its hand-offs \
+             through Io, so the thread driver, the one-thread replay of a recorded run \
+             and the seeded test all drive the one worker. A channel inside the worker \
+             puts its inbox back out of any driver's reach, and a threaded run can no \
+             longer be replayed.",
+        )
+    }
+
     pub fn repro_reproduces_the_paper(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let want: Vec<&str> = PAPER.iter().chain(&EXTRAS).copied().collect();
@@ -1096,6 +1139,11 @@ fn one_pricing_path() {
 #[test]
 fn one_stage_core() {
     holds(rules::one_stage_core);
+}
+
+#[test]
+fn stage_worker_owns_no_channel() {
+    holds(rules::stage_worker_owns_no_channel);
 }
 
 #[test]
@@ -1457,6 +1505,27 @@ fn a_private_copy_of_the_stage_bookkeeping_fails() {
         assert!(broken.contains(needle), "{needle} in {broken}");
     }
     assert!(!broken.contains("SubnetTable"), "{broken}");
+}
+
+#[test]
+fn a_stage_worker_holding_a_channel_fails() {
+    let tree = |worker: &str| {
+        fixture(
+            "worker_channel",
+            &[("crates/core/src/runtime/worker.rs", worker)],
+        )
+    };
+    let driven = "use std::sync::mpsc::Sender;\nstruct Link { tx: Sender<Msg> }\n\
+                  pub(super) struct StageWorker<'a> {\n    core: Core<'a>,\n}\n";
+    rules::stage_worker_owns_no_channel(&tree(driven)).expect("a channel outside the worker");
+    let owning = "pub(super) struct StageWorker<'a> {\n    core: Core<'a>,\n    \
+                  rx: std::sync::mpsc::Receiver<Msg>,\n}\n";
+    let broken = rules::stage_worker_owns_no_channel(&tree(owning)).unwrap_err();
+    for needle in ["worker.rs:3: `\\bReceiver\\b`", "worker.rs:3: `\\bmpsc\\b`"] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
+    let gone = rules::stage_worker_owns_no_channel(&tree("struct Worker;\n")).unwrap_err();
+    assert!(gone.contains("no `struct StageWorker` body"), "{gone}");
 }
 
 #[test]
