@@ -917,11 +917,7 @@ fn execute_threaded(spec: &CaseSpec) -> Result<ThreadedRun, String> {
         .map_err(|e| format!("threaded engine failed: {e}"))?;
     let sched = run.recovery.schedule();
     Ok(ThreadedRun {
-        transcript: Transcript {
-            subnets: run.subnets,
-            tasks: run.tasks,
-            taken: run.taken,
-        },
+        transcript: Transcript::from(&run),
         result: run.result,
         schedule: ScheduleDigest {
             restarts: sched.restarts,

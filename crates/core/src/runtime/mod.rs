@@ -75,20 +75,29 @@
 //! checker. A worker leaves early through one private `Halt`: `Parked` (the
 //! supervisor asked) or `Failed` (a [`TrainError`], via `?`); one helper
 //! of the thread driver makes a closed link or a receive timeout `Parked`
-//! under an active shutdown and `Failed` otherwise. As it exits, each worker sends
-//! `(stage, Result<StageOutput, TrainError>)` over the incarnation's one
-//! hand-back channel — its state whether it finished or parked, a panic
-//! caught at the thread root being an error like any other. The supervisor waits in one
-//! loop over that channel, sampling the run's hub whenever a sample falls
-//! due: on the first `Err` it raises the shutdown flag and broadcasts a
-//! stop message, so surviving workers park instead of cascading into
-//! spurious [`TrainError::ChannelClosed`] failures (a supervisor-initiated
+//! under an active shutdown and `Failed` otherwise. The thread driver
+//! borrows its worker across the unwind of a panic, so every exit —
+//! trained, parked, failed or panicked — hands the worker's state back:
+//! each worker sends `(stage, (StageOutput, Option<TrainError>))` over
+//! the incarnation's one hand-back channel, its spans, tasks and inbox
+//! counts included. The supervisor waits in one loop over that channel,
+//! sampling the run's hub whenever a sample falls due: on the first
+//! error it raises the shutdown flag and broadcasts a stop message, so
+//! surviving workers park instead of cascading into spurious
+//! [`TrainError::ChannelClosed`] failures (a supervisor-initiated
 //! shutdown is *not* an error). It then classifies the root cause in
 //! descending stage order (a panic, timeout or invariant breach beats the
 //! channel failures it cascades into) and, when the failure is recoverable
 //! and the restart budget allows, respawns every stage from the newest
 //! complete CSP-watermark checkpoint (see [`crate::checkpoint`]) and
-//! replays only the tasks past the watermark.
+//! replays only the tasks past the watermark. Every stage's spans go into
+//! the run's trace and every stage counts the tasks the rollback
+//! discards, the failed one's too. A run that finishes and a run that
+//! fails end on one record of their last incarnation: the sequential
+//! prefix below its resume watermark, then its tasks in start order, each
+//! with its [`Taken`] counts. A failed run returns it in its
+//! [`FailedRun`], which [`RunSpec::replay`] replays up to the last task
+//! recorded.
 //!
 //! Failure scenarios are injected deterministically from a
 //! [`FaultPlan`] (see [`crate::fault`]): workers consult the shared
@@ -376,6 +385,44 @@ pub struct SupervisedRun {
     pub spans: SpanTrace,
 }
 
+impl From<&SupervisedRun> for Transcript {
+    /// The finished run's record, for [`RunSpec::replay`] or a file.
+    fn from(run: &SupervisedRun) -> Self {
+        Transcript {
+            subnets: run.subnets.clone(),
+            tasks: run.tasks.clone(),
+            taken: run.taken.clone(),
+        }
+    }
+}
+
+/// A threaded run that failed: the error, and the record of what its
+/// last incarnation ran before it.
+#[derive(Debug)]
+pub struct FailedRun {
+    /// Why the run failed (see [`RunSpec::run`]'s errors).
+    pub error: TrainError,
+    /// The run's subnets and the record [`SupervisedRun`] would have
+    /// held, cut at the failure: the sequential prefix below the last
+    /// incarnation's resume watermark, then every task its stages
+    /// finished in start order, each with its [`Taken`] counts. Empty of
+    /// tasks when the run failed before any stage started. Boxed, so the
+    /// `Err` of [`RunSpec::run`] stays small.
+    pub transcript: Box<Transcript>,
+}
+
+impl From<FailedRun> for TrainError {
+    fn from(failed: FailedRun) -> Self {
+        failed.error
+    }
+}
+
+impl fmt::Display for FailedRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
 /// What a threaded stage had taken from its inbox when it picked a
 /// task: the forward messages (activations from its predecessor) and the
 /// backward messages (gradients from its successor) handed to it so far
@@ -564,20 +611,23 @@ impl<'a> RunSpec<'a> {
     ///
     /// # Errors
     ///
+    /// A [`FailedRun`]: the error, and the record of the tasks the last
+    /// incarnation ran before it. Its `error` is
     /// [`TrainError::InvalidSpec`] for zero `gpus`/`window`, `durable`
     /// without a checkpoint interval or a mis-sized or used telemetry hub;
     /// [`TrainError::Durable`] when the snapshot directory cannot be opened
-    /// or a resume hits an I/O failure; the root-cause [`TrainError`] for
+    /// or a resume hits an I/O failure (both before any stage starts: no
+    /// task recorded); the root-cause [`TrainError`] for
     /// unrecoverable failures (CSP invariant breaches in debug builds,
     /// root-cause channel closures, or any failure with
     /// `max_restarts == 0`); and [`TrainError::RecoveryExhausted`] when the
-    /// restart budget runs out.
+    /// restart budget runs out. `?` turns it into its `error`.
     ///
     /// # Panics
     ///
     /// Panics if `subnets` is not consecutively numbered from 0 or a
     /// subnet is invalid for `space` — caller bugs, not inputs.
-    pub fn run(self) -> Result<SupervisedRun, TrainError> {
+    pub fn run(self) -> Result<SupervisedRun, FailedRun> {
         supervisor::supervise(self)
     }
 
@@ -624,6 +674,7 @@ pub fn run_threaded_diagnosed(
         ..RunSpec::new(space, subnets, *cfg, gpus)
     }
     .run()
+    .map_err(TrainError::from)
 }
 
 fn elapsed_us(since: Instant) -> u64 {
@@ -659,7 +710,7 @@ mod tests {
         let space = SearchSpace::uniform(Domain::Nlp, 8, 5);
         let list = UniformSampler::new(&space, 99).take_subnets(4);
         let spec = |gpus| RunSpec::new(&space, list.clone(), TrainConfig::default(), gpus);
-        let why = |spec: RunSpec| match spec.run() {
+        let why = |spec: RunSpec| match spec.run().map_err(|failed| failed.error) {
             Err(TrainError::InvalidSpec(why)) => why,
             Err(other) => panic!("expected InvalidSpec, got {other}"),
             Ok(_) => panic!("expected InvalidSpec, got a finished run"),
@@ -694,7 +745,7 @@ mod tests {
             telemetry: Some(TelemetryOptions::new(std::sync::Arc::new(hub))),
             ..RunSpec::new(&space, list.clone(), TrainConfig::default(), 3)
         };
-        let why = |spec: RunSpec| match spec.run() {
+        let why = |spec: RunSpec| match spec.run().map_err(|failed| failed.error) {
             Err(TrainError::InvalidSpec(why)) => why,
             Err(other) => panic!("expected InvalidSpec, got {other}"),
             Ok(_) => panic!("expected InvalidSpec, got a finished run"),

@@ -1,12 +1,12 @@
 //! The supervisor behind [`RunSpec::run`]: resolve the spec, then per
 //! incarnation spawn a thread driver per stage worker, collect what they
 //! hand back — sampling the run's hub while it waits — and classify it;
-//! and either assemble the result or account the failure and respawn
-//! from the newest complete cut.
+//! then assemble the result, give up with the failed run's record, or
+//! account the failure and respawn from the newest complete cut.
 
 use super::sidecars::DurableWriter;
 use super::worker::{Halt, Incarnation, Io, Msg, RunContext, StageOutput, StageWorker};
-use super::{elapsed_us, RecoveryReport, RunSpec, SupervisedRun, Taken, TrainError};
+use super::{elapsed_us, FailedRun, RecoveryReport, RunSpec, SupervisedRun, Taken, TrainError};
 use crate::checkpoint::Checkpoint;
 use crate::durable::{run_fingerprint, DurableError, DurableStore};
 use crate::fault::FiredFault;
@@ -14,11 +14,12 @@ use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
 use crate::task::{StageId, TaskKind};
 use crate::train::TrainResult;
+use crate::transcript::Transcript;
 use naspipe_obs::{
     Counter, EventBus, MetricsSnapshot, PoolWorkerObs, RunEvent, RunMeta, SpanTrace, Tracer,
 };
 use naspipe_sim::time::SimTime;
-use naspipe_supernet::subnet::SubnetId;
+use naspipe_supernet::subnet::{Subnet, SubnetId};
 use naspipe_tensor::hash::store_hash;
 use naspipe_tensor::model::ParamStore;
 use naspipe_tensor::pool;
@@ -28,20 +29,26 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-/// What the stages that finished or parked handed back, by ascending stage.
-type Outputs = Vec<(usize, StageOutput)>;
+/// What a stage hands back on every exit — trained, parked, failed or
+/// panicked: its state, and the failure that ended it, if one did.
+type Handback = (StageOutput, Option<TrainError>);
 
 /// Runs `spec`: one incarnation after another until one finishes or a
 /// failure is not recovered from.
-pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, TrainError> {
+pub(super) fn supervise(spec: RunSpec<'_>) -> Result<SupervisedRun, FailedRun> {
     let mut run = Supervisor::resolve(spec)?;
     loop {
         let inc = Incarnation::new(&run.ctx, run.recovery.restarts);
         let handback = run_incarnation(&run.ctx, &inc, &mut run.next_sample);
         run.attribute_faults(inc.number);
-        match classify(handback) {
-            (None, outputs) => return Ok(run.assemble(outputs, inc.watermark)),
-            (Some(err), salvaged) => run.restart(err, salvaged)?,
+        let (mut outputs, err) = classify(handback);
+        for out in &mut outputs {
+            run.spans.merge(out.tracer.take());
+        }
+        match err {
+            None => return Ok(run.assemble(outputs, inc.watermark)),
+            Some(err) if run.gives_up(&err) => return Err(run.fail(err, outputs, inc.watermark)),
+            Some(err) => run.restart(err, &outputs),
         }
     }
 }
@@ -165,29 +172,34 @@ fn wire<'a>(
 }
 
 /// The thread driver: a worker thread's body. Hands the stage's state
-/// back whether the stream finished or the supervisor parked it.
-fn drive(mut worker: StageWorker, mut link: Link) -> Result<StageOutput, TrainError> {
-    match link.train(&mut worker) {
-        Ok(()) => Ok(worker.finish()),
-        // A restart follows and rolls the slice back: no fingerprint.
-        Err(Halt::Parked) => Ok(worker.into_output(Vec::new())),
-        Err(Halt::Failed(err)) => Err(err),
-    }
+/// back on every exit, with the failure that ended it, if one did. The
+/// worker is borrowed across the unwind, so a panic, caught here, loses
+/// none of what the stage recorded before it.
+fn drive(mut worker: StageWorker, mut link: Link) -> Handback {
+    let stage = link.stage;
+    let err = match catch_unwind(AssertUnwindSafe(|| link.train(&mut worker))) {
+        Ok(Ok(())) => return (worker.finish(), None),
+        Ok(Err(Halt::Parked)) => None,
+        Ok(Err(Halt::Failed(err))) => Some(err),
+        Err(_) => Some(TrainError::StagePanicked { stage }),
+    };
+    // A restart follows and rolls the slice back, or the run fails: no
+    // fingerprint.
+    (worker.into_output(Vec::new()), err)
 }
 
 /// One incarnation: a scoped thread per stage, then the one loop in
 /// which the supervisor waits for them, taking each sample that falls
-/// due meanwhile. Every worker sends its result — a panic, caught at the
-/// thread root, included — as it exits; the first `Err` raises the
-/// shutdown flag and wakes every worker, so survivors park instead of
-/// cascading. Returns the results by stage.
+/// due meanwhile. Every worker hands back as it exits; the first error
+/// raises the shutdown flag and wakes every worker, so survivors park
+/// instead of cascading. Returns the hand-backs by stage.
 fn run_incarnation(
     ctx: &RunContext,
     inc: &Incarnation,
     next_sample: &mut Option<Instant>,
-) -> Vec<Result<StageOutput, TrainError>> {
+) -> Vec<Handback> {
     let (stages, txs) = wire(ctx, inc);
-    let mut handback: Vec<_> = stages.iter().map(|_| None).collect();
+    let mut handbacks: Vec<_> = stages.iter().map(|_| None).collect();
     let mut failed = false;
     let threads = ctx.train.threads;
     std::thread::scope(|scope| {
@@ -199,10 +211,8 @@ fn run_incarnation(
                 // Each stage worker runs its numeric kernels on the
                 // configured compute pool — the software analogue of
                 // each pipeline stage owning one GPU.
-                let body = || pool::with_threads(threads, || drive(worker, link));
-                let result = catch_unwind(AssertUnwindSafe(body))
-                    .unwrap_or(Err(TrainError::StagePanicked { stage }));
-                let _ = done.send((stage, result));
+                let handback = pool::with_threads(threads, || drive(worker, link));
+                let _ = done.send((stage, handback));
             }));
         }
         drop(done_tx);
@@ -210,7 +220,7 @@ fn run_incarnation(
             // Until the next sample is due (std waits forever on `MAX`).
             let until = |at: Instant| at.saturating_duration_since(Instant::now());
             let wait = next_sample.map_or(Duration::MAX, until);
-            let (stage, result) = match done_rx.recv_timeout(wait) {
+            let (stage, handback) = match done_rx.recv_timeout(wait) {
                 Ok(handed_back) => handed_back,
                 Err(RecvTimeoutError::Timeout) => {
                     ctx.sample();
@@ -219,14 +229,14 @@ fn run_incarnation(
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
             };
-            if result.is_err() && !failed {
+            if handback.1.is_some() && !failed {
                 failed = true;
                 inc.shutdown.store(true, Ordering::Release);
                 for tx in &txs {
                     let _ = tx.send(Post::Stop);
                 }
             }
-            handback[stage] = Some(result);
+            handbacks[stage] = Some(handback);
         }
         // The scope waits for each thread's closure, not for the OS
         // thread: join, so that a worker's allocator arena is back before
@@ -242,30 +252,24 @@ fn run_incarnation(
     if let Some(w) = &ctx.writer {
         w.drain();
     }
-    let reported = |r: Option<_>| r.expect("every worker reports once");
-    handback.into_iter().map(reported).collect()
+    let reported = |h: Option<_>| h.expect("every worker hands back once");
+    handbacks.into_iter().map(reported).collect()
 }
 
-/// The root cause of an incarnation, if any stage failed, and the state
-/// of the stages that did not. Errors are noted in descending stage
-/// order; the first wins, except that anything beats a secondary channel
-/// closure (a panic, invariant breach or timeout cascades into those).
-fn classify(handback: Vec<Result<StageOutput, TrainError>>) -> (Option<TrainError>, Outputs) {
-    let mut first: Option<TrainError> = None;
-    let mut outputs = Vec::new();
-    for (stage, result) in handback.into_iter().enumerate().rev() {
-        match result {
-            Ok(out) => outputs.push((stage, out)),
-            Err(err) => {
-                let beats = |noted: &TrainError| noted.is_secondary() && !err.is_secondary();
-                if first.as_ref().is_none_or(beats) {
-                    first = Some(err);
-                }
-            }
+/// Every stage's state, by stage, and the root cause of the incarnation,
+/// if a stage failed. Errors are noted in descending stage order; the
+/// first wins, except that anything beats a secondary channel closure (a
+/// panic, invariant breach or timeout cascades into those).
+fn classify(handbacks: Vec<Handback>) -> (Vec<StageOutput>, Option<TrainError>) {
+    let (outputs, errors): (Vec<_>, Vec<_>) = handbacks.into_iter().unzip();
+    let root = (errors.into_iter().rev().flatten()).reduce(|noted, err| {
+        if noted.is_secondary() && !err.is_secondary() {
+            err
+        } else {
+            noted
         }
-    }
-    outputs.reverse();
-    (first, outputs)
+    });
+    (outputs, root)
 }
 
 /// One run under supervision: the resolved spec and what accumulates
@@ -283,9 +287,11 @@ struct Supervisor {
 impl Supervisor {
     /// Validates and resolves `spec` into the run context, starts the
     /// snapshot writer and seeds the checkpoint store with a durable
-    /// resume.
-    fn resolve(spec: RunSpec<'_>) -> Result<Self, TrainError> {
-        spec.validate()?;
+    /// resume. A failure here is a run that recorded no task.
+    fn resolve(spec: RunSpec<'_>) -> Result<Self, FailedRun> {
+        if let Err(err) = spec.validate() {
+            return Err(failed(err, spec.subnets, Default::default()));
+        }
         for (i, s) in spec.subnets.iter().enumerate() {
             assert_eq!(s.seq_id().0, i as u64, "subnets must be numbered from 0");
             assert!(s.is_valid_for(spec.space), "subnet {s} invalid for space");
@@ -296,7 +302,10 @@ impl Supervisor {
         // The run's shared sinks. Built first: the durable resume
         // already has notices to emit.
         let bus = spec.bus();
-        let (durable, initial_resume) = open_durable(&spec, &bus)?;
+        let (durable, initial_resume) = match open_durable(&spec, &bus) {
+            Ok(opened) => opened,
+            Err(err) => return Err(failed(err, spec.subnets, Default::default())),
+        };
         let max_restarts = spec.recovery.max_restarts;
         let mut ctx = RunContext::new(spec, bus);
         // Publish the run shape and flip `/readyz` to admitting-work before
@@ -352,37 +361,47 @@ impl Supervisor {
         self.ctx.sample()
     }
 
-    /// Success: every stage finished. Moves the slices (stage ranges are
-    /// contiguous and ascending) into one store, folds the stages' layer
-    /// hashes in stage order into its fingerprint (each stage hashed its
-    /// own slice; no pass over the whole store here) and assembles the
-    /// effective task stream over the resume watermark's prefix.
-    fn assemble(mut self, outputs: Outputs, resume_w: u64) -> SupervisedRun {
-        let (gpus, cfg) = (self.ctx.gpus(), self.ctx.train);
-        debug_assert_eq!(outputs.len(), gpus as usize);
-        let final_hash = store_hash(outputs.iter().flat_map(|(k, out)| {
-            let layers: usize = out.params.iter().map(Vec::len).sum();
-            debug_assert_eq!(out.layer_hashes.len(), layers, "stage {k} hashed its slice");
-            out.layer_hashes.iter().copied()
-        }));
-        let mut params = Vec::new();
-        let mut losses = Vec::new();
-        let mut real_tasks: Vec<(TaskRecord, Taken)> = Vec::new();
-        for (k, mut out) in outputs {
-            let range = self.ctx.partition.stage_range(StageId(k as u32));
-            debug_assert_eq!(range.start, params.len());
-            self.spans.merge(out.tracer.take());
-            params.extend(out.params);
-            losses.extend(out.losses);
-            real_tasks.extend(out.tasks.into_iter().zip(out.taken));
+    /// The record of the incarnation that handed back `outputs` and
+    /// resumed at `resume_w`, on either exit: the sequential prefix below
+    /// `resume_w`, then every task the incarnation's stages ran, in start
+    /// order, each with what its stage had taken when it picked it.
+    fn record(&self, outputs: &mut [StageOutput], resume_w: u64) -> (Vec<TaskRecord>, Vec<Taken>) {
+        let mut ran: Vec<(TaskRecord, Taken)> = Vec::new();
+        for out in outputs {
+            let taken = std::mem::take(&mut out.taken);
+            ran.extend(std::mem::take(&mut out.tasks).into_iter().zip(taken));
         }
         // Stable by-start sort keeps each stage's (already ordered)
         // stream in order; cross-stage ties don't affect per-layer
         // access order because each layer has one owner stage.
-        real_tasks.sort_by_key(|(t, _)| t.start);
-        let (real_tasks, taken): (Vec<_>, Vec<_>) = real_tasks.into_iter().unzip();
-        let mut tasks = sequential_prefix_tasks(resume_w, &self.ctx.partition, gpus);
-        tasks.extend(real_tasks);
+        ran.sort_by_key(|(t, _)| t.start);
+        let (ran, taken): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
+        let mut tasks = sequential_prefix_tasks(resume_w, &self.ctx.partition, self.ctx.gpus());
+        tasks.extend(ran);
+        (tasks, taken)
+    }
+
+    /// Success: every stage finished. Moves the slices (stage ranges are
+    /// contiguous and ascending) into one store, folds the stages' layer
+    /// hashes in stage order into its fingerprint (each stage hashed its
+    /// own slice; no pass over the whole store here) and records the run.
+    fn assemble(mut self, mut outputs: Vec<StageOutput>, resume_w: u64) -> SupervisedRun {
+        let (gpus, cfg) = (self.ctx.gpus(), self.ctx.train);
+        debug_assert_eq!(outputs.len(), gpus as usize);
+        let final_hash = store_hash(outputs.iter().enumerate().flat_map(|(k, out)| {
+            let layers: usize = out.params.iter().map(Vec::len).sum();
+            debug_assert_eq!(out.layer_hashes.len(), layers, "stage {k} hashed its slice");
+            out.layer_hashes.iter().copied()
+        }));
+        let (tasks, taken) = self.record(&mut outputs, resume_w);
+        let mut params = Vec::new();
+        let mut losses = Vec::new();
+        for (k, out) in outputs.into_iter().enumerate() {
+            let range = self.ctx.partition.stage_range(StageId(k as u32));
+            debug_assert_eq!(range.start, params.len());
+            params.extend(out.params);
+            losses.extend(out.losses);
+        }
         let wall_us = elapsed_us(self.ctx.epoch);
         let pool_run = self.ctx.pool_run();
         // The report is the last sample, which ends the series it embeds.
@@ -407,35 +426,45 @@ impl Supervisor {
         }
     }
 
-    /// A failed incarnation: gives up with the root cause (unrecoverable,
-    /// or recovery disabled) or [`TrainError::RecoveryExhausted`], or
-    /// accounts the failure for the respawn that follows — the spans of
-    /// the workers that survived (every worker's counters, the failed
-    /// one's included, are in the hub already), and the tasks past the
-    /// resume watermark whose effects the rollback discards.
-    fn restart(&mut self, err: TrainError, salvaged: Outputs) -> Result<(), TrainError> {
+    /// Whether the run ends on `err`: it is unrecoverable, recovery is
+    /// off, or the restart budget is spent.
+    fn gives_up(&self, err: &TrainError) -> bool {
+        !err.is_recoverable() || self.recovery.restarts >= self.max_restarts
+    }
+
+    /// The run fails with the root cause `err` (unrecoverable, or
+    /// recovery off) or [`TrainError::RecoveryExhausted`], and the record
+    /// of its last incarnation, which handed back `outputs` and resumed
+    /// at `resume_w`.
+    fn fail(mut self, err: TrainError, mut outputs: Vec<StageOutput>, resume_w: u64) -> FailedRun {
         let (restarts, stage) = (self.recovery.restarts, err.stage());
-        if !err.is_recoverable() || restarts >= self.max_restarts {
-            self.last_sample();
-            let failed = RunEvent::RunFailed { error: &err };
-            let at_us = elapsed_us(self.ctx.epoch);
-            self.ctx.bus.emit(stage as u32, at_us, failed);
-            return Err(if !err.is_recoverable() || self.max_restarts == 0 {
-                err
-            } else {
-                TrainError::RecoveryExhausted {
-                    stage,
-                    attempts: restarts,
-                    last: Box::new(err),
-                }
-            });
-        }
+        self.last_sample();
+        let at_us = elapsed_us(self.ctx.epoch);
+        (self.ctx.bus).emit(stage as u32, at_us, RunEvent::RunFailed { error: &err });
+        let error = if !err.is_recoverable() || self.max_restarts == 0 {
+            err
+        } else {
+            TrainError::RecoveryExhausted {
+                stage,
+                attempts: restarts,
+                last: Box::new(err),
+            }
+        };
+        let record = self.record(&mut outputs, resume_w);
+        failed(error, self.ctx.subnets, record)
+    }
+
+    /// Accounts the failure `err` for the respawn that follows: every
+    /// stage's tasks past the resume watermark, whose effects the
+    /// rollback discards (every worker's other counters are in the hub
+    /// already, and its spans in the run's trace).
+    fn restart(&mut self, err: TrainError, outputs: &[StageOutput]) {
+        let stage = err.stage();
         // Nothing records a cut until the respawn, which resumes here.
         let resume = self.ctx.ckpts.as_ref().and_then(|s| s.latest_complete());
         let watermark = resume.map_or(0, |c| c.watermark);
         self.recovery.resume_watermarks.push(watermark);
-        for (k, mut out) in salvaged {
-            self.spans.merge(out.tracer.take());
+        for (k, out) in outputs.iter().enumerate() {
             let past = out.tasks.iter().filter(|t| t.subnet.0 >= watermark);
             let replayed = past.count() as u64;
             self.ctx
@@ -453,8 +482,22 @@ impl Supervisor {
         };
         let at_us = elapsed_us(self.ctx.epoch);
         self.ctx.bus.emit(stage as u32, at_us, restart);
-        Ok(())
     }
+}
+
+/// The run of `subnets` that failed with `error`, and its `record`.
+fn failed(
+    error: TrainError,
+    subnets: Vec<Subnet>,
+    record: (Vec<TaskRecord>, Vec<Taken>),
+) -> FailedRun {
+    let (tasks, taken) = record;
+    let transcript = Box::new(Transcript {
+        subnets,
+        tasks,
+        taken,
+    });
+    FailedRun { error, transcript }
 }
 
 /// Durable persistence: opens the on-disk store before any worker starts,
@@ -731,7 +774,8 @@ mod tests {
         }
         .run()
         .err()
-        .expect("fatal fault with max_restarts=0 must fail");
+        .expect("fatal fault with max_restarts=0 must fail")
+        .error;
         assert_eq!(err, TrainError::StagePanicked { stage: 1 });
     }
 
@@ -832,6 +876,38 @@ mod tests {
     }
 
     #[test]
+    fn a_restart_counts_and_traces_the_stage_that_panicked_like_the_others() {
+        // Window 1 runs one subnet at a time: when stage 1 panics at
+        // SN6's forward, every stage has run SN4 and SN5 past the resume
+        // watermark 4, and stage 0 also SN6's forward. The panicked
+        // worker hands its record back like the parked ones.
+        let space = space();
+        let gpus = 3;
+        let run = RunSpec {
+            window: 1,
+            recovery: RecoveryOptions {
+                fault_plan: FaultPlan::new().panic_on(1, 6, TaskKind::Forward),
+                checkpoint_interval: 4,
+                max_restarts: 1,
+                recv_timeout_ms: None,
+            },
+            ..RunSpec::new(&space, subnets(&space, 12), TrainConfig::default(), gpus)
+        }
+        .run()
+        .expect("recovers from one panic");
+        assert_eq!(run.recovery.resume_watermarks, [4]);
+        let replayed: Vec<u64> = run.report.stages.iter().map(|s| s.replayed_tasks).collect();
+        assert_eq!(replayed, [5, 4, 4], "tasks past the watermark, by stage");
+        // Incarnation 0's stage 1 is span namespace 1: its forwards of
+        // SN0..SN5, not the one it panicked in.
+        let dead: Vec<u64> = (run.spans.of_kind(SpanKind::Forward))
+            .filter(|s| s.id.0 >> 40 == 1)
+            .map(|s| s.subnet.unwrap())
+            .collect();
+        assert_eq!(dead, (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn transient_faults_within_budget_do_not_restart() {
         let space = space();
         let list = subnets(&space, 10);
@@ -901,7 +977,8 @@ mod tests {
         }
         .run()
         .err()
-        .expect("two panics exceed a one-restart budget");
+        .expect("two panics exceed a one-restart budget")
+        .error;
         match &err {
             TrainError::RecoveryExhausted { attempts, last, .. } => {
                 assert_eq!(*attempts, 1);
@@ -1112,9 +1189,9 @@ mod tests {
     fn every_causal_edge_leaves_a_closed_span() {
         // A hand-off sent before the span it names is closed shows up as
         // an edge whose source ends after the span it releases starts.
-        // Clean, with checkpoints, and restarted from one: a worker that
-        // died loses its buffered spans, so only then may a source be
-        // missing from the trace.
+        // Clean, with checkpoints, and restarted from one: every worker,
+        // the one that died included, hands its spans back, so no source
+        // is missing from the trace.
         let space = space();
         let list = subnets(&space, 16);
         let cuts = RecoveryOptions {
@@ -1143,10 +1220,8 @@ mod tests {
                 let Some(edge) = s.cause.filter(|e| !e.src.is_external()) else {
                     continue;
                 };
-                let Some(src) = run.spans.get(edge.src) else {
-                    assert!(restarted, "dangling edge into {}", s.label());
-                    continue;
-                };
+                let src = (run.spans.get(edge.src))
+                    .unwrap_or_else(|| panic!("dangling edge into {}", s.label()));
                 assert!(
                     src.end_us <= s.start_us,
                     "{} ends at {} us, after {} it released starts at {} us",
@@ -1267,9 +1342,9 @@ mod tests {
         }
         // The restarted incarnation re-runs every subnet past watermark 4
         // (SN4..SN11 -> 8 forwards at stage 0). Spans of the *failed*
-        // incarnation are kept when their worker parked cleanly, but a
-        // worker killed mid-send loses its buffer — so only the replay
-        // floor is deterministic.
+        // incarnation are kept too, but how far stage 0 ran before the
+        // panic stopped it is timing — so only the replay floor is
+        // deterministic.
         let fwd0 = run
             .spans
             .of_kind(SpanKind::Forward)

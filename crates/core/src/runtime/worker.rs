@@ -53,13 +53,13 @@ pub(super) trait Io {
     fn send(&mut self, msg: Msg) -> Result<(), Halt>;
 }
 
-/// What a stage worker hands back when it exits without an error,
-/// whether every subnet is trained or the supervisor parked it.
+/// What a stage worker hands back on every exit: every subnet trained,
+/// parked by the supervisor, failed or panicked.
 pub(super) struct StageOutput {
     pub params: Vec<Vec<DenseParams>>,
     /// The [`layer_hashes`] of `params` if the stream was trained (empty
-    /// if the stage was parked): the stage's share of the run's
-    /// fingerprint, computed on its own thread.
+    /// otherwise): the stage's share of the run's fingerprint, computed
+    /// on its own thread.
     pub layer_hashes: Vec<u64>,
     pub losses: BTreeMap<u64, f32>,
     pub tracer: SpanTracer,
@@ -410,10 +410,6 @@ impl<'a> StageWorker<'a> {
             hub.record(stage, Counter::PoolJob, pool.jobs);
             hub.record(stage, Counter::PoolChunk, pool.chunks);
             hub.record(stage, Counter::PoolBusyUs, pool.busy_us);
-            let jobs = pool.jobs;
-            self.ctx
-                .bus
-                .emit(stage, self.now_us(), RunEvent::PoolJob { jobs });
         }
         StageOutput {
             params: self.params,

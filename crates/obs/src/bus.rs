@@ -54,8 +54,6 @@ pub enum RunEvent<'a> {
     CspStall { queued: u64 },
     /// A task blocked on a synchronous fetch of `bytes` missing bytes.
     FetchWait { bytes: u64 },
-    /// A batch of `jobs` compute-pool jobs retired with its worker.
-    PoolJob { jobs: u64 },
     /// An injected fault fired on `subnet`'s task.
     Fault { subnet: u64 },
     /// `stage` has finished every subnet below `watermark`.
@@ -297,7 +295,6 @@ impl EventBus {
             RunEvent::Admission { subnet } => b.fly(stage, at_us, F::Admission, subnet),
             RunEvent::CspStall { queued } => b.fly(stage, at_us, F::CspStall, queued),
             RunEvent::FetchWait { bytes } => b.fly(stage, at_us, F::FetchWait, bytes),
-            RunEvent::PoolJob { jobs } => b.fly(stage, at_us, F::PoolJob, jobs),
             RunEvent::Fault { subnet } => b.fly(stage, at_us, F::Fault, subnet),
             RunEvent::Watermark { watermark } => {
                 if let Some(ops) = ops {
@@ -647,7 +644,6 @@ mod tests {
             quiet(RunEvent::Admission { subnet: 5 }, &["1 admission 5"]),
             quiet(RunEvent::CspStall { queued: 3 }, &["1 csp-stall 3"]),
             quiet(RunEvent::FetchWait { bytes: 4096 }, &["1 fetch-wait 4096"]),
-            quiet(RunEvent::PoolJob { jobs: 12 }, &["1 pool-job 12"]),
             quiet(RunEvent::Fault { subnet: 5 }, &["1 fault 5"]),
             Row {
                 gauges: "starting 0 0 - 0 0/0/0 0/6",

@@ -40,9 +40,6 @@ pub enum FlightEventKind {
     /// A pipeline restart, one mark per stage. `detail` = the
     /// incarnation that ends.
     Recovery,
-    /// A compute-pool job batch retired with the task that ran it.
-    /// `detail` = job count.
-    PoolJob,
     /// A watchdog detector latched. `detail` = verdict-kind index.
     WatchdogTrip,
 }
@@ -57,7 +54,6 @@ impl FlightEventKind {
             FlightEventKind::CheckpointCut => "checkpoint-cut",
             FlightEventKind::Fault => "fault",
             FlightEventKind::Recovery => "recovery",
-            FlightEventKind::PoolJob => "pool-job",
             FlightEventKind::WatchdogTrip => "watchdog-trip",
         }
     }

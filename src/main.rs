@@ -455,12 +455,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         trained.final_hash,
     );
 
-    if let Some(path) = args.options.get("transcript") {
-        let t = Transcript::from_outcome(&outcome);
-        let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        t.write(&mut file).map_err(|e| e.to_string())?;
-        println!("  transcript written to {path}");
-    }
+    write_transcript(args, &Transcript::from_outcome(&outcome))?;
     if let Some(o) = ops.as_mut() {
         if let Some(s) = o.server.as_mut() {
             s.shutdown();
@@ -469,8 +464,19 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes `t` to the `--transcript` path, if one is given.
+fn write_transcript(args: &Args, t: &Transcript) -> Result<(), String> {
+    if let Some(path) = args.options.get("transcript") {
+        let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+        t.write(&mut file).map_err(|e| e.to_string())?;
+        println!("  transcript written to {path}");
+    }
+    Ok(())
+}
+
 /// `naspipe train --engine threaded`: real stage threads under the
-/// supervisor, with live telemetry when `--metrics-addr` is given.
+/// supervisor, with live telemetry when `--metrics-addr` is given. A
+/// failed run writes its record up to the failure as the transcript.
 fn train_threaded(
     args: &Args,
     space: &SearchSpace,
@@ -508,8 +514,14 @@ fn train_threaded(
         diagnostics: diag,
         ..RunSpec::new(space, subnets, train_config(seed, threads), gpus)
     }
-    .run()
-    .map_err(|e| e.to_string())?;
+    .run();
+    let run = match run {
+        Ok(run) => run,
+        Err(failed) => {
+            write_transcript(args, &failed.transcript)?;
+            return Err(failed.to_string());
+        }
+    };
     println!(
         "threaded CSP on {} x {gpus} stages: {n} subnets trained",
         args.options["space"],
@@ -533,6 +545,7 @@ fn train_threaded(
         loss_digest(&run.result.losses),
         run.result.losses.len(),
     );
+    write_transcript(args, &Transcript::from(&run))?;
     if let Some(o) = ops.as_mut() {
         if let Some(s) = o.server.as_mut() {
             s.shutdown();

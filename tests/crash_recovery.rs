@@ -587,7 +587,8 @@ fn failed_run_writes_nothing_after_it_returns() {
         .spec(30, 3, plan)
         .run()
         .err()
-        .expect("two panics, one restart");
+        .expect("two panics, one restart")
+        .error;
     assert!(matches!(err, TrainError::RecoveryExhausted { .. }), "{err}");
     let listing = |w: &WriterRun| -> Vec<(u64, String)> {
         let len = |name: &String| std::fs::metadata(w.dir.join(name)).unwrap().len();

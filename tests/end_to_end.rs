@@ -8,6 +8,7 @@ use naspipe::core::replay_gate::{self, Divergence, GateReport, GoldenCase};
 use naspipe::core::repro::verify_csp_order;
 use naspipe::core::runtime::RunSpec;
 use naspipe::core::train::{replay_training, search_best_subnet, sequential_training, TrainConfig};
+use naspipe::core::transcript::Transcript;
 use naspipe::supernet::layer::Domain;
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
@@ -413,6 +414,75 @@ fn cli_threaded_zero_gpus_is_an_error_not_a_panic() {
     assert_eq!(stderr, "invalid run spec: gpus must be positive\n");
     assert!(!stderr.contains("panicked"));
     assert!(out.stdout.is_empty());
+}
+
+/// `train --engine threaded --transcript` writes the run's record, which
+/// `naspipe replay` retrains to the hash `train` printed; a run that
+/// fails still writes what it recorded before its one-line error.
+#[test]
+fn cli_threaded_train_writes_a_transcript_that_replays_to_its_hash() {
+    let dir = std::env::temp_dir().join(format!("naspipe-thr-transcript-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let recorded = dir.join("run.nt");
+    let path = recorded.to_str().unwrap();
+    let naspipe = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_naspipe"))
+            .args(args)
+            .output()
+            .expect("naspipe runs")
+    };
+    let hash = |out: &std::process::Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let at = stdout.find("parameter hash ").expect("a hash line") + "parameter hash ".len();
+        stdout[at..at + 16].to_string()
+    };
+    let train = [
+        "train",
+        "--space",
+        "NLP.c2",
+        "--engine",
+        "threaded",
+        "--subnets",
+        "12",
+        "--seed",
+        "5",
+        "--transcript",
+        path,
+    ];
+    let out = naspipe(&[&train[..], &["--gpus", "3"]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("transcript written to {path}")),
+        "{stdout}"
+    );
+    let file = std::fs::File::open(&recorded).expect("the transcript is written");
+    let t = Transcript::read(&mut std::io::BufReader::new(file)).expect("it reads back");
+    assert_eq!(
+        (t.subnets.len(), t.tasks.len(), t.taken.len()),
+        (12, 72, 72)
+    );
+    let replayed = naspipe(&[
+        "replay",
+        "--space",
+        "NLP.c2",
+        "--transcript",
+        path,
+        "--seed",
+        "5",
+    ]);
+    assert!(replayed.status.success(), "{replayed:?}");
+    assert_eq!(hash(&replayed), hash(&out));
+
+    std::fs::remove_file(&recorded).unwrap();
+    let out = naspipe(&[&train[..], &["--gpus", "0"]].concat());
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "invalid run spec: gpus must be positive\n");
+    let file = std::fs::File::open(&recorded).expect("a failed run writes its record");
+    let t = Transcript::read(&mut std::io::BufReader::new(file)).expect("it reads back");
+    assert_eq!((t.subnets.len(), t.tasks.len()), (12, 0), "nothing ran");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1059,6 +1059,29 @@ mod rules {
         )
     }
 
+    pub fn one_threaded_record(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let mut dirs = scan.crate_srcs();
+        dirs.extend(["src".to_string(), "examples".to_string()]);
+        let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+        scan.file("crates/core/src/transcript.rs");
+        let sources: Vec<Source> = (scan.tree(&dirs, true).iter())
+            .filter(|s| {
+                s.path != "crates/core/src/transcript.rs"
+                    && !s.path.starts_with("crates/core/src/runtime/")
+            })
+            .map(Source::before_tests)
+            .collect();
+        scan.forbid(&sources, &[r"\bTranscript {"]);
+        scan.verdict(
+            "one threaded record (Every stage worker hands back its record on every exit): \
+             a threaded run's transcript is built where the run ends, in \
+             crates/core/src/runtime, once for a finished and a failed run alike, and \
+             `Transcript::from(&SupervisedRun)` hands a finished one out. A copy assembled \
+             from a run's fields elsewhere is how the failed run's record went missing.",
+        )
+    }
+
     pub fn repro_reproduces_the_paper(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let want: Vec<&str> = PAPER.iter().chain(&EXTRAS).copied().collect();
@@ -1144,6 +1167,11 @@ fn one_stage_core() {
 #[test]
 fn stage_worker_owns_no_channel() {
     holds(rules::stage_worker_owns_no_channel);
+}
+
+#[test]
+fn one_threaded_record() {
+    holds(rules::one_threaded_record);
 }
 
 #[test]
@@ -1589,4 +1617,35 @@ fn a_self_test_experiment_in_repro_fails() {
         assert!(broken.contains(needle), "{needle} in {broken}");
     }
     assert!(!broken.contains("compute.rs"), "{broken}");
+}
+
+#[test]
+fn a_transcript_assembled_outside_the_runtime_fails() {
+    let tree = |name: &str, gate: &str| {
+        fixture(
+            name,
+            &[
+                ("crates/core/src/transcript.rs", "pub struct Transcript {\n    tasks: T,\n}\n"),
+                (
+                    "crates/core/src/runtime/mod.rs",
+                    "impl From<&SupervisedRun> for Transcript {\n    fn from(r: &SupervisedRun) -> Self {\n        Transcript { tasks: r.tasks.clone() }\n    }\n}\n",
+                ),
+                ("crates/core/src/replay_gate.rs", gate),
+                ("src/main.rs", "fn main() {}\n"),
+                ("examples/demo.rs", "fn main() {}\n"),
+            ],
+        )
+    };
+    let tests = "#[cfg(test)]\nmod tests {\n    fn t() { Transcript { tasks: Vec::new() }; }\n}\n";
+    let from =
+        format!("fn execute(run: &SupervisedRun) {{\n    Transcript::from(run);\n}}\n{tests}");
+    rules::one_threaded_record(&tree("one_record", &from)).expect("the runtime's one constructor");
+    let copy = "fn execute(run: SupervisedRun) {\n    let t = Transcript {\n        tasks: run.tasks,\n    };\n}\n";
+    let broken = rules::one_threaded_record(&tree("record_copy", copy)).unwrap_err();
+    assert!(broken.contains("one threaded record"), "{broken}");
+    assert!(
+        broken.contains("crates/core/src/replay_gate.rs:2: `\\bTranscript {`"),
+        "{broken}"
+    );
+    assert!(!broken.contains("runtime/mod.rs"), "{broken}");
 }

@@ -4,13 +4,15 @@
 //! record says it had taken before each pick, and must pick the recorded
 //! task. The replay must reproduce every stage's task order, where each
 //! checkpoint cut fell, the hub's task and preemption counts and the
-//! final hash. Nothing here depends on the build profile; CI runs the
-//! file in debug and in release.
+//! final hash. A failed run's record replays pick for pick up to where
+//! it ends. Nothing here depends on the build profile; CI runs the file
+//! in debug and in release.
 
 use naspipe::core::fault::FaultPlan;
 use naspipe::core::pipeline::TaskRecord;
 use naspipe::core::runtime::{
-    RecoveryOptions, ReplayDivergence, Replayed, RunSpec, SupervisedRun, Taken,
+    FailedRun, RecoveryOptions, ReplayDivergence, Replayed, RunSpec, SupervisedRun, Taken,
+    TrainError,
 };
 use naspipe::core::task::TaskKind;
 use naspipe::core::train::TrainConfig;
@@ -23,17 +25,17 @@ use naspipe::supernet::space::SearchSpace;
 /// The bits of a span id below its tracer's namespace.
 const NAMESPACE_SHIFT: u32 = 40;
 
-/// `run`'s transcript, through its text form.
-fn transcript(run: &SupervisedRun) -> Transcript {
-    let recorded = Transcript {
-        subnets: run.subnets.clone(),
-        tasks: run.tasks.clone(),
-        taken: run.taken.clone(),
-    };
+/// `recorded`, through its text form.
+fn through_text(recorded: &Transcript) -> Transcript {
     let text = recorded.to_text();
     let read = Transcript::read(&mut text.as_bytes()).expect("a recorded transcript reads back");
-    assert_eq!(read, recorded);
+    assert_eq!(&read, recorded);
     read
+}
+
+/// `run`'s transcript, through its text form.
+fn transcript(run: &SupervisedRun) -> Transcript {
+    through_text(&Transcript::from(run))
 }
 
 /// Per stage, the `(kind, subnet)` of each task in `tasks`, in order.
@@ -226,4 +228,101 @@ fn a_record_the_worker_would_not_pick_is_the_first_divergent_task() {
         spec.replay(&more),
         Err(ReplayDivergence::Unfit(_))
     ));
+}
+
+/// Runs `spec`, which must fail after a fatal fault at `fault` =
+/// `(stage, subnet, kind)`, and replays the failed run's record: every
+/// recorded pick replays, and the replay ends where the record does,
+/// before the stream is trained. Checks the record holds tasks, none of
+/// them the fault's, and returns the failed run.
+fn failed_run_replays(spec: &RunSpec, fault: (u32, u64, TaskKind), label: &str) -> FailedRun {
+    let failed = match spec.clone().run() {
+        Err(failed) => failed,
+        Ok(_) => panic!("{label}: the run finished"),
+    };
+    let t = through_text(&failed.transcript);
+    assert_eq!(t.subnets, spec.subnets, "{label}");
+    assert!(!t.taken.is_empty(), "{label}: no task recorded");
+    let last = &t.tasks[t.tasks.len() - t.taken.len()..];
+    let (stage, subnet, kind) = fault;
+    assert!(
+        !(last.iter()).any(|x| (x.stage.0, x.subnet.0, x.kind) == (stage, subnet, kind)),
+        "{label}: the faulted task is recorded"
+    );
+    assert!(
+        last.iter().any(|x| x.stage.0 == stage),
+        "{label}: its stage ran"
+    );
+    match spec.clone().replay(&t) {
+        Err(ReplayDivergence::Unfit(why)) => {
+            assert_eq!(
+                why, "a stage's record ends before its stream is trained",
+                "{label}"
+            );
+        }
+        Err(other) => panic!("{label}: {other}"),
+        Ok(_) => panic!("{label}: a failed run's record trained the stream"),
+    }
+    failed
+}
+
+#[test]
+fn a_run_that_fails_without_recovery_replays_its_record() {
+    let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
+    for (gpus, fault) in [
+        (3, (1, 5, TaskKind::Forward)),
+        (2, (0, 3, TaskKind::Backward)),
+        (4, (3, 2, TaskKind::Forward)),
+    ] {
+        let (stage, subnet, kind) = fault;
+        let list = UniformSampler::new(&space, 21).take_subnets(12);
+        let spec = RunSpec {
+            recovery: RecoveryOptions {
+                fault_plan: FaultPlan::new().panic_on(stage, subnet, kind),
+                ..RecoveryOptions::default()
+            },
+            ..RunSpec::new(&space, list, TrainConfig::default(), gpus)
+        };
+        let label = format!("{gpus} stages, panic at SN{subnet}.{kind} on stage {stage}");
+        let failed = failed_run_replays(&spec, fault, &label);
+        let stage = stage as usize;
+        assert_eq!(failed.error, TrainError::StagePanicked { stage }, "{label}");
+        assert_eq!(failed.transcript.taken.len(), failed.transcript.tasks.len());
+    }
+}
+
+#[test]
+fn a_run_that_exhausts_its_restarts_replays_its_last_incarnation() {
+    // Both faults are backwards, so the first pins the resume watermark
+    // at 4: every stage has cut there before any runs SN5's backward.
+    let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
+    let (gpus, interval) = (3, 4);
+    let list = UniformSampler::new(&space, 22).take_subnets(14);
+    let spec = RunSpec {
+        recovery: RecoveryOptions {
+            fault_plan: (FaultPlan::new())
+                .panic_on(1, 5, TaskKind::Backward)
+                .panic_on(1, 9, TaskKind::Backward),
+            checkpoint_interval: interval,
+            max_restarts: 1,
+            recv_timeout_ms: None,
+        },
+        ..RunSpec::new(&space, list, TrainConfig::default(), gpus)
+    };
+    let fault = (1, 9, TaskKind::Backward);
+    let failed = failed_run_replays(&spec, fault, "exhausted");
+    match &failed.error {
+        TrainError::RecoveryExhausted { attempts, last, .. } => {
+            assert_eq!(*attempts, 1);
+            assert_eq!(**last, TrainError::StagePanicked { stage: 1 });
+        }
+        other => panic!("expected RecoveryExhausted, got {other}"),
+    }
+    // The record opens with the sequential prefix at the last resume
+    // watermark: SN0..SN3, a forward and a backward on every stage.
+    let t = &failed.transcript;
+    let prefix = t.tasks.len() - t.taken.len();
+    assert_eq!(prefix, 4 * 2 * gpus as usize);
+    assert!(t.tasks[..prefix].iter().all(|x| x.subnet.0 < 4));
+    assert!(t.tasks[prefix..].iter().all(|x| x.subnet.0 >= 4));
 }
