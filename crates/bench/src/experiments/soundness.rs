@@ -1,10 +1,13 @@
 //! Empirical evidence for the cross-stage soundness refinement of
 //! Algorithm 2 (DESIGN.md §3a.1).
 //!
-//! With layer mirroring, a shared layer can sit at an *earlier* stage in
-//! the earlier subnet's partition than in the later subnet's. The write
-//! then lands late in the earlier subnet's backward wave — after its
-//! backward at the reader's stage. The paper's purely stage-local
+//! With layer mirroring, a shared layer can sit at another stage in the
+//! earlier subnet's partition than in the later subnet's. The write then
+//! lands in the earlier subnet's backward at that stage, which can end
+//! after its backward at the reader's stage: always for an earlier stage
+//! (the backward wave runs towards stage 0), and for a later one when the
+//! reader's stage finishes first (a backward hands its gradient down
+//! before its weight update). The paper's purely stage-local
 //! finished-list check would admit the read at that point; our scheduler
 //! waits for the owner stage. This experiment counts, over a real
 //! mirrored schedule, the forward tasks whose start was gated by the
@@ -81,9 +84,8 @@ pub(crate) fn analyse(out: &PipelineOutcome) -> SoundnessReport {
                 if s_x != k {
                     has_cross = true;
                 }
-                let need = s_x.min(k);
                 local_req = local_req.max(bwd_end[&(x, k)]);
-                refined_req = refined_req.max(bwd_end[&(x, need)]);
+                refined_req = refined_req.max(bwd_end[&(x, s_x)]);
             }
         }
         if has_cross {

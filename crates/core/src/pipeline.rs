@@ -139,14 +139,27 @@ enum Ev {
         /// this subnet's own forward span) that produced the gradient.
         src: SpanId,
     },
+    /// A split backward's input half ended at `stage > 0`: its gradient
+    /// leaves for the stage below.
+    InputDone {
+        subnet: SubnetId,
+        stage: u32,
+        /// The input half's `Backward` span.
+        span: SpanId,
+    },
     TaskDone {
         subnet: SubnetId,
         stage: u32,
         kind: TaskKind,
-        /// Span of the completing task.
+        /// Span of the completing task: a split backward's `Update` span.
         span: SpanId,
     },
 }
+
+/// A split backward's input half, as `(numerator, denominator)` of its
+/// one reservation: the threaded engine measured its two halves at about
+/// the same length.
+const INPUT_SHARE: (u64, u64) = (1, 2);
 
 /// How a queued task got there: the causal edge it would start on, and
 /// when it arrived.
@@ -412,6 +425,8 @@ struct Engine<'a> {
     records: Vec<TaskRecord>,
     use_csp: bool,
     use_predictor: bool,
+    // Whether a backward runs as an input half and an update half.
+    split_backward: bool,
     makespan: SimTime,
     // Stages whose admission inputs the current event changed, ascending.
     wake: Vec<u32>,
@@ -533,6 +548,9 @@ impl<'a> Engine<'a> {
             records: Vec::new(),
             use_csp,
             use_predictor,
+            // Every CSP policy; the baselines keep the fused backward they
+            // publish.
+            split_backward: matches!(config.policy, SyncPolicy::Csp { .. }),
             makespan: SimTime::ZERO,
             wake: Vec::new(),
             cost,
@@ -891,19 +909,39 @@ impl<'a> Engine<'a> {
         };
         self.recorder.sample(k, latency, end.since(start).as_us());
         self.recorder.incr(k, count, 1);
-        let span = if let Some(edge) = cause {
+        // A split backward hands `dL/dx` down at the end of its input half
+        // and writes its weights in the update half, back to back in the
+        // one reservation; its record and latency cover both.
+        let split = (kind == TaskKind::Backward && self.split_backward).then(|| {
+            let (num, den) = INPUT_SHARE;
+            start + SimDuration::from_us(end.since(start).as_us() * num / den)
+        });
+        let (span, input) = if let Some(edge) = cause {
             let span_kind = match kind {
                 TaskKind::Forward => SpanKind::Forward,
                 TaskKind::Backward => SpanKind::Backward,
             };
-            self.tracer.emit(
-                SpanDraft::new(k, span_kind, start.as_us(), end.as_us())
+            let input = self.tracer.emit(
+                SpanDraft::new(k, span_kind, start.as_us(), split.unwrap_or(end).as_us())
                     .subnet(subnet.0)
                     .caused_by(edge.src, edge.kind),
-            )
+            );
+            let update = split.map(|mid| {
+                let draft = SpanDraft::new(k, SpanKind::Update, mid.as_us(), end.as_us());
+                self.tracer.emit(draft.subnet(subnet.0))
+            });
+            (update.unwrap_or(input), input)
         } else {
-            SpanId::EXTERNAL
+            (SpanId::EXTERNAL, SpanId::EXTERNAL)
         };
+        if let Some(mid) = split.filter(|_| k > 0) {
+            let input_done = Ev::InputDone {
+                subnet,
+                stage: k,
+                span: input,
+            };
+            self.queue.push(mid, input_done);
+        }
         self.stages[k as usize].busy = true;
         // Each stage reserves its compute in dispatch order, so a record
         // starts no earlier than its stage's previous one and is placed
@@ -1048,29 +1086,37 @@ impl<'a> Engine<'a> {
                 // reads them.
                 let mark = (self.tracer.enabled() && self.use_csp).then_some((span, now.as_us()));
                 self.core.finished(k, subnet, mark);
-                if k > 0 {
-                    let dt = self
-                        .cluster
-                        .stage_transfer_time(GpuId(k - 1), self.boundary_bytes());
-                    let predict = self.use_predictor && k == self.d - 1;
-                    let pending = predict.then(|| self.core.pending_backwards(k));
-                    self.queue.push(
-                        now + dt,
-                        Ev::BwdArrive {
-                            subnet,
-                            stage: k - 1,
-                            pending: pending.unwrap_or_default(),
-                            src: span,
-                        },
-                    );
-                } else {
-                    if let Some(checker) = self.checker.as_mut() {
-                        checker.retire_below(self.core.first_unfinished(0));
-                    }
+                // A later stage's update can land after stage 0 finished:
+                // the checker retires with the core's table.
+                if let Some(checker) = self.checker.as_mut() {
+                    checker.retire_below(self.core.settled());
+                }
+                if k == 0 {
                     self.inject(now);
+                } else if !self.split_backward {
+                    self.send_gradient(subnet, k, now, span);
                 }
             }
         }
+    }
+
+    /// Sends `subnet`'s input gradient from stage `k` to `k - 1`; `src`
+    /// is the backward span that produced it.
+    fn send_gradient(&mut self, subnet: SubnetId, k: u32, now: SimTime, src: SpanId) {
+        let dt = self
+            .cluster
+            .stage_transfer_time(GpuId(k - 1), self.boundary_bytes());
+        let predict = self.use_predictor && k == self.d - 1;
+        let pending = predict.then(|| self.core.pending_backwards(k));
+        self.queue.push(
+            now + dt,
+            Ev::BwdArrive {
+                subnet,
+                stage: k - 1,
+                pending: pending.unwrap_or_default(),
+                src,
+            },
+        );
     }
 
     /// Takes the sample due at `now`, if any: the hub and the watchdog
@@ -1150,14 +1196,14 @@ impl<'a> Engine<'a> {
     /// Applies one event, then dispatches, ascending, the stages whose
     /// admission decision it can have changed. A stage's decision reads
     /// its own queues and busy flag, the table, and — through the
-    /// `min(K, s_w)` owner-stage rule — `finished[j]` for `j <= k`, and
-    /// there only for layers written at `j`. So: an arrival wakes its
-    /// stage; a completion wakes its stage (now idle) and, if it was `w`'s
-    /// backward at `j`, every idle stage `k > j` with forwards queued at
-    /// which a later in-flight sharer of a layer in `w`'s stage-`j` slice
-    /// reads that layer (the core's `readers_above`). Injection and
-    /// retirement change the table only for IDs no queued forward waits
-    /// on, and wake nobody.
+    /// owner-stage rule — `finished[j]` only for layers written at `j`.
+    /// So: an arrival wakes its stage; a completion wakes its stage (now
+    /// idle) and, if it was `w`'s backward at `j`, every idle stage with
+    /// forwards queued at which a later in-flight sharer of a layer in
+    /// `w`'s stage-`j` slice reads that layer (the core's `readers`). A
+    /// backward's input half changes no decision: its stage stays busy.
+    /// Injection and retirement change the table only for IDs no queued
+    /// forward waits on, and wake nobody.
     fn step(&mut self, now: SimTime, ev: Ev) {
         self.sample_due(now);
         let mut wake = std::mem::take(&mut self.wake);
@@ -1192,6 +1238,11 @@ impl<'a> Engine<'a> {
                 self.core.deliver_backward(stage, subnet, queued);
                 wake.push(stage);
             }
+            Ev::InputDone {
+                subnet,
+                stage,
+                span,
+            } => self.send_gradient(subnet, stage, now, span),
             Ev::TaskDone {
                 subnet,
                 stage,
@@ -1202,7 +1253,7 @@ impl<'a> Engine<'a> {
                 // Asked before `on_task_done` can retire `subnet`. A FIFO
                 // stage never idles with a forward queued: nothing to ask.
                 if kind == TaskKind::Backward && self.use_csp {
-                    self.core.readers_above(subnet, stage, &mut wake);
+                    self.core.readers(subnet, stage, &mut wake);
                 }
                 self.on_task_done(subnet, stage, kind, now, span);
                 wake.sort_unstable();
@@ -1333,7 +1384,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use naspipe_obs::NullTracer;
+    use naspipe_obs::{NullTracer, Span};
     use naspipe_supernet::layer::Domain;
     use std::collections::{BTreeMap, HashMap};
 
@@ -1467,9 +1518,8 @@ mod tests {
     #[test]
     fn span_trace_covers_every_task_with_causes() {
         let out = run(SyncPolicy::naspipe(), 4, 20);
-        let compute: Vec<_> = out
-            .spans
-            .spans()
+        let spans = out.spans.spans();
+        let compute: Vec<_> = spans
             .iter()
             .filter(|s| matches!(s.kind, SpanKind::Forward | SpanKind::Backward))
             .collect();
@@ -1478,21 +1528,25 @@ mod tests {
             out.tasks.len(),
             "one forward/backward span per task record"
         );
-        // Every span's (stage, subnet, kind, start, end) matches a task.
-        for s in &compute {
-            let kind = if s.kind == SpanKind::Forward {
-                TaskKind::Forward
-            } else {
-                TaskKind::Backward
+        // Every task record is its spans: a forward one span, a backward
+        // its input half (`Backward`) and, back to back, its update half.
+        let span = |t: &TaskRecord, kind: SpanKind, start: u64| {
+            let on = |s: &&Span| s.stage == t.stage.0 && s.subnet == Some(t.subnet.0);
+            let found = spans
+                .iter()
+                .filter(on)
+                .find(|s| s.kind == kind && s.start_us == start);
+            found.unwrap_or_else(|| panic!("{t:?} has no {kind:?} span at {start}"))
+        };
+        for t in &out.tasks {
+            let last = match t.kind {
+                TaskKind::Forward => span(t, SpanKind::Forward, t.start.as_us()),
+                TaskKind::Backward => {
+                    let input = span(t, SpanKind::Backward, t.start.as_us());
+                    span(t, SpanKind::Update, input.end_us)
+                }
             };
-            assert!(
-                out.tasks.iter().any(|t| t.stage.0 == s.stage
-                    && Some(t.subnet.0) == s.subnet
-                    && t.kind == kind
-                    && t.start.as_us() == s.start_us
-                    && t.end.as_us() == s.end_us),
-                "span {s:?} has no matching task record"
-            );
+            assert_eq!(last.end_us, t.end.as_us(), "{t:?}");
         }
         // Causal edges: every compute span except stage-0 injections has a
         // recorded cause, and every referenced span id exists.
@@ -1951,7 +2005,7 @@ mod tests {
     }
 
     #[test]
-    fn a_backward_no_later_subnet_reads_dispatches_no_later_stage() {
+    fn a_backward_no_later_subnet_reads_dispatches_no_other_stage() {
         // CSP without the predictor: `calls` moves only when a woken idle
         // stage with no backward queued asks the scheduler, so one event's
         // change in `calls` counts its dispatch attempts past backwards.
@@ -1973,7 +2027,7 @@ mod tests {
         while let Some((now, ev)) = engine.queue.pop() {
             // A backward at `j` whose slice no later in-flight subnet
             // reads: stage `j` asks the scheduler once unless a backward
-            // is queued there, and the idle later stages with forwards
+            // is queued there, and the other idle stages with forwards
             // queued (which the wake once re-dispatched) not at all.
             let quiet = match ev {
                 Ev::TaskDone {
@@ -1983,14 +2037,15 @@ mod tests {
                     ..
                 } => {
                     let (mut readers, core) = (Vec::new(), &engine.core);
-                    core.readers_above(subnet, stage, &mut readers);
+                    core.readers(subnet, stage, &mut readers);
                     readers.is_empty().then(|| {
                         let queued = core.depth(stage) - core.forwards(stage).len() as u64;
                         let own = u64::from(queued == 0);
                         let waiting = |k: &u32| {
                             !engine.stages[*k as usize].busy && !core.forwards(*k).is_empty()
                         };
-                        (own, (stage + 1..engine.d).filter(waiting).count())
+                        let others = (0..engine.d).filter(|&k| k != stage);
+                        (own, others.filter(waiting).count())
                     })
                 }
                 _ => None,
@@ -1999,7 +2054,7 @@ mod tests {
             engine.step(now, ev);
             if let Some((own, waiting)) = quiet {
                 let calls = engine.core.scheduler_stats().calls - before;
-                assert_eq!(calls, own, "{waiting} later stages waiting at {now:?}");
+                assert_eq!(calls, own, "{waiting} other stages waiting at {now:?}");
                 unread += 1;
                 skipped += waiting;
             }
@@ -2048,6 +2103,178 @@ mod tests {
                 TaskKind::Backward => {
                     let f = fwd_end[&(t.subnet.0, t.stage.0)];
                     assert!(t.start >= f, "backward before forward for {:?}", t);
+                }
+            }
+        }
+    }
+
+    /// Two subnets taking turns, so consecutive ones share the layers of
+    /// blocks 4..8 and every other one shares everything.
+    fn alternating(n: u64) -> Vec<Subnet> {
+        let odd = [1, 1, 1, 1, 0, 0, 0, 0];
+        (0..n)
+            .map(|i| {
+                Subnet::new(
+                    SubnetId(i),
+                    if i % 2 == 0 { vec![0; 8] } else { odd.to_vec() },
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_csp_backward_hands_its_gradient_down_before_its_update() {
+        let space = SearchSpace::uniform(Domain::Nlp, 8, 2);
+        let traced = |policy| {
+            let cfg = PipelineConfig::naspipe(2, 12)
+                .with_batch(16)
+                .with_policy(policy);
+            let subnets = Some(alternating(12));
+            SimSpec {
+                subnets,
+                ..SimSpec::new(&space, &cfg)
+            }
+            .run()
+            .unwrap()
+        };
+        let out = traced(SyncPolicy::naspipe());
+        let spans = &out.spans;
+        let task = |y: u64, stage: u32, kind: TaskKind| {
+            let on = |t: &&TaskRecord| t.subnet.0 == y && t.stage.0 == stage && t.kind == kind;
+            out.tasks.iter().find(on).expect("a task record")
+        };
+        let of_kind = |kind: SpanKind| spans.spans().iter().filter(move |s| s.kind == kind);
+        for y in 0..12 {
+            // Stage 0's backward starts on stage 1's input half, which
+            // ends at half its reservation.
+            let at0 = of_kind(SpanKind::Backward).find(|s| s.stage == 0 && s.subnet == Some(y));
+            let edge = at0
+                .and_then(|s| s.cause)
+                .expect("stage 0's backward has a cause");
+            assert_eq!(edge.kind, CauseKind::GradientArrival, "SN{y}");
+            let input = spans.get(edge.src).expect("a recorded span");
+            assert_eq!((input.kind, input.stage), (SpanKind::Backward, 1), "SN{y}");
+            let bwd = task(y, 1, TaskKind::Backward);
+            let reservation = bwd.end.since(bwd.start).as_us();
+            assert_eq!(input.start_us, bwd.start.as_us());
+            assert_eq!(input.end_us, input.start_us + reservation / 2, "SN{y}");
+            // Its update half fills the rest of the reservation.
+            let on = |s: &&Span| s.stage == 1 && s.subnet == Some(y);
+            let update = of_kind(SpanKind::Update).find(on).expect("an update span");
+            assert_eq!(
+                (update.start_us, update.end_us),
+                (input.end_us, bwd.end.as_us())
+            );
+            assert!(update.end_us > input.end_us, "SN{y}");
+            // The next sharer reads the layers only once they are written.
+            if y + 1 < 12 {
+                let next = task(y + 1, 1, TaskKind::Forward);
+                assert!(
+                    next.start.as_us() >= update.end_us,
+                    "SN{} read early",
+                    y + 1
+                );
+            }
+        }
+        // A stalled forward names the update that released it.
+        let writer_edges: Vec<_> = of_kind(SpanKind::Forward)
+            .filter_map(|s| s.cause.map(|edge| (s, edge)))
+            .filter(|(_, edge)| matches!(edge.kind, CauseKind::CspWriterCompletion { .. }))
+            .collect();
+        assert!(!writer_edges.is_empty(), "the stream stalls on its writers");
+        for (reader, edge) in writer_edges {
+            let writer = spans.get(edge.src).expect("a recorded span");
+            assert_eq!(writer.kind, SpanKind::Update, "{reader:?}");
+            assert!(reader.start_us >= writer.end_us, "{reader:?}");
+        }
+        // The baselines keep the fused backward they publish.
+        let vpipe = traced(SyncPolicy::Bsp {
+            bulk: 0,
+            swap: true,
+        });
+        let backwards = vpipe.tasks.iter().filter(|t| t.kind == TaskKind::Backward);
+        let spans = vpipe.spans.spans().iter();
+        let kinds = spans.fold((0, 0), |(b, u), s| match s.kind {
+            SpanKind::Backward => (b + 1, u),
+            SpanKind::Update => (b, u + 1),
+            _ => (b, u),
+        });
+        assert_eq!(kinds, (backwards.count(), 0));
+    }
+
+    #[test]
+    fn retirement_waits_for_every_stage_s_last_update() {
+        // Eight stages over four blocks, a two-choice stream, and a cheap
+        // stage 0: stage 0 finishes a subnet while a later stage still
+        // runs its update. The table and the debug checker must keep the
+        // subnet until that update lands.
+        let space = SearchSpace::uniform(Domain::Nlp, 4, 2);
+        let cheap_stage_0 = |t: TaskCost| t.catalog_ms * if t.stage.0 == 0 { 0.05 } else { 1.0 };
+        for seed in [1, 2, 3] {
+            let cfg = PipelineConfig::naspipe(8, 40).with_batch(8).with_seed(seed);
+            let out = SimSpec {
+                cost: &cheap_stage_0,
+                ..SimSpec::new(&space, &cfg)
+            }
+            .run()
+            .unwrap();
+            assert_eq!(out.report.subnets_completed, 40);
+            crate::repro::verify_csp_order(&out).unwrap();
+            let ends = |y: u64| {
+                out.tasks
+                    .iter()
+                    .filter(move |t| t.subnet.0 == y)
+                    .map(|t| t.end)
+            };
+            let stage0 = |y: u64| {
+                let on = |t: &&TaskRecord| t.subnet.0 == y && t.stage.0 == 0;
+                let bwd = out
+                    .tasks
+                    .iter()
+                    .filter(on)
+                    .find(|t| t.kind == TaskKind::Backward);
+                bwd.expect("a stage-0 backward").end
+            };
+            assert!(
+                (0..40).any(|y| ends(y).any(|end| end > stage0(y))),
+                "seed {seed}: stage 0 never finished first"
+            );
+        }
+    }
+
+    #[test]
+    fn reads_start_after_every_earlier_write_ends() {
+        // In simulated time, per layer: a forward reading it starts no
+        // earlier than the end of every earlier sharer's backward that
+        // writes it, at whichever stage mirroring put the layer for each.
+        for (blocks, choices, gpus) in [(4, 2, 2), (8, 3, 3), (12, 2, 6), (16, 3, 12)] {
+            let space = SearchSpace::uniform(Domain::Nlp, blocks, choices);
+            for seed in 0..3 {
+                let cfg = PipelineConfig::naspipe(gpus, 40)
+                    .with_batch(16)
+                    .with_seed(seed);
+                let out = SimSpec::new(&space, &cfg).run().unwrap();
+                let mut writes: HashMap<LayerRef, Vec<(u64, SimTime)>> = HashMap::new();
+                let mut reads = Vec::new();
+                for t in &out.tasks {
+                    let subnet = &out.subnets[t.subnet.0 as usize];
+                    let layers = t.blocks.clone().filter(|&b| !subnet.skips(b));
+                    for l in layers.map(|b| subnet.layer(b)) {
+                        match t.kind {
+                            TaskKind::Forward => reads.push((l, t.subnet.0, t.start)),
+                            TaskKind::Backward => {
+                                writes.entry(l).or_default().push((t.subnet.0, t.end))
+                            }
+                        }
+                    }
+                }
+                for (l, y, at) in reads {
+                    for &(x, end) in &writes[&l] {
+                        assert!(
+                            x >= y || end <= at,
+                            "{l}: SN{y} reads at {at:?}, SN{x} writes until {end:?}"
+                        );
+                    }
                 }
             }
         }

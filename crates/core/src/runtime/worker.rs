@@ -627,9 +627,7 @@ impl<'a> StageWorker<'a> {
             let snap_start = elapsed_us(ctx.epoch);
             let snapshot = match store.take_spare(self.stage, self.inc.watermark) {
                 Some((since, mut spare)) => {
-                    let written = self
-                        .core
-                        .written_since(self.k(), since, self.blocks.clone());
+                    let written = self.core.written_since(since, self.blocks.clone());
                     spare.refill(&self.params, written, &self.engine, &self.losses);
                     debug_assert!(
                         spare.params == self.params,
@@ -648,7 +646,7 @@ impl<'a> StageWorker<'a> {
             let since = (self.next_ckpt.saturating_sub(ctx.ckpt_interval)).max(self.inc.watermark);
             let written = match ctx.writer {
                 Some(_) => (self.core)
-                    .written_since(self.k(), since, self.blocks.clone())
+                    .written_since(since, self.blocks.clone())
                     .collect(),
                 None => Vec::new(),
             };

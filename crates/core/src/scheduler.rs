@@ -12,13 +12,15 @@
 //! # Soundness refinement over the paper's Algorithm 2
 //!
 //! With layer mirroring, a layer shared by subnets `w < y` may live at
-//! stage `s_w` in `w`'s partition and stage `K > s_w` in `y`'s. Backward
-//! passes run from the last stage towards stage 0, so `w`'s *write* at
-//! `s_w` completes **after** `w`'s backward at `K` — checking only stage
-//! `K`'s finished list could admit `y`'s read before `w`'s write. We
-//! therefore check the finished list of `min(K, s_w)` for each shared
-//! layer; with a static partition (`s_w == K` always) this reduces exactly
-//! to the paper's local check.
+//! stage `s_w` in `w`'s partition and stage `K != s_w` in `y`'s. `w`
+//! writes it in its backward at `s_w`, so checking only stage `K`'s
+//! finished list could admit `y`'s read before `w`'s write. We therefore
+//! check the finished list of `s_w`, the stage that writes the layer; with
+//! a static partition (`s_w == K` always) this reduces exactly to the
+//! paper's local check. (`min(K, s_w)` would do while a backward at `K`
+//! could only finish after the one at every later stage. A backward that
+//! hands its gradient down before its weight update, as both engines run
+//! it, breaks that order: the stage below can finish first.)
 //!
 //! # The per-layer writer index
 //!
@@ -53,13 +55,12 @@
 //! subnets that both *skip* a block are treated as sharing it.
 //!
 //! The same lists say whom a backward can release. Subnet `w`'s backward
-//! at stage `j` adds `w` to `finished[j]`, which a check at stage `K`
-//! reads, through `min(K, s_w)`, only for a layer `w` writes at `j` and
-//! only when `K >= j`. So beyond stage `j` it can change a decision only
-//! at a stage where a later in-flight sharer of a layer in `w`'s stage-`j`
-//! slice owns that layer: `SubnetTable::readers_above` lists those
-//! stages, and the DES wakes nothing else. Both engines reach the
-//! scheduler through the stage core (`crate::stage`).
+//! at stage `j` adds `w` to `finished[j]`, which a check at any stage
+//! reads only for a layer `w` writes at `j`. So beyond stage `j` it can
+//! change a decision only at a stage where a later in-flight sharer of a
+//! layer in `w`'s stage-`j` slice owns that layer: `SubnetTable::readers`
+//! lists those stages, and the DES wakes nothing else. Both engines reach
+//! the scheduler through the stage core (`crate::stage`).
 
 use crate::partition::Partition;
 use crate::task::{FinishedSet, StageId};
@@ -245,12 +246,12 @@ impl SubnetTable {
         }
     }
 
-    /// The stages above `stage` whose admission decisions `writer`'s
-    /// backward at `stage` can change, pushed onto `out` (unordered, with
-    /// repeats): where each later in-flight sharer of a layer in
-    /// `writer`'s stage-`stage` slice owns that layer. See the module
-    /// docs; nothing is pushed for an untracked `writer`.
-    pub(crate) fn readers_above(&self, writer: SubnetId, stage: StageId, out: &mut Vec<u32>) {
+    /// The stages whose admission decisions `writer`'s backward at `stage`
+    /// can change, pushed onto `out` (unordered, with repeats): where each
+    /// later in-flight sharer of a layer in `writer`'s stage-`stage` slice
+    /// owns that layer. See the module docs; nothing is pushed for an
+    /// untracked `writer`.
+    pub(crate) fn readers(&self, writer: SubnetId, stage: StageId, out: &mut Vec<u32>) {
         let Some(entry) = self.get(writer) else {
             return;
         };
@@ -260,12 +261,7 @@ impl SubnetTable {
                 .sharers(b, choices[b])
                 .iter()
                 .skip_while(|s| s.id <= writer);
-            out.extend(
-                later
-                    .filter_map(|s| s.owner)
-                    .filter(|&k| k > stage)
-                    .map(|k| k.0),
-            );
+            out.extend(later.filter_map(|s| s.owner).map(|k| k.0));
         }
     }
 
@@ -436,9 +432,8 @@ impl CspScheduler {
                     break;
                 }
                 // `sharer`'s write happens in its backward at the stage
-                // owning block `b` in *its* partition; a write at a later
-                // stage than K has completed once its backward passed K.
-                let need = sharer.owner.map_or(k, |s| (s.0 as usize).min(k));
+                // owning block `b` in *its* partition.
+                let need = sharer.owner.map_or(k, |s| s.0 as usize);
                 let written =
                     finished[need].contains(sharer.id) || (need == k && assumed == Some(sharer.id));
                 if !written {
@@ -529,9 +524,6 @@ mod tests {
         let k = stage.0 as usize;
         let range = entry.partition.stage_range(stage);
         for (wid, earlier) in entries_below(table, candidate) {
-            if (0..=k).all(|j| finished[j].contains(wid)) {
-                continue;
-            }
             for b in range.clone() {
                 if b >= earlier.subnet.num_layers()
                     || entry.subnet.choices()[b] != earlier.subnet.choices()[b]
@@ -543,7 +535,7 @@ mod tests {
                     .stage_of_block(b)
                     .map(|s| s.0 as usize)
                     .unwrap_or(k);
-                if !finished[owner.min(k)].contains(wid) {
+                if !finished[owner].contains(wid) {
                     return false;
                 }
             }
@@ -678,6 +670,18 @@ mod tests {
         );
         f[0].insert(SubnetId(0));
         assert!(CspScheduler::admissible(SubnetId(1), &f, &t, StageId(1)));
+        // The converse: SN1 owns block 2 at stage 1 and SN2 reads it at
+        // stage 0. SN1's stage-0 backward can finish before its stage-1
+        // update lands, so only the stage-1 finish releases the read.
+        t.insert(
+            Subnet::new(SubnetId(2), vec![2, 2, 7, 2]),
+            Partition::from_boundaries(vec![0, 3, 4]), // block 2 -> stage 0
+        )
+        .unwrap();
+        f[0].insert(SubnetId(1));
+        assert!(!CspScheduler::admissible(SubnetId(2), &f, &t, StageId(0)));
+        f[1].insert(SubnetId(1));
+        assert!(CspScheduler::admissible(SubnetId(2), &f, &t, StageId(0)));
     }
 
     #[test]
@@ -824,16 +828,17 @@ mod tests {
     }
 
     #[test]
-    fn readers_above_are_the_later_sharers_owner_stages() {
+    fn readers_are_the_later_sharers_owner_stages() {
         // Three stages. SN0 writes blocks 0-1 at stage 0. SN1 reads block
-        // 0 at stage 1; SN2 reads block 1 at stage 2; SN3 shares nothing
-        // with SN0's stage-0 slice.
+        // 0 at stage 1; SN2 reads block 1 at stage 2; SN3 and SN4 share
+        // nothing with SN0's stage-0 slice.
         let mut t = SubnetTable::new();
         for (id, row, bounds) in [
             (0, vec![0, 0, 0, 0], vec![0, 2, 3, 4]),
             (1, vec![0, 1, 1, 1], vec![0, 0, 3, 4]),
             (2, vec![2, 0, 2, 2], vec![0, 1, 1, 4]),
             (3, vec![3, 3, 0, 3], vec![0, 1, 2, 4]),
+            (4, vec![4, 4, 0, 4], vec![0, 3, 3, 4]),
         ] {
             t.insert(
                 Subnet::new(SubnetId(id), row),
@@ -843,13 +848,14 @@ mod tests {
         }
         let readers = |w: u64, k: u32| {
             let mut out = Vec::new();
-            t.readers_above(SubnetId(w), StageId(k), &mut out);
+            t.readers(SubnetId(w), StageId(k), &mut out);
             out.sort_unstable();
             out
         };
         assert_eq!(readers(0, 0), [1, 2]);
-        // SN0 writes block 2 at stage 1; SN3 reads it at stage 2.
-        assert_eq!(readers(0, 1), [2]);
+        // SN0 writes block 2 at stage 1; SN3 reads it at stage 2, and SN4
+        // below the writer, at stage 0.
+        assert_eq!(readers(0, 1), [0, 2]);
         assert_eq!(readers(0, 2), Vec::<u32>::new());
         // SN1's block 0 is shared with SN0 only: an earlier sharer waits
         // on nobody's write.
@@ -939,14 +945,10 @@ mod tests {
             }
         }
 
-        /// Reference `readers_above`: every tracked subnet above the
-        /// writer sharing a block of its slice, at that block's owner
-        /// stage in the reader's own partition, if above `stage`.
-        fn reference_readers_above(
-            writer: SubnetId,
-            table: &SubnetTable,
-            stage: StageId,
-        ) -> Vec<u32> {
+        /// Reference `readers`: every tracked subnet above the writer
+        /// sharing a block of its slice, at that block's owner stage in the
+        /// reader's own partition.
+        fn reference_readers(writer: SubnetId, table: &SubnetTable, stage: StageId) -> Vec<u32> {
             let Some(w) = table.get(writer) else {
                 return Vec::new();
             };
@@ -957,7 +959,6 @@ mod tests {
                         .stage_range(stage)
                         .filter(|&b| y.subnet.choices().get(b) == Some(&w.subnet.choices()[b]))
                         .filter_map(|b| y.partition.stage_of_block(b))
-                        .filter(|&k| k > stage)
                         .map(|k| k.0)
                         .collect::<Vec<_>>()
                 })
@@ -983,14 +984,12 @@ mod tests {
                 let stage = StageId(k as u32);
                 for &id in &live {
                     let mut got = Vec::new();
-                    table.readers_above(id, stage, &mut got);
+                    table.readers(id, stage, &mut got);
                     got.sort_unstable();
                     got.dedup();
-                    let want = reference_readers_above(id, table, stage);
+                    let want = reference_readers(id, table, stage);
                     if got != want {
-                        return Err(format!(
-                            "readers_above({id}, {stage}) = {got:?} vs {want:?}"
-                        ));
+                        return Err(format!("readers({id}, {stage}) = {got:?} vs {want:?}"));
                     }
                     let got = CspScheduler::admissible(id, finished, table, stage);
                     let want = reference_admissible(id, finished, table, stage);

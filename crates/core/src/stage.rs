@@ -13,22 +13,21 @@
 //!
 //! IDs register in order: the DES's at injection, a worker's lazily up to
 //! the forward that just arrived (each lower one is in flight or done). A
-//! finish retires the table below the lowest driven stage's prefix; the
-//! DES's stage 0 prefix is the minimum over all stages. Every window ends
-//! at `min(base + w, total)`, saturating.
+//! finish retires the table below the minimum finished prefix over the
+//! driven stages: a backward that hands its gradient down before its
+//! weight update can finish at stage 0 while a later stage's update still
+//! runs. Every window ends at `min(base + w, total)`, saturating.
 //!
 //! # Writer marks
 //!
-//! A forward's causal edge names the latest-finishing earlier backward at
-//! its stage that wrote a layer it reads, if that finished after the
-//! forward arrived. Each driven stage marks every `(block, choice)` layer
-//! with its last writer there, by `(end, writer)`. Under mirroring a
-//! writer owning a layer at a later stage releases a reader at stage `K`
-//! by finishing at `K` (the `min(K, s_w)` rule of `crate::scheduler`), so
-//! a backward marks its layers within the blocks that it and the forwards
-//! queued at that stage read there; a reader arriving later cannot be
-//! bound by it. A worker's marks are its own slice, and tell a checkpoint
-//! cut which layers changed.
+//! A forward's causal edge names the latest-finishing earlier backward
+//! that wrote a layer it reads, if that finished after the forward
+//! arrived. A backward at stage `k` writes the layers of its stage-`k`
+//! slice, and under mirroring a reader at any stage waits for exactly that
+//! write (the owner-stage rule of `crate::scheduler`). So a core marks
+//! every `(block, choice)` layer once, with its last writer by
+//! `(end, writer)`, whichever driven stage wrote it. A worker's marks are
+//! its own slice, and tell a checkpoint cut which layers changed.
 
 use crate::partition::Partition;
 use crate::predictor::{Fetch, PendingBackward, Predictor};
@@ -108,8 +107,7 @@ pub(crate) enum Pick<F, B> {
 /// The bookkeeping of the stages one engine drives; `F` and `B` are its
 /// forward and backward payloads.
 pub(crate) struct StageCore<F, B> {
-    // Driven stage `first + i` owns `fwd[i]` (`L_q`), `bwd[i]` and
-    // `marks[i * layers..]`.
+    // Driven stage `first + i` owns `fwd[i]` (`L_q`) and `bwd[i]`.
     first: u32,
     fwd: Vec<ReadyQueue<F>>,
     bwd: Vec<ReadyQueue<B>>,
@@ -127,7 +125,8 @@ pub(crate) struct StageCore<F, B> {
     epoch: u64,
     // `offsets[b]`: where block `b`'s layers start in a stage's marks.
     offsets: Vec<usize>,
-    // Allocated by the first mark: an untraced DES run never reads them.
+    // One per layer, allocated by the first mark: an untraced DES run
+    // never reads them.
     marks: Vec<Option<Mark>>,
 }
 
@@ -178,11 +177,6 @@ impl<F, B> StageCore<F, B> {
 
     fn at(&self, k: u32) -> usize {
         (k - self.first) as usize
-    }
-
-    /// Where driven stage `k`'s marks start.
-    fn marks_of(&self, k: u32) -> usize {
-        self.at(k) * self.offsets[self.offsets.len() - 1]
     }
 
     /// Layer `(b, choice)`'s place in a stage's marks.
@@ -295,31 +289,27 @@ impl<F, B> StageCore<F, B> {
             self.mark(k, Mark { writer, span, at });
         }
         self.finished[k as usize].insert(y);
-        let prefix = self.first_unfinished(self.first);
-        self.table.retire_below(prefix);
+        self.table.retire_below(self.settled());
     }
 
-    /// Records `mark` on the layers its writer activates within the blocks
-    /// that it and the forwards queued at stage `k` read there.
+    /// The lowest ID some driven stage has not finished: every backward
+    /// below it, the last update included, is done on every driven stage.
+    pub(crate) fn settled(&self) -> SubnetId {
+        let driven = self.first..self.first + self.fwd.len() as u32;
+        let prefixes = driven.map(|k| self.first_unfinished(k));
+        prefixes.min().expect("a core drives a stage")
+    }
+
+    /// Records `mark` on the layers its writer writes at stage `k`.
     fn mark(&mut self, k: u32, mark: Mark) {
         if self.marks.is_empty() {
-            self.marks = vec![None; self.fwd.len() * self.offsets[self.offsets.len() - 1]];
+            self.marks = vec![None; self.offsets[self.offsets.len() - 1]];
         }
-        let (base, queued) = (self.marks_of(k), &self.fwd[self.at(k)].ids);
         let entry = self.table.get(SubnetId(mark.writer)).expect("registered");
-        let readers = queued.iter().filter_map(|&y| self.table.get(y));
-        let (lo, hi) = std::iter::once(entry)
-            .chain(readers)
-            .map(|e| e.partition.stage_range(StageId(k)))
-            .filter(|r| !r.is_empty())
-            .fold((usize::MAX, 0), |(lo, hi), r| {
-                (lo.min(r.start), hi.max(r.end))
-            });
-        let layers = entry.subnet.choices().iter().enumerate();
-        let written = layers.take(hi).skip(lo).filter(|&(_, &c)| c != SKIP_CHOICE);
-        for (b, &c) in written {
-            let at = base + self.layer(b, c);
-            let slot = &mut self.marks[at];
+        let choices = entry.subnet.choices();
+        let written = entry.partition.stage_range(StageId(k));
+        for b in written.filter(|&b| choices[b] != SKIP_CHOICE) {
+            let slot = &mut self.marks[self.offsets[b] + choices[b] as usize];
             if slot.is_none_or(|m| (m.at, m.writer) <= (mark.at, mark.writer)) {
                 *slot = Some(mark);
             }
@@ -329,29 +319,25 @@ impl<F, B> StageCore<F, B> {
     /// The latest mark, by `(at, writer)`, of an earlier writer on a layer
     /// `y` reads at stage `k`.
     pub(crate) fn last_writer(&self, k: u32, y: SubnetId) -> Option<Mark> {
-        let base = self.marks_of(k);
         let entry = self.table.get(y)?;
         let choices = entry.subnet.choices();
         let read = entry.partition.stage_range(StageId(k));
         read.filter(|&b| choices[b] != SKIP_CHOICE)
-            .filter_map(|b| *self.marks.get(base + self.layer(b, choices[b]))?)
+            .filter_map(|b| *self.marks.get(self.layer(b, choices[b]))?)
             .filter(|m| m.writer < y.0)
             .max_by_key(|m| (m.at, m.writer))
     }
 
-    /// Stage `k`'s layers in `blocks` last written by subnet `since` or a
-    /// later one, as `(block - blocks.start, choice)`.
+    /// The layers in `blocks` last written by subnet `since` or a later
+    /// one, as `(block - blocks.start, choice)`.
     pub(crate) fn written_since(
         &self,
-        k: u32,
         since: u64,
         blocks: Range<usize>,
     ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (base, first) = (self.marks_of(k), blocks.start);
+        let first = blocks.start;
         blocks.flat_map(move |b| {
-            let layers = self
-                .marks
-                .get(base + self.offsets[b]..base + self.offsets[b + 1]);
+            let layers = self.marks.get(self.offsets[b]..self.offsets[b + 1]);
             let layers = layers.unwrap_or_default();
             let since = move |(c, m): (usize, &Option<Mark>)| {
                 m.is_some_and(|m| m.writer >= since)
@@ -436,8 +422,8 @@ impl<F, B> StageCore<F, B> {
         self.table.get(y)
     }
 
-    pub(crate) fn readers_above(&self, writer: SubnetId, k: u32, out: &mut Vec<u32>) {
-        self.table.readers_above(writer, StageId(k), out);
+    pub(crate) fn readers(&self, writer: SubnetId, k: u32, out: &mut Vec<u32>) {
+        self.table.readers(writer, StageId(k), out);
     }
 
     pub(crate) fn scheduler_stats(&self) -> SchedulerStats {
@@ -616,7 +602,7 @@ mod tests {
         }
         assert!(named > 300, "the stream must share layers, named {named}");
         // Under one partition the marks stay on the stage's own slice.
-        let written: Vec<usize> = core.written_since(1, 0, 0..8).map(|(b, _)| b).collect();
+        let written: Vec<usize> = core.written_since(0, 0..8).map(|(b, _)| b).collect();
         assert!(written.iter().all(|b| blocks.contains(b)), "{written:?}");
         assert_eq!(written.len(), 4 * 3);
     }
@@ -711,9 +697,9 @@ mod tests {
         // One D-stage core under per-subnet mirrored partitions, so a
         // shared block sits at different stages for different subnets,
         // driven through seeded deliveries and finishes as the DES drives
-        // it. At every admitted forward the oracle is the DES's old rule:
-        // of every backward finished at that stage by an earlier subnet
-        // sharing a layer of the reader's slice there, the latest by
+        // it. At every admitted forward the oracle is a scan: of every
+        // backward finished, at any stage, by an earlier subnet whose
+        // slice there writes a layer of the reader's slice, the latest by
         // `(at, writer)`, binding if it finished after the reader arrived.
         let space = SearchSpace::uniform(Domain::Nlp, 8, 3);
         let d = 3u32;
@@ -729,7 +715,7 @@ mod tests {
             // A forward's payload is when it arrived.
             let window = Injection::Window(6);
             let mut core = StageCore::<u64, ()>::new(0..d, d, &[3; 8], true, window, n);
-            let mut finished: Vec<Vec<Mark>> = vec![Vec::new(); d as usize];
+            let mut finished: Vec<(u32, Mark)> = Vec::new();
             let mut events = Events::new(seed, d);
             loop {
                 for y in core.injectable().map(SubnetId) {
@@ -747,11 +733,12 @@ mod tests {
                     Event::Finish(k, TaskKind::Backward, y) => {
                         core.finished(k, y, Some((SpanId(now), now)));
                         let span = SpanId(now);
-                        finished[k as usize].push(Mark {
+                        let mark = Mark {
                             writer: y.0,
                             span,
                             at: now,
-                        });
+                        };
+                        finished.push((k, mark));
                     }
                     Event::Finish(..) => {}
                     Event::Pick(k) => {
@@ -760,13 +747,15 @@ mod tests {
                             Pick::Forward { id, payload } => {
                                 let reader = &list[id.0 as usize];
                                 let range = parts[id.0 as usize].stage_range(StageId(k));
-                                let shares = |m: &&Mark| {
+                                let shares = |&&(j, m): &&(u32, Mark)| {
                                     let writer = &list[m.writer as usize];
-                                    m.writer < id.0
-                                        && reader.conflicts_within(range.clone(), writer)
+                                    let wrote = parts[m.writer as usize].stage_range(StageId(j));
+                                    let both =
+                                        range.start.max(wrote.start)..range.end.min(wrote.end);
+                                    m.writer < id.0 && reader.conflicts_within(both, writer)
                                 };
-                                let scan = finished[k as usize].iter().filter(shares);
-                                let scan = scan.max_by_key(|m| (m.at, m.writer)).copied();
+                                let scan = finished.iter().filter(shares).map(|&(_, m)| m);
+                                let scan = scan.max_by_key(|m| (m.at, m.writer));
                                 let binds = |m: Option<Mark>| m.filter(|m| m.at > payload);
                                 let got = binds(core.last_writer(k, id));
                                 assert_eq!(got, binds(scan), "seed {seed}: {id} at stage {k}");

@@ -5,10 +5,9 @@
 //! of subnet `y` at stage `K` may only run once every unfinished earlier
 //! subnet `w < y` has *written* (finished its backward over) each layer
 //! the task reads. With layer mirroring a shared layer can live at stage
-//! `s_w` in `w`'s partition while `y` reads it at stage `K > s_w`; since
-//! backward passes flow towards stage 0, the write completes only when
-//! `w`'s backward reaches `min(K, s_w)` — the same refinement the
-//! scheduler applies.
+//! `s_w` in `w`'s partition while `y` reads it at stage `K != s_w`; the
+//! write completes only when `w`'s backward at `s_w` does — the same
+//! refinement the scheduler applies.
 //!
 //! The runtimes feed the checker their observed event stream
 //! ([`register`](CspChecker::register) →
@@ -39,8 +38,8 @@ pub enum Violation {
         layer: LayerRef,
         /// The stage at which the forward was admitted.
         stage: u32,
-        /// The stage whose backward of `earlier` must finish first
-        /// (`min(stage, s_w)` under layer mirroring).
+        /// The stage whose backward of `earlier` must finish first: the
+        /// one owning the layer in `earlier`'s partition.
         required_stage: u32,
     },
     /// A backward pass wrote a shared layer before an earlier subnet's
@@ -131,14 +130,11 @@ struct TrackedSubnet {
 }
 
 impl TrackedSubnet {
-    /// Whether this subnet's write of `layer` (the backward at the
-    /// owning stage, capped at `reader_stage` for mirrored layers) has
-    /// completed. Returns the required stage alongside.
+    /// Whether this subnet's write of `layer` (the backward at the stage
+    /// owning it, `reader_stage` if it owns none) has completed. Returns
+    /// the required stage alongside.
     fn written(&self, layer: LayerRef, reader_stage: u32) -> (bool, u32) {
-        let required = match self.layers.get(&layer) {
-            Some(&owner) => owner.min(reader_stage),
-            None => reader_stage,
-        };
+        let required = self.layers.get(&layer).copied().unwrap_or(reader_stage);
         (self.bwd_done.contains(&required), required)
     }
 }
@@ -356,7 +352,7 @@ mod tests {
     fn mirrored_layer_requires_owner_stage_write() {
         // Shared layer b0c0 sits at stage 0 in SN0's partition but at
         // stage 1 in SN1's. SN0 finishing its backward at stage 1 is NOT
-        // enough — the write happens at min(K=1, s_w=0) = 0.
+        // enough — the write happens at s_w = 0.
         let mut c = CspChecker::new();
         c.register(SubnetId(0), [(layer(0), 0)]).unwrap();
         c.register(SubnetId(1), [(layer(0), 1)]).unwrap();
@@ -375,6 +371,26 @@ mod tests {
         );
         c.on_backward_done(SubnetId(0), 0).unwrap();
         c.on_admit_forward(SubnetId(1), 1).unwrap();
+        // The converse, a reader below the owner: SN2 writes b1c0 at
+        // stage 1 and SN3 reads it at stage 0. A backward that hands its
+        // gradient down before its weight update can finish at stage 0
+        // first, which is not the write.
+        c.register(SubnetId(2), [(layer(1), 1)]).unwrap();
+        c.register(SubnetId(3), [(layer(1), 0)]).unwrap();
+        c.on_backward_done(SubnetId(2), 0).unwrap();
+        let err = c.on_admit_forward(SubnetId(3), 0).unwrap_err();
+        assert_eq!(
+            err,
+            Violation::PrematureForward {
+                later: SubnetId(3),
+                earlier: SubnetId(2),
+                layer: layer(1),
+                stage: 0,
+                required_stage: 1,
+            }
+        );
+        c.on_backward_done(SubnetId(2), 1).unwrap();
+        c.on_admit_forward(SubnetId(3), 0).unwrap();
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! 2. **Invariants** ([`invariant`]): [`CspChecker`] validates the causal
 //!    synchronous parallelism contract on every task admission — no
 //!    unfinished earlier subnet may still own a layer the admitted task
-//!    touches — including the `min(K, s_w)` layer-mirroring refinement,
-//!    and cross-checks the observed read/write interleaving per shared
-//!    layer against sequential exploration order. Violations name the
-//!    subnet pair and the shared layer.
+//!    touches, a mirrored layer being written at the stage owning it in
+//!    the writer's partition — and cross-checks the observed read/write
+//!    interleaving per shared layer against sequential exploration order.
+//!    Violations name the subnet pair and the shared layer.
 //! 3. **Reports** ([`report`]): [`ObsReport`] renders the recorded
 //!    metrics as a human-readable per-stage table or as JSON, for the
 //!    `crates/bench` experiment drivers.

@@ -8,7 +8,7 @@
 //! that rewrite moved no event: same kinds, same order, same levels,
 //! messages and fields. Wall-clock timestamps are left out of the
 //! threaded pins; the DES journal is simulated time and is pinned byte
-//! for byte. It has been re-recorded twice since. First the
+//! for byte. It has been re-recorded three times since. First the
 //! `watchdog-trip` evidence, when the straggler detector began comparing
 //! mean task latency (`mean task 364283us vs peer median 45463us`, the
 //! planted 8x) instead of cumulative busy time (`busy 364283us vs peer
@@ -18,6 +18,10 @@
 //! recomputes too: the run ends at 37363044us instead of 28920572us, and
 //! the longer recomputes on stage 1 stall its neighbours into a
 //! `csp-convoy` trip at 10803412us. The straggler line did not move.
+//! Last the tail again, when a CSP backward became an input half that
+//! hands the gradient down and an update half that writes the weights:
+//! the `csp-convoy` trip is gone and the run ends at 36719548us. The
+//! straggler line did not move.
 //!
 //! To re-record after an intentional change, run
 //! `cargo test --test event_bus_pin -- --nocapture` and copy the output.

@@ -215,15 +215,17 @@ mod model {
 /// `(gpus, spans, fnv1a(export_chrome), fnv1a(critical path text))` for
 /// the DES on NLP.c1, the first 200 subnets of seed 7. The critical-path
 /// digests were recorded on the commit before the store was ordered by
-/// construction, when `take` still sorted, and have never been
-/// re-recorded. The span counts and chrome digests were re-recorded once,
-/// when an eviction stopped being a span of its own and became a count
-/// on the transfer that forced it (19 241, 16 868 and 16 474 `evict`
-/// marks left the three traces; the spans that remain were renumbered).
+/// construction, when `take` still sorted. The span counts and chrome
+/// digests were re-recorded once, when an eviction stopped being a span of
+/// its own and became a count on the transfer that forced it (19 241,
+/// 16 868 and 16 474 `evict` marks left the three traces; the spans that
+/// remain were renumbered). All four were re-recorded once more when a CSP
+/// backward became an input half and an update half: the schedule moved,
+/// and each backward gained an `update` span.
 const PINNED: [(u32, usize, u64, u64); 3] = [
-    (4, 18130, 0x88856042dee70e5d, 0xf1ccc4848c2175c1),
-    (8, 20256, 0xbb3660836ce8008e, 0xc6194bd759c3056c),
-    (32, 35099, 0xd36221ecbc2b3eb7, 0xcc88790314e960bc),
+    (4, 19022, 0x18ecf112a6cb97d9, 0x10b7d054c29476ec),
+    (8, 21528, 0x2346c30cd725288f, 0x0f53444ced91336b),
+    (32, 41303, 0x3a143e5e10eb92d0, 0x8dc1ce841d585700),
 ];
 
 #[test]
