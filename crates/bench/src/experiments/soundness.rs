@@ -91,12 +91,6 @@ pub(crate) fn analyse(out: &PipelineOutcome) -> SoundnessReport {
         if has_cross {
             cross_stage_shared += 1;
         }
-        // The refined scheduler never starts before the owner write:
-        assert!(
-            t.start.as_us() >= refined_req,
-            "scheduler bug: {} started before a shared write finished",
-            t.subnet
-        );
         // A stale read was prevented if the local requirement had already
         // cleared when the (later) refined requirement gated the start.
         if refined_req > local_req && t.start.as_us() < refined_req + 1_000 {
@@ -142,10 +136,11 @@ mod tests {
 
     #[test]
     fn refined_check_never_violated() {
-        // `analyse` asserts internally that no forward started before a
-        // shared owner-stage write; this test exercises that assertion
-        // over a conflict-heavy space.
-        let r = run(SpaceId::CvC3, 64);
-        assert!(r.forwards == 64 * 8);
+        // No forward starts before a shared owner-stage write ends: the
+        // CSP audit, over a conflict-heavy space.
+        let space = SearchSpace::from_id(SpaceId::CvC3);
+        let out = simulate(&space, &PipelineConfig::naspipe(8, 64)).expect("fits");
+        naspipe_core::repro::verify_csp_order(&out).unwrap();
+        assert_eq!(analyse(&out).forwards, 64 * 8);
     }
 }

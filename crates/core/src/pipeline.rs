@@ -1702,41 +1702,13 @@ mod tests {
     #[test]
     fn csp_preserves_per_layer_access_order() {
         let out = run(SyncPolicy::naspipe(), 4, 30);
-        assert_csp_order(&out);
+        crate::repro::verify_csp_order(&out).unwrap();
     }
 
     #[test]
     fn csp_order_holds_on_eight_gpus() {
         let out = run(SyncPolicy::naspipe(), 8, 30);
-        assert_csp_order(&out);
-    }
-
-    /// For every layer, accesses ordered by task start time must be
-    /// `fwd(x), bwd(x), fwd(y), bwd(y), ...` with x < y — sequential
-    /// equivalence.
-    fn assert_csp_order(out: &PipelineOutcome) {
-        let arch: HashMap<u64, &Subnet> = out.subnets.iter().map(|s| (s.seq_id().0, s)).collect();
-        let mut per_layer: HashMap<LayerRef, Vec<(SimTime, TaskKind, u64)>> = HashMap::new();
-        for t in &out.tasks {
-            let subnet = arch[&t.subnet.0];
-            for b in t.blocks.clone() {
-                per_layer
-                    .entry(subnet.layer(b))
-                    .or_default()
-                    .push((t.start, t.kind, t.subnet.0));
-            }
-        }
-        for (layer, mut accesses) in per_layer {
-            accesses.sort_by_key(|&(t, kind, id)| (t, id, kind));
-            let mut expect: Vec<(TaskKind, u64)> =
-                accesses.iter().map(|&(_, kind, id)| (kind, id)).collect();
-            // Sequential order: by subnet id, forward before backward.
-            expect.sort_by_key(|&(kind, id)| (id, kind != TaskKind::Forward));
-            // Wait: TaskKind::Forward < Backward in enum order already.
-            let got: Vec<(TaskKind, u64)> =
-                accesses.iter().map(|&(_, kind, id)| (kind, id)).collect();
-            assert_eq!(got, expect, "layer {layer} access order violates CSP");
-        }
+        crate::repro::verify_csp_order(&out).unwrap();
     }
 
     #[test]
@@ -2247,6 +2219,7 @@ mod tests {
         // In simulated time, per layer: a forward reading it starts no
         // earlier than the end of every earlier sharer's backward that
         // writes it, at whichever stage mirroring put the layer for each.
+        // The CSP audit orders each layer's accesses exactly so.
         for (blocks, choices, gpus) in [(4, 2, 2), (8, 3, 3), (12, 2, 6), (16, 3, 12)] {
             let space = SearchSpace::uniform(Domain::Nlp, blocks, choices);
             for seed in 0..3 {
@@ -2254,27 +2227,8 @@ mod tests {
                     .with_batch(16)
                     .with_seed(seed);
                 let out = SimSpec::new(&space, &cfg).run().unwrap();
-                let mut writes: HashMap<LayerRef, Vec<(u64, SimTime)>> = HashMap::new();
-                let mut reads = Vec::new();
-                for t in &out.tasks {
-                    let subnet = &out.subnets[t.subnet.0 as usize];
-                    let layers = t.blocks.clone().filter(|&b| !subnet.skips(b));
-                    for l in layers.map(|b| subnet.layer(b)) {
-                        match t.kind {
-                            TaskKind::Forward => reads.push((l, t.subnet.0, t.start)),
-                            TaskKind::Backward => {
-                                writes.entry(l).or_default().push((t.subnet.0, t.end))
-                            }
-                        }
-                    }
-                }
-                for (l, y, at) in reads {
-                    for &(x, end) in &writes[&l] {
-                        assert!(
-                            x >= y || end <= at,
-                            "{l}: SN{y} reads at {at:?}, SN{x} writes until {end:?}"
-                        );
-                    }
+                if let Err((l, order)) = crate::repro::verify_csp_order(&out) {
+                    panic!("{l} on {gpus} GPUs, seed {seed}: {}", order.notation());
                 }
             }
         }

@@ -13,10 +13,12 @@
 //!   be bitwise identical to the golden transcript; any divergence is
 //!   diffed down to the *first divergent task* (file line, stage,
 //!   subnet, kind, time);
-//! * **CSP admission order** — the task stream (golden and fresh) is
-//!   replayed through the independent [`CspChecker`], so a corrupted
-//!   golden or a contract-breaking scheduler is caught even in release
-//!   builds where the engines' own debug checker is off;
+//! * **CSP order** — the task stream (golden and fresh) goes through the
+//!   one offline audit, [`verify_csp_order_parts`]: every layer's reads
+//!   and writes, each placed where it takes effect, must interleave as
+//!   sequential execution does. It never consults the scheduler, so a
+//!   corrupted golden or a contract-breaking scheduler is caught even in
+//!   release builds where the engines' own debug checker is off;
 //! * **checkpoint-cut consistency** (threaded cases) — the recovery
 //!   schedule must match the golden exactly and satisfy the cut laws
 //!   (watermarks on interval boundaries, within range, non-decreasing);
@@ -45,18 +47,18 @@
 use crate::config::PipelineConfig;
 use crate::fault::FaultPlan;
 use crate::pipeline::{SimSpec, TaskRecord};
+use crate::repro::verify_csp_order_parts;
 use crate::runtime::{RecoveryOptions, ReplayDivergence, RunSpec};
 use crate::scheduler::DEFAULT_WINDOW;
 use crate::task::TaskKind;
 use crate::train::{replay_training, TrainConfig, TrainResult};
 use crate::transcript::Transcript;
-use naspipe_obs::{critical_path, CspChecker};
-use naspipe_supernet::layer::{Domain, LayerRef};
+use naspipe_obs::critical_path;
+use naspipe_supernet::layer::Domain;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
-use naspipe_supernet::subnet::Subnet;
+use naspipe_supernet::subnet::{Subnet, SKIP_CHOICE};
 use naspipe_tensor::hash::{fnv1a, FNV_OFFSET};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -259,9 +261,10 @@ pub struct Expectations {
     pub loss_count: u64,
     /// FNV-1a digest over the `(step, loss bits)` sequence.
     pub loss_digest: u64,
-    /// CSP forward admissions validated over the golden stream.
+    /// Forward records (reads) the CSP audit checked in the golden stream.
     pub csp_admissions: u64,
-    /// CSP backward writes validated over the golden stream.
+    /// Backward records (writes) the CSP audit checked in the golden
+    /// stream.
     pub csp_writes: u64,
     /// DES critical-path attribution sums.
     pub critical_path: Option<PathTotals>,
@@ -489,50 +492,19 @@ pub fn loss_digest(losses: &[(u64, f32)]) -> u64 {
     })
 }
 
-/// Replays a task stream through the independent [`CspChecker`].
-///
-/// Each subnet's layer-to-owner-stage map is derived from its own
-/// forward tasks (the per-subnet partition travels in the records'
-/// block ranges), then the stream is fed to the checker in schedule
-/// order: forwards as admissions, backwards as shared-layer writes.
-/// Because the checker never consults the scheduler, a scheduler bug —
-/// or a hand-corrupted golden — cannot mask itself.
-///
-/// # Errors
-///
-/// Returns the first [`naspipe_obs::Violation`] rendered as text, or a
-/// description of a task referencing an unknown subnet.
-pub(crate) fn check_csp_stream(
-    subnets: &[Subnet],
-    tasks: &[TaskRecord],
-) -> Result<(u64, u64), String> {
-    let arch: BTreeMap<u64, &Subnet> = subnets.iter().map(|s| (s.seq_id().0, s)).collect();
-    let mut owners: BTreeMap<u64, BTreeMap<LayerRef, u32>> = BTreeMap::new();
-    for t in tasks.iter().filter(|t| t.kind == TaskKind::Forward) {
-        let s = arch
-            .get(&t.subnet.0)
-            .ok_or_else(|| format!("task references unknown subnet {}", t.subnet))?;
-        let map = owners.entry(t.subnet.0).or_default();
-        for b in t.blocks.clone() {
-            if b < s.choices().len() && !s.skips(b) {
-                map.insert(s.layer(b), t.stage.0);
-            }
-        }
-    }
-    let mut checker = CspChecker::new();
-    for s in subnets {
-        checker
-            .register(s.seq_id(), owners.remove(&s.seq_id().0).unwrap_or_default())
-            .map_err(|v| v.to_string())?;
-    }
-    for t in tasks {
-        match t.kind {
-            TaskKind::Forward => checker.on_admit_forward(t.subnet, t.stage.0),
-            TaskKind::Backward => checker.on_backward_done(t.subnet, t.stage.0),
-        }
-        .map_err(|v| v.to_string())?;
-    }
-    Ok((checker.admissions_checked(), checker.writes_checked()))
+/// The one offline CSP audit of a recorded stream
+/// ([`verify_csp_order_parts`]) and, when it holds, the forward and
+/// backward records it checked.
+fn audit_csp(t: &Transcript) -> Result<(u64, u64), String> {
+    verify_csp_order_parts(&t.subnets, &t.tasks).map_err(|(layer, order)| {
+        format!(
+            "layer {layer} accessed {} (not sequential)",
+            order.notation()
+        )
+    })?;
+    let forwards = t.tasks.iter().filter(|t| t.kind == TaskKind::Forward);
+    let forwards = forwards.count() as u64;
+    Ok((forwards, t.tasks.len() as u64 - forwards))
 }
 
 /// Renders a task for divergence reports: kind, subnet, stage, blocks,
@@ -824,6 +796,32 @@ pub fn parse_golden(text: &str) -> Result<GoldenCase, String> {
     let transcript =
         Transcript::read(&mut transcript_text.as_bytes()).map_err(|e| format!("embedded {e}"))?;
 
+    let domain = domain.ok_or("missing 'space'")?;
+    // The audit and the replays index a subnet's choices by the blocks
+    // its tasks name: the transcript must fit the case's space.
+    let line_of = |record: &str, n: usize| {
+        let records = lines.iter().enumerate().skip(transcript_line);
+        let mut at = records.filter(|(_, l)| l.split_whitespace().next() == Some(record));
+        at.nth(n).map_or(transcript_line, |(i, _)| i + 1)
+    };
+    for (n, s) in transcript.subnets.iter().enumerate() {
+        let fits = |&c: &u32| c == SKIP_CHOICE || c < choices;
+        if s.choices().len() != blocks as usize || !s.choices().iter().all(fits) {
+            return Err(format!(
+                "line {}: subnet {} does not fit space {blocks} blocks x {choices} choices",
+                line_of("subnet", n),
+                s.seq_id()
+            ));
+        }
+    }
+    let past_the_end = |t: &TaskRecord| t.blocks.end > blocks as usize;
+    if let Some(n) = transcript.tasks.iter().position(past_the_end) {
+        return Err(format!(
+            "line {}: task blocks end past the space's {blocks} blocks",
+            line_of("task", n)
+        ));
+    }
+
     let engine = engine.ok_or("missing 'engine'")?;
     let (loss_count, loss_dig) = losses.ok_or("missing 'expect losses'")?;
     let (csp_admissions, csp_writes) = csp_events.ok_or("missing 'expect csp-events'")?;
@@ -837,7 +835,7 @@ pub fn parse_golden(text: &str) -> Result<GoldenCase, String> {
         spec: CaseSpec {
             name: name.ok_or("missing 'case'")?,
             engine,
-            domain: domain.ok_or("missing 'space'")?,
+            domain,
             blocks,
             choices,
             gpus: gpus.ok_or("missing 'gpus'")?,
@@ -1020,27 +1018,17 @@ pub fn run_case(case: &GoldenCase) -> CaseReport {
 
     // The golden stream itself must obey the CSP contract — this is the
     // line of defence against hand-edited or bit-rotted goldens.
-    match check_csp_stream(&case.transcript.subnets, &case.transcript.tasks) {
-        Ok((admissions, writes)) => {
+    match audit_csp(&case.transcript) {
+        Ok((forwards, backwards)) => {
             run.passed += 1;
-            run.metric("csp-admissions", expect.csp_admissions, admissions);
-            run.metric("csp-writes", expect.csp_writes, writes);
+            run.metric("csp-admissions", expect.csp_admissions, forwards);
+            run.metric("csp-writes", expect.csp_writes, backwards);
         }
         Err(detail) => run.divergences.push(Divergence::Policy {
-            check: "golden-csp-order",
+            check: "golden-sequential-order",
             detail,
         }),
     }
-    run.policy(
-        "golden-sequential-order",
-        crate::repro::verify_csp_order_parts(&case.transcript.subnets, &case.transcript.tasks)
-            .map_err(|(layer, order)| {
-                format!(
-                    "layer {layer} accessed {} (not sequential)",
-                    order.notation()
-                )
-            }),
-    );
 
     // A `both` case's DES result, for the engines' agreement check.
     let mut des_result = None;
@@ -1131,21 +1119,8 @@ pub fn run_case(case: &GoldenCase) -> CaseReport {
                 }
                 run.policy("checkpoint-cut", check_cut_laws(spec, &thr.schedule));
                 run.policy(
-                    "fresh-csp-order",
-                    check_csp_stream(&thr.transcript.subnets, &thr.transcript.tasks).map(|_| ()),
-                );
-                run.policy(
                     "fresh-sequential-order",
-                    crate::repro::verify_csp_order_parts(
-                        &thr.transcript.subnets,
-                        &thr.transcript.tasks,
-                    )
-                    .map_err(|(layer, order)| {
-                        format!(
-                            "layer {layer} accessed {} (not sequential)",
-                            order.notation()
-                        )
-                    }),
+                    audit_csp(&thr.transcript).map(|_| ()),
                 );
             }
             Err(detail) => run.divergences.push(Divergence::Policy {
@@ -1286,7 +1261,7 @@ pub fn regenerate(spec: &CaseSpec) -> Result<GoldenCase, String> {
             )
         }
     };
-    let (csp_admissions, csp_writes) = check_csp_stream(&transcript.subnets, &transcript.tasks)
+    let (csp_admissions, csp_writes) = audit_csp(&transcript)
         .map_err(|e| format!("{}: refusing to bless a CSP-violating run: {e}", spec.name))?;
     let mut case = GoldenCase {
         expect: Expectations {
@@ -1420,6 +1395,8 @@ pub fn bless(dir: &Path, filter: Option<&str>) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use naspipe_sim::time::SimTime;
+    use naspipe_supernet::layer::LayerRef;
 
     fn small_des_spec() -> CaseSpec {
         CaseSpec {
@@ -1599,11 +1576,14 @@ mod tests {
     fn corrupted_golden_csp_order_is_caught() {
         let case = regenerate(&small_des_spec()).unwrap();
         let mut corrupt = case.clone();
-        // Swap the first two subnets' task streams by renumbering: move
-        // SN1's first forward in front of SN0's backward of a shared
-        // layer is fiddly; simpler and just as fatal — reverse the task
-        // stream, which no sequential exploration could produce.
-        corrupt.transcript.tasks.reverse();
+        // Run the stream backwards in time, which no sequential
+        // exploration could produce: every layer's write now takes effect
+        // before its read.
+        let last = corrupt.transcript.tasks.iter().map(|t| t.end.as_us()).max();
+        let back = |at: SimTime| SimTime::from_us(last.unwrap() - at.as_us());
+        for t in &mut corrupt.transcript.tasks {
+            (t.start, t.end) = (back(t.end), back(t.start));
+        }
         let report = run_case(&corrupt);
         assert!(report
             .divergences
@@ -1630,8 +1610,8 @@ mod tests {
                     name: "b".into(),
                     checks_passed: 2,
                     divergences: vec![Divergence::Policy {
-                        check: "golden-csp-order",
-                        detail: "SN3 admitted early".into(),
+                        check: "golden-sequential-order",
+                        detail: "layer b2c1 accessed 3F-4F-3B-4B (not sequential)".into(),
                     }],
                 },
             ],
@@ -1641,7 +1621,7 @@ mod tests {
             "  case a: first divergent task: #7 (golden line 40)",
             "      golden: F SN1 stage 0",
             "      fresh : <no task — fresh run ended early>",
-            "  case b: golden-csp-order check failed: SN3 admitted early",
+            "  case b: golden-sequential-order check failed: layer b2c1 accessed 3F-4F-3B-4B (not sequential)",
             "dominant delta: determinism (behavioral divergence, not throughput)",
         ] {
             assert!(text.lines().any(|l| l == line), "{line:?} in\n{text}");
@@ -1650,10 +1630,11 @@ mod tests {
     }
 
     #[test]
-    fn check_csp_stream_accepts_both_engines() {
+    fn the_csp_audit_accepts_both_engines_and_counts_every_record() {
         let spec = small_des_spec();
         let des = execute_des(&spec).unwrap();
-        check_csp_stream(&des.transcript.subnets, &des.transcript.tasks).unwrap();
+        let n = spec.subnets * u64::from(spec.gpus);
+        assert_eq!(audit_csp(&des.transcript), Ok((n, n)));
         let thr = execute_threaded(&CaseSpec {
             engine: CaseEngine::Threaded,
             checkpoint_interval: 4,
@@ -1665,7 +1646,9 @@ mod tests {
             ..spec
         })
         .unwrap();
-        check_csp_stream(&thr.transcript.subnets, &thr.transcript.tasks).unwrap();
+        // A recovered run: its sequential prefix sits at 0 µs.
+        assert_eq!(thr.schedule.restarts, 1);
+        assert_eq!(audit_csp(&thr.transcript), Ok((n, n)));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Per-layer access-order analysis — the machinery behind Table 4 and the
-//! CSP-equivalence verdicts of §5.2.
+//! CSP-equivalence verdicts of §5.2, and the one offline audit of a
+//! finished run's CSP order.
 //!
 //! A layer's parameters are READ by each activating subnet's forward pass
 //! and WRITTEN by its backward pass. Inter-subnet reproducibility requires
 //! that, for every layer, this read/write interleaving equals sequential
 //! execution in exploration order. This module extracts those interleavings
-//! from a pipeline run and renders them in the paper's `2F-2B-5F-5B`
-//! notation.
+//! from a task stream, each access placed where it takes effect (a read
+//! when its forward starts, a write when its backward's weight update
+//! ends), and renders them in the paper's `2F-2B-5F-5B` notation.
 
 use crate::pipeline::{PipelineOutcome, TaskRecord};
 use crate::task::TaskKind;
@@ -34,14 +36,15 @@ impl fmt::Display for Access {
     }
 }
 
-/// The chronological access sequence of one layer under a schedule.
+/// The access sequence of one layer under a schedule, in the order the
+/// accesses take effect.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AccessOrder {
     accesses: Vec<Access>,
 }
 
 impl AccessOrder {
-    /// The accesses in chronological order.
+    /// The accesses in the order they take effect.
     pub fn accesses(&self) -> &[Access] {
         &self.accesses
     }
@@ -80,25 +83,12 @@ impl AccessOrder {
     }
 }
 
-/// Extracts the chronological access order of `layer` from a pipeline run.
-///
-/// Accesses are ordered by task start time (accesses to one layer never
-/// overlap: the owning stage serialises them and CSP orders cross-stage
-/// mirrored accesses).
+/// The access order of `layer` in a pipeline run (see
+/// [`all_access_orders`]); empty when no task touches it.
 pub fn layer_access_order(outcome: &PipelineOutcome, layer: LayerRef) -> AccessOrder {
-    let arch: BTreeMap<u64, &Subnet> = outcome.subnets.iter().map(|s| (s.seq_id().0, s)).collect();
-    let mut accesses = Vec::new();
-    for task in &outcome.tasks {
-        let subnet = arch[&task.subnet.0];
-        let b = layer.block as usize;
-        if task.blocks.contains(&b) && subnet.choices()[b] == layer.choice {
-            accesses.push(Access {
-                subnet: task.subnet.0,
-                kind: task.kind,
-            });
-        }
-    }
-    AccessOrder { accesses }
+    all_access_orders(outcome)
+        .remove(&layer)
+        .unwrap_or_default()
 }
 
 /// All layers accessed during a run, with their access orders.
@@ -108,14 +98,26 @@ pub fn all_access_orders(outcome: &PipelineOutcome) -> BTreeMap<LayerRef, Access
 
 /// [`all_access_orders`] over raw parts — for task streams that don't
 /// come wrapped in a [`PipelineOutcome`], such as the threaded runtime's
-/// supervised runs. `tasks` must already be in chronological order.
+/// supervised runs.
+///
+/// Each access is placed where it takes effect: a forward reads its
+/// layers when it starts, a backward has written them when it ends (its
+/// weight update is the end of the task). The order is a stable sort on
+/// those times, so ties keep record order: a recovered run's sequential
+/// prefix, whose records all sit at 0 µs, and a backward ending in the
+/// µs the next sharer's forward starts, which the record lists first.
 pub(crate) fn all_access_orders_parts(
     subnets: &[Subnet],
     tasks: &[TaskRecord],
 ) -> BTreeMap<LayerRef, AccessOrder> {
+    let mut by_effect: Vec<&TaskRecord> = tasks.iter().collect();
+    by_effect.sort_by_key(|t| match t.kind {
+        TaskKind::Forward => t.start,
+        TaskKind::Backward => t.end,
+    });
     let mut map: BTreeMap<LayerRef, AccessOrder> = BTreeMap::new();
     let arch: BTreeMap<u64, &Subnet> = subnets.iter().map(|s| (s.seq_id().0, s)).collect();
-    for task in tasks {
+    for task in by_effect {
         let subnet = arch[&task.subnet.0];
         for b in task.blocks.clone() {
             if subnet.skips(b) {
@@ -203,9 +205,30 @@ mod tests {
     use super::*;
     use crate::config::{PipelineConfig, SyncPolicy};
     use crate::pipeline::SimSpec;
+    use crate::task::StageId;
+    use naspipe_sim::time::SimTime;
     use naspipe_supernet::layer::Domain;
     use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
     use naspipe_supernet::space::SearchSpace;
+    use naspipe_supernet::subnet::SubnetId;
+
+    /// A task record: `(start, end)` µs, kind, subnet, stage, blocks.
+    fn task(
+        (start, end): (u64, u64),
+        kind: TaskKind,
+        y: u64,
+        k: u32,
+        blocks: std::ops::Range<usize>,
+    ) -> TaskRecord {
+        TaskRecord {
+            start: SimTime::from_us(start),
+            end: SimTime::from_us(end),
+            kind,
+            subnet: SubnetId(y),
+            stage: StageId(k),
+            blocks,
+        }
+    }
 
     fn outcome(policy: SyncPolicy, gpus: u32, n: usize) -> PipelineOutcome {
         let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
@@ -279,6 +302,81 @@ mod tests {
             verify_csp_order(&out).is_err(),
             "BSP should interleave bulk forwards before backwards"
         );
+    }
+
+    #[test]
+    fn a_read_before_a_mirrored_write_ends_is_caught() {
+        // SN0 and SN1 share b1c0. Mirroring puts block 1 at stage 1 for
+        // SN0 and at stage 0 for SN1. SN1's stage-0 forward starts after
+        // SN0's stage-0 backward, but 1 µs before SN0's stage-1 backward,
+        // the one that writes b1c0, ends.
+        use TaskKind::{Backward as B, Forward as F};
+        let subnets = [
+            Subnet::new(SubnetId(0), vec![1, 0, 1, 1]),
+            Subnet::new(SubnetId(1), vec![2, 0, 2, 2]),
+        ];
+        let tasks = [
+            task((0, 10), F, 0, 0, 0..1),
+            task((10, 20), F, 0, 1, 1..4),
+            task((20, 40), B, 0, 1, 1..4),
+            task((30, 35), B, 0, 0, 0..1),
+            task((39, 45), F, 1, 0, 0..2),
+            task((45, 50), F, 1, 1, 2..4),
+            task((50, 60), B, 1, 1, 2..4),
+            task((60, 70), B, 1, 0, 0..2),
+        ];
+        let (layer, order) = verify_csp_order_parts(&subnets, &tasks).unwrap_err();
+        assert_eq!(layer, LayerRef::new(1, 0));
+        assert_eq!(order.notation(), "0F-1F-0B-1B");
+        // The same read 1 µs later is in order.
+        let mut later = tasks;
+        later[4] = task((40, 45), F, 1, 0, 0..2);
+        verify_csp_order_parts(&subnets, &later).unwrap();
+    }
+
+    #[test]
+    fn a_zero_time_prefix_then_real_tasks_is_in_order() {
+        // A recovered run: SN0 and SN1 are its sequential prefix, every
+        // record at 0 µs, and SN2 runs from 0 µs on. All three share
+        // every layer.
+        use TaskKind::{Backward as B, Forward as F};
+        let subnets: Vec<Subnet> = (0..3)
+            .map(|y| Subnet::new(SubnetId(y), vec![0; 4]))
+            .collect();
+        let mut tasks = Vec::new();
+        for y in 0..2 {
+            tasks.push(task((0, 0), F, y, 0, 0..2));
+            tasks.push(task((0, 0), F, y, 1, 2..4));
+            tasks.push(task((0, 0), B, y, 1, 2..4));
+            tasks.push(task((0, 0), B, y, 0, 0..2));
+        }
+        tasks.push(task((0, 10), F, 2, 0, 0..2));
+        tasks.push(task((10, 20), F, 2, 1, 2..4));
+        tasks.push(task((20, 30), B, 2, 1, 2..4));
+        tasks.push(task((30, 40), B, 2, 0, 0..2));
+        verify_csp_order_parts(&subnets, &tasks).unwrap();
+        let orders = all_access_orders_parts(&subnets, &tasks);
+        assert_eq!(orders[&LayerRef::new(0, 0)].notation(), "0F-0B-1F-1B-2F-2B");
+    }
+
+    #[test]
+    fn a_write_ending_in_the_us_the_next_read_starts_is_in_order() {
+        use TaskKind::{Backward as B, Forward as F};
+        let subnets = [
+            Subnet::new(SubnetId(0), vec![0, 0]),
+            Subnet::new(SubnetId(1), vec![0, 1]),
+        ];
+        let tasks = [
+            task((0, 10), F, 0, 0, 0..1),
+            task((10, 20), F, 0, 1, 1..2),
+            task((20, 30), B, 0, 1, 1..2),
+            task((30, 40), B, 0, 0, 0..1),
+            task((40, 50), F, 1, 0, 0..1),
+            task((50, 60), F, 1, 1, 1..2),
+            task((60, 70), B, 1, 1, 1..2),
+            task((70, 80), B, 1, 0, 0..1),
+        ];
+        verify_csp_order_parts(&subnets, &tasks).unwrap();
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! exploration loop could not have produced surfaces as a [`Violation`]
 //! naming the offending subnet pair and the shared layer. Because the
 //! checker never consults the scheduler's own data structures, a
-//! scheduler bug cannot mask itself.
+//! scheduler bug cannot mask itself. It audits events as they happen; a
+//! finished run's record is audited offline by the core's
+//! `repro::verify_csp_order`, which places each write where it ends.
 
 use naspipe_supernet::{LayerRef, SubnetId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,24 +150,12 @@ impl TrackedSubnet {
 #[derive(Debug, Clone, Default)]
 pub struct CspChecker {
     active: BTreeMap<u64, TrackedSubnet>,
-    admissions_checked: u64,
-    writes_checked: u64,
 }
 
 impl CspChecker {
     /// Creates a checker with no tracked subnets.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of forward admissions validated so far.
-    pub fn admissions_checked(&self) -> u64 {
-        self.admissions_checked
-    }
-
-    /// Number of backward completions validated so far.
-    pub fn writes_checked(&self) -> u64 {
-        self.writes_checked
     }
 
     /// Number of currently tracked (unretired) subnets.
@@ -193,7 +183,6 @@ impl CspChecker {
     /// every earlier tracked subnet sharing one of the layers `id` reads
     /// at `stage` must already have written it.
     pub fn on_admit_forward(&mut self, id: SubnetId, stage: u32) -> Result<(), Violation> {
-        self.admissions_checked += 1;
         let Some(entry) = self.active.get(&id.0) else {
             return Err(Violation::UnknownSubnet {
                 id,
@@ -230,7 +219,6 @@ impl CspChecker {
     /// validates that its writes land after every earlier tracked
     /// subnet's write to the same layer (sequential-order cross-check).
     pub fn on_backward_done(&mut self, id: SubnetId, stage: u32) -> Result<(), Violation> {
-        self.writes_checked += 1;
         let Some(entry) = self.active.get(&id.0) else {
             return Err(Violation::UnknownSubnet {
                 id,
@@ -304,8 +292,6 @@ mod tests {
         c.on_admit_forward(SubnetId(1), 1).unwrap();
         c.on_backward_done(SubnetId(1), 1).unwrap();
         c.on_backward_done(SubnetId(1), 0).unwrap();
-        assert_eq!(c.admissions_checked(), 4);
-        assert_eq!(c.writes_checked(), 4);
     }
 
     #[test]

@@ -1082,6 +1082,41 @@ mod rules {
         )
     }
 
+    /// Where a `CspChecker` may be built outside a test module: its own
+    /// file, and the two engines that feed it events as they happen.
+    pub const LIVE_CHECKERS: [&str; 3] = [
+        "crates/obs/src/invariant.rs",
+        "crates/core/src/pipeline.rs",
+        "crates/core/src/runtime/worker.rs",
+    ];
+
+    pub fn one_csp_audit(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        for live in LIVE_CHECKERS {
+            scan.file(live);
+        }
+        let mut dirs = scan.crate_srcs();
+        dirs.extend(["src".to_string(), "examples".to_string()]);
+        let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+        let sources: Vec<Source> = (scan.tree(&dirs, true).iter())
+            .filter(|s| !LIVE_CHECKERS.contains(&s.path.as_str()))
+            .map(Source::before_tests)
+            .collect();
+        scan.forbid(
+            &sources,
+            &[r"\bCspChecker::new\b", r"\bCspChecker::default\b"],
+        );
+        scan.verdict(
+            "one CSP audit (One CSP audit of a finished run): a finished run's CSP order is \
+             audited offline by repro::verify_csp_order{,_parts} alone, which places each \
+             layer access where it takes effect (a read when its forward starts, a write \
+             when its backward ends). The CspChecker runs live, inside the DES and the \
+             stage worker. A second checker replaying a record in record order saw a read \
+             that started before the write ended as in order: mirrored runs read layers up \
+             to 830 us early and both offline checks passed.",
+        )
+    }
+
     pub fn repro_reproduces_the_paper(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let want: Vec<&str> = PAPER.iter().chain(&EXTRAS).copied().collect();
@@ -1192,6 +1227,11 @@ fn one_copy_in_obs() {
 #[test]
 fn every_pub_name_has_a_caller() {
     holds(rules::every_pub_name_has_a_caller);
+}
+
+#[test]
+fn one_csp_audit() {
+    holds(rules::one_csp_audit);
 }
 
 #[test]
@@ -1648,4 +1688,35 @@ fn a_transcript_assembled_outside_the_runtime_fails() {
         "{broken}"
     );
     assert!(!broken.contains("runtime/mod.rs"), "{broken}");
+}
+
+#[test]
+fn a_second_offline_checker_replay_fails() {
+    let tree = |name: &str, gate: &str| {
+        let live = "fn engine() {\n    let checker = CspChecker::new();\n}\n";
+        let mut files: Vec<(&str, &str)> =
+            rules::LIVE_CHECKERS.iter().map(|&f| (f, live)).collect();
+        files.extend([
+            ("crates/core/src/replay_gate.rs", gate),
+            ("src/main.rs", "fn main() {}\n"),
+            ("examples/demo.rs", "fn main() {}\n"),
+        ]);
+        fixture(name, &files)
+    };
+    let tests = "#[cfg(test)]\nmod tests {\n    fn t() { CspChecker::new(); }\n}\n";
+    let audit = format!("fn audit(t: &Transcript) {{\n    verify_csp_order_parts(t);\n}}\n{tests}");
+    rules::one_csp_audit(&tree("one_audit", &audit)).expect("live checkers and a test's");
+    let replay = "fn check_csp_stream(tasks: &[TaskRecord]) {\n    let mut checker =\n        CspChecker::new();\n    let other = CspChecker::default();\n}\n";
+    let broken = rules::one_csp_audit(&tree("checker_replay", replay)).unwrap_err();
+    assert!(
+        broken.contains("One CSP audit of a finished run"),
+        "{broken}"
+    );
+    for needle in [
+        "crates/core/src/replay_gate.rs:3: `\\bCspChecker::new\\b`",
+        "crates/core/src/replay_gate.rs:4: `\\bCspChecker::default\\b`",
+    ] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
+    assert!(!broken.contains("pipeline.rs"), "{broken}");
 }

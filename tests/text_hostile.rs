@@ -12,7 +12,7 @@
 
 use naspipe::core::config::PipelineConfig;
 use naspipe::core::pipeline::SimSpec;
-use naspipe::core::replay_gate::parse_golden;
+use naspipe::core::replay_gate::{parse_golden, run_case};
 use naspipe::core::runtime::RunSpec;
 use naspipe::core::train::{ReplayError, TrainConfig};
 use naspipe::core::transcript::{replay_transcript, Transcript};
@@ -177,6 +177,29 @@ fn a_golden_field_too_wide_for_its_type_is_rejected_naming_its_line() {
             err.starts_with(&format!("line {at}: ")) && err.contains(value),
             "{wide}: {err}"
         );
+    }
+}
+
+#[test]
+fn a_golden_that_does_not_fit_its_space_is_rejected_naming_its_line() {
+    // Each edit parses as a transcript, but names a block or a choice the
+    // case's `space nlp 8 4` does not have; the gate would index past a
+    // subnet's choices with it.
+    let des = include_str!("../traces/golden/des_nlp8x4_g2_s3.golden");
+    for (line, hostile) in [
+        ("task 5905 24510 F 0 0 0 3", "task 5905 24510 F 0 0 0 9"),
+        ("subnet 2 1,0,2,2,3,0,0,3", "subnet 2 1,0,2,2,3,0,0,4"),
+        ("subnet 2 1,0,2,2,3,0,0,3", "subnet 2 1,0,2,2,3,0,0"),
+        ("subnet 2 1,0,2,2,3,0,0,3", "subnet 2 1,0,2,2,3,0,0,3,1"),
+    ] {
+        let at = des.lines().position(|l| l == line).expect(line) + 1;
+        let edited = des.replacen(&format!("\n{line}\n"), &format!("\n{hostile}\n"), 1);
+        let err = match parse_golden(&edited) {
+            // What parses is gated, and the gate must not panic either.
+            Ok(case) => panic!("{hostile}: parsed; {:?}", run_case(&case).divergences),
+            Err(err) => err,
+        };
+        assert!(err.starts_with(&format!("line {at}: ")), "{hostile}: {err}");
     }
 }
 
