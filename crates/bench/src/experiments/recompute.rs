@@ -1,7 +1,8 @@
 //! Extra experiment: the recompute-ahead optimisation (DESIGN.md 3a.2).
 //!
-//! CSP hoists activation recomputation out of the backward task: stage k
-//! starts recomputing as soon as the backward wave reaches stage k+1, so
+//! CSP hoists activation recomputation out of the backward task: a stage
+//! recomputes a subnet whose backward is still to come when it goes idle,
+//! or at the latest when the backward wave reaches the stage above, so
 //! the backward wave — the term every causal dependency waits on — moves
 //! at backward-only speed. This ablation disables the hoist and measures
 //! the damage across search-space sizes.

@@ -178,13 +178,16 @@ pub fn critical_path(trace: &SpanTrace) -> CriticalPath {
         ..CriticalPath::default()
     };
 
-    // Per-stage compute spans in time order, for resource edges.
+    // Per-stage compute spans in trace order, for resource edges.
     let mut stage_compute: Vec<Vec<&Span>> = vec![Vec::new(); trace.num_stages() as usize];
     for span in trace.spans() {
         if span.kind.is_compute() {
             stage_compute[span.stage as usize].push(span);
         }
     }
+    // A span's place in its lane, which is in the trace's order.
+    let key = |s: &Span| (s.start_us, s.end_us, s.id);
+    let lane_at = |lane: &[&Span], span: &Span| lane.partition_point(|s| key(s) < key(span));
     // Per stage, the length of the prefix of that list that can still
     // end at or before the cursor. The cursor only moves down, so a span
     // dropped from the prefix never returns and the walk passes each
@@ -237,15 +240,18 @@ pub fn critical_path(trace: &SpanTrace) -> CriticalPath {
             .cause
             .and_then(|c| trace.get(c.src))
             .filter(|s| s.end_us <= cursor && s.start_us < cursor);
+        // The resource edge is a span before `current` in its lane, so
+        // zero-length spans at one instant are passed in turn, once each.
         let lane = &stage_compute[current.stage as usize];
         let prefix = &mut reachable[current.stage as usize];
         while *prefix > 0 && lane[*prefix - 1].end_us > cursor {
             *prefix -= 1;
         }
-        let resource = lane[..*prefix]
+        let before = lane_at(lane, current).min(*prefix);
+        let resource = lane[..before]
             .iter()
             .rev()
-            .find(|s| s.end_us <= cursor && s.id != current.id)
+            .find(|s| s.end_us <= cursor)
             .copied();
         let pred = match (causal, resource) {
             (Some(a), Some(b)) => Some(if a.end_us >= b.end_us { a } else { b }),
@@ -414,6 +420,22 @@ mod tests {
         assert_eq!(cp.compute_us, 10);
         assert_eq!(cp.fetch_us, 6);
         assert_eq!(cp.bubble_us, 0);
+    }
+
+    #[test]
+    fn zero_length_spans_at_one_instant_are_passed_once_each() {
+        // Stage 0: F [0,10), two empty recomputes at 10, F [10,20).
+        let mut t = SpanTracer::new();
+        let f0 = t.emit(SpanDraft::new(0, SpanKind::Forward, 0, 10).subnet(0));
+        t.emit(SpanDraft::new(0, SpanKind::Recompute, 10, 10).subnet(0));
+        t.emit(SpanDraft::new(0, SpanKind::Recompute, 10, 10).subnet(1));
+        let f1 = t.emit(SpanDraft::new(0, SpanKind::Forward, 10, 20).subnet(1));
+        let cp = critical_path(&t.take());
+        assert_eq!(cp.total_us, 20);
+        assert_eq!(cp.attributed_us(), 20);
+        assert_eq!(cp.compute_us, 20);
+        let path: Vec<SpanId> = cp.segments.iter().map(|s| s.span).collect();
+        assert_eq!(path, vec![f0, f1]);
     }
 
     #[test]

@@ -186,8 +186,14 @@ fn a_golden_that_does_not_fit_its_space_is_rejected_naming_its_line() {
     // case's `space nlp 8 4` does not have; the gate would index past a
     // subnet's choices with it.
     let des = include_str!("../traces/golden/des_nlp8x4_g2_s3.golden");
+    // The first task line, whatever its timestamps, ending at block 9.
+    let task = des
+        .lines()
+        .find(|l| l.starts_with("task "))
+        .expect("a task");
+    let past_the_end = format!("{} 9", &task[..task.rfind(' ').expect("fields")]);
     for (line, hostile) in [
-        ("task 5905 24510 F 0 0 0 3", "task 5905 24510 F 0 0 0 9"),
+        (task, past_the_end.as_str()),
         ("subnet 2 1,0,2,2,3,0,0,3", "subnet 2 1,0,2,2,3,0,0,4"),
         ("subnet 2 1,0,2,2,3,0,0,3", "subnet 2 1,0,2,2,3,0,0"),
         ("subnet 2 1,0,2,2,3,0,0,3", "subnet 2 1,0,2,2,3,0,0,3,1"),

@@ -221,11 +221,17 @@ mod model {
 /// 16 868 and 16 474 `evict` marks left the three traces; the spans that
 /// remain were renumbered). All four were re-recorded once more when a CSP
 /// backward became an input half and an update half: the schedule moved,
-/// and each backward gained an `update` span.
+/// and each backward gained an `update` span. And once more when an idle
+/// stage began recomputing ahead of the backward wave, a hoisted
+/// `recompute` span gained a cause, and the critical-path walk began
+/// passing empty spans at one instant in lane order; the rows were
+/// `(4, 19022, 0x18ecf112a6cb97d9, 0x10b7d054c29476ec)`,
+/// `(8, 21528, 0x2346c30cd725288f, 0x0f53444ced91336b)` and
+/// `(32, 41303, 0x3a143e5e10eb92d0, 0x8dc1ce841d585700)`.
 const PINNED: [(u32, usize, u64, u64); 3] = [
-    (4, 19022, 0x18ecf112a6cb97d9, 0x10b7d054c29476ec),
-    (8, 21528, 0x2346c30cd725288f, 0x0f53444ced91336b),
-    (32, 41303, 0x3a143e5e10eb92d0, 0x8dc1ce841d585700),
+    (4, 18964, 0x20f8dcfe77e9c360, 0x782ae3ffbd087bfb),
+    (8, 21560, 0x660b39fe6ff93be3, 0xa1fbed4d51554e4b),
+    (32, 41250, 0x3804270ae8d8e1db, 0xd3b761f9eaca5ad2),
 ];
 
 #[test]
