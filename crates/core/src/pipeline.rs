@@ -25,7 +25,7 @@ use crate::predictor::{Fetch, PendingBackward, Predictor};
 use crate::report::{alu_efficiency, PipelineReport};
 use crate::scheduler::SubnetEntry;
 use crate::stage::{Injection, Pick, StageCore};
-use crate::task::{StageId, TaskKind};
+use crate::task::{Arrival, StageId, Task, TaskEvent, TaskKind};
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
     CausalEdge, CauseKind, Counter, CspChecker, EventBus, MetricsRecorder, MetricsSnapshot,
@@ -148,9 +148,7 @@ enum Ev {
         span: SpanId,
     },
     TaskDone {
-        subnet: SubnetId,
-        stage: u32,
-        kind: TaskKind,
+        task: Task,
         /// Span of the completing task: a split backward's `Update` span.
         span: SpanId,
     },
@@ -165,26 +163,13 @@ const INPUT_SHARE: (u64, u64) = (1, 2);
 /// recompute reserved, the backward not yet started.
 const PREPARED_AHEAD: usize = 2;
 
-/// How a queued task got there: the causal edge it would start on, and
-/// when it arrived.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    edge: CausalEdge,
-    at: SimTime,
-}
-
-/// A queued backward's payload: the pending-backward list its message
-/// carries (Algorithm 3), and the gradient arrival that queued it.
-struct QueuedBackward {
-    pending: Vec<PendingBackward>,
-    arrival: Arrival,
-}
-
 struct StageState {
     busy: bool,
     // Start of the idle interval not yet attributed to bubble/stall
-    // (meaningful while `!busy`); see `Engine::settle_idle`.
+    // (meaningful while `!busy`), and the end of the stage's last reserved
+    // recompute, which is not idle either; see `Engine::settle_idle`.
     idle_since: SimTime,
+    recompute_until: SimTime,
     // Each layer's `landing` is when its in-flight (pre)fetch lands and
     // the fetch/prefetch span that will have made it resident.
     cache: Option<StageCache>,
@@ -428,8 +413,10 @@ struct Engine<'a> {
     cluster: Cluster,
     queue: EventQueue<Ev>,
     stages: Vec<StageState>,
-    // Queues, `L_SN`, `L_f`, scheduler, injection and writer marks.
-    core: StageCore<Arrival, QueuedBackward>,
+    // Queues, `L_SN`, `L_f`, scheduler, injection and writer marks. A
+    // queued task carries the arrival that queued it; a backward also the
+    // pending-backward list its message carries (Algorithm 3).
+    core: StageCore<Arrival, (Vec<PendingBackward>, Arrival)>,
     subnets: Vec<Subnet>,
     records: Vec<TaskRecord>,
     use_csp: bool,
@@ -521,6 +508,7 @@ impl<'a> Engine<'a> {
             .map(|_| StageState {
                 busy: false,
                 idle_since: SimTime::ZERO,
+                recompute_until: SimTime::ZERO,
                 cache: cache.map(StageCache::new),
                 predictor: Predictor::new(),
                 pinned: Vec::new(),
@@ -615,24 +603,24 @@ impl<'a> Engine<'a> {
 
     /// Ensures `subnet`'s stage-`k` context is resident; returns the time
     /// compute may start (after synchronous fetches and pending
-    /// prefetches) and pins the layers. The second value is the
-    /// latest-finishing fetch/prefetch span gating that start, if any —
-    /// the `FetchCompletion` causal-edge candidate.
+    /// prefetches) and pins the layers. A traced run offers `event` each
+    /// fetch or pending prefetch gating that start as a cause.
     fn acquire_context(
         &mut self,
         subnet: SubnetId,
         k: u32,
         now: SimTime,
-    ) -> (SimTime, Option<(SpanId, SimTime)>) {
+        event: &mut TaskEvent,
+    ) -> SimTime {
         let stage = &mut self.stages[k as usize];
         let Some(cache) = stage.cache.as_mut() else {
-            return (now, None);
+            return now;
         };
         let traced = self.tracer.enabled();
         let entry = self.core.entry(subnet).expect("subnet in table");
         let profile = self.partitioner.profile();
         let mut ready = now;
-        let mut gate: Option<(SpanId, SimTime)> = None;
+        let fetched = |src, at| Arrival::new(src, CauseKind::FetchCompletion, at);
         let mut missing_bytes = 0u64;
         let evictions_before = cache.stats().evictions;
         for l in slice_layers(entry, k) {
@@ -644,9 +632,9 @@ impl<'a> Engine<'a> {
                 let landing = *cache.landing(l);
                 if let Some(r) = landing.at {
                     ready = ready.max(r);
-                    // A pending prefetch gates the start: candidate edge.
-                    if traced && r > now && gate.is_none_or(|(_, t)| r > t) {
-                        gate = Some((landing.span, r));
+                    // A pending prefetch gates the start.
+                    if traced && r > now {
+                        event.bind(fetched(landing.span, r));
                     }
                 }
             } else {
@@ -663,15 +651,11 @@ impl<'a> Engine<'a> {
             };
             self.bus.emit(k, now.as_us(), wait);
             let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, missing_bytes);
-            let fetch_span = if traced {
-                self.tracer.emit(
-                    SpanDraft::new(k, SpanKind::Fetch, now.as_us(), end.as_us())
-                        .subnet(subnet.0)
-                        .evicted(evicted),
-                )
-            } else {
-                SpanId::EXTERNAL
-            };
+            let fetch_span = self.tracer.emit(
+                SpanDraft::new(k, SpanKind::Fetch, now.as_us(), end.as_us())
+                    .subnet(subnet.0)
+                    .evicted(evicted),
+            );
             for l in slice_layers(entry, k) {
                 let landing = cache.landing(l);
                 if landing.at.is_none() {
@@ -679,11 +663,11 @@ impl<'a> Engine<'a> {
                 }
             }
             ready = ready.max(end);
-            if traced && gate.is_none_or(|(_, t)| end > t) {
-                gate = Some((fetch_span, end));
+            if traced {
+                event.bind(fetched(fetch_span, end));
             }
         }
-        (ready, gate)
+        ready
     }
 
     /// Folds stage `k`'s cache-stat growth since the last sync into the
@@ -730,7 +714,6 @@ impl<'a> Engine<'a> {
     /// Applies predictor fetches: starts asynchronous prefetches over the
     /// stage's PCIe link.
     fn apply_fetches(&mut self, k: u32, now: SimTime, fetches: &[Fetch]) {
-        let traced = self.tracer.enabled();
         for fetch in fetches {
             let Some(entry) = self.core.entry(fetch.subnet) else {
                 continue;
@@ -745,13 +728,11 @@ impl<'a> Engine<'a> {
                     let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, bytes);
                     let landing = cache.landing(l);
                     landing.at = Some(end);
-                    if traced {
-                        landing.span = self.tracer.emit(
-                            SpanDraft::new(k, SpanKind::Prefetch, now.as_us(), end.as_us())
-                                .subnet(fetch.subnet.0)
-                                .evicted(evicted),
-                        );
-                    }
+                    landing.span = self.tracer.emit(
+                        SpanDraft::new(k, SpanKind::Prefetch, now.as_us(), end.as_us())
+                            .subnet(fetch.subnet.0)
+                            .evicted(evicted),
+                    );
                 }
             }
         }
@@ -768,9 +749,10 @@ impl<'a> Engine<'a> {
         if st.busy {
             return;
         }
-        let dt = now.since(st.idle_since).as_us();
-        st.idle_since = now;
-        if dt > 0 {
+        let from = st.idle_since.max(st.recompute_until);
+        st.idle_since = st.idle_since.max(now);
+        if now > from {
+            let dt = now.since(from).as_us();
             self.recorder.incr(k, self.core.idle_counter(k), dt);
         }
     }
@@ -796,17 +778,16 @@ impl<'a> Engine<'a> {
         match self.core.pick(k) {
             Pick::Backward {
                 id,
-                payload,
+                payload: (pending, arrival),
                 preempted,
             } => {
                 if preempted {
                     self.recorder.incr(k, Counter::BackwardPreemption, 1);
                 }
-                let (pending, arrival) = (payload.pending, payload.arrival);
-                self.run_task(id, k, TaskKind::Backward, now, pending, arrival);
+                self.run_task(Task::backward(id, StageId(k)), now, pending, arrival);
             }
             Pick::Forward { id, payload } => {
-                self.run_task(id, k, TaskKind::Forward, now, Vec::new(), payload);
+                self.run_task(Task::forward(id, StageId(k)), now, Vec::new(), payload);
             }
             // Candidates queued but none admissible: every one still waits
             // on an unfinished earlier sharer (a CSP stall).
@@ -841,13 +822,12 @@ impl<'a> Engine<'a> {
 
     fn run_task(
         &mut self,
-        subnet: SubnetId,
-        k: u32,
-        kind: TaskKind,
+        task: Task,
         now: SimTime,
         pending: Vec<PendingBackward>,
         arrival: Arrival,
     ) {
+        let (kind, subnet, k) = (task.kind, task.subnet, task.stage.0);
         // Debug-mode CSP assertion: the admission the scheduler just made
         // must be one the sequential exploration order allows.
         if kind == TaskKind::Forward {
@@ -856,8 +836,20 @@ impl<'a> Engine<'a> {
                     .on_admit_forward(subnet, k)
                     .unwrap_or_else(|v| panic!("{v}"));
             }
-            let admission = RunEvent::Admission { subnet: subnet.0 };
-            self.bus.emit(k, now.as_us(), admission);
+        }
+        let entry = self.core.entry(subnet).expect("subnet in table");
+        let blocks = entry.partition.stage_range(task.stage);
+        let duration = self.price(entry, k, kind);
+        let mut event = TaskEvent::open(task, blocks, &self.bus, now.as_us());
+        // The cause candidates: the arrival, the last CSP shared-layer
+        // writer, and (in `acquire_context`) the fetches. Untraced: none.
+        if self.tracer.enabled() {
+            event.bind(arrival);
+            if kind == TaskKind::Forward && self.use_csp {
+                if let Some(w) = self.core.last_writer(k, subnet) {
+                    event.bind(Arrival::writer(w));
+                }
+            }
         }
         // Predictor hooks (Algorithm 1 lines 6 and 21).
         if self.use_predictor {
@@ -888,82 +880,25 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let (ready, fetch_gate) = self.acquire_context(subnet, k, now);
-
-        // Bind the causal edge: of everything this task waited on — the
-        // arrival that queued it, the last CSP shared-layer writer that
-        // released its admission, the fetch that made its context
-        // resident — the *latest-finishing* one is the cause; earlier
-        // candidates were already satisfied by then. Resource ordering
-        // (the stage finishing its previous task) is derived by the
-        // analyzer, not recorded.
-        let cause = self.tracer.enabled().then(|| {
-            let mut cause = (arrival.edge, arrival.at);
-            if kind == TaskKind::Forward && self.use_csp {
-                if let Some(w) = self.core.last_writer(k, subnet) {
-                    let at = SimTime::from_us(w.at);
-                    if at > cause.1 {
-                        let kind = CauseKind::CspWriterCompletion { writer: w.writer };
-                        cause = (CausalEdge { src: w.span, kind }, at);
-                    }
-                }
-            }
-            if let Some((src, t)) = fetch_gate {
-                if t > cause.1 {
-                    cause = (
-                        CausalEdge {
-                            src,
-                            kind: CauseKind::FetchCompletion,
-                        },
-                        t,
-                    );
-                }
-            }
-            cause.0
-        });
-
-        let entry = self.core.entry(subnet).expect("subnet in table");
-        let blocks = entry.partition.stage_range(StageId(k));
-        let duration = self.price(entry, k, kind);
+        let ready = self.acquire_context(subnet, k, now, &mut event);
         if self.recompute_ahead() {
-            self.track_recompute(subnet, k, kind, now, cause);
+            self.track_recompute(task, now, event.cause());
         }
         let (start, end) = self
             .cluster
             .gpu_mut(GpuId(k))
             .compute_mut()
             .reserve_span(ready, duration);
-        let (latency, count) = match kind {
-            TaskKind::Forward => (Sample::ForwardLatencyUs, Counter::ForwardTask),
-            TaskKind::Backward => (Sample::BackwardLatencyUs, Counter::BackwardTask),
-        };
-        self.recorder.sample(k, latency, end.since(start).as_us());
-        self.recorder.incr(k, count, 1);
         // A split backward hands `dL/dx` down at the end of its input half
-        // and writes its weights in the update half, back to back in the
-        // one reservation; its record and latency cover both.
+        // and writes its weights in the update half, back to back.
         let split = (kind == TaskKind::Backward && self.split_backward).then(|| {
             let (num, den) = INPUT_SHARE;
             start + SimDuration::from_us(end.since(start).as_us() * num / den)
         });
-        let (span, input) = if let Some(edge) = cause {
-            let span_kind = match kind {
-                TaskKind::Forward => SpanKind::Forward,
-                TaskKind::Backward => SpanKind::Backward,
-            };
-            let input = self.tracer.emit(
-                SpanDraft::new(k, span_kind, start.as_us(), split.unwrap_or(end).as_us())
-                    .subnet(subnet.0)
-                    .caused_by(edge.src, edge.kind),
-            );
-            let update = split.map(|mid| {
-                let draft = SpanDraft::new(k, SpanKind::Update, mid.as_us(), end.as_us());
-                self.tracer.emit(draft.subnet(subnet.0))
-            });
-            (update.unwrap_or(input), input)
-        } else {
-            (SpanId::EXTERNAL, SpanId::EXTERNAL)
-        };
+        let tracer = &mut *self.tracer;
+        let input = event.emit(tracer, (start.as_us(), split.unwrap_or(end).as_us()));
+        let update = split.map(|mid| (mid.as_us(), end.as_us()));
+        let (record, span) = event.close(tracer, &mut self.recorder, update);
         if let Some(mid) = split.filter(|_| k > 0) {
             let input_done = Ev::InputDone {
                 subnet,
@@ -976,26 +911,10 @@ impl<'a> Engine<'a> {
         // Each stage reserves its compute in dispatch order, so a record
         // starts no earlier than its stage's previous one and is placed
         // by a short walk from the back (`PipelineOutcome::tasks` order).
-        let record = TaskRecord {
-            start,
-            end,
-            kind,
-            subnet,
-            stage: StageId(k),
-            blocks,
-        };
         let later = self.records.iter().rev();
         let at = self.records.len() - later.take_while(|r| r.key() > record.key()).count();
         self.records.insert(at, record);
-        self.queue.push(
-            end,
-            Ev::TaskDone {
-                subnet,
-                stage: k,
-                kind,
-                span,
-            },
-        );
+        self.queue.push(end, Ev::TaskDone { task, span });
     }
 
     fn boundary_bytes(&self) -> u64 {
@@ -1047,14 +966,8 @@ impl<'a> Engine<'a> {
     /// own stage's prepared recompute, and reserves stage `k - 1`'s unless
     /// an idle `k - 1` already did (`prepare_idle`): the wave reaches
     /// `k - 1` next.
-    fn track_recompute(
-        &mut self,
-        subnet: SubnetId,
-        k: u32,
-        kind: TaskKind,
-        now: SimTime,
-        cause: Option<CausalEdge>,
-    ) {
+    fn track_recompute(&mut self, task: Task, now: SimTime, cause: Option<CausalEdge>) {
+        let (kind, subnet, k) = (task.kind, task.subnet, task.stage.0);
         let last = k + 1 == self.d;
         let stage = &mut self.stages[k as usize];
         match kind {
@@ -1092,29 +1005,24 @@ impl<'a> Engine<'a> {
             return;
         };
         let duration = self.price(entry, k, TaskKind::Forward);
+        // Settle first: the time before this reservation may be idle, the
+        // reservation's own time is not (`settle_idle` skips to its end).
+        self.settle_idle(k, now);
         let (start, end) = self
             .cluster
             .gpu_mut(GpuId(k))
             .compute_mut()
             .reserve_span(now, duration);
-        if self.tracer.enabled() {
-            let draft = SpanDraft::new(k, SpanKind::Recompute, start.as_us(), end.as_us());
-            let draft = draft.subnet(subnet.0);
-            self.tracer.emit(match cause {
-                Some(edge) => draft.caused_by(edge.src, edge.kind),
-                None => draft,
-            });
-        }
+        self.stages[k as usize].recompute_until = end;
+        let draft = SpanDraft::new(k, SpanKind::Recompute, start.as_us(), end.as_us());
+        self.tracer.emit(SpanDraft {
+            cause,
+            ..draft.subnet(subnet.0)
+        });
     }
 
-    fn on_task_done(
-        &mut self,
-        subnet: SubnetId,
-        k: u32,
-        kind: TaskKind,
-        now: SimTime,
-        span: SpanId,
-    ) {
+    fn on_task_done(&mut self, task: Task, now: SimTime, span: SpanId) {
+        let (kind, subnet, k) = (task.kind, task.subnet, task.stage.0);
         let stage = &mut self.stages[k as usize];
         stage.busy = false;
         stage.idle_since = now;
@@ -1139,8 +1047,7 @@ impl<'a> Engine<'a> {
                     // carrying the pending-backward list (Algorithm 3),
                     // and its recompute takes the edge that backward will.
                     if self.recompute_ahead() {
-                        let kind = CauseKind::GradientArrival;
-                        let cause = CausalEdge { src: span, kind };
+                        let cause = Arrival::backward(span, now).edge;
                         self.reserve_recompute(subnet, k, now, Some(cause));
                     }
                     let predict = self.use_predictor;
@@ -1290,15 +1197,7 @@ impl<'a> Engine<'a> {
         match ev {
             Ev::FwdArrive { subnet, stage, src } => {
                 self.settle_idle(stage, now);
-                let kind = if src.is_external() {
-                    CauseKind::Injection
-                } else {
-                    CauseKind::ActivationArrival
-                };
-                let arrival = Arrival {
-                    edge: CausalEdge { src, kind },
-                    at: now,
-                };
+                let arrival = Arrival::forward(src, now);
                 self.core.deliver_forward(stage, subnet, arrival);
                 wake.push(stage);
             }
@@ -1309,13 +1208,9 @@ impl<'a> Engine<'a> {
                 src,
             } => {
                 self.settle_idle(stage, now);
-                let edge = CausalEdge {
-                    src,
-                    kind: CauseKind::GradientArrival,
-                };
-                let arrival = Arrival { edge, at: now };
-                let queued = QueuedBackward { pending, arrival };
-                self.core.deliver_backward(stage, subnet, queued);
+                let arrival = Arrival::backward(src, now);
+                self.core
+                    .deliver_backward(stage, subnet, (pending, arrival));
                 wake.push(stage);
             }
             Ev::InputDone {
@@ -1323,19 +1218,15 @@ impl<'a> Engine<'a> {
                 stage,
                 span,
             } => self.send_gradient(subnet, stage, now, span),
-            Ev::TaskDone {
-                subnet,
-                stage,
-                kind,
-                span,
-            } => {
+            Ev::TaskDone { task, span } => {
+                let stage = task.stage.0;
                 wake.push(stage);
-                // Asked before `on_task_done` can retire `subnet`. A FIFO
+                // Asked before `on_task_done` can retire the subnet. A FIFO
                 // stage never idles with a forward queued: nothing to ask.
-                if kind == TaskKind::Backward && self.use_csp {
-                    self.core.readers(subnet, stage, &mut wake);
+                if task.kind == TaskKind::Backward && self.use_csp {
+                    self.core.readers(task.subnet, stage, &mut wake);
                 }
-                self.on_task_done(subnet, stage, kind, now, span);
+                self.on_task_done(task, now, span);
                 wake.sort_unstable();
                 wake.dedup();
                 wake.retain(|&k| {
@@ -1598,6 +1489,7 @@ mod tests {
     #[test]
     fn span_trace_covers_every_task_with_causes() {
         let out = run(SyncPolicy::naspipe(), 4, 20);
+        crate::task::assert_views_agree(&out.tasks, &out.spans, &out.obs.stages);
         let spans = out.spans.spans();
         let compute: Vec<_> = spans
             .iter()
@@ -2083,9 +1975,12 @@ mod tests {
             // queued (which the wake once re-dispatched) not at all.
             let quiet = match ev {
                 Ev::TaskDone {
-                    subnet,
-                    stage,
-                    kind: TaskKind::Backward,
+                    task:
+                        Task {
+                            kind: TaskKind::Backward,
+                            subnet,
+                            stage: StageId(stage),
+                        },
                     ..
                 } => {
                     let (mut readers, core) = (Vec::new(), &engine.core);
@@ -2122,7 +2017,7 @@ mod tests {
     fn idle_time_is_fully_attributed() {
         // Lazy accounting must still cover every idle microsecond: per
         // stage, stall + bubble is the makespan minus the time the stage
-        // held a task (dispatch to completion).
+        // held a task (dispatch to completion) or computed a recompute.
         let out = run(SyncPolicy::naspipe(), 4, 25);
         for s in &out.obs.stages {
             let idle = s.stall_us + s.bubble_us;
@@ -2131,14 +2026,20 @@ mod tests {
                 "stage {}: {idle}",
                 s.stage
             );
-            let computing: u64 = out
+            let tasks: u64 = out
                 .tasks
                 .iter()
                 .filter(|t| t.stage.0 == s.stage)
                 .map(|t| t.end.since(t.start).as_us())
                 .sum();
+            let recomputes: u64 = (out.spans.of_kind(SpanKind::Recompute))
+                .filter(|r| r.stage == s.stage)
+                .map(|r| r.end_us - r.start_us)
+                .sum();
+            assert!(recomputes > 0, "stage {}", s.stage);
             // Holding a task includes waiting for its context, so idle
             // time can only be at most the non-computing time.
+            let computing = tasks + recomputes;
             assert!(idle + computing <= out.obs.wall_us, "stage {}", s.stage);
         }
     }

@@ -587,6 +587,8 @@ impl<'a> RunSpec<'a> {
         let hub = self.telemetry.as_ref().map(|t| &t.hub);
         let why = if self.gpus == 0 {
             "gpus must be positive"
+        } else if self.subnets.is_empty() {
+            "subnets must be non-empty"
         } else if self.window == 0 {
             "window must be positive"
         } else if self.durable.is_some() && self.recovery.checkpoint_interval == 0 {
@@ -613,7 +615,7 @@ impl<'a> RunSpec<'a> {
     ///
     /// A [`FailedRun`]: the error, and the record of the tasks the last
     /// incarnation ran before it. Its `error` is
-    /// [`TrainError::InvalidSpec`] for zero `gpus`/`window`, `durable`
+    /// [`TrainError::InvalidSpec`] for zero `gpus`/`window`, no `subnets`, `durable`
     /// without a checkpoint interval or a mis-sized or used telemetry hub;
     /// [`TrainError::Durable`] when the snapshot directory cannot be opened
     /// or a resume hits an I/O failure (both before any stage starts: no
@@ -716,6 +718,11 @@ mod tests {
             Ok(_) => panic!("expected InvalidSpec, got a finished run"),
         };
         assert_eq!(why(spec(0)), "gpus must be positive");
+        let streamless = RunSpec {
+            subnets: Vec::new(),
+            ..spec(2)
+        };
+        assert_eq!(why(streamless), "subnets must be non-empty");
         let windowless = RunSpec {
             window: 0,
             ..spec(2)

@@ -1124,6 +1124,7 @@ mod tests {
         let run = RunSpec::new(&space, subnets(&space, 40), TrainConfig::default(), 2)
             .run()
             .unwrap();
+        crate::task::assert_views_agree(&run.tasks, &run.spans, &run.report.stages);
         let key = |stage: u32, subnet: u64, forward: bool, start: u64, end: u64| {
             (stage, subnet, forward, start, end)
         };

@@ -12,7 +12,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultSite, MAX_RETRIES};
 use crate::partition::Partition;
 use crate::pipeline::TaskRecord;
 use crate::stage::{Injection, Pick, StageCore};
-use crate::task::{StageId, TaskKind};
+use crate::task::{Arrival, StageId, Task, TaskEvent, TaskKind};
 use crate::train::TrainConfig;
 use naspipe_obs::telemetry::DEFAULT_SAMPLE_INTERVAL_US;
 use naspipe_obs::{
@@ -240,9 +240,9 @@ pub(super) struct StageWorker<'a> {
     // Owned parameter slice: params[block - blocks.start][choice].
     params: Vec<Vec<DenseParams>>,
     // This stage's queues, `L_SN` as it sees it, its `L_f` and writer
-    // marks. Queued work is tagged with the producing span; a forward
-    // also with its wall-clock arrival (for causal-edge binding).
-    core: StageCore<(Tensor, SpanId, u64), (Tensor, SpanId)>,
+    // marks. Queued work is tagged with its arrival: the producing span
+    // and the wall-clock µs it came in at (for causal-edge binding).
+    core: StageCore<(Tensor, Arrival), (Tensor, Arrival)>,
     ctxs: BTreeMap<u64, ForwardCtx>,
     // The last stage's loss targets synthesized in idle time, each
     // waiting for its subnet's forward: at most `window` of them. They
@@ -368,7 +368,7 @@ impl<'a> StageWorker<'a> {
     }
 
     /// Queues `y`'s forward, registering every subnet up to it first.
-    fn deliver_forward(&mut self, y: SubnetId, payload: (Tensor, SpanId, u64)) {
+    fn deliver_forward(&mut self, y: SubnetId, payload: (Tensor, Arrival)) {
         let ctx = self.ctx;
         let entry = |id: SubnetId| (ctx.subnets[id.0 as usize].clone(), ctx.partition.clone());
         self.core.register_through(y, entry);
@@ -527,15 +527,16 @@ impl<'a> StageWorker<'a> {
             span: src,
         } = msg;
         self.transient_fault(FaultSite::Recv, y, kind, "inbound")?;
-        let now = self.now_us();
+        let now = SimTime::from_us(self.now_us());
         match kind {
             TaskKind::Forward => {
                 self.taken_now.forwards += 1;
-                self.deliver_forward(y, (payload, src, now));
+                self.deliver_forward(y, (payload, Arrival::forward(src, now)));
             }
             TaskKind::Backward => {
                 self.taken_now.backwards += 1;
-                self.core.deliver_backward(self.k(), y, (payload, src));
+                let arrival = Arrival::backward(src, now);
+                self.core.deliver_backward(self.k(), y, (payload, arrival));
             }
         }
         self.sample_queue_depth();
@@ -549,50 +550,6 @@ impl<'a> StageWorker<'a> {
     fn sample_queue_depth(&self) {
         let depth = self.core.depth(self.k());
         self.ctx.hub.observe(self.k(), Sample::QueueDepth, depth);
-    }
-
-    /// µs since the run's epoch at `at`.
-    fn us_at(&self, at: Instant) -> u64 {
-        let us = at.duration_since(self.ctx.epoch).as_micros();
-        us.min(u64::MAX as u128) as u64
-    }
-
-    /// Emits one compute span of `y`'s task here, bound to `cause` if it
-    /// has one.
-    fn emit_span(
-        &mut self,
-        kind: SpanKind,
-        y: SubnetId,
-        (start, end): (u64, u64),
-        cause: Option<(SpanId, CauseKind)>,
-    ) -> SpanId {
-        let draft = SpanDraft::new(self.stage as u32, kind, start, end).subnet(y.0);
-        self.tracer.emit(match cause {
-            Some((src, why)) => draft.caused_by(src, why),
-            None => draft,
-        })
-    }
-
-    /// Closes `y`'s task, which ran from `start` to `end` µs since the
-    /// run's epoch: its [`TaskRecord`] and its latency sample carry the
-    /// clock reads its spans start and end on, so the three agree.
-    fn complete_task(&mut self, kind: TaskKind, y: SubnetId, (start, end): (u64, u64)) {
-        let (latency, count) = match kind {
-            TaskKind::Forward => (Sample::ForwardLatencyUs, Counter::ForwardTask),
-            TaskKind::Backward => (Sample::BackwardLatencyUs, Counter::BackwardTask),
-        };
-        let stage = self.stage as u32;
-        self.tasks.push(TaskRecord {
-            start: SimTime::from_us(start),
-            end: SimTime::from_us(end),
-            kind,
-            subnet: y,
-            stage: StageId(stage),
-            blocks: self.blocks.clone(),
-        });
-        self.taken.push(self.taken_now);
-        self.ctx.hub.observe(stage, latency, end - start);
-        self.ctx.hub.record(stage, count, 1);
     }
 
     /// Snapshots this stage's state into the checkpoint store when its
@@ -685,37 +642,25 @@ impl<'a> StageWorker<'a> {
         io: &mut impl Io,
         y: SubnetId,
         input: Tensor,
-        src: SpanId,
-        arrival_us: u64,
+        arrival: Arrival,
     ) -> Result<(), Halt> {
         self.check(|c| c.on_admit_forward(y, self.stage as u32))?;
-        let admission = RunEvent::Admission { subnet: y.0 };
-        self.ctx
-            .bus
-            .emit(self.stage as u32, self.now_us(), admission);
         // Faults fire after `started` so an injected slowdown lands in
         // this task's latency sample — exactly what the straggler
         // detector watches.
-        let started = Instant::now();
+        let started = self.now_us();
+        let (task, blocks) = (Task::forward(y, StageId(self.k())), self.blocks.clone());
+        let mut event = TaskEvent::open(task, blocks, &self.ctx.bus, started);
         self.fire_execute_fault(y, TaskKind::Forward);
         let subnet = &self.ctx.subnets[y.0 as usize];
         let (out, ctx) =
             self.engine
                 .forward_slice(|l| self.layer_params(l), subnet, self.blocks.clone(), input);
-        // Causal edge: the activation's arrival released this forward —
-        // unless a CSP shared-layer writer finished later, in which case
-        // admission (not data) was the binding constraint.
-        let arrival_kind = if src.is_external() {
-            CauseKind::Injection
-        } else {
-            CauseKind::ActivationArrival
-        };
-        let mut cause = (src, arrival_kind, arrival_us);
+        // Causal edge: the activation's arrival, unless a CSP shared-layer
+        // writer finished later (admission, not data, was then binding).
+        event.bind(arrival);
         if let Some(w) = self.core.last_writer(self.k(), y) {
-            if w.at > cause.2 {
-                let writer = w.writer;
-                cause = (w.span, CauseKind::CspWriterCompletion { writer }, w.at);
-            }
+            event.bind(Arrival::writer(w));
         }
         // The last stage: the loss closes the forward pass, against the
         // target idle time prepared or, on a miss, one made here.
@@ -730,13 +675,16 @@ impl<'a> StageWorker<'a> {
         });
         // One clock read ends the span and the task; the hand-off comes
         // after (a message carries the span's id).
-        let ran = (self.us_at(started), self.now_us());
-        let span = self.emit_span(SpanKind::Forward, y, ran, Some((cause.0, cause.1)));
-        self.complete_task(TaskKind::Forward, y, ran);
+        let ran = (started, self.now_us());
+        let span = event.emit(&mut self.tracer, ran);
+        let (record, _) = event.close(&mut self.tracer, &mut self.ctx.hub.as_ref(), None);
+        self.tasks.push(record);
+        self.taken.push(self.taken_now);
         match loss_grad {
             // The gradient "arrives" from the local loss computation.
             Some(grad) => {
-                self.core.deliver_backward(self.k(), y, (grad, span));
+                let arrival = Arrival::backward(span, SimTime::from_us(ran.1));
+                self.core.deliver_backward(self.k(), y, (grad, arrival));
                 self.sample_queue_depth();
             }
             None => self.hand_off(io, TaskKind::Forward, y, out, span)?,
@@ -746,27 +694,26 @@ impl<'a> StageWorker<'a> {
     }
 
     /// `y`'s backward in two halves with the hand-off between them: the
-    /// input-gradient half (span `Backward`) leaves the predecessor
-    /// nothing to wait for but its own work, and the weight half (span
-    /// `Update`: `dL/dW` and the step) runs while it does. The send, with
-    /// any injected retry back-off, is the gap between the two spans;
-    /// the task's record and latency sample cover all three. A halt in
-    /// the send leaves the Backward span without its Update: the
+    /// input-gradient half leaves the predecessor nothing to wait for but
+    /// its own work, and the weight half (`dL/dW` and the step) runs while
+    /// it does. A halt in the send leaves the event unclosed: the
     /// incarnation is over, and the task runs again after the restart.
     fn run_backward(
         &mut self,
         io: &mut impl Io,
         y: SubnetId,
         grad_out: Tensor,
-        src: SpanId,
+        arrival: Arrival,
     ) -> Result<(), Halt> {
-        let started = Instant::now();
+        let started = self.now_us();
+        let (task, blocks) = (Task::backward(y, StageId(self.k())), self.blocks.clone());
+        let mut event = TaskEvent::open(task, blocks, &self.ctx.bus, started);
+        event.bind(arrival);
         self.fire_execute_fault(y, TaskKind::Backward);
         let mut ctx = self.ctxs.remove(&y.0).expect("forward context present");
         let grad = (self.engine).backward_slice_input(|l| self.layer_params(l), &mut ctx, grad_out);
-        let (start, split) = (self.us_at(started), self.now_us());
-        let cause = (src, CauseKind::GradientArrival);
-        let span = self.emit_span(SpanKind::Backward, y, (start, split), Some(cause));
+        let ran = (started, self.now_us());
+        let span = event.emit(&mut self.tracer, ran);
         // Stage 0's slice yields none: nobody reads the subnet input's.
         if let Some(grad) = grad {
             self.hand_off(io, TaskKind::Backward, y, grad, span)?;
@@ -781,8 +728,10 @@ impl<'a> StageWorker<'a> {
         }
         self.check(|c| c.on_backward_done(y, self.stage as u32))?;
         let end = self.now_us();
-        let update = self.emit_span(SpanKind::Update, y, (resumed, end), None);
-        self.complete_task(TaskKind::Backward, y, (start, end));
+        let hub = &mut self.ctx.hub.as_ref();
+        let (record, update) = event.close(&mut self.tracer, hub, Some((resumed, end)));
+        self.tasks.push(record);
+        self.taken.push(self.taken_now);
         self.core.finished(self.k(), y, Some((update, end)));
         Ok(())
     }
@@ -793,8 +742,8 @@ impl<'a> StageWorker<'a> {
     fn inject(&mut self) {
         for y in self.core.injectable().map(SubnetId) {
             let input = self.ctx.data.input(y.0);
-            let now = self.now_us();
-            self.deliver_forward(y, (input, SpanId::EXTERNAL, now));
+            let now = SimTime::from_us(self.now_us());
+            self.deliver_forward(y, (input, Arrival::forward(SpanId::EXTERNAL, now)));
             self.sample_queue_depth();
         }
     }
@@ -853,18 +802,18 @@ impl<'a> StageWorker<'a> {
             match self.core.pick(stage) {
                 Pick::Backward {
                     id,
-                    payload: (grad, src),
+                    payload: (grad, arrival),
                     preempted,
                 } => {
                     if preempted {
                         self.ctx.hub.record(stage, Counter::BackwardPreemption, 1);
                     }
-                    self.run_backward(io, id, grad, src)?;
+                    self.run_backward(io, id, grad, arrival)?;
                 }
                 Pick::Forward {
                     id,
-                    payload: (input, src, arrival),
-                } => self.run_forward(io, id, input, src, arrival)?,
+                    payload: (input, arrival),
+                } => self.run_forward(io, id, input, arrival)?,
                 Pick::Idle { .. } if self.prepare_target() => continue,
                 Pick::Idle { .. } => return Ok(false),
             }

@@ -420,6 +420,17 @@ impl TelemetryOptions {
     }
 }
 
+/// A hub is a ledger like the DES's [`MetricsRecorder`].
+impl Recorder for &TelemetryHub {
+    fn incr(&mut self, stage: u32, counter: Counter, by: u64) {
+        self.record(stage, counter, by);
+    }
+
+    fn sample(&mut self, stage: u32, sample: Sample, value: u64) {
+        self.observe(stage, sample, value);
+    }
+}
+
 /// A [`Recorder`] that forwards to a private [`MetricsRecorder`] and tees
 /// every event into a [`TelemetryHub`] when one is attached.
 ///

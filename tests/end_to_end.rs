@@ -396,30 +396,38 @@ fn shims_are_their_specs_and_bare_specs_are_the_old_defaults() {
     // 0xf9aa_4e32_a021_6eb1, the trace 1940 spans, the evictions 1913.
     // When an idle stage began recomputing ahead of the backward wave,
     // they were 0x8ab0_8e53_f786_a6fb and 0xf302_1862_c571_747a, 1945
-    // spans and 1736 evictions.
-    assert_eq!(digest(&report), 0x77db_4cfe_0328_d029);
+    // spans and 1736 evictions. The report digest was 0x77db_4cfe_0328_d029
+    // until a stage's reserved recompute stopped counting as its idle
+    // time (`stage_idle_*` moved; the tasks digest did not).
+    assert_eq!(digest(&report), 0xcd24_ea12_7527_5f2b);
     assert_eq!(digest(&format!("{:?}", out.tasks)), 0xb1ba_ec03_0cf4_7377);
     // 1940 + 1913 = 3853 while each eviction was a span of its own.
     assert_eq!(out.spans.spans().len(), 1951);
     assert_eq!(out.report.cache_stats.evictions, 1765);
 }
 
-/// `--gpus 0` reaches the threaded engine from outside: it must come back
-/// as the typed spec error (exit 1, one line on stderr), like the DES's
-/// `invalid configuration`, not as an `assert!` backtrace (exit 101).
+/// `--gpus 0` and `--subnets 0` reach the threaded engine from outside:
+/// each must come back as the typed spec error (exit 1, one line on
+/// stderr), like the DES's `invalid configuration`, not as an `assert!`
+/// backtrace (exit 101) or an empty run that "converged" (exit 0).
 #[test]
 fn cli_threaded_zero_gpus_is_an_error_not_a_panic() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_naspipe"))
-        .args([
-            "train", "--space", "NLP.c2", "--engine", "threaded", "--gpus", "0",
-        ])
-        .output()
-        .expect("naspipe runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert_eq!(stderr, "invalid run spec: gpus must be positive\n");
-    assert!(!stderr.contains("panicked"));
-    assert!(out.stdout.is_empty());
+    for (flag, why) in [
+        ("--gpus", "gpus must be positive"),
+        ("--subnets", "subnets must be non-empty"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_naspipe"))
+            .args([
+                "train", "--space", "NLP.c2", "--engine", "threaded", flag, "0",
+            ])
+            .output()
+            .expect("naspipe runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} 0: stderr: {stderr}");
+        assert_eq!(stderr, format!("invalid run spec: {why}\n"));
+        assert!(!stderr.contains("panicked"));
+        assert!(out.stdout.is_empty(), "{flag} 0");
+    }
 }
 
 /// `train --engine threaded --transcript` writes the run's record, which

@@ -526,7 +526,7 @@ mod rules {
     /// `private_interfaces` lint names them). A change that demotes or
     /// deletes one lowers its crate's count here.
     pub const UNNAMED_PUB: [(&str, usize); 7] = [
-        ("obs", 21),
+        ("obs", 20),
         ("core", 13),
         ("supernet", 4),
         ("tensor", 4),
@@ -1117,6 +1117,37 @@ mod rules {
         )
     }
 
+    /// The names that turn a task into its views: its ledger counts and
+    /// latency samples, its compute spans and its flight-ring admission.
+    pub const TASK_VIEWS: [&str; 8] = [
+        r"\bCounter::ForwardTask\b",
+        r"\bCounter::BackwardTask\b",
+        r"\bSample::ForwardLatencyUs\b",
+        r"\bSample::BackwardLatencyUs\b",
+        r"\bSpanKind::Forward\b",
+        r"\bSpanKind::Backward\b",
+        r"\bSpanKind::Update\b",
+        r"\bRunEvent::Admission\b",
+    ];
+
+    pub fn one_task_report(root: &Path) -> Result<(), String> {
+        let mut scan = Scan::new(root);
+        let event = "crates/core/src/task.rs";
+        scan.file(event);
+        let sources: Vec<Source> = (scan.tree(&["crates/core/src"], true).iter())
+            .filter(|s| s.path != event)
+            .map(Source::before_tests)
+            .collect();
+        scan.forbid(&sources, &TASK_VIEWS);
+        scan.verdict(
+            "one task report (One TaskEvent per task): a task becomes its record, its \
+             spans, its ledger counts and its flight-ring admission in \
+             crates/core/src/task.rs alone, through the `TaskEvent` both engines drive. \
+             The DES and the stage worker each encoded those views, about 130 lines a \
+             side, and their span shapes and cause binding were described twice.",
+        )
+    }
+
     pub fn repro_reproduces_the_paper(root: &Path) -> Result<(), String> {
         let mut scan = Scan::new(root);
         let want: Vec<&str> = PAPER.iter().chain(&EXTRAS).copied().collect();
@@ -1232,6 +1263,11 @@ fn every_pub_name_has_a_caller() {
 #[test]
 fn one_csp_audit() {
     holds(rules::one_csp_audit);
+}
+
+#[test]
+fn one_task_report() {
+    holds(rules::one_task_report);
 }
 
 #[test]
@@ -1719,4 +1755,31 @@ fn a_second_offline_checker_replay_fails() {
         assert!(broken.contains(needle), "{needle} in {broken}");
     }
     assert!(!broken.contains("pipeline.rs"), "{broken}");
+}
+
+#[test]
+fn a_second_task_report_site_fails() {
+    let tree = |name: &str, engine: &str| {
+        let event = "fn close(self) {\n    ledger.incr(stage, Counter::ForwardTask, 1);\n    tracer.emit(draft(SpanKind::Update));\n}\n";
+        fixture(
+            name,
+            &[
+                ("crates/core/src/task.rs", event),
+                ("crates/core/src/pipeline.rs", engine),
+            ],
+        )
+    };
+    let tests = "#[cfg(test)]\nmod tests {\n    fn t() { of_kind(SpanKind::Forward); }\n}\n";
+    let driven = format!("fn run_task() {{\n    event.close(tracer, ledger, update);\n}}\n{tests}");
+    rules::one_task_report(&tree("one_report", &driven)).expect("the event's file and a test");
+    let second = "fn run_task() {\n    bus.emit(k, now, RunEvent::Admission { subnet });\n    tracer.emit(SpanDraft::new(k,\n        SpanKind::Update, mid, end));\n}\n";
+    let broken = rules::one_task_report(&tree("second_report", second)).unwrap_err();
+    assert!(broken.contains("One TaskEvent per task"), "{broken}");
+    for needle in [
+        "crates/core/src/pipeline.rs:2: `\\bRunEvent::Admission\\b`",
+        "crates/core/src/pipeline.rs:4: `\\bSpanKind::Update\\b`",
+    ] {
+        assert!(broken.contains(needle), "{needle} in {broken}");
+    }
+    assert!(!broken.contains("src/task.rs:"), "{broken}");
 }
