@@ -166,6 +166,9 @@ fn bench_partitioner(c: &mut Criterion) {
     c.bench_function("balanced_partition_48_blocks_8_stages", |b| {
         b.iter(|| black_box(Partition::balanced(black_box(&costs), 8)))
     });
+    c.bench_function("balanced_partition_48_blocks_32_stages", |b| {
+        b.iter(|| black_box(Partition::balanced(black_box(&costs), 32)))
+    });
 }
 
 fn bench_cache(c: &mut Criterion) {

@@ -47,6 +47,15 @@ impl Partition {
     /// Uses binary search over the bottleneck value with a greedy
     /// feasibility check — `O(m log(sum/eps))` and deterministic.
     ///
+    /// A probe whose verdict an earlier greedy cover already proved is
+    /// not covered again. The cap enters a cover only through `> cap`
+    /// comparisons, so a cover that fits at `c` with largest kept value
+    /// `top` walks identically at every cap in `[top, c]`, and one that
+    /// fails at `c` with smallest value above it `low` at every cap in
+    /// `[c, low)`. The 40 probes, their midpoints and the boundaries are
+    /// those of covering every probe; on NLP.c1's catalog (4000 uniform
+    /// subnets) 8.5 of the 40 still cover at 8 stages and 10.6 at 32.
+    ///
     /// # Example
     ///
     /// ```
@@ -72,41 +81,34 @@ impl Partition {
         );
         let stages = stages as usize;
 
-        // The greedy cover of `costs` by ranges of sum <= cap, opened left
-        // to right: `cut(i)` for each range that opens at block `i > 0`.
-        // `false` if it takes more than `stages` ranges. A bisection
-        // probe only counts; the boundaries are written once, below.
-        fn cover(costs: &[f64], stages: usize, cap: f64, mut cut: impl FnMut(usize)) -> bool {
-            let mut ranges = 1usize;
-            let mut acc = 0.0f64;
-            for (i, &c) in costs.iter().enumerate() {
-                if c > cap {
-                    return false;
-                }
-                if acc + c > cap {
-                    cut(i);
-                    acc = c;
-                    ranges += 1;
-                    if ranges > stages {
-                        return false;
-                    }
-                } else {
-                    acc += c;
-                }
-            }
-            true
-        }
-
         let total: f64 = costs.iter().sum();
         let max_single = costs.iter().cloned().fold(0.0f64, f64::max);
         let mut lo = (total / stages as f64).max(max_single);
         let mut hi = total.max(max_single);
+        // The caps whose verdict a cover already proved: a cover at `c`
+        // that returned `Ok(top)` runs identically at every cap in
+        // `[top, c]`, one that returned `Err(low)` at every cap in
+        // `[c, low)`. Empty until the first probe of each kind.
+        let mut accepted = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut refused = (f64::INFINITY, f64::NEG_INFINITY);
         // 40 iterations of bisection are ample for f64 cost ranges. `hi`
         // is feasible throughout: the total cost is, and it only ever
         // moves to a cap a probe accepted.
         for _ in 0..40 {
             let mid = (lo + hi) / 2.0;
-            if cover(costs, stages, mid, |_| {}) {
+            let fits = if accepted.0 <= mid && mid <= accepted.1 {
+                true
+            } else if refused.0 <= mid && mid < refused.1 {
+                false
+            } else {
+                let verdict = cover(costs, stages, mid, |_| {});
+                match verdict {
+                    Ok(top) => accepted = (top, mid),
+                    Err(low) => refused = (mid, low),
+                }
+                verdict.is_ok()
+            };
+            if fits {
                 hi = mid;
             } else {
                 lo = mid;
@@ -115,7 +117,7 @@ impl Partition {
         let mut bounds = Vec::with_capacity(stages + 1);
         bounds.push(0);
         let feasible = cover(costs, stages, hi, |i| bounds.push(i));
-        assert!(feasible, "the smallest accepted cap is feasible");
+        assert!(feasible.is_ok(), "the smallest accepted cap is feasible");
         bounds.resize(stages + 1, costs.len());
         Self::from_boundaries(bounds)
     }
@@ -179,6 +181,45 @@ impl Partition {
     pub fn bottleneck(&self, costs: &[f64]) -> f64 {
         self.stage_costs(costs).into_iter().fold(0.0, f64::max)
     }
+}
+
+/// The greedy cover of `costs` by at most `stages` ranges of sum <= `cap`,
+/// opened left to right: `cut(i)` for each range that opens at block
+/// `i > 0`. A cap enters the walk only through its `> cap` comparisons,
+/// so it returns what bounds the caps that repeat every one of them:
+/// `Ok(top)`, the largest value kept, if the cover fits (every cap in
+/// `[top, cap]` fits the same way), else `Err(low)`, the smallest value
+/// found above `cap` (every cap in `[cap, low)` fails the same way).
+pub(crate) fn cover(
+    costs: &[f64],
+    stages: usize,
+    cap: f64,
+    mut cut: impl FnMut(usize),
+) -> Result<f64, f64> {
+    let mut ranges = 1usize;
+    let mut acc = 0.0f64;
+    // Each kept block leaves `acc` at least as large as what it compared,
+    // so the largest `acc` is the largest value kept.
+    let mut top = 0.0f64;
+    let mut low = f64::INFINITY;
+    for (i, &c) in costs.iter().enumerate() {
+        if c > cap {
+            return Err(low.min(c));
+        }
+        if acc + c > cap {
+            low = low.min(acc + c);
+            cut(i);
+            acc = c;
+            ranges += 1;
+            if ranges > stages {
+                return Err(low);
+            }
+        } else {
+            acc += c;
+        }
+        top = top.max(acc);
+    }
+    Ok(top)
 }
 
 /// How stage ranges are assigned to subnets.
@@ -403,6 +444,55 @@ mod tests {
         let distinct: BTreeSet<&[u32]> = stream.iter().map(|s| s.choices()).collect();
         let hits = stream.len() - distinct.len();
         assert_eq!(hits, 0, "a choice-keyed cache would have hit {hits} times");
+    }
+
+    mod proven {
+        use super::super::cover;
+        use proptest::prelude::*;
+
+        fn walk(costs: &[f64], stages: usize, cap: f64) -> (Result<f64, f64>, Vec<usize>) {
+            let mut cuts = Vec::new();
+            let verdict = cover(costs, stages, cap, |i| cuts.push(i));
+            (verdict, cuts)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any cap inside a cover's proven interval — its two ends,
+            /// the last value below `low`, and a point between — walks
+            /// the same way: same verdict, same bound, same cuts. Tied
+            /// costs (the first palette) close ranges exactly at caps.
+            #[test]
+            fn a_cap_inside_a_proven_interval_cuts_the_same(
+                palette in 0usize..2,
+                raw in proptest::collection::vec(0u64..1000, 1..64),
+                stages in 1usize..20,
+                at in 0u64..1200,
+                t in 0u64..1001,
+            ) {
+                let costs: Vec<f64> = raw
+                    .iter()
+                    .map(|&x| match palette {
+                        0 => [0.0, 1.0, 1.0, 2.5][x as usize % 4],
+                        _ => x as f64 / 37.0,
+                    })
+                    .collect();
+                let total: f64 = costs.iter().sum();
+                let cap = total * at as f64 / 1000.0 / stages as f64;
+                let (verdict, cuts) = walk(&costs, stages, cap);
+                let (from, to) = match verdict {
+                    Ok(top) => (top, cap),
+                    // The largest cap below `low` (> cap >= 0, finite).
+                    Err(low) => (cap, f64::from_bits(low.to_bits() - 1)),
+                };
+                prop_assert!(from <= to, "empty interval {from}..={to} at {cap}");
+                let between = (from + (to - from) * t as f64 / 1000.0).clamp(from, to);
+                for inside in [from, between, to] {
+                    prop_assert_eq!(walk(&costs, stages, inside), (verdict, cuts.clone()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -178,8 +178,96 @@ struct StageState {
     // Recompute ahead, below the last stage: of the subnets whose
     // forward ran here and whose backward has not started, those whose
     // recompute is not reserved yet, and how many the others are.
-    unprepared: Vec<SubnetId>,
+    unprepared: IdRing,
     prepared: usize,
+}
+
+/// A set of in-flight subnet IDs: one bit per ID in a ring of 64-ID
+/// words indexed by the ID's word modulo the ring's length, a power of
+/// two that doubles whenever the IDs held would span more words. `low`
+/// is the lowest ID held; a removal that takes it moves it up a word at
+/// a time, and the IDs in flight slide up, so each operation is O(1)
+/// amortised and none visits the IDs held. The ring allocates on its
+/// first insert: the `D` rings of a run allocated up front, before the
+/// run's large vectors, raised `des-scale-32gpu`'s peak RSS by 5 MB.
+#[derive(Debug, Default)]
+struct IdRing {
+    words: Vec<u64>,
+    // While `len > 0`: the lowest ID held, and an ID no lower than the
+    // highest one.
+    low: u64,
+    high: u64,
+    len: usize,
+}
+
+impl IdRing {
+    /// `id`'s word in the ring and its bit there.
+    fn slot(&self, id: u64) -> (usize, u64) {
+        ((id / 64) as usize & (self.words.len() - 1), 1 << (id % 64))
+    }
+
+    fn insert(&mut self, id: SubnetId) {
+        let id = id.0;
+        let (low, high) = match self.len {
+            0 => (id, id),
+            _ => (self.low.min(id), self.high.max(id)),
+        };
+        let span = (high / 64 - low / 64 + 1) as usize;
+        if span > self.words.len() {
+            let old = std::mem::replace(&mut self.words, vec![0; span.next_power_of_two()]);
+            if self.len > 0 {
+                // Each held word moves to its index in the longer ring.
+                for w in self.low / 64..=self.high / 64 {
+                    let (i, _) = self.slot(w * 64);
+                    self.words[i] = old[w as usize & (old.len() - 1)];
+                }
+            }
+        }
+        (self.low, self.high) = (low, high);
+        let (i, bit) = self.slot(id);
+        if self.words[i] & bit == 0 {
+            self.words[i] |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Removes `id`; whether it was held.
+    fn remove(&mut self, id: SubnetId) -> bool {
+        let id = id.0;
+        if self.len == 0 || id < self.low || id > self.high {
+            return false;
+        }
+        let (i, bit) = self.slot(id);
+        if self.words[i] & bit == 0 {
+            return false;
+        }
+        self.words[i] &= !bit;
+        self.len -= 1;
+        if id == self.low {
+            self.settle_low();
+        }
+        true
+    }
+
+    /// Removes and returns the lowest ID held.
+    fn pop_lowest(&mut self) -> Option<SubnetId> {
+        let lowest = SubnetId(self.low);
+        self.remove(lowest).then_some(lowest)
+    }
+
+    /// Moves `low` up to the lowest ID still held.
+    fn settle_low(&mut self) {
+        while self.len > 0 {
+            let (i, _) = self.slot(self.low);
+            let above = self.words[i] & (!0 << (self.low % 64));
+            let word = self.low - self.low % 64;
+            if above != 0 {
+                self.low = word + u64::from(above.trailing_zeros());
+                return;
+            }
+            self.low = word + 64;
+        }
+    }
 }
 
 /// One simulated pipeline run, as data: the space and configuration (the
@@ -512,7 +600,7 @@ impl<'a> Engine<'a> {
                 cache: cache.map(StageCache::new),
                 predictor: Predictor::new(),
                 pinned: Vec::new(),
-                unprepared: Vec::new(),
+                unprepared: IdRing::default(),
                 prepared: 0,
             })
             .collect();
@@ -810,11 +898,9 @@ impl<'a> Engine<'a> {
         if stage.prepared >= PREPARED_AHEAD {
             return;
         }
-        let unprepared = &mut stage.unprepared;
-        let Some(at) = (0..unprepared.len()).min_by_key(|&i| unprepared[i]) else {
+        let Some(subnet) = stage.unprepared.pop_lowest() else {
             return;
         };
-        let subnet = unprepared.swap_remove(at);
         stage.prepared += 1;
         // No cause: only the stage's own earlier work can delay it.
         self.reserve_recompute(subnet, k, now, None);
@@ -971,7 +1057,7 @@ impl<'a> Engine<'a> {
         let last = k + 1 == self.d;
         let stage = &mut self.stages[k as usize];
         match kind {
-            TaskKind::Forward if !last => stage.unprepared.push(subnet),
+            TaskKind::Forward if !last => stage.unprepared.insert(subnet),
             TaskKind::Forward => {}
             TaskKind::Backward => {
                 // Its recompute here was reserved by the backward above,
@@ -983,8 +1069,7 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 let below = &mut self.stages[k as usize - 1];
-                if let Some(at) = below.unprepared.iter().position(|&q| q == subnet) {
-                    below.unprepared.swap_remove(at);
+                if below.unprepared.remove(subnet) {
                     below.prepared += 1;
                     self.reserve_recompute(subnet, k - 1, now, cause);
                 }
@@ -1361,6 +1446,49 @@ mod tests {
 
     fn small_space() -> SearchSpace {
         SearchSpace::uniform(Domain::Nlp, 8, 6)
+    }
+
+    #[test]
+    fn id_ring_matches_a_vec_model_across_its_wrap() {
+        // IDs drawn from a window sliding ~7 000 IDs up, far past the
+        // ring's first capacity, so its words wrap many times; removals
+        // also name IDs below, inside and above what it holds.
+        for window in [1u64, 30, 100] {
+            let mut rng = naspipe_supernet::rng::DetRng::new(window);
+            let mut ring = IdRing::default();
+            let mut model: Vec<u64> = Vec::new();
+            let mut lo = 0u64;
+            for _ in 0..20_000 {
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        let id = lo + rng.next_below(window);
+                        ring.insert(SubnetId(id));
+                        if !model.contains(&id) {
+                            model.push(id);
+                        }
+                    }
+                    2 => {
+                        let id = lo.saturating_sub(window) + rng.next_below(3 * window);
+                        let held = model.iter().position(|&q| q == id);
+                        assert_eq!(ring.remove(SubnetId(id)), held.is_some(), "remove {id}");
+                        held.map(|at| model.swap_remove(at));
+                    }
+                    _ => {
+                        let lowest = model.iter().copied().min();
+                        assert_eq!(ring.pop_lowest(), lowest.map(SubnetId));
+                        model.retain(|&q| Some(q) != lowest);
+                    }
+                }
+                lo += rng.next_below(3) / 2;
+                assert_eq!(ring.len, model.len());
+                if let Some(&min) = model.iter().min() {
+                    assert_eq!(ring.low, min);
+                }
+                // The ring stays as long as the window, not the run.
+                assert!(ring.words.len() as u64 <= 2 * (window / 64 + 2), "{}", ring.words.len());
+            }
+            assert!(lo > 6_000, "the window slid {lo}");
+        }
     }
 
     fn run(policy: SyncPolicy, gpus: u32, n: u64) -> PipelineOutcome {

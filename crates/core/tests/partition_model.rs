@@ -7,6 +7,9 @@
 //! must agree on every boundary — not only on the bottleneck.
 
 use naspipe_core::partition::Partition;
+use naspipe_supernet::profile::ProfiledSpace;
+use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
+use naspipe_supernet::space::{SearchSpace, SpaceId};
 use proptest::prelude::*;
 
 fn reference(costs: &[f64], stages: u32) -> Partition {
@@ -90,5 +93,26 @@ proptest! {
     fn degenerate_costs_agree(len in 1usize..40, value in 0u64..3, stages in 1u32..65) {
         let costs = vec![value as f64 * 0.5; len];
         prop_assert_eq!(Partition::balanced(&costs, stages), reference(&costs, stages));
+    }
+}
+
+/// The catalog's own costs, as the engine partitions them: a uniform
+/// stream over each of the seven Table 1 spaces, every subnet at each
+/// of 1 to 64 stages.
+#[test]
+fn catalog_costs_cut_where_the_reference_did() {
+    for id in SpaceId::ALL {
+        let space = SearchSpace::from_id(id);
+        let profile = ProfiledSpace::new(&space, space.domain().default_batch());
+        for subnet in UniformSampler::new(&space, 2022).take_subnets(300) {
+            let costs = profile.subnet_block_costs(&subnet);
+            for stages in 1..=64 {
+                assert_eq!(
+                    Partition::balanced(&costs, stages),
+                    reference(&costs, stages),
+                    "{id:?}, {subnet}, {stages} stages"
+                );
+            }
+        }
     }
 }
