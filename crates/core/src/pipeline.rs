@@ -152,6 +152,9 @@ enum Ev {
         /// Span of the completing task: a split backward's `Update` span.
         span: SpanId,
     },
+    /// The recompute that booked `stage`'s compute ahead while it idled
+    /// ends: an idle-time recompute may be reserved now.
+    Free { stage: u32 },
 }
 
 /// A split backward's input half, as `(numerator, denominator)` of its
@@ -180,6 +183,8 @@ struct StageState {
     // recompute is not reserved yet, and how many the others are.
     unprepared: IdRing,
     prepared: usize,
+    // Whether an `Ev::Free` for this stage is queued.
+    free_queued: bool,
 }
 
 /// A set of in-flight subnet IDs: one bit per ID in a ring of 64-ID
@@ -201,6 +206,10 @@ struct IdRing {
 }
 
 impl IdRing {
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// `id`'s word in the ring and its bit there.
     fn slot(&self, id: u64) -> (usize, u64) {
         ((id / 64) as usize & (self.words.len() - 1), 1 << (id % 64))
@@ -602,6 +611,7 @@ impl<'a> Engine<'a> {
                 pinned: Vec::new(),
                 unprepared: IdRing::default(),
                 prepared: 0,
+                free_queued: false,
             })
             .collect();
 
@@ -889,21 +899,35 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Spends an idle stage's compute on the recompute of the lowest-ID
-    /// subnet whose forward ran here and whose backward has not started,
-    /// while fewer than `PREPARED_AHEAD` are prepared: the wave then
-    /// finds its activations ready instead of waiting a forward for them.
+    /// Spends an idle stage's free compute on the recompute of the
+    /// lowest-ID subnet whose forward ran here and whose backward has not
+    /// started, while fewer than `PREPARED_AHEAD` are prepared: the wave
+    /// then finds its activations ready instead of waiting a forward for
+    /// them. While a reserved recompute books the compute ahead (the only
+    /// work that can, on an idle stage), it reserves nothing: booked
+    /// behind that recompute, it could hold up a gradient arriving
+    /// meanwhile. It queues one `Ev::Free` for the recompute's end instead.
     fn prepare_idle(&mut self, k: u32, now: SimTime) {
         let stage = &mut self.stages[k as usize];
-        if stage.prepared >= PREPARED_AHEAD {
+        if stage.prepared >= PREPARED_AHEAD || stage.unprepared.is_empty() {
             return;
         }
-        let Some(subnet) = stage.unprepared.pop_lowest() else {
+        if stage.recompute_until > now {
+            if !stage.free_queued {
+                stage.free_queued = true;
+                let free = Ev::Free { stage: k };
+                self.queue.push(stage.recompute_until, free);
+            }
             return;
-        };
+        }
+        let subnet = stage.unprepared.pop_lowest().expect("a subnet to prepare");
         stage.prepared += 1;
-        // No cause: only the stage's own earlier work can delay it.
-        self.reserve_recompute(subnet, k, now, None);
+        // No cause: nothing delays it.
+        let start = self.reserve_recompute(subnet, k, now, None);
+        debug_assert!(
+            start.is_none_or(|start| start == now),
+            "stage {k}'s idle-time recompute of {subnet} reserved at {now} starts later"
+        );
     }
 
     fn run_task(
@@ -1078,17 +1102,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Reserves stage `k`'s compute for recomputing `subnet`'s forward
-    /// slice, ahead of the backward wave; its span takes `cause`.
+    /// slice, ahead of the backward wave; its span takes `cause`. Returns
+    /// when it starts (`None` if `subnet` has retired).
     fn reserve_recompute(
         &mut self,
         subnet: SubnetId,
         k: u32,
         now: SimTime,
         cause: Option<CausalEdge>,
-    ) {
-        let Some(entry) = self.core.entry(subnet) else {
-            return;
-        };
+    ) -> Option<SimTime> {
+        let entry = self.core.entry(subnet)?;
         let duration = self.price(entry, k, TaskKind::Forward);
         // Settle first: the time before this reservation may be idle, the
         // reservation's own time is not (`settle_idle` skips to its end).
@@ -1104,6 +1127,7 @@ impl<'a> Engine<'a> {
             cause,
             ..draft.subnet(subnet.0)
         });
+        Some(start)
     }
 
     fn on_task_done(&mut self, task: Task, now: SimTime, span: SpanId) {
@@ -1303,6 +1327,14 @@ impl<'a> Engine<'a> {
                 stage,
                 span,
             } => self.send_gradient(subnet, stage, now, span),
+            // Nothing a pick reads changed: only the idle-time recompute
+            // can start.
+            Ev::Free { stage } => {
+                self.stages[stage as usize].free_queued = false;
+                if !self.stages[stage as usize].busy {
+                    self.prepare_idle(stage, now);
+                }
+            }
             Ev::TaskDone { task, span } => {
                 let stage = task.stage.0;
                 wake.push(stage);
@@ -2403,6 +2435,28 @@ mod tests {
         assert_eq!(recompute.start_us, task(0, TaskKind::Forward).end.as_us());
         assert_eq!(recompute.cause, None);
         assert!(recompute.end_us < task(1, TaskKind::Backward).start.as_us());
+    }
+
+    #[test]
+    fn a_gradient_is_not_held_behind_an_idle_time_recompute() {
+        // The golden case des_nlp8x4_g2_s3. SN3's backward at stage 1
+        // books stage 0's compute for SN3's recompute until 273 897 µs
+        // while stage 0 idles. An idle-time recompute of SN5 booked then
+        // would queue behind it, 273 897-288 054, and hold SN3's backward
+        // until 288 054; prepared only on a free compute, it does not.
+        let space = SearchSpace::uniform(Domain::Nlp, 8, 4);
+        let cfg = PipelineConfig::naspipe(2, 12).with_batch(16).with_seed(3);
+        let out = SimSpec::new(&space, &cfg).run().unwrap();
+        let sn3 = |t: &&TaskRecord| {
+            (t.subnet, t.stage, t.kind) == (SubnetId(3), StageId(0), TaskKind::Backward)
+        };
+        let backward = out.tasks.iter().find(sn3).expect("SN3's stage-0 backward");
+        let mut recomputes = out.spans.of_kind(SpanKind::Recompute);
+        let recompute = recomputes
+            .find(|s| (s.stage, s.subnet) == (0, Some(3)))
+            .expect("SN3's stage-0 recompute");
+        assert_eq!(recompute.end_us, 273_897);
+        assert_eq!(backward.start.as_us(), recompute.end_us);
     }
 
     #[test]

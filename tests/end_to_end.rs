@@ -391,19 +391,22 @@ fn shims_are_their_specs_and_bare_specs_are_the_old_defaults() {
         "faults_injected: 0, stage_idle_blocked_secs",
         1,
     );
-    // Re-recorded twice. When a CSP backward became an input half and an
-    // update half, the digests were 0x4bbf_fbb8_0354_d39c and
+    // Re-recorded three times. When a CSP backward became an input half
+    // and an update half, the digests were 0x4bbf_fbb8_0354_d39c and
     // 0xf9aa_4e32_a021_6eb1, the trace 1940 spans, the evictions 1913.
     // When an idle stage began recomputing ahead of the backward wave,
     // they were 0x8ab0_8e53_f786_a6fb and 0xf302_1862_c571_747a, 1945
     // spans and 1736 evictions. The report digest was 0x77db_4cfe_0328_d029
     // until a stage's reserved recompute stopped counting as its idle
-    // time (`stage_idle_*` moved; the tasks digest did not).
-    assert_eq!(digest(&report), 0xcd24_ea12_7527_5f2b);
-    assert_eq!(digest(&format!("{:?}", out.tasks)), 0xb1ba_ec03_0cf4_7377);
+    // time (`stage_idle_*` moved; the tasks digest did not). When an idle
+    // stage began recomputing ahead only while its compute is free, they
+    // were 0xcd24_ea12_7527_5f2b and 0xb1ba_ec03_0cf4_7377, 1951 spans
+    // and 1765 evictions.
+    assert_eq!(digest(&report), 0x2389_3ded_7349_4c96);
+    assert_eq!(digest(&format!("{:?}", out.tasks)), 0xa2f6_1836_8d4c_4b22);
     // 1940 + 1913 = 3853 while each eviction was a span of its own.
-    assert_eq!(out.spans.spans().len(), 1951);
-    assert_eq!(out.report.cache_stats.evictions, 1765);
+    assert_eq!(out.spans.spans().len(), 1934);
+    assert_eq!(out.report.cache_stats.evictions, 1736);
 }
 
 /// `--gpus 0` and `--subnets 0` reach the threaded engine from outside:

@@ -227,11 +227,16 @@ mod model {
 /// passing empty spans at one instant in lane order; the rows were
 /// `(4, 19022, 0x18ecf112a6cb97d9, 0x10b7d054c29476ec)`,
 /// `(8, 21528, 0x2346c30cd725288f, 0x0f53444ced91336b)` and
-/// `(32, 41303, 0x3a143e5e10eb92d0, 0x8dc1ce841d585700)`.
+/// `(32, 41303, 0x3a143e5e10eb92d0, 0x8dc1ce841d585700)`. And once more
+/// when an idle stage began recomputing ahead only while its compute is
+/// free (the 32-GPU critical path held); the rows were `(4, 18964, 0x20f8dcfe77e9c360,
+/// 0x782ae3ffbd087bfb)`, `(8, 21560, 0x660b39fe6ff93be3,
+/// 0xa1fbed4d51554e4b)` and `(32, 41250, 0x3804270ae8d8e1db,
+/// 0xd3b761f9eaca5ad2)`.
 const PINNED: [(u32, usize, u64, u64); 3] = [
-    (4, 18964, 0x20f8dcfe77e9c360, 0x782ae3ffbd087bfb),
-    (8, 21560, 0x660b39fe6ff93be3, 0xa1fbed4d51554e4b),
-    (32, 41250, 0x3804270ae8d8e1db, 0xd3b761f9eaca5ad2),
+    (4, 18958, 0x827802a3edf3fa5e, 0x444d76bea5a7718f),
+    (8, 21560, 0xc0a860c847af9186, 0x4ea56fa9fe3c6cc7),
+    (32, 41250, 0x35c8eafacb55870d, 0xd3b761f9eaca5ad2),
 ];
 
 #[test]
