@@ -642,7 +642,10 @@ impl<'a> Engine<'a> {
             stages,
             core,
             subnets,
-            records: Vec::new(),
+            // A forward and a backward of every subnet on every stage:
+            // the records' final length, reserved once, so the run never
+            // copies them as they grow (nor holds two copies at its peak).
+            records: Vec::with_capacity(2 * d as usize * config.num_subnets as usize),
             use_csp,
             use_predictor,
             // Every CSP policy; the baselines keep the fused backward they
