@@ -14,6 +14,7 @@
 //! through those slots.
 
 use naspipe_obs::SpanId;
+use naspipe_sim::link::TransferId;
 use naspipe_sim::time::SimTime;
 use naspipe_supernet::layer::LayerRef;
 
@@ -52,7 +53,11 @@ impl CacheStats {
 pub(crate) struct Landing {
     /// When the transfer completes; `None` before the layer's first.
     pub at: Option<SimTime>,
-    /// The span that carries it (external when untraced).
+    /// The transfer, so a queued prefetch that moves re-dates only the
+    /// landing it set.
+    pub transfer: Option<TransferId>,
+    /// The span that carries it (external when untraced, and until a
+    /// queued prefetch's times are final).
     pub span: SpanId,
 }
 

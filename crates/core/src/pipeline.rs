@@ -18,7 +18,7 @@
 //! pure function of `(space, config)`.
 
 use crate::config::{PipelineConfig, SyncPolicy};
-use crate::context::{CacheStats, StageCache};
+use crate::context::{CacheStats, Landing, StageCache};
 use crate::memory::{self, MemoryPlan, MemoryVerdict};
 use crate::partition::{PartitionMode, Partitioner};
 use crate::predictor::{Fetch, PendingBackward, Predictor};
@@ -35,12 +35,14 @@ use naspipe_obs::{
 use naspipe_sim::cluster::Cluster;
 use naspipe_sim::event::EventQueue;
 use naspipe_sim::gpu::GpuId;
+use naspipe_sim::link::{Transfer, TransferId};
 use naspipe_sim::time::{SimDuration, SimTime};
 use naspipe_supernet::layer::LayerRef;
 use naspipe_supernet::profile::ProfiledSpace;
 use naspipe_supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe_supernet::space::SearchSpace;
 use naspipe_supernet::subnet::{Subnet, SubnetId};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
@@ -157,6 +159,9 @@ enum Ev {
     Free { stage: u32 },
 }
 
+/// A time no simulated event reaches.
+const NEVER: SimTime = SimTime::from_us(u64::MAX);
+
 /// A split backward's input half, as `(numerator, denominator)` of its
 /// one reservation: the threaded engine measured its two halves at about
 /// the same length.
@@ -173,9 +178,12 @@ struct StageState {
     // recompute, which is not idle either; see `Engine::settle_idle`.
     idle_since: SimTime,
     recompute_until: SimTime,
-    // Each layer's `landing` is when its in-flight (pre)fetch lands and
-    // the fetch/prefetch span that will have made it resident.
+    // Each layer's `landing` is when its latest (pre)fetch lands and the
+    // fetch/prefetch span that will have made it resident.
     cache: Option<StageCache>,
+    // The speculative prefetches queued on the stage's PCIe link, not yet
+    // started, in the link's order.
+    prefetching: VecDeque<Prefetching>,
     predictor: Predictor,
     pinned: Vec<LayerRef>,
     // Recompute ahead, below the last stage: of the subnets whose
@@ -185,6 +193,67 @@ struct StageState {
     prepared: usize,
     // Whether an `Ev::Free` for this stage is queued.
     free_queued: bool,
+}
+
+/// A speculative prefetch queued on its stage's PCIe link: what its
+/// layer's landing and its `Prefetch` span need when it moves or its
+/// times become final.
+#[derive(Debug, Clone, Copy)]
+struct Prefetching {
+    transfer: TransferId,
+    layer: LayerRef,
+    subnet: SubnetId,
+    // Layers its admission evicted.
+    evicted: u64,
+}
+
+impl StageState {
+    /// The cache of a stage that swaps.
+    fn cache(&mut self) -> &mut StageCache {
+        self.cache.as_mut().expect("a swapping stage")
+    }
+
+    /// Where `transfer` sits among the queued prefetches, if it is one
+    /// (then its times may still move).
+    fn queued(&self, transfer: TransferId) -> Option<usize> {
+        let by_id = self
+            .prefetching
+            .binary_search_by_key(&transfer, |p| p.transfer);
+        by_id.ok()
+    }
+
+    /// Queued prefetch `t` slid: re-dates its layer's landing while that
+    /// is still the one it set.
+    fn prefetch_moved(&mut self, t: Transfer) {
+        let at = self.queued(t.id).expect("a queued prefetch");
+        let layer = self.prefetching[at].layer;
+        let landing = self.cache().landing(layer);
+        if landing.transfer == Some(t.id) {
+            landing.at = Some(t.end);
+        }
+    }
+
+    /// Queued prefetch `t`'s times are final (it started, or a task
+    /// waits on it): traces its `Prefetch` span, from its request to its
+    /// landing, and names it on its layer's landing while that is still
+    /// the one it set. Returns the span.
+    fn prefetch_final(&mut self, tracer: &mut dyn Tracer, k: u32, t: Transfer) -> SpanId {
+        // The link starts its prefetches in the order they are queued.
+        let first = self.prefetching.front().is_some_and(|p| p.transfer == t.id);
+        let at = if first { Some(0) } else { self.queued(t.id) };
+        let at = at.expect("a queued prefetch");
+        let p = self.prefetching.remove(at).expect("a queued prefetch");
+        let span = tracer.emit(
+            SpanDraft::new(k, SpanKind::Prefetch, t.requested.as_us(), t.end.as_us())
+                .subnet(p.subnet.0)
+                .evicted(p.evicted),
+        );
+        let landing = self.cache().landing(p.layer);
+        if landing.transfer == Some(t.id) {
+            (landing.at, landing.span) = (Some(t.end), span);
+        }
+        span
+    }
 }
 
 /// A set of in-flight subnet IDs: one bit per ID in a ring of 64-ID
@@ -521,6 +590,10 @@ struct Engine<'a> {
     // Whether a backward runs as an input half and an update half.
     split_backward: bool,
     makespan: SimTime,
+    // Traced runs only: no queued prefetch on any link starts before
+    // this, so the first event past it traces the prefetches that
+    // started (`trace_started_prefetches`).
+    prefetch_due: SimTime,
     // Stages whose admission inputs the current event changed, ascending.
     wake: Vec<u32>,
     // `SimSpec::cost`: catalog price -> simulated duration.
@@ -607,6 +680,7 @@ impl<'a> Engine<'a> {
                 idle_since: SimTime::ZERO,
                 recompute_until: SimTime::ZERO,
                 cache: cache.map(StageCache::new),
+                prefetching: VecDeque::new(),
                 predictor: Predictor::new(),
                 pinned: Vec::new(),
                 unprepared: IdRing::default(),
@@ -652,6 +726,7 @@ impl<'a> Engine<'a> {
             // publish.
             split_backward: matches!(config.policy, SyncPolicy::Csp { .. }),
             makespan: SimTime::ZERO,
+            prefetch_due: NEVER,
             wake: Vec::new(),
             cost,
             recorder: MetricsRecorder::new(),
@@ -704,8 +779,11 @@ impl<'a> Engine<'a> {
 
     /// Ensures `subnet`'s stage-`k` context is resident; returns the time
     /// compute may start (after synchronous fetches and pending
-    /// prefetches) and pins the layers. A traced run offers `event` each
-    /// fetch or pending prefetch gating that start as a cause.
+    /// prefetches) and pins the layers. A queued prefetch of a layer the
+    /// task reads is demanded from here on, and the fetch of the missing
+    /// layers goes ahead of every other queued prefetch. A traced run
+    /// offers `event` each fetch or pending prefetch gating that start as
+    /// a cause.
     fn acquire_context(
         &mut self,
         subnet: SubnetId,
@@ -713,62 +791,116 @@ impl<'a> Engine<'a> {
         now: SimTime,
         event: &mut TaskEvent,
     ) -> SimTime {
-        let stage = &mut self.stages[k as usize];
-        let Some(cache) = stage.cache.as_mut() else {
+        if self.stages[k as usize].cache.is_none() {
             return now;
-        };
-        let traced = self.tracer.enabled();
+        }
+        self.start_prefetches(k, now);
+        let stage = &mut self.stages[k as usize];
+        let link = self.cluster.pcie_mut(GpuId(k));
+        let tracer = &mut *self.tracer;
+        let traced = tracer.enabled();
         let entry = self.core.entry(subnet).expect("subnet in table");
         let profile = self.partitioner.profile();
         let mut ready = now;
         let fetched = |src, at| Arrival::new(src, CauseKind::FetchCompletion, at);
         let mut missing_bytes = 0u64;
-        let evictions_before = cache.stats().evictions;
+        let evictions_before = stage.cache().stats().evictions;
         for l in slice_layers(entry, k) {
             let bytes = profile.cost(l).param_bytes;
-            let hit = cache.access(l, bytes);
-            cache.pin(l);
+            let hit = stage.cache().access(l, bytes);
+            stage.cache().pin(l);
             stage.pinned.push(l);
-            if hit {
-                let landing = *cache.landing(l);
-                if let Some(r) = landing.at {
-                    ready = ready.max(r);
-                    // A pending prefetch gates the start.
-                    if traced && r > now {
-                        event.bind(fetched(landing.span, r));
-                    }
-                }
-            } else {
+            if !hit {
+                // The fetch below lands it.
+                *stage.cache().landing(l) = Landing::default();
                 missing_bytes += bytes;
+                continue;
+            }
+            let mut landing = *stage.cache().landing(l);
+            // Only a transfer still to land can be queued: what started
+            // before `now` was taken above.
+            let pending = landing.at.is_some_and(|at| at > now);
+            let queued = landing
+                .transfer
+                .filter(|&t| pending && stage.queued(t).is_some());
+            if let Some(transfer) = queued {
+                let t = link.promote(now, transfer, |t| stage.prefetch_moved(t));
+                stage.prefetch_final(tracer, k, t.expect("a queued prefetch"));
+                landing = *stage.cache().landing(l);
+            }
+            if let Some(r) = landing.at {
+                ready = ready.max(r);
+                // A pending prefetch gates the start.
+                if traced && r > now {
+                    event.bind(fetched(landing.span, r));
+                }
             }
         }
         // Only a miss evicts, so what the loop evicted made room for the
         // fetch below and is counted on its span. (A miss moves bytes: every
         // profiled layer has parameters.)
-        let evicted = cache.stats().evictions - evictions_before;
+        let evicted = stage.cache().stats().evictions - evictions_before;
         if missing_bytes > 0 {
             let wait = RunEvent::FetchWait {
                 bytes: missing_bytes,
             };
             self.bus.emit(k, now.as_us(), wait);
-            let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, missing_bytes);
-            let fetch_span = self.tracer.emit(
-                SpanDraft::new(k, SpanKind::Fetch, now.as_us(), end.as_us())
+            let t = link.demand(now, missing_bytes, |t| stage.prefetch_moved(t));
+            let span = tracer.emit(
+                SpanDraft::new(k, SpanKind::Fetch, now.as_us(), t.end.as_us())
                     .subnet(subnet.0)
                     .evicted(evicted),
             );
             for l in slice_layers(entry, k) {
-                let landing = cache.landing(l);
-                if landing.at.is_none() {
-                    (landing.at, landing.span) = (Some(end), fetch_span);
+                let landing = stage.cache().landing(l);
+                if landing.transfer.is_none() {
+                    (landing.at, landing.transfer, landing.span) = (Some(t.end), Some(t.id), span);
                 }
             }
-            ready = ready.max(end);
+            ready = ready.max(t.end);
             if traced {
-                event.bind(fetched(fetch_span, end));
+                event.bind(fetched(span, t.end));
             }
         }
+        debug_assert!(
+            slice_layers(entry, k).all(|l| {
+                let landing = *stage.cache().landing(l);
+                landing.at.is_some_and(|at| at <= ready)
+                    && landing.transfer.is_some_and(|t| stage.queued(t).is_none())
+            }),
+            "stage {k}: {subnet} reads a layer that lands after {ready} or can still move"
+        );
         ready
+    }
+
+    /// Brings every stage's PCIe link up to `now`, in a traced run once
+    /// an event passes `prefetch_due`. A `Prefetch` span starts at its
+    /// request, and the span store keeps order only within a window, so
+    /// waiting for the stage's next task to trace it (which an idle stage
+    /// may not dispatch for a long time) would spill the store into its
+    /// sorting fallback.
+    fn trace_started_prefetches(&mut self, now: SimTime) {
+        self.prefetch_due = NEVER;
+        for k in 0..self.d {
+            let next = self.cluster.pcie_mut(GpuId(k)).next_start();
+            if next.is_some_and(|s| s < now) {
+                self.start_prefetches(k, now);
+            }
+            let next = self.cluster.pcie_mut(GpuId(k)).next_start();
+            self.prefetch_due = self.prefetch_due.min(next.unwrap_or(NEVER));
+        }
+    }
+
+    /// Brings stage `k`'s PCIe link up to `now`: every queued prefetch
+    /// that started before it is final, and traced.
+    fn start_prefetches(&mut self, k: u32, now: SimTime) {
+        let stage = &mut self.stages[k as usize];
+        if stage.prefetching.is_empty() {
+            return;
+        }
+        for t in self.cluster.pcie_mut(GpuId(k)).start_due(now) {
+            stage.prefetch_final(&mut *self.tracer, k, t);
+        }
     }
 
     /// Folds stage `k`'s cache-stat growth since the last sync into the
@@ -812,9 +944,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Applies predictor fetches: starts asynchronous prefetches over the
-    /// stage's PCIe link.
+    /// Applies predictor fetches: queues speculative prefetches on the
+    /// stage's PCIe link. Each one's span waits until its times are final
+    /// (`StageState::prefetch_final`).
     fn apply_fetches(&mut self, k: u32, now: SimTime, fetches: &[Fetch]) {
+        let traced = self.tracer.enabled();
         for fetch in fetches {
             let Some(entry) = self.core.entry(fetch.subnet) else {
                 continue;
@@ -826,14 +960,21 @@ impl<'a> Engine<'a> {
                 let evictions_before = cache.stats().evictions;
                 if cache.prefetch(l, bytes).is_some() {
                     let evicted = cache.stats().evictions - evictions_before;
-                    let (_, end) = self.cluster.pcie_mut(GpuId(k)).transfer(now, bytes);
-                    let landing = cache.landing(l);
-                    landing.at = Some(end);
-                    landing.span = self.tracer.emit(
-                        SpanDraft::new(k, SpanKind::Prefetch, now.as_us(), end.as_us())
-                            .subnet(fetch.subnet.0)
-                            .evicted(evicted),
-                    );
+                    let t = self.cluster.pcie_mut(GpuId(k)).prefetch(now, bytes);
+                    if traced {
+                        self.prefetch_due = self.prefetch_due.min(t.start);
+                    }
+                    *cache.landing(l) = Landing {
+                        at: Some(t.end),
+                        transfer: Some(t.id),
+                        span: SpanId::EXTERNAL,
+                    };
+                    stage.prefetching.push_back(Prefetching {
+                        transfer: t.id,
+                        layer: l,
+                        subnet: fetch.subnet,
+                        evicted,
+                    });
                 }
             }
         }
@@ -1304,6 +1445,9 @@ impl<'a> Engine<'a> {
     /// Injection and retirement change the table only for IDs no queued
     /// forward waits on, and wake nobody.
     fn step(&mut self, now: SimTime, ev: Ev) {
+        if now > self.prefetch_due {
+            self.trace_started_prefetches(now);
+        }
         self.sample_due(now);
         let mut wake = std::mem::take(&mut self.wake);
         match ev {
@@ -1369,6 +1513,10 @@ impl<'a> Engine<'a> {
         // Idle time runs to the last event, as the per-event loop had it.
         let last_event = self.queue.now();
         self.settle_all_idle(last_event);
+        // Nothing moves the prefetches still queued any more.
+        for k in 0..self.d {
+            self.start_prefetches(k, NEVER);
+        }
         let makespan = self.makespan.max(SimTime::from_us(1));
         // One last sample at the makespan boundary, which syncs the cache
         // counters: the hub's last published state equals the report
@@ -1602,6 +1750,50 @@ mod tests {
             "NullTracer emits nothing"
         );
         assert!(!traced.spans.spans().is_empty(), "default run is traced");
+    }
+
+    #[test]
+    fn tasks_wait_only_for_final_transfers() {
+        // The `rt-compute-lowshare` shape: rare sharing, hit rate ~0.3, so
+        // most tasks demand-fetch while prefetches queue on the link.
+        // Debug builds also check, per task, that every layer it reads has
+        // landed by its start on a transfer that can no longer move.
+        let space = SearchSpace::uniform(Domain::Nlp, 8, 64);
+        let cfg = PipelineConfig::naspipe(2, 400).with_seed(2022);
+        let traced = SimSpec::new(&space, &cfg).run().unwrap();
+        let untraced = SimSpec {
+            tracer: Box::new(NullTracer),
+            ..SimSpec::new(&space, &cfg)
+        }
+        .run()
+        .unwrap();
+        assert_eq!(traced.tasks, untraced.tasks);
+        assert_eq!(traced.report, untraced.report);
+        let spans = traced.spans.spans();
+        let count = |kind| spans.iter().filter(|s| s.kind == kind).count() as u64;
+        // Each prefetch is traced once, when its times are final.
+        assert_eq!(
+            count(SpanKind::Prefetch),
+            traced.report.cache_stats.prefetches
+        );
+        assert!(count(SpanKind::Fetch) > 0 && count(SpanKind::Prefetch) > 0);
+        let mut gated = 0;
+        let tasks = spans
+            .iter()
+            .filter(|s| matches!(s.kind, SpanKind::Forward | SpanKind::Backward));
+        for s in tasks {
+            let Some(edge) = s.cause.filter(|c| c.kind == CauseKind::FetchCompletion) else {
+                continue;
+            };
+            let landed = traced.spans.get(edge.src).expect("a traced transfer");
+            assert!(matches!(landed.kind, SpanKind::Fetch | SpanKind::Prefetch));
+            assert!(
+                s.start_us >= landed.end_us,
+                "{s:?} starts before {landed:?} lands"
+            );
+            gated += 1;
+        }
+        assert!(gated > 0, "no task waited for a transfer");
     }
 
     #[test]

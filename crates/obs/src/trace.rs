@@ -333,10 +333,11 @@ fn order_key(span: &Span) -> (u64, u64, SpanId) {
 /// the buffer ordered. Keeping order costs a key comparison and 72 moved
 /// bytes per place, so the window also bounds what staying ordered may
 /// cost per span: about what the fallback sort costs per span at a
-/// million spans. The DES emits almost in order — a prefetch starts when
-/// its PCIe link frees up, a little ahead of the task spans emitted after
-/// it: half a place back per span on the paper's 8-GPU shape and never
-/// more than 100 on 1 to 32 GPUs, so no such run leaves the window.
+/// million spans. The DES emits almost in order: a `Prefetch` span, which
+/// starts at its request, is emitted at the first event after its
+/// transfer starts, behind the spans of the instants in between — about
+/// three places back per span on the paper's 8-GPU shape, which stays
+/// inside the window.
 const ORDER_WINDOW: usize = 256;
 
 /// The in-memory [`Tracer`]: a span buffer kept in canonical

@@ -148,10 +148,10 @@ mod tests {
         let mut c = Cluster::testbed(2);
         assert_eq!(c.gpu(GpuId(1)).id(), GpuId(1));
         assert_eq!(c.gpus().len(), 2);
-        let (_, end) = c
+        let t = c
             .pcie_mut(GpuId(0))
-            .transfer(crate::time::SimTime::ZERO, 1_048_576);
-        assert!(end.as_us() > 0);
+            .demand(crate::time::SimTime::ZERO, 1_048_576, |_| {});
+        assert!(t.end.as_us() > 0);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Serially-occupied resources (a GPU's compute engine, a PCIe copy
-//! engine).
+//! Serially-occupied resources (a GPU's compute engine).
 //!
 //! A [`Resource`] executes one occupancy at a time in FIFO reservation
 //! order and accumulates busy time, from which utilisation and bubble

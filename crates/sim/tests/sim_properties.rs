@@ -1,10 +1,11 @@
 //! Property tests of the simulator's core invariants.
 
 use naspipe_sim::event::EventQueue;
-use naspipe_sim::link::Link;
+use naspipe_sim::link::{Link, Transfer, TransferId};
 use naspipe_sim::resource::Resource;
 use naspipe_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 proptest! {
     /// The event queue delivers payloads in non-decreasing time order and
@@ -65,14 +66,108 @@ proptest! {
         let mut serial = Link::pcie3_x16();
         let mut end = SimTime::ZERO;
         for &s in &sizes {
-            let (_, e) = serial.transfer(SimTime::ZERO, s);
-            end = end.max(e);
+            let t = serial.demand(SimTime::ZERO, s, |_| {});
+            end = end.max(t.end);
         }
         let mut combined = Link::pcie3_x16();
-        let (_, combined_end) = combined.transfer(SimTime::ZERO, sizes.iter().sum());
+        let combined_end = combined.demand(SimTime::ZERO, sizes.iter().sum(), |_| {}).end;
         // Serial pays per-transfer latency, so it can only be later.
         prop_assert!(end >= combined_end);
         prop_assert_eq!(serial.bytes_moved(), sizes.iter().sum::<u64>());
+    }
+
+    /// The two-class link over random time-ordered speculative requests,
+    /// demanded requests and promotions of queued prefetches: transfers
+    /// are serial and start no earlier than requested; a demanded one
+    /// waits only for the transfer in flight and the demanded ones before
+    /// it; speculative ones keep their order; nothing moves once started
+    /// or demanded; and the link moves the bytes and is busy for the time
+    /// a FIFO link fed the same requests is.
+    #[test]
+    fn a_link_serves_demands_before_unstarted_prefetches(
+        ops in proptest::collection::vec((0u64..4, 0u8..4, 1u64..30_000_000, 0usize..64), 1..80),
+    ) {
+        let mut link = Link::pcie3_x16();
+        let mut fifo = Resource::new();
+        // Per transfer, in id order: its times as last known, whether it
+        // is demanded (or promoted), and whether its times are final.
+        let mut all: Vec<(Transfer, bool, bool)> = Vec::new();
+        let mut slot: HashMap<TransferId, usize> = HashMap::new();
+        let mut now = SimTime::ZERO;
+        let mut bytes_total = 0;
+        for &(dt, kind, bytes, pick) in &ops {
+            now += SimDuration::from_us(dt * 700);
+            for t in link.start_due(now) {
+                let known = &mut all[slot[&t.id]];
+                prop_assert!(!known.2 && t == known.0 && t.start < now);
+                known.2 = true;
+            }
+            // What can no longer move, as it stands before this request.
+            let fixed: Vec<Transfer> = all.iter().filter(|a| a.2).map(|a| a.0).collect();
+            let mut moved = Vec::new();
+            let demanded = match kind {
+                0 | 1 => {
+                    let t = link.prefetch(now, bytes);
+                    slot.insert(t.id, all.len());
+                    all.push((t, false, false));
+                    None
+                }
+                2 => {
+                    let t = link.demand(now, bytes, |t| moved.push(t));
+                    slot.insert(t.id, all.len());
+                    all.push((t, true, true));
+                    Some(t)
+                }
+                _ => {
+                    let queued: Vec<usize> = (0..all.len()).filter(|&i| !all[i].2).collect();
+                    if queued.is_empty() {
+                        continue;
+                    }
+                    let i = queued[pick % queued.len()];
+                    let t = link.promote(now, all[i].0.id, |t| moved.push(t));
+                    prop_assert!(t.is_some_and(|t| t.id == all[i].0.id));
+                    let t = t.unwrap();
+                    prop_assert!(t.end <= all[i].0.end, "a promotion delayed {:?}", all[i].0);
+                    all[i] = (t, true, true);
+                    Some(t)
+                }
+            };
+            if kind < 3 {
+                bytes_total += bytes;
+                fifo.reserve_span(now, link.transfer_time(bytes));
+            }
+            for t in moved {
+                let known = &mut all[slot[&t.id]];
+                prop_assert!(!known.1 && !known.2, "{:?} moved after it was fixed", known.0);
+                prop_assert!(known.0.start >= now, "{:?} moved after it started", known.0);
+                known.0 = t;
+            }
+            if let Some(d) = demanded {
+                let waited_for = fixed.iter().any(|f| f.end == d.start);
+                prop_assert!(d.start == now || waited_for, "{:?} waited for nothing fixed", d);
+                prop_assert!(fixed.iter().all(|f| f.end <= d.start || f.start >= d.end));
+                let queued = all.iter().filter(|a| !a.2).map(|a| a.0);
+                prop_assert!(queued.clone().all(|q| q.start >= d.end), "{:?} runs first", queued.collect::<Vec<_>>());
+            }
+        }
+        for t in link.start_due(SimTime::from_us(u64::MAX)) {
+            let known = &mut all[slot[&t.id]];
+            prop_assert!(!known.2 && t == known.0);
+            known.2 = true;
+        }
+        prop_assert!(all.iter().all(|a| a.2), "a transfer never started");
+        let mut by_start: Vec<Transfer> = all.iter().map(|a| a.0).collect();
+        by_start.sort_by_key(|t| (t.start, t.id));
+        for w in by_start.windows(2) {
+            prop_assert!(w[0].end <= w[1].start, "overlap: {:?}", w);
+        }
+        prop_assert!(by_start.iter().all(|t| t.start >= t.requested));
+        let speculative: Vec<Transfer> = all.iter().filter(|a| !a.1).map(|a| a.0).collect();
+        for w in speculative.windows(2) {
+            prop_assert!(w[0].end <= w[1].start, "prefetches out of order: {:?}", w);
+        }
+        prop_assert_eq!(link.bytes_moved(), bytes_total);
+        prop_assert_eq!(link.busy_time(), fifo.busy_time());
     }
 
     /// Utilisation plus bubble is exactly one for any horizon at least as

@@ -15,11 +15,14 @@
 //! sample (now one observation per dispatch attempt).
 //! `SchedulerStats::hits` stays in. Re-record this half only for an
 //! intentional schedule change. The CSP rows of both halves were
-//! re-recorded three times, each time with every baseline row holding:
+//! re-recorded four times, each time with every baseline row holding:
 //! when a simulated CSP backward became an input half that hands the
 //! gradient down and an update half that writes the weights, when an
 //! idle CSP stage began recomputing activations ahead of the backward
-//! wave, and when it began doing so only while its compute is free.
+//! wave, when it began doing so only while its compute is free, and when
+//! a stage's PCIe link began serving demanded transfers ahead of queued
+//! prefetches (the `csp-no-scheduler` rows' `OBSERVED` half moved too:
+//! its prefetch spans are traced once their times are final).
 //!
 //! **`OBSERVED`** is how a run is described to its readers: every
 //! watchdog verdict and every span with its causal edge. A change to
@@ -164,65 +167,65 @@ fn digests(seed: u64, gpus: u32, policy: SyncPolicy) -> (u64, u64, String) {
 /// `(seed, gpus, policy, digest)`; see the module docs for when each
 /// half may move.
 const SCHEDULE: [(u64, u32, &str, u64); 30] = [
-    (1, 4, "csp", 0xaa0036822f711f8f),
+    (1, 4, "csp", 0x22c4fde497abc831),
     (1, 4, "csp-no-scheduler", 0x302a66138fece02a),
     (1, 4, "vpipe", 0x31b09d69cbe1ba8f),
     (1, 4, "gpipe", 0x12c9e13265bab54c),
     (1, 4, "pipedream", 0x4d9aab229bbd52da),
-    (1, 8, "csp", 0x8d33f42a21190c1d),
+    (1, 8, "csp", 0x0ac73cc3e471b972),
     (1, 8, "csp-no-scheduler", 0x260f0affa66e9ffc),
     (1, 8, "vpipe", 0x0a2ea72e6df0a156),
     (1, 8, "gpipe", 0x00500f8f5ff3c616),
     (1, 8, "pipedream", 0x50efb0180eff34e6),
-    (1, 32, "csp", 0x56f0ee5972abe03a),
+    (1, 32, "csp", 0x33023165d1485680),
     (1, 32, "csp-no-scheduler", 0xf99bce988ed18b2d),
     (1, 32, "vpipe", 0xa764f980cfdcf5f6),
     (1, 32, "gpipe", 0x9bc309dc1ba982e2),
     (1, 32, "pipedream", 0x91b572e94c9752aa),
-    (2022, 4, "csp", 0x36a19227f784a331),
+    (2022, 4, "csp", 0x912ab230a02b9e48),
     (2022, 4, "csp-no-scheduler", 0x80fbe876addbe2c3),
     (2022, 4, "vpipe", 0xc24f99db1f68b5ad),
     (2022, 4, "gpipe", 0x7db7314359b15cac),
     (2022, 4, "pipedream", 0x0dd4fcb96fcb7b00),
-    (2022, 8, "csp", 0xe76d793b3a0d141b),
+    (2022, 8, "csp", 0x1767886c201b9bb0),
     (2022, 8, "csp-no-scheduler", 0xb9fb07d4d6c88700),
     (2022, 8, "vpipe", 0x74571becd75a98e0),
     (2022, 8, "gpipe", 0xed7b7fea095e119e),
     (2022, 8, "pipedream", 0x2ff9e340cb0721bb),
-    (2022, 32, "csp", 0xd0740bd9bc6fcf9d),
+    (2022, 32, "csp", 0xa57866e4727b4c0f),
     (2022, 32, "csp-no-scheduler", 0x107eeb9ebe08b6fa),
     (2022, 32, "vpipe", 0x0cebb7381c947aa1),
     (2022, 32, "gpipe", 0x7987ca8f60572844),
     (2022, 32, "pipedream", 0xa7d22972d820454c),
 ];
 const OBSERVED: [(u64, u32, &str, u64); 30] = [
-    (1, 4, "csp", 0x1f0b08fb28df373a),
-    (1, 4, "csp-no-scheduler", 0xd514da9957454ed6),
+    (1, 4, "csp", 0x4c8e266c0d9e9644),
+    (1, 4, "csp-no-scheduler", 0x0c6321af784b54bd),
     (1, 4, "vpipe", 0xfa87061962e0426f),
     (1, 4, "gpipe", 0xd74107ddbe6210f6),
     (1, 4, "pipedream", 0xef6fde100f735e1a),
-    (1, 8, "csp", 0x2e181891c158a7c6),
-    (1, 8, "csp-no-scheduler", 0x62d77998cc92d878),
+    (1, 8, "csp", 0x266ab9f7782853c9),
+    (1, 8, "csp-no-scheduler", 0xd193b56a74a2c613),
     (1, 8, "vpipe", 0xc5ac1e801eb6b0cb),
     (1, 8, "gpipe", 0xcad672afea20a894),
     (1, 8, "pipedream", 0x104c1bf0112b039d),
-    (1, 32, "csp", 0x6a9b0469dfeb18d6),
-    (1, 32, "csp-no-scheduler", 0x161ca14004f49531),
+    (1, 32, "csp", 0xa8bea14587096c41),
+    (1, 32, "csp-no-scheduler", 0x39df80d53395e3cf),
     (1, 32, "vpipe", 0x3f7c159bfa3628ab),
     (1, 32, "gpipe", 0x431edcac51c512d0),
     (1, 32, "pipedream", 0xb982d72b582f26e1),
-    (2022, 4, "csp", 0xf8601ee9eb2fe6e2),
-    (2022, 4, "csp-no-scheduler", 0x1a82434ad05ec359),
+    (2022, 4, "csp", 0xd5d5f36edf2ddce4),
+    (2022, 4, "csp-no-scheduler", 0x281431a7cc72f3f5),
     (2022, 4, "vpipe", 0xbc8c42c7ede37b8e),
     (2022, 4, "gpipe", 0x7ec726670aa556e0),
     (2022, 4, "pipedream", 0x89a067b29d06820e),
-    (2022, 8, "csp", 0x652b3640b9f49f27),
-    (2022, 8, "csp-no-scheduler", 0x5dcab284c6084e22),
+    (2022, 8, "csp", 0xd540c76fdeaea688),
+    (2022, 8, "csp-no-scheduler", 0xd389f3bdf4110ee0),
     (2022, 8, "vpipe", 0xb89c2d81d6e0d5f9),
     (2022, 8, "gpipe", 0x8f72e62bb670b47b),
     (2022, 8, "pipedream", 0xaca5313bbfa618d0),
-    (2022, 32, "csp", 0x4f0e1bbfda54c7f1),
-    (2022, 32, "csp-no-scheduler", 0x2fe79fcf2d94cba6),
+    (2022, 32, "csp", 0xbaae11c704d22206),
+    (2022, 32, "csp-no-scheduler", 0xfac69d01a26ecae2),
     (2022, 32, "vpipe", 0xbf4166f732254892),
     (2022, 32, "gpipe", 0xe080c32ec4c6e2d8),
     (2022, 32, "pipedream", 0x10f864fa2c59d8fd),

@@ -401,12 +401,15 @@ fn shims_are_their_specs_and_bare_specs_are_the_old_defaults() {
     // time (`stage_idle_*` moved; the tasks digest did not). When an idle
     // stage began recomputing ahead only while its compute is free, they
     // were 0xcd24_ea12_7527_5f2b and 0xb1ba_ec03_0cf4_7377, 1951 spans
-    // and 1765 evictions.
-    assert_eq!(digest(&report), 0x2389_3ded_7349_4c96);
-    assert_eq!(digest(&format!("{:?}", out.tasks)), 0xa2f6_1836_8d4c_4b22);
+    // and 1765 evictions. When a stage's PCIe link began serving demanded
+    // transfers ahead of queued prefetches, they were
+    // 0x2389_3ded_7349_4c96 and 0xa2f6_1836_8d4c_4b22, 1934 spans and
+    // 1736 evictions.
+    assert_eq!(digest(&report), 0x335e_c4aa_6e34_1536);
+    assert_eq!(digest(&format!("{:?}", out.tasks)), 0xd94e_c492_c9d9_6cc9);
     // 1940 + 1913 = 3853 while each eviction was a span of its own.
-    assert_eq!(out.spans.spans().len(), 1934);
-    assert_eq!(out.report.cache_stats.evictions, 1736);
+    assert_eq!(out.spans.spans().len(), 1933);
+    assert_eq!(out.report.cache_stats.evictions, 1725);
 }
 
 /// `--gpus 0` and `--subnets 0` reach the threaded engine from outside:

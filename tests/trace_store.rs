@@ -232,11 +232,16 @@ mod model {
 /// free (the 32-GPU critical path held); the rows were `(4, 18964, 0x20f8dcfe77e9c360,
 /// 0x782ae3ffbd087bfb)`, `(8, 21560, 0x660b39fe6ff93be3,
 /// 0xa1fbed4d51554e4b)` and `(32, 41250, 0x3804270ae8d8e1db,
-/// 0xd3b761f9eaca5ad2)`.
+/// 0xd3b761f9eaca5ad2)`. And once more when a stage's PCIe link began
+/// serving demanded transfers ahead of queued prefetches, and a
+/// `prefetch` span began to be traced once its times are final; the rows
+/// were `(4, 18958, 0x827802a3edf3fa5e, 0x444d76bea5a7718f)`,
+/// `(8, 21560, 0xc0a860c847af9186, 0x4ea56fa9fe3c6cc7)` and
+/// `(32, 41250, 0x35c8eafacb55870d, 0xd3b761f9eaca5ad2)`.
 const PINNED: [(u32, usize, u64, u64); 3] = [
-    (4, 18958, 0x827802a3edf3fa5e, 0x444d76bea5a7718f),
-    (8, 21560, 0xc0a860c847af9186, 0x4ea56fa9fe3c6cc7),
-    (32, 41250, 0x35c8eafacb55870d, 0xd3b761f9eaca5ad2),
+    (4, 18871, 0x05a4c915785dbe07, 0x36dec431c77aba7d),
+    (8, 21512, 0xc819cade28a2617e, 0x0e71d094f4a80c65),
+    (32, 41236, 0xa682964c66a951d5, 0xdd09d6e4c38d5ac5),
 ];
 
 #[test]
