@@ -148,10 +148,14 @@ fn busy_and_timed(s: &StageMetrics) -> (u64, u64) {
     (fwd.sum + bwd.sum, fwd.count + bwd.count)
 }
 
-/// A stage's mean task latency; `None` before it has timed a task.
+/// A stage's mean task latency; `None` before it has spent time on a
+/// timed task. A stage that timed only zero-length tasks (a pipeline with
+/// more stages than blocks has empty slices) has no pace: counted as 0,
+/// such stages would pull the peer median to 0 and trip every stage that
+/// works.
 fn pace(s: &StageMetrics) -> Option<u64> {
     let (busy, timed) = busy_and_timed(s);
-    busy.checked_div(timed)
+    busy.checked_div(timed).filter(|_| busy > 0)
 }
 
 /// Lower median of a stage's peers' paces, read from `sorted` (every
@@ -203,8 +207,9 @@ impl Watchdog {
         // vs the peer median of the same. Cumulative busy time will not
         // do: pipeline fill, BSP bulks and injection bursts make one
         // stage busier than its peers by construction, at the same pace.
-        // A stage that has timed no task yet neither trips nor votes. One
-        // sort of all paces serves every stage's peer median.
+        // A stage without busy time (no task timed yet, or only empty
+        // ones) neither trips nor votes. One sort of all paces serves
+        // every stage's peer median.
         self.paces.clear();
         self.paces.extend(stages.iter().filter_map(pace));
         self.paces.sort_unstable();
@@ -420,6 +425,26 @@ mod tests {
         let v = wd.observe(600_000, rec.stages());
         assert_eq!(stragglers(&v), [0]);
         assert_eq!(v[0].detail, "mean task 400000us vs peer median 50000us");
+    }
+
+    #[test]
+    fn stages_that_timed_only_empty_tasks_neither_trip_nor_vote() {
+        // Six stages with empty slices time only 0 us tasks; were their
+        // paces 0, the peer median would be 0 and both working stages
+        // would trip.
+        let mut wd = Watchdog::new(8);
+        let mut rec = MetricsRecorder::new();
+        for stage in 0..6u32 {
+            run_tasks(&mut rec, stage, 50, 0);
+        }
+        run_tasks(&mut rec, 6, 50, 4_000);
+        run_tasks(&mut rec, 7, 50, 4_000);
+        assert!(wd.observe(500_000, rec.stages()).is_empty());
+        // A working stage is still held to the working stages' pace.
+        run_tasks(&mut rec, 7, 50, 40_000);
+        let v = wd.observe(3_000_000, rec.stages());
+        assert_eq!(stragglers(&v), [7]);
+        assert_eq!(v[0].detail, "mean task 22000us vs peer median 4000us");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use naspipe::core::replay_gate::loss_digest;
 use naspipe::core::runtime::{RecoveryOptions, RunSpec};
 use naspipe::core::task::TaskKind;
 use naspipe::core::train::TrainConfig;
-use naspipe::obs::{diagnose, AttrClass, Diagnosis, SpanTrace, WatchdogVerdictKind};
+use naspipe::obs::{diagnose, AttrClass, Diagnosis, NullTracer, SpanTrace, WatchdogVerdictKind};
 use naspipe::supernet::sampler::{ExplorationStrategy, UniformSampler};
 use naspipe::supernet::space::{SearchSpace, SpaceId};
 
@@ -100,6 +100,26 @@ fn clean_runs_trip_no_watchdog_across_seeds() {
             );
         }
     }
+}
+
+/// Past 48 stages NLP.c1 (48 blocks) leaves stages with empty slices,
+/// whose tasks take 0 us. They must not vote a peer median of 0: at 64
+/// GPUs that tripped 31 clean stages as stragglers.
+#[test]
+fn a_pipeline_deeper_than_its_blocks_trips_no_straggler() {
+    let space = SearchSpace::from_id(SpaceId::NlpC1);
+    let cfg = PipelineConfig::naspipe(64, 1000).with_seed(2022);
+    let out = SimSpec {
+        tracer: Box::new(NullTracer),
+        ..SimSpec::new(&space, &cfg)
+    }
+    .run()
+    .unwrap();
+    assert!(
+        out.obs.watchdog.is_empty(),
+        "a clean 64-GPU run tripped: {:?}",
+        out.obs.watchdog
+    );
 }
 
 #[test]
